@@ -281,6 +281,22 @@ class TestServeSimGolden:
             "--memsync", "push", "--placement", "replicate",
             "--speedup", "2000", "--fail-at", "300", "--fail-shard", "1",
             "--recover-at", "700"],
+        # Baked at the parent of the one-report-builder refactor: hybrid
+        # ``pool_servers``, the ``scaling`` block on both elastic fleets
+        # (``--shards 2`` so ``--max-servers 4`` really scales; the pool's
+        # ``servers`` stays the initial count), and the ``ingest`` key.
+        # Named to sort after the cases above, whose parametrize ids
+        # (``...-extraN``) carry their sorted position.
+        "serve_sim_topology_hybrid.json": ["--topology", "hybrid"],
+        "serve_sim_topology_pool_autoscale.json": [
+            "--shards", "2", "--topology", "pool", "--speedup", "2000",
+            "--autoscale", "--slo-p95", "1e-6", "--max-servers", "4"],
+        "serve_sim_sharded_autoscale.json": [
+            "--shards", "2", "--speedup", "2000",
+            "--autoscale", "--slo-p95", "1e-6", "--max-servers", "4"],
+        "serve_sim_sharded_pipelined.json": [
+            "--ingest", "pipelined", "--batch-edges", "128",
+            "--deadline-ms", "50"],
     }
 
     @pytest.mark.parametrize("golden,extra", sorted(CASES.items()))
