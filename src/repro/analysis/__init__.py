@@ -7,9 +7,9 @@ mechanically, *before* the golden diff:
 
 ``repro-lint`` (static half)
     :mod:`repro.analysis.linting` + :mod:`repro.analysis.rules` — an
-    AST linter (stdlib ``ast``, zero dependencies) with project rules:
-    ``unseeded-rng``, ``wall-clock-in-events``, ``unordered-iteration``,
-    ``float-sum-report``, ``report-omit-when-off``,
+    AST linter (stdlib ``ast``, zero dependencies) with five project
+    rules: ``unseeded-rng``, ``wall-clock-in-events``,
+    ``unordered-iteration``, ``float-sum-report``,
     ``scheduler-purity``.  Console script ``repro-lint`` /
     ``python -m repro.analysis``; exit 1 on findings; inline pragma
     ``# repro-lint: ok=<rule> (reason)`` waives a designated site.

@@ -2,9 +2,9 @@
 
 The serving stack's exactness story (byte-stable golden reports,
 heap-vs-vectorized scheduler equivalence, bit-identical sharded replays)
-rests on conventions — seeded RNG, stable iteration orders, report fields
-omitted-when-off, handlers touching the scheduler only through its public
-API — that nothing in ruff/mypy knows about.  This module is the
+rests on conventions — seeded RNG, stable iteration orders, handlers
+touching the scheduler only through its public API — that nothing in
+ruff/mypy knows about.  This module is the
 framework; the conventions themselves live in :mod:`repro.analysis.rules`
 as small :class:`Rule` subclasses, each an `ast` visitor over one file.
 

@@ -20,7 +20,7 @@ from .linting import FileContext, Rule, dotted_name
 __all__ = ["ALL_RULES", "default_rules",
            "UnseededRngRule", "WallClockInEventsRule",
            "UnorderedIterationRule", "FloatSumReportRule",
-           "ReportOmitWhenOffRule", "SchedulerPurityRule"]
+           "SchedulerPurityRule"]
 
 
 # --------------------------------------------------------------------------- #
@@ -262,64 +262,6 @@ class FloatSumReportRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-class ReportOmitWhenOffRule(Rule):
-    """``report-omit-when-off``: new ``ServingReport`` fields default-omit.
-
-    The golden JSON reports from PRs 3-7 are byte-pinned.  Any *new*
-    defaulted field on ``ServingReport`` must therefore be deleted from
-    ``to_dict()`` when it is "off" (the way ``ingest``/``rebalance``/
-    ``chaos`` families already are), or every golden re-bakes.  The rule
-    knows the baseline fields the goldens already contain; a defaulted
-    field that is neither baseline nor mentioned in ``to_dict`` is a
-    golden-breaking change waiting for CI.
-    """
-
-    name = "report-omit-when-off"
-    summary = ("new defaulted ServingReport fields must be omitted from "
-               "to_dict() when off, so pinned goldens stay byte-identical")
-
-    # Defaulted fields already present in the pinned golden schema
-    # (PR 3: topology/placement/memsync families).  Everything after
-    # these landed with an omit-when-off branch in to_dict().
-    BASELINE = frozenset({
-        "topology", "placement", "replicated_vertices", "memsync",
-        "sync_edges", "stale_reads", "max_version_lag", "pool_servers",
-    })
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.path.endswith("serving/engine.py")
-
-    def visit(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
-        report = next(
-            (n for n in ast.walk(ctx.tree)
-             if isinstance(n, ast.ClassDef) and n.name == "ServingReport"),
-            None)
-        if report is None:
-            return
-        to_dict = next(
-            (n for n in report.body
-             if isinstance(n, ast.FunctionDef) and n.name == "to_dict"),
-            None)
-        omitted: set[str] = set()
-        if to_dict is not None:
-            omitted = {n.value for n in ast.walk(to_dict)
-                       if isinstance(n, ast.Constant)
-                       and isinstance(n.value, str)}
-        for stmt in report.body:
-            if isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.value is not None:
-                field = stmt.target.id
-                if field not in self.BASELINE and field not in omitted:
-                    yield (stmt,
-                           f"new defaulted report field {field!r} is "
-                           f"never omitted in to_dict(): chaos-free/"
-                           f"feature-off runs will emit it and every "
-                           f"pinned golden re-bakes; add an "
-                           f"omit-when-off branch")
-
-
-# --------------------------------------------------------------------------- #
 class SchedulerPurityRule(Rule):
     """``scheduler-purity``: actors use the scheduler's public API only.
 
@@ -372,7 +314,7 @@ class SchedulerPurityRule(Rule):
 
 # --------------------------------------------------------------------------- #
 ALL_RULES = (UnseededRngRule, WallClockInEventsRule, UnorderedIterationRule,
-             FloatSumReportRule, ReportOmitWhenOffRule, SchedulerPurityRule)
+             FloatSumReportRule, SchedulerPurityRule)
 
 
 def default_rules() -> list[Rule]:

@@ -38,6 +38,7 @@ without subprocesses.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 
 import numpy as np
@@ -387,24 +388,34 @@ def cmd_trace(args, out=print) -> int:
     return 0
 
 
-def cmd_serve_sim(args, out=print) -> int:
-    from .models import ModelConfig, TGNN, load_model
+def _si(value: float, units) -> str:
+    """``value`` in the largest of ``units`` (``(scale, suffix)``, smallest
+    first) that keeps it at or above one, to four significant digits —
+    so a non-zero quantity never prints as an all-zero figure."""
+    scale, suffix = next((u for u in reversed(units) if abs(value) >= u[0]),
+                         units[0])
+    return f"{value / scale:.4g} {suffix}"
+
+
+def _fmt_time(seconds: float) -> str:
+    return _si(seconds, ((1e-6, "µs"), (1e-3, "ms"), (1.0, "s")))
+
+
+def _fmt_rate(edges_per_s: float) -> str:
+    return _si(edges_per_s, ((1.0, "E/s"), (1e3, "kE/s"), (1e6, "ME/s")))
+
+
+def _simulate_fleet(args, graph, model, out):
+    """Build the fleet ``args`` describes and replay the workload.
+
+    Nothing here judges whether the options are legal: the serving
+    library validates every value and combination at construction or at
+    the top of ``run``, and its ``ValueError`` is the CLI's error message
+    (``cmd_serve_sim`` catches it).  Returns ``(report, engine,
+    initial_owner, heap_trace)``.
+    """
     from .serving import (DEFAULT_REGISTRY, DynamicBatcher, OnlineRebalancer,
                           ServingEngine, VertexHeat, make_policy)
-    graph = _dataset(args)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        cfg = ModelConfig(memory_dim=args.memory_dim,
-                          time_dim=args.memory_dim,
-                          embed_dim=args.memory_dim,
-                          edge_dim=graph.edge_dim, node_dim=graph.node_dim,
-                          simplified_attention=True, lut_time_encoder=True,
-                          pruning_budget=4, name="NP(4)")
-        model = TGNN(cfg, rng=np.random.default_rng(args.seed))
-        model.calibrate(graph)
-        model.prepare_inference()
-
     batcher = DynamicBatcher(
         max_edges=args.batch_edges,
         max_delay_s=None if args.deadline_ms is None
@@ -413,17 +424,6 @@ def cmd_serve_sim(args, out=print) -> int:
     # skip the (never-read) per-shard functional inference entirely.
     backend_kwargs = {"functional": False} \
         if args.backend in ("cpu-32t", "gpu") else None
-    if args.backend == "measured" and args.topology != "sharded":
-        out(f"error: --backend measured requires --topology sharded "
-            f"(the worker pool pins one real kernel runtime per shard; "
-            f"{args.topology} replicas would share mutable state across "
-            f"processes)")
-        return 2
-    if args.workers and args.backend != "measured":
-        out(f"error: --workers requires --backend measured (the modeled "
-            f"{args.backend} backend prices batches without executing "
-            f"them, so there is no worker pool to size)")
-        return 2
     fpga_design = None
     if args.backend in ("u200", "zcu104"):
         from .hw import U200_DESIGN, ZCU104_DESIGN
@@ -435,15 +435,10 @@ def cmd_serve_sim(args, out=print) -> int:
         # Price cross-shard mailbox traffic at the SLR-crossing latency of
         # the simulated part (single-die parts get an all-zero penalty;
         # pool replicas forward nothing, so no penalty applies there).
-        kwargs = {}
+        kwargs = dict(rebalancer=rebalancer, failures=failures,
+                      autoscaler=autoscaler, workers=args.workers)
         if placement is not None:
             kwargs["placement"] = placement
-        if rebalancer is not None:
-            kwargs["rebalancer"] = rebalancer
-        if failures is not None:
-            kwargs["failures"] = failures
-        if autoscaler is not None:
-            kwargs["autoscaler"] = autoscaler
         if args.topology in ("sharded", "hybrid"):
             kwargs["memsync"] = args.memsync
         if args.topology == "hybrid":
@@ -456,8 +451,6 @@ def cmd_serve_sim(args, out=print) -> int:
             kwargs["die_of"] = die_of
             kwargs["mail_hop_s"] = \
                 fpga_design.die_crossing_cycles * fpga_design.clock_s
-        if args.backend == "measured":
-            kwargs["workers"] = args.workers
         return ServingEngine.from_registry(
             args.backend, model, graph,
             num_shards=args.shards if num_shards is None else num_shards,
@@ -558,11 +551,6 @@ def cmd_serve_sim(args, out=print) -> int:
                 f"(chaos injection fails a dedicated shard and promotes "
                 f"its replica mirrors; only the sharded topology has "
                 f"both)")
-        elif rebal_kwargs is not None:
-            out("error: --fail-at cannot be combined with "
-                "--rebalance-online (migrations racing a failover would "
-                "make the ownership chain ambiguous)")
-            return 2
         else:
             from .serving import FailurePlan
             plans = FailurePlan(fail_at=args.fail_at,
@@ -571,147 +559,132 @@ def cmd_serve_sim(args, out=print) -> int:
                                 recover_at=args.recover_at,
                                 degradation=args.fail_degradation)
 
-    make_autoscaler = None
+    capacity = None
     engine_shards = None
     if args.autoscale:
         from .serving import (AutoScaler, CapacityConfig,
                               padded_hash_placement)
-        if args.backend == "measured":
-            out("error: --autoscale requires a modeled backend (a "
-                "measured worker lane cannot be created mid-run)")
-            return 2
-        if args.topology == "hybrid":
-            out("error: --autoscale does not apply to the hybrid "
-                "topology (the pool pseudo-shard and the dedicated "
-                "shards would need separate controllers)")
-            return 2
-        if rebal_kwargs is not None:
-            out("error: --autoscale cannot be combined with "
-                "--rebalance-online (both migrate ownership from "
-                "windowed measurements and would race each other's "
-                "consistency checks)")
-            return 2
-        if plans is not None:
-            out("error: --autoscale cannot be combined with --fail-at "
-                "(a failover changes ownership and fleet health "
-                "underneath the scaler's decisions)")
-            return 2
-        if args.slo_p95 is None:
-            out("error: --autoscale requires --slo-p95 (the SLO the "
-                "controller scales against)")
-            return 2
-        if args.topology == "sharded" and args.placement != "hash":
-            out(f"error: --autoscale requires --placement hash on the "
-                f"sharded topology (splits and merges need an "
-                f"unreplicated hash layout; {args.placement} would put "
-                f"replicas or profiled moves underneath the controller)")
-            return 2
         initial = (args.pool_servers or args.shards) \
             if args.topology == "pool" else args.shards
-        max_servers = args.max_servers if args.max_servers is not None \
-            else 2 * initial
-        if max_servers < initial:
-            out(f"error: --max-servers {max_servers} is below the "
-                f"initial fleet of {initial}")
-            return 2
+        capacity = CapacityConfig(
+            micro_batch=args.batch_edges or 1, replicas=initial,
+            max_replicas=args.max_servers if args.max_servers is not None
+            else 2 * initial)
         scale_window = args.scale_window \
             if args.scale_window is not None \
             else args.window_s / args.speedup
-        capacity = CapacityConfig(micro_batch=args.batch_edges or 1,
-                                  replicas=initial,
-                                  max_replicas=max_servers)
-
-        def make_autoscaler():
-            # Fresh controller per engine build (same discipline as the
-            # rebalancer in the --profile lanes).
-            return AutoScaler(capacity, slo_p95_s=args.slo_p95,
-                              scale_window_s=scale_window)
-
         if args.topology == "sharded":
             # The elastic fleet is a max-servers-slot station array: the
             # hash layout covers the active prefix, the padded tail owns
             # nothing until a split activates it.
-            engine_shards = max_servers
-            placement = padded_hash_placement(graph.num_nodes,
-                                              args.shards, max_servers)
+            engine_shards = capacity.max_replicas
+            placement = padded_hash_placement(graph.num_nodes, args.shards,
+                                              engine_shards)
+
+    def lane(scheduler_cls=None):
+        # Fresh engine, placement, and controllers per replay, so neither
+        # warm state nor mid-run migrations leak across --profile lanes.
+        pl = copy.deepcopy(placement)
+        eng = build_engine(
+            placement=pl, die_of=plan_dies(pl),
+            rebalancer=OnlineRebalancer(**rebal_kwargs)
+            if rebal_kwargs is not None else None,
+            failures=plans,
+            autoscaler=AutoScaler(capacity, slo_p95_s=args.slo_p95,
+                                  scale_window_s=scale_window)
+            if capacity is not None else None,
+            num_shards=engine_shards)
+        initial_owner = eng.router.assignment.copy()
+        return run(eng, scheduler_cls), eng, initial_owner
+
+    if not args.profile:
+        return (*lane(), None)
+
+    # Two independent replays of the identical workload.  Timing covers
+    # the event loop only (engine.last_loop_wall_s): setup and report
+    # assembly are identical in both lanes and would dilute the scheduler
+    # comparison.
+    from .profiling import event_core_breakdown, format_table
+    from .serving import HeapEventScheduler
+
+    def loop_stats(eng):
+        s = eng.last_scheduler
+        calls = s.events_processed - getattr(s, "cohort_events", 0) \
+            + getattr(s, "cohort_calls", 0)
+        return {"events": s.events_processed,
+                "wall_s": eng.last_loop_wall_s, "cohort_calls": calls}
+
+    before_report, before_eng, _ = lane(HeapEventScheduler)
+    report, engine, initial_owner = lane()
+    rows = event_core_breakdown(loop_stats(before_eng), loop_stats(engine))
+    out("event core profile (same workload, both schedulers):")
+    out(format_table(rows, precision=3))
+    if report.measured is not None:
+        # Measured service times are wall-clock, so the two lanes can
+        # never agree byte-for-byte (and the heap lane's event order is
+        # its own timing's, not the vectorized lane's): compare the
+        # float-free structural projection and skip the cross-lane order
+        # check.
+        from .profiling import modeled_vs_measured
+        identical = before_report.to_structure_json() \
+            == report.to_structure_json()
+        out(f"event core speedup {rows[-1]['events_per_sec']:.2f}x, "
+            f"report structures identical: "
+            f"{'yes' if identical else 'NO'}")
+        out("modeled vs measured service time (vectorized lane):")
+        out(format_table(modeled_vs_measured(report.measured),
+                         precision=3))
+        return report, engine, initial_owner, None
+    identical = before_report.to_json() == report.to_json()
+    out(f"event core speedup {rows[-1]['events_per_sec']:.2f}x, "
+        f"reports byte-identical: {'yes' if identical else 'NO'}")
+    return report, engine, initial_owner, before_eng.last_event_trace
+
+
+def cmd_serve_sim(args, out=print) -> int:
+    from .models import ModelConfig, TGNN, load_model
+    # Flag *presence* is the one thing only the CLI can judge; every value
+    # and combination is validated by the library (see _simulate_fleet).
+    if args.autoscale and args.slo_p95 is None:
+        out("error: --autoscale requires --slo-p95 (the SLO the "
+            "controller scales against)")
+        return 2
+    if args.autoscale and args.topology == "sharded" \
+            and args.placement != "hash":
+        out(f"error: --autoscale requires --placement hash on the "
+            f"sharded topology (splits and merges need an "
+            f"unreplicated hash layout; {args.placement} would put "
+            f"replicas or profiled moves underneath the controller)")
+        return 2
+    scale_flags = [name for name, value in
+                   (("--slo-p95", args.slo_p95),
+                    ("--scale-window", args.scale_window),
+                    ("--max-servers", args.max_servers))
+                   if value is not None]
+    if scale_flags and not args.autoscale:
+        out(f"error: {', '.join(scale_flags)} require(s) --autoscale")
+        return 2
+
+    graph = _dataset(args)
+    if args.model:
+        model = load_model(args.model)
     else:
-        scale_flags = [name for name, value in
-                       (("--slo-p95", args.slo_p95),
-                        ("--scale-window", args.scale_window),
-                        ("--max-servers", args.max_servers))
-                       if value is not None]
-        if scale_flags:
-            out(f"error: {', '.join(scale_flags)} require(s) --autoscale")
-            return 2
+        cfg = ModelConfig(memory_dim=args.memory_dim,
+                          time_dim=args.memory_dim,
+                          embed_dim=args.memory_dim,
+                          edge_dim=graph.edge_dim, node_dim=graph.node_dim,
+                          simplified_attention=True, lut_time_encoder=True,
+                          pruning_budget=4, name="NP(4)")
+        model = TGNN(cfg, rng=np.random.default_rng(args.seed))
+        model.calibrate(graph)
+        model.prepare_inference()
 
-    if args.profile:
-        # Two independent replays of the identical workload — fresh
-        # engine, placement, and rebalancer per lane so neither warm
-        # state nor mid-run migrations leak across.  Timing covers the
-        # event loop only (engine.last_loop_wall_s): setup and report
-        # assembly are identical in both lanes and would dilute the
-        # scheduler comparison.
-        import copy as _copy
-        from .profiling import event_core_breakdown, format_table
-        from .serving import HeapEventScheduler
-
-        def lane(scheduler_cls):
-            pl = _copy.deepcopy(placement)
-            reb = OnlineRebalancer(**rebal_kwargs) \
-                if rebal_kwargs is not None else None
-            eng = build_engine(placement=pl, die_of=plan_dies(pl),
-                               rebalancer=reb, failures=plans,
-                               autoscaler=make_autoscaler()
-                               if make_autoscaler is not None else None,
-                               num_shards=engine_shards)
-            initial = eng.router.assignment.copy()
-            rep = run(eng, scheduler_cls=scheduler_cls)
-            s = eng.last_scheduler
-            calls = s.events_processed \
-                - getattr(s, "cohort_events", 0) \
-                + getattr(s, "cohort_calls", 0)
-            return rep, {"events": s.events_processed,
-                         "wall_s": eng.last_loop_wall_s,
-                         "cohort_calls": calls}, eng, initial
-
-        before_report, before_lane, before_eng, _ = lane(HeapEventScheduler)
-        report, after_lane, engine, initial_owner = lane(None)
-        rows = event_core_breakdown(before_lane, after_lane)
-        out("event core profile (same workload, both schedulers):")
-        out(format_table(rows, precision=3))
-        if report.measured is not None:
-            # Measured service times are wall-clock, so the two lanes can
-            # never agree byte-for-byte (and the heap lane's event order
-            # is its own timing's, not the vectorized lane's): compare the
-            # float-free structural projection and skip the cross-lane
-            # order check.
-            from .profiling import modeled_vs_measured
-            identical = before_report.to_structure_json() \
-                == report.to_structure_json()
-            out(f"event core speedup {rows[-1]['events_per_sec']:.2f}x, "
-                f"report structures identical: "
-                f"{'yes' if identical else 'NO'}")
-            out("modeled vs measured service time (vectorized lane):")
-            out(format_table(modeled_vs_measured(report.measured),
-                             precision=3))
-            heap_trace = None
-        else:
-            identical = before_report.to_json() == report.to_json()
-            out(f"event core speedup {rows[-1]['events_per_sec']:.2f}x, "
-                f"reports byte-identical: {'yes' if identical else 'NO'}")
-            heap_trace = before_eng.last_event_trace
-    else:
-        rebalancer = OnlineRebalancer(**rebal_kwargs) \
-            if rebal_kwargs is not None else None
-        engine = build_engine(placement=placement,
-                              die_of=plan_dies(placement),
-                              rebalancer=rebalancer, failures=plans,
-                              autoscaler=make_autoscaler()
-                              if make_autoscaler is not None else None,
-                              num_shards=engine_shards)
-        initial_owner = engine.router.assignment.copy()
-        report = run(engine)
-        heap_trace = None
+    try:
+        report, engine, initial_owner, heap_trace = \
+            _simulate_fleet(args, graph, model, out)
+    except ValueError as e:
+        out(f"error: {e}")
+        return 2
 
     if args.check_trace:
         # Replay the recorded trace through the invariant checker: the
@@ -740,14 +713,14 @@ def cmd_serve_sim(args, out=print) -> int:
     out(f"{label} @ {report.speedup:g}x load on {args.backend} "
         f"[placement {report.placement}]{ingest_tag}")
     for s in report.shard_stats:
-        out(f"  shard {s.shard}: util {s.utilization * 100:6.2f}%  "
+        out(f"  shard {s.shard}: util {s.utilization * 100:.3g}%  "
             f"jobs {s.jobs}  edges {s.edges} (mail {s.mail_in_edges})  "
-            f"wait {s.mean_wait_s * 1e3:.3f} ms  "
-            f"p95 {s.p95_response_s * 1e3:.3f} ms  drops {s.dropped_jobs}")
+            f"wait {_fmt_time(s.mean_wait_s)}  "
+            f"p95 {_fmt_time(s.p95_response_s)}  drops {s.dropped_jobs}")
     out(f"windows {report.windows} (dropped {report.dropped_windows}), "
-        f"response p95 {report.p95_response_s * 1e3:.3f} ms / "
-        f"p99 {report.p99_response_s * 1e3:.3f} ms, "
-        f"throughput {report.throughput_eps / 1e3:.2f} kE/s")
+        f"response p95 {_fmt_time(report.p95_response_s)} / "
+        f"p99 {_fmt_time(report.p99_response_s)}, "
+        f"throughput {_fmt_rate(report.throughput_eps)}")
     out(f"cross-shard edges {report.cross_shard_edges} "
         f"(x{report.replication_factor:.2f} replication, "
         f"{report.replicated_vertices} replicated vertices, "
@@ -767,22 +740,22 @@ def cmd_serve_sim(args, out=print) -> int:
             f"{report.promoted_vertices} promoted + "
             f"{report.rebuilt_vertices} rebuilt vertex(es), "
             f"{report.recovery_rows} recovery rows; outage p99 "
-            f"{report.outage_p99_response_s * 1e3:.3f} ms over "
+            f"{_fmt_time(report.outage_p99_response_s)} over "
             f"{report.outage_windows} window(s)")
     if report.measured is not None:
         m = report.measured
         modeled = m.get("modeled_mean_s")
         modeled_tag = "" if modeled is None \
-            else f", modeled {modeled * 1e3:.3f} ms"
+            else f", modeled {_fmt_time(modeled)}"
         out(f"measured: {m['samples']} kernel batch(es) on "
             f"{m['workers']} worker lane(s), mean service "
-            f"{m['mean_s'] * 1e3:.3f} ms (cv2 {m['cv2']:.2f})"
+            f"{_fmt_time(m['mean_s'])} (cv2 {m['cv2']:.2f})"
             f"{modeled_tag}")
     if report.scaling is not None:
         sc = report.scaling
         rows_tag = f", {sc['handoff_rows']} split/merge rows" \
             if sc["handoff_rows"] else ""
-        out(f"autoscale slo-p95 {sc['slo_p95_s'] * 1e3:.3f} ms: "
+        out(f"autoscale slo-p95 {_fmt_time(sc['slo_p95_s'])}: "
             f"{sc['scale_ups']} up / {sc['scale_downs']} down, fleet "
             f"{sc['initial_servers']} -> {sc['final_servers']} "
             f"(peak {sc['peak_servers']}, mean {sc['mean_servers']:.2f}), "

@@ -234,12 +234,12 @@ enforces them mechanically, before the golden diff can catch a break:
   ``unordered-iteration`` (no set / ``.keys()`` iteration feeding
   scheduling or report assembly), ``float-sum-report`` (builtin ``sum()``
   only over integer summands on report paths; float reductions use
-  ``math.fsum`` or a documented stable order), ``report-omit-when-off``
-  (new defaulted :class:`ServingReport` fields must be deleted from
-  ``to_dict()`` when off, or every pinned golden re-bakes), and
+  ``math.fsum`` or a documented stable order), and
   ``scheduler-purity`` (actors touch the scheduler only via
   ``schedule``/``schedule_run``/``cancel``/``record``).  Intentional
-  sites carry ``# repro-lint: ok=<rule> (reason)``.
+  sites carry ``# repro-lint: ok=<rule> (reason)``.  Omit-when-off
+  needs no rule: a defaulted :class:`ServingReport` field is dropped
+  from ``to_dict()`` while its gate holds its default, by declaration.
 * **tracecheck** (dynamic) — replays a ``trace=True`` run's typed-event
   trace and flags causality violations, non-exactly-once service or
   ownership, busy-interval overlap, off-flush mail, conservation breaks,

@@ -29,7 +29,7 @@ coolest survivor.  Both ride the existing
 :class:`~repro.serving.events.MigrationEvent` machinery (reasons
 ``"split"`` / ``"merge"``, :data:`HANDOFF_ROWS_PER_VERTEX` rows per
 vertex priced through ``mail_hop_s``), and ownership moves through
-:meth:`VersionedMemoryCache.transfer_ownership` so version counters
+:func:`~repro.serving.memsync.hand_off` so version counters
 stay exact across the change — post-split ``--memsync push`` replays
 stay bit-identical to the unsharded runtime, exactly as they do across
 a rebalancer migration.  A merged-away shard owns nothing, so the
@@ -54,6 +54,7 @@ import numpy as np
 
 from .events import (_MIGRATE, EventScheduler, MigrationEvent, ScaleEvent,
                      ServerGroup)
+from .memsync import hand_off
 from .rebalance import HANDOFF_ROWS_PER_VERTEX
 
 __all__ = ["AutoScaler", "CapacityConfig"]
@@ -172,15 +173,16 @@ class AutoScaler:
     # ------------------------------------------------------------------ #
     def bind(self, sched: EventScheduler, groups: Sequence[ServerGroup],
              router=None, cache=None,
-             on_migrate: Callable[[MigrationEvent], None] | None = None
+             on_migrate: Callable[[int, int, int], None] | None = None
              ) -> None:
         """Attach to one run, resetting all per-run state.
 
         ``router=None`` selects pool mode (one K-server group, resized
         in place); a router selects sharded mode (``max_replicas``
         one-server stations, resized by ownership splits/merges).
-        ``cache`` is the run's memsync cache; ``on_migrate`` the
-        engine's handoff-pricing hook.
+        ``cache`` is the run's memsync cache;
+        ``on_migrate(rows, from_shard, to_shard)`` the engine's
+        handoff-pricing hook.
         """
         groups = list(groups)
         if router is None:
@@ -364,21 +366,13 @@ class AutoScaler:
         # MigrationEvents scheduled right behind this event.
 
     def _apply_migration(self, ev: MigrationEvent) -> None:
-        """Identical contract to the rebalancer's apply: consume the
-        current owner, transfer coherence ownership, price the rows."""
-        owner = int(self._router.assignment[ev.vertex])
-        if owner != ev.from_shard:
-            raise RuntimeError(
-                f"split/merge of vertex {ev.vertex} expected owner "
-                f"{ev.from_shard} but found {owner}: ownership changed "
-                f"between decision and application")
-        self._router.migrate([ev.vertex], ev.to_shard)
-        if self._cache is not None:
-            self._cache.transfer_ownership([ev.vertex], [ev.from_shard],
-                                           ev.to_shard)
+        """Identical contract to the rebalancer's apply: flip ownership
+        through the shared hand-off, price the rows."""
+        hand_off(self._router, self._cache, [ev.vertex], ev.from_shard,
+                 ev.to_shard)
         self.handoff_rows += ev.rows
         if self._on_migrate is not None:
-            self._on_migrate(ev)
+            self._on_migrate(ev.rows, ev.from_shard, ev.to_shard)
 
     # ------------------------------------------------------------------ #
     def report_block(self, t0: float, makespan_s: float) -> dict:

@@ -54,8 +54,9 @@ equivalence tests).
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -67,11 +68,11 @@ from .events import (INGEST_MODES, _MIGRATE, BatcherActor, EventScheduler,
                      FailureEvent, FailurePlan, MigrationEvent, RecoveryEvent,
                      RouterActor, ServerGroup, SimulationResult, Submission)
 from .measured import MeasuredServerGroup, WorkerPool
-from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
+from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache, hand_off
 from .placement import HotColdHybrid, Placement, VertexHeat
 from .rebalance import HANDOFF_ROWS_PER_VERTEX
 from .registry import DEFAULT_REGISTRY, BackendRegistry
-from .router import CrossShardMailbox, ShardRouter
+from .router import CrossShardMailbox, ShardBatch, ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
            "FailureInjector", "make_stream_arrivals"]
@@ -128,6 +129,10 @@ class ShardStats:
         return self.offered_load < 1.0
 
 
+_REBALANCE = {"gate": "rebalance"}
+_CHAOS = {"gate": "chaos"}
+
+
 @dataclass(frozen=True)
 class ServingReport:
     """End-to-end outcome of a multi-stream replay (any topology)."""
@@ -150,27 +155,38 @@ class ServingReport:
     cross_shard_edges: int      # mailbox deliveries actually serviced
     cross_die_mail_edges: int   # mailbox traffic that crossed a die
     shard_stats: tuple[ShardStats, ...]
-    topology: str = "sharded"
-    placement: str = "hash"     # placement policy name ("none" for pool)
-    replicated_vertices: int = 0  # vertices held by more than one shard
-    memsync: str = "none"       # cross-shard memory sync policy
-    sync_edges: int = 0         # memory rows transferred between shards
-    stale_reads: int = 0        # reads served from a stale mirror (none)
-    max_version_lag: int = 0    # worst version lag among those reads
-    pool_servers: int = 1       # replicas behind the shared queue (pool)
+    topology: str
+    placement: str              # placement policy name ("none" for pool)
+    replicated_vertices: int    # vertices held by more than one shard
+    memsync: str                # cross-shard memory sync policy
+    sync_edges: int             # memory rows transferred between shards
+    stale_reads: int            # reads served from a stale mirror (none)
+    max_version_lag: int        # worst version lag among those reads
+    pool_servers: int           # replicas behind the shared queue (pool)
+    # Every defaulted field below is optional *by construction*:
+    # ``to_dict`` drops it while its gate — itself, unless
+    # ``metadata["gate"]`` names another field — still holds its default,
+    # so a feature that is off adds no key and the pinned goldens stand.
     ingest: str = "serial"      # ingest tier mode (serial | pipelined)
     rebalance: str = "off"      # online rebalancing (off | online)
-    migrations: int = 0         # MigrationEvents applied during the run
-    migrated_vertices: int = 0  # distinct vertices that changed owner
-    handoff_rows: int = 0       # state rows handed off by migrations
+    # MigrationEvents applied during the run
+    migrations: int = field(default=0, metadata=_REBALANCE)
+    # distinct vertices that changed owner
+    migrated_vertices: int = field(default=0, metadata=_REBALANCE)
+    # state rows handed off by migrations
+    handoff_rows: int = field(default=0, metadata=_REBALANCE)
     chaos: str = "off"          # failure injection (off|slow|dead|mixed)
-    failures: int = 0           # FailureEvents applied during the run
-    recoveries: int = 0         # RecoveryEvents applied during the run
-    promoted_vertices: int = 0  # dead-shard vertices promoted to a replica
-    rebuilt_vertices: int = 0   # dead-shard vertices rebuilt from peers
-    recovery_rows: int = 0      # state rows moved by failover + fail-back
-    outage_windows: int = 0     # served windows that arrived in an outage
-    outage_p99_response_s: float = 0.0  # p99 over those windows
+    # FailureEvents / RecoveryEvents applied during the run
+    failures: int = field(default=0, metadata=_CHAOS)
+    recoveries: int = field(default=0, metadata=_CHAOS)
+    # dead-shard vertices promoted to a replica / rebuilt from peers
+    promoted_vertices: int = field(default=0, metadata=_CHAOS)
+    rebuilt_vertices: int = field(default=0, metadata=_CHAOS)
+    # state rows moved by failover + fail-back
+    recovery_rows: int = field(default=0, metadata=_CHAOS)
+    # served windows that arrived in an outage, and the p99 over them
+    outage_windows: int = field(default=0, metadata=_CHAOS)
+    outage_p99_response_s: float = field(default=0.0, metadata=_CHAOS)
     measured: dict | None = None  # measured-backend block (mean/cv²/
                                   # per-shard split); None on modeled runs
     scaling: dict | None = None   # autoscale block (scale events, fleet
@@ -210,7 +226,13 @@ class ServingReport:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """Plain-python dict (derived metrics included) for JSON reports."""
+        """Plain-python dict (derived metrics included) for JSON reports.
+
+        Required fields are always present; a defaulted field appears
+        only once its gate field has left its default (see the field
+        declarations), which keeps feature-off reports byte-identical to
+        the goldens that predate the feature.
+        """
         d = asdict(self)
         d["shard_stats"] = [dict(asdict(s), stable=bool(s.stable))
                             for s in self.shard_stats]
@@ -218,32 +240,13 @@ class ServingReport:
                  served_edges=int(self.served_edges),
                  throughput_eps=float(self.throughput_eps),
                  replication_factor=float(self.replication_factor))
-        if d["ingest"] == "serial":
-            # Serial reports keep the pre-event-core schema byte-for-byte
-            # (the golden-test contract); only pipelined runs add the key.
-            del d["ingest"]
-        if d["rebalance"] == "off":
-            # Likewise: only online-rebalanced runs add the migration keys,
-            # so pre-existing goldens stay byte-identical.
-            for key in ("rebalance", "migrations", "migrated_vertices",
-                        "handoff_rows"):
-                del d[key]
-        if d["chaos"] == "off":
-            # Same contract for failure injection: chaos-free runs keep
-            # the historical schema byte-for-byte.
-            for key in ("chaos", "failures", "recoveries",
-                        "promoted_vertices", "rebuilt_vertices",
-                        "recovery_rows", "outage_windows",
-                        "outage_p99_response_s"):
-                del d[key]
-        if d["measured"] is None:
-            # Modeled runs keep the historical schema byte-for-byte; only
-            # measured-backend runs add the block.
-            del d["measured"]
-        if d["scaling"] is None:
-            # Static-fleet runs keep the historical schema byte-for-byte;
-            # only autoscaled runs add the block.
-            del d["scaling"]
+        declared = {f.name: f for f in fields(self)}
+        for f in declared.values():
+            if f.default is MISSING:
+                continue
+            gate = declared[f.metadata.get("gate", f.name)]
+            if getattr(self, gate.name) == gate.default:
+                del d[f.name]
         return d
 
     def to_json(self) -> str:
@@ -345,8 +348,9 @@ class FailureInjector:
         """Attach to one run, resetting counters and scheduling the plans.
 
         ``on_rows(rows, from_shard, to_shard)`` is the engine's pricing
-        hook for recovery transfers; ``cache`` (when present) tracks the
-        coherence side of dead failovers and picks rebuild sources.
+        hook for recovery transfers (the one the migration controllers
+        share); ``cache`` (when present) tracks the coherence side of
+        dead failovers and picks rebuild sources.
         """
         for p in self.plans:
             if p.shard >= len(groups):
@@ -394,14 +398,9 @@ class FailureInjector:
         lowest survivor (the durable-log replay still costs a transfer).
         """
         if self._cache is not None:
-            cache = self._cache
-            current = (cache.mirror_version[:, vertex]
-                       == cache.version[vertex]) \
-                & (cache._holder[:, vertex] | cache._mirror[:, vertex])
-            current[dead] = False
-            hit = np.flatnonzero(current)
-            if len(hit):
-                return int(hit[0])
+            peer = self._cache.current_peer(vertex, dead)
+            if peer is not None:
+                return peer
         return min(s for s in range(len(self._groups)) if s != dead)
 
     def _on_fail(self, ev: FailureEvent) -> None:
@@ -450,15 +449,10 @@ class FailureInjector:
         move = owned[router.assignment[owned] != ev.shard]
         if not len(move):
             return
-        owners = router.assignment[move].copy()
-        # Pre-flip replication status: promoted vertices keep their interim
-        # owner as a holder (it demotes back into the replica set).
-        keep = np.array([bool(router.placement.replicas.get(int(x)))
-                         for x in move])
-        router.migrate(move, ev.shard)
-        if self._cache is not None:
-            self._cache.transfer_ownership(move, owners, ev.shard,
-                                           keep_holder=keep)
+        # Promoted vertices keep their interim owner as a holder: it
+        # demotes back into the replica set.
+        owners = router.assignment[move]
+        hand_off(router, self._cache, move, owners, ev.shard)
         for x, frm in zip(move.tolist(), owners.tolist()):
             self._price(HANDOFF_ROWS_PER_VERTEX, int(frm), ev.shard)
             if self._sched.trace is not None:
@@ -522,7 +516,8 @@ class ServingEngine:
         the event loop (sharded and hybrid topologies): it watches
         per-shard window utilization / queue depth on released jobs and
         migrates vertex ownership mid-run via
-        :class:`~repro.serving.events.MigrationEvent`.  Handoff rows are
+        :class:`~repro.serving.events.MigrationEvent`, each applied by
+        :func:`~repro.serving.memsync.hand_off`.  Handoff rows are
         priced through ``mail_hop_s`` like sync traffic (charged to the
         destination shard's next sub-job) and the report gains
         ``rebalance`` / ``migrations`` / ``migrated_vertices`` /
@@ -534,9 +529,11 @@ class ServingEngine:
         to inject during each run (sharded and hybrid topologies): the
         :class:`FailureInjector` schedules the failure/recovery events,
         applies them to the shard's :class:`ServerGroup` and — for dead
-        failures — runs replica promotion / peer rebuild / fail-back
-        through the router and memsync cache, pricing recovery rows via
-        ``mail_hop_s``.  The report gains ``chaos`` / ``failures`` /
+        failures — runs replica promotion / peer rebuild through the
+        router and memsync cache and the fail-back through
+        :func:`~repro.serving.memsync.hand_off`, pricing recovery rows
+        via ``mail_hop_s`` with the migration controllers' hook.  The
+        report gains ``chaos`` / ``failures`` /
         ``recoveries`` / ``promoted_vertices`` / ``rebuilt_vertices`` /
         ``recovery_rows`` / ``outage_windows`` / ``outage_p99_response_s``
         (keys omitted when off).  Mutually exclusive with ``rebalancer``:
@@ -550,8 +547,9 @@ class ServingEngine:
         and shrinks the replica group in place (cold starts priced by
         delayed first availability); sharded topology splits/merges
         ownership across a ``capacity.max_replicas``-slot fleet through
-        :class:`~repro.serving.events.MigrationEvent` handoffs, priced
-        through ``mail_hop_s`` exactly like rebalancer migrations (build
+        :class:`~repro.serving.events.MigrationEvent` handoffs, applied
+        by :func:`~repro.serving.memsync.hand_off` and priced through
+        ``mail_hop_s`` exactly like rebalancer migrations (build
         the layout with
         :func:`~repro.serving.placement.padded_hash_placement`).  The
         report gains a ``scaling`` block (key omitted when off).
@@ -877,14 +875,10 @@ class ServingEngine:
                     queue_capacity=queue_capacity,
                     prepare=sub_batch, extra_service=hop_service))
                 continue
-            if self.topology == "pool":
-                def service(job, _backend=backend):
-                    return _backend.process_batch(job.batch)
-            else:
-                def service(payload, _backend=backend):
-                    _, sb, hops, sync_hops = payload
-                    return _backend.process_batch(sb.batch) \
-                        + self.mail_hop_s * (hops + sync_hops)
+            def service(payload, _backend=backend):
+                _, sb, hops, sync_hops = payload
+                return _backend.process_batch(sb.batch) \
+                    + self.mail_hop_s * (hops + sync_hops)
             groups.append(ServerGroup(gid, n_srv, service, sched,
                                       queue_capacity=queue_capacity))
         return groups
@@ -932,11 +926,10 @@ class ServingEngine:
         auto = self.autoscaler
         pending_handoff_hops = [0] * len(groups)
 
-        def price_handoff(ev):
+        def price_handoff(rows, from_shard, to_shard):
             if self.die_of is not None \
-                    and self.die_of[ev.from_shard] \
-                    != self.die_of[ev.to_shard]:
-                pending_handoff_hops[ev.to_shard] += ev.rows
+                    and self.die_of[from_shard] != self.die_of[to_shard]:
+                pending_handoff_hops[to_shard] += rows
 
         if rebal is not None:
             rebal.bind(sched, groups, router=self.router, cache=cache,
@@ -952,42 +945,33 @@ class ServingEngine:
                       cache=cache, on_migrate=price_handoff)
             for g in groups:
                 g.on_serviced = auto.record_response
-
-        # Recovery transfers (peer rebuilds, fail-backs) ride the same
-        # channel and pricing as migration handoffs.
         chaos = self.failure_injector
         if chaos is not None:
-            def price_recovery(rows, from_shard, to_shard):
-                if self.die_of is not None \
-                        and self.die_of[from_shard] != self.die_of[to_shard]:
-                    pending_handoff_hops[to_shard] += rows
-
+            # Recovery transfers (peer rebuilds, fail-backs) ride the
+            # same channel and pricing as migration handoffs.
             chaos.bind(sched, groups, router=self.router, cache=cache,
-                       on_rows=price_recovery)
+                       on_rows=price_handoff)
 
         def route(job: CoalescedJob) -> list[Submission]:
             ji = len(jobs)
             jobs.append(job)
-            if pooled:
-                if auto is not None:
-                    # Decisions scheduled here fire as ScaleEvents *after*
-                    # this job's submission lands: in-flight work drains on
-                    # the old fleet, the next dispatch sees the new one.
-                    auto.observe(job.t_release, job.batch)
-                per_shard[0].append((job.t_release, job))
-                return [Submission(0, job)]
             if auto is not None:
                 # Same decision-after-routing discipline as the rebalancer
-                # below: the split/merge migrations land before the next
-                # release routes.
+                # below: ScaleEvents (and their split/merge migrations)
+                # land before the next release routes, while in-flight
+                # work drains on the old fleet.
                 auto.observe(job.t_release, job.batch)
             if rebal is not None:
                 # Decisions scheduled here fire as MigrationEvents *after*
                 # this job's submissions land: in-flight work drains under
                 # the old ownership, the next release routes under the new.
                 rebal.observe(job.t_release, job.batch)
+            # A pool never splits: the whole job is the one group's
+            # sub-batch, with no mail and nothing to sync.
+            shard_batches = [ShardBatch(0, job.batch, len(job.batch))] \
+                if pooled else self.router.split(job.batch, cache=cache)
             subs = []
-            for sb in self.router.split(job.batch, cache=cache):
+            for sb in shard_batches:
                 hops = self._cross_die_mail(sb.shard, sb.mail_from)
                 sync_hops = self._cross_die_sync(sb)
                 if pending_handoff_hops[sb.shard]:
@@ -1034,15 +1018,9 @@ class ServingEngine:
         self.last_num_arrivals = len(arrivals)
         shard_results = [g.finalize() for g in groups]
 
-        if pooled:
-            return self._pool_report(arrivals, jobs, shard_results[0],
-                                     window_s, speedup, num_streams, ingest,
-                                     auto=auto)
-        return self._sharded_report(arrivals, jobs, per_shard, shard_results,
-                                    window_s, speedup, num_streams, ingest,
-                                    rebal, chaos,
-                                    measured=self._measured_block(groups),
-                                    auto=auto)
+        return self._report(arrivals, jobs, per_shard, shard_results,
+                            window_s, speedup, num_streams, ingest,
+                            self._measured_block(groups))
 
     # ------------------------------------------------------------------ #
     def _measured_block(self, groups: Sequence[ServerGroup]) -> dict | None:
@@ -1096,14 +1074,21 @@ class ServingEngine:
                 "per_shard": per_shard}
 
     # ------------------------------------------------------------------ #
-    def _sharded_report(self, arrivals: list[StreamArrival],
-                        jobs: list[CoalescedJob],
-                        per_shard: list[list[tuple[float, tuple]]],
-                        shard_results: list[SimulationResult],
-                        window_s: float, speedup: float, num_streams: int,
-                        ingest: str, rebal=None, chaos=None,
-                        measured: dict | None = None,
-                        auto=None) -> ServingReport:
+    def _report(self, arrivals: list[StreamArrival],
+                jobs: list[CoalescedJob],
+                per_shard: list[list[tuple[float, tuple]]],
+                shard_results: list[SimulationResult],
+                window_s: float, speedup: float, num_streams: int,
+                ingest: str, measured: dict | None) -> ServingReport:
+        """Fold one finished run into its :class:`ServingReport`.
+
+        One path for every topology: a pool is the one-group fleet whose
+        sub-batches are whole jobs, so it has no mail, no sync traffic,
+        and no partition (``placement="none"``).
+        """
+        rebal, chaos, auto = \
+            self.rebalancer, self.failure_injector, self.autoscaler
+        pooled = self.topology == "pool"
         mailbox = CrossShardMailbox(self.num_shards)
 
         # Resolve drops globally first: a window is dropped if *any*
@@ -1160,16 +1145,16 @@ class ServingEngine:
         responses: list[float] = []
         outage_resp: list[float] = []
         dropped_windows = 0
-        for ji, job in enumerate(jobs):
-            if job_dropped[ji] or not np.isfinite(finish_of_job[ji]):
+        for job, finish, dropped in zip(jobs, finish_of_job.tolist(),
+                                        job_dropped.tolist()):
+            if dropped or not math.isfinite(finish):
                 dropped_windows += len(job.sources)
                 continue
             for a in job.sources:
-                responses.append(finish_of_job[ji] - a.t)
+                responses.append(finish - a.t)
                 if outages and any(lo <= a.t < hi for lo, hi in outages):
                     outage_resp.append(responses[-1])
 
-        hybrid = self.topology == "hybrid"
         stats = tuple(
             ShardStats(shard=s,
                        backend=getattr(self.backends[s], "name",
@@ -1187,7 +1172,10 @@ class ServingEngine:
                        p99_response_s=r.p99_response_s,
                        max_queue_depth=r.max_queue_depth,
                        dropped_jobs=r.dropped,
-                       servers=r.num_servers)
+                       # An elastic pool reports the fleet it started
+                       # with; the scaling block carries the rest.
+                       servers=self.pool_servers if pooled
+                       else r.num_servers)
             for s, r in enumerate(shard_results))
 
         resp = np.asarray(responses)
@@ -1195,8 +1183,9 @@ class ServingEngine:
         # permutation-invariant, bit-for-bit); the mean stays on the
         # unsorted array — summation order changes its last bits.
         resp_sorted = np.sort(resp)
+        # First *stream* arrival (not first job release) to last service
+        # completion.
         makespan = run_end - float(arrivals[0].t) if len(finite) else 0.0
-        ingested = sum(len(a) for a in arrivals)
         placement = self.router.placement
         return ServingReport(
             num_shards=self.num_shards, num_streams=num_streams,
@@ -1208,19 +1197,21 @@ class ServingEngine:
             p99_response_s=float(np.percentile(resp_sorted, 99))
             if len(resp) else 0.0,
             makespan_s=makespan,
-            ingested_edges=ingested,
+            ingested_edges=sum(len(a) for a in arrivals),
             processed_edges=int(shard_traffic.sum()),
             cross_shard_edges=mailbox.total_edges,
             cross_die_mail_edges=cross_die_mail,
             shard_stats=stats,
             topology=self.topology,
-            placement=placement.policy,
-            replicated_vertices=placement.replicated_vertices,
+            placement="none" if pooled else placement.policy,
+            replicated_vertices=0 if pooled
+            else placement.replicated_vertices,
             memsync=self.memsync,
             sync_edges=sync_edges,
             stale_reads=stale_reads,
             max_version_lag=max_version_lag,
-            pool_servers=self.pool_servers if hybrid else 1,
+            pool_servers=1 if self.topology == "sharded"
+            else self.pool_servers,
             ingest=ingest,
             rebalance="off" if rebal is None else "online",
             migrations=0 if rebal is None else rebal.migrations,
@@ -1237,72 +1228,5 @@ class ServingEngine:
                 np.percentile(np.sort(np.asarray(outage_resp)), 99))
             if outage_resp else 0.0,
             measured=measured,
-            scaling=None if auto is None
-            else auto.report_block(float(arrivals[0].t), makespan))
-
-    # ------------------------------------------------------------------ #
-    def _pool_report(self, arrivals: list[StreamArrival],
-                     jobs: list[CoalescedJob], res: SimulationResult,
-                     window_s: float, speedup: float, num_streams: int,
-                     ingest: str, auto=None) -> ServingReport:
-        """K stateless replicas behind one shared FIFO queue.
-
-        Jobs are never split: any free replica serves the whole job, so no
-        mailbox traffic exists and each edge is processed exactly once
-        (``replication_factor == 1``).  Service times come from the single
-        timing backend processing the stream in admission order — the
-        shared-state-store semantics replicas would see in deployment.
-        """
-        backend = self.backends[0]
-        responses: list[float] = []
-        edges_served = 0
-        for sj in res.served:
-            job = jobs[sj.index]
-            edges_served += len(job.batch)
-            for a in job.sources:
-                responses.append(sj.t_finish - a.t)
-        dropped_windows = sum(len(jobs[di].sources)
-                              for di in res.dropped_indices)
-
-        stats = (ShardStats(
-            shard=0,
-            backend=getattr(backend, "name", type(backend).__name__),
-            jobs=res.jobs, edges=edges_served, local_edges=edges_served,
-            mail_in_edges=0, busy_s=res.busy_s,
-            utilization=res.utilization, offered_load=res.offered_load,
-            mean_wait_s=res.mean_wait_s,
-            mean_response_s=res.mean_response_s,
-            p95_response_s=res.p95_response_s,
-            p99_response_s=res.p99_response_s,
-            max_queue_depth=res.max_queue_depth,
-            dropped_jobs=res.dropped,
-            servers=self.pool_servers),)
-
-        resp = np.asarray(responses)
-        resp_sorted = np.sort(resp)   # shared by the percentiles, as above
-        # Same convention as the sharded path: first *stream* arrival (not
-        # first job release) to last service completion.
-        makespan = float(max(sj.t_finish for sj in res.served)
-                         - arrivals[0].t) if res.served else 0.0
-        return ServingReport(
-            num_shards=1, num_streams=num_streams,
-            speedup=speedup, window_s=window_s,
-            windows=len(responses), dropped_windows=dropped_windows,
-            mean_response_s=float(resp.mean()) if len(resp) else 0.0,
-            p95_response_s=float(np.percentile(resp_sorted, 95))
-            if len(resp) else 0.0,
-            p99_response_s=float(np.percentile(resp_sorted, 99))
-            if len(resp) else 0.0,
-            makespan_s=makespan,
-            ingested_edges=sum(len(a) for a in arrivals),
-            processed_edges=edges_served,
-            cross_shard_edges=0,
-            cross_die_mail_edges=0,
-            shard_stats=stats,
-            topology="pool",
-            placement="none",
-            replicated_vertices=0,
-            pool_servers=self.pool_servers,
-            ingest=ingest,
             scaling=None if auto is None
             else auto.report_block(float(arrivals[0].t), makespan))

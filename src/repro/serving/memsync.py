@@ -84,7 +84,7 @@ from .placement import Placement
 from .router import CrossShardMailbox, ShardRouter
 
 __all__ = ["MEMSYNC_POLICIES", "ReadOutcome", "VersionedMemoryCache",
-           "ShardedRuntime"]
+           "hand_off", "ShardedRuntime"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
 
@@ -218,9 +218,8 @@ migrate`) keeps the old owner as a full holder, which continues to
         observe every write event, so it must stay on the holder side of
         the coherence split rather than become an aging mirror.
 
-        The caller flips the routing side separately
-        (:meth:`~repro.serving.router.ShardRouter.migrate`) and prices the
-        transferred rows; this method only maintains coherence metadata.
+        This method only maintains coherence metadata: :func:`hand_off`
+        is its one caller and flips the routing side in the same step.
         """
         v = np.asarray(vertices, dtype=np.int64)
         f = np.broadcast_to(np.asarray(from_shards, dtype=np.int64),
@@ -262,6 +261,54 @@ migrate`) keeps the old owner as a full holder, which continues to
             self._holder[o, v] = True
             self._mirror[o, v] = False
             self.mirror_version[o, v] = self.version[v]
+
+    def current_peer(self, vertex: int, dead: int) -> int | None:
+        """Lowest shard other than ``dead`` holding a *current* copy of
+        ``vertex`` — the source a failover rebuild reads from.
+
+        Holders are always current; mirrors qualify when their stamp
+        matches the owner version — under ``push`` every shard that
+        participated in the vertex's last batch does, because it pulled
+        the pre-batch rows and computed (or received) the same update.
+        """
+        current = (self.mirror_version[:, vertex] == self.version[vertex]) \
+            & (self._holder[:, vertex] | self._mirror[:, vertex])
+        current[dead] = False
+        hit = np.flatnonzero(current)
+        return int(hit[0]) if len(hit) else None
+
+
+def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
+             vertices, from_shards, to_shard: int) -> None:
+    """Flip ownership of ``vertices`` from ``from_shards`` to ``to_shard``.
+
+    The single apply step behind every ownership move — rebalancer
+    migrations, autoscaler splits/merges, failover fail-backs, and the
+    functional :meth:`ShardedRuntime.migrate`: check the plan still
+    matches the live assignment, flip the routing side
+    (:meth:`~repro.serving.router.ShardRouter.migrate`), then the
+    coherence side (:meth:`VersionedMemoryCache.transfer_ownership`; a
+    replicated vertex's old owner demotes into the replica set, so it
+    stays a holder).  Callers keep what is theirs: counters, pricing,
+    trace records, and the actual row copies.
+    """
+    v = np.asarray(vertices, dtype=np.int64)
+    expected = np.broadcast_to(np.asarray(from_shards, dtype=np.int64),
+                               v.shape)
+    owners = router.assignment[v]
+    stale = np.flatnonzero(owners != expected)
+    if len(stale):
+        i = stale[0]
+        raise RuntimeError(
+            f"migration of vertex {v[i]} expected owner {expected[i]} but "
+            f"found {owners[i]}: ownership changed between decision and "
+            f"application")
+    # Replication status is read before the routing flip rewrites it.
+    replicas = router.placement.replicas
+    keep = np.array([bool(replicas.get(x)) for x in v.tolist()], dtype=bool)
+    router.migrate(v, to_shard)
+    if cache is not None:
+        cache.transfer_ownership(v, expected, to_shard, keep_holder=keep)
 
 
 # --------------------------------------------------------------------------- #
@@ -356,10 +403,10 @@ class ShardedRuntime:
         2. *neighbor-table slice* — the vertex's FIFO ring (neighbors,
            edge ids, times, head, count) copied verbatim, so the new
            owner's gathered neighbor lists equal the unsharded table's;
-        3. *coherence metadata* — :meth:`VersionedMemoryCache.\
-transfer_ownership` stamps the new owner current and downgrades the old
-           owner to an up-to-date mirror, so version counters stay exact
-           across the ownership change.
+        3. *ownership flip* — :func:`hand_off` reroutes the vertices and
+           stamps the new owner current while downgrading the old owner
+           to an up-to-date mirror, so version counters stay exact across
+           the ownership change.
 
         The handoff is priced like sync traffic: ``HANDOFF_ROWS_PER_VERTEX``
         rows per vertex recorded in the mailbox's ``sync_counts``.
@@ -383,10 +430,6 @@ transfer_ownership` stamps the new owner current and downgrades the old
         owners = owners[owners != int(to_shard)]
         if not len(v):
             return 0
-        # Replication status *before* the routing flip decides which old
-        # owners stay holders (they demote into the replica set).
-        keep = np.array([bool(self.router.placement.replicas.get(int(x)))
-                         for x in v])
         dst_state = self.runtimes[to_shard].state
         dst_table = self.runtimes[to_shard].sampler.table
         for owner in np.unique(owners):
@@ -405,26 +448,10 @@ transfer_ownership` stamps the new owner current and downgrades the old
             self.mailbox.record_sync(
                 np.repeat(owner, len(rows) * HANDOFF_ROWS_PER_VERTEX),
                 to_shard)
-        self.router.migrate(v, to_shard)
-        self.cache.transfer_ownership(v, owners, to_shard, keep_holder=keep)
+        hand_off(self.router, self.cache, v, owners, to_shard)
         return len(v)
 
     # ------------------------------------------------------------------ #
-    def _current_peer(self, vertex: int, dead: int) -> int | None:
-        """Lowest surviving shard holding a *current* copy of ``vertex``.
-
-        Holders are always current; mirrors qualify when their stamp
-        matches the owner version — under ``push`` every shard that
-        participated in the vertex's last batch does, because it pulled
-        the pre-batch rows and computed (or received) the same update.
-        """
-        current = (self.cache.mirror_version[:, vertex]
-                   == self.cache.version[vertex]) \
-            & (self.cache._holder[:, vertex] | self.cache._mirror[:, vertex])
-        current[dead] = False
-        hit = np.flatnonzero(current)
-        return int(hit[0]) if len(hit) else None
-
     def _replay_rings(self, vertices: np.ndarray) -> None:
         """Rebuild lost FIFO rings by replaying the durable edge log.
 
@@ -474,7 +501,8 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
         holder, so its memory rows and FIFO ring are already exact and no
         state moves), unreplicated vertices get a surviving owner and are
         *rebuilt* — the vertex-state row copied from the lowest surviving
-        shard with a current copy (see :meth:`_current_peer`), the FIFO
+        shard with a current copy (see
+        :meth:`VersionedMemoryCache.current_peer`), the FIFO
         ring replayed bit-exactly from the durable edge log (see
         :meth:`_replay_rings`), ``HANDOFF_ROWS_PER_VERTEX`` rows per
         vertex recorded in the mailbox like any other transfer.  Vertices
@@ -498,7 +526,7 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
         for x in rebuilt.tolist():
             new_owner = int(self.router.assignment[x])
             dst = self.runtimes[new_owner].state
-            peer = self._current_peer(x, shard)
+            peer = self.cache.current_peer(x, shard)
             if peer is None:
                 # No surviving current copy: fresh-vertex rows are exactly
                 # this (version 0); written vertices are honestly cold.

@@ -14,7 +14,9 @@ react to.
 per-vertex heat and per-shard busy time over a rolling window, and when a
 window closes it decides migrations and schedules them as
 :class:`~repro.serving.events.MigrationEvent`\\ s at the current instant.
-When an event fires the rebalancer applies it:
+When an event fires the rebalancer applies it through
+:func:`~repro.serving.memsync.hand_off`, the one ownership flip every
+controller shares:
 
 * the :class:`~repro.serving.router.ShardRouter` reassigns the vertex —
   jobs routed from now on follow the new ownership, while sub-jobs already
@@ -73,6 +75,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .events import _MIGRATE, EventScheduler, MigrationEvent, ServerGroup
+from .memsync import hand_off
 
 __all__ = ["OnlineRebalancer", "HANDOFF_ROWS_PER_VERTEX"]
 
@@ -162,14 +165,15 @@ ShardedRuntime.migrate` records, so the timing report and the functional
     # ------------------------------------------------------------------ #
     def bind(self, sched: EventScheduler, groups: Sequence[ServerGroup],
              router, cache=None, pool_shard: int | None = None,
-             on_migrate: Callable[[MigrationEvent], None] | None = None
+             on_migrate: Callable[[int, int, int], None] | None = None
              ) -> None:
         """Attach to one run, resetting all per-run state.
 
         ``pool_shard`` switches hybrid drift mode on (it names the pool
         pseudo-shard); ``cache`` is the run's memsync cache (ownership is
         transferred through it so version counters survive the move);
-        ``on_migrate`` is the engine's pricing hook.
+        ``on_migrate(rows, from_shard, to_shard)`` is the engine's
+        pricing hook.
         """
         if pool_shard is not None \
                 and not 0 <= pool_shard < router.num_shards:
@@ -240,22 +244,11 @@ ShardedRuntime.migrate` records, so the timing report and the functional
 
     def _apply(self, ev: MigrationEvent) -> None:
         """Fire: reassign ownership and hand the state off, priced."""
-        owner = int(self._router.assignment[ev.vertex])
-        if owner != ev.from_shard:
-            raise RuntimeError(
-                f"migration of vertex {ev.vertex} expected owner "
-                f"{ev.from_shard} but found {owner}: ownership changed "
-                f"between decision and application")
-        # Replication status before the flip: a replicated vertex's old
-        # owner demotes into the replica set and must stay a holder.
-        keep = bool(self._router.placement.replicas.get(int(ev.vertex)))
-        self._router.migrate([ev.vertex], ev.to_shard)
-        if self._cache is not None:
-            self._cache.transfer_ownership([ev.vertex], [ev.from_shard],
-                                           ev.to_shard, keep_holder=keep)
+        hand_off(self._router, self._cache, [ev.vertex], ev.from_shard,
+                 ev.to_shard)
         self.handoff_rows += ev.rows
         if self._on_migrate is not None:
-            self._on_migrate(ev)
+            self._on_migrate(ev.rows, ev.from_shard, ev.to_shard)
 
     # ------------------------------------------------------------------ #
     def _evaluate(self, t: float) -> None:

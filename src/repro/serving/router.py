@@ -57,6 +57,8 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 class ShardBatch:
     """The slice of one job a single shard must process.
 
+    The mail fields default to "no mail": a pool's one group takes the
+    whole job as its sub-batch.
     The ``sync_*`` fields are populated when :meth:`ShardRouter.split` is
     given a memsync cache: ``sync_pull`` are the vertex rows this shard
     must fetch from their owners before processing (priced as mailbox
@@ -68,8 +70,9 @@ class ShardBatch:
     shard: int
     batch: EdgeBatch            # local + forwarded edges, chronological
     local_edges: int
-    mail_edges: int             # edges forwarded in from other shards
-    mail_from: np.ndarray       # (mail_edges,) source shard per forwarded edge
+    mail_edges: int = 0         # edges forwarded in from other shards
+    # (mail_edges,) source shard per forwarded edge
+    mail_from: np.ndarray = field(default_factory=lambda: _NO_ROWS)
     sync_pull: np.ndarray = field(default_factory=lambda: _NO_ROWS)
     sync_push: np.ndarray = field(default_factory=lambda: _NO_ROWS)
     stale_reads: int = 0
@@ -165,12 +168,11 @@ class ShardRouter:
         the :class:`Placement` owner/replica invariant holds throughout
         and the number of holders never shrinks mid-move.  Unreplicated
         vertices move plainly: the old owner ceases to hold the vertex.
-        The caller is responsible for the *state* side of the handoff —
-        transferring rows and informing the memsync cache
-        (:meth:`VersionedMemoryCache.transfer_ownership`, whose
-        ``keep_holder`` flag mirrors the demotion), which the
-        :class:`~repro.serving.rebalance.OnlineRebalancer` and
-        :meth:`~repro.serving.memsync.ShardedRuntime.migrate` both do.
+        This is the routing side only.  The one caller on the serving
+        paths is :func:`repro.serving.memsync.hand_off`, which pairs this
+        flip with the memsync cache's ``transfer_ownership`` (whose
+        ``keep_holder`` flag mirrors the demotion); moving and pricing
+        the state rows stays with *its* callers.
 
         Returns the previous owner of each vertex.
         """

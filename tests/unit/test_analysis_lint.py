@@ -10,9 +10,9 @@ import os
 
 from repro.analysis import ALL_RULES, LintFinding, default_rules, lint_file
 from repro.analysis.cli import main as lint_main
-from repro.analysis.rules import (FloatSumReportRule, ReportOmitWhenOffRule,
-                                  SchedulerPurityRule, UnorderedIterationRule,
-                                  UnseededRngRule, WallClockInEventsRule)
+from repro.analysis.rules import (FloatSumReportRule, SchedulerPurityRule,
+                                  UnorderedIterationRule, UnseededRngRule,
+                                  WallClockInEventsRule)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -194,62 +194,6 @@ class TestFloatSumReport:
         src = ("import math\n"
                "total = math.fsum(j.wait_s for j in jobs)\n")
         assert findings_for(FloatSumReportRule, self.PATH, src) == []
-
-
-class TestReportOmitWhenOff:
-    PATH = "src/repro/serving/engine.py"
-
-    def test_unomitted_new_field_fires(self):
-        src = ("class ServingReport:\n"
-               "    topology: str = 'single'\n"
-               "    shiny_new_counter: int = 0\n"
-               "    def to_dict(self):\n"
-               "        return {'topology': self.topology}\n")
-        fs = findings_for(ReportOmitWhenOffRule, self.PATH, src)
-        assert rule_names(fs) == ["report-omit-when-off"]
-        assert "shiny_new_counter" in fs[0].message
-
-    def test_omitted_field_silent(self):
-        src = ("class ServingReport:\n"
-               "    topology: str = 'single'\n"
-               "    chaos: str = 'off'\n"
-               "    def to_dict(self):\n"
-               "        d = {'topology': self.topology, 'chaos': self.chaos}\n"
-               "        if self.chaos == 'off':\n"
-               "            del d['chaos']\n"
-               "        return d\n")
-        assert findings_for(ReportOmitWhenOffRule, self.PATH, src) == []
-
-    def test_unomitted_scaling_block_fires(self):
-        """The elastic-capacity block obeys the same contract: a
-        ``scaling`` field that ``to_dict()`` never handles would stamp
-        every static-fleet golden."""
-        src = ("class ServingReport:\n"
-               "    topology: str = 'single'\n"
-               "    scaling: dict | None = None\n"
-               "    def to_dict(self):\n"
-               "        return {'topology': self.topology}\n")
-        fs = findings_for(ReportOmitWhenOffRule, self.PATH, src)
-        assert rule_names(fs) == ["report-omit-when-off"]
-        assert "scaling" in fs[0].message
-
-    def test_omitted_scaling_block_silent(self):
-        src = ("class ServingReport:\n"
-               "    topology: str = 'single'\n"
-               "    scaling: dict | None = None\n"
-               "    def to_dict(self):\n"
-               "        d = {'topology': self.topology,\n"
-               "             'scaling': self.scaling}\n"
-               "        if d['scaling'] is None:\n"
-               "            del d['scaling']\n"
-               "        return d\n")
-        assert findings_for(ReportOmitWhenOffRule, self.PATH, src) == []
-
-    def test_other_files_out_of_scope(self):
-        src = ("class ServingReport:\n"
-               "    surprise: int = 7\n")
-        assert findings_for(ReportOmitWhenOffRule,
-                            "src/repro/serving/router.py", src) == []
 
 
 class TestSchedulerPurity:

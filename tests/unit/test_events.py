@@ -378,8 +378,13 @@ class TestConservationAcrossTopologies:
         from repro.serving.events import BatcherActor as BA
 
         if engine.topology == "pool":
+            # The pool group takes the same payload as a shard: the whole
+            # job as its one mail-less sub-batch.
+            from repro.serving.router import ShardBatch
+
             def sink(job):
-                groups[0].submit(job.t_release, job)
+                sb = ShardBatch(0, job.batch, len(job.batch))
+                groups[0].submit(job.t_release, (0, sb, 0, 0))
         else:
             from repro.serving.memsync import VersionedMemoryCache
             cache = VersionedMemoryCache(engine.router.placement,

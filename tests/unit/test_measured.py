@@ -189,9 +189,9 @@ class TestMeasuredCLI:
                               "--backend", "cpu-32t", "--memory-dim", "8",
                               "--workers", "2"])
         assert code == 2
-        assert "--workers requires --backend measured" in text
+        assert "error: workers only applies to measured backends" in text
 
     def test_pool_topology_is_a_clean_error(self):
         code, text = run_cli(CLI_BASE + ["--topology", "pool"])
         assert code == 2
-        assert "requires --topology sharded" in text
+        assert "error: measured backends require topology='sharded'" in text

@@ -626,6 +626,56 @@ class TestPoolServersReport:
         assert rep.pool_servers == 1
 
 
+class TestReportFieldGates:
+    """Omit-when-off is declared on the field, not policed after the fact:
+    a defaulted ``ServingReport`` field serializes only once its gate has
+    left its default, so a feature that is off (or a field added later)
+    cannot put a key into a pinned golden."""
+
+    DERIVED = {"stable", "served_edges", "throughput_eps",
+               "replication_factor"}
+    GATES = {
+        "ingest": ("pipelined", {"ingest"}),
+        "rebalance": ("online", {"rebalance", "migrations",
+                                 "migrated_vertices", "handoff_rows"}),
+        "chaos": ("dead", {"chaos", "failures", "recoveries",
+                           "promoted_vertices", "rebuilt_vertices",
+                           "recovery_rows", "outage_windows",
+                           "outage_p99_response_s"}),
+        "measured": ({"workers": 0}, {"measured"}),
+        "scaling": ({"scale_ups": 0}, {"scaling"}),
+    }
+
+    @staticmethod
+    def required():
+        import dataclasses
+        from repro.serving import ServingReport
+        sample = {"str": "x", "int": 1, "float": 1.0}
+        return {f.name: sample.get(f.type, ())
+                for f in dataclasses.fields(ServingReport)
+                if f.default is dataclasses.MISSING}
+
+    def test_required_fields_only(self):
+        from repro.serving import ServingReport
+        required = self.required()
+        assert {"topology", "placement", "replicated_vertices", "memsync",
+                "sync_edges", "stale_reads", "max_version_lag",
+                "pool_servers"} <= set(required)
+        assert set(ServingReport(**required).to_dict()) \
+            == set(required) | self.DERIVED
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_gate_adds_exactly_its_group(self, gate):
+        from repro.serving import ServingReport
+        required = self.required()
+        on, group = self.GATES[gate]
+        d = ServingReport(**required, **{gate: on}).to_dict()
+        assert set(d) == set(required) | self.DERIVED | group
+        # Counters inside an open gate print even at zero ("online with
+        # zero migrations" still reports ``migrations: 0``).
+        assert all(d[key] == 0 for key in group - {gate})
+
+
 # --------------------------------------------------------------------------- #
 class TestReplayWrapperRegressions:
     def test_single_window_stream_sane_utilization(self):
