@@ -69,8 +69,6 @@ def run_sweep(graph, model, shards_list, streams_list, speedups,
             for speedup in speedups:
                 engine = ServingEngine.from_registry(
                     backend, model, graph, num_shards=n_shards,
-                    backend_kwargs={"functional": False}
-                    if backend in ("cpu-32t", "gpu") else None,
                     batcher=DynamicBatcher(max_edges=batch_edges,
                                            max_delay_s=deadline_s))
                 rep = engine.run(graph, window_s=window_s, start=start,

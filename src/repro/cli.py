@@ -420,10 +420,6 @@ def _simulate_fleet(args, graph, model, out):
         max_edges=args.batch_edges,
         max_delay_s=None if args.deadline_ms is None
         else args.deadline_ms / 1e3)
-    # Cost-model backends report timing independent of functional state;
-    # skip the (never-read) per-shard functional inference entirely.
-    backend_kwargs = {"functional": False} \
-        if args.backend in ("cpu-32t", "gpu") else None
     fpga_design = None
     if args.backend in ("u200", "zcu104"):
         from .hw import U200_DESIGN, ZCU104_DESIGN
@@ -454,8 +450,8 @@ def _simulate_fleet(args, graph, model, out):
         return ServingEngine.from_registry(
             args.backend, model, graph,
             num_shards=args.shards if num_shards is None else num_shards,
-            registry=DEFAULT_REGISTRY, backend_kwargs=backend_kwargs,
-            batcher=batcher, topology=args.topology, **kwargs)
+            registry=DEFAULT_REGISTRY, batcher=batcher,
+            topology=args.topology, **kwargs)
 
     def run(engine, scheduler_cls=None):
         return engine.run(graph, window_s=args.window_s,
@@ -530,19 +526,24 @@ def _simulate_fleet(args, graph, model, out):
                 f"topology (replicas share one state store, so nothing "
                 f"is ever stale)")
 
+    def controller_window(explicit):
+        """A controller's sampling window; by default one workload window
+        in event-loop seconds (arrival time is stream time compressed by
+        --speedup).  A zero speedup has no such window and is not divided
+        by: ``run`` rejects it with the library's own error."""
+        if explicit is not None:
+            return explicit
+        return args.window_s / (args.speedup or 1.0)
+
     rebal_kwargs = None
     if args.rebalance_online:
         if args.topology == "pool":
             out("note: --rebalance-online is ignored in pool topology "
                 "(one shared queue has no partition to rebalance)")
         else:
-            # Default window: one workload window in event-loop seconds
-            # (arrival time is stream time compressed by --speedup).
-            window = args.rebalance_window \
-                if args.rebalance_window is not None \
-                else args.window_s / args.speedup
-            rebal_kwargs = dict(window_s=window,
-                                util_threshold=args.rebalance_threshold)
+            rebal_kwargs = dict(
+                window_s=controller_window(args.rebalance_window),
+                util_threshold=args.rebalance_threshold)
 
     plans = None
     if args.fail_at is not None:
@@ -570,9 +571,7 @@ def _simulate_fleet(args, graph, model, out):
             micro_batch=args.batch_edges or 1, replicas=initial,
             max_replicas=args.max_servers if args.max_servers is not None
             else 2 * initial)
-        scale_window = args.scale_window \
-            if args.scale_window is not None \
-            else args.window_s / args.speedup
+        scale_window = controller_window(args.scale_window)
         if args.topology == "sharded":
             # The elastic fleet is a max-servers-slot station array: the
             # hash layout covers the active prefix, the padded tail owns

@@ -1,14 +1,19 @@
 """Cycle-approximate FPGA accelerator simulator (Fig. 2 / Fig. 4 / §IV).
 
-The simulator is *functional + timing*:
+The simulator has a *functional* half and a *timing* half, and the timing
+half never reads the functional one (the paper's §V point: latency is
+predictable from batch shape), so execution is optional:
 
-* **Functional** — every processing batch runs through the shared NumPy
-  model kernels (``TGNN.infer_batch``), so the embeddings it produces are
-  bit-identical to the software deployment path (asserted by integration
-  tests).  The Updater's redundant-write elimination is functionally the
-  same last-write-wins rule the vertex tables implement.
+* **Functional** — by default every processing batch runs through the
+  shared NumPy model kernels (``TGNN.infer_batch``), so the embeddings it
+  produces are bit-identical to the software deployment path (asserted by
+  integration tests).  The Updater's redundant-write elimination is
+  functionally the same last-write-wins rule the vertex tables implement.
+  ``run_stream(..., execute=False)`` skips this half: the report is
+  field-for-field the one an executing run returns, minus embeddings.
 
-* **Timing** — the Fig. 4 schedule is simulated with a two-track pipeline:
+* **Timing** — a pure function of each processing batch's edge count and
+  vertex ids.  The Fig. 4 schedule is simulated with a two-track pipeline:
 
   - a **memory track** (one DDR controller, serialising edge loads, vertex
     loads, neighbor prefetches and write-backs, modelled by
@@ -103,6 +108,8 @@ class FPGAAccelerator:
         self.eu = EmbeddingUnit(model.cfg, hw)
         self.updater = UpdaterCache(hw.updater_lines, hw.commit_scan)
         self.ddr: DDRModel = hw.ddr(refresh=True)
+        self._cost_tables: dict[int, tuple[dict[str, float],
+                                           dict[str, float]]] = {}
         model.prepare_inference()
 
     # ------------------------------------------------------------------ #
@@ -149,22 +156,44 @@ class FPGAAccelerator:
         return {name: (c + flush + crossing) * hw.clock_s
                 for name, c in cycles.items()}
 
+    def _stage_costs(self, n_edges: int) -> tuple[dict[str, float],
+                                                  dict[str, float]]:
+        """``(_mem_times, _compute_durations)`` of one processing batch.
+
+        Both are pure in ``n_edges`` over the frozen model/hardware configs
+        and only ``nb`` plus tail sizes ever occur, so each size is built
+        once per accelerator.  Callers must not mutate the tables.
+        """
+        costs = self._cost_tables.get(n_edges)
+        if costs is None:
+            costs = self._cost_tables[n_edges] = (
+                self._mem_times(n_edges), self._compute_durations(n_edges))
+        return costs
+
     # ------------------------------------------------------------------ #
     def run_stream(self, graph: TemporalGraph, batch_size: int,
                    start: int = 0, end: int | None = None,
                    rt: ModelRuntime | None = None,
                    collect_embeddings: bool = False,
                    batches: list | None = None,
-                   trace: bool = False) -> RunReport:
+                   trace: bool = False,
+                   execute: bool = True) -> RunReport:
         """Simulate inference over edges ``[start, end)`` in user batches.
 
         ``batches`` overrides the fixed-size batching with an explicit list
         of :class:`EdgeBatch` (used by the real-time window replay).
         ``trace=True`` records a :class:`TraceEvent` per stage occupancy
         (see ``repro.hw.trace`` for rendering and utilization analysis).
+        ``execute=False`` prices the stream without running the model
+        kernels: no runtime is built, ``rt`` is not advanced, and every
+        timing field of the report is unchanged.
         """
-        cfg, hw = self.model.cfg, self.hw
-        rt = rt if rt is not None else self.model.new_runtime(graph)
+        if collect_embeddings and not execute:
+            raise ValueError("collect_embeddings needs execute=True: a "
+                             "priced-only run computes no embeddings")
+        hw = self.hw
+        if execute and rt is None:
+            rt = self.model.new_runtime(graph)
         end = graph.num_edges if end is None else end
         if batches is None:
             batches = list(iter_fixed_size(graph, batch_size,
@@ -202,17 +231,17 @@ class FPGAAccelerator:
                 n_edges = len(sub)
                 n_total += n_edges
 
-                # ---- functional step (shared kernels) ------------------- #
-                result = self.model.infer_batch(sub, rt, graph)
-                if collect_embeddings:
-                    embeddings.append(result.embeddings.data)
+                # ---- functional step (shared kernels), optional --------- #
+                if execute:
+                    result = self.model.infer_batch(sub, rt, graph)
+                    if collect_embeddings:
+                        embeddings.append(result.embeddings.data)
+
+                # ---- timing step: reads nothing from the one above ------ #
                 report = self.updater.process(sub.nodes)
                 invalidated += report.invalidated
                 committed += report.committed
-
-                # ---- timing step ---------------------------------------- #
-                mem = self._mem_times(n_edges)
-                comp = self._compute_durations(n_edges)
+                mem, comp = self._stage_costs(n_edges)
 
                 # read track: edge + vertex loads, in order.
                 t = max(read_free, arrival)
@@ -294,16 +323,13 @@ class FPGAAccelerator:
                              warmup_edges: int = 0) -> float:
         """Latency (s) of one batch arriving at an idle accelerator.
 
-        Optionally warms vertex state by replaying ``warmup_edges`` first
-        (timing of the warm-up is discarded).
+        The batch is edges ``[warmup_edges, warmup_edges + batch_size)``;
+        vertex state cannot change the price, so nothing is replayed to
+        reach that offset.
         """
-        rt = self.model.new_runtime(graph)
-        if warmup_edges > 0:
-            for b in iter_fixed_size(graph, batch_size, end=warmup_edges):
-                self.model.infer_batch(b, rt, graph)
         report = self.run_stream(graph, batch_size, start=warmup_edges,
                                  end=min(warmup_edges + batch_size,
-                                         graph.num_edges), rt=rt)
+                                         graph.num_edges), execute=False)
         return report.batch_latencies_s[0]
 
 

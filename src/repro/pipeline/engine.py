@@ -7,11 +7,14 @@ Three backend families, one protocol (``process_batch -> latency seconds``):
   Table II; its speedups across the model ladder are real measurements, not
   models);
 * :class:`SimulatedFPGABackend` — wraps :class:`FPGAAccelerator`; each batch
-  arrives at an idle accelerator (the real-time deployment assumption) while
-  vertex state persists across batches;
+  arrives at an idle accelerator (the real-time deployment assumption).
+  Timing-only: the simulated latency depends on the batch's shape alone, so
+  the backend prices without executing the kernels and holds no vertex
+  state (run ``FPGAAccelerator.run_stream`` yourself for embeddings);
 * :class:`ModeledGPPBackend` — prices batches with a calibrated
   :class:`~repro.perf.gpp.GPPCostModel` (the CPU-32T / GPU substitution)
-  while still advancing functional state so downstream accuracy is exact.
+  while, by default, still advancing functional state so downstream
+  accuracy is exact (``functional=False`` prices only).
 
 :class:`LinearCostBackend` is the degenerate fourth member: an exact
 ``overhead + N * per_edge`` price with no functional state, for tests and
@@ -99,17 +102,21 @@ class SoftwareBackend:
 
 
 class SimulatedFPGABackend:
-    """Accelerator-simulator backend; each batch starts from idle."""
+    """Accelerator-simulator backend; each batch starts from idle.
+
+    Prices, never executes: the Fig. 4 schedule needs only the batch's
+    edge count and vertex ids, so no kernel runs and no vertex state is
+    kept.
+    """
 
     def __init__(self, accelerator: FPGAAccelerator, graph: TemporalGraph):
         self.acc = accelerator
         self.graph = graph
-        self.rt = accelerator.model.new_runtime(graph)
         self.name = f"fpga-{accelerator.hw.platform.name}"
 
     def process_batch(self, batch: EdgeBatch) -> float:
         report = self.acc.run_stream(self.graph, batch_size=len(batch),
-                                     rt=self.rt, batches=[batch])
+                                     batches=[batch], execute=False)
         return report.batch_latencies_s[0]
 
 

@@ -26,6 +26,8 @@ perf-trajectory artifact).  Tracing (``trace=True``) disables the bulk
 path so typed events keep their documented shape; untraced hot paths
 skip trace-only dataclass construction entirely.  ``serve-sim
 --profile`` prints the before/after breakdown via :mod:`repro.profiling`.
+Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
+from its shape; they do not execute its kernels.
 
 Actors on the scheduler
 -----------------------

@@ -4,8 +4,10 @@ Every backend follows the engine protocol documented in
 :mod:`repro.pipeline` (``process_batch(EdgeBatch) -> seconds``).  The
 registry makes the *choice* of backend data, not code: the serving engine,
 CLI, and benchmarks look backends up by name, and each shard gets its own
-freshly-constructed instance (its own :class:`~repro.models.tgn.ModelRuntime`,
-so shards never share mutable vertex state).  An elastic sharded fleet
+freshly-constructed instance (whatever state a backend keeps — a
+:class:`~repro.models.tgn.ModelRuntime` for the ones that execute kernels, the
+accelerator's cost tables for the simulated FPGA — is never shared between
+shards).  An elastic sharded fleet
 is built the same way, sized ``max_replicas`` wide up front — inactive
 tail shards own no vertices until a split grows into them.
 
@@ -13,9 +15,12 @@ Built-in names
 --------------
 ``software``            measured single-thread NumPy inference
 ``u200`` / ``zcu104``   simulated FPGA accelerator on that platform
-``cpu-32t`` / ``gpu``   calibrated GPP cost models (timing modeled; pass
-                        ``functional=False`` to skip the functional state
-                        advance when only timing matters)
+                        (timing-only: prices the Fig. 4 schedule from
+                        batch shape, runs no kernel, keeps no state)
+``cpu-32t`` / ``gpu``   calibrated GPP cost models (timing-only by
+                        default — serving never reads a backend's vertex
+                        state; pass ``functional=True`` to also advance
+                        it through the real kernels)
 ``measured``            real kernels on the event core: service times are
                         wall-clock measurements of the numpy
                         ``update_memory``/``embed`` kernels, executed by
@@ -94,7 +99,7 @@ def _fpga_factory(design_name: str):
 
 
 def _gpp_factory(model_name: str):
-    def factory(model, graph, functional: bool = True, **_):
+    def factory(model, graph, functional: bool = False, **_):
         from ..perf import CPU_32T, GPU
         from ..pipeline.engine import ModeledGPPBackend
         from ..profiling import count_ops
@@ -113,7 +118,6 @@ for _name in ("cpu-32t", "gpu"):
 @DEFAULT_REGISTRY.register("measured")
 def _measured(model, graph, modeled: bool = True, **_):
     from .measured import MeasuredBackend
-    companion = DEFAULT_REGISTRY.create("cpu-32t", model, graph,
-                                        functional=False) if modeled \
-        else None
+    companion = DEFAULT_REGISTRY.create("cpu-32t", model, graph) \
+        if modeled else None
     return MeasuredBackend(model, graph, modeled=companion)

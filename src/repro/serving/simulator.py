@@ -18,9 +18,11 @@ implementation in ``tests/unit/test_events.py``):
   utilization saturates at 1.
 
 Service times come from a caller-supplied ``service_fn`` invoked in
-admission order, so backends that advance functional vertex state as a side
-effect (the engine protocol documented in :mod:`repro.pipeline`) see the
-stream in the same order a real deployment would.
+admission order, so the backends that advance functional vertex state as a
+side effect (``SoftwareBackend``, ``MeasuredBackend``, a functional
+``ModeledGPPBackend`` — see the engine protocol in :mod:`repro.pipeline`;
+the simulated-FPGA backend only prices) see the stream in the same order a
+real deployment would.
 """
 
 from __future__ import annotations

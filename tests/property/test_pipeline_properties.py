@@ -1,10 +1,16 @@
-"""Property-based invariants of the queueing replay and batching."""
+"""Property-based invariants of the queueing replay, batching and the
+accelerator's priced-only timing."""
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import wikipedia_like
 from repro.graph import TemporalGraph, iter_fixed_size, iter_time_windows
+from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
+from repro.models import ModelConfig, TGNN
 from repro.pipeline import replay_under_load
 
 settings.register_profile("repro", deadline=None, max_examples=30)
@@ -52,3 +58,59 @@ class TestQueueingProperties:
         from_windows = sum(len(b) for b in iter_time_windows(g, 600.0))
         from_fixed = sum(len(b) for b in iter_fixed_size(g, size))
         assert from_windows == from_fixed == g.num_edges
+
+
+@functools.lru_cache(maxsize=None)
+def accelerated_stream():
+    g = wikipedia_like(num_edges=500, num_users=60, num_items=15)
+    model = TGNN(ModelConfig(memory_dim=8, time_dim=6, embed_dim=8,
+                             edge_dim=172, num_neighbors=4,
+                             simplified_attention=True,
+                             lut_time_encoder=True, lut_bins=8,
+                             pruning_budget=2),
+                 rng=np.random.default_rng(0))
+    model.calibrate(g)
+    return g, model
+
+
+@st.composite
+def design_and_batches(draw):
+    """A design point plus consecutive user batches whose sizes straddle
+    its processing-batch size ``nb`` (one edge, exact multiples, tails)."""
+    hw = draw(st.sampled_from([U200_DESIGN, ZCU104_DESIGN])).with_(
+        prefetch=draw(st.booleans()))
+    nb = hw.nb
+    size = st.sampled_from([1, nb - 1, nb, nb + 1, 2 * nb, 2 * nb + 3]) \
+        | st.integers(1, 3 * nb)
+    sizes = draw(st.lists(size, min_size=1, max_size=5))
+    g, _ = accelerated_stream()
+    bounds = np.cumsum([0] + sizes)
+    return hw, [g.slice(int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+TIMING_FIELDS = ("n_edges", "total_s", "batch_latencies_s", "stage_time_s",
+                 "updater_invalidated", "updater_committed", "mem_busy_s",
+                 "compute_busy_s", "events")
+
+
+class TestPricedOnlyTiming:
+    @given(design_and_batches(), st.booleans())
+    def test_priced_report_equals_executed_report(self, case, trace):
+        """Timing reads nothing the kernels produce: skipping them, and
+        reusing an accelerator whose cost tables are already cached, leaves
+        every timing field exactly (``==``) as an executing run reports."""
+        hw, batches = case
+        g, model = accelerated_stream()
+
+        def run(acc, execute):
+            return acc.run_stream(g, batch_size=1, batches=batches,
+                                  trace=trace, execute=execute)
+
+        executed = run(FPGAAccelerator(model, hw), True)
+        acc = FPGAAccelerator(model, hw)
+        cold, warm = run(acc, False), run(acc, False)
+        assert bool(executed.events) == trace
+        for name in TIMING_FIELDS:
+            assert getattr(cold, name) == getattr(executed, name), name
+            assert getattr(warm, name) == getattr(executed, name), name

@@ -106,6 +106,21 @@ class TestTiming:
         g, model, acc = build()
         lat = acc.latency_single_batch(g, batch_size=100, warmup_edges=200)
         assert lat > 0
+        # ``warmup_edges`` selects the batch; replaying the prefix through
+        # the kernels first (what it used to do) cannot change the price.
+        rt = model.new_runtime(g)
+        for b in iter_fixed_size(g, 100, end=200):
+            model.infer_batch(b, rt, g)
+        executed = acc.run_stream(g, 100, start=200, end=300, rt=rt)
+        assert lat == executed.batch_latencies_s[0]
+
+    def test_priced_only_run_has_no_embeddings_to_collect(self):
+        g, model, acc = build()
+        with pytest.raises(ValueError, match="collect_embeddings"):
+            acc.run_stream(g, batch_size=100, end=200, execute=False,
+                           collect_embeddings=True)
+        assert acc.run_stream(g, batch_size=100, end=200,
+                              execute=False).embeddings == []
 
     def test_stage_times_cover_pipeline(self):
         g, model, acc = build()

@@ -293,6 +293,8 @@ class TestServeSim:
         ["--fail-at", "10", "--recover-at", "5"],
         ["--topology", "pool", "--pool-servers", "0"],
         ["--rebalance-online", "--rebalance-window", "0"],
+        ["--speedup", "0", "--rebalance-online"],
+        ["--speedup", "0", "--autoscale", "--slo-p95", "0.01"],
     ], ids=" ".join)
     def test_degenerate_values_are_clean_errors(self, extra):
         """The CLI validates nothing itself: whatever the library rejects

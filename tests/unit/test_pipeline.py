@@ -9,17 +9,19 @@ from repro.models import ModelConfig, TGNN
 from repro.perf import CPU_32T
 from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
                             SimulatedFPGABackend, SoftwareBackend,
-                            realtime_replay, run_engine, summarize)
+                            realtime_replay, replay_under_load, run_engine,
+                            summarize)
 from repro.profiling import count_ops
+from repro.serving import ServingEngine
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
                   lut_time_encoder=True, lut_bins=8, pruning_budget=2)
 
 
-def setup():
+def setup(model_cls=TGNN):
     g = wikipedia_like(num_edges=500, num_users=70, num_items=18)
-    model = TGNN(CFG, rng=np.random.default_rng(0))
+    model = model_cls(CFG, rng=np.random.default_rng(0))
     model.calibrate(g)
     return g, model
 
@@ -56,6 +58,36 @@ class TestModeledBackend:
         be = ModeledGPPBackend(CPU_32T, count_ops(CFG), model, g)
         be.process_batch(g.slice(0, 100))
         assert be.rt.state.has_mail(g.slice(0, 100).nodes).all()
+
+
+class KernelSpyTGNN(TGNN):
+    """A model on which running a kernel is a test failure."""
+
+    def infer_batch(self, *args, **kwargs):
+        raise AssertionError("a timing-only backend executed a kernel")
+
+
+class TestSimulatedFPGAPricesOnly:
+    """The simulated-FPGA backend's latency needs batch shape alone, so no
+    timing-only replay may run ``infer_batch`` (each did, per sub-batch,
+    before the backend stopped executing)."""
+
+    def test_serving_engine_runs_no_kernel(self):
+        g, model = setup(KernelSpyTGNN)
+        engine = ServingEngine.from_registry("u200", model, g, num_shards=4,
+                                             memsync="push")
+        report = engine.run(g, window_s=3600.0, num_streams=2, speedup=2.0)
+        assert report.windows > 0
+        assert all(s.busy_s > 0 for s in report.shard_stats)
+
+    def test_replays_run_no_kernel(self):
+        g, model = setup(KernelSpyTGNN)
+        be = SimulatedFPGABackend(FPGAAccelerator(model, ZCU104_DESIGN), g)
+        pts = realtime_replay(be, g, window_s=12 * 3600.0, start=300)
+        assert pts and all(p.latency_s > 0 for p in pts)
+        stats = replay_under_load(be, g, window_s=3600.0, speedup=10.0)
+        assert stats.windows > 0 and stats.utilization > 0
+        assert not hasattr(be, "rt")
 
 
 class TestRealtimeReplay:
