@@ -934,9 +934,9 @@ def test_measured_backend_scaling(capsys, smoke):
         rows, precision=3,
         title=f"Measured backend — worker-pool scaling "
               f"({'smoke' if smoke else 'full'})")
-    from repro.profiling import format_table, modeled_vs_measured
+    from repro.profiling import modeled_vs_measured
     table += ("\nmodeled vs measured service time (workers=4 lane):\n"
-              + format_table(modeled_vs_measured(rep4.measured),
+              + render_table(modeled_vs_measured(rep4.measured),
                              precision=3))
 
     # Same workload either way: lane counts move clocks (and therefore

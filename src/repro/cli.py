@@ -38,7 +38,6 @@ without subprocesses.
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 
 import numpy as np
@@ -229,17 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--check-trace", action="store_true",
                    help="record the typed event trace and replay it "
                         "through repro.analysis.tracecheck (causality, "
-                        "exactly-once service/ownership, conservation; "
-                        "with --profile, also heap-vs-vectorized "
-                        "same-key order); prints the findings report "
-                        "and exits 3 on any finding")
-    v.add_argument("--profile", action="store_true",
-                   help="replay the same workload under the reference heap "
-                        "scheduler and the vectorized scheduler, print the "
-                        "before/after event-core breakdown (events/sec, "
-                        "handler calls), and verify the two reports are "
-                        "byte-identical; the printed report comes from the "
-                        "vectorized lane")
+                        "exactly-once service/ownership, conservation); "
+                        "prints the findings report and exits 3 on any "
+                        "finding")
     v.add_argument("--model", default=None,
                    help="optional checkpoint (.npz); default builds NP(4)")
     v.add_argument("--memory-dim", type=int, default=32)
@@ -412,7 +403,7 @@ def _simulate_fleet(args, graph, model, out):
     library validates every value and combination at construction or at
     the top of ``run``, and its ``ValueError`` is the CLI's error message
     (``cmd_serve_sim`` catches it).  Returns ``(report, engine,
-    initial_owner, heap_trace)``.
+    initial_owner)``.
     """
     from .serving import (DEFAULT_REGISTRY, DynamicBatcher, OnlineRebalancer,
                           ServingEngine, VertexHeat, make_policy)
@@ -453,12 +444,11 @@ def _simulate_fleet(args, graph, model, out):
             registry=DEFAULT_REGISTRY, batcher=batcher,
             topology=args.topology, **kwargs)
 
-    def run(engine, scheduler_cls=None):
+    def run(engine):
         return engine.run(graph, window_s=args.window_s,
                           speedup=args.speedup, num_streams=args.streams,
                           queue_capacity=args.queue_capacity,
-                          ingest=args.ingest, scheduler_cls=scheduler_cls,
-                          trace=args.check_trace)
+                          ingest=args.ingest, trace=args.check_trace)
 
     def plan_dies(placement):
         if fpga_design is None or args.topology == "pool":
@@ -472,8 +462,8 @@ def _simulate_fleet(args, graph, model, out):
         # Branch on whether the placement actually changed anything — a
         # rebalance *profiling* pass is still the hash partition and must
         # be priced exactly as `--placement hash` would deploy.
-        unchanged = placement is None or (not placement.moved_vertices
-                                          and not placement.replicas)
+        unchanged = placement is None or not (
+            placement.moved_vertices or placement.replicated_vertices)
         if unchanged:
             from .hw import plan_shard_dies
             # The placement's own shard count covers elastic fleets too:
@@ -535,13 +525,13 @@ def _simulate_fleet(args, graph, model, out):
             return explicit
         return args.window_s / (args.speedup or 1.0)
 
-    rebal_kwargs = None
+    rebalancer = None
     if args.rebalance_online:
         if args.topology == "pool":
             out("note: --rebalance-online is ignored in pool topology "
                 "(one shared queue has no partition to rebalance)")
         else:
-            rebal_kwargs = dict(
+            rebalancer = OnlineRebalancer(
                 window_s=controller_window(args.rebalance_window),
                 util_threshold=args.rebalance_threshold)
 
@@ -560,7 +550,7 @@ def _simulate_fleet(args, graph, model, out):
                                 recover_at=args.recover_at,
                                 degradation=args.fail_degradation)
 
-    capacity = None
+    autoscaler = None
     engine_shards = None
     if args.autoscale:
         from .serving import (AutoScaler, CapacityConfig,
@@ -571,7 +561,6 @@ def _simulate_fleet(args, graph, model, out):
             micro_batch=args.batch_edges or 1, replicas=initial,
             max_replicas=args.max_servers if args.max_servers is not None
             else 2 * initial)
-        scale_window = controller_window(args.scale_window)
         if args.topology == "sharded":
             # The elastic fleet is a max-servers-slot station array: the
             # hash layout covers the active prefix, the padded tail owns
@@ -579,65 +568,16 @@ def _simulate_fleet(args, graph, model, out):
             engine_shards = capacity.max_replicas
             placement = padded_hash_placement(graph.num_nodes, args.shards,
                                               engine_shards)
+        autoscaler = AutoScaler(
+            capacity, slo_p95_s=args.slo_p95,
+            scale_window_s=controller_window(args.scale_window))
 
-    def lane(scheduler_cls=None):
-        # Fresh engine, placement, and controllers per replay, so neither
-        # warm state nor mid-run migrations leak across --profile lanes.
-        pl = copy.deepcopy(placement)
-        eng = build_engine(
-            placement=pl, die_of=plan_dies(pl),
-            rebalancer=OnlineRebalancer(**rebal_kwargs)
-            if rebal_kwargs is not None else None,
-            failures=plans,
-            autoscaler=AutoScaler(capacity, slo_p95_s=args.slo_p95,
-                                  scale_window_s=scale_window)
-            if capacity is not None else None,
-            num_shards=engine_shards)
-        initial_owner = eng.router.assignment.copy()
-        return run(eng, scheduler_cls), eng, initial_owner
-
-    if not args.profile:
-        return (*lane(), None)
-
-    # Two independent replays of the identical workload.  Timing covers
-    # the event loop only (engine.last_loop_wall_s): setup and report
-    # assembly are identical in both lanes and would dilute the scheduler
-    # comparison.
-    from .profiling import event_core_breakdown, format_table
-    from .serving import HeapEventScheduler
-
-    def loop_stats(eng):
-        s = eng.last_scheduler
-        calls = s.events_processed - getattr(s, "cohort_events", 0) \
-            + getattr(s, "cohort_calls", 0)
-        return {"events": s.events_processed,
-                "wall_s": eng.last_loop_wall_s, "cohort_calls": calls}
-
-    before_report, before_eng, _ = lane(HeapEventScheduler)
-    report, engine, initial_owner = lane()
-    rows = event_core_breakdown(loop_stats(before_eng), loop_stats(engine))
-    out("event core profile (same workload, both schedulers):")
-    out(format_table(rows, precision=3))
-    if report.measured is not None:
-        # Measured service times are wall-clock, so the two lanes can
-        # never agree byte-for-byte (and the heap lane's event order is
-        # its own timing's, not the vectorized lane's): compare the
-        # float-free structural projection and skip the cross-lane order
-        # check.
-        from .profiling import modeled_vs_measured
-        identical = before_report.to_structure_json() \
-            == report.to_structure_json()
-        out(f"event core speedup {rows[-1]['events_per_sec']:.2f}x, "
-            f"report structures identical: "
-            f"{'yes' if identical else 'NO'}")
-        out("modeled vs measured service time (vectorized lane):")
-        out(format_table(modeled_vs_measured(report.measured),
-                         precision=3))
-        return report, engine, initial_owner, None
-    identical = before_report.to_json() == report.to_json()
-    out(f"event core speedup {rows[-1]['events_per_sec']:.2f}x, "
-        f"reports byte-identical: {'yes' if identical else 'NO'}")
-    return report, engine, initial_owner, before_eng.last_event_trace
+    engine = build_engine(
+        placement=placement, die_of=plan_dies(placement),
+        rebalancer=rebalancer, failures=plans, autoscaler=autoscaler,
+        num_shards=engine_shards)
+    initial_owner = engine.router.assignment.copy()
+    return run(engine), engine, initial_owner
 
 
 def cmd_serve_sim(args, out=print) -> int:
@@ -664,22 +604,23 @@ def cmd_serve_sim(args, out=print) -> int:
         out(f"error: {', '.join(scale_flags)} require(s) --autoscale")
         return 2
 
-    graph = _dataset(args)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        cfg = ModelConfig(memory_dim=args.memory_dim,
-                          time_dim=args.memory_dim,
-                          embed_dim=args.memory_dim,
-                          edge_dim=graph.edge_dim, node_dim=graph.node_dim,
-                          simplified_attention=True, lut_time_encoder=True,
-                          pruning_budget=4, name="NP(4)")
-        model = TGNN(cfg, rng=np.random.default_rng(args.seed))
-        model.calibrate(graph)
-        model.prepare_inference()
-
     try:
-        report, engine, initial_owner, heap_trace = \
+        graph = _dataset(args)
+        if args.model:
+            model = load_model(args.model)
+        else:
+            cfg = ModelConfig(memory_dim=args.memory_dim,
+                              time_dim=args.memory_dim,
+                              embed_dim=args.memory_dim,
+                              edge_dim=graph.edge_dim,
+                              node_dim=graph.node_dim,
+                              simplified_attention=True,
+                              lut_time_encoder=True,
+                              pruning_budget=4, name="NP(4)")
+            model = TGNN(cfg, rng=np.random.default_rng(args.seed))
+            model.calibrate(graph)
+            model.prepare_inference()
+        report, engine, initial_owner = \
             _simulate_fleet(args, graph, model, out)
     except ValueError as e:
         out(f"error: {e}")
@@ -687,12 +628,10 @@ def cmd_serve_sim(args, out=print) -> int:
 
     if args.check_trace:
         # Replay the recorded trace through the invariant checker: the
-        # run's own causality/exactly-once/conservation story, plus (with
-        # --profile) heap-vs-vectorized same-key order agreement.
+        # run's own causality/exactly-once/conservation story.
         from .analysis.tracecheck import check_run
         result = check_run(engine=engine, report=report,
-                           initial_assignment=initial_owner,
-                           heap_trace=heap_trace)
+                           initial_assignment=initial_owner)
         out(result.render())
         if not result.ok:
             return 3

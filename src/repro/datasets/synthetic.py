@@ -76,6 +76,8 @@ def generate_stream(spec: StreamSpec,
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     U, I, E = spec.num_users, spec.num_items, spec.num_edges
+    if E <= 0:
+        raise ValueError("num_edges must be positive")
     # Every community needs at least one item (see below), so tiny item sets
     # clamp the community count.
     C = max(1, min(spec.num_communities, I))

@@ -242,6 +242,8 @@ class TGNN(Module):
 
         ``updated`` holds the post-GRU memory for the batch's unique
         vertices; state (memory + mailbox) is committed as a side effect.
+        After :meth:`prepare_inference` on a LUT encoder the GRU's time
+        contribution is one table read (:meth:`_gru_lut_np`).
         """
         nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
         mem, mail, mail_t, last = rt.state.read(uniq)
@@ -250,17 +252,15 @@ class TGNN(Module):
         if has_mail.any():
             idx = np.nonzero(has_mail)[0]
             dt = np.maximum(mail_t[idx] - last[idx], 0.0)
-            tf = self._gru_time_features_np(dt)
-            updated[idx] = self.memory_updater.forward_numpy(
-                mail[idx], dt, mem[idx], time_features=tf)
+            if self._premul_cache is None:
+                updated[idx] = self.memory_updater.forward_numpy(
+                    mail[idx], dt, mem[idx],
+                    time_features=self.time_encoder.encode_numpy(dt))
+            else:
+                updated[idx] = self._gru_lut_np(mail[idx], dt, mem[idx])
             rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx])
         self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated)
         return nodes, t_nodes, inverse, updated
-
-    def _gru_time_features_np(self, dt: np.ndarray) -> np.ndarray:
-        """Time features for the GRU input (LUT premultiplication is applied
-        downstream inside forward_numpy's matmul; here we return Phi)."""
-        return self.time_encoder.encode_numpy(dt)
 
     # ------------------------------------------------------------------ #
     # training path (autograd)                                            #
@@ -400,8 +400,7 @@ class TGNN(Module):
 
         # memory: mailbox consumption + GRU (Table I "memory" part).
         t0 = tic()
-        nodes, t_nodes, inverse, updated = \
-            self._update_memory_np_timed(batch, rt)
+        nodes, t_nodes, inverse, updated = self._update_memory_np(batch, rt)
         t1 = tic()
 
         # sample: neighbor-table fetch (Table I "sample" part).
@@ -428,26 +427,6 @@ class TGNN(Module):
                                selected=sel)
         return BatchResult(nodes=nodes, embeddings=Tensor(emb),
                            attention=attn, dt_scaled=None)
-
-    def _update_memory_np_timed(self, batch, rt):
-        """Wrapper so LUT premultiplication applies inside the GRU path."""
-        cache = self._premul_cache
-        if cache is None:
-            return self._update_memory_np(batch, rt)
-        # LUT fast path: time contribution to the input gates is a lookup.
-        nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
-        mem, mail, mail_t, last = rt.state.read(uniq)
-        has_mail = mail_t > -np.inf
-        updated = mem.copy()
-        if has_mail.any():
-            idx = np.nonzero(has_mail)[0]
-            dt = np.maximum(mail_t[idx] - last[idx], 0.0)
-            updated[idx] = self.memory_updater.forward_numpy_premul(
-                mail[idx], self.time_encoder.bin_index(dt),
-                cache["updt"], mem[idx])
-            rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx])
-        self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated)
-        return nodes, t_nodes, inverse, updated
 
     def _gru_lut_np(self, raw: np.ndarray, dt: np.ndarray,
                     memory: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Operation counting and complexity tables (Tables I-II)."""
 
 from . import paper_reference  # noqa: F401
-from .breakdown import (event_core_breakdown, format_table,  # noqa: F401
-                        modeled_vs_measured, table1_breakdown,
+from .breakdown import (modeled_vs_measured, table1_breakdown,  # noqa: F401
                         table2_ladder)
 from .op_counter import (PARTS, Convention, OpCounts, count_ops,  # noqa: F401
                          count_ops_apan)
 
 __all__ = [
     "Convention", "OpCounts", "count_ops", "count_ops_apan", "PARTS",
-    "table1_breakdown", "table2_ladder", "event_core_breakdown",
-    "modeled_vs_measured", "format_table", "paper_reference",
+    "table1_breakdown", "table2_ladder", "modeled_vs_measured",
+    "paper_reference",
 ]

@@ -9,8 +9,7 @@ from __future__ import annotations
 from ..models.config import ModelConfig, variant_ladder
 from .op_counter import PARTS, Convention, OpCounts, count_ops
 
-__all__ = ["table1_breakdown", "table2_ladder", "event_core_breakdown",
-           "modeled_vs_measured", "format_table"]
+__all__ = ["table1_breakdown", "table2_ladder", "modeled_vs_measured"]
 
 
 def table1_breakdown(cfg: ModelConfig,
@@ -62,50 +61,16 @@ def table2_ladder(base: ModelConfig,
     return rows
 
 
-def event_core_breakdown(before: dict, after: dict) -> list[dict]:
-    """Before/after rows for the serving event core (``serve-sim --profile``).
-
-    ``before`` / ``after`` each describe one scheduler lane as a dict with
-    ``events`` (events processed), ``wall_s`` (loop wall-clock seconds),
-    and optionally ``cohort_calls`` (handler invocations that delivered a
-    cohort; for the per-event heap lane this equals ``events``).  Returns
-    one row per lane plus a ``speedup`` row comparing events/sec, the same
-    list-of-dicts shape as the Table I/II breakdowns so the CLI can render
-    it with :func:`format_table`.
-    """
-    rows = []
-    for name, lane in (("heap (before)", before), ("vectorized (after)",
-                                                   after)):
-        events = int(lane["events"])
-        wall = float(lane["wall_s"])
-        rows.append({
-            "lane": name,
-            "events": events,
-            "handler_calls": int(lane.get("cohort_calls", events)),
-            "wall_s": wall,
-            "events_per_sec": events / wall if wall > 0 else 0.0,
-        })
-    eps_before, eps_after = (r["events_per_sec"] for r in rows)
-    rows.append({
-        "lane": "speedup",
-        "events": "",
-        "handler_calls": "",
-        "wall_s": "",
-        "events_per_sec": eps_after / eps_before if eps_before else 0.0,
-    })
-    return rows
-
-
 def modeled_vs_measured(measured: dict) -> list[dict]:
     """Modeled-vs-measured service-time rows from a report's ``measured``
-    block (``serve-sim --backend measured --profile``).
+    block (``bench_serving_scale``'s worker-pool table).
 
     One row per shard plus a pooled ``all`` row: sample count, modeled and
     measured mean service time in milliseconds, their ratio
     (modeled / measured — how far off the analytical cost model is from
     the real kernels on this host), and the measured cv².  Same
     list-of-dicts shape as the other breakdowns, rendered with
-    :func:`format_table`.
+    :func:`repro.reporting.render_table`.
     """
     def row(label, block):
         measured_ms = 1e3 * float(block["mean_s"])
@@ -125,26 +90,3 @@ def modeled_vs_measured(measured: dict) -> list[dict]:
             for shard in measured.get("per_shard", [])]
     rows.append(row("all", measured))
     return rows
-
-
-def format_table(rows: list[dict], columns: list[str] | None = None,
-                 precision: int = 2) -> str:
-    """Fixed-width text rendering of a list-of-dicts table."""
-    if not rows:
-        return "(empty)"
-    columns = columns if columns is not None else \
-        [c for c in rows[0] if c != "config"]
-    cells = [[_fmt(row.get(c, ""), precision) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in cells))
-              for i, c in enumerate(columns)]
-    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    sep = "-" * len(header)
-    body = "\n".join("  ".join(v.rjust(w) for v, w in zip(r, widths))
-                     for r in cells)
-    return f"{header}\n{sep}\n{body}"
-
-
-def _fmt(value, precision: int) -> str:
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    return str(value)

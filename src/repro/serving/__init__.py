@@ -24,8 +24,7 @@ events/sec speedup of the vectorized loop over the heap loop every run
 (the ratio is tracked across commits via the ``BENCH_events_per_sec``
 perf-trajectory artifact).  Tracing (``trace=True``) disables the bulk
 path so typed events keep their documented shape; untraced hot paths
-skip trace-only dataclass construction entirely.  ``serve-sim
---profile`` prints the before/after breakdown via :mod:`repro.profiling`.
+skip trace-only dataclass construction entirely.
 Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
 from its shape; they do not execute its kernels.
 
@@ -94,7 +93,12 @@ where ``heat`` carries per-vertex source/destination edge counts and
 ``profile`` is optional measured feedback (per-shard ``ShardStats`` from a
 profiling run).  The returned :class:`Placement` names a primary owner per
 vertex plus optional replica shards; the router delivers every incident
-edge to every holder, so replica state is exact.  Built-ins:
+edge to every holder, so replica state is exact.  That object then *is*
+the run's live ownership table: its ``assignment`` and holder matrix are
+stored once, the router and the memsync cache read those same arrays, and
+the two ownership moves (:func:`~repro.serving.memsync.hand_off`,
+:func:`~repro.serving.memsync.fail_over`) mutate them in place
+(``Placement.replicas`` is a derived view).  Built-ins:
 
 * :class:`StaticHashPlacement` (``"hash"``) — static multiplicative hash;
 * :class:`LoadAwareRebalance` (``"rebalance"``) — *two-pass* profile-guided
@@ -175,9 +179,10 @@ service ends and dispatches at *t* but before flushes and arrivals).
 :class:`FailureInjector` is the runtime: on a ``dead`` failure it drains
 the shard's queue (dropped sub-jobs are *counted*, never silently lost —
 conservation holds through the outage), promotes the dead shard's
-replica mirrors to owners via :meth:`ShardRouter.fail_over`, and rebuilds
-every unreplicated lost vertex by memsync replay from the
-lowest-numbered current peer — each rebuilt vertex priced at
+replica mirrors to owners (:func:`~repro.serving.memsync.fail_over`, the
+one failover apply step), and rebuilds every unreplicated lost vertex by
+memsync replay from the lowest-numbered peer that held a current copy
+before the failover — each rebuilt vertex priced at
 ``HANDOFF_ROWS_PER_VERTEX`` rows through ``mail_hop_s``, exactly like a
 planned migration.  Recovery migrates the held state back (``fail-back``
 rows in the migration trace), so promote → rebuild → fail-back forms the

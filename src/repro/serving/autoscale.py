@@ -199,7 +199,7 @@ class AutoScaler:
                     f"sharded autoscaling needs one station per fleet "
                     f"slot: {self.capacity.max_replicas} groups, got "
                     f"{len(groups)}")
-            if router.placement.replicas:
+            if router.placement.replicated_vertices:
                 raise ValueError(
                     "sharded autoscaling requires an unreplicated "
                     "placement: a replica on a merged-away shard would "

@@ -68,11 +68,12 @@ from .events import (INGEST_MODES, _MIGRATE, BatcherActor, EventScheduler,
                      FailureEvent, FailurePlan, MigrationEvent, RecoveryEvent,
                      RouterActor, ServerGroup, SimulationResult, Submission)
 from .measured import MeasuredServerGroup, WorkerPool
-from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache, hand_off
+from .memsync import (MEMSYNC_POLICIES, VersionedMemoryCache, fail_over,
+                      hand_off)
 from .placement import HotColdHybrid, Placement, VertexHeat
 from .rebalance import HANDOFF_ROWS_PER_VERTEX
 from .registry import DEFAULT_REGISTRY, BackendRegistry
-from .router import CrossShardMailbox, ShardBatch, ShardRouter
+from .router import ShardBatch, ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
            "FailureInjector", "make_stream_arrivals"]
@@ -279,8 +280,9 @@ def make_stream_arrivals(graph: TemporalGraph, window_s: float,
     Stream ``i`` is phase-shifted by ``i/num_streams`` of a window to model
     unsynchronized tenants.
     """
-    if window_s <= 0 or speedup <= 0:
-        raise ValueError("window_s and speedup must be positive")
+    # ``not (x > 0)`` also rejects NaN, which ``x <= 0`` lets through.
+    if not (0 < window_s < math.inf and 0 < speedup < math.inf):
+        raise ValueError("window_s and speedup must be positive and finite")
     if num_streams <= 0:
         raise ValueError("num_streams must be positive")
     base: list[tuple[float, object]] = []
@@ -392,17 +394,6 @@ class FailureInjector:
         if self._on_rows is not None:
             self._on_rows(rows, from_shard, to_shard)
 
-    def _rebuild_source(self, vertex: int, dead: int) -> int:
-        """Surviving peer the rebuild is modeled to read from: the lowest
-        shard with a current copy per the coherence cache, else the
-        lowest survivor (the durable-log replay still costs a transfer).
-        """
-        if self._cache is not None:
-            peer = self._cache.current_peer(vertex, dead)
-            if peer is not None:
-                return peer
-        return min(s for s in range(len(self._groups)) if s != dead)
-
     def _on_fail(self, ev: FailureEvent) -> None:
         self.failures += 1
         self._open_outage[ev.shard] = ev.t
@@ -412,18 +403,17 @@ class FailureInjector:
             return
         group.fail()
         router = self._router
-        self._owned_at_failure[ev.shard] = \
-            np.flatnonzero(router.assignment == ev.shard)
-        promoted, rebuilt = router.fail_over(ev.shard)
+        self._owned_at_failure[ev.shard], promoted, rebuilt, peers = \
+            fail_over(router, self._cache, ev.shard)
         self.promoted_vertices += len(promoted)
         self.rebuilt_vertices += len(rebuilt)
-        sources = [self._rebuild_source(int(x), ev.shard)
-                   for x in rebuilt]
-        if self._cache is not None:
-            self._cache.fail_over(ev.shard, rebuilt,
-                                  router.assignment[rebuilt])
-        for x, src in zip(rebuilt.tolist(), sources):
-            self._price(HANDOFF_ROWS_PER_VERTEX, src,
+        # A rebuild with no surviving current copy is modeled to read from
+        # the lowest survivor: the durable-log replay still costs a
+        # transfer.
+        fallback = min(s for s in range(len(self._groups)) if s != ev.shard)
+        for x, peer in zip(rebuilt.tolist(), peers.tolist()):
+            self._price(HANDOFF_ROWS_PER_VERTEX,
+                        peer if peer >= 0 else fallback,
                         int(router.assignment[x]))
         if self._sched.trace is not None:
             for x in promoted.tolist():
@@ -449,8 +439,7 @@ class FailureInjector:
         move = owned[router.assignment[owned] != ev.shard]
         if not len(move):
             return
-        # Promoted vertices keep their interim owner as a holder: it
-        # demotes back into the replica set.
+        # Promoted vertices keep their interim owner as a holder.
         owners = router.assignment[move]
         hand_off(router, self._cache, move, owners, ev.shard)
         for x, frm in zip(move.tolist(), owners.tolist()):
@@ -826,8 +815,8 @@ class ServingEngine:
 
         ``scheduler_cls`` selects the event-loop implementation (default
         :class:`EventScheduler`; pass :class:`HeapEventScheduler` for the
-        reference per-event loop — the bench and ``serve-sim --profile``
-        use it as the before/after comparison lane).
+        reference per-event loop — the scheduler-equivalence tests and
+        the serving bench use it as the comparison lane).
 
         ``trace=True`` records the full typed-event trace (costs memory)
         and exposes it as ``last_event_trace`` — the input of
@@ -915,8 +904,6 @@ class ServingEngine:
             VersionedMemoryCache(self.router.placement, policy=self.memsync)
 
         jobs: list[CoalescedJob] = []
-        per_shard: list[list[tuple[float, tuple]]] = \
-            [[] for _ in groups]
 
         # Migration handoff pricing: rows crossing a die cost one hop each
         # (the handoff rides the mail channel, like a push); the hops are
@@ -978,7 +965,6 @@ class ServingEngine:
                     sync_hops += pending_handoff_hops[sb.shard]
                     pending_handoff_hops[sb.shard] = 0
                 payload = (ji, sb, hops, sync_hops)
-                per_shard[sb.shard].append((job.t_release, payload))
                 mail = sync = ()
                 if sched.trace is not None:
                     if sb.mail_edges:
@@ -1010,17 +996,16 @@ class ServingEngine:
         # the run (None unless trace=True — tracing costs memory).  The
         # scheduler itself is exposed for its counters (events_processed,
         # cohort_calls), and the loop wall-clock isolates the event core
-        # from setup and report assembly — the bench and --profile read
-        # them.
+        # from setup and report assembly — the bench reads them.
         self.last_event_trace = sched.trace
         self.last_scheduler = sched
         self.last_loop_wall_s = loop_wall
         self.last_num_arrivals = len(arrivals)
         shard_results = [g.finalize() for g in groups]
 
-        return self._report(arrivals, jobs, per_shard, shard_results,
-                            window_s, speedup, num_streams, ingest,
-                            self._measured_block(groups))
+        return self._report(arrivals, jobs, [g.arrivals for g in groups],
+                            shard_results, window_s, speedup, num_streams,
+                            ingest, self._measured_block(groups))
 
     # ------------------------------------------------------------------ #
     def _measured_block(self, groups: Sequence[ServerGroup]) -> dict | None:
@@ -1076,7 +1061,7 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     def _report(self, arrivals: list[StreamArrival],
                 jobs: list[CoalescedJob],
-                per_shard: list[list[tuple[float, tuple]]],
+                submitted: list[list[tuple[float, tuple]]],
                 shard_results: list[SimulationResult],
                 window_s: float, speedup: float, num_streams: int,
                 ingest: str, measured: dict | None) -> ServingReport:
@@ -1084,12 +1069,13 @@ class ServingEngine:
 
         One path for every topology: a pool is the one-group fleet whose
         sub-batches are whole jobs, so it has no mail, no sync traffic,
-        and no partition (``placement="none"``).
+        and no partition (``placement="none"``).  ``submitted[s]`` is
+        group ``s``'s own ``(t, payload)`` arrivals log, which
+        ``shard_results[s]`` indexes.
         """
         rebal, chaos, auto = \
             self.rebalancer, self.failure_injector, self.autoscaler
         pooled = self.topology == "pool"
-        mailbox = CrossShardMailbox(self.num_shards)
 
         # Resolve drops globally first: a window is dropped if *any*
         # shard's queue rejected its sub-job, and a dropped window's
@@ -1099,7 +1085,7 @@ class ServingEngine:
         job_dropped = np.zeros(len(jobs), dtype=bool)
         for shard, res in enumerate(shard_results):
             for di in res.dropped_indices:
-                job_dropped[per_shard[shard][di][1][0]] = True
+                job_dropped[submitted[shard][di][1][0]] = True
 
         # Traffic is accounted per served sub-job of a non-dropped window —
         # edges rejected by a full queue were never processed, and partial
@@ -1111,20 +1097,14 @@ class ServingEngine:
         max_version_lag = 0
         for shard, res in enumerate(shard_results):
             for sj in res.served:
-                ji, sb, hops, _ = per_shard[shard][sj.index][1]
+                ji, sb, hops, _ = submitted[shard][sj.index][1]
                 finish_of_job[ji] = max(finish_of_job[ji], sj.t_finish)
                 if job_dropped[ji]:
                     continue
                 shard_traffic[shard, 0] += sb.local_edges
                 shard_traffic[shard, 1] += sb.mail_edges
                 cross_die_mail += hops
-                if sb.mail_edges:
-                    mailbox.record(sb.mail_from, shard)
-                for rows in (sb.sync_pull, sb.sync_push):
-                    if len(rows):
-                        mailbox.record_sync(self.router.assignment[rows],
-                                            shard)
-                        sync_edges += len(rows)
+                sync_edges += len(sb.sync_pull) + len(sb.sync_push)
                 stale_reads += sb.stale_reads
                 max_version_lag = max(max_version_lag, sb.version_lag)
 
@@ -1199,7 +1179,7 @@ class ServingEngine:
             makespan_s=makespan,
             ingested_edges=sum(len(a) for a in arrivals),
             processed_edges=int(shard_traffic.sum()),
-            cross_shard_edges=mailbox.total_edges,
+            cross_shard_edges=int(shard_traffic[:, 1].sum()),
             cross_die_mail_edges=cross_die_mail,
             shard_stats=stats,
             topology=self.topology,

@@ -38,7 +38,7 @@ in — :class:`~repro.serving.rebalance.OnlineRebalancer` among them — use
 :class:`HeapEventScheduler` is the pre-vectorization implementation,
 kept verbatim as the behavioral oracle: the scheduler-equivalence
 property tests require bit-identical outcomes between the two, and the
-serving bench / ``serve-sim --profile`` use it as the "before" lane.
+serving bench uses it as the "before" lane.
 
 Cancellation follows the same split: heap tokens are cancellable (the
 pop discards them), run tokens are **not** — a run is one consumption
@@ -394,7 +394,7 @@ class HeapEventScheduler:
     behavioral oracle for :class:`EventScheduler` (see the module
     docstring): the equivalence property tests replay identical workloads
     through both and require bit-identical outcomes, and the serving bench
-    and ``serve-sim --profile`` use it as the "before" measurement lane.
+    uses it as the "before" measurement lane.
     """
 
     def __init__(self, trace: bool = False):
@@ -716,11 +716,6 @@ class SimulationResult:
         return float(self.responses().mean()) if self.served else 0.0
 
     @property
-    def p50_response_s(self) -> float:
-        return float(np.percentile(self._sorted_responses(), 50)) \
-            if self.served else 0.0
-
-    @property
     def p95_response_s(self) -> float:
         return float(np.percentile(self._sorted_responses(), 95)) \
             if self.served else 0.0
@@ -793,6 +788,13 @@ class ServerGroup:
     def hungry(self) -> bool:
         """An idle server with nothing queued: batching gains nothing."""
         return bool(self._idle) and not self._waiting
+
+    @property
+    def arrivals(self) -> list[tuple[float, Any]]:
+        """Every ``(t, payload)`` offered so far, admitted or dropped, in
+        submission order — what ``ServedJob.index`` and
+        ``SimulationResult.dropped_indices`` index."""
+        return self._arrivals
 
     @property
     def busy_s(self) -> float:

@@ -84,7 +84,7 @@ from .placement import Placement
 from .router import CrossShardMailbox, ShardRouter
 
 __all__ = ["MEMSYNC_POLICIES", "ReadOutcome", "VersionedMemoryCache",
-           "hand_off", "ShardedRuntime"]
+           "hand_off", "fail_over", "ShardedRuntime"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
 
@@ -118,7 +118,9 @@ class VersionedMemoryCache:
         self.placement = placement
         self.assignment = placement.assignment
         self.num_shards = placement.num_shards
-        self._holder = placement.holder_matrix()
+        # The placement's own holder matrix, not a copy: ownership moves
+        # applied through the router are visible here at once.
+        self._holder = placement.member
         n = placement.num_nodes
         # Owner-side truth: one bump per batch the vertex appears in.
         self.version = np.zeros(n, dtype=np.int64)
@@ -194,88 +196,71 @@ class VersionedMemoryCache:
                     pushes[shard] = tgt
         return pushes
 
-    def transfer_ownership(self, vertices, from_shards, to_shard: int,
-                           keep_holder=False) -> None:
-        """Move ownership of ``vertices`` from ``from_shards`` to
-        ``to_shard`` (an online migration's coherence side — the same
+    def transfer_ownership(self, vertices, from_shards, to_shard: int) -> None:
+        """Mirror stamps for ``vertices`` just moved from ``from_shards``
+        to ``to_shard`` (an online migration's coherence side — the same
         call serves elastic shard splits/merges, where the autoscaler
         is the migration's author).
 
-        The handoff delivers the vertices' *current* rows to the new
-        owner, so its copy is stamped with the current version — a
-        migrated-in vertex is never spuriously stale, and subsequent owner
-        writes keep bumping the same counter (version history survives the
-        ownership change; the exactness tests rely on this).  The old
-        owner keeps its physical copy, which is exact at handoff time, so
-        it is registered as an up-to-date *mirror*: under ``push`` it
-        keeps receiving updates while present, under ``invalidate``/
-        ``none`` it simply ages like any other mirror.
-
-        ``keep_holder`` (scalar or per-vertex bool array) marks old owners
-        that *demote into the vertex's replica set* instead — a replicated
-        vertex's migration (:meth:`~repro.serving.router.ShardRouter.\
-migrate`) keeps the old owner as a full holder, which continues to
-        observe every write event, so it must stay on the holder side of
-        the coherence split rather than become an aging mirror.
-
-        This method only maintains coherence metadata: :func:`hand_off`
-        is its one caller and flips the routing side in the same step.
+        Runs **after** the routing flip, on the shared holder matrix:
+        :func:`hand_off` is its one caller.  The handoff delivers the
+        vertices' *current* rows to the new owner, so its copy is stamped
+        with the current version — a migrated-in vertex is never
+        spuriously stale, and subsequent owner writes keep bumping the
+        same counter (version history survives the ownership change; the
+        exactness tests rely on this).  An old owner that stopped holding
+        the vertex keeps its physical copy, which is exact at handoff
+        time, so it is registered as an up-to-date *mirror*: under
+        ``push`` it keeps receiving updates while present, under
+        ``invalidate``/``none`` it simply ages like any other mirror.  An
+        old owner that is still a holder (a replicated vertex's, or a
+        degenerate from == to transfer) keeps observing every write event
+        and needs no stamp.
         """
         v = np.asarray(vertices, dtype=np.int64)
         f = np.broadcast_to(np.asarray(from_shards, dtype=np.int64),
                             v.shape)
-        keep = np.broadcast_to(np.asarray(keep_holder, dtype=bool), v.shape)
         if not 0 <= int(to_shard) < self.num_shards:
             raise ValueError("to_shard out of range")
-        # Old-owner bookkeeping first so a degenerate from == to transfer
-        # resolves to "still the holder", not a holder-mirror hybrid.
-        drop = ~keep
-        self._holder[f[drop], v[drop]] = False
-        self._mirror[f[drop], v[drop]] = True
-        self.mirror_version[f[drop], v[drop]] = self.version[v[drop]]
-        self._holder[to_shard, v] = True
+        gone = ~self._holder[f, v]
+        self._mirror[f[gone], v[gone]] = True
+        self.mirror_version[f[gone], v[gone]] = self.version[v[gone]]
         self._mirror[to_shard, v] = False
         self.mirror_version[to_shard, v] = self.version[v]
 
-    def fail_over(self, dead: int, rebuilt, new_owners) -> None:
-        """Coherence side of a dead-replica failover.
+    def fail_over(self, dead: int, rebuilt) -> None:
+        """Mirror stamps for a dead-replica failover the router applied.
 
         Unlike a migration's demote-to-mirror, the dead shard's copies are
-        *lost*: it leaves the holder set everywhere and keeps no mirrors.
-        Promoted vertices need no state action — their new owner was a
-        replica, hence already a current holder.  Each ``rebuilt[i]``
-        vertex's rows were delivered to ``new_owners[i]`` by the caller's
-        memsync replay, so the new owner is stamped a current holder
-        (version history survives, exactly as in ownership transfer).
+        *lost*: it keeps no mirrors (the router already cleared its holder
+        row).  Promoted vertices need no state action — their new owner
+        was a replica, hence already a current holder.  Each ``rebuilt``
+        vertex's rows were delivered to its new owner by the caller's
+        memsync replay, so that owner is stamped current (version history
+        survives, exactly as in ownership transfer).
         """
-        dead = int(dead)
-        if not 0 <= dead < self.num_shards:
-            raise ValueError("dead shard out of range")
-        self._holder[dead, :] = False
         self._mirror[dead, :] = False
         self.mirror_version[dead, :] = 0
         v = np.asarray(rebuilt, dtype=np.int64)
-        if len(v):
-            o = np.broadcast_to(np.asarray(new_owners, dtype=np.int64),
-                                v.shape)
-            self._holder[o, v] = True
-            self._mirror[o, v] = False
-            self.mirror_version[o, v] = self.version[v]
+        o = self.assignment[v]
+        self._mirror[o, v] = False
+        self.mirror_version[o, v] = self.version[v]
 
-    def current_peer(self, vertex: int, dead: int) -> int | None:
-        """Lowest shard other than ``dead`` holding a *current* copy of
-        ``vertex`` — the source a failover rebuild reads from.
+    def current_peer(self, vertices, dead: int) -> np.ndarray:
+        """Per vertex, the lowest shard other than ``dead`` holding a
+        *current* copy — the source a failover rebuild reads from — or
+        ``-1`` where no such copy survives.
 
         Holders are always current; mirrors qualify when their stamp
         matches the owner version — under ``push`` every shard that
         participated in the vertex's last batch does, because it pulled
         the pre-batch rows and computed (or received) the same update.
         """
-        current = (self.mirror_version[:, vertex] == self.version[vertex]) \
-            & (self._holder[:, vertex] | self._mirror[:, vertex])
+        v = np.asarray(vertices, dtype=np.int64)
+        current = (self.mirror_version[:, v] == self.version[v]) \
+            & (self._holder[:, v] | self._mirror[:, v])
         current[dead] = False
-        hit = np.flatnonzero(current)
-        return int(hit[0]) if len(hit) else None
+        return np.where(current.any(axis=0), current.argmax(axis=0), -1)
 
 
 def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
@@ -286,11 +271,11 @@ def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
     migrations, autoscaler splits/merges, failover fail-backs, and the
     functional :meth:`ShardedRuntime.migrate`: check the plan still
     matches the live assignment, flip the routing side
-    (:meth:`~repro.serving.router.ShardRouter.migrate`), then the
-    coherence side (:meth:`VersionedMemoryCache.transfer_ownership`; a
-    replicated vertex's old owner demotes into the replica set, so it
-    stays a holder).  Callers keep what is theirs: counters, pricing,
-    trace records, and the actual row copies.
+    (:meth:`~repro.serving.router.ShardRouter.migrate`), then stamp the
+    coherence side (:meth:`VersionedMemoryCache.transfer_ownership`,
+    which reads "is the old owner still a holder" off the table the
+    router just flipped).  Callers keep what is theirs: counters,
+    pricing, trace records, and the actual row copies.
     """
     v = np.asarray(vertices, dtype=np.int64)
     expected = np.broadcast_to(np.asarray(from_shards, dtype=np.int64),
@@ -303,12 +288,42 @@ def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
             f"migration of vertex {v[i]} expected owner {expected[i]} but "
             f"found {owners[i]}: ownership changed between decision and "
             f"application")
-    # Replication status is read before the routing flip rewrites it.
-    replicas = router.placement.replicas
-    keep = np.array([bool(replicas.get(x)) for x in v.tolist()], dtype=bool)
     router.migrate(v, to_shard)
     if cache is not None:
-        cache.transfer_ownership(v, expected, to_shard, keep_holder=keep)
+        cache.transfer_ownership(v, expected, to_shard)
+
+
+def fail_over(router: ShardRouter, cache: VersionedMemoryCache | None,
+              dead: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """Evacuate ownership off ``dead``, whose state is lost.
+
+    The single apply step behind every dead-shard failover — the engine's
+    :class:`~repro.serving.engine.FailureInjector` and the functional
+    :meth:`ShardedRuntime.fail_shard`.  Rebuild sources are looked up
+    **before** the flip, against the pre-failover holder set: the router
+    names each rebuilt vertex's new owner a holder while it is still
+    empty-handed, so a lookup afterwards would nominate it as its own
+    source.  Then the routing side flips
+    (:meth:`~repro.serving.router.ShardRouter.fail_over`) and the cache
+    stamps its mirrors (:meth:`VersionedMemoryCache.fail_over`).
+
+    Returns ``(owned, promoted, rebuilt, peers)``: the vertices ``dead``
+    owned (the snapshot a recovery fails back), the two halves
+    ``router.fail_over`` split them into, and per rebuilt vertex the
+    lowest surviving shard with a current copy (``-1``: none — without a
+    cache, all of them).  Callers keep counters, pricing, trace records
+    and the actual row copies.
+    """
+    if not 0 <= dead < router.num_shards:
+        raise ValueError("dead shard out of range")
+    owned = np.flatnonzero(router.assignment == dead)
+    peers = np.full(len(owned), -1) if cache is None \
+        else cache.current_peer(owned, dead)
+    promoted, rebuilt = router.fail_over(dead)
+    if cache is not None:
+        cache.fail_over(dead, rebuilt)
+    return owned, promoted, rebuilt, peers[np.isin(owned, rebuilt)]
 
 
 # --------------------------------------------------------------------------- #
@@ -410,11 +425,9 @@ class ShardedRuntime:
 
         The handoff is priced like sync traffic: ``HANDOFF_ROWS_PER_VERTEX``
         rows per vertex recorded in the mailbox's ``sync_counts``.
-        Replicated vertices migrate too: the old owner demotes into the
-        replica set (it keeps receiving every incident edge, so it stays a
-        holder — ``keep_holder`` on the coherence side).  Returns the
-        number of vertices actually moved (those not already owned by
-        ``to_shard``).
+        Replicated vertices migrate too: the old owner stays a holder
+        (it keeps receiving every incident edge).  Returns the number of
+        vertices actually moved (those not already owned by ``to_shard``).
         """
         from .rebalance import HANDOFF_ROWS_PER_VERTEX
         v = np.unique(np.asarray(vertices, dtype=np.int64))
@@ -496,12 +509,12 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
     def fail_shard(self, shard: int) -> dict[str, int]:
         """Fail-stop ``shard`` — its state is lost — and evacuate exactly.
 
-        Ownership moves via :meth:`~repro.serving.router.ShardRouter.\
-fail_over`: replicated vertices *promote* a surviving replica (a full
-        holder, so its memory rows and FIFO ring are already exact and no
-        state moves), unreplicated vertices get a surviving owner and are
-        *rebuilt* — the vertex-state row copied from the lowest surviving
-        shard with a current copy (see
+        Ownership moves via :func:`fail_over`: replicated vertices
+        *promote* a surviving replica (a full holder, so its memory rows
+        and FIFO ring are already exact and no state moves), unreplicated
+        vertices get a surviving owner and are *rebuilt* — the
+        vertex-state row copied from the lowest surviving shard that held
+        a current copy before the failover (see
         :meth:`VersionedMemoryCache.current_peer`), the FIFO
         ring replayed bit-exactly from the durable edge log (see
         :meth:`_replay_rings`), ``HANDOFF_ROWS_PER_VERTEX`` rows per
@@ -519,15 +532,14 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
         shard = int(shard)
         if shard in self._failed:
             raise ValueError(f"shard {shard} is already failed")
-        owned_before = np.flatnonzero(self.router.assignment == shard)
-        promoted, rebuilt = self.router.fail_over(shard)
+        owned_before, promoted, rebuilt, peers = \
+            fail_over(self.router, self.cache, shard)
         rows = 0
         cold = 0
-        for x in rebuilt.tolist():
+        for x, peer in zip(rebuilt.tolist(), peers.tolist()):
             new_owner = int(self.router.assignment[x])
             dst = self.runtimes[new_owner].state
-            peer = self.cache.current_peer(x, shard)
-            if peer is None:
+            if peer < 0:
                 # No surviving current copy: fresh-vertex rows are exactly
                 # this (version 0); written vertices are honestly cold.
                 if self.cache.version[x] > 0:
@@ -546,7 +558,6 @@ fail_over`: replicated vertices *promote* a surviving replica (a full
                     np.repeat(peer, HANDOFF_ROWS_PER_VERTEX), new_owner)
                 rows += HANDOFF_ROWS_PER_VERTEX
         self._replay_rings(rebuilt)
-        self.cache.fail_over(shard, rebuilt, self.router.assignment[rebuilt])
         # The whole premise: the dead shard's state is gone.
         self.runtimes[shard].reset()
         self._failed[shard] = owned_before

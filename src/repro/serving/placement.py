@@ -15,10 +15,13 @@ Vocabulary
     its owner) and destination-side counts (the fan-in that generates
     mailbox forwards).
 :class:`Placement`
-    The decision: a primary owner per vertex plus optional replica shards.
-    The router consumes this; every holder of a vertex receives every edge
-    incident to it, so replica tables are exactly as fresh as owner tables
-    (the same mailbox guarantee PR 1 gave owners).
+    The decision, and the live table it becomes: a primary owner per
+    vertex plus one holder matrix (owner and replica shards).  The router
+    and the memsync cache read this one object and the ownership moves
+    mutate it in place; ``replicas`` is a derived view.  Every holder of
+    a vertex receives every edge incident to it, so replica tables are
+    exactly as fresh as owner tables (the same mailbox guarantee PR 1
+    gave owners).
 :class:`PlacementPolicy`
     The protocol: ``place(heat, num_shards, profile=None) -> Placement``.
     ``profile`` is the measured per-shard feedback (a sequence with
@@ -53,7 +56,7 @@ Policies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -182,65 +185,79 @@ class VertexHeat:
 
 
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
 class Placement:
-    """A vertex -> shard mapping with optional replication.
+    """The live ownership table: who owns, and who holds, every vertex.
 
-    ``assignment[v]`` is the primary owner; ``replicas`` maps a vertex to
-    the *extra* shards holding a full copy of its state.  Every holder
-    (primary + replicas) receives every edge incident to the vertex through
-    the mailbox, so replica tables are exact, not stale mirrors.
+    ``assignment[v]`` is the primary owner; ``member`` is the boolean
+    ``(num_shards, num_nodes)`` holder matrix — row ``s`` is True where
+    shard ``s`` keeps a full copy of the vertex's state (owned or
+    replicated).  Every holder receives every edge incident to the vertex
+    through the mailbox, so replica tables are exact, not stale mirrors.
+
+    Both arrays are stored **once** and mutated in place by the two
+    ownership moves (:meth:`~repro.serving.router.ShardRouter.migrate` and
+    :meth:`~repro.serving.router.ShardRouter.fail_over`); the router, the
+    memsync cache and :meth:`mail_matrix` all read these same objects, so
+    there is no second copy to keep in step.  ``replicas=`` is a
+    constructor argument only — ``{vertex: extra holder shards}`` — and
+    the :attr:`replicas` / :attr:`replicated_vertices` /
+    :attr:`replica_copies` / :meth:`holders` views are derived from
+    ``member`` on every read.
     """
 
-    assignment: np.ndarray
-    num_shards: int
-    replicas: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    policy: str = "hash"
-    moved_vertices: tuple[int, ...] = ()    # migrations applied (rebalance)
-
-    def __post_init__(self):
-        if self.num_shards <= 0:
+    def __init__(self, assignment: np.ndarray, num_shards: int,
+                 replicas: dict[int, tuple[int, ...]] | None = None,
+                 policy: str = "hash",
+                 moved_vertices: tuple[int, ...] = ()):
+        if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if len(self.assignment) and (self.assignment.min() < 0 or
-                                     self.assignment.max() >= self.num_shards):
+        if len(assignment) and (assignment.min() < 0 or
+                                assignment.max() >= num_shards):
             raise ValueError("assignment references a shard out of range")
-        for v, extra in self.replicas.items():
-            if not 0 <= v < len(self.assignment):
+        self.assignment = assignment
+        self.num_shards = num_shards
+        self.policy = policy
+        self.moved_vertices = moved_vertices    # migrations applied (rebalance)
+        self.member = np.zeros((num_shards, len(assignment)), dtype=bool)
+        self.member[assignment, np.arange(len(assignment))] = True
+        for v, extra in (replicas or {}).items():
+            if not 0 <= v < len(assignment):
                 raise ValueError(f"replica vertex {v} out of range")
-            owner = int(self.assignment[v])
+            owner = int(assignment[v])
             if owner in extra or len(set(extra)) != len(extra):
                 raise ValueError(
                     f"replica set of vertex {v} must be distinct non-owner "
                     f"shards (owner {owner}, got {extra})")
-            if any(s < 0 or s >= self.num_shards for s in extra):
+            if any(s < 0 or s >= num_shards for s in extra):
                 raise ValueError(f"replica shard out of range for vertex {v}")
+            self.member[list(extra), v] = True
 
     @property
     def num_nodes(self) -> int:
         return len(self.assignment)
 
     @property
+    def replicas(self) -> dict[int, tuple[int, ...]]:
+        """``{vertex: extra holder shards, ascending}`` for every vertex
+        held by more than one shard — a fresh view of ``member``."""
+        return {int(v): self.holders(v)[1:]
+                for v in np.flatnonzero(self.member.sum(axis=0) > 1)}
+
+    @property
     def replicated_vertices(self) -> int:
         """Vertices held by more than one shard."""
-        return sum(1 for extra in self.replicas.values() if extra)
+        return int((self.member.sum(axis=0) > 1).sum())
 
     @property
     def replica_copies(self) -> int:
         """Extra copies across all vertices (a vertex on r shards adds r-1)."""
-        return sum(len(extra) for extra in self.replicas.values())
+        return int(self.member.sum()) - self.num_nodes
 
     def holders(self, vertex: int) -> tuple[int, ...]:
         """All shards holding ``vertex`` (primary first, replicas sorted)."""
-        return (int(self.assignment[vertex]),
-                *self.replicas.get(int(vertex), ()))
-
-    def holder_matrix(self) -> np.ndarray:
-        """Boolean ``(num_shards, num_nodes)`` membership matrix."""
-        member = np.zeros((self.num_shards, self.num_nodes), dtype=bool)
-        member[self.assignment, np.arange(self.num_nodes)] = True
-        for v, extra in self.replicas.items():
-            member[list(extra), v] = True
-        return member
+        owner = int(self.assignment[vertex])
+        return (owner, *(s for s in np.flatnonzero(
+            self.member[:, vertex]).tolist() if s != owner))
 
     def mail_matrix(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Predicted mailbox deliveries ``[from_shard, to_shard]``.
@@ -252,7 +269,7 @@ class Placement:
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        member = self.holder_matrix()
+        member = self.member
         s_src = self.assignment[src]
         m = np.zeros((self.num_shards, self.num_shards), dtype=np.int64)
         for shard in range(self.num_shards):

@@ -225,8 +225,7 @@ ShardedRuntime.migrate` records, so the timing report and the functional
     def _movable(self, v: int) -> bool:
         """Not inside its post-migration cooldown.  Replicated vertices
         move too: :meth:`~repro.serving.router.ShardRouter.migrate`
-        demotes the old owner into the replica set, so copies are never
-        orphaned."""
+        keeps the old owner a holder, so copies are never orphaned."""
         return self._frozen_until.get(int(v), -1) <= self._window_index
 
     def _emit(self, t: float, v: int, to_shard: int, reason: str) -> None:

@@ -138,10 +138,11 @@ class ShardRouter:
         self.num_shards = int(num_shards)
         self.num_nodes = int(num_nodes)
         self.placement = placement
+        # The placement is the live ownership table: these are its own
+        # arrays, not copies.  Row s of ``_member`` is True where shard s
+        # keeps state for the vertex (owned or replicated).
         self.assignment = placement.assignment
-        # (num_shards, num_nodes) holder membership; row s is True where
-        # shard s keeps state for the vertex (owned or replicated).
-        self._member = placement.holder_matrix()
+        self._member = placement.member
 
     @classmethod
     def from_placement(cls, placement: Placement) -> "ShardRouter":
@@ -155,23 +156,21 @@ class ShardRouter:
     def migrate(self, vertices: np.ndarray, to_shard: int) -> np.ndarray:
         """Reassign ownership of ``vertices`` to ``to_shard``, mid-run.
 
-        The online-rebalancing primitive: mutates the live placement's
-        assignment (and this router's holder membership) in place, so the
-        very next :meth:`split` routes under the new ownership.  Ownership
-        stays exactly-once by construction — one assignment entry per
-        vertex, flipped atomically inside a single event handler.
+        The online-rebalancing primitive: mutates the live placement (its
+        assignment and holder matrix) in place, so the very next
+        :meth:`split` — and every other reader of the table — sees the new
+        ownership.  Ownership stays exactly-once by construction — one
+        assignment entry per vertex, flipped atomically inside a single
+        event handler.
 
-        Replicated vertices migrate too: the old owner — whose copy is
-        exact at handoff time, since holders see every incident edge —
-        **demotes into the replica set** (it stays a holder), and if the
-        new owner was itself a replica it is promoted out of the set, so
-        the :class:`Placement` owner/replica invariant holds throughout
-        and the number of holders never shrinks mid-move.  Unreplicated
-        vertices move plainly: the old owner ceases to hold the vertex.
+        The new owner becomes a holder.  An old owner that was the
+        vertex's **lone holder** stops holding it; a **replicated**
+        vertex's old owner — whose copy is exact at handoff time, since
+        holders see every incident edge — simply stays a holder, so the
+        number of holders never shrinks mid-move.
         This is the routing side only.  The one caller on the serving
         paths is :func:`repro.serving.memsync.hand_off`, which pairs this
-        flip with the memsync cache's ``transfer_ownership`` (whose
-        ``keep_holder`` flag mirrors the demotion); moving and pricing
+        flip with the memsync cache's mirror stamps; moving and pricing
         the state rows stays with *its* callers.
 
         Returns the previous owner of each vertex.
@@ -181,36 +180,26 @@ class ShardRouter:
             raise ValueError("vertex out of range")
         if not 0 <= int(to_shard) < self.num_shards:
             raise ValueError("to_shard out of range")
-        to = int(to_shard)
         old = self.assignment[v].copy()
-        replicas = self.placement.replicas
-        for x, o in zip(v.tolist(), old.tolist()):
-            extra = replicas.get(x)
-            if extra:
-                # Demote the old owner into the replica set; promote the
-                # target out of it if it was a member.
-                new_extra = tuple(s for s in extra if s != to)
-                if o != to:
-                    new_extra += (o,)
-                replicas[x] = new_extra
-            elif o != to:
-                self._member[o, x] = False
-        self.assignment[v] = to
-        self._member[to, v] = True
+        lone = self._member[:, v].sum(axis=0) == 1
+        self._member[old[lone], v[lone]] = False
+        self.assignment[v] = int(to_shard)
+        self._member[int(to_shard), v] = True
         return old
 
     def fail_over(self, dead: int) -> tuple[np.ndarray, np.ndarray]:
         """Evacuate ownership off a dead shard whose state is lost.
 
-        Every vertex owned by ``dead`` gets a surviving owner at this
-        instant: a replicated vertex **promotes** its lowest-id replica —
-        a replica is a full holder, so the new owner's state is already
-        exact and nothing moves — while an unreplicated vertex is
-        reassigned round-robin across the survivors and must be
-        **rebuilt** by the caller (memsync replay from peers; see
-        :meth:`~repro.serving.memsync.ShardedRuntime.fail_shard`).  The
-        dead shard also drops out of every replica set it belonged to and
-        holds nothing afterwards.
+        The dead shard's row of the holder matrix is cleared — it holds
+        nothing afterwards, owned or replicated.  Every vertex it owned
+        gets a surviving owner at this instant: one with a surviving
+        holder **promotes** the lowest-id one — a replica is a full
+        holder, so the new owner's state is already exact and nothing
+        moves — while one it held alone is reassigned round-robin across
+        the survivors and must be **rebuilt** by the caller (memsync
+        replay from peers; see :func:`repro.serving.memsync.fail_over`,
+        which also picks the rebuild sources *before* this flip names
+        the still empty-handed new owners holders).
 
         Returns ``(promoted, rebuilt)`` vertex-id arrays.
         """
@@ -219,36 +208,15 @@ class ShardRouter:
             raise ValueError("dead shard out of range")
         if self.num_shards < 2:
             raise ValueError("cannot fail over the only shard")
-        survivors = [s for s in range(self.num_shards) if s != dead]
-        replicas = self.placement.replicas
-        promoted: list[int] = []
-        rebuilt: list[int] = []
-        for x in np.flatnonzero(self.assignment == dead).tolist():
-            extra = replicas.get(x)
-            if extra:
-                new_owner = min(extra)
-                rest = tuple(s for s in extra if s != new_owner)
-                if rest:
-                    replicas[x] = rest
-                else:
-                    del replicas[x]
-                promoted.append(x)
-            else:
-                new_owner = survivors[x % len(survivors)]
-                self._member[new_owner, x] = True
-                rebuilt.append(x)
-            self.assignment[x] = new_owner
-        # The dead shard's replica copies are lost with it.
-        for x, extra in list(replicas.items()):
-            if dead in extra:
-                rest = tuple(s for s in extra if s != dead)
-                if rest:
-                    replicas[x] = rest
-                else:
-                    del replicas[x]
+        owned = np.flatnonzero(self.assignment == dead)
         self._member[dead, :] = False
-        return (np.asarray(promoted, dtype=np.int64),
-                np.asarray(rebuilt, dtype=np.int64))
+        survives = self._member[:, owned].any(axis=0)
+        promoted, rebuilt = owned[survives], owned[~survives]
+        self.assignment[promoted] = self._member[:, promoted].argmax(axis=0)
+        survivors = np.delete(np.arange(self.num_shards), dead)
+        self.assignment[rebuilt] = survivors[rebuilt % len(survivors)]
+        self._member[self.assignment[rebuilt], rebuilt] = True
+        return promoted, rebuilt
 
     def split(self, batch: EdgeBatch,
               mailbox: CrossShardMailbox | None = None,

@@ -112,21 +112,6 @@ class TestServeSim:
         assert code == 0
         assert "die crossings" in text
 
-    def test_serve_sim_profile_compares_schedulers(self):
-        code, text = run(["serve-sim", "--dataset", "wikipedia",
-                          "--edges", "400", "--shards", "2",
-                          "--streams", "2", "--backend", "cpu-32t",
-                          "--window-s", "3600", "--memory-dim", "8",
-                          "--profile"])
-        assert code == 0
-        assert "event core profile" in text
-        assert "heap (before)" in text
-        assert "vectorized (after)" in text
-        # The two lanes replay the identical workload: the breakdown must
-        # certify byte-identical reports, and the normal report follows.
-        assert "reports byte-identical: yes" in text
-        assert "p95" in text
-
     def test_serve_sim_rebalance_profiles_then_migrates(self):
         # A near-zero threshold guarantees the profiling pass flags every
         # loaded shard, so migrations must happen.
@@ -295,16 +280,25 @@ class TestServeSim:
         ["--rebalance-online", "--rebalance-window", "0"],
         ["--speedup", "0", "--rebalance-online"],
         ["--speedup", "0", "--autoscale", "--slo-p95", "0.01"],
+        ["--window-s", "nan"],
+        ["--window-s", "inf"],
+        ["--speedup", "nan"],
+        ["--edges", "0"],
+        ["--memory-dim", "0"],
     ], ids=" ".join)
-    def test_degenerate_values_are_clean_errors(self, extra):
+    def test_degenerate_values_are_clean_errors(self, extra, tmp_path):
         """The CLI validates nothing itself: whatever the library rejects
-        comes back as exit 2 and one ``error:`` line, never a traceback."""
+        comes back as exit 2 and one ``error:`` line, never a traceback
+        and never a report."""
+        path = tmp_path / "report.json"
         code, text = run(["serve-sim", "--edges", "300", "--backend",
-                          "cpu-32t", "--memory-dim", "8"] + extra)
+                          "cpu-32t", "--memory-dim", "8",
+                          "--json", str(path)] + extra)
         assert code == 2
         assert [ln.startswith("error: ") for ln in text.splitlines()] \
             == [True]
         assert "Traceback" not in text
+        assert not path.exists()
 
 
 class TestServeSimGolden:

@@ -44,6 +44,7 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            ShardRouter, ShardedRuntime, VersionedMemoryCache,
                            VertexHeat, hash_assignment, make_stream_arrivals,
                            replica_shards_from_traffic)
+from repro.serving.memsync import fail_over, hand_off
 from tests.unit.test_rebalance import (assert_held_state_bit_identical,
                                        drifting_graph, setup_model,
                                        unsharded_reference)
@@ -288,31 +289,41 @@ class TestRouterFailOver:
 
 
 class TestCacheFailOver:
-    def _cache(self, replicas=None):
+    """The coherence side of failover and of a replicated move, driven
+    through the shared apply steps on one placement."""
+
+    def _fleet(self, replicas=None):
         assignment = np.array([0, 1, 1, 0], dtype=np.int64)
         placement = Placement(assignment=assignment, num_shards=2,
                               replicas=replicas or {}, policy="hash")
-        return VersionedMemoryCache(placement, policy="push")
+        return (ShardRouter.from_placement(placement),
+                VersionedMemoryCache(placement, policy="push"))
 
     def test_dead_row_is_scrubbed_and_rebuilt_owner_is_current(self):
-        cache = self._cache()
+        router, cache = self._fleet()
         cache.note_writes(np.array([1, 2]), range(2))
-        cache.fail_over(1, np.array([1, 2]), np.array([0, 0]))
+        owned, promoted, rebuilt, peers = fail_over(router, cache, 1)
+        assert owned.tolist() == rebuilt.tolist() == [1, 2]
+        assert not len(promoted)
+        # Sources are chosen before the flip: the new owner held nothing
+        # then, so it is never its own rebuild source.
+        assert peers.tolist() == [-1, -1]
         assert not cache._holder[1].any() and not cache._mirror[1].any()
         assert (cache.mirror_version[1] == 0).all()
         assert cache._holder[0, [1, 2]].all()
         assert (cache.mirror_version[0, [1, 2]] ==
                 cache.version[[1, 2]]).all()
 
-    def test_keep_holder_demotes_into_replica_set(self):
-        cache = self._cache()
+    def test_replicated_old_owner_stays_holder_lone_one_ages(self):
+        router, cache = self._fleet(replicas={1: (0,)})
         v = np.array([1, 2])
-        cache.transfer_ownership(v, np.array([1, 1]), 0,
-                                 keep_holder=np.array([True, False]))
-        # Kept old owner stays a holder; dropped one ages as a mirror.
+        hand_off(router, cache, v, np.array([1, 1]), 0)
+        # A replicated vertex's old owner stays a holder; a lone holder
+        # gives the vertex up and ages as a mirror.
         assert cache._holder[1, 1] and not cache._mirror[1, 1]
         assert not cache._holder[1, 2] and cache._mirror[1, 2]
         assert cache._holder[0, v].all()
+        assert router.placement.replicas == {1: (1,)}
 
 
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.datasets import wikipedia_like
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
+from repro.profiling import modeled_vs_measured
 from repro.serving import ServingEngine, WorkerPool
 
 WORKERS = int(os.environ.get("REPRO_WORKERS", "0"))
@@ -111,6 +112,11 @@ class TestMeasuredEngine:
         assert m["modeled_mean_s"] is not None and m["modeled_mean_s"] > 0
         assert set(m["stage_seconds"]) <= set(KERNEL_STAGES)
         assert all(v >= 0 for v in m["stage_seconds"].values())
+        # The bench's modeled-vs-measured table reads this block: one row
+        # per shard plus the pooled one.
+        rows = modeled_vs_measured(m)
+        assert [r["shard"] for r in rows] == ["0", "1", "all"]
+        assert rows[-1]["modeled/measured"] > 0
 
     def test_measured_block_omitted_when_off(self, setup):
         g, model = setup
@@ -175,13 +181,6 @@ class TestMeasuredCLI:
         assert code == 0
         assert "trace check: clean" in text
         assert "chaos dead:" in text
-
-    def test_profile_prints_modeled_vs_measured(self):
-        code, text = run_cli(CLI_BASE + ["--profile"])
-        assert code == 0
-        assert "modeled vs measured service time" in text
-        assert "modeled/measured" in text
-        assert "report structures identical: yes" in text
 
     def test_workers_on_modeled_backend_is_a_clean_error(self):
         code, text = run_cli(["serve-sim", "--dataset", "wikipedia",

@@ -5,8 +5,9 @@ import pytest
 
 from repro.models import ModelConfig, variant_ladder
 from repro.profiling import (Convention, count_ops, count_ops_apan,
-                             format_table, table1_breakdown, table2_ladder)
+                             table1_breakdown, table2_ladder)
 from repro.profiling.paper_reference import TABLE2
+from repro.reporting import render_table
 
 WIKI = ModelConfig()                       # paper dims for Wikipedia/Reddit
 GDELT = ModelConfig(edge_dim=0, node_dim=200)
@@ -104,9 +105,11 @@ class TestStructure:
         assert parts == ["sample", "memory", "gnn", "update", "total"]
         assert rows[-1]["kMAC_pct"] == 100.0
 
-    def test_format_table_renders(self):
+    def test_ladder_renders_without_config_column(self):
         rows = table2_ladder(WIKI)
-        text = format_table(rows)
+        text = render_table(rows, columns=[c for c in rows[0]
+                                           if c != "config"])
+        assert "ModelConfig" not in text
         assert "baseline" in text and "+NP(S)" in text
 
 

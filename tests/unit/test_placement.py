@@ -9,8 +9,8 @@ from repro.hw import plan_shard_dies, plan_shard_dies_traffic_aware
 from repro.pipeline import LinearCostBackend
 from repro.serving import (LoadAwareRebalance, Placement, PlacementPolicy,
                            ReplicatedReadMostly, ServingEngine, ShardRouter,
-                           StaticHashPlacement, VertexHeat, hash_assignment,
-                           make_policy)
+                           StaticHashPlacement, VersionedMemoryCache,
+                           VertexHeat, hash_assignment, make_policy)
 
 
 def PerEdgeBackend(per_edge_s=5e-3, overhead_s=0.0):
@@ -76,10 +76,34 @@ class TestPlacementContainer:
         assert p.holders(1) == (1,)
         assert p.replicated_vertices == 2
         assert p.replica_copies == 3
-        member = p.holder_matrix()
+        member = p.member
         assert member.shape == (3, 3)
         assert member[:, 0].all()               # vertex 0 on every shard
         assert member[:, 1].tolist() == [False, True, False]
+
+    def test_replicas_round_trip_through_the_table(self):
+        """``replicas=`` only seeds the holder matrix; the ``replicas``
+        view derived back from it (extras ascending, empty sets dropped)
+        rebuilds an identical table — and the router and cache hold that
+        very array, not copies."""
+        given = {0: (2, 1), 2: (1,), 1: ()}
+        p = Placement(assignment=np.array([0, 1, 0]), num_shards=3,
+                      replicas=given)
+        assert p.replicas == {0: (1, 2), 2: (1,)}
+        again = Placement(assignment=p.assignment.copy(), num_shards=3,
+                          replicas=p.replicas)
+        assert np.array_equal(again.member, p.member)
+        assert again.replicas == p.replicas
+        router = ShardRouter.from_placement(p)
+        cache = VersionedMemoryCache(p)
+        assert router._member is p.member and cache._holder is p.member
+        assert router.assignment is p.assignment
+        with pytest.raises(ValueError, match="non-owner"):
+            Placement(assignment=np.array([0, 1]), num_shards=2,
+                      replicas={0: (1, 1)})      # duplicate shard
+        with pytest.raises(ValueError, match="out of range"):
+            Placement(assignment=np.array([0, 1]), num_shards=2,
+                      replicas={7: (1,)})        # vertex out of range
 
     def test_mail_matrix_matches_router(self):
         """The predicted traffic matrix equals what the router records."""

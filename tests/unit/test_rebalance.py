@@ -37,6 +37,7 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
                            ShardRouter, ShardedRuntime, VersionedMemoryCache,
                            VertexHeat, make_stream_arrivals)
+from repro.serving.memsync import hand_off
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -172,14 +173,21 @@ class TestRouterMigrate:
 
 
 class TestCacheTransferOwnership:
-    def placement(self):
-        return Placement(assignment=np.array([0, 0, 1, 1]), num_shards=2)
+    """The coherence side of a move, driven the way every caller drives
+    it: ``hand_off`` flips the router and stamps the cache, both reading
+    the one placement."""
+
+    def fleet(self, policy):
+        placement = Placement(assignment=np.array([0, 0, 1, 1]),
+                              num_shards=2)
+        return (ShardRouter.from_placement(placement),
+                VersionedMemoryCache(placement, policy=policy))
 
     def test_new_owner_is_current_old_owner_is_fresh_mirror(self):
-        c = VersionedMemoryCache(self.placement(), policy="push")
+        router, c = self.fleet("push")
         c.note_writes(np.array([0]), present_shards=[0])
         c.note_writes(np.array([0]), present_shards=[0])
-        c.transfer_ownership([0], [0], 1)
+        hand_off(router, c, [0], [0], 1)
         # The new owner received current rows: nothing to pull.
         assert not len(c.note_reads(1, np.array([0])).pulled)
         # Version history survived the handoff: the next write bumps the
@@ -192,17 +200,17 @@ class TestCacheTransferOwnership:
         assert not len(c.note_reads(0, np.array([0])).pulled)
 
     def test_old_owner_ages_like_any_mirror(self):
-        c = VersionedMemoryCache(self.placement(), policy="invalidate")
+        router, c = self.fleet("invalidate")
         c.note_writes(np.array([0]), present_shards=[0])
-        c.transfer_ownership([0], [0], 1)
+        hand_off(router, c, [0], [0], 1)
         # A write the old owner did not see makes its copy stale: the
         # next read repairs via the ordinary pull path.
         c.note_writes(np.array([0]), present_shards=[1])
         assert c.note_reads(0, np.array([0])).pulled.tolist() == [0]
 
     def test_degenerate_self_transfer_keeps_holder(self):
-        c = VersionedMemoryCache(self.placement(), policy="push")
-        c.transfer_ownership([0], [0], 0)
+        router, c = self.fleet("push")
+        hand_off(router, c, [0], [0], 0)
         assert c._holder[0, 0] and not c._mirror[0, 0]
 
 
