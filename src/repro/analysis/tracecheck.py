@@ -21,8 +21,11 @@ Checks (finding ``check`` values)
 ``mail-at-flush``         mail/sync recorded away from a release instant.
 ``ownership-chain``       a MigrationEvent whose ``from_shard`` is not
                           the current owner (double-ownership), a
-                          self-migration, or a final assignment the
-                          replayed log does not land on.
+                          self-migration, a move onto a shard that is
+                          dead at that instant, a vertex left on a
+                          shard that is still dead at the end, or a
+                          final assignment the replayed log does not
+                          land on.
 ``fleet-size``            a ScaleEvent whose ``servers_before`` is not
                           the current fleet size, a step of more than
                           one server, a shrink below one, or a final
@@ -237,12 +240,21 @@ def check_ownership_chain(trace: Sequence[Any],
 
     Each ``MigrationEvent`` must consume the current owner — a vertex can
     never be owned by two shards, because every handoff names the owner
-    it takes from.  When ``final_assignment`` is given the replay must
-    land exactly on it (the live router agrees with its own log).
+    it takes from.  ``FailureEvent(mode="dead")`` / ``RecoveryEvent``
+    are replayed beside it: ownership may never move *onto* a dead
+    shard, and a shard still dead when the trace ends owns nothing (its
+    failover evacuated it).  When ``final_assignment`` is given the
+    replay must land exactly on it (the live router agrees with its own
+    log).
     """
     findings = []
     owner = [int(s) for s in initial_assignment]
+    dead: set[int] = set()
     for event in trace:
+        if _kind(event) == "FailureEvent" and event.mode == "dead":
+            dead.add(int(event.shard))
+        elif _kind(event) == "RecoveryEvent":
+            dead.discard(int(event.shard))
         if _kind(event) != "MigrationEvent":
             continue
         t = float(event.t)
@@ -259,7 +271,19 @@ def check_ownership_chain(trace: Sequence[Any],
                 "ownership-chain", t,
                 f"vertex {v} migrated from shard {src} but is owned by "
                 f"shard {owner[v]} ({event.reason}): double ownership"))
+        if dst in dead:
+            findings.append(TraceFinding(
+                "ownership-chain", t,
+                f"vertex {v} migrated onto shard {dst}, which is dead "
+                f"({event.reason})"))
         owner[v] = dst
+    stranded = [v for v, s in enumerate(owner) if s in dead]
+    if stranded:
+        findings.append(TraceFinding(
+            "ownership-chain", None,
+            f"{len(stranded)} vertex(es) end the run owned by a shard "
+            f"that is still dead (first: vertex {stranded[0]} on shard "
+            f"{owner[stranded[0]]})"))
     if final_assignment is not None:
         wrong = [v for v, (a, b) in
                  enumerate(zip(owner, final_assignment))

@@ -680,6 +680,10 @@ def cmd_serve_sim(args, out=print) -> int:
             f"{report.recovery_rows} recovery rows; outage p99 "
             f"{_fmt_time(report.outage_p99_response_s)} over "
             f"{report.outage_windows} window(s)")
+    if report.stale_plans:
+        out(f"control plane: {report.stale_plans} stale ownership plan(s) "
+            f"dropped (another controller moved the vertex or retired "
+            f"the target first)")
     if report.measured is not None:
         m = report.measured
         modeled = m.get("modeled_mean_s")

@@ -40,17 +40,25 @@ Actors on the scheduler
 * :class:`ServerGroup` — a FIFO station of N identical servers: a
   dedicated shard is a 1-server group, a replica pool a K-server group;
   its statistics reproduce the historical standalone queue loop exactly;
-* :class:`OnlineRebalancer` — the control plane: watches per-shard window
-  utilization / queue depth on released jobs and migrates vertex
-  ownership mid-run via :class:`MigrationEvent` (overload-driven between
-  dedicated shards; heat-band drift between pool and shards in hybrid),
-  with the state handoff priced through ``mail_hop_s`` like sync traffic;
+* :class:`ControlPlane` — the one actor that changes vertex ownership
+  (:mod:`repro.serving.control`): it samples released jobs once for every
+  policy, answers "which shard may receive ownership" from one
+  eligibility mask (accepting, inside the scaler's active prefix), and
+  vets and applies the per-vertex plans the policies propose — a plan
+  another policy overtook is dropped and counted
+  (``ServingReport.stale_plans``), never raced.  Its three policies run
+  in any combination: :class:`OnlineRebalancer` (overload-driven moves
+  between dedicated shards; heat-band drift between pool and shards in
+  hybrid), :class:`AutoScaler` (splits/merges behind a
+  :class:`ScaleEvent`) and :class:`FailureInjector` (failover and
+  fail-back); every applied change is one :class:`MigrationEvent`, its
+  state handoff priced through ``mail_hop_s`` like sync traffic;
 * :class:`CrossShardMailbox` / :class:`VersionedMemoryCache` — the traffic
   and coherence components the router drives, in release order.
 
 Typed events: ``ArrivalEvent``, ``FlushEvent``, ``ServiceBeginEvent``,
 ``ServiceEndEvent``, ``MailEvent``, ``SyncEvent``, ``MigrationEvent``,
-``ScaleEvent``.  At
+``ScaleEvent``, ``FailureEvent``, ``RecoveryEvent``.  At
 equal timestamps events fire in a fixed priority order (ends → dispatches
 → migrations → flushes → arrivals), so runs are exactly reproducible; the
 scheduler enforces global timestamp monotonicity, and the conservation
@@ -116,8 +124,8 @@ Register new policies in :data:`PLACEMENT_POLICIES` (name -> class); the
 Rebalancing happens at two timescales.  A *placement policy* decides
 before a run (``LoadAwareRebalance`` needs a whole profiling pass before
 it can act).  The **online** path (:mod:`repro.serving.rebalance`) reacts
-*during* a run: the :class:`OnlineRebalancer` emits
-:class:`MigrationEvent`\\ s the router consumes mid-stream, the memsync
+*during* a run: the :class:`OnlineRebalancer` proposes vertex moves the
+:class:`ControlPlane` applies mid-stream, the memsync
 version counters survive the ownership change (post-migration ``push``
 replays stay bit-identical to the unsharded runtime — the exactness suite
 in ``test_rebalance``), and the handoff (memory rows + neighbor-table
@@ -176,18 +184,20 @@ optionally when it recovers; the engine turns plans into
 :class:`FailureEvent` / :class:`RecoveryEvent` entries on the same
 scheduler (at migration priority, so a failure at time *t* lands after
 service ends and dispatches at *t* but before flushes and arrivals).
-:class:`FailureInjector` is the runtime: on a ``dead`` failure it drains
+:class:`FailureInjector` is the policy: on a ``dead`` failure it drains
 the shard's queue (dropped sub-jobs are *counted*, never silently lost —
 conservation holds through the outage), promotes the dead shard's
 replica mirrors to owners (:func:`~repro.serving.memsync.fail_over`, the
-one failover apply step), and rebuilds every unreplicated lost vertex by
+one failover apply step, handed the control plane's eligible shards — a
+shard that is already down, or an elastic slot not yet activated, never
+receives ownership), and rebuilds every unreplicated lost vertex by
 memsync replay from the lowest-numbered peer that held a current copy
 before the failover — each rebuilt vertex priced at
 ``HANDOFF_ROWS_PER_VERTEX`` rows through ``mail_hop_s``, exactly like a
-planned migration.  Recovery migrates the held state back (``fail-back``
-rows in the migration trace), so promote → rebuild → fail-back forms the
-same exactly-once ownership chain the rebalancer's invariant suite
-replays.  The functional mirror is
+planned migration.  Recovery proposes the held state's way back
+(``fail-back`` rows in the migration trace), so promote → rebuild →
+fail-back forms the same exactly-once ownership chain the rebalancer's
+invariant suite replays.  The functional mirror is
 :meth:`ShardedRuntime.fail_shard` / :meth:`ShardedRuntime.recover_shard`:
 under the ``push`` policy a failed-and-recovered run ends bit-identical
 to the unsharded runtime (the exactness suite in ``test_failover``).
@@ -199,7 +209,7 @@ Elastic capacity
 ----------------
 Rebalancing and failover act on a *fixed* fleet; production serving
 resizes the fleet against traffic.  The :class:`AutoScaler`
-(:mod:`repro.serving.autoscale`) is the control plane: it observes the
+(:mod:`repro.serving.autoscale`) is the policy for that: it observes the
 windowed p95 response latency of completed jobs against an SLO band
 (breach above ``slo_p95_s`` scales up; slack below ``low_band_frac *
 slo_p95_s`` scales down — hysteresis plus a decision cooldown prevent
@@ -215,11 +225,12 @@ job before leaving; server ids are never reused).  On the sharded
 topology, the fleet is a ``max_replicas``-slot station array laid out by
 :func:`padded_hash_placement`; scale-up **splits** the hottest shard's
 measured-hot vertices into the next inactive slot, scale-down **merges**
-the highest active slot onto the coolest survivor — both as ordinary
-:class:`MigrationEvent` chains (reasons ``"split"``/``"merge"``, rows
-priced via ``mail_hop_s``) with :class:`VersionedMemoryCache` ownership
-transfer, so post-split ``push`` replays stay bit-identical and the
-tracecheck ownership replay stays exactly-once.  The report gains a
+the highest active slot onto the coolest live survivor — both as plans
+the :class:`ControlPlane` applies like any other (reasons
+``"split"``/``"merge"``, rows priced via ``mail_hop_s``) with
+:class:`VersionedMemoryCache` ownership transfer, so post-split ``push``
+replays stay bit-identical and the tracecheck ownership replay stays
+exactly-once — with the rebalancer and failures running beside it.  The report gains a
 ``scaling`` block (scale events, peak/mean fleet, the server-seconds
 integral the diurnal bench compares against static peak provisioning;
 omitted when off, so earlier goldens stand), tracecheck replays the
@@ -260,8 +271,9 @@ with the ruff/mypy baseline in pyproject.toml).
 
 from .autoscale import AutoScaler, CapacityConfig  # noqa: F401
 from .batcher import CoalescedJob, DynamicBatcher, StreamArrival  # noqa: F401
-from .engine import (FailureInjector, ServingEngine,  # noqa: F401
-                     ServingReport, ShardStats, make_stream_arrivals)
+from .control import ControlPlane, FailureInjector  # noqa: F401
+from .engine import (ServingEngine, ServingReport,  # noqa: F401
+                     ShardStats, make_stream_arrivals)
 from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
                      EventScheduler, FailureEvent, FailurePlan,
                      FlushEvent, HeapEventScheduler, MailEvent,
@@ -270,10 +282,10 @@ from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
                      ServiceEndEvent, Submission, SyncEvent)
 from .measured import (KernelTimer, MeasuredBackend,  # noqa: F401
                        MeasuredServerGroup, WorkerPool, timed_kernel)
-from .memsync import (MEMSYNC_POLICIES, ShardedRuntime,  # noqa: F401
+from .memsync import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
+                      MEMSYNC_POLICIES, ShardedRuntime,
                       VersionedMemoryCache)
-from .rebalance import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
-                        OnlineRebalancer)
+from .rebalance import OnlineRebalancer  # noqa: F401
 from .placement import (PLACEMENT_POLICIES, HotColdHybrid,  # noqa: F401
                         LoadAwareRebalance, Placement, PlacementPolicy,
                         ReplicatedReadMostly, StaticHashPlacement,
@@ -294,6 +306,7 @@ __all__ = [
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
     "MailEvent", "SyncEvent", "MigrationEvent", "ScaleEvent",
     "FailureEvent", "RecoveryEvent", "FailurePlan", "FailureInjector",
+    "ControlPlane",
     "OnlineRebalancer", "HANDOFF_ROWS_PER_VERTEX",
     "AutoScaler", "CapacityConfig",
     "BackendRegistry", "DEFAULT_REGISTRY",

@@ -2,7 +2,7 @@
 
 Rebalancing (:mod:`repro.serving.rebalance`) moves load across a *fixed*
 fleet; production serving resizes the fleet itself.  This module is the
-control plane for that: an :class:`AutoScaler` actor observes windowed
+policy for that: an :class:`AutoScaler` observes windowed
 p95 response latency against an SLO band and schedules
 :class:`~repro.serving.events.ScaleEvent`\\ s on the same discrete-event
 scheduler every other actor runs on — a capacity change is just another
@@ -11,7 +11,7 @@ takes effect before the next same-instant flush routes.
 
 Two fleet shapes, one controller
 --------------------------------
-*Pool* (``bind(router=None)``): the K stateless replicas behind the
+*Pool* (a control plane without a router): the K stateless replicas behind the
 shared queue grow and shrink through
 :meth:`~repro.serving.events.ServerGroup.scale_up` /
 :meth:`~repro.serving.events.ServerGroup.scale_down`.  A new replica is
@@ -19,21 +19,25 @@ born *cold* — free only at ``t + cold_start_s`` — so the group's
 ordinary ``max(freed_at, t_arrive)`` dispatch rule prices the warm-up;
 a retired replica drains its committed job before leaving.
 
-*Sharded* (``bind(router=...)``): the fleet is a fixed array of
+*Sharded* (a plane with a router): the fleet is a fixed array of
 ``CapacityConfig.max_replicas`` one-server shard stations of which the
 first ``fleet_size`` are *active* (stack discipline — the active set is
 always ``[0, fleet_size)``).  A scale-up activates the next station and
 **splits** the hottest active shard's measured-hot vertices into it; a
 scale-down **merges** the highest active shard's vertices onto the
-coolest survivor.  Both ride the existing
-:class:`~repro.serving.events.MigrationEvent` machinery (reasons
-``"split"`` / ``"merge"``, :data:`HANDOFF_ROWS_PER_VERTEX` rows per
-vertex priced through ``mail_hop_s``), and ownership moves through
-:func:`~repro.serving.memsync.hand_off` so version counters
-stay exact across the change — post-split ``--memsync push`` replays
-stay bit-identical to the unsharded runtime, exactly as they do across
-a rebalancer migration.  A merged-away shard owns nothing, so the
-router never sends it another sub-job.
+coolest survivor.  Both are proposed to the run's
+:class:`~repro.serving.control.ControlPlane` as per-vertex plans
+(reasons ``"split"`` / ``"merge"``,
+:data:`~repro.serving.memsync.HANDOFF_ROWS_PER_VERTEX` rows per
+vertex priced through ``mail_hop_s``), which vets them and moves
+ownership through :func:`~repro.serving.memsync.hand_off` so version
+counters stay exact across the change — post-split ``--memsync push``
+replays stay bit-identical to the unsharded runtime, exactly as they do
+across a rebalancer migration.  A merged-away shard owns nothing, so the
+router never sends it another sub-job.  The active prefix is one half of
+the plane's eligibility mask (the other is "not dead"), so donors and
+merge targets are live shards only, and no other policy hands vertices
+to a slot the scaler has not activated.
 
 Capacity accounting follows the BatchConfig idiom:
 :class:`CapacityConfig` validates ``micro_batch x replicas =
@@ -48,14 +52,12 @@ the same anti-ping-pong guards the rebalancer uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .events import (_MIGRATE, EventScheduler, MigrationEvent, ScaleEvent,
-                     ServerGroup)
-from .memsync import hand_off
-from .rebalance import HANDOFF_ROWS_PER_VERTEX
+from .control import ControlPlane, Window
+from .events import _MIGRATE, MigrationEvent, ScaleEvent
+from .memsync import HANDOFF_ROWS_PER_VERTEX
 
 __all__ = ["AutoScaler", "CapacityConfig"]
 
@@ -117,15 +119,16 @@ class CapacityConfig:
 class AutoScaler:
     """Watches windowed p95 latency against an SLO; resizes the fleet.
 
-    Construct once with the policy knobs; the engine calls :meth:`bind`
-    at the start of every run (resetting all per-run state), wires
-    :meth:`record_response` to every group's ``on_serviced`` hook, and
-    calls :meth:`observe` for every released job.  Decisions are
-    scheduled as :class:`~repro.serving.events.ScaleEvent`\\ s (plus
-    ``"split"`` / ``"merge"``
-    :class:`~repro.serving.events.MigrationEvent`\\ s in sharded mode)
-    and applied by this actor when they fire; ``on_migrate`` (wired by
-    the engine) prices the handoff rows.
+    Construct once with the policy knobs; each run's
+    :class:`~repro.serving.control.ControlPlane` calls :meth:`start`
+    (resetting all per-run state and wiring :meth:`record_response` to
+    every group's ``on_serviced`` hook) and :meth:`observe` for every
+    released job.  Decisions are scheduled as
+    :class:`~repro.serving.events.ScaleEvent`\\ s, applied here when they
+    fire, plus — in sharded mode — ``"split"`` / ``"merge"`` plans
+    proposed to the plane, which vets, applies and prices them and
+    appends each applied :class:`~repro.serving.events.MigrationEvent`
+    to ``migration_log``.
 
     Parameters
     ----------
@@ -168,23 +171,17 @@ class AutoScaler:
         self.scale_window_s = float(scale_window_s)
         self.low_band_frac = float(low_band_frac)
         self.cooldown_windows = int(cooldown_windows)
-        self._bound = False
 
     # ------------------------------------------------------------------ #
-    def bind(self, sched: EventScheduler, groups: Sequence[ServerGroup],
-             router=None, cache=None,
-             on_migrate: Callable[[int, int, int], None] | None = None
-             ) -> None:
-        """Attach to one run, resetting all per-run state.
+    def start(self, plane: ControlPlane) -> None:
+        """Attach to one run's control plane, resetting all per-run state.
 
-        ``router=None`` selects pool mode (one K-server group, resized
-        in place); a router selects sharded mode (``max_replicas``
-        one-server stations, resized by ownership splits/merges).
-        ``cache`` is the run's memsync cache;
-        ``on_migrate(rows, from_shard, to_shard)`` the engine's
-        handoff-pricing hook.
+        A plane without a router selects pool mode (one K-server group,
+        resized in place); a router selects sharded mode
+        (``max_replicas`` one-server stations, resized by ownership
+        splits/merges).
         """
-        groups = list(groups)
+        groups, router = plane.groups, plane.router
         if router is None:
             if len(groups) != 1:
                 raise ValueError("pool-mode autoscaling takes exactly one "
@@ -209,24 +206,17 @@ class AutoScaler:
                 raise ValueError(
                     "initial assignment references a shard outside the "
                     "initial active set [0, capacity.replicas)")
-        self._sched = sched
-        self._groups = groups
-        self._router = router
-        self._cache = cache
-        self._on_migrate = on_migrate
+        self._plane = plane
+        self._window = Window(plane, self.scale_window_s)
         self.initial_servers = self.capacity.replicas
         self.fleet_size = self.capacity.replicas
         self._pending: list[tuple[float, float]] = []   # (finish, response)
-        self._window_start: float | None = None
-        self._window_index = 0
         self._cooldown_until = 0
         self.scale_log: list[ScaleEvent] = []
         self.migration_log: list[MigrationEvent] = []
         self.handoff_rows = 0
-        if router is not None:
-            self._heat = np.zeros(router.num_nodes, dtype=np.int64)
-            self._busy_mark = np.zeros(len(groups))
-        self._bound = True
+        for g in groups:
+            g.on_serviced = self.record_response
 
     @property
     def scale_ups(self) -> int:
@@ -247,24 +237,11 @@ class AutoScaler:
         self._pending.append((float(t_finish), float(response_s)))
 
     def observe(self, t: float, batch=None) -> None:
-        """Account one released job; evaluate the band at window close."""
-        if not self._bound:
-            raise RuntimeError("bind() the autoscaler to a run first")
-        if self._window_start is None:
-            self._open_window(t)
-        if self._router is not None and batch is not None:
-            np.add.at(self._heat, batch.src, 1)
-            np.add.at(self._heat, batch.dst, 1)
-        if t - self._window_start >= self.scale_window_s:
+        """One released job (already sampled by the plane): evaluate the
+        band at window close."""
+        if self._window.closes(t):
             self._evaluate(t)
-            self._window_index += 1
-            self._open_window(t)
-
-    def _open_window(self, t: float) -> None:
-        self._window_start = t
-        if self._router is not None:
-            self._heat[:] = 0
-            self._busy_mark = np.array([g.busy_s for g in self._groups])
+            self._window.roll(t)
 
     # ------------------------------------------------------------------ #
     def _evaluate(self, t: float) -> None:
@@ -272,7 +249,7 @@ class AutoScaler:
         self._pending = [(f, r) for f, r in self._pending if f > t]
         if not done:
             return          # nothing completed: no evidence either way
-        if self._window_index < self._cooldown_until:
+        if self._window.index < self._cooldown_until:
             return          # inside the post-decision cooldown
         p95 = float(np.percentile(np.sort(np.asarray(done)), 95))
         if p95 > self.slo_p95_s \
@@ -282,71 +259,60 @@ class AutoScaler:
                 and self.fleet_size > self.capacity.min_replicas:
             self._scale(t, "down", "slo-slack")
 
-    def _window_util(self, t: float) -> np.ndarray:
-        """Per-station utilization over the closing window."""
-        span = max(t - self._window_start, 0.0)
-        if span <= 0:
-            return np.zeros(len(self._groups))
-        busy = np.array([g.busy_s for g in self._groups]) - self._busy_mark
-        return busy / span
-
     def _scale(self, t: float, kind: str, reason: str) -> None:
-        moves: list[tuple[int, int, int]] = []      # (vertex, from, to)
-        if self._router is None:
-            shard = self._groups[0].gid
-        elif kind == "up":
-            shard = self.fleet_size                  # activate next slot
-            moves = self._plan_split(t, shard)
+        plane = self._plane
+        moves: np.ndarray | tuple = ()
+        target = -1
+        if plane.router is None:
+            shard = plane.groups[0].gid
         else:
-            shard = self.fleet_size - 1              # drain highest slot
-            moves = self._plan_merge(t, shard)
-        rows = len(moves) * HANDOFF_ROWS_PER_VERTEX
+            # Up activates the next slot; down drains the highest one.
+            shard = self.fleet_size if kind == "up" else self.fleet_size - 1
+            live = plane.eligible()
+            if not live[:shard].any():
+                return      # no live station to split from / merge onto
+            util = self._window.util(t)
+            owner = plane.router.assignment
+            if kind == "up":
+                # Donor = hottest live station by window utilization.
+                target = shard
+                donor = int(np.argmax(np.where(live, util, -np.inf)))
+                moves = self._split_half(np.flatnonzero(owner == donor))
+            else:
+                # Everything the drained station owns moves onto the
+                # coolest live survivor (utilization ascending, id
+                # breaking ties).  Owning nothing, the drained station
+                # never receives another sub-job from the router's split.
+                target = int(np.argmin(np.where(live, util, np.inf)[:shard]))
+                moves = np.flatnonzero(owner == shard)
         after = self.fleet_size + (1 if kind == "up" else -1)
         ev = ScaleEvent(t=t, kind=kind, shard=int(shard),
                         servers_before=self.fleet_size, servers_after=after,
-                        rows=rows, reason=reason)
-        # The ScaleEvent is scheduled first, the split/merge migrations
-        # after it at the same (t, _MIGRATE) key: seq order guarantees
-        # the fleet-size change lands before the ownership moves, and
-        # all of it before the next same-instant flush routes.
-        self._sched.schedule(t, _MIGRATE, ev, self._apply_scale)
+                        rows=len(moves) * HANDOFF_ROWS_PER_VERTEX,
+                        reason=reason)
+        # The ScaleEvent is scheduled first, the split/merge plans after
+        # it at the same (t, _MIGRATE) key: seq order guarantees the
+        # fleet-size change lands before the ownership moves (so the new
+        # slot is eligible when they are vetted), and all of it before
+        # the next same-instant flush routes.
+        plane.sched.schedule(t, _MIGRATE, ev, self._apply_scale)
         self.scale_log.append(ev)
-        for v, frm, to in moves:
-            mev = MigrationEvent(t=t, vertex=int(v), from_shard=int(frm),
-                                 to_shard=int(to),
-                                 rows=HANDOFF_ROWS_PER_VERTEX,
-                                 reason="split" if kind == "up" else "merge")
-            self._sched.schedule(t, _MIGRATE, mev, self._apply_migration)
-            self.migration_log.append(mev)
-        self._cooldown_until = self._window_index + 1 + self.cooldown_windows
+        for v in moves:
+            plane.propose(self, t, v, target,
+                          "split" if kind == "up" else "merge")
+        self._cooldown_until = self._window.index + 1 + self.cooldown_windows
 
-    def _plan_split(self, t: float, target: int) -> list[tuple[int, int, int]]:
-        """Donor = hottest active station by window utilization; move the
-        hotter half of its measured-hot vertices onto the new station
-        (heat descending, vertex id breaking ties — deterministic)."""
-        util = self._window_util(t)[:self.fleet_size]
-        donor = int(np.argmax(util))
-        assignment = self._router.assignment
-        owned = np.flatnonzero(assignment == donor)
-        hot = owned[self._heat[owned] > 0]
+    def _split_half(self, owned: np.ndarray) -> np.ndarray:
+        """The hotter half of a donor's measured-hot vertices (heat
+        descending, vertex id breaking ties — deterministic)."""
+        heat = self._window.heat
+        hot = owned[heat[owned] > 0]
         if len(hot):
-            order = np.lexsort((hot, -self._heat[hot]))
-            chosen = hot[order][:(len(hot) + 1) // 2]
-        else:
-            # No measured heat this window: split the ownership evenly by
-            # id so the new station still takes half the future load.
-            chosen = owned[:(len(owned) + 1) // 2]
-        return [(int(v), donor, target) for v in chosen]
-
-    def _plan_merge(self, t: float, drained: int) -> list[tuple[int, int, int]]:
-        """Move everything the drained station owns onto the coolest
-        surviving active station (utilization ascending, id breaking
-        ties).  Owning nothing, the drained station never receives
-        another sub-job from the router's split."""
-        util = self._window_util(t)[:drained]
-        target = int(np.argmin(util))
-        owned = np.flatnonzero(self._router.assignment == drained)
-        return [(int(v), drained, target) for v in owned]
+            order = np.lexsort((hot, -heat[hot]))
+            return hot[order][:(len(hot) + 1) // 2]
+        # No measured heat this window: split the ownership evenly by
+        # id so the new station still takes half the future load.
+        return owned[:(len(owned) + 1) // 2]
 
     # ------------------------------------------------------------------ #
     def _apply_scale(self, ev: ScaleEvent) -> None:
@@ -356,23 +322,15 @@ class AutoScaler:
                 f"found {self.fleet_size}: fleet size changed between "
                 f"decision and application")
         self.fleet_size = ev.servers_after
-        if self._router is None:
+        if self._plane.router is None:
+            group = self._plane.groups[0]
             if ev.kind == "up":
-                self._groups[0].scale_up(ev.t, self.capacity.cold_start_s)
+                group.scale_up(ev.t, self.capacity.cold_start_s)
             else:
-                self._groups[0].scale_down(ev.t)
+                group.scale_down(ev.t)
         # Sharded stations are fixed one-server groups: activation and
         # drain are purely ownership matters, applied by the split/merge
-        # MigrationEvents scheduled right behind this event.
-
-    def _apply_migration(self, ev: MigrationEvent) -> None:
-        """Identical contract to the rebalancer's apply: flip ownership
-        through the shared hand-off, price the rows."""
-        hand_off(self._router, self._cache, [ev.vertex], ev.from_shard,
-                 ev.to_shard)
-        self.handoff_rows += ev.rows
-        if self._on_migrate is not None:
-            self._on_migrate(ev.rows, ev.from_shard, ev.to_shard)
+        # plans proposed right behind this event.
 
     # ------------------------------------------------------------------ #
     def report_block(self, t0: float, makespan_s: float) -> dict:

@@ -64,19 +64,17 @@ import numpy as np
 from ..graph.batching import iter_time_windows
 from ..graph.temporal_graph import TemporalGraph
 from .batcher import CoalescedJob, DynamicBatcher, StreamArrival
-from .events import (INGEST_MODES, _MIGRATE, BatcherActor, EventScheduler,
-                     FailureEvent, FailurePlan, MigrationEvent, RecoveryEvent,
-                     RouterActor, ServerGroup, SimulationResult, Submission)
+from .control import ControlPlane, FailureInjector
+from .events import (INGEST_MODES, BatcherActor, EventScheduler, RouterActor,
+                     ServerGroup, SimulationResult, Submission)
 from .measured import MeasuredServerGroup, WorkerPool
-from .memsync import (MEMSYNC_POLICIES, VersionedMemoryCache, fail_over,
-                      hand_off)
+from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
-from .rebalance import HANDOFF_ROWS_PER_VERTEX
 from .registry import DEFAULT_REGISTRY, BackendRegistry
 from .router import ShardBatch, ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
-           "FailureInjector", "make_stream_arrivals"]
+           "make_stream_arrivals"]
 
 TOPOLOGIES = ("sharded", "pool", "hybrid")
 
@@ -188,6 +186,9 @@ class ServingReport:
     # served windows that arrived in an outage, and the p99 over them
     outage_windows: int = field(default=0, metadata=_CHAOS)
     outage_p99_response_s: float = field(default=0.0, metadata=_CHAOS)
+    stale_plans: int = 0        # ownership plans dropped at vetting: another
+                                # controller moved the vertex or retired the
+                                # target first (composed controllers only)
     measured: dict | None = None  # measured-backend block (mean/cv²/
                                   # per-shard split); None on modeled runs
     scaling: dict | None = None   # autoscale block (scale events, fleet
@@ -303,153 +304,6 @@ def make_stream_arrivals(graph: TemporalGraph, window_s: float,
     return arrivals
 
 
-class FailureInjector:
-    """Chaos-schedule driver: applies :class:`FailurePlan`\\ s on the loop.
-
-    Bound per run like the rebalancer.  Each plan schedules a
-    :class:`FailureEvent` (and, when ``recover_at`` is set, a
-    :class:`RecoveryEvent`) at ``_MIGRATE`` priority — the failure decided
-    at ``t`` applies before the next same-instant flush routes.
-
-    A **slow** failure sets the shard's service-time factor; recovery
-    resets it.  A **dead** failure fail-stops the :class:`ServerGroup`
-    (queued jobs drop, in-service jobs complete) and evacuates ownership:
-    replicated vertices promote their lowest surviving replica for free —
-    the replica already holds the full state — while unreplicated
-    vertices are rebuilt by memsync replay from peers, billed
-    ``HANDOFF_ROWS_PER_VERTEX`` rows each from a deterministic source
-    (the lowest surviving shard with a current copy per the run's
-    coherence cache, else the lowest survivor) through the engine's
-    ``mail_hop_s`` pricing.  Recovery **fails back**: the ownership
-    snapshot migrates home through the same priced path, demoting
-    promoted replicas back into their sets.  Every ownership change is
-    recorded as a :class:`MigrationEvent` (``"promote"`` / ``"rebuild"``
-    / ``"fail-back"``) so the trace replays a complete, exactly-once
-    ownership history across the failover.
-    """
-
-    def __init__(self, plans):
-        if isinstance(plans, FailurePlan):
-            plans = [plans]
-        self.plans = tuple(plans)
-        if not self.plans:
-            raise ValueError("need at least one FailurePlan")
-        for p in self.plans:
-            if not isinstance(p, FailurePlan):
-                raise TypeError(f"plans must be FailurePlan, got {type(p)}")
-
-    @property
-    def chaos(self) -> str:
-        """Report tag: the single mode in play, or ``"mixed"``."""
-        modes = {p.mode for p in self.plans}
-        return modes.pop() if len(modes) == 1 else "mixed"
-
-    def bind(self, sched, groups: Sequence[ServerGroup], router: ShardRouter,
-             cache: VersionedMemoryCache | None = None,
-             on_rows=None) -> None:
-        """Attach to one run, resetting counters and scheduling the plans.
-
-        ``on_rows(rows, from_shard, to_shard)`` is the engine's pricing
-        hook for recovery transfers (the one the migration controllers
-        share); ``cache`` (when present) tracks the coherence side of
-        dead failovers and picks rebuild sources.
-        """
-        for p in self.plans:
-            if p.shard >= len(groups):
-                raise ValueError(f"failure shard {p.shard} out of range "
-                                 f"for {len(groups)} shards")
-            if p.mode == "dead" and len(groups) < 2:
-                raise ValueError("a dead-replica failure needs a survivor")
-        self._sched = sched
-        self._groups = list(groups)
-        self._router = router
-        self._cache = cache
-        self._on_rows = on_rows
-        self.failures = 0
-        self.recoveries = 0
-        self.promoted_vertices = 0
-        self.rebuilt_vertices = 0
-        self.recovery_rows = 0
-        self._closed_outages: list[tuple[float, float]] = []
-        self._open_outage: dict[int, float] = {}
-        self._owned_at_failure: dict[int, np.ndarray] = {}
-        for p in self.plans:
-            sched.schedule(p.fail_at, _MIGRATE,
-                           FailureEvent(p.fail_at, p.shard, p.mode,
-                                        p.degradation),
-                           self._on_fail)
-            if p.recover_at is not None:
-                sched.schedule(p.recover_at, _MIGRATE,
-                               RecoveryEvent(p.recover_at, p.shard, p.mode),
-                               self._on_recover)
-
-    def outage_intervals(self) -> list[tuple[float, float]]:
-        """Outage windows ``[fail, recover)``; unrecovered ones run open."""
-        return self._closed_outages + [(t0, float("inf"))
-                                       for t0 in self._open_outage.values()]
-
-    # ------------------------------------------------------------------ #
-    def _price(self, rows: int, from_shard: int, to_shard: int) -> None:
-        self.recovery_rows += rows
-        if self._on_rows is not None:
-            self._on_rows(rows, from_shard, to_shard)
-
-    def _on_fail(self, ev: FailureEvent) -> None:
-        self.failures += 1
-        self._open_outage[ev.shard] = ev.t
-        group = self._groups[ev.shard]
-        if ev.mode == "slow":
-            group.service_factor = ev.degradation
-            return
-        group.fail()
-        router = self._router
-        self._owned_at_failure[ev.shard], promoted, rebuilt, peers = \
-            fail_over(router, self._cache, ev.shard)
-        self.promoted_vertices += len(promoted)
-        self.rebuilt_vertices += len(rebuilt)
-        # A rebuild with no surviving current copy is modeled to read from
-        # the lowest survivor: the durable-log replay still costs a
-        # transfer.
-        fallback = min(s for s in range(len(self._groups)) if s != ev.shard)
-        for x, peer in zip(rebuilt.tolist(), peers.tolist()):
-            self._price(HANDOFF_ROWS_PER_VERTEX,
-                        peer if peer >= 0 else fallback,
-                        int(router.assignment[x]))
-        if self._sched.trace is not None:
-            for x in promoted.tolist():
-                self._sched.record(MigrationEvent(
-                    ev.t, int(x), ev.shard, int(router.assignment[x]),
-                    0, "promote"))
-            for x in rebuilt.tolist():
-                self._sched.record(MigrationEvent(
-                    ev.t, int(x), ev.shard, int(router.assignment[x]),
-                    HANDOFF_ROWS_PER_VERTEX, "rebuild"))
-
-    def _on_recover(self, ev: RecoveryEvent) -> None:
-        self.recoveries += 1
-        t0 = self._open_outage.pop(ev.shard, None)
-        if t0 is not None:
-            self._closed_outages.append((t0, ev.t))
-        group = self._groups[ev.shard]
-        group.restore()
-        if ev.mode == "slow":
-            return
-        router = self._router
-        owned = self._owned_at_failure.pop(ev.shard, np.empty(0, np.int64))
-        move = owned[router.assignment[owned] != ev.shard]
-        if not len(move):
-            return
-        # Promoted vertices keep their interim owner as a holder.
-        owners = router.assignment[move]
-        hand_off(router, self._cache, move, owners, ev.shard)
-        for x, frm in zip(move.tolist(), owners.tolist()):
-            self._price(HANDOFF_ROWS_PER_VERTEX, int(frm), ev.shard)
-            if self._sched.trace is not None:
-                self._sched.record(MigrationEvent(
-                    ev.t, int(x), int(frm), ev.shard,
-                    HANDOFF_ROWS_PER_VERTEX, "fail-back"))
-
-
 class ServingEngine:
     """Shard-parallel, pooled, or hybrid serving in front of backends.
 
@@ -500,52 +354,55 @@ class ServingEngine:
         ``mail_hop_s`` and surfaces in the report (``sync_edges`` /
         ``stale_reads`` / ``max_version_lag``); the *functional* exactness
         protocol lives in :class:`~repro.serving.memsync.ShardedRuntime`.
+    rebalancer / failures / autoscaler:
+        The three ownership controllers; any subset runs together.  Each
+        run builds one :class:`~repro.serving.control.ControlPlane` for
+        them (none is built when all three are off): it samples released
+        jobs once for every policy, keeps the one mask of shards that
+        may receive ownership (accepting, inside the scaler's active
+        prefix), and is the only actor that applies their plans — each
+        scheduled at migration priority, vetted when it fires, applied
+        by :func:`~repro.serving.memsync.hand_off`, its rows priced
+        through ``mail_hop_s`` like sync traffic (charged to the
+        destination shard's next sub-job) and recorded as one
+        :class:`~repro.serving.events.MigrationEvent`.  A plan another
+        controller overtook is dropped and counted in the report's
+        ``stale_plans`` (key omitted at 0).
     rebalancer:
-        An :class:`~repro.serving.rebalance.OnlineRebalancer` to run on
-        the event loop (sharded and hybrid topologies): it watches
-        per-shard window utilization / queue depth on released jobs and
-        migrates vertex ownership mid-run via
-        :class:`~repro.serving.events.MigrationEvent`, each applied by
-        :func:`~repro.serving.memsync.hand_off`.  Handoff rows are
-        priced through ``mail_hop_s`` like sync traffic (charged to the
-        destination shard's next sub-job) and the report gains
-        ``rebalance`` / ``migrations`` / ``migrated_vertices`` /
-        ``handoff_rows``.  In hybrid topology the rebalancer runs in
-        drift mode: heating pool vertices are promoted onto dedicated
-        shards, cooled dedicated-shard vertices demoted back to the pool.
+        An :class:`~repro.serving.rebalance.OnlineRebalancer` (sharded
+        and hybrid topologies): it watches per-shard window utilization
+        / queue depth on released jobs and proposes vertex migrations
+        mid-run.  The report gains ``rebalance`` / ``migrations`` /
+        ``migrated_vertices`` / ``handoff_rows``.  In hybrid topology
+        the rebalancer runs in drift mode: heating pool vertices are
+        promoted onto dedicated shards, cooled dedicated-shard vertices
+        demoted back to the pool.
     failures:
-        A :class:`~repro.serving.events.FailurePlan` (or sequence of them)
-        to inject during each run (sharded and hybrid topologies): the
-        :class:`FailureInjector` schedules the failure/recovery events,
-        applies them to the shard's :class:`ServerGroup` and — for dead
-        failures — runs replica promotion / peer rebuild through the
-        router and memsync cache and the fail-back through
-        :func:`~repro.serving.memsync.hand_off`, pricing recovery rows
-        via ``mail_hop_s`` with the migration controllers' hook.  The
-        report gains ``chaos`` / ``failures`` /
-        ``recoveries`` / ``promoted_vertices`` / ``rebuilt_vertices`` /
-        ``recovery_rows`` / ``outage_windows`` / ``outage_p99_response_s``
-        (keys omitted when off).  Mutually exclusive with ``rebalancer``:
-        a failover would invalidate the rebalancer's in-flight
-        decision-to-application ownership check.
+        A :class:`~repro.serving.events.FailurePlan` (or sequence of them;
+        outages of one shard may not overlap) to inject during each run
+        (sharded and hybrid topologies): the
+        :class:`~repro.serving.control.FailureInjector` schedules the
+        failure/recovery events, applies them to the shard's
+        :class:`ServerGroup` and — for dead failures — runs replica
+        promotion / peer rebuild onto the eligible shards through
+        :func:`~repro.serving.memsync.fail_over` and proposes the
+        fail-back on recovery.  The report gains ``chaos`` /
+        ``failures`` / ``recoveries`` / ``promoted_vertices`` /
+        ``rebuilt_vertices`` / ``recovery_rows`` / ``outage_windows`` /
+        ``outage_p99_response_s`` (keys omitted when off).
     autoscaler:
-        An :class:`~repro.serving.autoscale.AutoScaler` to run on the
-        event loop: it watches windowed p95 response latency against an
-        SLO band and resizes the fleet mid-run via
-        :class:`~repro.serving.events.ScaleEvent`.  Pool topology grows
-        and shrinks the replica group in place (cold starts priced by
-        delayed first availability); sharded topology splits/merges
-        ownership across a ``capacity.max_replicas``-slot fleet through
-        :class:`~repro.serving.events.MigrationEvent` handoffs, applied
-        by :func:`~repro.serving.memsync.hand_off` and priced through
-        ``mail_hop_s`` exactly like rebalancer migrations (build
-        the layout with
+        An :class:`~repro.serving.autoscale.AutoScaler`: it watches
+        windowed p95 response latency against an SLO band and resizes
+        the fleet mid-run via :class:`~repro.serving.events.ScaleEvent`.
+        Pool topology grows and shrinks the replica group in place (cold
+        starts priced by delayed first availability); sharded topology
+        proposes ownership splits/merges across a
+        ``capacity.max_replicas``-slot fleet (build the layout with
         :func:`~repro.serving.placement.padded_hash_placement`).  The
-        report gains a ``scaling`` block (key omitted when off).
-        Mutually exclusive with ``rebalancer`` and ``failures`` — both
-        mutate ownership or fleet health underneath the scaler's
-        decision-to-application consistency checks — and with measured
-        backends (a worker lane cannot be created mid-run).
+        report gains a ``scaling`` block (key omitted when off).  Not
+        available with measured backends (a worker lane cannot be
+        created mid-run) or the hybrid topology (the pool pseudo-shard
+        and the dedicated shards would need separate controllers).
     workers:
         Worker-pool width for **measured** backends (any backend with
         ``measured = True``, e.g. the registry's ``"measured"``): the
@@ -608,23 +465,7 @@ class ServingEngine:
                     "pool_servers requires topology='pool' or 'hybrid'")
             if pool_servers <= 0:
                 raise ValueError("pool_servers must be positive")
-        if rebalancer is not None and failures is not None:
-            raise ValueError(
-                "failure injection and online rebalancing cannot run "
-                "together: a failover changes ownership underneath the "
-                "rebalancer's decision-to-application consistency check")
         if autoscaler is not None:
-            if rebalancer is not None:
-                raise ValueError(
-                    "autoscaling and online rebalancing cannot run "
-                    "together: both migrate ownership from windowed "
-                    "measurements and would race each other's "
-                    "decision-to-application consistency checks")
-            if failures is not None:
-                raise ValueError(
-                    "autoscaling and failure injection cannot run "
-                    "together: a failover changes ownership and fleet "
-                    "health underneath the scaler's decisions")
             if self._measured:
                 raise ValueError(
                     "autoscaling requires modeled backends: a measured "
@@ -704,10 +545,12 @@ class ServingEngine:
         self.failure_injector = None if failures is None \
             else FailureInjector(failures)
         # Populated by each run: typed trace (or None), the scheduler
-        # instance (counters), the event-loop wall-clock seconds, and the
+        # instance (counters), the control plane (None without a
+        # controller), the event-loop wall-clock seconds, and the
         # offered-arrival count (the conservation check's denominator).
         self.last_event_trace = None
         self.last_scheduler = None
+        self.last_control: ControlPlane | None = None
         self.last_loop_wall_s = 0.0
         self.last_num_arrivals = 0
 
@@ -905,54 +748,29 @@ class ServingEngine:
 
         jobs: list[CoalescedJob] = []
 
-        # Migration handoff pricing: rows crossing a die cost one hop each
-        # (the handoff rides the mail channel, like a push); the hops are
-        # charged to the destination shard's *next* sub-job, the same way
-        # sync traffic inflates the service time of the job carrying it.
-        rebal = self.rebalancer
-        auto = self.autoscaler
-        pending_handoff_hops = [0] * len(groups)
-
-        def price_handoff(rows, from_shard, to_shard):
-            if self.die_of is not None \
-                    and self.die_of[from_shard] != self.die_of[to_shard]:
-                pending_handoff_hops[to_shard] += rows
-
-        if rebal is not None:
-            rebal.bind(sched, groups, router=self.router, cache=cache,
-                       pool_shard=(self.num_shards - 1
-                                   if self.topology == "hybrid" else None),
-                       on_migrate=price_handoff)
-        if auto is not None:
-            # Split/merge handoffs ride the same channel and pricing as
-            # rebalancer migrations; the groups' commit hook is the
-            # controller's latency feed.
-            auto.bind(sched, groups,
-                      router=None if pooled else self.router,
-                      cache=cache, on_migrate=price_handoff)
-            for g in groups:
-                g.on_serviced = auto.record_response
-        chaos = self.failure_injector
-        if chaos is not None:
-            # Recovery transfers (peer rebuilds, fail-backs) ride the
-            # same channel and pricing as migration handoffs.
-            chaos.bind(sched, groups, router=self.router, cache=cache,
-                       on_rows=price_handoff)
+        # One control plane per run, and only when a controller exists:
+        # it samples released jobs for the policies and is the one actor
+        # that vets and applies the ownership plans they propose.
+        plane = None
+        if any(p is not None for p in (self.rebalancer, self.autoscaler,
+                                       self.failure_injector)):
+            plane = ControlPlane(
+                sched, groups, None if pooled else self.router, cache,
+                self.die_of, rebalancer=self.rebalancer,
+                autoscaler=self.autoscaler, injector=self.failure_injector,
+                pool_shard=(self.num_shards - 1
+                            if self.topology == "hybrid" else None))
+        self.last_control = plane
 
         def route(job: CoalescedJob) -> list[Submission]:
             ji = len(jobs)
             jobs.append(job)
-            if auto is not None:
-                # Same decision-after-routing discipline as the rebalancer
-                # below: ScaleEvents (and their split/merge migrations)
-                # land before the next release routes, while in-flight
-                # work drains on the old fleet.
-                auto.observe(job.t_release, job.batch)
-            if rebal is not None:
-                # Decisions scheduled here fire as MigrationEvents *after*
-                # this job's submissions land: in-flight work drains under
-                # the old ownership, the next release routes under the new.
-                rebal.observe(job.t_release, job.batch)
+            if plane is not None:
+                # Plans and ScaleEvents decided here fire *after* this
+                # job's submissions land: in-flight work drains under the
+                # old ownership and fleet, the next release routes under
+                # the new.
+                plane.observe(job.t_release, job.batch)
             # A pool never splits: the whole job is the one group's
             # sub-batch, with no mail and nothing to sync.
             shard_batches = [ShardBatch(0, job.batch, len(job.batch))] \
@@ -961,9 +779,8 @@ class ServingEngine:
             for sb in shard_batches:
                 hops = self._cross_die_mail(sb.shard, sb.mail_from)
                 sync_hops = self._cross_die_sync(sb)
-                if pending_handoff_hops[sb.shard]:
-                    sync_hops += pending_handoff_hops[sb.shard]
-                    pending_handoff_hops[sb.shard] = 0
+                if plane is not None:
+                    sync_hops += plane.take_hops(sb.shard)
                 payload = (ji, sb, hops, sync_hops)
                 mail = sync = ()
                 if sched.trace is not None:
@@ -1207,6 +1024,8 @@ class ServingEngine:
             outage_p99_response_s=float(
                 np.percentile(np.sort(np.asarray(outage_resp)), 99))
             if outage_resp else 0.0,
+            stale_plans=0 if self.last_control is None
+            else self.last_control.stale,
             measured=measured,
             scaling=None if auto is None
             else auto.report_block(float(arrivals[0].t), makespan))

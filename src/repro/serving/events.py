@@ -33,7 +33,7 @@ buffering), and *returns the consumed count*: any event whose admission
 could trigger a same-instant reaction (a passthrough deadline, a size
 flush, a drain flush) is left unconsumed, and the next loop iteration
 delivers it alone with exact heap semantics.  Actors that have not opted
-in — :class:`~repro.serving.rebalance.OnlineRebalancer` among them — use
+in — the :class:`~repro.serving.control.ControlPlane` among them — use
 :meth:`EventScheduler.schedule` and keep per-event dispatch unchanged.
 :class:`HeapEventScheduler` is the pre-vectorization implementation,
 kept verbatim as the behavioral oracle: the scheduler-equivalence
@@ -57,7 +57,8 @@ Event types
 :class:`ServiceEndEvent`    a server finishes a job (frees the server)
 :class:`MailEvent`          cross-shard edge mail, at delivery time (trace)
 :class:`SyncEvent`          memory rows pulled/pushed between shards (trace)
-:class:`MigrationEvent`     a vertex changes owner mid-run (scheduled)
+:class:`MigrationEvent`     a vertex changes owner mid-run (recorded when
+                            the control plane applies the change)
 :class:`FailureEvent`       a shard degrades or dies mid-run (scheduled)
 :class:`RecoveryEvent`      a failed shard comes back (scheduled)
 :class:`ScaleEvent`         the fleet grows or shrinks by one server
@@ -70,73 +71,62 @@ e.g. a deadline flush scheduled at ``t`` releases *before* an arrival at
 :meth:`DynamicBatcher.coalesce` reference implements, which is what makes
 ``ingest="serial"`` replays byte-identical to the pre-event-core engine.
 
-MigrationEvent lifecycle
-------------------------
-Online rebalancing makes a placement change *just another event*.  The
-:class:`~repro.serving.rebalance.OnlineRebalancer` watches per-shard
-utilization and queue depth over a rolling window of released jobs; when a
-shard runs hot (or, in the hybrid topology, a vertex's measured heat
-crosses the promote/demote band) it **schedules** a
-:class:`MigrationEvent` at the current instant with the ``_MIGRATE``
-priority.  When the event fires, the rebalancer applies it: the
-:class:`~repro.serving.router.ShardRouter` reassigns the vertex (the next
-flush routes under the new ownership — in-flight sub-jobs complete under
-the old one, exactly like a real handoff), the
-:class:`~repro.serving.memsync.VersionedMemoryCache` transfers ownership
-so version counters stay exact across the change, and the state handoff
-(``rows`` memory rows + neighbor-table slices) is priced through the same
-``mail_hop_s`` die-crossing machinery as :class:`SyncEvent` traffic.  The
-event lands in the trace like every other kind, so the invariant tests can
-replay the full ownership history.
+Ownership plan lifecycle (propose → vet → apply / drop)
+-------------------------------------------------------
+Who owns a vertex changes mid-run for three reasons — load
+(:class:`~repro.serving.rebalance.OnlineRebalancer`), capacity
+(:class:`~repro.serving.autoscale.AutoScaler`) and faults
+(:class:`~repro.serving.control.FailureInjector`) — and all three go
+through the run's one :class:`~repro.serving.control.ControlPlane`, so
+they compose.
 
-Failure / recovery lifecycle
-----------------------------
-Failures are events too.  A :class:`FailurePlan` names an instant, a
-shard, and a mode; the engine's chaos driver
-(:class:`~repro.serving.engine.FailureInjector`) schedules the matching
+*Propose.*  A policy reads the plane's samples (windowed per-vertex heat
+and per-shard busy time; the scaler adds windowed p95 latency against
+its SLO band) and its eligibility mask (a shard may receive ownership
+only while its group is accepting and it lies inside the scaler's active
+prefix), and proposes per-vertex plans: the rebalancer's ``"overload"``
+/ ``"heat-up"`` / ``"cool-down"`` moves, the scaler's ``"split"`` into a
+newly activated slot or ``"merge"`` off a drained one (behind the
+:class:`ScaleEvent` that resizes the fleet — in the pool topology that
+event alone does the work, through :meth:`ServerGroup.scale_up`, born
+cold at ``t + cold_start_s``, or :meth:`ServerGroup.scale_down`, which
+lets a busy replica drain), and the injector's ``"fail-back"`` of a
+recovered shard's ownership snapshot.  Every plan is scheduled at the
+current instant with the ``_MIGRATE`` priority and names the owner it
+was computed against: decided at ``t``, it fires before the next job
+released at ``t`` is routed, and in-flight sub-jobs complete under the
+old ownership, exactly like a real handoff.
+
+*Vet.*  When a plan fires, the plane checks that the named owner still
+owns the vertex and that the target is still eligible.  If not — another
+policy moved the vertex first, or the target died or was merged away —
+the plan is **dropped and counted** (``ServingReport.stale_plans``) and
+leaves no event in the trace.
+
+*Apply.*  Otherwise :func:`~repro.serving.memsync.hand_off` flips the
+:class:`~repro.serving.router.ShardRouter` and stamps the
+:class:`~repro.serving.memsync.VersionedMemoryCache` so version counters
+stay exact across the change, the ``HANDOFF_ROWS_PER_VERTEX`` rows are
+priced through the same ``mail_hop_s`` die-crossing machinery as
+:class:`SyncEvent` traffic, and one :class:`MigrationEvent` lands in the
+trace.
+
+Failures themselves are events: a :class:`FailurePlan` becomes a
 :class:`FailureEvent` / :class:`RecoveryEvent` pair at ``_MIGRATE``
-priority — like a migration, a failure decided at ``t`` applies before
-the next job released at ``t`` is routed.  A **slow** failure sets the
-:class:`ServerGroup`'s ``service_factor``; every service time committed
-while it is active is multiplied, and recovery resets it.  A **dead**
-failure is fail-stop: the group stops accepting (queued jobs drop, jobs
-already in service complete — their service time was committed at
-begin), and ownership is evacuated at the failure instant.  Vertices
-with surviving replicas *promote* the lowest-id replica to owner — a
-replica is a full holder, so promotion moves zero state; unreplicated
-vertices are reassigned across the survivors and *rebuilt* by memsync
-replay from peers, with ``HANDOFF_ROWS_PER_VERTEX`` rows per vertex
-priced through ``mail_hop_s`` like every other transfer.  Recovery fails
-the snapshot back through the ordinary exact migration path, which
-demotes promoted replicas back into their replica sets.  Each ownership
-change lands in the trace as a :class:`MigrationEvent` (reasons
-``"promote"`` / ``"rebuild"`` / ``"fail-back"``), so the exactly-once
-ownership-chain invariant covers failovers for free.
-
-ScaleEvent lifecycle (elastic capacity)
----------------------------------------
-Where a migration moves load across a *fixed* fleet, a
-:class:`ScaleEvent` resizes the fleet itself.  The
-:class:`~repro.serving.autoscale.AutoScaler` watches windowed p95
-response latency against an SLO band and **schedules** a
-:class:`ScaleEvent` at the current instant with the ``_MIGRATE``
-priority — like a migration, a capacity change decided at ``t`` applies
-before the next job released at ``t`` routes.  In the pool topology the
-event calls :meth:`ServerGroup.scale_up` (a new replica joins the idle
-heap *cold*: it is born free at ``t + cold_start_s``, so the existing
-``max(freed_at, t_arrive)`` dispatch rule prices the warm-up without a
-special case) or :meth:`ServerGroup.scale_down` (an idle replica is
-retired outright; a busy one *drains* — it finishes its committed job
-and leaves the fleet at its service end).  In the sharded topology a
-scale-up activates an empty shard and splits the hottest shard's
-vertices into it through ordinary :class:`MigrationEvent` handoffs
-(reason ``"split"``), and a scale-down merges the highest shard's
-vertices onto the coolest survivor (reason ``"merge"``) — the same
-priced, memsync-exact ownership machinery the rebalancer and the
-failure injector use, so the exactly-once ownership chain covers
-elastic capacity for free.  Fleet-size history replays through
-``tracecheck``'s ``fleet-size`` check the way migrations replay
-through ``ownership-chain``.
+priority.  A **slow** failure sets the :class:`ServerGroup`'s
+``service_factor`` until recovery resets it.  A **dead** failure is
+fail-stop — the group stops accepting (queued jobs drop, jobs in service
+complete: their service time was committed at begin) — and because its
+state is gone, ownership is evacuated *at that instant*, not planned:
+:func:`~repro.serving.memsync.fail_over` promotes a live replica where
+one exists (a full holder, so nothing moves) and reassigns the rest
+round-robin over the eligible shards, rebuilt by memsync replay from
+peers at ``HANDOFF_ROWS_PER_VERTEX`` priced rows each.  These land in
+the trace as ``"promote"`` / ``"rebuild"`` :class:`MigrationEvent`\ s
+through the same accounting as applied plans, so ``tracecheck``'s
+``ownership-chain`` replay covers rebalancing, elastic capacity and
+failover as one exactly-once history (and ``fleet-size`` replays the
+:class:`ScaleEvent` chain beside it).
 
 Actors
 ------
@@ -271,10 +261,12 @@ class MigrationEvent:
     ``rows`` is the priced state handoff (memory row + neighbor-table
     slice); ``reason`` names the trigger: ``"overload"`` (donor shard above
     the utilization threshold), ``"heat-up"`` (hybrid pool vertex promoted
-    to a dedicated shard) or ``"cool-down"`` (hybrid hot-shard vertex
-    demoted to the pool).  Unlike the trace-only mail/sync kinds this event
-    is *scheduled*: its handler applies the ownership change, so the trace
-    position is exactly the instant routing semantics changed.
+    to a dedicated shard), ``"cool-down"`` (hybrid hot-shard vertex
+    demoted to the pool), ``"split"`` / ``"merge"`` (elastic capacity),
+    ``"promote"`` / ``"rebuild"`` / ``"fail-back"`` (failover).  Recorded
+    by the control plane at the instant it applied the change, so the
+    trace position is exactly the instant routing semantics changed; a
+    plan dropped at vetting records nothing.
     """
 
     t: float

@@ -83,10 +83,18 @@ from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement
 from .router import CrossShardMailbox, ShardRouter
 
-__all__ = ["MEMSYNC_POLICIES", "ReadOutcome", "VersionedMemoryCache",
-           "hand_off", "fail_over", "ShardedRuntime"]
+__all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "ReadOutcome",
+           "VersionedMemoryCache", "hand_off", "fail_over", "ShardedRuntime"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
+
+# State rows :func:`hand_off` moves per vertex: its vertex-memory row
+# (memory + mailbox + timestamps travel as one row, exactly as memsync
+# prices a pull/push) plus its neighbor-table slice (the mr-slot FIFO ring
+# moves as one packed row).  The serving engine prices this count; the
+# functional ShardedRuntime actually copies both and records the same
+# count.
+HANDOFF_ROWS_PER_VERTEX = 2
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -267,10 +275,11 @@ def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
              vertices, from_shards, to_shard: int) -> None:
     """Flip ownership of ``vertices`` from ``from_shards`` to ``to_shard``.
 
-    The single apply step behind every ownership move — rebalancer
-    migrations, autoscaler splits/merges, failover fail-backs, and the
-    functional :meth:`ShardedRuntime.migrate`: check the plan still
-    matches the live assignment, flip the routing side
+    The single apply step behind every ownership move — the serving
+    :class:`~repro.serving.control.ControlPlane` (rebalancer migrations,
+    autoscaler splits/merges, failover fail-backs: it vets each plan
+    first) and the functional :meth:`ShardedRuntime.migrate`: check the
+    plan still matches the live assignment, flip the routing side
     (:meth:`~repro.serving.router.ShardRouter.migrate`), then stamp the
     coherence side (:meth:`VersionedMemoryCache.transfer_ownership`,
     which reads "is the old owner still a holder" off the table the
@@ -294,13 +303,15 @@ def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
 
 
 def fail_over(router: ShardRouter, cache: VersionedMemoryCache | None,
-              dead: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-    """Evacuate ownership off ``dead``, whose state is lost.
+              dead: int, live) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray]:
+    """Evacuate ownership off ``dead``, whose state is lost, onto ``live``.
 
     The single apply step behind every dead-shard failover — the engine's
-    :class:`~repro.serving.engine.FailureInjector` and the functional
-    :meth:`ShardedRuntime.fail_shard`.  Rebuild sources are looked up
+    :class:`~repro.serving.control.FailureInjector` and the functional
+    :meth:`ShardedRuntime.fail_shard`.  ``live`` is the caller's boolean
+    mask of shards that may receive ownership; only the caller knows
+    which other shards are down.  Rebuild sources are looked up
     **before** the flip, against the pre-failover holder set: the router
     names each rebuilt vertex's new owner a holder while it is still
     empty-handed, so a lookup afterwards would nominate it as its own
@@ -320,7 +331,7 @@ def fail_over(router: ShardRouter, cache: VersionedMemoryCache | None,
     owned = np.flatnonzero(router.assignment == dead)
     peers = np.full(len(owned), -1) if cache is None \
         else cache.current_peer(owned, dead)
-    promoted, rebuilt = router.fail_over(dead)
+    promoted, rebuilt = router.fail_over(dead, live)
     if cache is not None:
         cache.fail_over(dead, rebuilt)
     return owned, promoted, rebuilt, peers[np.isin(owned, rebuilt)]
@@ -429,7 +440,6 @@ class ShardedRuntime:
         (it keeps receiving every incident edge).  Returns the number of
         vertices actually moved (those not already owned by ``to_shard``).
         """
-        from .rebalance import HANDOFF_ROWS_PER_VERTEX
         v = np.unique(np.asarray(vertices, dtype=np.int64))
         # Validate everything before touching any state: the copy loop
         # below mutates the destination runtime and records sync traffic,
@@ -509,7 +519,8 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
     def fail_shard(self, shard: int) -> dict[str, int]:
         """Fail-stop ``shard`` — its state is lost — and evacuate exactly.
 
-        Ownership moves via :func:`fail_over`: replicated vertices
+        Ownership moves via :func:`fail_over` onto the shards that are not
+        themselves failed: replicated vertices
         *promote* a surviving replica (a full holder, so its memory rows
         and FIFO ring are already exact and no state moves), unreplicated
         vertices get a surviving owner and are *rebuilt* — the
@@ -528,12 +539,13 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
         :meth:`recover_shard` can fail back.  Returns ``{"promoted",
         "rebuilt", "cold", "rows"}`` counts.
         """
-        from .rebalance import HANDOFF_ROWS_PER_VERTEX
         shard = int(shard)
         if shard in self._failed:
             raise ValueError(f"shard {shard} is already failed")
+        live = np.ones(self.router.num_shards, dtype=bool)
+        live[list(self._failed)] = False
         owned_before, promoted, rebuilt, peers = \
-            fail_over(self.router, self.cache, shard)
+            fail_over(self.router, self.cache, shard, live)
         rows = 0
         cold = 0
         for x, peer in zip(rebuilt.tolist(), peers.tolist()):

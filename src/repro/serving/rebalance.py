@@ -9,14 +9,14 @@ have unloaded has already melted.  The unified event core makes the online
 alternative natural: a placement change is just another event actors can
 react to.
 
-:class:`OnlineRebalancer` is that actor.  It observes every released job
-(the router calls :meth:`observe` at the release instant), accumulates
-per-vertex heat and per-shard busy time over a rolling window, and when a
-window closes it decides migrations and schedules them as
-:class:`~repro.serving.events.MigrationEvent`\\ s at the current instant.
-When an event fires the rebalancer applies it through
-:func:`~repro.serving.memsync.hand_off`, the one ownership flip every
-controller shares:
+:class:`OnlineRebalancer` is that policy.  The run's
+:class:`~repro.serving.control.ControlPlane` calls :meth:`observe` for
+every released job; the rebalancer reads per-vertex heat and per-shard
+busy time off its rolling :class:`~repro.serving.control.Window`, and when
+the window closes it decides migrations and **proposes** them to the
+plane at the current instant.  The plane vets each plan when it fires
+and applies it through :func:`~repro.serving.memsync.hand_off`, the one
+ownership flip every controller shares:
 
 * the :class:`~repro.serving.router.ShardRouter` reassigns the vertex —
   jobs routed from now on follow the new ownership, while sub-jobs already
@@ -34,12 +34,12 @@ controller shares:
   :class:`~repro.serving.events.SyncEvent` traffic (the engine charges the
   hops to the destination shard's next sub-job).
 
-The elastic :class:`~repro.serving.autoscale.AutoScaler` drives shard
-splits and merges through this exact apply path — a scale decision is a
-:class:`~repro.serving.events.ScaleEvent` followed by ordinary
-:class:`~repro.serving.events.MigrationEvent`\\ s, so ownership,
-coherence, and handoff pricing behave identically whether the fleet is
-fixed or elastic.
+The elastic :class:`~repro.serving.autoscale.AutoScaler` and the
+:class:`~repro.serving.control.FailureInjector` propose through the same
+plane, so all three run together: donors and recipients are drawn from
+the plane's eligible shards only (never a dead shard or an inactive
+elastic slot), and a plan another policy overtook is dropped at vetting
+instead of raced.
 
 Decision modes
 --------------
@@ -70,32 +70,23 @@ engine's (asserted in ``test_rebalance`` and, at tier-2 scale, in
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .events import _MIGRATE, EventScheduler, MigrationEvent, ServerGroup
-from .memsync import hand_off
+from .control import ControlPlane, Window
+from .events import MigrationEvent
 
-__all__ = ["OnlineRebalancer", "HANDOFF_ROWS_PER_VERTEX"]
-
-# State rows handed off per migrated vertex: its vertex-memory row (memory
-# + mailbox + timestamps travel as one row, exactly as memsync prices a
-# pull/push) plus its neighbor-table slice (the mr-slot FIFO ring moves as
-# one packed row).  The serving engine prices this count; the functional
-# ShardedRuntime actually copies both and records the same count.
-HANDOFF_ROWS_PER_VERTEX = 2
+__all__ = ["OnlineRebalancer"]
 
 
 class OnlineRebalancer:
     """Watches shard load over a rolling window; migrates vertices mid-run.
 
-    Construct once with the policy knobs; the engine calls :meth:`bind` at
-    the start of every run (resetting all per-run state) and
-    :meth:`observe` for every released job.  Decisions are scheduled as
-    :class:`~repro.serving.events.MigrationEvent`\\ s and applied by this
-    actor when they fire; ``on_migrate`` (wired by the engine) prices the
-    handoff.
+    Construct once with the policy knobs; each run's
+    :class:`~repro.serving.control.ControlPlane` calls :meth:`start`
+    (resetting all per-run state) and :meth:`observe` for every released
+    job.  Decisions are proposed to the plane, which vets, applies and
+    prices them and appends each applied
+    :class:`~repro.serving.events.MigrationEvent` to ``migration_log``.
 
     Parameters
     ----------
@@ -126,7 +117,8 @@ class OnlineRebalancer:
         ``<= demote_heat`` is demoted.  ``promote_heat > demote_heat``
         is required (the dead band is the hysteresis).
 
-    Every migration prices :data:`HANDOFF_ROWS_PER_VERTEX` rows — the
+    Every migration prices
+    :data:`~repro.serving.memsync.HANDOFF_ROWS_PER_VERTEX` rows — the
     same count the functional :meth:`~repro.serving.memsync.\
 ShardedRuntime.migrate` records, so the timing report and the functional
     model never disagree on the handoff bill.
@@ -160,40 +152,17 @@ ShardedRuntime.migrate` records, so the timing report and the functional
         self.depth_threshold = depth_threshold
         self.promote_heat = int(promote_heat)
         self.demote_heat = int(demote_heat)
-        self._bound = False
 
     # ------------------------------------------------------------------ #
-    def bind(self, sched: EventScheduler, groups: Sequence[ServerGroup],
-             router, cache=None, pool_shard: int | None = None,
-             on_migrate: Callable[[int, int, int], None] | None = None
-             ) -> None:
-        """Attach to one run, resetting all per-run state.
-
-        ``pool_shard`` switches hybrid drift mode on (it names the pool
-        pseudo-shard); ``cache`` is the run's memsync cache (ownership is
-        transferred through it so version counters survive the move);
-        ``on_migrate(rows, from_shard, to_shard)`` is the engine's
-        pricing hook.
-        """
-        if pool_shard is not None \
-                and not 0 <= pool_shard < router.num_shards:
-            raise ValueError("pool_shard out of range")
-        self._sched = sched
-        self._groups = list(groups)
-        self._router = router
-        self._cache = cache
-        self._pool_shard = pool_shard
-        self._on_migrate = on_migrate
-        n = router.num_nodes
-        self._heat = np.zeros(n, dtype=np.int64)
-        self._window_start: float | None = None
-        self._busy_mark = np.zeros(len(self._groups))
-        self._window_index = 0
+    def start(self, plane: ControlPlane) -> None:
+        """Attach to one run's control plane, resetting all per-run
+        state.  ``plane.pool_shard`` switches hybrid drift mode on."""
+        self._plane = plane
+        self._window = Window(plane, self.window_s)
         self._frozen_until: dict[int, int] = {}
         self.migration_log: list[MigrationEvent] = []
         self.migrations_per_window: list[int] = []
         self.handoff_rows = 0
-        self._bound = True
 
     @property
     def migrations(self) -> int:
@@ -206,80 +175,49 @@ ShardedRuntime.migrate` records, so the timing report and the functional
 
     # ------------------------------------------------------------------ #
     def observe(self, t: float, batch) -> None:
-        """Account one released job's edges; evaluate at window close."""
-        if not self._bound:
-            raise RuntimeError("bind() the rebalancer to a run first")
-        if self._window_start is None:
-            self._window_start = t
-            self._busy_mark = np.array([g.busy_s for g in self._groups])
-        np.add.at(self._heat, batch.src, 1)
-        np.add.at(self._heat, batch.dst, 1)
-        if t - self._window_start >= self.window_s:
-            self._evaluate(t)
-            self._window_index += 1
-            self._window_start = t
-            self._heat[:] = 0
-            self._busy_mark = np.array([g.busy_s for g in self._groups])
+        """One released job (already sampled by the plane): evaluate at
+        window close."""
+        if self._window.closes(t):
+            evaluate = self._evaluate_overload \
+                if self._plane.pool_shard is None else self._evaluate_drift
+            self.migrations_per_window.append(
+                evaluate(t, self._window.util(t), self._window.heat))
+            self._window.roll(t)
 
     # ------------------------------------------------------------------ #
     def _movable(self, v: int) -> bool:
         """Not inside its post-migration cooldown.  Replicated vertices
         move too: :meth:`~repro.serving.router.ShardRouter.migrate`
         keeps the old owner a holder, so copies are never orphaned."""
-        return self._frozen_until.get(int(v), -1) <= self._window_index
+        return self._frozen_until.get(int(v), -1) <= self._window.index
 
-    def _emit(self, t: float, v: int, to_shard: int, reason: str) -> None:
-        ev = MigrationEvent(t=t, vertex=int(v),
-                            from_shard=int(self._router.assignment[v]),
-                            to_shard=int(to_shard),
-                            rows=HANDOFF_ROWS_PER_VERTEX,
-                            reason=reason)
+    def _propose(self, t: float, v: int, to_shard: int, reason: str) -> None:
         # Freeze at decision time so one window never double-moves a
         # vertex; the cooldown counts from the *next* window.
-        self._frozen_until[int(v)] = self._window_index + 1 \
+        self._frozen_until[int(v)] = self._window.index + 1 \
             + self.cooldown_windows
-        self._sched.schedule(t, _MIGRATE, ev, self._apply)
-        self.migration_log.append(ev)
-
-    def _apply(self, ev: MigrationEvent) -> None:
-        """Fire: reassign ownership and hand the state off, priced."""
-        hand_off(self._router, self._cache, [ev.vertex], ev.from_shard,
-                 ev.to_shard)
-        self.handoff_rows += ev.rows
-        if self._on_migrate is not None:
-            self._on_migrate(ev.rows, ev.from_shard, ev.to_shard)
+        self._plane.propose(self, t, v, to_shard, reason)
 
     # ------------------------------------------------------------------ #
-    def _evaluate(self, t: float) -> None:
-        span = t - self._window_start
-        if span <= 0:
-            self.migrations_per_window.append(0)
-            return
-        busy = np.array([g.busy_s for g in self._groups]) - self._busy_mark
-        servers = np.array([g.num_servers for g in self._groups])
-        util = busy / (span * servers)
-        before = len(self.migration_log)
-        if self._pool_shard is None:
-            self._evaluate_overload(t, util)
-        else:
-            self._evaluate_drift(t, util)
-        self.migrations_per_window.append(len(self.migration_log) - before)
-
-    def _evaluate_overload(self, t: float, util: np.ndarray) -> None:
+    def _evaluate_overload(self, t: float, util: np.ndarray,
+                           window_heat: np.ndarray) -> int:
         """Sharded mode: donate the hottest window vertices off the
-        hottest overloaded shard onto the coolest shard."""
-        if len(self._groups) < 2:
-            return          # a lone shard has nowhere to donate: no-op
-        depth = np.array([g.queue_depth for g in self._groups])
+        hottest overloaded shard onto the coolest eligible shard.
+        Returns the number of moves proposed."""
+        plane = self._plane
+        live = plane.eligible()
+        if live.sum() < 2:
+            return 0        # a lone shard has nowhere to donate: no-op
+        depth = np.array([g.queue_depth for g in plane.groups])
         util_hot = util > self.util_threshold
         depth_hot = np.zeros(len(util), dtype=bool) \
             if self.depth_threshold is None \
             else depth > self.depth_threshold
-        hot = util_hot | depth_hot
+        hot = (util_hot | depth_hot) & live
         if not hot.any():
-            return
+            return 0
         donor = int(np.argmax(np.where(hot, util, -np.inf)))
-        others = [s for s in range(len(util)) if s != donor]
+        others = [s for s in np.flatnonzero(live).tolist() if s != donor]
         recipient = min(others, key=lambda s: (util[s], depth[s], s))
         # A donor flagged only by its queue depth carries direct evidence
         # of overload that the busy-time average has not caught up with
@@ -288,12 +226,11 @@ ShardedRuntime.migrate` records, so the timing report and the functional
         by_depth = bool(depth_hot[donor]) and not util_hot[donor]
         if not by_depth \
                 and util[donor] - util[recipient] <= self.hysteresis:
-            return
-        on_donor = self._router.assignment == donor
-        heat = np.where(on_donor, self._heat, 0)
+            return 0
+        heat = np.where(plane.router.assignment == donor, window_heat, 0)
         donor_heat = int(heat.sum())
         if donor_heat <= 0:
-            return
+            return 0
         # Hottest-first, vertex id breaking ties — deterministic.
         order = np.lexsort((np.arange(len(heat)), -heat))
         est_donor, est_recipient = float(util[donor]), float(util[recipient])
@@ -313,44 +250,48 @@ ShardedRuntime.migrate` records, so the timing report and the functional
             delta = float(util[donor]) * heat[v] / donor_heat
             if not by_depth and est_recipient + delta >= float(util[donor]):
                 continue
-            self._emit(t, v, recipient, "overload")
+            self._propose(t, v, recipient, "overload")
             est_donor -= delta
             est_recipient += delta
             moved += 1
             if not by_depth and est_donor <= self.util_threshold:
                 break
+        return moved
 
-    def _evaluate_drift(self, t: float, util: np.ndarray) -> None:
-        """Hybrid mode: promote heating pool vertices onto dedicated
-        shards, demote cooled dedicated-shard vertices into the pool."""
-        pool = self._pool_shard
-        assignment = self._router.assignment
-        budget = self.max_migrations_per_window
-        # Cool-downs first: they free dedicated-shard capacity that the
-        # promotions below immediately want.
-        on_hot = np.flatnonzero(assignment != pool)
-        cooled = on_hot[self._heat[on_hot] <= self.demote_heat]
-        for v in cooled:
-            if budget <= 0:
-                return
-            if not self._movable(v):
-                continue
-            self._emit(t, v, pool, "cool-down")
-            budget -= 1
-        hot_shards = [s for s in range(len(self._groups)) if s != pool]
+    def _evaluate_drift(self, t: float, util: np.ndarray,
+                        heat: np.ndarray) -> int:
+        """Hybrid mode: promote heating pool vertices onto eligible
+        dedicated shards, demote cooled dedicated-shard vertices into the
+        pool (while it is eligible).  Returns the number of moves
+        proposed."""
+        pool = self._plane.pool_shard
+        live = self._plane.eligible()
+        assignment = self._plane.router.assignment
+        hot_shards = [s for s in np.flatnonzero(live).tolist() if s != pool]
         # Least-loaded-first target selection, tracked across this
         # window's promotions so a burst spreads instead of stacking.
         load = {s: float(util[s]) for s in hot_shards}
         in_pool = np.flatnonzero(assignment == pool)
-        heated = in_pool[self._heat[in_pool] >= self.promote_heat]
-        order = np.lexsort((heated, -self._heat[heated]))
-        pool_heat = max(int(self._heat[in_pool].sum()), 1)
-        for v in heated[order]:
-            if budget <= 0:
-                return
+        pool_heat = max(int(heat[in_pool].sum()), 1)
+        # Cool-downs first: they free dedicated-shard capacity that the
+        # promotions behind them immediately want.
+        on_hot = np.flatnonzero(assignment != pool)
+        cooled = on_hot[heat[on_hot] <= self.demote_heat] if live[pool] \
+            else on_hot[:0]
+        heated = in_pool[heat[in_pool] >= self.promote_heat] if hot_shards \
+            else in_pool[:0]
+        heated = heated[np.lexsort((heated, -heat[heated]))]
+        moved = 0
+        for v in (*cooled, *heated):
+            if moved >= self.max_migrations_per_window:
+                break
             if not self._movable(v):
                 continue
-            target = min(hot_shards, key=lambda s: (load[s], s))
-            self._emit(t, v, target, "heat-up")
-            load[target] += float(util[pool]) * self._heat[v] / pool_heat
-            budget -= 1
+            if assignment[v] != pool:
+                self._propose(t, v, pool, "cool-down")
+            else:
+                target = min(hot_shards, key=lambda s: (load[s], s))
+                self._propose(t, v, target, "heat-up")
+                load[target] += float(util[pool]) * heat[v] / pool_heat
+            moved += 1
+        return moved

@@ -187,16 +187,20 @@ class ShardRouter:
         self._member[int(to_shard), v] = True
         return old
 
-    def fail_over(self, dead: int) -> tuple[np.ndarray, np.ndarray]:
+    def fail_over(self, dead: int,
+                  live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evacuate ownership off a dead shard whose state is lost.
 
-        The dead shard's row of the holder matrix is cleared — it holds
-        nothing afterwards, owned or replicated.  Every vertex it owned
-        gets a surviving owner at this instant: one with a surviving
-        holder **promotes** the lowest-id one — a replica is a full
-        holder, so the new owner's state is already exact and nothing
-        moves — while one it held alone is reassigned round-robin across
-        the survivors and must be **rebuilt** by the caller (memsync
+        ``live`` is the caller's boolean mask of shards that may receive
+        ownership (``dead`` is struck from it here): the router cannot
+        know which other shards are down or outside an elastic fleet's
+        active prefix.  The dead shard's row of the holder matrix is
+        cleared — it holds nothing afterwards, owned or replicated.
+        Every vertex it owned gets a live owner at this instant: one with
+        a live holder **promotes** the lowest-id one — a replica is a
+        full holder, so the new owner's state is already exact and
+        nothing moves — while the rest are reassigned round-robin across
+        the live shards and must be **rebuilt** by the caller (memsync
         replay from peers; see :func:`repro.serving.memsync.fail_over`,
         which also picks the rebuild sources *before* this flip names
         the still empty-handed new owners holders).
@@ -206,14 +210,17 @@ class ShardRouter:
         dead = int(dead)
         if not 0 <= dead < self.num_shards:
             raise ValueError("dead shard out of range")
-        if self.num_shards < 2:
-            raise ValueError("cannot fail over the only shard")
+        live = np.array(live, dtype=bool)
+        live[dead] = False
+        survivors = np.flatnonzero(live)
+        if not len(survivors):
+            raise ValueError("cannot fail over the only live shard")
         owned = np.flatnonzero(self.assignment == dead)
         self._member[dead, :] = False
-        survives = self._member[:, owned].any(axis=0)
+        holders = self._member[:, owned] & live[:, None]
+        survives = holders.any(axis=0)
         promoted, rebuilt = owned[survives], owned[~survives]
-        self.assignment[promoted] = self._member[:, promoted].argmax(axis=0)
-        survivors = np.delete(np.arange(self.num_shards), dead)
+        self.assignment[promoted] = holders[:, survives].argmax(axis=0)
         self.assignment[rebuilt] = survivors[rebuilt % len(survivors)]
         self._member[self.assignment[rebuilt], rebuilt] = True
         return promoted, rebuilt

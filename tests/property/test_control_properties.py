@@ -1,0 +1,154 @@
+"""Property-based check that the ownership controllers compose.
+
+Any two or all three of {online rebalancer, autoscaler, failure injector
+— including two shards down at once} run on one control plane, under
+serial and pipelined ingest, with failure and recovery instants drawn
+both between releases and *exactly on* a release instant.  Every run
+must replay clean, conserve its windows, agree byte for byte across the
+heap and vectorized schedulers, never move a vertex onto an ineligible
+shard (dead, or outside the scaler's active prefix), never route while a
+dead shard still owns anything, and account for every proposed plan as
+applied or stale.
+
+``REPRO_CHAOS_SEED`` (CI runs a small matrix) varies the workload, so the
+same strategies meet more than one failover geometry.
+"""
+
+import functools
+import os
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.tracecheck import check_run
+from repro.datasets import drifting_hot_set_graph
+from repro.pipeline import LinearCostBackend
+from repro.serving import (AutoScaler, CapacityConfig, DynamicBatcher,
+                           FailureEvent, FailurePlan, FlushEvent,
+                           HeapEventScheduler, MigrationEvent,
+                           OnlineRebalancer, RecoveryEvent, ScaleEvent,
+                           ServingEngine, make_stream_arrivals,
+                           padded_hash_placement)
+
+settings.register_profile("repro", deadline=None, max_examples=30)
+settings.load_profile("repro")
+
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+SLOTS, ACTIVE = 4, 2
+WINDOW_S, SPEEDUP, STREAMS = 250.0, 2400.0, 2
+MAX_DELAY_S = 0.01
+
+
+@functools.lru_cache(maxsize=None)
+def workload():
+    g = drifting_hot_set_graph(500, SLOTS, num_nodes=64, phases=4,
+                               hot_size=4, seed=11 + CHAOS_SEED)
+    arrivals = make_stream_arrivals(g, WINDOW_S, num_streams=STREAMS,
+                                    speedup=SPEEDUP)
+    return g, np.array([a.t for a in arrivals])
+
+
+@st.composite
+def instants(draw, after=0.0):
+    """An event-loop instant later than ``after``: somewhere in the run,
+    or exactly on a release instant (an arrival under the passthrough
+    batcher; an arrival or a deadline under the batching one)."""
+    _, ts = workload()
+    later = ts[ts > after]
+    if len(later) and draw(st.booleans()):
+        t = float(later[draw(st.integers(0, len(later) - 1))])
+        return t + draw(st.sampled_from([0.0, MAX_DELAY_S]))
+    return after + draw(st.floats(1e-3, 1.0)) * max(float(ts[-1]) - after,
+                                                    0.1)
+
+
+@st.composite
+def chaos(draw):
+    """One or two dead/slow failures on distinct shards; the second one
+    starts inside the first one's outage.  Shard 0 never fails, so a
+    survivor always exists inside the active prefix."""
+    shards = draw(st.permutations([1, 2, 3]))
+    plans, after = [], 0.0
+    for shard in shards[:draw(st.integers(1, 2))]:
+        fail_at = draw(instants(after))
+        recover_at = draw(st.one_of(st.none(), instants(fail_at)))
+        plans.append(FailurePlan(fail_at, shard, recover_at=recover_at,
+                                 mode=draw(st.sampled_from(["dead", "dead",
+                                                            "slow"]))))
+        after = fail_at
+    return plans
+
+
+@st.composite
+def scenario(draw):
+    use = draw(st.lists(st.booleans(), min_size=3, max_size=3)
+               .filter(lambda picks: sum(picks) >= 2))
+    return {"rebalance": use[0], "autoscale": use[1],
+            "plans": draw(chaos()) if use[2] else None,
+            "ingest": draw(st.sampled_from(["serial", "pipelined"])),
+            "batched": draw(st.booleans())}
+
+
+def run(sc, scheduler_cls=None, trace=False):
+    g, _ = workload()
+    auto = reb = None
+    if sc["autoscale"]:
+        auto = AutoScaler(CapacityConfig(micro_batch=1, replicas=ACTIVE,
+                                         max_replicas=SLOTS),
+                          slo_p95_s=0.02, scale_window_s=0.1)
+    if sc["rebalance"]:
+        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
+                               hysteresis=0.0)
+    # Without the scaler the whole fleet is active from the start.
+    placement = padded_hash_placement(
+        g.num_nodes, ACTIVE if sc["autoscale"] else SLOTS, SLOTS)
+    engine = ServingEngine(
+        [LinearCostBackend(per_edge_s=6e-3) for _ in range(SLOTS)],
+        g.num_nodes, placement=placement, memsync="push",
+        batcher=DynamicBatcher(max_edges=24, max_delay_s=MAX_DELAY_S)
+        if sc["batched"] else None,
+        rebalancer=reb, autoscaler=auto, failures=sc["plans"])
+    initial = engine.router.assignment.copy()
+    report = engine.run(g, window_s=WINDOW_S, speedup=SPEEDUP,
+                        num_streams=STREAMS, ingest=sc["ingest"],
+                        scheduler_cls=scheduler_cls, trace=trace)
+    return engine, initial, report
+
+
+class TestControllersCompose:
+    @given(scenario())
+    def test_any_subset_of_controllers_is_one_legal_run(self, sc):
+        engine, initial, report = run(sc, trace=True)
+        _, ts = workload()
+        assert check_run(engine=engine, report=report,
+                         initial_assignment=initial).ok
+        assert report.windows + report.dropped_windows == len(ts)
+
+        # Replay eligibility beside ownership.
+        owner, dead = initial.copy(), set()
+        fleet = ACTIVE if sc["autoscale"] else SLOTS
+        plans_applied = 0
+        for ev in engine.last_event_trace:
+            if isinstance(ev, FailureEvent) and ev.mode == "dead":
+                dead.add(ev.shard)
+            elif isinstance(ev, RecoveryEvent):
+                dead.discard(ev.shard)
+            elif isinstance(ev, ScaleEvent):
+                fleet = ev.servers_after
+            elif isinstance(ev, MigrationEvent):
+                assert ev.to_shard not in dead and ev.to_shard < fleet
+                owner[ev.vertex] = ev.to_shard
+                plans_applied += ev.reason not in ("promote", "rebuild")
+            elif isinstance(ev, FlushEvent):
+                assert not np.isin(owner, sorted(dead)).any()
+                assert (owner < fleet).all()
+
+        plane = engine.last_control
+        assert plans_applied + plane.stale == plane.proposed
+        assert report.stale_plans == plane.stale
+
+        # Same bytes from the reference loop and from the bulk path.
+        want = report.to_json()
+        assert run(sc, scheduler_cls=HeapEventScheduler)[2].to_json() == want
+        assert run(sc)[2].to_json() == want

@@ -50,8 +50,8 @@ class DictOracle:
                 self.replicas[x] = new_extra
             self.assignment[x] = to
 
-    def fail_over(self, dead):
-        survivors = [s for s in range(self.num_shards) if s != dead]
+    def fail_over(self, dead, alive):
+        survivors = [s for s in alive if s != dead]
         promoted, rebuilt = [], []
         for x in np.flatnonzero(self.assignment == dead).tolist():
             extra = self.replicas.get(x)
@@ -138,9 +138,12 @@ class TestOwnershipTable:
             if op == "fail":
                 dead = data.draw(st.sampled_from(alive), label="dead")
                 had_copy = cache._holder | cache._mirror
-                owned, promoted, rebuilt, peers = \
-                    fail_over(router, cache, dead)
-                want_promoted, want_rebuilt = oracle.fail_over(dead)
+                owned, promoted, rebuilt, peers = fail_over(
+                    router, cache, dead, np.isin(np.arange(num_shards),
+                                                 alive))
+                want_promoted, want_rebuilt = oracle.fail_over(dead, alive)
+                assert dead not in router.assignment
+                assert np.isin(router.assignment, alive).all()
                 assert promoted.tolist() == want_promoted
                 assert rebuilt.tolist() == want_rebuilt
                 assert sorted(owned.tolist()) == \

@@ -28,12 +28,13 @@ import pytest
 
 from repro.analysis.tracecheck import check_fleet_size, check_run
 from repro.autograd import no_grad
-from repro.datasets import wikipedia_like
+from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.graph import TemporalGraph, iter_fixed_size
 from repro.models import ModelConfig, TGNN
 from repro.pipeline import LinearCostBackend
 from repro.serving import (HANDOFF_ROWS_PER_VERTEX, AutoScaler,
-                           CapacityConfig, EventScheduler, MigrationEvent,
+                           CapacityConfig, ControlPlane, EventScheduler,
+                           MigrationEvent,
                            OnlineRebalancer, ScaleEvent, ServerGroup,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
                            ShardRouter, ShardedRuntime,
@@ -67,6 +68,11 @@ def pool_engine(g, auto, per_edge_s=20.0):
     return ServingEngine([LinearCostBackend(per_edge_s=per_edge_s)],
                          g.num_nodes, topology="pool", pool_servers=None,
                          autoscaler=auto)
+
+
+def start(auto, sched, groups, router=None):
+    """Attach ``auto`` to a bare control plane (no cache, no dies)."""
+    return ControlPlane(sched, groups, router, None, None, autoscaler=auto)
 
 
 def overload_autoscaler(**kwargs):
@@ -135,29 +141,24 @@ class TestAutoScalerValidation:
             AutoScaler(cap, slo_p95_s=1.0, scale_window_s=1.0,
                        cooldown_windows=-1)
 
-    def test_observe_requires_bind(self):
-        auto = overload_autoscaler()
-        with pytest.raises(RuntimeError, match="bind"):
-            auto.observe(0.0)
-
-    def test_pool_bind_checks_group_size(self):
+    def test_pool_start_checks_group_size(self):
         auto = overload_autoscaler()          # capacity.replicas == 1
         sched = EventScheduler()
         with pytest.raises(ValueError, match="capacity.replicas"):
-            auto.bind(sched, [ServerGroup(0, 2, lambda _p: 1.0, sched)])
+            start(auto, sched, [ServerGroup(0, 2, lambda _p: 1.0, sched)])
         with pytest.raises(ValueError, match="exactly one"):
-            auto.bind(sched, [ServerGroup(i, 1, lambda _p: 1.0, sched)
-                              for i in range(2)])
+            start(auto, sched, [ServerGroup(i, 1, lambda _p: 1.0, sched)
+                                for i in range(2)])
 
-    def test_sharded_bind_checks_station_count(self):
+    def test_sharded_start_checks_station_count(self):
         auto = overload_autoscaler()          # max_replicas == 4
         sched = EventScheduler()
         groups = [ServerGroup(i, 1, lambda _p: 1.0, sched)
                   for i in range(2)]
         with pytest.raises(ValueError, match="one station per fleet"):
-            auto.bind(sched, groups, router=ShardRouter(2, 16))
+            start(auto, sched, groups, router=ShardRouter(2, 16))
 
-    def test_sharded_bind_rejects_active_tail_ownership(self):
+    def test_sharded_start_rejects_active_tail_ownership(self):
         # replicas == 1 but a plain 4-shard hash assignment owns vertices
         # on shards 1..3: the initial active set would not cover them.
         auto = overload_autoscaler()
@@ -165,15 +166,7 @@ class TestAutoScalerValidation:
         groups = [ServerGroup(i, 1, lambda _p: 1.0, sched)
                   for i in range(4)]
         with pytest.raises(ValueError, match="active set"):
-            auto.bind(sched, groups, router=ShardRouter(4, 16))
-
-    def test_engine_rejects_autoscaler_with_rebalancer(self):
-        g = overload_graph()
-        with pytest.raises(ValueError, match="rebalancing"):
-            ServingEngine([LinearCostBackend()], g.num_nodes,
-                          topology="pool",
-                          rebalancer=OnlineRebalancer(window_s=1.0),
-                          autoscaler=overload_autoscaler())
+            start(auto, sched, groups, router=ShardRouter(4, 16))
 
     def test_engine_rejects_pool_size_mismatch(self):
         g = overload_graph()
@@ -412,6 +405,45 @@ class TestShardedScaling:
         assert rep.scaling["final_servers"] == 1
         assert check_run(engine=engine, report=rep).findings == []
 
+    def test_scaler_and_rebalancer_compose(self):
+        """The pairing the engine used to refuse.  Both controllers move
+        ownership off the same windows; the control plane applies the
+        scaler's plans first, drops the rebalancer plans they overtook,
+        and never lets the rebalancer hand a vertex to a slot the scaler
+        has not activated."""
+        g = drifting_hot_set_graph(1600, 4, num_nodes=128, phases=8,
+                                   hot_size=6, seed=5)
+        auto = AutoScaler(CapacityConfig(micro_batch=1, replicas=2,
+                                         max_replicas=4),
+                          slo_p95_s=0.05, scale_window_s=0.1)
+        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
+                               hysteresis=0.0)
+        engine = ServingEngine(
+            [LinearCostBackend(per_edge_s=6e-3) for _ in range(4)],
+            g.num_nodes, placement=padded_hash_placement(g.num_nodes, 2, 4),
+            memsync="push", autoscaler=auto, rebalancer=reb)
+        initial = engine.router.assignment.copy()
+        rep = engine.run(g, window_s=250.0, speedup=2400.0, num_streams=2,
+                         trace=True)
+        assert check_run(engine=engine, report=rep,
+                         initial_assignment=initial).ok
+        assert rep.rebalance == "online" and rep.migrations > 0
+        assert auto.scale_ups > 0 and auto.scale_downs > 0
+        assert auto.handoff_rows > 0
+        # Replay the fleet size beside the moves: every destination lies
+        # inside the active prefix at its instant.
+        fleet = auto.initial_servers
+        for ev in engine.last_event_trace:
+            if isinstance(ev, ScaleEvent):
+                fleet = ev.servers_after
+            elif isinstance(ev, MigrationEvent):
+                assert ev.to_shard < fleet
+        plane = engine.last_control
+        applied = len(reb.migration_log) + len(auto.migration_log)
+        assert applied + plane.stale == plane.proposed
+        assert rep.stale_plans == plane.stale > 0
+        assert rep.to_dict()["stale_plans"] == plane.stale
+
 
 # --------------------------------------------------------------------------- #
 class TestSplitExactness:
@@ -525,7 +557,7 @@ class TestReportBlock:
     def test_server_seconds_integral(self):
         auto = overload_autoscaler()
         sched = EventScheduler()
-        auto.bind(sched, [ServerGroup(0, 1, lambda _p: 1.0, sched)])
+        start(auto, sched, [ServerGroup(0, 1, lambda _p: 1.0, sched)])
         auto.scale_log.append(scale_ev(4.0, "up", 1, 2))
         auto.scale_log.append(scale_ev(7.0, "up", 2, 3))
         auto.fleet_size = 3
@@ -541,7 +573,7 @@ class TestReportBlock:
     def test_events_clamped_to_run_span(self):
         auto = overload_autoscaler()
         sched = EventScheduler()
-        auto.bind(sched, [ServerGroup(0, 1, lambda _p: 1.0, sched)])
+        start(auto, sched, [ServerGroup(0, 1, lambda _p: 1.0, sched)])
         auto.scale_log.append(scale_ev(50.0, "up", 1, 2))
         auto.fleet_size = 2
         block = auto.report_block(0.0, 10.0)

@@ -582,10 +582,6 @@ class TestServeSimAutoscale:
         (["--slo-p95", "1.0"], "--autoscale"),
         (["--scale-window", "10"], "--autoscale"),
         (["--max-servers", "4"], "--autoscale"),
-        (["--autoscale", "--slo-p95", "1.0", "--rebalance-online"],
-         "rebalance"),
-        (["--autoscale", "--slo-p95", "1.0", "--fail-at", "300",
-          "--fail-shard", "1"], "--fail-at"),
         (["--autoscale", "--slo-p95", "1.0", "--topology", "hybrid"],
          "hybrid"),
         (["--autoscale", "--slo-p95", "1.0", "--placement", "replicate"],
@@ -598,12 +594,65 @@ class TestServeSimAutoscale:
         assert code == 2
         assert "error:" in text and self.LIBRARY_SAYS.get(msg, msg) in text
 
-    # Three of the conflicts above are now rejected by the library, not
-    # the CLI, so the message names the concept instead of the flag (the
-    # parametrize ids keep the flag spelling).
-    LIBRARY_SAYS = {"rebalance": "online rebalancing",
-                    "--fail-at": "failure injection",
-                    "--max-servers": "max_replicas"}
+    # This conflict is rejected by the library, not the CLI, so the
+    # message names the concept instead of the flag (the parametrize id
+    # keeps the flag spelling).
+    LIBRARY_SAYS = {"--max-servers": "max_replicas"}
+
+    COMPOSED = ["--autoscale", "--slo-p95", "1e-6", "--max-servers", "4",
+                "--rebalance-online", "--rebalance-threshold", "0.05",
+                "--fail-at", "300", "--fail-shard", "1",
+                "--recover-at", "700", "--memsync", "push"]
+
+    def test_three_controllers_run_together(self, tmp_path):
+        """``--autoscale``, ``--rebalance-online`` and ``--fail-at`` used
+        to exclude each other pairwise (two exit-2 rows above); they are
+        one legal run now: every controller acts, the trace replays
+        clean, and the report is deterministic and pinned."""
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for path in paths:
+            code, text = run(self.BASE + self.COMPOSED
+                             + ["--check-trace", "--json", path])
+            assert code == 0
+            assert "trace check: clean" in text and "7 checks" in text
+            assert "rebalance online:" in text and "chaos dead:" in text
+            assert "autoscale slo-p95" in text
+        a, b = (open(p, "rb").read() for p in paths)
+        golden = os.path.join(TestServeSimGolden.GOLDEN_DIR,
+                              "serve_sim_sharded_composed.json")
+        with open(golden, "rb") as f:
+            assert a == b == f.read()
+
+    def test_dropped_plans_are_reported(self, tmp_path):
+        """A load at which the scaler's splits overtake rebalancer moves
+        decided in the same window: the drops are counted in the JSON and
+        named in the human report (and absent from both at zero — the
+        composed golden above has none)."""
+        import json
+        path = str(tmp_path / "r.json")
+        code, text = run([
+            "serve-sim", "--dataset", "wikipedia", "--edges", "600",
+            "--shards", "1", "--streams", "2", "--backend", "cpu-32t",
+            "--window-s", "3600", "--memory-dim", "8", "--seed", "0",
+            "--speedup", "20000", "--autoscale", "--slo-p95", "1e-6",
+            "--max-servers", "4", "--rebalance-online",
+            "--rebalance-threshold", "0.05", "--check-trace",
+            "--json", path])
+        assert code == 0 and "trace check: clean" in text
+        with open(path) as f:
+            stale = json.load(f)["stale_plans"]
+        assert stale > 0
+        assert f"control plane: {stale} stale ownership plan(s)" in text
+
+    @pytest.mark.parametrize("pair", [
+        ["--rebalance-online"],
+        ["--fail-at", "300", "--fail-shard", "1"]])
+    def test_each_pairing_with_autoscale_replays_clean(self, pair):
+        code, text = run(self.BASE + ["--autoscale", "--slo-p95", "1e-6",
+                                      "--max-servers", "4", "--check-trace"]
+                         + pair)
+        assert code == 0
+        assert "trace check: clean" in text and "7 checks" in text
 
 
 class TestReportStrictJson:

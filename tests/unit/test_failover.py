@@ -36,8 +36,10 @@ from repro.autograd import no_grad
 from repro.datasets import wikipedia_like
 from repro.graph import iter_fixed_size
 from repro.pipeline import LinearCostBackend
+from repro.analysis.tracecheck import check_run
 from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
-                           FailureInjector, FailurePlan, HeapEventScheduler,
+                           FailureEvent, FailureInjector, FailurePlan,
+                           FlushEvent, HeapEventScheduler,
                            MigrationEvent, OnlineRebalancer, Placement,
                            ReplicatedReadMostly, ServerGroup,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
@@ -45,7 +47,8 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            VertexHeat, hash_assignment, make_stream_arrivals,
                            replica_shards_from_traffic)
 from repro.serving.memsync import fail_over, hand_off
-from tests.unit.test_rebalance import (assert_held_state_bit_identical,
+from tests.unit.test_rebalance import (assert_held_embeddings_bit_identical,
+                                       assert_held_state_bit_identical,
                                        drifting_graph, setup_model,
                                        unsharded_reference)
 
@@ -89,15 +92,22 @@ class TestFailurePlanValidation:
             FailurePlan(fail_at=2.0, shard=1, mode="slow")])
         assert mixed.chaos == "mixed"
 
-    def test_bind_validates_fleet(self):
-        inj = FailureInjector(FailurePlan(fail_at=1.0, shard=3))
-        sched = EventScheduler()
-        groups = [ServerGroup(i, 1, lambda p: 1.0, sched) for i in range(2)]
-        with pytest.raises(ValueError, match="out of range"):
-            inj.bind(sched, groups, ShardRouter(2, 8))
-        lone = FailureInjector(FailurePlan(fail_at=1.0, shard=0))
-        with pytest.raises(ValueError, match="survivor"):
-            lone.bind(sched, groups[:1], ShardRouter(2, 8))
+    def test_outages_of_one_shard_may_not_overlap(self):
+        """A second failure of a shard that is still down used to
+        overwrite its ownership snapshot with an empty one, so recovery
+        failed nothing back."""
+        with pytest.raises(ValueError, match="overlap"):
+            FailureInjector([FailurePlan(fail_at=1.0, shard=1),
+                             FailurePlan(fail_at=2.0, shard=1,
+                                         recover_at=3.0)])
+        with pytest.raises(ValueError, match="overlap"):
+            FailureInjector([FailurePlan(2.0, shard=1, mode="slow",
+                                         recover_at=4.0),
+                             FailurePlan(1.0, shard=1, recover_at=2.0)])
+        # Back to back on one shard, or overlapping on two, is legal.
+        FailureInjector([FailurePlan(1.0, shard=1, recover_at=2.0),
+                         FailurePlan(3.0, shard=1),
+                         FailurePlan(1.5, shard=0)])
 
 
 # --------------------------------------------------------------------------- #
@@ -255,7 +265,7 @@ class TestRouterFailOver:
 
     def test_promotes_lowest_replica_and_rebuilds_rest(self):
         router = self._replicated_router()
-        promoted, rebuilt = router.fail_over(1)
+        promoted, rebuilt = router.fail_over(1, np.ones(3, dtype=bool))
         assert sorted(promoted.tolist()) == [1, 2]
         assert rebuilt.tolist() == [5]
         # Promotion: lowest surviving replica becomes owner, the rest of
@@ -276,16 +286,29 @@ class TestRouterFailOver:
                               replicas={0: (1, 2), 3: (1,)},
                               policy="replicate")
         router = ShardRouter.from_placement(placement)
-        promoted, rebuilt = router.fail_over(1)
+        promoted, rebuilt = router.fail_over(1, np.ones(3, dtype=bool))
         assert len(promoted) == 0 and len(rebuilt) == 0
         assert router.placement.replicas == {0: (2,)}
         assert not router._member[1].any()
 
     def test_fail_over_validation(self):
-        with pytest.raises(ValueError, match="only shard"):
-            ShardRouter(1, 4).fail_over(0)
+        with pytest.raises(ValueError, match="only live shard"):
+            ShardRouter(1, 4).fail_over(0, [True])
+        with pytest.raises(ValueError, match="only live shard"):
+            ShardRouter(3, 4).fail_over(0, [True, False, False])
         with pytest.raises(ValueError):
-            ShardRouter(2, 4).fail_over(2)
+            ShardRouter(2, 4).fail_over(2, [True, True])
+
+    def test_only_live_shards_receive_ownership(self):
+        """The caller's live set — not "everyone but the dead shard" —
+        bounds both halves: a replica on a shard that is already down is
+        not promoted, and the round-robin skips it."""
+        router = self._replicated_router()
+        live = np.array([True, True, False])     # shard 2 is already down
+        promoted, rebuilt = router.fail_over(1, live)
+        assert promoted.tolist() == [1]          # vertex 2's replica is on 2
+        assert rebuilt.tolist() == [2, 5]
+        assert (router.assignment[[1, 2, 5]] == 0).all()
 
 
 class TestCacheFailOver:
@@ -302,7 +325,8 @@ class TestCacheFailOver:
     def test_dead_row_is_scrubbed_and_rebuilt_owner_is_current(self):
         router, cache = self._fleet()
         cache.note_writes(np.array([1, 2]), range(2))
-        owned, promoted, rebuilt, peers = fail_over(router, cache, 1)
+        owned, promoted, rebuilt, peers = fail_over(router, cache, 1,
+                                                    [True, True])
         assert owned.tolist() == rebuilt.tolist() == [1, 2]
         assert not len(promoted)
         # Sources are chosen before the flip: the new owner held nothing
@@ -412,6 +436,59 @@ class TestShardedRuntimeFailover:
                 srt.process_batch(batch)
         assert len(srt.held_vertices(2)) == 0
         assert_held_state_bit_identical(srt, rt)
+
+    def test_fail_during_split_is_bit_identical(self):
+        """The composed scenario: an elastic split is half done when its
+        donor dies.  Half of shard 0's vertices ``migrate`` onto the
+        empty shard 2, shard 0 then fails (the rest promote their
+        replica on shard 1; the split half stays where the split put
+        it), and recovery fails back only what shard 0 still owned —
+        state and embeddings stay bit-identical throughout."""
+        g, model = setup_model()
+        rt, ref = unsharded_reference(model, g)
+        assignment = hash_assignment(g.num_nodes, 2)
+        donor_owned = np.flatnonzero(assignment == 0)
+        placement = Placement(assignment=assignment, num_shards=3,
+                              replicas={int(v): (1,) for v in donor_owned},
+                              policy="replicate")
+        srt = ShardedRuntime(model, g, placement=placement, policy="push")
+        split = donor_owned[:len(donor_owned) // 2]
+        kept = donor_owned[len(donor_owned) // 2:]
+        checked = 0
+        with no_grad():
+            for i, batch in enumerate(iter_fixed_size(g, 50)):
+                if i == 3:
+                    assert srt.migrate(split, 2) == len(split)
+                if i == 5:
+                    info = srt.fail_shard(0)
+                    assert info == {"promoted": len(kept), "rebuilt": 0,
+                                    "cold": 0, "rows": 0}
+                    assert (srt.router.assignment[split] == 2).all()
+                    assert (srt.router.assignment[kept] == 1).all()
+                    assert len(srt.held_vertices(0)) == 0
+                if i == 8:
+                    assert srt.recover_shard(0) == len(kept)
+                    assert (srt.router.assignment[kept] == 0).all()
+                    assert (srt.router.assignment[split] == 2).all()
+                outs = srt.process_batch(batch)
+                checked += assert_held_embeddings_bit_identical(
+                    srt, batch, outs, ref[i])
+        assert checked > 0
+        assert_held_state_bit_identical(srt, rt)
+        assert srt.cache.stale_reads == 0
+
+    def test_second_failure_skips_the_shard_already_down(self):
+        """``fail_shard`` passes its own live set: a rebuild never
+        round-robins onto a shard that failed earlier."""
+        g, model = setup_model()
+        srt = ShardedRuntime(model, g, num_shards=4, policy="push")
+        srt.fail_shard(0)
+        srt.fail_shard(1)
+        assert np.isin(srt.router.assignment, [2, 3]).all()
+        srt.fail_shard(2)
+        assert (srt.router.assignment == 3).all()
+        with pytest.raises(ValueError, match="only live shard"):
+            srt.fail_shard(3)
 
     def test_double_failure_and_bad_recovery_raise(self):
         g, model = setup_model()
@@ -572,13 +649,63 @@ class TestEngineChaosInvariants:
                           topology="pool",
                           failures=FailurePlan(fail_at=1.0, shard=0))
 
-    def test_rebalancer_and_failures_are_mutually_exclusive(self):
-        g = wikipedia_like(num_edges=100, num_users=20, num_items=5)
-        with pytest.raises(ValueError, match="together"):
-            ServingEngine(
-                [LinearCostBackend() for _ in range(2)], g.num_nodes,
-                rebalancer=OnlineRebalancer(window_s=1.0),
-                failures=FailurePlan(fail_at=1.0, shard=0))
+    def test_rebalancer_and_failures_compose(self):
+        """The pairing the engine used to refuse: the rebalancer keeps
+        migrating through a dead-shard outage, never onto the dead
+        shard, and the trace replays clean."""
+        g = drifting_graph(seed=5 + CHAOS_SEED)
+        victim = CHAOS_SEED % self.SHARDS
+        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
+                               hysteresis=0.0)
+        engine = ServingEngine(
+            [LinearCostBackend(per_edge_s=6e-3) for _ in range(self.SHARDS)],
+            g.num_nodes, memsync="push", rebalancer=reb,
+            failures=FailurePlan(0.4, shard=victim, recover_at=0.9))
+        initial = engine.router.assignment.copy()
+        rep = engine.run(g, window_s=250.0, speedup=2400.0, num_streams=2,
+                         trace=True)
+        assert check_run(engine=engine, report=rep,
+                         initial_assignment=initial).ok
+        assert rep.migrations > 0 and rep.rebuilt_vertices > 0
+        assert rep.recoveries == 1
+        outage = [ev for ev in reb.migration_log if 0.4 <= ev.t < 0.9]
+        assert outage and all(ev.to_shard != victim for ev in outage)
+        plane = engine.last_control
+        moves = [e for e in engine.last_event_trace
+                 if isinstance(e, MigrationEvent)
+                 and e.reason not in ("promote", "rebuild")]
+        assert len(moves) + plane.stale == plane.proposed
+
+    def test_two_shards_down_at_once_never_route_to_the_dead(self):
+        """Regression: the second failover's survivor set was "everyone
+        but me", so it round-robined vertices onto the shard that was
+        already dead and every window touching them dropped."""
+        g = drifting_graph(seed=5 + CHAOS_SEED)
+        first, second = CHAOS_SEED % self.SHARDS, (CHAOS_SEED + 1) % self.SHARDS
+        both = [FailurePlan(0.3, shard=first), FailurePlan(0.6, shard=second)]
+        alone = [run_chaos(g, p, shards=self.SHARDS)[3] for p in both]
+        engine, initial, arrivals, rep = run_chaos(g, both,
+                                                   shards=self.SHARDS)
+        assert rep.windows + rep.dropped_windows == len(arrivals)
+        assert rep.dropped_windows <= sum(r.dropped_windows for r in alone)
+        assert check_run(engine=engine, report=rep,
+                         initial_assignment=initial).ok
+        assert not np.isin(engine.router.assignment, [first, second]).any()
+        # From each failure on, its shard owns nothing whenever a job is
+        # routed (the evacuation completes within the failure instant)
+        # and is sent nothing.
+        owner = initial.copy()
+        down = {}
+        for ev in engine.last_event_trace:
+            if isinstance(ev, FailureEvent):
+                down[ev.shard] = ev.t
+            elif isinstance(ev, MigrationEvent):
+                owner[ev.vertex] = ev.to_shard
+            elif isinstance(ev, FlushEvent):
+                assert not np.isin(owner, list(down)).any()
+        for shard, t_fail in down.items():
+            offered = engine.last_control.groups[shard].arrivals
+            assert offered and all(t < t_fail for t, _ in offered)
 
     def test_recovery_rows_priced_across_dies(self):
         """Recovery traffic crossing a die boundary inflates the new

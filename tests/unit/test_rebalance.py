@@ -31,8 +31,8 @@ from repro.graph import TemporalGraph, iter_fixed_size
 from repro.graph.temporal_graph import EdgeBatch
 from repro.models import ModelConfig, TGNN
 from repro.pipeline import LinearCostBackend
-from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
-                           HotColdHybrid, MigrationEvent, OnlineRebalancer,
+from repro.serving import (HANDOFF_ROWS_PER_VERTEX, ControlPlane,
+                           EventScheduler, HotColdHybrid, MigrationEvent, OnlineRebalancer,
                            Placement, ReplicatedReadMostly, ServerGroup,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
                            ShardRouter, ShardedRuntime, VersionedMemoryCache,
@@ -78,23 +78,12 @@ class TestOnlineRebalancerValidation:
         with pytest.raises(ValueError, match="promote_heat"):
             OnlineRebalancer(window_s=1.0, promote_heat=2, demote_heat=2)
 
-    def test_observe_requires_bind(self):
-        reb = OnlineRebalancer(window_s=1.0)
-        with pytest.raises(RuntimeError, match="bind"):
-            reb.observe(0.0, None)
-
     def test_pool_topology_rejects_rebalancer(self):
         g = wikipedia_like(num_edges=100, num_users=20, num_items=5)
         with pytest.raises(ValueError, match="rebalance"):
             ServingEngine([LinearCostBackend()], g.num_nodes,
                           topology="pool",
                           rebalancer=OnlineRebalancer(window_s=1.0))
-
-    def test_bind_rejects_pool_shard_out_of_range(self):
-        reb = OnlineRebalancer(window_s=1.0)
-        router = ShardRouter(2, 10)
-        with pytest.raises(ValueError, match="pool_shard"):
-            reb.bind(EventScheduler(), [], router, pool_shard=2)
 
     def test_single_shard_fleet_is_a_noop(self):
         """A lone shard has nowhere to donate: an overloaded 1-shard run
@@ -234,6 +223,26 @@ def assert_held_state_bit_identical(srt, rt):
                               rt.state.last_update[held])
 
 
+def assert_held_embeddings_bit_identical(srt, batch, outs, ref_res):
+    """Held query rows of one sharded batch equal the unsharded rows *at
+    the membership in force when the batch ran* (ownership only moves
+    between batches, so splitting again is exact).  Returns the number
+    of rows compared."""
+    checked = 0
+    pos = {int(e): k for k, e in enumerate(batch.eid)}
+    for sb in srt.router.split(batch):
+        res = outs[sb.shard]
+        rows = np.empty(len(res.nodes), dtype=np.int64)
+        for k in range(len(sb.batch)):
+            p = pos[int(sb.batch.eid[k])]
+            rows[2 * k], rows[2 * k + 1] = 2 * p, 2 * p + 1
+        held = srt.router._member[sb.shard, res.nodes]
+        assert np.array_equal(res.embeddings.data[held],
+                              ref_res.embeddings.data[rows[held]])
+        checked += int(held.sum())
+    return checked
+
+
 def migration_plan(srt, batch, step, exclude=()):
     """Pick up to two non-replicated endpoints of ``batch`` and a rotating
     target shard — deterministic, so the suite is reproducible."""
@@ -261,21 +270,8 @@ class TestMigrationExactness:
                     vs, target = migration_plan(srt, batch, i)
                     migrated += srt.migrate(vs, target)
                 outs = srt.process_batch(batch)
-                # Held query rows equal the unsharded rows *at the
-                # membership in force when the batch ran* (migrations only
-                # happen between batches, so splitting again is exact).
-                ref_res = ref[i]
-                pos = {int(e): k for k, e in enumerate(batch.eid)}
-                for sb in srt.router.split(batch):
-                    res = outs[sb.shard]
-                    rows = np.empty(len(res.nodes), dtype=np.int64)
-                    for k in range(len(sb.batch)):
-                        p = pos[int(sb.batch.eid[k])]
-                        rows[2 * k], rows[2 * k + 1] = 2 * p, 2 * p + 1
-                    held = srt.router._member[sb.shard, res.nodes]
-                    assert np.array_equal(res.embeddings.data[held],
-                                          ref_res.embeddings.data[rows[held]])
-                    checked += int(held.sum())
+                checked += assert_held_embeddings_bit_identical(
+                    srt, batch, outs, ref[i])
         assert migrated > 0 and checked > 0
         assert_held_state_bit_identical(srt, rt)
         # Exactness was bought with traffic: the handoff rows are priced
@@ -661,8 +657,11 @@ class TestDepthTrigger:
         # only the depth trigger can flag the donor.
         reb = OnlineRebalancer(window_s=1.0, util_threshold=1e12,
                                depth_threshold=2, hysteresis=0.0)
-        reb.bind(sched, [slow, idle], router)
-        reb.observe(0.0, batch)
-        reb.observe(2.0, batch)             # closes the window: evaluate
-        assert reb.migrations > 0
+        plane = ControlPlane(sched, [slow, idle], router, None, None,
+                             rebalancer=reb)
+        plane.observe(0.0, batch)
+        plane.observe(2.0, batch)           # closes the window: evaluate
+        assert reb.migrations == 0 < plane.proposed     # decided, not yet
+        sched.run()                                     # ... applied
+        assert reb.migrations == plane.proposed and plane.stale == 0
         assert all(ev.reason == "overload" for ev in reb.migration_log)

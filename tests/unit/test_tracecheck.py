@@ -22,8 +22,9 @@ from repro.analysis.tracecheck import (TraceCheckReport, TraceFinding,
                                        check_service_exactly_once)
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.pipeline import LinearCostBackend
-from repro.serving import (FailurePlan, FlushEvent, HeapEventScheduler,
-                           MailEvent, MigrationEvent, OnlineRebalancer,
+from repro.serving import (FailureEvent, FailurePlan, FlushEvent,
+                           HeapEventScheduler, MailEvent, MigrationEvent,
+                           OnlineRebalancer, RecoveryEvent,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine)
 
 
@@ -120,6 +121,34 @@ class TestKnownBadTraces:
                  MigrationEvent(2.0, 0, 1, 2, 4, "hot")]   # chained handoff
         assert check_ownership_chain(trace, [0, 9],
                                      final_assignment=[2, 9]) == []
+
+    def test_move_onto_a_dead_shard_is_flagged(self):
+        """The parent's overlapping-failover bug, in miniature: shard 1's
+        rebuild round-robins vertex 1 onto shard 0, which died first."""
+        trace = [FailureEvent(1.0, 0, "dead", 4.0),
+                 MigrationEvent(1.0, 0, 0, 2, 2, "rebuild"),
+                 FailureEvent(2.0, 1, "dead", 4.0),
+                 MigrationEvent(2.0, 1, 1, 0, 2, "rebuild")]
+        fs = check_ownership_chain(trace, [0, 1, 2])
+        assert checks_of(fs) == ["ownership-chain"] * 2
+        assert fs[0].t == 2.0 and "which is dead" in fs[0].detail
+        assert "still dead" in fs[1].detail and "vertex 1" in fs[1].detail
+
+    def test_unevacuated_dead_shard_is_flagged(self):
+        trace = [FailureEvent(1.0, 1, "dead", 4.0),
+                 MigrationEvent(1.0, 1, 1, 0, 2, "rebuild")]   # not vertex 2
+        fs = check_ownership_chain(trace, [0, 1, 1])
+        assert checks_of(fs) == ["ownership-chain"]
+        assert "1 vertex(es) end the run" in fs[0].detail
+
+    def test_failover_onto_live_shards_and_fail_back_is_clean(self):
+        trace = [FailureEvent(1.0, 1, "dead", 4.0),
+                 FailureEvent(1.5, 2, "slow", 4.0),     # slow: still a home
+                 MigrationEvent(1.0, 1, 1, 2, 2, "rebuild"),
+                 RecoveryEvent(3.0, 1, "dead"),
+                 MigrationEvent(3.0, 1, 2, 1, 2, "fail-back")]
+        assert check_ownership_chain(trace, [0, 1, 2],
+                                     final_assignment=[0, 1, 2]) == []
 
     def test_dropped_job_breaks_report_conservation(self):
         report = SimpleNamespace(windows=3, dropped_windows=0)
