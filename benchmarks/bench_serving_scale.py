@@ -38,11 +38,13 @@ the smoke path (under a wall-clock budget that guards the event loop's
 per-event overhead) to keep this harness from rotting.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
-from repro.graph import TemporalGraph
+from repro.graph import EdgeBatch, TemporalGraph
 from repro.models import ModelConfig, TGNN
 from repro.perf import CPU_32T
 from repro.pipeline import (LinearCostBackend, ModeledGPPBackend,
@@ -53,7 +55,8 @@ from repro.serving import (MEMSYNC_POLICIES, AutoScaler, CapacityConfig,
                            DynamicBatcher, FailurePlan,
                            HeapEventScheduler, HotColdHybrid,
                            OnlineRebalancer, Placement, ServingEngine,
-                           StaticHashPlacement, VertexHeat, hash_assignment,
+                           ShardRouter, StaticHashPlacement,
+                           VersionedMemoryCache, VertexHeat, hash_assignment,
                            make_policy, make_stream_arrivals)
 
 pytestmark = pytest.mark.smoke
@@ -810,6 +813,63 @@ def test_event_core_speedup(capsys, smoke):
                      "streams": streams, "speedup": 50.0,
                      "max_delay_s": 2.0, "topology": "pool",
                      "pool_servers": 2, "reps": reps,
+                     "mode": "smoke" if smoke else "full"},
+    })
+
+
+# --------------------------------------------------------------------------- #
+def test_router_split_scaling(capsys, smoke):
+    """``ShardRouter.split`` cost must not grow with the shard count.
+
+    The split computes one ``(shard, edge)`` incidence per flush instead
+    of looping over shards, so a 1-edge batch — the serving fleets' usual
+    job — costs the same whether the fleet has 4 shards or 16; the loop
+    it replaced paid five masks and five gathers per shard (16 over 4:
+    ~1.7x).  Both lanes split the same batches under ``push`` memsync in
+    one process, best of N passes each, so the ratio is
+    machine-independent; it lands in ``results/BENCH_router_split.json``
+    for the CI perf-trajectory check (ceiling 1.3).
+    """
+    calls, reps = (1500, 5) if smoke else (6000, 9)
+    num_nodes = 400
+    rng = np.random.default_rng(16)
+    ends = rng.integers(0, num_nodes, size=(calls, 2))
+    batches = [EdgeBatch(src=ends[i, :1], dst=ends[i, 1:],
+                         t=np.array([float(i)]), eid=np.array([i]),
+                         edge_feat=np.zeros((1, 4)))
+               for i in range(calls)]
+
+    def one_pass(num_shards):
+        router = ShardRouter(num_shards, num_nodes)
+        cache = VersionedMemoryCache(router.placement, policy="push")
+        t0 = time.perf_counter()
+        for batch in batches:
+            router.split(batch, cache=cache)
+        return (time.perf_counter() - t0) / calls * 1e6
+
+    lanes = (4, 16)
+    best = dict.fromkeys(lanes, float("inf"))
+    for _ in range(reps):            # alternate lanes; min absorbs jitter
+        for num_shards in lanes:
+            best[num_shards] = min(best[num_shards], one_pass(num_shards))
+    ratio = best[16] / best[4]
+
+    rows = [{"shards": n, "us_per_call": best[n]} for n in lanes]
+    rows.append({"shards": "16 over 4", "us_per_call": ratio})
+    table = render_table(
+        rows, precision=3,
+        title=f"Router split — 1-edge batches, push memsync "
+              f"({'smoke' if smoke else 'full'})")
+    assert ratio <= 1.3
+
+    with capsys.disabled():
+        print(table)
+    save_result("router_split_scaling", table)
+    save_json("BENCH_router_split", {
+        "us_per_call": {str(n): best[n] for n in lanes},
+        "scaling_ratio": ratio,
+        "workload": {"calls": calls, "reps": reps, "edges_per_batch": 1,
+                     "num_nodes": num_nodes, "memsync": "push",
                      "mode": "smoke" if smoke else "full"},
     })
 

@@ -21,8 +21,15 @@ ratio is static-peak server-seconds over autoscaled server-seconds on
 the deterministic diurnal workload, pure event-time arithmetic and so
 exactly reproducible.
 
+``BENCH_router_split.json`` from ``test_router_split_scaling`` carries a
+``scaling_ratio`` instead — ``ShardRouter.split`` µs/call at 16 shards
+over 4, same batches, same process — where *lower* is better and the
+claim is absolute (the one-pass split does not grow with the shard
+count): it is held under the ``scaling_ratio_max`` ceiling committed in
+``benchmarks/baselines/router_split.json``, with no tolerance band.
+
 Other ``BENCH_*`` artifacts (e.g. ``BENCH_failover.json`` from the
-failure-injection sweep) carry no ``speedup_ratio``; pointing the guard
+failure-injection sweep) carry neither ratio; pointing the guard
 at one is a clean no-op rather than a KeyError, so CI can glob the
 results directory without special-casing which artifact is which.
 
@@ -50,6 +57,17 @@ def main(argv: list[str]) -> int:
         current = json.load(fh)
     with open(baseline_path) as fh:
         baseline = json.load(fh)
+
+    if "scaling_ratio" in current:
+        cur = float(current["scaling_ratio"])
+        ceiling = float(baseline["scaling_ratio_max"])
+        print(f"scaling ratio: current {cur:.2f}x, ceiling {ceiling:.2f}x")
+        if cur > ceiling:
+            print(f"FAIL: cost grows with scale beyond the committed "
+                  f"ceiling ({cur:.2f}x > {ceiling:.2f}x).")
+            return 1
+        print("OK: scaling ratio holds.")
+        return 0
 
     if "speedup_ratio" not in current:
         print(f"skip: {current_path} carries no speedup_ratio "

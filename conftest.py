@@ -19,6 +19,13 @@ def pytest_configure(config):
         "markers",
         "tier2: slow statistical test, excluded from tier-1; run with "
         "`pytest -m tier2`")
+    # A deprecation or syntax warning raised from the package's own code
+    # is an error.  Compile-time ones (an invalid escape in a docstring)
+    # name the module by file path, run-time ones by dotted name.
+    for category in ("DeprecationWarning", "SyntaxWarning"):
+        config.addinivalue_line(
+            "filterwarnings",
+            rf"error::{category}:(.*[\\/])?repro[./\\].*")
 
 
 def pytest_collection_modifyitems(config, items):

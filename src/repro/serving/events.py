@@ -1,4 +1,4 @@
-"""Discrete-event serving core: one scheduler, typed events, pluggable actors.
+r"""Discrete-event serving core: one scheduler, typed events, pluggable actors.
 
 Every serving composition in this package — single queue, partitioned
 shards, shared-queue pool, and the hybrid hot/cold topology — runs on the

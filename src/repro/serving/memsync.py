@@ -75,7 +75,7 @@ sync traffic (``ServingReport.sync_edges`` / ``stale_reads`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement
 from .router import CrossShardMailbox, ShardRouter
 
-__all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "ReadOutcome",
+__all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "SyncOutcome",
            "VersionedMemoryCache", "hand_off", "fail_over", "ShardedRuntime"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
@@ -99,11 +99,11 @@ HANDOFF_ROWS_PER_VERTEX = 2
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ReadOutcome:
-    """What one shard's read-set cost under the cache's policy."""
+class SyncOutcome(NamedTuple):
+    """What one shard's part of a sync step cost under the cache's policy."""
 
-    pulled: np.ndarray = field(default_factory=lambda: _EMPTY)
+    pulled: np.ndarray = _EMPTY  # rows to fetch from their owners first
+    pushed: np.ndarray = _EMPTY  # owner-updated rows riding in with the mail
     stale_reads: int = 0        # reads served from a stale mirror (none)
     max_lag: int = 0            # largest version lag among those reads
 
@@ -111,11 +111,15 @@ class ReadOutcome:
 class VersionedMemoryCache:
     """Per-vertex version counters + per-shard mirror stamps.
 
-    Pure accounting: callers drive :meth:`note_reads` /
-    :meth:`note_writes` in stream order and act on the returned pull/push
-    vertex sets (the engine prices them; :class:`ShardedRuntime` actually
-    copies the rows).  The matrices are ``(num_shards, num_nodes)`` — fine
-    at simulation scale; a deployment would keep per-shard sparse maps.
+    Pure accounting: callers drive :meth:`sync_batch` once per batch, in
+    stream order (plus :meth:`note_reads` for any further read phase), and
+    act on the returned pull/push vertex sets (the engine prices them;
+    :class:`ShardedRuntime` actually copies the rows).  The matrices are
+    ``(num_shards, num_nodes)`` — fine at simulation scale; a deployment
+    would keep per-shard sparse maps.
+
+    Both entry points run the one :meth:`_step`, which holds the read
+    rule and the write rule.
     """
 
     def __init__(self, placement: Placement, policy: str = "none"):
@@ -149,60 +153,86 @@ class VersionedMemoryCache:
         return self.pulled_rows + self.pushed_rows
 
     # ------------------------------------------------------------------ #
-    def note_reads(self, shard: int, vertices: np.ndarray) -> ReadOutcome:
-        """Account one shard's read-set; returns the rows it must pull.
+    def _step(self, v: np.ndarray, reads: np.ndarray,
+              write: bool) -> dict[int, SyncOutcome]:
+        """Reads, then (``write``) the owner writes, on the columns ``v``.
 
-        Under ``none`` stale reads are only counted; under ``invalidate``
-        and ``push`` every stale row is pulled from its owner and the
-        mirror stamped current — the caller is responsible for actually
-        transferring the returned ``pulled`` rows before using them.
+        The one implementation of both rules.  The ``[:, v]`` sub-matrices
+        are gathered once, updated in place and scattered back once;
+        ``reads[s, j]`` marks shard ``s`` reading ``v[j]``, and a shard is
+        *present* when its row has any.
+
+        Read rule: holders are never stale; a non-holder's read is stale
+        when its stamp lags the owner version.  Under ``none`` stale reads
+        are only counted; under ``invalidate`` and ``push`` every stale
+        row is pulled from its owner and the mirror stamped current.
+
+        Write rule: every column is written exactly once — its version
+        bumps, and its holders observe the event and stay current.  Under
+        ``push`` the updated rows are forwarded to the lagging mirrors
+        among the present shards (those receiving this job's mail);
+        absent mirrors simply lag and repair through the pull fallback on
+        their next read.
         """
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
-        v = v[~self._holder[shard, v]]       # holders are never stale
-        if not len(v):
-            return ReadOutcome()
-        lag = self.version[v] - self.mirror_version[shard, v]
-        stale = v[lag > 0]
+        holder = self._holder.take(v, axis=1)
+        version = self.version[v]
+        stamp = self.mirror_version.take(v, axis=1)
+        mirror = self._mirror.take(v, axis=1)
+        present = reads.any(axis=1)
+        lag = version - stamp
+        stale = reads & ~holder & (lag > 0)
+        n_stale = int(np.count_nonzero(stale))
         if self.policy == "none":
-            max_lag = int(lag.max(initial=0))
-            self.stale_reads += len(stale)
-            self.max_version_lag = max(self.max_version_lag, max_lag)
-            return ReadOutcome(stale_reads=len(stale),
-                               max_lag=max_lag if len(stale) else 0)
-        self.mirror_version[shard, stale] = self.version[stale]
-        self._mirror[shard, stale] = True
-        self.pulled_rows += len(stale)
-        return ReadOutcome(pulled=stale)
+            self.stale_reads += n_stale
+            self.max_version_lag = max(
+                self.max_version_lag, int(lag.max(where=stale, initial=0)))
+        else:
+            np.copyto(stamp, version, where=stale)
+            mirror |= stale
+            self.pulled_rows += n_stale
+        pushed = np.zeros_like(stale)
+        if write:
+            version += 1
+            np.copyto(stamp, version, where=holder)
+            if self.policy == "push":
+                # Holders were just stamped, so only mirrors can lag.
+                pushed = present[:, None] & mirror & (stamp < version)
+                np.copyto(stamp, version, where=pushed)
+                self.pushed_rows += int(np.count_nonzero(pushed))
+        self.version[v] = version
+        self.mirror_version[:, v] = stamp
+        self._mirror[:, v] = mirror
+        shards = present.nonzero()[0].tolist()
+        if self.policy == "none":
+            n = np.count_nonzero(stale, axis=1).tolist()
+            worst = lag.max(axis=1, where=stale, initial=0).tolist()
+            return {s: SyncOutcome(stale_reads=n[s], max_lag=worst[s])
+                    for s in shards}
+        return {s: SyncOutcome(pulled=v[stale[s]], pushed=v[pushed[s]])
+                for s in shards}
 
-    def note_writes(self, vertices: np.ndarray,
-                    present_shards) -> dict[int, np.ndarray]:
-        """Account one batch's owner writes; returns push deliveries.
+    def sync_batch(self, vertices: np.ndarray,
+                   reads: np.ndarray) -> dict[int, SyncOutcome]:
+        """One batch's whole sync step; returns each present shard's part.
 
-        ``vertices`` is the batch's (unique) endpoint set; every one of
-        them is written exactly once by the batch.  Holders observe the
-        event and stay current.  Under ``push`` the updated rows are
-        forwarded to mirror holders among ``present_shards`` (the shards
-        receiving this job's mail) — the returned ``{shard: vertices}``
-        deliveries the caller must apply.  Absent mirrors simply lag and
-        repair through the pull fallback on their next read.
+        ``vertices`` is the batch's sorted-unique endpoint set and
+        ``reads`` the ``(num_shards, len(vertices))`` read incidence: row
+        ``s`` marks the endpoints of shard ``s``'s sub-batch.  Every
+        present shard's reads run first, against the pre-batch versions,
+        then the batch's owner writes and their push deliveries — the
+        caller is responsible for actually transferring the returned
+        ``pulled`` rows before using them and applying the ``pushed``
+        deliveries after the writes.
         """
+        return self._step(vertices, reads, write=True)
+
+    def note_reads(self, shard: int, vertices: np.ndarray) -> SyncOutcome:
+        """Account one shard's read-set outside a batch step (a later
+        read phase of the same batch); returns the rows it must pull."""
         v = np.unique(np.asarray(vertices, dtype=np.int64))
-        if not len(v):
-            return {}
-        self.version[v] += 1
-        held = self._holder[:, v]                        # (S, |v|)
-        self.mirror_version[:, v] = np.where(
-            held, self.version[v][None, :], self.mirror_version[:, v])
-        pushes: dict[int, np.ndarray] = {}
-        if self.policy == "push":
-            for shard in present_shards:
-                tgt = v[self._mirror[shard, v] & ~self._holder[shard, v]
-                        & (self.mirror_version[shard, v] < self.version[v])]
-                if len(tgt):
-                    self.mirror_version[shard, tgt] = self.version[tgt]
-                    self.pushed_rows += len(tgt)
-                    pushes[shard] = tgt
-        return pushes
+        reads = np.zeros((self.num_shards, len(v)), dtype=bool)
+        reads[shard] = True
+        return self._step(v, reads, write=False).get(shard, SyncOutcome())
 
     def transfer_ownership(self, vertices, from_shards, to_shard: int) -> None:
         """Mirror stamps for ``vertices`` just moved from ``from_shards``
@@ -622,7 +652,7 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
         for sb in subs:
             g = self.runtimes[sb.shard].sampler.gather(sb.batch.nodes, k)
             gathers[sb.shard] = g
-            out = self.cache.note_reads(sb.shard, np.unique(g.nbrs[g.mask]))
+            out = self.cache.note_reads(sb.shard, g.nbrs[g.mask])
             self._transfer(out.pulled, sb.shard)
         return {sb.shard: self.model.embed(
             sb.batch, self.runtimes[sb.shard], self.graph,

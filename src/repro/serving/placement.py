@@ -67,6 +67,7 @@ __all__ = [
     "HotColdHybrid",
     "PLACEMENT_POLICIES", "make_policy", "hash_assignment",
     "padded_hash_placement", "replica_shards_from_traffic",
+    "shard_pair_counts",
 ]
 
 # 64-bit golden-ratio multiplier (Fibonacci hashing): cheap, deterministic,
@@ -130,6 +131,14 @@ def replica_shards_from_traffic(traffic: np.ndarray, owner: int,
     others = np.array([s for s in range(num_shards) if s != owner])
     order = np.lexsort((others, -traffic[owner, others]))
     return tuple(int(others[i]) for i in order[:n_extra])
+
+
+def shard_pair_counts(from_shards: np.ndarray, to_shards: np.ndarray,
+                      num_shards: int) -> np.ndarray:
+    """``(S, S)`` count of ``(from, to)`` shard pairs, one per entry."""
+    return np.bincount(from_shards * num_shards + to_shards,
+                       minlength=num_shards * num_shards
+                       ).reshape(num_shards, num_shards)
 
 
 # --------------------------------------------------------------------------- #
@@ -198,7 +207,8 @@ class Placement:
     ownership moves (:meth:`~repro.serving.router.ShardRouter.migrate` and
     :meth:`~repro.serving.router.ShardRouter.fail_over`); the router, the
     memsync cache and :meth:`mail_matrix` all read these same objects, so
-    there is no second copy to keep in step.  ``replicas=`` is a
+    there is no second copy to keep in step — and :meth:`incidence` is
+    the one statement of which shards an edge reaches.  ``replicas=`` is a
     constructor argument only — ``{vertex: extra holder shards}`` — and
     the :attr:`replicas` / :attr:`replicated_vertices` /
     :attr:`replica_copies` / :meth:`holders` views are derived from
@@ -259,26 +269,35 @@ class Placement:
         return (owner, *(s for s in np.flatnonzero(
             self.member[:, vertex]).tolist() if s != owner))
 
+    def incidence(self, src: np.ndarray,
+                  dst: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """Who receives each edge: ``(to_shard, edge, from_shard)`` triples.
+
+        The one definition of the routing rule: edge ``i`` reaches every
+        holder of ``src[i]`` or ``dst[i]``, and it comes *from* the owner
+        of its source, ``assignment[src[i]]`` — where it is local
+        (``from_shard == to_shard``); everywhere else it is mail.  The
+        owner is always a holder (the constructor and both ownership
+        moves keep it so), so the source's owner is among the receivers.
+        Triples are shard-major and in stream order within a shard.
+        """
+        to_shard, edge = (self.member[:, src] | self.member[:, dst]).nonzero()
+        return to_shard, edge, self.assignment[src][edge]
+
     def mail_matrix(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Predicted mailbox deliveries ``[from_shard, to_shard]``.
 
-        Mirrors the router exactly: edge ``(u, v)`` is processed locally on
-        ``assignment[u]`` and delivered to every *other* holder of ``u`` or
-        ``v``.  Used to re-price die crossings after a placement change
+        What :class:`~repro.serving.router.CrossShardMailbox` would count
+        had the router split these edges: the non-local :meth:`incidence`
+        pairs.  Used to re-price die crossings after a placement change
         (see :func:`repro.hw.plan_shard_dies_traffic_aware`).
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        member = self.member
-        s_src = self.assignment[src]
-        m = np.zeros((self.num_shards, self.num_shards), dtype=np.int64)
-        for shard in range(self.num_shards):
-            to_here = (member[shard, src] | member[shard, dst]) \
-                & (s_src != shard)
-            if to_here.any():
-                m[:, shard] += np.bincount(s_src[to_here],
-                                           minlength=self.num_shards)
-        return m
+        to_shard, _, from_shard = self.incidence(
+            np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+        mail = from_shard != to_shard
+        return shard_pair_counts(from_shard[mail], to_shard[mail],
+                                 self.num_shards)
 
 
 # --------------------------------------------------------------------------- #

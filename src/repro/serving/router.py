@@ -8,13 +8,33 @@ owns the *routing* of each incoming edge batch; the *partition* itself is a
 multiplicative hash, so ``ShardRouter(num_shards, num_nodes)`` behaves
 exactly as before.
 
-Routing rules (per edge ``(u, v)``):
+Routing rule (per edge ``(u, v)``, defined once in
+:meth:`Placement.incidence <repro.serving.placement.Placement.incidence>`):
+the edge reaches **every holder** of ``u`` or ``v`` — owners and replica
+shards alike.  On the shard owning its source, ``assignment[u]``, it is
+*local*; every other receiver gets it through the
+:class:`CrossShardMailbox`.
 
-* the edge is *local* to the shard owning its source vertex,
-  ``assignment[u]``, which processes it in stream order;
-* every **other holder** of either endpoint — the destination's owner, plus
-  any replica shards of ``u`` or ``v`` — additionally receives the edge
-  through the :class:`CrossShardMailbox`.
+One pass per flush
+------------------
+The paper gets its throughput by replacing per-vertex control with one
+pre-segmented streaming pass (FlowGNN argues the same for multi-queue
+dataflow), and :meth:`ShardRouter.split` routes a batch the same way: no
+loop over shards.  ``member[:, src] | member[:, dst]`` is the whole
+``(shard, edge)`` incidence; its ``nonzero()`` lists the pairs shard-major
+and in stream order within a shard; one gather of the five edge columns
+by the pairs' edge index lays every sub-batch out as a contiguous slice;
+local versus mail is ``assignment[src] != shard`` on the same pairs; the
+mailbox is credited once; and the memsync protocol is one batch-level
+step on the cache.  The cost of a split therefore follows the number of
+``(shard, edge)`` pairs, not the number of shards.
+
+That leans on one invariant of the ownership table — **the owner is
+always a holder** (``Placement.__init__``, :meth:`ShardRouter.migrate`
+and :meth:`ShardRouter.fail_over` all preserve it) — so the holder
+incidence alone already contains every edge's local copy.  And it gives
+one ordering guarantee: sub-batches come back in ascending shard order,
+each in stream order.
 
 Consequently every holder of a vertex sees exactly the edges incident to
 it, in stream order.  That gives a hard consistency guarantee for the FIFO
@@ -40,17 +60,20 @@ memory rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graph.temporal_graph import EdgeBatch
-from .placement import Placement, hash_assignment
+from .placement import Placement, hash_assignment, shard_pair_counts
 
 __all__ = ["ShardBatch", "CrossShardMailbox", "ShardRouter"]
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
+# One shard's part of a batch sync step when no cache runs one: the fields
+# of :class:`~repro.serving.memsync.SyncOutcome`, all empty.
+_NO_SYNC = (_NO_ROWS, _NO_ROWS, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -96,10 +119,10 @@ class CrossShardMailbox:
         # keyed the same way: [owner shard, receiving shard].
         self.sync_counts = np.zeros((num_shards, num_shards), dtype=np.int64)
 
-    def record(self, from_shards: np.ndarray, to_shard: int) -> None:
-        """Record forwarded edges (one per entry of ``from_shards``)."""
-        np.add.at(self.counts, (np.asarray(from_shards, dtype=np.int64),
-                                int(to_shard)), 1)
+    def record(self, from_shards: np.ndarray, to_shards: np.ndarray) -> None:
+        """Record forwarded edges, one per ``(from, to)`` entry pair."""
+        self.counts += shard_pair_counts(from_shards, to_shards,
+                                         self.num_shards)
 
     def record_sync(self, from_shards: np.ndarray, to_shard: int) -> None:
         """Record synced memory rows (one per entry of ``from_shards``)."""
@@ -228,51 +251,67 @@ class ShardRouter:
     def split(self, batch: EdgeBatch,
               mailbox: CrossShardMailbox | None = None,
               cache=None) -> list[ShardBatch]:
-        """Partition ``batch`` into per-shard sub-batches.
+        """Partition ``batch`` into per-shard sub-batches, in one pass.
 
-        Each returned sub-batch preserves stream order.  An edge appears on
-        its source's owner (local) and on every other holder of either
-        endpoint (mail) — with no replication that is exactly the two
-        owners.  Shards with no incident edges are omitted.
+        An edge appears on its source's owner (local) and on every other
+        holder of either endpoint (mail) — with no replication that is
+        exactly the two owners.  Sub-batches come back in ascending shard
+        order, each in stream order; shards with no incident edge are
+        omitted, and an empty batch returns ``[]``.
+
+        :meth:`Placement.incidence` lists the ``(shard, edge)`` pairs
+        shard-major (the owner is always a holder, so the local copies
+        are among them): one gather of the five edge columns by the
+        pairs' edge index lays every sub-batch out as a contiguous slice,
+        and the mail pairs — those whose source is owned elsewhere — are
+        a second run of contiguous slices, credited to ``mailbox`` once.
 
         With a :class:`~repro.serving.memsync.VersionedMemoryCache` as
-        ``cache``, the split also runs the sync protocol for this batch in
-        stream order — every shard's endpoint reads first (against the
-        pre-batch versions), then the batch's owner writes — and attaches
-        the resulting pull/push row sets and staleness counts to each
+        ``cache``, the split also runs the batch's sync step
+        (:meth:`~repro.serving.memsync.VersionedMemoryCache.sync_batch`:
+        every shard's endpoint reads against the pre-batch versions, then
+        the batch's owner writes) and attaches the resulting pull/push
+        row sets (ascending vertex ids) and staleness counts to each
         :class:`ShardBatch`.  The caller prices (or, in a functional
         replay, actually transfers) those rows; ``split`` itself never
         touches vertex state.
         """
-        s_src = self.assignment[batch.src]
-        out: list[ShardBatch] = []
-        for shard in range(self.num_shards):
-            local = s_src == shard
-            held = self._member[shard, batch.src] \
-                | self._member[shard, batch.dst]
-            mail = held & ~local
-            sel = local | mail
-            if not sel.any():
-                continue
-            sub = EdgeBatch(src=batch.src[sel], dst=batch.dst[sel],
-                            t=batch.t[sel], eid=batch.eid[sel],
-                            edge_feat=batch.edge_feat[sel])
-            mail_from = s_src[mail]
-            if mailbox is not None and len(mail_from):
-                mailbox.record(mail_from, shard)
-            out.append(ShardBatch(shard=shard, batch=sub,
-                                  local_edges=int(local.sum()),
-                                  mail_edges=int(mail.sum()),
-                                  mail_from=mail_from))
+        to_shard, edge, from_shard = self.placement.incidence(batch.src,
+                                                              batch.dst)
+        src, dst = batch.src[edge], batch.dst[edge]
+        t, eid, feat = batch.t[edge], batch.eid[edge], batch.edge_feat[edge]
+        counts = np.bincount(to_shard, minlength=self.num_shards)
+        present = counts.nonzero()[0].tolist()
+        end = counts.cumsum().tolist()
+        mail = (from_shard != to_shard).nonzero()[0]
+        mail_from, mail_to = from_shard[mail], to_shard[mail]
+        mail_end = np.bincount(mail_to, minlength=self.num_shards) \
+            .cumsum().tolist()
+        if mailbox is not None:
+            mailbox.record(mail_from, mail_to)
         if cache is None:
-            return out
-        reads = {sb.shard: cache.note_reads(sb.shard,
-                                            np.unique(sb.batch.nodes))
-                 for sb in out}
-        pushes = cache.note_writes(np.unique(batch.nodes),
-                                   [sb.shard for sb in out])
-        return [replace(sb, sync_pull=reads[sb.shard].pulled,
-                        sync_push=pushes.get(sb.shard, _NO_ROWS),
-                        stale_reads=reads[sb.shard].stale_reads,
-                        version_lag=reads[sb.shard].max_lag)
-                for sb in out]
+            sync = dict.fromkeys(present, _NO_SYNC)
+        else:
+            # Column j of ``reads`` is endpoint ``rows[j]``; row s marks
+            # the endpoints of shard s's sub-batch.
+            rows = np.unique(batch.nodes)
+            reads = np.zeros((self.num_shards, len(rows)), dtype=bool)
+            reads[to_shard, rows.searchsorted(src)] = True
+            reads[to_shard, rows.searchsorted(dst)] = True
+            sync = cache.sync_batch(rows, reads)
+        out = []
+        lo = mail_lo = 0
+        for shard in present:
+            hi, mail_hi = end[shard], mail_end[shard]
+            pulled, pushed, stale_reads, max_lag = sync[shard]
+            out.append(ShardBatch(
+                shard=shard,
+                batch=EdgeBatch(src=src[lo:hi], dst=dst[lo:hi], t=t[lo:hi],
+                                eid=eid[lo:hi], edge_feat=feat[lo:hi]),
+                local_edges=(hi - lo) - (mail_hi - mail_lo),
+                mail_edges=mail_hi - mail_lo,
+                mail_from=mail_from[mail_lo:mail_hi],
+                sync_pull=pulled, sync_push=pushed,
+                stale_reads=stale_reads, version_lag=max_lag))
+            lo, mail_lo = hi, mail_hi
+        return out

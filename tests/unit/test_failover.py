@@ -47,6 +47,7 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            VertexHeat, hash_assignment, make_stream_arrivals,
                            replica_shards_from_traffic)
 from repro.serving.memsync import fail_over, hand_off
+from tests.unit.test_memsync import sync_step
 from tests.unit.test_rebalance import (assert_held_embeddings_bit_identical,
                                        assert_held_state_bit_identical,
                                        drifting_graph, setup_model,
@@ -324,7 +325,7 @@ class TestCacheFailOver:
 
     def test_dead_row_is_scrubbed_and_rebuilt_owner_is_current(self):
         router, cache = self._fleet()
-        cache.note_writes(np.array([1, 2]), range(2))
+        sync_step(cache, {1: [1, 2]})
         owned, promoted, rebuilt, peers = fail_over(router, cache, 1,
                                                     [True, True])
         assert owned.tolist() == rebuilt.tolist() == [1, 2]

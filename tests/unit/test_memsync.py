@@ -36,18 +36,33 @@ def two_shard_placement():
     return Placement(assignment=np.array([0, 0, 1, 1]), num_shards=2)
 
 
+def sync_step(cache, reads):
+    """Drive one batch step: ``reads`` maps each present shard to the
+    endpoints of its sub-batch, and the batch writes their union."""
+    v = np.unique(np.concatenate([np.asarray(r) for r in reads.values()]))
+    incidence = np.zeros((cache.num_shards, len(v)), dtype=bool)
+    for shard, r in reads.items():
+        incidence[shard, np.searchsorted(v, r)] = True
+    return cache.sync_batch(v, incidence)
+
+
+def pushes(outcomes):
+    return {shard: o.pushed.tolist() for shard, o in outcomes.items()
+            if len(o.pushed)}
+
+
 # --------------------------------------------------------------------------- #
 class TestVersionedMemoryCache:
     def test_owner_write_bumps_version_once_per_batch(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
-        c.note_writes(np.array([0, 2, 2]), present_shards=[0, 1])
+        sync_step(c, {0: [0], 1: [2]})
         assert c.version.tolist() == [1, 0, 1, 0]
-        c.note_writes(np.array([2]), present_shards=[1])
+        sync_step(c, {1: [2]})
         assert c.version.tolist() == [1, 0, 2, 0]
 
     def test_holders_are_never_stale(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
-        c.note_writes(np.array([0]), present_shards=[0])
+        sync_step(c, {0: [0]})
         out = c.note_reads(0, np.array([0, 1]))    # shard 0 owns both
         assert out.stale_reads == 0 and not len(out.pulled)
 
@@ -58,8 +73,8 @@ class TestVersionedMemoryCache:
 
     def test_none_counts_staleness_and_never_repairs(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
-        c.note_writes(np.array([0]), present_shards=[0, 1])
-        c.note_writes(np.array([0]), present_shards=[0, 1])
+        sync_step(c, {0: [0], 1: [2]})
+        sync_step(c, {0: [0], 1: [2]})
         out = c.note_reads(1, np.array([0]))
         assert out.stale_reads == 1 and out.max_lag == 2
         assert not len(out.pulled)
@@ -71,27 +86,26 @@ class TestVersionedMemoryCache:
 
     def test_invalidate_pulls_once_until_next_write(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="invalidate")
-        c.note_writes(np.array([0]), present_shards=[0])
+        sync_step(c, {0: [0]})
         out = c.note_reads(1, np.array([0]))
         assert out.pulled.tolist() == [0] and out.stale_reads == 0
         # Repaired: a re-read is free until the owner writes again.
         assert not len(c.note_reads(1, np.array([0])).pulled)
-        c.note_writes(np.array([0]), present_shards=[0])
+        sync_step(c, {0: [0]})
         assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
         assert c.pulled_rows == 2 and c.pushed_rows == 0
 
     def test_push_forwards_to_present_mirrors_only(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="push")
         # No mirror yet: the first write pushes nothing anywhere.
-        assert c.note_writes(np.array([0]), present_shards=[0, 1]) == {}
+        assert pushes(sync_step(c, {0: [0], 1: [2]})) == {}
         # Cold read pulls and subscribes the mirror.
         assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
         # Now a write with the mirror present delivers the row eagerly...
-        pushes = c.note_writes(np.array([0]), present_shards=[0, 1])
-        assert pushes[1].tolist() == [0]
+        assert pushes(sync_step(c, {0: [0], 1: [2]})) == {1: [0]}
         assert not len(c.note_reads(1, np.array([0])).pulled)
         # ...but an absent mirror lags and repairs via the pull fallback.
-        assert c.note_writes(np.array([0]), present_shards=[0]) == {}
+        assert pushes(sync_step(c, {0: [0]})) == {}
         assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
         assert c.pushed_rows == 1 and c.pulled_rows == 2
 
@@ -102,9 +116,9 @@ class TestVersionedMemoryCache:
         c = VersionedMemoryCache(p, policy="push")
         # Vertex 0 is held by both shards: shard 1 is a replica, not a
         # mirror, so nothing is ever pulled or pushed for it.
-        c.note_writes(np.array([0]), present_shards=[0, 1])
+        sync_step(c, {0: [0], 1: [0]})
         assert not len(c.note_reads(1, np.array([0])).pulled)
-        assert c.note_writes(np.array([0]), present_shards=[0, 1]) == {}
+        assert pushes(sync_step(c, {0: [0], 1: [0]})) == {}
         assert c.sync_rows == 0
 
     def test_unknown_policy_rejected(self):

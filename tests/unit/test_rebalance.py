@@ -38,6 +38,7 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, ControlPlane,
                            ShardRouter, ShardedRuntime, VersionedMemoryCache,
                            VertexHeat, make_stream_arrivals)
 from repro.serving.memsync import hand_off
+from tests.unit.test_memsync import sync_step
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -174,15 +175,15 @@ class TestCacheTransferOwnership:
 
     def test_new_owner_is_current_old_owner_is_fresh_mirror(self):
         router, c = self.fleet("push")
-        c.note_writes(np.array([0]), present_shards=[0])
-        c.note_writes(np.array([0]), present_shards=[0])
+        sync_step(c, {0: [0]})
+        sync_step(c, {0: [0]})
         hand_off(router, c, [0], [0], 1)
         # The new owner received current rows: nothing to pull.
         assert not len(c.note_reads(1, np.array([0])).pulled)
         # Version history survived the handoff: the next write bumps the
         # same counter.
         assert c.version[0] == 2
-        c.note_writes(np.array([0]), present_shards=[0, 1])
+        sync_step(c, {1: [0], 0: [1]})
         assert c.version[0] == 3
         # The old owner is now a *current* mirror; under push it was
         # present at the write above, so it stays current.
@@ -190,11 +191,11 @@ class TestCacheTransferOwnership:
 
     def test_old_owner_ages_like_any_mirror(self):
         router, c = self.fleet("invalidate")
-        c.note_writes(np.array([0]), present_shards=[0])
+        sync_step(c, {0: [0]})
         hand_off(router, c, [0], [0], 1)
         # A write the old owner did not see makes its copy stale: the
         # next read repairs via the ordinary pull path.
-        c.note_writes(np.array([0]), present_shards=[1])
+        sync_step(c, {1: [0]})
         assert c.note_reads(0, np.array([0])).pulled.tolist() == [0]
 
     def test_degenerate_self_transfer_keeps_holder(self):
