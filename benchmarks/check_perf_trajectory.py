@@ -28,6 +28,12 @@ claim is absolute (the one-pass split does not grow with the shard
 count): it is held under the ``scaling_ratio_max`` ceiling committed in
 ``benchmarks/baselines/router_split.json``, with no tolerance band.
 
+``BENCH_ingest.json`` from ``test_ingest_scaling`` carries the same kind
+of ``scaling_ratio`` — ``make_stream_arrivals`` + ``BatcherActor.start``
+wall time at 16 streams over 2 on one graph, same process — held under
+the ceiling in ``benchmarks/baselines/ingest.json``: eight times the
+arrivals may cost a few more array operations, not a Python step each.
+
 Other ``BENCH_*`` artifacts (e.g. ``BENCH_failover.json`` from the
 failure-injection sweep) carry neither ratio; pointing the guard
 at one is a clean no-op rather than a KeyError, so CI can glob the

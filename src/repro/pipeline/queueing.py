@@ -75,7 +75,8 @@ def replay_under_load(backend, graph: TemporalGraph, window_s: float,
     """
     arrivals = make_stream_arrivals(graph, window_s, num_streams=1,
                                     start=start, end=end, speedup=speedup)
-    res = simulate_queue([(a.t, a.batch) for a in arrivals],
+    res = simulate_queue(list(zip(arrivals.t.tolist(),
+                                  map(arrivals.batch, range(len(arrivals))))),
                          backend.process_batch, num_servers=1,
                          queue_capacity=queue_capacity)
     return QueueStats(windows=res.jobs,

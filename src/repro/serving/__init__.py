@@ -25,6 +25,16 @@ events/sec speedup of the vectorized loop over the heap loop every run
 perf-trajectory artifact).  Tracing (``trace=True``) disables the bulk
 path so typed events keep their documented shape; untraced hot paths
 skip trace-only dataclass construction entirely.
+Ingest is columnar from end to end: :func:`make_stream_arrivals` builds
+one :class:`ArrivalTrace` (arrival instants, streams and per-edge indices
+into the graph's own columns) with no Python step per arrival, the
+scheduler's run *is* that trace, the batcher's pending buffer is a span
+of it, a released job's ``sources`` is a zero-copy slice of it, and the
+report subtracts its ``t`` column from the job finish times.  A
+:class:`StreamArrival` exists only where somebody indexes or iterates
+the trace (traced runs, the offline :meth:`DynamicBatcher.coalesce`,
+tests); hand-built lists of them are normalised once by
+:meth:`ArrivalTrace.from_arrivals`.
 Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
 from its shape; they do not execute its kernels.
 
@@ -270,7 +280,8 @@ with the ruff/mypy baseline in pyproject.toml).
 """
 
 from .autoscale import AutoScaler, CapacityConfig  # noqa: F401
-from .batcher import CoalescedJob, DynamicBatcher, StreamArrival  # noqa: F401
+from .batcher import (ArrivalTrace, CoalescedJob,  # noqa: F401
+                      DynamicBatcher, StreamArrival)
 from .control import ControlPlane, FailureInjector  # noqa: F401
 from .engine import (ServingEngine, ServingReport,  # noqa: F401
                      ShardStats, make_stream_arrivals)
@@ -299,7 +310,7 @@ from .simulator import (ServedJob, SimulationResult,  # noqa: F401
 __all__ = [
     "ServingEngine", "ServingReport", "ShardStats", "make_stream_arrivals",
     "ShardRouter", "ShardBatch", "CrossShardMailbox",
-    "DynamicBatcher", "CoalescedJob", "StreamArrival",
+    "DynamicBatcher", "CoalescedJob", "StreamArrival", "ArrivalTrace",
     "simulate_queue", "SimulationResult", "ServedJob",
     "EventScheduler", "HeapEventScheduler", "ServerGroup", "BatcherActor",
     "RouterActor", "Submission", "INGEST_MODES",

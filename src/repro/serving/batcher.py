@@ -11,10 +11,16 @@ whichever comes first.  ``max_delay_s = 0`` degenerates to the paper's
 1:1 window-to-batch mapping, which is what the shard-equivalence tests pin
 against the single-server replay.
 
-This class is the *policy* (trigger configuration) plus the offline
-reference implementation.  The serving engine runs the same policy online
-as a :class:`~repro.serving.events.BatcherActor` on the discrete-event
-scheduler — under serial ingest the actor's releases match
+Arrivals travel as one :class:`ArrivalTrace` — struct-of-arrays columns
+over the graph's own edge arrays — from
+:func:`~repro.serving.engine.make_stream_arrivals` to the flushed
+:class:`CoalescedJob`; a :class:`StreamArrival` is what indexing or
+iterating the trace hands out.
+
+:class:`DynamicBatcher` is the *policy* (trigger configuration) plus the
+offline reference implementation.  The serving engine runs the same
+policy online as a :class:`~repro.serving.events.BatcherActor` on the
+discrete-event scheduler — under serial ingest the actor's releases match
 :meth:`coalesce` exactly (property-tested in ``test_events``), and under
 pipelined ingest the actor adds the double-buffered fleet-drain trigger
 that an offline pass cannot express (it depends on in-flight compute).
@@ -23,12 +29,15 @@ that an offline pass cannot express (it depends on in-flight compute).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..graph.batching import merge_batches
-from ..graph.temporal_graph import EdgeBatch
+import numpy as np
 
-__all__ = ["StreamArrival", "CoalescedJob", "DynamicBatcher"]
+from ..graph.batching import merge_batches
+from ..graph.temporal_graph import EdgeBatch, TemporalGraph
+
+__all__ = ["StreamArrival", "ArrivalTrace", "CoalescedJob", "DynamicBatcher"]
 
 
 @dataclass(frozen=True)
@@ -43,13 +52,194 @@ class StreamArrival:
         return len(self.batch)
 
 
+class ArrivalTrace(Sequence):
+    """A whole arrival process as struct-of-arrays columns.
+
+    The one representation arrivals have between
+    :func:`~repro.serving.engine.make_stream_arrivals` and a flushed
+    :class:`CoalescedJob`: nothing on the bulk path holds a Python object
+    per arrival.  It is still a ``Sequence[StreamArrival]`` — indexing or
+    iterating materialises items (as views, nothing is copied) for whoever
+    wants them one at a time: the traced per-event path, the offline
+    :meth:`DynamicBatcher.coalesce`, tests.
+
+    Columns, for ``n`` arrivals:
+
+    ``t``, ``stream``
+        ``(n,)`` arrival instant (non-decreasing wherever a consumer
+        requires it — the consumers check) and tenant id.
+    ``cum``
+        ``(n + 1,)`` edge offsets from 0: arrival ``i`` owns
+        ``eidx[cum[i]:cum[i + 1]]``.  Slicing the trace slices ``cum``
+        without rebasing it, so a slice shares ``eidx`` with its parent.
+    ``eidx``
+        Per-edge row index into ``edges``, derived here from ``first``
+        (each arrival's first row): an arrival's rows are one ascending
+        contiguous run (a time window of the graph) by construction,
+        which is what lets :meth:`batch` return views of the same rows
+        :meth:`merged` gathers.
+    ``edges``
+        The edge columns the indices point into — for a replayed graph the
+        graph's own ``src/dst/t/edge_feat`` arrays.  Holding indices
+        rather than per-stream copies keeps a multi-tenant replay's
+        features in memory once; :meth:`merged` gathers them once per
+        flush.
+
+    Tenants replaying one graph share its windows, so :meth:`batch` hands
+    every arrival of a window the same :class:`EdgeBatch` object (one
+    memo per trace, shared with its slices).
+    """
+
+    __slots__ = ("edges", "t", "stream", "cum", "eidx", "_batches")
+
+    def __init__(self, edges: EdgeBatch, t: np.ndarray, stream: np.ndarray,
+                 cum: np.ndarray, first: np.ndarray):
+        if not len(t) == len(stream) == len(first) == len(cum) - 1:
+            raise ValueError("t, stream, first and cum disagree on the "
+                             "number of arrivals")
+        self.edges = edges
+        self.t = t
+        self.stream = stream
+        self.cum = cum
+        self.eidx = np.repeat(first - cum[:-1], np.diff(cum)) \
+            + np.arange(cum[-1])
+        self._batches: dict[tuple[int, int], EdgeBatch] = {}
+
+    @classmethod
+    def from_arrivals(cls, arrivals: Sequence[StreamArrival]
+                      ) -> "ArrivalTrace":
+        """Normalise hand-built arrivals (a trace is returned as is).
+
+        The items' batches are concatenated once into the trace's own
+        edge columns — the only constructor that copies edges.
+        """
+        if isinstance(arrivals, cls):
+            return arrivals
+        batches = [a.batch for a in arrivals]
+        n = len(batches)
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(b) for b in batches), count=n,
+                              dtype=np.int64), out=cum[1:])
+        edges = EdgeBatch(*(
+            np.concatenate([getattr(b, name) for b in batches])
+            for name in ("src", "dst", "t", "eid", "edge_feat"))) \
+            if batches else TemporalGraph([], [], []).slice(0, 0)
+        return cls(edges,
+                   np.fromiter((a.t for a in arrivals), count=n,
+                               dtype=np.float64),
+                   np.fromiter((a.stream for a in arrivals), count=n,
+                               dtype=np.int64),
+                   cum, cum[:-1])
+
+    # ------------------------------------------------------------------ #
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(len(self.t))
+            if step != 1:
+                raise ValueError("an ArrivalTrace slice must be contiguous")
+            return self.span(lo, max(lo, hi))
+        return StreamArrival(t=self.t.item(i), stream=self.stream.item(i),
+                             batch=self.batch(i))
+
+    def span(self, lo: int, hi: int) -> "ArrivalTrace":
+        """Arrivals ``[lo, hi)`` (``0 <= lo <= hi <= len``) as a zero-copy
+        trace: what ``trace[lo:hi]`` returns once its bounds are
+        normalised."""
+        # Views of columns that are already consistent: no re-derivation.
+        part = object.__new__(ArrivalTrace)
+        part.edges, part.eidx = self.edges, self.eidx
+        part._batches = self._batches
+        part.t, part.stream = self.t[lo:hi], self.stream[lo:hi]
+        part.cum = self.cum[lo:hi + 1]
+        return part
+
+    def __iter__(self):
+        # Whole columns to Python scalars at once, not one ``item`` each.
+        return map(StreamArrival, self.t.tolist(), self.stream.tolist(),
+                   map(self.batch, range(len(self.t))))
+
+    def batch(self, i: int) -> EdgeBatch:
+        """Arrival ``i``'s edges, as views of the edge columns."""
+        if i < 0:
+            i += len(self)
+        lo, hi = self.cum.item(i), self.cum.item(i + 1)
+        first = self.eidx.item(lo) if hi > lo else 0
+        key = (first, hi - lo)
+        batch = self._batches.get(key)
+        if batch is None:
+            batch = self._batches[key] = self._take(
+                slice(first, first + hi - lo))
+        return batch
+
+    def _take(self, rows) -> EdgeBatch:
+        e = self.edges
+        return EdgeBatch(src=e.src[rows], dst=e.dst[rows], t=e.t[rows],
+                         eid=e.eid[rows], edge_feat=e.edge_feat[rows])
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.cum[-1] - self.cum[0])
+
+    def _rows(self) -> np.ndarray:
+        return self.eidx[self.cum[0]:self.cum[-1]]
+
+    def merged(self) -> EdgeBatch:
+        """Every arrival's edges as one chronological batch.
+
+        The values :func:`~repro.graph.batching.merge_batches` gives for
+        the materialised items (arrival order, then a stable time sort; a
+        lone arrival is returned as it stands), from one gather of the
+        edge columns.
+        """
+        if len(self) == 1:
+            return self.batch(0)
+        rows = self._rows()
+        return self._take(
+            rows[np.argsort(self.edges.t[rows], kind="stable")])
+
+    # ------------------------------------------------------------------ #
+    def __eq__(self, other) -> bool:
+        """Value equality: same instants, streams, and edge ids per
+        arrival — also against a tuple or list of :class:`StreamArrival`
+        (what the offline :meth:`DynamicBatcher.coalesce` puts in
+        ``CoalescedJob.sources``)."""
+        if not isinstance(other, ArrivalTrace):
+            if not isinstance(other, (tuple, list)) or not all(
+                    isinstance(a, StreamArrival) for a in other):
+                return NotImplemented
+            other = ArrivalTrace.from_arrivals(other)
+        return (np.array_equal(self.t, other.t)
+                and np.array_equal(self.stream, other.stream)
+                and np.array_equal(np.diff(self.cum), np.diff(other.cum))
+                and np.array_equal(self.edges.eid[self._rows()],
+                                   other.edges.eid[other._rows()]))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        span = f", t=[{self.t[0].item()!r}, {self.t[-1].item()!r}]" \
+            if len(self) else ""
+        return (f"ArrivalTrace(arrivals={len(self)}, "
+                f"edges={self.num_edges}{span})")
+
+
 @dataclass(frozen=True)
 class CoalescedJob:
-    """A flushed batch: merged edges plus its constituent arrivals."""
+    """A flushed batch: merged edges plus its constituent arrivals.
+
+    ``sources`` is a sequence of :class:`StreamArrival` in admission order
+    — a tuple from the offline :meth:`DynamicBatcher.coalesce`, a
+    zero-copy :class:`ArrivalTrace` slice from the online
+    :class:`~repro.serving.events.BatcherActor`; the two compare equal
+    when they name the same arrivals.
+    """
 
     t_release: float
     batch: EdgeBatch
-    sources: tuple[StreamArrival, ...]
+    sources: Sequence[StreamArrival]
 
     @property
     def n_edges(self) -> int:
@@ -92,7 +282,8 @@ class DynamicBatcher:
         self.max_edges = max_edges
         self.max_delay_s = float(max_delay_s)
 
-    def coalesce(self, arrivals: list[StreamArrival]) -> list[CoalescedJob]:
+    def coalesce(self, arrivals: Sequence[StreamArrival]
+                 ) -> list[CoalescedJob]:
         """Fold time-sorted arrivals into released jobs.
 
         Offline event simulation: between two arrivals the only event that
@@ -100,9 +291,6 @@ class DynamicBatcher:
         the deadline before admitting each arrival and once at end of
         stream.
         """
-        if any(arrivals[i].t > arrivals[i + 1].t
-               for i in range(len(arrivals) - 1)):
-            raise ValueError("arrivals must be sorted by time")
         jobs: list[CoalescedJob] = []
         pending: list[StreamArrival] = []
         pending_edges = 0
@@ -115,7 +303,11 @@ class DynamicBatcher:
             pending.clear()
             pending_edges = 0
 
+        last_t = -math.inf
         for a in arrivals:
+            if a.t < last_t:
+                raise ValueError("arrivals must be sorted by time")
+            last_t = a.t
             if pending and a.t >= pending[0].t + self.max_delay_s:
                 flush(pending[0].t + self.max_delay_s)
             # Overflow guard: admitting this arrival would push the buffer

@@ -61,9 +61,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..graph.batching import iter_time_windows
+from ..graph.batching import time_window_spans
 from ..graph.temporal_graph import TemporalGraph
-from .batcher import CoalescedJob, DynamicBatcher, StreamArrival
+from .batcher import (ArrivalTrace, CoalescedJob, DynamicBatcher,
+                      StreamArrival)
 from .control import ControlPlane, FailureInjector
 from .events import (INGEST_MODES, BatcherActor, EventScheduler, RouterActor,
                      ServerGroup, SimulationResult, Submission)
@@ -272,36 +273,40 @@ class ServingReport:
 def make_stream_arrivals(graph: TemporalGraph, window_s: float,
                          num_streams: int = 1, start: int = 0,
                          end: int | None = None,
-                         speedup: float = 1.0) -> list[StreamArrival]:
+                         speedup: float = 1.0) -> ArrivalTrace:
     """Arrival process of ``num_streams`` tenants replaying ``graph``.
 
     A window becomes servable when its last edge has arrived, so the
     arrival instant is the final edge timestamp (stream-time compressed by
     ``speedup``), matching :func:`repro.pipeline.replay_under_load`.
     Stream ``i`` is phase-shifted by ``i/num_streams`` of a window to model
-    unsynchronized tenants.
+    unsynchronized tenants.  Built as columns, with no Python step per
+    arrival: the windows' edge spans are replicated across streams by
+    broadcasting and every arrival points into the graph's own edge
+    columns (:class:`~repro.serving.batcher.ArrivalTrace`).
     """
     # ``not (x > 0)`` also rejects NaN, which ``x <= 0`` lets through.
     if not (0 < window_s < math.inf and 0 < speedup < math.inf):
         raise ValueError("window_s and speedup must be positive and finite")
     if num_streams <= 0:
         raise ValueError("num_streams must be positive")
-    base: list[tuple[float, object]] = []
-    for batch in iter_time_windows(graph, window_s, start=start, end=end):
-        base.append((float(batch.t[-1]), batch))
-    if not base:
+    _, lo, hi = time_window_spans(graph, window_s, start=start, end=end)
+    if len(lo) == 0:
         raise ValueError("no windows in the requested range")
-    t0 = base[0][0]
-    arrivals: list[StreamArrival] = []
-    for i in range(num_streams):
-        phase = (i / num_streams) * window_s / speedup
-        for t_close, batch in base:
-            arrivals.append(StreamArrival(t=(t_close - t0) / speedup + phase,
-                                          stream=i, batch=batch))
+    t_close = graph.t[hi - 1]
+    rel = (t_close - t_close[0]) / speedup
+    phase = np.arange(num_streams) / num_streams * window_s / speedup
+    t = (rel[None, :] + phase[:, None]).ravel()
+    stream = np.repeat(np.arange(num_streams), len(lo))
     # Same-instant arrivals from different streams must order
-    # deterministically, not by sort stability over insertion order.
-    arrivals.sort(key=lambda a: (a.t, a.stream))
-    return arrivals
+    # deterministically: by stream, then (stable) by window.
+    order = np.lexsort((stream, t))
+    window = order % len(lo)
+    n_edges = (hi - lo)[window]
+    cum = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(n_edges, out=cum[1:])
+    return ArrivalTrace(graph.slice(0, graph.num_edges), t[order],
+                        stream[order], cum, lo[window])
 
 
 class ServingEngine:
@@ -715,11 +720,12 @@ class ServingEngine:
                                       queue_capacity=queue_capacity))
         return groups
 
-    def _run_events(self, arrivals: list[StreamArrival], window_s: float,
+    def _run_events(self, arrivals: Sequence[StreamArrival], window_s: float,
                     speedup: float, num_streams: int,
                     queue_capacity: int | None, ingest: str,
                     trace: bool = False,
                     scheduler_cls: type | None = None) -> ServingReport:
+        arrivals = ArrivalTrace.from_arrivals(arrivals)
         pool = None
         if self._measured:
             # Worker lanes live exactly as long as the loop: state is
@@ -735,7 +741,7 @@ class ServingEngine:
             if pool is not None:
                 pool.shutdown()
 
-    def _run_loop(self, arrivals: list[StreamArrival], window_s: float,
+    def _run_loop(self, arrivals: ArrivalTrace, window_s: float,
                   speedup: float, num_streams: int,
                   queue_capacity: int | None, ingest: str, trace: bool,
                   scheduler_cls: type | None,
@@ -746,7 +752,10 @@ class ServingEngine:
         cache = None if pooled else \
             VersionedMemoryCache(self.router.placement, policy=self.memsync)
 
-        jobs: list[CoalescedJob] = []
+        # Windows per released job, in release order: all the report needs
+        # of a job once it is routed (its merged batch lives on only in
+        # the sub-batches that alias it).
+        job_windows: list[int] = []
 
         # One control plane per run, and only when a controller exists:
         # it samples released jobs for the policies and is the one actor
@@ -763,8 +772,8 @@ class ServingEngine:
         self.last_control = plane
 
         def route(job: CoalescedJob) -> list[Submission]:
-            ji = len(jobs)
-            jobs.append(job)
+            ji = len(job_windows)
+            job_windows.append(len(job.sources))
             if plane is not None:
                 # Plans and ScaleEvents decided here fire *after* this
                 # job's submissions land: in-flight work drains under the
@@ -820,7 +829,8 @@ class ServingEngine:
         self.last_num_arrivals = len(arrivals)
         shard_results = [g.finalize() for g in groups]
 
-        return self._report(arrivals, jobs, [g.arrivals for g in groups],
+        return self._report(arrivals, job_windows,
+                            [g.arrivals for g in groups],
                             shard_results, window_s, speedup, num_streams,
                             ingest, self._measured_block(groups))
 
@@ -876,8 +886,8 @@ class ServingEngine:
                 "per_shard": per_shard}
 
     # ------------------------------------------------------------------ #
-    def _report(self, arrivals: list[StreamArrival],
-                jobs: list[CoalescedJob],
+    def _report(self, arrivals: ArrivalTrace,
+                job_windows: list[int],
                 submitted: list[list[tuple[float, tuple]]],
                 shard_results: list[SimulationResult],
                 window_s: float, speedup: float, num_streams: int,
@@ -898,8 +908,8 @@ class ServingEngine:
         # shard's queue rejected its sub-job, and a dropped window's
         # surviving sub-jobs must not inflate the traffic report even
         # though their shards did serve them.
-        finish_of_job = np.full(len(jobs), -np.inf)
-        job_dropped = np.zeros(len(jobs), dtype=bool)
+        finish_of_job = np.full(len(job_windows), -np.inf)
+        job_dropped = np.zeros(len(job_windows), dtype=bool)
         for shard, res in enumerate(shard_results):
             for di in res.dropped_indices:
                 job_dropped[submitted[shard][di][1][0]] = True
@@ -930,7 +940,7 @@ class ServingEngine:
         # Windows arriving inside an outage interval feed the chaos tail
         # metrics separately — the recovery bill lands there.
         finite = finish_of_job[np.isfinite(finish_of_job)]
-        run_end = float(finite.max()) if len(finite) else float(arrivals[0].t)
+        run_end = float(finite.max()) if len(finite) else float(arrivals.t[0])
         # An unrecovered failure leaves its outage open (hi == inf) — exact
         # internally, but Infinity is not strict JSON, so anything derived
         # for the report clamps open windows to the run's end.  Membership
@@ -939,18 +949,18 @@ class ServingEngine:
         outages = [(lo, min(hi, run_end))
                    for lo, hi in (chaos.outage_intervals()
                                   if chaos is not None else [])]
-        responses: list[float] = []
-        outage_resp: list[float] = []
-        dropped_windows = 0
-        for job, finish, dropped in zip(jobs, finish_of_job.tolist(),
-                                        job_dropped.tolist()):
-            if dropped or not math.isfinite(finish):
-                dropped_windows += len(job.sources)
-                continue
-            for a in job.sources:
-                responses.append(finish - a.t)
-                if outages and any(lo <= a.t < hi for lo, hi in outages):
-                    outage_resp.append(responses[-1])
+        # Jobs are released in admission order and drain the buffer, so
+        # their sources, job after job, are the arrival trace itself.
+        n_sources = np.asarray(job_windows, dtype=np.int64)
+        job_served = ~job_dropped & np.isfinite(finish_of_job)
+        dropped_windows = int(n_sources[~job_served].sum())
+        served = np.repeat(job_served, n_sources)
+        t_arrive = arrivals.t[served]
+        resp = np.repeat(finish_of_job, n_sources)[served] - t_arrive
+        in_outage = np.zeros(len(t_arrive), dtype=bool)
+        for lo, hi in outages:
+            in_outage |= (lo <= t_arrive) & (t_arrive < hi)
+        outage_resp = resp[in_outage]
 
         stats = tuple(
             ShardStats(shard=s,
@@ -975,26 +985,26 @@ class ServingEngine:
                        else r.num_servers)
             for s, r in enumerate(shard_results))
 
-        resp = np.asarray(responses)
         # One sort feeds every percentile (order statistics are
         # permutation-invariant, bit-for-bit); the mean stays on the
-        # unsorted array — summation order changes its last bits.
+        # unsorted array, in job-then-source order — summation order
+        # changes its last bits.
         resp_sorted = np.sort(resp)
         # First *stream* arrival (not first job release) to last service
         # completion.
-        makespan = run_end - float(arrivals[0].t) if len(finite) else 0.0
+        makespan = run_end - float(arrivals.t[0]) if len(finite) else 0.0
         placement = self.router.placement
         return ServingReport(
             num_shards=self.num_shards, num_streams=num_streams,
             speedup=speedup, window_s=window_s,
-            windows=len(responses), dropped_windows=dropped_windows,
+            windows=len(resp), dropped_windows=dropped_windows,
             mean_response_s=float(resp.mean()) if len(resp) else 0.0,
             p95_response_s=float(np.percentile(resp_sorted, 95))
             if len(resp) else 0.0,
             p99_response_s=float(np.percentile(resp_sorted, 99))
             if len(resp) else 0.0,
             makespan_s=makespan,
-            ingested_edges=sum(len(a) for a in arrivals),
+            ingested_edges=arrivals.num_edges,
             processed_edges=int(shard_traffic.sum()),
             cross_shard_edges=int(shard_traffic[:, 1].sum()),
             cross_die_mail_edges=cross_die_mail,
@@ -1022,10 +1032,10 @@ class ServingEngine:
             recovery_rows=0 if chaos is None else chaos.recovery_rows,
             outage_windows=len(outage_resp),
             outage_p99_response_s=float(
-                np.percentile(np.sort(np.asarray(outage_resp)), 99))
-            if outage_resp else 0.0,
+                np.percentile(np.sort(outage_resp), 99))
+            if len(outage_resp) else 0.0,
             stale_plans=0 if self.last_control is None
             else self.last_control.stale,
             measured=measured,
             scaling=None if auto is None
-            else auto.report_block(float(arrivals[0].t), makespan))
+            else auto.report_block(float(arrivals.t[0]), makespan))

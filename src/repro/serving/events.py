@@ -169,9 +169,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..graph.batching import merge_batches
-from ..graph.temporal_graph import EdgeBatch
-from .batcher import CoalescedJob, DynamicBatcher, StreamArrival
+from .batcher import (ArrivalTrace, CoalescedJob, DynamicBatcher,
+                      StreamArrival)
 
 __all__ = [
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
@@ -1021,6 +1020,11 @@ class BatcherActor:
     the double-buffered drain trigger: the buffer flushes the moment every
     fleet group is hungry (idle server, empty queue), so batching delay is
     only ever paid while it hides behind in-flight compute.
+
+    Arrivals are admitted in trace order and a flush always drains the
+    whole buffer, so on every scheduler the pending buffer is a span
+    ``[lo, admitted)`` of the one :class:`ArrivalTrace` and a released
+    job's ``sources`` is that slice of it.
     """
 
     def __init__(self, batcher: DynamicBatcher, sched: EventScheduler,
@@ -1035,20 +1039,10 @@ class BatcherActor:
         self._sched = sched
         self._sink = sink
         self._fleet = tuple(fleet)
-        self.pending: list[StreamArrival] = []
-        self.pending_edges = 0
-        self._run_ts: np.ndarray | None = None
-        self._run_cum: np.ndarray | None = None
-        # Bulk path only: all batch fields concatenated once in admission
-        # order (struct-of-array), plus the arrival index of the first
-        # pending element.  Serial admission keeps ``pending`` a contiguous
-        # span of the arrival sequence, so a flush merges by slicing these
-        # arrays instead of re-concatenating per-arrival batches.
-        self._cat: tuple[np.ndarray, ...] | None = None
-        self._span_lo = 0
+        self._trace: ArrivalTrace | None = None     # set by start()
+        self._lo = 0            # first pending arrival
+        self._admitted = 0      # one past the last pending arrival
         self._deadline_token: int | None = None
-        self._expected = 0
-        self._admitted = 0
         self.flushes = 0
         self.drain_flushes = 0
 
@@ -1057,38 +1051,20 @@ class BatcherActor:
         """Schedule the whole arrival trace onto the loop.
 
         On a cohort-capable scheduler with tracing off, the trace is
-        scheduled as one struct-of-array run (the vectorized bulk path);
-        otherwise every arrival becomes a typed :class:`ArrivalEvent` so
-        traces keep their documented shape.
+        scheduled as one struct-of-array run (the vectorized bulk path)
+        and no per-arrival object exists; otherwise every arrival becomes
+        a typed :class:`ArrivalEvent` carrying its materialised
+        :class:`StreamArrival`, so traces keep their documented shape.
         """
-        arrivals = list(arrivals)
-        ts = np.fromiter((a.t for a in arrivals), count=len(arrivals),
-                         dtype=np.float64)
-        if len(ts) > 1 and bool(np.any(ts[:-1] > ts[1:])):
+        trace = ArrivalTrace.from_arrivals(arrivals)
+        if len(trace) > 1 and bool(np.any(trace.t[:-1] > trace.t[1:])):
             raise ValueError("arrivals must be sorted by time")
-        self._expected = len(arrivals)
+        self._trace = trace
         schedule_run = getattr(self._sched, "schedule_run", None)
-        if schedule_run is not None and self._sched.trace is None \
-                and len(arrivals) > 0:
-            self._run_ts = ts
-            # _run_cum[i] = total edges in arrivals[:i]; strictly
-            # increasing because every window carries >= 1 edge.
-            lens = np.fromiter((len(a) for a in arrivals),
-                               count=len(arrivals), dtype=np.int64)
-            self._run_cum = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(lens)))
-            # Assemble the whole stream's batch fields once (one big
-            # concatenate per field instead of one per flush); _flush
-            # slices its pending span out of these.
-            batches = [a.batch for a in arrivals]
-            self._cat = (np.concatenate([b.src for b in batches]),
-                         np.concatenate([b.dst for b in batches]),
-                         np.concatenate([b.t for b in batches]),
-                         np.concatenate([b.eid for b in batches]),
-                         np.concatenate([b.edge_feat for b in batches]))
-            schedule_run(self._run_ts, _ARRIVAL, arrivals, self._on_cohort)
+        if schedule_run is not None and self._sched.trace is None:
+            schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
             return
-        for a in arrivals:
+        for a in trace:
             self._sched.schedule(a.t, _ARRIVAL, ArrivalEvent(a.t, a),
                                  self._on_arrival)
 
@@ -1097,26 +1073,28 @@ class BatcherActor:
 
     def on_hungry(self, t: float) -> None:
         """Fleet-drain notification (wired to groups under pipelined)."""
-        if self.ingest == "pipelined" and self.pending \
+        if self.ingest == "pipelined" and self._admitted > self._lo \
                 and self._fleet_hungry():
             self._flush(t, "drain")
 
     # ------------------------------------------------------------------ #
     def _on_arrival(self, ev: ArrivalEvent) -> None:
-        self._admit(ev.arrival, ev.t)
+        self._admit(ev.t)
 
-    def _admit(self, a: StreamArrival, t: float) -> None:
-        self._admitted += 1
+    def _admit(self, t: float) -> None:
+        """Admit the next arrival of the trace, which fires at ``t``."""
+        cum = self._trace.cum
+        i = self._admitted
         # Overflow guard: admitting this arrival would push the buffer past
         # the size cap, so release the buffered job first (only a single
         # oversized arrival can ever produce an oversized job).
-        if self.max_edges is not None and self.pending \
-                and self.pending_edges + len(a) > self.max_edges:
+        if self.max_edges is not None and i > self._lo \
+                and cum[i + 1] - cum[self._lo] > self.max_edges:
             self._flush(t, "size")
-        first = not self.pending
-        self.pending.append(a)
-        self.pending_edges += len(a)
-        if self.max_edges is not None and self.pending_edges >= self.max_edges:
+        first = i == self._lo
+        self._admitted = i + 1
+        if self.max_edges is not None \
+                and cum[i + 1] - cum[self._lo] >= self.max_edges:
             self._flush(t, "size")
             return
         if self.ingest == "pipelined" and self._fleet \
@@ -1124,18 +1102,17 @@ class BatcherActor:
             # Nothing in flight to hide the delay behind: release now.
             self._flush(t, "drain")
             return
-        if self._admitted == self._expected \
+        if self._admitted == len(self._trace) \
                 and not math.isfinite(self.max_delay_s):
             # End of stream with an unbounded deadline: the offline
             # reference releases the tail at the last arrival instant.
             self._flush(t, "eos")
             return
         if first and math.isfinite(self.max_delay_s):
-            deadline = a.t + self.max_delay_s
             self._deadline_token = self._sched.schedule(
-                deadline, _FLUSH, None, self._on_deadline)
+                t + self.max_delay_s, _FLUSH, None, self._on_deadline)
 
-    def _on_cohort(self, t: float, arrivals: Sequence[StreamArrival],
+    def _on_cohort(self, t: float, trace: ArrivalTrace,
                    start: int, stop: int) -> int:
         """Bulk arrival admission; returns how many elements it consumed.
 
@@ -1146,8 +1123,7 @@ class BatcherActor:
         a size trigger) fall back to :meth:`_admit` one at a time, which
         is exactly the reference heap delivery.
         """
-        a0 = arrivals[start]
-        pending_empty = not self.pending
+        pending_empty = self._admitted == self._lo
         if (pending_empty and self.max_delay_s == 0.0) \
                 or (self.ingest == "pipelined" and self._fleet
                     and self._fleet_hungry()):
@@ -1156,21 +1132,19 @@ class BatcherActor:
             # (Fleet hungriness is frozen during pure buffering — nothing
             # fires between cohort elements — so checking it once at the
             # cohort head is exact.)
-            self._admit(a0, t)
+            self._admit(t)
             return 1
-        cum = self._run_cum
+        cum = trace.cum
         limit = stop
         if self.max_edges is not None:
             # Pure buffering holds the buffer strictly below the size cap;
             # the element whose admission reaches (or overflows) it
             # triggers a flush, so the cut stops just before it.  Element
-            # k (global index) triggers iff pending_edges + cum[k+1] -
-            # cum[start] >= max_edges.
-            threshold = self.max_edges - (self.pending_edges
-                                          - int(cum[start]))
-            trigger = int(np.searchsorted(cum, threshold, side="left")) - 1
+            # k triggers iff cum[k + 1] - cum[lo] >= max_edges.
+            trigger = int(np.searchsorted(
+                cum, self.max_edges + int(cum[self._lo]), side="left")) - 1
             if trigger <= start:
-                self._admit(a0, t)   # head element flushes: go per-event
+                self._admit(t)       # head element flushes: go per-event
                 return 1
             limit = min(limit, trigger)
         if pending_empty and math.isfinite(self.max_delay_s):
@@ -1178,67 +1152,33 @@ class BatcherActor:
             # flush at t + max_delay_s — an event the scheduler could not
             # see when it cut the cohort.  Arrivals at or past the
             # deadline instant wait behind the _FLUSH-priority release.
-            deadline = a0.t + self.max_delay_s
             limit = min(limit, start + int(np.searchsorted(
-                self._run_ts[start:stop], deadline, side="left")))
-        consumed = limit - start
-        self.pending.extend(arrivals[start:limit])
-        self.pending_edges += int(cum[limit] - cum[start])
-        self._admitted += consumed
-        if self._admitted == self._expected \
-                and not math.isfinite(self.max_delay_s):
-            self._flush(float(self._run_ts[limit - 1]), "eos")
+                trace.t[start:stop], t + self.max_delay_s, side="left")))
+        self._admitted = limit
+        if limit == len(trace) and not math.isfinite(self.max_delay_s):
+            self._flush(float(trace.t[limit - 1]), "eos")
         elif pending_empty and math.isfinite(self.max_delay_s):
             self._deadline_token = self._sched.schedule(
-                a0.t + self.max_delay_s, _FLUSH, None, self._on_deadline)
-        return consumed
+                t + self.max_delay_s, _FLUSH, None, self._on_deadline)
+        return limit - start
 
     def _on_deadline(self, _event) -> None:
         self._deadline_token = None
-        if self.pending:
+        if self._admitted > self._lo:
             self._flush(self._sched.now, "deadline")
 
     def _flush(self, t: float, cause: str) -> None:
         if self._deadline_token is not None:
             self._sched.cancel(self._deadline_token)
             self._deadline_token = None
-        merged = self._merge_pending()
-        job = CoalescedJob(t_release=t, batch=merged,
-                           sources=tuple(self.pending))
-        self.pending = []
-        self.pending_edges = 0
+        sources = self._trace.span(self._lo, self._admitted)
+        self._lo = self._admitted
         self.flushes += 1
         if cause == "drain":
             self.drain_flushes += 1
-        self._sched.record(FlushEvent(t, cause, len(job.sources)))
-        self._sink(job)
-
-    def _merge_pending(self) -> EdgeBatch:
-        """Chronological merge of the pending buffer.
-
-        Bulk path: admission is sequential and a flush always drains the
-        whole buffer, so ``pending == arrivals[lo : lo + len(pending)]``
-        for the tracked span start ``lo`` — the concatenation of its batch
-        fields is a slice of the precomputed per-field arrays, and only
-        the stable time sort remains per flush.  Identical values to
-        :func:`merge_batches` (same concatenation order, same sort), just
-        without re-concatenating per-arrival arrays.  The per-event path
-        (heap scheduler, or tracing on) keeps the reference call.
-        """
-        if self._cat is None:
-            return merge_batches([a.batch for a in self.pending])
-        lo = self._span_lo
-        n_pend = len(self.pending)
-        self._span_lo = lo + n_pend
-        if n_pend == 1:
-            # Mirror merge_batches' single-batch fast path (same views).
-            return self.pending[0].batch
-        e0 = int(self._run_cum[lo])
-        e1 = int(self._run_cum[lo + n_pend])
-        src, dst, ts, eid, ef = (f[e0:e1] for f in self._cat)
-        order = np.argsort(ts, kind="stable")
-        return EdgeBatch(src=src[order], dst=dst[order], t=ts[order],
-                         eid=eid[order], edge_feat=ef[order])
+        self._sched.record(FlushEvent(t, cause, len(sources)))
+        self._sink(CoalescedJob(t_release=t, batch=sources.merged(),
+                                sources=sources))
 
 
 # --------------------------------------------------------------------------- #

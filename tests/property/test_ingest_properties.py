@@ -1,0 +1,223 @@
+"""Property-based equivalence of the columnar ingest tier.
+
+``time_window_spans`` cuts a stream into windows with one ``cumsum`` +
+``searchsorted`` per dense run, and ``make_stream_arrivals`` builds the
+whole multi-tenant arrival process as the columns of one
+:class:`ArrivalTrace`.  The code they replaced — a scalar
+``window_start += window`` loop and a list of per-arrival
+``StreamArrival`` objects sorted with a Python key — is kept here, and
+only here, as the oracle.  Uniform, bursty-with-gaps, integer-tied and
+on-boundary timestamps; sub-ranges; 1–9 streams with same-instant
+cross-stream ties: spans and arrivals must match bit for bit, the jobs
+the online batcher releases from the trace must equal the offline
+``coalesce`` of the oracle's list merged by ``merge_batches``, and the
+two schedulers must write the same report bytes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graph import TemporalGraph, merge_batches, time_window_spans
+from repro.pipeline import LinearCostBackend
+from repro.serving import (ArrivalTrace, BatcherActor, DynamicBatcher,
+                           EventScheduler, HeapEventScheduler,
+                           ServingEngine, StreamArrival,
+                           make_stream_arrivals)
+
+NUM_NODES = 12
+EDGE_DIM = 2
+FIELDS = ("src", "dst", "t", "eid", "edge_feat")
+
+
+# --------------------------------------------------------------------------- #
+# The oracles: the loops the columnar code replaced, verbatim but for
+# yielding edge bounds instead of slicing.
+def oracle_spans(graph, window, start=0, end=None):
+    end = graph.num_edges if end is None else min(end, graph.num_edges)
+    if start >= end:
+        return
+    t = graph.t
+    lo = start
+    window_start = float(t[start])
+    while lo < end:
+        # Skip over empty windows so the next edge lands inside the window.
+        if t[lo] >= window_start + window:
+            n_skip = np.floor((t[lo] - window_start) / window)
+            window_start += float(n_skip) * window
+            if t[lo] >= window_start + window:  # float round-off guard
+                window_start = float(t[lo])
+        hi = lo + int(np.searchsorted(t[lo:end], window_start + window,
+                                      side="left"))
+        yield window_start, lo, hi
+        lo = hi
+        window_start += window
+
+
+def oracle_arrivals(graph, window_s, num_streams=1, start=0, end=None,
+                    speedup=1.0):
+    base = []
+    for _, lo, hi in oracle_spans(graph, window_s, start=start, end=end):
+        batch = graph.slice(lo, hi)
+        base.append((float(batch.t[-1]), batch))
+    t0 = base[0][0]
+    arrivals = []
+    for i in range(num_streams):
+        phase = (i / num_streams) * window_s / speedup
+        for t_close, batch in base:
+            arrivals.append(StreamArrival(t=(t_close - t0) / speedup + phase,
+                                          stream=i, batch=batch))
+    arrivals.sort(key=lambda a: (a.t, a.stream))
+    return arrivals
+
+
+# --------------------------------------------------------------------------- #
+@st.composite
+def streams(draw):
+    """``(graph, window, start, end)``: a sorted edge stream of one of four
+    timestamp shapes, a window it can resolve, and a sub-range of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 120))
+    window = draw(st.sampled_from([0.1, 0.25, 1.0, 3.0, 7.5, 10.0 / 3.0]))
+    origin = draw(st.sampled_from([0.0, 1.0, 1e6, -50.0]))
+    kind = draw(st.sampled_from(["uniform", "bursty", "integer", "boundary"]))
+    if kind == "uniform":
+        t = rng.uniform(0, n * window * draw(st.sampled_from([0.3, 1, 4])), n)
+    elif kind == "bursty":
+        # Dense bursts separated by gaps of many empty windows.
+        centers = np.cumsum(rng.exponential(40 * window, size=4))
+        t = rng.choice(centers, n) + rng.uniform(0, 3 * window, n)
+    elif kind == "integer":
+        t = rng.integers(0, max(2, n // 3), n).astype(float)
+    else:
+        # Exact multiples of the window: every edge sits on a boundary.
+        t = rng.integers(0, 2 * n, n) * window
+    graph = TemporalGraph(src=rng.integers(0, NUM_NODES, n),
+                          dst=rng.integers(0, NUM_NODES, n),
+                          t=np.sort(t) + origin,
+                          edge_feat=rng.normal(size=(n, EDGE_DIM)),
+                          num_nodes=NUM_NODES)
+    start = draw(st.integers(0, n - 1))
+    end = draw(st.one_of(st.none(), st.integers(start + 1, n + 3)))
+    return graph, window, start, end
+
+
+replays = st.tuples(streams(), st.integers(1, 9),
+                    st.sampled_from([1.0, 2.0, 3.0, 50.0, 1e3]))
+
+batchers = st.sampled_from([
+    dict(),                                     # passthrough
+    dict(max_edges=6),                          # size-only (inf deadline)
+    dict(max_edges=6, max_delay_s=2.0),         # size + deadline
+    dict(max_delay_s=0.5),                      # deadline-only
+    dict(max_edges=1),                          # cap below arrival size
+    dict(max_edges=10_000, max_delay_s=0.0),    # passthrough via deadline
+])
+
+
+def assert_batches_identical(got, want):
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# --------------------------------------------------------------------------- #
+class TestColumnarIngestMatchesTheLoops:
+    @settings(deadline=None, max_examples=200)
+    @given(streams())
+    def test_spans_bit_identical(self, stream):
+        graph, window, start, end = stream
+        want = list(oracle_spans(graph, window, start, end))
+        starts, lo, hi = time_window_spans(graph, window, start, end)
+        assert list(zip(starts.tolist(), lo.tolist(), hi.tolist())) == want
+        assert starts.dtype == np.float64
+        assert lo.dtype == hi.dtype == np.int64
+
+    @settings(deadline=None, max_examples=150)
+    @given(replays)
+    def test_arrivals_bit_identical(self, replay):
+        (graph, window, start, end), num_streams, speedup = replay
+        want = oracle_arrivals(graph, window, num_streams, start, end,
+                               speedup)
+        trace = make_stream_arrivals(graph, window, num_streams=num_streams,
+                                     start=start, end=end, speedup=speedup)
+        assert isinstance(trace, ArrivalTrace)
+        assert trace.t.tolist() == [a.t for a in want]
+        assert trace.stream.tolist() == [a.stream for a in want]
+        assert trace.num_edges == sum(len(a) for a in want)
+        assert trace == want and trace == tuple(want)
+        assert len(trace) == len(want)
+        for got, ref in zip(trace, want):
+            assert (got.t, got.stream) == (ref.t, ref.stream)
+            assert type(got.t) is float and type(got.stream) is int
+            assert_batches_identical(got.batch, ref.batch)
+        # A list of items normalises to an equal trace; a slice is a view.
+        assert ArrivalTrace.from_arrivals(want) == trace
+        cut = len(want) // 2
+        assert trace[cut:] == want[cut:] and trace[:cut] == want[:cut]
+        assert trace[cut:].eidx is trace.eidx
+
+    @settings(deadline=None, max_examples=150)
+    @given(replays, batchers,
+           st.sampled_from([EventScheduler, HeapEventScheduler]))
+    def test_released_jobs_match_offline_merge(self, replay, cfg, sched_cls):
+        """Online jobs cut from the trace == ``coalesce`` over the oracle's
+        list, each merged by ``merge_batches``."""
+        (graph, window, start, end), num_streams, speedup = replay
+        want = DynamicBatcher(**cfg).coalesce(
+            oracle_arrivals(graph, window, num_streams, start, end, speedup))
+        sched, jobs = sched_cls(), []
+        BatcherActor(DynamicBatcher(**cfg), sched, jobs.append).start(
+            make_stream_arrivals(graph, window, num_streams=num_streams,
+                                 start=start, end=end, speedup=speedup))
+        sched.run()
+        assert len(jobs) == len(want)
+        for got, ref in zip(jobs, want):
+            assert got.t_release == ref.t_release
+            assert got.sources == ref.sources
+            assert_batches_identical(
+                got.batch, merge_batches([a.batch for a in ref.sources]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(replays,
+           st.sampled_from(["pool", "sharded"]),
+           st.sampled_from([dict(max_edges=6),
+                            dict(max_edges=6, max_delay_s=2.0),
+                            dict(max_delay_s=0.5),
+                            dict(max_delay_s=0.0)]),
+           st.sampled_from(["serial", "pipelined"]))
+    def test_schedulers_write_the_same_report(self, replay, topology, cfg,
+                                              ingest):
+        (graph, window, start, end), num_streams, speedup = replay
+        reports = []
+        for scheduler_cls in (None, HeapEventScheduler):
+            if topology == "pool":
+                engine = ServingEngine([LinearCostBackend(per_edge_s=0.05)],
+                                       NUM_NODES, topology="pool",
+                                       pool_servers=2,
+                                       batcher=DynamicBatcher(**cfg))
+            else:
+                engine = ServingEngine(
+                    [LinearCostBackend(per_edge_s=0.05) for _ in range(3)],
+                    NUM_NODES, memsync="push",
+                    batcher=DynamicBatcher(**cfg))
+            reports.append(engine.run(
+                graph, window, start=start, end=end, speedup=speedup,
+                num_streams=num_streams, ingest=ingest,
+                scheduler_cls=scheduler_cls).to_json())
+        assert reports[0] == reports[1]
+
+    @settings(deadline=None, max_examples=50)
+    @given(streams(), st.sampled_from([1e-8, 1e-10, 1e-15]))
+    def test_unresolvable_window_raises_instead_of_hanging(self, stream,
+                                                           tiny):
+        """Pushed out to t ~ 1e9, where a float64 step is ~1.2e-7, none of
+        these windows can advance the clock."""
+        graph, _, start, end = stream
+        far = TemporalGraph(graph.src, graph.dst, graph.t + 1e9,
+                            num_nodes=NUM_NODES)
+        with pytest.raises(ValueError, match="timestamp resolution"):
+            time_window_spans(far, tiny, start, end)
+        with pytest.raises(ValueError, match="timestamp resolution"):
+            make_stream_arrivals(far, tiny, start=start, end=end)

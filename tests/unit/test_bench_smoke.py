@@ -20,7 +20,7 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
-# Seconds of wall clock the whole smoke harness (11 benches + interpreter
+# Seconds of wall clock the whole smoke harness (12 benches + interpreter
 # startup) may take.  Healthy runs finish in ~8 s; the budget leaves ~5x
 # headroom for slow CI machines while still catching a per-event blowup.
 SMOKE_BUDGET_S = 45.0
@@ -38,7 +38,7 @@ def test_serving_scale_smoke_runs_quickly(tmp_path):
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
     elapsed = time.monotonic() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "11 passed" in proc.stdout
+    assert "12 passed" in proc.stdout
     assert "Serving scale" in proc.stdout
     assert "Placement x topology" in proc.stdout
     assert "Memory sync" in proc.stdout
@@ -47,6 +47,7 @@ def test_serving_scale_smoke_runs_quickly(tmp_path):
     assert "Failover" in proc.stdout
     assert "Event core" in proc.stdout
     assert "Router split" in proc.stdout
+    assert "build + schedule the arrival trace" in proc.stdout
     assert "Trace invariants" in proc.stdout
     assert "Measured backend" in proc.stdout
     assert "Elastic capacity" in proc.stdout
@@ -63,6 +64,9 @@ def test_serving_scale_smoke_runs_quickly(tmp_path):
     # The split's 16-over-4-shards cost ratio CI holds under its ceiling.
     assert os.path.exists(os.path.join(
         str(tmp_path), "BENCH_router_split.json"))
+    # The ingest 16-over-2-streams cost ratio CI holds under its ceiling.
+    assert os.path.exists(os.path.join(
+        str(tmp_path), "BENCH_ingest.json"))
     # The autoscale server-seconds ratio CI diffs against its baseline.
     assert os.path.exists(os.path.join(
         str(tmp_path), "BENCH_autoscale.json"))

@@ -282,6 +282,7 @@ class TestServeSim:
         ["--speedup", "0", "--autoscale", "--slo-p95", "0.01"],
         ["--window-s", "nan"],
         ["--window-s", "inf"],
+        ["--window-s", "1e-12"],
         ["--speedup", "nan"],
         ["--edges", "0"],
         ["--memory-dim", "0"],

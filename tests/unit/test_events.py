@@ -30,11 +30,12 @@ from repro.datasets import wikipedia_like
 from repro.graph import TemporalGraph
 from repro.graph.temporal_graph import EdgeBatch
 from repro.pipeline import LinearCostBackend
-from repro.serving import (BatcherActor, DynamicBatcher, EventScheduler,
-                           FlushEvent, HeapEventScheduler, HotColdHybrid,
-                           MailEvent, ServiceBeginEvent, ServiceEndEvent,
-                           ServingEngine, StreamArrival, SyncEvent,
-                           VertexHeat, make_stream_arrivals, simulate_queue)
+from repro.serving import (ArrivalEvent, BatcherActor, DynamicBatcher,
+                           EventScheduler, FlushEvent, HeapEventScheduler,
+                           HotColdHybrid, MailEvent, ServiceBeginEvent,
+                           ServiceEndEvent, ServingEngine, StreamArrival,
+                           SyncEvent, VertexHeat, make_stream_arrivals,
+                           simulate_queue)
 from repro.serving.events import ServedJob, ServerGroup, SimulationResult
 
 
@@ -732,3 +733,67 @@ class TestHeapVsVectorizedEquivalence:
                                       speedup=100.0, ingest=ingest,
                                       scheduler_cls=cls)
         assert reports[None].to_json() == reports[HeapEventScheduler].to_json()
+
+
+# --------------------------------------------------------------------------- #
+class TestColumnarIngest:
+    """The bulk path holds no Python object per arrival, and a traced run
+    still hands every arrival over as a typed event."""
+
+    EDGES, STREAMS = 2_000, 8
+
+    def ingest_run(self, **run_kwargs):
+        """``benchmarks/e2e``'s ``fleet_pool_ingest`` at smoke size: ~2-edge
+        windows of a uniform graph into a pool of two priced replicas."""
+        n = self.EDGES
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.uniform(0, 1e4, n))
+        g = TemporalGraph(src=rng.integers(0, 200, n),
+                          dst=rng.integers(0, 200, n), t=t,
+                          edge_feat=np.zeros((n, 0)), num_nodes=200)
+        engine = ServingEngine([LinearCostBackend(1e-6)], g.num_nodes,
+                               topology="pool", pool_servers=2,
+                               batcher=DynamicBatcher(max_delay_s=2.0))
+        report = engine.run(g, window_s=1e4 / (n // 2), speedup=50.0,
+                            num_streams=self.STREAMS, **run_kwargs)
+        return engine, report
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """Counts every ``StreamArrival`` built while the test runs."""
+        built = []
+        init = StreamArrival.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamArrival, "__init__", counting_init)
+        return built
+
+    def test_bulk_path_builds_no_item_per_arrival(self, constructed):
+        engine, report = self.ingest_run()
+        sched = engine.last_scheduler
+        # What the per-arrival implementation this replaced produced.
+        assert engine.last_num_arrivals == report.windows == 6904
+        assert (sched.cohort_calls, sched.cohort_events) == (98, 6904)
+        assert sched.events_processed == 7100
+        jobs = report.shard_stats[0].jobs
+        assert jobs == 98
+        # Items may be materialised per flush or per cohort, never per
+        # arrival.
+        assert len(constructed) <= jobs + sched.cohort_calls
+
+    def test_traced_run_emits_typed_arrival_events(self):
+        engine, report = self.ingest_run(trace=True)
+        arrivals = [e for e in engine.last_event_trace
+                    if isinstance(e, ArrivalEvent)]
+        assert len(arrivals) == engine.last_num_arrivals == 6904
+        assert all(isinstance(e.arrival, StreamArrival)
+                   and e.arrival.t == e.t for e in arrivals)
+        flushes = [e for e in engine.last_event_trace
+                   if isinstance(e, FlushEvent)]
+        assert len(flushes) == 98
+        assert sum(e.windows for e in flushes) == 6904
+        # Same bytes as the untraced bulk path.
+        assert report.to_json() == self.ingest_run()[1].to_json()

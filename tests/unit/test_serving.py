@@ -9,10 +9,10 @@ from repro.models import ModelConfig, TGNN
 from repro.perf import CPU_32T
 from repro.pipeline import ModeledGPPBackend, replay_under_load
 from repro.profiling import count_ops
-from repro.serving import (DEFAULT_REGISTRY, BackendRegistry, CoalescedJob,
-                           CrossShardMailbox, DynamicBatcher, ServingEngine,
-                           ShardRouter, StreamArrival, make_stream_arrivals,
-                           simulate_queue)
+from repro.serving import (DEFAULT_REGISTRY, ArrivalTrace, BackendRegistry,
+                           CoalescedJob, CrossShardMailbox, DynamicBatcher,
+                           ServingEngine, ShardRouter, StreamArrival,
+                           make_stream_arrivals, simulate_queue)
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -195,6 +195,101 @@ def _tiny_batch(t):
     b = g.slice(0, 2)
     return type(b)(src=b.src, dst=b.dst, t=np.full(2, t), eid=b.eid,
                    edge_feat=b.edge_feat)
+
+
+class TestArrivalTrace:
+    """The ``Sequence[StreamArrival]`` contract of the columnar trace."""
+
+    def trace(self, num_streams=2):
+        g, _ = setup()
+        return g, window_arrivals(g, num_streams=num_streams, speedup=4.0)
+
+    def test_items_are_views_of_the_graph(self):
+        g, trace = self.trace()
+        assert isinstance(trace, ArrivalTrace)
+        for a in (trace[0], trace[-1], trace[len(trace) // 2]):
+            assert isinstance(a, StreamArrival)
+            assert np.shares_memory(a.batch.edge_feat, g.edge_feat)
+            assert np.array_equal(a.batch.edge_feat, g.edge_feat[a.batch.eid])
+            assert np.array_equal(a.batch.t, g.t[a.batch.eid])
+        assert (trace[-1].t, trace[-1].stream) \
+            == (trace.t[-1], trace.stream[-1])
+        # Tenants share a window's batch object, as do a slice's items.
+        same_window = np.flatnonzero(trace.eidx[trace.cum[:-1]]
+                                     == trace.eidx[0])
+        assert len(same_window) == 2
+        assert trace[same_window[0]].batch is trace[same_window[1]].batch
+        assert trace[same_window[1]:][0].batch is trace[0].batch
+        with pytest.raises(IndexError):
+            trace[len(trace)]
+
+    def test_slices_share_the_columns(self):
+        _, trace = self.trace()
+        part = trace[3:7]
+        assert isinstance(part, ArrivalTrace) and len(part) == 4
+        assert part.eidx is trace.eidx and part.edges is trace.edges
+        assert np.shares_memory(part.t, trace.t)
+        assert part == [trace[i] for i in range(3, 7)]
+        assert part.num_edges == sum(len(trace[i]) for i in range(3, 7))
+        assert len(trace[5:2]) == 0 and trace[5:2].num_edges == 0
+        with pytest.raises(ValueError, match="contiguous"):
+            trace[::2]
+
+    def test_rows_are_derived_from_first(self):
+        # The constructor takes each arrival's first row and lays out the
+        # per-edge index itself, so ``batch`` (views) and ``merged`` (one
+        # gather) cannot disagree about which rows an arrival owns.
+        g, _ = self.trace()
+        first, cum = np.array([4, 0, 4, 9]), np.array([0, 3, 5, 5, 6])
+        trace = ArrivalTrace(g.slice(0, g.num_edges), np.arange(4.0),
+                             np.array([0, 1, 0, 1]), cum, first)
+        assert trace.eidx.tolist() == [4, 5, 6, 0, 1, 9]
+        assert [a.batch.eid.tolist() for a in trace] \
+            == [[4, 5, 6], [0, 1], [], [9]]
+        assert trace.merged().eid.tolist() == [0, 1, 4, 5, 6, 9]
+        assert trace.span(1, 3) == trace[1:3] == [trace[1], trace[2]]
+        with pytest.raises(ValueError, match="number of arrivals"):
+            ArrivalTrace(trace.edges, trace.t, trace.stream, cum, first[:3])
+
+    def test_value_equality(self):
+        _, trace = self.trace()
+        items = list(trace)
+        assert trace == items and trace == tuple(items)
+        assert tuple(items) == trace            # reflected
+        assert trace[:4] != trace[1:5]
+        assert trace[:4] != items[:3]
+        assert trace != "not arrivals" and trace != [1, 2]
+        other = window_arrivals(self.trace()[0], num_streams=3, speedup=4.0)
+        assert trace != other
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_merged_matches_merge_batches(self):
+        _, trace = self.trace(num_streams=3)
+        for lo, hi in ((0, 1), (0, 5), (2, 9), (0, len(trace))):
+            got = trace[lo:hi].merged()
+            want = merge_batches([trace[i].batch for i in range(lo, hi)])
+            for name in ("src", "dst", "t", "eid", "edge_feat"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_from_arrivals_round_trip(self):
+        _, trace = self.trace()
+        assert ArrivalTrace.from_arrivals(trace) is trace
+        rebuilt = ArrivalTrace.from_arrivals(list(trace))
+        assert rebuilt == trace and rebuilt.edges is not trace.edges
+        empty = ArrivalTrace.from_arrivals([])
+        assert len(empty) == 0 and empty.num_edges == 0 and empty == []
+        one = ArrivalTrace.from_arrivals(
+            [StreamArrival(1.5, 3, _tiny_batch(1.0))])
+        assert (one[0].t, one[0].stream, len(one[0])) == (1.5, 3, 2)
+
+    def test_repr_prints_no_arrays(self):
+        _, trace = self.trace()
+        text = repr(trace)
+        assert text.startswith("ArrivalTrace(arrivals=") \
+            and "array" not in text and "np." not in text \
+            and len(text) < 120
+        assert repr(trace[:0]) == "ArrivalTrace(arrivals=0, edges=0)"
 
 
 class TestBatcherInvariants:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph import (TemporalGraph, iter_fixed_size,
                          iter_time_window_spans, iter_time_windows)
+from repro.serving import make_stream_arrivals
 
 
 def small_graph(n=10):
@@ -117,6 +118,20 @@ class TestTimeWindowBatching:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             list(iter_time_windows(small_graph(), 0.0))
+
+    def test_window_below_timestamp_resolution_is_an_error(self):
+        """At t ~ 1e9 a float64 step is ~1.2e-7, so ``window_start + 1e-8
+        == window_start``: the windows never advance.  That used to yield
+        empty batches forever; it is a ``ValueError`` now, wherever in the
+        requested range the timestamps get that coarse."""
+        g = TemporalGraph([0, 0, 0], [1, 2, 3],
+                          np.array([1.0, 1e9, 1e9 + 1.0]))
+        with pytest.raises(ValueError, match="timestamp resolution"):
+            list(iter_time_windows(g, 1e-8))
+        with pytest.raises(ValueError, match="timestamp resolution"):
+            make_stream_arrivals(g, 1e-8)
+        # The same window is fine on the part of the stream it resolves.
+        assert len(list(iter_time_windows(g, 1e-8, end=1))) == 1
 
 
 class TestTimeWindowSpans:
