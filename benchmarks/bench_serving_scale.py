@@ -1161,7 +1161,7 @@ def test_autoscale_diurnal(capsys, smoke):
     static-peak server-seconds over autoscaled — is pure event-time
     arithmetic, machine-independent, and lands in
     ``results/BENCH_autoscale.json`` for the CI perf-trajectory check
-    against ``benchmarks/baselines/autoscale_server_seconds.json``.
+    against its row in ``benchmarks/baselines.json``.
     """
     cycles, per_cycle = (2, 2400) if smoke else (4, 2400)
     graph = diurnal_graph(cycles, per_cycle)

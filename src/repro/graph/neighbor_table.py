@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .state import VertexRows
+
 __all__ = ["NeighborTable", "GatheredNeighbors"]
 
 
@@ -51,8 +53,11 @@ class GatheredNeighbors:
         return self.nbrs.shape[0]
 
 
-class NeighborTable:
+class NeighborTable(VertexRows):
     """Per-vertex ring buffer of the ``mr`` most recent interactions."""
+
+    # The ring row: slots, then the next write slot and the valid count.
+    _ROW = {"nbrs": 0, "eids": 0, "times": -np.inf, "head": 0, "count": 0}
 
     def __init__(self, num_nodes: int, mr: int):
         if mr <= 0:
@@ -64,6 +69,9 @@ class NeighborTable:
         self._times = np.full((num_nodes, mr), -np.inf, dtype=np.float64)
         self._head = np.zeros(num_nodes, dtype=np.int64)   # next write slot
         self._count = np.zeros(num_nodes, dtype=np.int64)  # valid entries
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, "_" + name) for name in self._ROW}
 
     # ------------------------------------------------------------------ #
     def insert_edges(self, src: np.ndarray, dst: np.ndarray,

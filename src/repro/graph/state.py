@@ -14,10 +14,43 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["VertexState"]
+__all__ = ["VertexState", "VertexRows"]
 
 
-class VertexState:
+class VertexRows:
+    """Per-vertex arrays that share one row format.
+
+    ``_ROW`` names the arrays (attributes of the same name) and gives the
+    value each holds for a vertex with no history; copying, resetting and
+    snapshotting a vertex's row all go through it.
+    """
+
+    _ROW: dict[str, float]
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self._ROW}
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Deep copy of every array, keyed by ``_ROW`` name."""
+        return {name: a.copy() for name, a in self._arrays().items()}
+
+    def restore(self, snap: dict[str, np.ndarray]) -> None:
+        for name, a in self._arrays().items():
+            a[...] = snap[name]
+
+    def reset(self, rows=None) -> None:
+        """Forget ``rows`` (default: every vertex)."""
+        for name, a in self._arrays().items():
+            a[slice(None) if rows is None else rows] = self._ROW[name]
+
+    def copy_rows(self, src: "VertexRows", rows) -> None:
+        """Take ``src``'s rows for the vertices ``rows`` verbatim."""
+        theirs = src._arrays()
+        for name, a in self._arrays().items():
+            a[rows] = theirs[name][rows]
+
+
+class VertexState(VertexRows):
     """Vertex memory + mailbox + bookkeeping timestamps.
 
     Parameters
@@ -31,6 +64,10 @@ class VertexState:
         encoding is appended at update time from the stored timestamp, so it
         is *not* part of the cached payload).
     """
+
+    # A ``mail_time`` of -inf marks "no mail yet".
+    _ROW = {"memory": 0.0, "mailbox": 0.0, "mail_time": -np.inf,
+            "last_update": 0.0}
 
     def __init__(self, num_nodes: int, memory_dim: int, raw_message_dim: int):
         self.num_nodes = int(num_nodes)
@@ -77,28 +114,6 @@ class VertexState:
         self.mail_time[v[last]] = np.asarray(t, dtype=np.float64)[last]
 
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Deep copy of all state (epoch boundaries, val/test forks)."""
-        return {
-            "memory": self.memory.copy(),
-            "mailbox": self.mailbox.copy(),
-            "mail_time": self.mail_time.copy(),
-            "last_update": self.last_update.copy(),
-        }
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        self.memory[...] = snap["memory"]
-        self.mailbox[...] = snap["mailbox"]
-        self.mail_time[...] = snap["mail_time"]
-        self.last_update[...] = snap["last_update"]
-
-    def reset(self) -> None:
-        """Zero all state (start of an epoch over the stream)."""
-        self.memory.fill(0.0)
-        self.mailbox.fill(0.0)
-        self.mail_time.fill(-np.inf)
-        self.last_update.fill(0.0)
-
     def memory_words(self) -> int:
         """External-memory footprint in words (for the resource model)."""
         return self.num_nodes * (self.memory_dim + self.raw_message_dim + 2)

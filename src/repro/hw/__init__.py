@@ -11,11 +11,12 @@ from .multi_die import (Floorplan, plan_floorplan,  # noqa: F401
 from .muu import MUU_STAGES, MemoryUpdateUnit  # noqa: F401
 from .platforms import U200, ZCU104, FPGAPlatform  # noqa: F401
 from .resources import ResourceEstimate, estimate_resources  # noqa: F401
+from .schedule import PIPELINE, transfers  # noqa: F401
 from .trace import pipeline_overlap, render_gantt, stage_utilization  # noqa: F401
 from .updater import UpdaterCache, UpdaterReport  # noqa: F401
 
 __all__ = [
-    "FPGAAccelerator", "RunReport", "COMPUTE_STAGES",
+    "FPGAAccelerator", "RunReport", "COMPUTE_STAGES", "PIPELINE", "transfers",
     "HardwareConfig", "U200_DESIGN", "ZCU104_DESIGN",
     "FPGAPlatform", "U200", "ZCU104",
     "DDRModel",

@@ -13,21 +13,25 @@ predictable from batch shape), so execution is optional:
   field-for-field the one an executing run returns, minus embeddings.
 
 * **Timing** — a pure function of each processing batch's edge count and
-  vertex ids.  The Fig. 4 schedule is simulated with a two-track pipeline:
+  vertex ids.  The Fig. 4 schedule is data, not code: :mod:`.schedule`
+  holds one ``PIPELINE`` table of ``(stage, track, waits_for)`` rows and
+  one ``transfers`` inventory of external-memory rows, and ``run_stream``
+  is a single loop over the table — a stage begins once its track is free
+  and every stage it waits for has finished.
 
-  - a **memory track** (one DDR controller, serialising edge loads, vertex
-    loads, neighbor prefetches and write-backs, modelled by
-    :class:`~repro.hw.memory_model.DDRModel` with burst-dependent effective
-    bandwidth and refresh), and
-  - a **compute track** of 9 fine-grained stages (5 MUU + 4 EU) running the
-    classic pipeline recurrence
-    ``finish[b][s] = max(finish[b][s-1], finish[b-1][s]) + dur[b][s]``.
-
-  Cross-track dependencies implement §IV-C: the attention logits (computed
-  from timestamps alone, thanks to the simplified attention) release the
-  neighbor **prefetch** while the MUU is still running; the FAM cannot start
-  before that prefetch lands.  Disabling ``prefetch`` serialises the fetch
-  behind the MUU — the ablation of the co-design's key enabler.
+  - **Tracks.**  One DDR controller serialises the ``read`` track (edge
+    loads, vertex loads, neighbor prefetches) and, separately, the
+    ``write`` track (the Updater's commit + write-back); both are priced
+    by :class:`~repro.hw.memory_model.DDRModel` with burst-dependent
+    effective bandwidth and refresh.  Each of the 9 compute stages
+    (5 MUU + 4 EU) is its own track.
+  - **The §IV-C edge.**  ``prefetch`` waits for ``eu_attention`` alone:
+    the logits come from timestamps (the simplified attention), so the
+    neighbor fetch is released while the MUU is still running, and
+    ``eu_fam`` waits for that fetch to land.
+  - **The ablation.**  ``hw.prefetch=False`` runs the same table with that
+    one edge swapped for ``prefetch <- muu_merge_gate``, serialising the
+    fetch behind the MUU — the co-design's key enabler switched off.
 
 The accelerator requires a model with the simplified attention: the vanilla
 mechanism cannot compute attention before fetching keys, which is precisely
@@ -44,9 +48,11 @@ from ..graph.batching import iter_fixed_size
 from ..graph.temporal_graph import TemporalGraph
 from ..models.tgn import TGNN, ModelRuntime
 from .config import HardwareConfig
-from .eu import EU_STAGES, EmbeddingUnit
+from .eu import EU_STAGES
 from .memory_model import DDRModel
-from .muu import MUU_STAGES, MemoryUpdateUnit
+from .muu import MUU_STAGES
+from .schedule import (MEM_STAGES, WRITE, compute_cycles, pipeline,
+                       stage_plan, transfers)
 from .updater import UpdaterCache
 
 __all__ = ["FPGAAccelerator", "RunReport", "COMPUTE_STAGES"]
@@ -104,70 +110,57 @@ class FPGAAccelerator:
                 " — the vanilla mechanism defeats prefetching (§IV-C)")
         self.model = model
         self.hw = hw
-        self.muu = MemoryUpdateUnit(model.cfg, hw)
-        self.eu = EmbeddingUnit(model.cfg, hw)
         self.updater = UpdaterCache(hw.updater_lines, hw.commit_scan)
         self.ddr: DDRModel = hw.ddr(refresh=True)
-        self._cost_tables: dict[int, tuple[dict[str, float],
-                                           dict[str, float]]] = {}
+        table = pipeline(hw.prefetch)
+        self._plan = stage_plan(table)
+        self._store = [s.track for s in table].index(WRITE)
+        self._cost_tables: dict[int, tuple[float, ...]] = {}
         model.prepare_inference()
 
     # ------------------------------------------------------------------ #
     # per-processing-batch costs                                          #
     # ------------------------------------------------------------------ #
     def _mem_times(self, n_edges: int) -> dict[str, float]:
-        """Seconds on the memory track per transfer type (Fig. 4 ops 1-5)."""
-        cfg, hw = self.model.cfg, self.hw
-        n_nodes = 2 * n_edges
-        k, keff = cfg.num_neighbors, cfg.effective_neighbors
-        msg = cfg.raw_message_dim
+        """Seconds on the memory tracks per stage: the inventory, DDR-priced."""
+        hw, d = self.hw, self.ddr
         channels = max(1, hw.platform.memory_channels)
-        d = self.ddr
-
-        def ch(t: float) -> float:
-            return t / channels
-
-        load_edges = d.transfer_time(n_edges * (3 + cfg.edge_dim),
-                                     burst_words=3 + cfg.edge_dim)
-        vertex_row = 3 * k + cfg.memory_dim + msg + 2
-        load_vertex = ch(d.row_gather_time(n_nodes, vertex_row,
-                                           overlap=hw.loader_overlap))
-        nbr_row = cfg.memory_dim + cfg.edge_dim + (cfg.node_dim or 0)
-        prefetch = ch(d.row_gather_time(n_nodes * keff, nbr_row,
-                                        overlap=hw.loader_overlap))
-        store_row = cfg.memory_dim + msg + 3
-        store = ch(d.row_gather_time(n_nodes, store_row,
-                                     overlap=hw.loader_overlap))
-        store_emb = ch(d.transfer_time(n_nodes * cfg.embed_dim,
-                                       burst_words=cfg.embed_dim))
-        return {"load_edges": load_edges, "load_vertex": load_vertex,
-                "prefetch": prefetch, "store": store + store_emb}
+        times: dict[str, float] = {}
+        for x in transfers(self.model.cfg, n_edges):
+            if x.gathered:
+                t = d.row_gather_time(x.rows, x.row_words,
+                                      overlap=hw.loader_overlap)
+            else:
+                t = d.transfer_time(x.rows * x.row_words,
+                                    burst_words=x.row_words)
+            if x.striped:
+                t = t / channels
+            times[x.stage] = times.get(x.stage, 0.0) + t
+        return times
 
     def _compute_durations(self, n_edges: int) -> dict[str, float]:
         """Seconds per compute stage (max over CUs; CUs run in parallel)."""
         hw = self.hw
-        per_cu_edges = -(-n_edges // hw.n_cu)
-        n_nodes = 2 * per_cu_edges
-        cycles = {}
-        cycles.update(self.muu.stage_cycles(n_nodes))
-        cycles.update(self.eu.stage_cycles(n_nodes))
         flush = hw.pipeline_flush_cycles
         crossing = hw.die_crossing_cycles if hw.platform.dies > 1 else 0
-        return {name: (c + flush + crossing) * hw.clock_s
-                for name, c in cycles.items()}
+        return {name: (c + flush + crossing) * hw.clock_s for name, c in
+                compute_cycles(self.model.cfg, hw, n_edges).items()}
 
-    def _stage_costs(self, n_edges: int) -> tuple[dict[str, float],
-                                                  dict[str, float]]:
-        """``(_mem_times, _compute_durations)`` of one processing batch.
+    def _stage_costs(self, n_edges: int) -> tuple[float, ...]:
+        """Seconds per ``PIPELINE`` row of one processing batch.
 
-        Both are pure in ``n_edges`` over the frozen model/hardware configs
-        and only ``nb`` plus tail sizes ever occur, so each size is built
-        once per accelerator.  Callers must not mutate the tables.
+        The write-back row holds the price of writing every vertex back;
+        ``run_stream`` scales it by what the Updater commits.  Pure in
+        ``n_edges`` over the frozen model/hardware configs and only ``nb``
+        plus tail sizes ever occur, so each size is built once per
+        accelerator.
         """
         costs = self._cost_tables.get(n_edges)
         if costs is None:
-            costs = self._cost_tables[n_edges] = (
-                self._mem_times(n_edges), self._compute_durations(n_edges))
+            seconds = {**self._mem_times(n_edges),
+                       **self._compute_durations(n_edges)}
+            costs = self._cost_tables[n_edges] = tuple(
+                seconds[stage] for stage, _, _ in self._plan)
         return costs
 
     # ------------------------------------------------------------------ #
@@ -199,21 +192,12 @@ class FPGAAccelerator:
             batches = list(iter_fixed_size(graph, batch_size,
                                            start=start, end=end))
 
+        plan, store = self._plan, self._store
         events: list[TraceEvent] = []
         pb_index = 0
-
-        def record(stage: str, start_t: float, end_t: float) -> None:
-            if trace and end_t > start_t:
-                events.append(TraceEvent(stage=stage, batch_index=pb_index,
-                                         start_s=start_t, end_s=end_t))
-
         stage_time: dict[str, float] = {}
-        # The DDR controller reorders reads ahead of pending writes, so the
-        # read path (edge/vertex loads, prefetch) and the write-back path
-        # are modelled as separate serial tracks.
-        read_free = 0.0
-        write_free = 0.0
-        comp_free = {s: 0.0 for s in COMPUTE_STAGES}
+        free = [0.0] * (2 + len(plan))      # when each track is next idle
+        finish = [0.0] * len(plan)          # per row, this processing batch
         latencies: list[float] = []
         embeddings: list[np.ndarray] = []
         invalidated = 0
@@ -241,75 +225,30 @@ class FPGAAccelerator:
                 report = self.updater.process(sub.nodes)
                 invalidated += report.invalidated
                 committed += report.committed
-                mem, comp = self._stage_costs(n_edges)
+                dur = list(self._stage_costs(n_edges))
+                # The one computed duration: only committed lines are
+                # written back, after the Updater's commit scan.
+                dur[store] = dur[store] \
+                    * (report.committed / max(1, len(sub.nodes))) \
+                    + report.cycles * hw.clock_s
 
-                # read track: edge + vertex loads, in order.
-                t = max(read_free, arrival)
-                t_edges = t + mem["load_edges"]
-                t_vertex = t_edges + mem["load_vertex"]
-                read_free = t_vertex
-                _acc(stage_time, "load_edges", mem["load_edges"])
-                _acc(stage_time, "load_vertex", mem["load_vertex"])
-                record("load_edges", t, t_edges)
-                record("load_vertex", t_edges, t_vertex)
-
-                # compute tracks: the MUU chain and the EU chain run in
-                # PARALLEL.  The attention module needs only the neighbor
-                # timestamps (already on chip after load_vertex) — the whole
-                # point of Eq. (16) — so it fires immediately and releases
-                # the neighbor prefetch while the GRU gates are still busy.
-                finish: dict[str, float] = {}
-
-                def run(stage: str, ready: float) -> float:
-                    start = max(ready, comp_free[stage])
-                    finish[stage] = start + comp[stage]
-                    comp_free[stage] = finish[stage]
-                    _acc(stage_time, stage, comp[stage])
-                    record(stage, start, finish[stage])
-                    return finish[stage]
-
-                # MUU chain.
-                muu_t = run("muu_time_enc", t_vertex)
-                muu_t = run("muu_update_gate", muu_t)
-                muu_t = run("muu_reset_gate", muu_t)
-                muu_t = run("muu_memory_gate", muu_t)
-                muu_done = run("muu_merge_gate", muu_t)
-
-                # EU front end (timestamp-only).
-                am_done = run("eu_attention", t_vertex)
-                te_done = run("eu_time_enc", am_done)
-
-                # Prefetch: released by the attention logits (§IV-C), or —
-                # with prefetching disabled (ablation / vanilla-style) —
-                # only after the MUU has fully committed the batch.
-                pf_ready = am_done if hw.prefetch else muu_done
-                pf_start = max(read_free, pf_ready)
-                prefetch_done = pf_start + mem["prefetch"]
-                read_free = prefetch_done
-                _acc(stage_time, "prefetch", mem["prefetch"])
-                record("prefetch", pf_start, prefetch_done)
-
-                # EU back end: FAM needs prefetched neighbor state; FTM
-                # additionally needs the self memory updated by the MUU.
-                fam_done = run("eu_fam", max(te_done, prefetch_done))
-                run("eu_ftm", max(fam_done, muu_done))
-
-                # store (Updater commit + write-back) on the write track.
-                updater_s = report.cycles * hw.clock_s
-                store_start = max(write_free, finish["eu_ftm"])
-                store_scale = (report.committed / max(1, len(sub.nodes)))
-                store_dur = mem["store"] * store_scale + updater_s
-                write_free = store_start + store_dur
-                _acc(stage_time, "store", store_dur)
-                record("store", store_start, write_free)
-                batch_done = write_free
+                for row, (stage, clock, waits) in enumerate(plan):
+                    begin = max(free[clock], arrival)
+                    for w in waits:
+                        begin = max(begin, finish[w])
+                    free[clock] = finish[row] = done = begin + dur[row]
+                    stage_time[stage] = stage_time.get(stage, 0.0) + dur[row]
+                    if trace and done > begin:
+                        events.append(TraceEvent(stage=stage,
+                                                 batch_index=pb_index,
+                                                 start_s=begin, end_s=done))
+                batch_done = finish[store]
                 pb_index += 1
 
             latencies.append(batch_done - arrival)
             clock_now = batch_done
 
-        mem_busy = sum(stage_time.get(s, 0.0) for s in
-                       ("load_edges", "load_vertex", "prefetch", "store"))
+        mem_busy = sum(stage_time.get(s, 0.0) for s in MEM_STAGES)
         comp_busy = sum(stage_time.get(s, 0.0) for s in COMPUTE_STAGES)
         return RunReport(n_edges=n_total, total_s=clock_now,
                          batch_latencies_s=latencies, stage_time_s=stage_time,
@@ -340,6 +279,3 @@ def _slice_batch(batch, lo: int, hi: int):
                      t=batch.t[lo:hi], eid=batch.eid[lo:hi],
                      edge_feat=batch.edge_feat[lo:hi])
 
-
-def _acc(d: dict[str, float], key: str, value: float) -> None:
-    d[key] = d.get(key, 0.0) + value

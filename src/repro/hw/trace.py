@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .accelerator import COMPUTE_STAGES, RunReport, TraceEvent
+from .accelerator import RunReport
+from .schedule import PIPELINE
 
 __all__ = ["stage_utilization", "render_gantt", "pipeline_overlap"]
 
-MEM_STAGES = ("load_edges", "load_vertex", "prefetch", "store")
-ALL_STAGES = MEM_STAGES[:2] + COMPUTE_STAGES[:5] \
-    + ("eu_attention", "eu_time_enc", "prefetch", "eu_fam", "eu_ftm",
-       "store")
+ALL_STAGES = tuple(s.stage for s in PIPELINE)
 
 
 def stage_utilization(report: RunReport) -> dict[str, float]:

@@ -60,12 +60,10 @@ def load_model(path: str) -> TGNN:
 
 def save_runtime(rt: ModelRuntime, path: str) -> None:
     """Serialise vertex state + neighbor table (resume-able stream state)."""
-    t = rt.sampler.table
     np.savez(path,
              **{f"state/{k}": v for k, v in rt.state.snapshot().items()},
-             **{"nbr/nbrs": t._nbrs, "nbr/eids": t._eids,
-                "nbr/times": t._times, "nbr/head": t._head,
-                "nbr/count": t._count})
+             **{f"nbr/{k}": v
+                for k, v in rt.sampler.table.snapshot().items()})
 
 
 def load_runtime(model: TGNN, num_nodes: int, path: str) -> ModelRuntime:
@@ -80,10 +78,6 @@ def load_runtime(model: TGNN, num_nodes: int, path: str) -> ModelRuntime:
     rt = model.new_runtime(g)  # type: ignore[arg-type]
     rt.state.restore({k[len("state/"):]: data[k]
                       for k in data.files if k.startswith("state/")})
-    t = rt.sampler.table
-    t._nbrs[...] = data["nbr/nbrs"]
-    t._eids[...] = data["nbr/eids"]
-    t._times[...] = data["nbr/times"]
-    t._head[...] = data["nbr/head"]
-    t._count[...] = data["nbr/count"]
+    rt.sampler.table.restore({k[len("nbr/"):]: data[k]
+                              for k in data.files if k.startswith("nbr/")})
     return rt

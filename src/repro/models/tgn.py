@@ -92,30 +92,16 @@ class ModelRuntime:
     sampler: FIFONeighborSampler
 
     def snapshot(self) -> dict:
-        return {
-            "state": self.state.snapshot(),
-            "nbr": {
-                "_nbrs": self.sampler.table._nbrs.copy(),
-                "_eids": self.sampler.table._eids.copy(),
-                "_times": self.sampler.table._times.copy(),
-                "_head": self.sampler.table._head.copy(),
-                "_count": self.sampler.table._count.copy(),
-            },
-        }
+        return {"state": self.state.snapshot(),
+                "nbr": self.sampler.table.snapshot()}
 
     def restore(self, snap: dict) -> None:
         self.state.restore(snap["state"])
-        for name, arr in snap["nbr"].items():
-            getattr(self.sampler.table, name)[...] = arr
+        self.sampler.table.restore(snap["nbr"])
 
     def reset(self) -> None:
         self.state.reset()
-        t = self.sampler.table
-        t._nbrs.fill(0)
-        t._eids.fill(0)
-        t._times.fill(-np.inf)
-        t._head.fill(0)
-        t._count.fill(0)
+        self.sampler.table.reset()
 
 
 @dataclass

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw.config import HardwareConfig
-from ..hw.eu import EmbeddingUnit
-from ..hw.muu import MemoryUpdateUnit
+from ..hw.schedule import compute_cycles
 from ..models.config import ModelConfig
 from ..profiling.op_counter import Convention, count_ops
 from .performance_model import PerformanceModel
@@ -47,10 +46,7 @@ def characterize(model_cfg: ModelConfig, hw: HardwareConfig
     """Compute the §III verdicts for this design point."""
     pm = PerformanceModel(model_cfg, hw)
     pred = pm.pipeline_period()
-    n_nodes = 2 * hw.edges_per_cu
-    cycles = {}
-    cycles.update(MemoryUpdateUnit(model_cfg, hw).stage_cycles(n_nodes))
-    cycles.update(EmbeddingUnit(model_cfg, hw).stage_cycles(n_nodes))
+    cycles = compute_cycles(model_cfg, hw, hw.nb)
     dominant = max(cycles, key=cycles.get)
 
     counts = count_ops(model_cfg, Convention.PAPER)

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hw.accelerator import COMPUTE_STAGES
 from ..hw.config import HardwareConfig
-from ..hw.eu import EmbeddingUnit
 from ..hw.memory_model import DDRModel
-from ..hw.muu import MemoryUpdateUnit
+from ..hw.schedule import PIPELINE, compute_cycles, transfers
 from ..models.config import ModelConfig
 
 __all__ = ["PerformanceModel", "PerfPrediction"]
@@ -47,46 +45,27 @@ class PerformanceModel:
         self.cfg = model_cfg
         self.hw = hw
         self.ddr: DDRModel = hw.ddr(refresh=False)   # idealised memory
-        self._muu = MemoryUpdateUnit(model_cfg, hw)
-        self._eu = EmbeddingUnit(model_cfg, hw)
-        # Pipeline depth beta: memory ops (4) + compute stages.
-        self.beta = 4 + len(COMPUTE_STAGES)
+        self.beta = len(PIPELINE)       # pipeline depth: one per Fig. 4 row
 
     # ------------------------------------------------------------------ #
     def t_comp_max(self) -> float:
         """Eq. (19)-(20): the slowest compute stage's duration (seconds)."""
-        n_nodes = 2 * self.hw.edges_per_cu
-        cycles = {}
-        cycles.update(self._muu.stage_cycles(n_nodes))
-        cycles.update(self._eu.stage_cycles(n_nodes))
+        cycles = compute_cycles(self.cfg, self.hw, self.hw.nb)
         return max(cycles.values()) * self.hw.clock_s
 
     def t_ls(self) -> float:
         """Eq. (21): total load/store time of one processing batch.
 
-        Mirrors the simulator's transfer inventory but at idealised
-        ``alpha(l) * BW`` bandwidth with no fixed request latency and no
-        refresh — the Section-V simplifications.
+        The simulator's transfer inventory at idealised ``alpha(l) * BW``
+        bandwidth with no fixed request latency and no refresh — the
+        Section-V simplifications.
         """
-        cfg, hw = self.cfg, self.hw
-        nb = hw.nb
-        n_nodes = 2 * nb
-        k, keff = cfg.num_neighbors, cfg.effective_neighbors
-        msg = cfg.raw_message_dim
-        channels = max(1, hw.platform.memory_channels)
+        channels = max(1, self.hw.platform.memory_channels)
         bw = self.ddr.peak_bw_gbs * 1e9 / self.ddr.word_bytes  # words/s
-
-        def t(words: float, burst: float) -> float:
-            return words / (bw * self.ddr.alpha(burst))
-
-        vertex_row = 3 * k + cfg.memory_dim + msg + 2
-        nbr_row = cfg.memory_dim + cfg.edge_dim + (cfg.node_dim or 0)
-        store_row = cfg.memory_dim + msg + 3
-        total = (t(nb * (3 + cfg.edge_dim), 3 + cfg.edge_dim)          # edges
-                 + t(n_nodes * vertex_row, vertex_row) / channels      # loads
-                 + t(n_nodes * keff * nbr_row, nbr_row) / channels     # prefetch
-                 + t(n_nodes * store_row, store_row) / channels        # stores
-                 + t(n_nodes * cfg.embed_dim, cfg.embed_dim) / channels)
+        total = 0.0
+        for x in transfers(self.cfg, self.hw.nb):
+            t = x.rows * x.row_words / (bw * self.ddr.alpha(x.row_words))
+            total += t / channels if x.striped else t
         return total
 
     def t_fill(self) -> float:
@@ -99,10 +78,7 @@ class PerformanceModel:
         exact closed form instead: the serial traversal of one processing
         batch through loads, the compute chain, and the write-back.
         """
-        n_nodes = 2 * self.hw.edges_per_cu
-        cycles = {}
-        cycles.update(self._muu.stage_cycles(n_nodes))
-        cycles.update(self._eu.stage_cycles(n_nodes))
+        cycles = compute_cycles(self.cfg, self.hw, self.hw.nb)
         return self.t_ls() + sum(cycles.values()) * self.hw.clock_s
 
     def pipeline_period(self) -> PerfPrediction:

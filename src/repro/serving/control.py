@@ -246,11 +246,14 @@ class FailureInjector:
     def start(self, plane: ControlPlane) -> None:
         """Attach to one run: reset the counters, schedule the plans."""
         n = len(plane.groups)
+        # The scaler started first, so its active prefix (not the padded
+        # slot count) is what a dead shard's vertices could evacuate to.
+        lone = plane.eligible().sum() < 2
         for p in self.plans:
             if p.shard >= n:
                 raise ValueError(f"failure shard {p.shard} out of range "
                                  f"for {n} shards")
-            if p.mode == "dead" and n < 2:
+            if p.mode == "dead" and lone:
                 raise ValueError("a dead-replica failure needs a survivor")
         self._plane = plane
         self.failures = self.recoveries = 0

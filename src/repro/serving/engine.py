@@ -105,6 +105,10 @@ class ShardStats:
     In pool topology there is a single entry describing the shared queue;
     ``servers`` is the replica count (always 1 for partitioned shards).
     In hybrid topology the last entry is the cold-tail pool.
+
+    ``offered_load`` is ``inf`` when two or more jobs were all released at
+    one instant (no arrival rate exists); the report writes that as
+    ``null`` — ``Infinity`` is not strict JSON — with ``stable`` false.
     """
 
     shard: int
@@ -237,8 +241,11 @@ class ServingReport:
         the goldens that predate the feature.
         """
         d = asdict(self)
-        d["shard_stats"] = [dict(asdict(s), stable=bool(s.stable))
-                            for s in self.shard_stats]
+        d["shard_stats"] = [
+            dict(asdict(s), stable=bool(s.stable),
+                 offered_load=s.offered_load
+                 if math.isfinite(s.offered_load) else None)
+            for s in self.shard_stats]
         d.update(stable=bool(self.stable),
                  served_edges=int(self.served_edges),
                  throughput_eps=float(self.throughput_eps),
@@ -253,9 +260,11 @@ class ServingReport:
         return d
 
     def to_json(self) -> str:
-        """Canonical JSON: sorted keys, fixed separators — byte-stable for
-        identical runs (the golden-determinism contract)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """Canonical strict JSON: sorted keys, fixed separators, no
+        ``NaN``/``Infinity`` — byte-stable for identical runs (the
+        golden-determinism contract)."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+                          allow_nan=False)
 
     def to_structure_json(self) -> str:
         """Canonical JSON with every float nulled out.
@@ -267,7 +276,7 @@ class ServingReport:
         workload agree on it exactly, whatever the host was doing.
         """
         return json.dumps(_null_floats(self.to_dict()), sort_keys=True,
-                          indent=2)
+                          indent=2, allow_nan=False)
 
 
 def make_stream_arrivals(graph: TemporalGraph, window_s: float,

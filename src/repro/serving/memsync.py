@@ -439,11 +439,7 @@ class ShardedRuntime:
         dst = self.runtimes[to_shard].state
         for owner in np.unique(owners):
             rows = vertices[owners == owner]
-            src = self.runtimes[owner].state
-            dst.memory[rows] = src.memory[rows]
-            dst.mailbox[rows] = src.mailbox[rows]
-            dst.mail_time[rows] = src.mail_time[rows]
-            dst.last_update[rows] = src.last_update[rows]
+            dst.copy_rows(self.runtimes[owner].state, rows)
 
     def migrate(self, vertices, to_shard: int) -> int:
         """Move ownership of ``vertices`` to ``to_shard`` between batches,
@@ -487,17 +483,8 @@ class ShardedRuntime:
         dst_table = self.runtimes[to_shard].sampler.table
         for owner in np.unique(owners):
             rows = v[owners == owner]
-            src_state = self.runtimes[owner].state
-            src_table = self.runtimes[owner].sampler.table
-            dst_state.memory[rows] = src_state.memory[rows]
-            dst_state.mailbox[rows] = src_state.mailbox[rows]
-            dst_state.mail_time[rows] = src_state.mail_time[rows]
-            dst_state.last_update[rows] = src_state.last_update[rows]
-            dst_table._nbrs[rows] = src_table._nbrs[rows]
-            dst_table._eids[rows] = src_table._eids[rows]
-            dst_table._times[rows] = src_table._times[rows]
-            dst_table._head[rows] = src_table._head[rows]
-            dst_table._count[rows] = src_table._count[rows]
+            dst_state.copy_rows(self.runtimes[owner].state, rows)
+            dst_table.copy_rows(self.runtimes[owner].sampler.table, rows)
             self.mailbox.record_sync(
                 np.repeat(owner, len(rows) * HANDOFF_ROWS_PER_VERTEX),
                 to_shard)
@@ -537,11 +524,7 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
         for owner in np.unique(owners):
             rows = vertices[owners == owner]
             table = self.runtimes[owner].sampler.table
-            table._nbrs[rows] = 0
-            table._eids[rows] = 0
-            table._times[rows] = -np.inf
-            table._head[rows] = 0
-            table._count[rows] = 0
+            table.reset(rows)
             sel = np.isin(vs, rows)
             if sel.any():
                 table._insert(vs[sel], ps[sel], es[sel], ts[sel])
@@ -586,16 +569,9 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
                 # this (version 0); written vertices are honestly cold.
                 if self.cache.version[x] > 0:
                     cold += 1
-                dst.memory[x] = 0.0
-                dst.mailbox[x] = 0.0
-                dst.mail_time[x] = -np.inf
-                dst.last_update[x] = 0.0
+                dst.reset(x)
             else:
-                src = self.runtimes[peer].state
-                dst.memory[x] = src.memory[x]
-                dst.mailbox[x] = src.mailbox[x]
-                dst.mail_time[x] = src.mail_time[x]
-                dst.last_update[x] = src.last_update[x]
+                dst.copy_rows(self.runtimes[peer].state, x)
                 self.mailbox.record_sync(
                     np.repeat(peer, HANDOFF_ROWS_PER_VERTEX), new_owner)
                 rows += HANDOFF_ROWS_PER_VERTEX

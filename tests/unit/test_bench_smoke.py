@@ -54,8 +54,8 @@ def test_serving_scale_smoke_runs_quickly(tmp_path):
     # The perf-trajectory artifact CI diffs against its baseline.
     assert os.path.exists(os.path.join(
         str(tmp_path), "BENCH_events_per_sec.json"))
-    # The failover sweep leaves its own artifact; it has no
-    # ``speedup_ratio``, and check_perf_trajectory.py must tolerate it.
+    # The failover sweep leaves its own artifact; the perf guard's table
+    # has no row for it, so check_perf_trajectory.py never opens it.
     assert os.path.exists(os.path.join(
         str(tmp_path), "BENCH_failover.json"))
     # The measured worker-pool ratio CI diffs against its own baseline.
@@ -73,3 +73,39 @@ def test_serving_scale_smoke_runs_quickly(tmp_path):
     assert elapsed < SMOKE_BUDGET_S, (
         f"--smoke took {elapsed:.1f} s (budget {SMOKE_BUDGET_S:.0f} s): "
         f"the event loop's per-event overhead has regressed")
+
+
+def test_perf_guard_reads_every_present_row_of_its_table(tmp_path):
+    """``check_perf_trajectory.py results/`` is table-driven: floors for
+    ``higher`` rows, absolute ceilings for ``lower`` rows, a named skip
+    for an absent artifact, and no look at artifacts it has no row for."""
+    import json
+
+    def guard():
+        return subprocess.run(
+            [sys.executable,
+             os.path.join(REPO_ROOT, "benchmarks", "check_perf_trajectory.py"),
+             str(tmp_path)], capture_output=True, text=True, timeout=60)
+
+    def write(name, **payload):
+        (tmp_path / name).write_text(json.dumps(payload))
+
+    write("BENCH_failover.json", rows=[])           # no row: never opened
+    write("BENCH_events_per_sec.json", speedup_ratio=5.7)   # floor 5.6
+    write("BENCH_router_split.json", scaling_ratio=1.3)     # ceiling 1.3
+    ok = guard()
+    assert ok.returncode == 0, ok.stdout + ok.stderr
+    assert ok.stdout.count("OK: ") == 2 and "failover" not in ok.stdout
+    assert "skip: BENCH_ingest.json" in ok.stdout
+
+    write("BENCH_events_per_sec.json", speedup_ratio=5.5)
+    write("BENCH_ingest.json", scaling_ratio=3.1)
+    bad = guard()
+    assert bad.returncode == 1
+    assert bad.stdout.count("FAIL: ") == 2 and "2 row(s)" in bad.stdout
+
+    usage = subprocess.run(
+        [sys.executable,
+         os.path.join(REPO_ROOT, "benchmarks", "check_perf_trajectory.py")],
+        capture_output=True, text=True, timeout=60)
+    assert usage.returncode == 2

@@ -275,6 +275,9 @@ class TestServeSim:
         ["--deadline-ms", "-1"],
         ["--fail-at", "10", "--fail-shard", "7"],
         ["--fail-at", "10", "--fail-shard", "0", "--shards", "1"],
+        ["--edges", "30", "--shards", "1", "--window-s", "3600",
+         "--autoscale", "--slo-p95", "1", "--fail-at", "1",
+         "--fail-shard", "0", "--check-trace"],
         ["--fail-at", "10", "--recover-at", "5"],
         ["--topology", "pool", "--pool-servers", "0"],
         ["--rebalance-online", "--rebalance-window", "0"],

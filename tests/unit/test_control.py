@@ -132,6 +132,26 @@ class TestFailureInjectorOnThePlane:
             ControlPlane(sched, groups[:1], ShardRouter(1, 8), None, None,
                          injector=lone)
 
+    def test_a_lone_active_shard_of_an_elastic_fleet_has_no_survivor(self):
+        """Padded autoscale slots are not survivors: the rule reads the
+        shards eligible at start, not the slot count."""
+        sched = EventScheduler()
+        groups = [ServerGroup(s, 1, lambda _p: 1.0, sched) for s in range(3)]
+
+        def start(replicas):
+            auto = AutoScaler(CapacityConfig(micro_batch=1, replicas=replicas,
+                                             max_replicas=3),
+                              slo_p95_s=1.0, scale_window_s=1.0)
+            router = ShardRouter.from_placement(
+                padded_hash_placement(12, replicas, 3))
+            return ControlPlane(
+                sched, groups, router, None, None, autoscaler=auto,
+                injector=FailureInjector(FailurePlan(fail_at=1.0, shard=0)))
+
+        with pytest.raises(ValueError, match="survivor"):
+            start(replicas=1)
+        assert start(replicas=2).eligible().sum() == 2
+
     def test_total_outage_leaves_ownership_until_recovery(self):
         """With no eligible shard left there is nowhere to evacuate to:
         ownership stays put (the windows drop) and recovery has nothing

@@ -103,6 +103,34 @@ class TestBatchInsertion:
                        np.array([], dtype=int), np.array([]))
         assert t.degree(np.array([0]))[0] == 0
 
+    def test_row_format_round_trips(self):
+        """snapshot/restore/reset/copy_rows cover the whole ring row —
+        slots, head and count — so a copied or replayed vertex keeps
+        inserting into the same slot its source would."""
+        edges = [(0, 1, 0, 1.0), (0, 2, 1, 2.0), (0, 3, 2, 3.0),
+                 (1, 2, 3, 4.0)]
+        a = NeighborTable(4, mr=2)
+        insert_seq(a, edges)
+        snap = a.snapshot()
+        assert list(snap) == ["nbrs", "eids", "times", "head", "count"]
+
+        b = NeighborTable(4, mr=2)
+        b.copy_rows(a, np.array([0, 2]))
+        assert b.degree().tolist() == [2, 0, 2, 0]
+        b.restore(snap)
+        for t in (a, b):
+            insert_seq(t, [(0, 2, 4, 5.0)])
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(a.snapshot().values(), b.snapshot().values()))
+
+        b.reset(np.array([0]))
+        assert b.degree().tolist() == [0, 2, 2, 1]
+        assert not b.gather(np.array([0])).mask.any()
+        b.reset()
+        fresh = NeighborTable(4, mr=2).snapshot()
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(b.snapshot().values(), fresh.values()))
+
     def test_memory_words(self):
         t = NeighborTable(10, mr=5)
         assert t.memory_words() == 10 * 5 * 3

@@ -659,6 +659,28 @@ class TestArrivalTieBreak:
                                       num_streams=2).to_json())
         assert reports[0] == reports[1] == reports[2]
 
+    def test_jobs_released_at_one_instant_report_strict_json(self):
+        """A size-bound batcher with no deadline releases what is left at
+        the stream's last instant, here as two jobs: a zero arrival span
+        has no rate (``inf`` internally), which the report writes as
+        ``null`` — never the non-JSON ``Infinity`` — and unstable."""
+        import json
+
+        from repro.pipeline import LinearCostBackend
+        engine = ServingEngine([LinearCostBackend(per_edge_s=1e-2)], 2,
+                               batcher=DynamicBatcher(max_edges=4))
+        report = engine.run(self.tie_graph(), window_s=100.0, num_streams=2)
+        assert report.shard_stats[0].jobs == 2
+        assert report.shard_stats[0].offered_load == float("inf")
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in the report")
+
+        for text in (report.to_json(), report.to_structure_json()):
+            shard, = json.loads(text, parse_constant=reject)["shard_stats"]
+            assert shard["offered_load"] is None
+            assert shard["stable"] is False
+
 
 class TestWarmStateRerun:
     """``ServingEngine.run`` documents that a second run continues from

@@ -55,6 +55,20 @@ class TestVertexState:
         assert not s.has_mail(np.array([1]))[0]
         assert np.allclose(s.mailbox, 0.0)
 
+    def test_rows_copy_and_reset_without_touching_the_rest(self):
+        src, dst = VertexState(3, 2, 2), VertexState(3, 2, 2)
+        v = np.array([0, 1])
+        src.write_memory(v, np.ones((2, 2)), np.array([1.0, 2.0]))
+        src.write_mail(v, np.full((2, 2), 3.0), np.array([1.0, 2.0]))
+        dst.copy_rows(src, np.array([1]))
+        assert dst.has_mail(np.arange(3)).tolist() == [False, True, False]
+        assert dst.memory[1].tolist() == [1.0, 1.0]
+        assert dst.last_update.tolist() == [0.0, 2.0, 0.0]
+        src.reset(1)
+        assert src.has_mail(np.arange(3)).tolist() == [True, False, False]
+        assert src.memory[1].tolist() == [0.0, 0.0]
+        assert src.last_update.tolist() == [1.0, 0.0, 0.0]
+
     def test_memory_words(self):
         s = VertexState(10, 4, 6)
         assert s.memory_words() == 10 * (4 + 6 + 2)
