@@ -19,11 +19,7 @@ Timing only; functional results come from the shared model kernels.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..models.attention import _masked_softmax_np
 from ..models.config import ModelConfig
-from ..models.tgn import TGNN
 from .config import HardwareConfig
 
 __all__ = ["EmbeddingUnit", "EU_STAGES"]
@@ -60,27 +56,6 @@ class EmbeddingUnit:
         ftm = _ceil(n_nodes * (kv_in * e + (e + m) * e), hw.sftm2)
         return {"eu_attention": int(am), "eu_time_enc": int(te),
                 "eu_fam": int(fam), "eu_ftm": int(ftm)}
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def functional(model: TGNN, nbr_feat: np.ndarray, edge_feat: np.ndarray,
-                   time_enc: np.ndarray, logits: np.ndarray,
-                   sel_mask: np.ndarray, self_feat: np.ndarray) -> np.ndarray:
-        """Aggregate-then-transform reference; equals per-neighbor values.
-
-        Exercised by unit tests to prove the FAM/FTM reordering is exact.
-        """
-        attn = model.attention
-        alpha = _masked_softmax_np(logits, sel_mask)
-        agg = np.einsum("nk,nkd->nd",
-                        alpha, np.concatenate([nbr_feat, edge_feat, time_enc],
-                                              axis=2))
-        hidden = agg @ attn.w_v.weight.data.T \
-            + alpha.sum(axis=1, keepdims=True) * attn.w_v.bias.data
-        out = np.concatenate([hidden, self_feat], axis=1)
-        emb = out @ model.out_transform.weight.data.T \
-            + model.out_transform.bias.data
-        return np.maximum(emb, 0.0)
 
 
 def _ceil(a: int, b: int) -> int:

@@ -151,20 +151,40 @@ class SimplifiedTemporalAttention(Module):
         return dt_scaled @ self.w_t.weight.data.T + self.w_t.bias.data \
             + self.attn_bias.data
 
-    def forward_numpy(self, nbr_feat: np.ndarray, edge_feat: np.ndarray,
-                      time_enc: np.ndarray, logits: np.ndarray,
-                      sel_mask: np.ndarray) -> np.ndarray:
-        """Value computation + weighted aggregation on *pruned* inputs.
+    @staticmethod
+    def aggregate_numpy(alpha: np.ndarray, feat: np.ndarray) -> np.ndarray:
+        """FAM: ``sum_j alpha_j feat_j`` — ``(n, p)``, ``(n, p, d) -> (n, d)``.
 
-        All array arguments are already gathered down to the pruning budget
-        ``p`` columns (see :func:`repro.models.pruning.select_pruned`), so
-        the dominant matmul runs on ``(n, p, .)`` — this is where the
-        measured NP speedup comes from.
+        ``feat`` is already gathered down to the pruning budget ``p`` columns
+        (see :func:`repro.models.pruning.compact_selection`).  Padded slots
+        need no zeroing: ``alpha`` is exactly 0 there.
         """
-        kv_in = np.concatenate([nbr_feat, edge_feat, time_enc], axis=2)
-        values = kv_in @ self.w_v.weight.data.T + self.w_v.bias.data
-        alpha = _masked_softmax_np(logits, sel_mask)
-        return np.einsum("nk,nke->ne", alpha, values)
+        return (alpha[:, None, :] @ feat)[:, 0]
+
+    def forward_numpy(self, alpha: np.ndarray, nbr: np.ndarray,
+                      edge: np.ndarray, time: np.ndarray,
+                      w_raw: np.ndarray | None = None) -> np.ndarray:
+        """FTM: ``W_v`` once per node, on the :meth:`aggregate_numpy` sums.
+
+        The value map is affine and ``alpha`` depends on Δt only, so
+        aggregating the raw neighbor vectors first and transforming the
+        aggregate is exact — the Embedding Unit's own order
+        (:mod:`repro.hw.eu`), ``keff`` times fewer MACs than per-neighbor
+        values.  What pruning saves on this path is gathers plus
+        aggregation, as in the paper's MEM column; the ``W_v`` product no
+        longer depends on the budget.
+
+        ``time`` aggregates ``Phi(dt)``, width ``time_dim``.  With ``w_raw``
+        (the packed ``W_v[:, :-time_dim]`` of ``TGNN.prepare_inference``) it
+        aggregates the premultiplied LUT rows instead, which are already in
+        value space.  The bias is scaled by ``sum(alpha)``: 0 for a row with
+        no valid neighbor, whose hidden state is therefore exactly 0.
+        """
+        bias = alpha.sum(axis=1, keepdims=True) * self.w_v.bias.data
+        if w_raw is None:
+            return (np.concatenate([nbr, edge, time], axis=1)
+                    @ self.w_v.weight.data.T + bias)
+        return np.concatenate([nbr, edge], axis=1) @ w_raw.T + time + bias
 
 
 def _masked_softmax_np(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -68,16 +68,21 @@ class GRUMemoryUpdater(Module):
 
     def forward_numpy_premul(self, raw_messages: np.ndarray,
                              bins: np.ndarray, premul_table: np.ndarray,
+                             w_raw: np.ndarray,
                              memory: np.ndarray) -> np.ndarray:
-        """LUT fast path: the time slice of ``W_ih @ input`` is one lookup."""
-        d_t = self.cfg.time_dim
-        w_raw = self.gru.weight_ih.data[:, :-d_t]
+        """LUT fast path: the time slice of ``W_ih @ input`` is one lookup
+        and ``w_raw`` is the packed :meth:`input_raw_weight`."""
         gi = raw_messages @ w_raw.T + premul_table[bins] + self.gru.bias_ih.data
         return self._gates(gi, memory)
 
     def input_time_weight(self) -> np.ndarray:
         """Time-encoding slice of the stacked input weights (for premult)."""
         return self.gru.weight_ih.data[:, -self.cfg.time_dim:]
+
+    def input_raw_weight(self) -> np.ndarray:
+        """Contiguous copy of the raw-message slice (packed once at prepare)."""
+        return np.ascontiguousarray(
+            self.gru.weight_ih.data[:, :-self.cfg.time_dim])
 
     def _gates(self, gi: np.ndarray, memory: np.ndarray) -> np.ndarray:
         h = self.cfg.memory_dim
@@ -127,14 +132,16 @@ class RNNMemoryUpdater(Module):
 
     def forward_numpy_premul(self, raw_messages: np.ndarray,
                              bins: np.ndarray, premul_table: np.ndarray,
+                             w_raw: np.ndarray,
                              memory: np.ndarray) -> np.ndarray:
-        d_t = self.cfg.time_dim
-        w_raw = self.w_ih.data[:, :-d_t]
         return np.tanh(raw_messages @ w_raw.T + premul_table[bins]
                        + memory @ self.w_hh.data.T + self.bias.data)
 
     def input_time_weight(self) -> np.ndarray:
         return self.w_ih.data[:, -self.cfg.time_dim:]
+
+    def input_raw_weight(self) -> np.ndarray:
+        return np.ascontiguousarray(self.w_ih.data[:, :-self.cfg.time_dim])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

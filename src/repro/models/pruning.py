@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_k_mask", "select_pruned"]
+__all__ = ["top_k_mask", "compact_selection", "select_pruned"]
 
 
 def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
@@ -46,23 +46,26 @@ def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
     return out & mask
 
 
-def select_pruned(logits: np.ndarray, mask: np.ndarray, budget: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Compact top-``budget`` selection for the gather-then-compute path.
+def compact_selection(keep: np.ndarray, budget: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Compact form of a :func:`top_k_mask` result: ``(indices, sel_mask)``.
 
-    Returns ``(indices, sel_mask)`` where ``indices`` has shape
-    ``(n, budget)`` giving the chosen slot per row (padded with slot 0 where
-    a row has fewer valid neighbors) and ``sel_mask`` flags real selections.
-    The fast inference path gathers neighbor data through ``indices`` so the
-    value computation runs on ``budget`` columns instead of ``k``.
+    ``indices`` has shape ``(n, min(budget, k))`` giving the chosen slot per
+    row (padded with slot 0 where a row has fewer valid neighbors) and
+    ``sel_mask`` flags real selections.  The fast inference path runs the
+    top-k pass once, reports ``keep`` as the full-width ``selected`` mask and
+    gathers neighbor data through ``indices`` so aggregation runs on
+    ``budget`` columns instead of ``k``.
     """
-    keep = top_k_mask(logits, mask, budget)
     n, k = keep.shape
-    budget = min(budget, k)
     # Order selected slots by ascending slot index to preserve the
     # timestamp-sorted neighbor order within the pruned list.
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :budget]
-    rows = np.arange(n)[:, None]
-    sel_mask = keep[rows, order]
-    indices = np.where(sel_mask, order, 0)
-    return indices, sel_mask
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :min(budget, k)]
+    sel_mask = keep[np.arange(n)[:, None], order]
+    return np.where(sel_mask, order, 0), sel_mask
+
+
+def select_pruned(logits: np.ndarray, mask: np.ndarray, budget: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``budget`` selection straight to its compact form."""
+    return compact_selection(top_k_mask(logits, mask, budget), budget)

@@ -14,9 +14,16 @@ Two execution paths share the same parameters:
 * :meth:`process_batch` — autograd path used for training and distillation;
 * :meth:`infer_batch` — pure-NumPy deployment path with *actual* pruned
   gathers and pre-multiplied LUT tables, instrumented with the per-stage
-  timings of Table I.  The two paths agree to float round-off (asserted by
-  integration tests), and the hardware simulator reuses the same per-module
-  numpy kernels, so all three implementations are functionally identical.
+  timings of Table I.  Its simplified-attention GNN stage runs in the
+  accelerator's order (§IV-B): aggregate the alpha-weighted raw neighbor
+  vectors (FAM), then apply ``W_v`` once per node (FTM) — exact because the
+  value map is affine and Eq. (16)'s ``alpha`` depends on Δt only.  The
+  autograd path keeps per-neighbor values as the training reference; the
+  deployment path's old per-neighbor body is the oracle of
+  ``tests/property/test_gnn_kernel_properties.py``.  The two paths agree
+  to float round-off (asserted by integration tests), and the hardware
+  simulator reuses the same per-module numpy kernels, so all three
+  implementations are functionally identical.
 
 Worker-pool contract (measured serving backends)
 ------------------------------------------------
@@ -50,7 +57,7 @@ from .attention import (DT_SCALE, AttentionOutput, SimplifiedTemporalAttention,
 from .config import ModelConfig
 from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater
 from .message import build_raw_messages
-from .pruning import select_pruned
+from .pruning import compact_selection, top_k_mask
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder
 
 __all__ = ["TGNN", "ModelRuntime", "BatchResult", "MemoryUpdate",
@@ -361,18 +368,22 @@ class TGNN(Module):
         """Pre-multiply the LUT table with the downstream weight slices.
 
         After this call, :meth:`infer_batch` replaces every time-feature
-        matmul with a table lookup — the §III-C computation-order reversal.
-        Call again after any parameter change.
+        matmul with a table lookup — the §III-C computation-order reversal —
+        and multiplies by contiguous raw-feature weight slices packed here
+        once instead of sliced per batch.  Call again after any parameter
+        change.
         """
         self._premul_cache = None
         if not isinstance(self.time_encoder, LUTTimeEncoder):
             return
         d_t = self.cfg.time_dim
         cache = {"updt": self.time_encoder.premultiply(
-            self.memory_updater.input_time_weight())}
+                     self.memory_updater.input_time_weight()),
+                 "updt_raw": self.memory_updater.input_raw_weight()}
         if isinstance(self.attention, SimplifiedTemporalAttention):
-            w_v_time = self.attention.w_v.weight.data[:, -d_t:]
-            cache["attn_v"] = self.time_encoder.premultiply(w_v_time)
+            w_v = self.attention.w_v.weight.data
+            cache["attn_v"] = self.time_encoder.premultiply(w_v[:, -d_t:])
+            cache["attn_raw"] = np.ascontiguousarray(w_v[:, :-d_t])
         self._premul_cache = cache
 
     def infer_batch(self, batch: EdgeBatch, rt: ModelRuntime,
@@ -417,9 +428,10 @@ class TGNN(Module):
     def _gru_lut_np(self, raw: np.ndarray, dt: np.ndarray,
                     memory: np.ndarray) -> np.ndarray:
         """Updater step where ``W[:, time] @ Phi(dt)`` is one LUT read."""
+        cache = self._premul_cache
         return self.memory_updater.forward_numpy_premul(
-            raw, self.time_encoder.bin_index(dt),
-            self._premul_cache["updt"], memory)
+            raw, self.time_encoder.bin_index(dt), cache["updt"],
+            cache["updt_raw"], memory)
 
     def _gnn_numpy(self, nodes, t_nodes, g, updated, inverse, rt, graph):
         """Embedding computation with gather-then-compute pruning."""
@@ -433,43 +445,42 @@ class TGNN(Module):
                                      + self.node_proj.bias.data)
 
         if isinstance(self.attention, SimplifiedTemporalAttention):
-            logits = self.attention.logits_numpy(dt_nbr * DT_SCALE)
+            attn = self.attention
+            full_logits = attn.logits_numpy(dt_nbr * DT_SCALE)
+            nbrs, eids, sel_dt, sel_logits = g.nbrs, g.eids, dt_nbr, full_logits
+            selected = sel_mask = g.mask
             if cfg.pruning_budget is not None:
-                idx, sel_mask = select_pruned(logits, g.mask,
-                                              cfg.pruning_budget)
+                # One top-k pass: `selected` is reported full-width, its
+                # compact form drives the gathers.
+                selected = top_k_mask(full_logits, g.mask, cfg.pruning_budget)
+                idx, sel_mask = compact_selection(selected,
+                                                  cfg.pruning_budget)
                 rows = np.arange(len(nodes))[:, None]
-                nbrs = g.nbrs[rows, idx]
-                eids = g.eids[rows, idx]
-                sel_dt = dt_nbr[rows, idx]
-                sel_logits = logits[rows, idx]
-            else:
-                nbrs, eids, sel_dt = g.nbrs, g.eids, dt_nbr
-                sel_logits, sel_mask = logits, g.mask
+                nbrs, eids = nbrs[rows, idx], eids[rows, idx]
+                sel_dt, sel_logits = dt_nbr[rows, idx], full_logits[rows, idx]
+            alpha = _masked_softmax_np(sel_logits, sel_mask)
             nbr_feat = rt.state.memory[nbrs]
             if self.node_proj is not None:
                 nbr_feat = nbr_feat + (graph.node_feat[nbrs]
                                        @ self.node_proj.weight.data.T
                                        + self.node_proj.bias.data)
-            e_feat = np.where(sel_mask[:, :, None],
-                              graph.edge_feat[eids], 0.0)
-            cache = self._premul_cache
-            if cache is not None and "attn_v" in cache:
-                # Values without the time matmul: lookup the premultiplied
-                # contribution and add it to the raw-feature product.
-                d_t = cfg.time_dim
-                w_v = self.attention.w_v
-                kv_raw = np.concatenate([nbr_feat, e_feat], axis=2)
-                values = (kv_raw @ w_v.weight.data[:, :-d_t].T
-                          + cache["attn_v"][self.time_encoder.bin_index(sel_dt)]
-                          + w_v.bias.data)
-                alpha = _masked_softmax_np(sel_logits, sel_mask)
-                hidden = np.einsum("nk,nke->ne", alpha, values)
+            # One gathered (n, p, .) block alive at a time: each is summed
+            # to (n, .) and freed before the next is fetched, so the stage's
+            # peak temporary is one block, not three (at k = 10 the
+            # allocator otherwise trims and re-faults ~12 MB per batch).
+            nbr = attn.aggregate_numpy(alpha, nbr_feat)
+            del nbr_feat
+            edge = attn.aggregate_numpy(alpha, graph.edge_feat[eids])
+            # After prepare_inference the time term needs no matmul: it is
+            # the premultiplied LUT row, already in value space.
+            cache = self._premul_cache or {}
+            if "attn_v" in cache:
+                time_feat = cache["attn_v"][self.time_encoder.bin_index(sel_dt)]
             else:
-                time_enc = self.time_encoder.encode_numpy(sel_dt)
-                hidden = self.attention.forward_numpy(
-                    nbr_feat, e_feat, time_enc, sel_logits, sel_mask)
-            full_logits, selected = logits, _expand_selection(
-                g.mask, cfg.pruning_budget, logits)
+                time_feat = self.time_encoder.encode_numpy(sel_dt)
+            hidden = attn.forward_numpy(
+                alpha, nbr, edge, attn.aggregate_numpy(alpha, time_feat),
+                w_raw=cache.get("attn_raw"))
         else:
             nbr_feat = rt.state.memory[g.nbrs]
             if self.node_proj is not None:
@@ -487,12 +498,3 @@ class TGNN(Module):
         emb = out @ self.out_transform.weight.data.T + self.out_transform.bias.data
         np.maximum(emb, 0.0, out=emb)
         return emb, full_logits, selected
-
-
-def _expand_selection(mask: np.ndarray, budget: int | None,
-                      logits: np.ndarray) -> np.ndarray:
-    """Full-width selected-mask for reporting (mirrors top_k_mask)."""
-    if budget is None:
-        return mask
-    from .pruning import top_k_mask
-    return top_k_mask(logits, mask, budget)

@@ -20,7 +20,13 @@ a physical count:
   - K and V are counted separately per neighbor, queries once per embedding.
 
 * ``Convention.FULL`` — physically exact: all three GRU gates, input and
-  hidden products, projections, dot products, weighted sums.
+  hidden products, projections, dot products, weighted sums.  For the
+  simplified attention it counts what runs: the published count applies
+  ``W_v`` to every neighbor, while the Embedding Unit (:mod:`repro.hw.eu`)
+  and the deployed kernel (``SimplifiedTemporalAttention.forward_numpy``)
+  aggregate the alpha-weighted raw vectors first and apply ``W_v`` once per
+  node, so FULL counts aggregate-first MACs.  ``PAPER`` keeps the
+  per-neighbor count of Tables I / II.
 
 MEM counts external-memory words touched per embedding (on-chip parameters
 are free, per the paper's stated assumption).
@@ -123,10 +129,16 @@ def count_ops(cfg: ModelConfig,
         # f' = s + W_s f for the query and each fetched neighbor.
         node_fusion = (1 + keff) * nf * m
     if cfg.simplified_attention:
+        feat = kv_in - (tau if lut else 0)
+        if convention is Convention.PAPER:
+            values = keff * feat * e + keff * e          # values + weighted sum
+        else:
+            # FAM then FTM: aggregate raw vectors (and the premultiplied LUT
+            # rows, already e wide), then W_v once per node.
+            values = keff * feat + feat * e + (keff * e if lut else 0)
         gnn = (
-            keff * ((kv_in - (tau if lut else 0)) * e)   # values
+            values
             + k * k                                      # W_t logit map
-            + keff * e                                   # weighted sum
             + keff * enc_cost                            # Phi per used nbr
             + out_transform + node_fusion
         )

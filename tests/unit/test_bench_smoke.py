@@ -26,16 +26,21 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 SMOKE_BUDGET_S = 45.0
 
 
-def test_serving_scale_smoke_runs_quickly(tmp_path):
+def _run_smoke(bench, results_dir, *extra):
+    """``pytest -q benchmarks/<bench> --smoke``, exactly as CI runs it."""
     src = os.path.join(REPO_ROOT, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_RESULTS_DIR"] = str(tmp_path)   # keep the tree clean
-    t0 = time.monotonic()
-    proc = subprocess.run(
+    env["REPRO_RESULTS_DIR"] = str(results_dir)   # keep the tree clean
+    return subprocess.run(
         [sys.executable, "-m", "pytest", "-q",
-         os.path.join("benchmarks", "bench_serving_scale.py"), "--smoke"],
+         os.path.join("benchmarks", bench), "--smoke", *extra],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_serving_scale_smoke_runs_quickly(tmp_path):
+    t0 = time.monotonic()
+    proc = _run_smoke("bench_serving_scale.py", tmp_path)
     elapsed = time.monotonic() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "12 passed" in proc.stdout
@@ -73,6 +78,19 @@ def test_serving_scale_smoke_runs_quickly(tmp_path):
     assert elapsed < SMOKE_BUDGET_S, (
         f"--smoke took {elapsed:.1f} s (budget {SMOKE_BUDGET_S:.0f} s): "
         f"the event loop's per-event overhead has regressed")
+
+
+def test_gnn_stage_scaling_smoke_writes_its_guarded_ratio(tmp_path):
+    """The GNN-kernel guard CI runs beside the serving harness: k = 10 over
+    budget 2 on the deployment kernel, under its 2.5 ceiling."""
+    import json
+
+    proc = _run_smoke("bench_table2_model_opts.py", tmp_path,
+                      "-k", "gnn_stage_scaling")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout and "GNN stage" in proc.stdout
+    with open(tmp_path / "BENCH_gnn_kernel.json") as fh:
+        assert 0.0 < json.load(fh)["scaling_ratio"] <= 2.5
 
 
 def test_perf_guard_reads_every_present_row_of_its_table(tmp_path):

@@ -39,7 +39,8 @@ class TestPremultipliedUpdaters:
         mem = rng.normal(size=(7, SMALL.memory_dim))
         dense = upd.forward_numpy(raw, dt, mem)
         premul = enc.premultiply(upd.input_time_weight())
-        fast = upd.forward_numpy_premul(raw, enc.bin_index(dt), premul, mem)
+        fast = upd.forward_numpy_premul(raw, enc.bin_index(dt), premul,
+                                        upd.input_raw_weight(), mem)
         assert np.allclose(dense, fast, atol=1e-12)
 
     def test_input_time_weight_shapes(self):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
 from repro.hw import (EU_STAGES, MUU_STAGES, EmbeddingUnit,
                       MemoryUpdateUnit, ZCU104_DESIGN)
 from repro.models import ModelConfig, TGNN
 from repro.models.attention import _masked_softmax_np
+from tests.property.test_gnn_kernel_properties import oracle_values
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=12,
                   num_neighbors=4, simplified_attention=True)
@@ -66,24 +66,25 @@ class TestEUTiming:
         assert wide.stage_cycles(32)["eu_fam"] < narrow.stage_cycles(32)["eu_fam"]
 
     def test_aggregate_then_transform_equals_per_neighbor_values(self):
-        """Linearity reordering (FAM before value weights) is exact."""
+        """Linearity reordering (FAM before value weights) is exact: the
+        shared kernel, which runs the EU's order, against the per-neighbor
+        values oracle — rows with no valid neighbor included."""
         model = TGNN(CFG, rng=np.random.default_rng(2))
         rng = np.random.default_rng(3)
+        model.attention.w_v.bias.data[:] = rng.normal(size=CFG.embed_dim)
         n, k = 6, CFG.num_neighbors
         nbr = rng.normal(size=(n, k, CFG.memory_dim))
         ef = rng.normal(size=(n, k, CFG.edge_dim))
         te = rng.normal(size=(n, k, CFG.time_dim))
         logits = rng.normal(size=(n, k))
         mask = rng.random((n, k)) < 0.8
-        mask[:, 0] = True
-        self_feat = rng.normal(size=(n, CFG.memory_dim))
+        mask[0] = False
         ef_m = np.where(mask[:, :, None], ef, 0.0)
 
-        via_hw = EmbeddingUnit.functional(model, nbr, ef_m, te, logits,
-                                          mask, self_feat)
-        # Per-neighbor values reference (the software formulation).
-        hidden = model.attention.forward_numpy(nbr, ef_m, te, logits, mask)
-        out = np.concatenate([hidden, self_feat], axis=1)
-        ref = np.maximum(out @ model.out_transform.weight.data.T
-                         + model.out_transform.bias.data, 0.0)
-        assert np.allclose(via_hw, ref, atol=1e-10)
+        attn = model.attention
+        alpha = _masked_softmax_np(logits, mask)
+        via_eu_order = attn.forward_numpy(alpha, *(
+            attn.aggregate_numpy(alpha, x) for x in (nbr, ef, te)))
+        ref = oracle_values(attn, nbr, ef_m, te, logits, mask)
+        assert np.allclose(via_eu_order, ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(via_eu_order[0], np.zeros(CFG.embed_dim))

@@ -191,8 +191,10 @@ class TestSimplifiedAttention:
         logits = attn.logits_numpy(dt)
         idx, selm = select_pruned(logits, mask, 2)
         rows = np.arange(4)[:, None]
-        h = attn.forward_numpy(nbr.data[rows, idx], ef[rows, idx],
-                               te.data[rows, idx], logits[rows, idx], selm)
+        alpha = _masked_softmax_np(logits[rows, idx], selm)
+        h = attn.forward_numpy(alpha, *(
+            attn.aggregate_numpy(alpha, x[rows, idx])
+            for x in (nbr.data, ef, te.data)))
         assert np.allclose(out.hidden.data, h, atol=1e-12)
 
 

@@ -80,6 +80,20 @@ class TestFullConvention:
                                        pruning_budget=2), conv)
             assert nps.total_macs < 0.35 * base.total_macs, conv
 
+    def test_full_counts_the_simplified_gnn_aggregate_first(self):
+        """FULL says what runs: ``W_v`` once per node, not per neighbor.
+        PAPER keeps the published per-neighbor count."""
+        m, ef, tau, e, k = 100, 172, 100, 100, 10
+        tail = k * k + (e + m) * e            # logit map + output transform
+        sat = WIKI.with_(simplified_attention=True)
+        assert count_ops(sat, Convention.FULL).gnn_macs == (
+            k * (m + ef + tau) + (m + ef + tau) * e + k * tau + tail)
+        np2 = sat.with_(lut_time_encoder=True, pruning_budget=2)
+        assert count_ops(np2, Convention.FULL).gnn_macs == (
+            2 * (m + ef) + (m + ef) * e + 2 * e + tail)
+        assert count_ops(np2, Convention.PAPER).gnn_macs == (
+            2 * (m + ef) * e + 2 * e + tail)
+
 
 class TestStructure:
     def test_parts_partition_totals(self):
