@@ -65,8 +65,7 @@ def test_ablation_prefetch(benchmark, capsys, wiki, wiki_np_models):
     for board, hw in (("u200", U200_DESIGN), ("zcu104", ZCU104_DESIGN)):
         for prefetch in (True, False):
             acc = FPGAAccelerator(model, hw.with_(prefetch=prefetch))
-            rep = acc.run_stream(wiki, 1000, end=2000,
-                                 rt=model.new_runtime(wiki))
+            rep = acc.run_stream(wiki, 1000, end=2000)
             rows.append({"board": board, "prefetch": prefetch,
                          "thpt_kEs": rep.throughput_eps / 1e3,
                          "mean_lat_ms": rep.mean_latency_s * 1e3})
@@ -82,7 +81,7 @@ def test_ablation_prefetch(benchmark, capsys, wiki, wiki_np_models):
 
     benchmark.pedantic(
         lambda: FPGAAccelerator(model, ZCU104_DESIGN).run_stream(
-            wiki, 1000, end=1000, rt=model.new_runtime(wiki)),
+            wiki, 1000, end=1000),
         rounds=3, iterations=1, warmup_rounds=1)
 
 
@@ -187,8 +186,7 @@ def test_ablation_processing_batch_nb(benchmark, capsys, wiki,
     for nb in (8, 16, 32, 64, 128):
         hw = U200_DESIGN.with_(nb=nb)
         acc = FPGAAccelerator(model, hw)
-        rep = acc.run_stream(wiki, 1000, end=2000,
-                             rt=model.new_runtime(wiki))
+        rep = acc.run_stream(wiki, 1000, end=2000)
         rows.append({"nb": nb, "thpt_kEs": rep.throughput_eps / 1e3,
                      "mean_lat_ms": rep.mean_latency_s * 1e3})
     table = render_table(rows, precision=2,
@@ -202,5 +200,5 @@ def test_ablation_processing_batch_nb(benchmark, capsys, wiki,
 
     benchmark.pedantic(
         lambda: FPGAAccelerator(model, U200_DESIGN.with_(nb=64)).run_stream(
-            wiki, 1000, end=1000, rt=model.new_runtime(wiki)),
+            wiki, 1000, end=1000),
         rounds=3, iterations=1, warmup_rounds=1)

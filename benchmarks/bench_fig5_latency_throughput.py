@@ -26,8 +26,7 @@ def _fpga_curve(model, hw, graph):
     lat, thpt = [], []
     for n in BATCHES:
         rep = acc.run_stream(graph, batch_size=n, start=0,
-                             end=min(2 * n, graph.num_edges),
-                             rt=model.new_runtime(graph))
+                             end=min(2 * n, graph.num_edges))
         lat.append(rep.batch_latencies_s[0])
         thpt.append(n / rep.batch_latencies_s[0])
     return lat, thpt
@@ -101,7 +100,6 @@ def test_fig5_latency_throughput_sweep(benchmark, capsys, datasets, dataset,
     acc = FPGAAccelerator(model, U200_DESIGN)
 
     def step():
-        acc.run_stream(graph, batch_size=1000, end=1000,
-                       rt=model.new_runtime(graph))
+        acc.run_stream(graph, batch_size=1000, end=1000)
 
     benchmark.pedantic(step, rounds=3, iterations=1, warmup_rounds=1)

@@ -32,8 +32,7 @@ def test_fig5_realtime_windows(benchmark, capsys, datasets, dataset):
                                      graph),
         "gpu": ModeledGPPBackend(
             GPU, count_ops(ModelConfig(edge_dim=graph.edge_dim,
-                                       node_dim=graph.node_dim)),
-            model, graph, functional=False),
+                                       node_dim=graph.node_dim))),
     }
     if dataset == "wikipedia":      # ZCU104 runs Wikipedia only (paper)
         backends["zcu104"] = SimulatedFPGABackend(

@@ -124,8 +124,7 @@ def test_serving_scale(request, capsys, smoke):
 
     # Single-shard engine == single-server queueing replay (bit-exact).
     base_key = (1, 1, speedups[0])
-    ref_backend = ModeledGPPBackend(CPU_32T, count_ops(model.cfg), model,
-                                    graph, functional=False)
+    ref_backend = ModeledGPPBackend(CPU_32T, count_ops(model.cfg))
     qs = replay_under_load(ref_backend, graph, window_s=window_s,
                            start=start, speedup=speedups[0])
     rep1 = reports[base_key]

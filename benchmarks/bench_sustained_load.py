@@ -37,10 +37,8 @@ def test_sustained_load(benchmark, capsys, wiki, wiki_np_models):
                 FPGAAccelerator(model, U200_DESIGN), wiki),
             "zcu104": SimulatedFPGABackend(
                 FPGAAccelerator(model, ZCU104_DESIGN), wiki),
-            "gpu": ModeledGPPBackend(GPU, counts_base, model, wiki,
-                                     functional=False),
-            "cpu": ModeledGPPBackend(CPU_32T, counts_base, model, wiki,
-                                     functional=False),
+            "gpu": ModeledGPPBackend(GPU, counts_base),
+            "cpu": ModeledGPPBackend(CPU_32T, counts_base),
         }
 
     rows = []

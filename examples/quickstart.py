@@ -50,7 +50,8 @@ def main() -> None:
     print(f"vertex memory table: shape {emb.shape}, "
           f"{np.count_nonzero(np.any(emb != 0, axis=1))} vertices touched")
 
-    # 4. Simulated U200 accelerator (identical embeddings, modeled timing).
+    # 4. Simulated U200 accelerator (modeled timing only: it prices the
+    #    stream from batch shapes and runs no kernel).
     acc = FPGAAccelerator(model, U200_DESIGN)
     hw_report = acc.run_stream(graph, batch_size=200, end=2000)
     print(f"\nU200 accelerator (simulated): "

@@ -1,37 +1,30 @@
 """Cycle-approximate FPGA accelerator simulator (Fig. 2 / Fig. 4 / §IV).
 
-The simulator has a *functional* half and a *timing* half, and the timing
-half never reads the functional one (the paper's §V point: latency is
-predictable from batch shape), so execution is optional:
+The simulator prices, it never executes: latency is a pure function of
+each processing batch's edge count and vertex ids (the paper's §V point),
+so no model kernel runs here and no vertex state is kept.  A caller that
+wants embeddings beside simulated timing runs ``TGNN.infer_batch`` on its
+own ``ModelRuntime`` (as ``examples/fraud_detection.py`` does).
 
-* **Functional** — by default every processing batch runs through the
-  shared NumPy model kernels (``TGNN.infer_batch``), so the embeddings it
-  produces are bit-identical to the software deployment path (asserted by
-  integration tests).  The Updater's redundant-write elimination is
-  functionally the same last-write-wins rule the vertex tables implement.
-  ``run_stream(..., execute=False)`` skips this half: the report is
-  field-for-field the one an executing run returns, minus embeddings.
+The Fig. 4 schedule is data, not code: :mod:`.schedule` holds one
+``PIPELINE`` table of ``(stage, track, waits_for)`` rows and one
+``transfers`` inventory of external-memory rows, and ``run_stream`` is a
+single loop over the table — a stage begins once its track is free and
+every stage it waits for has finished.
 
-* **Timing** — a pure function of each processing batch's edge count and
-  vertex ids.  The Fig. 4 schedule is data, not code: :mod:`.schedule`
-  holds one ``PIPELINE`` table of ``(stage, track, waits_for)`` rows and
-  one ``transfers`` inventory of external-memory rows, and ``run_stream``
-  is a single loop over the table — a stage begins once its track is free
-  and every stage it waits for has finished.
-
-  - **Tracks.**  One DDR controller serialises the ``read`` track (edge
-    loads, vertex loads, neighbor prefetches) and, separately, the
-    ``write`` track (the Updater's commit + write-back); both are priced
-    by :class:`~repro.hw.memory_model.DDRModel` with burst-dependent
-    effective bandwidth and refresh.  Each of the 9 compute stages
-    (5 MUU + 4 EU) is its own track.
-  - **The §IV-C edge.**  ``prefetch`` waits for ``eu_attention`` alone:
-    the logits come from timestamps (the simplified attention), so the
-    neighbor fetch is released while the MUU is still running, and
-    ``eu_fam`` waits for that fetch to land.
-  - **The ablation.**  ``hw.prefetch=False`` runs the same table with that
-    one edge swapped for ``prefetch <- muu_merge_gate``, serialising the
-    fetch behind the MUU — the co-design's key enabler switched off.
+- **Tracks.**  One DDR controller serialises the ``read`` track (edge
+  loads, vertex loads, neighbor prefetches) and, separately, the
+  ``write`` track (the Updater's commit + write-back); both are priced
+  by :class:`~repro.hw.memory_model.DDRModel` with burst-dependent
+  effective bandwidth and refresh.  Each of the 9 compute stages
+  (5 MUU + 4 EU) is its own track.
+- **The §IV-C edge.**  ``prefetch`` waits for ``eu_attention`` alone:
+  the logits come from timestamps (the simplified attention), so the
+  neighbor fetch is released while the MUU is still running, and
+  ``eu_fam`` waits for that fetch to land.
+- **The ablation.**  ``hw.prefetch=False`` runs the same table with that
+  one edge swapped for ``prefetch <- muu_merge_gate``, serialising the
+  fetch behind the MUU — the co-design's key enabler switched off.
 
 The accelerator requires a model with the simplified attention: the vanilla
 mechanism cannot compute attention before fetching keys, which is precisely
@@ -46,7 +39,6 @@ import numpy as np
 
 from ..graph.batching import iter_fixed_size
 from ..graph.temporal_graph import TemporalGraph
-from ..models.tgn import TGNN, ModelRuntime
 from .config import HardwareConfig
 from .eu import EU_STAGES
 from .memory_model import DDRModel
@@ -86,7 +78,6 @@ class RunReport:
     updater_committed: int
     mem_busy_s: float
     compute_busy_s: float
-    embeddings: list[np.ndarray] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
 
     @property
@@ -101,9 +92,12 @@ class RunReport:
 
 
 class FPGAAccelerator:
-    """Simulated accelerator bound to one model and one design point."""
+    """Simulated accelerator bound to one model and one design point.
 
-    def __init__(self, model: TGNN, hw: HardwareConfig):
+    Only ``model.cfg`` is read: the model is neither prepared nor run.
+    """
+
+    def __init__(self, model, hw: HardwareConfig):
         if not model.cfg.simplified_attention:
             raise ValueError(
                 "the accelerator implements the simplified attention (Eq. 16)"
@@ -116,7 +110,6 @@ class FPGAAccelerator:
         self._plan = stage_plan(table)
         self._store = [s.track for s in table].index(WRITE)
         self._cost_tables: dict[int, tuple[float, ...]] = {}
-        model.prepare_inference()
 
     # ------------------------------------------------------------------ #
     # per-processing-batch costs                                          #
@@ -166,27 +159,16 @@ class FPGAAccelerator:
     # ------------------------------------------------------------------ #
     def run_stream(self, graph: TemporalGraph, batch_size: int,
                    start: int = 0, end: int | None = None,
-                   rt: ModelRuntime | None = None,
-                   collect_embeddings: bool = False,
                    batches: list | None = None,
-                   trace: bool = False,
-                   execute: bool = True) -> RunReport:
+                   trace: bool = False) -> RunReport:
         """Simulate inference over edges ``[start, end)`` in user batches.
 
         ``batches`` overrides the fixed-size batching with an explicit list
         of :class:`EdgeBatch` (used by the real-time window replay).
         ``trace=True`` records a :class:`TraceEvent` per stage occupancy
         (see ``repro.hw.trace`` for rendering and utilization analysis).
-        ``execute=False`` prices the stream without running the model
-        kernels: no runtime is built, ``rt`` is not advanced, and every
-        timing field of the report is unchanged.
         """
-        if collect_embeddings and not execute:
-            raise ValueError("collect_embeddings needs execute=True: a "
-                             "priced-only run computes no embeddings")
         hw = self.hw
-        if execute and rt is None:
-            rt = self.model.new_runtime(graph)
         end = graph.num_edges if end is None else end
         if batches is None:
             batches = list(iter_fixed_size(graph, batch_size,
@@ -199,7 +181,6 @@ class FPGAAccelerator:
         free = [0.0] * (2 + len(plan))      # when each track is next idle
         finish = [0.0] * len(plan)          # per row, this processing batch
         latencies: list[float] = []
-        embeddings: list[np.ndarray] = []
         invalidated = 0
         committed = 0
         clock_now = 0.0
@@ -215,13 +196,6 @@ class FPGAAccelerator:
                 n_edges = len(sub)
                 n_total += n_edges
 
-                # ---- functional step (shared kernels), optional --------- #
-                if execute:
-                    result = self.model.infer_batch(sub, rt, graph)
-                    if collect_embeddings:
-                        embeddings.append(result.embeddings.data)
-
-                # ---- timing step: reads nothing from the one above ------ #
                 report = self.updater.process(sub.nodes)
                 invalidated += report.invalidated
                 committed += report.committed
@@ -255,7 +229,7 @@ class FPGAAccelerator:
                          updater_invalidated=invalidated,
                          updater_committed=committed,
                          mem_busy_s=mem_busy, compute_busy_s=comp_busy,
-                         embeddings=embeddings, events=events)
+                         events=events)
 
     # ------------------------------------------------------------------ #
     def latency_single_batch(self, graph: TemporalGraph, batch_size: int,
@@ -268,7 +242,7 @@ class FPGAAccelerator:
         """
         report = self.run_stream(graph, batch_size, start=warmup_edges,
                                  end=min(warmup_edges + batch_size,
-                                         graph.num_edges), execute=False)
+                                         graph.num_edges))
         return report.batch_latencies_s[0]
 
 

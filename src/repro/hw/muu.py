@@ -4,18 +4,13 @@ The MUU implements UPDT as four pipelined gates — Update, Reset, Memory,
 Merging — connected by on-chip FIFOs.  Each of the three matrix gates owns an
 ``Sg x Sg`` multiply-accumulate array; the merging gate is element-wise.
 
-This class provides the *timing* model (cycles per pipeline stage for a
-given node count) and a standalone functional kernel used by unit tests; the
-top-level accelerator obtains its functional results from the shared model
-kernels, guaranteeing bit-identical embeddings across software and simulator.
+Timing only (cycles per pipeline stage for a given node count); functional
+results come from the shared model kernels.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..models.config import ModelConfig
-from ..models.tgn import TGNN
 from .config import HardwareConfig
 
 __all__ = ["MemoryUpdateUnit", "MUU_STAGES"]
@@ -67,15 +62,6 @@ class MemoryUpdateUnit:
             "muu_memory_gate": gate,
             "muu_merge_gate": merge,
         }
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def functional(model: TGNN, raw_messages: np.ndarray, dt: np.ndarray,
-                   memory: np.ndarray) -> np.ndarray:
-        """Reference GRU computation (delegates to the shared kernel)."""
-        if model._premul_cache is not None and model.cfg.lut_time_encoder:
-            return model._gru_lut_np(raw_messages, dt, memory)
-        return model.memory_updater.forward_numpy(raw_messages, dt, memory)
 
 
 def _ceil(a: int, b: int) -> int:

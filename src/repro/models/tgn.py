@@ -21,9 +21,8 @@ Two execution paths share the same parameters:
   autograd path keeps per-neighbor values as the training reference; the
   deployment path's old per-neighbor body is the oracle of
   ``tests/property/test_gnn_kernel_properties.py``.  The two paths agree
-  to float round-off (asserted by integration tests), and the hardware
-  simulator reuses the same per-module numpy kernels, so all three
-  implementations are functionally identical.
+  to float round-off (asserted by integration tests); the hardware
+  simulator runs neither — it prices batches from their shape.
 
 Worker-pool contract (measured serving backends)
 ------------------------------------------------

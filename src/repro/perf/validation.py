@@ -48,18 +48,16 @@ def validate_performance_model(model: TGNN, hw: HardwareConfig,
                                batch_sizes: list[int],
                                warmup_edges: int = 0
                                ) -> list[ValidationPoint]:
-    """Run the Fig. 6 sweep; returns one point per batch size."""
+    """Run the Fig. 6 sweep; returns one point per batch size.
+
+    Each point prices edges ``[warmup_edges, warmup_edges + max(n, nb))``.
+    """
     perf = PerformanceModel(model.cfg, hw)
     points = []
     for n in batch_sizes:
         end = min(warmup_edges + max(n, hw.nb), graph.num_edges)
-        acc = FPGAAccelerator(model, hw)
-        rt = model.new_runtime(graph)
-        if warmup_edges:
-            from ..graph.batching import iter_fixed_size
-            for b in iter_fixed_size(graph, n, end=warmup_edges):
-                model.infer_batch(b, rt, graph)
-        report = acc.run_stream(graph, n, start=warmup_edges, end=end, rt=rt)
+        report = FPGAAccelerator(model, hw).run_stream(
+            graph, n, start=warmup_edges, end=end)
         pred = perf.predict(n)
         points.append(ValidationPoint(
             batch_size=n,

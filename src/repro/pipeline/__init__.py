@@ -14,21 +14,21 @@ Every replay/queueing entry point here — and the sharded serving layer in
     callers must therefore never reuse one backend instance across
     independent replays (or shards) unless they intend shared state.
 
-    Which backends do: :class:`SoftwareBackend`,
-    :class:`repro.serving.MeasuredBackend` and
-    ``ModeledGPPBackend(functional=True)`` (its class default) execute the
-    kernels and advance a ``ModelRuntime``.  :class:`SimulatedFPGABackend`
-    is **timing-only**: the accelerator's latency is a pure function of the
-    batch's edge count and vertex ids (the paper's §V point), so it prices
-    through ``FPGAAccelerator.run_stream(..., execute=False)``, runs no
-    kernel and has no ``rt``; ``ModeledGPPBackend(functional=False)`` —
-    what the serving registry builds for ``cpu-32t``/``gpu`` —
-    and :class:`LinearCostBackend` price likewise.  Nothing in
-    :mod:`repro.serving` reads a backend's vertex state (the exact
-    functional replay of a sharded fleet is
+    A backend either executes or prices, never both:
+
+    ===================================================  ================
+    executes the kernels, advances a ``ModelRuntime``    ``software``,
+                                                         ``measured``
+    prices from batch shape: no kernel, no vertex state  ``u200``/``zcu104``,
+                                                         ``cpu-32t``/``gpu``,
+                                                         ``linear-cost``
+    ===================================================  ================
+
+    Nothing in :mod:`repro.serving` reads a backend's vertex state (the
+    exact functional replay of a sharded fleet is
     :class:`repro.serving.ShardedRuntime`), so a caller that wants
-    embeddings or warm state next to simulated-FPGA timing keeps its own
-    runtime, or calls ``FPGAAccelerator.run_stream`` itself.
+    embeddings or warm state next to a priced latency keeps its own
+    ``model.new_runtime(graph)``, as ``examples/fraud_detection.py`` does.
 
 ``name: str`` (optional)
     Label used in reports; falls back to the class name.

@@ -1,24 +1,28 @@
 """Streaming inference engines over a common backend interface.
 
-Three backend families, one protocol (``process_batch -> latency seconds``):
+One protocol (``process_batch -> latency seconds``), two disjoint sides.
+
+**Executing** backends own a :class:`~repro.models.tgn.ModelRuntime` and run
+``TGNN.infer_batch``:
 
 * :class:`SoftwareBackend` — runs the NumPy deployment path and reports
   *measured* wall-clock per batch (this is the "1 CPU thread" system of
   Table II; its speedups across the model ladder are real measurements, not
-  models);
-* :class:`SimulatedFPGABackend` — wraps :class:`FPGAAccelerator`; each batch
-  arrives at an idle accelerator (the real-time deployment assumption).
-  Timing-only: the simulated latency depends on the batch's shape alone, so
-  the backend prices without executing the kernels and holds no vertex
-  state (run ``FPGAAccelerator.run_stream`` yourself for embeddings);
-* :class:`ModeledGPPBackend` — prices batches with a calibrated
-  :class:`~repro.perf.gpp.GPPCostModel` (the CPU-32T / GPU substitution)
-  while, by default, still advancing functional state so downstream
-  accuracy is exact (``functional=False`` prices only).
+  models).  :class:`repro.serving.MeasuredBackend` is its event-core twin.
 
-:class:`LinearCostBackend` is the degenerate fourth member: an exact
-``overhead + N * per_edge`` price with no functional state, for tests and
-benchmarks that isolate queueing/placement effects from cost-model shape.
+**Pricing** backends hold no runtime and can never call a kernel; their
+latency depends on the batch's shape alone:
+
+* :class:`SimulatedFPGABackend` — wraps :class:`FPGAAccelerator`; each batch
+  arrives at an idle accelerator (the real-time deployment assumption);
+* :class:`ModeledGPPBackend` — prices batches with a calibrated
+  :class:`~repro.perf.gpp.GPPCostModel` (the CPU-32T / GPU substitution);
+* :class:`LinearCostBackend` — an exact ``overhead + N * per_edge`` price,
+  for tests and benchmarks that isolate queueing/placement effects from
+  cost-model shape.
+
+For embeddings or warm vertex state beside a priced latency, keep your own
+``model.new_runtime(graph)`` (as ``examples/fraud_detection.py`` does).
 """
 
 from __future__ import annotations
@@ -102,12 +106,7 @@ class SoftwareBackend:
 
 
 class SimulatedFPGABackend:
-    """Accelerator-simulator backend; each batch starts from idle.
-
-    Prices, never executes: the Fig. 4 schedule needs only the batch's
-    edge count and vertex ids, so no kernel runs and no vertex state is
-    kept.
-    """
+    """Accelerator-simulator backend; each batch starts from idle."""
 
     def __init__(self, accelerator: FPGAAccelerator, graph: TemporalGraph):
         self.acc = accelerator
@@ -116,35 +115,20 @@ class SimulatedFPGABackend:
 
     def process_batch(self, batch: EdgeBatch) -> float:
         report = self.acc.run_stream(self.graph, batch_size=len(batch),
-                                     batches=[batch], execute=False)
+                                     batches=[batch])
         return report.batch_latencies_s[0]
 
 
 class ModeledGPPBackend:
-    """Cost-model backend (CPU-32T / GPU substitution).
+    """Cost-model backend (CPU-32T / GPU substitution)."""
 
-    Functional state still advances through the real kernels so that any
-    accuracy evaluation downstream of this backend is exact; only the
-    *timing* is modeled.
-    """
-
-    def __init__(self, cost_model: GPPCostModel, counts: OpCounts,
-                 model: TGNN, graph: TemporalGraph,
-                 light_runtime: bool = False,
-                 functional: bool = True):
+    def __init__(self, cost_model: GPPCostModel, counts: OpCounts):
         self.cost = cost_model
         self.counts = counts
-        self.model = model
-        self.graph = graph
-        self.rt = model.new_runtime(graph) if functional else None
-        self.light = light_runtime
         self.name = cost_model.name
 
     def process_batch(self, batch: EdgeBatch) -> float:
-        if self.rt is not None:
-            self.model.infer_batch(batch, self.rt, self.graph)
-        return self.cost.latency_s(self.counts, len(batch),
-                                   light_runtime=self.light)
+        return self.cost.latency_s(self.counts, len(batch))
 
 
 def run_engine(backend, graph: TemporalGraph, batch_size: int,

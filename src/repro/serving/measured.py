@@ -95,13 +95,17 @@ def _worker_init(shard: int, model: Any, graph: Any) -> int:
     return shard
 
 
-def _worker_compute(shard: int, batch: Any) -> tuple[float, dict[str, float]]:
+def _timed_infer(model: Any, rt: Any, graph: Any,
+                 batch: Any) -> tuple[float, dict[str, float]]:
     """Run the real kernels for one batch; return (seconds, stage split)."""
-    model, rt, graph = _WORKER_SHARDS[shard]
     stages: dict[str, float] = {}
     with timed_kernel() as timer:
         model.infer_batch(batch, rt, graph, timings=stages)
     return timer.seconds, stages
+
+
+def _worker_compute(shard: int, batch: Any) -> tuple[float, dict[str, float]]:
+    return _timed_infer(*_WORKER_SHARDS[shard], batch)
 
 
 def _noop(_event: Any) -> None:
@@ -122,7 +126,7 @@ class MeasuredBackend:
     :class:`~repro.serving.events.ServerGroup`.
 
     ``modeled`` is an optional stateless pricing companion (the registry
-    wires in a non-functional ``cpu-32t`` cost model): it never runs in
+    wires in the ``cpu-32t`` cost model): it never runs in
     workers, only in the parent, to produce the modeled-vs-measured
     comparison in the report's ``measured`` block.
     """
@@ -135,14 +139,13 @@ class MeasuredBackend:
         self.graph = graph
         self.modeled = modeled
         self._runtime = model.new_runtime(graph)
+        # Same kernels as SoftwareBackend; the pickled model carries the
+        # cache into the worker lanes.
+        model.prepare_inference()
 
     def compute(self, batch: Any) -> tuple[float, dict[str, float]]:
         """In-process kernel execution (the ``workers=0`` fallback)."""
-        stages: dict[str, float] = {}
-        with timed_kernel() as timer:
-            self.model.infer_batch(batch, self._runtime, self.graph,
-                                   timings=stages)
-        return timer.seconds, stages
+        return _timed_infer(self.model, self._runtime, self.graph, batch)
 
     def process_batch(self, batch: Any) -> float:
         """Engine protocol: measured seconds for this batch."""

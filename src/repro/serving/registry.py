@@ -5,7 +5,7 @@ Every backend follows the engine protocol documented in
 registry makes the *choice* of backend data, not code: the serving engine,
 CLI, and benchmarks look backends up by name, and each shard gets its own
 freshly-constructed instance (whatever state a backend keeps — a
-:class:`~repro.models.tgn.ModelRuntime` for the ones that execute kernels, the
+:class:`~repro.models.tgn.ModelRuntime` for the two that execute kernels, the
 accelerator's cost tables for the simulated FPGA — is never shared between
 shards).  An elastic sharded fleet
 is built the same way, sized ``max_replicas`` wide up front — inactive
@@ -13,20 +13,18 @@ tail shards own no vertices until a split grows into them.
 
 Built-in names
 --------------
-``software``            measured single-thread NumPy inference
+``software``            measured single-thread NumPy inference (executes)
 ``u200`` / ``zcu104``   simulated FPGA accelerator on that platform
-                        (timing-only: prices the Fig. 4 schedule from
-                        batch shape, runs no kernel, keeps no state)
-``cpu-32t`` / ``gpu``   calibrated GPP cost models (timing-only by
-                        default — serving never reads a backend's vertex
-                        state; pass ``functional=True`` to also advance
-                        it through the real kernels)
+                        (prices the Fig. 4 schedule from batch shape,
+                        runs no kernel, keeps no state)
+``cpu-32t`` / ``gpu``   calibrated GPP cost models (price from the
+                        batch's edge count, run no kernel, keep no state)
 ``measured``            real kernels on the event core: service times are
                         wall-clock measurements of the numpy
                         ``update_memory``/``embed`` kernels, executed by
                         the serving engine's worker pool (see
                         :mod:`repro.serving.measured`); carries a
-                        non-functional ``cpu-32t`` pricing companion for
+                        ``cpu-32t`` pricing companion for
                         the modeled-vs-measured report block (disable
                         with ``modeled=False``)
 """
@@ -99,13 +97,12 @@ def _fpga_factory(design_name: str):
 
 
 def _gpp_factory(model_name: str):
-    def factory(model, graph, functional: bool = False, **_):
+    def factory(model, graph, **_):
         from ..perf import CPU_32T, GPU
         from ..pipeline.engine import ModeledGPPBackend
         from ..profiling import count_ops
         cost = {"cpu-32t": CPU_32T, "gpu": GPU}[model_name]
-        return ModeledGPPBackend(cost, count_ops(model.cfg), model, graph,
-                                 functional=functional)
+        return ModeledGPPBackend(cost, count_ops(model.cfg))
     return factory
 
 

@@ -19,10 +19,9 @@ implementation in ``tests/unit/test_events.py``):
 
 Service times come from a caller-supplied ``service_fn`` invoked in
 admission order, so the backends that advance functional vertex state as a
-side effect (``SoftwareBackend``, ``MeasuredBackend``, a functional
-``ModeledGPPBackend`` — see the engine protocol in :mod:`repro.pipeline`;
-the simulated-FPGA backend only prices) see the stream in the same order a
-real deployment would.
+side effect (``SoftwareBackend``, ``MeasuredBackend`` — see the engine
+protocol in :mod:`repro.pipeline`; every other backend only prices) see the
+stream in the same order a real deployment would.
 """
 
 from __future__ import annotations

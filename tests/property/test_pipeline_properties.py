@@ -1,6 +1,6 @@
 """Property-based invariants of the queueing replay, batching and the
-accelerator's timing: priced-only runs, and the Fig. 4 table against the
-imperative schedule it replaced."""
+accelerator's timing: the cost-table cache, and the Fig. 4 table against
+the imperative schedule it replaced."""
 
 import functools
 
@@ -108,24 +108,24 @@ TIMING_FIELDS = ("n_edges", "total_s", "batch_latencies_s", "stage_time_s",
 
 class TestPricedOnlyTiming:
     @given(design_and_batches(), st.booleans())
-    def test_priced_report_equals_executed_report(self, case, trace):
-        """Timing reads nothing the kernels produce: skipping them, and
-        reusing an accelerator whose cost tables are already cached, leaves
-        every timing field exactly (``==``) as an executing run reports."""
+    def test_warm_accelerator_equals_cold_accelerator(self, case, trace):
+        """``_stage_costs`` caches per edge count and is pure in it: a run
+        on an accelerator whose cost tables are already filled reports
+        every timing field exactly (``==``) as a fresh accelerator does."""
         hw, batches = case
         g, model = accelerated_stream()
 
-        def run(acc, execute):
+        def run(acc):
             return acc.run_stream(g, batch_size=1, batches=batches,
-                                  trace=trace, execute=execute)
+                                  trace=trace)
 
-        executed = run(FPGAAccelerator(model, hw), True)
+        cold = run(FPGAAccelerator(model, hw))
         acc = FPGAAccelerator(model, hw)
-        cold, warm = run(acc, False), run(acc, False)
-        assert bool(executed.events) == trace
+        run(acc)
+        warm = run(acc)
+        assert bool(cold.events) == trace
         for name in TIMING_FIELDS:
-            assert getattr(cold, name) == getattr(executed, name), name
-            assert getattr(warm, name) == getattr(executed, name), name
+            assert getattr(warm, name) == getattr(cold, name), name
 
 
 # --------------------------------------------------------------------------- #
@@ -176,7 +176,7 @@ def oracle_compute_durations(cfg, hw, n_edges):
 
 
 def oracle_run_stream(cfg, hw, batches, trace):
-    """``FPGAAccelerator.run_stream``'s timing half as it stood before the
+    """``FPGAAccelerator.run_stream`` as it stood before the Fig. 4
     table: hand-kept track clocks and one ``run(stage, ready)`` per stage."""
     updater = UpdaterCache(hw.updater_lines, hw.commit_scan)
     events = []
@@ -311,13 +311,13 @@ def assert_same_report(got, want):
 
 class TestPipelineTableAgainstOracle:
     @given(st.sampled_from([SMALL, PLAIN]), design_and_batches(min_edges=0),
-           st.booleans(), st.booleans())
+           st.booleans())
     def test_run_stream_equals_the_imperative_schedule(self, cfg, case,
-                                                       trace, execute):
+                                                       trace):
         hw, batches = case
         g, model = accelerated_stream(cfg)
         got = FPGAAccelerator(model, hw).run_stream(
-            g, batch_size=1, batches=batches, trace=trace, execute=execute)
+            g, batch_size=1, batches=batches, trace=trace)
         assert_same_report(got, oracle_run_stream(cfg, hw, batches, trace))
 
     @given(st.sampled_from([SMALL, PLAIN, ModelConfig(
@@ -359,7 +359,7 @@ class TestPipelineTableAgainstOracle:
         g, model = accelerated_stream()
         batches = [g.slice(0, 3 * U200_DESIGN.nb)]
         got = FPGAAccelerator(model, U200_DESIGN).run_stream(
-            g, batch_size=1, batches=batches, trace=True, execute=False)
+            g, batch_size=1, batches=batches, trace=True)
         with pytest.raises(AssertionError):
             assert_same_report(
                 got, oracle_run_stream(SMALL, U200_DESIGN, batches, True))

@@ -1,8 +1,12 @@
-"""Unit tests for MUU / EU timing models and functional kernels."""
+"""Unit tests for MUU / EU timing models, and the hw package's import hygiene."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.hw
 from repro.hw import (EU_STAGES, MUU_STAGES, EmbeddingUnit,
                       MemoryUpdateUnit, ZCU104_DESIGN)
 from repro.models import ModelConfig, TGNN
@@ -35,16 +39,6 @@ class TestMUUTiming:
         plain = MemoryUpdateUnit(CFG, ZCU104_DESIGN).stage_cycles(32)
         lut = MemoryUpdateUnit(lut_cfg, ZCU104_DESIGN).stage_cycles(32)
         assert lut["muu_update_gate"] < plain["muu_update_gate"]
-
-    def test_functional_matches_model(self):
-        model = TGNN(CFG, rng=np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        raw = rng.normal(size=(5, CFG.raw_message_dim))
-        dt = rng.uniform(0, 10, 5)
-        mem = rng.normal(size=(5, CFG.memory_dim))
-        a = MemoryUpdateUnit.functional(model, raw, dt, mem)
-        b = model.memory_updater.forward_numpy(raw, dt, mem)
-        assert np.allclose(a, b)
 
 
 class TestEUTiming:
@@ -88,3 +82,42 @@ class TestEUTiming:
         ref = oracle_values(attn, nbr, ef_m, te, logits, mask)
         assert np.allclose(via_eu_order, ref, rtol=1e-12, atol=1e-12)
         assert np.array_equal(via_eu_order[0], np.zeros(CFG.embed_dim))
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Absolute dotted names of everything ``path`` imports (``from a
+    import b`` counts as both ``a`` and ``a.b``), relative ones resolved."""
+    package = ["repro", "hw"]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level \
+                else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+class TestImportHygiene:
+    """The simulator prices from ``ModelConfig`` alone: nothing under
+    ``repro.hw`` can reach a kernel or the autograd engine."""
+
+    @pytest.mark.parametrize("path", sorted(
+        Path(repro.hw.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+    def test_hw_imports_no_kernels(self, path):
+        # ``repro.models.tgn`` and ``repro.autograd`` above all: the one
+        # thing hw may take from either package is the frozen config.
+        for name in imported_modules(path):
+            if name.startswith(("repro.models", "repro.autograd")):
+                assert name.startswith("repro.models.config"), name
+
+    def test_the_resolver_sees_relative_and_aliased_imports(self, tmp_path):
+        src = tmp_path / "probe.py"
+        src.write_text("from ..models.tgn import TGNN\n"
+                       "from ..models import tgn as t\n"
+                       "from . import eu\nimport repro.autograd.tensor\n")
+        assert {"repro.models.tgn.TGNN", "repro.models.tgn", "repro.hw.eu",
+                "repro.autograd.tensor"} <= imported_modules(src)

@@ -22,8 +22,9 @@ import pytest
 from repro.cli import main as cli_main
 from repro.datasets import wikipedia_like
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
+from repro.pipeline import SoftwareBackend
 from repro.profiling import modeled_vs_measured
-from repro.serving import ServingEngine, WorkerPool
+from repro.serving import DEFAULT_REGISTRY, ServingEngine, WorkerPool
 
 WORKERS = int(os.environ.get("REPRO_WORKERS", "0"))
 
@@ -89,6 +90,33 @@ class TestWorkerPoolLanes:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(-1)
+
+
+# --------------------------------------------------------------------------- #
+# The measured backend times the kernels the software backend runs
+
+
+def test_measured_backend_runs_the_software_backends_kernels():
+    """Same model, same batches: ``measured`` prepares the model exactly
+    as ``SoftwareBackend`` does, so the two leave byte-identical vertex
+    state (an unprepared LUT model differs in the last bits)."""
+    g = wikipedia_like(num_edges=600, num_users=60, num_items=16)
+
+    def unprepared():
+        model = TGNN(CFG, rng=np.random.default_rng(0))
+        model.calibrate(g)
+        return model
+
+    measured = DEFAULT_REGISTRY.create("measured", unprepared(), g,
+                                       modeled=False)
+    software = SoftwareBackend(unprepared(), g)
+    assert measured.model._premul_cache is not None
+    for backend in (measured, software):
+        for lo in (0, 200, 400):
+            backend.process_batch(g.slice(lo, lo + 200))
+    got, want = measured._runtime.state.snapshot(), software.rt.state.snapshot()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 # --------------------------------------------------------------------------- #

@@ -6,13 +6,13 @@ import pytest
 from repro.datasets import wikipedia_like
 from repro.hw import FPGAAccelerator, ZCU104_DESIGN
 from repro.models import ModelConfig, TGNN
-from repro.perf import CPU_32T
+from repro.perf import CPU_32T, validate_performance_model
 from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
                             SimulatedFPGABackend, SoftwareBackend,
                             realtime_replay, replay_under_load, run_engine,
                             summarize)
 from repro.profiling import count_ops
-from repro.serving import ServingEngine
+from repro.serving import DEFAULT_REGISTRY, ServingEngine
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -45,44 +45,59 @@ class TestSoftwareBackend:
 
 class TestModeledBackend:
     def test_latency_constant_per_batch_size(self):
-        g, model = setup()
+        g, _ = setup()
         counts = count_ops(CFG)
-        be = ModeledGPPBackend(CPU_32T, counts, model, g, functional=False)
+        be = ModeledGPPBackend(CPU_32T, counts)
         l1 = be.process_batch(g.slice(0, 100))
         l2 = be.process_batch(g.slice(100, 200))
         assert l1 == l2
         assert l1 == pytest.approx(CPU_32T.latency_s(counts, 100))
 
-    def test_functional_state_advances(self):
-        g, model = setup()
-        be = ModeledGPPBackend(CPU_32T, count_ops(CFG), model, g)
-        be.process_batch(g.slice(0, 100))
-        assert be.rt.state.has_mail(g.slice(0, 100).nodes).all()
-
 
 class KernelSpyTGNN(TGNN):
-    """A model on which running a kernel is a test failure."""
+    """A model on which running a kernel, or building the runtime one
+    would need, is a test failure."""
 
-    def infer_batch(self, *args, **kwargs):
+    def _executed(self, *args, **kwargs):
         raise AssertionError("a timing-only backend executed a kernel")
+
+    infer_batch = process_batch = new_runtime = _executed
 
 
 class TestSimulatedFPGAPricesOnly:
-    """The simulated-FPGA backend's latency needs batch shape alone, so no
-    timing-only replay may run ``infer_batch`` (each did, per sub-batch,
-    before the backend stopped executing)."""
+    """A pricing backend's latency needs batch shape alone, so nothing on
+    the pricing side of the protocol — the simulated FPGA first of all —
+    may touch the model beyond ``cfg``."""
 
     def test_serving_engine_runs_no_kernel(self):
         g, model = setup(KernelSpyTGNN)
-        engine = ServingEngine.from_registry("u200", model, g, num_shards=4,
-                                             memsync="push")
-        report = engine.run(g, window_s=3600.0, num_streams=2, speedup=2.0)
-        assert report.windows > 0
-        assert all(s.busy_s > 0 for s in report.shard_stats)
+        for name in ("u200", "zcu104", "cpu-32t", "gpu"):
+            engine = ServingEngine.from_registry(name, model, g,
+                                                 num_shards=4, memsync="push")
+            report = engine.run(g, window_s=3600.0, num_streams=2,
+                                speedup=2.0)
+            assert report.windows > 0, name
+            assert all(s.busy_s > 0 for s in report.shard_stats), name
+
+    def test_registry_absorbs_the_retired_functional_kwarg(self):
+        g, model = setup(KernelSpyTGNN)
+        be = DEFAULT_REGISTRY.create("cpu-32t", model, g, functional=False)
+        assert be.process_batch(g.slice(0, 50)) > 0
+        assert not hasattr(be, "rt")
+
+    def test_accelerator_and_validation_run_no_kernel(self):
+        g, model = setup(KernelSpyTGNN)
+        acc = FPGAAccelerator(model, ZCU104_DESIGN)
+        assert acc.run_stream(g, 100, end=300).total_s > 0
+        assert acc.latency_single_batch(g, 100, warmup_edges=200) > 0
+        pts = validate_performance_model(model, ZCU104_DESIGN, g, [50, 200],
+                                         warmup_edges=100)
+        assert all(p.actual_latency_s > 0 for p in pts)
 
     def test_replays_run_no_kernel(self):
         g, model = setup(KernelSpyTGNN)
         be = SimulatedFPGABackend(FPGAAccelerator(model, ZCU104_DESIGN), g)
+        assert be.process_batch(g.slice(0, 100)) > 0
         pts = realtime_replay(be, g, window_s=12 * 3600.0, start=300)
         assert pts and all(p.latency_s > 0 for p in pts)
         stats = replay_under_load(be, g, window_s=3600.0, speedup=10.0)

@@ -26,9 +26,8 @@ def setup():
     return g, model
 
 
-def modeled_backend(model, graph):
-    return ModeledGPPBackend(CPU_32T, count_ops(CFG), model, graph,
-                             functional=False)
+def modeled_backend():
+    return ModeledGPPBackend(CPU_32T, count_ops(CFG))
 
 
 # --------------------------------------------------------------------------- #
@@ -422,8 +421,8 @@ class TestBackendRegistry:
 
     def test_create_builds_fresh_instances(self):
         g, model = setup()
-        b1 = DEFAULT_REGISTRY.create("cpu-32t", model, g, functional=False)
-        b2 = DEFAULT_REGISTRY.create("cpu-32t", model, g, functional=False)
+        b1 = DEFAULT_REGISTRY.create("cpu-32t", model, g)
+        b2 = DEFAULT_REGISTRY.create("cpu-32t", model, g)
         assert b1 is not b2
         assert b1.process_batch(g.slice(0, 50)) > 0
 
@@ -455,9 +454,9 @@ class TestServingEngine:
     def test_single_shard_matches_replay_under_load(self):
         """Acceptance: shards=1 reproduces the single-server path exactly."""
         g, model = setup()
-        qs = replay_under_load(modeled_backend(model, g), g,
+        qs = replay_under_load(modeled_backend(), g,
                                window_s=3600.0, start=300, speedup=40.0)
-        engine = ServingEngine([modeled_backend(model, g)], g.num_nodes)
+        engine = ServingEngine([modeled_backend()], g.num_nodes)
         rep = engine.run(g, window_s=3600.0, start=300, speedup=40.0)
         s0 = rep.shard_stats[0]
         assert rep.windows == qs.windows
@@ -471,10 +470,10 @@ class TestServingEngine:
     def test_four_shards_four_streams_end_to_end(self):
         """Acceptance: 4 shards x 4 streams at speedup=2.0 completes."""
         g, model = setup()
-        engine = ServingEngine([modeled_backend(model, g)
+        engine = ServingEngine([modeled_backend()
                                 for _ in range(4)], g.num_nodes)
         rep = engine.run(g, window_s=3600.0, speedup=2.0, num_streams=4)
-        fresh = ServingEngine([modeled_backend(model, g)
+        fresh = ServingEngine([modeled_backend()
                                for _ in range(4)], g.num_nodes)
         base = fresh.run(g, window_s=3600.0, speedup=2.0, num_streams=1)
         assert rep.num_shards == 4 and rep.num_streams == 4
@@ -504,9 +503,9 @@ class TestServingEngine:
 
     def test_deadline_batching_reduces_jobs(self):
         g, model = setup()
-        passthrough = ServingEngine([modeled_backend(model, g)],
+        passthrough = ServingEngine([modeled_backend()],
                                     g.num_nodes)
-        coalescing = ServingEngine([modeled_backend(model, g)], g.num_nodes,
+        coalescing = ServingEngine([modeled_backend()], g.num_nodes,
                                    batcher=DynamicBatcher(max_delay_s=1e4))
         r1 = passthrough.run(g, window_s=3600.0)
         r2 = coalescing.run(g, window_s=3600.0)
@@ -553,9 +552,9 @@ class TestServingEngine:
 
     def test_cross_die_mail_penalty_increases_busy(self):
         g, model = setup()
-        free = ServingEngine([modeled_backend(model, g) for _ in range(4)],
+        free = ServingEngine([modeled_backend() for _ in range(4)],
                              g.num_nodes)
-        taxed = ServingEngine([modeled_backend(model, g) for _ in range(4)],
+        taxed = ServingEngine([modeled_backend() for _ in range(4)],
                               g.num_nodes, die_of=[0, 1, 0, 1],
                               mail_hop_s=1e-4)
         r0 = free.run(g, window_s=3600.0)
@@ -572,9 +571,9 @@ class TestServingEngine:
         with pytest.raises(ValueError):
             ServingEngine.from_registry("cpu-32t", model, g, num_shards=0)
         with pytest.raises(ValueError):
-            ServingEngine([modeled_backend(model, g)], g.num_nodes,
+            ServingEngine([modeled_backend()], g.num_nodes,
                           die_of=[0, 1])
-        engine = ServingEngine([modeled_backend(model, g)], g.num_nodes)
+        engine = ServingEngine([modeled_backend()], g.num_nodes)
         with pytest.raises(ValueError):
             engine.run(g, window_s=0.0)
         with pytest.raises(ValueError):
@@ -737,7 +736,7 @@ class TestPoolServersReport:
 
     def test_sharded_reports_one_server_per_shard(self):
         g, model = setup()
-        rep = ServingEngine([modeled_backend(model, g)
+        rep = ServingEngine([modeled_backend()
                              for _ in range(2)], g.num_nodes).run(
             g, window_s=3600.0)
         assert rep.pool_servers == 1

@@ -27,8 +27,7 @@ class TestTrace:
         g, model, acc = setup()
         off = acc.run_stream(g, 200, end=400)
         assert off.events == []
-        on = acc.run_stream(g, 200, end=400, rt=model.new_runtime(g),
-                            trace=True)
+        on = acc.run_stream(g, 200, end=400, trace=True)
         assert len(on.events) > 0
         with pytest.raises(ValueError):
             stage_utilization(off)
