@@ -388,11 +388,19 @@ def check_lane_agreement(heap_trace: Sequence[Any],
                          vec_trace: Sequence[Any]) -> list[TraceFinding]:
     """Heap vs vectorized scheduler: same workload, same event order.
 
-    Both lanes must produce the identical typed-event sequence.  The
+    Both schedulers must produce the identical typed-event sequence.
+    What is compared is two **per-event** deliveries: a traced run never
+    takes the cohort path — ``BatcherActor.start`` schedules every
+    arrival as its own heap entry whenever ``trace=True``, so the
+    vectorized scheduler's ``cohort_calls`` is 0 and its trace, like the
+    reference's, is what its ``(t, priority, seq)`` heap popped.  The
     first divergence at *equal* timestamps is same-key nondeterminism —
-    two events with equal ``(t, priority)`` whose relative order changed
-    between the per-event heap and the cohort-dispatch lane, exactly the
-    bug class the ``(t, priority, seq)`` contract exists to exclude.
+    two events with equal ``(t, priority)`` whose relative order differs
+    between :class:`~repro.serving.events.HeapEventScheduler` and
+    :class:`~repro.serving.events.EventScheduler`, exactly the bug class
+    that contract exists to exclude.  Cohort dispatch itself is held to
+    the heap lane elsewhere: by the scheduler-equivalence property tests
+    and by untraced reports being byte-identical under both classes.
     """
     findings = []
     for i, (a, b) in enumerate(zip(heap_trace, vec_trace)):

@@ -419,22 +419,17 @@ def _simulate_fleet(args, graph, model, out):
 
     def build_engine(placement=None, die_of=None, rebalancer=None,
                      failures=None, autoscaler=None, num_shards=None):
-        # Price cross-shard mailbox traffic at the SLR-crossing latency of
-        # the simulated part (single-die parts get an all-zero penalty;
-        # pool replicas forward nothing, so no penalty applies there).
-        kwargs = dict(rebalancer=rebalancer, failures=failures,
+        kwargs = dict(memsync=args.memsync, hot_top_k=args.hot_top_k,
+                      rebalancer=rebalancer, failures=failures,
                       autoscaler=autoscaler, workers=args.workers)
         if placement is not None:
             kwargs["placement"] = placement
-        if args.topology in ("sharded", "hybrid"):
-            kwargs["memsync"] = args.memsync
-        if args.topology == "hybrid":
-            kwargs["hot_top_k"] = args.hot_top_k
-        if args.topology in ("pool", "hybrid") \
-                and args.pool_servers is not None:
+        if args.topology != "sharded" and args.pool_servers is not None:
             kwargs["pool_servers"] = args.pool_servers
-        if fpga_design is not None and args.topology in ("sharded",
-                                                         "hybrid"):
+        if fpga_design is not None:
+            # Price cross-shard mailbox traffic at the SLR-crossing
+            # latency of the simulated part (single-die parts get an
+            # all-zero penalty, and a pool forwards nothing to price).
             kwargs["die_of"] = die_of
             kwargs["mail_hop_s"] = \
                 fpga_design.die_crossing_cycles * fpga_design.clock_s
@@ -451,42 +446,36 @@ def _simulate_fleet(args, graph, model, out):
                           ingest=args.ingest, trace=args.check_trace)
 
     def plan_dies(placement):
-        if fpga_design is None or args.topology == "pool":
+        if fpga_design is None:
             return None
+        from .hw import plan_shard_dies, plan_shard_dies_traffic_aware
         dies = fpga_design.platform.dies
-        if args.topology == "hybrid":
-            # The cold-tail pool is one more station on the floorplan (the
-            # placement's last pseudo-shard).
-            from .hw import plan_shard_dies
-            return plan_shard_dies(args.shards + 1, dies)
+        if placement is None:
+            # The engine lays these fleets out itself (a pool owns
+            # everything, a hybrid splits hot from cold by measured heat):
+            # a pool is one station on the floorplan, a hybrid's cold-tail
+            # pool one more than its dedicated shards.
+            return plan_shard_dies(
+                {"pool": 1, "hybrid": args.shards + 1}[args.topology], dies)
         # Branch on whether the placement actually changed anything — a
         # rebalance *profiling* pass is still the hash partition and must
         # be priced exactly as `--placement hash` would deploy.
-        unchanged = placement is None or not (
-            placement.moved_vertices or placement.replicated_vertices)
-        if unchanged:
-            from .hw import plan_shard_dies
+        if not (placement.moved_vertices or placement.replicated_vertices):
             # The placement's own shard count covers elastic fleets too:
             # a padded autoscale layout needs a die for every station the
             # controller may ever activate.
-            return plan_shard_dies(placement.num_shards if placement
-                                   is not None else args.shards, dies)
+            return plan_shard_dies(placement.num_shards, dies)
         # The policy moved/replicated vertices, so the expected mailbox
         # traffic matrix changed: re-plan the shard -> die assignment
         # against the *new* traffic so die crossings are priced correctly.
-        from .hw import plan_shard_dies_traffic_aware
         return plan_shard_dies_traffic_aware(
             placement.mail_matrix(graph.src, graph.dst), dies)
 
     placement = None
-    if args.topology == "hybrid":
-        # Placement is built inside the engine (HotColdHybrid from the
-        # graph's measured heat); --placement only applies to sharded.
-        if args.placement != "hash":
-            out(f"note: --placement {args.placement} is ignored in hybrid "
-                f"topology (the hot/cold split comes from the measured "
-                f"traffic profile)")
-    elif args.topology == "sharded":
+    if args.topology == "sharded":
+        if args.pool_servers is not None:
+            out(f"note: --pool-servers {args.pool_servers} is ignored in "
+                f"sharded topology (every shard is one dedicated server)")
         heat = VertexHeat.from_graph(graph)
         if args.placement == "rebalance":
             policy = make_policy("rebalance",
@@ -507,14 +496,10 @@ def _simulate_fleet(args, graph, model, out):
                 f"({placement.replica_copies} extra copies)")
         else:
             placement = make_policy("hash").place(heat, args.shards)
-    else:
-        if args.placement != "hash":
-            out(f"note: --placement {args.placement} is ignored in pool "
-                f"topology (replicas share one queue and one state store)")
-        if args.memsync != "none":
-            out(f"note: --memsync {args.memsync} is ignored in pool "
-                f"topology (replicas share one state store, so nothing "
-                f"is ever stale)")
+    elif args.placement != "hash":
+        out(f"note: --placement {args.placement} is ignored in "
+            f"{args.topology} topology (only a sharded fleet is laid out "
+            f"by a placement policy)")
 
     def controller_window(explicit):
         """A controller's sampling window; by default one workload window
@@ -527,28 +512,16 @@ def _simulate_fleet(args, graph, model, out):
 
     rebalancer = None
     if args.rebalance_online:
-        if args.topology == "pool":
-            out("note: --rebalance-online is ignored in pool topology "
-                "(one shared queue has no partition to rebalance)")
-        else:
-            rebalancer = OnlineRebalancer(
-                window_s=controller_window(args.rebalance_window),
-                util_threshold=args.rebalance_threshold)
+        rebalancer = OnlineRebalancer(
+            window_s=controller_window(args.rebalance_window),
+            util_threshold=args.rebalance_threshold)
 
     plans = None
     if args.fail_at is not None:
-        if args.topology != "sharded":
-            out(f"note: --fail-at is ignored in {args.topology} topology "
-                f"(chaos injection fails a dedicated shard and promotes "
-                f"its replica mirrors; only the sharded topology has "
-                f"both)")
-        else:
-            from .serving import FailurePlan
-            plans = FailurePlan(fail_at=args.fail_at,
-                                shard=args.fail_shard,
-                                mode=args.fail_mode,
-                                recover_at=args.recover_at,
-                                degradation=args.fail_degradation)
+        from .serving import FailurePlan
+        plans = FailurePlan(fail_at=args.fail_at, shard=args.fail_shard,
+                            mode=args.fail_mode, recover_at=args.recover_at,
+                            degradation=args.fail_degradation)
 
     autoscaler = None
     engine_shards = None

@@ -1,4 +1,4 @@
-"""Serving-layer architecture: one discrete-event core, three topologies.
+"""Serving-layer architecture: one discrete-event core, one fleet shape.
 
 The ``pipeline`` package answers "how fast is one batch on one idle
 device"; this package answers the production question: how does a fleet
@@ -44,9 +44,9 @@ Actors on the scheduler
   size/deadline flush triggers, plus the double-buffered drain trigger
   under pipelined ingest;
 * :class:`RouterActor` — the fork point: a released job is split across
-  dedicated shards (:class:`ShardRouter` + :class:`Placement`), handed
-  whole to a replica pool, or both (hybrid); mail and sync traffic is
-  recorded at the event time it occurs;
+  the stations that hold its vertices (:class:`ShardRouter` +
+  :class:`Placement`; a one-station fleet gets the job whole); mail and
+  sync traffic is recorded at the event time it occurs;
 * :class:`ServerGroup` — a FIFO station of N identical servers: a
   dedicated shard is a 1-server group, a replica pool a K-server group;
   its statistics reproduce the historical standalone queue loop exactly;
@@ -60,9 +60,12 @@ Actors on the scheduler
   in any combination: :class:`OnlineRebalancer` (overload-driven moves
   between dedicated shards; heat-band drift between pool and shards in
   hybrid), :class:`AutoScaler` (splits/merges behind a
-  :class:`ScaleEvent`) and :class:`FailureInjector` (failover and
-  fail-back); every applied change is one :class:`MigrationEvent`, its
-  state handoff priced through ``mail_hop_s`` like sync traffic;
+  :class:`ScaleEvent`; a lone station is resized in place) and
+  :class:`FailureInjector` (failover and fail-back); every applied
+  change is one :class:`MigrationEvent`, its state handoff priced
+  through ``mail_hop_s`` like sync traffic.  On a one-station fleet
+  there is nothing to move, and they say so: zero migrations, and a
+  dead failure is refused for want of a survivor;
 * :class:`CrossShardMailbox` / :class:`VersionedMemoryCache` — the traffic
   and coherence components the router drives, in release order.
 
@@ -76,20 +79,38 @@ invariants (every admitted job served exactly once, per-server busy
 intervals never overlap — with and without mid-run migrations) are
 property-tested over randomized traces.
 
-Topology × ingest matrix (:class:`ServingEngine`)
--------------------------------------------------
-=============  =======================================================
-``sharded``    partitioned shards, dedicated FIFO queues, fork-join
-               window completion; placement policies apply
-``pool``       K stateless replicas behind one shared queue; no
-               partition, no mail, ``replication_factor == 1``
-``hybrid``     measured-traffic hot head on dedicated shards
-               (:class:`HotColdHybrid`), cold tail drained by a
-               shared-queue pool — both regimes in one event loop,
-               cross-regime edges ride the ordinary mailbox
-=============  =======================================================
+Fleet shape × ingest matrix (:class:`ServingEngine`)
+----------------------------------------------------
+A fleet is ``(placement, server_counts)``: one :class:`ServerGroup` per
+backend, station ``s`` serving the vertices the :class:`Placement` gives
+shard ``s`` with ``server_counts[s]`` servers, and ``server_counts = [1]
+* (n - 1) + [k]``.  The paper's two boards are one design with five
+numbers changed; the three ``topology=`` names are likewise three
+spellings of one vector, read where it is built and nowhere after:
 
-Each topology runs under either ingest mode: ``serial`` (batching delay
+=============  =========  ==============================================
+``sharded``    ``k = 1``  partitioned shards, dedicated FIFO queues,
+                          fork-join window completion; placement
+                          policies apply
+``pool``       ``n = 1``  K stateless replicas behind one shared queue;
+                          the one station owns every vertex, so no
+                          mail, no sync, ``replication_factor == 1``
+``hybrid``     general    measured-traffic hot head on dedicated shards
+                          (:class:`HotColdHybrid`), cold tail drained
+                          by the K-server last station — cross-regime
+                          edges ride the ordinary mailbox
+=============  =========  ==============================================
+
+Routing, memsync, die pricing, the controllers and the report run one
+path over the vector, so ``pool(k)`` equals ``hybrid`` over the one-shard
+placement with ``pool_servers=k``, and ``sharded`` over ``P`` equals
+``hybrid`` over ``P`` with ``pool_servers=1``, field for field
+(``tests/property/test_control_properties.py``).  What the structure cannot
+carry is three rules, stated once each in :class:`ServingEngine`:
+measured backends need one-server stations, autoscaling needs a uniform
+fleet, a pool takes one backend.
+
+Each fleet runs under either ingest mode: ``serial`` (batching delay
 serializes in front of service — byte-identical to the pre-event-core
 engine, pinned by golden tests) or ``pipelined`` (double-buffered ingest —
 the buffer flushes the moment the fleet goes hungry, so batching delay is
@@ -227,12 +248,12 @@ ping-pong) and schedules :class:`ScaleEvent`\\ s at migration priority on
 the same event core.  :class:`CapacityConfig` gives the controller its
 units, BatchConfig-style: ``micro_batch × replicas = global_capacity``
 is validated at construction, together with the fleet bounds and the
-cold-start price.  On the pool topology, replicas spin up cold
+cold-start price.  On a one-station fleet (the pool), replicas spin up cold
 (:meth:`ServerGroup.scale_up` — the newcomer's first job begins no
 earlier than ``t + cold_start_s``) and spin down on drain
 (:meth:`ServerGroup.scale_down` — a busy victim finishes its committed
-job before leaving; server ids are never reused).  On the sharded
-topology, the fleet is a ``max_replicas``-slot station array laid out by
+job before leaving; server ids are never reused).  On a fleet of
+one-server stations, the fleet is a ``max_replicas``-slot array laid out by
 :func:`padded_hash_placement`; scale-up **splits** the hottest shard's
 measured-hot vertices into the next inactive slot, scale-down **merges**
 the highest active slot onto the coolest live survivor — both as plans

@@ -11,15 +11,15 @@ takes effect before the next same-instant flush routes.
 
 Two fleet shapes, one controller
 --------------------------------
-*Pool* (a control plane without a router): the K stateless replicas behind the
-shared queue grow and shrink through
+*One station* (a plane with a single group — the pool): the K stateless
+replicas behind the shared queue grow and shrink through
 :meth:`~repro.serving.events.ServerGroup.scale_up` /
 :meth:`~repro.serving.events.ServerGroup.scale_down`.  A new replica is
 born *cold* — free only at ``t + cold_start_s`` — so the group's
 ordinary ``max(freed_at, t_arrive)`` dispatch rule prices the warm-up;
 a retired replica drains its committed job before leaving.
 
-*Sharded* (a plane with a router): the fleet is a fixed array of
+*Sharded* (several one-server groups): the fleet is a fixed array of
 ``CapacityConfig.max_replicas`` one-server shard stations of which the
 first ``fleet_size`` are *active* (stack discipline — the active set is
 always ``[0, fleet_size)``).  A scale-up activates the next station and
@@ -176,26 +176,27 @@ class AutoScaler:
     def start(self, plane: ControlPlane) -> None:
         """Attach to one run's control plane, resetting all per-run state.
 
-        A plane without a router selects pool mode (one K-server group,
-        resized in place); a router selects sharded mode
-        (``max_replicas`` one-server stations, resized by ownership
-        splits/merges).
+        The fleet's shape selects the mode: a single group is resized in
+        place (``capacity.replicas`` servers to start with); several are
+        the ``max_replicas`` one-server stations of a sharded fleet,
+        resized by ownership splits/merges.  The capacity config is the
+        controller's source of truth for the initial fleet, so a fleet
+        that disagrees with it is rejected here.
         """
         groups, router = plane.groups, plane.router
-        if router is None:
-            if len(groups) != 1:
-                raise ValueError("pool-mode autoscaling takes exactly one "
-                                 "K-server group")
+        self._resize = len(groups) == 1
+        if self._resize:
             if groups[0].num_servers != self.capacity.replicas:
                 raise ValueError(
-                    f"pool group has {groups[0].num_servers} servers but "
+                    f"the station has {groups[0].num_servers} servers but "
                     f"capacity.replicas is {self.capacity.replicas}")
         else:
             if len(groups) != self.capacity.max_replicas:
                 raise ValueError(
                     f"sharded autoscaling needs one station per fleet "
                     f"slot: {self.capacity.max_replicas} groups, got "
-                    f"{len(groups)}")
+                    f"{len(groups)} (use padded_hash_placement to size "
+                    f"the router to match)")
             if router.placement.replicated_vertices:
                 raise ValueError(
                     "sharded autoscaling requires an unreplicated "
@@ -263,7 +264,7 @@ class AutoScaler:
         plane = self._plane
         moves: np.ndarray | tuple = ()
         target = -1
-        if plane.router is None:
+        if self._resize:
             shard = plane.groups[0].gid
         else:
             # Up activates the next slot; down drains the highest one.
@@ -322,7 +323,7 @@ class AutoScaler:
                 f"found {self.fleet_size}: fleet size changed between "
                 f"decision and application")
         self.fleet_size = ev.servers_after
-        if self._plane.router is None:
+        if self._resize:
             group = self._plane.groups[0]
             if ev.kind == "up":
                 group.scale_up(ev.t, self.capacity.cold_start_s)

@@ -98,10 +98,13 @@ class Window:
 class ControlPlane:
     """Per-run owner of ownership sampling, eligibility and plan apply.
 
-    ``router``/``cache`` are ``None`` for a pool (nothing is owned: only
-    the autoscaler runs, resizing the one group); ``pool_shard`` names
-    the hybrid topology's pool pseudo-shard.  Counters: ``proposed``
-    plans, of which ``stale`` were dropped at vetting.
+    ``router``/``cache`` are the run's live ownership table and its
+    coherence cache; ``groups[s]`` is shard ``s``'s station.  A
+    one-station fleet owns everything in one place, so its policies have
+    nothing to move (the autoscaler resizes the station instead);
+    ``pool_shard`` names the K-server station a rebalancer in drift mode
+    promotes out of and demotes into.  Counters: ``proposed`` plans, of
+    which ``stale`` were dropped at vetting.
     """
 
     def __init__(self, sched, groups: Sequence[ServerGroup], router, cache,
@@ -113,8 +116,7 @@ class ControlPlane:
         self.cache = cache
         self.die_of = die_of
         self.pool_shard = pool_shard
-        self.heat = np.zeros(0 if router is None else router.num_nodes,
-                             dtype=np.int64)
+        self.heat = np.zeros(router.num_nodes, dtype=np.int64)
         self.pending_hops = [0] * len(self.groups)
         self.proposed = self.stale = 0
         self._scaler = autoscaler
@@ -132,8 +134,7 @@ class ControlPlane:
 
     def observe(self, t: float, batch) -> None:
         """Sample one released job, then let the policies react."""
-        if self.router is not None:
-            np.add.at(self.heat, batch.nodes, 1)
+        np.add.at(self.heat, batch.nodes, 1)
         for policy in self._observers:
             policy.observe(t, batch)
 

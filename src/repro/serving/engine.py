@@ -1,37 +1,49 @@
-"""Sharded / pooled / hybrid multi-stream serving on one event loop.
+"""Multi-stream serving on one event loop: a fleet is a server-count vector.
 
 This is the production-deployment composition the single-device replay in
 ``pipeline/`` cannot express: many concurrent edge streams hit an ingest
 tier, a :class:`~repro.serving.batcher.DynamicBatcher` coalesces their
-windows under a latency deadline, and the released jobs are served by one
-of three **topologies** — all driven by the single discrete-event
-scheduler in :mod:`repro.serving.events`, so ingest, routing, shard
-compute, and cross-shard traffic advance on one clock and can overlap:
+windows under a latency deadline, and the released jobs are served by a
+**fleet** — all driven by the single discrete-event scheduler in
+:mod:`repro.serving.events`, so ingest, routing, shard compute, and
+cross-shard traffic advance on one clock and can overlap.
 
-``sharded`` (default)
-    A :class:`~repro.serving.router.ShardRouter` splits each job across
-    partitioned shards (the partition comes from a
-    :class:`~repro.serving.placement.Placement`); every shard — owning its
-    own backend and :class:`~repro.models.tgn.ModelRuntime` — serves its
-    sub-batches through a dedicated FIFO queue.  A window's response time
-    is fork-join: it completes when the *last* involved shard finishes.
+A fleet is ``(placement, server_counts)``: one FIFO station
+(:class:`~repro.serving.events.ServerGroup`) per backend, station ``s``
+serving the vertices the :class:`~repro.serving.placement.Placement`
+assigns to shard ``s`` with ``server_counts[s]`` identical servers.  The
+paper ships one parameterised design whose two boards differ in five
+numbers, not in code paths; here the numbers are ``server_counts = [1] *
+(n - 1) + [k]``, and the three ``topology`` names are spellings of it:
 
-``pool``
-    K stateless replicas behind **one shared queue** (a K-server
-    :class:`~repro.serving.events.ServerGroup`).  Jobs are not split: any
-    free replica serves the whole job against the shared state store, so
-    nothing is forwarded, every edge is processed once, and no replica
+``sharded`` (default) — ``k = 1``
+    Every station is one dedicated server owning its own backend.  A
+    :class:`~repro.serving.router.ShardRouter` splits each job across
+    them; a window's response time is fork-join: it completes when the
+    *last* involved shard finishes.
+
+``pool`` — ``n = 1``
+    One station of K stateless replicas behind **one shared queue** that
+    owns every vertex (the report labels that partition ``"none"``).  A
+    one-shard split hands the whole job to it: nothing is forwarded,
+    nothing can be stale, every edge is processed once, and no replica
     idles while another has a backlog.  The price is that a job gets no
     intra-job parallelism — the classic pooling-vs-partitioning trade the
     benchmark sweeps.
 
-``hybrid``
+``hybrid`` — the general case
     Both regimes in one loop: the measured-traffic hot head
     (:class:`~repro.serving.placement.HotColdHybrid`) lives on dedicated
-    shards, and the cold tail drains through a shared-queue pool — the
-    pool is the placement's last pseudo-shard, served by a K-server group.
-    Cross-regime edges ride the same mailbox (and the same ``mail_hop_s``
-    die pricing) as shard-to-shard mail, at the event times they occur.
+    shards, and the cold tail drains through the last station, K servers
+    wide.  Cross-regime edges ride the same mailbox (and the same
+    ``mail_hop_s`` die pricing) as shard-to-shard mail, at the event
+    times they occur.
+
+Nothing downstream of construction asks which name was used: routing,
+memsync, die pricing, the three controllers and the report run one path
+over the vector, so a combination is either meaningful on the structure
+(a lone station has nowhere to donate, nothing remote to sync, no
+survivor for a dead failure) or ruled out by a rule about the structure.
 
 **Ingest modes** (``run(..., ingest=...)``): ``"serial"`` releases jobs
 exactly like the historical offline batcher — batching delay serializes in
@@ -72,7 +84,7 @@ from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
 from .registry import DEFAULT_REGISTRY, BackendRegistry
-from .router import ShardBatch, ShardRouter
+from .router import ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
            "make_stream_arrivals"]
@@ -102,9 +114,9 @@ def _null_floats(obj):
 class ShardStats:
     """Per-shard queueing and traffic statistics.
 
-    In pool topology there is a single entry describing the shared queue;
-    ``servers`` is the replica count (always 1 for partitioned shards).
-    In hybrid topology the last entry is the cold-tail pool.
+    One entry per station; ``servers`` is the count it started the run
+    with (a pool's single entry describes the shared queue, a hybrid's
+    last entry the cold-tail pool).
 
     ``offered_load`` is ``inf`` when two or more jobs were all released at
     one instant (no arrival rate exists); the report writes that as
@@ -319,27 +331,37 @@ def make_stream_arrivals(graph: TemporalGraph, window_s: float,
 
 
 class ServingEngine:
-    """Shard-parallel, pooled, or hybrid serving in front of backends.
+    """A fleet of stations in front of backends: ``(placement,
+    server_counts)`` with ``server_counts = [1] * (n - 1) + [k]``.
+
+    ``topology`` and ``pool_servers`` spell the vector (see the module
+    docstring) and are read only here and in :meth:`from_registry`;
+    ``server_counts`` is what the run uses.  Three rules about the
+    structure are enforced, once each: **measured backends need every
+    station to have one server** (a K-server station shares one stateful
+    backend across concurrent servers, which a worker lane cannot
+    reproduce); **autoscaling needs a uniform fleet** — one station,
+    resized in place, or all one-server stations, resized by ownership
+    splits/merges (a K-server station beside dedicated shards would need
+    two controllers); **a pool takes exactly one backend**.
 
     Parameters
     ----------
     backends:
-        Sharded topology: one backend per shard (engine protocol, each with
-        its own runtime).  Pool topology: the timing replica — replicas are
-        stateless, so one backend prices every job against the shared
-        state store (``pool_servers`` sets the replica count).  Hybrid
-        topology: one backend per dedicated hot shard plus a final timing
-        backend for the cold-tail pool (``placement.num_shards`` entries).
+        One backend per station (engine protocol).  The K servers of the
+        last station share theirs: replicas are stateless, so one backend
+        prices every job they serve.
     num_nodes:
         Vertex count, for the router's partition.
     batcher:
         Cross-stream coalescing policy; default is passthrough.
     router:
-        Vertex partition; default hash-partitions over ``len(backends)``.
-        Mutually exclusive with ``placement``.
+        Vertex partition over ``len(backends)`` shards; default is the
+        static hash.  Mutually exclusive with ``placement``.
     placement:
         A :class:`~repro.serving.placement.Placement` from a placement
-        policy; the router is built from it.  Required for hybrid (use
+        policy; the router is built from it.  ``topology="hybrid"`` asks
+        for one explicitly (use
         :class:`~repro.serving.placement.HotColdHybrid`, whose last
         pseudo-shard is the pool; ``from_registry`` builds it from the
         graph's measured heat).
@@ -348,22 +370,20 @@ class ServingEngine:
         :func:`repro.hw.plan_shard_dies` /
         :func:`repro.hw.plan_shard_dies_traffic_aware`).  With
         ``mail_hop_s`` it prices cross-die mailbox traffic into the
-        receiving shard's service time.  In hybrid topology the last entry
-        is the pool's die.
+        receiving shard's service time.
     mail_hop_s:
         Seconds added per forwarded edge that crosses a die boundary.
     topology:
         ``"sharded"`` (default), ``"pool"``, or ``"hybrid"``.
     pool_servers:
-        Replica count behind the shared queue (pool and hybrid topologies;
-        defaults to ``len(backends)`` for pool and to the dedicated-shard
-        count for hybrid).
+        ``k``, the last station's server count (``pool`` and ``hybrid``
+        spellings; defaults to the dedicated-shard count, at least 1).
     memsync:
-        Cross-shard memory sync policy (sharded and hybrid topologies):
-        ``"none"`` (default, stale mirrors — staleness is still measured),
-        ``"invalidate"`` (pull fresh rows on stale reads, priced as
-        mailbox round-trips) or ``"push"`` (owner writes forward rows
-        alongside the edge mail).  See :mod:`repro.serving.memsync`.
+        Cross-shard memory sync policy: ``"none"`` (default, stale
+        mirrors — staleness is still measured), ``"invalidate"`` (pull
+        fresh rows on stale reads, priced as mailbox round-trips) or
+        ``"push"`` (owner writes forward rows alongside the edge mail).
+        See :mod:`repro.serving.memsync`.
         Pricing only: sync traffic inflates service times through
         ``mail_hop_s`` and surfaces in the report (``sync_edges`` /
         ``stale_reads`` / ``max_version_lag``); the *functional* exactness
@@ -383,22 +403,22 @@ class ServingEngine:
         controller overtook is dropped and counted in the report's
         ``stale_plans`` (key omitted at 0).
     rebalancer:
-        An :class:`~repro.serving.rebalance.OnlineRebalancer` (sharded
-        and hybrid topologies): it watches per-shard window utilization
-        / queue depth on released jobs and proposes vertex migrations
-        mid-run.  The report gains ``rebalance`` / ``migrations`` /
-        ``migrated_vertices`` / ``handoff_rows``.  In hybrid topology
-        the rebalancer runs in drift mode: heating pool vertices are
+        An :class:`~repro.serving.rebalance.OnlineRebalancer`: it watches
+        per-shard window utilization / queue depth on released jobs and
+        proposes vertex migrations mid-run (none on a lone station).  The
+        report gains ``rebalance`` / ``migrations`` /
+        ``migrated_vertices`` / ``handoff_rows``.  Spelled ``hybrid``,
+        the fleet runs it in drift mode: heating pool vertices are
         promoted onto dedicated shards, cooled dedicated-shard vertices
         demoted back to the pool.
     failures:
         A :class:`~repro.serving.events.FailurePlan` (or sequence of them;
-        outages of one shard may not overlap) to inject during each run
-        (sharded and hybrid topologies): the
-        :class:`~repro.serving.control.FailureInjector` schedules the
+        outages of one shard may not overlap) to inject during each run:
+        the :class:`~repro.serving.control.FailureInjector` schedules the
         failure/recovery events, applies them to the shard's
-        :class:`ServerGroup` and — for dead failures — runs replica
-        promotion / peer rebuild onto the eligible shards through
+        :class:`ServerGroup` and — for dead failures, which need a
+        surviving station — runs replica promotion / peer rebuild onto
+        the eligible shards through
         :func:`~repro.serving.memsync.fail_over` and proposes the
         fail-back on recovery.  The report gains ``chaos`` /
         ``failures`` / ``recoveries`` / ``promoted_vertices`` /
@@ -408,15 +428,14 @@ class ServingEngine:
         An :class:`~repro.serving.autoscale.AutoScaler`: it watches
         windowed p95 response latency against an SLO band and resizes
         the fleet mid-run via :class:`~repro.serving.events.ScaleEvent`.
-        Pool topology grows and shrinks the replica group in place (cold
-        starts priced by delayed first availability); sharded topology
-        proposes ownership splits/merges across a
-        ``capacity.max_replicas``-slot fleet (build the layout with
+        A one-station fleet grows and shrinks in place (cold starts
+        priced by delayed first availability); a fleet of one-server
+        stations proposes ownership splits/merges across its
+        ``capacity.max_replicas`` slots (build the layout with
         :func:`~repro.serving.placement.padded_hash_placement`).  The
-        report gains a ``scaling`` block (key omitted when off).  Not
-        available with measured backends (a worker lane cannot be
-        created mid-run) or the hybrid topology (the pool pseudo-shard
-        and the dedicated shards would need separate controllers).
+        capacity config must agree with the fleet; the controller checks
+        that when the run starts.  The report gains a ``scaling`` block
+        (key omitted when off).
     workers:
         Worker-pool width for **measured** backends (any backend with
         ``measured = True``, e.g. the registry's ``"measured"``): the
@@ -425,7 +444,7 @@ class ServingEngine:
         ``shard % workers``, and reconciles measured durations into
         event time (see :mod:`repro.serving.measured`).  ``0`` (default)
         computes in-process with one virtual lane per shard.  Only legal
-        with measured backends, which require ``topology="sharded"``.
+        with measured backends.
     """
 
     def __init__(self, backends: Sequence, num_nodes: int,
@@ -446,17 +465,10 @@ class ServingEngine:
         measured_flags = [bool(getattr(b, "measured", False))
                           for b in backends]
         self._measured = any(measured_flags)
-        if self._measured:
-            if not all(measured_flags):
-                raise ValueError(
-                    "measured and modeled backends cannot mix in one "
-                    "fleet: the worker pool owns every shard's runtime")
-            if topology != "sharded":
-                raise ValueError(
-                    "measured backends require topology='sharded': pool "
-                    "and hybrid replicas share one stateful backend "
-                    "across concurrent servers, which a worker lane "
-                    "cannot reproduce")
+        if self._measured and not all(measured_flags):
+            raise ValueError(
+                "measured and modeled backends cannot mix in one "
+                "fleet: the worker pool owns every shard's runtime")
         if workers < 0:
             raise ValueError("workers must be non-negative")
         if workers and not self._measured:
@@ -468,9 +480,6 @@ class ServingEngine:
             raise ValueError(f"topology must be one of {TOPOLOGIES}")
         if memsync not in MEMSYNC_POLICIES:
             raise ValueError(f"memsync must be one of {MEMSYNC_POLICIES}")
-        if topology == "pool" and memsync != "none":
-            raise ValueError("pool topology shares one state store: "
-                             "memsync does not apply")
         if router is not None and placement is not None:
             raise ValueError("pass either router or placement, not both")
         if pool_servers is not None:
@@ -479,76 +488,55 @@ class ServingEngine:
                     "pool_servers requires topology='pool' or 'hybrid'")
             if pool_servers <= 0:
                 raise ValueError("pool_servers must be positive")
+        if topology == "pool" and len(backends) != 1:
+            raise ValueError(
+                "pool topology takes exactly one timing backend "
+                "(replicas are identical and stateless); set "
+                "pool_servers=K for the replica count")
+        if topology == "hybrid" and placement is None and router is None:
+            raise ValueError(
+                "hybrid topology needs a placement whose last "
+                "pseudo-shard is the pool (see HotColdHybrid)")
+        self.backends = list(backends)
+        self.num_shards = n = len(self.backends)
+        self.batcher = batcher or DynamicBatcher()
+        self.topology = topology
+        # The fleet: one station per backend, the last with k servers.
+        k = 1 if topology == "sharded" else int(pool_servers or max(n - 1, 1))
+        self.server_counts = [1] * (n - 1) + [k]
+        self.pool_servers = k
+        # Drift mode for a rebalancer: the K-server station is the pool
+        # that vertices heat up out of and cool down into.
+        self._drift_shard = n - 1 if topology == "hybrid" else None
+        if self._measured and k != 1:
+            raise ValueError(
+                "measured backends require topology='sharded' (or "
+                "pool_servers=1): a K-server station shares one stateful "
+                "backend across concurrent servers, which a worker lane "
+                "cannot reproduce")
         if autoscaler is not None:
             if self._measured:
                 raise ValueError(
                     "autoscaling requires modeled backends: a measured "
                     "worker lane cannot be created mid-run")
-            if topology == "hybrid":
+            if n > 1 and k > 1:
                 raise ValueError(
-                    "autoscaling does not apply to the hybrid topology: "
-                    "the pool pseudo-shard and the dedicated shards "
-                    "would need separate controllers")
-            if topology == "pool" \
-                    and (pool_servers or len(backends)) \
-                    != autoscaler.capacity.replicas:
-                raise ValueError(
-                    f"pool_servers ({pool_servers or len(backends)}) must "
-                    f"equal capacity.replicas "
-                    f"({autoscaler.capacity.replicas}): the capacity "
-                    f"config is the controller's source of truth for the "
-                    f"initial fleet")
-            if topology == "sharded" \
-                    and len(backends) != autoscaler.capacity.max_replicas:
-                raise ValueError(
-                    f"sharded autoscaling needs one backend per fleet "
-                    f"slot: capacity.max_replicas is "
-                    f"{autoscaler.capacity.max_replicas}, got "
-                    f"{len(backends)} backends (use padded_hash_placement "
-                    f"to size the router to match)")
-        if topology == "pool":
-            if rebalancer is not None:
-                raise ValueError(
-                    "pool topology has no partition to rebalance: "
-                    "rebalancer does not apply")
-            if failures is not None:
-                raise ValueError(
-                    "pool topology has one shared queue and state store: "
-                    "per-shard failure injection does not apply")
-            if len(backends) != 1:
-                raise ValueError(
-                    "pool topology takes exactly one timing backend "
-                    "(replicas are identical and stateless); set "
-                    "pool_servers=K for the replica count")
-            if router is not None or placement is not None \
-                    or die_of is not None or mail_hop_s:
-                raise ValueError(
-                    "pool topology has no partition: router, placement, "
-                    "die_of, and mail_hop_s do not apply")
-        if topology == "hybrid":
-            if placement is None and router is None:
-                raise ValueError(
-                    "hybrid topology needs a placement whose last "
-                    "pseudo-shard is the pool (see HotColdHybrid)")
-            if len(backends) < 2:
-                raise ValueError(
-                    "hybrid topology needs at least one dedicated hot "
-                    "shard backend plus the pool timing backend")
-        self.backends = list(backends)
-        self.num_shards = len(self.backends)
-        self.batcher = batcher or DynamicBatcher()
-        self.topology = topology
-        if topology == "hybrid":
-            self.pool_servers = int(pool_servers or self.num_shards - 1)
-        else:
-            self.pool_servers = int(pool_servers or len(self.backends))
+                    "autoscaling needs a uniform fleet (one station, or "
+                    "all one-server stations): a hybrid fleet's K-server "
+                    "station and its dedicated shards would need separate "
+                    "controllers")
         if placement is not None:
             router = ShardRouter.from_placement(placement)
-        self.router = router or ShardRouter(self.num_shards, num_nodes)
-        if topology in ("sharded", "hybrid") \
-                and self.router.num_shards != self.num_shards:
+        if router is None:
+            router = ShardRouter(n, num_nodes)
+            if topology == "pool":
+                # Its one shard owns every vertex: the report labels that
+                # partition "none".
+                router.placement.policy = "none"
+        self.router = router
+        if router.num_shards != n:
             raise ValueError("router shard count must match backend count")
-        if die_of is not None and len(die_of) != self.router.num_shards:
+        if die_of is not None and len(die_of) != n:
             raise ValueError("die_of must assign every shard")
         self.die_of = None if die_of is None else np.asarray(die_of,
                                                              dtype=np.int64)
@@ -577,51 +565,38 @@ class ServingEngine:
                       **engine_kwargs) -> "ServingEngine":
         """Build an engine with backends constructed by name.
 
-        Sharded topology: ``backend`` is either one name replicated
-        ``num_shards`` times or an explicit per-shard list (heterogeneous
-        shards are legal: e.g. hot shards on ``u200``, cold shards on
-        ``cpu-32t``).  Pool topology (``topology="pool"``): replicas are
-        identical and stateless, so one timing backend is built and
-        ``num_shards`` becomes the replica count behind the shared queue.
-        Hybrid topology (``topology="hybrid"``): ``num_shards`` dedicated
-        hot shards plus a cold-tail pool — the ``hot_top_k`` hottest
-        vertices by measured heat go to the dedicated shards
+        ``backend`` is one name, built once per station, or an explicit
+        per-station list (heterogeneous shards are legal: e.g. hot shards
+        on ``u200``, cold shards on ``cpu-32t``).  ``num_shards`` counts
+        what the topology name counts: the ``sharded`` stations; the
+        ``pool``'s replicas (one station, ``pool_servers`` defaulting to
+        it); the ``hybrid``'s dedicated hot shards, beside which one more
+        station drains the cold tail — the ``hot_top_k`` hottest vertices
+        by measured heat go to the dedicated shards
         (:class:`~repro.serving.placement.HotColdHybrid`) and
-        ``pool_servers`` (default ``num_shards``) replicas drain the rest.
+        ``pool_servers`` (default ``num_shards``) replicas serve the rest.
         """
         if num_shards is not None and num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        kwargs = backend_kwargs or {}
-        topology = engine_kwargs.get("topology")
-        if topology == "pool":
-            if not isinstance(backend, str):
-                raise ValueError("pool topology takes one backend name "
-                                 "(replicas are identical)")
-            engine_kwargs.setdefault("pool_servers", num_shards or 1)
-            backends = [registry.create(backend, model, graph, **kwargs)]
-            return cls(backends, graph.num_nodes, **engine_kwargs)
-        if topology == "hybrid":
-            if not isinstance(backend, str):
-                raise ValueError("hybrid topology takes one backend name "
-                                 "(applied to hot shards and the pool)")
-            hot_shards = num_shards or 1
-            engine_kwargs.setdefault("pool_servers", hot_shards)
-            backends = registry.create_many(backend, hot_shards + 1,
-                                            model, graph, **kwargs)
-            heat = VertexHeat.from_graph(graph)
-            placement = HotColdHybrid(hot_top_k=hot_top_k).place(
-                heat, hot_shards + 1)
-            return cls(backends, graph.num_nodes, placement=placement,
-                       **engine_kwargs)
-        if isinstance(backend, str):
-            backends = registry.create_many(backend, num_shards or 1,
-                                            model, graph, **kwargs)
-        else:
-            names = list(backend)
-            if num_shards is not None and len(names) != num_shards:
-                raise ValueError("backend list length must equal num_shards")
-            backends = [registry.create(n, model, graph, **kwargs)
-                        for n in names]
+        topology = engine_kwargs.get("topology", "sharded")
+        shards = num_shards or 1
+        # Stations: S dedicated shards, one pool, or S shards and a pool.
+        stations = {"pool": 1, "hybrid": shards + 1}.get(topology, shards)
+        names = [backend] * stations if isinstance(backend, str) \
+            else list(backend)
+        if num_shards is not None and len(names) != stations:
+            raise ValueError(f"backend list must name each of the "
+                             f"{stations} station(s)")
+        if topology != "sharded":
+            engine_kwargs.setdefault("pool_servers", shards)
+        if topology == "hybrid" \
+                and not engine_kwargs.keys() & {"placement", "router"}:
+            engine_kwargs["placement"] = HotColdHybrid(
+                hot_top_k=hot_top_k).place(VertexHeat.from_graph(graph),
+                                           len(names))
+        backends = [registry.create(name, model, graph,
+                                    **(backend_kwargs or {}))
+                    for name in names]
         return cls(backends, graph.num_nodes, **engine_kwargs)
 
     # ------------------------------------------------------------------ #
@@ -692,17 +667,10 @@ class ServingEngine:
     def _make_groups(self, sched: EventScheduler,
                      queue_capacity: int | None,
                      pool: WorkerPool | None = None) -> list[ServerGroup]:
-        """One server group per backend: dedicated shards are 1-server
-        groups; the pool (whole fleet, or the hybrid cold tail) is one
-        K-server group.  Measured backends get a
+        """One server group per backend, ``server_counts[s]`` servers
+        wide.  Measured backends get a
         :class:`~repro.serving.measured.MeasuredServerGroup` wired to the
         worker ``pool`` instead of a modeled service closure."""
-        if self.topology == "pool":
-            server_counts = [self.pool_servers]
-        elif self.topology == "hybrid":
-            server_counts = [1] * (self.num_shards - 1) + [self.pool_servers]
-        else:
-            server_counts = [1] * self.num_shards
         groups: list[ServerGroup] = []
 
         def sub_batch(payload):
@@ -712,7 +680,7 @@ class ServingEngine:
             _, _, hops, sync_hops = payload
             return self.mail_hop_s * (hops + sync_hops)
 
-        for gid, (n_srv, backend) in enumerate(zip(server_counts,
+        for gid, (n_srv, backend) in enumerate(zip(self.server_counts,
                                                    self.backends)):
             if self._measured:
                 assert pool is not None
@@ -757,9 +725,8 @@ class ServingEngine:
                   pool: WorkerPool | None) -> ServingReport:
         sched = (scheduler_cls or EventScheduler)(trace=trace)
         groups = self._make_groups(sched, queue_capacity, pool)
-        pooled = self.topology == "pool"
-        cache = None if pooled else \
-            VersionedMemoryCache(self.router.placement, policy=self.memsync)
+        cache = VersionedMemoryCache(self.router.placement,
+                                     policy=self.memsync)
 
         # Windows per released job, in release order: all the report needs
         # of a job once it is routed (its merged batch lives on only in
@@ -773,11 +740,10 @@ class ServingEngine:
         if any(p is not None for p in (self.rebalancer, self.autoscaler,
                                        self.failure_injector)):
             plane = ControlPlane(
-                sched, groups, None if pooled else self.router, cache,
-                self.die_of, rebalancer=self.rebalancer,
-                autoscaler=self.autoscaler, injector=self.failure_injector,
-                pool_shard=(self.num_shards - 1
-                            if self.topology == "hybrid" else None))
+                sched, groups, self.router, cache, self.die_of,
+                rebalancer=self.rebalancer, autoscaler=self.autoscaler,
+                injector=self.failure_injector,
+                pool_shard=self._drift_shard)
         self.last_control = plane
 
         def route(job: CoalescedJob) -> list[Submission]:
@@ -789,12 +755,8 @@ class ServingEngine:
                 # old ownership and fleet, the next release routes under
                 # the new.
                 plane.observe(job.t_release, job.batch)
-            # A pool never splits: the whole job is the one group's
-            # sub-batch, with no mail and nothing to sync.
-            shard_batches = [ShardBatch(0, job.batch, len(job.batch))] \
-                if pooled else self.router.split(job.batch, cache=cache)
             subs = []
-            for sb in shard_batches:
+            for sb in self.router.split(job.batch, cache=cache):
                 hops = self._cross_die_mail(sb.shard, sb.mail_from)
                 sync_hops = self._cross_die_sync(sb)
                 if plane is not None:
@@ -883,14 +845,14 @@ class ServingEngine:
             for stage in sorted(group.stage_seconds):
                 stage_seconds[stage] = stage_seconds.get(stage, 0.0) \
                     + group.stage_seconds[stage]
-        pooled_m = np.concatenate(all_measured) if all_measured \
+        fleet_m = np.concatenate(all_measured) if all_measured \
             else np.empty(0)
-        pooled_mod = np.concatenate(all_modeled) if all_modeled \
+        fleet_mod = np.concatenate(all_modeled) if all_modeled \
             else np.empty(0)
-        mean, cv2 = stats(pooled_m)
-        return {"workers": self.workers, "samples": len(pooled_m),
+        mean, cv2 = stats(fleet_m)
+        return {"workers": self.workers, "samples": len(fleet_m),
                 "mean_s": mean, "cv2": cv2,
-                "modeled_mean_s": modeled_mean(pooled_mod),
+                "modeled_mean_s": modeled_mean(fleet_mod),
                 "stage_seconds": stage_seconds,
                 "per_shard": per_shard}
 
@@ -903,15 +865,11 @@ class ServingEngine:
                 ingest: str, measured: dict | None) -> ServingReport:
         """Fold one finished run into its :class:`ServingReport`.
 
-        One path for every topology: a pool is the one-group fleet whose
-        sub-batches are whole jobs, so it has no mail, no sync traffic,
-        and no partition (``placement="none"``).  ``submitted[s]`` is
-        group ``s``'s own ``(t, payload)`` arrivals log, which
-        ``shard_results[s]`` indexes.
+        ``submitted[s]`` is group ``s``'s own ``(t, payload)`` arrivals
+        log, which ``shard_results[s]`` indexes.
         """
         rebal, chaos, auto = \
             self.rebalancer, self.failure_injector, self.autoscaler
-        pooled = self.topology == "pool"
 
         # Resolve drops globally first: a window is dropped if *any*
         # shard's queue rejected its sub-job, and a dropped window's
@@ -988,10 +946,9 @@ class ServingEngine:
                        p99_response_s=r.p99_response_s,
                        max_queue_depth=r.max_queue_depth,
                        dropped_jobs=r.dropped,
-                       # An elastic pool reports the fleet it started
+                       # An elastic station reports the fleet it started
                        # with; the scaling block carries the rest.
-                       servers=self.pool_servers if pooled
-                       else r.num_servers)
+                       servers=self.server_counts[s])
             for s, r in enumerate(shard_results))
 
         # One sort feeds every percentile (order statistics are
@@ -1019,15 +976,13 @@ class ServingEngine:
             cross_die_mail_edges=cross_die_mail,
             shard_stats=stats,
             topology=self.topology,
-            placement="none" if pooled else placement.policy,
-            replicated_vertices=0 if pooled
-            else placement.replicated_vertices,
+            placement=placement.policy,
+            replicated_vertices=placement.replicated_vertices,
             memsync=self.memsync,
             sync_edges=sync_edges,
             stale_reads=stale_reads,
             max_version_lag=max_version_lag,
-            pool_servers=1 if self.topology == "sharded"
-            else self.pool_servers,
+            pool_servers=self.pool_servers,
             ingest=ingest,
             rebalance="off" if rebal is None else "online",
             migrations=0 if rebal is None else rebal.migrations,

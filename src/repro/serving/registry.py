@@ -68,9 +68,9 @@ class BackendRegistry:
                     **kwargs) -> list:
         """``count`` fresh instances of one backend (a shard fleet).
 
-        Each instance gets its own runtime/state — this is the sharded
-        topology's constructor.  Pool topology needs only *one* instance
-        (replicas are stateless; see ``ServingEngine.from_registry``).
+        Each instance gets its own runtime/state: one per station of a
+        :class:`~repro.serving.engine.ServingEngine` fleet (the K servers
+        of one station share theirs — replicas are stateless).
         """
         if count <= 0:
             raise ValueError("count must be positive")

@@ -80,8 +80,8 @@ _NO_SYNC = (_NO_ROWS, _NO_ROWS, 0, 0)
 class ShardBatch:
     """The slice of one job a single shard must process.
 
-    The mail fields default to "no mail": a pool's one group takes the
-    whole job as its sub-batch.
+    The mail and sync fields default to "none": a one-shard router hands
+    the whole job to its one shard.
     The ``sync_*`` fields are populated when :meth:`ShardRouter.split` is
     given a memsync cache: ``sync_pull`` are the vertex rows this shard
     must fetch from their owners before processing (priced as mailbox
@@ -275,7 +275,13 @@ class ShardRouter:
         :class:`ShardBatch`.  The caller prices (or, in a functional
         replay, actually transfers) those rows; ``split`` itself never
         touches vertex state.
+
+        A one-shard router owns every vertex, so nothing can be mail and
+        no copy can be stale: the batch itself is the one sub-batch and
+        the pass above is skipped.
         """
+        if self.num_shards == 1:
+            return [ShardBatch(0, batch, len(batch))] if len(batch) else []
         to_shard, edge, from_shard = self.placement.incidence(batch.src,
                                                               batch.dst)
         src, dst = batch.src[edge], batch.dst[edge]

@@ -99,7 +99,13 @@ class TestPerformanceModelClaim:
 
 class TestLadderThroughputMeasured:
     def test_measured_speedup_monotone_along_ladder(self, wiki):
-        """Table II single-thread throughput: each optimization helps."""
+        """Table II single-thread throughput: each optimization helps.
+
+        Fastest of three timed passes per rung (as ``benchmarks/e2e``
+        does): one 2000-edge wall-clock pass can read 3x slow when the
+        host schedules something else, and the ordering asserted here is
+        a claim about the kernels, not about the host.
+        """
         base_cfg = ModelConfig(memory_dim=64, time_dim=64, embed_dim=64,
                                edge_dim=172, num_neighbors=10)
         thpts = []
@@ -112,10 +118,13 @@ class TestLadderThroughputMeasured:
                                    pruning_budget=2, name="+NP(S)")]:
             m = TGNN(cfg, rng=np.random.default_rng(0))
             m.calibrate(wiki)
-            be = SoftwareBackend(m, wiki)
-            run_engine(be, wiki, 200, end=400)       # warm the caches
-            rep = run_engine(be, wiki, 200, start=400, end=2400)
-            thpts.append(rep.throughput_eps)
+            passes = []
+            for _ in range(3):
+                be = SoftwareBackend(m, wiki)
+                run_engine(be, wiki, 200, end=400)       # warm the caches
+                rep = run_engine(be, wiki, 200, start=400, end=2400)
+                passes.append(rep.throughput_eps)
+            thpts.append(max(passes))
         assert thpts[1] > thpts[0]
         assert thpts[2] > thpts[1]
         # NP(S) headline: >= 2x measured single-thread speedup.

@@ -64,6 +64,39 @@ serve_sim_flags = words(
              optional(flag("--scale-window", st.sampled_from([0.5, 100])))),
 )
 
+# The corner one fleet path opened, drawn densely: every controller and
+# every memsync policy on a pool (one station: a slow failure runs, a dead
+# one is refused for want of a survivor), and failures on a hybrid's
+# dedicated shards and on its pool station.
+one_path_flags = words(
+    flag("--backend", st.sampled_from(["cpu-32t", "u200"])),
+    flag("--edges", st.integers(30, 300)),
+    flag("--shards", st.integers(1, 3)),
+    flag("--streams", st.integers(1, 3)),
+    flag("--window-s", st.sampled_from([900, 3600])),
+    flag("--speedup", st.sampled_from([2, 2000])),
+    flag("--topology", st.sampled_from(["pool", "hybrid"])),
+    flag("--memsync", st.sampled_from(["none", "invalidate", "push"])),
+    optional(flag("--pool-servers", st.integers(1, 3))),
+    optional(st.just(["--rebalance-online"]),
+             optional(flag("--rebalance-threshold", st.just(0.05)))),
+    flag("--fail-at", st.sampled_from([0, 1, 100])),
+    flag("--fail-mode", st.sampled_from(["dead", "slow"])),
+    optional(flag("--fail-shard", st.integers(0, 3))),
+    optional(flag("--recover-at", st.sampled_from([2, 1000]))),
+    optional(st.just(["--autoscale"]),
+             flag("--slo-p95", st.sampled_from([1e-6, 1]))),
+)
+
+POOL = ["--edges", "200", "--shards", "2", "--streams", "2", "--backend",
+        "cpu-32t", "--window-s", "3600", "--speedup", "2000", "--topology"]
+POOL_RUNS_EVERY_CONTROLLER = POOL + [
+    "pool", "--memsync", "push", "--rebalance-online", "--fail-at", "0.2",
+    "--fail-mode", "slow", "--recover-at", "0.6"]
+POOL_HAS_NO_SURVIVOR = POOL + ["pool", "--fail-at", "0.2"]
+HYBRID_SHARD_DIES = POOL + [
+    "hybrid", "--fail-at", "0.2", "--recover-at", "0.6",
+    "--rebalance-online", "--memsync", "push"]
 ELASTIC_LONE_SHARD_DIES = [
     "--edges", "30", "--shards", "1", "--backend", "cpu-32t",
     "--window-s", "3600", "--autoscale", "--slo-p95", "1",
@@ -84,8 +117,11 @@ def reject(constant):
     raise AssertionError(f"{constant} is not strict JSON")
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(serve_sim_flags)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(serve_sim_flags | one_path_flags)
+@example(POOL_RUNS_EVERY_CONTROLLER)
+@example(POOL_HAS_NO_SURVIVOR)
+@example(HYBRID_SHARD_DIES)
 @example(ELASTIC_LONE_SHARD_DIES)
 @example(JOBS_RELEASED_AT_ONE_INSTANT)
 def test_every_serve_sim_argv_is_a_clean_error_or_a_clean_run(flags):

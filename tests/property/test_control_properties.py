@@ -10,6 +10,11 @@ shard (dead, or outside the scaler's active prefix), never route while a
 dead shard still owns anything, and account for every proposed plan as
 applied or stale.
 
+A second property holds the fleet to its own definition: it is a
+server-count vector ``[1] * (n - 1) + [k]``, and the ``topology`` names
+are spellings of it, so two spellings of one vector — under any memsync
+policy, ingest mode and controller subset — report the same run.
+
 ``REPRO_CHAOS_SEED`` (CI runs a small matrix) varies the workload, so the
 same strategies meet more than one failover geometry.
 """
@@ -24,11 +29,12 @@ from hypothesis import strategies as st
 from repro.analysis.tracecheck import check_run
 from repro.datasets import drifting_hot_set_graph
 from repro.pipeline import LinearCostBackend
-from repro.serving import (AutoScaler, CapacityConfig, DynamicBatcher,
-                           FailureEvent, FailurePlan, FlushEvent,
-                           HeapEventScheduler, MigrationEvent,
-                           OnlineRebalancer, RecoveryEvent, ScaleEvent,
-                           ServingEngine, make_stream_arrivals,
+from repro.serving import (MEMSYNC_POLICIES, AutoScaler, CapacityConfig,
+                           DynamicBatcher, FailureEvent, FailurePlan,
+                           FlushEvent, HeapEventScheduler, HotColdHybrid,
+                           MigrationEvent, OnlineRebalancer, Placement,
+                           RecoveryEvent, ReplicatedReadMostly, ScaleEvent,
+                           ServingEngine, VertexHeat, make_stream_arrivals,
                            padded_hash_placement)
 
 settings.register_profile("repro", deadline=None, max_examples=30)
@@ -90,16 +96,22 @@ def scenario(draw):
             "batched": draw(st.booleans())}
 
 
-def run(sc, scheduler_cls=None, trace=False):
-    g, _ = workload()
+def controllers(sc, replicas=ACTIVE, max_replicas=SLOTS):
+    """The scenario's autoscaler and rebalancer (``None`` when off)."""
     auto = reb = None
     if sc["autoscale"]:
-        auto = AutoScaler(CapacityConfig(micro_batch=1, replicas=ACTIVE,
-                                         max_replicas=SLOTS),
+        auto = AutoScaler(CapacityConfig(micro_batch=1, replicas=replicas,
+                                         max_replicas=max_replicas),
                           slo_p95_s=0.02, scale_window_s=0.1)
     if sc["rebalance"]:
         reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
                                hysteresis=0.0)
+    return auto, reb
+
+
+def run(sc, scheduler_cls=None, trace=False):
+    g, _ = workload()
+    auto, reb = controllers(sc)
     # Without the scaler the whole fleet is active from the start.
     placement = padded_hash_placement(
         g.num_nodes, ACTIVE if sc["autoscale"] else SLOTS, SLOTS)
@@ -152,3 +164,86 @@ class TestControllersCompose:
         want = report.to_json()
         assert run(sc, scheduler_cls=HeapEventScheduler)[2].to_json() == want
         assert run(sc)[2].to_json() == want
+
+
+# --------------------------------------------------------------------------- #
+@st.composite
+def fleet(draw):
+    """One server-count vector, the two topology names that spell it, and
+    a memsync policy, ingest mode and controller subset to run it under.
+
+    ``n = 1``: ``pool(k)`` against ``hybrid`` over the one-shard placement
+    with ``pool_servers=k`` — any controller, failures slow only (a dead
+    one has no survivor under either name).  ``k = 1``: ``sharded`` over
+    ``P`` against ``hybrid`` over ``P`` with ``pool_servers=1`` — no
+    rebalancer, whose drift mode is the one thing ``hybrid`` selects.
+    """
+    sc = {"memsync": draw(st.sampled_from(MEMSYNC_POLICIES)),
+          "ingest": draw(st.sampled_from(["serial", "pipelined"])),
+          "batched": draw(st.booleans()),
+          "autoscale": draw(st.booleans())}
+    if draw(st.booleans()):
+        fail_at = draw(instants())
+        sc.update(
+            spellings=("pool", "hybrid"), stations=1,
+            k=draw(st.integers(1, 3)), layout="one-shard",
+            rebalance=draw(st.booleans()),
+            plans=draw(st.sampled_from([None, [FailurePlan(
+                fail_at, 0, mode="slow",
+                recover_at=draw(st.one_of(st.none(),
+                                          instants(fail_at))))]])))
+    else:
+        sc.update(
+            spellings=("sharded", "hybrid"), stations=SLOTS, k=1,
+            layout="padded" if sc["autoscale"] else draw(
+                st.sampled_from(["hash", "replicate", "hot-cold"])),
+            rebalance=False,
+            plans=draw(st.one_of(st.none(), chaos())))
+    return sc
+
+
+def run_fleet(sc, topology):
+    g, _ = workload()
+    n, k = sc["stations"], sc["k"]
+    heat = VertexHeat.from_graph(g)
+    # Built per engine: a run's ownership moves mutate the placement.
+    placement = {
+        "one-shard": lambda: Placement(np.zeros(g.num_nodes, dtype=np.int64),
+                                       1),
+        "padded": lambda: padded_hash_placement(g.num_nodes, ACTIVE, n),
+        "hash": lambda: padded_hash_placement(g.num_nodes, n, n),
+        "replicate": lambda: ReplicatedReadMostly(top_k=4).place(heat, n),
+        "hot-cold": lambda: HotColdHybrid(hot_top_k=8).place(heat, n),
+    }[sc["layout"]]()
+    kwargs = {}
+    if topology != "pool":          # a pool lays its one shard out itself
+        kwargs["placement"] = placement
+    if topology != "sharded":
+        kwargs["pool_servers"] = k
+    # One station starts at k servers and may grow; a sharded fleet
+    # starts on its active prefix.
+    auto, reb = controllers(sc, k, k + 2) if n == 1 else controllers(sc)
+    engine = ServingEngine(
+        [LinearCostBackend(per_edge_s=6e-3) for _ in range(n)],
+        g.num_nodes, topology=topology, memsync=sc["memsync"],
+        batcher=DynamicBatcher(max_edges=24, max_delay_s=MAX_DELAY_S)
+        if sc["batched"] else None,
+        rebalancer=reb, autoscaler=auto, failures=sc["plans"], **kwargs)
+    assert engine.server_counts == [1] * (n - 1) + [k]
+    initial = engine.router.assignment.copy()
+    report = engine.run(g, window_s=WINDOW_S, speedup=SPEEDUP,
+                        num_streams=STREAMS, ingest=sc["ingest"], trace=True)
+    assert check_run(engine=engine, report=report,
+                     initial_assignment=initial).ok
+    return {key: value for key, value in report.to_dict().items()
+            if key not in ("topology", "placement")}
+
+
+class TestTopologyNamesSpellOneVector:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fleet())
+    def test_two_spellings_of_a_vector_report_the_same_run(self, sc):
+        first, second = (run_fleet(sc, name) for name in sc["spellings"])
+        assert first == second
+        _, ts = workload()
+        assert first["windows"] + first["dropped_windows"] == len(ts)

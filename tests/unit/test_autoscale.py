@@ -71,7 +71,9 @@ def pool_engine(g, auto, per_edge_s=20.0):
 
 
 def start(auto, sched, groups, router=None):
-    """Attach ``auto`` to a bare control plane (no cache, no dies)."""
+    """Attach ``auto`` to a bare control plane (no cache, no dies); the
+    default router is one shard per group over 16 vertices."""
+    router = router or ShardRouter(len(groups), 16)
     return ControlPlane(sched, groups, router, None, None, autoscaler=auto)
 
 
@@ -146,9 +148,21 @@ class TestAutoScalerValidation:
         sched = EventScheduler()
         with pytest.raises(ValueError, match="capacity.replicas"):
             start(auto, sched, [ServerGroup(0, 2, lambda _p: 1.0, sched)])
-        with pytest.raises(ValueError, match="exactly one"):
+        # The fleet's shape picks the mode: two one-server groups are not
+        # a malformed pool but a sharded fleet, held to *its* sizing rule.
+        with pytest.raises(ValueError, match="one station per fleet"):
             start(auto, sched, [ServerGroup(i, 1, lambda _p: 1.0, sched)
                                 for i in range(2)])
+        # ... and a lone group whose size agrees with the capacity config
+        # is the station that gets resized in place.
+        station = ServerGroup(0, 1, lambda _p: 1.0, sched)
+        start(auto, sched, [station])
+        auto.observe(0.0)                     # opens the window
+        auto.record_response(1.0, 100.0)      # p95 far above the SLO
+        auto.observe(200.0)                   # closes it: scale up
+        sched.run()
+        assert auto.fleet_size == station.num_servers == 2
+        assert auto.migration_log == []
 
     def test_sharded_start_checks_station_count(self):
         auto = overload_autoscaler()          # max_replicas == 4
@@ -169,18 +183,22 @@ class TestAutoScalerValidation:
             start(auto, sched, groups, router=ShardRouter(4, 16))
 
     def test_engine_rejects_pool_size_mismatch(self):
+        """The capacity-vs-fleet checks live at one site, the
+        controller's ``start``: the engine builds, the run refuses."""
         g = overload_graph()
-        with pytest.raises(ValueError, match="pool_servers"):
-            ServingEngine([LinearCostBackend()], g.num_nodes,
-                          topology="pool", pool_servers=2,
-                          autoscaler=overload_autoscaler())
+        engine = ServingEngine([LinearCostBackend()], g.num_nodes,
+                               topology="pool", pool_servers=2,
+                               autoscaler=overload_autoscaler())
+        with pytest.raises(ValueError, match="capacity.replicas"):
+            engine.run(g, window_s=3600.0)
 
     def test_engine_rejects_sharded_backend_count_mismatch(self):
         g = overload_graph()
-        with pytest.raises(ValueError, match="one backend per fleet"):
-            ServingEngine([LinearCostBackend() for _ in range(2)],
-                          g.num_nodes,
-                          autoscaler=overload_autoscaler())
+        engine = ServingEngine([LinearCostBackend() for _ in range(2)],
+                               g.num_nodes,
+                               autoscaler=overload_autoscaler())
+        with pytest.raises(ValueError, match="one station per fleet"):
+            engine.run(g, window_s=3600.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -210,14 +210,33 @@ class TestServeSim:
         assert report["stale_reads"] == 0
 
     def test_serve_sim_pool_ignores_memsync_with_note(self):
+        """No note any more: the policy runs on the pool's one station
+        and the report says what happened — nothing needed syncing."""
         code, text = run(["serve-sim", "--dataset", "wikipedia",
                           "--edges", "400", "--shards", "2",
                           "--streams", "2", "--backend", "cpu-32t",
                           "--window-s", "3600", "--memory-dim", "8",
                           "--topology", "pool", "--memsync", "push"])
         assert code == 0
-        assert "--memsync push is ignored" in text
+        assert "ignored" not in text
+        assert "memsync push: 0 memory rows synced, 0 stale reads" in text
         assert "pool of 2 replica(s)" in text
+
+    def test_serve_sim_sharded_ignores_pool_servers_with_note(self):
+        base = ["serve-sim", "--dataset", "wikipedia", "--edges", "400",
+                "--shards", "2", "--streams", "2", "--backend", "cpu-32t",
+                "--window-s", "3600", "--memory-dim", "8"]
+        code, plain = run(base)
+        assert code == 0 and "--pool-servers" not in plain
+        for value in ("3", "0"):
+            code, text = run(base + ["--pool-servers", value])
+            assert code == 0
+            note = (f"note: --pool-servers {value} is ignored in sharded "
+                    f"topology")
+            assert note in text
+            # The note is the only difference: the flag changed nothing.
+            assert [ln for ln in text.splitlines()
+                    if not ln.startswith(note)] == plain.splitlines()
 
     def test_serve_sim_json_covers_every_topology(self, tmp_path):
         for i, extra in enumerate((["--topology", "pool"],
@@ -492,11 +511,16 @@ class TestServeSimRebalanceOnline:
             assert key not in report
 
     def test_pool_topology_ignores_flag_with_note(self):
+        """No note any more: the rebalancer runs, finds a lone station
+        with nowhere to donate, and the report says so."""
         code, text = run(self.BASE + ["--topology", "pool",
-                                      "--rebalance-online"])
+                                      "--speedup", "2000",
+                                      "--rebalance-online",
+                                      "--rebalance-threshold", "0.05"])
         assert code == 0
-        assert "--rebalance-online is ignored in pool topology" in text
-        assert "rebalance online:" not in text
+        assert "ignored" not in text
+        assert "rebalance online: 0 migration(s) of 0 vertex(es), " \
+            "0 state rows handed off" in text
 
     def test_hybrid_topology_runs_drift_mode(self):
         code, text = run(self.BASE + ["--topology", "hybrid",

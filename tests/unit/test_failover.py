@@ -644,11 +644,31 @@ class TestEngineChaosInvariants:
         assert d_late == d_base
 
     def test_pool_topology_rejects_failures(self):
-        g = wikipedia_like(num_edges=100, num_users=20, num_items=5)
-        with pytest.raises(ValueError, match="pool"):
-            ServingEngine([LinearCostBackend()], g.num_nodes,
-                          topology="pool",
-                          failures=FailurePlan(fail_at=1.0, shard=0))
+        """Handled, not rejected: a slow failure degrades the pool's one
+        station and recovery restores it; a dead one has no survivor to
+        evacuate to, which is the injector's own rule."""
+        g = wikipedia_like(num_edges=600, num_users=80, num_items=20)
+
+        def run(failures):
+            engine = ServingEngine([LinearCostBackend(per_edge_s=1e-3)],
+                                   g.num_nodes, topology="pool",
+                                   pool_servers=2, failures=failures)
+            rep = engine.run(g, window_s=3600.0, speedup=2.0,
+                             num_streams=2, trace=True)
+            assert check_run(engine=engine, report=rep).ok
+            return rep
+
+        base = run(None)
+        span = base.makespan_s
+        slow = run(FailurePlan(fail_at=0.2 * span, shard=0, mode="slow",
+                               recover_at=0.6 * span, degradation=4.0))
+        assert slow.chaos == "slow"
+        assert slow.failures == slow.recoveries == 1
+        assert slow.promoted_vertices == slow.rebuilt_vertices == 0
+        assert slow.windows == base.windows and slow.outage_windows > 0
+        assert slow.shard_stats[0].busy_s > base.shard_stats[0].busy_s
+        with pytest.raises(ValueError, match="survivor"):
+            run(FailurePlan(fail_at=0.2 * span, shard=0))
 
     def test_rebalancer_and_failures_compose(self):
         """The pairing the engine used to refuse: the rebalancer keeps

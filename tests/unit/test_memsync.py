@@ -304,10 +304,20 @@ class TestEngineMemsync:
             pytest.approx(sum(s.busy_s for s in base.shard_stats))
 
     def test_pool_rejects_memsync(self):
-        g = wikipedia_like(num_edges=100, num_users=20, num_items=5)
-        with pytest.raises(ValueError):
-            ServingEngine([LinearCostBackend()], g.num_nodes,
-                          topology="pool", memsync="push")
+        """Handled, not rejected: a pool's one station holds every row,
+        so each policy runs and has nothing to transfer or to find
+        stale.  An unknown policy is still an error."""
+        g = wikipedia_like(num_edges=200, num_users=30, num_items=8)
+        reports = {}
+        for policy in MEMSYNC_POLICIES:
+            rep = ServingEngine([LinearCostBackend()], g.num_nodes,
+                                topology="pool", pool_servers=3,
+                                memsync=policy).run(g, window_s=3600.0)
+            assert rep.memsync == policy
+            assert rep.sync_edges == rep.stale_reads == 0
+            assert rep.max_version_lag == 0
+            reports[policy] = dict(rep.to_dict(), memsync=None)
+        assert reports["push"] == reports["invalidate"] == reports["none"]
         with pytest.raises(ValueError):
             self.engine(g, memsync="gossip")
 

@@ -375,18 +375,31 @@ class TestPoolTopology:
                           topology="pool", pool_servers=0)
         with pytest.raises(ValueError):
             ServingEngine.from_registry(["cpu-32t", "gpu"], None, g,
-                                        topology="pool")
+                                        num_shards=2, topology="pool")
         with pytest.raises(ValueError):    # replicas are not a shard fleet
             ServingEngine([PerEdgeBackend(), PerEdgeBackend()], g.num_nodes,
                           topology="pool")
-        # A pool has no partition; silently ignoring one would misreport.
+        # A pool is the one-station fleet: a one-shard placement and a
+        # one-die plan describe it truthfully (nothing is ever remote, so
+        # the hop price buys nothing) and the run equals the plain pool's
+        # — the placement label aside.  Two shards are not a pool.
         heat = VertexHeat.from_graph(g)
+
+        def run(**kwargs):
+            rep = ServingEngine([PerEdgeBackend()], g.num_nodes,
+                                topology="pool", pool_servers=2,
+                                **kwargs).run(g, window_s=3600.0,
+                                              speedup=5e3, num_streams=4)
+            return rep.to_dict()
+
+        base = run()
+        assert base["placement"] == "none"
+        assert run(die_of=[0], mail_hop_s=1e-6) == base
+        placed = run(placement=StaticHashPlacement().place(heat, 1))
+        assert placed == dict(base, placement="hash")
         with pytest.raises(ValueError):
             ServingEngine([PerEdgeBackend()], g.num_nodes, topology="pool",
-                          placement=StaticHashPlacement().place(heat, 1))
-        with pytest.raises(ValueError):
-            ServingEngine([PerEdgeBackend()], g.num_nodes, topology="pool",
-                          die_of=[0], mail_hop_s=1e-6)
+                          placement=StaticHashPlacement().place(heat, 2))
 
 
 # --------------------------------------------------------------------------- #

@@ -80,11 +80,26 @@ class TestOnlineRebalancerValidation:
             OnlineRebalancer(window_s=1.0, promote_heat=2, demote_heat=2)
 
     def test_pool_topology_rejects_rebalancer(self):
-        g = wikipedia_like(num_edges=100, num_users=20, num_items=5)
-        with pytest.raises(ValueError, match="rebalance"):
-            ServingEngine([LinearCostBackend()], g.num_nodes,
-                          topology="pool",
-                          rebalancer=OnlineRebalancer(window_s=1.0))
+        """Handled, not rejected: a pool is one station that owns every
+        vertex, so an (overloaded) rebalancer has nowhere to donate —
+        zero migrations, and every field the ``rebalance`` gate does not
+        own equals the run without one."""
+        g = wikipedia_like(num_edges=400, num_users=60, num_items=16)
+
+        def run(rebalancer):
+            engine = ServingEngine([LinearCostBackend(per_edge_s=0.1)],
+                                   g.num_nodes, topology="pool",
+                                   pool_servers=2, rebalancer=rebalancer)
+            return engine.run(g, window_s=3600.0, speedup=2e4,
+                              num_streams=2).to_dict()
+
+        base = run(None)
+        rep = run(OnlineRebalancer(window_s=0.1, util_threshold=1e-9,
+                                   hysteresis=0.0))
+        assert rep.pop("rebalance") == "online"
+        assert [rep.pop(key) for key in ("migrations", "migrated_vertices",
+                                         "handoff_rows")] == [0, 0, 0]
+        assert rep == base
 
     def test_single_shard_fleet_is_a_noop(self):
         """A lone shard has nowhere to donate: an overloaded 1-shard run

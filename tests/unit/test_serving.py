@@ -1,8 +1,12 @@
 """Unit tests for the sharded multi-stream serving subsystem."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.serving
 from repro.datasets import wikipedia_like
 from repro.graph import NeighborTable, iter_fixed_size, merge_batches
 from repro.models import ModelConfig, TGNN
@@ -13,6 +17,7 @@ from repro.serving import (DEFAULT_REGISTRY, ArrivalTrace, BackendRegistry,
                            CoalescedJob, CrossShardMailbox, DynamicBatcher,
                            ServingEngine, ShardRouter, StreamArrival,
                            make_stream_arrivals, simulate_queue)
+from repro.serving.engine import TOPOLOGIES
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -821,3 +826,87 @@ class TestReplayWrapperRegressions:
         assert stats.utilization <= 1.0
         assert stats.offered_load > 1.0
         assert not stats.stable
+
+
+# --------------------------------------------------------------------------- #
+def topology_tests(path):
+    """``(qualified function, line)`` of every place ``path`` branches on a
+    topology name: a comparison with a ``TOPOLOGIES`` member as an operand
+    (bare, or inside a tuple/list/set literal), a dict literal keyed by
+    one, or any use of the identifier ``pooled``."""
+    def names_one(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(names_one(item) for item in node.elts)
+        return isinstance(node, ast.Constant) and node.value in TOPOLOGIES
+
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        hit = False
+        if isinstance(node, ast.Compare):
+            hit = any(names_one(x) for x in (node.left, *node.comparators))
+        elif isinstance(node, ast.Dict):
+            hit = any(key is not None and names_one(key)
+                      for key in node.keys)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            hit = getattr(node, "id", getattr(node, "attr", "")) == "pooled"
+        if hit:
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def router_is_none_tests(path):
+    """Lines where ``path`` tests ``<...>router is [not] None``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and getattr(node.left, "id",
+                    getattr(node.left, "attr", "")) == "router"
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None)
+
+
+class TestOneFleetPath:
+    """A fleet is a server-count vector: the topology names are read
+    where the vector is built and nowhere downstream, and the control
+    plane always has a router."""
+
+    SERVING = Path(repro.serving.__file__).parent
+    BUILDERS = {"ServingEngine.__init__", "ServingEngine.from_registry"}
+
+    @pytest.mark.parametrize("path", sorted(SERVING.glob("*.py")),
+                             ids=lambda p: p.name)
+    def test_topology_is_read_only_where_the_vector_is_built(self, path):
+        strays = [(where, line) for where, line in topology_tests(path)
+                  if where not in self.BUILDERS]
+        assert not strays, strays
+
+    @pytest.mark.parametrize("name", ["control.py", "autoscale.py"])
+    def test_the_control_plane_always_has_a_router(self, name):
+        assert router_is_none_tests(self.SERVING / name) == []
+
+    def test_the_resolvers_see_every_spelling(self, tmp_path):
+        src = tmp_path / "probe.py"
+        src.write_text(
+            "class Engine:\n"
+            "    def run(self):\n"
+            "        if self.topology == 'pool': pass\n"
+            "        if 'hybrid' != kind: pass\n"
+            "        if self.topology in ('sharded', 'hybrid'): pass\n"
+            "        n = {'pool': 1}.get(self.topology, 2)\n"
+            "        pooled = False\n"
+            "        if self.pooled: pass\n"
+            "        if mode == 'serial' or self.router is None: pass\n"
+            "def free():\n"
+            "    return plane.router is not None and router is None\n")
+        assert topology_tests(src) == [
+            ("Engine.run", 3), ("Engine.run", 4), ("Engine.run", 5),
+            ("Engine.run", 6), ("Engine.run", 7), ("Engine.run", 8)]
+        assert router_is_none_tests(src) == [9, 11, 11]

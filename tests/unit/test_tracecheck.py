@@ -282,3 +282,9 @@ class TestCleanRunsYieldZeroFindings:
                            heap_trace=heap_engine.last_event_trace)
         assert result.ok, result.render()
         assert "same-key-order" in result.checks
+        # What the check compared: tracing keeps the vectorized lane on
+        # per-event delivery too, so no cohort was ever dispatched.
+        assert vec_engine.last_scheduler.cohort_calls == 0
+        untraced = fresh_engine(g)
+        untraced.run(g, window_s=3600.0, num_streams=2, speedup=100.0)
+        assert untraced.last_scheduler.cohort_calls > 0
