@@ -1,0 +1,82 @@
+#!/usr/bin/env python
+"""Append the last end-to-end benchmark run to the committed trajectory.
+
+    python3 benchmarks/e2e/run.py [--smoke]             # result.json
+    python3 benchmarks/e2e/run.py [--smoke] --trace 1   # optional
+    python benchmarks/trajectory.py [--label "PR 22"]
+
+Reads ``results/e2e/result.json`` (``REPRO_RESULTS_DIR`` moves
+``results``) and, when it is there, ``result_traced.json``, and appends
+one record to ``BENCH_e2e.json`` at the repository root: per workload the
+four end-to-end metrics of ``BENCHMARK.json`` and — from the traced set —
+the scheduler's exact counters, beside the ``src/repro`` code-line total
+and the sha ``run.py`` stamped (the checkout's HEAD: for a change
+measured before it is committed that is its parent, and ``--label`` says
+which row it is).  Report-only: seconds are host time on whatever
+machine ran them, so nothing here is a guard; the counters repeat exactly
+and are what to compare across rows.  Rows with ``source: "changelog"``
+were back-filled by hand from the change-side medians in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+sys.path[:0] = [str(HERE), str(HERE / "e2e")]
+
+from code_lines import code_lines  # noqa: E402
+from pins import results_dir  # noqa: E402
+
+COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events")
+
+
+def read(path: Path, names) -> tuple[dict, dict[str, dict]]:
+    """A result set and, per workload, its values of ``names``."""
+    result = json.loads(path.read_text())
+    return result, {w: {m: record["metrics"][m]["value"] for m in names}
+                    for w, record in result["workloads"].items()}
+
+
+def measured_record(label: str | None) -> dict:
+    results = results_dir()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    run, workloads = read(results / "result.json",
+                          [m["name"] for m in benchmark["end_to_end"]])
+    if (results / "result_traced.json").exists():
+        traced, counters = read(results / "result_traced.json", COUNTERS)
+        # A traced set left over from another commit or size says nothing
+        # about this run.
+        if (traced["git_sha"], traced["smoke"]) \
+                == (run["git_sha"], run["smoke"]):
+            for name, values in counters.items():
+                workloads.setdefault(name, {}).update(values)
+    return {"label": label, "source": "measured", "git_sha": run["git_sha"],
+            "smoke": run["smoke"], "seed": run["seed"],
+            "code_lines": sum(code_lines(f) for f in
+                              sorted((ROOT / "src" / "repro").rglob("*.py"))),
+            "workloads": workloads}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default=None,
+                        help="what the row is, e.g. 'PR 22'")
+    args = parser.parse_args(argv)
+    path = ROOT / "BENCH_e2e.json"
+    rows = json.loads(path.read_text()) if path.exists() else []
+    rows.append(measured_record(args.label))
+    # One record per line, so an appended row is a one-line diff.
+    path.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+    print(f"{path.name}: {len(rows)} record(s); appended "
+          f"{rows[-1]['git_sha']} with {len(rows[-1]['workloads'])} "
+          f"workload(s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

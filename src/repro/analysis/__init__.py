@@ -17,10 +17,11 @@ mechanically, *before* the golden diff:
 ``tracecheck`` (dynamic half)
     :mod:`repro.analysis.tracecheck` — replays a recorded
     ``EventScheduler`` trace and flags causality violations, broken
-    exactly-once service/ownership, conservation breaks, and
-    equal-``(t, priority)`` order divergence between the heap and
-    vectorized scheduler lanes.  Reachable as ``serve-sim
-    --check-trace`` and run per-PR by the bench smoke.
+    exactly-once service/ownership and conservation breaks; given a
+    second trace of the same workload (tests supply one, the CLI does
+    not) it also flags order divergence between per-element
+    (``HeapEventScheduler``) and cohort delivery.  Reachable as
+    ``serve-sim --check-trace`` and run per-PR by the bench smoke.
 
 Both halves run as a blocking CI ``lint`` job ahead of tier-1 (together
 with the ruff/mypy baseline configured in pyproject.toml).  This package

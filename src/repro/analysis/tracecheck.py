@@ -32,8 +32,9 @@ Checks (finding ``check`` values)
                           fleet the replayed log does not land on.
 ``conservation``          offered windows != served + dropped (report)
                           or != flushed (trace).
-``same-key-order``        heap and vectorized lanes disagree on the
-                          relative order of equal-timestamp events.
+``same-key-order``        per-element and cohort delivery disagree on
+                          the relative order of equal-timestamp events
+                          (needs a second trace; tests supply one).
 ``lane-divergence``       the lanes disagree outright (different event
                           at different times, or different counts).
 
@@ -386,21 +387,19 @@ def check_conservation(num_arrivals: int, report: Any = None,
 
 def check_lane_agreement(heap_trace: Sequence[Any],
                          vec_trace: Sequence[Any]) -> list[TraceFinding]:
-    """Heap vs vectorized scheduler: same workload, same event order.
+    """Per-element vs cohort delivery: same workload, same event order.
 
-    Both schedulers must produce the identical typed-event sequence.
-    What is compared is two **per-event** deliveries: a traced run never
-    takes the cohort path — ``BatcherActor.start`` schedules every
-    arrival as its own heap entry whenever ``trace=True``, so the
-    vectorized scheduler's ``cohort_calls`` is 0 and its trace, like the
-    reference's, is what its ``(t, priority, seq)`` heap popped.  The
-    first divergence at *equal* timestamps is same-key nondeterminism —
-    two events with equal ``(t, priority)`` whose relative order differs
-    between :class:`~repro.serving.events.HeapEventScheduler` and
-    :class:`~repro.serving.events.EventScheduler`, exactly the bug class
-    that contract exists to exclude.  Cohort dispatch itself is held to
-    the heap lane elsewhere: by the scheduler-equivalence property tests
-    and by untraced reports being byte-identical under both classes.
+    Both lanes must produce the identical typed-event sequence.
+    ``vec_trace`` is what :class:`~repro.serving.events.EventScheduler`
+    recorded while delivering arrivals in cohorts — tracing observes the
+    loop, so these are the cohorts an untraced run cuts — and
+    ``heap_trace`` what :class:`~repro.serving.events.HeapEventScheduler`
+    recorded offering the same handlers one element at a time off its
+    ``(t, priority, seq)`` heap.  A divergence is a cohort cut or a bulk
+    admission that let an event fire out of order.  The first divergence
+    at *equal* timestamps is same-key nondeterminism — two events with
+    equal ``(t, priority)`` whose relative order differs between the
+    lanes, exactly the bug class the seq tie-break exists to exclude.
     """
     findings = []
     for i, (a, b) in enumerate(zip(heap_trace, vec_trace)):

@@ -68,6 +68,8 @@ class TemporalGraph:
         self.t = np.ascontiguousarray(t, dtype=np.float64)
         if not (len(self.src) == len(self.dst) == len(self.t)):
             raise ValueError("src/dst/t length mismatch")
+        if not np.all(np.isfinite(self.t)):
+            raise ValueError("edge timestamps must be finite")
         if len(self.t) > 1 and np.any(np.diff(self.t) < 0):
             raise ValueError("edge timestamps must be non-decreasing")
         if np.any(self.src < 0) or np.any(self.dst < 0):

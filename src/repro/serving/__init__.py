@@ -16,15 +16,16 @@ arrival trace as struct-of-array *runs* (contiguous numpy timestamp
 arrays + one consumption pointer) and delivers maximal safe prefixes as
 **cohorts** to opted-in actors, while dynamically created events (service
 ends, dispatches, deadline flushes, migrations) ride a conventional
-``(t, priority, seq)`` heap overlay.  Ordering is bit-identical to the
-retained reference implementation :class:`HeapEventScheduler` — the
-equivalence is property-tested, the ``serve-sim`` golden reports are
-byte-identical under both, and ``bench_serving_scale`` asserts the
-events/sec speedup of the vectorized loop over the heap loop every run
-(the ratio is tracked across commits via the ``BENCH_events_per_sec``
-perf-trajectory artifact).  Tracing (``trace=True``) disables the bulk
-path so typed events keep their documented shape; untraced hot paths
-skip trace-only dataclass construction entirely.
+``(t, priority, seq)`` heap overlay.  Ordering is bit-identical to
+per-element delivery, :class:`HeapEventScheduler` (the same loop with
+every cohort cut to one) — the equivalence is property-tested, the
+``serve-sim`` golden reports are byte-identical under both, and
+``bench_serving_scale`` asserts the events/sec speedup of cohort over
+per-element delivery every run (the ratio is tracked across commits via
+the ``BENCH_events_per_sec`` perf-trajectory artifact).  Tracing
+(``trace=True``) observes that one loop and takes no path of its own:
+same cohorts, same counters, same report, plus the typed-event record;
+untraced runs skip trace-only dataclass construction entirely.
 Ingest is columnar from end to end: :func:`make_stream_arrivals` builds
 one :class:`ArrivalTrace` (arrival instants, streams and per-edge indices
 into the graph's own columns) with no Python step per arrival, the
@@ -32,8 +33,8 @@ scheduler's run *is* that trace, the batcher's pending buffer is a span
 of it, a released job's ``sources`` is a zero-copy slice of it, and the
 report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
-the trace (traced runs, the offline :meth:`DynamicBatcher.coalesce`,
-tests); hand-built lists of them are normalised once by
+the trace (the :class:`ArrivalEvent` records of a traced run, the
+offline :meth:`DynamicBatcher.coalesce`, tests); hand-built lists of them are normalised once by
 :meth:`ArrivalTrace.from_arrivals`.
 Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
 from its shape; they do not execute its kernels.
@@ -292,9 +293,10 @@ enforces them mechanically, before the golden diff can catch a break:
 * **tracecheck** (dynamic) — replays a ``trace=True`` run's typed-event
   trace and flags causality violations, non-exactly-once service or
   ownership, busy-interval overlap, off-flush mail, conservation breaks,
-  and equal-``(t, priority)`` order divergence between the heap and
-  vectorized lanes.  ``serve-sim --check-trace`` (exit 3 on findings)
-  and the bench smoke's trace-invariants lane run it end-to-end.
+  and — given a second trace, which only tests supply — order
+  divergence between per-element and cohort delivery.  ``serve-sim
+  --check-trace`` (exit 3 on findings) and the bench smoke's
+  trace-invariants lane run the single-trace checks end-to-end.
 
 Both halves block CI (the ``lint`` job runs ahead of tier-1, together
 with the ruff/mypy baseline in pyproject.toml).

@@ -51,6 +51,7 @@ the same anti-ping-pong guards the rebalancer uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +159,12 @@ class AutoScaler:
         if not isinstance(capacity, CapacityConfig):
             raise TypeError(f"capacity must be a CapacityConfig, "
                             f"got {type(capacity).__name__}")
-        if slo_p95_s <= 0:
-            raise ValueError("slo_p95_s must be positive")
-        if scale_window_s <= 0:
-            raise ValueError("scale_window_s must be positive")
+        # Both are written to the report, which is strict JSON: NaN and
+        # inf are rejected here, not at ``to_json``.
+        if not 0 < slo_p95_s < math.inf:
+            raise ValueError("slo_p95_s must be positive and finite")
+        if not 0 < scale_window_s < math.inf:
+            raise ValueError("scale_window_s must be positive and finite")
         if not 0.0 <= low_band_frac < 1.0:
             raise ValueError("low_band_frac must be in [0, 1)")
         if cooldown_windows < 0:

@@ -277,7 +277,7 @@ class DynamicBatcher:
             raise ValueError("max_edges must be positive")
         if max_delay_s is None:
             max_delay_s = math.inf if max_edges is not None else 0.0
-        if max_delay_s < 0:
+        if not max_delay_s >= 0:    # NaN too
             raise ValueError("max_delay_s must be non-negative")
         self.max_edges = max_edges
         self.max_delay_s = float(max_delay_s)

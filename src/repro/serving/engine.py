@@ -645,23 +645,25 @@ class ServingEngine:
         placement, so a second run starts from the drifted partition (the
         rebalancer's own counters do reset per run).
 
-        ``scheduler_cls`` selects the event-loop implementation (default
-        :class:`EventScheduler`; pass :class:`HeapEventScheduler` for the
-        reference per-event loop — the scheduler-equivalence tests and
-        the serving bench use it as the comparison lane).
+        ``scheduler_cls`` is the event loop to build (default
+        :class:`EventScheduler`); :class:`HeapEventScheduler` delivers
+        every arrival as a cohort of one, which is the lane the
+        scheduler-equivalence tests and the serving bench compare with.
 
         ``trace=True`` records the full typed-event trace (costs memory)
         and exposes it as ``last_event_trace`` — the input of
-        :mod:`repro.analysis.tracecheck` and the invariant suites.
+        :mod:`repro.analysis.tracecheck` and the invariant suites.  It
+        observes the run and takes no other path through it: the report
+        and the scheduler's counters are those of the untraced run.
         """
         if ingest not in INGEST_MODES:
             raise ValueError(f"ingest must be one of {INGEST_MODES}")
         arrivals = make_stream_arrivals(graph, window_s,
                                         num_streams=num_streams, start=start,
                                         end=end, speedup=speedup)
-        return self._run_events(arrivals, window_s, speedup, num_streams,
-                                queue_capacity, ingest, trace=trace,
-                                scheduler_cls=scheduler_cls)
+        return self._run_loop(arrivals, window_s, speedup, num_streams,
+                              queue_capacity, ingest, trace=trace,
+                              scheduler_cls=scheduler_cls)
 
     # ------------------------------------------------------------------ #
     def _make_groups(self, sched: EventScheduler,
@@ -697,33 +699,14 @@ class ServingEngine:
                                       queue_capacity=queue_capacity))
         return groups
 
-    def _run_events(self, arrivals: Sequence[StreamArrival], window_s: float,
-                    speedup: float, num_streams: int,
-                    queue_capacity: int | None, ingest: str,
-                    trace: bool = False,
-                    scheduler_cls: type | None = None) -> ServingReport:
-        arrivals = ArrivalTrace.from_arrivals(arrivals)
-        pool = None
-        if self._measured:
-            # Worker lanes live exactly as long as the loop: state is
-            # pinned per shard at start, and shutdown joins the processes
-            # even when the run raises.
-            pool = WorkerPool(self.workers)
-            pool.start(dict(enumerate(self.backends)))
-        try:
-            return self._run_loop(arrivals, window_s, speedup, num_streams,
-                                  queue_capacity, ingest, trace,
-                                  scheduler_cls, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-    def _run_loop(self, arrivals: ArrivalTrace, window_s: float,
+    def _run_loop(self, arrivals: Sequence[StreamArrival], window_s: float,
                   speedup: float, num_streams: int,
-                  queue_capacity: int | None, ingest: str, trace: bool,
-                  scheduler_cls: type | None,
-                  pool: WorkerPool | None) -> ServingReport:
+                  queue_capacity: int | None, ingest: str,
+                  trace: bool = False,
+                  scheduler_cls: type | None = None) -> ServingReport:
+        arrivals = ArrivalTrace.from_arrivals(arrivals)
         sched = (scheduler_cls or EventScheduler)(trace=trace)
+        pool = WorkerPool(self.workers) if self._measured else None
         groups = self._make_groups(sched, queue_capacity, pool)
         cache = VersionedMemoryCache(self.router.placement,
                                      policy=self.memsync)
@@ -786,9 +769,18 @@ class ServingEngine:
             for g in groups:
                 g.on_hungry = batcher.on_hungry
         batcher.start(arrivals)
-        t0 = time.perf_counter()
-        sched.run()
-        loop_wall = time.perf_counter() - t0
+        try:
+            if pool is not None:
+                # Worker lanes live exactly as long as the loop: state is
+                # pinned per shard at start, and shutdown joins the
+                # processes even when the run raises.
+                pool.start(dict(enumerate(self.backends)))
+            t0 = time.perf_counter()
+            sched.run()
+            loop_wall = time.perf_counter() - t0
+        finally:
+            if pool is not None:
+                pool.shutdown()
         # Exposed for the invariant tests: the full typed-event trace of
         # the run (None unless trace=True — tracing costs memory).  The
         # scheduler itself is exposed for its counters (events_processed,

@@ -35,19 +35,26 @@ flush, a drain flush) is left unconsumed, and the next loop iteration
 delivers it alone with exact heap semantics.  Actors that have not opted
 in — the :class:`~repro.serving.control.ControlPlane` among them — use
 :meth:`EventScheduler.schedule` and keep per-event dispatch unchanged.
-:class:`HeapEventScheduler` is the pre-vectorization implementation,
-kept verbatim as the behavioral oracle: the scheduler-equivalence
-property tests require bit-identical outcomes between the two, and the
-serving bench uses it as the "before" lane.
+
+There is one way into the loop.  Tracing (``trace=True``) is an observer
+of it, not a lane through it: the loop records the typed event of every
+heap entry it pops and a cohort handler records the typed events of the
+elements it consumes, so a traced run makes the cohort cuts, fires the
+events and writes the report of the untraced run.
+:class:`HeapEventScheduler` is the same loop with every cohort cut to
+one — its single override expands a run into one heap entry per element
+— which makes it the reference the cohort optimisation is held to: the
+scheduler-equivalence property tests require bit-identical outcomes and
+traces between the two, and the serving bench uses it as the "before"
+lane.  (The verbatim historical queue loop lives on, independently, as
+``reference_simulate_queue`` in ``tests/unit/test_events.py``.)
 
 Cancellation follows the same split: heap tokens are cancellable (the
 pop discards them), run tokens are **not** — a run is one consumption
 pointer over a contiguous block, so :meth:`EventScheduler.cancel` raises
-on a run token rather than silently letting the event fire.  Both
-schedulers clear the dead-set when they drain, so cancellations that
-never meet a pop (issued after the event already fired) cannot leak.
-Cancel behavior on the heap path is property-tested for parity between
-the two implementations.
+on a run token rather than silently letting the event fire.  The
+dead-set is cleared when the loop drains, so cancellations that never
+meet a pop (issued after the event already fired) cannot leak.
 
 Event types
 -----------
@@ -165,6 +172,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -365,79 +373,14 @@ class FailurePlan:
             raise ValueError("shard must be non-negative")
         if not math.isfinite(self.fail_at):
             raise ValueError("fail_at must be finite")
-        if self.recover_at is not None and self.recover_at <= self.fail_at:
+        if self.recover_at is not None \
+                and not self.recover_at > self.fail_at:     # NaN too
             raise ValueError("recover_at must be after fail_at")
-        if self.mode == "slow" and self.degradation <= 1.0:
+        if self.mode == "slow" and not self.degradation > 1.0:
             raise ValueError("slow-mode degradation must exceed 1.0")
 
 
 # --------------------------------------------------------------------------- #
-class HeapEventScheduler:
-    """Heap-driven event loop with deterministic same-time ordering.
-
-    Entries order by ``(t, priority, seq)`` — seq is the monotonically
-    increasing schedule order, so equal ``(t, priority)`` events fire in
-    the order they were scheduled and runs are exactly reproducible.  The
-    loop asserts global timestamp monotonicity: an event firing before
-    ``now`` is a scheduler bug, not a recoverable condition.
-
-    This is the pre-vectorization implementation, retained verbatim as the
-    behavioral oracle for :class:`EventScheduler` (see the module
-    docstring): the equivalence property tests replay identical workloads
-    through both and require bit-identical outcomes, and the serving bench
-    uses it as the "before" measurement lane.
-    """
-
-    def __init__(self, trace: bool = False):
-        self._heap: list = []
-        self._seq = 0
-        self._dead: set[int] = set()
-        self.now = -math.inf
-        self.events_processed = 0
-        self.trace: list | None = [] if trace else None
-
-    def schedule(self, t: float, priority: int, event,
-                 handler: Callable) -> int:
-        """Queue ``handler(event)`` at ``(t, priority)``; returns a token."""
-        if t < self.now:
-            raise RuntimeError(
-                f"cannot schedule an event at t={t} before now={self.now}")
-        token = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (t, priority, token, event, handler))
-        return token
-
-    def cancel(self, token: int) -> None:
-        """Mark a scheduled event dead; it is skipped when popped."""
-        self._dead.add(token)
-
-    def record(self, event) -> None:
-        """Append a trace-only event (begin / flush / mail / sync)."""
-        if self.trace is not None:
-            self.trace.append(event)
-
-    def run(self) -> None:
-        heap = self._heap
-        while heap:
-            t, _prio, token, event, handler = heapq.heappop(heap)
-            if token in self._dead:
-                self._dead.discard(token)
-                continue
-            if t < self.now:
-                raise RuntimeError(
-                    f"event fired out of timestamp order: t={t} < "
-                    f"now={self.now}")
-            self.now = t
-            self.events_processed += 1
-            if event is not None and self.trace is not None:
-                self.trace.append(event)
-            handler(event)
-        # Drained.  Tokens cancelled *after* their event fired never meet
-        # the pop-time discard above; without this they would pin the
-        # dead-set for the scheduler's whole lifetime.
-        self._dead.clear()
-
-
 class _EventRun:
     """Struct-of-array storage for one :meth:`EventScheduler.schedule_run`.
 
@@ -467,10 +410,13 @@ class EventScheduler:
 
     Bulk, pre-sorted event sequences (the arrival trace) are stored as
     :class:`_EventRun` blocks via :meth:`schedule_run`; dynamically created
-    events use :meth:`schedule` and live on the same ``(t, priority, seq)``
-    heap as :class:`HeapEventScheduler`.  Both sources draw tokens from one
-    global ``seq`` counter, so every key is unique and the loop can always
+    events use :meth:`schedule` and live on a ``(t, priority, seq)`` heap.
+    Both sources draw tokens from one global ``seq`` counter — seq is the
+    schedule order, so equal ``(t, priority)`` events fire in the order
+    they were scheduled — and every key is unique, so the loop can always
     decide which source fires next by comparing ``(t, priority, seq)``.
+    It asserts global timestamp monotonicity: an event firing before
+    ``now`` is a scheduler bug, not a recoverable condition.
 
     When a run holds the globally smallest key, its handler is offered the
     maximal *cohort*: the prefix of unconsumed elements whose every key
@@ -478,9 +424,10 @@ class EventScheduler:
     how many it consumed (at least the head element, which is trivially
     heap-equivalent); elements whose admission could schedule an event
     that lands inside the offered prefix must be left unconsumed.  Firing
-    order is therefore bit-identical to the heap scheduler — the cohort is
-    an optimization of *delivery*, not of ordering — which the equivalence
-    property tests assert directly.
+    order is therefore bit-identical to per-element delivery
+    (:class:`HeapEventScheduler`) — the cohort is an optimization of
+    *delivery*, not of ordering — which the equivalence property tests
+    assert directly.
     """
 
     def __init__(self, trace: bool = False):
@@ -497,7 +444,7 @@ class EventScheduler:
     def schedule(self, t: float, priority: int, event,
                  handler: Callable) -> int:
         """Queue ``handler(event)`` at ``(t, priority)``; returns a token."""
-        if t < self.now:
+        if not t >= self.now:       # also true of NaN, which no heap orders
             raise RuntimeError(
                 f"cannot schedule an event at t={t} before now={self.now}")
         token = self._seq
@@ -505,31 +452,33 @@ class EventScheduler:
         heapq.heappush(self._heap, (t, priority, token, event, handler))
         return token
 
+    def _new_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
+                 handler: Callable) -> _EventRun:
+        """Validate a run and allot its tokens."""
+        ts = np.ascontiguousarray(ts, dtype=np.float64)
+        if len(ts) != len(payloads):
+            raise ValueError("schedule_run needs one payload per timestamp")
+        if not np.all(ts[1:] >= ts[:-1]):       # NaN-proof, as in schedule
+            raise ValueError("run timestamps must be sorted")
+        if len(ts) and not ts[0] >= self.now:
+            raise RuntimeError(
+                f"cannot schedule an event at t={ts[0]} before now={self.now}")
+        base = self._seq
+        self._seq += len(ts)
+        return _EventRun(ts, int(priority), base, payloads, handler)
+
     def schedule_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
                      handler: Callable) -> None:
         """Queue a pre-sorted bulk of events as one struct-of-array run.
 
         ``handler(t0, payloads, start, stop)`` is called with the cohort
         bounds and must return the number of elements consumed, in
-        ``[1, stop - start]``.  Runs are the untraced bulk path: they
-        carry raw payloads, not typed events, so nothing lands in
-        ``trace`` — callers that need typed trace events schedule
-        per-event instead.
+        ``[1, stop - start]``.  A run carries raw payloads, not typed
+        events, so the loop records nothing for it: a handler that wants
+        its elements in ``trace`` calls :meth:`record` for the ones it
+        consumes.
         """
-        ts = np.ascontiguousarray(ts, dtype=np.float64)
-        if len(ts) != len(payloads):
-            raise ValueError("schedule_run needs one payload per timestamp")
-        if len(ts) == 0:
-            return
-        if np.any(ts[1:] < ts[:-1]):
-            raise ValueError("run timestamps must be sorted")
-        if ts[0] < self.now:
-            raise RuntimeError(
-                f"cannot schedule an event at t={ts[0]} before now={self.now}")
-        base = self._seq
-        self._seq += len(ts)
-        self._runs.append(_EventRun(ts, int(priority), base, payloads,
-                                    handler))
+        self._runs.append(self._new_run(ts, priority, payloads, handler))
 
     def cancel(self, token: int) -> None:
         """Mark a heap-scheduled event dead; it is skipped when popped.
@@ -595,8 +544,8 @@ class EventScheduler:
             if best is None:
                 # Drained (the heap is empty too, or we would not be
                 # here).  Clear cancellations that never met a pop —
-                # tokens cancelled after firing, or heap-path parity with
-                # HeapEventScheduler — so they do not leak forever.
+                # tokens cancelled after their event fired — so they do
+                # not leak forever.
                 dead.clear()
                 return
             pos = best.pos
@@ -628,6 +577,32 @@ class EventScheduler:
             self.events_processed += consumed
             self.cohort_calls += 1
             self.cohort_events += consumed
+
+
+class HeapEventScheduler(EventScheduler):
+    """:class:`EventScheduler` with every cohort cut to one.
+
+    A run is expanded into one heap entry per element, under the tokens
+    the run would have held, and each is offered to the run's handler as
+    a cohort of one.  This is the reference the cohort optimisation is
+    held to: the merge of runs against the heap, :meth:`_run_cut` and a
+    handler's bulk admission all lie on the other side of the comparison,
+    so the equivalence property tests replay one workload through both
+    and require bit-identical outcomes, and the serving bench uses this
+    class as its "before" lane.
+    """
+
+    def schedule_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
+                     handler: Callable) -> None:
+        run = self._new_run(ts, priority, payloads, handler)
+
+        def deliver(i: int, _event) -> None:
+            if handler(self.now, payloads, i, i + 1) != 1:
+                raise RuntimeError("a cohort of one was not consumed")
+
+        for i, t in enumerate(run.ts.tolist()):
+            heapq.heappush(self._heap, (t, run.priority, run.base + i, None,
+                                        partial(deliver, i)))
 
 
 # --------------------------------------------------------------------------- #
@@ -840,35 +815,29 @@ class ServerGroup:
         duration came from."""
         finish = begin + service
         self._busy += service
-        self._served[i] = ServedJob(index=i, t_arrive=t_arrive,
-                                    t_begin=begin, t_finish=finish,
-                                    service_s=service, server=srv)
+        job = self._served[i] = ServedJob(index=i, t_arrive=t_arrive,
+                                          t_begin=begin, t_finish=finish,
+                                          service_s=service, server=srv)
         if self.on_serviced is not None:
             self.on_serviced(finish, finish - t_arrive)
-        if self._sched.trace is not None:
+        # Only a traced loop records the event it pops, so only then is
+        # the typed end event built; untraced, the ServedJob that already
+        # exists names the server for ``_end``.
+        traced = self._sched.trace is not None
+        if traced:
             self._record_begin(begin, srv, i)
-            self._sched.schedule(finish, _END,
-                                 ServiceEndEvent(finish, self.gid, srv, i),
-                                 self._on_end)
-        else:
-            # Untraced fast path: nobody observes the typed end event, so
-            # a bare (finish, server) tuple avoids two dataclass
-            # allocations per job on the hot loop.
-            self._sched.schedule(finish, _END, (finish, srv),
-                                 self._on_end_fast)
+        self._sched.schedule(
+            finish, _END,
+            ServiceEndEvent(finish, self.gid, srv, i) if traced else job,
+            self._end)
 
     def _record_begin(self, begin: float, srv: int, i: int) -> None:
         # Hook point: the measured subclass defers lane-delayed begins so
         # the trace stays causally ordered.
         self._sched.record(ServiceBeginEvent(begin, self.gid, srv, i))
 
-    def _on_end(self, ev: ServiceEndEvent) -> None:
-        self._end(ev.t, ev.server)
-
-    def _on_end_fast(self, ev: tuple) -> None:
-        self._end(ev[0], ev[1])
-
-    def _end(self, t: float, server: int) -> None:
+    def _end(self, ev: ServiceEndEvent | ServedJob) -> None:
+        t, server = self._sched.now, ev.server
         if server in self._draining:
             # Retired by scale_down while busy: the job it was committed
             # to is done, so it leaves the fleet instead of re-idling.
@@ -1048,25 +1017,15 @@ class BatcherActor:
 
     # ------------------------------------------------------------------ #
     def start(self, arrivals: Sequence[StreamArrival]) -> None:
-        """Schedule the whole arrival trace onto the loop.
+        """Schedule the whole arrival trace onto the loop as one run.
 
-        On a cohort-capable scheduler with tracing off, the trace is
-        scheduled as one struct-of-array run (the vectorized bulk path)
-        and no per-arrival object exists; otherwise every arrival becomes
-        a typed :class:`ArrivalEvent` carrying its materialised
-        :class:`StreamArrival`, so traces keep their documented shape.
+        No per-arrival object exists unless the scheduler is tracing, in
+        which case :meth:`_on_cohort` records a typed
+        :class:`ArrivalEvent` (carrying the materialised
+        :class:`StreamArrival`) for every element it consumes.
         """
-        trace = ArrivalTrace.from_arrivals(arrivals)
-        if len(trace) > 1 and bool(np.any(trace.t[:-1] > trace.t[1:])):
-            raise ValueError("arrivals must be sorted by time")
-        self._trace = trace
-        schedule_run = getattr(self._sched, "schedule_run", None)
-        if schedule_run is not None and self._sched.trace is None:
-            schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
-            return
-        for a in trace:
-            self._sched.schedule(a.t, _ARRIVAL, ArrivalEvent(a.t, a),
-                                 self._on_arrival)
+        self._trace = trace = ArrivalTrace.from_arrivals(arrivals)
+        self._sched.schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
 
     def _fleet_hungry(self) -> bool:
         return all(g.hungry for g in self._fleet)
@@ -1078,9 +1037,6 @@ class BatcherActor:
             self._flush(t, "drain")
 
     # ------------------------------------------------------------------ #
-    def _on_arrival(self, ev: ArrivalEvent) -> None:
-        self._admit(ev.t)
-
     def _admit(self, t: float) -> None:
         """Admit the next arrival of the trace, which fires at ``t``."""
         cum = self._trace.cum
@@ -1114,53 +1070,59 @@ class BatcherActor:
 
     def _on_cohort(self, t: float, trace: ArrivalTrace,
                    start: int, stop: int) -> int:
-        """Bulk arrival admission; returns how many elements it consumed.
+        """Arrival admission; returns how many elements it consumed.
 
         Consuming more than the head element is valid only while admission
         is *pure buffering* — no flush fires and no event the batcher
-        schedules lands inside the consumed span.  Arrivals that could
+        schedules lands inside the consumed span.  An arrival that could
         react at the same instant (a passthrough deadline, a drain flush,
-        a size trigger) fall back to :meth:`_admit` one at a time, which
-        is exactly the reference heap delivery.
+        a size trigger) is consumed alone through :meth:`_admit`, which is
+        all a cohort of one (:class:`HeapEventScheduler`) ever does beyond
+        buffering one element.  A tracing scheduler gets the
+        :class:`ArrivalEvent` of every consumed element, ahead of whatever
+        their admission records.
         """
         pending_empty = self._admitted == self._lo
+        limit = stop
         if (pending_empty and self.max_delay_s == 0.0) \
                 or (self.ingest == "pipelined" and self._fleet
                     and self._fleet_hungry()):
-            # Passthrough deadline or hungry-fleet drain: every admission
-            # flushes immediately, so deliver with per-event semantics.
-            # (Fleet hungriness is frozen during pure buffering — nothing
-            # fires between cohort elements — so checking it once at the
-            # cohort head is exact.)
-            self._admit(t)
-            return 1
-        cum = trace.cum
-        limit = stop
-        if self.max_edges is not None:
+            # Passthrough deadline or hungry-fleet drain: the head flushes
+            # the moment it is admitted.  (Fleet hungriness is frozen
+            # during pure buffering — nothing fires between cohort
+            # elements — so checking it once at the cohort head is exact.)
+            limit = start
+        elif self.max_edges is not None:
             # Pure buffering holds the buffer strictly below the size cap;
             # the element whose admission reaches (or overflows) it
             # triggers a flush, so the cut stops just before it.  Element
             # k triggers iff cum[k + 1] - cum[lo] >= max_edges.
-            trigger = int(np.searchsorted(
-                cum, self.max_edges + int(cum[self._lo]), side="left")) - 1
-            if trigger <= start:
-                self._admit(t)       # head element flushes: go per-event
-                return 1
-            limit = min(limit, trigger)
-        if pending_empty and math.isfinite(self.max_delay_s):
+            limit = min(limit, int(np.searchsorted(
+                trace.cum, self.max_edges + int(trace.cum[self._lo]),
+                side="left")) - 1)
+        opens = limit > start and pending_empty \
+            and math.isfinite(self.max_delay_s)
+        if opens:
             # Admitting the head opens the buffer and schedules a deadline
             # flush at t + max_delay_s — an event the scheduler could not
             # see when it cut the cohort.  Arrivals at or past the
             # deadline instant wait behind the _FLUSH-priority release.
             limit = min(limit, start + int(np.searchsorted(
                 trace.t[start:stop], t + self.max_delay_s, side="left")))
+        consumed = max(limit - start, 1)
+        if self._sched.trace is not None:
+            for a in trace.span(start, start + consumed):
+                self._sched.record(ArrivalEvent(a.t, a))
+        if limit <= start:
+            self._admit(t)          # the head reacts: admit it alone
+            return 1
         self._admitted = limit
         if limit == len(trace) and not math.isfinite(self.max_delay_s):
             self._flush(float(trace.t[limit - 1]), "eos")
-        elif pending_empty and math.isfinite(self.max_delay_s):
+        elif opens:
             self._deadline_token = self._sched.schedule(
                 t + self.max_delay_s, _FLUSH, None, self._on_deadline)
-        return limit - start
+        return consumed
 
     def _on_deadline(self, _event) -> None:
         self._deadline_token = None

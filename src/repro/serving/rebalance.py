@@ -129,9 +129,9 @@ ShardedRuntime.migrate` records, so the timing report and the functional
                  cooldown_windows: int = 2, hysteresis: float = 0.05,
                  depth_threshold: int | None = None,
                  promote_heat: int = 8, demote_heat: int = 1):
-        if window_s <= 0:
+        if not window_s > 0:        # NaN too
             raise ValueError("window_s must be positive")
-        if util_threshold <= 0:
+        if not util_threshold > 0:
             raise ValueError("util_threshold must be positive")
         if max_migrations_per_window <= 0:
             raise ValueError("max_migrations_per_window must be positive")

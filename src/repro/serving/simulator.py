@@ -60,7 +60,7 @@ def simulate_queue(arrivals: Sequence[tuple[float, Any]],
     if queue_capacity is not None and queue_capacity < 0:
         raise ValueError("queue_capacity must be non-negative")
     arr = list(arrivals)
-    if any(arr[i][0] > arr[i + 1][0] for i in range(len(arr) - 1)):
+    if not all(arr[i][0] <= arr[i + 1][0] for i in range(len(arr) - 1)):
         raise ValueError("arrivals must be sorted by time")
 
     sched = EventScheduler()

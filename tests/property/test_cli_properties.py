@@ -33,6 +33,12 @@ def words(*parts):
 # 0 and "far more than there are vertices" sit beside the plausible sizes.
 SIZES = st.sampled_from([0, 1, 2, 8, 10 ** 6])
 
+
+def floats(*plausible):
+    """A float flag's plausible values beside the two that ``float()``
+    parses and every ``x <= 0`` guard lets through."""
+    return st.sampled_from([*plausible, "nan", "inf"])
+
 serve_sim_flags = words(
     flag("--backend", st.sampled_from(["cpu-32t", "gpu", "u200"])),
     flag("--edges", st.integers(1, 300)),
@@ -46,22 +52,23 @@ serve_sim_flags = words(
     flag("--memsync", st.sampled_from(["none", "invalidate", "push"])),
     flag("--ingest", st.sampled_from(["serial", "pipelined"])),
     optional(flag("--batch-edges", st.sampled_from([0, 1, 16, 128]))),
-    optional(flag("--deadline-ms", st.sampled_from([0, 1, 50]))),
+    optional(flag("--deadline-ms", floats(0, 1, 50))),
     optional(flag("--queue-capacity", st.sampled_from([0, 1, 4]))),
     optional(flag("--pool-servers", SIZES)),
     optional(flag("--hot-top-k", SIZES)),
     optional(flag("--replicate-top-k", SIZES)),
     # Every subset of the three ownership controllers.
     optional(st.just(["--rebalance-online"]),
-             optional(flag("--rebalance-threshold", st.just(0.05)))),
+             optional(flag("--rebalance-threshold", floats(0.05))),
+             optional(flag("--rebalance-window", floats(0.5)))),
     optional(flag("--fail-at", st.sampled_from([0, 1, 100])),
              optional(flag("--fail-shard", st.integers(0, 4))),
              optional(flag("--fail-mode", st.sampled_from(["dead", "slow"]))),
-             optional(flag("--recover-at", st.sampled_from([2, 1000])))),
+             optional(flag("--recover-at", floats(2, 1000)))),
     optional(st.just(["--autoscale"]),
-             flag("--slo-p95", st.sampled_from([1e-6, 0.01, 1])),
+             flag("--slo-p95", floats(1e-6, 0.01, 1)),
              optional(flag("--max-servers", st.integers(1, 6))),
-             optional(flag("--scale-window", st.sampled_from([0.5, 100])))),
+             optional(flag("--scale-window", floats(0.5, 100)))),
 )
 
 # The corner one fleet path opened, drawn densely: every controller and
@@ -79,13 +86,14 @@ one_path_flags = words(
     flag("--memsync", st.sampled_from(["none", "invalidate", "push"])),
     optional(flag("--pool-servers", st.integers(1, 3))),
     optional(st.just(["--rebalance-online"]),
-             optional(flag("--rebalance-threshold", st.just(0.05)))),
+             optional(flag("--rebalance-threshold", floats(0.05))),
+             optional(flag("--rebalance-window", floats(0.5)))),
     flag("--fail-at", st.sampled_from([0, 1, 100])),
     flag("--fail-mode", st.sampled_from(["dead", "slow"])),
     optional(flag("--fail-shard", st.integers(0, 3))),
-    optional(flag("--recover-at", st.sampled_from([2, 1000]))),
+    optional(flag("--recover-at", floats(2, 1000))),
     optional(st.just(["--autoscale"]),
-             flag("--slo-p95", st.sampled_from([1e-6, 1]))),
+             flag("--slo-p95", floats(1e-6, 1))),
 )
 
 POOL = ["--edges", "200", "--shards", "2", "--streams", "2", "--backend",

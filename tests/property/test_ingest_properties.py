@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.tracecheck import check_lane_agreement
 from repro.graph import TemporalGraph, merge_batches, time_window_spans
 from repro.pipeline import LinearCostBackend
 from repro.serving import (ArrivalTrace, BatcherActor, DynamicBatcher,
@@ -186,12 +187,16 @@ class TestColumnarIngestMatchesTheLoops:
                             dict(max_edges=6, max_delay_s=2.0),
                             dict(max_delay_s=0.5),
                             dict(max_delay_s=0.0)]),
-           st.sampled_from(["serial", "pipelined"]))
+           st.sampled_from(["serial", "pipelined"]),
+           st.sampled_from([None, 0, 2]))
     def test_schedulers_write_the_same_report(self, replay, topology, cfg,
-                                              ingest):
+                                              ingest, queue_capacity):
+        """Cohort delivery == per-element delivery, and tracing either
+        changes nothing but the record: same report bytes, same scheduler
+        counters, one typed-event sequence."""
         (graph, window, start, end), num_streams, speedup = replay
-        reports = []
-        for scheduler_cls in (None, HeapEventScheduler):
+
+        def lane(scheduler_cls, trace):
             if topology == "pool":
                 engine = ServingEngine([LinearCostBackend(per_edge_s=0.05)],
                                        NUM_NODES, topology="pool",
@@ -202,11 +207,22 @@ class TestColumnarIngestMatchesTheLoops:
                     [LinearCostBackend(per_edge_s=0.05) for _ in range(3)],
                     NUM_NODES, memsync="push",
                     batcher=DynamicBatcher(**cfg))
-            reports.append(engine.run(
+            report = engine.run(
                 graph, window, start=start, end=end, speedup=speedup,
                 num_streams=num_streams, ingest=ingest,
-                scheduler_cls=scheduler_cls).to_json())
-        assert reports[0] == reports[1]
+                queue_capacity=queue_capacity,
+                scheduler_cls=scheduler_cls, trace=trace).to_json()
+            sched = engine.last_scheduler
+            return (report, sched.events_processed, sched.cohort_calls,
+                    sched.cohort_events), engine.last_event_trace
+
+        cohort, cohort_trace = lane(None, True)
+        report, events, cohort_calls, _ = cohort
+        heap, heap_trace = lane(HeapEventScheduler, True)
+        assert cohort_calls > 0 and heap == (report, events, 0, 0)
+        assert lane(None, False) == (cohort, None)
+        assert lane(HeapEventScheduler, False) == (heap, None)
+        assert check_lane_agreement(heap_trace, cohort_trace) == []
 
     @settings(deadline=None, max_examples=50)
     @given(streams(), st.sampled_from([1e-8, 1e-10, 1e-15]))

@@ -308,6 +308,16 @@ class TestServeSim:
         ["--speedup", "nan"],
         ["--edges", "0"],
         ["--memory-dim", "0"],
+        # NaN is False under every ``x <= 0`` / ``x < lo`` comparison.
+        ["--fail-at", "1", "--recover-at", "nan"],
+        ["--autoscale", "--slo-p95", "nan"],
+        ["--autoscale", "--slo-p95", "inf"],
+        ["--autoscale", "--slo-p95", "1", "--scale-window", "nan"],
+        ["--fail-at", "1", "--fail-mode", "slow", "--fail-degradation",
+         "nan"],
+        ["--deadline-ms", "nan"],
+        ["--rebalance-online", "--rebalance-window", "nan"],
+        ["--rebalance-online", "--rebalance-threshold", "nan"],
     ], ids=" ".join)
     def test_degenerate_values_are_clean_errors(self, extra, tmp_path):
         """The CLI validates nothing itself: whatever the library rejects

@@ -22,6 +22,7 @@ Three contracts pin the refactor:
 """
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestSchedulerInvariants:
             memsync="push")
         arrivals = make_stream_arrivals(g, 3600.0, num_streams=2,
                                         speedup=50.0)
-        rep = engine._run_events(arrivals, 3600.0, 50.0, 2, None, ingest,
+        rep = engine._run_loop(arrivals, 3600.0, 50.0, 2, None, ingest,
                                  trace=True)
         assert rep.windows > 0
         trace = engine.last_event_trace
@@ -294,6 +295,22 @@ class TestSchedulerInvariants:
         sched.schedule(5.0, 0, None, bad_handler)
         with pytest.raises(RuntimeError, match="before now"):
             sched.run()
+
+    @pytest.mark.parametrize("cls", [EventScheduler, HeapEventScheduler])
+    def test_nan_never_enters_the_loop(self, cls):
+        """``nan < now`` is False, and a NaN key corrupts heap order."""
+        sched, nan = cls(), math.nan
+        with pytest.raises(RuntimeError, match="before now"):
+            sched.schedule(nan, 0, None, print)
+        with pytest.raises(RuntimeError, match="before now"):
+            sched.schedule_run([nan], 0, [None], print)
+        for ts in ([0.0, nan, 1.0], [0.0, 1.0, nan], [1.0, 0.0, 2.0]):
+            with pytest.raises(ValueError, match="sorted"):
+                sched.schedule_run(ts, 0, [None] * 3, print)
+            with pytest.raises(ValueError, match="sorted"):
+                simulate_queue([(t, None) for t in ts], lambda _: 1.0)
+        sched.run()
+        assert sched.events_processed == 0
 
     def test_cancelled_events_never_fire(self):
         sched = EventScheduler()
@@ -368,7 +385,7 @@ class TestConservationAcrossTopologies:
                                         speedup=100.0)
         # Bounded queues so drops are in play, driven at the raw-group
         # level for per-server busy intervals and exactly-once admission.
-        rep = engine._run_events(arrivals, 3600.0, 100.0, 2, 2, ingest)
+        rep = engine._run_loop(arrivals, 3600.0, 100.0, 2, 2, ingest)
         assert rep.windows + rep.dropped_windows == len(arrivals)
         check_conservation(rep, self._raw_results(engine, arrivals, ingest))
 
@@ -679,6 +696,23 @@ class TestHeapVsVectorizedEquivalence:
             assert vec_fired == heap_fired
             assert vec.events_processed == heap.events_processed
             assert vec.now == heap.now
+
+    def test_swapped_run_cut_is_caught(self, monkeypatch):
+        """Mutation check: the heap lane shares the loop but never cuts a
+        cohort, so it still says no to a scheduler that cuts wrongly."""
+        def swapped(run, key):
+            t, prio, seq = key
+            lo = int(np.searchsorted(run.ts, t, side="right"))
+            if prio < run.priority:
+                return lo
+            hi = int(np.searchsorted(run.ts, t, side="left"))
+            if prio > run.priority:
+                return hi
+            return min(hi, max(lo, seq - run.base))
+
+        monkeypatch.setattr(EventScheduler, "_run_cut", staticmethod(swapped))
+        with pytest.raises(AssertionError):
+            self.test_firing_order_identical_randomized()
 
     @pytest.mark.parametrize(
         "cfg_index", range(len(TestBatcherActorEquivalence.CONFIGS)))

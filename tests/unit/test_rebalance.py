@@ -387,7 +387,7 @@ class TestEngineMigrationInvariants:
         initial = engine.router.assignment.copy()
         arrivals = make_stream_arrivals(g, window_s, num_streams=streams,
                                         speedup=speedup)
-        rep = engine._run_events(arrivals, window_s, speedup, streams,
+        rep = engine._run_loop(arrivals, window_s, speedup, streams,
                                  queue_capacity, "serial", trace=True)
         return engine, initial, arrivals, rep
 
@@ -542,7 +542,7 @@ class TestChaosDrift:
         engine = engine_with_rebalancer(g, reb=reb)
         arrivals = make_stream_arrivals(g, 250.0, num_streams=2,
                                         speedup=2e4)
-        rep = engine._run_events(arrivals, 250.0, 2e4, 2, None, "serial",
+        rep = engine._run_loop(arrivals, 250.0, 2e4, 2, None, "serial",
                                  trace=True)
         assert rep.migrations > 0
         trace = engine.last_event_trace

@@ -28,6 +28,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-decreasing"):
             TemporalGraph([0, 0], [1, 2], [5.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_timestamps(self, bad):
+        # np.diff(t) < 0 is False around a NaN: sortedness alone lets it in.
+        with pytest.raises(ValueError, match="finite"):
+            TemporalGraph([0, 0, 0, 0], [1, 2, 3, 4], [0.0, 1.0, bad, 3.0])
+
     def test_rejects_negative_ids(self):
         with pytest.raises(ValueError):
             TemporalGraph([-1], [0], [0.0])

@@ -22,9 +22,9 @@ from repro.analysis.tracecheck import (TraceCheckReport, TraceFinding,
                                        check_service_exactly_once)
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.pipeline import LinearCostBackend
-from repro.serving import (FailureEvent, FailurePlan, FlushEvent,
-                           HeapEventScheduler, MailEvent, MigrationEvent,
-                           OnlineRebalancer, RecoveryEvent,
+from repro.serving import (DynamicBatcher, FailureEvent, FailurePlan,
+                           FlushEvent, HeapEventScheduler, MailEvent,
+                           MigrationEvent, OnlineRebalancer, RecoveryEvent,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine)
 
 
@@ -270,21 +270,32 @@ class TestCleanRunsYieldZeroFindings:
 
     def test_heap_and_vectorized_lanes_agree(self):
         g = wiki_graph()
-        heap_engine = fresh_engine(g)
-        heap_engine.run(g, window_s=3600.0, num_streams=2, speedup=100.0,
-                        scheduler_cls=HeapEventScheduler, trace=True)
-        vec_engine = fresh_engine(g)
-        initial = vec_engine.router.assignment.copy()
-        rep = vec_engine.run(g, window_s=3600.0, num_streams=2,
-                             speedup=100.0, trace=True)
-        result = check_run(engine=vec_engine, report=rep,
-                           initial_assignment=initial,
-                           heap_trace=heap_engine.last_event_trace)
-        assert result.ok, result.render()
-        assert "same-key-order" in result.checks
-        # What the check compared: tracing keeps the vectorized lane on
-        # per-event delivery too, so no cohort was ever dispatched.
-        assert vec_engine.last_scheduler.cohort_calls == 0
-        untraced = fresh_engine(g)
-        untraced.run(g, window_s=3600.0, num_streams=2, speedup=100.0)
-        assert untraced.last_scheduler.cohort_calls > 0
+
+        def pool():
+            # A finite deadline buffers arrivals, so cohorts hold several.
+            return ServingEngine([LinearCostBackend(per_edge_s=2e-3)],
+                                 g.num_nodes, topology="pool",
+                                 pool_servers=2,
+                                 batcher=DynamicBatcher(max_delay_s=200.0))
+
+        for build, streams in ((lambda: fresh_engine(g), 2), (pool, 8)):
+            run_kw = dict(window_s=3600.0, num_streams=streams,
+                          speedup=100.0)
+            heap_engine = build()
+            heap_engine.run(g, scheduler_cls=HeapEventScheduler, trace=True,
+                            **run_kw)
+            vec_engine = build()
+            initial = vec_engine.router.assignment.copy()
+            rep = vec_engine.run(g, trace=True, **run_kw)
+            result = check_run(engine=vec_engine, report=rep,
+                               initial_assignment=initial,
+                               heap_trace=heap_engine.last_event_trace)
+            assert result.ok, result.render()
+            assert "same-key-order" in result.checks
+            # What the check compared: per-element delivery against the
+            # cohorts a traced run dispatches like an untraced one
+            # (test_ingest_properties holds the two to equal counters).
+            assert heap_engine.last_scheduler.cohort_calls == 0
+            vec = vec_engine.last_scheduler
+            assert vec.cohort_calls > 0
+        assert vec.cohort_events > vec.cohort_calls     # multi-element
