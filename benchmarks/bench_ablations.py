@@ -22,7 +22,7 @@ import pytest
 from repro.datasets import encoder_input_deltas
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN, UpdaterCache
 from repro.models import CosineTimeEncoder, LUTTimeEncoder, ModelConfig, TGNN
-from repro.models.attention import _masked_softmax_np
+from repro.autograd.functional import masked_softmax
 from repro.models.pruning import top_k_mask
 from repro.reporting import render_table, save_result
 
@@ -32,12 +32,12 @@ def test_ablation_lut_bins(benchmark, capsys, wiki):
     deltas = encoder_input_deltas(wiki)
     ref = CosineTimeEncoder(100, rng=np.random.default_rng(0))
     probe = np.random.default_rng(1).choice(deltas, size=4000)
-    exact = ref.encode_numpy(probe)
+    exact = ref(probe).data
     rows = []
     for bins in (8, 16, 32, 64, 128, 256):
         enc = LUTTimeEncoder(100, n_bins=bins, rng=np.random.default_rng(2))
         enc.calibrate(deltas, reference=ref)
-        approx = enc.encode_numpy(probe)
+        approx = enc(probe).data
         err = float(np.mean(np.abs(approx - exact)))
         rows.append({"bins": bins, "mean_abs_err": err,
                      "storage_words": enc.storage_words([300, 100])})
@@ -145,8 +145,8 @@ def test_ablation_pruning_policy(benchmark, capsys, wiki):
             res_s = student.process_batch(batch, rt_s, wiki)
             if batch.eid[0] < 1000:
                 continue    # warm-up period
-            alpha = _masked_softmax_np(res_t.attention.logits.data,
-                                       res_t.attention.mask)
+            alpha = masked_softmax(res_t.attention.logits,
+                                   res_t.attention.mask).data
             mask = res_t.attention.mask
             ok = mask.sum(axis=1) > budget
             if not ok.any():

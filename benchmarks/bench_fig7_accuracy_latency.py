@@ -105,8 +105,8 @@ def _train_apan(apan, graph, tr, va, te):
                 continue
             src = emb[np.arange(0, 2 * n, 2)]
             dst = emb[np.arange(1, 2 * n, 2)]
-            pos_s = pred.score_numpy(src, dst)
-            neg_s = pred.score_numpy(src, neg)
+            pos_s = pred(src, dst).data
+            neg_s = pred(src, neg).data
             scores_all.append(np.concatenate([pos_s, neg_s]))
             labels_all.append(np.concatenate([np.ones(n), np.zeros(n)]))
     return average_precision(np.concatenate(labels_all),

@@ -9,7 +9,10 @@ Reads ``results/e2e/result.json`` (``REPRO_RESULTS_DIR`` moves
 ``results``) and, when it is there, ``result_traced.json``, and appends
 one record to ``BENCH_e2e.json`` at the repository root: per workload the
 four end-to-end metrics of ``BENCHMARK.json`` and — from the traced set —
-the scheduler's exact counters, beside the ``src/repro`` code-line total
+the scheduler's exact counters and, for ``kernel_b200``,
+``models.infer_calls`` with the ``KERNEL_STAGES`` shares of its host
+seconds beside the paper's Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
+``run.py`` worked them out, beside the ``src/repro`` code-line total
 and the sha ``run.py`` stamped (the checkout's HEAD: for a change
 measured before it is committed that is its parent, and ``--label`` says
 which row it is).  Report-only: seconds are host time on whatever
@@ -33,6 +36,7 @@ from code_lines import code_lines  # noqa: E402
 from pins import results_dir  # noqa: E402
 
 COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events")
+KERNEL = "kernel_b200"      # the one workload whose wall is the kernels'
 
 
 def read(path: Path, names) -> tuple[dict, dict[str, dict]]:
@@ -55,6 +59,14 @@ def measured_record(label: str | None) -> dict:
                 == (run["git_sha"], run["smoke"]):
             for name, values in counters.items():
                 workloads.setdefault(name, {}).update(values)
+            kernel = traced["workloads"].get(KERNEL, {})
+            if kernel.get("stage_shares"):
+                workloads[KERNEL]["models.infer_calls"] = \
+                    kernel["metrics"]["models.infer_calls"]["value"]
+                workloads[KERNEL]["stage_shares"] = {
+                    side: {stage: round(share, 4) for stage, share
+                           in kernel["stage_shares"][side].items()}
+                    for side in ("host_seconds", "paper_t_1cpu")}
     return {"label": label, "source": "measured", "git_sha": run["git_sha"],
             "smoke": run["smoke"], "seed": run["seed"],
             "code_lines": sum(code_lines(f) for f in

@@ -19,6 +19,7 @@ Run:  python examples/fraud_detection.py
 
 import numpy as np
 
+from repro.autograd import no_grad
 from repro.datasets import StreamSpec, generate_stream
 from repro.graph import TemporalGraph, iter_time_windows
 from repro.hw import FPGAAccelerator, U200_DESIGN
@@ -81,12 +82,11 @@ def main() -> None:
     scores, labels, latencies = [], [], []
     for window in iter_time_windows(graph, 900.0, start=train_end):
         # Score BEFORE the window's edges update state (pre-update query).
-        n = len(window)
         res = model.infer_batch(window, rt, graph)
-        src = res.embeddings.data[np.arange(0, 2 * n, 2)]
-        dst = res.embeddings.data[np.arange(1, 2 * n, 2)]
-        link_logit = trainer.predictor.score_numpy(src, dst)
-        scores.append(link_logit)
+        with no_grad():
+            link_logit = trainer.predictor(res.src_embeddings,
+                                           res.dst_embeddings)
+        scores.append(link_logit.data)
         labels.append(is_anomaly[window.eid])
         # Timing of the same window on the accelerator.
         latencies.append(backend.process_batch(window))

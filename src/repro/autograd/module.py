@@ -133,8 +133,14 @@ class GRUCell(Module):
         self.bias_hh = Parameter(np.zeros(3 * hidden_size))
 
     def forward(self, m: Tensor, s: Tensor) -> Tensor:
+        return self.gates(m @ self.weight_ih.T + self.bias_ih, s)
+
+    def gates(self, gi: Tensor, s: Tensor) -> Tensor:
+        """The cell from its input product ``gi = W_i m + b_i`` on: a caller
+        that builds ``gi`` another way (one LUT read for the time slice,
+        :class:`~repro.models.memory_updater.GRUMemoryUpdater`) shares
+        everything after it."""
         h = self.hidden_size
-        gi = m @ self.weight_ih.T + self.bias_ih
         gh = s @ self.weight_hh.T + self.bias_hh
         r = (gi[:, 0:h] + gh[:, 0:h]).sigmoid()
         z = (gi[:, h:2 * h] + gh[:, h:2 * h]).sigmoid()

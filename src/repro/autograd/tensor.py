@@ -13,8 +13,10 @@ an equivalent, dependency-free engine.  Design goals, in order:
    every op can be carefully tested.
 
 The public entry point is :class:`Tensor`.  A global no-grad mode
-(:func:`no_grad`) lets inference reuse the exact training code path with zero
-graph-building overhead, which keeps the model implementations single-source.
+(:func:`no_grad`) lets inference reuse the exact training code path with no
+graph recorded, which keeps the model implementations single-source: every
+module in :mod:`repro.models` has one body, and ``TGNN.infer_batch`` is
+``process_batch`` under it.
 """
 
 from __future__ import annotations
@@ -123,10 +125,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, op={self._op}{flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -316,9 +314,13 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         # Numerically stable logistic: exp only ever sees non-positive input.
+        # ``exp(-|x|)`` is evaluated once, in place: three arrays in all.
         x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.abs(x, out=np.empty_like(x))
+        np.exp(np.negative(e, out=e), out=e)
+        out_data = np.where(x >= 0, 1.0, e)
+        e += 1.0
+        out_data /= e
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * out_data * (1.0 - out_data))
@@ -326,11 +328,10 @@ class Tensor:
         return Tensor._make(out_data, (self,), "sigmoid", backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
+        out_data = np.maximum(self.data, 0.0)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask)
+            self._accumulate(g * (self.data > 0))
 
         return Tensor._make(out_data, (self,), "relu", backward)
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd import Tensor
-from ..autograd import functional as F
+from ..autograd import Tensor, no_grad
 from ..autograd.module import GRUCell, Linear, Module
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
-from .attention import _masked_softmax_np
+from .attention import VanillaTemporalAttention
 from .config import ModelConfig
 from .time_encoding import CosineTimeEncoder
 
@@ -80,13 +79,12 @@ class APAN(Module):
         super().__init__()
         self.cfg = cfg
         self.mailbox_size = mailbox_size
-        # A delivered message carries the sender state and the edge feature.
+        # A delivered message carries the sender state and the edge feature:
+        # exactly the key/value input of the Eqs. 11-15 aggregator, which
+        # therefore attends over the mailbox as it would over neighbors.
         self.mail_dim = cfg.memory_dim + cfg.edge_dim
-        kv_in = self.mail_dim + cfg.time_dim
         self.time_encoder = CosineTimeEncoder(cfg.time_dim, rng=rng)
-        self.w_q = Linear(cfg.memory_dim + cfg.time_dim, cfg.embed_dim, rng=rng)
-        self.w_k = Linear(kv_in, cfg.embed_dim, rng=rng)
-        self.w_v = Linear(kv_in, cfg.embed_dim, rng=rng)
+        self.attention = VanillaTemporalAttention(cfg, rng=rng)
         self.out_transform = Linear(cfg.embed_dim + cfg.memory_dim,
                                     cfg.embed_dim, rng=rng)
         self.updater = GRUCell(cfg.embed_dim, cfg.memory_dim, rng=rng)
@@ -98,6 +96,26 @@ class APAN(Module):
                                   self.mail_dim, self.mailbox_size)
 
     # ------------------------------------------------------------------ #
+    def _query(self, nodes: np.ndarray, t: np.ndarray, rt: APANRuntime,
+               graph: TemporalGraph) -> tuple[Tensor, Tensor]:
+        """The latency-critical path: ``(embeddings, attention summary)`` of
+        the ``(node, time)`` queries over their own mailboxes.  Reads ``rt``,
+        writes nothing."""
+        d_mem = self.cfg.memory_dim
+        state = Tensor(rt.state[nodes])
+        if self.node_proj is not None:
+            state = state + self.node_proj(Tensor(graph.node_feat[nodes]))
+        mail = rt.mailbox[nodes]                       # (n, K, d_mail)
+        mail_t = rt.mail_time[nodes]                   # (n, K)
+        mask = mail_t > -np.inf
+        dt = np.where(mask, np.maximum(t[:, None] - mail_t, 0.0), 0.0)
+        hidden = self.attention(
+            state, mail[..., :d_mem], mail[..., d_mem:],
+            self.time_encoder(dt), self.time_encoder(np.zeros(len(nodes))),
+            mask).hidden
+        emb = self.out_transform(Tensor.concat([hidden, state], axis=-1))
+        return emb.relu(), hidden
+
     def process_batch(self, batch: EdgeBatch, rt: APANRuntime,
                       graph: TemporalGraph) -> Tensor:
         """Process one batch; returns ``(2B, embed_dim)`` embeddings.
@@ -106,32 +124,9 @@ class APAN(Module):
         state available *before* this batch's propagation (async delivery),
         exactly like APAN's decoupled inference.
         """
-        cfg = self.cfg
         nodes = batch.nodes
         t_nodes = np.repeat(batch.t, 2)
-
-        # --- query path: attend over own mailbox ------------------------- #
-        state = rt.state[nodes]
-        if self.node_proj is not None:
-            state = state + (graph.node_feat[nodes]
-                             @ self.node_proj.weight.data.T
-                             + self.node_proj.bias.data)
-        mail = rt.mailbox[nodes]                       # (n, K, d_mail)
-        mail_t = rt.mail_time[nodes]                   # (n, K)
-        mask = mail_t > -np.inf
-        dt = np.where(mask, np.maximum(t_nodes[:, None] - mail_t, 0.0), 0.0)
-
-        state_t = Tensor(state)
-        q = self.w_q(Tensor.concat(
-            [state_t, self.time_encoder(np.zeros(len(nodes)))], axis=-1))
-        kv = Tensor.concat([Tensor(mail), self.time_encoder(dt)], axis=-1)
-        keys = self.w_k(kv)
-        values = self.w_v(kv)
-        logits = (keys * q.reshape(len(nodes), 1, cfg.embed_dim)).sum(axis=-1)
-        logits = logits * (1.0 / np.sqrt(self.mailbox_size))
-        alpha = F.masked_softmax(logits, mask, axis=-1)
-        hidden = (alpha.reshape(len(nodes), self.mailbox_size, 1) * values).sum(axis=1)
-        emb = self.out_transform(Tensor.concat([hidden, state_t], axis=-1)).relu()
+        emb, hidden = self._query(nodes, t_nodes, rt, graph)
 
         # --- async path: state update + message delivery ----------------- #
         new_state = self.updater(hidden, Tensor(rt.state[nodes]))
@@ -149,41 +144,16 @@ class APAN(Module):
                     graph: TemporalGraph) -> Tensor:
         """Query-only path: embeddings for arbitrary (node, time) pairs.
 
-        Runs the identical mailbox attention as :meth:`process_batch` but
-        performs no state update and no message delivery.  Used for
-        negative-sample scoring so positives and negatives go through the
-        same computation.
+        The mailbox attention of :meth:`process_batch` with no state update
+        and no message delivery.  Used for negative-sample scoring so
+        positives and negatives go through the same computation.
         """
-        cfg = self.cfg
-        nodes = np.asarray(nodes, dtype=np.int64)
-        t = np.asarray(t, dtype=np.float64)
-        state = rt.state[nodes]
-        if self.node_proj is not None:
-            state = state + (graph.node_feat[nodes]
-                             @ self.node_proj.weight.data.T
-                             + self.node_proj.bias.data)
-        mail = rt.mailbox[nodes]
-        mail_t = rt.mail_time[nodes]
-        mask = mail_t > -np.inf
-        dt = np.where(mask, np.maximum(t[:, None] - mail_t, 0.0), 0.0)
-        state_t = Tensor(state)
-        q = self.w_q(Tensor.concat(
-            [state_t, self.time_encoder(np.zeros(len(nodes)))], axis=-1))
-        kv = Tensor.concat([Tensor(mail), self.time_encoder(dt)], axis=-1)
-        keys = self.w_k(kv)
-        values = self.w_v(kv)
-        logits = (keys * q.reshape(len(nodes), 1, cfg.embed_dim)).sum(axis=-1)
-        logits = logits * (1.0 / np.sqrt(self.mailbox_size))
-        alpha = F.masked_softmax(logits, mask, axis=-1)
-        hidden = (alpha.reshape(len(nodes), self.mailbox_size, 1)
-                  * values).sum(axis=1)
-        return self.out_transform(
-            Tensor.concat([hidden, state_t], axis=-1)).relu()
+        return self._query(np.asarray(nodes, dtype=np.int64),
+                           np.asarray(t, dtype=np.float64), rt, graph)[0]
 
     def infer_batch(self, batch: EdgeBatch, rt: APANRuntime,
                     graph: TemporalGraph) -> np.ndarray:
-        """Deployment path (numpy only)."""
-        from ..autograd import no_grad
+        """Deployment path: :meth:`process_batch` under ``no_grad``."""
         with no_grad():
             return self.process_batch(batch, rt, graph).data
 

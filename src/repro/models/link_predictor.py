@@ -29,10 +29,3 @@ class LinkPredictor(Module):
         """Score vertex pairs; returns ``(n,)`` logits."""
         pair = Tensor.concat([h_src, h_dst], axis=-1)
         return self.mlp(pair).reshape(-1)
-
-    def score_numpy(self, h_src: np.ndarray, h_dst: np.ndarray) -> np.ndarray:
-        """Graph-free scoring path (deployment)."""
-        x = np.concatenate([h_src, h_dst], axis=1)
-        h = x @ self.mlp.fc1.weight.data.T + self.mlp.fc1.bias.data
-        np.maximum(h, 0.0, out=h)
-        return (h @ self.mlp.fc2.weight.data.T + self.mlp.fc2.bias.data).ravel()

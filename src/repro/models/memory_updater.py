@@ -7,6 +7,12 @@ benchmark family.  Both consume a vertex's cached raw message plus the time
 encoding of the gap between the mail's timestamp and the vertex's previous
 memory update, and both map onto the hardware MUU of §IV-B (the RNN uses a
 single gate array).
+
+Each updater has one ``forward``, which serves training and — under
+``no_grad`` — deployment.  The two differ only in how the input product
+``W_i [m || Phi(dt)]`` is formed (:meth:`_Updater.input_product`): from the
+encoder's output, or, given the ``premul`` tables of
+``TGNN.prepare_inference``, with the time slice as one LUT read (§III-C).
 """
 
 from __future__ import annotations
@@ -14,98 +20,84 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, init
-from ..autograd.module import GRUCell, Linear, Module, Parameter
+from ..autograd.module import GRUCell, Module, Parameter
 from .config import ModelConfig
 
 __all__ = ["GRUMemoryUpdater", "RNNMemoryUpdater"]
 
 
-class GRUMemoryUpdater(Module):
-    """``s' = GRU(m || Phi(dt), s)`` over a batch of vertices.
+class _Updater(Module):
+    """What the updaters share: the input weights ``w_ih`` and their product
+    with ``[m || Phi(dt)]``.
 
     The time encoder is shared with the attention aggregator (as in TGN) and
     injected by the parent model.
     """
 
-    def __init__(self, cfg: ModelConfig, time_encoder: Module,
-                 rng: np.random.Generator | None = None):
+    w_ih: Parameter
+
+    def __init__(self, cfg: ModelConfig, time_encoder: Module):
         super().__init__()
         self.cfg = cfg
         self.time_encoder = time_encoder
-        self.gru = GRUCell(cfg.message_dim, cfg.memory_dim, rng=rng)
 
-    def forward(self, raw_messages: np.ndarray, dt: np.ndarray,
-                memory: np.ndarray) -> Tensor:
-        """Update memory for ``n`` vertices.
+    def input_product(self, raw_messages: np.ndarray, dt: np.ndarray,
+                      premul: dict | None = None) -> Tensor:
+        """``W_i [m || Phi(dt)]`` for ``n`` vertices (no bias).
 
-        Parameters
-        ----------
-        raw_messages: ``(n, raw_message_dim)`` cached mail payloads.
-        dt: ``(n,)`` mail timestamp minus previous memory-update timestamp
-            (clipped at zero by the caller).
-        memory: ``(n, memory_dim)`` previous memory ``s``.
+        ``raw_messages`` is ``(n, raw_message_dim)`` cached mail and ``dt``
+        ``(n,)`` mail timestamp minus previous memory-update timestamp
+        (clipped at zero by the caller).  With ``premul`` the time slice of
+        the product is the premultiplied LUT row ``premul["updt"][bin]`` and
+        the raw slice multiplies the packed ``premul["updt_raw"]``.
         """
-        phi = self.time_encoder(np.asarray(dt, dtype=np.float64))
-        m = Tensor.concat([Tensor(np.asarray(raw_messages, dtype=np.float64)),
-                           phi], axis=-1)
-        return self.gru(m, Tensor(np.asarray(memory, dtype=np.float64)))
-
-    # ------------------------------------------------------------------ #
-    def forward_numpy(self, raw_messages: np.ndarray, dt: np.ndarray,
-                      memory: np.ndarray,
-                      time_features: np.ndarray | None = None) -> np.ndarray:
-        """Graph-free inference path, bit-compatible with :meth:`forward`.
-
-        ``time_features`` lets a caller supply pre-computed (e.g. LUT)
-        encodings; otherwise the shared encoder is invoked.
-        """
-        if time_features is None:
-            time_features = self.time_encoder.encode_numpy(
-                np.asarray(dt, dtype=np.float64))
-        m = np.concatenate([raw_messages, time_features], axis=1)
-        gi = m @ self.gru.weight_ih.data.T + self.gru.bias_ih.data
-        return self._gates(gi, memory)
-
-    def forward_numpy_premul(self, raw_messages: np.ndarray,
-                             bins: np.ndarray, premul_table: np.ndarray,
-                             w_raw: np.ndarray,
-                             memory: np.ndarray) -> np.ndarray:
-        """LUT fast path: the time slice of ``W_ih @ input`` is one lookup
-        and ``w_raw`` is the packed :meth:`input_raw_weight`."""
-        gi = raw_messages @ w_raw.T + premul_table[bins] + self.gru.bias_ih.data
-        return self._gates(gi, memory)
+        raw = Tensor(raw_messages)
+        if premul is None:
+            return Tensor.concat([raw, self.time_encoder(dt)],
+                                 axis=-1) @ self.w_ih.T
+        return (raw @ premul["updt_raw"].T
+                + premul["updt"][self.time_encoder.bin_index(dt)])
 
     def input_time_weight(self) -> np.ndarray:
-        """Time-encoding slice of the stacked input weights (for premult)."""
-        return self.gru.weight_ih.data[:, -self.cfg.time_dim:]
+        """Time-encoding slice of the input weights (for premultiplication)."""
+        return self.w_ih.data[:, -self.cfg.time_dim:]
 
     def input_raw_weight(self) -> np.ndarray:
         """Contiguous copy of the raw-message slice (packed once at prepare)."""
-        return np.ascontiguousarray(
-            self.gru.weight_ih.data[:, :-self.cfg.time_dim])
-
-    def _gates(self, gi: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        h = self.cfg.memory_dim
-        gh = memory @ self.gru.weight_hh.data.T + self.gru.bias_hh.data
-        r = _sigmoid(gi[:, 0:h] + gh[:, 0:h])
-        z = _sigmoid(gi[:, h:2 * h] + gh[:, h:2 * h])
-        n = np.tanh(gi[:, 2 * h:3 * h] + r * gh[:, 2 * h:3 * h])
-        return (1.0 - z) * n + z * memory
+        return np.ascontiguousarray(self.w_ih.data[:, :-self.cfg.time_dim])
 
 
-class RNNMemoryUpdater(Module):
+class GRUMemoryUpdater(_Updater):
+    """``s' = GRU(m || Phi(dt), s)`` over a batch of vertices."""
+
+    def __init__(self, cfg: ModelConfig, time_encoder: Module,
+                 rng: np.random.Generator | None = None):
+        super().__init__(cfg, time_encoder)
+        self.gru = GRUCell(cfg.message_dim, cfg.memory_dim, rng=rng)
+
+    @property
+    def w_ih(self) -> Parameter:
+        return self.gru.weight_ih
+
+    def forward(self, raw_messages: np.ndarray, dt: np.ndarray,
+                memory: np.ndarray, premul: dict | None = None) -> Tensor:
+        """Update ``(n, memory_dim)`` previous memory ``s``."""
+        gi = self.input_product(raw_messages, dt, premul) + self.gru.bias_ih
+        return self.gru.gates(gi, Tensor(memory))
+
+
+class RNNMemoryUpdater(_Updater):
     """Vanilla-RNN updater: ``s' = tanh(W_i [m || Phi(dt)] + W_h s + b)``.
 
     One third of the GRU's gate compute; the TGN paper reports slightly
-    lower accuracy.  Shares the LUT premultiplication interface with the
-    GRU so every co-design optimization applies unchanged.
+    lower accuracy.  Shares the input product, and with it the LUT
+    premultiplication, with the GRU so every co-design optimization applies
+    unchanged.
     """
 
     def __init__(self, cfg: ModelConfig, time_encoder: Module,
                  rng: np.random.Generator | None = None):
-        super().__init__()
-        self.cfg = cfg
-        self.time_encoder = time_encoder
+        super().__init__(cfg, time_encoder)
         self.w_ih = Parameter(init.glorot_uniform(cfg.memory_dim,
                                                   cfg.message_dim, rng=rng))
         self.w_hh = Parameter(init.glorot_uniform(cfg.memory_dim,
@@ -113,39 +105,6 @@ class RNNMemoryUpdater(Module):
         self.bias = Parameter(np.zeros(cfg.memory_dim))
 
     def forward(self, raw_messages: np.ndarray, dt: np.ndarray,
-                memory: np.ndarray) -> Tensor:
-        phi = self.time_encoder(np.asarray(dt, dtype=np.float64))
-        m = Tensor.concat([Tensor(np.asarray(raw_messages, dtype=np.float64)),
-                           phi], axis=-1)
-        s = Tensor(np.asarray(memory, dtype=np.float64))
-        return (m @ self.w_ih.T + s @ self.w_hh.T + self.bias).tanh()
-
-    def forward_numpy(self, raw_messages: np.ndarray, dt: np.ndarray,
-                      memory: np.ndarray,
-                      time_features: np.ndarray | None = None) -> np.ndarray:
-        if time_features is None:
-            time_features = self.time_encoder.encode_numpy(
-                np.asarray(dt, dtype=np.float64))
-        m = np.concatenate([raw_messages, time_features], axis=1)
-        return np.tanh(m @ self.w_ih.data.T + memory @ self.w_hh.data.T
-                       + self.bias.data)
-
-    def forward_numpy_premul(self, raw_messages: np.ndarray,
-                             bins: np.ndarray, premul_table: np.ndarray,
-                             w_raw: np.ndarray,
-                             memory: np.ndarray) -> np.ndarray:
-        return np.tanh(raw_messages @ w_raw.T + premul_table[bins]
-                       + memory @ self.w_hh.data.T + self.bias.data)
-
-    def input_time_weight(self) -> np.ndarray:
-        return self.w_ih.data[:, -self.cfg.time_dim:]
-
-    def input_raw_weight(self) -> np.ndarray:
-        return np.ascontiguousarray(self.w_ih.data[:, :-self.cfg.time_dim])
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Stable logistic matching Tensor.sigmoid exactly."""
-    ax = np.abs(x)
-    e = np.exp(-ax)
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+                memory: np.ndarray, premul: dict | None = None) -> Tensor:
+        return (self.input_product(raw_messages, dt, premul)
+                + Tensor(memory) @ self.w_hh.T + self.bias).tanh()

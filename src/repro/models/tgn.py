@@ -9,20 +9,24 @@ and the pruning budget.  The model follows the paper's Algorithm 1 exactly:
     3. compute output embeddings via temporal attention  (GNN / EU)
     4. append the new edges to the neighbor table        (FIFO sampler)
 
-Two execution paths share the same parameters:
+There is one model body.  :meth:`TGNN.process_batch` is
+:meth:`~TGNN.update_memory` then :meth:`~TGNN.embed`, differentiable, for
+training and distillation; :meth:`TGNN.infer_batch` is the same four steps
+under ``no_grad`` with the Table I stage clock around them.  The body runs
+in the deployed order whoever calls it: the updater runs on the rows that
+have mail only, and the simplified-attention GNN stage decides top-k from
+the Δt logits first, gathers the selected neighbors only, sums the
+alpha-weighted raw neighbor vectors (FAM) and applies ``W_v`` once per node
+(FTM) — the accelerator's order (§IV-B), exact because the value map is
+affine and Eq. (16)'s ``alpha`` depends on Δt only.
 
-* :meth:`process_batch` — autograd path used for training and distillation;
-* :meth:`infer_batch` — pure-NumPy deployment path with *actual* pruned
-  gathers and pre-multiplied LUT tables, instrumented with the per-stage
-  timings of Table I.  Its simplified-attention GNN stage runs in the
-  accelerator's order (§IV-B): aggregate the alpha-weighted raw neighbor
-  vectors (FAM), then apply ``W_v`` once per node (FTM) — exact because the
-  value map is affine and Eq. (16)'s ``alpha`` depends on Δt only.  The
-  autograd path keeps per-neighbor values as the training reference; the
-  deployment path's old per-neighbor body is the oracle of
-  ``tests/property/test_gnn_kernel_properties.py``.  The two paths agree
-  to float round-off (asserted by integration tests); the hardware
-  simulator runs neither — it prices batches from their shape.
+The one thing ``infer_batch`` adds is the ``prepare_inference`` tables: it
+alone reads them and hands them down as ``premul=``, which turns every
+time-feature matmul into a LUT read (§III-C).  ``process_batch`` never sees
+them, so a prepared model (what :func:`~repro.models.checkpoint.load_model`
+returns) still trains every parameter.  The numpy deployment body this
+replaced is the oracle of ``tests/property/test_gnn_kernel_properties.py``;
+the hardware simulator runs no kernel — it prices batches from their shape.
 
 Worker-pool contract (measured serving backends)
 ------------------------------------------------
@@ -42,7 +46,7 @@ names the Table I stage keys ``infer_batch`` reports via ``timings``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +55,9 @@ from ..autograd.module import Linear, Module
 from ..graph.sampler import FIFONeighborSampler
 from ..graph.state import VertexState
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
+from ..autograd import functional as F
 from .attention import (DT_SCALE, AttentionOutput, SimplifiedTemporalAttention,
-                        VanillaTemporalAttention, _masked_softmax_np)
+                        VanillaTemporalAttention)
 from .config import ModelConfig
 from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater
 from .message import build_raw_messages
@@ -70,15 +75,12 @@ KERNEL_STAGES = ("memory", "sample", "gnn", "update")
 
 def _assemble_endpoints(batch: EdgeBatch) -> tuple[np.ndarray, np.ndarray,
                                                    np.ndarray, np.ndarray]:
-    """Per-batch endpoint assembly shared by both pipeline stages.
+    """Per-batch endpoint assembly of the memory stage.
 
     Returns ``(nodes, t_nodes, uniq, inverse)``: the interleaved endpoint
     ids, each endpoint's edge timestamp (every edge contributes its ``t``
     twice — once per endpoint), and the unique-vertex table with the
-    inverse map back to endpoint rows.  Every memory-update entry point
-    (autograd, numpy, LUT-premultiplied) starts from exactly this tuple,
-    and ``infer_batch`` reuses ``t_nodes`` downstream instead of
-    recomputing the repeat.
+    inverse map back to endpoint rows.
     """
     nodes = batch.nodes
     t_nodes = np.repeat(batch.t, 2)
@@ -121,7 +123,6 @@ class BatchResult:
     nodes: np.ndarray          # (2B [+n_neg],) vertex ids: src0, dst0, ...
     embeddings: Tensor         # (2B [+n_neg], embed_dim)
     attention: AttentionOutput | None = None
-    dt_scaled: np.ndarray | None = None   # (rows, k) scaled neighbor gaps
     num_edges: int = 0         # B; 0 means "infer from len(nodes)//2"
 
     def _b(self) -> int:
@@ -211,73 +212,43 @@ class TGNN(Module):
             self._premul_cache = None
 
     # ------------------------------------------------------------------ #
-    # shared per-batch preparation                                        #
+    # Algorithm 1: memory stage, then GNN stage                           #
     # ------------------------------------------------------------------ #
-    def _refresh_mail(self, rt: ModelRuntime, batch: EdgeBatch,
-                      nodes: np.ndarray, t_nodes: np.ndarray,
-                      inverse: np.ndarray, updated: np.ndarray) -> None:
-        """Refresh cached messages with the new signals (last write wins)."""
-        mem_src = updated[inverse[0::2]]
-        mem_dst = updated[inverse[1::2]]
-        msg_src, msg_dst = build_raw_messages(mem_src, mem_dst,
-                                              batch.edge_feat)
+    def update_memory(self, batch: EdgeBatch, rt: ModelRuntime,
+                      premul: dict | None = None) -> MemoryUpdate:
+        """Stage 1 of :meth:`process_batch` (Algorithm 1 lines 3-8): memory
+        update + mail refresh.
+
+        Consumes each endpoint's cached message — the updater runs on the
+        rows that have mail, the others keep their memory — commits the
+        updated rows (detached) and the batch's new raw messages to ``rt``,
+        and returns the stage-1 results stage 2 (:meth:`embed`) needs.
+        Exposed separately so distributed runtimes can forward the
+        freshly-written rows between the two stages
+        (:mod:`repro.serving.memsync`).  ``premul`` is
+        :meth:`infer_batch`'s hand-down of the ``prepare_inference`` tables.
+        """
+        nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
+        mem, mail, mail_t, last = rt.state.read(uniq)
+        has_mail = mail_t > -np.inf
+        updated = Tensor(mem)
+        if has_mail.any():
+            idx = np.nonzero(has_mail)[0]
+            dt = np.maximum(mail_t[idx] - last[idx], 0.0)
+            new = self.memory_updater(mail[idx], dt, mem[idx], premul)
+            # Commit detached state before the GNN reads neighbor memory.
+            rt.state.write_memory(uniq[idx], new.data, mail_t[idx])
+            # Row i of `updated` is row (mail rows up to i) - 1 of `new`.
+            updated = Tensor.where(has_mail[:, None],
+                                   new[np.cumsum(has_mail) - 1], updated)
+        # Refresh cached messages with the new signals (last write wins).
+        msg_src, msg_dst = build_raw_messages(
+            updated.data[inverse[0::2]], updated.data[inverse[1::2]],
+            batch.edge_feat)
         msgs = np.empty((len(nodes), self.cfg.raw_message_dim))
         msgs[0::2] = msg_src
         msgs[1::2] = msg_dst
         rt.state.write_mail(nodes, msgs, t_nodes)
-
-    def _update_memory_np(self, batch: EdgeBatch, rt: ModelRuntime
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     np.ndarray]:
-        """Algorithm 1 lines 3-8 (numpy): returns (nodes, t_nodes, inverse,
-        updated).
-
-        ``updated`` holds the post-GRU memory for the batch's unique
-        vertices; state (memory + mailbox) is committed as a side effect.
-        After :meth:`prepare_inference` on a LUT encoder the GRU's time
-        contribution is one table read (:meth:`_gru_lut_np`).
-        """
-        nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
-        mem, mail, mail_t, last = rt.state.read(uniq)
-        has_mail = mail_t > -np.inf
-        updated = mem.copy()
-        if has_mail.any():
-            idx = np.nonzero(has_mail)[0]
-            dt = np.maximum(mail_t[idx] - last[idx], 0.0)
-            if self._premul_cache is None:
-                updated[idx] = self.memory_updater.forward_numpy(
-                    mail[idx], dt, mem[idx],
-                    time_features=self.time_encoder.encode_numpy(dt))
-            else:
-                updated[idx] = self._gru_lut_np(mail[idx], dt, mem[idx])
-            rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx])
-        self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated)
-        return nodes, t_nodes, inverse, updated
-
-    # ------------------------------------------------------------------ #
-    # training path (autograd)                                            #
-    # ------------------------------------------------------------------ #
-    def update_memory(self, batch: EdgeBatch,
-                      rt: ModelRuntime) -> MemoryUpdate:
-        """Stage 1 of :meth:`process_batch`: GRU memory update + mail refresh.
-
-        Consumes each endpoint's cached message, commits the updated memory
-        rows (detached) and the batch's new raw messages to ``rt``, and
-        returns the stage-1 results stage 2 (:meth:`embed`) needs.  Exposed
-        separately so distributed runtimes can forward the freshly-written
-        rows between the two stages (:mod:`repro.serving.memsync`).
-        """
-        nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
-        mem, mail, mail_t, last = rt.state.read(uniq)
-        has_mail = mail_t > -np.inf
-        dt_mail = np.where(has_mail, np.maximum(mail_t - last, 0.0), 0.0)
-        raw = np.where(has_mail[:, None], mail, 0.0)
-        gru_out = self.memory_updater(raw, dt_mail, mem)
-        updated = Tensor.where(has_mail[:, None], gru_out, Tensor(mem))
-        # Commit detached state before the GNN reads neighbor memory.
-        commit_t = np.where(has_mail, mail_t, last)
-        rt.state.write_memory(uniq, updated.data, commit_t)
-        self._refresh_mail(rt, batch, nodes, t_nodes, inverse, updated.data)
         return MemoryUpdate(nodes=nodes, t_nodes=t_nodes, inverse=inverse,
                             updated=updated)
 
@@ -317,51 +288,92 @@ class TGNN(Module):
         twice; it must cover exactly the batch's endpoint queries, so it
         cannot be combined with ``neg_dst``.
         """
-        cfg = self.cfg
-        nodes, t_nodes = update.nodes, update.t_nodes
-        inverse, updated = update.inverse, update.updated
-        query_nodes = nodes
-        query_t = t_nodes
-        self_feat = updated[inverse]
+        nodes, t = update.nodes, update.t_nodes
+        memory = update.updated[update.inverse]
         if neg_dst is not None and len(neg_dst) > 0:
             if gathered is not None:
                 raise ValueError("gathered covers only the endpoint "
                                  "queries; it cannot be used with neg_dst")
             neg = np.asarray(neg_dst, dtype=np.int64)
-            neg_t = np.resize(batch.t, len(neg))
-            query_nodes = np.concatenate([nodes, neg])
-            query_t = np.concatenate([t_nodes, neg_t])
-            self_feat = Tensor.concat(
-                [self_feat, Tensor(rt.state.memory[neg])], axis=0)
-
+            nodes = np.concatenate([nodes, neg])
+            t = np.concatenate([t, np.resize(batch.t, len(neg))])
+            memory = Tensor.concat([memory, Tensor(rt.state.memory[neg])],
+                                   axis=0)
         g = gathered if gathered is not None \
-            else rt.sampler.gather(query_nodes, cfg.num_neighbors)
-        dt_nbr = np.maximum(query_t[:, None] - g.times, 0.0)
-        dt_nbr = np.where(g.mask, dt_nbr, 0.0)
-        nbr_mem = rt.state.memory[g.nbrs]
-        e_feat = graph.edge_feat[g.eids]
-        e_feat = np.where(g.mask[:, :, None], e_feat, 0.0)
+            else rt.sampler.gather(nodes, self.cfg.num_neighbors)
+        result = self._gnn_stage(nodes, t, memory, g, rt, graph)
+        rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
+        result.num_edges = len(batch)
+        return result
 
-        nbr_feat = Tensor(nbr_mem)
+    def _features(self, nodes: np.ndarray, rt: ModelRuntime,
+                  graph: TemporalGraph, memory: Tensor | None = None) -> Tensor:
+        """``f'_i = s_i (+ W_s f_i)`` for ``nodes`` of any shape: committed
+        memory rows unless ``memory`` supplies them (the batch's own,
+        differentiable), plus the projected static node features."""
+        feat = Tensor(rt.state.memory[nodes]) if memory is None else memory
         if self.node_proj is not None:
-            self_feat = self_feat + self.node_proj(
-                Tensor(graph.node_feat[query_nodes]))
-            nbr_feat = nbr_feat + self.node_proj(Tensor(graph.node_feat[g.nbrs]))
-        time_enc = self.time_encoder(dt_nbr)
-        time_zero = self.time_encoder(np.zeros(len(query_nodes)))
-        dt_scaled = dt_nbr * DT_SCALE
-        attn = self.attention(query_feat=self_feat, nbr_feat=nbr_feat,
-                              edge_feat=e_feat, time_enc=time_enc,
-                              time_enc_zero=time_zero, mask=g.mask,
-                              dt_scaled=dt_scaled)
+            feat = feat + self.node_proj(Tensor(graph.node_feat[nodes]))
+        return feat
+
+    def _gnn_stage(self, nodes: np.ndarray, t: np.ndarray, memory: Tensor,
+                   g, rt: ModelRuntime, graph: TemporalGraph,
+                   premul: dict | None = None) -> BatchResult:
+        """Embeddings of the ``(nodes, t)`` queries whose own memory rows are
+        ``memory``, over their gathered neighbors ``g``.  The one method a
+        deeper GNN overrides."""
+        self_feat = self._features(nodes, rt, graph, memory)
+        attn = self._attend(
+            self.attention, t, self_feat, g, graph,
+            lambda nbrs: self._features(nbrs, rt, graph), premul)
         emb = self.out_transform(
             Tensor.concat([attn.hidden, self_feat], axis=-1)).relu()
-        rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
-        return BatchResult(nodes=query_nodes, embeddings=emb, attention=attn,
-                           dt_scaled=dt_scaled, num_edges=len(batch))
+        return BatchResult(nodes=nodes, embeddings=emb, attention=attn)
+
+    def _attend(self, attn: Module, t: np.ndarray, self_feat: Tensor, g,
+                graph: TemporalGraph, nbr_repr,
+                premul: dict | None = None) -> AttentionOutput:
+        """One attention layer: the ``n`` queries at times ``t`` over their
+        gathered neighbors ``g``; ``nbr_repr(nbrs)`` maps an ``(n, p)``
+        block of neighbor ids to their ``(n, p, d)`` representations."""
+        dt = np.where(g.mask, np.maximum(t[:, None] - g.times, 0.0), 0.0)
+        if isinstance(attn, VanillaTemporalAttention):
+            e_feat = np.where(g.mask[:, :, None], graph.edge_feat[g.eids], 0.0)
+            return attn(self_feat, nbr_repr(g.nbrs), e_feat,
+                        self.time_encoder(dt),
+                        self.time_encoder(np.zeros(len(t))), g.mask)
+        # Eq. (16): which neighbors matter is known from Δt alone, before
+        # any of their state is fetched (§III-B pruning, §IV-C prefetch).
+        logits = attn.logits_from_dt(dt * DT_SCALE)
+        nbrs, eids, sel_logits = g.nbrs, g.eids, logits
+        selected = sel_mask = g.mask
+        budget = self.cfg.pruning_budget
+        if budget is not None:
+            # One top-k pass: `selected` is reported full-width, its compact
+            # form drives the gathers.
+            selected = top_k_mask(logits.data, g.mask, budget)
+            idx, sel_mask = compact_selection(selected, budget)
+            rows = np.arange(len(t))[:, None]
+            nbrs, eids, dt = nbrs[rows, idx], eids[rows, idx], dt[rows, idx]
+            sel_logits = logits[rows, idx]
+        alpha = F.masked_softmax(sel_logits, sel_mask)
+        # One gathered (n, p, .) block alive at a time: under `no_grad` each
+        # is summed to (n, .) and freed before the next is fetched, so the
+        # stage's peak temporary is one block, not three (at k = 10 the
+        # allocator otherwise trims and re-faults ~12 MB per batch).
+        nbr = attn.aggregate(alpha, nbr_repr(nbrs))
+        edge = attn.aggregate(alpha, Tensor(graph.edge_feat[eids]))
+        # After prepare_inference the time term needs no matmul: it is the
+        # premultiplied LUT row, already in value space.
+        time_feat = self.time_encoder(dt) if premul is None \
+            else Tensor(premul["attn_v"][self.time_encoder.bin_index(dt)])
+        hidden = attn.transform(alpha, nbr, edge,
+                                attn.aggregate(alpha, time_feat), premul)
+        return AttentionOutput(hidden=hidden, logits=logits, mask=g.mask,
+                               selected=selected)
 
     # ------------------------------------------------------------------ #
-    # deployment path (pure numpy, really-pruned gathers)                 #
+    # deployment: the same body under no_grad, clocked per stage          #
     # ------------------------------------------------------------------ #
     def prepare_inference(self) -> None:
         """Pre-multiply the LUT table with the downstream weight slices.
@@ -370,7 +382,7 @@ class TGNN(Module):
         matmul with a table lookup — the §III-C computation-order reversal —
         and multiplies by contiguous raw-feature weight slices packed here
         once instead of sliced per batch.  Call again after any parameter
-        change.
+        change.  Nothing but ``infer_batch`` reads the tables.
         """
         self._premul_cache = None
         if not isinstance(self.time_encoder, LUTTimeEncoder):
@@ -388,112 +400,31 @@ class TGNN(Module):
     def infer_batch(self, batch: EdgeBatch, rt: ModelRuntime,
                     graph: TemporalGraph,
                     timings: dict[str, float] | None = None) -> BatchResult:
-        """Fast inference for one batch; optionally accumulates per-stage
-        wall-clock seconds into ``timings`` under the Table I stage names
-        (``sample`` / ``memory`` / ``gnn`` / ``update``)."""
-        cfg = self.cfg
+        """Inference for one batch: :meth:`process_batch` under ``no_grad``
+        with the ``prepare_inference`` tables; optionally accumulates
+        per-stage wall-clock seconds into ``timings`` under the Table I
+        stage names (:data:`KERNEL_STAGES`)."""
+        premul = self._premul_cache
         tic = time.perf_counter
-
-        # memory: mailbox consumption + GRU (Table I "memory" part).
-        t0 = tic()
-        nodes, t_nodes, inverse, updated = self._update_memory_np(batch, rt)
-        t1 = tic()
-
-        # sample: neighbor-table fetch (Table I "sample" part).
-        g = rt.sampler.gather(nodes, cfg.num_neighbors)
-        t2 = tic()
-
-        # gnn: attention + transform (Table I "GNN" part).
-        emb, attn_logits, sel = self._gnn_numpy(nodes, t_nodes, g, updated,
-                                                inverse, rt, graph)
-        t3 = tic()
-
-        # update: neighbor-table append (memory/mail writes were already
-        # committed inside the memory stage, mirroring Algorithm 1's order).
-        rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
-        t4 = tic()
-
+        with no_grad():
+            # memory: mailbox consumption + GRU (Table I "memory" part).
+            t0 = tic()
+            update = self.update_memory(batch, rt, premul)
+            t1 = tic()
+            # sample: neighbor-table fetch (Table I "sample" part).
+            g = rt.sampler.gather(update.nodes, self.cfg.num_neighbors)
+            t2 = tic()
+            # gnn: attention + transform (Table I "GNN" part).
+            result = self._gnn_stage(update.nodes, update.t_nodes,
+                                     update.updated[update.inverse], g, rt,
+                                     graph, premul)
+            t3 = tic()
+            # update: neighbor-table append (memory/mail writes were
+            # committed inside the memory stage, as in Algorithm 1).
+            rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
+            t4 = tic()
         if timings is not None:
-            timings["memory"] = timings.get("memory", 0.0) + (t1 - t0)
-            timings["sample"] = timings.get("sample", 0.0) + (t2 - t1)
-            timings["gnn"] = timings.get("gnn", 0.0) + (t3 - t2)
-            timings["update"] = timings.get("update", 0.0) + (t4 - t3)
-        attn = AttentionOutput(hidden=Tensor(np.zeros((len(nodes), 0))),
-                               logits=Tensor(attn_logits), mask=g.mask,
-                               selected=sel)
-        return BatchResult(nodes=nodes, embeddings=Tensor(emb),
-                           attention=attn, dt_scaled=None)
-
-    def _gru_lut_np(self, raw: np.ndarray, dt: np.ndarray,
-                    memory: np.ndarray) -> np.ndarray:
-        """Updater step where ``W[:, time] @ Phi(dt)`` is one LUT read."""
-        cache = self._premul_cache
-        return self.memory_updater.forward_numpy_premul(
-            raw, self.time_encoder.bin_index(dt), cache["updt"],
-            cache["updt_raw"], memory)
-
-    def _gnn_numpy(self, nodes, t_nodes, g, updated, inverse, rt, graph):
-        """Embedding computation with gather-then-compute pruning."""
-        cfg = self.cfg
-        dt_nbr = np.maximum(t_nodes[:, None] - g.times, 0.0)
-        dt_nbr = np.where(g.mask, dt_nbr, 0.0)
-        self_feat = updated[inverse]
-        if self.node_proj is not None:
-            self_feat = self_feat + (graph.node_feat[nodes]
-                                     @ self.node_proj.weight.data.T
-                                     + self.node_proj.bias.data)
-
-        if isinstance(self.attention, SimplifiedTemporalAttention):
-            attn = self.attention
-            full_logits = attn.logits_numpy(dt_nbr * DT_SCALE)
-            nbrs, eids, sel_dt, sel_logits = g.nbrs, g.eids, dt_nbr, full_logits
-            selected = sel_mask = g.mask
-            if cfg.pruning_budget is not None:
-                # One top-k pass: `selected` is reported full-width, its
-                # compact form drives the gathers.
-                selected = top_k_mask(full_logits, g.mask, cfg.pruning_budget)
-                idx, sel_mask = compact_selection(selected,
-                                                  cfg.pruning_budget)
-                rows = np.arange(len(nodes))[:, None]
-                nbrs, eids = nbrs[rows, idx], eids[rows, idx]
-                sel_dt, sel_logits = dt_nbr[rows, idx], full_logits[rows, idx]
-            alpha = _masked_softmax_np(sel_logits, sel_mask)
-            nbr_feat = rt.state.memory[nbrs]
-            if self.node_proj is not None:
-                nbr_feat = nbr_feat + (graph.node_feat[nbrs]
-                                       @ self.node_proj.weight.data.T
-                                       + self.node_proj.bias.data)
-            # One gathered (n, p, .) block alive at a time: each is summed
-            # to (n, .) and freed before the next is fetched, so the stage's
-            # peak temporary is one block, not three (at k = 10 the
-            # allocator otherwise trims and re-faults ~12 MB per batch).
-            nbr = attn.aggregate_numpy(alpha, nbr_feat)
-            del nbr_feat
-            edge = attn.aggregate_numpy(alpha, graph.edge_feat[eids])
-            # After prepare_inference the time term needs no matmul: it is
-            # the premultiplied LUT row, already in value space.
-            cache = self._premul_cache or {}
-            if "attn_v" in cache:
-                time_feat = cache["attn_v"][self.time_encoder.bin_index(sel_dt)]
-            else:
-                time_feat = self.time_encoder.encode_numpy(sel_dt)
-            hidden = attn.forward_numpy(
-                alpha, nbr, edge, attn.aggregate_numpy(alpha, time_feat),
-                w_raw=cache.get("attn_raw"))
-        else:
-            nbr_feat = rt.state.memory[g.nbrs]
-            if self.node_proj is not None:
-                nbr_feat = nbr_feat + (graph.node_feat[g.nbrs]
-                                       @ self.node_proj.weight.data.T
-                                       + self.node_proj.bias.data)
-            e_feat = np.where(g.mask[:, :, None], graph.edge_feat[g.eids], 0.0)
-            time_enc = self.time_encoder.encode_numpy(dt_nbr)
-            time_zero = self.time_encoder.encode_numpy(np.zeros(len(nodes)))
-            hidden, full_logits = self.attention.forward_numpy(
-                self_feat, nbr_feat, e_feat, time_enc, time_zero, g.mask)
-            selected = g.mask
-
-        out = np.concatenate([hidden, self_feat], axis=1)
-        emb = out @ self.out_transform.weight.data.T + self.out_transform.bias.data
-        np.maximum(emb, 0.0, out=emb)
-        return emb, full_logits, selected
+            for stage, seconds in zip(KERNEL_STAGES,
+                                      (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+                timings[stage] = timings.get(stage, 0.0) + seconds
+        return result

@@ -45,11 +45,6 @@ class CosineTimeEncoder(Module):
         expanded = dt.reshape(*dt.shape, 1)
         return (expanded * self.omega + self.phase).cos()
 
-    def encode_numpy(self, dt: np.ndarray) -> np.ndarray:
-        """Graph-free fast path for pure inference."""
-        return np.cos(np.asarray(dt, dtype=np.float64)[..., None]
-                      * self.omega.data + self.phase.data)
-
 
 class LUTTimeEncoder(Module):
     """Equal-frequency binned time encoder with learnable entries (§III-C).
@@ -89,7 +84,7 @@ class LUTTimeEncoder(Module):
         self.calibrated = True
         if reference is not None:
             centers = self._bin_centers(deltas)
-            self.table.data[...] = reference.encode_numpy(centers)
+            self.table.data[...] = reference(centers).data
 
     def _bin_centers(self, deltas: np.ndarray) -> np.ndarray:
         """Median observed Δt per bin (empty bins fall back to edge values)."""
@@ -116,9 +111,6 @@ class LUTTimeEncoder(Module):
         """Differentiable lookup: gradient scatters into the hit entries."""
         raw = dt.data if isinstance(dt, Tensor) else np.asarray(dt, dtype=np.float64)
         return self.table[self.bin_index(raw)]
-
-    def encode_numpy(self, dt: np.ndarray) -> np.ndarray:
-        return self.table.data[self.bin_index(dt)]
 
     # ------------------------------------------------------------------ #
     def premultiply(self, weight: np.ndarray) -> np.ndarray:

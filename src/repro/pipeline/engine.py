@@ -5,8 +5,8 @@ One protocol (``process_batch -> latency seconds``), two disjoint sides.
 **Executing** backends own a :class:`~repro.models.tgn.ModelRuntime` and run
 ``TGNN.infer_batch``:
 
-* :class:`SoftwareBackend` — runs the NumPy deployment path and reports
-  *measured* wall-clock per batch (this is the "1 CPU thread" system of
+* :class:`SoftwareBackend` — runs the model body under ``no_grad`` and
+  reports *measured* wall-clock per batch (this is the "1 CPU thread" system of
   Table II; its speedups across the model ladder are real measurements, not
   models).  :class:`repro.serving.MeasuredBackend` is its event-core twin.
 
@@ -87,7 +87,7 @@ class EngineReport:
 
 
 class SoftwareBackend:
-    """Measured single-thread NumPy inference (the deployment code path)."""
+    """Measured single-thread ``infer_batch`` (the deployment entry point)."""
 
     name = "cpu-1t-measured"
 

@@ -23,8 +23,8 @@ a physical count:
   hidden products, projections, dot products, weighted sums.  For the
   simplified attention it counts what runs: the published count applies
   ``W_v`` to every neighbor, while the Embedding Unit (:mod:`repro.hw.eu`)
-  and the deployed kernel (``SimplifiedTemporalAttention.forward_numpy``)
-  aggregate the alpha-weighted raw vectors first and apply ``W_v`` once per
+  and the model body (``SimplifiedTemporalAttention.aggregate`` /
+  ``.transform``, training and deployment alike) aggregate the alpha-weighted raw vectors first and apply ``W_v`` once per
   node, so FULL counts aggregate-first MACs.  ``PAPER`` keeps the
   per-neighbor count of Tables I / II.
 

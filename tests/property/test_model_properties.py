@@ -49,7 +49,7 @@ class TestLUTBinning:
         lut = enc.premultiply(w)
         probe = deltas[:20]
         assert np.allclose(lut[enc.bin_index(probe)],
-                           enc.encode_numpy(probe) @ w.T, atol=1e-10)
+                           enc(probe).data @ w.T, atol=1e-10)
 
 
 class TestPruningProperties:

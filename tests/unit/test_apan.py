@@ -1,9 +1,10 @@
 """Unit tests for the APAN mailbox-attention baseline."""
 
 import numpy as np
+import pytest
 
 from repro.autograd import no_grad
-from repro.datasets import wikipedia_like
+from repro.datasets import gdelt_like, wikipedia_like
 from repro.graph import iter_fixed_size
 from repro.models import APAN, ModelConfig
 
@@ -83,9 +84,15 @@ class TestAPAN:
         rt.restore(snap)
         assert (rt.mail_time > -np.inf).sum() == (snap["mail_time"] > -np.inf).sum()
 
-    def test_gradients_flow(self):
+    @pytest.mark.parametrize("node_features", [False, True])
+    def test_gradients_flow(self, node_features):
         g = stream()
-        model = APAN(CFG, mailbox_size=5, rng=np.random.default_rng(0))
+        cfg = CFG
+        if node_features:
+            g = gdelt_like(num_edges=120, num_users=20, num_items=10)
+            cfg = CFG.with_(edge_dim=g.edge_dim, node_dim=g.node_dim)
+            assert cfg.node_dim > 0
+        model = APAN(cfg, mailbox_size=5, rng=np.random.default_rng(0))
         rt = model.new_runtime(g)
         with no_grad():
             model.process_batch(g.slice(0, 20), rt, g)  # fill mailboxes
@@ -94,5 +101,9 @@ class TestAPAN:
         grads = [p.grad is not None for _, p in model.named_parameters()]
         assert any(grads)
         # Query-path weights must always receive gradient.
-        assert model.w_k.weight.grad is not None
-        assert model.w_v.weight.grad is not None
+        assert model.attention.w_k.weight.grad is not None
+        assert model.attention.w_v.weight.grad is not None
+        if node_features:
+            # The projection is applied through the module, so it trains.
+            assert model.node_proj.weight.grad is not None
+            assert model.node_proj.bias.grad is not None

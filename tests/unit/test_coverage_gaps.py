@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradients, no_grad
+from repro.autograd.functional import masked_softmax
 from repro.datasets import wikipedia_like
 from repro.graph import iter_time_windows
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
@@ -37,10 +38,11 @@ class TestPremultipliedUpdaters:
         raw = rng.normal(size=(7, SMALL.raw_message_dim))
         dt = rng.uniform(0, 1e5, 7)
         mem = rng.normal(size=(7, SMALL.memory_dim))
-        dense = upd.forward_numpy(raw, dt, mem)
-        premul = enc.premultiply(upd.input_time_weight())
-        fast = upd.forward_numpy_premul(raw, enc.bin_index(dt), premul,
-                                        upd.input_raw_weight(), mem)
+        premul = {"updt": enc.premultiply(upd.input_time_weight()),
+                  "updt_raw": upd.input_raw_weight()}
+        with no_grad():
+            dense = upd(raw, dt, mem).data
+            fast = upd(raw, dt, mem, premul).data
         assert np.allclose(dense, fast, atol=1e-12)
 
     def test_input_time_weight_shapes(self):
@@ -80,17 +82,17 @@ class TestAttentionGradients:
                           num_neighbors=3, simplified_attention=True)
         attn = SimplifiedTemporalAttention(cfg, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        q = Tensor(rng.normal(size=(2, 4)))
         nbr = Tensor(rng.normal(size=(2, 3, 4)))
-        ef = rng.normal(size=(2, 3, 2))
+        ef = Tensor(rng.normal(size=(2, 3, 2)))
         te = Tensor(rng.normal(size=(2, 3, 3)))
-        tz = Tensor(rng.normal(size=(2, 3)))
-        mask = np.ones((2, 3), dtype=bool)
+        mask = np.array([[True, True, False], [True, True, True]])
         dt = rng.uniform(0, 2, size=(2, 3))
 
         def loss(a, wt, wv):
-            out = attn(q, nbr, ef, te, tz, mask, dt_scaled=dt)
-            return (out.hidden ** 2).sum()
+            alpha = masked_softmax(attn.logits_from_dt(dt), mask)
+            hidden = attn.transform(alpha, *(attn.aggregate(alpha, x)
+                                             for x in (nbr, ef, te)))
+            return (hidden ** 2).sum()
 
         check_gradients(loss, [attn.attn_bias, attn.w_t.weight,
                                attn.w_v.weight], atol=1e-4, rtol=1e-3)

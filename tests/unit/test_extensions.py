@@ -63,9 +63,9 @@ class TestRNNUpdater:
     def test_rnn_output_bounded(self):
         model = TGNN(SMALL.with_(memory_updater="rnn"),
                      rng=np.random.default_rng(0))
-        out = model.memory_updater.forward_numpy(
+        out = model.memory_updater(
             np.ones((3, SMALL.raw_message_dim)), np.zeros(3),
-            np.zeros((3, SMALL.memory_dim)))
+            np.zeros((3, SMALL.memory_dim))).data
         assert np.all(np.abs(out) <= 1.0)  # tanh range
 
     def test_rnn_trains(self):

@@ -10,7 +10,8 @@ import repro.hw
 from repro.hw import (EU_STAGES, MUU_STAGES, EmbeddingUnit,
                       MemoryUpdateUnit, ZCU104_DESIGN)
 from repro.models import ModelConfig, TGNN
-from repro.models.attention import _masked_softmax_np
+from repro.autograd import Tensor
+from repro.autograd.functional import masked_softmax
 from tests.property.test_gnn_kernel_properties import oracle_values
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=12,
@@ -76,9 +77,9 @@ class TestEUTiming:
         ef_m = np.where(mask[:, :, None], ef, 0.0)
 
         attn = model.attention
-        alpha = _masked_softmax_np(logits, mask)
-        via_eu_order = attn.forward_numpy(alpha, *(
-            attn.aggregate_numpy(alpha, x) for x in (nbr, ef, te)))
+        alpha = masked_softmax(Tensor(logits), mask)
+        via_eu_order = attn.transform(alpha, *(
+            attn.aggregate(alpha, Tensor(x)) for x in (nbr, ef, te))).data
         ref = oracle_values(attn, nbr, ef_m, te, logits, mask)
         assert np.allclose(via_eu_order, ref, rtol=1e-12, atol=1e-12)
         assert np.array_equal(via_eu_order[0], np.zeros(CFG.embed_dim))

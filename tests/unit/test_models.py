@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
+from repro.autograd.functional import masked_softmax
 from repro.models import (DT_SCALE, ModelConfig, NP_BUDGETS,
                           SimplifiedTemporalAttention,
                           VanillaTemporalAttention, build_raw_messages,
                           select_pruned, top_k_mask, variant_ladder)
-from repro.models.attention import _masked_softmax_np
 from repro.models.memory_updater import GRUMemoryUpdater
 from repro.models.time_encoding import CosineTimeEncoder
 
@@ -86,7 +86,7 @@ class TestGRUMemoryUpdater:
         enc = CosineTimeEncoder(4, rng=np.random.default_rng(0))
         return cfg, GRUMemoryUpdater(cfg, enc, rng=np.random.default_rng(1))
 
-    def test_tensor_and_numpy_paths_agree(self):
+    def test_forward_is_the_cell_on_message_and_time_encoding(self):
         cfg, upd = self._updater()
         rng = np.random.default_rng(2)
         raw = rng.normal(size=(5, cfg.raw_message_dim))
@@ -94,13 +94,14 @@ class TestGRUMemoryUpdater:
         mem = rng.normal(size=(5, cfg.memory_dim))
         with no_grad():
             a = upd(raw, dt, mem).data
-        b = upd.forward_numpy(raw, dt, mem)
-        assert np.allclose(a, b, atol=1e-12)
+            m = Tensor.concat([Tensor(raw), upd.time_encoder(dt)], axis=-1)
+            b = upd.gru(m, Tensor(mem)).data
+        assert np.array_equal(a, b)
 
     def test_output_bounded_by_gru_dynamics(self):
         cfg, upd = self._updater()
-        out = upd.forward_numpy(np.zeros((3, cfg.raw_message_dim)),
-                                np.zeros(3), np.zeros((3, cfg.memory_dim)))
+        out = upd(np.zeros((3, cfg.raw_message_dim)), np.zeros(3),
+                  np.zeros((3, cfg.memory_dim))).data
         assert np.all(np.abs(out) <= 1.0)  # convex combo of tanh and 0
 
 
@@ -129,18 +130,6 @@ class TestVanillaAttention:
         assert out.logits.shape == (4, 4)
         assert np.array_equal(out.selected, mask)
 
-    def test_numpy_path_agrees(self):
-        cfg = ModelConfig(memory_dim=6, time_dim=4, embed_dim=5, edge_dim=3,
-                          num_neighbors=4)
-        attn = VanillaTemporalAttention(cfg, rng=np.random.default_rng(1))
-        q, nbr, ef, te, tz, mask, dt = _attn_inputs(cfg)
-        with no_grad():
-            out = attn(q, nbr, ef, te, tz, mask)
-        h, logits = attn.forward_numpy(q.data, nbr.data, ef, te.data,
-                                       tz.data, mask)
-        assert np.allclose(out.hidden.data, h, atol=1e-12)
-        assert np.allclose(out.logits.data, logits, atol=1e-12)
-
     def test_isolated_node_zero_hidden(self):
         cfg = ModelConfig(memory_dim=6, time_dim=4, embed_dim=5, edge_dim=3,
                           num_neighbors=4)
@@ -158,44 +147,34 @@ class TestSimplifiedAttention:
                            num_neighbors=4, simplified_attention=True,
                            pruning_budget=budget)
 
-    def test_logits_depend_only_on_dt(self):
+    def test_logits_are_eq16_of_dt(self):
         cfg = self._cfg()
         attn = SimplifiedTemporalAttention(cfg, rng=np.random.default_rng(2))
-        q, nbr, ef, te, tz, mask, dt = _attn_inputs(cfg)
-        out1 = attn(q, nbr, ef, te, tz, mask, dt_scaled=dt)
-        q2, nbr2, ef2, te2, _, _, _ = _attn_inputs(cfg, seed=99)
-        out2 = attn(q2, nbr2, ef2, te2, tz, mask, dt_scaled=dt)
-        assert np.allclose(out1.logits.data, out2.logits.data)
+        attn.attn_bias.data[:] = np.arange(4.0)
+        dt = _attn_inputs(cfg)[-1]
+        ref = dt @ attn.w_t.weight.data.T + attn.w_t.bias.data + np.arange(4.0)
+        assert np.array_equal(attn.logits_from_dt(dt).data, ref)
 
-    def test_requires_dt(self):
-        cfg = self._cfg()
-        attn = SimplifiedTemporalAttention(cfg, rng=np.random.default_rng(2))
-        q, nbr, ef, te, tz, mask, _ = _attn_inputs(cfg)
-        with pytest.raises(ValueError):
-            attn(q, nbr, ef, te, tz, mask)
-
-    def test_pruning_restricts_selected(self):
+    def test_aggregate_then_transform_is_per_neighbor_values(self):
+        """FAM then FTM over a pruned selection against Eq. (16) written per
+        neighbor: ``sum_j alpha_j (W_v [f_j || e_j || Phi_j] + b_v)``."""
         cfg = self._cfg(budget=2)
         attn = SimplifiedTemporalAttention(cfg, rng=np.random.default_rng(2))
+        attn.w_v.bias.data[:] = 0.5
         q, nbr, ef, te, tz, mask, dt = _attn_inputs(cfg)
-        out = attn(q, nbr, ef, te, tz, mask, dt_scaled=dt)
-        assert np.all(out.selected.sum(axis=1) <= 2)
-        assert np.all(out.selected <= mask)
-
-    def test_pruned_numpy_path_agrees_with_tensor_path(self):
-        cfg = self._cfg(budget=2)
-        attn = SimplifiedTemporalAttention(cfg, rng=np.random.default_rng(2))
-        q, nbr, ef, te, tz, mask, dt = _attn_inputs(cfg)
-        with no_grad():
-            out = attn(q, nbr, ef, te, tz, mask, dt_scaled=dt)
-        logits = attn.logits_numpy(dt)
-        idx, selm = select_pruned(logits, mask, 2)
+        logits = attn.logits_from_dt(dt)
+        idx, selm = select_pruned(logits.data, mask, 2)
         rows = np.arange(4)[:, None]
-        alpha = _masked_softmax_np(logits[rows, idx], selm)
-        h = attn.forward_numpy(alpha, *(
-            attn.aggregate_numpy(alpha, x[rows, idx])
-            for x in (nbr.data, ef, te.data)))
-        assert np.allclose(out.hidden.data, h, atol=1e-12)
+        with no_grad():
+            alpha = masked_softmax(logits[rows, idx], selm)
+            h = attn.transform(alpha, *(
+                attn.aggregate(alpha, Tensor(x[rows, idx]))
+                for x in (nbr.data, ef, te.data)))
+            values = attn.w_v(Tensor.concat([nbr, Tensor(ef), te], axis=-1))
+        keep = top_k_mask(logits.data, mask, 2)
+        ref = (masked_softmax(logits, keep).data[:, :, None]
+               * values.data).sum(axis=1)
+        assert np.allclose(h.data, ref, atol=1e-12)
 
 
 class TestPruning:
@@ -246,17 +225,3 @@ class TestPruning:
             top_k_mask(np.zeros((1, 3)), np.ones((1, 3), dtype=bool), 0)
         with pytest.raises(ValueError):
             top_k_mask(np.zeros((1, 3)), np.ones((2, 3), dtype=bool), 1)
-
-
-class TestMaskedSoftmaxNp:
-    def test_matches_dense_softmax_on_full_mask(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 5))
-        mask = np.ones((3, 5), dtype=bool)
-        s = _masked_softmax_np(x, mask)
-        e = np.exp(x - x.max(axis=1, keepdims=True))
-        assert np.allclose(s, e / e.sum(axis=1, keepdims=True))
-
-    def test_all_masked_rows_zero(self):
-        s = _masked_softmax_np(np.ones((2, 3)), np.zeros((2, 3), dtype=bool))
-        assert np.allclose(s, 0.0)

@@ -35,29 +35,33 @@ class TestConstruction:
         assert any(n.startswith("transform1.") for n in names)
 
 
-class TestOneLayerEquivalence:
-    def test_matches_single_layer_tgnn_with_shared_weights(self):
-        """The recursion's base case reproduces the production model."""
+class TestOneLayerIsTGNN:
+    @pytest.mark.parametrize("cfg", [
+        CFG, CFG.with_(simplified_attention=True, pruning_budget=2,
+                       lut_time_encoder=True, lut_bins=8)],
+        ids=["vanilla", "np"])
+    def test_same_parameters_same_outputs(self, cfg):
+        """Layer 1 *is* the parent's attention / out_transform: from one
+        seed the two classes build the same state dict, no name mapping,
+        and process a stream to the same bits."""
         g = stream()
-        ref = TGNN(CFG, rng=np.random.default_rng(0))
-        ml = MultiLayerTGNN(CFG, num_layers=1, rng=np.random.default_rng(1))
-        # Map the single-layer model's weights onto layer 0.
-        sd = ref.state_dict()
-        mapped = {}
-        for name, value in sd.items():
-            if name.startswith("attention."):
-                mapped["attn0." + name[len("attention."):]] = value
-            elif name.startswith("out_transform."):
-                mapped["transform0." + name[len("out_transform."):]] = value
-            else:
-                mapped[name] = value
-        ml.load_state_dict(mapped)
+        ref = TGNN(cfg, rng=np.random.default_rng(0))
+        ml = MultiLayerTGNN(cfg, num_layers=1, rng=np.random.default_rng(0))
+        assert isinstance(ml, TGNN)
+        sd, sd_ml = ref.state_dict(), ml.state_dict()
+        assert list(sd) == list(sd_ml)
+        assert all(np.array_equal(sd[k], sd_ml[k]) for k in sd)
+        ref.calibrate(g)
+        ml.calibrate(g)
         rt_a, rt_b = ref.new_runtime(g), ml.new_runtime(g)
         with no_grad():
             for batch in iter_fixed_size(g, 40):
-                a = ref.process_batch(batch, rt_a, g).embeddings.data
-                b = ml.process_batch(batch, rt_b, g).embeddings.data
-                assert np.allclose(a, b, atol=1e-9)
+                a = ref.process_batch(batch, rt_a, g, neg_dst=batch.src)
+                b = ml.process_batch(batch, rt_b, g, neg_dst=batch.src)
+                assert np.array_equal(a.embeddings.data, b.embeddings.data)
+                assert np.array_equal(a.attention.logits.data,
+                                      b.attention.logits.data)
+        assert rt_a.state.memory.tobytes() == rt_b.state.memory.tobytes()
 
 
 class TestTwoLayer:
@@ -113,11 +117,36 @@ class TestTwoLayer:
         ml.process_batch(g.slice(0, 30), rt, g)
         res = ml.process_batch(g.slice(30, 60), rt, g)
         (res.embeddings ** 2).sum().backward()
-        for name in ("attn0.w_v.weight", "attn1.w_v.weight",
-                     "transform0.weight", "transform1.weight",
+        for name in ("attention.w_v.weight", "attn1.w_v.weight",
+                     "out_transform.weight", "transform1.weight",
                      "memory_updater.gru.weight_ih"):
             p = dict(ml.named_parameters())[name]
             assert p.grad is not None, name
+
+    def test_engine_reports_the_kernel_stages(self):
+        """``infer_batch`` is inherited, Table I stage clock included (the
+        override it replaced dropped ``timings``)."""
+        from repro.models import KERNEL_STAGES
+        from repro.pipeline import SoftwareBackend, run_engine
+        g = stream()
+        cfg = CFG.with_(simplified_attention=True, lut_time_encoder=True,
+                        lut_bins=8, pruning_budget=2)
+        ml = MultiLayerTGNN(cfg, num_layers=2, rng=np.random.default_rng(0))
+        ml.calibrate(g)
+        rt = ml.new_runtime(g)
+        with no_grad():
+            ref = [ml.process_batch(b, rt, g).embeddings.data
+                   for b in iter_fixed_size(g, 100)]
+        backend = SoftwareBackend(ml, g)     # prepares: layer-1 LUT reads
+        report = run_engine(backend, g, 100)
+        assert set(report.stage_time_s) == set(KERNEL_STAGES)
+        assert all(v > 0 for v in report.stage_time_s.values())
+        assert np.allclose(backend.rt.state.memory, rt.state.memory,
+                           atol=1e-12)
+        rt = ml.new_runtime(g)
+        for b, want in zip(iter_fixed_size(g, 100), ref):
+            got = ml.infer_batch(b, rt, g).embeddings.data
+            assert np.allclose(got, want, atol=1e-12)
 
     def test_trainable_end_to_end(self):
         g = wikipedia_like(num_edges=400, num_users=60, num_items=15)

@@ -58,8 +58,25 @@ class TestForwardValues:
         assert np.all(np.isfinite(s))
         assert np.allclose(s, [0.0, 0.5, 1.0])
 
+    def test_sigmoid_is_the_textbook_stable_form(self):
+        """One ``exp(-|x|)`` pass, array-equal to the two-branch logistic;
+        a scalar works too and the input is not written."""
+        mags = np.array([0.0, 5e-324, 1e-300, 1.0, 40.0, 800.0])
+        x = np.concatenate([mags, -mags])
+        keep = x.copy()
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(Tensor(x).sigmoid().data, want)
+        assert np.array_equal(x, keep)
+        assert Tensor(0.0).sigmoid().item() == 0.5
+
     def test_relu(self):
-        assert np.allclose(Tensor([-1.0, 0.0, 2.0]).relu().data, [0, 0, 2])
+        out = Tensor([-1.0, 0.0, 2.0]).relu().data
+        assert np.array_equal(out, [0, 0, 2])
+        assert not np.signbit(out).any()         # no -0.0
+        x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
+        x.relu().sum().backward()
+        assert np.array_equal(x.grad, [0, 0, 1])
 
     def test_cos(self):
         x = Tensor([0.0, np.pi])

@@ -1,8 +1,12 @@
 """Unit tests for the full TGNN model (Algorithm 1 semantics)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.models
 from repro.autograd import no_grad
 from repro.datasets import wikipedia_like
 from repro.graph import TemporalGraph, iter_fixed_size
@@ -81,6 +85,20 @@ class TestProcessBatch:
         with no_grad():
             res = model.process_batch(g.slice(0, 10), rt, g)
         assert np.all(res.embeddings.data >= 0.0)
+
+    def test_pruning_restricts_selected(self):
+        g = tiny_stream()
+        model = TGNN(SMALL.with_(simplified_attention=True, pruning_budget=2),
+                     rng=np.random.default_rng(0))
+        rt = model.new_runtime(g)
+        with no_grad():
+            for lo in (0, 40, 80):
+                attn = model.process_batch(g.slice(lo, lo + 40), rt,
+                                           g).attention
+        assert attn.mask.sum(axis=1).max() > 2
+        assert np.all(attn.selected.sum(axis=1) <= 2)
+        assert np.all(attn.selected <= attn.mask)
+        assert attn.logits.shape == attn.mask.shape   # full width (Eq. 17)
 
     def test_gradients_reach_every_parameter(self):
         g = tiny_stream()
@@ -177,3 +195,115 @@ class TestRuntime:
                for b in iter_fixed_size(g, 24)]
         for a, b in zip(ref, got):
             assert np.allclose(a, b, atol=1e-9)
+
+
+def functions(path: Path):
+    """``(qualified name, node)`` of every function and method in ``path``."""
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}{node.name}", node
+                yield from walk(node.body, f"{prefix}{node.name}.")
+    yield from walk(ast.parse(path.read_text()).body, "")
+
+
+class TestOneModelBody:
+    """Deployment is the training code under ``no_grad``: no numpy twin of
+    any module, and the ``prepare_inference`` tables are ``infer_batch``'s
+    alone."""
+
+    MODELS = Path(repro.models.__file__).parent
+    NP4 = SMALL.with_(simplified_attention=True, lut_time_encoder=True,
+                      lut_bins=8, pruning_budget=2)
+
+    @pytest.mark.parametrize("path", sorted(MODELS.glob("*.py")),
+                             ids=lambda p: p.name)
+    def test_no_function_is_a_numpy_twin(self, path):
+        twins = [name for name, _ in functions(path)
+                 if "numpy" in name.rsplit(".", 1)[-1]
+                 or name.endswith("_np")]
+        assert twins == []
+
+    def test_only_infer_batch_reads_the_tables(self):
+        touching = {name for path in self.MODELS.glob("*.py")
+                    for name, fn in functions(path)
+                    if any(isinstance(n, ast.Attribute)
+                           and n.attr == "_premul_cache"
+                           for n in ast.walk(fn))}
+        # __init__ / calibrate / prepare_inference only assign it.
+        assert touching == {"TGNN.__init__", "TGNN.calibrate",
+                            "TGNN.prepare_inference", "TGNN.infer_batch"}
+        infer = dict(functions(self.MODELS / "tgn.py"))["TGNN.infer_batch"]
+        numpy_calls = [n.lineno for n in ast.walk(infer)
+                       if isinstance(n, ast.Name) and n.id == "np"]
+        assert numpy_calls == []
+
+    def test_multilayer_overrides_the_gnn_stage_only(self):
+        from repro.models import MultiLayerTGNN
+        assert issubclass(MultiLayerTGNN, TGNN)
+        assert not {"process_batch", "update_memory", "embed", "infer_batch",
+                    "new_runtime", "calibrate", "prepare_inference"} \
+            & set(vars(MultiLayerTGNN))
+
+    def test_a_poisoned_cache_reaches_infer_batch_alone(self):
+        from repro.serving import ShardedRuntime
+        g = tiny_stream()
+        model = TGNN(self.NP4, rng=np.random.default_rng(0))
+        model.calibrate(g)
+        batches = list(iter_fixed_size(g, 40))
+
+        def run(step):
+            rt = model.new_runtime(g)
+            return [step(b, rt).embeddings.data for b in batches]
+
+        def sharded():
+            srt = ShardedRuntime(model, g, num_shards=2, policy="push")
+            with no_grad():
+                return [{s: r.embeddings.data
+                         for s, r in srt.process_batch(b).items()}
+                        for b in batches]
+
+        def graded(b, rt):
+            return model.process_batch(b, rt, g)
+
+        def ungraded(b, rt):
+            with no_grad():
+                return model.process_batch(b, rt, g)
+
+        clean = run(graded), run(ungraded), sharded()
+        model.prepare_inference()
+        for table in model._premul_cache.values():
+            table.fill(np.nan)
+        poisoned = run(graded), run(ungraded), sharded()
+        for want, got in zip(clean[:2], poisoned[:2]):
+            assert all(np.isfinite(a).all() and np.array_equal(a, b)
+                       for a, b in zip(want, got))
+        for want, got in zip(clean[2], poisoned[2]):
+            assert want.keys() == got.keys()
+            assert all(np.isfinite(got[s]).all()
+                       and np.array_equal(want[s], got[s]) for s in want)
+        deployed = run(lambda b, rt: model.infer_batch(b, rt, g))
+        assert np.isnan(deployed[-1]).any()
+
+    def test_a_loaded_model_still_trains_its_time_weights(self, tmp_path):
+        """``load_model`` returns a prepared model; fine-tuning it goes
+        through ``process_batch``, which the tables never reach, so the
+        updater's time-slice weights and the LUT entries move."""
+        from repro.models import load_model, save_model
+        from repro.training import TrainConfig, Trainer
+        g = tiny_stream()
+        model = TGNN(self.NP4, rng=np.random.default_rng(0))
+        model.calibrate(g)
+        save_model(model, str(tmp_path / "m.npz"))
+        loaded = load_model(str(tmp_path / "m.npz"))
+        assert loaded._premul_cache is not None
+        d_t = self.NP4.time_dim
+        before = (loaded.memory_updater.gru.weight_ih.data[:, -d_t:].copy(),
+                  loaded.time_encoder.table.data.copy())
+        Trainer(loaded, g, TrainConfig(epochs=1, batch_size=40,
+                                       seed=0)).train(train_end=120)
+        assert not np.array_equal(
+            before[0], loaded.memory_updater.gru.weight_ih.data[:, -d_t:])
+        assert not np.array_equal(before[1], loaded.time_encoder.table.data)
