@@ -9,11 +9,12 @@ artifact a smoke bench writes, the ``key`` to read from it, the committed
 * ``direction: lower`` — fail above the absolute ``ceiling`` (``baseline``
   records the healthy reading; there is no tolerance band).
 
-Every guarded number is a *ratio* of two lanes run in one process on one
-machine, so it is hardware-independent; each row's ``why`` says what the
-two lanes are and when to move the number.  A row whose artifact is absent
-is a named skip, and an artifact no row names (``BENCH_failover.json``,
-say) is never opened, so ``results/`` can grow freely.
+Every guarded number is a *ratio* of two lanes (or of one stage to the
+whole pass) run in one process on one machine, so it is hardware-independent;
+each row's ``why`` says what the two are and when to move the number.  A row
+whose artifact is absent is a named skip, and an artifact no row names
+(``BENCH_failover.json``, say) is never opened, so ``results/`` can grow
+freely.
 
 Usage::
 
@@ -37,11 +38,11 @@ def check(row: dict, current: float) -> tuple[bool, str]:
     label = f"{row['artifact']} {row['key']}"
     if row["direction"] == "lower":
         holds = current <= row["ceiling"]
-        return holds, (f"{label}: current {current:.2f}x, ceiling "
-                       f"{row['ceiling']:.2f}x")
+        return holds, (f"{label}: current {current:.3g}x, ceiling "
+                       f"{row['ceiling']:.3g}x")
     floor = (1.0 - row["tolerance"]) * row["baseline"]
-    verdict = (f"{label}: current {current:.2f}x, baseline "
-               f"{row['baseline']:.2f}x, floor {floor:.2f}x")
+    verdict = (f"{label}: current {current:.3g}x, baseline "
+               f"{row['baseline']:.3g}x, floor {floor:.3g}x")
     if current > row["baseline"] * (1.0 + row["tolerance"]):
         # Not a failure, but invite a bump so the guard stays tight.
         verdict += " (well above baseline; consider raising it)"

@@ -142,8 +142,9 @@ class GRUCell(Module):
         everything after it."""
         h = self.hidden_size
         gh = s @ self.weight_hh.T + self.bias_hh
-        r = (gi[:, 0:h] + gh[:, 0:h]).sigmoid()
-        z = (gi[:, h:2 * h] + gh[:, h:2 * h]).sigmoid()
+        # r and z share one logistic over the [:, :2h] block.
+        rz = (gi[:, 0:2 * h] + gh[:, 0:2 * h]).sigmoid()
+        r, z = rz[:, 0:h], rz[:, h:2 * h]
         n = (gi[:, 2 * h:3 * h] + r * gh[:, 2 * h:3 * h]).tanh()
         return (1.0 - z) * n + z * s
 

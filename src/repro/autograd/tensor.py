@@ -318,7 +318,9 @@ class Tensor:
         x = self.data
         e = np.abs(x, out=np.empty_like(x))
         np.exp(np.negative(e, out=e), out=e)
-        out_data = np.where(x >= 0, 1.0, e)
+        # Numerator, branch-free: e <= 1, so max(e, [x >= 0]) is 1 where
+        # x >= 0 and e = exp(x) below.
+        out_data = np.maximum(e, x >= 0)
         e += 1.0
         out_data /= e
 

@@ -5,12 +5,22 @@ full interaction history — with an on-chip FIFO that simply keeps the ``mr``
 most recent neighbors per vertex.  This module is that structure: a rolling
 ring buffer per vertex, with fully vectorised batch insertion and gathering.
 
-Invariants (property-tested in ``tests/property/test_neighbor_table.py``):
+Contract: a vertex's entries must arrive in non-decreasing time —
+chronological inside one ``insert_edges`` call and across calls.  Nothing
+checks it: the one caller that inserts backwards in time, the multi-tenant
+replay onto a single runtime (``--backend measured`` with ``--streams > 1``
+feeds the same windows once per tenant), is a timing lane.  The table is a
+FIFO, not a sorter; on such a stream it returns arrival order.
+
+Invariants (``tests/property/test_structure_properties.py`` and
+``tests/property/test_neighbor_table_properties.py``, which keeps the sorting
+read this one replaced as its oracle):
 
 * after any insertion sequence, a vertex's valid slots hold exactly its
   ``min(history, mr)`` most recent interactions;
-* gathered neighbor lists are timestamp-sorted (ascending), as required by
-  the simplified attention of Eq. (16);
+* gathered neighbor lists come back in arrival order, valid entries first —
+  timestamp-ascending under the contract, as required by the simplified
+  attention of Eq. (16);
 * vertices with no history gather an all-masked row (no garbage reads).
 """
 
@@ -24,7 +34,8 @@ __all__ = ["NeighborTable", "GatheredNeighbors"]
 
 
 class GatheredNeighbors:
-    """Timestamp-sorted neighbor rows for a batch of query vertices.
+    """Arrival-ordered (on a chronological stream: timestamp-sorted) neighbor
+    rows for a batch of query vertices.
 
     Attributes
     ----------
@@ -33,7 +44,7 @@ class GatheredNeighbors:
     times: ``(B, k)`` float64 — interaction timestamps, ascending within each
         valid prefix.
     mask: ``(B, k)`` bool — True for valid slots.  Valid slots always form a
-        prefix after sorting.
+        prefix.
     """
 
     __slots__ = ("nbrs", "eids", "times", "mask")
@@ -132,42 +143,25 @@ class NeighborTable(VertexRows):
                ) -> GatheredNeighbors:
         """Fetch the most recent ``k`` (default ``mr``) neighbors per vertex.
 
-        Rows are sorted by timestamp ascending with valid entries first —
-        the "fixed-length timestamp-sorted list" the simplified attention
-        operates on.  When ``k < mr`` the *most recent* ``k`` are kept.
+        A FIFO read by address (§IV-A, "no search"): the ring is written in
+        arrival order, so a vertex's ``take = min(count, k)`` most recent
+        entries are the slots ``head - take .. head - 1`` (mod ``mr``).
+        Rows come back in arrival order, valid entries first — time-ascending
+        on a chronological stream (see the module contract), the
+        "fixed-length timestamp-sorted list" the simplified attention
+        operates on.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         k = self.mr if k is None else int(k)
         if not 0 < k <= self.mr:
             raise ValueError(f"k must be in [1, {self.mr}]")
-        nbrs = self._nbrs[vertices]
-        eids = self._eids[vertices]
-        times = self._times[vertices].copy()
-        valid = times > -np.inf
-        # Sort ascending; invalid slots (-inf) land first, so flip the key to
-        # push them last: use +inf for invalid, then take the earliest k of
-        # the most recent k... Simpler: sort descending by time (invalid
-        # last), truncate to k most recent, then reverse to ascending.
-        desc = np.argsort(-times, axis=1, kind="stable")
-        rows = np.arange(len(vertices))[:, None]
-        nbrs = nbrs[rows, desc][:, :k][:, ::-1]
-        eids = eids[rows, desc][:, :k][:, ::-1]
-        times = times[rows, desc][:, :k][:, ::-1]
-        mask = valid[rows, desc][:, :k][:, ::-1]
-        # Shift valid entries to the front (ascending order, mask suffix).
-        # After the flip, invalid entries sit at the *front*; roll each row
-        # left by its number of invalid slots.
-        n_invalid = (~mask).sum(axis=1)
-        if n_invalid.any():
-            cols = (np.arange(k)[None, :] + n_invalid[:, None]) % k
-            nbrs = nbrs[rows, cols]
-            eids = eids[rows, cols]
-            times = times[rows, cols]
-            mask = mask[rows, cols]
-        return GatheredNeighbors(np.ascontiguousarray(nbrs),
-                                 np.ascontiguousarray(eids),
-                                 np.ascontiguousarray(times),
-                                 np.ascontiguousarray(mask))
+        take = np.minimum(self._count[vertices], k)
+        cols = np.arange(k)
+        slots = ((self._head[vertices] - take) % self.mr)[:, None] + cols
+        slots -= self.mr * (slots >= self.mr)      # wrap; k <= mr
+        addr = slots + (vertices * self.mr)[:, None]
+        return GatheredNeighbors(self._nbrs.take(addr), self._eids.take(addr),
+                                 self._times.take(addr), cols < take[:, None])
 
     def degree(self, vertices: np.ndarray | None = None) -> np.ndarray:
         """Number of valid stored neighbors per vertex (<= mr)."""

@@ -77,7 +77,10 @@ class FIFONeighborSampler:
 
     Sampling cost is a single table-row fetch — there is no search — which is
     why the paper's architecture removes the sampler stage from the critical
-    path entirely.
+    path entirely.  Like the table, it returns arrival order and relies on
+    the stream being chronological per vertex for that to be time order
+    (:mod:`repro.graph.neighbor_table`); :class:`FullHistorySampler` makes
+    the same assumption.
     """
 
     def __init__(self, table: NeighborTable):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["VertexState", "VertexRows"]
+__all__ = ["VertexState", "VertexRows", "last_occurrence"]
 
 
 class VertexRows:
@@ -101,7 +101,7 @@ class VertexState(VertexRows):
         to keep the guarantee independent of NumPy internals.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        last = _last_occurrence(v)
+        last = last_occurrence(v)
         self.memory[v[last]] = values[last]
         self.last_update[v[last]] = np.asarray(t, dtype=np.float64)[last]
 
@@ -109,7 +109,7 @@ class VertexState(VertexRows):
                    t: np.ndarray) -> None:
         """Cache raw messages (Most-Recent aggregator: last write wins)."""
         v = np.asarray(vertices, dtype=np.int64)
-        last = _last_occurrence(v)
+        last = last_occurrence(v)
         self.mailbox[v[last]] = messages[last]
         self.mail_time[v[last]] = np.asarray(t, dtype=np.float64)[last]
 
@@ -119,7 +119,7 @@ class VertexState(VertexRows):
         return self.num_nodes * (self.memory_dim + self.raw_message_dim + 2)
 
 
-def _last_occurrence(v: np.ndarray) -> np.ndarray:
+def last_occurrence(v: np.ndarray) -> np.ndarray:
     """Boolean mask selecting the last occurrence of each value in ``v``."""
     if len(v) == 0:
         return np.zeros(0, dtype=bool)

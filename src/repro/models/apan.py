@@ -25,6 +25,7 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..autograd.module import GRUCell, Linear, Module
+from ..graph.state import last_occurrence
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from .attention import VanillaTemporalAttention
 from .config import ModelConfig
@@ -161,8 +162,7 @@ class APAN(Module):
 def _write_last_wins(target: np.ndarray, indices: np.ndarray,
                      values: np.ndarray) -> None:
     """Row write where the last occurrence of a duplicate index wins."""
-    from ..graph.state import _last_occurrence
-    last = _last_occurrence(np.asarray(indices, dtype=np.int64))
+    last = last_occurrence(np.asarray(indices, dtype=np.int64))
     target[indices[last]] = values[last]
 
 

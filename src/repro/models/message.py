@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_raw_messages"]
+__all__ = ["raw_messages", "build_raw_messages"]
+
+
+def raw_messages(mem_self: np.ndarray, mem_other: np.ndarray,
+                 edge_feat: np.ndarray) -> np.ndarray:
+    """``m = s_self || s_other || f_e`` row by row: the mailbox row layout."""
+    return np.concatenate([mem_self, mem_other, edge_feat], axis=1)
 
 
 def build_raw_messages(mem_src: np.ndarray, mem_dst: np.ndarray,
@@ -39,6 +45,5 @@ def build_raw_messages(mem_src: np.ndarray, mem_dst: np.ndarray,
         raise ValueError("endpoint memory shapes must match")
     if len(edge_feat) != len(mem_src):
         raise ValueError("edge_feat batch size mismatch")
-    msg_src = np.concatenate([mem_src, mem_dst, edge_feat], axis=1)
-    msg_dst = np.concatenate([mem_dst, mem_src, edge_feat], axis=1)
-    return np.ascontiguousarray(msg_src), np.ascontiguousarray(msg_dst)
+    return (raw_messages(mem_src, mem_dst, edge_feat),
+            raw_messages(mem_dst, mem_src, edge_feat))

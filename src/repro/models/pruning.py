@@ -15,7 +15,43 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_k_mask", "compact_selection", "select_pruned"]
+__all__ = ["top_k_mask", "compact_selection", "select_pruned", "prune"]
+
+
+def prune(logits: np.ndarray, mask: np.ndarray, budget: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One top-``budget`` pass, both forms: ``(selected, indices, sel_mask)``
+    — the full-width :func:`top_k_mask` and its :func:`compact_selection`,
+    the latter from ordering only the ``budget`` slots already chosen."""
+    logits = np.asarray(logits, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if logits.shape != mask.shape:
+        raise ValueError("logits and mask shapes must match")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    n, k = logits.shape
+    # Key: valid logits as-is, invalid slots -inf; stable tie-break by index
+    # via a tiny monotone penalty well below float64 resolution of logits.
+    keyed = np.where(mask, logits, -np.inf)
+    keyed -= np.arange(k, dtype=np.float64) * 1e-12
+    # At neighbor-list widths a stable sort of the whole row is cheaper than
+    # argpartition, and it breaks exact ties toward the lower slot as well.
+    top = np.argsort(np.negative(keyed, out=keyed), axis=1,
+                     kind="stable")[:, :budget]
+    # A row short of valid slots fills up with invalid ones.
+    flat = top + np.arange(0, n * k, k)[:, None]
+    valid = mask.take(flat)
+    selected = np.zeros((n, k), dtype=bool)
+    selected.reshape(-1)[flat] = valid
+    return (selected,) + _compact(top, valid, k, budget)
+
+
+def _compact(slots: np.ndarray, valid: np.ndarray, k: int, budget: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    # Invalid slots sort behind every real one as the out-of-range ``k``.
+    order = np.sort(np.where(valid, slots, k), axis=1)[:, :budget]
+    sel_mask = order < k
+    return np.where(sel_mask, order, 0), sel_mask
 
 
 def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
@@ -25,25 +61,7 @@ def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
     broken toward lower slot index (deterministic, matching a hardware
     comparator tree's fixed priority).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if logits.shape != mask.shape:
-        raise ValueError("logits and mask shapes must match")
-    n, k = logits.shape
-    if budget >= k:
-        return mask.copy()
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    # Key: valid logits as-is, invalid slots -inf; stable tie-break by index
-    # via a tiny monotone penalty well below float64 resolution of logits.
-    keyed = np.where(mask, logits, -np.inf)
-    tie = np.arange(k, dtype=np.float64) * 1e-12
-    keyed = keyed - tie
-    # argpartition picks the top-`budget` per row in O(k).
-    top_idx = np.argpartition(-keyed, budget - 1, axis=1)[:, :budget]
-    out = np.zeros_like(mask)
-    np.put_along_axis(out, top_idx, True, axis=1)
-    return out & mask
+    return prune(logits, mask, budget)[0]
 
 
 def compact_selection(keep: np.ndarray, budget: int
@@ -52,20 +70,15 @@ def compact_selection(keep: np.ndarray, budget: int
 
     ``indices`` has shape ``(n, min(budget, k))`` giving the chosen slot per
     row (padded with slot 0 where a row has fewer valid neighbors) and
-    ``sel_mask`` flags real selections.  The fast inference path runs the
-    top-k pass once, reports ``keep`` as the full-width ``selected`` mask and
-    gathers neighbor data through ``indices`` so aggregation runs on
-    ``budget`` columns instead of ``k``.
+    ``sel_mask`` flags real selections.  Selected slots come in ascending
+    slot index, which preserves the timestamp-sorted neighbor order within
+    the pruned list.
     """
-    n, k = keep.shape
-    # Order selected slots by ascending slot index to preserve the
-    # timestamp-sorted neighbor order within the pruned list.
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :min(budget, k)]
-    sel_mask = keep[np.arange(n)[:, None], order]
-    return np.where(sel_mask, order, 0), sel_mask
+    k = keep.shape[1]
+    return _compact(np.arange(k), keep, k, budget)
 
 
 def select_pruned(logits: np.ndarray, mask: np.ndarray, budget: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Top-``budget`` selection straight to its compact form."""
-    return compact_selection(top_k_mask(logits, mask, budget), budget)
+    return prune(logits, mask, budget)[1:]

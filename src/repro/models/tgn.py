@@ -53,15 +53,15 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..autograd.module import Linear, Module
 from ..graph.sampler import FIFONeighborSampler
-from ..graph.state import VertexState
+from ..graph.state import VertexState, last_occurrence
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from ..autograd import functional as F
 from .attention import (DT_SCALE, AttentionOutput, SimplifiedTemporalAttention,
                         VanillaTemporalAttention)
 from .config import ModelConfig
 from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater
-from .message import build_raw_messages
-from .pruning import compact_selection, top_k_mask
+from .message import raw_messages
+from .pruning import prune
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder
 
 __all__ = ["TGNN", "ModelRuntime", "BatchResult", "MemoryUpdate",
@@ -229,26 +229,34 @@ class TGNN(Module):
         :meth:`infer_batch`'s hand-down of the ``prepare_inference`` tables.
         """
         nodes, t_nodes, uniq, inverse = _assemble_endpoints(batch)
-        mem, mail, mail_t, last = rt.state.read(uniq)
+        state = rt.state
+        mail_t = state.mail_time[uniq]
         has_mail = mail_t > -np.inf
-        updated = Tensor(mem)
+        updated = Tensor(state.memory[uniq])
         if has_mail.any():
+            # The mailbox, the wide table, is read once, for the rows the
+            # updater runs on.
             idx = np.nonzero(has_mail)[0]
-            dt = np.maximum(mail_t[idx] - last[idx], 0.0)
-            new = self.memory_updater(mail[idx], dt, mem[idx], premul)
+            rows, mail_t = uniq[idx], mail_t[idx]
+            dt = np.maximum(mail_t - state.last_update[rows], 0.0)
+            new = self.memory_updater(state.mailbox[rows], dt,
+                                      updated.data[idx], premul)
             # Commit detached state before the GNN reads neighbor memory.
-            rt.state.write_memory(uniq[idx], new.data, mail_t[idx])
+            state.write_memory(rows, new.data, mail_t)
             # Row i of `updated` is row (mail rows up to i) - 1 of `new`.
             updated = Tensor.where(has_mail[:, None],
                                    new[np.cumsum(has_mail) - 1], updated)
-        # Refresh cached messages with the new signals (last write wins).
-        msg_src, msg_dst = build_raw_messages(
-            updated.data[inverse[0::2]], updated.data[inverse[1::2]],
-            batch.edge_feat)
-        msgs = np.empty((len(nodes), self.cfg.raw_message_dim))
-        msgs[0::2] = msg_src
-        msgs[1::2] = msg_dst
-        rt.state.write_mail(nodes, msgs, t_nodes)
+        # Refresh cached messages as the Updater does (§IV-B): of a vertex's
+        # endpoint rows only the last one survives the batch, so only those
+        # rows are built.  Endpoint row r belongs to edge r >> 1 and faces
+        # row r ^ 1.
+        keep = np.nonzero(last_occurrence(nodes))[0]
+        mem = updated.data
+        state.write_mail(nodes[keep],
+                         raw_messages(mem[inverse[keep]],
+                                      mem[inverse[keep ^ 1]],
+                                      batch.edge_feat[keep >> 1]),
+                         t_nodes[keep])
         return MemoryUpdate(nodes=nodes, t_nodes=t_nodes, inverse=inverse,
                             updated=updated)
 
@@ -351,8 +359,7 @@ class TGNN(Module):
         if budget is not None:
             # One top-k pass: `selected` is reported full-width, its compact
             # form drives the gathers.
-            selected = top_k_mask(logits.data, g.mask, budget)
-            idx, sel_mask = compact_selection(selected, budget)
+            selected, idx, sel_mask = prune(logits.data, g.mask, budget)
             rows = np.arange(len(t))[:, None]
             nbrs, eids, dt = nbrs[rows, idx], eids[rows, idx], dt[rows, idx]
             sel_logits = logits[rows, idx]

@@ -93,6 +93,21 @@ def test_gnn_stage_scaling_smoke_writes_its_guarded_ratio(tmp_path):
         assert 0.0 < json.load(fh)["scaling_ratio"] <= 2.5
 
 
+def test_kernel_stage_shares_smoke_writes_its_guarded_share(tmp_path):
+    """The sampler guard CI runs beside it: the sample stage's share of the
+    four kernel stages, under its 0.05 ceiling (a FIFO read, not a sort)."""
+    import json
+
+    proc = _run_smoke("bench_table2_model_opts.py", tmp_path,
+                      "-k", "kernel_stage_shares")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout and "Kernel stages" in proc.stdout
+    with open(tmp_path / "BENCH_kernel_stages.json") as fh:
+        payload = json.load(fh)
+    assert 0.0 < payload["sample_share"] <= 0.05
+    assert abs(sum(payload["shares"].values()) - 1.0) < 1e-9
+
+
 def test_perf_guard_reads_every_present_row_of_its_table(tmp_path):
     """``check_perf_trajectory.py results/`` is table-driven: floors for
     ``higher`` rows, absolute ceilings for ``lower`` rows, a named skip

@@ -38,11 +38,22 @@ class TestBasics:
 
     def test_gather_sorted_ascending(self):
         t = NeighborTable(5, mr=4)
-        insert_seq(t, [(0, 1, 0, 1.0), (0, 2, 1, 5.0), (0, 3, 2, 3.0)])
-        # Note: stream order == time order in valid streams; table preserves it.
+        insert_seq(t, [(0, 1, 0, 1.0), (0, 2, 1, 3.0), (0, 3, 2, 5.0)])
+        # Stream order == time order in valid streams; the table preserves it.
         g = t.gather(np.array([0]))
         valid_times = g.times[0][g.mask[0]]
         assert np.all(np.diff(valid_times) >= 0)
+
+    def test_gather_keeps_arrival_order_of_a_non_chronological_insert(self):
+        """The table is a FIFO, not a sorter: what it promises is arrival
+        order, which is time order only on a chronological stream."""
+        t = NeighborTable(5, mr=4)
+        insert_seq(t, [(0, 1, 0, 1.0), (0, 2, 1, 5.0), (0, 3, 2, 3.0)])
+        g = t.gather(np.array([0]))
+        assert g.mask[0].tolist() == [True, True, True, False]
+        assert g.nbrs[0][:3].tolist() == [1, 2, 3]
+        assert g.times[0][:3].tolist() == [1.0, 5.0, 3.0]
+        assert t.gather(np.array([0]), k=2).times[0].tolist() == [5.0, 3.0]
 
     def test_gather_k_smaller_than_mr_takes_most_recent(self):
         t = NeighborTable(5, mr=4)

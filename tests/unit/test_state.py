@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.graph import VertexState
-from repro.graph.state import _last_occurrence
+from repro.graph.state import last_occurrence
 
 
 class TestVertexState:
@@ -76,12 +76,12 @@ class TestVertexState:
 
 class TestLastOccurrence:
     def test_unique_all_last(self):
-        assert np.array_equal(_last_occurrence(np.array([3, 1, 2])),
+        assert np.array_equal(last_occurrence(np.array([3, 1, 2])),
                               [True, True, True])
 
     def test_duplicates(self):
-        mask = _last_occurrence(np.array([1, 2, 1, 3, 2]))
+        mask = last_occurrence(np.array([1, 2, 1, 3, 2]))
         assert np.array_equal(mask, [False, False, True, True, True])
 
     def test_empty(self):
-        assert len(_last_occurrence(np.array([], dtype=int))) == 0
+        assert len(last_occurrence(np.array([], dtype=int))) == 0
