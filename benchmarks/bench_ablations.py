@@ -8,7 +8,10 @@ Not paper figures, but the co-design's load-bearing decisions:
 * **Prefetching** — §IV-C claims attention-released prefetch hides neighbor
   fetch latency behind the MUU; disabling it must cost throughput.
 * **Updater scan width** — the commit pointer scans 3 lines/cycle in the
-  paper; narrower scans stall the write-back path.
+  paper; narrower scans should stall the write-back path.  The model
+  retires at most one valid line a cycle (one arrival per cycle), so this
+  sweep reads flat by construction — a known fidelity gap of
+  ``UpdaterCache``, not a measurement.
 * **Pruning policy** — attention-score pruning vs random and vs
   most-recent-k pruning: the learned policy should match or beat both on
   attention-mass retention.

@@ -42,6 +42,9 @@ class UpdaterCache:
     consecutive lines per cycle.  An uncommitted line is invalidated when a
     newer update for the same vertex arrives, so external memory sees only
     the newest value — and sees it in chronological position.
+
+    At one arrival per cycle the pointer never has more than one valid
+    line to retire, so ``scan_width`` does not change the cycle count.
     """
 
     def __init__(self, lines: int, scan_width: int = 3):
@@ -53,14 +56,13 @@ class UpdaterCache:
     def process(self, vertex_ids: np.ndarray) -> UpdaterReport:
         """Run one batch of vertex updates (in arrival order) to completion.
 
-        Returns timing and the surviving update set.  The model walks the
-        arrival sequence maintaining cache occupancy: each arrival consumes
-        one line (possibly reclaiming an invalidated older line for the same
-        vertex); each elapsed cycle retires up to ``scan_width`` valid lines
-        in FIFO order.  Arrivals stall when all lines are occupied.
+        Returns timing and the surviving update set.  Each arrival takes
+        one line, one per cycle; the commit pointer retires valid lines
+        from the FIFO head; an arrival stalls one cycle when every line is
+        occupied.
         """
-        v = np.asarray(vertex_ids, dtype=np.int64)
-        n = len(v)
+        ids = np.asarray(vertex_ids, dtype=np.int64).tolist()
+        n = len(ids)
         if n == 0:
             return UpdaterReport(cycles=0, invalidated=0, committed=0,
                                  survivors=np.zeros(0, dtype=np.int64),
@@ -71,45 +73,28 @@ class UpdaterCache:
         # With one arrival per cycle and `scan_width >= 1`, a line older than
         # `lines` ago has always committed; we conservatively model the
         # invalidation window as the cache depth.
-        survivors_mask = np.ones(n, dtype=bool)
+        keep = [True] * n
         last_seen: dict[int, int] = {}
-        invalidated = 0
-        for i, vid in enumerate(v):
-            j = last_seen.get(int(vid))
+        for i, vid in enumerate(ids):
+            j = last_seen.get(vid)
             if j is not None and i - j < self.lines:
                 # Older update still (potentially) uncommitted: invalidate.
-                survivors_mask[j] = False
-                invalidated += 1
-            last_seen[int(vid)] = i
+                keep[j] = False
+            last_seen[vid] = i
+        survivors = np.flatnonzero(keep)
+        invalidated = n - len(survivors)
 
-        # Timing: arrivals at 1/cycle, retirement at `scan_width`/cycle from
-        # the FIFO head.  Occupancy-driven stall computation.
-        occupancy = 0
+        # Timing, in closed form.  A valid line is retired the cycle after
+        # it arrives, so with one arrival per cycle at most one is ever
+        # pending and ``scan_width`` never enters.  An invalidated line is
+        # never reclaimed: it holds its slot for the rest of the batch, so
+        # arrival ``i`` stalls once when at least ``lines`` lines before it
+        # were invalidated.  The last arrival always survives and drains
+        # in one more cycle.
         stalled = 0
-        cycles = 0
-        pending = 0  # valid, uncommitted lines
-        for i in range(n):
-            # Retire before accepting (commit pointer runs concurrently).
-            retired = min(self.scan_width, pending)
-            pending -= retired
-            occupancy -= retired
-            if occupancy >= self.lines:
-                # Stall until the commit pointer frees a line.
-                need_cycles = 1
-                stalled += need_cycles
-                cycles += need_cycles
-                retired = min(self.scan_width, pending)
-                pending -= retired
-                occupancy -= retired
-            occupancy += 1
-            if survivors_mask[i]:
-                pending += 1
-            # An invalidated line is reclaimed lazily when scanned; model it
-            # as occupancy that drains with the same scan.
-            cycles += 1
-        # Drain remaining valid lines.
-        cycles += -(-pending // self.scan_width)
-        return UpdaterReport(cycles=cycles, invalidated=invalidated,
-                             committed=int(survivors_mask.sum()),
-                             survivors=np.nonzero(survivors_mask)[0],
+        if invalidated >= self.lines:
+            dead = np.flatnonzero(np.logical_not(keep))
+            stalled = n - 1 - int(dead[self.lines - 1])
+        return UpdaterReport(cycles=n + stalled + 1, invalidated=invalidated,
+                             committed=len(survivors), survivors=survivors,
                              stalled_cycles=stalled)

@@ -106,7 +106,13 @@ class SoftwareBackend:
 
 
 class SimulatedFPGABackend:
-    """Accelerator-simulator backend; each batch starts from idle."""
+    """Accelerator-simulator backend; each batch starts from idle.
+
+    The price is :meth:`FPGAAccelerator.batch_latency`: a batch of at most
+    ``hw.nb`` edges (every sub-job a sharded fleet routes is one) is
+    simulated once per distinct ``(edges, committed, cycles)`` and
+    replayed from the accelerator's table after that.
+    """
 
     def __init__(self, accelerator: FPGAAccelerator, graph: TemporalGraph):
         self.acc = accelerator
@@ -114,9 +120,7 @@ class SimulatedFPGABackend:
         self.name = f"fpga-{accelerator.hw.platform.name}"
 
     def process_batch(self, batch: EdgeBatch) -> float:
-        report = self.acc.run_stream(self.graph, batch_size=len(batch),
-                                     batches=[batch])
-        return report.batch_latencies_s[0]
+        return self.acc.batch_latency(batch)
 
 
 class ModeledGPPBackend:

@@ -179,36 +179,38 @@ class VersionedMemoryCache:
         stamp = self.mirror_version.take(v, axis=1)
         mirror = self._mirror.take(v, axis=1)
         present = reads.any(axis=1)
-        lag = version - stamp
-        stale = reads & ~holder & (lag > 0)
-        n_stale = int(np.count_nonzero(stale))
+        stale = reads & ~holder & (stamp < version)
         if self.policy == "none":
-            self.stale_reads += n_stale
-            self.max_version_lag = max(
-                self.max_version_lag, int(lag.max(where=stale, initial=0)))
+            n = np.count_nonzero(stale, axis=1).tolist()
+            worst = (version - stamp).max(axis=1, where=stale,
+                                          initial=0).tolist()
+            self.stale_reads += int(np.count_nonzero(stale))
+            self.max_version_lag = max(self.max_version_lag, *worst)
         else:
             np.copyto(stamp, version, where=stale)
             mirror |= stale
-            self.pulled_rows += n_stale
-        pushed = np.zeros_like(stale)
+            self.pulled_rows += int(np.count_nonzero(stale))
+        pushed = None
         if write:
             version += 1
-            np.copyto(stamp, version, where=holder)
+            current = holder
             if self.policy == "push":
-                # Holders were just stamped, so only mirrors can lag.
-                pushed = present[:, None] & mirror & (stamp < version)
-                np.copyto(stamp, version, where=pushed)
+                # Every stamp ever written is a then-current version, so
+                # none exceeds its owner's: after the bump every present
+                # non-holder mirror lags and takes the push.
+                pushed = present[:, None] & mirror & ~holder
                 self.pushed_rows += int(np.count_nonzero(pushed))
+                current = holder | pushed
+            np.copyto(stamp, version, where=current)
         self.version[v] = version
         self.mirror_version[:, v] = stamp
         self._mirror[:, v] = mirror
         shards = present.nonzero()[0].tolist()
         if self.policy == "none":
-            n = np.count_nonzero(stale, axis=1).tolist()
-            worst = lag.max(axis=1, where=stale, initial=0).tolist()
             return {s: SyncOutcome(stale_reads=n[s], max_lag=worst[s])
                     for s in shards}
-        return {s: SyncOutcome(pulled=v[stale[s]], pushed=v[pushed[s]])
+        return {s: SyncOutcome(pulled=v[stale[s]], pushed=_EMPTY
+                               if pushed is None else v[pushed[s]])
                 for s in shards}
 
     def sync_batch(self, vertices: np.ndarray,

@@ -166,6 +166,7 @@ class ShardRouter:
         # keeps state for the vertex (owned or replicated).
         self.assignment = placement.assignment
         self._member = placement.member
+        self._shard_ids = np.arange(self.num_shards + 1)
 
     @classmethod
     def from_placement(cls, placement: Placement) -> "ShardRouter":
@@ -286,18 +287,16 @@ class ShardRouter:
                                                               batch.dst)
         src, dst = batch.src[edge], batch.dst[edge]
         t, eid, feat = batch.t[edge], batch.eid[edge], batch.edge_feat[edge]
-        counts = np.bincount(to_shard, minlength=self.num_shards)
-        present = counts.nonzero()[0].tolist()
-        end = counts.cumsum().tolist()
         mail = (from_shard != to_shard).nonzero()[0]
         mail_from, mail_to = from_shard[mail], to_shard[mail]
-        mail_end = np.bincount(mail_to, minlength=self.num_shards) \
-            .cumsum().tolist()
+        # Both runs are shard-major: shard s's slice ends where shard s + 1
+        # would begin.
+        bounds = to_shard.searchsorted(self._shard_ids).tolist()
+        mail_bounds = mail_to.searchsorted(self._shard_ids).tolist()
         if mailbox is not None:
             mailbox.record(mail_from, mail_to)
-        if cache is None:
-            sync = dict.fromkeys(present, _NO_SYNC)
-        else:
+        sync = {}
+        if cache is not None:
             # Column j of ``reads`` is endpoint ``rows[j]``; row s marks
             # the endpoints of shard s's sub-batch.
             rows = np.unique(batch.nodes)
@@ -306,10 +305,12 @@ class ShardRouter:
             reads[to_shard, rows.searchsorted(dst)] = True
             sync = cache.sync_batch(rows, reads)
         out = []
-        lo = mail_lo = 0
-        for shard in present:
-            hi, mail_hi = end[shard], mail_end[shard]
-            pulled, pushed, stale_reads, max_lag = sync[shard]
+        for shard in range(self.num_shards):
+            lo, hi = bounds[shard], bounds[shard + 1]
+            if lo == hi:
+                continue
+            mail_lo, mail_hi = mail_bounds[shard], mail_bounds[shard + 1]
+            pulled, pushed, stale_reads, max_lag = sync.get(shard, _NO_SYNC)
             out.append(ShardBatch(
                 shard=shard,
                 batch=EdgeBatch(src=src[lo:hi], dst=dst[lo:hi], t=t[lo:hi],
@@ -319,5 +320,4 @@ class ShardRouter:
                 mail_from=mail_from[mail_lo:mail_hi],
                 sync_pull=pulled, sync_push=pushed,
                 stale_reads=stale_reads, version_lag=max_lag))
-            lo, mail_lo = hi, mail_hi
         return out

@@ -1,6 +1,7 @@
 """Property-based invariants of the queueing replay, batching and the
-accelerator's timing: the cost-table cache, and the Fig. 4 table against
-the imperative schedule it replaced."""
+accelerator's timing: the cost-table cache, the one-batch latency table
+against the recurrence it replays, and the Fig. 4 table against the
+imperative schedule it replaced."""
 
 import functools
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import wikipedia_like
-from repro.graph import TemporalGraph, iter_fixed_size, iter_time_windows
+from repro.graph import (EdgeBatch, TemporalGraph, iter_fixed_size,
+                         iter_time_windows)
 from repro.hw import (COMPUTE_STAGES, EmbeddingUnit, FPGAAccelerator,
                       MemoryUpdateUnit, U200_DESIGN, UpdaterCache,
                       ZCU104_DESIGN, schedule)
@@ -126,6 +128,92 @@ class TestPricedOnlyTiming:
         assert bool(cold.events) == trace
         for name in TIMING_FIELDS:
             assert getattr(warm, name) == getattr(cold, name), name
+
+
+# The shipped designs keep ``cycles == 2n + 1`` (their caches never fill at
+# ``nb`` edges); a two-line cache stalls, so only it moves ``cycles`` at a
+# fixed ``(n, committed)`` and tests that the key carries it.
+SHALLOW = U200_DESIGN.with_(updater_lines=2)
+
+
+def edge_batch(ends):
+    """The batch whose interleaved endpoint rows (``nodes``) are ``ends``."""
+    n = len(ends) // 2
+    t = np.arange(n, dtype=np.float64)
+    return EdgeBatch(src=np.array(ends[0::2], dtype=np.int64),
+                     dst=np.array(ends[1::2], dtype=np.int64), t=t,
+                     eid=t.astype(np.int64), edge_feat=np.zeros((n, 0)))
+
+
+@st.composite
+def design_and_edge_batches(draw):
+    """A design point plus user batches of 0, up to ``nb`` and more than
+    ``nb`` edges over a handful of vertices (heavy repeats)."""
+    hw = draw(st.sampled_from([U200_DESIGN, ZCU104_DESIGN, SHALLOW])).with_(
+        prefetch=draw(st.booleans()))
+    nb = hw.nb
+    size = st.sampled_from([0, 1, 2, 4, nb, nb + 1]) | st.integers(0, 3 * nb)
+    vertex = st.integers(0, draw(st.sampled_from([2, 5, 40])))
+    batches = []
+    for n in draw(st.lists(size, min_size=1, max_size=6)):
+        ends = draw(st.lists(vertex, min_size=2 * n, max_size=2 * n))
+        batches.append(edge_batch(ends))
+        if draw(st.booleans()):
+            # Its rows reversed: every repeat at the same distance, so the
+            # same ``(n, committed)``, with the invalidated lines elsewhere.
+            batches.append(edge_batch(ends[::-1]))
+    return hw, batches
+
+
+def recurrence_latency(acc, batch):
+    return acc.run_stream(None, len(batch), batches=[batch]) \
+        .batch_latencies_s[0]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(design_and_edge_batches())
+def test_batch_latency_table_equals_the_recurrence(case):
+    """``batch_latency`` is ``run_stream``'s one-batch latency bit for bit,
+    on a fresh accelerator and on one whose table other batches (and the
+    same ones) already filled."""
+    hw, batches = case
+    _, model = accelerated_stream()
+    oracle = FPGAAccelerator(model, hw)
+    want = [recurrence_latency(oracle, b) for b in batches]
+    for b, w in zip(batches, want):
+        assert FPGAAccelerator(model, hw).batch_latency(b) == w
+    warm = FPGAAccelerator(model, hw)
+    for _ in range(2):
+        assert [warm.batch_latency(b) for b in batches] == want
+
+
+class TestBatchLatencyTable:
+    def test_each_accelerator_owns_its_table(self):
+        g, model = accelerated_stream()
+        a, b = FPGAAccelerator(model, U200_DESIGN), \
+            FPGAAccelerator(model, U200_DESIGN)
+        a.batch_latency(g.slice(0, 2))
+        assert len(a._latencies) == 1 and b._latencies == {}
+
+    def test_a_key_without_cycles_is_caught(self, monkeypatch):
+        """Mutation check: key the table by ``(n, committed)`` alone and
+        the property finds a batch priced with another batch's stalls."""
+        class DropCycles(dict):
+            def get(self, key, default=None):
+                return super().get(key[:2], default)
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key[:2], value)
+
+        honest = FPGAAccelerator.__init__
+
+        def init(acc, model, hw):
+            honest(acc, model, hw)
+            acc._latencies = DropCycles()
+
+        monkeypatch.setattr(FPGAAccelerator, "__init__", init)
+        with pytest.raises(AssertionError):
+            test_batch_latency_table_equals_the_recurrence()
 
 
 # --------------------------------------------------------------------------- #

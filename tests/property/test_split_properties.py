@@ -158,6 +158,8 @@ def assert_same_state(new, old):
     if new.mailbox is not None:
         assert_same_array(new.mailbox.counts, old.mailbox.counts)
     if new.cache is not None:
+        # The push rule relies on it: a stamp never runs ahead of its owner.
+        assert (new.cache.mirror_version <= new.cache.version).all()
         for name in ("version", "mirror_version", "_mirror"):
             assert_same_array(getattr(new.cache, name),
                               getattr(old.cache, name))
@@ -214,6 +216,7 @@ class TestSplitMatchesTheLoop:
             if step[0] != "batch":
                 new.move(step)
                 old.move(step)
+                assert_same_state(new, old)
                 continue
             batch = make_batch(step[1], eid0)
             eid0 += len(batch)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import wikipedia_like
-from repro.hw import (FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN,
-                      estimate_resources)
+from repro.hw import (FPGAAccelerator, U200_DESIGN, UpdaterCache,
+                      ZCU104_DESIGN, estimate_resources)
 from repro.models import ModelConfig, TGNN
 from repro.profiling.paper_reference import TABLE4
 
@@ -96,6 +96,23 @@ class TestTiming:
         # the price, so nothing is replayed to reach that offset.
         plain = acc.run_stream(g, 100, start=200, end=300)
         assert lat == plain.batch_latencies_s[0]
+        # A batch cut at the stream end is the edges that are left.
+        tail = acc.latency_single_batch(g, 100, warmup_edges=g.num_edges - 1)
+        assert tail == acc.run_stream(g, 1, start=g.num_edges - 1) \
+            .batch_latencies_s[0]
+
+    @pytest.mark.parametrize("warmup", [-1, 600, 601])
+    def test_latency_single_batch_rejects_an_offset_off_the_stream(
+            self, warmup):
+        g, _, acc = build()
+        assert g.num_edges == 600
+        with pytest.raises(ValueError, match="warmup_edges"):
+            acc.latency_single_batch(g, 100, warmup_edges=warmup)
+
+    def test_latency_single_batch_rejects_an_empty_batch(self):
+        g, _, acc = build()
+        with pytest.raises(ValueError, match="batch_size"):
+            acc.latency_single_batch(g, 0)
 
     def test_stage_times_cover_pipeline(self):
         g, model, acc = build()
@@ -103,6 +120,74 @@ class TestTiming:
         for key in ("load_edges", "load_vertex", "prefetch", "store",
                     "muu_update_gate", "eu_fam", "eu_ftm"):
             assert report.stage_time_s.get(key, 0.0) > 0.0, key
+
+
+class CountingAccelerator(FPGAAccelerator):
+    """Counts the recurrence runs and keeps every batch it is asked to
+    price: a timing-free view of how often the schedule is simulated."""
+
+    def __init__(self, model, hw):
+        super().__init__(model, hw)
+        self.simulated = 0
+        self.priced = []
+
+    def run_stream(self, *args, **kwargs):
+        self.simulated += 1
+        return super().run_stream(*args, **kwargs)
+
+    def batch_latency(self, batch):
+        self.priced.append(batch)
+        return super().batch_latency(batch)
+
+
+class TestPricingTable:
+    def test_canonical_u200_fleet_simulates_each_key_once_per_shard(self):
+        """The ``serve-sim --backend u200 --shards 4 --streams 4 --memsync
+        push --edges 32 --batch-edges 200 --deadline-ms 5`` fleet, with the
+        accelerator swapped for a counting one through the registry: the
+        schedule runs once per distinct ``(edges, committed, cycles)`` per
+        shard, not once per sub-job."""
+        from repro import datasets
+        from repro.hw import plan_shard_dies
+        from repro.pipeline import SimulatedFPGABackend
+        from repro.serving import (BackendRegistry, DynamicBatcher,
+                                   ServingEngine, VertexHeat, make_policy)
+
+        graph = datasets.load("wikipedia", num_edges=32, seed=0)
+        model = TGNN(ModelConfig(memory_dim=32, time_dim=32, embed_dim=32,
+                                 edge_dim=graph.edge_dim,
+                                 node_dim=graph.node_dim,
+                                 simplified_attention=True,
+                                 lut_time_encoder=True, pruning_budget=4),
+                     rng=np.random.default_rng(0))
+        hw = U200_DESIGN
+        accelerators = []
+        registry = BackendRegistry()
+
+        @registry.register("u200")
+        def _u200(model, graph, **_):
+            accelerators.append(CountingAccelerator(model, hw))
+            return SimulatedFPGABackend(accelerators[-1], graph)
+
+        placement = make_policy("hash").place(VertexHeat.from_graph(graph), 4)
+        engine = ServingEngine.from_registry(
+            "u200", model, graph, num_shards=4, registry=registry,
+            batcher=DynamicBatcher(max_edges=200, max_delay_s=5e-3),
+            topology="sharded", memsync="push", placement=placement,
+            die_of=plan_shard_dies(4, hw.platform.dies),
+            mail_hop_s=hw.die_crossing_cycles * hw.clock_s)
+        engine.run(graph, window_s=900.0, speedup=2.0, num_streams=4)
+
+        updater = UpdaterCache(hw.updater_lines, hw.commit_scan)
+        for acc in accelerators:
+            keys = set()
+            for b in acc.priced:
+                assert len(b) <= hw.nb          # one processing batch each
+                r = updater.process(b.nodes)
+                keys.add((len(b), r.committed, r.cycles))
+            assert acc.simulated == len(keys)
+        assert sum(len(acc.priced) for acc in accelerators) == 208
+        assert sum(acc.simulated for acc in accelerators) == 4
 
 
 class TestResources:
