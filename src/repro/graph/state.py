@@ -84,12 +84,6 @@ class VertexState(VertexRows):
     def has_mail(self, vertices: np.ndarray) -> np.ndarray:
         return self.mail_time[np.asarray(vertices, dtype=np.int64)] > -np.inf
 
-    def read(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Gather ``(memory, mailbox, mail_time, last_update)`` rows."""
-        v = np.asarray(vertices, dtype=np.int64)
-        return (self.memory[v], self.mailbox[v],
-                self.mail_time[v], self.last_update[v])
-
     def write_memory(self, vertices: np.ndarray, values: np.ndarray,
                      t: np.ndarray) -> None:
         """Commit updated memory rows and their update timestamps.

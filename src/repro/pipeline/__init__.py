@@ -25,10 +25,11 @@ Every replay/queueing entry point here — and the sharded serving layer in
     ===================================================  ================
 
     Nothing in :mod:`repro.serving` reads a backend's vertex state (the
-    exact functional replay of a sharded fleet is
-    :class:`repro.serving.ShardedRuntime`), so a caller that wants
-    embeddings or warm state next to a priced latency keeps its own
-    ``model.new_runtime(graph)``, as ``examples/fraud_detection.py`` does.
+    exact functional replay of a sharded fleet is the tests' oracle,
+    ``ShardedRuntime`` in ``tests/property/sharded_oracle.py``), so a
+    caller that wants embeddings or warm state next to a priced latency
+    keeps its own ``model.new_runtime(graph)``, as
+    ``examples/fraud_detection.py`` does.
 
 ``name: str`` (optional)
     Label used in reports; falls back to the class name.

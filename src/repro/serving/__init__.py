@@ -174,12 +174,15 @@ non-held endpoints is a policy (:mod:`repro.serving.memsync`):
 * :class:`VersionedMemoryCache` — per-vertex version counters bumped on
   every owner write, with ``none`` / ``invalidate`` / ``push`` policies
   (:data:`MEMSYNC_POLICIES`);
-* :class:`ShardedRuntime` — the functional two-phase sharded replay whose
-  held-vertex memory tables and embeddings are bit-identical to the
-  unsharded runtime under the sync policies;
 * ``ServingEngine(..., memsync=...)`` prices the sync traffic into service
   times and reports ``sync_edges`` / ``stale_reads`` / ``max_version_lag``
   (``serve-sim --memsync {none,invalidate,push}`` sweeps it).
+
+The library prices coherence and never executes it.  The functional
+two-phase sharded replay, whose held-vertex memory tables and embeddings
+are bit-identical to the unsharded runtime under the sync policies, is the
+tests' oracle: ``ShardedRuntime`` in ``tests/property/sharded_oracle.py``,
+which drives this package's router, cache and apply steps.
 
 Measured backends
 -----------------
@@ -230,9 +233,10 @@ planned migration.  Recovery proposes the held state's way back
 (``fail-back`` rows in the migration trace), so promote → rebuild →
 fail-back forms the same exactly-once ownership chain the rebalancer's
 invariant suite replays.  The functional mirror is
-:meth:`ShardedRuntime.fail_shard` / :meth:`ShardedRuntime.recover_shard`:
-under the ``push`` policy a failed-and-recovered run ends bit-identical
-to the unsharded runtime (the exactness suite in ``test_failover``).
+``ShardedRuntime.fail_shard`` / ``recover_shard`` in the tests' oracle
+(``tests/property/sharded_oracle.py``): under the ``push`` policy a
+failed-and-recovered run ends bit-identical to the unsharded runtime (the
+exactness suite in ``test_failover``).
 ``serve-sim --fail-at --fail-shard --fail-mode --recover-at`` drives it;
 a run with chaos off omits every chaos key from the JSON report, so the
 golden reports of earlier revisions stay byte-identical.
@@ -317,8 +321,7 @@ from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
 from .measured import (KernelTimer, MeasuredBackend,  # noqa: F401
                        MeasuredServerGroup, WorkerPool, timed_kernel)
 from .memsync import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
-                      MEMSYNC_POLICIES, ShardedRuntime,
-                      VersionedMemoryCache)
+                      MEMSYNC_POLICIES, VersionedMemoryCache)
 from .rebalance import OnlineRebalancer  # noqa: F401
 from .placement import (PLACEMENT_POLICIES, HotColdHybrid,  # noqa: F401
                         LoadAwareRebalance, Placement, PlacementPolicy,
@@ -349,7 +352,7 @@ __all__ = [
     "StaticHashPlacement", "LoadAwareRebalance", "ReplicatedReadMostly",
     "HotColdHybrid", "PLACEMENT_POLICIES", "make_policy",
     "replica_shards_from_traffic",
-    "MEMSYNC_POLICIES", "VersionedMemoryCache", "ShardedRuntime",
+    "MEMSYNC_POLICIES", "VersionedMemoryCache",
     "MeasuredBackend", "MeasuredServerGroup", "WorkerPool",
     "KernelTimer", "timed_kernel",
 ]

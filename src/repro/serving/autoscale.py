@@ -98,8 +98,8 @@ class CapacityConfig:
                 f"replicas must satisfy min_replicas <= replicas <= "
                 f"max_replicas, got {self.min_replicas} / {self.replicas} "
                 f"/ {self.max_replicas}")
-        if self.cold_start_s < 0:
-            raise ValueError("cold_start_s must be non-negative")
+        if not 0 <= self.cold_start_s < math.inf:
+            raise ValueError("cold_start_s must be finite and non-negative")
         derived = self.micro_batch * self.replicas
         if self.global_capacity is None:
             object.__setattr__(self, "global_capacity", derived)

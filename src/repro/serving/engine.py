@@ -387,7 +387,8 @@ class ServingEngine:
         Pricing only: sync traffic inflates service times through
         ``mail_hop_s`` and surfaces in the report (``sync_edges`` /
         ``stale_reads`` / ``max_version_lag``); the *functional* exactness
-        protocol lives in :class:`~repro.serving.memsync.ShardedRuntime`.
+        protocol is the tests' oracle, ``ShardedRuntime`` in
+        ``tests/property/sharded_oracle.py``.
     rebalancer / failures / autoscaler:
         The three ownership controllers; any subset runs together.  Each
         run builds one :class:`~repro.serving.control.ControlPlane` for

@@ -899,8 +899,8 @@ class ServerGroup:
         scheduled at the scale instant — the capacity becomes usable
         immediately, the warm-up only delays the begin.
         """
-        if cold_start_s < 0:
-            raise ValueError("cold_start_s must be non-negative")
+        if not 0 <= cold_start_s < math.inf:
+            raise ValueError("cold_start_s must be finite and non-negative")
         server = self._next_server
         self._next_server += 1
         self.num_servers += 1

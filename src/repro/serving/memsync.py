@@ -58,19 +58,22 @@ bit-exact.
 
 Exactness
 ---------
-:class:`ShardedRuntime` is the functional replay that closes the gap: it
-drives :meth:`~repro.models.tgn.TGNN.update_memory` and
-:meth:`~repro.models.tgn.TGNN.embed` as two phases per batch, synchronizing
+The serving engine does not run the functional protocol (backends are
+opaque timing models); it runs :class:`VersionedMemoryCache` at endpoint
+granularity to *price* the sync traffic (``ServingReport.sync_edges`` /
+``stale_reads`` / ``max_version_lag``, cross-die transfers charged via
+``mail_hop_s``).  The functional replay that proves the pricing exact is
+the tests' oracle, ``ShardedRuntime`` in
+``tests/property/sharded_oracle.py``: it drives
+:meth:`~repro.models.tgn.TGNN.update_memory` and
+:meth:`~repro.models.tgn.TGNN.embed` as two phases per batch through this
+module's cache, :func:`hand_off` and :func:`fail_over`, synchronizing
 endpoint rows before the memory stage and neighbor-memory rows between the
 stages (DGNN-Booster's inter-stage forwarding, in software).  With
 ``memsync='push'`` (or ``'invalidate'``) every row a shard reads equals the
 unsharded value bit-for-bit, so held vertices' memory tables and embeddings
 are bit-identical to the unsharded :class:`~repro.models.tgn.ModelRuntime`
-— the acceptance test of this subsystem.  The serving engine does not run
-this functional protocol (backends are opaque timing models); it reuses the
-same :class:`VersionedMemoryCache` at endpoint granularity to *price* the
-sync traffic (``ServingReport.sync_edges`` / ``stale_reads`` /
-``max_version_lag``, cross-die transfers charged via ``mail_hop_s``).
+— the acceptance test of this subsystem.
 """
 
 from __future__ import annotations
@@ -79,12 +82,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement
-from .router import CrossShardMailbox, ShardRouter
+from .router import ShardRouter
 
 __all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "SyncOutcome",
-           "VersionedMemoryCache", "hand_off", "fail_over", "ShardedRuntime"]
+           "VersionedMemoryCache", "hand_off", "fail_over"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
 
@@ -92,8 +94,8 @@ MEMSYNC_POLICIES = ("none", "invalidate", "push")
 # (memory + mailbox + timestamps travel as one row, exactly as memsync
 # prices a pull/push) plus its neighbor-table slice (the mr-slot FIFO ring
 # moves as one packed row).  The serving engine prices this count; the
-# functional ShardedRuntime actually copies both and records the same
-# count.
+# functional ShardedRuntime in tests/property/sharded_oracle.py actually
+# copies both and records the same count.
 HANDOFF_ROWS_PER_VERTEX = 2
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -112,14 +114,14 @@ class VersionedMemoryCache:
     """Per-vertex version counters + per-shard mirror stamps.
 
     Pure accounting: callers drive :meth:`sync_batch` once per batch, in
-    stream order (plus :meth:`note_reads` for any further read phase), and
-    act on the returned pull/push vertex sets (the engine prices them;
-    :class:`ShardedRuntime` actually copies the rows).  The matrices are
-    ``(num_shards, num_nodes)`` — fine at simulation scale; a deployment
-    would keep per-shard sparse maps.
+    stream order, and act on the returned pull/push vertex sets (the
+    engine prices them; the functional oracle in
+    ``tests/property/sharded_oracle.py`` actually copies the rows).  The
+    matrices are ``(num_shards, num_nodes)`` — fine at simulation scale;
+    a deployment would keep per-shard sparse maps.
 
-    Both entry points run the one :meth:`_step`, which holds the read
-    rule and the write rule.
+    :meth:`_step` holds the read rule and the write rule; the oracle's
+    neighbor-read phase runs it with ``write=False``.
     """
 
     def __init__(self, placement: Placement, policy: str = "none"):
@@ -228,14 +230,6 @@ class VersionedMemoryCache:
         """
         return self._step(vertices, reads, write=True)
 
-    def note_reads(self, shard: int, vertices: np.ndarray) -> SyncOutcome:
-        """Account one shard's read-set outside a batch step (a later
-        read phase of the same batch); returns the rows it must pull."""
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
-        reads = np.zeros((self.num_shards, len(v)), dtype=bool)
-        reads[shard] = True
-        return self._step(v, reads, write=False).get(shard, SyncOutcome())
-
     def transfer_ownership(self, vertices, from_shards, to_shard: int) -> None:
         """Mirror stamps for ``vertices`` just moved from ``from_shards``
         to ``to_shard`` (an online migration's coherence side — the same
@@ -310,7 +304,8 @@ def hand_off(router: ShardRouter, cache: VersionedMemoryCache | None,
     The single apply step behind every ownership move — the serving
     :class:`~repro.serving.control.ControlPlane` (rebalancer migrations,
     autoscaler splits/merges, failover fail-backs: it vets each plan
-    first) and the functional :meth:`ShardedRuntime.migrate`: check the
+    first) and ``ShardedRuntime.migrate``, the functional oracle in
+    ``tests/property/sharded_oracle.py``: check the
     plan still matches the live assignment, flip the routing side
     (:meth:`~repro.serving.router.ShardRouter.migrate`), then stamp the
     coherence side (:meth:`VersionedMemoryCache.transfer_ownership`,
@@ -340,8 +335,9 @@ def fail_over(router: ShardRouter, cache: VersionedMemoryCache | None,
     """Evacuate ownership off ``dead``, whose state is lost, onto ``live``.
 
     The single apply step behind every dead-shard failover — the engine's
-    :class:`~repro.serving.control.FailureInjector` and the functional
-    :meth:`ShardedRuntime.fail_shard`.  ``live`` is the caller's boolean
+    :class:`~repro.serving.control.FailureInjector` and
+    ``ShardedRuntime.fail_shard``, the functional oracle in
+    ``tests/property/sharded_oracle.py``.  ``live`` is the caller's boolean
     mask of shards that may receive ownership; only the caller knows
     which other shards are down.  Rebuild sources are looked up
     **before** the flip, against the pre-failover holder set: the router
@@ -367,275 +363,3 @@ def fail_over(router: ShardRouter, cache: VersionedMemoryCache | None,
     if cache is not None:
         cache.fail_over(dead, rebuilt)
     return owned, promoted, rebuilt, peers[np.isin(owned, rebuilt)]
-
-
-# --------------------------------------------------------------------------- #
-class ShardedRuntime:
-    """Functional sharded TGNN replay with versioned memory sync.
-
-    One :class:`~repro.models.tgn.ModelRuntime` per shard, a router
-    splitting each chronological batch, and the two-phase per-batch drive
-    that makes cross-shard reads exact:
-
-    1. *endpoint sync* — each involved shard pulls the stale rows of its
-       sub-batch's endpoints (the rows the GRU and mail refresh read);
-    2. *memory stage* — :meth:`~repro.models.tgn.TGNN.update_memory` per
-       shard (every shard computes the same update for a shared endpoint,
-       because the update depends only on the synced pre-batch rows);
-    3. *owner writes* — versions bump once per batch vertex; under
-       ``push`` the owners' fresh rows are delivered to present mirrors;
-    4. *neighbor sync* — each shard pulls the stale memory rows of the
-       temporal neighbors its attention will gather (the inter-stage state
-       forwarding of DGNN-Booster, in software);
-    5. *embedding stage* — :meth:`~repro.models.tgn.TGNN.embed` per shard.
-
-    With ``policy='push'`` or ``'invalidate'`` the held vertices' memory
-    tables and embeddings are bit-identical to an unsharded replay;
-    ``'none'`` reproduces the stale-mirror divergence this module exists
-    to close (and measures it).
-
-    :meth:`migrate` is the online-rebalancing hook: ownership moves
-    between batches with the full state handoff (memory rows +
-    neighbor-table slices + version-counter transfer), and the exactness
-    guarantee above survives the move — the acceptance suite in
-    ``tests/unit/test_rebalance.py``.  :meth:`fail_shard` /
-    :meth:`recover_shard` are the failure-injection hooks: a dead shard's
-    state is scrubbed, replicated vertices promote an exact replica,
-    unreplicated ones are rebuilt from peers + the durable edge log, and
-    recovery fails the snapshot back — with the same bit-identity
-    guarantee once recovered (``tests/unit/test_failover.py``).
-    """
-
-    def __init__(self, model, graph, num_shards: int | None = None,
-                 placement: Placement | None = None, policy: str = "push"):
-        if placement is not None:
-            self.router = ShardRouter.from_placement(placement)
-        else:
-            if num_shards is None:
-                raise ValueError("pass num_shards or placement")
-            self.router = ShardRouter(num_shards, graph.num_nodes)
-        self.model = model
-        self.graph = graph
-        self.cache = VersionedMemoryCache(self.router.placement,
-                                          policy=policy)
-        self.mailbox = CrossShardMailbox(self.router.num_shards)
-        self.runtimes = [model.new_runtime(graph)
-                         for _ in range(self.router.num_shards)]
-        # Failure-injection bookkeeping: the stream position already
-        # replayed (the durable edge-log horizon ring rebuilds replay to)
-        # and, per failed shard, the ownership snapshot recovery restores.
-        self._eid_horizon = 0
-        self._failed: dict[int, np.ndarray] = {}
-
-    @property
-    def policy(self) -> str:
-        return self.cache.policy
-
-    # ------------------------------------------------------------------ #
-    def _transfer(self, vertices: np.ndarray, to_shard: int) -> None:
-        """Copy full state rows from each vertex's owner to ``to_shard``."""
-        if not len(vertices):
-            return
-        owners = self.router.assignment[vertices]
-        self.mailbox.record_sync(owners, to_shard)
-        dst = self.runtimes[to_shard].state
-        for owner in np.unique(owners):
-            rows = vertices[owners == owner]
-            dst.copy_rows(self.runtimes[owner].state, rows)
-
-    def migrate(self, vertices, to_shard: int) -> int:
-        """Move ownership of ``vertices`` to ``to_shard`` between batches,
-        with the full state handoff an online migration performs.
-
-        Three transfers make the new owner exact (and keep every
-        subsequent replay bit-identical to the unsharded runtime under the
-        sync policies):
-
-        1. *memory rows* — memory, mailbox, mail-time, and last-update
-           rows copied from the old owner, whose rows are exact because it
-           held the vertex;
-        2. *neighbor-table slice* — the vertex's FIFO ring (neighbors,
-           edge ids, times, head, count) copied verbatim, so the new
-           owner's gathered neighbor lists equal the unsharded table's;
-        3. *ownership flip* — :func:`hand_off` reroutes the vertices and
-           stamps the new owner current while downgrading the old owner
-           to an up-to-date mirror, so version counters stay exact across
-           the ownership change.
-
-        The handoff is priced like sync traffic: ``HANDOFF_ROWS_PER_VERTEX``
-        rows per vertex recorded in the mailbox's ``sync_counts``.
-        Replicated vertices migrate too: the old owner stays a holder
-        (it keeps receiving every incident edge).  Returns the number of
-        vertices actually moved (those not already owned by ``to_shard``).
-        """
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
-        # Validate everything before touching any state: the copy loop
-        # below mutates the destination runtime and records sync traffic,
-        # so a late refusal would leave a half-applied migration behind.
-        if not 0 <= int(to_shard) < self.router.num_shards:
-            raise ValueError("to_shard out of range")
-        if len(v) and (v.min() < 0 or v.max() >= self.router.num_nodes):
-            raise ValueError("vertex out of range")
-        owners = self.router.assignment[v]
-        v = v[owners != int(to_shard)]
-        owners = owners[owners != int(to_shard)]
-        if not len(v):
-            return 0
-        dst_state = self.runtimes[to_shard].state
-        dst_table = self.runtimes[to_shard].sampler.table
-        for owner in np.unique(owners):
-            rows = v[owners == owner]
-            dst_state.copy_rows(self.runtimes[owner].state, rows)
-            dst_table.copy_rows(self.runtimes[owner].sampler.table, rows)
-            self.mailbox.record_sync(
-                np.repeat(owner, len(rows) * HANDOFF_ROWS_PER_VERTEX),
-                to_shard)
-        hand_off(self.router, self.cache, v, owners, to_shard)
-        return len(v)
-
-    # ------------------------------------------------------------------ #
-    def _replay_rings(self, vertices: np.ndarray) -> None:
-        """Rebuild lost FIFO rings by replaying the durable edge log.
-
-        A vertex's ring is a pure function of its incident-edge history in
-        stream order (:meth:`~repro.graph.neighbor_table.NeighborTable.\
-insert_edges` groups per vertex, keeps the newest ``mr``, and advances
-        the head by the total insertion count), so replaying edges
-        ``[0, eid_horizon)`` into a reset row reproduces the lost
-        holder's row **bit-for-bit** — same slots, same head, same count —
-        not merely the same logical neighbor set.
-        """
-        if not len(vertices):
-            return
-        h = self._eid_horizon
-        src = self.graph.src[:h]
-        dst = self.graph.dst[:h]
-        eid = np.arange(h, dtype=np.int64)
-        t = self.graph.t[:h]
-        # The interleaved endpoint stream insert_edges would have built:
-        # element 2i is (src -> dst), 2i+1 its (dst -> src) twin.
-        vs = np.empty(2 * h, dtype=np.int64)
-        ps = np.empty(2 * h, dtype=np.int64)
-        es = np.empty(2 * h, dtype=np.int64)
-        ts = np.empty(2 * h, dtype=np.float64)
-        vs[0::2], vs[1::2] = src, dst
-        ps[0::2], ps[1::2] = dst, src
-        es[0::2], es[1::2] = eid, eid
-        ts[0::2], ts[1::2] = t, t
-        owners = self.router.assignment[vertices]
-        for owner in np.unique(owners):
-            rows = vertices[owners == owner]
-            table = self.runtimes[owner].sampler.table
-            table.reset(rows)
-            sel = np.isin(vs, rows)
-            if sel.any():
-                table._insert(vs[sel], ps[sel], es[sel], ts[sel])
-
-    def fail_shard(self, shard: int) -> dict[str, int]:
-        """Fail-stop ``shard`` — its state is lost — and evacuate exactly.
-
-        Ownership moves via :func:`fail_over` onto the shards that are not
-        themselves failed: replicated vertices
-        *promote* a surviving replica (a full holder, so its memory rows
-        and FIFO ring are already exact and no state moves), unreplicated
-        vertices get a surviving owner and are *rebuilt* — the
-        vertex-state row copied from the lowest surviving shard that held
-        a current copy before the failover (see
-        :meth:`VersionedMemoryCache.current_peer`), the FIFO
-        ring replayed bit-exactly from the durable edge log (see
-        :meth:`_replay_rings`), ``HANDOFF_ROWS_PER_VERTEX`` rows per
-        vertex recorded in the mailbox like any other transfer.  Vertices
-        with a write history but no surviving current copy are counted
-        ``cold``: their ring is rebuilt but their memory rows restart from
-        zero — genuinely lost data, which the exactness suite pins to zero
-        for the coverage it certifies.
-
-        The dead runtime is scrubbed and the ownership snapshot kept so
-        :meth:`recover_shard` can fail back.  Returns ``{"promoted",
-        "rebuilt", "cold", "rows"}`` counts.
-        """
-        shard = int(shard)
-        if shard in self._failed:
-            raise ValueError(f"shard {shard} is already failed")
-        live = np.ones(self.router.num_shards, dtype=bool)
-        live[list(self._failed)] = False
-        owned_before, promoted, rebuilt, peers = \
-            fail_over(self.router, self.cache, shard, live)
-        rows = 0
-        cold = 0
-        for x, peer in zip(rebuilt.tolist(), peers.tolist()):
-            new_owner = int(self.router.assignment[x])
-            dst = self.runtimes[new_owner].state
-            if peer < 0:
-                # No surviving current copy: fresh-vertex rows are exactly
-                # this (version 0); written vertices are honestly cold.
-                if self.cache.version[x] > 0:
-                    cold += 1
-                dst.reset(x)
-            else:
-                dst.copy_rows(self.runtimes[peer].state, x)
-                self.mailbox.record_sync(
-                    np.repeat(peer, HANDOFF_ROWS_PER_VERTEX), new_owner)
-                rows += HANDOFF_ROWS_PER_VERTEX
-        self._replay_rings(rebuilt)
-        # The whole premise: the dead shard's state is gone.
-        self.runtimes[shard].reset()
-        self._failed[shard] = owned_before
-        return {"promoted": len(promoted), "rebuilt": len(rebuilt),
-                "cold": cold, "rows": rows}
-
-    def recover_shard(self, shard: int) -> int:
-        """Fail the snapshot back: the recovered shard re-owns everything
-        it owned at failure time through the ordinary exact migration path
-        (state rows + ring slices copied from the interim owners, priced
-        as handoff rows).  Promoted replicas demote back into the replica
-        set; interim owners of rebuilt vertices give them up.  Returns the
-        number of vertices failed back.
-        """
-        shard = int(shard)
-        owned = self._failed.pop(shard, None)
-        if owned is None:
-            raise ValueError(f"shard {shard} is not failed")
-        return self.migrate(owned, shard)
-
-    def process_batch(self, batch: EdgeBatch) -> dict[int, "BatchResult"]:
-        """Process one chronological batch across all shards.
-
-        Returns ``{shard: BatchResult}`` for every shard with incident
-        edges.  Only the rows of *held* query vertices are exact under the
-        sync policies; non-held rows are computed against that shard's
-        partial neighbor table (exactly as in deployment, where a shard
-        answers queries only for the vertices it holds).
-        """
-        if len(batch.eid):
-            self._eid_horizon = max(self._eid_horizon,
-                                    int(batch.eid.max()) + 1)
-        subs = self.router.split(batch, self.mailbox, cache=self.cache)
-        # Endpoint sync happened inside split (phase 1): apply the pulls
-        # before any shard's memory stage reads the rows.
-        for sb in subs:
-            self._transfer(sb.sync_pull, sb.shard)
-        updates = {sb.shard: self.model.update_memory(
-            sb.batch, self.runtimes[sb.shard]) for sb in subs}
-        # Owner writes are exact now; deliver the push rows (phase 3).
-        for sb in subs:
-            self._transfer(sb.sync_push, sb.shard)
-        # Neighbor sync (phase 4): the attention gathers the pre-insertion
-        # FIFO neighbors and reads their *memory* rows, which other shards
-        # may have rewritten this very batch.  The gather is reused by the
-        # embedding stage (the table only changes at insert time, inside
-        # ``embed``).
-        k = self.model.cfg.num_neighbors
-        gathers = {}
-        for sb in subs:
-            g = self.runtimes[sb.shard].sampler.gather(sb.batch.nodes, k)
-            gathers[sb.shard] = g
-            out = self.cache.note_reads(sb.shard, g.nbrs[g.mask])
-            self._transfer(out.pulled, sb.shard)
-        return {sb.shard: self.model.embed(
-            sb.batch, self.runtimes[sb.shard], self.graph,
-            updates[sb.shard], gathered=gathers[sb.shard]) for sb in subs}
-
-    def held_vertices(self, shard: int) -> np.ndarray:
-        """Vertex ids shard ``shard`` holds (owned or replicated)."""
-        return np.flatnonzero(self.router._member[shard])

@@ -56,6 +56,7 @@ Policies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -367,6 +368,8 @@ class LoadAwareRebalance:
             raise ValueError("util_threshold must be positive")
         if max_migrations < 0:
             raise ValueError("max_migrations must be non-negative")
+        if not 0 <= mail_weight < math.inf:
+            raise ValueError("mail_weight must be finite and non-negative")
         self.util_threshold = float(util_threshold)
         self.max_migrations = int(max_migrations)
         self.mail_weight = float(mail_weight)

@@ -70,6 +70,8 @@ engine's (asserted in ``test_rebalance`` and, at tier-2 scale, in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .control import ControlPlane, Window
@@ -119,9 +121,9 @@ class OnlineRebalancer:
 
     Every migration prices
     :data:`~repro.serving.memsync.HANDOFF_ROWS_PER_VERTEX` rows — the
-    same count the functional :meth:`~repro.serving.memsync.\
-ShardedRuntime.migrate` records, so the timing report and the functional
-    model never disagree on the handoff bill.
+    same count the functional oracle's ``ShardedRuntime.migrate``
+    (``tests/property/sharded_oracle.py``) records, so the timing report
+    and the functional model never disagree on the handoff bill.
     """
 
     def __init__(self, window_s: float, util_threshold: float = 0.75,
@@ -137,8 +139,8 @@ ShardedRuntime.migrate` records, so the timing report and the functional
             raise ValueError("max_migrations_per_window must be positive")
         if cooldown_windows < 0:
             raise ValueError("cooldown_windows must be non-negative")
-        if hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+        if not 0 <= hysteresis < math.inf:
+            raise ValueError("hysteresis must be finite and non-negative")
         if depth_threshold is not None and depth_threshold <= 0:
             raise ValueError("depth_threshold must be positive")
         if promote_heat <= demote_heat:

@@ -64,19 +64,6 @@ class BackendRegistry:
                            f"available: {', '.join(self.available())}")
         return self._factories[name](model, graph, **kwargs)
 
-    def create_many(self, name: str, count: int, model, graph,
-                    **kwargs) -> list:
-        """``count`` fresh instances of one backend (a shard fleet).
-
-        Each instance gets its own runtime/state: one per station of a
-        :class:`~repro.serving.engine.ServingEngine` fleet (the K servers
-        of one station share theirs — replicas are stateless).
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return [self.create(name, model, graph, **kwargs)
-                for _ in range(count)]
-
 
 DEFAULT_REGISTRY = BackendRegistry()
 

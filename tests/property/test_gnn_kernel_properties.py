@@ -96,11 +96,18 @@ def updater_forward_numpy_premul(upd, raw_messages, bins, premul_table, w_raw,
                    + memory @ upd.w_hh.data.T + upd.bias.data)
 
 
+def read_rows(state, vertices):
+    """Gather ``(memory, mailbox, mail_time, last_update)`` rows."""
+    v = np.asarray(vertices, dtype=np.int64)
+    return (state.memory[v], state.mailbox[v],
+            state.mail_time[v], state.last_update[v])
+
+
 def update_memory_np(model, batch, rt):
     nodes = batch.nodes
     t_nodes = np.repeat(batch.t, 2)
     uniq, inverse = np.unique(nodes, return_inverse=True)
-    mem, mail, mail_t, last = rt.state.read(uniq)
+    mem, mail, mail_t, last = read_rows(rt.state, uniq)
     has_mail = mail_t > -np.inf
     updated = mem.copy()
     if has_mail.any():

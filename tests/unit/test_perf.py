@@ -1,5 +1,10 @@
 """Unit tests for the §V performance model and the GPP cost models."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,10 +23,24 @@ class TestPerformanceModel:
             PerformanceModel(ModelConfig(), U200_DESIGN)
 
     def test_pipeline_period_structure(self):
-        pm = PerformanceModel(SIMPLE, U200_DESIGN)
-        pred = pm.pipeline_period()
-        assert pred.tp_s == max(pred.t_comp_s, pred.t_ls_s)
-        assert pred.tp_s > 0
+        # The published designs are compute-bound (§III); starve the ZCU104
+        # of bandwidth and the load/store term sets the period instead.
+        starved = ZCU104_DESIGN.with_(platform=dataclasses.replace(
+            ZCU104_DESIGN.platform, name="starved", ddr_bw_gbs=0.05))
+        for hw, bound in ((U200_DESIGN, "t_comp_s"),
+                          (ZCU104_DESIGN, "t_comp_s"), (starved, "t_ls_s")):
+            pred = PerformanceModel(SIMPLE, hw).pipeline_period()
+            assert pred.tp_s == max(pred.t_comp_s, pred.t_ls_s) \
+                == getattr(pred, bound) > 0, hw.platform.name
+
+    def test_package_imports_first(self):
+        """``hw.dse`` imports ``performance_model``, which imports
+        ``hw.config``: the cycle must resolve from a fresh interpreter."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-c", "import repro.perf"],
+                       env=env, check=True, timeout=60)
 
     def test_latency_monotone_in_batch_size(self):
         pm = PerformanceModel(SIMPLE, ZCU104_DESIGN)

@@ -204,6 +204,9 @@ class TestLoadAwareRebalance:
         rep0 = self.run_profile(g, StaticHashPlacement().place(heat, 4))
         with pytest.raises(ValueError):
             LoadAwareRebalance().place(heat, 8, profile=rep0.shard_stats)
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mail_weight"):
+                LoadAwareRebalance(mail_weight=bad)
 
 
 # --------------------------------------------------------------------------- #

@@ -873,10 +873,25 @@ def router_is_none_tests(path):
         and node.comparators[0].value is None)
 
 
+KERNELS = {"new_runtime", "update_memory", "embed", "infer_batch"}
+
+
+def kernel_names(path):
+    """Lines where ``path`` names a model kernel entry point: a name,
+    attribute, import or definition spelled as one of ``KERNELS``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias,
+                             ast.FunctionDef))
+        and getattr(node, "id", getattr(node, "attr", getattr(
+            node, "name", ""))) in KERNELS)
+
+
 class TestOneFleetPath:
     """A fleet is a server-count vector: the topology names are read
     where the vector is built and nowhere downstream, and the control
-    plane always has a router."""
+    plane always has a router.  Serving prices batches; only the
+    measured backend executes the model's kernels."""
 
     SERVING = Path(repro.serving.__file__).parent
     BUILDERS = {"ServingEngine.__init__", "ServingEngine.from_registry"}
@@ -892,6 +907,12 @@ class TestOneFleetPath:
     def test_the_control_plane_always_has_a_router(self, name):
         assert router_is_none_tests(self.SERVING / name) == []
 
+    @pytest.mark.parametrize("path", sorted(
+        p for p in SERVING.glob("*.py") if p.name != "measured.py"),
+        ids=lambda p: p.name)
+    def test_only_the_measured_backend_executes_kernels(self, path):
+        assert kernel_names(path) == []
+
     def test_the_resolvers_see_every_spelling(self, tmp_path):
         src = tmp_path / "probe.py"
         src.write_text(
@@ -905,8 +926,13 @@ class TestOneFleetPath:
             "        if self.pooled: pass\n"
             "        if mode == 'serial' or self.router is None: pass\n"
             "def free():\n"
-            "    return plane.router is not None and router is None\n")
+            "    return plane.router is not None and router is None\n"
+            "rt = model.new_runtime(graph)\n"
+            "from repro.models.tgn import embed\n"
+            "def infer_batch(): return update_memory\n"
+            "note = 'embed', embedding\n")
         assert topology_tests(src) == [
             ("Engine.run", 3), ("Engine.run", 4), ("Engine.run", 5),
             ("Engine.run", 6), ("Engine.run", 7), ("Engine.run", 8)]
         assert router_is_none_tests(src) == [9, 11, 11]
+        assert kernel_names(src) == [12, 13, 14, 14]

@@ -10,33 +10,29 @@ class TestVertexState:
     def test_initial_state(self):
         s = VertexState(4, memory_dim=3, raw_message_dim=5)
         assert not s.has_mail(np.array([0, 1])).any()
-        mem, mail, mt, lu = s.read(np.array([0]))
-        assert mem.shape == (1, 3) and mail.shape == (1, 5)
-        assert mt[0] == -np.inf and lu[0] == 0.0
+        assert s.memory.shape == (4, 3) and s.mailbox.shape == (4, 5)
+        assert s.mail_time[0] == -np.inf and s.last_update[0] == 0.0
 
     def test_write_and_read_memory(self):
         s = VertexState(4, 3, 5)
         s.write_memory(np.array([1, 2]), np.arange(6.0).reshape(2, 3),
                        np.array([10.0, 11.0]))
-        mem, _, _, lu = s.read(np.array([1, 2]))
-        assert np.allclose(mem, [[0, 1, 2], [3, 4, 5]])
-        assert np.allclose(lu, [10.0, 11.0])
+        assert np.allclose(s.memory[1:3], [[0, 1, 2], [3, 4, 5]])
+        assert np.allclose(s.last_update[1:3], [10.0, 11.0])
 
     def test_duplicate_write_last_wins(self):
         s = VertexState(4, 2, 3)
         vals = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         s.write_memory(np.array([1, 1, 1]), vals, np.array([1.0, 2.0, 3.0]))
-        mem, _, _, lu = s.read(np.array([1]))
-        assert np.allclose(mem[0], [3.0, 3.0])
-        assert lu[0] == 3.0
+        assert np.allclose(s.memory[1], [3.0, 3.0])
+        assert s.last_update[1] == 3.0
 
     def test_mailbox_most_recent_aggregator(self):
         s = VertexState(4, 2, 3)
         msgs = np.array([[1.0, 0, 0], [0, 2.0, 0]])
         s.write_mail(np.array([2, 2]), msgs, np.array([5.0, 6.0]))
-        _, mail, mt, _ = s.read(np.array([2]))
-        assert np.allclose(mail[0], [0, 2.0, 0])
-        assert mt[0] == 6.0
+        assert np.allclose(s.mailbox[2], [0, 2.0, 0])
+        assert s.mail_time[2] == 6.0
         assert s.has_mail(np.array([2]))[0]
 
     def test_snapshot_restore(self):

@@ -248,7 +248,7 @@ class TestOneModelBody:
             & set(vars(MultiLayerTGNN))
 
     def test_a_poisoned_cache_reaches_infer_batch_alone(self):
-        from repro.serving import ShardedRuntime
+        from tests.property.sharded_oracle import ShardedRuntime
         g = tiny_stream()
         model = TGNN(self.NP4, rng=np.random.default_rng(0))
         model.calibrate(g)
