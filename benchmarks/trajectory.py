@@ -9,7 +9,8 @@ Reads ``results/e2e/result.json`` (``REPRO_RESULTS_DIR`` moves
 ``results``) and, when it is there, ``result_traced.json``, and appends
 one record to ``BENCH_e2e.json`` at the repository root: per workload the
 four end-to-end metrics of ``BENCHMARK.json`` and — from the traced set —
-the scheduler's exact counters and, for ``kernel_b200``,
+the exact counters of ``COUNTERS`` (scheduler events, ``split`` calls,
+``process_batch`` calls, ``run_stream`` calls) and, for ``kernel_b200``,
 ``models.infer_calls`` with the ``KERNEL_STAGES`` shares of its host
 seconds beside the paper's Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
 ``run.py`` worked them out, beside the ``src/repro`` code-line total
@@ -35,7 +36,9 @@ sys.path[:0] = [str(HERE), str(HERE / "e2e")]
 from code_lines import code_lines  # noqa: E402
 from pins import results_dir  # noqa: E402
 
-COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events")
+COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events",
+            "router.split_calls", "pipeline.process_batch_calls",
+            "hw.run_stream_calls")
 KERNEL = "kernel_b200"      # the one workload whose wall is the kernels'
 
 

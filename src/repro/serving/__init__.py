@@ -33,9 +33,17 @@ scheduler's run *is* that trace, the batcher's pending buffer is a span
 of it, a released job's ``sources`` is a zero-copy slice of it, and the
 report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
-the trace (the :class:`ArrivalEvent` records of a traced run, the
-offline :meth:`DynamicBatcher.coalesce`, tests); hand-built lists of them are normalised once by
+the trace (the :class:`ArrivalEvent` records of a traced run, tests);
+hand-built lists of them are normalised once by
 :meth:`ArrivalTrace.from_arrivals`.
+Routing is columnar per ownership epoch: under serial ingest the job
+boundaries follow from the trace alone (:meth:`DynamicBatcher.spans`),
+so the engine routes every job left in one :meth:`ShardRouter.plan` —
+one incidence, one ``(job, shard)`` sort, one closed-form memsync pass
+(:meth:`VersionedMemoryCache.steps`) — hands the jobs out one at a time
+and routes again only after an ownership move bumps
+:attr:`ShardRouter.generation`; under pipelined ingest each released
+job is a one-job plan, which is what :meth:`ShardRouter.split` is.
 Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
 from its shape; they do not execute its kernels.
 

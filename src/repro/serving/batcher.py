@@ -18,10 +18,13 @@ over the graph's own edge arrays — from
 iterating the trace hands out.
 
 :class:`DynamicBatcher` is the *policy* (trigger configuration) plus the
-offline reference implementation.  The serving engine runs the same
-policy online as a :class:`~repro.serving.events.BatcherActor` on the
-discrete-event scheduler — under serial ingest the actor's releases match
-:meth:`coalesce` exactly (property-tested in ``test_events``), and under
+offline reference implementation, :meth:`DynamicBatcher.spans`.  The
+serving engine runs the same policy online as a
+:class:`~repro.serving.events.BatcherActor` on the discrete-event
+scheduler — under serial ingest the actor's releases match
+:meth:`~DynamicBatcher.spans` exactly (property-tested in ``test_events``
+through :meth:`~DynamicBatcher.coalesce`), which is what lets the engine
+route every job of an ownership epoch before it is released; under
 pipelined ingest the actor adds the double-buffered fleet-drain trigger
 that an offline pass cannot express (it depends on in-flight compute).
 """
@@ -29,12 +32,13 @@ that an offline pass cannot express (it depends on in-flight compute).
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.batching import merge_batches
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 
 __all__ = ["StreamArrival", "ArrivalTrace", "CoalescedJob", "DynamicBatcher"]
@@ -60,8 +64,7 @@ class ArrivalTrace(Sequence):
     :class:`CoalescedJob`: nothing on the bulk path holds a Python object
     per arrival.  It is still a ``Sequence[StreamArrival]`` — indexing or
     iterating materialises items (as views, nothing is copied) for whoever
-    wants them one at a time: the traced per-event path, the offline
-    :meth:`DynamicBatcher.coalesce`, tests.
+    wants them one at a time: the traced per-event path, tests.
 
     Columns, for ``n`` arrivals:
 
@@ -200,12 +203,31 @@ class ArrivalTrace(Sequence):
         return self._take(
             rows[np.argsort(self.edges.t[rows], kind="stable")])
 
+    def job_rows(self, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Edge rows of consecutive jobs, from one gather.
+
+        Job ``j`` is arrivals ``[lo[j], hi[j])`` and ``hi[j] == lo[j +
+        1]``, as :meth:`DynamicBatcher.spans` returns them.  Returns the
+        jobs' rows into ``edges``, each job's in :meth:`merged` order,
+        job after job, and the ``(jobs + 1,)`` offsets of each job's rows
+        among them.
+        """
+        bounds = self.cum[np.append(lo, hi[-1:])]
+        rows = self.eidx[bounds[0]:bounds[-1]]
+        offsets = bounds - bounds[0]
+        multi = hi - lo > 1
+        if multi.any():
+            job = np.repeat(np.arange(len(lo)), np.diff(offsets))
+            # A lone arrival keeps its order, as merged() does.
+            rows = rows[np.lexsort(
+                (np.where(multi[job], self.edges.t[rows], 0.0), job))]
+        return rows, offsets
+
     # ------------------------------------------------------------------ #
     def __eq__(self, other) -> bool:
         """Value equality: same instants, streams, and edge ids per
-        arrival — also against a tuple or list of :class:`StreamArrival`
-        (what the offline :meth:`DynamicBatcher.coalesce` puts in
-        ``CoalescedJob.sources``)."""
+        arrival — also against a tuple or list of :class:`StreamArrival`."""
         if not isinstance(other, ArrivalTrace):
             if not isinstance(other, (tuple, list)) or not all(
                     isinstance(a, StreamArrival) for a in other):
@@ -230,11 +252,9 @@ class ArrivalTrace(Sequence):
 class CoalescedJob:
     """A flushed batch: merged edges plus its constituent arrivals.
 
-    ``sources`` is a sequence of :class:`StreamArrival` in admission order
-    — a tuple from the offline :meth:`DynamicBatcher.coalesce`, a
-    zero-copy :class:`ArrivalTrace` slice from the online
-    :class:`~repro.serving.events.BatcherActor`; the two compare equal
-    when they name the same arrivals.
+    ``sources`` is a sequence of :class:`StreamArrival` in admission order:
+    a zero-copy :class:`ArrivalTrace` slice (it compares equal to a tuple
+    of the same arrivals).
     """
 
     t_release: float
@@ -273,8 +293,11 @@ class DynamicBatcher:
 
     def __init__(self, max_edges: int | None = None,
                  max_delay_s: float | None = None):
-        if max_edges is not None and max_edges <= 0:
-            raise ValueError("max_edges must be positive")
+        # An integer type keeps NaN, inf and 2.5 out: the size trigger
+        # compares edge counts with it.
+        if max_edges is not None and not (
+                isinstance(max_edges, numbers.Integral) and max_edges > 0):
+            raise ValueError("max_edges must be a positive integer")
         if max_delay_s is None:
             max_delay_s = math.inf if max_edges is not None else 0.0
         if not max_delay_s >= 0:    # NaN too
@@ -282,46 +305,57 @@ class DynamicBatcher:
         self.max_edges = max_edges
         self.max_delay_s = float(max_delay_s)
 
+    def spans(self, trace: ArrivalTrace,
+              start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Arrival spans ``[lo[j], hi[j])`` of the jobs serial ingest
+        releases from arrival ``start`` on, the buffer empty there.
+
+        Between two arrivals the only event that can fire is the pending
+        buffer's deadline, so a job opened by arrival ``lo`` ends before
+        the first later arrival at or past ``t[lo] + max_delay_s`` (the
+        deadline flush precedes it), before the arrival that would push
+        the buffer past ``max_edges``, or after the one that reaches it —
+        an oversized arrival alone is a job of its own.  One bisect of
+        the instants and one of the edge offsets per job.
+        """
+        t = trace.t
+        if np.any(t[1:] < t[:-1]):
+            raise ValueError("arrivals must be sorted by time")
+        t, cum, n = t.tolist(), trace.cum.tolist(), len(t)
+        cap, delay = self.max_edges, self.max_delay_s
+        lo, hi = [], []
+        i = start
+        while i < n:
+            end = bisect_left(t, t[i] + delay, i + 1)
+            if cap is not None:
+                full = cum[i] + cap
+                k = bisect_left(cum, full, i + 1)
+                end = min(end, k if k <= n and cum[k] == full
+                          else max(k - 1, i + 1))
+            lo.append(i)
+            hi.append(end)
+            i = end
+        return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
     def coalesce(self, arrivals: Sequence[StreamArrival]
                  ) -> list[CoalescedJob]:
-        """Fold time-sorted arrivals into released jobs.
-
-        Offline event simulation: between two arrivals the only event that
-        can fire is the pending buffer's deadline, so it suffices to check
-        the deadline before admitting each arrival and once at end of
-        stream.
-        """
-        jobs: list[CoalescedJob] = []
-        pending: list[StreamArrival] = []
-        pending_edges = 0
-
-        def flush(t_release: float) -> None:
-            nonlocal pending_edges
-            merged = merge_batches([a.batch for a in pending])
-            jobs.append(CoalescedJob(t_release=t_release, batch=merged,
-                                     sources=tuple(pending)))
-            pending.clear()
-            pending_edges = 0
-
-        last_t = -math.inf
-        for a in arrivals:
-            if a.t < last_t:
-                raise ValueError("arrivals must be sorted by time")
-            last_t = a.t
-            if pending and a.t >= pending[0].t + self.max_delay_s:
-                flush(pending[0].t + self.max_delay_s)
-            # Overflow guard: admitting this arrival would push the buffer
-            # past the size cap, so release the buffered job first.  Only a
-            # single arrival larger than ``max_edges`` can therefore ever
-            # produce an oversized job (it has nowhere else to go).
-            if self.max_edges is not None and pending \
-                    and pending_edges + len(a) > self.max_edges:
-                flush(a.t)
-            pending.append(a)
-            pending_edges += len(a)
-            if self.max_edges is not None and pending_edges >= self.max_edges:
-                flush(a.t)
-        if pending:
-            deadline = pending[0].t + self.max_delay_s
-            flush(deadline if math.isfinite(deadline) else pending[-1].t)
-        return jobs
+        """Fold time-sorted arrivals into released jobs: :meth:`spans`,
+        each released at its trigger's instant."""
+        trace = ArrivalTrace.from_arrivals(arrivals)
+        lo, hi = self.spans(trace)
+        t = trace.t
+        last = t[hi - 1]
+        deadline = t[lo] + self.max_delay_s
+        after = t[np.minimum(hi, len(t) - 1)]
+        # A deadline flush precedes the arrival that finds it due, else
+        # that arrival overflowed the buffer; the stream's end flushes at
+        # the deadline, or at the last arrival when there is none.
+        release = np.where(hi < len(t),
+                           np.where(after >= deadline, deadline, after),
+                           np.where(np.isfinite(deadline), deadline, last))
+        if self.max_edges is not None:
+            full = trace.cum[hi] - trace.cum[lo] >= self.max_edges
+            release = np.where(full, last, release)
+        return [CoalescedJob(t_release=r, batch=part.merged(), sources=part)
+                for r, part in zip(release.tolist(),
+                                   map(trace.span, lo.tolist(), hi.tolist()))]

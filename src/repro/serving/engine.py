@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Sequence
@@ -84,7 +85,7 @@ from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
 from .registry import DEFAULT_REGISTRY, BackendRegistry
-from .router import ShardRouter
+from .router import RoutePlan, ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
            "make_stream_arrivals"]
@@ -309,8 +310,8 @@ def make_stream_arrivals(graph: TemporalGraph, window_s: float,
     # ``not (x > 0)`` also rejects NaN, which ``x <= 0`` lets through.
     if not (0 < window_s < math.inf and 0 < speedup < math.inf):
         raise ValueError("window_s and speedup must be positive and finite")
-    if num_streams <= 0:
-        raise ValueError("num_streams must be positive")
+    if not (isinstance(num_streams, numbers.Integral) and num_streams > 0):
+        raise ValueError("num_streams must be a positive integer")
     _, lo, hi = time_window_spans(graph, window_s, start=start, end=end)
     if len(lo) == 0:
         raise ValueError("no windows in the requested range")
@@ -539,6 +540,8 @@ class ServingEngine:
             raise ValueError("router shard count must match backend count")
         if die_of is not None and len(die_of) != n:
             raise ValueError("die_of must assign every shard")
+        if not 0 <= mail_hop_s < math.inf:      # NaN too
+            raise ValueError("mail_hop_s must be finite and non-negative")
         self.die_of = None if die_of is None else np.asarray(die_of,
                                                              dtype=np.int64)
         self.mail_hop_s = float(mail_hop_s)
@@ -601,28 +604,30 @@ class ServingEngine:
         return cls(backends, graph.num_nodes, **engine_kwargs)
 
     # ------------------------------------------------------------------ #
-    def _cross_die_mail(self, shard: int, mail_from: np.ndarray) -> int:
-        if self.die_of is None or not len(mail_from):
-            return 0
-        return int((self.die_of[mail_from] != self.die_of[shard]).sum())
+    def _die_hops(self, plan: RoutePlan) -> tuple[list[int], list[int]]:
+        """Die-crossing hops of every sub-job of ``plan``, per ``(job,
+        shard)`` run: of its edge mail, and of its sync traffic.
 
-    def _cross_die_sync(self, sb) -> int:
-        """Die-crossing hop count of a sub-job's sync traffic.
-
-        A pulled row is a read-blocking round-trip (two hops: request +
-        response); a pushed row rides in with the mail (one hop).  Rows
-        exchanged between shards on the same die are free, exactly like
-        edge mail.
+        A forwarded edge is one hop; a pulled row is a read-blocking
+        round-trip (two hops: request + response); a pushed row rides in
+        with the mail (one hop).  Traffic between shards on the same die
+        is free.
         """
+        runs = plan.num_jobs * self.num_shards
         if self.die_of is None:
-            return 0
-        hops = 0
-        for rows, cost in ((sb.sync_pull, 2), (sb.sync_push, 1)):
-            if len(rows):
-                owners = self.router.assignment[rows]
-                hops += cost * int((self.die_of[owners]
-                                    != self.die_of[sb.shard]).sum())
-        return hops
+            return [0] * runs, [0] * runs
+        die = self.die_of
+
+        def crossings(bounds, source, cost=1):
+            run = np.repeat(np.arange(runs), np.diff(bounds))
+            cross = die[source] != die[run % self.num_shards]
+            return cost * np.bincount(run[cross], minlength=runs)
+
+        owner = self.router.assignment
+        sync = crossings(plan.pull_bounds, owner[plan.pull], 2) \
+            + crossings(plan.push_bounds, owner[plan.push])
+        return (crossings(plan.mail_bounds, plan.mail_from).tolist(),
+                sync.tolist())
 
     def run(self, graph: TemporalGraph, window_s: float, start: int = 0,
             end: int | None = None, speedup: float = 1.0,
@@ -730,6 +735,46 @@ class ServingEngine:
                 pool_shard=self._drift_shard)
         self.last_control = plane
 
+        # The routing plan of the current ownership epoch, with the
+        # arrival spans of its jobs and their die hops.  Under serial
+        # ingest the batcher's releases are known in advance, so a plan
+        # covers every job left; pipelined releases depend on the fleet,
+        # so a plan covers the released job alone.
+        router = self.router
+        plan = spans = die_hops = None
+        released = 0            # arrivals released so far
+
+        def next_sub_batches(job: CoalescedJob) -> list[tuple]:
+            """The job's sub-batches, each with its mail and sync die
+            hops."""
+            nonlocal plan, spans, die_hops, released
+            lo = released
+            hi = released = lo + len(job.sources)
+            if router.num_shards == 1:
+                return [(sb, 0, 0) for sb in router.split(job.batch)]
+            if plan is None or plan.position == plan.num_jobs \
+                    or plan.generation != router.generation:
+                if ingest == "serial":
+                    starts, ends = self.batcher.spans(arrivals, lo)
+                    rows, job_edges = arrivals.job_rows(starts, ends)
+                    plan = router.plan(arrivals.edges, job_edges, rows,
+                                       cache=cache)
+                    spans = list(zip(starts.tolist(), ends.tolist()))
+                else:
+                    plan = router.plan(job.batch, [0, len(job.batch)],
+                                       cache=cache)
+                    spans = [(lo, hi)]
+                die_hops = self._die_hops(plan)
+            j = plan.position
+            if spans[j] != (lo, hi):
+                raise RuntimeError(
+                    f"released arrivals [{lo}, {hi}) but the routing plan "
+                    f"holds [{spans[j][0]}, {spans[j][1]})")
+            at = j * router.num_shards
+            mail, sync = die_hops
+            return [(sb, mail[at + sb.shard], sync[at + sb.shard])
+                    for sb in plan.next()]
+
         def route(job: CoalescedJob) -> list[Submission]:
             ji = len(job_windows)
             job_windows.append(len(job.sources))
@@ -740,9 +785,7 @@ class ServingEngine:
                 # the new.
                 plane.observe(job.t_release, job.batch)
             subs = []
-            for sb in self.router.split(job.batch, cache=cache):
-                hops = self._cross_die_mail(sb.shard, sb.mail_from)
-                sync_hops = self._cross_die_sync(sb)
+            for sb, hops, sync_hops in next_sub_batches(job):
                 if plane is not None:
                     sync_hops += plane.take_hops(sb.shard)
                 payload = (ji, sb, hops, sync_hops)

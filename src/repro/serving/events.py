@@ -75,7 +75,7 @@ At equal timestamps events fire in a fixed priority order (service ends,
 then dispatches, then migrations, then flushes, then arrivals) so that
 e.g. a deadline flush scheduled at ``t`` releases *before* an arrival at
 ``t`` is admitted — exactly the tie-breaking the offline
-:meth:`DynamicBatcher.coalesce` reference implements, which is what makes
+:meth:`DynamicBatcher.spans` reference implements, which is what makes
 ``ingest="serial"`` replays byte-identical to the pre-event-core engine.
 
 Ownership plan lifecycle (propose → vet → apply / drop)
@@ -983,9 +983,12 @@ class ServerGroup:
 class BatcherActor:
     """:class:`DynamicBatcher` run online on the event loop.
 
-    ``ingest="serial"`` reproduces :meth:`DynamicBatcher.coalesce` exactly
-    (same triggers, same release instants — property-tested), so replays
-    that predate the event core are byte-identical.  ``"pipelined"`` adds
+    ``ingest="serial"`` releases exactly the spans of the offline
+    reference, :meth:`DynamicBatcher.spans`, at the instants
+    :meth:`DynamicBatcher.coalesce` gives them (same triggers —
+    property-tested), so replays that predate the event core are
+    byte-identical and the engine can route a serial run's jobs before
+    they are released.  ``"pipelined"`` adds
     the double-buffered drain trigger: the buffer flushes the moment every
     fleet group is hungry (idle server, empty queue), so batching delay is
     only ever paid while it hides behind in-flight compute.

@@ -78,15 +78,15 @@ are bit-identical to the unsharded :class:`~repro.models.tgn.ModelRuntime`
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .placement import Placement
-from .router import ShardRouter
+from .router import ShardRouter, _job_shard_runs
 
 __all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "SyncOutcome",
-           "VersionedMemoryCache", "hand_off", "fail_over"]
+           "SyncSteps", "VersionedMemoryCache", "hand_off", "fail_over"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
 
@@ -110,18 +110,79 @@ class SyncOutcome(NamedTuple):
     max_lag: int = 0            # largest version lag among those reads
 
 
+class SyncSteps(NamedTuple):
+    """The sync steps of consecutive jobs (:meth:`VersionedMemoryCache.
+    steps`).
+
+    Column ``c`` is vertex ``v[c]`` in job ``j`` for ``bounds[j] <= c <
+    bounds[j + 1]``: each job's endpoints, ascending, job after job.  The
+    outcome of shard ``s`` in job ``j`` is run ``i = j * num_shards + s``:
+    it pulls ``pull[pull_bounds[i]:pull_bounds[i + 1]]`` (ascending), takes
+    the pushes ``push[push_bounds[i]:push_bounds[i + 1]]``, and served
+    ``stale_bounds[i + 1] - stale_bounds[i]`` stale reads, the worst
+    ``lag[i]`` versions behind.
+    """
+
+    v: np.ndarray
+    bounds: list[int]
+    pull: np.ndarray
+    pull_bounds: list[int]
+    push: np.ndarray
+    push_bounds: list[int]
+    stale_bounds: list[int]
+    lag: list[int]
+    version: np.ndarray         # (columns,) post-job version
+    # Post-job mirror stamps and flags, flat and column-major: entry
+    # ``c * num_shards + s`` is shard ``s``'s cell of column ``c``, at flat
+    # position ``cells[...]`` of the ``(num_shards, num_nodes)`` matrices.
+    cells: np.ndarray
+    stamp: np.ndarray
+    mirror: np.ndarray
+
+
+# Scans along the vertex-sorted columns of VersionedMemoryCache.steps, one
+# run per vertex: ``run[c]`` is column ``c``'s run and ``start`` holds the
+# runs' first columns; ``run is None`` when every run is one column.
+def _run_any(b: np.ndarray, start: np.ndarray,
+             run: np.ndarray | None) -> np.ndarray:
+    """Cumulative OR of ``b`` along axis 1, restarted at every run."""
+    if run is None:
+        return b
+    seen = b.cumsum(axis=1)
+    return seen > (seen - b)[:, start][:, run]
+
+
+def _run_prev(x: np.ndarray, first: np.ndarray, start: np.ndarray,
+              run: np.ndarray | None) -> np.ndarray:
+    """``x`` at the previous column of the run, along axis 1; ``first``
+    at a run's first column."""
+    if run is None:
+        return first
+    out = np.empty_like(x)
+    out[:, 1:] = x[:, :-1]
+    out[:, start] = first[:, start]
+    return out
+
+
+def _run_max(x: np.ndarray, run: np.ndarray | None) -> np.ndarray:
+    """Cumulative max of ``x >= -1`` along axis 1, restarted at every run
+    (run ``r``'s values are lifted above every earlier run's)."""
+    if run is None:
+        return x
+    lift = run * (x.shape[1] + 2) + 1
+    return np.maximum.accumulate(x + lift, axis=1) - lift
+
+
 class VersionedMemoryCache:
     """Per-vertex version counters + per-shard mirror stamps.
 
-    Pure accounting: callers drive :meth:`sync_batch` once per batch, in
-    stream order, and act on the returned pull/push vertex sets (the
-    engine prices them; the functional oracle in
+    Pure accounting: callers drive the sync steps in stream order —
+    :meth:`steps` for a run of jobs, then :meth:`commit` per job as it is
+    handed out, or :meth:`sync_batch` for one — and act on the pull/push
+    vertex sets (the engine prices them; the functional oracle in
     ``tests/property/sharded_oracle.py`` actually copies the rows).  The
     matrices are ``(num_shards, num_nodes)`` — fine at simulation scale;
     a deployment would keep per-shard sparse maps.
-
-    :meth:`_step` holds the read rule and the write rule; the oracle's
-    neighbor-read phase runs it with ``write=False``.
     """
 
     def __init__(self, placement: Placement, policy: str = "none"):
@@ -155,14 +216,16 @@ class VersionedMemoryCache:
         return self.pulled_rows + self.pushed_rows
 
     # ------------------------------------------------------------------ #
-    def _step(self, v: np.ndarray, reads: np.ndarray,
-              write: bool) -> dict[int, SyncOutcome]:
-        """Reads, then (``write``) the owner writes, on the columns ``v``.
+    def steps(self, v: np.ndarray, bounds: Sequence[int], reads: np.ndarray,
+              present: np.ndarray) -> SyncSteps:
+        """Every sync step of consecutive jobs, in closed form.
 
-        The one implementation of both rules.  The ``[:, v]`` sub-matrices
-        are gathered once, updated in place and scattered back once;
-        ``reads[s, j]`` marks shard ``s`` reading ``v[j]``, and a shard is
-        *present* when its row has any.
+        ``v`` and ``bounds`` lay the jobs' endpoints out as
+        :class:`SyncSteps` columns; ``reads[s, c]`` marks shard ``s``
+        reading column ``c`` (an endpoint of its sub-batch) and
+        ``present[s, j]`` shard ``s`` having a sub-batch in job ``j``.
+        One job's step is its reads against the pre-job versions, then
+        its owner writes:
 
         Read rule: holders are never stale; a non-holder's read is stale
         when its stamp lags the owner version.  Under ``none`` stale reads
@@ -171,49 +234,108 @@ class VersionedMemoryCache:
 
         Write rule: every column is written exactly once — its version
         bumps, and its holders observe the event and stay current.  Under
-        ``push`` the updated rows are forwarded to the lagging mirrors
-        among the present shards (those receiving this job's mail);
+        ``push`` the updated rows are forwarded to the mirrors among the
+        present shards (those receiving the job's mail; after the bump
+        every one lags, since no stamp exceeds its owner's version);
         absent mirrors simply lag and repair through the pull fallback on
         their next read.
+
+        A column touches only its own vertex, so sorting the columns by
+        vertex turns the jobs into one run per vertex, where column ``k``
+        of a run reads version ``version0 + k`` and a shard's state
+        follows from its run alone.  A non-holder's row is a mirror once
+        it was one or pulled — ``A = mirror0 | runs-OR(reads & (stamp0 <
+        version0 + k))`` — it is current after a job when it holds the
+        vertex or took the push (``present & A``), and a read is stale
+        exactly when its row was not current after the run's previous
+        column (before the first: when ``stamp0 < version0``).  Under
+        ``none`` nothing but a holder's stamp ever moves.  The caller
+        applies each job's results with :meth:`commit`, in order, and
+        must not move ownership in between: the holders are read here.
         """
-        holder = self._holder.take(v, axis=1)
-        version = self.version[v]
-        stamp = self.mirror_version.take(v, axis=1)
-        mirror = self._mirror.take(v, axis=1)
-        present = reads.any(axis=1)
-        stale = reads & ~holder & (stamp < version)
-        if self.policy == "none":
-            n = np.count_nonzero(stale, axis=1).tolist()
-            worst = (version - stamp).max(axis=1, where=stale,
-                                          initial=0).tolist()
-            self.stale_reads += int(np.count_nonzero(stale))
-            self.max_version_lag = max(self.max_version_lag, *worst)
+        num_shards, n = reads.shape
+        bounds = np.asarray(bounds)
+        jobs = len(bounds) - 1
+        runs = jobs * num_shards
+        if jobs > 1:
+            order = v.argsort(kind="stable")
+            job = np.repeat(np.arange(jobs), bounds[1:] - bounds[:-1])[order]
+            w, read = v[order], reads.take(order, axis=1)
+            first = np.ones(n, dtype=bool)
+            first[1:] = w[1:] != w[:-1]
+            start = np.flatnonzero(first)
+            run = first.cumsum() - 1
+            k = np.arange(n) - start[run]
         else:
-            np.copyto(stamp, version, where=stale)
-            mirror |= stale
-            self.pulled_rows += int(np.count_nonzero(stale))
-        pushed = None
-        if write:
-            version += 1
-            current = holder
-            if self.policy == "push":
-                # Every stamp ever written is a then-current version, so
-                # none exceeds its owner's: after the bump every present
-                # non-holder mirror lags and takes the push.
-                pushed = present[:, None] & mirror & ~holder
-                self.pushed_rows += int(np.count_nonzero(pushed))
-                current = holder | pushed
-            np.copyto(stamp, version, where=current)
-        self.version[v] = version
-        self.mirror_version[:, v] = stamp
-        self._mirror[:, v] = mirror
-        shards = present.nonzero()[0].tolist()
+            # One job's columns are distinct vertices: runs of one column.
+            order, job, w, read, start, run, k = \
+                None, np.zeros(n, dtype=np.int64), v, reads, None, None, 0
+        holder = self._holder.take(w, axis=1)
+        version = self.version[w] + k
+        stamp0 = self.mirror_version.take(w, axis=1)
+        mirror = self._mirror.take(w, axis=1)
+        read = read & ~holder
+        behind = stamp0 < version
+
+        def by_run(mask):
+            # A mask's vertices grouped by (job, shard), ascending within
+            # a group, as the columns are sorted by vertex.
+            shard, col = mask.nonzero()
+            group, cuts = _job_shard_runs(shard, job[col], num_shards, runs)
+            return w[col[group]], cuts
+
+        pull = push = _EMPTY
+        pull_bounds = push_bounds = np.zeros(runs + 1, dtype=np.int64)
+        stale = np.zeros(runs + 1, dtype=np.int64)
+        worst = np.zeros(runs, dtype=np.int64)
         if self.policy == "none":
-            return {s: SyncOutcome(stale_reads=n[s], max_lag=worst[s])
-                    for s in shards}
-        return {s: SyncOutcome(pulled=v[stale[s]], pushed=_EMPTY
-                               if pushed is None else v[pushed[s]])
-                for s in shards}
+            stamp = np.where(holder, version + 1, stamp0)
+            shard, col = (read & behind).nonzero()
+            at = job[col] * num_shards + shard
+            np.bincount(at, minlength=runs).cumsum(out=stale[1:])
+            np.maximum.at(worst, at, (version - stamp0)[shard, col])
+        else:
+            mirror = mirror | _run_any(read & behind, start, run)
+            pushed = ~holder & present.take(job, axis=1) & mirror \
+                if self.policy == "push" else np.zeros_like(holder)
+            current = holder | pushed
+            pulled = read & ~_run_prev(current, ~behind, start, run)
+            # The stamp is the version of the last pull (k) or current
+            # write (k + 1) in the run so far, else untouched.
+            last = _run_max(np.where(current, k + 1,
+                                     np.where(pulled, k, -1)), run)
+            stamp = np.where(last >= 0, version - k + last, stamp0)
+            pull, pull_bounds = by_run(pulled)
+            push, push_bounds = by_run(pushed)
+        version += 1
+        if order is not None:
+            back = np.empty(n, dtype=np.int64)
+            back[order] = np.arange(n)
+            version, stamp, mirror = \
+                version[back], stamp[:, back], mirror[:, back]
+        cells = (v[:, None] + self.placement.num_nodes
+                 * np.arange(num_shards)).ravel()
+        return SyncSteps(v, bounds.tolist(), pull, pull_bounds.tolist(), push,
+                         push_bounds.tolist(), stale.tolist(), worst.tolist(),
+                         version, cells, stamp.T.ravel(), mirror.T.ravel())
+
+    def commit(self, steps: SyncSteps, job: int) -> None:
+        """Apply job ``job`` of ``steps``: its columns' post-job state and
+        its runs' share of the running totals."""
+        n = self.num_shards
+        lo, hi = steps.bounds[job], steps.bounds[job + 1]
+        self.version[steps.v[lo:hi]] = steps.version[lo:hi]
+        self.mirror_version.put(steps.cells[lo * n:hi * n],
+                                steps.stamp[lo * n:hi * n])
+        self._mirror.put(steps.cells[lo * n:hi * n],
+                         steps.mirror[lo * n:hi * n])
+        at = job * n
+        self.pulled_rows += steps.pull_bounds[at + n] - steps.pull_bounds[at]
+        self.pushed_rows += steps.push_bounds[at + n] - steps.push_bounds[at]
+        self.stale_reads += steps.stale_bounds[at + n] \
+            - steps.stale_bounds[at]
+        self.max_version_lag = max(self.max_version_lag,
+                                   *steps.lag[at:at + n])
 
     def sync_batch(self, vertices: np.ndarray,
                    reads: np.ndarray) -> dict[int, SyncOutcome]:
@@ -221,14 +343,21 @@ class VersionedMemoryCache:
 
         ``vertices`` is the batch's sorted-unique endpoint set and
         ``reads`` the ``(num_shards, len(vertices))`` read incidence: row
-        ``s`` marks the endpoints of shard ``s``'s sub-batch.  Every
-        present shard's reads run first, against the pre-batch versions,
-        then the batch's owner writes and their push deliveries — the
-        caller is responsible for actually transferring the returned
-        ``pulled`` rows before using them and applying the ``pushed``
-        deliveries after the writes.
+        ``s`` marks the endpoints of shard ``s``'s sub-batch.  The
+        one-job case of :meth:`steps` — the caller is responsible for
+        actually transferring the returned ``pulled`` rows before using
+        them and applying the ``pushed`` deliveries after the writes.
         """
-        return self._step(vertices, reads, write=True)
+        present = reads.any(axis=1)
+        steps = self.steps(vertices, [0, len(vertices)], reads,
+                           present[:, None])
+        self.commit(steps, 0)
+        pull, push = steps.pull_bounds, steps.push_bounds
+        return {s: SyncOutcome(steps.pull[pull[s]:pull[s + 1]],
+                               steps.push[push[s]:push[s + 1]],
+                               steps.stale_bounds[s + 1]
+                               - steps.stale_bounds[s], steps.lag[s])
+                for s in present.nonzero()[0].tolist()}
 
     def transfer_ownership(self, vertices, from_shards, to_shard: int) -> None:
         """Mirror stamps for ``vertices`` just moved from ``from_shards``

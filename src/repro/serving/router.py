@@ -15,26 +15,38 @@ shards alike.  On the shard owning its source, ``assignment[u]``, it is
 *local*; every other receiver gets it through the
 :class:`CrossShardMailbox`.
 
-One pass per flush
-------------------
+One pass per ownership epoch
+----------------------------
 The paper gets its throughput by replacing per-vertex control with one
 pre-segmented streaming pass (FlowGNN argues the same for multi-queue
-dataflow), and :meth:`ShardRouter.split` routes a batch the same way: no
-loop over shards.  ``member[:, src] | member[:, dst]`` is the whole
-``(shard, edge)`` incidence; its ``nonzero()`` lists the pairs shard-major
-and in stream order within a shard; one gather of the five edge columns
-by the pairs' edge index lays every sub-batch out as a contiguous slice;
-local versus mail is ``assignment[src] != shard`` on the same pairs; the
-mailbox is credited once; and the memsync protocol is one batch-level
-step on the cache.  The cost of a split therefore follows the number of
-``(shard, edge)`` pairs, not the number of shards.
+dataflow), and the router routes the same way: no loop over shards, and
+no pass per job.  How a job splits, and what its memsync step costs,
+depend only on the ownership table and on the jobs before it, and the
+table moves only through :meth:`ShardRouter.migrate` and
+:meth:`ShardRouter.fail_over`, which bump :attr:`ShardRouter.generation`.
+So :meth:`ShardRouter.plan` routes every job it is given in one pass — a
+:class:`RoutePlan` — and hands them out one at a time; when the
+generation moves, the caller drops the plan and routes what is left
+again.  Under serial ingest the job boundaries are known in advance
+(:meth:`~repro.serving.batcher.DynamicBatcher.spans`), so the serving
+engine routes one plan per epoch — one per run when nothing migrates.
+
+Inside a plan, ``member[:, src] | member[:, dst]`` is the whole ``(shard,
+edge)`` incidence of every job; one stable sort by ``(job, shard)`` lays
+each sub-batch out as a contiguous run of pairs in stream order, and
+bounds from one ``searchsorted`` cut them; local versus mail is
+``assignment[src] != shard`` on the same pairs; and every job's memsync
+step comes from one closed-form pass on the cache
+(:meth:`~repro.serving.memsync.VersionedMemoryCache.steps`).  The cost
+therefore follows the number of ``(shard, edge)`` pairs, not the number
+of shards or of jobs.
 
 That leans on one invariant of the ownership table — **the owner is
 always a holder** (``Placement.__init__``, :meth:`ShardRouter.migrate`
 and :meth:`ShardRouter.fail_over` all preserve it) — so the holder
 incidence alone already contains every edge's local copy.  And it gives
-one ordering guarantee: sub-batches come back in ascending shard order,
-each in stream order.
+one ordering guarantee: a job's sub-batches come back in ascending shard
+order, each in stream order.
 
 Consequently every holder of a vertex sees exactly the edges incident to
 it, in stream order.  That gives a hard consistency guarantee for the FIFO
@@ -45,10 +57,10 @@ by the serving and placement tests).
 Vertex *memory* rows of non-held endpoints are governed by a separate,
 pluggable sync policy (:mod:`repro.serving.memsync`).  The mail can carry
 memory-row updates and invalidations alongside the edges: pass a
-:class:`~repro.serving.memsync.VersionedMemoryCache` to :meth:`split` and
-each :class:`ShardBatch` reports the rows the shard must pull before
-processing (``sync_pull``), the owner-pushed rows riding in with its mail
-(``sync_push``), and the staleness it tolerated (``stale_reads`` /
+:class:`~repro.serving.memsync.VersionedMemoryCache` to :meth:`plan` (or
+:meth:`split`) and each :class:`ShardBatch` reports the rows the shard must
+pull before processing (``sync_pull``), the owner-pushed rows riding in with
+its mail (``sync_push``), and the staleness it tolerated (``stale_reads`` /
 ``version_lag``).  Policy space: ``none`` keeps PR 1's stale mirrors (and
 measures the staleness), ``invalidate`` pulls fresh rows on demand, and
 ``push`` eagerly forwards owner writes — under the sync policies a holder's
@@ -67,13 +79,10 @@ import numpy as np
 from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement, hash_assignment, shard_pair_counts
 
-__all__ = ["ShardBatch", "CrossShardMailbox", "ShardRouter"]
+__all__ = ["ShardBatch", "CrossShardMailbox", "ShardRouter", "RoutePlan"]
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
-# One shard's part of a batch sync step when no cache runs one: the fields
-# of :class:`~repro.serving.memsync.SyncOutcome`, all empty.
-_NO_SYNC = (_NO_ROWS, _NO_ROWS, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -82,12 +91,12 @@ class ShardBatch:
 
     The mail and sync fields default to "none": a one-shard router hands
     the whole job to its one shard.
-    The ``sync_*`` fields are populated when :meth:`ShardRouter.split` is
-    given a memsync cache: ``sync_pull`` are the vertex rows this shard
-    must fetch from their owners before processing (priced as mailbox
-    round-trips), ``sync_push`` the owner-updated rows delivered alongside
-    its mail, and ``stale_reads`` / ``version_lag`` the staleness the
-    ``none`` policy tolerated instead.
+    The ``sync_*`` fields are populated when the router is given a memsync
+    cache: ``sync_pull`` are the vertex rows this shard must fetch from
+    their owners before processing (priced as mailbox round-trips),
+    ``sync_push`` the owner-updated rows delivered alongside its mail, and
+    ``stale_reads`` / ``version_lag`` the staleness the ``none`` policy
+    tolerated instead.
     """
 
     shard: int
@@ -166,7 +175,9 @@ class ShardRouter:
         # keeps state for the vertex (owned or replicated).
         self.assignment = placement.assignment
         self._member = placement.member
-        self._shard_ids = np.arange(self.num_shards + 1)
+        # Bumped by every ownership move: a RoutePlan is valid while it
+        # matches.
+        self.generation = 0
 
     @classmethod
     def from_placement(cls, placement: Placement) -> "ShardRouter":
@@ -181,9 +192,10 @@ class ShardRouter:
         """Reassign ownership of ``vertices`` to ``to_shard``, mid-run.
 
         The online-rebalancing primitive: mutates the live placement (its
-        assignment and holder matrix) in place, so the very next
-        :meth:`split` — and every other reader of the table — sees the new
-        ownership.  Ownership stays exactly-once by construction — one
+        assignment and holder matrix) in place, so every reader of the
+        table sees the new ownership, and bumps :attr:`generation`, so no
+        :class:`RoutePlan` routed under the old one is used again.
+        Ownership stays exactly-once by construction — one
         assignment entry per vertex, flipped atomically inside a single
         event handler.
 
@@ -209,6 +221,7 @@ class ShardRouter:
         self._member[old[lone], v[lone]] = False
         self.assignment[v] = int(to_shard)
         self._member[int(to_shard), v] = True
+        self.generation += 1
         return old
 
     def fail_over(self, dead: int,
@@ -247,77 +260,171 @@ class ShardRouter:
         self.assignment[promoted] = holders[:, survives].argmax(axis=0)
         self.assignment[rebuilt] = survivors[rebuilt % len(survivors)]
         self._member[self.assignment[rebuilt], rebuilt] = True
+        self.generation += 1
         return promoted, rebuilt
+
+    def plan(self, edges: EdgeBatch, job_edges, rows: np.ndarray | None = None,
+             mailbox: CrossShardMailbox | None = None,
+             cache=None) -> RoutePlan:
+        """Route consecutive jobs in one pass; see :class:`RoutePlan`.
+
+        Job ``j`` is plan edges ``job_edges[j]:job_edges[j + 1]``, where
+        the plan's edges are ``edges``' rows ``rows`` (default: all of
+        them, in order).  The plan reads the ownership table and the
+        cache's state now: hand its jobs out before the next ownership
+        move (:attr:`generation` says when one happened).
+        """
+        return RoutePlan(self, edges, np.asarray(job_edges), rows,
+                         mailbox, cache)
 
     def split(self, batch: EdgeBatch,
               mailbox: CrossShardMailbox | None = None,
               cache=None) -> list[ShardBatch]:
-        """Partition ``batch`` into per-shard sub-batches, in one pass.
+        """Partition ``batch`` into per-shard sub-batches: a one-job
+        :meth:`plan`.
 
         An edge appears on its source's owner (local) and on every other
         holder of either endpoint (mail) — with no replication that is
         exactly the two owners.  Sub-batches come back in ascending shard
         order, each in stream order; shards with no incident edge are
-        omitted, and an empty batch returns ``[]``.
-
-        :meth:`Placement.incidence` lists the ``(shard, edge)`` pairs
-        shard-major (the owner is always a holder, so the local copies
-        are among them): one gather of the five edge columns by the
-        pairs' edge index lays every sub-batch out as a contiguous slice,
-        and the mail pairs — those whose source is owned elsewhere — are
-        a second run of contiguous slices, credited to ``mailbox`` once.
-
-        With a :class:`~repro.serving.memsync.VersionedMemoryCache` as
-        ``cache``, the split also runs the batch's sync step
-        (:meth:`~repro.serving.memsync.VersionedMemoryCache.sync_batch`:
-        every shard's endpoint reads against the pre-batch versions, then
-        the batch's owner writes) and attaches the resulting pull/push
-        row sets (ascending vertex ids) and staleness counts to each
-        :class:`ShardBatch`.  The caller prices (or, in a functional
-        replay, actually transfers) those rows; ``split`` itself never
-        touches vertex state.
+        omitted, and an empty batch returns ``[]``.  The mail is credited
+        to ``mailbox`` and the batch's sync step runs on ``cache`` (see
+        :class:`RoutePlan`).
 
         A one-shard router owns every vertex, so nothing can be mail and
         no copy can be stale: the batch itself is the one sub-batch and
-        the pass above is skipped.
+        the pass is skipped.
         """
         if self.num_shards == 1:
             return [ShardBatch(0, batch, len(batch))] if len(batch) else []
-        to_shard, edge, from_shard = self.placement.incidence(batch.src,
-                                                              batch.dst)
-        src, dst = batch.src[edge], batch.dst[edge]
-        t, eid, feat = batch.t[edge], batch.eid[edge], batch.edge_feat[edge]
-        mail = (from_shard != to_shard).nonzero()[0]
-        mail_from, mail_to = from_shard[mail], to_shard[mail]
-        # Both runs are shard-major: shard s's slice ends where shard s + 1
-        # would begin.
-        bounds = to_shard.searchsorted(self._shard_ids).tolist()
-        mail_bounds = mail_to.searchsorted(self._shard_ids).tolist()
-        if mailbox is not None:
-            mailbox.record(mail_from, mail_to)
-        sync = {}
-        if cache is not None:
-            # Column j of ``reads`` is endpoint ``rows[j]``; row s marks
-            # the endpoints of shard s's sub-batch.
-            rows = np.unique(batch.nodes)
-            reads = np.zeros((self.num_shards, len(rows)), dtype=bool)
-            reads[to_shard, rows.searchsorted(src)] = True
-            reads[to_shard, rows.searchsorted(dst)] = True
-            sync = cache.sync_batch(rows, reads)
+        return self.plan(batch, [0, len(batch)], mailbox=mailbox,
+                         cache=cache).next()
+
+
+def _job_shard_runs(shard: np.ndarray, job: np.ndarray, num_shards: int,
+                    runs: int) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Sort items by ``(job, shard)``, stably: the order, and the
+    ``(runs + 1,)`` bounds of run ``j * num_shards + s`` in it.
+
+    Items come shard-major (the ``nonzero()`` of a ``(shard, item)``
+    matrix), so one job's are in order already.
+    """
+    key = job * num_shards + shard
+    order = key.argsort(kind="stable") if runs > num_shards else slice(None)
+    return order, key[order].searchsorted(np.arange(runs + 1))
+
+
+class RoutePlan:
+    """Consecutive jobs routed in one pass, handed out by :meth:`next`.
+
+    Built by :meth:`ShardRouter.plan`.  :meth:`Placement.incidence
+    <repro.serving.placement.Placement.incidence>` lists every job's
+    ``(shard, edge)`` pairs (the owner is always a holder, so the local
+    copies are among them); one stable sort by ``(job, shard)`` makes
+    each sub-batch a contiguous run of pairs, in stream order, and the
+    mail pairs — those whose source is owned elsewhere — a second run.
+    With a :class:`~repro.serving.memsync.VersionedMemoryCache` as
+    ``cache``, every job's sync step comes from one
+    :meth:`~repro.serving.memsync.VersionedMemoryCache.steps` pass, and
+    the resulting pull/push row sets (ascending vertex ids) and staleness
+    counts are attached to each :class:`ShardBatch`.  The caller prices
+    (or, in a functional replay, actually transfers) those rows; the plan
+    never touches vertex state.
+
+    :meth:`next` hands the jobs out in order and, in the same call,
+    credits the job's mail to ``mailbox`` and commits its step to the
+    cache, so neither is ever ahead of the jobs handed out.  The four
+    scalar edge columns are gathered once per plan; a sub-batch takes
+    its feature rows when it is handed out, so a plan dropped mid-way
+    pins no feature copy of the jobs it never handed out.
+
+    Per ``(job, shard)`` run ``j * num_shards + s`` the plan keeps the
+    bounds of its pairs (``bounds``), of its mail (``mail_bounds`` into
+    ``mail_from``) and of its pulled and pushed rows (``pull_bounds`` /
+    ``push_bounds`` into ``pull`` / ``push``).
+    """
+
+    def __init__(self, router: ShardRouter, edges: EdgeBatch,
+                 job_edges: np.ndarray, rows: np.ndarray | None,
+                 mailbox: CrossShardMailbox | None, cache):
+        self.generation = router.generation
+        self.num_shards = n = router.num_shards
+        self.num_jobs = len(job_edges) - 1
+        self.position = 0
+        self._mailbox, self._cache = mailbox, cache
+        self._feat = edges.edge_feat
+        src, dst = (edges.src, edges.dst) if rows is None \
+            else (edges.src[rows], edges.dst[rows])
+        job = job_edges[1:].searchsorted(np.arange(len(src)), side="right")
+        runs = self.num_jobs * n
+        to_shard, edge, from_shard = router.placement.incidence(src, dst)
+        order, bounds = _job_shard_runs(to_shard, job[edge], n, runs)
+        self.bounds = bounds.tolist()
+        to_shard, edge, from_shard = \
+            to_shard[order], edge[order], from_shard[order]
+        mail = from_shard != to_shard
+        self.mail_from = from_shard[mail]
+        self._mail_to = to_shard[mail]
+        # The mail pairs before a run's first pair are where its mail starts.
+        self.mail_bounds = np.flatnonzero(mail).searchsorted(bounds).tolist()
+        row = edge if rows is None else rows[edge]
+        self._row = row
+        self._src, self._dst = edges.src[row], edges.dst[row]
+        self._t, self._eid = edges.t[row], edges.eid[row]
+        self.pull = self.push = _NO_ROWS
+        self.pull_bounds = self.push_bounds = [0] * (runs + 1)
+        self._stale = [0] * (runs + 1)
+        self._lag = [0] * runs
+        if cache is None:
+            return
+        # Column c of the steps is vertex v[c] in its job: each job's
+        # endpoints, ascending, job after job.
+        base = job * router.num_nodes
+        ends = np.concatenate((base + src, base + dst))
+        pairs = np.unique(ends)
+        col = pairs.searchsorted(ends)
+        reads = np.zeros((n, len(pairs)), dtype=bool)
+        reads[to_shard, col[edge]] = True
+        reads[to_shard, col[len(src) + edge]] = True
+        self._steps = steps = cache.steps(
+            pairs % router.num_nodes,
+            pairs.searchsorted(np.arange(self.num_jobs + 1)
+                               * router.num_nodes),
+            reads, (bounds[1:] > bounds[:-1]).reshape(self.num_jobs, n).T)
+        self.pull, self.pull_bounds = steps.pull, steps.pull_bounds
+        self.push, self.push_bounds = steps.push, steps.push_bounds
+        self._stale, self._lag = steps.stale_bounds, steps.lag
+
+    def next(self) -> list[ShardBatch]:
+        """The next job's sub-batches (see :meth:`ShardRouter.split`)."""
+        job = self.position
+        self.position = job + 1
+        n = self.num_shards
+        at = job * n
+        bounds = self.bounds[at:at + n + 1]
+        mail = self.mail_bounds[at:at + n + 1]
+        if self._mailbox is not None:
+            self._mailbox.record(self.mail_from[mail[0]:mail[-1]],
+                                 self._mail_to[mail[0]:mail[-1]])
+        if self._cache is not None:
+            self._cache.commit(self._steps, job)
+        pull, push = self.pull_bounds, self.push_bounds
         out = []
-        for shard in range(self.num_shards):
+        for shard in range(n):
             lo, hi = bounds[shard], bounds[shard + 1]
             if lo == hi:
                 continue
-            mail_lo, mail_hi = mail_bounds[shard], mail_bounds[shard + 1]
-            pulled, pushed, stale_reads, max_lag = sync.get(shard, _NO_SYNC)
+            mail_lo, mail_hi = mail[shard], mail[shard + 1]
+            i = at + shard
+            # Positional: ShardBatch and EdgeBatch field order.
             out.append(ShardBatch(
-                shard=shard,
-                batch=EdgeBatch(src=src[lo:hi], dst=dst[lo:hi], t=t[lo:hi],
-                                eid=eid[lo:hi], edge_feat=feat[lo:hi]),
-                local_edges=(hi - lo) - (mail_hi - mail_lo),
-                mail_edges=mail_hi - mail_lo,
-                mail_from=mail_from[mail_lo:mail_hi],
-                sync_pull=pulled, sync_push=pushed,
-                stale_reads=stale_reads, version_lag=max_lag))
+                shard,
+                EdgeBatch(self._src[lo:hi], self._dst[lo:hi],
+                          self._t[lo:hi], self._eid[lo:hi],
+                          self._feat.take(self._row[lo:hi], axis=0)),
+                (hi - lo) - (mail_hi - mail_lo), mail_hi - mail_lo,
+                self.mail_from[mail_lo:mail_hi],
+                self.pull[pull[i]:pull[i + 1]],
+                self.push[push[i]:push[i + 1]],
+                self._stale[i + 1] - self._stale[i], self._lag[i]))
         return out

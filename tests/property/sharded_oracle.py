@@ -1,8 +1,9 @@
 """The functional oracle of cross-shard memory sync: a sharded TGNN replay.
 
 :mod:`repro.serving.memsync` only *prices* coherence: the serving engine
-runs :class:`~repro.serving.memsync.VersionedMemoryCache` inside
-``ShardRouter.split`` and charges the rows it names.  This module executes
+runs :class:`~repro.serving.memsync.VersionedMemoryCache` inside the
+router's plans (``ShardRouter.plan``) and charges the rows it names.  This
+module executes
 those rows.  :class:`ShardedRuntime` drives
 :meth:`~repro.models.tgn.TGNN.update_memory` and
 :meth:`~repro.models.tgn.TGNN.embed` as two phases per batch, one
@@ -31,6 +32,75 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, CrossShardMailbox,
 from repro.serving.memsync import SyncOutcome, fail_over, hand_off
 
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def step(cache: VersionedMemoryCache, v: np.ndarray, reads: np.ndarray,
+         write: bool) -> dict[int, SyncOutcome]:
+    """Reads, then (``write``) the owner writes, on the columns ``v``.
+
+    The per-job step the library's closed form
+    (``VersionedMemoryCache.steps``) replaced, verbatim but for taking the
+    cache as an argument: the split oracle runs it with ``write=True``,
+    :func:`note_reads` with ``write=False``.
+
+    The one implementation of both rules.  The ``[:, v]`` sub-matrices
+    are gathered once, updated in place and scattered back once;
+    ``reads[s, j]`` marks shard ``s`` reading ``v[j]``, and a shard is
+    *present* when its row has any.
+
+    Read rule: holders are never stale; a non-holder's read is stale
+    when its stamp lags the owner version.  Under ``none`` stale reads
+    are only counted; under ``invalidate`` and ``push`` every stale
+    row is pulled from its owner and the mirror stamped current.
+
+    Write rule: every column is written exactly once — its version
+    bumps, and its holders observe the event and stay current.  Under
+    ``push`` the updated rows are forwarded to the lagging mirrors
+    among the present shards (those receiving this job's mail);
+    absent mirrors simply lag and repair through the pull fallback on
+    their next read.
+    """
+    holder = cache._holder.take(v, axis=1)
+    version = cache.version[v]
+    stamp = cache.mirror_version.take(v, axis=1)
+    mirror = cache._mirror.take(v, axis=1)
+    present = reads.any(axis=1)
+    stale = reads & ~holder & (stamp < version)
+    if cache.policy == "none":
+        n = np.count_nonzero(stale, axis=1).tolist()
+        worst = (version - stamp).max(axis=1, where=stale,
+                                      initial=0).tolist()
+        cache.stale_reads += int(np.count_nonzero(stale))
+        cache.max_version_lag = max(cache.max_version_lag, *worst)
+    else:
+        np.copyto(stamp, version, where=stale)
+        mirror |= stale
+        cache.pulled_rows += int(np.count_nonzero(stale))
+    pushed = None
+    if write:
+        version += 1
+        current = holder
+        if cache.policy == "push":
+            # Every stamp ever written is a then-current version, so
+            # none exceeds its owner's: after the bump every present
+            # non-holder mirror lags and takes the push.
+            pushed = present[:, None] & mirror & ~holder
+            cache.pushed_rows += int(np.count_nonzero(pushed))
+            current = holder | pushed
+        np.copyto(stamp, version, where=current)
+    cache.version[v] = version
+    cache.mirror_version[:, v] = stamp
+    cache._mirror[:, v] = mirror
+    shards = present.nonzero()[0].tolist()
+    if cache.policy == "none":
+        return {s: SyncOutcome(stale_reads=n[s], max_lag=worst[s])
+                for s in shards}
+    return {s: SyncOutcome(pulled=v[stale[s]], pushed=_EMPTY
+                           if pushed is None else v[pushed[s]])
+            for s in shards}
+
+
 def note_reads(cache: VersionedMemoryCache, shard: int,
                vertices: np.ndarray) -> SyncOutcome:
     """Account one shard's read-set outside a batch step (a later read
@@ -38,7 +108,7 @@ def note_reads(cache: VersionedMemoryCache, shard: int,
     v = np.unique(np.asarray(vertices, dtype=np.int64))
     reads = np.zeros((cache.num_shards, len(v)), dtype=bool)
     reads[shard] = True
-    return cache._step(v, reads, write=False).get(shard, SyncOutcome())
+    return step(cache, v, reads, write=False).get(shard, SyncOutcome())
 
 
 class ShardedRuntime:

@@ -12,19 +12,28 @@ cross-stream ties: spans and arrivals must match bit for bit, the jobs
 the online batcher releases from the trace must equal the offline
 ``coalesce`` of the oracle's list merged by ``merge_batches``, and the
 two schedulers must write the same report bytes.
+
+``DynamicBatcher.spans`` finds each job with one bisect of the instants
+and one of the edge offsets; the admission loop ``coalesce`` ran before
+is the third oracle here, held to it on tied, bursty, uniform and
+deadline-grid traces.
 """
+
+import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serving.batcher as batcher_module
 from repro.analysis.tracecheck import check_lane_agreement
 from repro.graph import TemporalGraph, merge_batches, time_window_spans
 from repro.pipeline import LinearCostBackend
-from repro.serving import (ArrivalTrace, BatcherActor, DynamicBatcher,
-                           EventScheduler, HeapEventScheduler,
-                           ServingEngine, StreamArrival,
+from repro.serving import (ArrivalTrace, BatcherActor, CoalescedJob,
+                           DynamicBatcher, EventScheduler,
+                           HeapEventScheduler, ServingEngine, StreamArrival,
                            make_stream_arrivals)
 
 NUM_NODES = 12
@@ -71,6 +80,46 @@ def oracle_arrivals(graph, window_s, num_streams=1, start=0, end=None,
                                           stream=i, batch=batch))
     arrivals.sort(key=lambda a: (a.t, a.stream))
     return arrivals
+
+
+def oracle_coalesce(batcher, arrivals):
+    """``DynamicBatcher.coalesce`` as an admission loop, verbatim but for
+    taking the batcher as an argument."""
+    jobs: list[CoalescedJob] = []
+    pending: list[StreamArrival] = []
+    pending_edges = 0
+
+    def flush(t_release: float) -> None:
+        nonlocal pending_edges
+        merged = merge_batches([a.batch for a in pending])
+        jobs.append(CoalescedJob(t_release=t_release, batch=merged,
+                                 sources=tuple(pending)))
+        pending.clear()
+        pending_edges = 0
+
+    last_t = -math.inf
+    for a in arrivals:
+        if a.t < last_t:
+            raise ValueError("arrivals must be sorted by time")
+        last_t = a.t
+        if pending and a.t >= pending[0].t + batcher.max_delay_s:
+            flush(pending[0].t + batcher.max_delay_s)
+        # Overflow guard: admitting this arrival would push the buffer
+        # past the size cap, so release the buffered job first.  Only a
+        # single arrival larger than ``max_edges`` can therefore ever
+        # produce an oversized job (it has nowhere else to go).
+        if batcher.max_edges is not None and pending \
+                and pending_edges + len(a) > batcher.max_edges:
+            flush(a.t)
+        pending.append(a)
+        pending_edges += len(a)
+        if batcher.max_edges is not None \
+                and pending_edges >= batcher.max_edges:
+            flush(a.t)
+    if pending:
+        deadline = pending[0].t + batcher.max_delay_s
+        flush(deadline if math.isfinite(deadline) else pending[-1].t)
+    return jobs
 
 
 # --------------------------------------------------------------------------- #
@@ -237,3 +286,97 @@ class TestColumnarIngestMatchesTheLoops:
             time_window_spans(far, tiny, start, end)
         with pytest.raises(ValueError, match="timestamp resolution"):
             make_stream_arrivals(far, tiny, start=start, end=end)
+
+
+# --------------------------------------------------------------------------- #
+def hand_built(t, sizes, seed=0):
+    """Arrivals at instants ``t`` (sorted) with ``sizes`` edges each."""
+    rng = np.random.default_rng(seed)
+    cum = np.concatenate(([0], np.cumsum(sizes))).astype(int)
+    graph = TemporalGraph(src=rng.integers(0, NUM_NODES, cum[-1]),
+                          dst=rng.integers(0, NUM_NODES, cum[-1]),
+                          t=np.repeat(t, sizes),
+                          edge_feat=rng.normal(size=(cum[-1], EDGE_DIM)),
+                          num_nodes=NUM_NODES)
+    return [StreamArrival(float(t[i]), i % 3, graph.slice(cum[i], cum[i + 1]))
+            for i in range(len(t))]
+
+
+@st.composite
+def arrival_lists(draw):
+    """1-40 arrivals of 1-9 edges, at uniform, tied, bursty or grid
+    instants — on the grid every instant is a multiple of 0.5, so the
+    deadlines ``t + max_delay_s`` of ``DELAYS`` land on arrivals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["uniform", "tied", "bursty", "grid"]))
+    if kind == "uniform":
+        t = rng.uniform(0, 20, n)
+    elif kind == "tied":
+        t = rng.integers(0, n // 4 + 1, n).astype(float)
+    elif kind == "bursty":
+        t = rng.choice(np.cumsum(rng.exponential(10, 3)), n) \
+            + rng.uniform(0, 0.3, n)
+    else:
+        t = rng.integers(0, 2 * n + 1, n) * 0.5
+    return hand_built(np.sort(t), rng.integers(1, 10, n))
+
+
+DELAYS = [None, 0.0, 0.5, 1.0, 2.5, math.inf]
+
+
+def check_spans(arrivals, cfg, start):
+    """``spans`` from ``start`` and ``coalesce`` over the arrivals from
+    there equal the admission loop over the same arrivals."""
+    batcher = DynamicBatcher(**cfg)
+    want = oracle_coalesce(batcher, arrivals[start:])
+    bounds = start + np.cumsum([0] + [len(j.sources) for j in want])
+    lo, hi = batcher.spans(ArrivalTrace.from_arrivals(arrivals), start)
+    assert lo.tolist() == bounds[:-1].tolist()
+    assert hi.tolist() == bounds[1:].tolist()
+    got = batcher.coalesce(arrivals[start:])
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.t_release == w.t_release       # bit-exact
+        assert g.sources == w.sources
+        assert_batches_identical(g.batch, w.batch)
+
+
+class TestSpansMatchTheAdmissionLoop:
+    @settings(deadline=None, max_examples=300)
+    @given(arrival_lists(), st.sampled_from([None, 1, 3, 5, 1000]),
+           st.sampled_from(DELAYS), st.data())
+    def test_spans_and_coalesce_equal_the_loop(self, arrivals, max_edges,
+                                               max_delay_s, data):
+        start = data.draw(st.integers(0, len(arrivals)))
+        check_spans(arrivals, dict(max_edges=max_edges,
+                                   max_delay_s=max_delay_s), start)
+
+    def test_a_deadline_bisect_right_fails(self, monkeypatch):
+        """Mutation check: an arrival exactly at ``t + max_delay_s`` waits
+        behind the deadline flush; bisecting right would admit it."""
+        arrivals = hand_built(np.array([0.0, 1.0, 2.0]), [1, 1, 1])
+        check_spans(arrivals, dict(max_delay_s=1.0), 0)
+        monkeypatch.setattr(batcher_module, "bisect_left", bisect_right)
+        with pytest.raises(AssertionError):
+            check_spans(arrivals, dict(max_delay_s=1.0), 0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(replays, batchers)
+    def test_job_rows_are_the_merged_batches(self, replay, cfg):
+        """The rows a plan routes, job by job, are each released job's
+        merged batch — what routing the job alone would split."""
+        (graph, window, start, end), num_streams, speedup = replay
+        trace = make_stream_arrivals(graph, window, num_streams=num_streams,
+                                     start=start, end=end, speedup=speedup)
+        lo, hi = DynamicBatcher(**cfg).spans(trace)
+        rows, offsets = trace.job_rows(lo, hi)
+        for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            assert_batches_identical(
+                trace._take(rows[offsets[j]:offsets[j + 1]]),
+                trace.span(a, b).merged())
+
+    def test_unsorted_arrivals_rejected(self):
+        arrivals = hand_built(np.array([0.0, 1.0]), [1, 1])[::-1]
+        with pytest.raises(ValueError, match="sorted"):
+            DynamicBatcher().spans(ArrivalTrace.from_arrivals(arrivals))

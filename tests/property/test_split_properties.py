@@ -1,19 +1,26 @@
-"""Property-based equivalence of the one-pass ``ShardRouter.split``.
+"""Property-based equivalence of the router's one-pass plans.
 
-``split`` computes one ``(shard, edge)`` incidence per flush, gathers the
-edge columns once and runs one batch-level memsync step.  The per-shard
-loop it replaced — five masks and one gather set per shard, then
+``ShardRouter.plan`` routes consecutive jobs at once: one ``(shard,
+edge)`` incidence over all of them, one sort into per-``(job, shard)``
+runs and one closed-form memsync pass over every job
+(``VersionedMemoryCache.steps``); ``split`` is its one-job case.  Two
+bodies it replaced are kept here, and only here, as oracles: the
+per-shard loop — five masks and one gather set per shard, then
 ``note_reads`` per sub-batch and one ``note_writes`` with a per-shard push
-loop — is kept here, and only here, as the oracle.  Random replicated
-placements, random ``hand_off`` / ``fail_over`` / bare ``migrate`` moves
-between batches, all three memsync policies, with and without a mailbox:
-every :class:`ShardBatch` field must be array-equal (value, dtype, order)
-and the mailbox and cache state identical after every batch.
+loop — and the one-pass ``split`` that routed one job at a time, whose
+batch step was ``step`` in ``tests/property/sharded_oracle.py``.  Random
+replicated placements, random ``hand_off`` / ``fail_over`` / bare
+``migrate`` moves between batches, all three memsync policies, with and
+without a mailbox: every :class:`ShardBatch` field must be array-equal
+(value, dtype, order) and the mailbox and cache state identical after
+every batch — for ``split`` per batch, and for one plan over every batch
+left, rebuilt when the router's generation moves.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +28,13 @@ from repro.graph import EdgeBatch
 from repro.serving import (MEMSYNC_POLICIES, CrossShardMailbox, Placement,
                            ShardBatch, ShardRouter, VersionedMemoryCache)
 from repro.serving.memsync import fail_over, hand_off
+from tests.property.sharded_oracle import step as oracle_step
 from tests.property.test_ownership_properties import (NUM_NODES,
                                                       replicated_placement)
 
 EDGE_DIM = 3
 _NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_SYNC = (_NO_ROWS, _NO_ROWS, 0, 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -103,6 +112,53 @@ def oracle_split(router, batch, mailbox=None, cache=None):
             for sb in out]
 
 
+# The one-pass split that routed one job per call, verbatim but for taking
+# the router as an argument and running the batch step of the oracle's
+# ``step`` (what ``cache.sync_batch`` ran).
+def oracle_one_pass_split(router, batch, mailbox=None, cache=None):
+    if router.num_shards == 1:
+        return [ShardBatch(0, batch, len(batch))] if len(batch) else []
+    to_shard, edge, from_shard = router.placement.incidence(batch.src,
+                                                            batch.dst)
+    src, dst = batch.src[edge], batch.dst[edge]
+    t, eid, feat = batch.t[edge], batch.eid[edge], batch.edge_feat[edge]
+    mail = (from_shard != to_shard).nonzero()[0]
+    mail_from, mail_to = from_shard[mail], to_shard[mail]
+    # Both runs are shard-major: shard s's slice ends where shard s + 1
+    # would begin.
+    shard_ids = np.arange(router.num_shards + 1)
+    bounds = to_shard.searchsorted(shard_ids).tolist()
+    mail_bounds = mail_to.searchsorted(shard_ids).tolist()
+    if mailbox is not None:
+        mailbox.record(mail_from, mail_to)
+    sync = {}
+    if cache is not None:
+        # Column j of ``reads`` is endpoint ``rows[j]``; row s marks
+        # the endpoints of shard s's sub-batch.
+        rows = np.unique(batch.nodes)
+        reads = np.zeros((router.num_shards, len(rows)), dtype=bool)
+        reads[to_shard, rows.searchsorted(src)] = True
+        reads[to_shard, rows.searchsorted(dst)] = True
+        sync = oracle_step(cache, rows, reads, write=True)
+    out = []
+    for shard in range(router.num_shards):
+        lo, hi = bounds[shard], bounds[shard + 1]
+        if lo == hi:
+            continue
+        mail_lo, mail_hi = mail_bounds[shard], mail_bounds[shard + 1]
+        pulled, pushed, stale_reads, max_lag = sync.get(shard, _NO_SYNC)
+        out.append(ShardBatch(
+            shard=shard,
+            batch=EdgeBatch(src=src[lo:hi], dst=dst[lo:hi], t=t[lo:hi],
+                            eid=eid[lo:hi], edge_feat=feat[lo:hi]),
+            local_edges=(hi - lo) - (mail_hi - mail_lo),
+            mail_edges=mail_hi - mail_lo,
+            mail_from=mail_from[mail_lo:mail_hi],
+            sync_pull=pulled, sync_push=pushed,
+            stale_reads=stale_reads, version_lag=max_lag))
+    return out
+
+
 # --------------------------------------------------------------------------- #
 class Fleet:
     """One world: a placement and the router, cache and mailbox on it."""
@@ -178,9 +234,11 @@ edge_lists = st.one_of(
     st.lists(st.tuples(vertex, vertex), min_size=2, max_size=14))
 
 
-def draw_step(draw, num_shards):
-    kind = draw(st.sampled_from(["batch", "batch", "batch", "migrate",
-                                 "bare_migrate", "fail_over"]))
+MOVES = ("migrate", "bare_migrate", "fail_over")
+
+
+def draw_step(draw, num_shards, kinds=("batch",) * 3 + MOVES):
+    kind = draw(st.sampled_from(kinds))
     if kind == "batch":
         return ("batch", draw(edge_lists))
     if kind in ("migrate", "bare_migrate"):
@@ -243,3 +301,80 @@ class TestSplitMatchesTheLoop:
         subs = router.split(batch)
         assert [sb.shard for sb in subs] == np.flatnonzero(touched).tolist()
         assert all(len(sb.batch) for sb in subs)
+
+
+# --------------------------------------------------------------------------- #
+def check_plan(drawn, policy, with_mailbox, steps):
+    """Route the batch steps through plans — each over every batch left,
+    rebuilt when the generation moves — and both oracles side by side."""
+    new, loop, one = (Fleet(*drawn, policy, with_mailbox) for _ in range(3))
+    batches, eid0 = [], 0
+    for s in steps:
+        if s[0] == "batch":
+            batches.append(make_batch(s[1], eid0))
+            eid0 += len(s[1])
+    edges = EdgeBatch(*(np.concatenate([getattr(b, f.name) for b in batches])
+                        if batches else getattr(make_batch([], 0), f.name)
+                        for f in dataclasses.fields(EdgeBatch)))
+    job_edges = np.cumsum([0] + [len(b) for b in batches])
+    plan, j = None, 0
+    for s in steps:
+        if s[0] != "batch":
+            for fleet in (new, loop, one):
+                fleet.move(s)
+            assert_same_state(new, loop)
+            continue
+        if plan is None or plan.generation != new.router.generation:
+            plan = new.router.plan(
+                edges, job_edges[j:] - job_edges[j],
+                rows=np.arange(job_edges[j], job_edges[-1]),
+                mailbox=new.mailbox, cache=new.cache)
+        got = plan.next()
+        want = oracle_split(loop.router, batches[j], loop.mailbox, loop.cache)
+        assert_same_sub_batches(
+            oracle_one_pass_split(one.router, batches[j], one.mailbox,
+                                  one.cache), want)
+        assert_same_sub_batches(got, want)
+        assert_same_state(new, loop)
+        assert_same_state(one, loop)
+        j += 1
+
+
+class TestPlanMatchesBothOracles:
+    @settings(deadline=None, max_examples=200)
+    @given(replicated_placement(),
+           st.sampled_from((None, *MEMSYNC_POLICIES)), st.booleans(),
+           st.data())
+    def test_one_plan_per_generation_equals_the_oracles(self, drawn, policy,
+                                                         with_mailbox, data):
+        # 1-8 jobs; an ownership move lands before a quarter of them.
+        steps = []
+        for job in range(data.draw(st.integers(1, 8))):
+            if job and data.draw(st.integers(0, 3)) == 0:
+                steps.append(draw_step(data.draw, drawn[2], MOVES))
+            steps.append(("batch", data.draw(edge_lists)))
+        check_plan(drawn, policy, with_mailbox, steps)
+
+    # Vertex 1 moves from shard 1 to shard 0 between two writes of the
+    # edge (0, 1): shard 1 stops receiving it.
+    MOVE = [("batch", [(0, 1)]), ("migrate", [1], 0), ("batch", [(0, 1)])]
+    DRAWN = (np.arange(NUM_NODES) % 2, {}, 2)
+
+    def test_the_fixed_move_passes(self):
+        check_plan(self.DRAWN, "push", True, self.MOVE)
+
+    def test_a_plan_that_ignores_the_generation_fails(self, monkeypatch):
+        """Mutation check: moves that leave ``generation`` alone keep the
+        first plan, routed under the old ownership, in use."""
+        for name in ("migrate", "fail_over"):
+            honest = getattr(ShardRouter, name)
+
+            def unbumped(router, *args, _honest=honest):
+                generation = router.generation
+                out = _honest(router, *args)
+                router.generation = generation
+                return out
+
+            monkeypatch.setattr(ShardRouter, name, unbumped)
+        with pytest.raises(AssertionError):
+            check_plan(self.DRAWN, "push", True, self.MOVE)

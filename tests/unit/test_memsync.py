@@ -245,15 +245,16 @@ class TestShardedRuntimeExactness:
     def test_oracle_catches_an_undelivered_push(self, monkeypatch):
         """Mutation check: a cache that stamps pushed mirrors current but
         names no rows to deliver must break the replay's exactness."""
-        honest = VersionedMemoryCache._step
+        honest = VersionedMemoryCache.steps
 
-        def undelivered(self, v, reads, write):
-            return {s: o._replace(pushed=o.pushed[:0])
-                    for s, o in honest(self, v, reads, write).items()}
+        def undelivered(self, *args):
+            steps = honest(self, *args)
+            return steps._replace(push=steps.push[:0],
+                                  push_bounds=[0] * len(steps.push_bounds))
 
         g, model = setup()
         rt, _ = unsharded_reference(model, g)
-        monkeypatch.setattr(VersionedMemoryCache, "_step", undelivered)
+        monkeypatch.setattr(VersionedMemoryCache, "steps", undelivered)
         srt = ShardedRuntime(model, g, num_shards=2, policy="push")
         with no_grad():
             for b in iter_fixed_size(g, 50):

@@ -186,6 +186,11 @@ class TestDynamicBatcher:
     def test_validation(self):
         with pytest.raises(ValueError):
             DynamicBatcher(max_edges=0)
+        # NaN would never fire the size trigger; inf and 2.5 are no count.
+        for bad in (float("nan"), float("inf"), 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                DynamicBatcher(max_edges=bad)
+        assert DynamicBatcher(max_edges=np.int64(3)).max_edges == 3
         with pytest.raises(ValueError):
             DynamicBatcher(max_delay_s=-1.0)
         with pytest.raises(ValueError):
@@ -578,11 +583,22 @@ class TestServingEngine:
         with pytest.raises(ValueError):
             ServingEngine([modeled_backend()], g.num_nodes,
                           die_of=[0, 1])
+        # A negative hop silently cut response times; NaN and inf died
+        # mid-loop scheduling an event at t=nan.
+        for bad in (-1e-7, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mail_hop_s"):
+                ServingEngine([modeled_backend() for _ in range(4)],
+                              g.num_nodes, die_of=[0, 0, 1, 1],
+                              mail_hop_s=bad)
         engine = ServingEngine([modeled_backend()], g.num_nodes)
         with pytest.raises(ValueError):
             engine.run(g, window_s=0.0)
         with pytest.raises(ValueError):
             engine.run(g, window_s=10.0, num_streams=0)
+        # 2.5 streams used to build 3, with float ids and a 1/2.5 phase.
+        for bad in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive integer"):
+                make_stream_arrivals(g, 10.0, num_streams=bad)
 
 
 # --------------------------------------------------------------------------- #
@@ -629,6 +645,73 @@ class TestPartialWindowAccounting:
         assert rep.processed_edges == sum(s.edges for s in rep.shard_stats)
         assert rep.cross_shard_edges == \
             sum(s.mail_in_edges for s in rep.shard_stats)
+
+
+# --------------------------------------------------------------------------- #
+class CountingRouter(ShardRouter):
+    """Counts the routing passes the engine asks for."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.plans = self.splits = 0
+
+    def plan(self, *args, **kwargs):
+        self.plans += 1
+        return super().plan(*args, **kwargs)
+
+    def split(self, *args, **kwargs):
+        self.splits += 1
+        return super().split(*args, **kwargs)
+
+
+class TestOnePlanPerOwnershipEpoch:
+    """Counted, not timed: a serial run routes one plan per ownership
+    epoch and never splits job by job.  The fleets are the ``serve-sim``
+    flags of the ``benchmarks/e2e`` priced workloads (cpu-32t, 4 hash
+    shards, 8 streams, push memsync)."""
+
+    def run(self, num_edges, speedup, batcher=None, rebalancer=None,
+            **run_kwargs):
+        from repro import datasets
+        from repro.serving import VertexHeat, make_policy
+        graph = datasets.load("wikipedia", num_edges=num_edges, seed=0)
+        model = TGNN(ModelConfig(memory_dim=32, time_dim=32, embed_dim=32,
+                                 edge_dim=graph.edge_dim,
+                                 node_dim=graph.node_dim,
+                                 simplified_attention=True,
+                                 lut_time_encoder=True, pruning_budget=4),
+                     rng=np.random.default_rng(0))
+        router = CountingRouter.from_placement(make_policy("hash").place(
+            VertexHeat.from_graph(graph), 4))
+        engine = ServingEngine.from_registry(
+            "cpu-32t", model, graph, num_shards=4, router=router,
+            memsync="push", batcher=batcher, rebalancer=rebalancer)
+        report = engine.run(graph, window_s=900.0, speedup=speedup,
+                            num_streams=8, **run_kwargs)
+        return report, engine, router
+
+    def test_fleet_priced_push_routes_one_plan(self):
+        report, _, router = self.run(
+            100, 2.0, DynamicBatcher(max_edges=200, max_delay_s=5e-3))
+        assert report.windows == 776
+        assert (router.plans, router.splits) == (1, 0)
+
+    def test_online_rebalancing_routes_one_plan_per_epoch(self):
+        from repro.serving import OnlineRebalancer
+        rebalancer = OnlineRebalancer(window_s=900.0 / 2000.0,
+                                      util_threshold=0.05)
+        _, _, router = self.run(80, 2000.0, rebalancer=rebalancer)
+        assert rebalancer.migrations > 0 and router.splits == 0
+        assert 1 < router.plans <= 1 + rebalancer.migrations
+
+    def test_pipelined_ingest_routes_one_plan_per_job(self):
+        from repro.serving import FlushEvent
+        _, engine, router = self.run(
+            100, 2.0, DynamicBatcher(max_edges=200, max_delay_s=5e-3),
+            ingest="pipelined", trace=True)
+        flushes = sum(isinstance(e, FlushEvent)
+                      for e in engine.last_event_trace)
+        assert flushes > 1 and (router.plans, router.splits) == (flushes, 0)
 
 
 class TestArrivalTieBreak:
