@@ -27,6 +27,7 @@ For embeddings or warm vertex state beside a priced latency, keep your own
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -56,8 +57,9 @@ class LinearCostBackend:
     name = "linear-cost"
 
     def __init__(self, per_edge_s: float = 1e-3, overhead_s: float = 0.0):
-        if per_edge_s < 0 or overhead_s < 0:
-            raise ValueError("per_edge_s and overhead_s must be >= 0")
+        if not (0 <= per_edge_s < math.inf and 0 <= overhead_s < math.inf):
+            raise ValueError("per_edge_s and overhead_s must be finite "
+                             "and >= 0")
         self.per_edge_s = float(per_edge_s)
         self.overhead_s = float(overhead_s)
 

@@ -52,10 +52,12 @@ Actors on the scheduler
 * :class:`BatcherActor` — the :class:`DynamicBatcher` policy run online:
   size/deadline flush triggers, plus the double-buffered drain trigger
   under pipelined ingest;
-* :class:`RouterActor` — the fork point: a released job is split across
-  the stations that hold its vertices (:class:`ShardRouter` +
-  :class:`Placement`; a one-station fleet gets the job whole); mail and
-  sync traffic is recorded at the event time it occurs;
+* the engine's ``route`` — the fork point, the batcher's sink: a released
+  job is split across the stations that hold its vertices
+  (:class:`ShardRouter` + :class:`Placement`; a one-station fleet gets
+  the job whole), and each :class:`ShardBatch` is submitted to its
+  station with its mail and sync traffic recorded at the release
+  instant;
 * :class:`ServerGroup` — a FIFO station of N identical servers: a
   dedicated shard is a 1-server group, a replica pool a K-server group;
   its statistics reproduce the historical standalone queue loop exactly;
@@ -75,8 +77,11 @@ Actors on the scheduler
   through ``mail_hop_s`` like sync traffic.  On a one-station fleet
   there is nothing to move, and they say so: zero migrations, and a
   dead failure is refused for want of a survivor;
-* :class:`CrossShardMailbox` / :class:`VersionedMemoryCache` — the traffic
-  and coherence components the router drives, in release order.
+* :class:`VersionedMemoryCache` — the coherence state the router's plan
+  reads and commits, job by job in release order; the plan's
+  :class:`ShardBatch` is the one record of a sub-job's mail and sync
+  traffic (:class:`CrossShardMailbox` tallies it for callers that pass
+  one to :meth:`ShardRouter.split`).
 
 Typed events: ``ArrivalEvent``, ``FlushEvent``, ``ServiceBeginEvent``,
 ``ServiceEndEvent``, ``MailEvent``, ``SyncEvent``, ``MigrationEvent``,
@@ -323,9 +328,9 @@ from .engine import (ServingEngine, ServingReport,  # noqa: F401
 from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
                      EventScheduler, FailureEvent, FailurePlan,
                      FlushEvent, HeapEventScheduler, MailEvent,
-                     MigrationEvent, RecoveryEvent, RouterActor,
-                     ScaleEvent, ServerGroup, ServiceBeginEvent,
-                     ServiceEndEvent, Submission, SyncEvent)
+                     MigrationEvent, RecoveryEvent, ScaleEvent,
+                     ServerGroup, ServiceBeginEvent, ServiceEndEvent,
+                     SyncEvent)
 from .measured import (KernelTimer, MeasuredBackend,  # noqa: F401
                        MeasuredServerGroup, WorkerPool, timed_kernel)
 from .memsync import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
@@ -347,7 +352,7 @@ __all__ = [
     "DynamicBatcher", "CoalescedJob", "StreamArrival", "ArrivalTrace",
     "simulate_queue", "SimulationResult", "ServedJob",
     "EventScheduler", "HeapEventScheduler", "ServerGroup", "BatcherActor",
-    "RouterActor", "Submission", "INGEST_MODES",
+    "INGEST_MODES",
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
     "MailEvent", "SyncEvent", "MigrationEvent", "ScaleEvent",
     "FailureEvent", "RecoveryEvent", "FailurePlan", "FailureInjector",

@@ -79,8 +79,8 @@ from ..graph.temporal_graph import TemporalGraph
 from .batcher import (ArrivalTrace, CoalescedJob, DynamicBatcher,
                       StreamArrival)
 from .control import ControlPlane, FailureInjector
-from .events import (INGEST_MODES, BatcherActor, EventScheduler, RouterActor,
-                     ServerGroup, SimulationResult, Submission)
+from .events import (INGEST_MODES, BatcherActor, EventScheduler, MailEvent,
+                     ServerGroup, SimulationResult, SyncEvent)
 from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
@@ -212,6 +212,19 @@ class ServingReport:
     scaling: dict | None = None   # autoscale block (scale events, fleet
                                   # peak/mean, server-seconds); None when
                                   # the fleet was static
+
+    def __post_init__(self):
+        # Strict JSON has no Infinity or NaN.  Every service time ends at a
+        # finite instant (ServerGroup checks each one), but a sum of huge
+        # ones can still overflow, and such a run has no report to give.
+        # An offered load without a finite rate is written as null.
+        for obj in (self, *self.shard_stats):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, float) and not math.isfinite(value) \
+                        and f.name != "offered_load":
+                    raise ValueError(f"the report's {f.name} is {value}: "
+                                     f"service times too large to sum")
 
     @property
     def stable(self) -> bool:
@@ -488,8 +501,9 @@ class ServingEngine:
             if topology == "sharded":
                 raise ValueError(
                     "pool_servers requires topology='pool' or 'hybrid'")
-            if pool_servers <= 0:
-                raise ValueError("pool_servers must be positive")
+            if not (isinstance(pool_servers, numbers.Integral)
+                    and pool_servers > 0):
+                raise ValueError("pool_servers must be a positive integer")
         if topology == "pool" and len(backends) != 1:
             raise ValueError(
                 "pool topology takes exactly one timing backend "
@@ -775,7 +789,11 @@ class ServingEngine:
             return [(sb, mail[at + sb.shard], sync[at + sb.shard])
                     for sb in plan.next()]
 
-        def route(job: CoalescedJob) -> list[Submission]:
+        def route(job: CoalescedJob) -> None:
+            """The fork point: submit each of the job's sub-batches to its
+            station at the release instant, after recording the mail and
+            sync traffic it carries at that same instant."""
+            t = job.t_release
             ji = len(job_windows)
             job_windows.append(len(job.sources))
             if plane is not None:
@@ -783,30 +801,24 @@ class ServingEngine:
                 # job's submissions land: in-flight work drains under the
                 # old ownership and fleet, the next release routes under
                 # the new.
-                plane.observe(job.t_release, job.batch)
-            subs = []
+                plane.observe(t, job.batch)
             for sb, hops, sync_hops in next_sub_batches(job):
                 if plane is not None:
                     sync_hops += plane.take_hops(sb.shard)
-                payload = (ji, sb, hops, sync_hops)
-                mail = sync = ()
                 if sched.trace is not None:
-                    if sb.mail_edges:
-                        src = np.bincount(sb.mail_from)
-                        mail = tuple((int(f), sb.shard, int(n))
-                                     for f, n in enumerate(src) if n)
-                    sync = tuple(
-                        (int(o), sb.shard, int(n), kind)
-                        for rows, kind in ((sb.sync_pull, "pull"),
-                                           (sb.sync_push, "push"))
-                        if len(rows)
+                    for f, n in enumerate(np.bincount(sb.mail_from)):
+                        if n:
+                            sched.record(MailEvent(t, f, sb.shard, int(n)))
+                    for rows, kind in ((sb.sync_pull, "pull"),
+                                       (sb.sync_push, "push")):
                         for o, n in enumerate(np.bincount(
-                            self.router.assignment[rows])) if n)
-                subs.append(Submission(sb.shard, payload, mail, sync))
-            return subs
+                                router.assignment[rows])):
+                            if n:
+                                sched.record(SyncEvent(t, o, sb.shard,
+                                                       int(n), kind))
+                groups[sb.shard].submit(t, (ji, sb, hops, sync_hops))
 
-        router_actor = RouterActor(sched, groups, route)
-        batcher = BatcherActor(self.batcher, sched, router_actor,
+        batcher = BatcherActor(self.batcher, sched, route,
                                ingest=ingest,
                                fleet=groups if ingest == "pipelined" else ())
         if ingest == "pipelined":
@@ -836,10 +848,14 @@ class ServingEngine:
         self.last_num_arrivals = len(arrivals)
         shard_results = [g.finalize() for g in groups]
 
-        return self._report(arrivals, job_windows,
-                            [g.arrivals for g in groups],
-                            shard_results, window_s, speedup, num_streams,
-                            ingest, self._measured_block(groups))
+        # A mean that overflows is the report's error to raise (see
+        # ServingReport.__post_init__), not a numpy warning.
+        with np.errstate(over="ignore"):
+            return self._report(arrivals, job_windows,
+                                [g.arrivals for g in groups],
+                                shard_results, window_s, speedup,
+                                num_streams, ingest,
+                                self._measured_block(groups))
 
     # ------------------------------------------------------------------ #
     def _measured_block(self, groups: Sequence[ServerGroup]) -> dict | None:

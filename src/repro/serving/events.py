@@ -154,22 +154,23 @@ Actors
     goes hungry (an idle server with nothing queued) the buffer flushes
     immediately.  Batching delay is paid only when it can hide behind
     in-flight compute; on an idle fleet it is skipped entirely.
-:class:`RouterActor`
-    The fork point: a released job is routed to one or more server groups
-    (split across shards, handed whole to the pool, or both in the hybrid
-    topology), recording mail and sync traffic at the event times it
-    actually occurs.
 
-The mailbox (:class:`~repro.serving.router.CrossShardMailbox`) and memsync
-cache (:class:`~repro.serving.memsync.VersionedMemoryCache`) plug into the
-routing callback — they are driven in flush order, which the scheduler
-guarantees is release order.
+A released job goes to the batcher's sink.  In the serving engine that is
+the fork point, ``route``: the router's plan already carries each
+:class:`~repro.serving.router.ShardBatch` with its mail and sync traffic,
+so ``route`` records that traffic as :class:`MailEvent` /
+:class:`SyncEvent` rows and submits the sub-batch to its group, all at
+the release instant.  The memsync cache
+(:class:`~repro.serving.memsync.VersionedMemoryCache`) advances as the
+plan hands jobs out, in flush order, which the scheduler guarantees is
+release order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -185,7 +186,7 @@ __all__ = [
     "MailEvent", "SyncEvent", "MigrationEvent", "FailureEvent",
     "RecoveryEvent", "ScaleEvent", "FailurePlan", "EventScheduler",
     "HeapEventScheduler", "ServedJob", "SimulationResult", "ServerGroup",
-    "BatcherActor", "RouterActor", "Submission", "INGEST_MODES",
+    "BatcherActor", "INGEST_MODES",
 ]
 
 INGEST_MODES = ("serial", "pipelined")
@@ -352,11 +353,11 @@ class ScaleEvent:
 class FailurePlan:
     """One scheduled failure (and optional recovery) for the chaos driver.
 
-    ``fail_at``/``recover_at`` are event-loop instants; ``recover_at=None``
-    leaves the shard failed for the rest of the run.  ``degradation`` is
-    the slow-mode service-time multiplier and must exceed 1 (a factor of 1
-    would be byte-invisible, which is what ``mode="slow"`` exists to not
-    be).
+    ``fail_at``/``recover_at`` are finite event-loop instants;
+    ``recover_at=None`` leaves the shard failed for the rest of the run.
+    ``degradation`` is the slow-mode service-time multiplier and must
+    exceed 1 (a factor of 1 would be byte-invisible, which is what
+    ``mode="slow"`` exists to not be) and be finite.
     """
 
     fail_at: float
@@ -373,11 +374,13 @@ class FailurePlan:
             raise ValueError("shard must be non-negative")
         if not math.isfinite(self.fail_at):
             raise ValueError("fail_at must be finite")
+        # A recovery at t = inf never happens; None says so.
         if self.recover_at is not None \
-                and not self.recover_at > self.fail_at:     # NaN too
-            raise ValueError("recover_at must be after fail_at")
-        if self.mode == "slow" and not self.degradation > 1.0:
-            raise ValueError("slow-mode degradation must exceed 1.0")
+                and not self.fail_at < self.recover_at < math.inf:  # NaN too
+            raise ValueError("recover_at must be finite and after fail_at")
+        if self.mode == "slow" and not 1.0 < self.degradation < math.inf:
+            raise ValueError("slow-mode degradation must exceed 1.0 and "
+                             "be finite")
 
 
 # --------------------------------------------------------------------------- #
@@ -712,10 +715,15 @@ class ServerGroup:
     def __init__(self, gid: int, num_servers: int, service_fn: Callable,
                  sched: EventScheduler, queue_capacity: int | None = None,
                  on_hungry: Callable[[float], None] | None = None):
-        if num_servers <= 0:
-            raise ValueError("num_servers must be positive")
-        if queue_capacity is not None and queue_capacity < 0:
-            raise ValueError("queue_capacity must be non-negative")
+        # Counts, not quantities: 2.5 servers or a NaN capacity would be
+        # silently rounded or compare as unbounded.
+        if not (isinstance(num_servers, numbers.Integral)
+                and num_servers > 0):
+            raise ValueError("num_servers must be a positive integer")
+        if queue_capacity is not None \
+                and not (isinstance(queue_capacity, numbers.Integral)
+                         and queue_capacity >= 0):
+            raise ValueError("queue_capacity must be a non-negative integer")
         self.gid = int(gid)
         self.num_servers = int(num_servers)
         self._service_fn = service_fn
@@ -798,8 +806,6 @@ class ServerGroup:
     def _begin(self, t: float, i: int) -> None:
         t_arrive, payload = self._arrivals[i]
         service = float(self._service_fn(payload))
-        if service < 0:
-            raise ValueError("service_fn returned a negative service time")
         if self.service_factor != 1.0:
             service *= self.service_factor
         free_t, srv = heapq.heappop(self._idle)
@@ -812,8 +818,13 @@ class ServerGroup:
         the end event.  The single service-accounting path — subclasses
         that *measure* service times (``repro.serving.measured``) reuse it
         so traced runs stay invariant-checkable regardless of where the
-        duration came from."""
+        duration came from — and so the one place a service time is
+        checked."""
         finish = begin + service
+        if not (0 <= service and finish < math.inf):    # NaN too
+            raise ValueError(f"a service time must be finite and "
+                             f"non-negative and end at a finite instant, "
+                             f"got {service} from t={begin}")
         self._busy += service
         job = self._served[i] = ServedJob(index=i, t_arrive=t_arrive,
                                           t_begin=begin, t_finish=finish,
@@ -1015,8 +1026,6 @@ class BatcherActor:
         self._lo = 0            # first pending arrival
         self._admitted = 0      # one past the last pending arrival
         self._deadline_token: int | None = None
-        self.flushes = 0
-        self.drain_flushes = 0
 
     # ------------------------------------------------------------------ #
     def start(self, arrivals: Sequence[StreamArrival]) -> None:
@@ -1138,56 +1147,6 @@ class BatcherActor:
             self._deadline_token = None
         sources = self._trace.span(self._lo, self._admitted)
         self._lo = self._admitted
-        self.flushes += 1
-        if cause == "drain":
-            self.drain_flushes += 1
         self._sched.record(FlushEvent(t, cause, len(sources)))
         self._sink(CoalescedJob(t_release=t, batch=sources.merged(),
                                 sources=sources))
-
-
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Submission:
-    """One routed slice of a released job, bound for a server group.
-
-    ``mail`` and ``sync`` carry the traffic this slice moved between
-    shards — ``(from_shard, to_shard, edges)`` and
-    ``(owner, to_shard, rows, kind)`` — recorded as :class:`MailEvent` /
-    :class:`SyncEvent` at the release instant when tracing is on.
-    """
-
-    group: int
-    payload: Any
-    mail: tuple = ()
-    sync: tuple = ()
-
-
-class RouterActor:
-    """Fork point: routes a released job onto one or more server groups.
-
-    ``route(job)`` returns the job's :class:`Submission` list — a split
-    across dedicated shards, the whole job for a pool, or a mix of both in
-    the hybrid topology.  Submissions land on their groups at the release
-    instant, and the mail/sync traffic they carry is recorded at that same
-    event time — cross-shard costs are priced when they occur, not
-    post-hoc.
-    """
-
-    def __init__(self, sched: EventScheduler, groups: Sequence[ServerGroup],
-                 route: Callable[[CoalescedJob], Sequence[Submission]]):
-        self._sched = sched
-        self._groups = list(groups)
-        self._route = route
-
-    def __call__(self, job: CoalescedJob) -> None:
-        t = job.t_release
-        for sub in self._route(job):
-            if self._sched.trace is not None:
-                for from_shard, to_shard, edges in sub.mail:
-                    self._sched.record(MailEvent(t, from_shard, to_shard,
-                                                 edges))
-                for owner, shard, rows, kind in sub.sync:
-                    self._sched.record(SyncEvent(t, owner, shard, rows,
-                                                 kind))
-            self._groups[sub.group].submit(t, sub.payload)

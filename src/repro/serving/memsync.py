@@ -31,8 +31,9 @@ Policies
 --------
 ``none``
     Today's behavior, kept as the explicit baseline: mirrors are never
-    refreshed.  The cache still *counts* — ``stale_reads`` and
-    ``max_version_lag`` quantify the staleness the deployment tolerates.
+    refreshed.  The steps still *count* stale reads — the report's
+    ``stale_reads`` and ``max_version_lag`` quantify the staleness the
+    deployment tolerates.
 ``invalidate``
     Write-invalidate: an owner write implicitly invalidates remote mirrors
     (the version stamp lags; invalidation notices piggyback on the edge
@@ -85,8 +86,7 @@ import numpy as np
 from .placement import Placement
 from .router import ShardRouter, _job_shard_runs
 
-__all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "SyncOutcome",
-           "SyncSteps", "VersionedMemoryCache", "hand_off", "fail_over"]
+__all__ = ["MEMSYNC_POLICIES", "HANDOFF_ROWS_PER_VERTEX", "SyncSteps", "VersionedMemoryCache", "hand_off", "fail_over"]
 
 MEMSYNC_POLICIES = ("none", "invalidate", "push")
 
@@ -99,15 +99,6 @@ MEMSYNC_POLICIES = ("none", "invalidate", "push")
 HANDOFF_ROWS_PER_VERTEX = 2
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-class SyncOutcome(NamedTuple):
-    """What one shard's part of a sync step cost under the cache's policy."""
-
-    pulled: np.ndarray = _EMPTY  # rows to fetch from their owners first
-    pushed: np.ndarray = _EMPTY  # owner-updated rows riding in with the mail
-    stale_reads: int = 0        # reads served from a stale mirror (none)
-    max_lag: int = 0            # largest version lag among those reads
 
 
 class SyncSteps(NamedTuple):
@@ -176,13 +167,16 @@ def _run_max(x: np.ndarray, run: np.ndarray | None) -> np.ndarray:
 class VersionedMemoryCache:
     """Per-vertex version counters + per-shard mirror stamps.
 
-    Pure accounting: callers drive the sync steps in stream order —
+    Pure state: callers drive the sync steps in stream order —
     :meth:`steps` for a run of jobs, then :meth:`commit` per job as it is
-    handed out, or :meth:`sync_batch` for one — and act on the pull/push
-    vertex sets (the engine prices them; the functional oracle in
-    ``tests/property/sharded_oracle.py`` actually copies the rows).  The
-    matrices are ``(num_shards, num_nodes)`` — fine at simulation scale;
-    a deployment would keep per-shard sparse maps.
+    handed out (the router's plans do both) — and act on the pull/push
+    vertex sets the steps name.  The cache keeps no tally of them: each
+    job's pulls, pushes, stale reads and lag land in its
+    :class:`~repro.serving.router.ShardBatch`\\ es, which the engine prices
+    and reports and the functional oracle in
+    ``tests/property/sharded_oracle.py`` copies and counts.  The matrices
+    are ``(num_shards, num_nodes)`` — fine at simulation scale; a
+    deployment would keep per-shard sparse maps.
     """
 
     def __init__(self, placement: Placement, policy: str = "none"):
@@ -203,17 +197,6 @@ class VersionedMemoryCache:
         self.mirror_version = np.zeros((self.num_shards, n), dtype=np.int64)
         # True once a shard holds a cached copy of a non-held row.
         self._mirror = np.zeros((self.num_shards, n), dtype=bool)
-        # Running totals (the engine re-aggregates per served sub-job so it
-        # can exclude dropped windows; these count everything observed).
-        self.pulled_rows = 0
-        self.pushed_rows = 0
-        self.stale_reads = 0
-        self.max_version_lag = 0
-
-    @property
-    def sync_rows(self) -> int:
-        """Total rows transferred between shards (pulls + pushes)."""
-        return self.pulled_rows + self.pushed_rows
 
     # ------------------------------------------------------------------ #
     def steps(self, v: np.ndarray, bounds: Sequence[int], reads: np.ndarray,
@@ -320,8 +303,7 @@ class VersionedMemoryCache:
                          version, cells, stamp.T.ravel(), mirror.T.ravel())
 
     def commit(self, steps: SyncSteps, job: int) -> None:
-        """Apply job ``job`` of ``steps``: its columns' post-job state and
-        its runs' share of the running totals."""
+        """Apply job ``job`` of ``steps``: its columns' post-job state."""
         n = self.num_shards
         lo, hi = steps.bounds[job], steps.bounds[job + 1]
         self.version[steps.v[lo:hi]] = steps.version[lo:hi]
@@ -329,35 +311,6 @@ class VersionedMemoryCache:
                                 steps.stamp[lo * n:hi * n])
         self._mirror.put(steps.cells[lo * n:hi * n],
                          steps.mirror[lo * n:hi * n])
-        at = job * n
-        self.pulled_rows += steps.pull_bounds[at + n] - steps.pull_bounds[at]
-        self.pushed_rows += steps.push_bounds[at + n] - steps.push_bounds[at]
-        self.stale_reads += steps.stale_bounds[at + n] \
-            - steps.stale_bounds[at]
-        self.max_version_lag = max(self.max_version_lag,
-                                   *steps.lag[at:at + n])
-
-    def sync_batch(self, vertices: np.ndarray,
-                   reads: np.ndarray) -> dict[int, SyncOutcome]:
-        """One batch's whole sync step; returns each present shard's part.
-
-        ``vertices`` is the batch's sorted-unique endpoint set and
-        ``reads`` the ``(num_shards, len(vertices))`` read incidence: row
-        ``s`` marks the endpoints of shard ``s``'s sub-batch.  The
-        one-job case of :meth:`steps` — the caller is responsible for
-        actually transferring the returned ``pulled`` rows before using
-        them and applying the ``pushed`` deliveries after the writes.
-        """
-        present = reads.any(axis=1)
-        steps = self.steps(vertices, [0, len(vertices)], reads,
-                           present[:, None])
-        self.commit(steps, 0)
-        pull, push = steps.pull_bounds, steps.push_bounds
-        return {s: SyncOutcome(steps.pull[pull[s]:pull[s + 1]],
-                               steps.push[push[s]:push[s + 1]],
-                               steps.stale_bounds[s + 1]
-                               - steps.stale_bounds[s], steps.lag[s])
-                for s in present.nonzero()[0].tolist()}
 
     def transfer_ownership(self, vertices, from_shards, to_shard: int) -> None:
         """Mirror stamps for ``vertices`` just moved from ``from_shards``

@@ -55,10 +55,6 @@ def simulate_queue(arrivals: Sequence[tuple[float, Any]],
         Maximum *waiting* jobs; an arrival finding the buffer full is
         dropped.  ``None`` means unbounded.
     """
-    if num_servers <= 0:
-        raise ValueError("num_servers must be positive")
-    if queue_capacity is not None and queue_capacity < 0:
-        raise ValueError("queue_capacity must be non-negative")
     arr = list(arrivals)
     if not all(arr[i][0] <= arr[i + 1][0] for i in range(len(arr) - 1)):
         raise ValueError("arrivals must be sorted by time")

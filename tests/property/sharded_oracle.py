@@ -24,24 +24,36 @@ rule broken there breaks the exactness tests that replay through it
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.graph.temporal_graph import EdgeBatch
 from repro.serving import (HANDOFF_ROWS_PER_VERTEX, CrossShardMailbox,
                            Placement, ShardRouter, VersionedMemoryCache)
-from repro.serving.memsync import SyncOutcome, fail_over, hand_off
+from repro.serving.memsync import fail_over, hand_off
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+class Outcome(NamedTuple):
+    """What one shard's part of a sync step cost under the cache's policy."""
+
+    pulled: np.ndarray = _EMPTY  # rows to fetch from their owners first
+    pushed: np.ndarray = _EMPTY  # owner-updated rows riding in with the mail
+    stale_reads: int = 0        # reads served from a stale mirror (none)
+    max_lag: int = 0            # largest version lag among those reads
+
+
 def step(cache: VersionedMemoryCache, v: np.ndarray, reads: np.ndarray,
-         write: bool) -> dict[int, SyncOutcome]:
+         write: bool) -> dict[int, Outcome]:
     """Reads, then (``write``) the owner writes, on the columns ``v``.
 
     The per-job step the library's closed form
     (``VersionedMemoryCache.steps``) replaced, verbatim but for taking the
-    cache as an argument: the split oracle runs it with ``write=True``,
+    cache as an argument and leaving the counting to its caller (the cache
+    keeps no totals): the split oracle runs it with ``write=True``,
     :func:`note_reads` with ``write=False``.
 
     The one implementation of both rules.  The ``[:, v]`` sub-matrices
@@ -71,12 +83,9 @@ def step(cache: VersionedMemoryCache, v: np.ndarray, reads: np.ndarray,
         n = np.count_nonzero(stale, axis=1).tolist()
         worst = (version - stamp).max(axis=1, where=stale,
                                       initial=0).tolist()
-        cache.stale_reads += int(np.count_nonzero(stale))
-        cache.max_version_lag = max(cache.max_version_lag, *worst)
     else:
         np.copyto(stamp, version, where=stale)
         mirror |= stale
-        cache.pulled_rows += int(np.count_nonzero(stale))
     pushed = None
     if write:
         version += 1
@@ -86,7 +95,6 @@ def step(cache: VersionedMemoryCache, v: np.ndarray, reads: np.ndarray,
             # none exceeds its owner's: after the bump every present
             # non-holder mirror lags and takes the push.
             pushed = present[:, None] & mirror & ~holder
-            cache.pushed_rows += int(np.count_nonzero(pushed))
             current = holder | pushed
         np.copyto(stamp, version, where=current)
     cache.version[v] = version
@@ -94,21 +102,21 @@ def step(cache: VersionedMemoryCache, v: np.ndarray, reads: np.ndarray,
     cache._mirror[:, v] = mirror
     shards = present.nonzero()[0].tolist()
     if cache.policy == "none":
-        return {s: SyncOutcome(stale_reads=n[s], max_lag=worst[s])
+        return {s: Outcome(stale_reads=n[s], max_lag=worst[s])
                 for s in shards}
-    return {s: SyncOutcome(pulled=v[stale[s]], pushed=_EMPTY
-                           if pushed is None else v[pushed[s]])
+    return {s: Outcome(pulled=v[stale[s]], pushed=_EMPTY
+                       if pushed is None else v[pushed[s]])
             for s in shards}
 
 
 def note_reads(cache: VersionedMemoryCache, shard: int,
-               vertices: np.ndarray) -> SyncOutcome:
+               vertices: np.ndarray) -> Outcome:
     """Account one shard's read-set outside a batch step (a later read
     phase of the same batch); returns the rows it must pull."""
     v = np.unique(np.asarray(vertices, dtype=np.int64))
     reads = np.zeros((cache.num_shards, len(v)), dtype=bool)
     reads[shard] = True
-    return step(cache, v, reads, write=False).get(shard, SyncOutcome())
+    return step(cache, v, reads, write=False).get(shard, Outcome())
 
 
 class ShardedRuntime:
@@ -164,6 +172,21 @@ class ShardedRuntime:
         # and, per failed shard, the ownership snapshot recovery restores.
         self._eid_horizon = 0
         self._failed: dict[int, np.ndarray] = {}
+        # The sync traffic the replay moved and the staleness it served,
+        # summed over the sub-batches of every split and every note_reads.
+        self.pulled_rows = self.pushed_rows = 0
+        self.stale_reads = self.max_version_lag = 0
+
+    @property
+    def sync_rows(self) -> int:
+        """Total rows transferred between shards (pulls + pushes)."""
+        return self.pulled_rows + self.pushed_rows
+
+    def _count(self, pulled, pushed, stale_reads: int, lag: int) -> None:
+        self.pulled_rows += len(pulled)
+        self.pushed_rows += len(pushed)
+        self.stale_reads += stale_reads
+        self.max_version_lag = max(self.max_version_lag, lag)
 
     # ------------------------------------------------------------------ #
     def _transfer(self, vertices: np.ndarray, to_shard: int) -> None:
@@ -336,6 +359,8 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
         # Endpoint sync happened inside split (phase 1): apply the pulls
         # before any shard's memory stage reads the rows.
         for sb in subs:
+            self._count(sb.sync_pull, sb.sync_push, sb.stale_reads,
+                        sb.version_lag)
             self._transfer(sb.sync_pull, sb.shard)
         updates = {sb.shard: self.model.update_memory(
             sb.batch, self.runtimes[sb.shard]) for sb in subs}
@@ -353,6 +378,7 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
             g = self.runtimes[sb.shard].sampler.gather(sb.batch.nodes, k)
             gathers[sb.shard] = g
             out = note_reads(self.cache, sb.shard, g.nbrs[g.mask])
+            self._count(*out)
             self._transfer(out.pulled, sb.shard)
         return {sb.shard: self.model.embed(
             sb.batch, self.runtimes[sb.shard], self.graph,

@@ -39,6 +39,10 @@ def floats(*plausible):
     parses and every ``x <= 0`` guard lets through."""
     return st.sampled_from([*plausible, "nan", "inf"])
 
+
+# A finite slow-down so large that the sums of the service times overflow.
+DEGRADATIONS = floats(1.5, 4, "1e308")
+
 serve_sim_flags = words(
     flag("--backend", st.sampled_from(["cpu-32t", "gpu", "u200"])),
     flag("--edges", st.integers(1, 300)),
@@ -64,6 +68,7 @@ serve_sim_flags = words(
     optional(flag("--fail-at", st.sampled_from([0, 1, 100])),
              optional(flag("--fail-shard", st.integers(0, 4))),
              optional(flag("--fail-mode", st.sampled_from(["dead", "slow"]))),
+             optional(flag("--fail-degradation", DEGRADATIONS)),
              optional(flag("--recover-at", floats(2, 1000)))),
     optional(st.just(["--autoscale"]),
              flag("--slo-p95", floats(1e-6, 0.01, 1)),
@@ -90,6 +95,7 @@ one_path_flags = words(
              optional(flag("--rebalance-window", floats(0.5)))),
     flag("--fail-at", st.sampled_from([0, 1, 100])),
     flag("--fail-mode", st.sampled_from(["dead", "slow"])),
+    optional(flag("--fail-degradation", DEGRADATIONS)),
     optional(flag("--fail-shard", st.integers(0, 3))),
     optional(flag("--recover-at", floats(2, 1000))),
     optional(st.just(["--autoscale"]),
@@ -112,6 +118,12 @@ ELASTIC_LONE_SHARD_DIES = [
 JOBS_RELEASED_AT_ONE_INSTANT = [
     "--edges", "30", "--shards", "3", "--streams", "5", "--window-s", "1e7",
     "--backend", "cpu-32t", "--batch-edges", "128"]
+# Ran clean and reported a recovery (and its fail-back rows) at t = inf.
+RECOVERY_NEVER_COMES = ["--edges", "300", "--shards", "2", "--streams", "2",
+                        "--fail-at", "0.0", "--recover-at", "inf"]
+# The examples that must be refused, not merely end cleanly.
+REFUSED = (POOL_HAS_NO_SURVIVOR, ELASTIC_LONE_SHARD_DIES,
+           RECOVERY_NEVER_COMES)
 
 
 def serve_sim(flags, path):
@@ -132,11 +144,13 @@ def reject(constant):
 @example(HYBRID_SHARD_DIES)
 @example(ELASTIC_LONE_SHARD_DIES)
 @example(JOBS_RELEASED_AT_ONE_INSTANT)
+@example(RECOVERY_NEVER_COMES)
 def test_every_serve_sim_argv_is_a_clean_error_or_a_clean_run(flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         code, lines = serve_sim(flags, path)
         assert code in (0, 2), lines
+        assert code == 2 or flags not in REFUSED, lines
         if code == 2:
             # Ahead of it only narration: ``note:`` lines, or what a
             # placement pass reported before the fleet was refused.

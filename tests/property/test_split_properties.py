@@ -39,7 +39,8 @@ _NO_SYNC = (_NO_ROWS, _NO_ROWS, 0, 0)
 
 # --------------------------------------------------------------------------- #
 # The oracle: the loop implementation, verbatim but for taking the cache and
-# the mailbox as arguments.
+# the mailbox as arguments and keeping no running totals on the cache (the
+# sub-batches carry every count).
 def oracle_note_reads(cache, shard, vertices):
     v = np.unique(np.asarray(vertices, dtype=np.int64))
     v = v[~cache._holder[shard, v]]       # holders are never stale
@@ -49,12 +50,9 @@ def oracle_note_reads(cache, shard, vertices):
     stale = v[lag > 0]
     if cache.policy == "none":
         max_lag = int(lag.max(initial=0))
-        cache.stale_reads += len(stale)
-        cache.max_version_lag = max(cache.max_version_lag, max_lag)
         return _NO_ROWS, len(stale), max_lag if len(stale) else 0
     cache.mirror_version[shard, stale] = cache.version[stale]
     cache._mirror[shard, stale] = True
-    cache.pulled_rows += len(stale)
     return stale, 0, 0
 
 
@@ -73,7 +71,6 @@ def oracle_note_writes(cache, vertices, present_shards):
                     & (cache.mirror_version[shard, v] < cache.version[v])]
             if len(tgt):
                 cache.mirror_version[shard, tgt] = cache.version[tgt]
-                cache.pushed_rows += len(tgt)
                 pushes[shard] = tgt
     return pushes
 
@@ -114,7 +111,7 @@ def oracle_split(router, batch, mailbox=None, cache=None):
 
 # The one-pass split that routed one job per call, verbatim but for taking
 # the router as an argument and running the batch step of the oracle's
-# ``step`` (what ``cache.sync_batch`` ran).
+# ``step``.
 def oracle_one_pass_split(router, batch, mailbox=None, cache=None):
     if router.num_shards == 1:
         return [ShardBatch(0, batch, len(batch))] if len(batch) else []
@@ -219,10 +216,6 @@ def assert_same_state(new, old):
         for name in ("version", "mirror_version", "_mirror"):
             assert_same_array(getattr(new.cache, name),
                               getattr(old.cache, name))
-        for name in ("pulled_rows", "pushed_rows", "stale_reads",
-                     "max_version_lag"):
-            a, b = getattr(new.cache, name), getattr(old.cache, name)
-            assert type(a) is type(b) is int and a == b, name
 
 
 # --------------------------------------------------------------------------- #

@@ -496,8 +496,8 @@ class TestSplitExactness:
                 srt.process_batch(batch)
         assert (srt.router.assignment == 2).any()
         assert (srt.router._member.sum(axis=0) == 1).all()
-        assert srt.cache.stale_reads == 0
-        assert srt.cache.max_version_lag == 0
+        assert srt.stale_reads == 0
+        assert srt.max_version_lag == 0
         for shard in range(3):
             held = srt.held_vertices(shard)
             st = srt.runtimes[shard].state

@@ -1,6 +1,11 @@
 """Unit tests for the CLI (in-process invocation, no subprocesses)."""
 
+import dataclasses
+import hashlib
+import json
+import numbers
 import os
+from unittest import mock
 
 import pytest
 
@@ -315,6 +320,13 @@ class TestServeSim:
         ["--autoscale", "--slo-p95", "1", "--scale-window", "nan"],
         ["--fail-at", "1", "--fail-mode", "slow", "--fail-degradation",
          "nan"],
+        # inf died in to_json; 1e308 overflowed the mean response to inf.
+        ["--fail-at", "0", "--fail-mode", "slow", "--fail-degradation",
+         "inf"],
+        ["--fail-at", "0", "--fail-mode", "slow", "--fail-degradation",
+         "1e308"],
+        # A recovery at t = inf reported one and priced its fail-back.
+        ["--fail-at", "0", "--recover-at", "inf", "--check-trace"],
         ["--deadline-ms", "nan"],
         ["--rebalance-online", "--rebalance-window", "nan"],
         ["--rebalance-online", "--rebalance-threshold", "nan"],
@@ -693,6 +705,64 @@ class TestServeSimAutoscale:
         assert "trace check: clean" in text and "7 checks" in text
 
 
+def canonical_events(trace):
+    """Each event as its type name and every scalar field (nested ones
+    included): integers as ``int``, floats as ``float.hex()``."""
+    def scalars(obj):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from scalars(value)
+            elif isinstance(value, str):
+                yield value
+            elif isinstance(value, numbers.Integral):
+                yield int(value)
+            elif isinstance(value, numbers.Real):
+                yield float(value).hex()
+    return [[type(ev).__name__, *scalars(ev)] for ev in trace]
+
+
+def trace_digest(argv):
+    """``argv`` run traced: its event count and the SHA-256 of its
+    canonical event list."""
+    from repro.serving import ServingEngine
+    traces = []
+    honest = ServingEngine.run
+
+    def traced(engine, *args, **kwargs):
+        report = honest(engine, *args, **kwargs)
+        traces.append(engine.last_event_trace)
+        return report
+
+    with mock.patch.object(ServingEngine, "run", traced):
+        code, _ = run(argv + ["--check-trace"])
+    assert code == 0 and len(traces) == 1
+    rows = canonical_events(traces[0])
+    return {"events": len(rows),
+            "sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest()}
+
+
+class TestServeSimTraceDigests:
+    """The golden argv pin the event order, not just the report bytes:
+    each one's traced run must record the typed-event sequence digested
+    in ``tests/golden/trace_digests.json``.  Regenerate that file (only
+    when an event-order change is intended) with
+    ``PYTHONPATH=src:. python tests/unit/test_cli.py``."""
+
+    PATH = os.path.join(TestServeSimGolden.GOLDEN_DIR, "trace_digests.json")
+    CASES = dict(
+        {name: TestServeSimGolden.BASE + extra
+         for name, extra in TestServeSimGolden.CASES.items()},
+        **{"serve_sim_sharded_composed.json":
+           TestServeSimAutoscale.BASE + TestServeSimAutoscale.COMPOSED})
+
+    @pytest.mark.parametrize("golden", sorted(CASES))
+    def test_event_order_matches_the_pinned_digest(self, golden):
+        with open(self.PATH) as f:
+            want = json.load(f)[golden]
+        assert trace_digest(self.CASES[golden]) == want
+
+
 class TestReportStrictJson:
     """Every canonical report round-trips *strict* JSON: no Infinity/NaN
     tokens ever reach the serialized report (the open-ended outage
@@ -753,3 +823,11 @@ class TestDseTrace:
         assert code == 0
         assert "|" in text
         assert "pipeline overlap" in text
+
+
+if __name__ == "__main__":
+    cases = TestServeSimTraceDigests.CASES
+    with open(TestServeSimTraceDigests.PATH, "w") as f:
+        json.dump({name: trace_digest(cases[name]) for name in sorted(cases)},
+                  f, indent=2)
+        f.write("\n")

@@ -74,10 +74,16 @@ class TestFailurePlanValidation:
     def test_recovery_must_follow_failure(self):
         with pytest.raises(ValueError):
             FailurePlan(fail_at=2.0, shard=0, recover_at=2.0)
+        # A recovery at t = inf never happens, but it was reported as one
+        # with its fail-back rows priced; None means never.
+        with pytest.raises(ValueError, match="finite"):
+            FailurePlan(fail_at=0.0, shard=0, recover_at=float("inf"))
 
     def test_slow_needs_real_degradation(self):
-        with pytest.raises(ValueError):
-            FailurePlan(fail_at=1.0, shard=0, mode="slow", degradation=1.0)
+        for bad in (1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                FailurePlan(fail_at=1.0, shard=0, mode="slow",
+                            degradation=bad)
         FailurePlan(fail_at=1.0, shard=0, mode="slow", degradation=1.5)
 
     def test_injector_needs_plans(self):
@@ -477,7 +483,7 @@ class TestShardedRuntimeFailover:
                     srt, batch, outs, ref[i])
         assert checked > 0
         assert_held_state_bit_identical(srt, rt)
-        assert srt.cache.stale_reads == 0
+        assert srt.stale_reads == 0
 
     def test_second_failure_skips_the_shard_already_down(self):
         """``fail_shard`` passes its own live set: a rebuild never

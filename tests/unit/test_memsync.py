@@ -19,7 +19,7 @@ from repro.pipeline import LinearCostBackend
 from repro.serving import (MEMSYNC_POLICIES, Placement, ReplicatedReadMostly,
                            ServingEngine, StaticHashPlacement,
                            VersionedMemoryCache, VertexHeat)
-from tests.property.sharded_oracle import ShardedRuntime, note_reads
+from tests.property.sharded_oracle import Outcome, ShardedRuntime, note_reads
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -39,17 +39,49 @@ def two_shard_placement():
 
 def sync_step(cache, reads):
     """Drive one batch step: ``reads`` maps each present shard to the
-    endpoints of its sub-batch, and the batch writes their union."""
+    endpoints of its sub-batch, and the batch writes their union.  Returns
+    each present shard's :class:`Outcome`."""
     v = np.unique(np.concatenate([np.asarray(r) for r in reads.values()]))
     incidence = np.zeros((cache.num_shards, len(v)), dtype=bool)
     for shard, r in reads.items():
         incidence[shard, np.searchsorted(v, r)] = True
-    return cache.sync_batch(v, incidence)
+    present = incidence.any(axis=1)
+    steps = cache.steps(v, [0, len(v)], incidence, present[:, None])
+    cache.commit(steps, 0)
+    pull, push = steps.pull_bounds, steps.push_bounds
+    return {s: Outcome(steps.pull[pull[s]:pull[s + 1]],
+                       steps.push[push[s]:push[s + 1]],
+                       steps.stale_bounds[s + 1] - steps.stale_bounds[s],
+                       steps.lag[s])
+            for s in present.nonzero()[0].tolist()}
 
 
-def pushes(outcomes):
-    return {shard: o.pushed.tolist() for shard, o in outcomes.items()
-            if len(o.pushed)}
+class Tally:
+    """Drives one cache through batch steps and reads, keeping every
+    :class:`Outcome` they returned."""
+
+    def __init__(self, placement, policy):
+        self.cache = VersionedMemoryCache(placement, policy=policy)
+        self.seen = []
+
+    def write(self, reads):
+        """One batch step; returns the rows it pushed, per shard."""
+        outcomes = sync_step(self.cache, reads)
+        self.seen.extend(outcomes.values())
+        return {shard: o.pushed.tolist() for shard, o in outcomes.items()
+                if len(o.pushed)}
+
+    def read(self, shard, vertices):
+        self.seen.append(note_reads(self.cache, shard, np.array(vertices)))
+        return self.seen[-1]
+
+    def traffic(self):
+        """Rows pulled, rows pushed, stale reads and the worst lag of
+        every step and read so far."""
+        return (sum(len(o.pulled) for o in self.seen),
+                sum(len(o.pushed) for o in self.seen),
+                sum(o.stale_reads for o in self.seen),
+                max((o.max_lag for o in self.seen), default=0))
 
 
 # --------------------------------------------------------------------------- #
@@ -73,54 +105,51 @@ class TestVersionedMemoryCache:
         assert not len(out.pulled) and out.stale_reads == 0
 
     def test_none_counts_staleness_and_never_repairs(self):
-        c = VersionedMemoryCache(two_shard_placement(), policy="none")
-        sync_step(c, {0: [0], 1: [2]})
-        sync_step(c, {0: [0], 1: [2]})
-        out = note_reads(c, 1, np.array([0]))
+        t = Tally(two_shard_placement(), "none")
+        t.write({0: [0], 1: [2]})
+        t.write({0: [0], 1: [2]})
+        out = t.read(1, [0])
         assert out.stale_reads == 1 and out.max_lag == 2
         assert not len(out.pulled)
         # Next read is still stale — mirrors never refresh under none.
-        out = note_reads(c, 1, np.array([0]))
-        assert out.stale_reads == 1
-        assert c.stale_reads == 2 and c.max_version_lag == 2
-        assert c.sync_rows == 0
+        assert t.read(1, [0]).stale_reads == 1
+        assert t.traffic() == (0, 0, 2, 2)
 
     def test_invalidate_pulls_once_until_next_write(self):
-        c = VersionedMemoryCache(two_shard_placement(), policy="invalidate")
-        sync_step(c, {0: [0]})
-        out = note_reads(c, 1, np.array([0]))
+        t = Tally(two_shard_placement(), "invalidate")
+        t.write({0: [0]})
+        out = t.read(1, [0])
         assert out.pulled.tolist() == [0] and out.stale_reads == 0
         # Repaired: a re-read is free until the owner writes again.
-        assert not len(note_reads(c, 1, np.array([0])).pulled)
-        sync_step(c, {0: [0]})
-        assert note_reads(c, 1, np.array([0])).pulled.tolist() == [0]
-        assert c.pulled_rows == 2 and c.pushed_rows == 0
+        assert not len(t.read(1, [0]).pulled)
+        t.write({0: [0]})
+        assert t.read(1, [0]).pulled.tolist() == [0]
+        assert t.traffic() == (2, 0, 0, 0)
 
     def test_push_forwards_to_present_mirrors_only(self):
-        c = VersionedMemoryCache(two_shard_placement(), policy="push")
+        t = Tally(two_shard_placement(), "push")
         # No mirror yet: the first write pushes nothing anywhere.
-        assert pushes(sync_step(c, {0: [0], 1: [2]})) == {}
+        assert t.write({0: [0], 1: [2]}) == {}
         # Cold read pulls and subscribes the mirror.
-        assert note_reads(c, 1, np.array([0])).pulled.tolist() == [0]
+        assert t.read(1, [0]).pulled.tolist() == [0]
         # Now a write with the mirror present delivers the row eagerly...
-        assert pushes(sync_step(c, {0: [0], 1: [2]})) == {1: [0]}
-        assert not len(note_reads(c, 1, np.array([0])).pulled)
+        assert t.write({0: [0], 1: [2]}) == {1: [0]}
+        assert not len(t.read(1, [0]).pulled)
         # ...but an absent mirror lags and repairs via the pull fallback.
-        assert pushes(sync_step(c, {0: [0]})) == {}
-        assert note_reads(c, 1, np.array([0])).pulled.tolist() == [0]
-        assert c.pushed_rows == 1 and c.pulled_rows == 2
+        assert t.write({0: [0]}) == {}
+        assert t.read(1, [0]).pulled.tolist() == [0]
+        assert t.traffic() == (2, 1, 0, 0)
 
     def test_push_never_targets_holders(self):
-        heat_n = 6
         p = Placement(assignment=np.array([0, 0, 1, 1, 0, 1]), num_shards=2,
                       replicas={0: (1,)})
-        c = VersionedMemoryCache(p, policy="push")
+        t = Tally(p, "push")
         # Vertex 0 is held by both shards: shard 1 is a replica, not a
         # mirror, so nothing is ever pulled or pushed for it.
-        sync_step(c, {0: [0], 1: [0]})
-        assert not len(note_reads(c, 1, np.array([0])).pulled)
-        assert pushes(sync_step(c, {0: [0], 1: [0]})) == {}
-        assert c.sync_rows == 0
+        t.write({0: [0], 1: [0]})
+        assert not len(t.read(1, [0]).pulled)
+        assert t.write({0: [0], 1: [0]}) == {}
+        assert t.traffic() == (0, 0, 0, 0)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -182,10 +211,10 @@ class TestShardedRuntimeExactness:
         assert_held_state_bit_identical(srt, rt)
         assert_held_outputs_bit_identical(srt, g, ref, outs)
         # Exactness was bought with traffic, not tolerated staleness.
-        assert srt.cache.sync_rows > 0
-        assert srt.cache.stale_reads == 0
-        assert srt.cache.max_version_lag == 0
-        assert srt.mailbox.total_sync_rows == srt.cache.sync_rows
+        assert srt.sync_rows > 0
+        assert srt.stale_reads == 0
+        assert srt.max_version_lag == 0
+        assert srt.mailbox.total_sync_rows == srt.sync_rows
 
     @pytest.mark.parametrize("policy", ["push", "invalidate"])
     def test_exact_under_replication(self, policy):
@@ -216,9 +245,9 @@ class TestShardedRuntimeExactness:
                 rt.state.memory[srt.held_vertices(s)])
             for s in range(3))
         assert diverged
-        assert srt.cache.sync_rows == 0
-        assert srt.cache.stale_reads > 0
-        assert srt.cache.max_version_lag > 0
+        assert srt.sync_rows == 0
+        assert srt.stale_reads > 0
+        assert srt.max_version_lag > 0
 
     def test_push_pays_at_least_the_invalidate_traffic(self):
         """Each pull under invalidate maps to >= 1 transfer under push in
@@ -230,7 +259,7 @@ class TestShardedRuntimeExactness:
             with no_grad():
                 for b in iter_fixed_size(g, 50):
                     srt.process_batch(b)
-            totals[policy] = srt.cache.sync_rows
+            totals[policy] = srt.sync_rows
         assert totals["push"] >= totals["invalidate"] > 0
 
     def test_single_shard_needs_no_sync(self):
@@ -239,7 +268,7 @@ class TestShardedRuntimeExactness:
         with no_grad():
             for b in iter_fixed_size(g, 100):
                 srt.process_batch(b)
-        assert srt.cache.sync_rows == 0
+        assert srt.sync_rows == 0
         assert srt.mailbox.total_edges == 0
 
     def test_oracle_catches_an_undelivered_push(self, monkeypatch):

@@ -296,8 +296,8 @@ class TestMigrationExactness:
         # through the same sync accounting as pulls and pushes.
         assert srt.mailbox.total_sync_rows \
             >= migrated * HANDOFF_ROWS_PER_VERTEX
-        assert srt.cache.stale_reads == 0
-        assert srt.cache.max_version_lag == 0
+        assert srt.stale_reads == 0
+        assert srt.max_version_lag == 0
         # Exactly-once ownership held throughout (single owner per vertex).
         assert (srt.router._member.sum(axis=0) == 1).all()
 

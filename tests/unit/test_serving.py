@@ -11,7 +11,8 @@ from repro.datasets import wikipedia_like
 from repro.graph import NeighborTable, iter_fixed_size, merge_batches
 from repro.models import ModelConfig, TGNN
 from repro.perf import CPU_32T
-from repro.pipeline import ModeledGPPBackend, replay_under_load
+from repro.pipeline import (LinearCostBackend, ModeledGPPBackend,
+                            replay_under_load)
 from repro.profiling import count_ops
 from repro.serving import (DEFAULT_REGISTRY, ArrivalTrace, BackendRegistry,
                            CoalescedJob, CrossShardMailbox, DynamicBatcher,
@@ -120,6 +121,19 @@ class TestSimulator:
         with pytest.raises(ValueError):
             simulate_queue([(0.0, None)], self.service(1.0),
                            queue_capacity=-1)
+        # 2.5 servers used to build 2; a 2.5 buffer held 3 jobs and a NaN
+        # one never filled.
+        with pytest.raises(ValueError, match="positive integer"):
+            simulate_queue([(0.0, None)], self.service(1.0), num_servers=2.5)
+        for bad in (2.5, float("nan")):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                simulate_queue([(0.0, None)], self.service(1.0),
+                               queue_capacity=bad)
+        # A NaN service time died scheduling an event at t=nan.
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="service time"):
+                simulate_queue([(0.0, None), (1.0, None)],
+                               self.service(bad))
 
 
 # --------------------------------------------------------------------------- #
@@ -599,6 +613,20 @@ class TestServingEngine:
         for bad in (2.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive integer"):
                 make_stream_arrivals(g, 10.0, num_streams=bad)
+        # A 2.5 buffer held 3 jobs, a NaN one never filled, and 2.5 pool
+        # servers built 2.
+        for bad in (2.5, float("nan")):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                engine.run(g, window_s=3600.0, queue_capacity=bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            ServingEngine([modeled_backend()], g.num_nodes, topology="pool",
+                          pool_servers=2.5)
+        # A NaN cost died mid-loop scheduling an event at t=nan.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                LinearCostBackend(per_edge_s=bad)
+            with pytest.raises(ValueError, match="finite"):
+                LinearCostBackend(overhead_s=bad)
 
 
 # --------------------------------------------------------------------------- #
@@ -610,7 +638,6 @@ class TestPartialWindowAccounting:
 
     def partial_drop_run(self):
         from repro.graph import TemporalGraph
-        from repro.pipeline import LinearCostBackend
         from repro.serving import Placement
         # 10 single-edge windows 0 -> 1; vertex 0 on shard 0, vertex 1 on
         # shard 1, so every window forks into a local sub-job (shard 0)
@@ -735,7 +762,6 @@ class TestArrivalTieBreak:
         assert keys == sorted(keys)
 
     def test_tied_workload_report_is_byte_stable(self):
-        from repro.pipeline import LinearCostBackend
         g = self.tie_graph()
         reports = []
         for _ in range(3):
@@ -753,7 +779,6 @@ class TestArrivalTieBreak:
         ``null`` — never the non-JSON ``Infinity`` — and unstable."""
         import json
 
-        from repro.pipeline import LinearCostBackend
         engine = ServingEngine([LinearCostBackend(per_edge_s=1e-2)], 2,
                                batcher=DynamicBatcher(max_edges=4))
         report = engine.run(self.tie_graph(), window_s=100.0, num_streams=2)
@@ -812,7 +837,6 @@ class TestWarmStateRerun:
 
 class TestPoolServersReport:
     def test_pool_replica_count_is_top_level(self):
-        from repro.pipeline import LinearCostBackend
         g = wikipedia_like(num_edges=300, num_users=40, num_items=10)
         rep = ServingEngine([LinearCostBackend()], g.num_nodes,
                             topology="pool", pool_servers=4).run(
