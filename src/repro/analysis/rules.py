@@ -107,19 +107,17 @@ class WallClockInEventsRule(Rule):
     times the loop *around* ``sched.run()``, never inside it) carry the
     pragma.
 
-    ``serving/measured.py`` is in scope too, with one carve-out: the
-    ``timed_kernel`` context manager is the measured path's designated
-    wall-clock site (its whole point is to time real kernel executions),
-    so clock reads inside a function named ``timed_kernel`` in that file
-    are legal — anywhere else in the module they fire, which guarantees
-    every measured duration flows through the audited timer.
+    ``serving/measured.py`` is in scope too, with no exception: its
+    durations are the seconds ``SoftwareBackend.compute`` returns (the
+    one timed kernel call, in ``repro.pipeline``), so a clock read there
+    would be a second timer.
     """
 
     name = "wall-clock-in-events"
     summary = ("no time.time/perf_counter/monotonic inside the event core "
                "(serving/events.py, serving/measured.py); handlers use "
-               "scheduler time — except inside measured.timed_kernel, the "
-               "designated kernel-timing site")
+               "scheduler time and measured durations come from "
+               "SoftwareBackend.compute")
 
     _CLOCKS = {"time", "perf_counter", "monotonic", "process_time",
                "thread_time", "perf_counter_ns", "monotonic_ns",
@@ -129,27 +127,13 @@ class WallClockInEventsRule(Rule):
         return ctx.path.endswith(("serving/events.py",
                                   "serving/measured.py"))
 
-    def _carved_out(self, ctx: FileContext) -> set[int]:
-        """Node ids inside ``timed_kernel`` defs (measured.py only)."""
-        if not ctx.path.endswith("serving/measured.py"):
-            return set()
-        return {
-            id(inner)
-            for n in ast.walk(ctx.tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and n.name == "timed_kernel"
-            for inner in ast.walk(n)}
-
     def visit(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
-        allowed = self._carved_out(ctx)
         from_imports = {
             a.asname or a.name
             for n in ast.walk(ctx.tree)
             if isinstance(n, ast.ImportFrom) and n.module == "time"
             for a in n.names}
         for node in ast.walk(ctx.tree):
-            if id(node) in allowed:
-                continue
             name = None
             if isinstance(node, ast.Attribute):
                 dotted = dotted_name(node)

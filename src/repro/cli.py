@@ -46,6 +46,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .datasets import DATASETS
+    datasets = sorted(DATASETS)
     p = argparse.ArgumentParser(
         prog="repro",
         description="Temporal GNN model-architecture co-design (IPDPS'22 "
@@ -55,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="package and registry overview")
 
     t = sub.add_parser("train", help="train (or distill) a model")
-    t.add_argument("--dataset", default="wikipedia")
+    t.add_argument("--dataset", default="wikipedia", choices=datasets)
     t.add_argument("--edges", type=int, default=3000)
     t.add_argument("--epochs", type=int, default=3)
     t.add_argument("--batch-size", type=int, default=100)
@@ -73,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--model", required=True)
-    e.add_argument("--dataset", default="wikipedia")
+    e.add_argument("--dataset", default="wikipedia", choices=datasets)
     e.add_argument("--edges", type=int, default=3000)
     e.add_argument("--batch-size", type=int, default=100)
 
     i = sub.add_parser("infer", help="throughput/latency of a checkpoint")
     i.add_argument("--model", required=True)
-    i.add_argument("--dataset", default="wikipedia")
+    i.add_argument("--dataset", default="wikipedia", choices=datasets)
     i.add_argument("--edges", type=int, default=3000)
     i.add_argument("--batch-size", type=int, default=200)
     i.add_argument("--backend", choices=["software", "u200", "zcu104"],
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("serve-sim",
                        help="sharded multi-stream serving simulation")
-    v.add_argument("--dataset", default="wikipedia")
+    v.add_argument("--dataset", default="wikipedia", choices=datasets)
     v.add_argument("--edges", type=int, default=2000)
     v.add_argument("--shards", type=int, default=4)
     v.add_argument("--streams", type=int, default=4)
@@ -595,7 +597,7 @@ def cmd_serve_sim(args, out=print) -> int:
             model.prepare_inference()
         report, engine, initial_owner = \
             _simulate_fleet(args, graph, model, out)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         out(f"error: {e}")
         return 2
 
@@ -676,8 +678,12 @@ def cmd_serve_sim(args, out=print) -> int:
             f"(peak {sc['peak_servers']}, mean {sc['mean_servers']:.2f}), "
             f"{sc['server_seconds']:.1f} server-seconds{rows_tag}")
     if args.json:
-        with open(args.json, "w") as f:
-            f.write(report.to_json() + "\n")
+        try:
+            with open(args.json, "w") as f:
+                f.write(report.to_json() + "\n")
+        except OSError as e:
+            out(f"error: {e}")
+            return 2
         out(f"wrote JSON report to {args.json}")
     return 0
 

@@ -35,16 +35,15 @@ Every replay/queueing entry point here — and the sharded serving layer in
     Label used in reports; falls back to the class name.
 
 ``measured: bool`` (optional)
-    The **measured variant** of the protocol.  A backend carrying
-    ``measured = True`` (see :class:`repro.serving.MeasuredBackend`)
-    promises that ``process_batch`` *executes* the batch's real kernels
-    and returns their measured wall-clock seconds, and that its
-    ``model``/``graph`` attributes are picklable — the serving engine
-    then runs it through a persistent worker pool
-    (:class:`repro.serving.WorkerPool`, one process lane per worker)
-    instead of calling it inline, reconciling measured durations back
-    into deterministic event time (:mod:`repro.serving.measured`).
-    Modeled backends simply omit the attribute.
+    Serve this backend on measured time.  ``measured = True`` is carried
+    by :class:`repro.serving.MeasuredBackend`, which *is* a
+    :class:`SoftwareBackend`: the serving engine pins a picklable copy of
+    each shard's backend in a persistent worker pool
+    (:class:`repro.serving.WorkerPool`, one process lane per worker),
+    calls its :meth:`SoftwareBackend.compute` there instead of
+    ``process_batch`` inline, and reconciles the seconds back into
+    deterministic event time (:mod:`repro.serving.measured`).  Modeled
+    backends simply omit the attribute.
 
 Capacity contract
 -----------------

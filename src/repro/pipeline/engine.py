@@ -8,7 +8,9 @@ One protocol (``process_batch -> latency seconds``), two disjoint sides.
 * :class:`SoftwareBackend` — runs the model body under ``no_grad`` and
   reports *measured* wall-clock per batch (this is the "1 CPU thread" system of
   Table II; its speedups across the model ladder are real measurements, not
-  models).  :class:`repro.serving.MeasuredBackend` is its event-core twin.
+  models).  :meth:`SoftwareBackend.compute` is the one place a kernel is
+  timed: :class:`repro.serving.MeasuredBackend` is this class with a
+  serving marker, and its worker lanes call the same ``compute``.
 
 **Pricing** backends hold no runtime and can never call a kernel; their
 latency depends on the batch's shape alone:
@@ -100,11 +102,18 @@ class SoftwareBackend:
         self.timings: dict[str, float] = {}
         model.prepare_inference()
 
-    def process_batch(self, batch: EdgeBatch) -> float:
+    def compute(self, batch: EdgeBatch) -> tuple[float, dict[str, float]]:
+        """Run the kernels on one batch: (wall seconds, stage split)."""
+        stages: dict[str, float] = {}
         t0 = time.perf_counter()
-        self.model.infer_batch(batch, self.rt, self.graph,
-                               timings=self.timings)
-        return time.perf_counter() - t0
+        self.model.infer_batch(batch, self.rt, self.graph, timings=stages)
+        return time.perf_counter() - t0, stages
+
+    def process_batch(self, batch: EdgeBatch) -> float:
+        seconds, stages = self.compute(batch)
+        for stage, s in stages.items():
+            self.timings[stage] = self.timings.get(stage, 0.0) + s
+        return seconds
 
 
 class SimulatedFPGABackend:

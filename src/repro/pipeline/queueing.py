@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.temporal_graph import TemporalGraph
-from ..serving.engine import make_stream_arrivals
-from ..serving.simulator import simulate_queue
 
 __all__ = ["QueueStats", "replay_under_load"]
 
@@ -73,6 +71,10 @@ def replay_under_load(backend, graph: TemporalGraph, window_s: float,
     :class:`repro.serving.ServingEngine` for multi-shard / multi-stream /
     pooled / hybrid deployments.
     """
+    # The serving layer sits above this package (its measured backend is
+    # a SoftwareBackend), so it is loaded on use, not at import.
+    from ..serving.engine import make_stream_arrivals
+    from ..serving.simulator import simulate_queue
     arrivals = make_stream_arrivals(graph, window_s, num_streams=1,
                                     start=start, end=end, speedup=speedup)
     res = simulate_queue(list(zip(arrivals.t.tolist(),

@@ -206,15 +206,16 @@ dispatches each admitted sub-batch's real numpy
 ``update_memory``/``embed`` kernels to a persistent
 :class:`WorkerPool` (``workers=N`` process lanes, shard ``s`` pinned to
 lane ``s % N`` so each shard's stream stays FIFO against one persistent
-runtime; ``workers=0`` computes in-process) and reconciles the measured
+backend; ``workers=0`` computes in-process) and reconciles the measured
 wall-clock duration back into deterministic event time: completions are
 committed in dispatch order at ``max(t_begin, lane_free) + measured_s``,
 so the event core stays exact and traced runs replay through
 ``tracecheck`` clean while shards genuinely execute in parallel on the
-wall clock.  The wall clock enters through exactly one audited door —
-the :func:`timed_kernel` context manager, the only site the
-``wall-clock-in-events`` lint rule permits — and the report gains a
-``measured`` block (pooled and per-shard mean/cv², modeled-vs-measured
+wall clock.  The wall clock enters through exactly one door —
+:meth:`repro.pipeline.SoftwareBackend.compute`, which
+:class:`MeasuredBackend` inherits and a lane calls; no serving module
+reads a clock (the ``wall-clock-in-events`` lint rule) — and the report
+gains a ``measured`` block (pooled and per-shard mean/cv², modeled-vs-measured
 means, kernel stage split; omitted on modeled runs, so the goldens
 stand).  Runs are deterministic in *structure* but not timing values;
 :meth:`ServingReport.to_structure_json` is the byte-comparable
@@ -296,8 +297,8 @@ enforces them mechanically, before the golden diff can catch a break:
   an explicit ``np.random.Generator`` / threaded seed; no global-state
   APIs, no buried literal seeds), ``wall-clock-in-events`` (handlers in
   ``events.py`` and ``measured.py`` take time from the scheduler, never
-  the host clock — ``measured.timed_kernel`` is the one carved-out
-  kernel-timing site),
+  the host clock; measured durations come from
+  ``SoftwareBackend.compute``),
   ``unordered-iteration`` (no set / ``.keys()`` iteration feeding
   scheduling or report assembly), ``float-sum-report`` (builtin ``sum()``
   only over integer summands on report paths; float reductions use
@@ -331,8 +332,8 @@ from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
                      MigrationEvent, RecoveryEvent, ScaleEvent,
                      ServerGroup, ServiceBeginEvent, ServiceEndEvent,
                      SyncEvent)
-from .measured import (KernelTimer, MeasuredBackend,  # noqa: F401
-                       MeasuredServerGroup, WorkerPool, timed_kernel)
+from .measured import (MeasuredBackend,  # noqa: F401
+                       MeasuredServerGroup, WorkerPool)
 from .memsync import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
                       MEMSYNC_POLICIES, VersionedMemoryCache)
 from .rebalance import OnlineRebalancer  # noqa: F401
@@ -340,7 +341,7 @@ from .placement import (PLACEMENT_POLICIES, HotColdHybrid,  # noqa: F401
                         LoadAwareRebalance, Placement, PlacementPolicy,
                         ReplicatedReadMostly, StaticHashPlacement,
                         VertexHeat, hash_assignment, make_policy,
-                        padded_hash_placement, replica_shards_from_traffic)
+                        padded_hash_placement)
 from .registry import DEFAULT_REGISTRY, BackendRegistry  # noqa: F401
 from .router import CrossShardMailbox, ShardBatch, ShardRouter  # noqa: F401
 from .simulator import (ServedJob, SimulationResult,  # noqa: F401
@@ -364,8 +365,6 @@ __all__ = [
     "padded_hash_placement",
     "StaticHashPlacement", "LoadAwareRebalance", "ReplicatedReadMostly",
     "HotColdHybrid", "PLACEMENT_POLICIES", "make_policy",
-    "replica_shards_from_traffic",
     "MEMSYNC_POLICIES", "VersionedMemoryCache",
     "MeasuredBackend", "MeasuredServerGroup", "WorkerPool",
-    "KernelTimer", "timed_kernel",
 ]

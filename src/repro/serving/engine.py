@@ -819,7 +819,6 @@ class ServingEngine:
                 groups[sb.shard].submit(t, (ji, sb, hops, sync_hops))
 
         batcher = BatcherActor(self.batcher, sched, route,
-                               ingest=ingest,
                                fleet=groups if ingest == "pipelined" else ())
         if ingest == "pipelined":
             for g in groups:

@@ -806,20 +806,20 @@ class ServerGroup:
     def _begin(self, t: float, i: int) -> None:
         t_arrive, payload = self._arrivals[i]
         service = float(self._service_fn(payload))
-        if self.service_factor != 1.0:
-            service *= self.service_factor
         free_t, srv = heapq.heappop(self._idle)
         begin = max(free_t, t_arrive)
         self._commit(i, srv, t_arrive, begin, service)
 
     def _commit(self, i: int, srv: int, t_arrive: float, begin: float,
-                service: float) -> None:
+                service: float) -> ServedJob:
         """Commit one job's service interval: statistics, trace rows, and
         the end event.  The single service-accounting path — subclasses
         that *measure* service times (``repro.serving.measured``) reuse it
         so traced runs stay invariant-checkable regardless of where the
-        duration came from — and so the one place a service time is
-        checked."""
+        duration came from — and so the one place a slow shard's
+        ``service_factor`` applies and a service time is checked."""
+        if self.service_factor != 1.0:
+            service *= self.service_factor
         finish = begin + service
         if not (0 <= service and finish < math.inf):    # NaN too
             raise ValueError(f"a service time must be finite and "
@@ -841,6 +841,7 @@ class ServerGroup:
             finish, _END,
             ServiceEndEvent(finish, self.gid, srv, i) if traced else job,
             self._end)
+        return job
 
     def _record_begin(self, begin: float, srv: int, i: int) -> None:
         # Hook point: the measured subclass defers lane-delayed begins so
@@ -994,12 +995,12 @@ class ServerGroup:
 class BatcherActor:
     """:class:`DynamicBatcher` run online on the event loop.
 
-    ``ingest="serial"`` releases exactly the spans of the offline
-    reference, :meth:`DynamicBatcher.spans`, at the instants
+    With no ``fleet`` (serial ingest) it releases exactly the spans of the
+    offline reference, :meth:`DynamicBatcher.spans`, at the instants
     :meth:`DynamicBatcher.coalesce` gives them (same triggers —
     property-tested), so replays that predate the event core are
     byte-identical and the engine can route a serial run's jobs before
-    they are released.  ``"pipelined"`` adds
+    they are released.  A ``fleet`` (pipelined ingest) adds
     the double-buffered drain trigger: the buffer flushes the moment every
     fleet group is hungry (idle server, empty queue), so batching delay is
     only ever paid while it hides behind in-flight compute.
@@ -1012,13 +1013,9 @@ class BatcherActor:
 
     def __init__(self, batcher: DynamicBatcher, sched: EventScheduler,
                  sink: Callable[[CoalescedJob], None],
-                 ingest: str = "serial",
                  fleet: Sequence[ServerGroup] = ()):
-        if ingest not in INGEST_MODES:
-            raise ValueError(f"ingest must be one of {INGEST_MODES}")
         self.max_edges = batcher.max_edges
         self.max_delay_s = batcher.max_delay_s
-        self.ingest = ingest
         self._sched = sched
         self._sink = sink
         self._fleet = tuple(fleet)
@@ -1040,12 +1037,12 @@ class BatcherActor:
         self._sched.schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
 
     def _fleet_hungry(self) -> bool:
-        return all(g.hungry for g in self._fleet)
+        """The drain trigger: every group of a non-empty fleet is hungry."""
+        return bool(self._fleet) and all(g.hungry for g in self._fleet)
 
     def on_hungry(self, t: float) -> None:
         """Fleet-drain notification (wired to groups under pipelined)."""
-        if self.ingest == "pipelined" and self._admitted > self._lo \
-                and self._fleet_hungry():
+        if self._admitted > self._lo and self._fleet_hungry():
             self._flush(t, "drain")
 
     # ------------------------------------------------------------------ #
@@ -1065,8 +1062,7 @@ class BatcherActor:
                 and cum[i + 1] - cum[self._lo] >= self.max_edges:
             self._flush(t, "size")
             return
-        if self.ingest == "pipelined" and self._fleet \
-                and self._fleet_hungry():
+        if self._fleet_hungry():
             # Nothing in flight to hide the delay behind: release now.
             self._flush(t, "drain")
             return
@@ -1097,8 +1093,7 @@ class BatcherActor:
         pending_empty = self._admitted == self._lo
         limit = stop
         if (pending_empty and self.max_delay_s == 0.0) \
-                or (self.ingest == "pipelined" and self._fleet
-                    and self._fleet_hungry()):
+                or self._fleet_hungry():
             # Passthrough deadline or hungry-fleet drain: the head flushes
             # the moment it is admitted.  (Fleet hungriness is frozen
             # during pure buffering — nothing fires between cohort

@@ -26,86 +26,49 @@ through the queueing model are measured, not modeled.
 The worker pool
 ---------------
 ``workers=N`` builds ``N`` single-process ``concurrent.futures``
-executors (lanes); shard ``s`` is pinned to lane ``s % N``, so each
-shard's batches execute in FIFO order against that worker's persistent
+executors (lanes); shard ``s`` is pinned to lane ``s % N``: the lane
+receives a copy of the shard's backend at start, so each shard's batches
+execute in FIFO order against that worker's persistent
 :class:`~repro.models.tgn.ModelRuntime` — the stateful-stream contract
 backends rely on.  ``workers=0`` is the in-process fallback: kernels run
 inline in the parent (one virtual lane per shard, so no artificial
 serialization) — bit-compatible in structure, no subprocess cost.
 
-``timed_kernel`` is the one place in the serving stack allowed to read
-the wall clock (the ``wall-clock-in-events`` lint rule carves it out by
-name); every measured duration in this module flows through it.
+This module reads no clock.  Every measured duration is the seconds
+:meth:`repro.pipeline.SoftwareBackend.compute` returns, in a lane or
+inline — the same timed ``infer_batch`` call ``run_engine`` and Table II
+use — and the ``wall-clock-in-events`` lint rule keeps it that way.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
+from ..pipeline.engine import SoftwareBackend
 from .events import _END, EventScheduler, ServerGroup, ServiceBeginEvent
 
-__all__ = ["KernelTimer", "MeasuredBackend", "MeasuredServerGroup",
-           "WorkerPool", "timed_kernel"]
+__all__ = ["MeasuredBackend", "MeasuredServerGroup", "WorkerPool"]
 
 
 # --------------------------------------------------------------------------- #
-class KernelTimer:
-    """Duration cell filled in when its :func:`timed_kernel` block exits."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-
-@contextmanager
-def timed_kernel() -> Iterator[KernelTimer]:
-    """Measure the wall-clock duration of a kernel execution block.
-
-    The single legal wall-clock site of the measured path: the
-    ``wall-clock-in-events`` repro-lint rule bans ``time.perf_counter``
-    everywhere else in this module, so every measured service time is
-    guaranteed to come from here — a timed block around real compute,
-    never a clock read inside an event handler's control flow.
-    """
-    timer = KernelTimer()
-    t0 = time.perf_counter()
-    try:
-        yield timer
-    finally:
-        timer.seconds = time.perf_counter() - t0
-
-
-# --------------------------------------------------------------------------- #
-# Worker-process side.  One process per lane; state is pinned per shard
-# at pool start and persists across batches (the stateful-stream
+# Worker-process side.  One process per lane; each shard's backend is
+# pinned at pool start and persists across batches (the stateful-stream
 # contract: each shard's runtime sees its sub-batches in FIFO order).
 
-_WORKER_SHARDS: dict[int, tuple[Any, Any, Any]] = {}
+_WORKER_SHARDS: dict[int, SoftwareBackend] = {}
 
 
-def _worker_init(shard: int, model: Any, graph: Any) -> int:
-    """Pin ``(model, fresh runtime, graph)`` for ``shard`` in this worker."""
-    _WORKER_SHARDS[shard] = (model, model.new_runtime(graph), graph)
+def _worker_init(shard: int, backend: SoftwareBackend) -> int:
+    """Pin ``shard``'s backend (model, runtime, graph) in this worker."""
+    _WORKER_SHARDS[shard] = backend
     return shard
 
 
-def _timed_infer(model: Any, rt: Any, graph: Any,
-                 batch: Any) -> tuple[float, dict[str, float]]:
-    """Run the real kernels for one batch; return (seconds, stage split)."""
-    stages: dict[str, float] = {}
-    with timed_kernel() as timer:
-        model.infer_batch(batch, rt, graph, timings=stages)
-    return timer.seconds, stages
-
-
 def _worker_compute(shard: int, batch: Any) -> tuple[float, dict[str, float]]:
-    return _timed_infer(*_WORKER_SHARDS[shard], batch)
+    return _WORKER_SHARDS[shard].compute(batch)
 
 
 def _noop(_event: Any) -> None:
@@ -114,15 +77,15 @@ def _noop(_event: Any) -> None:
 
 
 # --------------------------------------------------------------------------- #
-class MeasuredBackend:
-    """Engine-protocol backend that *executes* the kernels it prices.
+class MeasuredBackend(SoftwareBackend):
+    """:class:`~repro.pipeline.SoftwareBackend` on the event core.
 
-    ``process_batch`` runs :meth:`~repro.models.tgn.TGNN.infer_batch`
-    in-process and returns the measured wall-clock seconds — protocol
-    compatible with every modeled backend, but nondeterministic in the
-    *values* (the structure of a run stays deterministic; see the module
-    docstring).  ``measured = True`` is the marker the serving engine
-    keys on to build a :class:`MeasuredServerGroup` instead of a modeled
+    It runs and times the kernels exactly as ``SoftwareBackend`` does
+    (its ``compute`` is the one timed ``infer_batch``), whether a worker
+    lane or the parent calls it — nondeterministic in the *values*, while
+    the structure of a run stays deterministic (see the module docstring).
+    ``measured = True`` is the marker the serving engine keys on to build
+    a :class:`MeasuredServerGroup` instead of a modeled
     :class:`~repro.serving.events.ServerGroup`.
 
     ``modeled`` is an optional stateless pricing companion (the registry
@@ -135,21 +98,8 @@ class MeasuredBackend:
     measured = True
 
     def __init__(self, model: Any, graph: Any, modeled: Any = None):
-        self.model = model
-        self.graph = graph
+        super().__init__(model, graph)
         self.modeled = modeled
-        self._runtime = model.new_runtime(graph)
-        # Same kernels as SoftwareBackend; the pickled model carries the
-        # cache into the worker lanes.
-        model.prepare_inference()
-
-    def compute(self, batch: Any) -> tuple[float, dict[str, float]]:
-        """In-process kernel execution (the ``workers=0`` fallback)."""
-        return _timed_infer(self.model, self._runtime, self.graph, batch)
-
-    def process_batch(self, batch: Any) -> float:
-        """Engine protocol: measured seconds for this batch."""
-        return self.compute(batch)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -164,8 +114,9 @@ class WorkerPool:
       batches execute sequentially against that process's persistent
       runtime.  On a multicore host, distinct lanes genuinely overlap.
     * **Event time** — each lane carries a ``lane_free`` horizon.
-      :meth:`commit` serializes measured durations onto it:
-      ``start = max(ready_t, lane_free)``, ``finish = start + dur``.
+      :meth:`begin` starts a job at ``max(ready_t, lane_free)`` and
+      :meth:`hold` moves the horizon to the finish its group committed,
+      so a lane serializes the service intervals of the shards it runs.
       The horizon is plain event-time arithmetic on measured inputs, so
       ``workers=1`` models one worker shared by all shards (every
       kernel queues behind the previous one) and ``workers>=shards``
@@ -185,14 +136,14 @@ class WorkerPool:
     def lane_of(self, shard: int) -> int:
         return shard % self.workers if self.workers else shard
 
-    def start(self, backends: dict[int, MeasuredBackend]) -> None:
-        """Spin up the lanes and pin each shard's state in its worker."""
+    def start(self, backends: dict[int, SoftwareBackend]) -> None:
+        """Spin up the lanes and pin each shard's backend in its worker."""
         if not self.workers:
             return
         self._lanes = [ProcessPoolExecutor(max_workers=1)
                        for _ in range(self.workers)]
         inits = [self._lanes[self.lane_of(shard)].submit(
-            _worker_init, shard, backend.model, backend.graph)
+            _worker_init, shard, backend)
             for shard, backend in sorted(backends.items())]
         for fut in inits:
             fut.result()    # surface pickling / worker-boot errors eagerly
@@ -204,14 +155,14 @@ class WorkerPool:
         return self._lanes[self.lane_of(shard)].submit(
             _worker_compute, shard, batch)
 
-    def commit(self, shard: int, ready_t: float,
-               duration_s: float) -> tuple[float, float]:
-        """Serialize a measured duration onto the shard's lane clock."""
-        lane = self.lane_of(shard)
-        start = max(ready_t, self._horizon.get(lane, ready_t))
-        finish = start + duration_s
-        self._horizon[lane] = finish
-        return start, finish
+    def begin(self, shard: int, ready_t: float) -> float:
+        """When the shard's lane can start a job that is ready at
+        ``ready_t``: never before the lane's previous finish."""
+        return max(ready_t, self._horizon.get(self.lane_of(shard), ready_t))
+
+    def hold(self, shard: int, finish: float) -> None:
+        """The shard's lane is busy until ``finish``."""
+        self._horizon[self.lane_of(shard)] = finish
 
     def shutdown(self) -> None:
         for ex in self._lanes:
@@ -235,8 +186,9 @@ class MeasuredServerGroup(ServerGroup):
 
     ``prepare(payload)`` extracts the :class:`EdgeBatch` to execute;
     ``extra_service(payload)`` prices non-compute seconds (mailbox /
-    sync hop costs) into the committed service exactly like the modeled
-    closure does.  ``samples`` collects ``(measured_s, modeled_s)``
+    sync hop costs) into the service exactly like the modeled closure
+    does, and ``_commit`` degrades the sum on a slow shard as it does a
+    modeled one.  ``samples`` collects ``(service_s, modeled_s)``
     pairs in commit order and ``stage_seconds`` the per-stage kernel
     split — the report's ``measured`` block reads both.
     """
@@ -291,23 +243,19 @@ class MeasuredServerGroup(ServerGroup):
         self._reconcile_scheduled = False
         pending, self._pending = self._pending, []
         for i, srv, t_arrive, t_begin, batch, payload, future in pending:
-            if future is None:
-                measured_s, stages = self.backend.compute(batch)
-            else:
-                measured_s, stages = future.result()
-            service = measured_s
-            if self.service_factor != 1.0:
-                service *= self.service_factor
-            service += self._extra(payload)
-            begin, _finish = self.pool.commit(self.gid, t_begin, service)
+            measured_s, stages = self.backend.compute(batch) \
+                if future is None else future.result()
+            job = self._commit(i, srv, t_arrive,
+                               self.pool.begin(self.gid, t_begin),
+                               measured_s + self._extra(payload))
+            self.pool.hold(self.gid, job.t_finish)
             modeled = self.backend.modeled
             modeled_s = float(modeled.process_batch(batch)) \
                 if modeled is not None else math.nan
-            self.samples.append((service, modeled_s))
+            self.samples.append((job.service_s, modeled_s))
             for stage in sorted(stages):
                 self.stage_seconds[stage] = \
                     self.stage_seconds.get(stage, 0.0) + stages[stage]
-            self._commit(i, srv, t_arrive, begin, service)
 
     def _record_begin(self, begin: float, srv: int, i: int) -> None:
         ev = ServiceBeginEvent(begin, self.gid, srv, i)

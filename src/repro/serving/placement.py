@@ -48,10 +48,7 @@ Policies
     payoff is read locality/freshness — replica rows are exact, closing the
     stale-mirror gap for the replicated (hot) vertices — plus failover
     headroom: a replica is a promotable full copy
-    (:meth:`~repro.serving.router.ShardRouter.fail_over`).  Replica shards
-    are chosen from a measured traffic matrix when one is supplied
-    (:func:`replica_shards_from_traffic`), and :meth:`refresh`
-    de-replicates vertices that cooled out of the hot set.
+    (:meth:`~repro.serving.router.ShardRouter.fail_over`).
 """
 
 from __future__ import annotations
@@ -67,8 +64,7 @@ __all__ = [
     "StaticHashPlacement", "LoadAwareRebalance", "ReplicatedReadMostly",
     "HotColdHybrid",
     "PLACEMENT_POLICIES", "make_policy", "hash_assignment",
-    "padded_hash_placement", "replica_shards_from_traffic",
-    "shard_pair_counts",
+    "padded_hash_placement", "shard_pair_counts",
 ]
 
 # 64-bit golden-ratio multiplier (Fibonacci hashing): cheap, deterministic,
@@ -104,34 +100,6 @@ def padded_hash_placement(num_nodes: int, active_shards: int,
         raise ValueError("need 0 < active_shards <= num_shards")
     return Placement(assignment=hash_assignment(num_nodes, active_shards),
                      num_shards=num_shards, policy="hash")
-
-
-def replica_shards_from_traffic(traffic: np.ndarray, owner: int,
-                                n_extra: int) -> tuple[int, ...]:
-    """Pick the ``n_extra`` replica shards a vertex of ``owner`` wants most.
-
-    ``traffic`` is a measured ``(S, S)`` mail matrix — row = sending shard,
-    column = receiving shard (:meth:`Placement.mail_matrix`, or the live
-    :attr:`~repro.serving.router.CrossShardMailbox.counts`).  The shards
-    that receive the most mail *from the owner* are the shards whose jobs
-    most often touch state owned there, so placing the copies where the
-    reads actually land maximizes what a replica buys: exact local rows on
-    the consuming shard — and, after a failure, a promotable full copy on
-    the shard most entangled with the dead one.  Ranking is by received
-    mail descending, shard id ascending (deterministic).
-    """
-    traffic = np.asarray(traffic)
-    if traffic.ndim != 2 or traffic.shape[0] != traffic.shape[1]:
-        raise ValueError("traffic must be a square (S, S) matrix")
-    num_shards = traffic.shape[0]
-    owner = int(owner)
-    if not 0 <= owner < num_shards:
-        raise ValueError("owner shard out of range")
-    if n_extra <= 0 or num_shards < 2:
-        return ()
-    others = np.array([s for s in range(num_shards) if s != owner])
-    order = np.lexsort((others, -traffic[owner, others]))
-    return tuple(int(others[i]) for i in order[:n_extra])
 
 
 def shard_pair_counts(from_shards: np.ndarray, to_shards: np.ndarray,
@@ -446,22 +414,13 @@ class ReplicatedReadMostly:
     Selection: among vertices whose ``read_ratio`` (fan-in share of
     incident edges) is at least ``min_read_ratio``, take the ``top_k`` by
     destination count.  Each selected vertex gains ``copies - 1`` replica
-    shards (``copies=None`` replicates onto every shard).  Replica shards
-    are **profile-driven** when a measured ``traffic`` matrix is supplied
-    — placed on the shards that consume the most owner mail (see
-    :func:`replica_shards_from_traffic`) — and round-robin after the owner
-    otherwise, so the maintenance traffic spreads deterministically either
-    way.
+    shards (``copies=None`` replicates onto every shard), round-robin
+    after the owner, so the maintenance traffic spreads deterministically.
 
     Cost/benefit contract (tested): every holder receives every incident
     edge, so the report's ``replication_factor`` rises by one count per
     replica per incident edge — and in exchange each replica's neighbor
     rows for the vertex are *exact*, not stale mirrors.
-
-    :meth:`refresh` is the maintenance half of the profile-driven story:
-    re-run selection against newly measured heat, replicating vertices
-    that heated into the top-k and **de-replicating** vertices that cooled
-    out of it.
     """
 
     name = "replicate"
@@ -478,59 +437,25 @@ class ReplicatedReadMostly:
         self.min_read_ratio = float(min_read_ratio)
         self.copies = copies
 
-    def _replica_sets(self, heat: VertexHeat, assignment: np.ndarray,
-                      num_shards: int,
-                      traffic: np.ndarray | None) -> dict[int, tuple[int, ...]]:
-        replicas: dict[int, tuple[int, ...]] = {}
-        if num_shards < 2 or self.top_k == 0:
-            return replicas
-        eligible = (heat.read_ratio >= self.min_read_ratio) \
-            & (heat.dst_count > 0)
-        # Stable hot-first order: by fan-in desc, vertex id asc.
-        order = np.lexsort((np.arange(heat.num_nodes),
-                            -heat.dst_count))
-        chosen = [int(v) for v in order if eligible[v]][:self.top_k]
-        n_extra = num_shards - 1 if self.copies is None \
-            else min(self.copies - 1, num_shards - 1)
-        for v in chosen:
-            owner = int(assignment[v])
-            if traffic is not None:
-                extra = replica_shards_from_traffic(traffic, owner, n_extra)
-            else:
-                extra = tuple((owner + 1 + i) % num_shards
-                              for i in range(n_extra))
-            if extra:
-                replicas[v] = extra
-        return replicas
-
     def place(self, heat: VertexHeat, num_shards: int,
-              profile: Sequence | None = None,
-              traffic: np.ndarray | None = None) -> Placement:
+              profile: Sequence | None = None) -> Placement:
         assignment = hash_assignment(heat.num_nodes, num_shards)
-        replicas = self._replica_sets(heat, assignment, num_shards, traffic)
+        replicas: dict[int, tuple[int, ...]] = {}
+        if num_shards >= 2 and self.top_k > 0:
+            eligible = (heat.read_ratio >= self.min_read_ratio) \
+                & (heat.dst_count > 0)
+            # Stable hot-first order: by fan-in desc, vertex id asc.
+            order = np.lexsort((np.arange(heat.num_nodes),
+                                -heat.dst_count))
+            chosen = [int(v) for v in order if eligible[v]][:self.top_k]
+            n_extra = num_shards - 1 if self.copies is None \
+                else min(self.copies - 1, num_shards - 1)
+            for v in chosen:
+                owner = int(assignment[v])
+                replicas[v] = tuple((owner + 1 + i) % num_shards
+                                    for i in range(n_extra))
         return Placement(assignment=assignment, num_shards=num_shards,
                          replicas=replicas, policy=self.name)
-
-    def refresh(self, placement: Placement, heat: VertexHeat,
-                traffic: np.ndarray | None = None) -> Placement:
-        """Profile-driven replica maintenance between (or after) runs.
-
-        Re-selects the replica set against *measured* heat, keeping
-        ownership untouched: vertices now in the eligible top-k gain
-        copies (traffic-placed when a measured mail matrix is given), and
-        previously replicated vertices that cooled out of the set are
-        **de-replicated** — their copies stop costing maintenance mail.
-        Returns a new :class:`Placement`; the input is not mutated, so the
-        refresh composes with routers holding the old plan.
-        """
-        if heat.num_nodes != placement.num_nodes:
-            raise ValueError("heat covers a different vertex count")
-        replicas = self._replica_sets(heat, placement.assignment,
-                                      placement.num_shards, traffic)
-        return Placement(assignment=placement.assignment.copy(),
-                         num_shards=placement.num_shards,
-                         replicas=replicas, policy=self.name,
-                         moved_vertices=placement.moved_vertices)
 
 
 class HotColdHybrid:

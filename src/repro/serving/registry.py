@@ -19,10 +19,10 @@ Built-in names
                         runs no kernel, keeps no state)
 ``cpu-32t`` / ``gpu``   calibrated GPP cost models (price from the
                         batch's edge count, run no kernel, keep no state)
-``measured``            real kernels on the event core: service times are
-                        wall-clock measurements of the numpy
-                        ``update_memory``/``embed`` kernels, executed by
-                        the serving engine's worker pool (see
+``measured``            ``software`` served on measured time: a
+                        ``SoftwareBackend`` subclass whose ``compute``
+                        seconds are the service times, run by the
+                        serving engine's worker pool (see
                         :mod:`repro.serving.measured`); carries a
                         ``cpu-32t`` pricing companion for
                         the modeled-vs-measured report block (disable

@@ -113,32 +113,6 @@ class TestWallClockInEvents:
         fs = findings_for(WallClockInEventsRule, self.MEASURED, src)
         assert rule_names(fs) == ["wall-clock-in-events"]
 
-    def test_timed_kernel_carve_out_silent(self):
-        src = ("import time\n"
-               "def timed_kernel():\n"
-               "    t0 = time.perf_counter()\n"
-               "    return time.perf_counter() - t0\n")
-        assert findings_for(WallClockInEventsRule, self.MEASURED, src) == []
-
-    def test_carve_out_is_measured_only(self):
-        # A function *named* timed_kernel in events.py gets no exemption:
-        # the carve-out is tied to the one sanctioned site in measured.py.
-        src = ("import time\n"
-               "def timed_kernel():\n"
-               "    return time.perf_counter()\n")
-        fs = findings_for(WallClockInEventsRule, self.EVENTS, src)
-        assert rule_names(fs) == ["wall-clock-in-events"]
-
-    def test_sibling_function_still_fires_in_measured(self):
-        src = ("import time\n"
-               "def timed_kernel():\n"
-               "    return time.perf_counter()\n"
-               "def dispatch():\n"
-               "    return time.monotonic()\n")
-        fs = findings_for(WallClockInEventsRule, self.MEASURED, src)
-        assert rule_names(fs) == ["wall-clock-in-events"]
-        assert all("monotonic" in f.message for f in fs)
-
 
 class TestUnorderedIteration:
     PATH = "src/repro/serving/router.py"

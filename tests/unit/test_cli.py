@@ -330,6 +330,8 @@ class TestServeSim:
         ["--deadline-ms", "nan"],
         ["--rebalance-online", "--rebalance-window", "nan"],
         ["--rebalance-online", "--rebalance-threshold", "nan"],
+        # A checkpoint that is not there was a FileNotFoundError traceback.
+        ["--model", "no-such-checkpoint.npz"],
     ], ids=" ".join)
     def test_degenerate_values_are_clean_errors(self, extra, tmp_path):
         """The CLI validates nothing itself: whatever the library rejects
@@ -344,6 +346,32 @@ class TestServeSim:
             == [True]
         assert "Traceback" not in text
         assert not path.exists()
+
+    def test_unwritable_json_path_is_a_clean_error(self, tmp_path):
+        """The report is written last: a ``--json`` into a directory that
+        does not exist ends in one ``error:`` line, not a traceback
+        after the whole run."""
+        path = tmp_path / "missing" / "report.json"
+        code, text = run(["serve-sim", "--edges", "300", "--backend",
+                          "cpu-32t", "--memory-dim", "8",
+                          "--json", str(path)])
+        assert code == 2
+        lines = text.splitlines()
+        assert lines[-1].startswith("error: ")
+        assert not any(ln.startswith("error: ") for ln in lines[:-1])
+        assert "Traceback" not in text
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-sim"], ["train", "--out", "m.npz"],
+        ["eval", "--model", "m.npz"], ["infer", "--model", "m.npz"]],
+        ids=lambda argv: argv[0])
+    def test_unknown_dataset_is_a_usage_error(self, argv, capsys):
+        """Every ``--dataset`` flag takes the registry's names only, so a
+        typo is argparse's exit 2 (was a ``KeyError`` traceback)."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--dataset", "nope"], out=lambda _line: None)
+        assert exit_.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 class TestServeSimGolden:

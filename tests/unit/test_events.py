@@ -207,11 +207,10 @@ class TestBatcherActorEquivalence:
         dict(max_edges=10_000, max_delay_s=0.0),    # passthrough via deadline
     ]
 
-    def run_actor(self, batcher, arrivals, ingest="serial", fleet=()):
+    def run_actor(self, batcher, arrivals):
         sched = EventScheduler()
         jobs = []
-        actor = BatcherActor(batcher, sched, jobs.append, ingest=ingest,
-                             fleet=fleet)
+        actor = BatcherActor(batcher, sched, jobs.append)
         actor.start(arrivals)
         sched.run()
         return jobs
@@ -245,11 +244,6 @@ class TestBatcherActorEquivalence:
                     StreamArrival(0.0, 0, tiny_batch(0.0))]
         with pytest.raises(ValueError, match="sorted"):
             self.run_actor(DynamicBatcher(), arrivals)
-
-    def test_invalid_ingest_mode_rejected(self):
-        with pytest.raises(ValueError, match="ingest"):
-            BatcherActor(DynamicBatcher(), EventScheduler(), lambda j: None,
-                         ingest="warp")
 
 
 # --------------------------------------------------------------------------- #
@@ -412,7 +406,7 @@ class TestConservationAcrossTopologies:
                 for sb in engine.router.split(job.batch, cache=cache):
                     groups[sb.shard].submit(job.t_release,
                                             (0, sb, 0, 0))
-        actor = BA(engine.batcher, sched, sink, ingest=ingest,
+        actor = BA(engine.batcher, sched, sink,
                    fleet=groups if ingest == "pipelined" else ())
         if ingest == "pipelined":
             for grp in groups:

@@ -41,11 +41,9 @@ from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            FailureEvent, FailureInjector, FailurePlan,
                            FlushEvent, HeapEventScheduler,
                            MigrationEvent, OnlineRebalancer, Placement,
-                           ReplicatedReadMostly, ServerGroup,
-                           ServiceBeginEvent, ServiceEndEvent, ServingEngine,
-                           ShardRouter, VersionedMemoryCache,
-                           VertexHeat, hash_assignment, make_stream_arrivals,
-                           replica_shards_from_traffic)
+                           ServerGroup, ServiceBeginEvent, ServiceEndEvent,
+                           ServingEngine, ShardRouter, VersionedMemoryCache,
+                           hash_assignment, make_stream_arrivals)
 from repro.serving.memsync import fail_over, hand_off
 from tests.property.sharded_oracle import ShardedRuntime
 from tests.unit.test_memsync import sync_step
@@ -744,67 +742,3 @@ class TestEngineChaosInvariants:
         assert priced.recovery_rows == free.recovery_rows > 0
         assert sum(s.busy_s for s in priced.shard_stats) > \
             sum(s.busy_s for s in free.shard_stats)
-
-
-# --------------------------------------------------------------------------- #
-class TestProfileDrivenReplicas:
-    """Satellite: replica sets chosen from the measured traffic matrix,
-    cooled vertices de-replicated on refresh."""
-
-    def test_traffic_ranking_is_deterministic(self):
-        traffic = np.array([[0, 5, 9, 5],
-                            [1, 0, 2, 3],
-                            [4, 4, 0, 4],
-                            [7, 1, 2, 0]])
-        assert replica_shards_from_traffic(traffic, 0, 2) == (2, 1)
-        assert replica_shards_from_traffic(traffic, 0, 3) == (2, 1, 3)
-        # Ties break by shard id ascending; zero n_extra picks nothing.
-        assert replica_shards_from_traffic(traffic, 2, 2) == (0, 1)
-        assert replica_shards_from_traffic(traffic, 0, 0) == ()
-
-    def test_traffic_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            replica_shards_from_traffic(np.zeros((2, 3)), 0, 1)
-        with pytest.raises(ValueError, match="owner"):
-            replica_shards_from_traffic(np.zeros((2, 2)), 2, 1)
-
-    def test_place_uses_measured_traffic(self):
-        g = wikipedia_like(num_edges=400, num_users=60, num_items=16)
-        heat = VertexHeat.from_graph(g)
-        policy = ReplicatedReadMostly(top_k=4, copies=2)
-        traffic = np.array([[0, 1, 9],
-                            [9, 0, 1],
-                            [1, 9, 0]])
-        placed = policy.place(heat, 3, traffic=traffic)
-        assert placed.replicated_vertices > 0
-        for v, extra in placed.replicas.items():
-            owner = int(placed.assignment[v])
-            assert extra == replica_shards_from_traffic(traffic, owner, 1)
-
-    def test_refresh_de_replicates_cooled_vertices(self):
-        g = wikipedia_like(num_edges=400, num_users=60, num_items=16)
-        heat = VertexHeat.from_graph(g)
-        policy = ReplicatedReadMostly(top_k=4)
-        placed = policy.place(heat, 2)
-        assert placed.replicated_vertices == 4
-        # The measured second-epoch heat: everything cooled except the
-        # single hottest vertex, which keeps its copies.
-        hot = max(placed.replicas, key=lambda v: heat.dst_count[v])
-        cold_src = np.zeros_like(heat.src_count)
-        cold_dst = np.zeros_like(heat.dst_count)
-        cold_dst[hot] = 10
-        refreshed = policy.refresh(
-            placed, VertexHeat(src_count=cold_src, dst_count=cold_dst))
-        assert list(refreshed.replicas) == [hot]
-        assert np.array_equal(refreshed.assignment, placed.assignment)
-        # The input placement was not mutated.
-        assert placed.replicated_vertices == 4
-
-    def test_refresh_validates_vertex_count(self):
-        g = wikipedia_like(num_edges=400, num_users=60, num_items=16)
-        heat = VertexHeat.from_graph(g)
-        policy = ReplicatedReadMostly(top_k=4)
-        placed = policy.place(heat, 2)
-        bad = VertexHeat(src_count=np.zeros(3), dst_count=np.zeros(3))
-        with pytest.raises(ValueError, match="vertex count"):
-            policy.refresh(placed, bad)

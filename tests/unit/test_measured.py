@@ -24,7 +24,9 @@ from repro.datasets import wikipedia_like
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
 from repro.pipeline import SoftwareBackend
 from repro.profiling import modeled_vs_measured
-from repro.serving import DEFAULT_REGISTRY, ServingEngine, WorkerPool
+from repro.serving import (DEFAULT_REGISTRY, EventScheduler,
+                           MeasuredServerGroup, ServerGroup, ServingEngine,
+                           WorkerPool)
 
 WORKERS = int(os.environ.get("REPRO_WORKERS", "0"))
 
@@ -73,19 +75,23 @@ class TestWorkerPoolLanes:
 
     def test_commit_serializes_per_lane(self):
         pool = WorkerPool(2)
-        assert pool.commit(0, 0.0, 1.0) == (0.0, 1.0)
+        assert pool.begin(0, 0.0) == 0.0
+        pool.hold(0, 1.0)
         # Shard 1 owns the other lane: no contention.
-        assert pool.commit(1, 0.0, 1.0) == (0.0, 1.0)
+        assert pool.begin(1, 0.0) == 0.0
+        pool.hold(1, 1.0)
         # Shard 2 shares lane 0 with shard 0: queues behind its finish.
-        assert pool.commit(2, 0.0, 1.0) == (1.0, 2.0)
+        assert pool.begin(2, 0.0) == 1.0
+        pool.hold(2, 2.0)
         # An idle gap: the lane horizon never pulls a start backwards.
-        assert pool.commit(0, 5.0, 1.0) == (5.0, 6.0)
+        assert pool.begin(0, 5.0) == 5.0
 
     def test_workers_zero_is_one_virtual_lane_per_shard(self):
         pool = WorkerPool(0)
         for s in range(4):
-            assert pool.commit(s, 0.0, 1.0) == (0.0, 1.0)
-        assert pool.commit(0, 0.0, 1.0) == (1.0, 2.0)
+            assert pool.begin(s, 0.0) == 0.0
+            pool.hold(s, 1.0)
+        assert pool.begin(0, 0.0) == 1.0
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -114,9 +120,39 @@ def test_measured_backend_runs_the_software_backends_kernels():
     for backend in (measured, software):
         for lo in (0, 200, 400):
             backend.process_batch(g.slice(lo, lo + 200))
-    got, want = measured._runtime.state.snapshot(), software.rt.state.snapshot()
+    got, want = measured.rt.state.snapshot(), software.rt.state.snapshot()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class OneSecondBackend:
+    """Every batch computes for exactly one second."""
+
+    modeled = None
+
+    def compute(self, _batch):
+        return 1.0, {}
+
+
+def test_slow_shard_degrades_measured_and_modeled_service_alike():
+    """A slow shard's factor applies once, to the whole service — kernel
+    seconds plus hop cost — whether the kernel seconds were measured or
+    priced; the lane stays busy for the degraded service too."""
+    def served(make_group):
+        sched = EventScheduler()
+        group = make_group(sched)
+        group.service_factor = 4.0
+        group.submit(0.0, "job")
+        sched.run()
+        return [job.service_s for job in group.finalize().served]
+
+    pool = WorkerPool(0)
+    measured = served(lambda sched: MeasuredServerGroup(
+        0, 1, OneSecondBackend(), pool, sched,
+        extra_service=lambda _payload: 0.5))
+    modeled = served(lambda sched: ServerGroup(0, 1, lambda _p: 1.5, sched))
+    assert measured == modeled == [6.0]
+    assert pool.begin(0, 0.0) == 6.0
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import wikipedia_like
 from repro.hw import FPGAAccelerator, ZCU104_DESIGN
-from repro.models import ModelConfig, TGNN
+from repro.models import KERNEL_STAGES, ModelConfig, TGNN
 from repro.perf import CPU_32T, validate_performance_model
 from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
                             SimulatedFPGABackend, SoftwareBackend,
@@ -41,6 +41,23 @@ class TestSoftwareBackend:
         be = SoftwareBackend(model, g)
         run_engine(be, g, batch_size=100, end=200)
         assert be.rt.state.has_mail(g.slice(0, 200).nodes).all()
+
+    def test_process_batch_reports_what_compute_timed(self):
+        """``compute`` is the one timed kernel call: ``process_batch``
+        returns its seconds and sums its stage split into ``timings``."""
+        g, model = setup()
+        calls = []
+
+        class Spy(SoftwareBackend):
+            def compute(self, batch):
+                calls.append(super().compute(batch))
+                return calls[-1]
+
+        rep = run_engine(Spy(model, g), g, batch_size=100, end=400)
+        assert rep.batch_latencies_s == [seconds for seconds, _ in calls]
+        assert rep.stage_time_s == {
+            stage: sum(stages[stage] for _, stages in calls)
+            for stage in KERNEL_STAGES}
 
 
 class TestModeledBackend:

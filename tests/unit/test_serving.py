@@ -997,8 +997,10 @@ def kernel_names(path):
 class TestOneFleetPath:
     """A fleet is a server-count vector: the topology names are read
     where the vector is built and nowhere downstream, and the control
-    plane always has a router.  Serving prices batches; only the
-    measured backend executes the model's kernels."""
+    plane always has a router.  Serving prices batches; the measured
+    backend executes the model's kernels, through the one timed call in
+    ``repro.pipeline`` (``SoftwareBackend.compute``), so no serving
+    module names a kernel — ``measured.py`` included."""
 
     SERVING = Path(repro.serving.__file__).parent
     BUILDERS = {"ServingEngine.__init__", "ServingEngine.from_registry"}
@@ -1014,9 +1016,8 @@ class TestOneFleetPath:
     def test_the_control_plane_always_has_a_router(self, name):
         assert router_is_none_tests(self.SERVING / name) == []
 
-    @pytest.mark.parametrize("path", sorted(
-        p for p in SERVING.glob("*.py") if p.name != "measured.py"),
-        ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", sorted(SERVING.glob("*.py")),
+                             ids=lambda p: p.name)
     def test_only_the_measured_backend_executes_kernels(self, path):
         assert kernel_names(path) == []
 
