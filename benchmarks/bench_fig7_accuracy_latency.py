@@ -59,7 +59,7 @@ def _train_all(graph):
                                                     seed=0),
                                  warm_start=True)
         dt.train(tr)
-        aps[tag] = dt.as_trainer().evaluate(va, te).ap
+        aps[tag] = dt.evaluate(va, te).ap
     return aps
 
 

@@ -55,7 +55,7 @@ def _train_ap_column(graph, seed=0):
                                  DistillationConfig(epochs=3, batch_size=100,
                                                     seed=seed))
         dt.train(tr)
-        aps[tag] = dt.as_trainer().evaluate(va, te).ap
+        aps[tag] = dt.evaluate(va, te).ap
 
     sat_cfg = base_cfg.with_(simplified_attention=True)
     lut_cfg = sat_cfg.with_(lut_time_encoder=True)

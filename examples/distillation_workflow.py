@@ -62,7 +62,7 @@ def main() -> None:
                                seed=0),
             warm_start=True)
         hist = dt.train(train_end, log=True)
-        ev = dt.as_trainer().evaluate(val_end, test_end)
+        ev = dt.evaluate(val_end, test_end)
         thpt = _measured_throughput(student, graph)
         rows.append({"model": name,
                      "kMAC": count_ops(cfg).total_macs / 1e3,

@@ -280,9 +280,8 @@ def cmd_train(args, out=print) -> int:
     model = TGNN(cfg, rng=np.random.default_rng(args.seed))
     model.calibrate(graph)
     if args.teacher:
-        teacher = load_model(args.teacher)
         trainer = DistillationTrainer(
-            teacher, model, graph,
+            load_model(args.teacher), model, graph,
             DistillationConfig(epochs=args.epochs,
                                batch_size=args.batch_size, seed=args.seed),
             warm_start=True)
@@ -290,15 +289,14 @@ def cmd_train(args, out=print) -> int:
         out(f"distilled {args.epochs} epochs: "
             f"kd_loss {hist[-1]['kd_loss']:.4f}, "
             f"agreement {hist[-1]['top1_agreement']:.3f}")
-        evaluator = trainer.as_trainer()
     else:
-        evaluator = Trainer(model, graph,
-                            TrainConfig(epochs=args.epochs,
-                                        batch_size=args.batch_size,
-                                        seed=args.seed))
-        hist = evaluator.train(train_end)
+        trainer = Trainer(model, graph,
+                          TrainConfig(epochs=args.epochs,
+                                      batch_size=args.batch_size,
+                                      seed=args.seed))
+        hist = trainer.train(train_end)
         out(f"trained {args.epochs} epochs: loss {hist[-1]['loss']:.4f}")
-    res = evaluator.evaluate(val_end, test_end)
+    res = trainer.evaluate(val_end, test_end)
     out(f"test AP {res.ap:.4f}  AUC {res.auc:.4f}")
     save_model(model, args.out)
     out(f"saved checkpoint to {args.out}")
@@ -404,7 +402,7 @@ def _simulate_fleet(args, graph, model, out):
     Nothing here judges whether the options are legal: the serving
     library validates every value and combination at construction or at
     the top of ``run``, and its ``ValueError`` is the CLI's error message
-    (``cmd_serve_sim`` catches it).  Returns ``(report, engine,
+    (``main`` catches it).  Returns ``(report, engine,
     initial_owner)``.
     """
     from .serving import (DEFAULT_REGISTRY, DynamicBatcher, OnlineRebalancer,
@@ -579,27 +577,23 @@ def cmd_serve_sim(args, out=print) -> int:
         out(f"error: {', '.join(scale_flags)} require(s) --autoscale")
         return 2
 
-    try:
-        graph = _dataset(args)
-        if args.model:
-            model = load_model(args.model)
-        else:
-            cfg = ModelConfig(memory_dim=args.memory_dim,
-                              time_dim=args.memory_dim,
-                              embed_dim=args.memory_dim,
-                              edge_dim=graph.edge_dim,
-                              node_dim=graph.node_dim,
-                              simplified_attention=True,
-                              lut_time_encoder=True,
-                              pruning_budget=4, name="NP(4)")
-            model = TGNN(cfg, rng=np.random.default_rng(args.seed))
-            model.calibrate(graph)
-            model.prepare_inference()
-        report, engine, initial_owner = \
-            _simulate_fleet(args, graph, model, out)
-    except (ValueError, OSError) as e:
-        out(f"error: {e}")
-        return 2
+    graph = _dataset(args)
+    if args.model:
+        model = load_model(args.model)
+    else:
+        cfg = ModelConfig(memory_dim=args.memory_dim,
+                          time_dim=args.memory_dim,
+                          embed_dim=args.memory_dim,
+                          edge_dim=graph.edge_dim,
+                          node_dim=graph.node_dim,
+                          simplified_attention=True,
+                          lut_time_encoder=True,
+                          pruning_budget=4, name="NP(4)")
+        model = TGNN(cfg, rng=np.random.default_rng(args.seed))
+        model.calibrate(graph)
+        model.prepare_inference()
+    report, engine, initial_owner = \
+        _simulate_fleet(args, graph, model, out)
 
     if args.check_trace:
         # Replay the recorded trace through the invariant checker: the
@@ -678,12 +672,8 @@ def cmd_serve_sim(args, out=print) -> int:
             f"(peak {sc['peak_servers']}, mean {sc['mean_servers']:.2f}), "
             f"{sc['server_seconds']:.1f} server-seconds{rows_tag}")
     if args.json:
-        try:
-            with open(args.json, "w") as f:
-                f.write(report.to_json() + "\n")
-        except OSError as e:
-            out(f"error: {e}")
-            return 2
+        with open(args.json, "w") as f:
+            f.write(report.to_json() + "\n")
         out(f"wrote JSON report to {args.json}")
     return 0
 
@@ -700,8 +690,15 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None, out=print) -> int:
+    """Run one command; a ``ValueError`` or ``OSError`` from the library
+    (an illegal value, a missing checkpoint, an unwritable path) is one
+    ``error:`` line and exit 2, never a traceback."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args, out=out)
+    try:
+        return COMMANDS[args.command](args, out=out)
+    except (ValueError, OSError) as e:
+        out(f"error: {e}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

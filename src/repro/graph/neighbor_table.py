@@ -30,7 +30,37 @@ import numpy as np
 
 from .state import VertexRows
 
-__all__ = ["NeighborTable", "GatheredNeighbors"]
+__all__ = ["NeighborTable", "GatheredNeighbors", "ring_append"]
+
+
+def ring_append(vertices: np.ndarray, size: int, head: np.ndarray,
+                count: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append one entry per element of ``vertices`` to per-vertex rings.
+
+    Each vertex owns a ring of ``size`` slots whose next write slot is
+    ``head[v]``.  Insertions are grouped by vertex, in arrival order inside
+    a group, so a vertex listed many times takes consecutive slots; only a
+    group's last ``size`` entries survive the ring.  Advances ``head`` (and
+    ``count``, the valid entries capped at ``size``, when given) in place
+    and returns ``(pick, rows, slots)``: entry ``pick[i]`` of the caller's
+    columns goes to slot ``slots[i]`` of ring ``rows[i]``.
+    """
+    order = np.argsort(vertices, kind="stable")
+    rows = vertices[order]
+    bounds = np.ones(len(rows) + 1, dtype=bool)        # group starts + end
+    np.not_equal(rows[1:], rows[:-1], out=bounds[1:-1])
+    first = np.flatnonzero(bounds)
+    counts = np.diff(first)
+    first = first[:-1]
+    uniq = rows[first]
+    rank = np.arange(len(rows)) - np.repeat(first, counts)
+    keep = np.repeat(counts, counts) - rank <= size
+    slots = (head[rows] + rank) % size
+    head[uniq] = (head[uniq] + counts) % size
+    if count is not None:
+        count[uniq] = np.minimum(count[uniq] + counts, size)
+    return order[keep], rows[keep], slots[keep]
 
 
 class GatheredNeighbors:
@@ -113,30 +143,11 @@ class NeighborTable(VertexRows):
 
     def _insert(self, vertices: np.ndarray, partners: np.ndarray,
                 eids: np.ndarray, times: np.ndarray) -> None:
-        if len(vertices) == 0:
-            return
-        # Group insertions by vertex, preserving arrival order inside groups.
-        order = np.argsort(vertices, kind="stable")
-        v_sorted = vertices[order]
-        # cumcount: position of each insertion within its vertex group.
-        group_start = np.empty(len(v_sorted), dtype=bool)
-        group_start[0] = True
-        group_start[1:] = v_sorted[1:] != v_sorted[:-1]
-        idx = np.arange(len(v_sorted))
-        start_idx = np.maximum.accumulate(np.where(group_start, idx, 0))
-        cumcount = idx - start_idx
-        # Per-vertex totals (to advance heads and cap counts).
-        uniq, counts = np.unique(v_sorted, return_counts=True)
-        totals = np.repeat(counts, counts)
-        # Only the last `mr` insertions of a group can survive the ring.
-        keep = (totals - cumcount) <= self.mr
-        slots = (self._head[v_sorted] + cumcount) % self.mr
-        kv, ks = v_sorted[keep], slots[keep]
-        self._nbrs[kv, ks] = partners[order][keep]
-        self._eids[kv, ks] = eids[order][keep]
-        self._times[kv, ks] = times[order][keep]
-        self._head[uniq] = (self._head[uniq] + counts) % self.mr
-        self._count[uniq] = np.minimum(self._count[uniq] + counts, self.mr)
+        pick, rows, slots = ring_append(vertices, self.mr, self._head,
+                                        self._count)
+        self._nbrs[rows, slots] = partners[pick]
+        self._eids[rows, slots] = eids[pick]
+        self._times[rows, slots] = times[pick]
 
     # ------------------------------------------------------------------ #
     def gather(self, vertices: np.ndarray, k: int | None = None

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..autograd.module import GRUCell, Linear, Module
+from ..graph.neighbor_table import ring_append
 from ..graph.state import last_occurrence
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from .attention import VanillaTemporalAttention
@@ -138,7 +139,10 @@ class APAN(Module):
         counterpart[1::2] = batch.src
         payload = np.concatenate(
             [rt.state[nodes], np.repeat(batch.edge_feat, 2, axis=0)], axis=1)
-        _mailbox_push(rt, counterpart, payload, t_nodes)
+        pick, rows, slots = ring_append(counterpart, self.mailbox_size,
+                                        rt.head)
+        rt.mailbox[rows, slots] = payload[pick]
+        rt.mail_time[rows, slots] = t_nodes[pick]
         return emb
 
     def embed_nodes(self, nodes: np.ndarray, t: np.ndarray, rt: APANRuntime,
@@ -165,32 +169,3 @@ def _write_last_wins(target: np.ndarray, indices: np.ndarray,
     last = last_occurrence(np.asarray(indices, dtype=np.int64))
     target[indices[last]] = values[last]
 
-
-def _mailbox_push(rt: APANRuntime, vertices: np.ndarray,
-                  payload: np.ndarray, t: np.ndarray) -> None:
-    """Ring-buffer append of one message per (vertex, payload) pair.
-
-    Sequential within duplicate vertices (later messages take later slots),
-    vectorised across distinct vertices — same grouping trick as the
-    NeighborTable insert.
-    """
-    v = np.asarray(vertices, dtype=np.int64)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    group_start = np.empty(len(vs), dtype=bool)
-    if len(vs) == 0:
-        return
-    group_start[0] = True
-    group_start[1:] = vs[1:] != vs[:-1]
-    idx = np.arange(len(vs))
-    start_idx = np.maximum.accumulate(np.where(group_start, idx, 0))
-    cumcount = idx - start_idx
-    K = rt.mailbox.shape[1]
-    uniq, counts = np.unique(vs, return_counts=True)
-    totals = np.repeat(counts, counts)
-    keep = (totals - cumcount) <= K
-    slots = (rt.head[vs] + cumcount) % K
-    kv, ks = vs[keep], slots[keep]
-    rt.mailbox[kv, ks] = payload[order][keep]
-    rt.mail_time[kv, ks] = np.asarray(t, dtype=np.float64)[order][keep]
-    rt.head[uniq] = (rt.head[uniq] + counts) % K

@@ -4,7 +4,9 @@ The paper's setup (§III-A): the student — simplified attention, optionally
 LUT encoder and pruning — trains under *both* the self-supervised link loss
 and a soft cross-entropy (Eq. 17) that pulls its Δt-based attention logits
 ``alpha' = a + W_t . dt`` toward the teacher's qK attention logits at
-temperature T.
+temperature T = 1.  So distillation is the self-supervised :class:`Trainer`
+plus that one term, weighted by ``kd_weight``; at ``kd_weight=0`` it trains
+the student exactly as plain self-supervision would.
 
 Teacher and student run side by side over the same chronological stream with
 separate vertex states but — because neighbor tables depend only on the
@@ -21,115 +23,66 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..autograd import functional as F
-from ..autograd.optim import Adam, clip_grad_norm
-from ..graph.batching import iter_fixed_size
-from ..graph.temporal_graph import TemporalGraph
-from ..models.link_predictor import LinkPredictor
-from ..models.tgn import TGNN
+from ..graph.temporal_graph import EdgeBatch, TemporalGraph
+from ..models.tgn import TGNN, ModelRuntime
 from .self_supervised import TrainConfig, Trainer
 
 __all__ = ["DistillationConfig", "DistillationTrainer"]
 
 
 @dataclass(frozen=True)
-class DistillationConfig:
-    """KD hyper-parameters; ``temperature`` is T of Eq. (17) (paper: T=1)."""
+class DistillationConfig(TrainConfig):
+    """:class:`TrainConfig` plus the weight of the Eq. (17) term."""
 
-    temperature: float = 1.0
     kd_weight: float = 1.0     # weight of the attention-alignment loss
-    epochs: int = 3
-    batch_size: int = 200
-    lr: float = 1e-3
-    grad_clip: float = 5.0
-    seed: int = 0
 
 
-class DistillationTrainer:
-    """Joint self-supervision + attention distillation for a student TGNN."""
+class DistillationTrainer(Trainer):
+    """Joint self-supervision + attention distillation for a student TGNN.
+
+    A :class:`Trainer` of the student (``model``; ``evaluate`` scores it)
+    whose batch loss adds the Eq. (17) term against ``teacher``.
+    """
+
+    METRICS = ("link_loss", "kd_loss", "top1_agreement")
 
     def __init__(self, teacher: TGNN, student: TGNN, graph: TemporalGraph,
                  cfg: DistillationConfig | None = None,
-                 predictor: LinkPredictor | None = None,
                  warm_start: bool = False):
         if teacher.cfg.num_neighbors != student.cfg.num_neighbors:
             raise ValueError("teacher and student must sample the same "
                              "number of neighbors for logit alignment")
         if not student.cfg.simplified_attention:
             raise ValueError("the student must use the simplified attention")
-        self.teacher = teacher
-        self.student = student
-        self.graph = graph
         if warm_start:
             warm_start_student(teacher, student)
-        self.cfg = cfg if cfg is not None else DistillationConfig()
-        rng = np.random.default_rng(self.cfg.seed)
-        self.predictor = predictor if predictor is not None else \
-            LinkPredictor(student.cfg.embed_dim, rng=rng)
-        self.optimizer = Adam(
-            list(student.parameters()) + list(self.predictor.parameters()),
-            lr=self.cfg.lr)
-        self.rng = rng
-        self.history: list[dict] = []
+        super().__init__(student, graph,
+                         cfg if cfg is not None else DistillationConfig())
+        self.teacher = teacher
 
     # ------------------------------------------------------------------ #
-    def train(self, train_end: int, log: bool = False) -> list[dict]:
-        """Distill over edges ``[0, train_end)`` for ``cfg.epochs`` epochs."""
-        cfg = self.cfg
-        for epoch in range(cfg.epochs):
-            rt_t = self.teacher.new_runtime(self.graph)
-            rt_s = self.student.new_runtime(self.graph)
-            link_losses, kd_losses, agreements = [], [], []
-            for batch in iter_fixed_size(self.graph, cfg.batch_size,
-                                         end=train_end):
-                neg = self.rng.integers(0, self.graph.num_nodes,
-                                        size=len(batch))
-                with no_grad():
-                    res_t = self.teacher.process_batch(batch, rt_t,
-                                                       self.graph, neg_dst=neg)
-                res_s = self.student.process_batch(batch, rt_s, self.graph,
-                                                   neg_dst=neg)
-                # Link loss (self-supervision).
-                pos = self.predictor(res_s.src_embeddings,
-                                     res_s.dst_embeddings)
-                ngs = self.predictor(res_s.src_embeddings,
-                                     res_s.neg_embeddings)
-                logits = Tensor.concat([pos, ngs], axis=0)
-                labels = np.concatenate([np.ones(len(pos.data)),
-                                         np.zeros(len(ngs.data))])
-                link_loss = F.bce_with_logits(logits, labels)
-                # Attention alignment (Eq. 17), masked to valid neighbors.
-                kd_loss = F.soft_cross_entropy(
-                    res_s.attention.logits, res_t.attention.logits.data,
-                    temperature=cfg.temperature, mask=res_s.attention.mask)
-                loss = link_loss + kd_loss * cfg.kd_weight
-                self.optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.optimizer.parameters, cfg.grad_clip)
-                self.optimizer.step()
-                link_losses.append(link_loss.item())
-                kd_losses.append(kd_loss.item())
-                agreements.append(attention_agreement(
-                    res_s.attention.logits.data, res_t.attention.logits.data,
-                    res_s.attention.mask))
-            entry = {"epoch": epoch,
-                     "link_loss": float(np.mean(link_losses)),
-                     "kd_loss": float(np.mean(kd_losses)),
-                     "top1_agreement": float(np.mean(agreements))}
-            self.history.append(entry)
-            if log:  # pragma: no cover - console side effect
-                print(f"epoch {epoch}: link {entry['link_loss']:.4f} "
-                      f"kd {entry['kd_loss']:.4f} "
-                      f"agree {entry['top1_agreement']:.3f}")
-        return self.history
+    def _new_runtimes(self) -> tuple[ModelRuntime, ModelRuntime]:
+        return (self.teacher.new_runtime(self.graph),
+                self.model.new_runtime(self.graph))
 
-    # ------------------------------------------------------------------ #
-    def as_trainer(self) -> Trainer:
-        """Wrap the student for evaluation with the shared predictor."""
-        t = Trainer(self.student, self.graph,
-                    TrainConfig(batch_size=self.cfg.batch_size,
-                                seed=self.cfg.seed),
-                    predictor=self.predictor)
-        return t
+    def _batch_loss(self, batch: EdgeBatch,
+                    runtimes: tuple[ModelRuntime, ModelRuntime],
+                    neg: np.ndarray) -> tuple[Tensor, dict[str, float]]:
+        rt_t, rt_s = runtimes
+        with no_grad():
+            res_t = self.teacher.process_batch(batch, rt_t, self.graph,
+                                               neg_dst=neg)
+        res_s = self.model.process_batch(batch, rt_s, self.graph,
+                                         neg_dst=neg)
+        link_loss = self._link_loss(res_s)
+        # Attention alignment (Eq. 17, T = 1), masked to valid neighbors.
+        att_s, logits_t = res_s.attention, res_t.attention.logits.data
+        kd_loss = F.soft_cross_entropy(att_s.logits, logits_t,
+                                       temperature=1.0, mask=att_s.mask)
+        return link_loss + kd_loss * self.cfg.kd_weight, {
+            "link_loss": link_loss.item(), "kd_loss": kd_loss.item(),
+            "top1_agreement": attention_agreement(
+                att_s.logits.data, logits_t, att_s.mask)}
 
 
 def warm_start_student(teacher: TGNN, student: TGNN) -> list[str]:

@@ -42,7 +42,7 @@ class TestDistilledStudents:
                                  DistillationConfig(epochs=4, batch_size=100,
                                                     seed=0))
         dt.train(tr)
-        ap = dt.as_trainer().evaluate(va, te).ap
+        ap = dt.evaluate(va, te).ap
         # Shape target: small AP loss (paper: <= 0.0033 absolute at full
         # scale; at toy scale we allow a looser but still tight band).
         assert ap > teacher_ap - 0.08
@@ -58,7 +58,7 @@ class TestDistilledStudents:
                                  DistillationConfig(epochs=4, batch_size=100,
                                                     seed=0))
         hist = dt.train(tr)
-        ap = dt.as_trainer().evaluate(va, te).ap
+        ap = dt.evaluate(va, te).ap
         assert ap > teacher_ap - 0.10
         assert hist[-1]["top1_agreement"] >= hist[0]["top1_agreement"]
 

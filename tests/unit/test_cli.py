@@ -80,6 +80,28 @@ class TestTrainEvalInfer:
         assert "distilled" in text
         assert os.path.exists(student)
 
+    @pytest.mark.parametrize("argv", [
+        # Pruning needs the simplified attention (a ValueError).
+        ["train", "--edges", "300", "--prune", "4", "--out", "{tmp}/m.npz"],
+        # An empty history died on ``hist[-1]``.
+        ["train", "--edges", "300", "--epochs", "0", "--out", "{tmp}/m.npz"],
+        ["train", "--edges", "300", "--batch-size", "0",
+         "--out", "{tmp}/m.npz"],
+        # A checkpoint that is not there (a FileNotFoundError).
+        ["eval", "--edges", "300", "--model", "{tmp}/missing.npz"],
+        ["infer", "--edges", "300", "--model", "{tmp}/missing.npz"],
+        ["dse", "--batch-size", "0"],
+        ["trace", "--batches", "0"],
+    ], ids=" ".join)
+    def test_bad_input_is_a_clean_error(self, argv, tmp_path):
+        """Every command, not only ``serve-sim``, turns the library's
+        ``ValueError`` / ``OSError`` into exit 2 and one ``error:`` line."""
+        code, text = run([a.format(tmp=tmp_path) for a in argv])
+        assert code == 2
+        assert [ln.startswith("error: ") for ln in text.splitlines()] \
+            == [True]
+        assert not (tmp_path / "m.npz").exists()
+
 
 class TestServeSim:
     def test_serve_sim_four_by_four(self):

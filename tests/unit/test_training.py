@@ -43,6 +43,24 @@ class TestTrainer:
         b = tr.evaluate(280, 400)
         assert a.ap == b.ap and a.auc == b.auc
 
+    def test_n_edges_counts_the_edges_scored(self):
+        """``end`` past the stream is clipped: a 400-edge stream scores
+        120 edges from 280 on (was reported as ``end - start``)."""
+        g = stream()
+        tr = Trainer(TGNN(CFG, rng=np.random.default_rng(0)), g,
+                     TrainConfig(epochs=1, batch_size=50, seed=0))
+        assert tr.evaluate(280, 10**6).n_edges == 120
+
+    @pytest.mark.parametrize("cfg_cls", [TrainConfig, DistillationConfig])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_config_needs_an_epoch_and_a_batch(self, cfg_cls, field):
+        """Zero epochs left an empty history (``repro train --epochs 0``
+        died on ``hist[-1]``); a zero batch failed deep in batching."""
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                cfg_cls(**{field: bad})
+        assert getattr(cfg_cls(**{field: 1}), field) == 1
+
     def test_epoch_resets_state(self):
         g = stream()
         model = TGNN(CFG, rng=np.random.default_rng(0))
@@ -93,15 +111,35 @@ class TestDistillation:
         for n, p in teacher.named_parameters():
             assert np.array_equal(before[n], p.data), n
 
-    def test_as_trainer_evaluation(self):
+    def test_evaluate_scores_the_student(self):
         g = stream(300)
         teacher, student = self._pair(g)
         dt = DistillationTrainer(teacher, student, g,
                                  DistillationConfig(epochs=1, batch_size=50,
                                                     seed=0))
         dt.train(train_end=200)
-        res = dt.as_trainer().evaluate(200, 300)
+        assert dt.model is student
+        res = dt.evaluate(200, 300)
         assert 0.0 <= res.ap <= 1.0
+        assert res.n_edges == 100
+
+    def test_zero_kd_weight_is_plain_self_supervision(self):
+        """Distillation is the self-supervised loop plus the Eq. 17 term:
+        with ``kd_weight=0`` the student trains bit for bit as a plain
+        ``Trainer`` with the same seed would train it."""
+        g = stream()
+        teacher, student = self._pair(g)
+        plain = TGNN(student.cfg, rng=np.random.default_rng(1))
+        dt = DistillationTrainer(teacher, student, g,
+                                 DistillationConfig(epochs=2, batch_size=50,
+                                                    kd_weight=0.0, seed=3))
+        tr = Trainer(plain, g, TrainConfig(epochs=2, batch_size=50, seed=3))
+        distilled, trained = dt.train(280), tr.train(280)
+        assert [h["link_loss"] for h in distilled] \
+            == [h["loss"] for h in trained]
+        assert all(h["kd_loss"] > 0 for h in distilled)
+        a, b = dt.evaluate(280, 400), tr.evaluate(280, 400)
+        assert (a.ap, a.auc, a.n_edges) == (b.ap, b.auc, b.n_edges)
 
 
 class TestAttentionAgreement:
