@@ -9,8 +9,9 @@ replication overhead, and stability.
 
 Shape expectations: per-shard busy time falls as shards grow (state is
 partitioned, at the price of cross-shard edge replication); more streams
-multiply load and response percentiles never improve; the engine with one
-shard reproduces the single-server `replay_under_load` numbers exactly.
+multiply load and response percentiles never improve.  (That one shard is
+exactly a single-server queue is a tier-1 test,
+`test_serving.py::TestServingEngine::test_single_shard_matches_a_single_server_queue`.)
 
 `test_placement_topology_matrix` sweeps the placement policies
 (``hash`` / ``rebalance`` / ``replicate``) against both queue topologies
@@ -46,10 +47,7 @@ import pytest
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.graph import EdgeBatch, TemporalGraph
 from repro.models import ModelConfig, TGNN
-from repro.perf import CPU_32T
-from repro.pipeline import (LinearCostBackend, ModeledGPPBackend,
-                            replay_under_load)
-from repro.profiling import count_ops
+from repro.pipeline import LinearCostBackend
 from repro.reporting import render_table, save_json, save_result
 from repro.serving import (MEMSYNC_POLICIES, AutoScaler, BatcherActor,
                            CapacityConfig, DynamicBatcher, EventScheduler,
@@ -121,18 +119,6 @@ def test_serving_scale(request, capsys, smoke):
         rows, precision=3,
         title=f"Serving scale — shards x streams x load ({backend}, "
               f"{'smoke' if smoke else 'full'})")
-
-    # Single-shard engine == single-server queueing replay (bit-exact).
-    base_key = (1, 1, speedups[0])
-    ref_backend = ModeledGPPBackend(CPU_32T, count_ops(model.cfg))
-    qs = replay_under_load(ref_backend, graph, window_s=window_s,
-                           start=start, speedup=speedups[0])
-    rep1 = reports[base_key]
-    assert rep1.shard_stats[0].utilization == pytest.approx(qs.utilization)
-    assert rep1.p95_response_s == pytest.approx(qs.p95_response_s)
-    table += (f"\n1-shard check: engine p95 "
-              f"{rep1.p95_response_s * 1e3:.3f} ms == replay_under_load "
-              f"{qs.p95_response_s * 1e3:.3f} ms")
 
     # Scaling shape: sharding splits work, streams multiply it.
     hot = speedups[-1]

@@ -12,18 +12,22 @@ slowest system (CPU model) saturates first and its waiting time diverges;
 the U200 sustains orders of magnitude more compression.
 """
 
-import numpy as np
-import pytest
-
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
 from repro.models import ModelConfig
 from repro.perf import CPU_32T, GPU
 from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
-                            SimulatedFPGABackend, replay_under_load)
+                            SimulatedFPGABackend)
 from repro.profiling import count_ops
 from repro.reporting import render_table, save_result
+from repro.serving import ServingEngine
 
 SPEEDUPS = [1.0, 100.0, 3000.0, 30000.0]
+
+
+def replay(backend, graph, **run):
+    """One stream through one server: a one-shard engine's only shard."""
+    return ServingEngine([backend], graph.num_nodes).run(
+        graph, **run).shard_stats[0]
 
 
 def test_sustained_load(benchmark, capsys, wiki, wiki_np_models):
@@ -45,8 +49,8 @@ def test_sustained_load(benchmark, capsys, wiki, wiki_np_models):
     stats_by = {}
     for speedup in SPEEDUPS:
         for name, be in backends().items():
-            s = replay_under_load(be, wiki, window_s=FIFTEEN_MINUTES,
-                                  start=start, speedup=speedup)
+            s = replay(be, wiki, window_s=FIFTEEN_MINUTES, start=start,
+                       speedup=speedup)
             stats_by[(name, speedup)] = s
             rows.append({"load_x": speedup, "backend": name,
                          "util_pct": 100 * s.utilization,
@@ -74,7 +78,7 @@ def test_sustained_load(benchmark, capsys, wiki, wiki_np_models):
     assert stats_by[("u200", hot)].utilization < 0.2
 
     benchmark.pedantic(
-        lambda: replay_under_load(
+        lambda: replay(
             SimulatedFPGABackend(FPGAAccelerator(model, U200_DESIGN), wiki),
             wiki, window_s=FIFTEEN_MINUTES, start=start, speedup=100.0),
         rounds=3, iterations=1, warmup_rounds=1)

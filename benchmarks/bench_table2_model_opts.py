@@ -67,17 +67,25 @@ def _train_ap_column(graph, seed=0):
 
 
 def _measured_throughput(graph, end=2000):
-    """Single-thread kE/s at the paper's dimensions per ladder variant."""
+    """Single-thread kE/s at the paper's dimensions per ladder variant.
+
+    The best of three passes, each on a fresh backend, with the
+    variants taking turns, so one slow pass on a busy host cannot reorder
+    the ladder (the min-of-reps scheme of ``test_gnn_stage_scaling``).
+    """
     base = ModelConfig(edge_dim=graph.edge_dim, node_dim=graph.node_dim)
-    out = {}
+    models = {}
     for cfg in variant_ladder(base):
-        model = TGNN(cfg, rng=np.random.default_rng(0))
+        models[cfg.name] = model = TGNN(cfg, rng=np.random.default_rng(0))
         model.calibrate(graph)
-        backend = SoftwareBackend(model, graph)
-        run_engine(backend, graph, 200, end=400)          # warm-up
-        rep = run_engine(backend, graph, 200, start=400, end=end)
-        out[cfg.name] = rep.throughput_eps / 1e3
-    return out
+    best = dict.fromkeys(models, 0.0)
+    for _ in range(3):
+        for name, model in models.items():
+            backend = SoftwareBackend(model, graph)
+            run_engine(backend, graph, 200, end=400)          # warm-up
+            rep = run_engine(backend, graph, 200, start=400, end=end)
+            best[name] = max(best[name], rep.throughput_eps / 1e3)
+    return best
 
 
 @pytest.mark.parametrize("dataset", ["wikipedia", "reddit", "gdelt"])

@@ -8,7 +8,9 @@ re-export is not a use.  Dunder methods are the language's to call and
 are never listed.  Tests do not count either, so a body only tests call
 shows up here.  The rule goes by name alone: a method shares its use
 with every other method of that name, and a name reached only through
-a string (``getattr``) is listed.  Stdlib only; report only (exit 0).
+a string (``getattr``) is listed.  The one exception is a definition
+decorated with a ``.register(...)`` call: a registry reaches it by its
+key, so it is never listed.  Stdlib only; report only (exit 0).
 
     python benchmarks/dead_code.py            # one row per definition + total
 """
@@ -55,16 +57,25 @@ def used_names(paths: list[Path]) -> set[str]:
     return names
 
 
+def _registered(node: ast.AST) -> bool:
+    """Decorated with a ``.register(...)`` call, as registry entries are."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "register"
+               for d in node.decorator_list)
+
+
 def definitions(path: Path):
-    """``(qualified name, line, lines spanned)`` of each definition."""
+    """``(qualified name, line, lines spanned)`` of each definition that a
+    registry does not reach by key."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _DEFS):
                 qual = scope + (child.name,)
-                found.append((".".join(qual), child.lineno,
-                              child.end_lineno - child.lineno + 1))
+                if not _registered(child):
+                    found.append((".".join(qual), child.lineno,
+                                  child.end_lineno - child.lineno + 1))
                 visit(child, qual)
             else:
                 visit(child, scope)
@@ -73,21 +84,27 @@ def definitions(path: Path):
     return found
 
 
+def unused(defined_in: Path, used_in: list[Path]):
+    """``(lines spanned, path, line, qualified name)`` of each definition
+    under ``defined_in`` that no file under ``used_in`` names."""
+    files = sorted(p for d in used_in if d.is_dir() for p in d.rglob("*.py"))
+    names = used_names(files)
+    return [(span, path, line, qual)
+            for path in sorted(defined_in.rglob("*.py"))
+            for qual, line, span in definitions(path)
+            if (leaf := qual.rsplit(".", 1)[-1]) not in names
+            and not (leaf.startswith("__") and leaf.endswith("__"))]
+
+
 def main(argv: list[str]) -> int:
     if argv:
         print(__doc__)
         return 2
-    files = sorted(p for d in USED_IN if d.is_dir() for p in d.rglob("*.py"))
-    names = used_names(files)
-    unused = [(span, path, line, qual)
-              for path in sorted(DEFINED_IN.rglob("*.py"))
-              for qual, line, span in definitions(path)
-              if (leaf := qual.rsplit(".", 1)[-1]) not in names
-              and not (leaf.startswith("__") and leaf.endswith("__"))]
-    for span, path, line, qual in unused:
+    rows = unused(DEFINED_IN, USED_IN)
+    for span, path, line, qual in rows:
         print(f"{span:6d}  {path.relative_to(ROOT)}:{line}  {qual}")
-    print(f"{sum(s for s, *_ in unused):6d}  total lines, "
-          f"{len(unused)} definitions")
+    print(f"{sum(s for s, *_ in rows):6d}  total lines, "
+          f"{len(rows)} definitions")
     return 0
 
 

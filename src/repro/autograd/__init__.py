@@ -5,19 +5,17 @@ Public surface::
     from repro.autograd import Tensor, no_grad
     from repro.autograd import functional as F
     from repro.autograd.module import Module, Linear, GRUCell, MLP
-    from repro.autograd.optim import Adam, SGD
+    from repro.autograd.optim import Adam
 """
 
 from . import functional, init  # noqa: F401
-from .gradcheck import check_gradients, numerical_grad  # noqa: F401
-from .module import GRUCell, Linear, MLP, Module, Parameter, Sequential  # noqa: F401
-from .optim import SGD, Adam, clip_grad_norm  # noqa: F401
-from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad  # noqa: F401
+from .module import GRUCell, Linear, MLP, Module, Parameter  # noqa: F401
+from .optim import Adam, clip_grad_norm  # noqa: F401
+from .tensor import Tensor, as_tensor, no_grad  # noqa: F401
 
 __all__ = [
-    "Tensor", "no_grad", "is_grad_enabled", "as_tensor",
-    "Module", "Parameter", "Linear", "GRUCell", "MLP", "Sequential",
-    "SGD", "Adam", "clip_grad_norm",
-    "check_gradients", "numerical_grad",
+    "Tensor", "no_grad", "as_tensor",
+    "Module", "Parameter", "Linear", "GRUCell", "MLP",
+    "Adam", "clip_grad_norm",
     "functional", "init",
 ]

@@ -19,8 +19,6 @@ __all__ = [
     "masked_softmax",
     "bce_with_logits",
     "soft_cross_entropy",
-    "mse_loss",
-    "dot_rows",
 ]
 
 
@@ -117,13 +115,3 @@ def _masked_log_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
     denom = denom + Tensor(np.where(denom.data == 0.0, 1.0, 0.0))
     return shifted - denom.log()
 
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = as_tensor(pred) - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
-
-
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot product of two ``(n, d)`` tensors -> ``(n,)``."""
-    return (a * b).sum(axis=-1)

@@ -16,7 +16,7 @@ import numpy as np
 from . import init
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "GRUCell", "MLP", "Sequential"]
+__all__ = ["Parameter", "Module", "Linear", "GRUCell", "MLP"]
 
 
 class Parameter(Tensor):
@@ -56,9 +56,6 @@ class Module:
             yield (f"{prefix}{name}", p)
         for mod_name, m in self._modules.items():
             yield from m.named_parameters(prefix=f"{prefix}{mod_name}.")
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -147,21 +144,6 @@ class GRUCell(Module):
         r, z = rz[:, 0:h], rz[:, h:2 * h]
         n = (gi[:, 2 * h:3 * h] + r * gh[:, 2 * h:3 * h]).tanh()
         return (1.0 - z) * n + z * s
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class MLP(Module):

@@ -1,4 +1,4 @@
-"""First-order optimisers (SGD with momentum, Adam) for Parameter updates.
+"""The Adam optimiser and gradient clipping for Parameter updates.
 
 State is keyed by parameter identity.  ``step`` mutates ``p.data`` in place
 (no reallocation), per the HPC guideline of preferring in-place updates on
@@ -13,7 +13,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -30,62 +30,26 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
-class _Optimizer:
-    def __init__(self, parameters: Iterable[Parameter], lr: float):
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.parameters:
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                    self._velocity[id(p)] = v
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
-
-class Adam(_Optimizer):
+class Adam:
     """Adam (Kingma & Ba) with bias correction; the paper's training setup."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1

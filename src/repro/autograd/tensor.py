@@ -5,7 +5,7 @@ its teacher (TGN-attn) and distilled student models with PyTorch; we provide
 an equivalent, dependency-free engine.  Design goals, in order:
 
 1. **Correctness** — every op's vector-Jacobian product is validated against
-   central finite differences (see ``repro.autograd.gradcheck`` and the
+   central finite differences (the tests' ``gradcheck`` oracle and the
    property-based tests).
 2. **Vectorised hot paths** — all forward/backward math is expressed as whole
    array NumPy operations; no Python loops over elements.
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
+__all__ = ["Tensor", "no_grad", "as_tensor"]
 
 # Module-level switch consulted when deciding whether to record the graph.
 _GRAD_ENABLED: bool = True
@@ -42,11 +42,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

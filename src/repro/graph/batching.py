@@ -17,7 +17,7 @@ import numpy as np
 from .temporal_graph import EdgeBatch, TemporalGraph
 
 __all__ = ["iter_fixed_size", "iter_time_windows", "iter_time_window_spans",
-           "time_window_spans", "merge_batches"]
+           "time_window_spans"]
 
 
 def iter_fixed_size(graph: TemporalGraph, batch_size: int,
@@ -125,25 +125,3 @@ def time_window_spans(graph: TemporalGraph, window: float,
     hi = np.concatenate(his) + start
     return (np.concatenate(starts),
             np.concatenate((np.array([start], dtype=np.int64), hi[:-1])), hi)
-
-
-def merge_batches(batches: list[EdgeBatch]) -> EdgeBatch:
-    """Concatenate edge batches into one chronological batch.
-
-    Edges are re-sorted by timestamp (stable, so same-time edges keep their
-    input order) because downstream state updates assume non-decreasing
-    arrival — the contract a dynamic batcher must restore when it coalesces
-    windows from independent streams.
-    """
-    if not batches:
-        raise ValueError("merge_batches needs at least one batch")
-    if len(batches) == 1:
-        return batches[0]
-    t = np.concatenate([b.t for b in batches])
-    order = np.argsort(t, kind="stable")
-    return EdgeBatch(
-        src=np.concatenate([b.src for b in batches])[order],
-        dst=np.concatenate([b.dst for b in batches])[order],
-        t=t[order],
-        eid=np.concatenate([b.eid for b in batches])[order],
-        edge_feat=np.concatenate([b.edge_feat for b in batches])[order])

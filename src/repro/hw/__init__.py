@@ -2,12 +2,12 @@
 
 from .accelerator import COMPUTE_STAGES, FPGAAccelerator, RunReport  # noqa: F401
 from .config import U200_DESIGN, ZCU104_DESIGN, HardwareConfig  # noqa: F401
-from .dse import (DesignPoint, SweepSpec, best_design, explore,  # noqa: F401
+from .dse import (DesignPoint, SweepSpec, explore,  # noqa: F401
                   pareto_frontier)
 from .eu import EU_STAGES, EmbeddingUnit  # noqa: F401
 from .memory_model import DDRModel  # noqa: F401
-from .multi_die import (Floorplan, plan_floorplan,  # noqa: F401
-                        plan_shard_dies, plan_shard_dies_traffic_aware)
+from .multi_die import (plan_shard_dies,  # noqa: F401
+                        plan_shard_dies_traffic_aware)
 from .muu import MUU_STAGES, MemoryUpdateUnit  # noqa: F401
 from .platforms import U200, ZCU104, FPGAPlatform  # noqa: F401
 from .resources import ResourceEstimate, estimate_resources  # noqa: F401
@@ -24,8 +24,8 @@ __all__ = [
     "EmbeddingUnit", "EU_STAGES",
     "UpdaterCache", "UpdaterReport",
     "ResourceEstimate", "estimate_resources",
-    "DesignPoint", "SweepSpec", "explore", "pareto_frontier", "best_design",
-    "Floorplan", "plan_floorplan", "plan_shard_dies",
+    "DesignPoint", "SweepSpec", "explore", "pareto_frontier",
+    "plan_shard_dies",
     "plan_shard_dies_traffic_aware",
     "stage_utilization", "render_gantt", "pipeline_overlap",
 ]

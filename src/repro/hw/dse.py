@@ -6,7 +6,7 @@ workflow: enumerate configurations, price them with the closed-form model
 and the resource estimator, filter by the platform budget, and return the
 throughput/resource Pareto frontier.
 
-Used by ``examples/design_space_exploration.py`` and the ablation benches.
+Used by ``repro dse`` (:func:`repro.cli.cmd_dse`).
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .config import HardwareConfig
 from .platforms import FPGAPlatform
 from .resources import ResourceEstimate, estimate_resources
 
-__all__ = ["DesignPoint", "SweepSpec", "explore", "pareto_frontier",
-           "best_design"]
+__all__ = ["DesignPoint", "SweepSpec", "explore", "pareto_frontier"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def explore(model_cfg: ModelConfig, platform: FPGAPlatform,
     """Evaluate every feasible configuration analytically.
 
     Infeasible (over-budget) designs are dropped.  Returns points in sweep
-    order; combine with :func:`pareto_frontier` or :func:`best_design`.
+    order; combine with :func:`pareto_frontier`.
     """
     spec = spec if spec is not None else SweepSpec()
     points = []
@@ -96,15 +95,3 @@ def pareto_frontier(points: list[DesignPoint],
         if not frontier or p.throughput_eps > frontier[-1].throughput_eps:
             frontier.append(p)
     return frontier
-
-
-def best_design(points: list[DesignPoint],
-                objective: str = "throughput") -> DesignPoint:
-    """Pick the best feasible point by ``throughput`` or ``latency``."""
-    if not points:
-        raise ValueError("no feasible design points")
-    if objective == "throughput":
-        return max(points, key=lambda p: p.throughput_eps)
-    if objective == "latency":
-        return min(points, key=lambda p: p.latency_s)
-    raise ValueError(f"unknown objective {objective!r}")

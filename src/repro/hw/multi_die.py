@@ -1,4 +1,4 @@
-"""Multi-die (SLR) floorplanning model (§IV-B, Fig. 2 right).
+"""Multi-die (SLR) placement of serving shards (§IV-B, Fig. 2 right).
 
 Advanced FPGAs like the Alveo U200 are built from multiple Super Logic
 Regions with a limited number of inter-die connections; the paper
@@ -6,80 +6,18 @@ distributes the CUs across SLR0/SLR2 with the shared front end (edge
 parser, data loader, updater) on SLR1, crossing die boundaries through
 on-chip FIFOs.
 
-This module assigns accelerator modules to dies, verifies the per-die
-resource budget, and counts boundary crossings on the dataflow — the count
-feeds the ``die_crossing_cycles`` penalty in the accelerator simulator.
+The serving engine reuses that layout for its shards: this module assigns
+shards to dies, round-robin or by mailbox traffic, and the engine prices
+every mailbox hop between two dies at ``die_crossing_cycles``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..models.config import ModelConfig
-from .config import HardwareConfig
-from .resources import estimate_resources
-
-__all__ = ["Floorplan", "plan_floorplan", "plan_shard_dies",
-           "plan_shard_dies_traffic_aware"]
-
-# Dataflow edges between top-level modules (producer -> consumer).
-DATAFLOW = [
-    ("edge_parser", "data_loader"),
-    ("data_loader", "cu"),        # expanded per CU
-    ("cu", "updater"),            # expanded per CU
-    ("updater", "data_loader"),   # write-back sharing the controller
-]
-
-
-@dataclass(frozen=True)
-class Floorplan:
-    """Module -> die assignment plus derived crossing statistics."""
-
-    assignment: dict[str, int]      # module name -> die index
-    crossings: int                  # dataflow edges spanning dies
-    per_die_dsp: dict[int, int]     # estimated DSPs per die
-    feasible: bool                  # every die within its budget
-
-    def crossing_for(self, producer: str, consumer: str) -> bool:
-        return self.assignment[producer] != self.assignment[consumer]
-
-
-def plan_floorplan(model_cfg: ModelConfig, hw: HardwareConfig) -> Floorplan:
-    """Assign modules to dies following the paper's U200 layout.
-
-    Single-die parts trivially place everything on die 0.  Multi-die parts
-    place the shared front end (parser, loader, updater) on the middle die
-    and spread the CUs over the remaining dies round-robin — the Fig. 2
-    arrangement generalised to any die count.
-    """
-    dies = hw.platform.dies
-    assignment: dict[str, int] = {}
-    shared_die, cu_dies = _spread_over_dies(hw.n_cu, dies)
-    for name in ("edge_parser", "data_loader", "updater"):
-        assignment[name] = shared_die
-    for i, die in enumerate(cu_dies):
-        assignment[f"cu{i}"] = die
-
-    # Crossings: loader->CU and CU->updater per CU, when dies differ.
-    crossings = 0
-    for i, die in enumerate(cu_dies):
-        if die != shared_die:
-            crossings += 2
-
-    # Per-die DSP estimate: the CU datapaths dominate; shared front end is
-    # logic-only.  Distribute the estimator's per-CU figure.
-    est = estimate_resources(model_cfg, hw)
-    per_cu_dsp = est.detail["dsp"]["per_cu"]
-    per_die_dsp: dict[int, int] = {d: 0 for d in range(dies)}
-    for die in cu_dies:
-        per_die_dsp[die] += per_cu_dsp
-    feasible = all(v <= hw.platform.dsps_per_die
-                   for v in per_die_dsp.values())
-    return Floorplan(assignment=assignment, crossings=crossings,
-                     per_die_dsp=per_die_dsp, feasible=feasible)
+__all__ = ["plan_shard_dies", "plan_shard_dies_traffic_aware"]
 
 
 def plan_shard_dies(num_shards: int, dies: int) -> list[int]:
@@ -94,8 +32,11 @@ def plan_shard_dies(num_shards: int, dies: int) -> list[int]:
     """
     if num_shards <= 0 or dies <= 0:
         raise ValueError("num_shards and dies must be positive")
-    _, shard_dies = _spread_over_dies(num_shards, dies)
-    return shard_dies
+    if dies == 1:
+        return [0] * num_shards
+    shared_die = dies // 2
+    outer = [d for d in range(dies) if d != shared_die]
+    return [outer[i % len(outer)] for i in range(num_shards)]
 
 
 def plan_shard_dies_traffic_aware(traffic: np.ndarray,
@@ -183,16 +124,5 @@ def plan_shard_dies_traffic_aware(traffic: np.ndarray,
         greedy[s] = best_die
         fill[best_die] += 1
 
-    _, rr = _spread_over_dies(n, dies)
-    candidates = [refine(greedy), refine(rr)]
+    candidates = [refine(greedy), refine(plan_shard_dies(n, dies))]
     return min(candidates, key=crossings)
-
-
-def _spread_over_dies(n: int, dies: int) -> tuple[int, list[int]]:
-    """Fig. 2 placement: shared front end on the middle die, ``n`` workers
-    round-robin over the outer dies.  Returns ``(shared_die, worker_dies)``."""
-    if dies == 1:
-        return 0, [0] * n
-    shared_die = dies // 2
-    outer = [d for d in range(dies) if d != shared_die]
-    return shared_die, [outer[i % len(outer)] for i in range(n)]

@@ -4,13 +4,10 @@ from .apan import APAN, APANRuntime  # noqa: F401
 from .attention import (DT_SCALE, AttentionOutput,  # noqa: F401
                         SimplifiedTemporalAttention, VanillaTemporalAttention)
 from .config import NP_BUDGETS, ModelConfig, variant_ladder  # noqa: F401
-from .checkpoint import (load_model, load_runtime, save_model,  # noqa: F401
-                         save_runtime)
+from .checkpoint import load_model, save_model  # noqa: F401
 from .link_predictor import LinkPredictor  # noqa: F401
 from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater  # noqa: F401
-from .message import build_raw_messages  # noqa: F401
-from .multilayer import MultiLayerTGNN  # noqa: F401
-from .pruning import select_pruned, top_k_mask  # noqa: F401
+from .pruning import top_k_mask  # noqa: F401
 from .tgn import (KERNEL_STAGES, TGNN, BatchResult,  # noqa: F401
                   ModelRuntime)
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder  # noqa: F401
@@ -21,9 +18,8 @@ __all__ = [
     "CosineTimeEncoder", "LUTTimeEncoder",
     "VanillaTemporalAttention", "SimplifiedTemporalAttention",
     "AttentionOutput", "DT_SCALE",
-    "GRUMemoryUpdater", "RNNMemoryUpdater", "MultiLayerTGNN",
-    "build_raw_messages",
-    "top_k_mask", "select_pruned",
+    "GRUMemoryUpdater", "RNNMemoryUpdater",
+    "top_k_mask",
     "LinkPredictor", "APAN", "APANRuntime",
-    "save_model", "load_model", "save_runtime", "load_runtime",
+    "save_model", "load_model",
 ]

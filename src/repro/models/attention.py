@@ -107,7 +107,7 @@ class SimplifiedTemporalAttention(Module):
         """FAM: ``sum_j alpha_j feat_j`` — ``(n, p)``, ``(n, p, d) -> (n, d)``.
 
         ``feat`` is already gathered down to the pruning budget ``p`` columns
-        (see :func:`repro.models.pruning.compact_selection`).  Padded slots
+        (see :func:`repro.models.pruning.prune`).  Padded slots
         need no zeroing: ``alpha`` is exactly 0 there.
         """
         n, p = alpha.shape

@@ -1,13 +1,11 @@
-"""Checkpoint I/O: save/load models and runtimes as portable ``.npz`` files.
+"""Checkpoint I/O: save/load models as portable ``.npz`` files.
 
-A deployment needs two artifacts: the trained **parameters** (plus the LUT
-encoder's calibrated bin edges, which are data statistics rather than
-parameters) and, optionally, the warm **runtime state** (vertex memory,
-mailbox, neighbor table) so inference can resume mid-stream.
+A deployment needs the trained **parameters** plus the LUT encoder's
+calibrated bin edges, which are data statistics rather than parameters.
 
-Format: a flat NumPy ``.npz`` with ``param/<name>`` entries, ``meta/...``
-entries for the config, and ``state/...`` entries for runtime state — no
-pickle, no custom binary, loadable anywhere NumPy runs.
+Format: a flat NumPy ``.npz`` with ``param/<name>`` entries and ``meta/...``
+entries for the config — no pickle, no custom binary, loadable anywhere
+NumPy runs.
 """
 
 from __future__ import annotations
@@ -18,10 +16,10 @@ import json
 import numpy as np
 
 from .config import ModelConfig
-from .tgn import TGNN, ModelRuntime
+from .tgn import TGNN
 from .time_encoding import LUTTimeEncoder
 
-__all__ = ["save_model", "load_model", "save_runtime", "load_runtime"]
+__all__ = ["save_model", "load_model"]
 
 
 def save_model(model: TGNN, path: str) -> None:
@@ -56,28 +54,3 @@ def load_model(path: str) -> TGNN:
         model.time_encoder.calibrated = bool(data["meta/lut_calibrated"][0])
     model.prepare_inference()
     return model
-
-
-def save_runtime(rt: ModelRuntime, path: str) -> None:
-    """Serialise vertex state + neighbor table (resume-able stream state)."""
-    np.savez(path,
-             **{f"state/{k}": v for k, v in rt.state.snapshot().items()},
-             **{f"nbr/{k}": v
-                for k, v in rt.sampler.table.snapshot().items()})
-
-
-def load_runtime(model: TGNN, num_nodes: int, path: str) -> ModelRuntime:
-    """Rebuild a runtime saved by :func:`save_runtime` for ``model``."""
-    data = np.load(path, allow_pickle=False)
-
-    class _Graphish:
-        pass
-
-    g = _Graphish()
-    g.num_nodes = num_nodes
-    rt = model.new_runtime(g)  # type: ignore[arg-type]
-    rt.state.restore({k[len("state/"):]: data[k]
-                      for k in data.files if k.startswith("state/")})
-    rt.sampler.table.restore({k[len("nbr/"):]: data[k]
-                              for k in data.files if k.startswith("nbr/")})
-    return rt

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_k_mask", "compact_selection", "select_pruned", "prune"]
+__all__ = ["top_k_mask", "prune"]
 
 
 def prune(logits: np.ndarray, mask: np.ndarray, budget: int
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One top-``budget`` pass, both forms: ``(selected, indices, sel_mask)``
-    — the full-width :func:`top_k_mask` and its :func:`compact_selection`,
-    the latter from ordering only the ``budget`` slots already chosen."""
+    — the full-width :func:`top_k_mask`, and ``indices`` of shape ``(n,
+    min(budget, k))`` naming each row's chosen slots in ascending slot
+    order (timestamp order within the pruned list), padded with slot 0
+    where ``sel_mask`` flags no real selection.  The compact form comes
+    from ordering only the ``budget`` slots already chosen."""
     logits = np.asarray(logits, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if logits.shape != mask.shape:
@@ -43,15 +46,10 @@ def prune(logits: np.ndarray, mask: np.ndarray, budget: int
     valid = mask.take(flat)
     selected = np.zeros((n, k), dtype=bool)
     selected.reshape(-1)[flat] = valid
-    return (selected,) + _compact(top, valid, k, budget)
-
-
-def _compact(slots: np.ndarray, valid: np.ndarray, k: int, budget: int
-             ) -> tuple[np.ndarray, np.ndarray]:
     # Invalid slots sort behind every real one as the out-of-range ``k``.
-    order = np.sort(np.where(valid, slots, k), axis=1)[:, :budget]
+    order = np.sort(np.where(valid, top, k), axis=1)[:, :budget]
     sel_mask = order < k
-    return np.where(sel_mask, order, 0), sel_mask
+    return selected, np.where(sel_mask, order, 0), sel_mask
 
 
 def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
@@ -62,23 +60,3 @@ def top_k_mask(logits: np.ndarray, mask: np.ndarray, budget: int) -> np.ndarray:
     comparator tree's fixed priority).
     """
     return prune(logits, mask, budget)[0]
-
-
-def compact_selection(keep: np.ndarray, budget: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Compact form of a :func:`top_k_mask` result: ``(indices, sel_mask)``.
-
-    ``indices`` has shape ``(n, min(budget, k))`` giving the chosen slot per
-    row (padded with slot 0 where a row has fewer valid neighbors) and
-    ``sel_mask`` flags real selections.  Selected slots come in ascending
-    slot index, which preserves the timestamp-sorted neighbor order within
-    the pruned list.
-    """
-    k = keep.shape[1]
-    return _compact(np.arange(k), keep, k, budget)
-
-
-def select_pruned(logits: np.ndarray, mask: np.ndarray, budget: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``budget`` selection straight to its compact form."""
-    return prune(logits, mask, budget)[1:]

@@ -2,7 +2,7 @@
 
 Engine backend protocol
 -----------------------
-Every replay/queueing entry point here — and the sharded serving layer in
+Every replay entry point here — and the serving layer in
 :mod:`repro.serving` — drives backends through one duck-typed contract:
 
 ``process_batch(batch: EdgeBatch) -> float``
@@ -66,7 +66,6 @@ constructible by name (per serving shard, from the CLI), add a factory to
 from .engine import (EngineReport, LinearCostBackend,  # noqa: F401
                      ModeledGPPBackend, SimulatedFPGABackend,
                      SoftwareBackend, run_engine)
-from .queueing import QueueStats, replay_under_load  # noqa: F401
 from .realtime import (FIFTEEN_MINUTES, WindowPoint,  # noqa: F401
                        realtime_replay, summarize)
 
@@ -74,5 +73,4 @@ __all__ = [
     "EngineReport", "SoftwareBackend", "SimulatedFPGABackend",
     "ModeledGPPBackend", "LinearCostBackend", "run_engine",
     "realtime_replay", "WindowPoint", "FIFTEEN_MINUTES", "summarize",
-    "QueueStats", "replay_under_load",
 ]

@@ -33,9 +33,7 @@ scheduler's run *is* that trace, the batcher's pending buffer is a span
 of it, a released job's ``sources`` is a zero-copy slice of it, and the
 report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
-the trace (the :class:`ArrivalEvent` records of a traced run, tests);
-hand-built lists of them are normalised once by
-:meth:`ArrivalTrace.from_arrivals`.
+the trace (the :class:`ArrivalEvent` records of a traced run, tests).
 Routing is columnar per ownership epoch: under serial ingest the job
 boundaries follow from the trace alone (:meth:`DynamicBatcher.spans`),
 so the engine routes every job left in one :meth:`ShardRouter.plan` —
@@ -80,8 +78,8 @@ Actors on the scheduler
 * :class:`VersionedMemoryCache` — the coherence state the router's plan
   reads and commits, job by job in release order; the plan's
   :class:`ShardBatch` is the one record of a sub-job's mail and sync
-  traffic (:class:`CrossShardMailbox` tallies it for callers that pass
-  one to :meth:`ShardRouter.split`).
+  traffic (:class:`CrossShardMailbox` tallies the mail for callers that
+  pass one to :meth:`ShardRouter.split`).
 
 Typed events: ``ArrivalEvent``, ``FlushEvent``, ``ServiceBeginEvent``,
 ``ServiceEndEvent``, ``MailEvent``, ``SyncEvent``, ``MigrationEvent``,
@@ -130,11 +128,11 @@ engine, pinned by golden tests) or ``pipelined`` (double-buffered ingest —
 the buffer flushes the moment the fleet goes hungry, so batching delay is
 paid only while it hides behind in-flight compute).
 
-The single-queue façade :func:`simulate_queue` (validated against
+There is exactly one queue implementation in the repo, the
+:class:`ServerGroup` station; the tier-2 queueing tests validate it against
 closed-form M/M/1, M/M/c, and the Kingman/Allen–Cunneen G/G/c
-approximation in the tier-2 queueing tests) and
-:func:`repro.pipeline.replay_under_load` are thin wrappers over the same
-core — there is exactly one queue implementation in the repo.
+approximation.  One stream through one shard behind a passthrough
+batcher is the single-server queue of the paper's deployment.
 
 Placement-policy protocol
 -------------------------
@@ -330,8 +328,8 @@ from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
                      EventScheduler, FailureEvent, FailurePlan,
                      FlushEvent, HeapEventScheduler, MailEvent,
                      MigrationEvent, RecoveryEvent, ScaleEvent,
-                     ServerGroup, ServiceBeginEvent, ServiceEndEvent,
-                     SyncEvent)
+                     ServedJob, ServerGroup, ServiceBeginEvent,
+                     ServiceEndEvent, SimulationResult, SyncEvent)
 from .measured import (MeasuredBackend,  # noqa: F401
                        MeasuredServerGroup, WorkerPool)
 from .memsync import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
@@ -344,14 +342,12 @@ from .placement import (PLACEMENT_POLICIES, HotColdHybrid,  # noqa: F401
                         padded_hash_placement)
 from .registry import DEFAULT_REGISTRY, BackendRegistry  # noqa: F401
 from .router import CrossShardMailbox, ShardBatch, ShardRouter  # noqa: F401
-from .simulator import (ServedJob, SimulationResult,  # noqa: F401
-                        simulate_queue)
 
 __all__ = [
     "ServingEngine", "ServingReport", "ShardStats", "make_stream_arrivals",
     "ShardRouter", "ShardBatch", "CrossShardMailbox",
     "DynamicBatcher", "CoalescedJob", "StreamArrival", "ArrivalTrace",
-    "simulate_queue", "SimulationResult", "ServedJob",
+    "SimulationResult", "ServedJob",
     "EventScheduler", "HeapEventScheduler", "ServerGroup", "BatcherActor",
     "INGEST_MODES",
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",

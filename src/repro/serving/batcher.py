@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.temporal_graph import EdgeBatch, TemporalGraph
+from ..graph.temporal_graph import EdgeBatch
 
 __all__ = ["StreamArrival", "ArrivalTrace", "CoalescedJob", "DynamicBatcher"]
 
@@ -108,32 +108,6 @@ class ArrivalTrace(Sequence):
             + np.arange(cum[-1])
         self._batches: dict[tuple[int, int], EdgeBatch] = {}
 
-    @classmethod
-    def from_arrivals(cls, arrivals: Sequence[StreamArrival]
-                      ) -> "ArrivalTrace":
-        """Normalise hand-built arrivals (a trace is returned as is).
-
-        The items' batches are concatenated once into the trace's own
-        edge columns — the only constructor that copies edges.
-        """
-        if isinstance(arrivals, cls):
-            return arrivals
-        batches = [a.batch for a in arrivals]
-        n = len(batches)
-        cum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(b) for b in batches), count=n,
-                              dtype=np.int64), out=cum[1:])
-        edges = EdgeBatch(*(
-            np.concatenate([getattr(b, name) for b in batches])
-            for name in ("src", "dst", "t", "eid", "edge_feat"))) \
-            if batches else TemporalGraph([], [], []).slice(0, 0)
-        return cls(edges,
-                   np.fromiter((a.t for a in arrivals), count=n,
-                               dtype=np.float64),
-                   np.fromiter((a.stream for a in arrivals), count=n,
-                               dtype=np.int64),
-                   cum, cum[:-1])
-
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self.t)
@@ -192,10 +166,9 @@ class ArrivalTrace(Sequence):
     def merged(self) -> EdgeBatch:
         """Every arrival's edges as one chronological batch.
 
-        The values :func:`~repro.graph.batching.merge_batches` gives for
-        the materialised items (arrival order, then a stable time sort; a
-        lone arrival is returned as it stands), from one gather of the
-        edge columns.
+        The items' batches concatenated in arrival order, then stably
+        sorted by time (a lone arrival is returned as it stands): one
+        gather of the edge columns.
         """
         if len(self) == 1:
             return self.batch(0)
@@ -227,12 +200,9 @@ class ArrivalTrace(Sequence):
     # ------------------------------------------------------------------ #
     def __eq__(self, other) -> bool:
         """Value equality: same instants, streams, and edge ids per
-        arrival — also against a tuple or list of :class:`StreamArrival`."""
+        arrival."""
         if not isinstance(other, ArrivalTrace):
-            if not isinstance(other, (tuple, list)) or not all(
-                    isinstance(a, StreamArrival) for a in other):
-                return NotImplemented
-            other = ArrivalTrace.from_arrivals(other)
+            return NotImplemented
         return (np.array_equal(self.t, other.t)
                 and np.array_equal(self.stream, other.stream)
                 and np.array_equal(np.diff(self.cum), np.diff(other.cum))
@@ -252,14 +222,13 @@ class ArrivalTrace(Sequence):
 class CoalescedJob:
     """A flushed batch: merged edges plus its constituent arrivals.
 
-    ``sources`` is a sequence of :class:`StreamArrival` in admission order:
-    a zero-copy :class:`ArrivalTrace` slice (it compares equal to a tuple
-    of the same arrivals).
+    ``sources`` is the job's arrivals in admission order, a zero-copy
+    :class:`ArrivalTrace` slice.
     """
 
     t_release: float
     batch: EdgeBatch
-    sources: Sequence[StreamArrival]
+    sources: ArrivalTrace
 
     @property
     def n_edges(self) -> int:
@@ -337,11 +306,9 @@ class DynamicBatcher:
             i = end
         return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
 
-    def coalesce(self, arrivals: Sequence[StreamArrival]
-                 ) -> list[CoalescedJob]:
-        """Fold time-sorted arrivals into released jobs: :meth:`spans`,
+    def coalesce(self, trace: ArrivalTrace) -> list[CoalescedJob]:
+        """Fold a time-sorted trace into released jobs: :meth:`spans`,
         each released at its trigger's instant."""
-        trace = ArrivalTrace.from_arrivals(arrivals)
         lo, hi = self.spans(trace)
         t = trace.t
         last = t[hi - 1]

@@ -58,8 +58,8 @@ Workload model: each stream replays the graph's own window arrival
 process, phase-shifted by a fraction of a window, so ``num_streams = S``
 multiplies the recorded load S-fold — the multi-tenant analogue of the
 ``speedup`` stream-time compression.  With one stream, one shard, and a
-passthrough batcher the engine reproduces
-:func:`repro.pipeline.replay_under_load` exactly (asserted by the
+passthrough batcher the engine is a single-server FIFO queue over the
+stream's window arrivals (asserted against a bare station by the
 equivalence tests).
 """
 
@@ -76,8 +76,7 @@ import numpy as np
 
 from ..graph.batching import time_window_spans
 from ..graph.temporal_graph import TemporalGraph
-from .batcher import (ArrivalTrace, CoalescedJob, DynamicBatcher,
-                      StreamArrival)
+from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
 from .control import ControlPlane, FailureInjector
 from .events import (INGEST_MODES, BatcherActor, EventScheduler, MailEvent,
                      ServerGroup, SimulationResult, SyncEvent)
@@ -313,7 +312,7 @@ def make_stream_arrivals(graph: TemporalGraph, window_s: float,
 
     A window becomes servable when its last edge has arrived, so the
     arrival instant is the final edge timestamp (stream-time compressed by
-    ``speedup``), matching :func:`repro.pipeline.replay_under_load`.
+    ``speedup``).
     Stream ``i`` is phase-shifted by ``i/num_streams`` of a window to model
     unsynchronized tenants.  Built as columns, with no Python step per
     arrival: the windows' edge spans are replicated across streams by
@@ -719,12 +718,11 @@ class ServingEngine:
                                       queue_capacity=queue_capacity))
         return groups
 
-    def _run_loop(self, arrivals: Sequence[StreamArrival], window_s: float,
+    def _run_loop(self, arrivals: ArrivalTrace, window_s: float,
                   speedup: float, num_streams: int,
                   queue_capacity: int | None, ingest: str,
                   trace: bool = False,
                   scheduler_cls: type | None = None) -> ServingReport:
-        arrivals = ArrivalTrace.from_arrivals(arrivals)
         sched = (scheduler_cls or EventScheduler)(trace=trace)
         pool = WorkerPool(self.workers) if self._measured else None
         groups = self._make_groups(sched, queue_capacity, pool)

@@ -47,7 +47,7 @@ one — its single override expands a run into one heap entry per element
 scheduler-equivalence property tests require bit-identical outcomes and
 traces between the two, and the serving bench uses it as the "before"
 lane.  (The verbatim historical queue loop lives on, independently, as
-``reference_simulate_queue`` in ``tests/unit/test_events.py``.)
+the reference oracle in ``tests/unit/test_events.py``.)
 
 Cancellation follows the same split: heap tokens are cancellable (the
 pop discards them), run tokens are **not** — a run is one consumption
@@ -143,9 +143,9 @@ Actors
     K-server group.  Its :meth:`finalize` produces the same
     :class:`SimulationResult` (same formulas, same tie-breaking, same
     ``service_fn`` call order) as the historical standalone queue loop —
-    :func:`repro.serving.simulate_queue` is now a thin façade over one
-    group, and the equivalence is property-tested against a reference
-    implementation in ``tests/unit/test_events.py``.
+    property-tested in ``tests/unit/test_events.py``, where one group fed
+    hand-built arrivals (``tests/property/queue_oracle.py``) is held to a
+    verbatim copy of that loop.
 :class:`BatcherActor`
     :class:`~repro.serving.batcher.DynamicBatcher` run *online*: the same
     size/deadline triggers, plus — under ``ingest="pipelined"`` — a
@@ -178,8 +178,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .batcher import (ArrivalTrace, CoalescedJob, DynamicBatcher,
-                      StreamArrival)
+from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
 
 __all__ = [
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
@@ -1025,7 +1024,7 @@ class BatcherActor:
         self._deadline_token: int | None = None
 
     # ------------------------------------------------------------------ #
-    def start(self, arrivals: Sequence[StreamArrival]) -> None:
+    def start(self, trace: ArrivalTrace) -> None:
         """Schedule the whole arrival trace onto the loop as one run.
 
         No per-arrival object exists unless the scheduler is tracing, in
@@ -1033,7 +1032,7 @@ class BatcherActor:
         :class:`ArrivalEvent` (carrying the materialised
         :class:`StreamArrival`) for every element it consumes.
         """
-        self._trace = trace = ArrivalTrace.from_arrivals(arrivals)
+        self._trace = trace
         self._sched.schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
 
     def _fleet_hungry(self) -> bool:

@@ -39,7 +39,7 @@ Policies
     (the version stamp lags; invalidation notices piggyback on the edge
     mail and are not counted as row traffic).  A shard reading an invalid
     row pulls the fresh row from the owner — one mailbox round-trip (the
-    row transfer counts once in ``sync_counts``; the latency is priced at
+    row transfer counts once in ``sync_pull``; the latency is priced at
     two hops, request + response).
 ``push``
     Write-update: owner writes eagerly forward the updated rows to every

@@ -65,9 +65,9 @@ its mail (``sync_push``), and the staleness it tolerated (``stale_reads`` /
 measures the staleness), ``invalidate`` pulls fresh rows on demand, and
 ``push`` eagerly forwards owner writes — under the sync policies a holder's
 memory rows are exact, not stale mirrors (the bit-identity tests in
-``test_memsync``).  The :class:`CrossShardMailbox` prices both kinds of
-traffic: ``counts`` for forwarded edges, ``sync_counts`` for transferred
-memory rows.
+``test_memsync``).  The :class:`CrossShardMailbox` tallies forwarded edges
+in ``counts``; a sub-batch's ``sync_pull`` / ``sync_push`` are its memory
+row traffic.
 """
 
 from __future__ import annotations
@@ -124,27 +124,11 @@ class CrossShardMailbox:
     def __init__(self, num_shards: int):
         self.num_shards = int(num_shards)
         self.counts = np.zeros((num_shards, num_shards), dtype=np.int64)
-        # Memory rows transferred for cross-shard sync (pulls + pushes),
-        # keyed the same way: [owner shard, receiving shard].
-        self.sync_counts = np.zeros((num_shards, num_shards), dtype=np.int64)
 
     def record(self, from_shards: np.ndarray, to_shards: np.ndarray) -> None:
         """Record forwarded edges, one per ``(from, to)`` entry pair."""
         self.counts += shard_pair_counts(from_shards, to_shards,
                                          self.num_shards)
-
-    def record_sync(self, from_shards: np.ndarray, to_shard: int) -> None:
-        """Record synced memory rows (one per entry of ``from_shards``)."""
-        np.add.at(self.sync_counts,
-                  (np.asarray(from_shards, dtype=np.int64), int(to_shard)), 1)
-
-    @property
-    def total_edges(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def total_sync_rows(self) -> int:
-        return int(self.sync_counts.sum())
 
 
 class ShardRouter:
@@ -183,10 +167,6 @@ class ShardRouter:
     def from_placement(cls, placement: Placement) -> "ShardRouter":
         return cls(placement.num_shards, placement.num_nodes,
                    placement=placement)
-
-    def shard_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Primary owner of each vertex (replicas are extra holders)."""
-        return self.assignment[np.asarray(vertices, dtype=np.int64)]
 
     def migrate(self, vertices: np.ndarray, to_shard: int) -> np.ndarray:
         """Reassign ownership of ``vertices`` to ``to_shard``, mid-run.

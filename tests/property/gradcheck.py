@@ -1,8 +1,7 @@
-"""Numerical gradient verification used by the test suite.
+"""The autograd oracle: reverse-mode gradients against finite differences.
 
-Compares reverse-mode gradients against central finite differences.  Kept in
-the library (not the tests) so downstream users extending the op set can
-validate their additions the same way.
+Not collected; the autograd suites import it as
+``from tests.property.gradcheck import check_gradients``.
 """
 
 from __future__ import annotations
@@ -11,10 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
-__all__ = ["numerical_grad", "check_gradients"]
-
+from repro.autograd import Tensor
 
 def numerical_grad(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
                    index: int, eps: float = 1e-6) -> np.ndarray:

@@ -109,6 +109,29 @@ def step(cache: VersionedMemoryCache, v: np.ndarray, reads: np.ndarray,
             for s in shards}
 
 
+class OracleMailbox(CrossShardMailbox):
+    """The production mailbox plus the memory-row tally the oracle keeps:
+    ``sync_counts[owner, receiver]`` counts rows transferred for
+    cross-shard sync (pulls, pushes, handoffs), keyed like ``counts``."""
+
+    def __init__(self, num_shards: int):
+        super().__init__(num_shards)
+        self.sync_counts = np.zeros((num_shards, num_shards), dtype=np.int64)
+
+    def record_sync(self, from_shards: np.ndarray, to_shard: int) -> None:
+        """Record synced memory rows (one per entry of ``from_shards``)."""
+        np.add.at(self.sync_counts,
+                  (np.asarray(from_shards, dtype=np.int64), int(to_shard)), 1)
+
+    @property
+    def total_edges(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def total_sync_rows(self) -> int:
+        return int(self.sync_counts.sum())
+
+
 def note_reads(cache: VersionedMemoryCache, shard: int,
                vertices: np.ndarray) -> Outcome:
     """Account one shard's read-set outside a batch step (a later read
@@ -164,7 +187,7 @@ class ShardedRuntime:
         self.graph = graph
         self.cache = VersionedMemoryCache(self.router.placement,
                                           policy=policy)
-        self.mailbox = CrossShardMailbox(self.router.num_shards)
+        self.mailbox = OracleMailbox(self.router.num_shards)
         self.runtimes = [model.new_runtime(graph)
                          for _ in range(self.router.num_shards)]
         # Failure-injection bookkeeping: the stream position already

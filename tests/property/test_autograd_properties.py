@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autograd import Tensor, check_gradients
+from repro.autograd import Tensor
 from repro.autograd import functional as F
+from tests.property.gradcheck import check_gradients
 
 settings.register_profile("repro", deadline=None, max_examples=40)
 settings.load_profile("repro")

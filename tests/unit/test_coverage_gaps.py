@@ -5,7 +5,6 @@
 * attention modules receive correct gradients end-to-end (finite-difference
   checked at module level);
 * trace collection composes with time-window batching;
-* multi-layer model composes with the simplified attention + LUT encoder;
 * perf model codifies the budget-independence of the hardware critical path
   (the Fig. 5 deviation documented in EXPERIMENTS.md E6).
 """
@@ -13,15 +12,16 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, no_grad
+from repro.autograd import Tensor, no_grad
 from repro.autograd.functional import masked_softmax
 from repro.datasets import wikipedia_like
 from repro.graph import iter_time_windows
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
-from repro.models import (ModelConfig, MultiLayerTGNN, TGNN)
+from repro.models import ModelConfig, TGNN
 from repro.models.memory_updater import (GRUMemoryUpdater, RNNMemoryUpdater)
 from repro.models.time_encoding import LUTTimeEncoder
 from repro.perf import PerformanceModel
+from tests.property.gradcheck import check_gradients
 
 SMALL = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=12,
                     num_neighbors=4)
@@ -113,33 +113,6 @@ class TestTraceWithWindows:
         assert rep.n_edges == sum(len(w) for w in windows)
         assert len(rep.events) > 0
         assert len(rep.batch_latencies_s) == len(windows)
-
-
-class TestMultiLayerCombos:
-    def test_two_layer_simplified_lut(self):
-        g = wikipedia_like(num_edges=300, num_users=50, num_items=12)
-        cfg = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8,
-                          edge_dim=172, num_neighbors=3,
-                          simplified_attention=True, lut_time_encoder=True,
-                          lut_bins=8)
-        ml = MultiLayerTGNN(cfg, num_layers=2, rng=np.random.default_rng(0))
-        ml.calibrate(g)
-        rt = ml.new_runtime(g)
-        with no_grad():
-            res = ml.process_batch(g.slice(0, 40), rt, g)
-        assert res.embeddings.shape == (80, 8)
-        assert np.all(np.isfinite(res.embeddings.data))
-
-    def test_two_layer_with_pruning(self):
-        g = wikipedia_like(num_edges=300, num_users=50, num_items=12)
-        cfg = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8,
-                          edge_dim=172, num_neighbors=4,
-                          simplified_attention=True, pruning_budget=2)
-        ml = MultiLayerTGNN(cfg, num_layers=2, rng=np.random.default_rng(0))
-        rt = ml.new_runtime(g)
-        with no_grad():
-            res = ml.process_batch(g.slice(0, 40), rt, g)
-        assert np.all(np.isfinite(res.embeddings.data))
 
 
 class TestBudgetIndependentCriticalPath:

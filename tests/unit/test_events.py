@@ -2,10 +2,11 @@
 
 Three contracts pin the refactor:
 
-* :func:`repro.serving.simulate_queue` (now a façade over a
-  :class:`ServerGroup` on the shared scheduler) is *exactly* equivalent —
-  every served-job field, every aggregate — to the historical standalone
-  arrival-driven loop, reproduced here as :func:`reference_simulate_queue`.
+* One :class:`ServerGroup` on the shared scheduler, fed hand-built
+  arrivals (``simulate_queue`` in ``tests/property/queue_oracle.py``), is
+  *exactly* equivalent — every served-job field, every aggregate — to the
+  historical standalone arrival-driven loop, reproduced here as
+  :func:`reference_simulate_queue`.
 * :class:`BatcherActor` under serial ingest releases *exactly* the jobs
   :meth:`DynamicBatcher.coalesce` computes offline, for every trigger
   configuration.
@@ -35,9 +36,10 @@ from repro.serving import (ArrivalEvent, BatcherActor, DynamicBatcher,
                            EventScheduler, FlushEvent, HeapEventScheduler,
                            HotColdHybrid, MailEvent, ServiceBeginEvent,
                            ServiceEndEvent, ServingEngine, StreamArrival,
-                           SyncEvent, VertexHeat, make_stream_arrivals,
-                           simulate_queue)
+                           SyncEvent, VertexHeat, make_stream_arrivals)
 from repro.serving.events import ServedJob, ServerGroup, SimulationResult
+from tests.property.arrival_oracle import from_arrivals
+from tests.property.queue_oracle import simulate_queue
 
 
 # --------------------------------------------------------------------------- #
@@ -188,11 +190,11 @@ def random_arrivals(rng, n):
     for i in range(1, n):
         if np.isnan(t[i]):
             t[i] = t[i - 1]
-    return [StreamArrival(t=float(t[i]), stream=0,
-                          batch=tiny_batch(t[i],
-                                           n_edges=int(rng.integers(1, 9)),
-                                           seed=i))
-            for i in range(n)]
+    return from_arrivals([
+        StreamArrival(t=float(t[i]), stream=0,
+                      batch=tiny_batch(t[i], n_edges=int(rng.integers(1, 9)),
+                                       seed=i))
+        for i in range(n)])
 
 
 class TestBatcherActorEquivalence:
@@ -240,8 +242,8 @@ class TestBatcherActorEquivalence:
                 == [(j.t_release, len(j.sources)) for j in offline]
 
     def test_unsorted_arrivals_rejected(self):
-        arrivals = [StreamArrival(1.0, 0, tiny_batch(1.0)),
-                    StreamArrival(0.0, 0, tiny_batch(0.0))]
+        arrivals = from_arrivals([StreamArrival(1.0, 0, tiny_batch(1.0)),
+                                  StreamArrival(0.0, 0, tiny_batch(0.0))])
         with pytest.raises(ValueError, match="sorted"):
             self.run_actor(DynamicBatcher(), arrivals)
 
@@ -713,8 +715,8 @@ class TestHeapVsVectorizedEquivalence:
     def test_actor_stack_jobs_bit_identical(self, cfg_index):
         """Batcher releases (times, sources, merged arrays) match exactly.
 
-        This also pins the bulk path's sliced struct-of-array merge
-        against the per-batch ``merge_batches`` the heap lane still runs.
+        This also pins the bulk path's sliced struct-of-array merge on the
+        cohort lane against the heap lane's one-arrival-at-a-time release.
         """
         cfg = TestBatcherActorEquivalence.CONFIGS[cfg_index]
         rng = np.random.default_rng(7100 + cfg_index)

@@ -1,5 +1,6 @@
 """Unit tests for the extension modules: RNN updater, checkpoint I/O,
-design-space exploration, multi-die floorplanning, warm-start, reporting."""
+design-space exploration, multi-die shard placement, warm-start,
+reporting."""
 
 import os
 
@@ -9,10 +10,10 @@ import pytest
 from repro.autograd import no_grad
 from repro.datasets import wikipedia_like
 from repro.graph import iter_fixed_size
-from repro.hw import (SweepSpec, U200, U200_DESIGN, ZCU104, ZCU104_DESIGN,
-                      best_design, explore, pareto_frontier, plan_floorplan)
+from repro.hw import (SweepSpec, U200, ZCU104, explore, pareto_frontier,
+                      plan_shard_dies)
 from repro.models import (ModelConfig, RNNMemoryUpdater, TGNN, load_model,
-                          load_runtime, save_model, save_runtime)
+                          save_model)
 from repro.profiling import Convention, count_ops
 from repro.reporting import render_table, save_result, section
 from repro.training import warm_start_student
@@ -80,16 +81,26 @@ class TestRNNUpdater:
 
 
 class TestCheckpoint:
-    def test_model_roundtrip(self, tmp_path):
-        cfg = SMALL.with_(simplified_attention=True, lut_time_encoder=True,
-                          lut_bins=8, pruning_budget=2)
+    @pytest.mark.parametrize("cfg", [
+        SMALL.with_(simplified_attention=True, lut_time_encoder=True,
+                    lut_bins=8, pruning_budget=2),
+        SMALL], ids=["codesigned", "cosine"])
+    def test_model_roundtrip(self, tmp_path, cfg):
+        """Every parameter bit, the config (a ``pruning_budget=None``
+        too) and the LUT calibration, stored only for a LUT model."""
         g = stream()
         model = TGNN(cfg, rng=np.random.default_rng(0))
         model.calibrate(g)
         path = os.path.join(tmp_path, "model.npz")
         save_model(model, path)
+        with np.load(path) as data:
+            has_lut = any(k.startswith("meta/lut") for k in data.files)
+        assert has_lut == cfg.lut_time_encoder
         loaded = load_model(path)
         assert loaded.cfg == cfg
+        want, got = model.state_dict(), loaded.state_dict()
+        assert list(want) == list(got)
+        assert all(want[k].tobytes() == got[k].tobytes() for k in want)
         # Identical inference behaviour, including LUT calibration.
         rt1, rt2 = model.new_runtime(g), loaded.new_runtime(g)
         model.prepare_inference()
@@ -97,25 +108,6 @@ class TestCheckpoint:
             a = model.infer_batch(b, rt1, g).embeddings.data
             c = loaded.infer_batch(b, rt2, g).embeddings.data
             assert np.array_equal(a, c)
-
-    def test_runtime_roundtrip(self, tmp_path):
-        g = stream()
-        model = TGNN(SMALL, rng=np.random.default_rng(0))
-        rt = model.new_runtime(g)
-        with no_grad():
-            for b in iter_fixed_size(g, 50, end=150):
-                model.process_batch(b, rt, g)
-        path = os.path.join(tmp_path, "rt.npz")
-        save_runtime(rt, path)
-        restored = load_runtime(model, g.num_nodes, path)
-        assert np.allclose(restored.state.memory, rt.state.memory)
-        assert np.array_equal(restored.sampler.table._times,
-                              rt.sampler.table._times)
-        # Resumed inference matches continued inference.
-        with no_grad():
-            a = model.process_batch(g.slice(150, 200), rt, g)
-            b = model.process_batch(g.slice(150, 200), restored, g)
-        assert np.allclose(a.embeddings.data, b.embeddings.data)
 
 
 class TestDSE:
@@ -142,42 +134,47 @@ class TestDSE:
                 assert not (p.dsp < f.dsp
                             and p.throughput_eps > f.throughput_eps)
 
-    def test_best_design_objectives(self):
+    def test_frontier_spans_cheapest_to_fastest(self):
+        """The frontier's ends are the single-objective picks: the
+        fewest-DSP design and the highest-throughput one."""
+        pts = explore(ModelConfig(simplified_attention=True), U200, self.SPEC)
+        frontier = pareto_frontier(pts)
+        assert frontier[0].dsp == min(p.dsp for p in pts)
+        assert frontier[-1].throughput_eps \
+            == max(p.throughput_eps for p in pts)
+        assert pareto_frontier([]) == []
+
+    def test_latency_priced_at_the_batch_size(self):
         cfg = ModelConfig(simplified_attention=True)
-        pts = explore(cfg, U200, self.SPEC)
-        bt = best_design(pts, "throughput")
-        bl = best_design(pts, "latency")
-        assert bt.throughput_eps == max(p.throughput_eps for p in pts)
-        assert bl.latency_s == min(p.latency_s for p in pts)
-        with pytest.raises(ValueError):
-            best_design(pts, "power")
-        with pytest.raises(ValueError):
-            best_design([], "throughput")
+        small = explore(cfg, U200, self.SPEC, batch_size=100)
+        large = explore(cfg, U200, self.SPEC, batch_size=2000)
+        assert [p.hw for p in small] == [p.hw for p in large]
+        assert all(a.latency_s < b.latency_s for a, b in zip(small, large))
+        assert all(a.resources == b.resources for a, b in zip(small, large))
 
 
-class TestFloorplan:
+class TestShardDies:
+    """Fig. 2's layout, reused for serving shards: the shared front end
+    keeps the middle die and shards spread round-robin over the others."""
+
     def test_single_die_no_crossings(self):
-        fp = plan_floorplan(ModelConfig(simplified_attention=True),
-                            ZCU104_DESIGN)
-        assert fp.crossings == 0
-        assert set(fp.assignment.values()) == {0}
-        assert fp.feasible
+        assert plan_shard_dies(4, ZCU104.dies) == [0, 0, 0, 0]
 
     def test_u200_layout_matches_paper(self):
-        fp = plan_floorplan(ModelConfig(simplified_attention=True),
-                            U200_DESIGN)
-        # Shared front end on the middle die; CUs spread over outer dies.
-        assert fp.assignment["data_loader"] == 1
-        assert fp.assignment["cu0"] != 1 and fp.assignment["cu1"] != 1
-        assert fp.assignment["cu0"] != fp.assignment["cu1"]
-        assert fp.crossings == 4        # 2 crossings per off-die CU
-        assert fp.feasible
+        # SLR1 holds the front end; shards alternate over SLR0 and SLR2.
+        assert plan_shard_dies(4, U200.dies) == [0, 2, 0, 2]
+        assert plan_shard_dies(1, U200.dies) == [0]
 
-    def test_crossing_for(self):
-        fp = plan_floorplan(ModelConfig(simplified_attention=True),
-                            U200_DESIGN)
-        assert fp.crossing_for("data_loader", "cu0")
-        assert not fp.crossing_for("data_loader", "updater")
+    def test_shards_balance_over_the_outer_dies(self):
+        plan = plan_shard_dies(7, 4)        # the front end takes die 2
+        counts = np.bincount(plan, minlength=4)
+        assert counts[2] == 0
+        assert counts[[0, 1, 3]].max() - counts[[0, 1, 3]].min() <= 1
+
+    def test_invalid_counts_raise(self):
+        for num_shards, dies in ((0, 3), (4, 0), (-1, 1)):
+            with pytest.raises(ValueError):
+                plan_shard_dies(num_shards, dies)
 
 
 class TestWarmStart:

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from repro.autograd import Tensor, check_gradients
+from repro.autograd import Tensor
 from repro.autograd import functional as F
+from tests.property.gradcheck import check_gradients
 
 
 class TestSoftmax:
@@ -33,6 +34,12 @@ class TestSoftmax:
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)),
                    requires_grad=True)
         check_gradients(lambda t: (F.softmax(t) ** 2).sum(), [x])
+
+    def test_log_softmax_gradient(self):
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 5)),
+                   requires_grad=True)
+        w = np.random.default_rng(5).normal(size=(3, 5))
+        check_gradients(lambda t: (F.log_softmax(t) * Tensor(w)).sum(), [x])
 
 
 class TestMaskedSoftmax:
@@ -78,6 +85,17 @@ class TestLosses:
         t = np.random.default_rng(1).integers(0, 2, 6).astype(float)
         check_gradients(lambda z: F.bce_with_logits(z, t), [x])
 
+    def test_bce_gradient_is_sigmoid_minus_target(self):
+        """The closed form: d mean-BCE / dx = (sigmoid(x) - t) / n, also
+        at logits where the naive form overflows.  (At a logit of exactly
+        0 the ``|x|`` sub-gradient gives ``-t / n`` instead.)"""
+        logits = np.array([-800.0, -3.0, -0.25, 0.5, 40.0, 800.0])
+        t = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        x = Tensor(logits, requires_grad=True)
+        F.bce_with_logits(x, t).backward()
+        sig = 0.5 * (1.0 + np.tanh(0.5 * logits))
+        assert np.allclose(x.grad, (sig - t) / len(t), rtol=0, atol=1e-15)
+
     def test_soft_ce_minimized_when_matching(self):
         teacher = np.array([[2.0, 0.0, -1.0]])
         same = F.soft_cross_entropy(Tensor(teacher), teacher).item()
@@ -108,12 +126,3 @@ class TestLosses:
                    requires_grad=True)
         check_gradients(
             lambda t: F.soft_cross_entropy(t, teacher, temperature=2.0), [x])
-
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        assert abs(F.mse_loss(pred, np.array([0.0, 0.0])).item() - 2.5) < 1e-12
-
-    def test_dot_rows(self):
-        a = Tensor(np.ones((2, 3)))
-        b = Tensor(np.full((2, 3), 2.0))
-        assert np.allclose(F.dot_rows(a, b).data, [6.0, 6.0])

@@ -8,8 +8,10 @@ from repro.autograd import Tensor, no_grad
 from repro.autograd.functional import masked_softmax
 from repro.models import (DT_SCALE, ModelConfig, NP_BUDGETS,
                           SimplifiedTemporalAttention,
-                          VanillaTemporalAttention, build_raw_messages,
-                          select_pruned, top_k_mask, variant_ladder)
+                          VanillaTemporalAttention, top_k_mask,
+                          variant_ladder)
+from repro.models.message import raw_messages
+from repro.models.pruning import prune
 from repro.models.memory_updater import GRUMemoryUpdater
 from repro.models.time_encoding import CosineTimeEncoder
 
@@ -61,22 +63,19 @@ class TestMessages:
         ms = np.array([[1.0, 1.0]])
         md = np.array([[2.0, 2.0]])
         ef = np.array([[9.0]])
-        a, b = build_raw_messages(ms, md, ef)
+        a, b = raw_messages(ms, md, ef), raw_messages(md, ms, ef)
         assert np.allclose(a, [[1, 1, 2, 2, 9]])
         assert np.allclose(b, [[2, 2, 1, 1, 9]])
 
     def test_zero_dim_edge_features(self):
-        a, b = build_raw_messages(np.ones((3, 2)), np.zeros((3, 2)),
-                                  np.zeros((3, 0)))
+        a = raw_messages(np.ones((3, 2)), np.zeros((3, 2)), np.zeros((3, 0)))
         assert a.shape == (3, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_raw_messages(np.ones((2, 2)), np.ones((3, 2)),
-                               np.zeros((2, 0)))
+            raw_messages(np.ones((2, 2)), np.ones((3, 2)), np.zeros((2, 0)))
         with pytest.raises(ValueError):
-            build_raw_messages(np.ones((2, 2)), np.ones((2, 2)),
-                               np.zeros((3, 1)))
+            raw_messages(np.ones((2, 2)), np.ones((2, 2)), np.zeros((3, 1)))
 
 
 class TestGRUMemoryUpdater:
@@ -163,7 +162,7 @@ class TestSimplifiedAttention:
         attn.w_v.bias.data[:] = 0.5
         q, nbr, ef, te, tz, mask, dt = _attn_inputs(cfg)
         logits = attn.logits_from_dt(dt)
-        idx, selm = select_pruned(logits.data, mask, 2)
+        _, idx, selm = prune(logits.data, mask, 2)
         rows = np.arange(4)[:, None]
         with no_grad():
             alpha = masked_softmax(logits[rows, idx], selm)
@@ -207,18 +206,31 @@ class TestPruning:
         keep = top_k_mask(logits, mask, 2)
         assert np.array_equal(keep, [[True, True, False, False]])
 
-    def test_select_pruned_preserves_time_order(self):
+    def test_prune_preserves_time_order(self):
         logits = np.array([[5.0, 1.0, 4.0, 3.0]])
         mask = np.ones((1, 4), dtype=bool)
-        idx, selm = select_pruned(logits, mask, 2)
+        _, idx, selm = prune(logits, mask, 2)
         assert np.array_equal(idx[0], [0, 2])  # ascending slot order
         assert selm.all()
 
-    def test_select_pruned_pads_short_rows(self):
+    def test_prune_pads_short_rows(self):
         logits = np.array([[1.0, 2.0, 3.0]])
         mask = np.array([[True, False, False]])
-        idx, selm = select_pruned(logits, mask, 2)
+        _, idx, selm = prune(logits, mask, 2)
         assert selm[0, 0] and not selm[0, 1]
+
+    def test_prune_compact_form_names_the_full_width_selection(self):
+        """Both forms of one pass agree: the slots ``indices`` flags in
+        ``sel_mask`` are exactly the ones ``selected`` keeps, ascending."""
+        rng = np.random.default_rng(7)
+        logits = rng.integers(-2, 3, size=(40, 6)).astype(float)  # ties
+        mask = rng.random((40, 6)) < 0.6
+        for budget in (1, 2, 4, 6, 9):
+            selected, idx, selm = prune(logits, mask, budget)
+            assert idx.shape == selm.shape == (40, min(budget, 6))
+            for row in range(40):
+                want = np.flatnonzero(selected[row])
+                assert idx[row][selm[row]].tolist() == want.tolist()
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients
-from repro.autograd.module import GRUCell, Linear, MLP, Module, Parameter, Sequential
+from repro.autograd import Tensor
+from repro.autograd.init import glorot_uniform
+from repro.autograd.module import GRUCell, Linear, MLP, Module, Parameter
+from tests.property.gradcheck import check_gradients
 
 
 class TestRegistration:
@@ -13,7 +15,6 @@ class TestRegistration:
         names = dict(mlp.named_parameters())
         assert set(names) == {"fc1.weight", "fc1.bias",
                               "fc2.weight", "fc2.bias"}
-        assert mlp.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_zero_grad(self):
         lin = Linear(3, 2)
@@ -45,6 +46,14 @@ class TestRegistration:
 
 
 class TestLinear:
+    def test_glorot_uniform_init(self):
+        w = glorot_uniform(64, 32, rng=np.random.default_rng(0))
+        limit = np.sqrt(6.0 / (32 + 64))
+        assert w.shape == (64, 32)
+        assert np.abs(w).max() <= limit and np.abs(w).max() > 0.9 * limit
+        assert abs(w.var() - limit ** 2 / 3) < 0.1 * limit ** 2 / 3
+        assert np.array_equal(w, glorot_uniform(64, 32))  # seed-0 default
+
     def test_affine_values(self):
         lin = Linear(3, 2)
         x = np.random.default_rng(0).normal(size=(4, 3))
@@ -108,11 +117,6 @@ class TestGRUCell:
 
 
 class TestComposites:
-    def test_sequential(self):
-        seq = Sequential(Linear(3, 5), Linear(5, 2))
-        assert seq(Tensor(np.ones((1, 3)))).shape == (1, 2)
-        assert len(list(seq.parameters())) == 4
-
     def test_mlp_relu_nonlinearity(self):
         mlp = MLP(2, 4, 1, rng=np.random.default_rng(8))
         x1 = mlp(Tensor(np.array([[1.0, 1.0]]))).item()
@@ -121,3 +125,10 @@ class TestComposites:
         # ReLU makes it piecewise linear, generally not exactly midpoint —
         # but output must be finite and deterministic.
         assert np.isfinite([x1, x2, x15]).all()
+
+    def test_mlp_gradcheck(self):
+        mlp = MLP(3, 5, 2, rng=np.random.default_rng(9))
+        x = Tensor(np.random.default_rng(10).normal(size=(4, 3)),
+                   requires_grad=True)
+        check_gradients(lambda t, *_: (mlp(t) ** 2).sum(),
+                        [x, *mlp.parameters()])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import NeighborTable
+from repro.graph.neighbor_table import ring_append
 
 
 def insert_seq(table, edges):
@@ -149,3 +150,43 @@ class TestBatchInsertion:
     def test_invalid_mr(self):
         with pytest.raises(ValueError):
             NeighborTable(5, mr=0)
+
+
+class TestRingAppend:
+    """``ring_append``, the one ring write the neighbor table and the APAN
+    mailbox share, against a one-entry-at-a-time loop."""
+
+    @staticmethod
+    def loop(vertices, size, head, count, num_vertices):
+        ring = np.full((num_vertices, size), -1)
+        for i, v in enumerate(vertices.tolist()):
+            ring[v, head[v]] = i
+            head[v] = (head[v] + 1) % size
+            count[v] = min(count[v] + 1, size)
+        return ring
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_matches_the_loop(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            n = 6
+            vertices = rng.integers(0, n, size=rng.integers(0, 15))
+            head = rng.integers(0, size, size=n)
+            count = rng.integers(0, size + 1, size=n)
+            want_head, want_count = head.copy(), count.copy()
+            want = self.loop(vertices, size, want_head, want_count, n)
+            pick, rows, slots = ring_append(vertices, size, head, count)
+            got = np.full((n, size), -1)
+            got[rows, slots] = pick
+            assert len(set(zip(rows.tolist(), slots.tolist()))) == len(pick)
+            assert np.array_equal(got, want)
+            assert np.array_equal(head, want_head)
+            assert np.array_equal(count, want_count)
+
+    def test_a_group_keeps_its_last_size_entries(self):
+        head = np.array([1, 0])
+        pick, rows, slots = ring_append(np.array([0, 1, 0, 0, 0]), 2, head)
+        # Vertex 0 takes slots 1, 0, 1, 0: only its last two entries land.
+        assert sorted(zip(rows.tolist(), slots.tolist(), pick.tolist())) \
+            == [(0, 0, 4), (0, 1, 3), (1, 0, 1)]
+        assert head.tolist() == [1, 1]

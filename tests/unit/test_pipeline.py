@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad
 from repro.datasets import wikipedia_like
+from repro.graph import iter_fixed_size
 from repro.hw import FPGAAccelerator, ZCU104_DESIGN
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
 from repro.perf import CPU_32T, validate_performance_model
 from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
                             SimulatedFPGABackend, SoftwareBackend,
-                            realtime_replay, replay_under_load, run_engine,
-                            summarize)
+                            realtime_replay, run_engine, summarize)
 from repro.profiling import count_ops
 from repro.serving import DEFAULT_REGISTRY, ServingEngine
 
@@ -41,6 +42,19 @@ class TestSoftwareBackend:
         be = SoftwareBackend(model, g)
         run_engine(be, g, batch_size=100, end=200)
         assert be.rt.state.has_mail(g.slice(0, 200).nodes).all()
+
+    def test_backend_state_matches_the_training_path(self):
+        """The served kernel (``prepare_inference`` + ``infer_batch``)
+        leaves the memory ``process_batch`` leaves, batch for batch."""
+        g, model = setup()
+        rt = model.new_runtime(g)
+        with no_grad():
+            for b in iter_fixed_size(g, 100, end=400):
+                model.process_batch(b, rt, g)
+        be = SoftwareBackend(model, g)
+        run_engine(be, g, batch_size=100, end=400)
+        assert np.allclose(be.rt.state.memory, rt.state.memory, atol=1e-12)
+        assert np.array_equal(be.rt.state.last_update, rt.state.last_update)
 
     def test_process_batch_reports_what_compute_timed(self):
         """``compute`` is the one timed kernel call: ``process_batch``
@@ -117,8 +131,9 @@ class TestSimulatedFPGAPricesOnly:
         assert be.process_batch(g.slice(0, 100)) > 0
         pts = realtime_replay(be, g, window_s=12 * 3600.0, start=300)
         assert pts and all(p.latency_s > 0 for p in pts)
-        stats = replay_under_load(be, g, window_s=3600.0, speedup=10.0)
-        assert stats.windows > 0 and stats.utilization > 0
+        rep = ServingEngine([be], g.num_nodes).run(g, window_s=3600.0,
+                                                  speedup=10.0)
+        assert rep.windows > 0 and rep.shard_stats[0].utilization > 0
         assert not hasattr(be, "rt")
 
 
@@ -143,8 +158,12 @@ class TestRealtimeReplay:
         be = SoftwareBackend(model, g)
         pts = realtime_replay(be, g, window_s=6 * 3600.0, end=300)
         s = summarize(pts)
+        lats = [p.latency_s for p in pts]
         assert s["windows"] == len(pts)
-        assert s["mean_s"] <= s["p95_s"] <= s["max_s"]
+        # Host-timed latencies: one slow window can lift the mean above
+        # the p95, so only the orderings every sample obeys are asserted.
+        assert min(lats) <= s["mean_s"] <= s["max_s"] == max(lats)
+        assert min(lats) <= s["p95_s"] <= s["max_s"]
         assert summarize([])["windows"] == 0
 
     def test_fifteen_minutes_constant(self):

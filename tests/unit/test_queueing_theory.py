@@ -1,4 +1,7 @@
-"""Statistical validation of ``simulate_queue`` against queueing theory.
+"""Statistical validation of the event core's queue against queueing theory.
+
+``simulate_queue`` (``tests/property/queue_oracle.py``) feeds one
+:class:`~repro.serving.ServerGroup` hand-built arrivals.
 
 The serving benchmarks size fleets from the simulator's wait/response
 numbers, so the simulator itself must be trusted against something
@@ -15,7 +18,7 @@ The large-sample distributional checks are marked ``tier2`` (run with
 import numpy as np
 import pytest
 
-from repro.serving import simulate_queue
+from tests.property.queue_oracle import simulate_queue
 
 # --------------------------------------------------------------------------- #
 # Closed forms

@@ -1,8 +1,64 @@
-"""Unit tests for temporal neighbor samplers, including FIFO equivalence."""
+"""Unit tests for temporal neighbor samplers, including FIFO equivalence.
+
+:class:`FullHistorySampler` is TGN's software sampler, kept here as the
+oracle the FIFO sampler must match whenever ``k <= mr``.
+"""
 
 import numpy as np
 
-from repro.graph import FIFONeighborSampler, FullHistorySampler
+from repro.graph import FIFONeighborSampler
+from repro.graph.neighbor_table import GatheredNeighbors
+
+
+class FullHistorySampler:
+    """Most-recent-k sampler over the full interaction history.
+
+    The history is an append-only struct-of-arrays; queries binary-search the
+    per-vertex chronological lists.  Append is amortised O(1) per edge.
+    """
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = int(num_nodes)
+        self._nbrs: list[list[int]] = [[] for _ in range(num_nodes)]
+        self._eids: list[list[int]] = [[] for _ in range(num_nodes)]
+        self._times: list[list[float]] = [[] for _ in range(num_nodes)]
+
+    def insert_edges(self, src: np.ndarray, dst: np.ndarray,
+                     eid: np.ndarray, t: np.ndarray) -> None:
+        """Append a chronological edge batch to both endpoints' histories."""
+        for s, d, e, ts in zip(np.asarray(src, dtype=np.int64),
+                               np.asarray(dst, dtype=np.int64),
+                               np.asarray(eid, dtype=np.int64),
+                               np.asarray(t, dtype=np.float64)):
+            self._nbrs[s].append(int(d))
+            self._eids[s].append(int(e))
+            self._times[s].append(float(ts))
+            self._nbrs[d].append(int(s))
+            self._eids[d].append(int(e))
+            self._times[d].append(float(ts))
+
+    def gather(self, vertices: np.ndarray, k: int) -> GatheredNeighbors:
+        """Return each vertex's ``k`` most recent neighbors, time-ascending."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        B = len(vertices)
+        nbrs = np.zeros((B, k), dtype=np.int64)
+        eids = np.zeros((B, k), dtype=np.int64)
+        times = np.full((B, k), -np.inf, dtype=np.float64)
+        mask = np.zeros((B, k), dtype=bool)
+        for row, v in enumerate(vertices):
+            hist_n = self._nbrs[v]
+            take = min(k, len(hist_n))
+            if take == 0:
+                continue
+            nbrs[row, :take] = hist_n[-take:]
+            eids[row, :take] = self._eids[v][-take:]
+            times[row, :take] = self._times[v][-take:]
+            mask[row, :take] = True
+        return GatheredNeighbors(nbrs, eids, times, mask)
+
+    def degree(self, vertices: np.ndarray) -> np.ndarray:
+        return np.array([len(self._nbrs[v]) for v in
+                         np.asarray(vertices, dtype=np.int64)], dtype=np.int64)
 
 
 def feed(sampler, edges):

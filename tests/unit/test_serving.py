@@ -8,17 +8,18 @@ import pytest
 
 import repro.serving
 from repro.datasets import wikipedia_like
-from repro.graph import NeighborTable, iter_fixed_size, merge_batches
+from repro.graph import NeighborTable, iter_fixed_size
 from repro.models import ModelConfig, TGNN
 from repro.perf import CPU_32T
-from repro.pipeline import (LinearCostBackend, ModeledGPPBackend,
-                            replay_under_load)
+from repro.pipeline import LinearCostBackend, ModeledGPPBackend
 from repro.profiling import count_ops
 from repro.serving import (DEFAULT_REGISTRY, ArrivalTrace, BackendRegistry,
                            CoalescedJob, CrossShardMailbox, DynamicBatcher,
                            ServingEngine, ShardRouter, StreamArrival,
-                           make_stream_arrivals, simulate_queue)
+                           make_stream_arrivals)
 from repro.serving.engine import TOPOLOGIES
+from tests.property.arrival_oracle import from_arrivals, merge_batches
+from tests.property.queue_oracle import replay, simulate_queue
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -183,7 +184,8 @@ class TestDynamicBatcher:
     def test_deadline_trigger_flushes_at_deadline(self):
         b = DynamicBatcher(max_delay_s=5.0)
         mk = lambda t: StreamArrival(t=t, stream=0, batch=_tiny_batch(t))
-        jobs = b.coalesce([mk(0.0), mk(2.0), mk(9.0), mk(11.0)])
+        jobs = b.coalesce(from_arrivals([mk(0.0), mk(2.0), mk(9.0),
+                                         mk(11.0)]))
         # 0.0 and 2.0 coalesce and release at the 5.0 deadline; 9.0 and 11.0
         # coalesce (11 < 9 + 5) and release at the tail deadline 14.0.
         assert [j.t_release for j in jobs] == [5.0, 14.0]
@@ -193,7 +195,7 @@ class TestDynamicBatcher:
         b = DynamicBatcher(max_delay_s=100.0)
         a1 = StreamArrival(t=10.0, stream=0, batch=_tiny_batch(7.0))
         a2 = StreamArrival(t=10.5, stream=1, batch=_tiny_batch(3.0))
-        jobs = b.coalesce([a1, a2])
+        jobs = b.coalesce(from_arrivals([a1, a2]))
         assert len(jobs) == 1
         assert np.all(np.diff(jobs[0].batch.t) >= 0)
 
@@ -208,9 +210,9 @@ class TestDynamicBatcher:
         with pytest.raises(ValueError):
             DynamicBatcher(max_delay_s=-1.0)
         with pytest.raises(ValueError):
-            DynamicBatcher().coalesce(
+            DynamicBatcher().coalesce(from_arrivals(
                 [StreamArrival(1.0, 0, _tiny_batch(1.0)),
-                 StreamArrival(0.0, 0, _tiny_batch(0.0))])
+                 StreamArrival(0.0, 0, _tiny_batch(0.0))]))
 
 
 def _tiny_batch(t):
@@ -252,7 +254,7 @@ class TestArrivalTrace:
         assert isinstance(part, ArrivalTrace) and len(part) == 4
         assert part.eidx is trace.eidx and part.edges is trace.edges
         assert np.shares_memory(part.t, trace.t)
-        assert part == [trace[i] for i in range(3, 7)]
+        assert part == from_arrivals([trace[i] for i in range(3, 7)])
         assert part.num_edges == sum(len(trace[i]) for i in range(3, 7))
         assert len(trace[5:2]) == 0 and trace[5:2].num_edges == 0
         with pytest.raises(ValueError, match="contiguous"):
@@ -270,18 +272,18 @@ class TestArrivalTrace:
         assert [a.batch.eid.tolist() for a in trace] \
             == [[4, 5, 6], [0, 1], [], [9]]
         assert trace.merged().eid.tolist() == [0, 1, 4, 5, 6, 9]
-        assert trace.span(1, 3) == trace[1:3] == [trace[1], trace[2]]
+        assert trace.span(1, 3) == trace[1:3] \
+            == from_arrivals([trace[1], trace[2]])
         with pytest.raises(ValueError, match="number of arrivals"):
             ArrivalTrace(trace.edges, trace.t, trace.stream, cum, first[:3])
 
     def test_value_equality(self):
         _, trace = self.trace()
-        items = list(trace)
-        assert trace == items and trace == tuple(items)
-        assert tuple(items) == trace            # reflected
+        assert trace == from_arrivals(list(trace))
         assert trace[:4] != trace[1:5]
-        assert trace[:4] != items[:3]
-        assert trace != "not arrivals" and trace != [1, 2]
+        assert trace[:4] != trace[:3]
+        # Only a trace equals a trace: a list of its items does not.
+        assert trace != "not arrivals" and trace != list(trace)
         other = window_arrivals(self.trace()[0], num_streams=3, speedup=4.0)
         assert trace != other
         with pytest.raises(TypeError):
@@ -297,13 +299,12 @@ class TestArrivalTrace:
 
     def test_from_arrivals_round_trip(self):
         _, trace = self.trace()
-        assert ArrivalTrace.from_arrivals(trace) is trace
-        rebuilt = ArrivalTrace.from_arrivals(list(trace))
+        rebuilt = from_arrivals(list(trace))
         assert rebuilt == trace and rebuilt.edges is not trace.edges
-        empty = ArrivalTrace.from_arrivals([])
-        assert len(empty) == 0 and empty.num_edges == 0 and empty == []
-        one = ArrivalTrace.from_arrivals(
-            [StreamArrival(1.5, 3, _tiny_batch(1.0))])
+        empty = from_arrivals([])
+        assert len(empty) == 0 and empty.num_edges == 0
+        assert empty == trace[:0]
+        one = from_arrivals([StreamArrival(1.5, 3, _tiny_batch(1.0))])
         assert (one[0].t, one[0].stream, len(one[0])) == (1.5, 3, 2)
 
     def test_repr_prints_no_arrays(self):
@@ -387,13 +388,13 @@ class TestShardRouter:
             assert sb.mail_from.shape == (sb.mail_edges,)
             for eid in sb.batch.eid:
                 seen.setdefault(int(eid), []).append(sb.shard)
-        s_src = r.shard_of(batch.src)
-        s_dst = r.shard_of(batch.dst)
+        s_src = r.assignment[batch.src]
+        s_dst = r.assignment[batch.dst]
         for i, eid in enumerate(batch.eid):
             owners = {int(s_src[i]), int(s_dst[i])}
             assert sorted(seen[int(eid)]) == sorted(owners)
         cross = int((s_src != s_dst).sum())
-        assert mailbox.total_edges == cross
+        assert mailbox.counts.sum() == cross
         assert sum(sb.mail_edges for sb in subs) == cross
         assert sum(sb.local_edges for sb in subs) == len(batch)
 
@@ -436,6 +437,38 @@ class TestShardRouter:
         with pytest.raises(ValueError):
             ShardRouter(0, 10)
 
+    def test_mailbox_matrix_is_source_owner_to_holder(self):
+        """``counts[i, j]`` is the edges shard ``i`` (the source's owner,
+        which processes the edge locally) forwards to shard ``j``."""
+        g, _ = setup()
+        r = ShardRouter(4, g.num_nodes)
+        batch = g.slice(0, 200)
+        mailbox = CrossShardMailbox(4)
+        r.split(batch, mailbox)
+        want = np.zeros((4, 4), dtype=np.int64)
+        for a, b in zip(r.assignment[batch.src], r.assignment[batch.dst]):
+            if a != b:
+                want[a, b] += 1
+        assert np.array_equal(mailbox.counts, want)
+
+    def test_split_keeps_the_keyword_call_subclasses_make(self):
+        """A subclass wrapping ``split`` as ``super().split(batch,
+        mailbox=mailbox, cache=cache)`` (the end-to-end benchmark's
+        traced router does) routes exactly as the base call."""
+        class Wrapped(ShardRouter):
+            def split(self, batch, mailbox=None, cache=None):
+                return super().split(batch, mailbox=mailbox, cache=cache)
+
+        g, _ = setup()
+        batch = g.slice(0, 200)
+        boxes = CrossShardMailbox(3), CrossShardMailbox(3)
+        got = Wrapped(3, g.num_nodes).split(batch, mailbox=boxes[0])
+        want = ShardRouter(3, g.num_nodes).split(batch, boxes[1])
+        assert [(sb.shard, sb.batch.eid.tolist(), sb.mail_edges)
+                for sb in got] == [(sb.shard, sb.batch.eid.tolist(),
+                                    sb.mail_edges) for sb in want]
+        assert np.array_equal(boxes[0].counts, boxes[1].counts)
+
 
 # --------------------------------------------------------------------------- #
 class TestBackendRegistry:
@@ -475,21 +508,32 @@ class TestBackendRegistry:
 
 # --------------------------------------------------------------------------- #
 class TestServingEngine:
-    def test_single_shard_matches_replay_under_load(self):
-        """Acceptance: shards=1 reproduces the single-server path exactly."""
+    @pytest.mark.parametrize("speedup, stable", [(40.0, True),
+                                                 (1e6, False)])
+    def test_single_shard_matches_a_single_server_queue(self, speedup,
+                                                        stable):
+        """Acceptance: shards=1 is one FIFO server fed the stream's window
+        arrivals, exactly — past saturation too, where the backlog and the
+        offered load that marks the run unstable are the single queue's."""
         g, model = setup()
-        qs = replay_under_load(modeled_backend(), g,
-                               window_s=3600.0, start=300, speedup=40.0)
+        arrivals = make_stream_arrivals(g, 3600.0, start=300, speedup=speedup)
+        modeled = modeled_backend()
+        qs = simulate_queue(list(zip(arrivals.t.tolist(), arrivals)),
+                            lambda a: modeled.process_batch(a.batch))
         engine = ServingEngine([modeled_backend()], g.num_nodes)
-        rep = engine.run(g, window_s=3600.0, start=300, speedup=40.0)
+        rep = engine.run(g, window_s=3600.0, start=300, speedup=speedup)
         s0 = rep.shard_stats[0]
-        assert rep.windows == qs.windows
+        assert rep.windows == qs.jobs
+        assert qs.stable is s0.stable is stable
+        assert s0.offered_load == pytest.approx(qs.offered_load)
         assert s0.utilization == pytest.approx(qs.utilization)
         assert s0.mean_wait_s == pytest.approx(qs.mean_wait_s)
         assert s0.p95_response_s == pytest.approx(qs.p95_response_s)
         assert rep.p95_response_s == pytest.approx(qs.p95_response_s)
         assert rep.mean_response_s == pytest.approx(qs.mean_response_s)
         assert rep.cross_shard_edges == 0
+        if not stable:
+            assert s0.offered_load > 1.0 and s0.mean_wait_s > 0.0
 
     def test_four_shards_four_streams_end_to_end(self):
         """Acceptance: 4 shards x 4 streams at speedup=2.0 completes."""
@@ -906,6 +950,8 @@ class TestReportFieldGates:
 
 # --------------------------------------------------------------------------- #
 class TestReplayWrapperRegressions:
+    """The single-server replay is a one-shard engine; its regressions."""
+
     def test_single_window_stream_sane_utilization(self):
         """Regression: one-window streams divided busy time by 1e-12."""
         g = wikipedia_like(num_edges=30, num_users=10, num_items=4)
@@ -914,8 +960,10 @@ class TestReplayWrapperRegressions:
             def process_batch(self, batch):
                 return 0.5
 
-        stats = replay_under_load(ConstBackend(), g, window_s=1e9)
-        assert stats.windows == 1
+        rep = ServingEngine([ConstBackend()], g.num_nodes).run(
+            g, window_s=1e9)
+        stats = rep.shard_stats[0]
+        assert rep.windows == 1
         assert stats.utilization == 1.0
         assert stats.stable
 
@@ -928,8 +976,7 @@ class TestReplayWrapperRegressions:
             def process_batch(self, batch):
                 return 10.0
 
-        stats = replay_under_load(SlowBackend(), g, window_s=3600.0,
-                                  speedup=1e9)
+        stats = replay(SlowBackend(), g, window_s=3600.0, speedup=1e9)
         assert stats.utilization <= 1.0
         assert stats.offered_load > 1.0
         assert not stats.stable

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, no_grad
+from repro.autograd import Tensor, no_grad
 from repro.autograd.tensor import _unbroadcast
+from tests.property.gradcheck import check_gradients
 
 
 class TestForwardValues:
@@ -142,6 +143,14 @@ class TestGradients:
         m = self._p((4, 3), seed=2)
         check_gradients(lambda x, w: (x @ w).sum(), [a, m])
         check_gradients(lambda w, x: (w @ x).sum(), [m.T if False else self._p((3, 4), seed=3), a])
+
+    def test_transpose_axes_grads(self):
+        """A non-involutive permutation: the adjoint applies the inverse."""
+        a = self._p((2, 3, 4))
+        w = np.random.default_rng(6).normal(size=(3, 4, 2))
+        check_gradients(lambda x: (x.transpose((1, 2, 0)) * Tensor(w)).sum(),
+                        [a])
+        assert a.transpose((1, 2, 0)).shape == (3, 4, 2)
 
     def test_broadcast_grads(self):
         a, b = self._p((2, 3)), self._p((3,), seed=1)

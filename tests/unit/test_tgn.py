@@ -197,6 +197,37 @@ class TestRuntime:
             assert np.allclose(a, b, atol=1e-9)
 
 
+class TestReceptiveField:
+    """The deployed model is one attention layer: a vertex's embedding
+    reads its sampled neighbors' memory, and nothing two hops out."""
+
+    CHAIN = TemporalGraph([0, 1, 0], [1, 2, 3], [1.0, 2.0, 3.0],
+                          edge_feat=np.random.default_rng(0).normal(
+                              size=(3, 172)))
+
+    def embedding_of_0(self, perturb=None):
+        """Vertex 0's embedding at its ``0-3`` edge (t=3), after ``0-1``
+        (t=1) and ``1-2`` (t=2), with ``perturb``'s memory row shifted in
+        between."""
+        g = self.CHAIN
+        model = TGNN(SMALL, rng=np.random.default_rng(5))
+        rt = model.new_runtime(g)
+        with no_grad():
+            model.process_batch(g.slice(0, 2), rt, g)
+            if perturb is not None:
+                rt.state.memory[perturb] += 1.0
+            return model.process_batch(g.slice(2, 3), rt, g) \
+                .embeddings.data[0]
+
+    def test_one_hop_neighbour_reaches_the_embedding(self):
+        assert not np.allclose(self.embedding_of_0(),
+                               self.embedding_of_0(perturb=1))
+
+    def test_two_hop_vertex_does_not(self):
+        assert np.array_equal(self.embedding_of_0(),
+                              self.embedding_of_0(perturb=2))
+
+
 def functions(path: Path):
     """``(qualified name, node)`` of every function and method in ``path``."""
     def walk(body, prefix):
@@ -239,13 +270,6 @@ class TestOneModelBody:
         numpy_calls = [n.lineno for n in ast.walk(infer)
                        if isinstance(n, ast.Name) and n.id == "np"]
         assert numpy_calls == []
-
-    def test_multilayer_overrides_the_gnn_stage_only(self):
-        from repro.models import MultiLayerTGNN
-        assert issubclass(MultiLayerTGNN, TGNN)
-        assert not {"process_batch", "update_memory", "embed", "infer_batch",
-                    "new_runtime", "calibrate", "prepare_inference"} \
-            & set(vars(MultiLayerTGNN))
 
     def test_a_poisoned_cache_reaches_infer_batch_alone(self):
         from tests.property.sharded_oracle import ShardedRuntime

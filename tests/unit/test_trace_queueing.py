@@ -7,8 +7,8 @@ from repro.datasets import lastfm_like, mooc_like, wikipedia_like
 from repro.hw import (FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN,
                       pipeline_overlap, render_gantt, stage_utilization)
 from repro.models import ModelConfig, TGNN
-from repro.pipeline import (QueueStats, SimulatedFPGABackend,
-                            replay_under_load)
+from repro.pipeline import SimulatedFPGABackend
+from tests.property.queue_oracle import replay
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -85,20 +85,18 @@ class TestQueueing:
     def test_light_load_stable(self):
         g, model, acc = setup(U200_DESIGN)
         backend = SimulatedFPGABackend(acc, g)
-        stats = replay_under_load(backend, g, window_s=3600.0, start=400)
-        assert isinstance(stats, QueueStats)
+        stats = replay(backend, g, window_s=3600.0, start=400)
         assert stats.stable
         assert stats.mean_wait_s == pytest.approx(0.0, abs=1e-6)
         assert stats.mean_response_s > 0
-        assert stats.dropped_windows == 0
+        assert stats.dropped_jobs == 0
 
     def test_speedup_increases_utilization(self):
         g, model, acc = setup(ZCU104_DESIGN)
         b1 = SimulatedFPGABackend(FPGAAccelerator(model, ZCU104_DESIGN), g)
-        s1 = replay_under_load(b1, g, window_s=3600.0, start=400)
+        s1 = replay(b1, g, window_s=3600.0, start=400)
         b2 = SimulatedFPGABackend(FPGAAccelerator(model, ZCU104_DESIGN), g)
-        s2 = replay_under_load(b2, g, window_s=3600.0, start=400,
-                               speedup=1e6)
+        s2 = replay(b2, g, window_s=3600.0, start=400, speedup=1e6)
         assert s2.utilization > s1.utilization
         assert s2.mean_response_s >= s1.mean_response_s
 
@@ -110,8 +108,8 @@ class TestQueueing:
             def process_batch(self, batch):
                 return 10.0   # 10 s service per window
 
-        stats = replay_under_load(SlowBackend(), g, window_s=3600.0,
-                                  start=400, speedup=1e9)
+        stats = replay(SlowBackend(), g, window_s=3600.0, start=400,
+                       speedup=1e9)
         assert not stats.stable
         assert stats.mean_wait_s > 0
         assert stats.max_queue_depth > 1
@@ -123,17 +121,17 @@ class TestQueueing:
             def process_batch(self, batch):
                 return 10.0
 
-        stats = replay_under_load(SlowBackend(), g, window_s=3600.0,
-                                  start=400, speedup=1e9, queue_capacity=2)
-        assert stats.dropped_windows > 0
+        stats = replay(SlowBackend(), g, window_s=3600.0, start=400,
+                       speedup=1e9, queue_capacity=2)
+        assert stats.dropped_jobs > 0
 
     def test_validation(self):
         g, model, acc = setup()
         backend = SimulatedFPGABackend(acc, g)
         with pytest.raises(ValueError):
-            replay_under_load(backend, g, window_s=0.0)
+            replay(backend, g, window_s=0.0)
         with pytest.raises(ValueError):
-            replay_under_load(backend, g, window_s=10.0, speedup=0.0)
+            replay(backend, g, window_s=10.0, speedup=0.0)
 
 
 class TestNewDatasets:

@@ -25,6 +25,18 @@ class TestTrainer:
         assert len(hist) == 3
         assert hist[-1]["loss"] < hist[0]["loss"]
 
+    def test_the_deployed_variant_trains(self):
+        """The served model (+SAT +LUT +NP) trains and beats chance."""
+        g = stream()
+        cfg = CFG.with_(simplified_attention=True, lut_time_encoder=True,
+                        lut_bins=8, pruning_budget=2)
+        model = TGNN(cfg, rng=np.random.default_rng(0))
+        model.calibrate(g)
+        tr = Trainer(model, g, TrainConfig(epochs=2, batch_size=50, seed=0))
+        hist = tr.train(train_end=280)
+        assert hist[-1]["loss"] < hist[0]["loss"]
+        assert tr.evaluate(280, 400).ap > 0.5
+
     def test_evaluate_beats_chance_after_training(self):
         g = stream(600)
         model = TGNN(CFG, rng=np.random.default_rng(0))
