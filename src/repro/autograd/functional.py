@@ -61,16 +61,23 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy on raw logits.
 
     Uses the standard stable form
-    ``max(x, 0) - x*t + log(1 + exp(-|x|))``.
+    ``max(x, 0) - x*t + log(1 + exp(-|x|))`` and its closed-form
+    derivative ``(sigmoid(x) - t) / n`` as the backward pass, which also
+    holds at a logit of exactly 0 (the ``relu`` sub-gradients of the
+    composed form give ``-t / n`` there).
     """
     logits = as_tensor(logits)
-    t = Tensor(np.asarray(targets, dtype=np.float64))
-    relu_x = logits.relu()
-    # |x| with the correct sub-gradient: relu(x) + relu(-x).
-    abs_x = logits.relu() + (-logits).relu()
-    softplus = ((-abs_x).exp() + 1.0).log()
-    loss = relu_x - logits * t + softplus
-    return loss.mean()
+    x = logits.data
+    t = np.asarray(targets, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    loss = np.maximum(x, 0.0) - x * t + np.log(e + 1.0)
+    scale = 1.0 / loss.size
+
+    def backward(g: np.ndarray) -> None:
+        sigmoid = np.where(x >= 0, 1.0, e) / (e + 1.0)
+        logits._accumulate(g * scale * (sigmoid - t))
+
+    return Tensor._make(loss.sum() * scale, (logits,), "bce", backward)
 
 
 def soft_cross_entropy(student_logits: Tensor, teacher_logits: np.ndarray,

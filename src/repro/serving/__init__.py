@@ -328,8 +328,8 @@ from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
                      EventScheduler, FailureEvent, FailurePlan,
                      FlushEvent, HeapEventScheduler, MailEvent,
                      MigrationEvent, RecoveryEvent, ScaleEvent,
-                     ServedJob, ServerGroup, ServiceBeginEvent,
-                     ServiceEndEvent, SimulationResult, SyncEvent)
+                     ServerGroup, ServiceBeginEvent, ServiceEndEvent,
+                     SimulationResult, SyncEvent)
 from .measured import (MeasuredBackend,  # noqa: F401
                        MeasuredServerGroup, WorkerPool)
 from .memsync import (HANDOFF_ROWS_PER_VERTEX,  # noqa: F401
@@ -347,7 +347,7 @@ __all__ = [
     "ServingEngine", "ServingReport", "ShardStats", "make_stream_arrivals",
     "ShardRouter", "ShardBatch", "CrossShardMailbox",
     "DynamicBatcher", "CoalescedJob", "StreamArrival", "ArrivalTrace",
-    "SimulationResult", "ServedJob",
+    "SimulationResult",
     "EventScheduler", "HeapEventScheduler", "ServerGroup", "BatcherActor",
     "INGEST_MODES",
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",

@@ -689,17 +689,13 @@ class ServingEngine:
                      queue_capacity: int | None,
                      pool: WorkerPool | None = None) -> list[ServerGroup]:
         """One server group per backend, ``server_counts[s]`` servers
-        wide.  Measured backends get a
-        :class:`~repro.serving.measured.MeasuredServerGroup` wired to the
-        worker ``pool`` instead of a modeled service closure."""
+        wide, whose payload is ``(batch, die hops)``.  Measured backends
+        get a :class:`~repro.serving.measured.MeasuredServerGroup` wired
+        to the worker ``pool`` instead of a modeled service closure."""
         groups: list[ServerGroup] = []
 
-        def sub_batch(payload):
-            return payload[1].batch
-
         def hop_service(payload):
-            _, _, hops, sync_hops = payload
-            return self.mail_hop_s * (hops + sync_hops)
+            return self.mail_hop_s * payload[1]
 
         for gid, (n_srv, backend) in enumerate(zip(self.server_counts,
                                                    self.backends)):
@@ -708,12 +704,11 @@ class ServingEngine:
                 groups.append(MeasuredServerGroup(
                     gid, n_srv, backend, pool, sched,
                     queue_capacity=queue_capacity,
-                    prepare=sub_batch, extra_service=hop_service))
+                    extra_service=hop_service))
                 continue
             def service(payload, _backend=backend):
-                _, sb, hops, sync_hops = payload
-                return _backend.process_batch(sb.batch) \
-                    + self.mail_hop_s * (hops + sync_hops)
+                batch, hops = payload
+                return _backend.process_batch(batch) + self.mail_hop_s * hops
             groups.append(ServerGroup(gid, n_srv, service, sched,
                                       queue_capacity=queue_capacity))
         return groups
@@ -731,8 +726,12 @@ class ServingEngine:
 
         # Windows per released job, in release order: all the report needs
         # of a job once it is routed (its merged batch lives on only in
-        # the sub-batches that alias it).
+        # the sub-batches that alias it).  ``traffic[s]`` holds one row
+        # per offer to station ``s``, in offer order: the job and what
+        # its sub-batch carried, (job, local edges, mail edges, mail die
+        # hops, sync rows, stale reads, version lag).
         job_windows: list[int] = []
+        traffic: list[list[tuple[int, ...]]] = [[] for _ in groups]
 
         # One control plane per run, and only when a controller exists:
         # it samples released jobs for the policies and is the one actor
@@ -814,7 +813,11 @@ class ServingEngine:
                             if n:
                                 sched.record(SyncEvent(t, o, sb.shard,
                                                        int(n), kind))
-                groups[sb.shard].submit(t, (ji, sb, hops, sync_hops))
+                traffic[sb.shard].append((
+                    ji, sb.local_edges, sb.mail_edges, hops,
+                    len(sb.sync_pull) + len(sb.sync_push), sb.stale_reads,
+                    sb.version_lag))
+                groups[sb.shard].submit(t, (sb.batch, hops + sync_hops))
 
         batcher = BatcherActor(self.batcher, sched, route,
                                fleet=groups if ingest == "pipelined" else ())
@@ -848,14 +851,15 @@ class ServingEngine:
         # A mean that overflows is the report's error to raise (see
         # ServingReport.__post_init__), not a numpy warning.
         with np.errstate(over="ignore"):
-            return self._report(arrivals, job_windows,
-                                [g.arrivals for g in groups],
+            return self._report(arrivals, job_windows, traffic,
                                 shard_results, window_s, speedup,
                                 num_streams, ingest,
-                                self._measured_block(groups))
+                                self._measured_block(groups, shard_results))
 
     # ------------------------------------------------------------------ #
-    def _measured_block(self, groups: Sequence[ServerGroup]) -> dict | None:
+    def _measured_block(self, groups: Sequence[ServerGroup],
+                        shard_results: Sequence[SimulationResult]
+                        ) -> dict | None:
         """Summarize measured service-time samples for the report.
 
         ``None`` on modeled runs (the key is then omitted from the
@@ -880,11 +884,11 @@ class ServingEngine:
         all_measured: list[np.ndarray] = []
         all_modeled: list[np.ndarray] = []
         stage_seconds: dict[str, float] = {}
-        for group in groups:
+        for group, res in zip(groups, shard_results):
             if not isinstance(group, MeasuredServerGroup):
                 continue
-            m = np.asarray([s[0] for s in group.samples])
-            mod = np.asarray([s[1] for s in group.samples])
+            m = res.service_s[res.server >= 0]
+            mod = np.asarray(group.samples, dtype=np.float64)
             all_measured.append(m)
             all_modeled.append(mod)
             mean, cv2 = stats(m)
@@ -908,14 +912,16 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     def _report(self, arrivals: ArrivalTrace,
                 job_windows: list[int],
-                submitted: list[list[tuple[float, tuple]]],
+                traffic: list[list[tuple[int, ...]]],
                 shard_results: list[SimulationResult],
                 window_s: float, speedup: float, num_streams: int,
                 ingest: str, measured: dict | None) -> ServingReport:
         """Fold one finished run into its :class:`ServingReport`.
 
-        ``submitted[s]`` is group ``s``'s own ``(t, payload)`` arrivals
-        log, which ``shard_results[s]`` indexes.
+        ``traffic[s]`` is station ``s``'s per-offer traffic rows (laid
+        out in :meth:`_run_loop`), in the offer order
+        ``shard_results[s]``'s columns follow, so the fold is array
+        operations per station, none per sub-job.
         """
         rebal, chaos, auto = \
             self.rebalancer, self.failure_injector, self.autoscaler
@@ -923,33 +929,25 @@ class ServingEngine:
         # Resolve drops globally first: a window is dropped if *any*
         # shard's queue rejected its sub-job, and a dropped window's
         # surviving sub-jobs must not inflate the traffic report even
-        # though their shards did serve them.
+        # though their shards did serve them.  A job finishes with its
+        # last served sub-job (``fmax`` skips a drop's NaN).
+        rows = [np.array(t, dtype=np.int64).reshape(-1, 7) for t in traffic]
         finish_of_job = np.full(len(job_windows), -np.inf)
         job_dropped = np.zeros(len(job_windows), dtype=bool)
-        for shard, res in enumerate(shard_results):
-            for di in res.dropped_indices:
-                job_dropped[submitted[shard][di][1][0]] = True
+        for r, res in zip(rows, shard_results):
+            job_dropped[r[res.server < 0, 0]] = True
+            np.fmax.at(finish_of_job, r[:, 0], res.t_finish)
 
-        # Traffic is accounted per served sub-job of a non-dropped window —
-        # edges rejected by a full queue were never processed, and partial
+        # Traffic counts the sub-jobs of non-dropped windows only — edges
+        # rejected by a full queue were never processed, and partial
         # windows are reported dropped, so neither may count.
-        shard_traffic = np.zeros((self.num_shards, 2), dtype=np.int64)
-        cross_die_mail = 0
-        sync_edges = 0
-        stale_reads = 0
-        max_version_lag = 0
-        for shard, res in enumerate(shard_results):
-            for sj in res.served:
-                ji, sb, hops, _ = submitted[shard][sj.index][1]
-                finish_of_job[ji] = max(finish_of_job[ji], sj.t_finish)
-                if job_dropped[ji]:
-                    continue
-                shard_traffic[shard, 0] += sb.local_edges
-                shard_traffic[shard, 1] += sb.mail_edges
-                cross_die_mail += hops
-                sync_edges += len(sb.sync_pull) + len(sb.sync_push)
-                stale_reads += sb.stale_reads
-                max_version_lag = max(max_version_lag, sb.version_lag)
+        counted = [r[~job_dropped[r[:, 0]]] for r in rows]
+        shard_traffic = np.array([r[:, 1:3].sum(axis=0) for r in counted],
+                                 dtype=np.int64)
+        fleet = np.concatenate(counted)
+        cross_die_mail, sync_edges, stale_reads = \
+            (int(x) for x in fleet[:, 3:6].sum(axis=0))
+        max_version_lag = int(fleet[:, 6].max(initial=0))
 
         # Window-level accounting: a window responds when its job's last
         # shard finishes; it is dropped if any shard's queue rejected it.

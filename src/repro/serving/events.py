@@ -140,9 +140,13 @@ Actors
 :class:`ServerGroup`
     A FIFO service station with ``num_servers`` identical servers sharing
     one queue: a dedicated shard is a 1-server group, a replica pool is a
-    K-server group.  Its :meth:`finalize` produces the same
-    :class:`SimulationResult` (same formulas, same tie-breaking, same
-    ``service_fn`` call order) as the historical standalone queue loop —
+    K-server group.  It keeps columns, not job objects: per offer the
+    arrival instant and a drop mark, per commit one ``(index, begin,
+    finish, service, server)`` row; a payload lives only while its job
+    waits.  :meth:`~ServerGroup.finalize` folds them into a
+    :class:`SimulationResult` of per-offer arrays whose values and
+    statistics equal the historical standalone queue loop's bit for bit
+    (same formulas, same tie-breaking, same ``service_fn`` call order) —
     property-tested in ``tests/unit/test_events.py``, where one group fed
     hand-built arrivals (``tests/property/queue_oracle.py``) is held to a
     verbatim copy of that loop.
@@ -184,7 +188,7 @@ __all__ = [
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
     "MailEvent", "SyncEvent", "MigrationEvent", "FailureEvent",
     "RecoveryEvent", "ScaleEvent", "FailurePlan", "EventScheduler",
-    "HeapEventScheduler", "ServedJob", "SimulationResult", "ServerGroup",
+    "HeapEventScheduler", "SimulationResult", "ServerGroup",
     "BatcherActor", "INGEST_MODES",
 ]
 
@@ -608,32 +612,21 @@ class HeapEventScheduler(EventScheduler):
 
 
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ServedJob:
-    """One admitted job's timeline through the queue."""
-
-    index: int          # position in the arrival sequence
-    t_arrive: float
-    t_begin: float
-    t_finish: float
-    service_s: float
-    server: int
-
-    @property
-    def wait_s(self) -> float:
-        return self.t_begin - self.t_arrive
-
-    @property
-    def response_s(self) -> float:
-        return self.t_finish - self.t_arrive
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Outcome of a queue simulation, with aggregate statistics."""
+    """Outcome of a queue simulation: per-offer columns and aggregates.
 
-    served: tuple[ServedJob, ...]
-    dropped_indices: tuple[int, ...]
+    The five arrays hold one entry per offered job, in offer order.  An
+    offer that was dropped has ``NaN`` begin, finish and service and
+    server ``-1``; every statistic below runs over the served offers, in
+    offer order.
+    """
+
+    t_arrive: np.ndarray
+    t_begin: np.ndarray
+    t_finish: np.ndarray
+    service_s: np.ndarray
+    server: np.ndarray
     num_servers: int
     busy_s: float
     makespan_s: float       # first arrival -> last service completion
@@ -643,11 +636,11 @@ class SimulationResult:
 
     @property
     def jobs(self) -> int:
-        return len(self.served)
+        return int(np.count_nonzero(self.server >= 0))
 
     @property
     def dropped(self) -> int:
-        return len(self.dropped_indices)
+        return len(self.server) - self.jobs
 
     @property
     def stable(self) -> bool:
@@ -656,10 +649,12 @@ class SimulationResult:
 
     # ------------------------------------------------------------------ #
     def waits(self) -> np.ndarray:
-        return np.array([j.wait_s for j in self.served])
+        served = self.server >= 0
+        return self.t_begin[served] - self.t_arrive[served]
 
     def responses(self) -> np.ndarray:
-        return np.array([j.response_s for j in self.served])
+        served = self.server >= 0
+        return self.t_finish[served] - self.t_arrive[served]
 
     def _sorted_responses(self) -> np.ndarray:
         """Response latencies sorted ascending, computed once and cached.
@@ -677,21 +672,21 @@ class SimulationResult:
 
     @property
     def mean_wait_s(self) -> float:
-        return float(self.waits().mean()) if self.served else 0.0
+        return float(self.waits().mean()) if self.jobs else 0.0
 
     @property
     def mean_response_s(self) -> float:
-        return float(self.responses().mean()) if self.served else 0.0
+        return float(self.responses().mean()) if self.jobs else 0.0
 
     @property
     def p95_response_s(self) -> float:
         return float(np.percentile(self._sorted_responses(), 95)) \
-            if self.served else 0.0
+            if self.jobs else 0.0
 
     @property
     def p99_response_s(self) -> float:
         return float(np.percentile(self._sorted_responses(), 99)) \
-            if self.served else 0.0
+            if self.jobs else 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -732,10 +727,14 @@ class ServerGroup:
         # t=0 like the historical loop's ``free`` heap.
         self._idle: list[tuple[float, int]] = [(0.0, s)
                                                for s in range(num_servers)]
-        self._waiting: deque[int] = deque()
-        self._arrivals: list[tuple[float, Any]] = []
-        self._served: dict[int, ServedJob] = {}
-        self._dropped: list[int] = []
+        # The station's record, as columns: per offer its arrival instant
+        # and an explicit drop mark, per commit one ``(index, begin,
+        # finish, service, server)`` row.  A payload is held only while
+        # its job waits.
+        self._t_arrive: list[float] = []
+        self._drop_mark: list[bool] = []
+        self._commits: list[tuple[int, float, float, float, int]] = []
+        self._waiting: deque[tuple[int, Any]] = deque()
         self._busy = 0.0
         self._max_depth = 0
         self._dispatch_pending = False
@@ -763,13 +762,6 @@ class ServerGroup:
         return bool(self._idle) and not self._waiting
 
     @property
-    def arrivals(self) -> list[tuple[float, Any]]:
-        """Every ``(t, payload)`` offered so far, admitted or dropped, in
-        submission order — what ``ServedJob.index`` and
-        ``SimulationResult.dropped_indices`` index."""
-        return self._arrivals
-
-    @property
     def busy_s(self) -> float:
         """Cumulative service seconds committed so far (live, mid-run)."""
         return self._busy
@@ -781,41 +773,41 @@ class ServerGroup:
 
     def submit(self, t: float, payload) -> None:
         """Admit (or drop) a job arriving at the current event time."""
-        i = len(self._arrivals)
-        self._arrivals.append((t, payload))
+        i = len(self._t_arrive)
+        self._t_arrive.append(t)
+        self._drop_mark.append(False)
         if not self.accepting:
             # Dead shard: the offer is recorded (conservation — served +
             # dropped must still equal offered) but the job is dropped.
-            self._dropped.append(i)
+            self._drop_mark[i] = True
             return
         if self._idle and not self._waiting:
-            self._begin(t, i)
+            self._begin(t, i, payload)
             return
         # A full buffer only rejects jobs that would have to wait: with an
         # idle server the job starts immediately and never occupies a slot
         # (``queue_capacity=0`` is a bufferless loss system, not a server
         # that drops everything).
         if self._capacity is not None and len(self._waiting) >= self._capacity:
-            self._dropped.append(i)
+            self._drop_mark[i] = True
             return
-        self._waiting.append(i)
+        self._waiting.append((i, payload))
         self._max_depth = max(self._max_depth, len(self._waiting))
 
     # ------------------------------------------------------------------ #
-    def _begin(self, t: float, i: int) -> None:
-        t_arrive, payload = self._arrivals[i]
+    def _begin(self, t: float, i: int, payload: Any) -> None:
         service = float(self._service_fn(payload))
         free_t, srv = heapq.heappop(self._idle)
-        begin = max(free_t, t_arrive)
-        self._commit(i, srv, t_arrive, begin, service)
+        self._commit(i, srv, max(free_t, self._t_arrive[i]), service)
 
-    def _commit(self, i: int, srv: int, t_arrive: float, begin: float,
-                service: float) -> ServedJob:
-        """Commit one job's service interval: statistics, trace rows, and
-        the end event.  The single service-accounting path — subclasses
-        that *measure* service times (``repro.serving.measured``) reuse it
-        so traced runs stay invariant-checkable regardless of where the
-        duration came from — and so the one place a slow shard's
+    def _commit(self, i: int, srv: int, begin: float,
+                service: float) -> float:
+        """Commit offer ``i``'s service interval and return its finish:
+        one commit row, the begin trace row and the end event.  The
+        single service-accounting path — subclasses that *measure*
+        service times (``repro.serving.measured``) reuse it so traced
+        runs stay invariant-checkable regardless of where the duration
+        came from — and so the one place a slow shard's
         ``service_factor`` applies and a service time is checked."""
         if self.service_factor != 1.0:
             service *= self.service_factor
@@ -825,29 +817,22 @@ class ServerGroup:
                              f"non-negative and end at a finite instant, "
                              f"got {service} from t={begin}")
         self._busy += service
-        job = self._served[i] = ServedJob(index=i, t_arrive=t_arrive,
-                                          t_begin=begin, t_finish=finish,
-                                          service_s=service, server=srv)
+        self._commits.append((i, begin, finish, service, srv))
         if self.on_serviced is not None:
-            self.on_serviced(finish, finish - t_arrive)
-        # Only a traced loop records the event it pops, so only then is
-        # the typed end event built; untraced, the ServedJob that already
-        # exists names the server for ``_end``.
-        traced = self._sched.trace is not None
-        if traced:
+            self.on_serviced(finish, finish - self._t_arrive[i])
+        if self._sched.trace is not None:
             self._record_begin(begin, srv, i)
-        self._sched.schedule(
-            finish, _END,
-            ServiceEndEvent(finish, self.gid, srv, i) if traced else job,
-            self._end)
-        return job
+        self._sched.schedule(finish, _END,
+                             ServiceEndEvent(finish, self.gid, srv, i),
+                             self._end)
+        return finish
 
     def _record_begin(self, begin: float, srv: int, i: int) -> None:
         # Hook point: the measured subclass defers lane-delayed begins so
         # the trace stays causally ordered.
         self._sched.record(ServiceBeginEvent(begin, self.gid, srv, i))
 
-    def _end(self, ev: ServiceEndEvent | ServedJob) -> None:
+    def _end(self, ev: ServiceEndEvent) -> None:
         t, server = self._sched.now, ev.server
         if server in self._draining:
             # Retired by scale_down while busy: the job it was committed
@@ -873,7 +858,7 @@ class ServerGroup:
         self._dispatch_pending = False
         now = self._sched.now
         while self._idle and self._waiting:
-            self._begin(now, self._waiting.popleft())
+            self._begin(now, *self._waiting.popleft())
         if self.on_hungry is not None and self.hungry:
             self.on_hungry(now)
 
@@ -890,8 +875,9 @@ class ServerGroup:
         """
         self.accepting = False
         n = len(self._waiting)
-        while self._waiting:
-            self._dropped.append(self._waiting.popleft())
+        for i, _payload in self._waiting:
+            self._drop_mark[i] = True
+        self._waiting.clear()
         return n
 
     def restore(self) -> None:
@@ -957,33 +943,43 @@ class ServerGroup:
 
     # ------------------------------------------------------------------ #
     def finalize(self) -> SimulationResult:
-        """Aggregate statistics — identical formulas to the historical
-        standalone queue loop (the byte-identity contract)."""
-        arr = self._arrivals
-        served = tuple(self._served[i] for i in sorted(self._served))
-        dropped = tuple(self._dropped)
-        if not served:
-            return SimulationResult(served=(), dropped_indices=dropped,
-                                    num_servers=self.num_servers, busy_s=0.0,
-                                    makespan_s=0.0, utilization=0.0,
-                                    offered_load=0.0,
-                                    max_queue_depth=self._max_depth)
-        t_first = arr[0][0]
-        makespan = max(max(j.t_finish for j in served) - t_first, 0.0)
-        utilization = self._busy / (self.num_servers * makespan) \
-            if makespan > 0 else (1.0 if self._busy > 0 else 0.0)
-        n = len(arr)
-        span = arr[-1][0] - t_first
-        mean_service = self._busy / len(served)
-        if n <= 1:
+        """Fold the station's columns into per-offer arrays and aggregate
+        statistics — identical formulas to the historical standalone
+        queue loop (the byte-identity contract).
+
+        Every offer must be committed or drop-marked exactly once: a job
+        the station lost, dropped after serving or committed twice raises
+        here instead of skewing the counts.
+        """
+        t_arrive = np.array(self._t_arrive, dtype=np.float64)
+        n = len(t_arrive)
+        rows = np.array(self._commits, dtype=np.float64).reshape(-1, 5)
+        index = rows[:, 0].astype(np.int64)
+        bad = np.flatnonzero(np.bincount(index, minlength=n)
+                             + np.array(self._drop_mark, dtype=np.int64) != 1)
+        if len(bad):
+            raise RuntimeError(
+                f"station {self.gid}: offer(s) {bad[:5].tolist()} must be "
+                f"served or dropped exactly once")
+        t_begin, t_finish, service = np.full((3, n), np.nan)
+        t_begin[index], t_finish[index], service[index] = rows[:, 1:4].T
+        server = np.full(n, -1, dtype=np.int64)
+        server[index] = rows[:, 4]
+        makespan = utilization = offered = 0.0
+        if len(rows):
+            t_first = self._t_arrive[0]
+            makespan = max(float(rows[:, 2].max()) - t_first, 0.0)
+            utilization = self._busy / (self.num_servers * makespan) \
+                if makespan > 0 else (1.0 if self._busy > 0 else 0.0)
+            span = self._t_arrive[-1] - t_first
+            mean_service = self._busy / len(rows)
             # One job is not an arrival process; it cannot overload.
-            offered = 0.0
-        elif span <= 0:
-            offered = float("inf")
-        else:
-            offered = ((n - 1) / span) * mean_service / self.num_servers
-        return SimulationResult(served=served, dropped_indices=dropped,
-                                num_servers=self.num_servers,
+            if n > 1:
+                offered = ((n - 1) / span) * mean_service \
+                    / self.num_servers if span > 0 else float("inf")
+        return SimulationResult(t_arrive=t_arrive, t_begin=t_begin,
+                                t_finish=t_finish, service_s=service,
+                                server=server, num_servers=self.num_servers,
                                 busy_s=self._busy, makespan_s=makespan,
                                 utilization=utilization,
                                 offered_load=offered,

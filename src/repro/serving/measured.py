@@ -184,20 +184,21 @@ class MeasuredServerGroup(ServerGroup):
     :meth:`~repro.serving.events.ServerGroup._commit` (same trace rows,
     same end-event scheduling, same statistics).
 
-    ``prepare(payload)`` extracts the :class:`EdgeBatch` to execute;
-    ``extra_service(payload)`` prices non-compute seconds (mailbox /
-    sync hop costs) into the service exactly like the modeled closure
-    does, and ``_commit`` degrades the sum on a slow shard as it does a
-    modeled one.  ``samples`` collects ``(service_s, modeled_s)``
-    pairs in commit order and ``stage_seconds`` the per-stage kernel
-    split — the report's ``measured`` block reads both.
+    A payload is a tuple whose first item is the :class:`EdgeBatch` to
+    execute; ``extra_service(payload)`` prices non-compute seconds
+    (mailbox / sync hop costs) into the service exactly like the modeled
+    closure does, and ``_commit`` degrades the sum on a slow shard as it
+    does a modeled one.  The measured service seconds are the station's
+    own service column (:meth:`finalize`); ``samples`` adds the modeled
+    seconds of each commit, in commit order, and ``stage_seconds`` the
+    per-stage kernel split — the report's ``measured`` block reads all
+    three.
     """
 
     def __init__(self, gid: int, num_servers: int, backend: MeasuredBackend,
                  pool: WorkerPool, sched: EventScheduler,
                  queue_capacity: int | None = None,
                  on_hungry: Callable[[float], None] | None = None,
-                 prepare: Callable[[Any], Any] | None = None,
                  extra_service: Callable[[Any], float] | None = None):
         def _never_priced(_payload: Any) -> float:
             raise RuntimeError(
@@ -207,17 +208,15 @@ class MeasuredServerGroup(ServerGroup):
                          queue_capacity=queue_capacity, on_hungry=on_hungry)
         self.backend = backend
         self.pool = pool
-        self._prepare = prepare if prepare is not None \
-            else (lambda payload: payload)
         self._extra = extra_service if extra_service is not None \
             else (lambda _payload: 0.0)
         self._pending: list[tuple] = []
         self._reconcile_scheduled = False
-        self.samples: list[tuple[float, float]] = []
+        self.samples: list[float] = []
         self.stage_seconds: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
-    def _begin(self, t: float, i: int) -> None:
+    def _begin(self, t: float, i: int, payload: Any) -> None:
         """Dispatch the batch to its worker lane; defer the commit.
 
         Every same-instant sibling dispatch lands before the first
@@ -226,12 +225,11 @@ class MeasuredServerGroup(ServerGroup):
         flight before anyone blocks on a result — that wall-clock
         overlap *is* the parallelism being measured.
         """
-        t_arrive, payload = self._arrivals[i]
         free_t, srv = heapq.heappop(self._idle)
-        t_begin = max(free_t, t_arrive)
-        batch = self._prepare(payload)
+        t_begin = max(free_t, self._t_arrive[i])
+        batch = payload[0]
         future = self.pool.dispatch(self.gid, batch)
-        self._pending.append((i, srv, t_arrive, t_begin, batch, payload,
+        self._pending.append((i, srv, t_begin, batch, self._extra(payload),
                               future))
         if not self._reconcile_scheduled:
             self._reconcile_scheduled = True
@@ -242,17 +240,15 @@ class MeasuredServerGroup(ServerGroup):
         """Commit measured completions in dispatch order, event-exactly."""
         self._reconcile_scheduled = False
         pending, self._pending = self._pending, []
-        for i, srv, t_arrive, t_begin, batch, payload, future in pending:
+        for i, srv, t_begin, batch, extra_s, future in pending:
             measured_s, stages = self.backend.compute(batch) \
                 if future is None else future.result()
-            job = self._commit(i, srv, t_arrive,
-                               self.pool.begin(self.gid, t_begin),
-                               measured_s + self._extra(payload))
-            self.pool.hold(self.gid, job.t_finish)
+            self.pool.hold(self.gid, self._commit(
+                i, srv, self.pool.begin(self.gid, t_begin),
+                measured_s + extra_s))
             modeled = self.backend.modeled
-            modeled_s = float(modeled.process_batch(batch)) \
-                if modeled is not None else math.nan
-            self.samples.append((job.service_s, modeled_s))
+            self.samples.append(float(modeled.process_batch(batch))
+                                if modeled is not None else math.nan)
             for stage in sorted(stages):
                 self.stage_seconds[stage] = \
                     self.stage_seconds.get(stage, 0.0) + stages[stage]

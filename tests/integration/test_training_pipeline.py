@@ -63,15 +63,25 @@ class TestDistilledStudents:
         assert hist[-1]["top1_agreement"] >= hist[0]["top1_agreement"]
 
     def test_distillation_beats_self_supervision_only_on_agreement(self, setting):
-        g, cfg, (tr, va, te), teacher, _, _ = setting
+        """The Eq. 17 term pulls the student's top-1 neighbour onto the
+        teacher's.  The teacher is a +SAT model, so its ranking is one the
+        Δt-only student can represent: against the qK teacher of
+        ``setting`` top-1 agreement moves either way with ``kd_weight`` at
+        this scale.  The student starts with logits spread over several
+        units, so it trains at ``lr=1e-2`` to turn its ranking in a few
+        epochs."""
+        g, cfg, (tr, va, te), *_ = setting
         scfg = cfg.with_(simplified_attention=True, name="+SAT")
+        teacher = TGNN(scfg, rng=np.random.default_rng(0))
+        Trainer(teacher, g, TrainConfig(epochs=4, batch_size=100,
+                                        seed=0)).train(tr)
 
         def agreement_after(kd_weight):
             student = TGNN(scfg, rng=np.random.default_rng(3))
             dt = DistillationTrainer(
                 teacher, student, g,
-                DistillationConfig(epochs=2, batch_size=100, seed=3,
-                                   kd_weight=kd_weight))
+                DistillationConfig(epochs=4, batch_size=100, seed=3,
+                                   lr=1e-2, kd_weight=kd_weight))
             return dt.train(tr)[-1]["top1_agreement"]
 
-        assert agreement_after(4.0) > agreement_after(0.0)
+        assert agreement_after(4.0) > agreement_after(0.0) + 0.1

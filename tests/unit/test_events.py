@@ -4,7 +4,7 @@ Three contracts pin the refactor:
 
 * One :class:`ServerGroup` on the shared scheduler, fed hand-built
   arrivals (``simulate_queue`` in ``tests/property/queue_oracle.py``), is
-  *exactly* equivalent — every served-job field, every aggregate — to the
+  *exactly* equivalent — every per-offer column, every aggregate — to the
   historical standalone arrival-driven loop, reproduced here as
   :func:`reference_simulate_queue`.
 * :class:`BatcherActor` under serial ingest releases *exactly* the jobs
@@ -37,7 +37,7 @@ from repro.serving import (ArrivalEvent, BatcherActor, DynamicBatcher,
                            HotColdHybrid, MailEvent, ServiceBeginEvent,
                            ServiceEndEvent, ServingEngine, StreamArrival,
                            SyncEvent, VertexHeat, make_stream_arrivals)
-from repro.serving.events import ServedJob, ServerGroup, SimulationResult
+from repro.serving.events import ServerGroup, SimulationResult
 from tests.property.arrival_oracle import from_arrivals
 from tests.property.queue_oracle import simulate_queue
 
@@ -49,12 +49,12 @@ def reference_simulate_queue(arrivals, service_fn, num_servers=1,
 
     Kept here as the independent oracle the façade is property-tested
     against: same admission rule, same tie-breaking, same statistics.
+    Its served jobs fill the per-offer columns a station reports.
     """
     arr = list(arrivals)
     free = [(0.0, s) for s in range(num_servers)]
     waiting = []
     served = []
-    dropped = []
     busy = 0.0
     max_depth = 0
     for i, (t_arrive, payload) in enumerate(arr):
@@ -62,7 +62,6 @@ def reference_simulate_queue(arrivals, service_fn, num_servers=1,
             heapq.heappop(waiting)
         if queue_capacity is not None and len(waiting) >= queue_capacity \
                 and free[0][0] > t_arrive:
-            dropped.append(i)
             continue
         service = float(service_fn(payload))
         free_t, srv = heapq.heappop(free)
@@ -73,16 +72,23 @@ def reference_simulate_queue(arrivals, service_fn, num_servers=1,
         if begin > t_arrive:
             heapq.heappush(waiting, begin)
             max_depth = max(max_depth, len(waiting))
-        served.append(ServedJob(index=i, t_arrive=t_arrive, t_begin=begin,
-                                t_finish=finish, service_s=service,
-                                server=srv))
+        served.append((i, begin, finish, service, srv))
+    columns = dict(t_arrive=np.array([t for t, _ in arr], dtype=float),
+                   t_begin=np.full(len(arr), np.nan),
+                   t_finish=np.full(len(arr), np.nan),
+                   service_s=np.full(len(arr), np.nan),
+                   server=np.full(len(arr), -1),
+                   num_servers=num_servers, max_queue_depth=max_depth)
+    for i, begin, finish, service, srv in served:
+        columns["t_begin"][i] = begin
+        columns["t_finish"][i] = finish
+        columns["service_s"][i] = service
+        columns["server"][i] = srv
     if not served:
-        return SimulationResult(served=(), dropped_indices=tuple(dropped),
-                                num_servers=num_servers, busy_s=0.0,
-                                makespan_s=0.0, utilization=0.0,
-                                offered_load=0.0, max_queue_depth=max_depth)
+        return SimulationResult(**columns, busy_s=0.0, makespan_s=0.0,
+                                utilization=0.0, offered_load=0.0)
     t_first = arr[0][0]
-    makespan = max(max(j.t_finish for j in served) - t_first, 0.0)
+    makespan = max(max(job[2] for job in served) - t_first, 0.0)
     utilization = busy / (num_servers * makespan) if makespan > 0 else \
         (1.0 if busy > 0 else 0.0)
     n = len(arr)
@@ -94,11 +100,8 @@ def reference_simulate_queue(arrivals, service_fn, num_servers=1,
         offered = float("inf")
     else:
         offered = ((n - 1) / span) * mean_service / num_servers
-    return SimulationResult(served=tuple(served),
-                            dropped_indices=tuple(dropped),
-                            num_servers=num_servers, busy_s=busy,
-                            makespan_s=makespan, utilization=utilization,
-                            offered_load=offered, max_queue_depth=max_depth)
+    return SimulationResult(**columns, busy_s=busy, makespan_s=makespan,
+                            utilization=utilization, offered_load=offered)
 
 
 def random_trace(rng, n, tie_prob=0.3):
@@ -113,8 +116,10 @@ class TestFacadeEquivalence:
     """simulate_queue (event core) == the historical loop, field for field."""
 
     def assert_identical(self, a: SimulationResult, b: SimulationResult):
-        assert a.served == b.served          # every ServedJob field, server
-        assert a.dropped_indices == b.dropped_indices
+        for column in ("t_arrive", "t_begin", "t_finish", "service_s",
+                       "server"):         # bit-exact, NaN where dropped
+            assert np.array_equal(getattr(a, column), getattr(b, column),
+                                  equal_nan=True), column
         assert a.num_servers == b.num_servers
         assert a.busy_s == b.busy_s          # bit-exact, not approx
         assert a.makespan_s == b.makespan_s
@@ -166,8 +171,45 @@ class TestFacadeEquivalence:
         res = simulate_queue(arr, service, queue_capacity=1)
         assert calls == sorted(calls)
         assert len(calls) == res.jobs
-        assert set(calls) | {arr[i][1] for i in res.dropped_indices} \
-            == set(range(6))
+        dropped = np.flatnonzero(res.server < 0)
+        assert set(calls) | {arr[i][1] for i in dropped} == set(range(6))
+
+    def test_a_lost_offer_raises_at_finalize(self):
+        """The station's conservation guard: an offer that was neither
+        committed nor drop-marked is a lost job, and one committed twice
+        would count its service twice; ``finalize`` raises on either
+        rather than skew the columns."""
+        sched = EventScheduler()
+        group = ServerGroup(0, 1, lambda _p: 1.0, sched)
+        group.submit(0.0, "served")
+        group.submit(0.0, "waits")
+        group.submit(0.0, "waits too")
+        group._waiting.clear()          # lose both waiting jobs
+        sched.run()
+        with pytest.raises(RuntimeError, match=r"offer\(s\) \[1, 2\]"):
+            group.finalize()
+
+        sched = EventScheduler()
+        group = ServerGroup(0, 1, lambda _p: 1.0, sched)
+        group.submit(0.0, "served")
+        group.submit(0.0, "served too")
+        sched.run()
+        group.finalize()
+        group._commits.append(group._commits[0])    # commit offer 0 twice
+        with pytest.raises(RuntimeError, match=r"offer\(s\) \[0\]"):
+            group.finalize()
+
+    def test_a_drop_has_no_interval(self):
+        """A dropped offer keeps its arrival and gets NaN begin, finish
+        and service and server -1; served offers keep offer order."""
+        res = simulate_queue([(0.0, "a"), (1.0, "b"), (2.0, "c")],
+                             lambda _p: 10.0, queue_capacity=1)
+        assert res.t_arrive.tolist() == [0.0, 1.0, 2.0]
+        assert res.server.tolist() == [0, 0, -1]
+        assert res.t_finish[:2].tolist() == [10.0, 20.0]
+        assert np.isnan([res.t_begin[2], res.t_finish[2],
+                         res.service_s[2]]).all()
+        assert (res.jobs, res.dropped) == (2, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -319,20 +361,19 @@ class TestSchedulerInvariants:
 
 
 def check_conservation(report, results):
-    """Every admitted job served exactly once; busy intervals disjoint."""
+    """Every offer served or dropped, never both; busy intervals disjoint."""
     for res in results:
-        indices = [j.index for j in res.served]
-        assert len(indices) == len(set(indices))            # exactly once
-        assert set(indices) & set(res.dropped_indices) == set()
-        by_server = {}
-        for j in res.served:
-            assert j.t_finish >= j.t_begin >= 0.0
-            assert j.t_begin >= j.t_arrive or j.t_arrive < 0
-            by_server.setdefault(j.server, []).append(j)
-        for jobs in by_server.values():
-            jobs.sort(key=lambda j: j.t_begin)
-            for a, b in zip(jobs, jobs[1:]):
-                assert b.t_begin >= a.t_finish - 1e-12      # no overlap
+        served = res.server >= 0
+        # A drop has no interval at all; a served offer a whole one.
+        assert np.isnan(res.t_finish[~served]).all()
+        begin, finish = res.t_begin[served], res.t_finish[served]
+        assert (finish >= begin).all() and (begin >= 0.0).all()
+        assert (begin >= res.t_arrive[served]).all()
+        for srv in np.unique(res.server[served]):
+            mine = res.server == srv
+            order = np.argsort(res.t_begin[mine], kind="stable")
+            b, f = res.t_begin[mine][order], res.t_finish[mine][order]
+            assert (b[1:] >= f[:-1] - 1e-12).all()          # no overlap
 
 
 class TestConservationAcrossTopologies:
@@ -388,17 +429,13 @@ class TestConservationAcrossTopologies:
     def _raw_results(self, engine, arrivals, ingest):
         sched = EventScheduler()
         groups = engine._make_groups(sched, 2)
-        submitted = [[] for _ in groups]
         from repro.serving.events import BatcherActor as BA
 
         if engine.topology == "pool":
             # The pool group takes the same payload as a shard: the whole
-            # job as its one mail-less sub-batch.
-            from repro.serving.router import ShardBatch
-
+            # job, with no die hops.
             def sink(job):
-                sb = ShardBatch(0, job.batch, len(job.batch))
-                groups[0].submit(job.t_release, (0, sb, 0, 0))
+                groups[0].submit(job.t_release, (job.batch, 0))
         else:
             from repro.serving.memsync import VersionedMemoryCache
             cache = VersionedMemoryCache(engine.router.placement,
@@ -406,8 +443,7 @@ class TestConservationAcrossTopologies:
 
             def sink(job):
                 for sb in engine.router.split(job.batch, cache=cache):
-                    groups[sb.shard].submit(job.t_release,
-                                            (0, sb, 0, 0))
+                    groups[sb.shard].submit(job.t_release, (sb.batch, 0))
         actor = BA(engine.batcher, sched, sink,
                    fleet=groups if ingest == "pipelined" else ())
         if ingest == "pipelined":

@@ -232,7 +232,7 @@ class TestServerGroupFailure:
         group.submit(0.0, "during")
         self._drain(sched)
         res = group.finalize()
-        assert [j.service_s for j in res.served] == [1.0, 4.0]
+        assert res.service_s.tolist() == [1.0, 4.0]
 
     def test_dead_group_drops_with_accounting(self):
         sched = EventScheduler()
@@ -245,8 +245,7 @@ class TestServerGroupFailure:
         self._drain(sched)
         res = group.finalize()
         # Conservation: served + dropped == offered, in-service completes.
-        assert len(res.served) == 1 and res.served[0].index == 0
-        assert set(res.dropped_indices) == {1, 2}
+        assert res.server.tolist() == [0, -1, -1]
 
     def test_restore_resets_both_failure_modes(self):
         sched = EventScheduler()
@@ -257,7 +256,7 @@ class TestServerGroupFailure:
         assert group.accepting and group.service_factor == 1.0
         group.submit(0.0, "after")
         self._drain(sched)
-        assert group.finalize().served[0].service_s == 1.0
+        assert group.finalize().service_s.tolist() == [1.0]
 
 
 # --------------------------------------------------------------------------- #
@@ -721,8 +720,8 @@ class TestEngineChaosInvariants:
             elif isinstance(ev, FlushEvent):
                 assert not np.isin(owner, list(down)).any()
         for shard, t_fail in down.items():
-            offered = engine.last_control.groups[shard].arrivals
-            assert offered and all(t < t_fail for t, _ in offered)
+            offered = engine.last_control.groups[shard].finalize().t_arrive
+            assert len(offered) and (offered < t_fail).all()
 
     def test_recovery_rows_priced_across_dies(self):
         """Recovery traffic crossing a die boundary inflates the new

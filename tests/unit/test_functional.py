@@ -87,10 +87,9 @@ class TestLosses:
 
     def test_bce_gradient_is_sigmoid_minus_target(self):
         """The closed form: d mean-BCE / dx = (sigmoid(x) - t) / n, also
-        at logits where the naive form overflows.  (At a logit of exactly
-        0 the ``|x|`` sub-gradient gives ``-t / n`` instead.)"""
-        logits = np.array([-800.0, -3.0, -0.25, 0.5, 40.0, 800.0])
-        t = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        at logits where the naive form overflows and at exactly 0."""
+        logits = np.array([-800.0, -3.0, -0.25, 0.0, 0.0, 0.5, 40.0, 800.0])
+        t = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
         x = Tensor(logits, requires_grad=True)
         F.bce_with_logits(x, t).backward()
         sig = 0.5 * (1.0 + np.tanh(0.5 * logits))

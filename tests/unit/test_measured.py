@@ -142,9 +142,9 @@ def test_slow_shard_degrades_measured_and_modeled_service_alike():
         sched = EventScheduler()
         group = make_group(sched)
         group.service_factor = 4.0
-        group.submit(0.0, "job")
+        group.submit(0.0, ("job", 0))
         sched.run()
-        return [job.service_s for job in group.finalize().served]
+        return group.finalize().service_s.tolist()
 
     pool = WorkerPool(0)
     measured = served(lambda sched: MeasuredServerGroup(

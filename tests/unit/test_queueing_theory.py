@@ -263,8 +263,7 @@ def test_deterministic_queue_wait_formula():
     service, spacing, n = 1.0, 0.5, 50
     arrivals = [(i * spacing, None) for i in range(n)]
     res = simulate_queue(arrivals, lambda _: service)
-    for i, job in enumerate(res.served):
-        assert job.wait_s == pytest.approx(i * (service - spacing))
+    assert res.waits() == pytest.approx(np.arange(n) * (service - spacing))
 
 
 @pytest.mark.tier2
@@ -312,7 +311,7 @@ def test_measured_service_times_match_kingman_gg1():
                                     WorkerPool(0), sched)
 
         def on_arrival(ev):
-            group.submit(ev[0], ev[1])
+            group.submit(ev[0], (ev[1],))
 
         for i, ti in enumerate(t):
             sched.schedule(float(ti), _ARRIVAL,
@@ -322,7 +321,7 @@ def test_measured_service_times_match_kingman_gg1():
         res = group.finalize()
         assert res.jobs == n
 
-        measured = np.array([s for s, _ in group.samples])
+        measured = res.service_s
         # A single OS descheduling stall (one sample ~50x the median)
         # corrupts the whole run: the transient it queues up is exactly
         # what a mean-field formula cannot describe.  Signal a retry

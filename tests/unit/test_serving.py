@@ -71,7 +71,7 @@ class TestSimulator:
         res = simulate_queue(arrivals, self.service(100.0), queue_capacity=2)
         # Job 0 is in service; jobs 1 and 2 occupy the two buffer slots;
         # only job 3 is rejected.
-        assert res.dropped_indices == (3,)
+        assert np.flatnonzero(res.server < 0).tolist() == [3]
         assert res.max_queue_depth == 2
 
     def test_capacity_zero_is_bufferless_not_deaf(self):
@@ -83,13 +83,12 @@ class TestSimulator:
         assert res.jobs == 2 and res.dropped == 0   # server idle both times
         busy = simulate_queue([(0.0, None), (1.0, None), (200.0, None)],
                               self.service(10.0), queue_capacity=0)
-        assert busy.dropped_indices == (1,)         # only the one that waits
+        assert np.flatnonzero(busy.server < 0).tolist() == [1]  # it waits
 
     def test_multi_server_shares_load(self):
         res = simulate_queue([(0.0, None)] * 3, self.service(10.0),
                              num_servers=2)
-        waits = sorted(j.wait_s for j in res.served)
-        assert waits == [0.0, 0.0, 10.0]
+        assert sorted(res.waits()) == [0.0, 0.0, 10.0]
         assert res.makespan_s == pytest.approx(20.0)
         assert res.utilization == pytest.approx(30.0 / (2 * 20.0))
         # Adding a server cannot increase the makespan.
@@ -103,8 +102,7 @@ class TestSimulator:
         res = simulate_queue(arrivals,
                              lambda _: float(rng.uniform(0.1, 3.0)),
                              num_servers=3)
-        begins = [j.t_begin for j in res.served]
-        assert begins == sorted(begins)
+        assert np.all(np.diff(res.t_begin) >= 0)
         assert 0.0 < res.utilization <= 1.0
 
     def test_offered_load_flags_overload(self):
@@ -680,7 +678,7 @@ class TestPartialWindowAccounting:
     processed_edges, shard traffic, mailbox counts, and the replication
     factor even though the window was reported dropped."""
 
-    def partial_drop_run(self):
+    def partial_drop_run(self, queue_capacity=1, end=None, **engine):
         from repro.graph import TemporalGraph
         from repro.serving import Placement
         # 10 single-edge windows 0 -> 1; vertex 0 on shard 0, vertex 1 on
@@ -697,8 +695,9 @@ class TestPartialWindowAccounting:
         engine = ServingEngine(
             [LinearCostBackend(per_edge_s=100.0),
              LinearCostBackend(per_edge_s=1e-3)],
-            g.num_nodes, placement=placement)
-        return engine.run(g, window_s=5.0, queue_capacity=1)
+            g.num_nodes, placement=placement, **engine)
+        return engine.run(g, window_s=5.0, queue_capacity=queue_capacity,
+                          end=end)
 
     def test_dropped_window_subjobs_excluded_from_traffic(self):
         rep = self.partial_drop_run()
@@ -716,6 +715,33 @@ class TestPartialWindowAccounting:
         assert rep.processed_edges == sum(s.edges for s in rep.shard_stats)
         assert rep.cross_shard_edges == \
             sum(s.mail_in_edges for s in rep.shard_stats)
+
+    @pytest.mark.parametrize("memsync", ["none", "invalidate", "push"])
+    def test_dropped_windows_count_none_of_their_sync_or_die_traffic(
+            self, memsync):
+        """Sync rows, stale reads, version lag and cross-die mail count
+        the two served windows only: the run reports what the same run
+        cut to those two windows reports, and less than the run whose
+        queue drops nothing."""
+        engine = dict(memsync=memsync, die_of=[0, 1], mail_hop_s=1e-3)
+        rep = self.partial_drop_run(**engine)
+        cut = self.partial_drop_run(end=2, **engine)
+        whole = self.partial_drop_run(queue_capacity=None, **engine)
+        assert (rep.windows, rep.dropped_windows) == (2, 8)
+        assert (cut.windows, cut.dropped_windows) == (2, 0)
+        assert (whole.windows, whole.dropped_windows) == (10, 0)
+        # One forwarded edge per window, and it crosses the die.
+        assert rep.cross_die_mail_edges == 2
+        assert whole.cross_die_mail_edges == 10
+        for f in ("sync_edges", "stale_reads", "max_version_lag",
+                  "cross_die_mail_edges"):
+            assert getattr(rep, f) == getattr(cut, f), f
+        # The policy's own traffic is in play, so the equality bites.
+        counted = {"none": ("stale_reads", "max_version_lag"),
+                   "invalidate": ("sync_edges",),
+                   "push": ("sync_edges",)}[memsync]
+        for f in counted:
+            assert 0 < getattr(rep, f) < getattr(whole, f), f
 
 
 # --------------------------------------------------------------------------- #
