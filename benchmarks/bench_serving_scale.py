@@ -533,7 +533,6 @@ def test_online_rebalance_drift(capsys, smoke):
     rep_two = run(build(placement=placement))
 
     rebalancer = OnlineRebalancer(window_s=0.5, util_threshold=0.75,
-                                  max_migrations_per_window=8,
                                   cooldown_windows=1)
     rep_online = run(build(rebalancer=rebalancer))
 

@@ -17,11 +17,8 @@ mechanically, *before* the golden diff:
 ``tracecheck`` (dynamic half)
     :mod:`repro.analysis.tracecheck` — replays a recorded
     ``EventScheduler`` trace and flags causality violations, broken
-    exactly-once service/ownership and conservation breaks; given a
-    second trace of the same workload (tests supply one, the CLI does
-    not) it also flags order divergence between per-element
-    (``HeapEventScheduler``) and cohort delivery.  Reachable as
-    ``serve-sim --check-trace`` and run per-PR by the bench smoke.
+    exactly-once service/ownership and conservation breaks.  Reachable
+    as ``serve-sim --check-trace`` and run per-PR by the bench smoke.
 
 Both halves run as a blocking CI ``lint`` job ahead of tier-1 (together
 with the ruff/mypy baseline configured in pyproject.toml).  This package
@@ -33,15 +30,14 @@ from .linting import (FileContext, LintFinding, Rule, iter_python_files,
                       lint_file, lint_paths)
 from .rules import ALL_RULES, default_rules
 from .tracecheck import (TraceCheckReport, TraceFinding, check_causality,
-                         check_conservation, check_lane_agreement,
-                         check_mail_at_flush, check_ownership_chain,
-                         check_run, check_service_exactly_once)
+                         check_conservation, check_mail_at_flush,
+                         check_ownership_chain, check_run,
+                         check_service_exactly_once)
 
 __all__ = [
     "LintFinding", "FileContext", "Rule", "lint_file", "lint_paths",
     "iter_python_files", "ALL_RULES", "default_rules",
     "TraceFinding", "TraceCheckReport", "check_causality",
     "check_service_exactly_once", "check_mail_at_flush",
-    "check_ownership_chain", "check_conservation", "check_lane_agreement",
-    "check_run",
+    "check_ownership_chain", "check_conservation", "check_run",
 ]

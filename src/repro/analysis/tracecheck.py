@@ -4,12 +4,11 @@ The unit suites (tests/unit/test_events.py, test_rebalance.py,
 test_failover.py) grew a family of ad-hoc invariant asserts over
 ``EventScheduler`` traces: timestamps are monotone, every admitted job is
 serviced exactly once, per-server busy intervals never overlap, the
-migration log replays to exactly-once ownership, offered windows are
-conserved, and the heap and vectorized scheduler lanes agree on the order
-of equal-``(t, priority)`` events.  This module generalizes them into one
-reusable checker that replays a recorded trace and returns a findings
-report, so the same invariants run inside the bench smoke, behind
-``serve-sim --check-trace``, and against any future actor.
+migration log replays to exactly-once ownership, and offered windows are
+conserved.  This module generalizes them into one reusable checker that
+replays a recorded trace and returns a findings report, so the same
+invariants run inside the bench smoke, behind ``serve-sim
+--check-trace``, and against any future actor.
 
 Checks (finding ``check`` values)
 ---------------------------------
@@ -32,11 +31,6 @@ Checks (finding ``check`` values)
                           fleet the replayed log does not land on.
 ``conservation``          offered windows != served + dropped (report)
                           or != flushed (trace).
-``same-key-order``        per-element and cohort delivery disagree on
-                          the relative order of equal-timestamp events
-                          (needs a second trace; tests supply one).
-``lane-divergence``       the lanes disagree outright (different event
-                          at different times, or different counts).
 
 The checker matches events by type *name*, not class identity, so it
 stays stdlib-only (importable without numpy) and works with any
@@ -51,7 +45,7 @@ from typing import Any, Iterable, Sequence
 __all__ = ["TraceFinding", "TraceCheckReport", "check_causality",
            "check_service_exactly_once", "check_mail_at_flush",
            "check_ownership_chain", "check_fleet_size",
-           "check_conservation", "check_lane_agreement", "check_run"]
+           "check_conservation", "check_run"]
 
 # Service spans may abut exactly; anything closer than this is overlap.
 _OVERLAP_TOL = 1e-12
@@ -100,23 +94,6 @@ class TraceCheckReport:
 
 def _kind(event: Any) -> str:
     return type(event).__name__
-
-
-def _event_key(event: Any) -> tuple:
-    """Comparable identity of one event: type name + scalar fields.
-
-    Payload fields that are not scalars (an ArrivalEvent's batch holds
-    numpy arrays) are skipped — array equality is elementwise, and the
-    lanes share the batch objects anyway; the ordering contract is about
-    *which event fired when*, which the scalars pin down.
-    """
-    fields = getattr(event, "__dict__", None)
-    if fields is None:
-        return (_kind(event), float(event.t))
-    scalars = tuple(
-        (name, value) for name, value in sorted(fields.items())
-        if isinstance(value, (bool, int, float, str)))
-    return (_kind(event), scalars)
 
 
 # --------------------------------------------------------------------------- #
@@ -385,80 +362,19 @@ def check_conservation(num_arrivals: int, report: Any = None,
     return findings
 
 
-def check_lane_agreement(heap_trace: Sequence[Any],
-                         vec_trace: Sequence[Any]) -> list[TraceFinding]:
-    """Per-element vs cohort delivery: same workload, same event order.
-
-    Both lanes must produce the identical typed-event sequence.
-    ``vec_trace`` is what :class:`~repro.serving.events.EventScheduler`
-    recorded while delivering arrivals in cohorts — tracing observes the
-    loop, so these are the cohorts an untraced run cuts — and
-    ``heap_trace`` what :class:`~repro.serving.events.HeapEventScheduler`
-    recorded offering the same handlers one element at a time off its
-    ``(t, priority, seq)`` heap.  A divergence is a cohort cut or a bulk
-    admission that let an event fire out of order.  The first divergence
-    at *equal* timestamps is same-key nondeterminism — two events with
-    equal ``(t, priority)`` whose relative order differs between the
-    lanes, exactly the bug class the seq tie-break exists to exclude.
-    """
-    findings = []
-    for i, (a, b) in enumerate(zip(heap_trace, vec_trace)):
-        if _event_key(a) == _event_key(b):
-            continue
-        if float(a.t) == float(b.t):
-            findings.append(TraceFinding(
-                "same-key-order", float(a.t),
-                f"lanes diverge at trace position {i} with equal "
-                f"timestamps: heap recorded {_kind(a)}, vectorized "
-                f"recorded {_kind(b)} — equal-(t, priority) events "
-                f"reordered between lanes"))
-        else:
-            findings.append(TraceFinding(
-                "lane-divergence", float(a.t),
-                f"lanes diverge at trace position {i}: heap "
-                f"{_kind(a)} at t={float(a.t):.6g} vs vectorized "
-                f"{_kind(b)} at t={float(b.t):.6g}"))
-        break                    # everything after the fork is noise
-    if len(heap_trace) != len(vec_trace) and not findings:
-        findings.append(TraceFinding(
-            "lane-divergence", None,
-            f"heap lane recorded {len(heap_trace)} events, vectorized "
-            f"{len(vec_trace)}"))
-    return findings
-
-
 # --------------------------------------------------------------------------- #
-def check_run(trace: Sequence[Any] | None = None, report: Any = None,
-              num_arrivals: int | None = None,
-              initial_assignment: Sequence[int] | None = None,
-              final_assignment: Sequence[int] | None = None,
-              initial_servers: int | None = None,
-              final_servers: int | None = None,
-              heap_trace: Sequence[Any] | None = None,
-              engine: Any = None) -> TraceCheckReport:
-    """Run every applicable check over one recorded run.
+def check_run(engine: Any, report: Any = None,
+              initial_assignment: Sequence[int] | None = None
+              ) -> TraceCheckReport:
+    """Run every applicable check over ``engine``'s last run.
 
-    Pass an ``engine`` after a traced run (``run(..., trace=True)``) and
-    the trace, report-independent counters, and final assignment are
-    pulled from it (``initial_assignment`` must still be a *pre-run*
-    copy — the router mutates in place).  Any explicitly passed value
-    wins over the engine's.
+    Run the engine with ``run(..., trace=True)`` first: the trace, the
+    offered-arrival count, the final assignment and (with an autoscaler)
+    the initial and final fleet sizes are read off it.  The ownership
+    chain is checked when ``initial_assignment`` is given; it must be a
+    *pre-run* copy, since the router mutates in place.
     """
-    if engine is not None:
-        if trace is None:
-            trace = engine.last_event_trace
-        if num_arrivals is None:
-            num_arrivals = getattr(engine, "last_num_arrivals", None)
-        if final_assignment is None and initial_assignment is not None:
-            router = getattr(engine, "router", None)
-            if router is not None:
-                final_assignment = router.assignment
-        auto = getattr(engine, "autoscaler", None)
-        if auto is not None:
-            if initial_servers is None:
-                initial_servers = auto.initial_servers
-            if final_servers is None:
-                final_servers = auto.fleet_size
+    trace = engine.last_event_trace
     if trace is None:
         raise ValueError("check_run needs a trace: run the engine with "
                          "trace=True (tracing is off by default — it "
@@ -472,16 +388,14 @@ def check_run(trace: Sequence[Any] | None = None, report: Any = None,
     if initial_assignment is not None:
         checks.append("ownership-chain")
         findings += check_ownership_chain(trace, initial_assignment,
-                                          final_assignment)
-    if initial_servers is not None:
+                                          engine.router.assignment)
+    auto = engine.autoscaler
+    if auto is not None:
         checks.append("fleet-size")
-        findings += check_fleet_size(trace, initial_servers, final_servers)
-    if num_arrivals is not None:
-        checks.append("conservation")
-        findings += check_conservation(num_arrivals, report=report,
-                                       trace=trace)
-    if heap_trace is not None:
-        checks.append("same-key-order")
-        findings += check_lane_agreement(heap_trace, trace)
+        findings += check_fleet_size(trace, auto.initial_servers,
+                                     auto.fleet_size)
+    checks.append("conservation")
+    findings += check_conservation(engine.last_num_arrivals, report=report,
+                                   trace=trace)
     return TraceCheckReport(findings=findings, events=len(trace),
                             checks=tuple(checks))

@@ -452,11 +452,10 @@ def _simulate_fleet(args, graph, model, out):
         dies = fpga_design.platform.dies
         if placement is None:
             # The engine lays these fleets out itself (a pool owns
-            # everything, a hybrid splits hot from cold by measured heat):
-            # a pool is one station on the floorplan, a hybrid's cold-tail
-            # pool one more than its dedicated shards.
+            # everything, a hybrid splits hot from cold by measured heat).
             return plan_shard_dies(
-                {"pool": 1, "hybrid": args.shards + 1}[args.topology], dies)
+                ServingEngine.station_count(args.topology, args.shards),
+                dies)
         # Branch on whether the placement actually changed anything — a
         # rebalance *profiling* pass is still the hash partition and must
         # be priced exactly as `--placement hash` would deploy.
@@ -655,13 +654,10 @@ def cmd_serve_sim(args, out=print) -> int:
             f"the target first)")
     if report.measured is not None:
         m = report.measured
-        modeled = m.get("modeled_mean_s")
-        modeled_tag = "" if modeled is None \
-            else f", modeled {_fmt_time(modeled)}"
         out(f"measured: {m['samples']} kernel batch(es) on "
             f"{m['workers']} worker lane(s), mean service "
-            f"{_fmt_time(m['mean_s'])} (cv2 {m['cv2']:.2f})"
-            f"{modeled_tag}")
+            f"{_fmt_time(m['mean_s'])} (cv2 {m['cv2']:.2f}), "
+            f"modeled {_fmt_time(m['modeled_mean_s'])}")
     if report.scaling is not None:
         sc = report.scaling
         rows_tag = f", {sc['handoff_rows']} split/merge rows" \

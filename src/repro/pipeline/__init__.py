@@ -48,13 +48,13 @@ Every replay entry point here — and the serving layer in
 Capacity contract
 -----------------
 How many backend instances serve at once is a *fleet* property, not a
-backend one: :class:`repro.serving.CapacityConfig` fixes the invariant
-``micro_batch × replicas == global_capacity`` at construction (the
-``BatchConfig`` idiom), and the serving engine's autoscaler resizes
-``replicas`` within ``[min_replicas, max_replicas]`` mid-run without
-ever changing a backend's per-call contract — each instance still sees
-stream-ordered ``process_batch`` calls for the vertices it currently
-owns.  Backends therefore never need to know the fleet is elastic;
+backend one: :class:`repro.serving.CapacityConfig` validates integral
+counts at construction and derives ``global_capacity = micro_batch ×
+replicas`` (the ``BatchConfig`` idiom), and the serving engine's
+autoscaler resizes ``replicas`` within ``[min_replicas, max_replicas]``
+mid-run without ever changing a backend's per-call contract — each
+instance still sees stream-ordered ``process_batch`` calls for the
+vertices it currently owns.  Backends therefore never need to know the fleet is elastic;
 state that must follow ownership moves travels through the memsync
 version cache, not through the backend.
 

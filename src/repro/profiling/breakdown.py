@@ -6,6 +6,8 @@ tests can assert on them without parsing formatted text.
 
 from __future__ import annotations
 
+import math
+
 from ..models.config import ModelConfig, variant_ladder
 from .op_counter import PARTS, Convention, OpCounts, count_ops
 
@@ -74,15 +76,15 @@ def modeled_vs_measured(measured: dict) -> list[dict]:
     """
     def row(label, block):
         measured_ms = 1e3 * float(block["mean_s"])
-        modeled = block.get("modeled_mean_s")
-        modeled_ms = 1e3 * float(modeled) if modeled is not None else None
+        modeled_ms = 1e3 * float(block["modeled_mean_s"])
         return {
             "shard": label,
             "samples": int(block["samples"]),
-            "modeled_ms": modeled_ms if modeled_ms is not None else "-",
+            "modeled_ms": modeled_ms,
             "measured_ms": measured_ms,
+            # A shard that served nothing has no ratio.
             "modeled/measured": modeled_ms / measured_ms
-            if modeled_ms is not None and measured_ms > 0 else "-",
+            if measured_ms > 0 else math.nan,
             "cv2": float(block["cv2"]),
         }
 

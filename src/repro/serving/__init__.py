@@ -263,11 +263,10 @@ windowed p95 response latency of completed jobs against an SLO band
 slo_p95_s`` scales down — hysteresis plus a decision cooldown prevent
 ping-pong) and schedules :class:`ScaleEvent`\\ s at migration priority on
 the same event core.  :class:`CapacityConfig` gives the controller its
-units, BatchConfig-style: ``micro_batch × replicas = global_capacity``
-is validated at construction, together with the fleet bounds and the
-cold-start price.  On a one-station fleet (the pool), replicas spin up cold
-(:meth:`ServerGroup.scale_up` — the newcomer's first job begins no
-earlier than ``t + cold_start_s``) and spin down on drain
+units, BatchConfig-style: integral counts and fleet bounds validated at
+construction, and ``global_capacity = micro_batch × replicas`` derived.
+On a one-station fleet (the pool), replicas spin up free at the scale
+instant (:meth:`ServerGroup.scale_up`) and spin down on drain
 (:meth:`ServerGroup.scale_down` — a busy victim finishes its committed
 job before leaving; server ids are never reused).  On a fleet of
 one-server stations, the fleet is a ``max_replicas``-slot array laid out by
@@ -308,11 +307,9 @@ enforces them mechanically, before the golden diff can catch a break:
   from ``to_dict()`` while its gate holds its default, by declaration.
 * **tracecheck** (dynamic) — replays a ``trace=True`` run's typed-event
   trace and flags causality violations, non-exactly-once service or
-  ownership, busy-interval overlap, off-flush mail, conservation breaks,
-  and — given a second trace, which only tests supply — order
-  divergence between per-element and cohort delivery.  ``serve-sim
-  --check-trace`` (exit 3 on findings) and the bench smoke's
-  trace-invariants lane run the single-trace checks end-to-end.
+  ownership, busy-interval overlap, off-flush mail and conservation
+  breaks.  ``serve-sim --check-trace`` (exit 3 on findings) and the
+  bench smoke's trace-invariants lane run it end-to-end.
 
 Both halves block CI (the ``lint`` job runs ahead of tier-1, together
 with the ruff/mypy baseline in pyproject.toml).

@@ -15,9 +15,8 @@ Two fleet shapes, one controller
 replicas behind the shared queue grow and shrink through
 :meth:`~repro.serving.events.ServerGroup.scale_up` /
 :meth:`~repro.serving.events.ServerGroup.scale_down`.  A new replica is
-born *cold* — free only at ``t + cold_start_s`` — so the group's
-ordinary ``max(freed_at, t_arrive)`` dispatch rule prices the warm-up;
-a retired replica drains its committed job before leaving.
+free at the scale instant; a retired replica drains its committed job
+before leaving.
 
 *Sharded* (several one-server groups): the fleet is a fixed array of
 ``CapacityConfig.max_replicas`` one-server shard stations of which the
@@ -40,10 +39,10 @@ merge targets are live shards only, and no other policy hands vertices
 to a slot the scaler has not activated.
 
 Capacity accounting follows the BatchConfig idiom:
-:class:`CapacityConfig` validates ``micro_batch x replicas =
-global_capacity`` at construction, and the controller's fleet bounds
-(``min_replicas`` / ``max_replicas``) and cold-start price live there
-too.  The SLO band has hysteresis built in: scale up when window p95
+:class:`CapacityConfig` holds the integral fleet counts, validated at
+construction, and derives ``global_capacity = micro_batch x replicas``;
+the controller's fleet bounds (``min_replicas`` / ``max_replicas``) live
+there too.  The SLO band has hysteresis built in: scale up when window p95
 exceeds ``slo_p95_s``, scale down only when it falls to
 ``low_band_frac * slo_p95_s`` or below — plus a post-decision cooldown,
 the same anti-ping-pong guards the rebalancer uses.
@@ -52,6 +51,7 @@ the same anti-ping-pong guards the rebalancer uses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,28 +67,23 @@ __all__ = ["AutoScaler", "CapacityConfig"]
 class CapacityConfig:
     """Fleet capacity in controller units, validated at construction.
 
-    The BatchConfig identity: ``micro_batch x replicas ==
-    global_capacity``.  ``micro_batch`` is the edges one server admits
-    per dispatch (the batcher's size trigger, or 1 for passthrough);
-    ``replicas`` is the *initial* fleet size, bounded by
-    ``min_replicas``/``max_replicas`` for the life of the run.  Passing
-    ``global_capacity`` explicitly asserts the identity (a mismatch is a
-    configuration bug, caught here, not a runtime surprise); omitting it
-    derives it.
-
-    ``cold_start_s`` prices a pool replica's warm-up: a scaled-up server
-    accepts work immediately but begins its first job no earlier than
-    ``t_scale + cold_start_s``.
+    ``micro_batch`` is the edges one server admits per dispatch (the
+    batcher's size trigger, or 1 for passthrough); ``replicas`` is the
+    *initial* fleet size, bounded by ``min_replicas``/``max_replicas``
+    for the life of the run.  All four are counts: a non-integral one is
+    a configuration bug, caught here, not a runtime surprise.
     """
 
     micro_batch: int
     replicas: int
     max_replicas: int
     min_replicas: int = 1
-    cold_start_s: float = 0.0
-    global_capacity: int | None = None
 
     def __post_init__(self):
+        for name in ("micro_batch", "replicas", "max_replicas",
+                     "min_replicas"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.micro_batch <= 0:
             raise ValueError("micro_batch must be positive")
         if self.min_replicas <= 0:
@@ -98,23 +93,11 @@ class CapacityConfig:
                 f"replicas must satisfy min_replicas <= replicas <= "
                 f"max_replicas, got {self.min_replicas} / {self.replicas} "
                 f"/ {self.max_replicas}")
-        if not 0 <= self.cold_start_s < math.inf:
-            raise ValueError("cold_start_s must be finite and non-negative")
-        derived = self.micro_batch * self.replicas
-        if self.global_capacity is None:
-            object.__setattr__(self, "global_capacity", derived)
-        elif self.global_capacity != derived:
-            raise ValueError(
-                f"global_capacity must equal micro_batch x replicas "
-                f"({self.micro_batch} x {self.replicas} = {derived}), "
-                f"got {self.global_capacity}")
 
-    def capacity_at(self, replicas: int) -> int:
-        """Global capacity of a fleet resized to ``replicas`` servers."""
-        if not self.min_replicas <= replicas <= self.max_replicas:
-            raise ValueError(f"replicas {replicas} outside "
-                             f"[{self.min_replicas}, {self.max_replicas}]")
-        return self.micro_batch * replicas
+    @property
+    def global_capacity(self) -> int:
+        """The BatchConfig identity: ``micro_batch x replicas``."""
+        return self.micro_batch * self.replicas
 
 
 class AutoScaler:
@@ -135,7 +118,7 @@ class AutoScaler:
     ----------
     capacity:
         The fleet's :class:`CapacityConfig` — initial size, bounds,
-        cold-start price, micro-batch units.
+        micro-batch units.
     slo_p95_s:
         The SLO: window p95 response above this scales up (one server
         per decision).
@@ -329,7 +312,7 @@ class AutoScaler:
         if self._resize:
             group = self._plane.groups[0]
             if ev.kind == "up":
-                group.scale_up(ev.t, self.capacity.cold_start_s)
+                group.scale_up(ev.t)
             else:
                 group.scale_down(ev.t)
         # Sharded stations are fixed one-server groups: activation and
@@ -344,7 +327,8 @@ class AutoScaler:
         active fleet size over ``[t0, t0 + makespan_s]`` replayed from
         the scale log (stable loop accumulation, in event order) — the
         quantity the diurnal bench compares against static peak
-        provisioning (``peak_servers * makespan``).
+        provisioning (``peak_servers * makespan``).  A scaled-up replica
+        is free at once, so ``cold_start_s`` is always ``0.0``.
         """
         end = t0 + makespan_s
         fleet = self.initial_servers
@@ -366,7 +350,7 @@ class AutoScaler:
                 "low_band_frac": self.low_band_frac,
                 "micro_batch": self.capacity.micro_batch,
                 "global_capacity": self.capacity.global_capacity,
-                "cold_start_s": self.capacity.cold_start_s,
+                "cold_start_s": 0.0,
                 "min_servers": self.capacity.min_replicas,
                 "max_servers": self.capacity.max_replicas,
                 "initial_servers": self.initial_servers,

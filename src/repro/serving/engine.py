@@ -442,9 +442,8 @@ class ServingEngine:
         An :class:`~repro.serving.autoscale.AutoScaler`: it watches
         windowed p95 response latency against an SLO band and resizes
         the fleet mid-run via :class:`~repro.serving.events.ScaleEvent`.
-        A one-station fleet grows and shrinks in place (cold starts
-        priced by delayed first availability); a fleet of one-server
-        stations proposes ownership splits/merges across its
+        A one-station fleet grows and shrinks in place; a fleet of
+        one-server stations proposes ownership splits/merges across its
         ``capacity.max_replicas`` slots (build the layout with
         :func:`~repro.serving.placement.padded_hash_placement`).  The
         capacity config must agree with the fleet; the controller checks
@@ -573,6 +572,12 @@ class ServingEngine:
         self.last_loop_wall_s = 0.0
         self.last_num_arrivals = 0
 
+    @staticmethod
+    def station_count(topology: str, shards: int) -> int:
+        """Stations ``topology`` builds from ``shards``: S dedicated
+        shards, one pool, or S shards and a pool."""
+        return {"pool": 1, "hybrid": shards + 1}.get(topology, shards)
+
     @classmethod
     def from_registry(cls, backend: str | Sequence[str], model,
                       graph: TemporalGraph, num_shards: int | None = None,
@@ -597,8 +602,7 @@ class ServingEngine:
             raise ValueError("num_shards must be positive")
         topology = engine_kwargs.get("topology", "sharded")
         shards = num_shards or 1
-        # Stations: S dedicated shards, one pool, or S shards and a pool.
-        stations = {"pool": 1, "hybrid": shards + 1}.get(topology, shards)
+        stations = cls.station_count(topology, shards)
         names = [backend] * stations if isinstance(backend, str) \
             else list(backend)
         if num_shards is not None and len(names) != stations:
@@ -876,10 +880,6 @@ class ServingEngine:
                 if len(samples) and mean > 0 else 0.0
             return mean, cv2
 
-        def modeled_mean(samples: np.ndarray) -> float | None:
-            with_model = samples[~np.isnan(samples)]
-            return float(with_model.mean()) if len(with_model) else None
-
         per_shard = []
         all_measured: list[np.ndarray] = []
         all_modeled: list[np.ndarray] = []
@@ -894,7 +894,7 @@ class ServingEngine:
             mean, cv2 = stats(m)
             per_shard.append({"shard": group.gid, "samples": len(m),
                               "mean_s": mean, "cv2": cv2,
-                              "modeled_mean_s": modeled_mean(mod)})
+                              "modeled_mean_s": stats(mod)[0]})
             for stage in sorted(group.stage_seconds):
                 stage_seconds[stage] = stage_seconds.get(stage, 0.0) \
                     + group.stage_seconds[stage]
@@ -905,7 +905,7 @@ class ServingEngine:
         mean, cv2 = stats(fleet_m)
         return {"workers": self.workers, "samples": len(fleet_m),
                 "mean_s": mean, "cv2": cv2,
-                "modeled_mean_s": modeled_mean(fleet_mod),
+                "modeled_mean_s": stats(fleet_mod)[0],
                 "stage_seconds": stage_seconds,
                 "per_shard": per_shard}
 

@@ -95,9 +95,8 @@ prefix), and proposes per-vertex plans: the rebalancer's ``"overload"``
 / ``"heat-up"`` / ``"cool-down"`` moves, the scaler's ``"split"`` into a
 newly activated slot or ``"merge"`` off a drained one (behind the
 :class:`ScaleEvent` that resizes the fleet — in the pool topology that
-event alone does the work, through :meth:`ServerGroup.scale_up`, born
-cold at ``t + cold_start_s``, or :meth:`ServerGroup.scale_down`, which
-lets a busy replica drain), and the injector's ``"fail-back"`` of a
+event alone does the work, through :meth:`ServerGroup.scale_up` or
+:meth:`ServerGroup.scale_down`, which lets a busy replica drain), and the injector's ``"fail-back"`` of a
 recovered shard's ownership snapshot.  Every plan is scheduled at the
 current instant with the ``_MIGRATE`` priority and names the owner it
 was computed against: decided at ``t``, it fires before the next job
@@ -373,8 +372,9 @@ class FailurePlan:
         if self.mode not in ("slow", "dead"):
             raise ValueError(f"unknown failure mode {self.mode!r}; "
                              "expected 'slow' or 'dead'")
-        if self.shard < 0:
-            raise ValueError("shard must be non-negative")
+        if not (isinstance(self.shard, numbers.Integral)
+                and self.shard >= 0):
+            raise ValueError("shard must be a non-negative integer")
         if not math.isfinite(self.fail_at):
             raise ValueError("fail_at must be finite")
         # A recovery at t = inf never happens; None says so.
@@ -886,22 +886,15 @@ class ServerGroup:
         self.service_factor = 1.0
 
     # ------------------------------------------------------------------ #
-    def scale_up(self, t: float, cold_start_s: float = 0.0) -> int:
-        """Add one server at ``t``; returns its (never-reused) id.
+    def scale_up(self, t: float) -> int:
+        """Add one server, free at ``t``; returns its (never-reused) id.
 
-        The newcomer joins the idle heap free at ``t + cold_start_s``, so
-        the ordinary ``max(freed_at, t_arrive)`` dispatch rule prices the
-        cold start: a job handed to it before the warm-up completes simply
-        begins when the warm-up does.  If jobs are waiting, a dispatch is
-        scheduled at the scale instant — the capacity becomes usable
-        immediately, the warm-up only delays the begin.
+        If jobs are waiting, a dispatch is scheduled at the scale instant.
         """
-        if not 0 <= cold_start_s < math.inf:
-            raise ValueError("cold_start_s must be finite and non-negative")
         server = self._next_server
         self._next_server += 1
         self.num_servers += 1
-        heapq.heappush(self._idle, (t + cold_start_s, server))
+        heapq.heappush(self._idle, (t, server))
         if self._waiting and not self._dispatch_pending:
             self._dispatch_pending = True
             self._sched.schedule(t, _DISPATCH, None, self._dispatch)
@@ -911,8 +904,8 @@ class ServerGroup:
         """Retire one server at ``t``; returns the retired server's id.
 
         Prefers an *idle* server — the one with the latest
-        ``(freed_at, server_id)``, which retires a still-warming
-        scale-up before a long-warm veteran.  With every server busy the
+        ``(freed_at, server_id)``, which retires the most recently freed
+        server first.  With every server busy the
         highest-id non-draining one **drains**: it finishes the job it
         committed to (the service interval was priced at begin, exactly
         like a dead shard's in-flight work) and leaves the fleet at its

@@ -43,12 +43,12 @@ use — and the ``wall-clock-in-events`` lint rule keeps it that way.
 from __future__ import annotations
 
 import heapq
-import math
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
 from ..pipeline.engine import SoftwareBackend
 from .events import _END, EventScheduler, ServerGroup, ServiceBeginEvent
+from .registry import DEFAULT_REGISTRY
 
 __all__ = ["MeasuredBackend", "MeasuredServerGroup", "WorkerPool"]
 
@@ -88,18 +88,18 @@ class MeasuredBackend(SoftwareBackend):
     a :class:`MeasuredServerGroup` instead of a modeled
     :class:`~repro.serving.events.ServerGroup`.
 
-    ``modeled`` is an optional stateless pricing companion (the registry
-    wires in the ``cpu-32t`` cost model): it never runs in
-    workers, only in the parent, to produce the modeled-vs-measured
-    comparison in the report's ``measured`` block.
+    ``modeled`` is its stateless pricing companion, the registry's
+    ``cpu-32t`` cost model: it never runs in workers, only in the parent,
+    to produce the modeled-vs-measured comparison in the report's
+    ``measured`` block.
     """
 
     name = "measured"
     measured = True
 
-    def __init__(self, model: Any, graph: Any, modeled: Any = None):
+    def __init__(self, model: Any, graph: Any):
         super().__init__(model, graph)
-        self.modeled = modeled
+        self.modeled = DEFAULT_REGISTRY.create("cpu-32t", model, graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -246,9 +246,8 @@ class MeasuredServerGroup(ServerGroup):
             self.pool.hold(self.gid, self._commit(
                 i, srv, self.pool.begin(self.gid, t_begin),
                 measured_s + extra_s))
-            modeled = self.backend.modeled
-            self.samples.append(float(modeled.process_batch(batch))
-                                if modeled is not None else math.nan)
+            self.samples.append(
+                float(self.backend.modeled.process_batch(batch)))
             for stage in sorted(stages):
                 self.stage_seconds[stage] = \
                     self.stage_seconds.get(stage, 0.0) + stages[stage]

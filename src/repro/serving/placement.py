@@ -42,18 +42,17 @@ Policies
     :class:`~repro.serving.rebalance.OnlineRebalancer`.
 :class:`ReplicatedReadMostly`
     Replicates the highest-fanout read-mostly vertices (destination-heavy
-    in the interaction stream) onto extra shards.  Replica maintenance is
-    priced honestly: each incident edge is delivered to every holder, so
-    ``ServingReport.replication_factor`` counts one copy per replica.  The
-    payoff is read locality/freshness — replica rows are exact, closing the
-    stale-mirror gap for the replicated (hot) vertices — plus failover
-    headroom: a replica is a promotable full copy
+    in the interaction stream) onto every other shard.  Replica
+    maintenance is priced honestly: each incident edge is delivered to
+    every holder, so ``ServingReport.replication_factor`` counts one copy
+    per replica.  The payoff is read locality/freshness — replica rows are
+    exact, closing the stale-mirror gap for the replicated (hot) vertices
+    — plus failover headroom: a replica is a promotable full copy
     (:meth:`~repro.serving.router.ShardRouter.fail_over`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -66,6 +65,14 @@ __all__ = [
     "PLACEMENT_POLICIES", "make_policy", "hash_assignment",
     "padded_hash_placement", "shard_pair_counts",
 ]
+
+# LoadAwareRebalance: at most this many vertices move per redeploy, and a
+# destination edge weighs this much of a source edge in a vertex's load.
+MAX_MIGRATIONS = 64
+MAIL_WEIGHT = 0.5
+# ReplicatedReadMostly: only vertices whose fan-in share of incident edges
+# reaches this are replicated.
+MIN_READ_RATIO = 0.6
 
 # 64-bit golden-ratio multiplier (Fibonacci hashing): cheap, deterministic,
 # and spreads consecutive ids across shards.  (Moved here from router.py —
@@ -330,17 +337,10 @@ class LoadAwareRebalance:
 
     name = "rebalance"
 
-    def __init__(self, util_threshold: float = 0.75,
-                 max_migrations: int = 64, mail_weight: float = 0.5):
+    def __init__(self, util_threshold: float = 0.75):
         if not 0.0 < util_threshold:
             raise ValueError("util_threshold must be positive")
-        if max_migrations < 0:
-            raise ValueError("max_migrations must be non-negative")
-        if not 0 <= mail_weight < math.inf:
-            raise ValueError("mail_weight must be finite and non-negative")
         self.util_threshold = float(util_threshold)
-        self.max_migrations = int(max_migrations)
-        self.mail_weight = float(mail_weight)
 
     def place(self, heat: VertexHeat, num_shards: int,
               profile: Sequence | None = None) -> Placement:
@@ -361,7 +361,7 @@ class LoadAwareRebalance:
         assignment = base.copy()
         # A vertex costs its owner local work per source edge and mailbox
         # work (on some shard) per destination edge.
-        load_v = heat.src_count + self.mail_weight * heat.dst_count
+        load_v = heat.src_count + MAIL_WEIGHT * heat.dst_count
         shard_load = np.bincount(assignment, weights=load_v,
                                  minlength=num_shards)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -378,7 +378,7 @@ class LoadAwareRebalance:
         # not re-donated (that would cascade moves the measurement never
         # justified).
         donors_allowed = est > self.util_threshold
-        while len(moved) < self.max_migrations:
+        while len(moved) < MAX_MIGRATIONS:
             masked = np.where(donors_allowed, est, -np.inf)
             donor = int(np.argmax(masked))
             if masked[donor] <= self.util_threshold:
@@ -409,13 +409,12 @@ class LoadAwareRebalance:
 
 
 class ReplicatedReadMostly:
-    """Replicate the highest-fanin read-mostly vertices onto extra shards.
+    """Replicate the highest-fanin read-mostly vertices onto every shard.
 
     Selection: among vertices whose ``read_ratio`` (fan-in share of
-    incident edges) is at least ``min_read_ratio``, take the ``top_k`` by
-    destination count.  Each selected vertex gains ``copies - 1`` replica
-    shards (``copies=None`` replicates onto every shard), round-robin
-    after the owner, so the maintenance traffic spreads deterministically.
+    incident edges) is at least :data:`MIN_READ_RATIO`, take the ``top_k``
+    by destination count.  Each selected vertex gains a replica on every
+    other shard, listed round-robin after the owner.
 
     Cost/benefit contract (tested): every holder receives every incident
     edge, so the report's ``replication_factor`` rises by one count per
@@ -425,35 +424,26 @@ class ReplicatedReadMostly:
 
     name = "replicate"
 
-    def __init__(self, top_k: int = 8, min_read_ratio: float = 0.6,
-                 copies: int | None = None):
+    def __init__(self, top_k: int = 8):
         if top_k < 0:
             raise ValueError("top_k must be non-negative")
-        if not 0.0 <= min_read_ratio <= 1.0:
-            raise ValueError("min_read_ratio must be in [0, 1]")
-        if copies is not None and copies < 2:
-            raise ValueError("copies must be at least 2 (owner + replica)")
         self.top_k = int(top_k)
-        self.min_read_ratio = float(min_read_ratio)
-        self.copies = copies
 
     def place(self, heat: VertexHeat, num_shards: int,
               profile: Sequence | None = None) -> Placement:
         assignment = hash_assignment(heat.num_nodes, num_shards)
         replicas: dict[int, tuple[int, ...]] = {}
         if num_shards >= 2 and self.top_k > 0:
-            eligible = (heat.read_ratio >= self.min_read_ratio) \
+            eligible = (heat.read_ratio >= MIN_READ_RATIO) \
                 & (heat.dst_count > 0)
             # Stable hot-first order: by fan-in desc, vertex id asc.
             order = np.lexsort((np.arange(heat.num_nodes),
                                 -heat.dst_count))
             chosen = [int(v) for v in order if eligible[v]][:self.top_k]
-            n_extra = num_shards - 1 if self.copies is None \
-                else min(self.copies - 1, num_shards - 1)
             for v in chosen:
                 owner = int(assignment[v])
-                replicas[v] = tuple((owner + 1 + i) % num_shards
-                                    for i in range(n_extra))
+                replicas[v] = tuple((owner + i) % num_shards
+                                    for i in range(1, num_shards))
         return Placement(assignment=assignment, num_shards=num_shards,
                          replicas=replicas, policy=self.name)
 

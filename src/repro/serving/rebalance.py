@@ -44,22 +44,24 @@ instead of raced.
 Decision modes
 --------------
 *Sharded* (``pool_shard=None``): overload-driven.  A shard whose
-window utilization exceeds ``util_threshold`` (or whose queue is deeper
-than ``depth_threshold``, when set) donates its hottest window vertices to
-the coolest shard, greedily, until the modeled utilization falls below the
-threshold or the per-window migration cap is hit.
+window utilization exceeds ``util_threshold`` donates its hottest window
+vertices to the coolest shard, greedily, until the modeled utilization
+falls below the threshold or the per-window migration cap is hit.  A
+donor must lead the recipient by more than :data:`HYSTERESIS`
+utilization (moving between near-equal shards just churns state).
 
 *Hybrid* (``pool_shard`` = the pool pseudo-shard): drift-driven.  A pool
-vertex whose window heat reaches ``promote_heat`` migrates pool -> the
-least-loaded dedicated shard (``"heat-up"``); a dedicated-shard vertex
-whose window heat falls to ``demote_heat`` or below migrates back to the
-pool (``"cool-down"``).  ``promote_heat > demote_heat`` is enforced — the
-dead band is the hysteresis that stops boundary vertices from oscillating.
+vertex whose window heat reaches :data:`PROMOTE_HEAT` migrates pool ->
+the least-loaded dedicated shard (``"heat-up"``); a dedicated-shard
+vertex whose window heat falls to :data:`DEMOTE_HEAT` or below migrates
+back to the pool (``"cool-down"``).  The dead band between the two is
+the hysteresis that stops boundary vertices from oscillating.
 
 Convergence guards (the chaos suite pins both): at most
-``max_migrations_per_window`` migrations per window, and a migrated vertex
-is frozen for ``cooldown_windows`` windows — a pathological trace whose
-hot set flips every window cannot ping-pong vertices back and forth.
+:data:`MAX_MIGRATIONS_PER_WINDOW` migrations per window, and a migrated
+vertex is frozen for ``cooldown_windows`` windows — a pathological trace
+whose hot set flips every window cannot ping-pong vertices back and
+forth.
 
 Under a stationary workload the rebalancer is a no-op: no shard crosses
 the threshold, no vertex crosses the band, zero migrations — so every
@@ -70,14 +72,24 @@ engine's (asserted in ``test_rebalance`` and, at tier-2 scale, in
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .control import ControlPlane, Window
 from .events import MigrationEvent
 
 __all__ = ["OnlineRebalancer"]
+
+# Hard cap on migrations per window (both modes): the convergence bound
+# the chaos tests assert.
+MAX_MIGRATIONS_PER_WINDOW = 8
+# Sharded mode: the donor-minus-recipient utilization gap below which no
+# move happens.
+HYSTERESIS = 0.05
+# Hybrid mode band: a pool vertex with at least PROMOTE_HEAT incident
+# edges in the window is promoted, a dedicated-shard vertex with at most
+# DEMOTE_HEAT is demoted.
+PROMOTE_HEAT = 8
+DEMOTE_HEAT = 1
 
 
 class OnlineRebalancer:
@@ -98,26 +110,9 @@ class OnlineRebalancer:
     util_threshold:
         Sharded mode: donate off shards whose window utilization exceeds
         this.
-    max_migrations_per_window:
-        Hard cap on migrations per window (both modes) — the convergence
-        bound the chaos tests assert.
     cooldown_windows:
         A migrated vertex may not migrate again for this many windows —
         the anti-ping-pong guard.
-    hysteresis:
-        Sharded mode: minimum donor-minus-recipient utilization gap before
-        any move happens (moving between near-equal shards just churns
-        state).
-    depth_threshold:
-        Optional sharded-mode trigger: a shard whose live queue depth
-        exceeds this at window close counts as overloaded even if its
-        utilization has not caught up yet (queues build before busy-time
-        averages move).  ``None`` disables it.
-    promote_heat / demote_heat:
-        Hybrid mode band: a pool vertex with ``>= promote_heat`` incident
-        edges in the window is promoted; a dedicated-shard vertex with
-        ``<= demote_heat`` is demoted.  ``promote_heat > demote_heat``
-        is required (the dead band is the hysteresis).
 
     Every migration prices
     :data:`~repro.serving.memsync.HANDOFF_ROWS_PER_VERTEX` rows — the
@@ -127,33 +122,16 @@ class OnlineRebalancer:
     """
 
     def __init__(self, window_s: float, util_threshold: float = 0.75,
-                 max_migrations_per_window: int = 8,
-                 cooldown_windows: int = 2, hysteresis: float = 0.05,
-                 depth_threshold: int | None = None,
-                 promote_heat: int = 8, demote_heat: int = 1):
+                 cooldown_windows: int = 2):
         if not window_s > 0:        # NaN too
             raise ValueError("window_s must be positive")
         if not util_threshold > 0:
             raise ValueError("util_threshold must be positive")
-        if max_migrations_per_window <= 0:
-            raise ValueError("max_migrations_per_window must be positive")
         if cooldown_windows < 0:
             raise ValueError("cooldown_windows must be non-negative")
-        if not 0 <= hysteresis < math.inf:
-            raise ValueError("hysteresis must be finite and non-negative")
-        if depth_threshold is not None and depth_threshold <= 0:
-            raise ValueError("depth_threshold must be positive")
-        if promote_heat <= demote_heat:
-            raise ValueError("promote_heat must exceed demote_heat "
-                             "(the gap is the hysteresis band)")
         self.window_s = float(window_s)
         self.util_threshold = float(util_threshold)
-        self.max_migrations_per_window = int(max_migrations_per_window)
         self.cooldown_windows = int(cooldown_windows)
-        self.hysteresis = float(hysteresis)
-        self.depth_threshold = depth_threshold
-        self.promote_heat = int(promote_heat)
-        self.demote_heat = int(demote_heat)
 
     # ------------------------------------------------------------------ #
     def start(self, plane: ControlPlane) -> None:
@@ -211,23 +189,13 @@ class OnlineRebalancer:
         if live.sum() < 2:
             return 0        # a lone shard has nowhere to donate: no-op
         depth = np.array([g.queue_depth for g in plane.groups])
-        util_hot = util > self.util_threshold
-        depth_hot = np.zeros(len(util), dtype=bool) \
-            if self.depth_threshold is None \
-            else depth > self.depth_threshold
-        hot = (util_hot | depth_hot) & live
+        hot = (util > self.util_threshold) & live
         if not hot.any():
             return 0
         donor = int(np.argmax(np.where(hot, util, -np.inf)))
         others = [s for s in np.flatnonzero(live).tolist() if s != donor]
         recipient = min(others, key=lambda s: (util[s], depth[s], s))
-        # A donor flagged only by its queue depth carries direct evidence
-        # of overload that the busy-time average has not caught up with
-        # (service committed before the window opened does not move
-        # ``util``), so depth evidence bypasses the utilization gates.
-        by_depth = bool(depth_hot[donor]) and not util_hot[donor]
-        if not by_depth \
-                and util[donor] - util[recipient] <= self.hysteresis:
+        if util[donor] - util[recipient] <= HYSTERESIS:
             return 0
         heat = np.where(plane.router.assignment == donor, window_heat, 0)
         donor_heat = int(heat.sum())
@@ -238,7 +206,7 @@ class OnlineRebalancer:
         est_donor, est_recipient = float(util[donor]), float(util[recipient])
         moved = 0
         for v in order:
-            if moved >= self.max_migrations_per_window:
+            if moved >= MAX_MIGRATIONS_PER_WINDOW:
                 break
             if heat[v] <= 0:
                 break                       # only measured-hot vertices move
@@ -246,17 +214,15 @@ class OnlineRebalancer:
                 continue
             # Model the move by heat share; never leave the recipient
             # worse than the donor started (the termination rule
-            # LoadAwareRebalance uses, applied online).  Queue-depth
-            # evidence skips the model: its utilization inputs are the
-            # very numbers that failed to flag the overload.
+            # LoadAwareRebalance uses, applied online).
             delta = float(util[donor]) * heat[v] / donor_heat
-            if not by_depth and est_recipient + delta >= float(util[donor]):
+            if est_recipient + delta >= float(util[donor]):
                 continue
             self._propose(t, v, recipient, "overload")
             est_donor -= delta
             est_recipient += delta
             moved += 1
-            if not by_depth and est_donor <= self.util_threshold:
+            if est_donor <= self.util_threshold:
                 break
         return moved
 
@@ -278,14 +244,14 @@ class OnlineRebalancer:
         # Cool-downs first: they free dedicated-shard capacity that the
         # promotions behind them immediately want.
         on_hot = np.flatnonzero(assignment != pool)
-        cooled = on_hot[heat[on_hot] <= self.demote_heat] if live[pool] \
+        cooled = on_hot[heat[on_hot] <= DEMOTE_HEAT] if live[pool] \
             else on_hot[:0]
-        heated = in_pool[heat[in_pool] >= self.promote_heat] if hot_shards \
+        heated = in_pool[heat[in_pool] >= PROMOTE_HEAT] if hot_shards \
             else in_pool[:0]
         heated = heated[np.lexsort((heated, -heat[heated]))]
         moved = 0
         for v in (*cooled, *heated):
-            if moved >= self.max_migrations_per_window:
+            if moved >= MAX_MIGRATIONS_PER_WINDOW:
                 break
             if not self._movable(v):
                 continue

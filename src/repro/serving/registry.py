@@ -25,8 +25,7 @@ Built-in names
                         serving engine's worker pool (see
                         :mod:`repro.serving.measured`); carries a
                         ``cpu-32t`` pricing companion for
-                        the modeled-vs-measured report block (disable
-                        with ``modeled=False``)
+                        the modeled-vs-measured report block
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ for _name in ("cpu-32t", "gpu"):
 
 
 @DEFAULT_REGISTRY.register("measured")
-def _measured(model, graph, modeled: bool = True, **_):
+def _measured(model, graph, **_):
     from .measured import MeasuredBackend
-    companion = DEFAULT_REGISTRY.create("cpu-32t", model, graph) \
-        if modeled else None
-    return MeasuredBackend(model, graph, modeled=companion)
+    return MeasuredBackend(model, graph)

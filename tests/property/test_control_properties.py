@@ -104,8 +104,7 @@ def controllers(sc, replicas=ACTIVE, max_replicas=SLOTS):
                                          max_replicas=max_replicas),
                           slo_p95_s=0.02, scale_window_s=0.1)
     if sc["rebalance"]:
-        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
-                               hysteresis=0.0)
+        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3)
     return auto, reb
 
 

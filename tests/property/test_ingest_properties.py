@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.batcher as batcher_module
-from repro.analysis.tracecheck import check_lane_agreement
 from repro.graph import TemporalGraph, time_window_spans
 from repro.pipeline import LinearCostBackend
 from repro.serving import (ArrivalTrace, BatcherActor, CoalescedJob,
@@ -36,6 +35,7 @@ from repro.serving import (ArrivalTrace, BatcherActor, CoalescedJob,
                            HeapEventScheduler, ServingEngine, StreamArrival,
                            make_stream_arrivals)
 from tests.property.arrival_oracle import from_arrivals, merge_batches
+from tests.property.lane_agreement import check_lane_agreement
 
 NUM_NODES = 12
 EDGE_DIM = 2

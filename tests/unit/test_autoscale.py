@@ -2,11 +2,11 @@
 
 Contracts pinned here:
 
-* **Capacity identity** — :class:`CapacityConfig` validates
-  ``micro_batch x replicas == global_capacity`` at construction, plus
-  fleet bounds and the cold-start price.
+* **Capacity identity** — :class:`CapacityConfig` validates integral
+  counts and fleet bounds at construction and derives
+  ``global_capacity = micro_batch x replicas``.
 * **Pool elasticity** — an overloaded pool grows one replica per
-  decision (cold start priced by the dispatch rule), a burst-then-quiet
+  decision, a burst-then-quiet
   trace produces both ups and downs, and every admitted job is still
   serviced exactly once through the scale chain.
 * **Sharded elasticity** — scale-ups split the hottest shard's
@@ -89,14 +89,6 @@ class TestCapacityConfig:
     def test_derives_global_capacity(self):
         cap = CapacityConfig(micro_batch=32, replicas=3, max_replicas=8)
         assert cap.global_capacity == 96
-        assert cap.capacity_at(8) == 256
-
-    def test_explicit_identity_checked(self):
-        CapacityConfig(micro_batch=4, replicas=2, max_replicas=4,
-                       global_capacity=8)
-        with pytest.raises(ValueError, match="global_capacity"):
-            CapacityConfig(micro_batch=4, replicas=2, max_replicas=4,
-                           global_capacity=9)
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError, match="micro_batch"):
@@ -109,18 +101,17 @@ class TestCapacityConfig:
         with pytest.raises(ValueError, match="replicas must satisfy"):
             CapacityConfig(micro_batch=1, replicas=1, max_replicas=4,
                            min_replicas=2)
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="cold_start_s"):
-                CapacityConfig(micro_batch=1, replicas=1, max_replicas=2,
-                               cold_start_s=bad)
 
-    def test_capacity_at_respects_bounds(self):
-        cap = CapacityConfig(micro_batch=8, replicas=2, max_replicas=4,
-                             min_replicas=2)
-        with pytest.raises(ValueError):
-            cap.capacity_at(1)
-        with pytest.raises(ValueError):
-            cap.capacity_at(5)
+    @pytest.mark.parametrize("field", ["micro_batch", "replicas",
+                                       "max_replicas", "min_replicas"])
+    def test_non_integral_counts_rejected(self, field):
+        """A fractional count is refused up front, not written to the
+        report as a fractional ``global_capacity``."""
+        counts = dict(micro_batch=2, replicas=2, max_replicas=4,
+                      min_replicas=1)
+        counts[field] += 0.5
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CapacityConfig(**counts)
 
     def test_frozen(self):
         cap = CapacityConfig(micro_batch=1, replicas=1, max_replicas=2)
@@ -211,23 +202,6 @@ class TestServerGroupElastic:
         grp.on_serviced = lambda f, r: responses.append((f, r))
         return sched, grp, responses
 
-    def test_cold_start_prices_first_job(self):
-        sched, grp, responses = self.make()
-        grp.submit(0.0, "a")                  # server 0: [0, 1]
-        assert grp.scale_up(0.0, cold_start_s=5.0) == 1
-        assert grp.num_servers == 2
-        grp.submit(0.1, "b")                  # only server 1 is idle
-        # The newcomer is free at t=5: the job begins when the warm-up
-        # completes, so its response carries the cold start.
-        assert responses[-1] == (6.0, pytest.approx(5.9))
-
-    def test_negative_cold_start_rejected(self):
-        _, grp, _ = self.make()
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="cold_start_s"):
-                grp.scale_up(0.0, cold_start_s=bad)
-        assert grp.num_servers == 1
-
     def test_server_ids_never_reused(self):
         sched, grp, _ = self.make(servers=2)
         assert grp.scale_up(0.0) == 2
@@ -239,8 +213,8 @@ class TestServerGroupElastic:
     def test_scale_down_prefers_idle_server(self):
         sched, grp, _ = self.make(servers=1)
         grp.submit(0.0, "a")                  # server 0 busy until 1.0
-        grp.scale_up(0.0, cold_start_s=9.0)   # server 1 idle, still cold
-        assert grp.scale_down(0.5) == 1       # the warming idler retires
+        grp.scale_up(0.0)                     # server 1 idle
+        assert grp.scale_down(0.5) == 1       # the idler retires
         assert grp.num_servers == 1
 
     def test_scale_down_drains_busy_server(self):
@@ -263,13 +237,9 @@ class TestServerGroupElastic:
 
 # --------------------------------------------------------------------------- #
 class TestPoolScaling:
-    def run_overloaded(self, cold_start_s=0.0, trace=False):
+    def run_overloaded(self, trace=False):
         g = overload_graph()
-        auto = overload_autoscaler() if cold_start_s == 0.0 else \
-            AutoScaler(CapacityConfig(micro_batch=32, replicas=1,
-                                      max_replicas=4,
-                                      cold_start_s=cold_start_s),
-                       slo_p95_s=10.0, scale_window_s=200.0)
+        auto = overload_autoscaler()
         engine = pool_engine(g, auto)
         rep = engine.run(g, window_s=100.0, speedup=200.0, num_streams=2,
                          trace=trace)
@@ -314,16 +284,6 @@ class TestPoolScaling:
         assert len(begins) == len(ends) == rep.windows
         assert len({(e.group, e.index) for e in begins}) == len(begins)
         assert len({(e.group, e.index) for e in ends}) == len(ends)
-
-    def test_cold_start_delays_the_relief(self):
-        # Same decisions, pricier warm-up: the scale chain is identical
-        # but every post-scale job starts no earlier, so p95 can only
-        # get worse with a cold start.
-        _, free_auto, free = self.run_overloaded(cold_start_s=0.0)
-        _, cold_auto, cold = self.run_overloaded(cold_start_s=50.0)
-        assert free_auto.scale_ups == cold_auto.scale_ups > 0
-        assert cold.scaling["cold_start_s"] == 50.0
-        assert cold.p95_response_s >= free.p95_response_s
 
     def test_burst_then_quiet_scales_both_ways(self):
         g = burst_then_quiet_graph()
@@ -437,8 +397,7 @@ class TestShardedScaling:
         auto = AutoScaler(CapacityConfig(micro_batch=1, replicas=2,
                                          max_replicas=4),
                           slo_p95_s=0.05, scale_window_s=0.1)
-        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
-                               hysteresis=0.0)
+        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3)
         engine = ServingEngine(
             [LinearCostBackend(per_edge_s=6e-3) for _ in range(4)],
             g.num_nodes, placement=padded_hash_placement(g.num_nodes, 2, 4),

@@ -12,7 +12,7 @@ from benchmarks.dead_code import DEFINED_IN, USED_IN, unused
 
 # Definitions the census lists today.  Lower it when a row goes; never
 # raise it to make room for a new one.
-CENSUS_CEILING = 9
+CENSUS_CEILING = 8
 
 
 def test_the_census_does_not_grow():

@@ -65,6 +65,14 @@ class TestFailurePlanValidation:
         with pytest.raises(ValueError):
             FailurePlan(fail_at=1.0, shard=-1)
 
+    def test_shard_must_be_integral(self):
+        """Refused at construction, not as a list-index TypeError at the
+        failure instant."""
+        with pytest.raises(ValueError, match="shard must be a non-negative "
+                                             "integer"):
+            FailurePlan(fail_at=1.0, shard=1.5)
+        FailurePlan(fail_at=1.0, shard=np.int64(1))
+
     def test_fail_time_must_be_finite(self):
         with pytest.raises(ValueError):
             FailurePlan(fail_at=float("inf"), shard=0)
@@ -671,8 +679,7 @@ class TestEngineChaosInvariants:
         shard, and the trace replays clean."""
         g = drifting_graph(seed=5 + CHAOS_SEED)
         victim = CHAOS_SEED % self.SHARDS
-        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3,
-                               hysteresis=0.0)
+        reb = OnlineRebalancer(window_s=0.05, util_threshold=0.3)
         engine = ServingEngine(
             [LinearCostBackend(per_edge_s=6e-3) for _ in range(self.SHARDS)],
             g.num_nodes, memsync="push", rebalancer=reb,

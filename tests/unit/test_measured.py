@@ -22,7 +22,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.datasets import wikipedia_like
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
-from repro.pipeline import SoftwareBackend
+from repro.pipeline import LinearCostBackend, SoftwareBackend
 from repro.profiling import modeled_vs_measured
 from repro.serving import (DEFAULT_REGISTRY, EventScheduler,
                            MeasuredServerGroup, ServerGroup, ServingEngine,
@@ -113,8 +113,7 @@ def test_measured_backend_runs_the_software_backends_kernels():
         model.calibrate(g)
         return model
 
-    measured = DEFAULT_REGISTRY.create("measured", unprepared(), g,
-                                       modeled=False)
+    measured = DEFAULT_REGISTRY.create("measured", unprepared(), g)
     software = SoftwareBackend(unprepared(), g)
     assert measured.model._premul_cache is not None
     for backend in (measured, software):
@@ -126,9 +125,10 @@ def test_measured_backend_runs_the_software_backends_kernels():
 
 
 class OneSecondBackend:
-    """Every batch computes for exactly one second."""
+    """Every batch computes for exactly one second; its pricing companion
+    prices every batch at one second too."""
 
-    modeled = None
+    modeled = LinearCostBackend(per_edge_s=0.0, overhead_s=1.0)
 
     def compute(self, _batch):
         return 1.0, {}
@@ -172,8 +172,8 @@ class TestMeasuredEngine:
         assert len(m["per_shard"]) == 2
         assert m["mean_s"] > 0
         assert np.isfinite(m["cv2"]) and m["cv2"] >= 0
-        # The registry wires a modeled cost-model companion by default.
-        assert m["modeled_mean_s"] is not None and m["modeled_mean_s"] > 0
+        # The backend prices every batch through its cost-model companion.
+        assert m["modeled_mean_s"] > 0
         assert set(m["stage_seconds"]) <= set(KERNEL_STAGES)
         assert all(v >= 0 for v in m["stage_seconds"].values())
         # The bench's modeled-vs-measured table reads this block: one row

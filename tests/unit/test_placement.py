@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.datasets import wikipedia_like
-from repro.graph import NeighborTable, iter_fixed_size
+from repro.graph import NeighborTable, TemporalGraph, iter_fixed_size
 from repro.hw import plan_shard_dies, plan_shard_dies_traffic_aware
 from repro.pipeline import LinearCostBackend
 from repro.serving import (LoadAwareRebalance, Placement, PlacementPolicy,
                            ReplicatedReadMostly, ServingEngine, ShardRouter,
                            StaticHashPlacement, VersionedMemoryCache,
                            VertexHeat, hash_assignment, make_policy)
+from repro.serving.placement import MAX_MIGRATIONS
 
 
 def PerEdgeBackend(per_edge_s=5e-3, overhead_s=0.0):
@@ -188,15 +189,20 @@ class TestLoadAwareRebalance:
             assert placed.assignment[v] != donor
 
     def test_max_migrations_cap(self):
-        g = skewed_graph()
+        # Every edge joins two of hash shard 0's ~200 vertices: levelling
+        # that load wants about 150 moves, more than the cap allows.
+        num_nodes = 800
+        on_0 = np.flatnonzero(hash_assignment(num_nodes, 4) == 0)
+        src = np.tile(on_0, 4)
+        g = TemporalGraph(src=src, dst=np.roll(src, 1),
+                          t=10.0 * np.arange(len(src)), num_nodes=num_nodes)
         heat = VertexHeat.from_graph(g)
         rep0 = self.run_profile(g, StaticHashPlacement().place(heat, 4))
         policy = LoadAwareRebalance(
             util_threshold=0.1 * max(s.utilization
-                                     for s in rep0.shard_stats),
-            max_migrations=2)
+                                     for s in rep0.shard_stats))
         placed = policy.place(heat, 4, profile=rep0.shard_stats)
-        assert len(placed.moved_vertices) <= 2
+        assert len(placed.moved_vertices) == MAX_MIGRATIONS
 
     def test_profile_must_cover_shards(self):
         g = skewed_graph()
@@ -204,9 +210,6 @@ class TestLoadAwareRebalance:
         rep0 = self.run_profile(g, StaticHashPlacement().place(heat, 4))
         with pytest.raises(ValueError):
             LoadAwareRebalance().place(heat, 8, profile=rep0.shard_stats)
-        for bad in (-0.5, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="mail_weight"):
-                LoadAwareRebalance(mail_weight=bad)
 
 
 # --------------------------------------------------------------------------- #
@@ -230,12 +233,6 @@ class TestReplicatedReadMostly:
         for v, extra in p.replicas.items():
             assert len(extra) == 3
             assert int(p.assignment[v]) not in extra
-
-    def test_partial_copies(self):
-        g = skewed_graph()
-        heat = VertexHeat.from_graph(g)
-        p = ReplicatedReadMostly(top_k=2, copies=2).place(heat, 4)
-        assert all(len(extra) == 1 for extra in p.replicas.values())
 
     def test_replica_holders_get_every_incident_edge(self):
         g = skewed_graph()

@@ -567,6 +567,24 @@ class TestServingEngine:
         names = [s.backend for s in rep.shard_stats]
         assert len(names) == 2 and names[0] != names[1]
 
+    @pytest.mark.parametrize("topology, stations",
+                             [("sharded", 3), ("pool", 1), ("hybrid", 4)])
+    def test_station_count_sizes_the_registry_fleet(self, topology,
+                                                    stations):
+        """One rule counts stations: ``from_registry`` builds exactly
+        ``station_count`` of them and rejects a backend list of any
+        other length."""
+        g, model = setup()
+        assert ServingEngine.station_count(topology, 3) == stations
+        kwargs = dict(num_shards=3, topology=topology,
+                      backend_kwargs={"functional": False})
+        engine = ServingEngine.from_registry("cpu-32t", model, g, **kwargs)
+        assert engine.num_shards == stations
+        for wrong in (stations - 1, stations + 1):
+            with pytest.raises(ValueError, match="each of the"):
+                ServingEngine.from_registry(["cpu-32t"] * wrong, model, g,
+                                            **kwargs)
+
     def test_deadline_batching_reduces_jobs(self):
         g, model = setup()
         passthrough = ServingEngine([modeled_backend()],
@@ -1076,7 +1094,8 @@ class TestOneFleetPath:
     module names a kernel — ``measured.py`` included."""
 
     SERVING = Path(repro.serving.__file__).parent
-    BUILDERS = {"ServingEngine.__init__", "ServingEngine.from_registry"}
+    BUILDERS = {"ServingEngine.__init__", "ServingEngine.from_registry",
+                "ServingEngine.station_count"}
 
     @pytest.mark.parametrize("path", sorted(SERVING.glob("*.py")),
                              ids=lambda p: p.name)

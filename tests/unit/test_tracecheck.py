@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis.tracecheck import (TraceCheckReport, TraceFinding,
                                        check_causality, check_conservation,
-                                       check_lane_agreement,
                                        check_mail_at_flush,
                                        check_ownership_chain, check_run,
                                        check_service_exactly_once)
@@ -26,6 +25,7 @@ from repro.serving import (DynamicBatcher, FailureEvent, FailurePlan,
                            FlushEvent, HeapEventScheduler, MailEvent,
                            MigrationEvent, OnlineRebalancer, RecoveryEvent,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine)
+from tests.property.lane_agreement import check_lane_agreement
 
 
 def checks_of(findings):
@@ -204,7 +204,7 @@ class TestReportObject:
 
     def test_check_run_requires_trace(self):
         with pytest.raises(ValueError, match="trace=True"):
-            check_run(report=None)
+            check_run(fresh_engine(wiki_graph()))
 
 
 # --------------------------------------------------------------------------- #
@@ -288,10 +288,10 @@ class TestCleanRunsYieldZeroFindings:
             initial = vec_engine.router.assignment.copy()
             rep = vec_engine.run(g, trace=True, **run_kw)
             result = check_run(engine=vec_engine, report=rep,
-                               initial_assignment=initial,
-                               heap_trace=heap_engine.last_event_trace)
+                               initial_assignment=initial)
             assert result.ok, result.render()
-            assert "same-key-order" in result.checks
+            assert check_lane_agreement(heap_engine.last_event_trace,
+                                        vec_engine.last_event_trace) == []
             # What the check compared: per-element delivery against the
             # cohorts a traced run dispatches like an untraced one
             # (test_ingest_properties holds the two to equal counters).
