@@ -875,7 +875,8 @@ def test_router_split_scaling(capsys, smoke):
         t0 = time.perf_counter()
         plan = router.plan(edges, np.arange(calls + 1), cache=cache)
         for _ in range(calls):
-            plan.next()
+            for run in plan.next():
+                plan.shard_batch(*run)
         return (time.perf_counter() - t0) / calls * 1e6
 
     lanes = (4, 16)

@@ -135,15 +135,24 @@ class SimulatedFPGABackend:
 
 
 class ModeledGPPBackend:
-    """Cost-model backend (CPU-32T / GPU substitution)."""
+    """Cost-model backend (CPU-32T / GPU substitution).
+
+    ``process_batch`` is :meth:`GPPCostModel.latency_s` with its two
+    terms taken once: the op counts never change, so the per-edge
+    marginal is summed at construction, and the price is the same float
+    expression, bit for bit.
+    """
 
     def __init__(self, cost_model: GPPCostModel, counts: OpCounts):
-        self.cost = cost_model
-        self.counts = counts
         self.name = cost_model.name
+        self._overhead_s = cost_model.batch_overhead_s
+        self._per_edge_s = cost_model.marginal_edge_s(counts)
 
     def process_batch(self, batch: EdgeBatch) -> float:
-        return self.cost.latency_s(self.counts, len(batch))
+        n = len(batch)
+        if n <= 0:
+            raise ValueError("batch_edges must be positive")
+        return self._overhead_s + n * self._per_edge_s
 
 
 def run_engine(backend, graph: TemporalGraph, batch_size: int,

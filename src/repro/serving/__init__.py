@@ -53,9 +53,10 @@ Actors on the scheduler
 * the engine's ``route`` — the fork point, the batcher's sink: a released
   job is split across the stations that hold its vertices
   (:class:`ShardRouter` + :class:`Placement`; a one-station fleet gets
-  the job whole), and each :class:`ShardBatch` is submitted to its
-  station with its mail and sync traffic recorded at the release
-  instant;
+  the job whole), and each sub-batch — an
+  :class:`~repro.graph.EdgeBatch` the router's plan hands out beside its
+  run index — is submitted to its station with its mail and sync
+  traffic recorded at the release instant;
 * :class:`ServerGroup` — a FIFO station of N identical servers: a
   dedicated shard is a 1-server group, a replica pool a K-server group;
   its statistics reproduce the historical standalone queue loop exactly;
@@ -76,10 +77,12 @@ Actors on the scheduler
   there is nothing to move, and they say so: zero migrations, and a
   dead failure is refused for want of a survivor;
 * :class:`VersionedMemoryCache` — the coherence state the router's plan
-  reads and commits, job by job in release order; the plan's
-  :class:`ShardBatch` is the one record of a sub-job's mail and sync
-  traffic (:class:`CrossShardMailbox` tallies the mail for callers that
-  pass one to :meth:`ShardRouter.split`).
+  reads and commits, job by job in release order; the plan's per-run
+  columns are the one record of a sub-job's mail and sync traffic, which
+  the engine reads as one table per plan.  :meth:`ShardRouter.split`
+  packs them into :class:`ShardBatch` records for the callers that want
+  one object per sub-job (:class:`CrossShardMailbox` tallies the mail
+  for callers that pass one to it).
 
 Typed events: ``ArrivalEvent``, ``FlushEvent``, ``ServiceBeginEvent``,
 ``ServiceEndEvent``, ``MailEvent``, ``SyncEvent``, ``MigrationEvent``,

@@ -75,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from ..graph.batching import time_window_spans
-from ..graph.temporal_graph import TemporalGraph
+from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
 from .control import ControlPlane, FailureInjector
 from .events import (INGEST_MODES, BatcherActor, EventScheduler, MailEvent,
@@ -621,7 +621,7 @@ class ServingEngine:
         return cls(backends, graph.num_nodes, **engine_kwargs)
 
     # ------------------------------------------------------------------ #
-    def _die_hops(self, plan: RoutePlan) -> tuple[list[int], list[int]]:
+    def _die_hops(self, plan: RoutePlan) -> tuple[np.ndarray, np.ndarray]:
         """Die-crossing hops of every sub-job of ``plan``, per ``(job,
         shard)`` run: of its edge mail, and of its sync traffic.
 
@@ -632,7 +632,8 @@ class ServingEngine:
         """
         runs = plan.num_jobs * self.num_shards
         if self.die_of is None:
-            return [0] * runs, [0] * runs
+            return np.zeros(runs, dtype=np.int64), \
+                np.zeros(runs, dtype=np.int64)
         die = self.die_of
 
         def crossings(bounds, source, cost=1):
@@ -643,8 +644,25 @@ class ServingEngine:
         owner = self.router.assignment
         sync = crossings(plan.pull_bounds, owner[plan.pull], 2) \
             + crossings(plan.push_bounds, owner[plan.push])
-        return (crossings(plan.mail_bounds, plan.mail_from).tolist(),
-                sync.tolist())
+        return crossings(plan.mail_bounds, plan.mail_from), sync
+
+    def _traffic(self, plan: RoutePlan) -> tuple[np.ndarray, list[int]]:
+        """Every ``(job, shard)`` run of ``plan`` at once: its traffic
+        row (local edges, mail edges, mail die hops, sync rows, stale
+        reads, version lag) and the die hops its service pays (mail plus
+        sync)."""
+        mail_hops, sync_hops = self._die_hops(plan)
+        pairs, mail, pull, push, stale = np.diff(np.array((
+            plan.bounds, plan.mail_bounds, plan.pull_bounds,
+            plan.push_bounds, plan.stale_bounds), dtype=np.int64))
+        table = np.empty((len(pairs), 6), dtype=np.int64)
+        table[:, 0] = pairs - mail
+        table[:, 1] = mail
+        table[:, 2] = mail_hops
+        table[:, 3] = pull + push
+        table[:, 4] = stale
+        table[:, 5] = plan.lag
+        return table, (mail_hops + sync_hops).tolist()
 
     def run(self, graph: TemporalGraph, window_s: float, start: int = 0,
             end: int | None = None, speedup: float = 1.0,
@@ -730,12 +748,17 @@ class ServingEngine:
 
         # Windows per released job, in release order: all the report needs
         # of a job once it is routed (its merged batch lives on only in
-        # the sub-batches that alias it).  ``traffic[s]`` holds one row
-        # per offer to station ``s``, in offer order: the job and what
-        # its sub-batch carried, (job, local edges, mail edges, mail die
-        # hops, sync rows, stale reads, version lag).
+        # the sub-batches that alias it).  ``tables`` holds each plan's
+        # per-run traffic (:meth:`_traffic`), the runs of the jobs it
+        # handed out, plan after plan, so row ``r`` is job ``r //
+        # num_shards`` on shard ``r % num_shards``; ``offers[s]`` holds
+        # the row of each offer to station ``s``, in offer order.  A
+        # one-shard fleet routes no plan: its rows are the job sizes in
+        # ``solo``, all local.
         job_windows: list[int] = []
-        traffic: list[list[tuple[int, ...]]] = [[] for _ in groups]
+        tables: list[np.ndarray] = []
+        offers: list[list[int]] = [[] for _ in groups]
+        solo: list[int] = []
 
         # One control plane per run, and only when a controller exists:
         # it samples released jobs for the policies and is the one actor
@@ -751,24 +774,30 @@ class ServingEngine:
         self.last_control = plane
 
         # The routing plan of the current ownership epoch, with the
-        # arrival spans of its jobs and their die hops.  Under serial
-        # ingest the batcher's releases are known in advance, so a plan
-        # covers every job left; pipelined releases depend on the fleet,
-        # so a plan covers the released job alone.
+        # arrival spans of its jobs, the die hops of its runs and the
+        # table row of its first run.  Under serial ingest the batcher's
+        # releases are known in advance, so a plan covers every job left;
+        # pipelined releases depend on the fleet, so a plan covers the
+        # released job alone.
         router = self.router
         plan = spans = die_hops = None
+        base = 0                # table rows before this plan's
         released = 0            # arrivals released so far
 
-        def next_sub_batches(job: CoalescedJob) -> list[tuple]:
-            """The job's sub-batches, each with its mail and sync die
-            hops."""
-            nonlocal plan, spans, die_hops, released
+        def next_runs(job: CoalescedJob) -> list[tuple[int, int, EdgeBatch]]:
+            """The job's runs off the current plan, re-planning first
+            when it is spent or the ownership table moved."""
+            nonlocal plan, spans, die_hops, base, released
             lo = released
             hi = released = lo + len(job.sources)
-            if router.num_shards == 1:
-                return [(sb, 0, 0) for sb in router.split(job.batch)]
             if plan is None or plan.position == plan.num_jobs \
                     or plan.generation != router.generation:
+                if plan is not None:
+                    # Keep the rows of the runs the old plan handed out.
+                    used = plan.position * router.num_shards
+                    if used < len(tables[-1]):
+                        tables[-1] = tables[-1][:used].copy()
+                    base += used
                 if ingest == "serial":
                     starts, ends = self.batcher.spans(arrivals, lo)
                     rows, job_edges = arrivals.job_rows(starts, ends)
@@ -779,16 +808,32 @@ class ServingEngine:
                     plan = router.plan(job.batch, [0, len(job.batch)],
                                        cache=cache)
                     spans = [(lo, hi)]
-                die_hops = self._die_hops(plan)
+                table, die_hops = self._traffic(plan)
+                tables.append(table)
             j = plan.position
             if spans[j] != (lo, hi):
                 raise RuntimeError(
                     f"released arrivals [{lo}, {hi}) but the routing plan "
                     f"holds [{spans[j][0]}, {spans[j][1]})")
-            at = j * router.num_shards
-            mail, sync = die_hops
-            return [(sb, mail[at + sb.shard], sync[at + sb.shard])
-                    for sb in plan.next()]
+            return plan.next()
+
+        def record_traffic(t: float, run: int, shard: int) -> None:
+            """The run's :class:`MailEvent` rows, per source shard, and
+            :class:`SyncEvent` rows, per owner of its pulled and pushed
+            rows."""
+            m = plan.mail_bounds
+            if m[run] < m[run + 1]:
+                for f, n in enumerate(np.bincount(
+                        plan.mail_from[m[run]:m[run + 1]]).tolist()):
+                    if n:
+                        sched.record(MailEvent(t, f, shard, n))
+            for vs, b, kind in ((plan.pull, plan.pull_bounds, "pull"),
+                                (plan.push, plan.push_bounds, "push")):
+                if b[run] < b[run + 1]:
+                    for o, n in enumerate(np.bincount(router.assignment[
+                            vs[b[run]:b[run + 1]]]).tolist()):
+                        if n:
+                            sched.record(SyncEvent(t, o, shard, n, kind))
 
         def route(job: CoalescedJob) -> None:
             """The fork point: submit each of the job's sub-batches to its
@@ -803,25 +848,23 @@ class ServingEngine:
                 # old ownership and fleet, the next release routes under
                 # the new.
                 plane.observe(t, job.batch)
-            for sb, hops, sync_hops in next_sub_batches(job):
+            if router.num_shards == 1:
+                # One shard owns every vertex: the job batch is the one
+                # sub-batch, all local, and nothing is mail or stale.
+                solo.append(len(job.batch))
+                if len(job.batch):
+                    offers[0].append(ji)
+                    hops = 0 if plane is None else plane.take_hops(0)
+                    groups[0].submit(t, (job.batch, hops))
+                return
+            for run, shard, batch in next_runs(job):
+                hops = die_hops[run]
                 if plane is not None:
-                    sync_hops += plane.take_hops(sb.shard)
+                    hops += plane.take_hops(shard)
                 if sched.trace is not None:
-                    for f, n in enumerate(np.bincount(sb.mail_from)):
-                        if n:
-                            sched.record(MailEvent(t, f, sb.shard, int(n)))
-                    for rows, kind in ((sb.sync_pull, "pull"),
-                                       (sb.sync_push, "push")):
-                        for o, n in enumerate(np.bincount(
-                                router.assignment[rows])):
-                            if n:
-                                sched.record(SyncEvent(t, o, sb.shard,
-                                                       int(n), kind))
-                traffic[sb.shard].append((
-                    ji, sb.local_edges, sb.mail_edges, hops,
-                    len(sb.sync_pull) + len(sb.sync_push), sb.stale_reads,
-                    sb.version_lag))
-                groups[sb.shard].submit(t, (sb.batch, hops + sync_hops))
+                    record_traffic(t, run, shard)
+                offers[shard].append(base + run)
+                groups[shard].submit(t, (batch, hops))
 
         batcher = BatcherActor(self.batcher, sched, route,
                                fleet=groups if ingest == "pipelined" else ())
@@ -855,7 +898,11 @@ class ServingEngine:
         # A mean that overflows is the report's error to raise (see
         # ServingReport.__post_init__), not a numpy warning.
         with np.errstate(over="ignore"):
-            return self._report(arrivals, job_windows, traffic,
+            if not tables:
+                # No plan: one shard (or no job), every edge local.
+                tables.append(np.zeros((len(solo), 6), dtype=np.int64))
+                tables[0][:, 0] = solo
+            return self._report(arrivals, job_windows, tables, offers,
                                 shard_results, window_s, speedup,
                                 num_streams, ingest,
                                 self._measured_block(groups, shard_results))
@@ -911,17 +958,17 @@ class ServingEngine:
 
     # ------------------------------------------------------------------ #
     def _report(self, arrivals: ArrivalTrace,
-                job_windows: list[int],
-                traffic: list[list[tuple[int, ...]]],
+                job_windows: list[int], tables: list[np.ndarray],
+                offers: list[list[int]],
                 shard_results: list[SimulationResult],
                 window_s: float, speedup: float, num_streams: int,
                 ingest: str, measured: dict | None) -> ServingReport:
         """Fold one finished run into its :class:`ServingReport`.
 
-        ``traffic[s]`` is station ``s``'s per-offer traffic rows (laid
-        out in :meth:`_run_loop`), in the offer order
-        ``shard_results[s]``'s columns follow, so the fold is array
-        operations per station, none per sub-job.
+        ``offers[s]`` is station ``s``'s traffic row per offer, in the
+        offer order ``shard_results[s]``'s columns follow, into the
+        stacked ``tables`` (laid out in :meth:`_run_loop`), so the fold
+        is array operations per station, none per sub-job.
         """
         rebal, chaos, auto = \
             self.rebalancer, self.failure_injector, self.autoscaler
@@ -931,23 +978,25 @@ class ServingEngine:
         # surviving sub-jobs must not inflate the traffic report even
         # though their shards did serve them.  A job finishes with its
         # last served sub-job (``fmax`` skips a drop's NaN).
-        rows = [np.array(t, dtype=np.int64).reshape(-1, 7) for t in traffic]
+        table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+        rows = [np.array(o, dtype=np.int64) for o in offers]
         finish_of_job = np.full(len(job_windows), -np.inf)
         job_dropped = np.zeros(len(job_windows), dtype=bool)
         for r, res in zip(rows, shard_results):
-            job_dropped[r[res.server < 0, 0]] = True
-            np.fmax.at(finish_of_job, r[:, 0], res.t_finish)
+            job = r // self.num_shards
+            job_dropped[job[res.server < 0]] = True
+            np.fmax.at(finish_of_job, job, res.t_finish)
 
         # Traffic counts the sub-jobs of non-dropped windows only — edges
         # rejected by a full queue were never processed, and partial
         # windows are reported dropped, so neither may count.
-        counted = [r[~job_dropped[r[:, 0]]] for r in rows]
-        shard_traffic = np.array([r[:, 1:3].sum(axis=0) for r in counted],
-                                 dtype=np.int64)
-        fleet = np.concatenate(counted)
+        counted = [table[r[~job_dropped[r // self.num_shards]]]
+                   for r in rows]
+        sums = np.array([c.sum(axis=0) for c in counted], dtype=np.int64)
+        shard_traffic = sums[:, :2]
         cross_die_mail, sync_edges, stale_reads = \
-            (int(x) for x in fleet[:, 3:6].sum(axis=0))
-        max_version_lag = int(fleet[:, 6].max(initial=0))
+            (int(x) for x in sums[:, 2:5].sum(axis=0))
+        max_version_lag = max(int(c[:, 5].max(initial=0)) for c in counted)
 
         # Window-level accounting: a window responds when its job's last
         # shard finishes; it is dropped if any shard's queue rejected it.

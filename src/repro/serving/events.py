@@ -159,11 +159,11 @@ Actors
     in-flight compute; on an idle fleet it is skipped entirely.
 
 A released job goes to the batcher's sink.  In the serving engine that is
-the fork point, ``route``: the router's plan already carries each
-:class:`~repro.serving.router.ShardBatch` with its mail and sync traffic,
-so ``route`` records that traffic as :class:`MailEvent` /
-:class:`SyncEvent` rows and submits the sub-batch to its group, all at
-the release instant.  The memsync cache
+the fork point, ``route``: the router's plan hands the job out as
+``(run, shard, batch)`` and already carries each run's mail and sync
+traffic in its columns, so ``route`` records that traffic as
+:class:`MailEvent` / :class:`SyncEvent` rows and submits the sub-batch to
+its group, all at the release instant.  The memsync cache
 (:class:`~repro.serving.memsync.VersionedMemoryCache`) advances as the
 plan hands jobs out, in flush order, which the scheduler guarantees is
 release order.
@@ -560,19 +560,25 @@ class EventScheduler:
                 raise RuntimeError(
                     f"event fired out of timestamp order: t={t0} < "
                     f"now={self.now}")
-            stop = best.n
-            if heap:
-                stop = min(stop, self._run_cut(best, heap[0][:3]))
-            for other in runs:
-                if other is not best and other.pos < other.n:
-                    stop = min(stop, self._run_cut(
-                        best, (other.ts[other.pos], other.priority,
-                               other.base + other.pos)))
             # The head element was chosen as the global minimum, so
             # delivering it alone is always valid even when the cut lands
             # at or before ``pos`` (equal-key ties are impossible: seq
-            # values are globally unique).
-            stop = max(stop, pos + 1)
+            # values are globally unique).  When the run's next element
+            # already trails the heap head the cut is exactly that one
+            # element, and no search is needed.
+            stop = pos + 1
+            if stop < best.n and not (heap and (
+                    best.ts[stop], best.priority, best.base + stop)
+                    > heap[0][:3]):
+                stop = best.n
+                if heap:
+                    stop = min(stop, self._run_cut(best, heap[0][:3]))
+                for other in runs:
+                    if other is not best and other.pos < other.n:
+                        stop = min(stop, self._run_cut(
+                            best, (other.ts[other.pos], other.priority,
+                                   other.base + other.pos)))
+                stop = max(stop, pos + 1)
             consumed = int(best.handler(t0, best.payloads, pos, stop))
             if not 1 <= consumed <= stop - pos:
                 raise RuntimeError(
@@ -980,6 +986,20 @@ class ServerGroup:
 
 
 # --------------------------------------------------------------------------- #
+def _first_reaching(a: np.ndarray, lo: int, hi: int, x: float) -> int:
+    """The first ``i`` in ``[lo, hi)`` with ``a[i] >= x``, else ``hi``.
+
+    ``a`` is sorted and ``lo < hi``.  Most cohorts are cut at their head
+    or just after it, so those two elements are compared before anything
+    is searched.
+    """
+    if a[lo] >= x:
+        return lo
+    if hi - lo == 1 or a[lo + 1] >= x:
+        return lo + 1
+    return lo + int(np.searchsorted(a[lo:hi], x, side="left"))
+
+
 class BatcherActor:
     """:class:`DynamicBatcher` run online on the event loop.
 
@@ -1079,6 +1099,7 @@ class BatcherActor:
         their admission records.
         """
         pending_empty = self._admitted == self._lo
+        opens = pending_empty and math.isfinite(self.max_delay_s)
         limit = stop
         if (pending_empty and self.max_delay_s == 0.0) \
                 or self._fleet_hungry():
@@ -1087,23 +1108,24 @@ class BatcherActor:
             # during pure buffering — nothing fires between cohort
             # elements — so checking it once at the cohort head is exact.)
             limit = start
-        elif self.max_edges is not None:
-            # Pure buffering holds the buffer strictly below the size cap;
-            # the element whose admission reaches (or overflows) it
-            # triggers a flush, so the cut stops just before it.  Element
-            # k triggers iff cum[k + 1] - cum[lo] >= max_edges.
-            limit = min(limit, int(np.searchsorted(
-                trace.cum, self.max_edges + int(trace.cum[self._lo]),
-                side="left")) - 1)
-        opens = limit > start and pending_empty \
-            and math.isfinite(self.max_delay_s)
-        if opens:
-            # Admitting the head opens the buffer and schedules a deadline
-            # flush at t + max_delay_s — an event the scheduler could not
-            # see when it cut the cohort.  Arrivals at or past the
-            # deadline instant wait behind the _FLUSH-priority release.
-            limit = min(limit, start + int(np.searchsorted(
-                trace.t[start:stop], t + self.max_delay_s, side="left")))
+        else:
+            if opens:
+                # Admitting the head opens the buffer and schedules a
+                # deadline flush at t + max_delay_s — an event the
+                # scheduler could not see when it cut the cohort.
+                # Arrivals at or past the deadline instant (the head too,
+                # when the deadline cannot move the clock) wait behind the
+                # _FLUSH-priority release.
+                deadline = t + self.max_delay_s
+                limit = _first_reaching(trace.t, start, stop, deadline)
+            if self.max_edges is not None and limit > start:
+                # Pure buffering holds the buffer strictly below the size
+                # cap; the element whose admission reaches (or overflows)
+                # it triggers a flush, so the cut stops just before it.
+                # Element k triggers iff cum[k + 1] - cum[lo] >= max_edges.
+                limit = _first_reaching(
+                    trace.cum, start + 1, limit + 1,
+                    self.max_edges + int(trace.cum[self._lo])) - 1
         consumed = max(limit - start, 1)
         if self._sched.trace is not None:
             for a in trace.span(start, start + consumed):
@@ -1116,7 +1138,7 @@ class BatcherActor:
             self._flush(float(trace.t[limit - 1]), "eos")
         elif opens:
             self._deadline_token = self._sched.schedule(
-                t + self.max_delay_s, _FLUSH, None, self._on_deadline)
+                deadline, _FLUSH, None, self._on_deadline)
         return consumed
 
     def _on_deadline(self, _event) -> None:
@@ -1130,6 +1152,7 @@ class BatcherActor:
             self._deadline_token = None
         sources = self._trace.span(self._lo, self._admitted)
         self._lo = self._admitted
-        self._sched.record(FlushEvent(t, cause, len(sources)))
+        if self._sched.trace is not None:
+            self._sched.record(FlushEvent(t, cause, len(sources)))
         self._sink(CoalescedJob(t_release=t, batch=sources.merged(),
                                 sources=sources))

@@ -171,10 +171,11 @@ class VersionedMemoryCache:
     :meth:`steps` for a run of jobs, then :meth:`commit` per job as it is
     handed out (the router's plans do both) — and act on the pull/push
     vertex sets the steps name.  The cache keeps no tally of them: each
-    job's pulls, pushes, stale reads and lag land in its
-    :class:`~repro.serving.router.ShardBatch`\\ es, which the engine prices
-    and reports and the functional oracle in
-    ``tests/property/sharded_oracle.py`` copies and counts.  The matrices
+    job's pulls, pushes, stale reads and lag stay in the plan's per-run
+    columns, which the engine prices and reports as one table per plan;
+    :meth:`~repro.serving.router.ShardRouter.split` packs them into the
+    :class:`~repro.serving.router.ShardBatch`\\ es the functional oracle
+    in ``tests/property/sharded_oracle.py`` copies and counts.  The matrices
     are ``(num_shards, num_nodes)`` — fine at simulation scale; a
     deployment would keep per-shard sparse maps.
     """

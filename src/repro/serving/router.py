@@ -58,7 +58,7 @@ Vertex *memory* rows of non-held endpoints are governed by a separate,
 pluggable sync policy (:mod:`repro.serving.memsync`).  The mail can carry
 memory-row updates and invalidations alongside the edges: pass a
 :class:`~repro.serving.memsync.VersionedMemoryCache` to :meth:`plan` (or
-:meth:`split`) and each :class:`ShardBatch` reports the rows the shard must
+:meth:`split`) and each sub-batch's run names the rows the shard must
 pull before processing (``sync_pull``), the owner-pushed rows riding in with
 its mail (``sync_push``), and the staleness it tolerated (``stale_reads`` /
 ``version_lag``).  Policy space: ``none`` keeps PR 1's stale mirrors (and
@@ -68,6 +68,18 @@ memory rows are exact, not stale mirrors (the bit-identity tests in
 ``test_memsync``).  The :class:`CrossShardMailbox` tallies forwarded edges
 in ``counts``; a sub-batch's ``sync_pull`` / ``sync_push`` are its memory
 row traffic.
+
+What a plan hands out
+---------------------
+A plan's per-run columns are the record of every sub-job's traffic, and
+:meth:`RoutePlan.next` hands a job out as ``(run, shard, batch)``: the
+run index into those columns and the sub-batch itself, nothing more.
+The serving engine reads the traffic of a whole plan as one table and
+builds no per-sub-job object.  :class:`ShardBatch` — a sub-batch with
+its traffic fields, named as above — is built from a plan's columns in
+one place, :meth:`RoutePlan.shard_batch`, which serves
+:meth:`ShardRouter.split`; a one-shard ``split`` wraps the batch whole
+and routes no plan.
 """
 
 from __future__ import annotations
@@ -277,8 +289,9 @@ class ShardRouter:
         """
         if self.num_shards == 1:
             return [ShardBatch(0, batch, len(batch))] if len(batch) else []
-        return self.plan(batch, [0, len(batch)], mailbox=mailbox,
-                         cache=cache).next()
+        plan = self.plan(batch, [0, len(batch)], mailbox=mailbox,
+                         cache=cache)
+        return [plan.shard_batch(*run) for run in plan.next()]
 
 
 def _job_shard_runs(shard: np.ndarray, job: np.ndarray, num_shards: int,
@@ -305,23 +318,24 @@ class RoutePlan:
     mail pairs — those whose source is owned elsewhere — a second run.
     With a :class:`~repro.serving.memsync.VersionedMemoryCache` as
     ``cache``, every job's sync step comes from one
-    :meth:`~repro.serving.memsync.VersionedMemoryCache.steps` pass, and
-    the resulting pull/push row sets (ascending vertex ids) and staleness
-    counts are attached to each :class:`ShardBatch`.  The caller prices
-    (or, in a functional replay, actually transfers) those rows; the plan
-    never touches vertex state.
-
-    :meth:`next` hands the jobs out in order and, in the same call,
-    credits the job's mail to ``mailbox`` and commits its step to the
-    cache, so neither is ever ahead of the jobs handed out.  The four
-    scalar edge columns are gathered once per plan; a sub-batch takes
-    its feature rows when it is handed out, so a plan dropped mid-way
-    pins no feature copy of the jobs it never handed out.
+    :meth:`~repro.serving.memsync.VersionedMemoryCache.steps` pass, which
+    gives each run its pull/push row sets (ascending vertex ids) and
+    staleness counts.  The caller prices (or, in a functional replay,
+    actually transfers) those rows; the plan never touches vertex state.
 
     Per ``(job, shard)`` run ``j * num_shards + s`` the plan keeps the
     bounds of its pairs (``bounds``), of its mail (``mail_bounds`` into
-    ``mail_from``) and of its pulled and pushed rows (``pull_bounds`` /
-    ``push_bounds`` into ``pull`` / ``push``).
+    ``mail_from``), of its pulled and pushed rows (``pull_bounds`` /
+    ``push_bounds`` into ``pull`` / ``push``) and of its stale reads
+    (``stale_bounds``), and its worst version lag (``lag``).  These
+    columns are the record: :meth:`next` hands the jobs out in order as
+    ``(run, shard, batch)`` and, in the same call, credits the job's
+    mail to ``mailbox`` and commits its step to the cache, so neither is
+    ever ahead of the jobs handed out; :meth:`shard_batch` packs one run
+    into a :class:`ShardBatch` for callers that want the record whole.
+    The four scalar edge columns are gathered once per plan and a job's
+    feature rows when it is handed out, so a plan dropped mid-way pins no
+    feature copy of the jobs it never handed out.
     """
 
     def __init__(self, router: ShardRouter, edges: EdgeBatch,
@@ -353,8 +367,8 @@ class RoutePlan:
         self._t, self._eid = edges.t[row], edges.eid[row]
         self.pull = self.push = _NO_ROWS
         self.pull_bounds = self.push_bounds = [0] * (runs + 1)
-        self._stale = [0] * (runs + 1)
-        self._lag = [0] * runs
+        self.stale_bounds = [0] * (runs + 1)
+        self.lag = [0] * runs
         if cache is None:
             return
         # Column c of the steps is vertex v[c] in its job: each job's
@@ -373,38 +387,49 @@ class RoutePlan:
             reads, (bounds[1:] > bounds[:-1]).reshape(self.num_jobs, n).T)
         self.pull, self.pull_bounds = steps.pull, steps.pull_bounds
         self.push, self.push_bounds = steps.push, steps.push_bounds
-        self._stale, self._lag = steps.stale_bounds, steps.lag
+        self.stale_bounds, self.lag = steps.stale_bounds, steps.lag
 
-    def next(self) -> list[ShardBatch]:
-        """The next job's sub-batches (see :meth:`ShardRouter.split`)."""
+    def next(self) -> list[tuple[int, int, EdgeBatch]]:
+        """The next job's sub-batches, as ``(run, shard, batch)``.
+
+        Runs come in ascending shard order, each batch in stream order;
+        ``run`` indexes the plan's per-run columns.  A job's pairs are
+        contiguous, so its feature rows are taken once and every
+        sub-batch gets a view of that block.
+        """
         job = self.position
         self.position = job + 1
         n = self.num_shards
         at = job * n
         bounds = self.bounds[at:at + n + 1]
-        mail = self.mail_bounds[at:at + n + 1]
         if self._mailbox is not None:
-            self._mailbox.record(self.mail_from[mail[0]:mail[-1]],
-                                 self._mail_to[mail[0]:mail[-1]])
+            lo, hi = self.mail_bounds[at], self.mail_bounds[at + n]
+            self._mailbox.record(self.mail_from[lo:hi], self._mail_to[lo:hi])
         if self._cache is not None:
             self._cache.commit(self._steps, job)
-        pull, push = self.pull_bounds, self.push_bounds
+        first = bounds[0]
+        feat = self._feat.take(self._row[first:bounds[-1]], axis=0)
         out = []
         for shard in range(n):
             lo, hi = bounds[shard], bounds[shard + 1]
             if lo == hi:
                 continue
-            mail_lo, mail_hi = mail[shard], mail[shard + 1]
-            i = at + shard
-            # Positional: ShardBatch and EdgeBatch field order.
-            out.append(ShardBatch(
-                shard,
-                EdgeBatch(self._src[lo:hi], self._dst[lo:hi],
-                          self._t[lo:hi], self._eid[lo:hi],
-                          self._feat.take(self._row[lo:hi], axis=0)),
-                (hi - lo) - (mail_hi - mail_lo), mail_hi - mail_lo,
-                self.mail_from[mail_lo:mail_hi],
-                self.pull[pull[i]:pull[i + 1]],
-                self.push[push[i]:push[i + 1]],
-                self._stale[i + 1] - self._stale[i], self._lag[i]))
+            # Positional: EdgeBatch field order.
+            out.append((at + shard, shard, EdgeBatch(
+                self._src[lo:hi], self._dst[lo:hi], self._t[lo:hi],
+                self._eid[lo:hi], feat[lo - first:hi - first])))
         return out
+
+    def shard_batch(self, run: int, shard: int,
+                    batch: EdgeBatch) -> ShardBatch:
+        """Run ``run`` of :meth:`next` as one :class:`ShardBatch` record,
+        read off the plan's columns."""
+        mail_lo, mail_hi = self.mail_bounds[run], self.mail_bounds[run + 1]
+        pull, push = self.pull_bounds, self.push_bounds
+        return ShardBatch(
+            shard, batch, len(batch) - (mail_hi - mail_lo),
+            mail_hi - mail_lo, self.mail_from[mail_lo:mail_hi],
+            self.pull[pull[run]:pull[run + 1]],
+            self.push[push[run]:push[run + 1]],
+            self.stale_bounds[run + 1] - self.stale_bounds[run],
+            self.lag[run])

@@ -230,12 +230,18 @@ class TestColumnarIngestMatchesTheLoops:
             assert_batches_identical(
                 got.batch, merge_batches([a.batch for a in ref.sources]))
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=90)
     @given(replays,
            st.sampled_from(["pool", "sharded"]),
            st.sampled_from([dict(max_edges=6),
                             dict(max_edges=6, max_delay_s=2.0),
                             dict(max_delay_s=0.5),
+                            # Cohorts of one: a deadline shorter than any
+                            # inter-arrival gap, one arrival reaching the
+                            # size cap, a passthrough deadline.
+                            dict(max_delay_s=1e-9),
+                            dict(max_edges=1),
+                            dict(max_edges=1, max_delay_s=1e-9),
                             dict(max_delay_s=0.0)]),
            st.sampled_from(["serial", "pipelined"]),
            st.sampled_from([None, 0, 2]))
@@ -243,7 +249,9 @@ class TestColumnarIngestMatchesTheLoops:
                                               ingest, queue_capacity):
         """Cohort delivery == per-element delivery, and tracing either
         changes nothing but the record: same report bytes, same scheduler
-        counters, one typed-event sequence."""
+        counters, one typed-event sequence.  The cohort-of-one draws
+        take the shortcuts that skip the cut searches (the loop's
+        ``_run_cut``, the batcher's size and deadline cuts)."""
         (graph, window, start, end), num_streams, speedup = replay
 
         def lane(scheduler_cls, trace):
@@ -272,6 +280,7 @@ class TestColumnarIngestMatchesTheLoops:
         assert cohort_calls > 0 and heap == (report, events, 0, 0)
         assert lane(None, False) == (cohort, None)
         assert lane(HeapEventScheduler, False) == (heap, None)
+        assert len(heap_trace) == len(cohort_trace)
         assert check_lane_agreement(heap_trace, cohort_trace) == []
 
     @settings(deadline=None, max_examples=50)

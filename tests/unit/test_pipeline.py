@@ -8,7 +8,7 @@ from repro.datasets import wikipedia_like
 from repro.graph import iter_fixed_size
 from repro.hw import FPGAAccelerator, ZCU104_DESIGN
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
-from repro.perf import CPU_32T, validate_performance_model
+from repro.perf import CPU_32T, GPU, validate_performance_model
 from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
                             SimulatedFPGABackend, SoftwareBackend,
                             realtime_replay, run_engine, summarize)
@@ -83,6 +83,24 @@ class TestModeledBackend:
         l2 = be.process_batch(g.slice(100, 200))
         assert l1 == l2
         assert l1 == pytest.approx(CPU_32T.latency_s(counts, 100))
+
+    @pytest.mark.parametrize("cost", [CPU_32T, GPU], ids=lambda c: c.name)
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(edge_dim=172, name="baseline"),
+        ModelConfig(edge_dim=172, simplified_attention=True,
+                    lut_time_encoder=True, pruning_budget=4, name="NP(4)")],
+        ids=lambda c: c.name)
+    def test_cached_marginal_prices_bit_for_bit(self, cost, cfg):
+        """The backend sums its per-edge marginal once; every price is
+        still ``latency_s``'s, bit for bit, and an empty batch raises."""
+        g = wikipedia_like(num_edges=512, num_users=70, num_items=18)
+        counts = count_ops(cfg)
+        be = ModeledGPPBackend(cost, counts)
+        for n in range(1, 513):
+            assert be.process_batch(g.slice(0, n)).hex() \
+                == cost.latency_s(counts, n).hex(), n
+        with pytest.raises(ValueError):
+            be.process_batch(g.slice(0, 0))
 
 
 class KernelSpyTGNN(TGNN):

@@ -811,6 +811,47 @@ class TestOnePlanPerOwnershipEpoch:
         assert report.windows == 776
         assert (router.plans, router.splits) == (1, 0)
 
+    def test_fleet_priced_push_hands_out_columns(self, monkeypatch):
+        """A serial routed run builds no :class:`ShardBatch`, takes the
+        feature rows once per released job, and still prices every
+        sub-job through one ``process_batch`` call."""
+        from repro.serving.router import ShardBatch
+        built, priced, gathers = [], [], []
+        init, price = ShardBatch.__init__, ModeledGPPBackend.process_batch
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counted_price(self, batch):
+            priced.append(len(batch))
+            return price(self, batch)
+
+        class CountedFeatures:
+            def __init__(self, feat):
+                self.feat = feat
+
+            def take(self, *args, **kwargs):
+                gathers.append(1)
+                return self.feat.take(*args, **kwargs)
+
+        def counted_plan(router, *args, **kwargs):
+            plan = ShardRouter.plan(router, *args, **kwargs)
+            plan._feat = CountedFeatures(plan._feat)
+            return plan
+
+        monkeypatch.setattr(ShardBatch, "__init__", counted_init)
+        monkeypatch.setattr(ModeledGPPBackend, "process_batch", counted_price)
+        monkeypatch.setattr(CountingRouter, "plan", counted_plan)
+        report, engine, _ = self.run(
+            100, 2.0, DynamicBatcher(max_edges=200, max_delay_s=5e-3))
+        assert built == []
+        # Arrivals sit ~56 s apart and the deadline is 5 ms: every window
+        # is a job of its own.
+        assert len(gathers) == report.windows == 776
+        assert len(priced) == 1400
+        assert engine.last_scheduler.events_processed == 2952
+
     def test_online_rebalancing_routes_one_plan_per_epoch(self):
         from repro.serving import OnlineRebalancer
         rebalancer = OnlineRebalancer(window_s=900.0 / 2000.0,
