@@ -8,9 +8,12 @@
 Reads ``results/e2e/result.json`` (``REPRO_RESULTS_DIR`` moves
 ``results``) and, when it is there, ``result_traced.json``, and appends
 one record to ``BENCH_e2e.json`` at the repository root: per workload the
-four end-to-end metrics of ``BENCHMARK.json`` and — from the traced set —
-the exact counters of ``COUNTERS`` (scheduler events, ``split`` calls,
-``process_batch`` calls, ``run_stream`` calls) and, for ``kernel_b200``,
+four end-to-end metrics of ``BENCHMARK.json`` with the rep count they were
+read over (the child keeps every rep's record, so ``peak_rss_mb`` grows
+with ``reps``: compare it only between rows of similar counts), and —
+from the traced set — the exact counters of ``COUNTERS`` (scheduler
+events, ``split`` calls, ``process_batch`` calls, ``run_stream`` calls)
+and, for ``kernel_b200``,
 ``models.infer_calls`` with the ``KERNEL_STAGES`` shares of its host
 seconds beside the paper's Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
 ``run.py`` worked them out, beside the ``src/repro`` code-line total
@@ -54,6 +57,8 @@ def measured_record(label: str | None) -> dict:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     run, workloads = read(results / "result.json",
                           [m["name"] for m in benchmark["end_to_end"]])
+    for name, record in run["workloads"].items():
+        workloads[name]["reps"] = record["reps"]
     if (results / "result_traced.json").exists():
         traced, counters = read(results / "result_traced.json", COUNTERS)
         # A traced set left over from another commit or size says nothing

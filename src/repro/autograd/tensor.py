@@ -17,6 +17,15 @@ The public entry point is :class:`Tensor`.  A global no-grad mode
 graph recorded, which keeps the model implementations single-source: every
 module in :mod:`repro.models` has one body, and ``TGNN.infer_batch`` is
 ``process_batch`` under it.
+
+Precision is the other half of that mode.  A tensor stores its data at one
+module-level floating dtype: float64 whenever the graph is recorded, and
+under ``no_grad(dtype)`` whatever ``dtype`` names.  Every op builds its
+result through :class:`Tensor`, so an op on mixed operands (a float32 row
+times a float64 array, or GRU's ``1.0 - z``) stores the mode's dtype, not
+the float64 NumPy would promote it to.  ``TGNN.infer_batch`` runs under
+``no_grad(rt.state.memory.dtype)``: a float32 deployment computes in
+float32 end to end, and training, gradients and Adam never leave float64.
 """
 
 from __future__ import annotations
@@ -28,20 +37,23 @@ import numpy as np
 
 __all__ = ["Tensor", "no_grad", "as_tensor"]
 
-# Module-level switch consulted when deciding whether to record the graph.
+# Module-level switches: whether to record the graph, and the floating dtype
+# every Tensor stores its data at (float64 whenever the graph is recorded).
 _GRAD_ENABLED: bool = True
+_DTYPE = np.float64
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Context manager that disables graph recording (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def no_grad(dtype=np.float64):
+    """Context manager that disables graph recording (inference mode);
+    tensors built inside store their data at ``dtype``."""
+    global _GRAD_ENABLED, _DTYPE
+    prev = _GRAD_ENABLED, _DTYPE
+    _GRAD_ENABLED, _DTYPE = False, dtype
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED, _DTYPE = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -63,11 +75,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def as_tensor(value, dtype=np.float64) -> "Tensor":
+def as_tensor(value) -> "Tensor":
     """Coerce ``value`` (Tensor, ndarray, scalar, nested list) to a Tensor."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=dtype))
+    return Tensor(value)
 
 
 class Tensor:
@@ -76,7 +88,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; stored as a contiguous ``np.ndarray``.
+        Array-like payload; stored as an ``np.ndarray`` of the current
+        precision (float64 unless under ``no_grad(dtype)``).
     requires_grad:
         Whether gradients should be accumulated into ``self.grad`` during
         :meth:`backward`.
@@ -88,7 +101,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):  # defensive: never nest tensors
             data = data.data
-        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
+        self.data: np.ndarray = np.asarray(data, dtype=_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Callable[[np.ndarray], None] | None = None

@@ -24,19 +24,20 @@ def encoder_input_deltas(graph: TemporalGraph) -> np.ndarray:
     For each edge, both endpoints observe ``t_e - t_last(v)`` where
     ``t_last`` is the vertex's previous interaction time (0 gap for a
     vertex's first appearance, matching a zero-initialised memory clock).
+    Endpoints are visited source first, so a self-loop's destination sees
+    a gap of 0.  One stable sort by vertex over the interleaved endpoints
+    puts each vertex's visits in stream order; a visit's gap is its time
+    minus the one before it in the same group.
     """
-    last = np.zeros(graph.num_nodes, dtype=np.float64)
-    seen = np.zeros(graph.num_nodes, dtype=bool)
-    deltas = np.empty(2 * graph.num_edges, dtype=np.float64)
-    src, dst, t = graph.src, graph.dst, graph.t
-    out = 0
-    # Sequential by necessity: each event updates the clocks the next reads.
-    for i in range(graph.num_edges):
-        for v in (src[i], dst[i]):
-            deltas[out] = t[i] - last[v] if seen[v] else 0.0
-            last[v] = t[i]
-            seen[v] = True
-            out += 1
+    nodes = np.empty(2 * graph.num_edges, dtype=np.int64)
+    nodes[0::2], nodes[1::2] = graph.src, graph.dst
+    order = np.argsort(nodes, kind="stable")
+    times = np.repeat(graph.t, 2)[order]
+    grouped = np.zeros(len(order))
+    np.subtract(times[1:], times[:-1], out=grouped[1:],
+                where=nodes[order[1:]] == nodes[order[:-1]])
+    deltas = np.empty(len(order))
+    deltas[order] = grouped
     return deltas
 
 

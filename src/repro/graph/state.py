@@ -8,6 +8,9 @@ information-leak fix described in Section II.
 
 Layout is flat and contiguous: ``(num_nodes, d)`` float arrays updated in
 place.  ``snapshot``/``restore`` give the training loop cheap epoch resets.
+The two wide tables are stored at the state's ``dtype`` — float32 for a
+deployed model, the word the accelerator moves — and both timestamp columns
+are always float64: Δt and the LUT bin it selects are taken from them.
 """
 
 from __future__ import annotations
@@ -63,18 +66,21 @@ class VertexState(VertexRows):
         Width of a cached raw message ``s_src || s_dst || f_e`` (the time
         encoding is appended at update time from the stored timestamp, so it
         is *not* part of the cached payload).
+    dtype:
+        Floating dtype of ``memory`` and ``mailbox``.
     """
 
     # A ``mail_time`` of -inf marks "no mail yet".
     _ROW = {"memory": 0.0, "mailbox": 0.0, "mail_time": -np.inf,
             "last_update": 0.0}
 
-    def __init__(self, num_nodes: int, memory_dim: int, raw_message_dim: int):
+    def __init__(self, num_nodes: int, memory_dim: int, raw_message_dim: int,
+                 dtype=np.float64):
         self.num_nodes = int(num_nodes)
         self.memory_dim = int(memory_dim)
         self.raw_message_dim = int(raw_message_dim)
-        self.memory = np.zeros((num_nodes, memory_dim), dtype=np.float64)
-        self.mailbox = np.zeros((num_nodes, raw_message_dim), dtype=np.float64)
+        self.memory = np.zeros((num_nodes, memory_dim), dtype=dtype)
+        self.mailbox = np.zeros((num_nodes, raw_message_dim), dtype=dtype)
         # Timestamp of the cached message; -inf marks "no mail yet".
         self.mail_time = np.full(num_nodes, -np.inf, dtype=np.float64)
         # Timestamp at which `memory` was last written (for delta-t).

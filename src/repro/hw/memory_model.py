@@ -32,7 +32,9 @@ class DDRModel:
     peak_bw_gbs:
         Peak bandwidth in GB/s (Table III values).
     word_bytes:
-        Bytes per data word (the paper uses IEEE float32, ``Zd = 4``).
+        Bytes per data word (the paper uses IEEE float32, ``Zd = 4``;
+        the host kernel's deployed runtime is float32 as well, see
+        ``TGNN.prepare_inference``).
     l_half:
         Burst length (in words) achieving 50 % efficiency.
     base_latency_s:

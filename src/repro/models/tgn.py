@@ -28,16 +28,31 @@ returns) still trains every parameter.  The numpy deployment body this
 replaced is the oracle of ``tests/property/test_gnn_kernel_properties.py``;
 the hardware simulator runs no kernel — it prices batches from their shape.
 
+A prepared model is a float32 deployment, the word the accelerator computes
+in and ``hw/`` prices (§VI-A).  ``infer_batch`` computes at the precision of
+the runtime it is handed: on a float32 runtime — what
+:meth:`TGNN.new_runtime` builds for a prepared model — it runs under
+``no_grad(float32)`` with the float32 copies of the tables and of the
+weights it multiplies by, which ``prepare_inference`` casts once; on a
+float64 runtime it is the float64 body with the float64 tables.
+Parameters stay float64 and trainable, and training, evaluation and every
+other ``process_batch`` caller run on float64 runtimes.  Timestamps stay
+float64 at either precision.
+
 Worker-pool contract (measured serving backends)
 ------------------------------------------------
 :class:`TGNN`, :class:`ModelRuntime`, and the graph are **picklable**, and
-:meth:`infer_batch` is stateless apart from the runtime it is handed —
-parameters (including the ``prepare_inference`` premultiplied LUT cache)
-are plain numpy arrays with no open handles, closures, or clocks.  The
-measured serving path (:mod:`repro.serving.measured`) relies on this:
-each worker process receives ``(model, graph)`` once, builds its own
-runtime via :meth:`TGNN.new_runtime`, and replays its shard's sub-batches
-FIFO through :meth:`infer_batch`.  Changes that break picklability (e.g.
+:meth:`infer_batch` is stateless apart from the runtime it is handed (on
+a float32 runtime the parameters hold their float32 copies for the length
+of the call and get their own data back on return) — parameters
+(including the ``prepare_inference`` premultiplied LUT cache and its
+float32 copies) and a float32 runtime's tables are plain numpy arrays with
+no open handles, closures, or clocks, so a float32 runtime pickles as a
+float64 one does.  The measured serving path
+(:mod:`repro.serving.measured`) relies on this: each worker process
+receives ``(model, graph)`` once, builds its own runtime via
+:meth:`TGNN.new_runtime`, and replays its shard's sub-batches FIFO
+through :meth:`infer_batch`.  Changes that break picklability (e.g.
 caching a lambda on the model) break `serve-sim --backend measured
 --workers N`; ``test_measured`` pins the contract.  :data:`KERNEL_STAGES`
 names the Table I stage keys ``infer_batch`` reports via ``timings``.
@@ -46,6 +61,7 @@ names the Table I stage keys ``infer_batch`` reports via ``timings``.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +81,17 @@ from .pruning import prune
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder
 
 __all__ = ["TGNN", "ModelRuntime", "BatchResult", "MemoryUpdate",
-           "KERNEL_STAGES"]
+           "KERNEL_STAGES", "DEPLOY_DTYPE"]
 
 # Table I stage keys of the deployment path, in pipeline order: the
 # ``timings`` dict of :meth:`TGNN.infer_batch` uses exactly these, and the
 # measured serving backend's per-stage report aggregates under them.
 KERNEL_STAGES = ("memory", "sample", "gnn", "update")
+
+# The precision of a prepared model's runtime and of the copies it computes
+# with: IEEE float32, as on the accelerator (``hw.config`` prices 4-byte
+# words).
+DEPLOY_DTYPE = np.float32
 
 
 def _assemble_endpoints(batch: EdgeBatch) -> tuple[np.ndarray, np.ndarray,
@@ -88,16 +109,39 @@ def _assemble_endpoints(batch: EdgeBatch) -> tuple[np.ndarray, np.ndarray,
     return nodes, t_nodes, uniq, inverse
 
 
+@contextmanager
+def _holding(weights):
+    """Point each ``(parameter, array)`` pair's parameter at ``array`` for
+    the duration; every parameter gets its own data back on exit.
+
+    The float32 deployment runs the one model body, which reads its
+    weights off the modules: for the length of an ``infer_batch`` call the
+    parameters hold the float32 copies ``prepare_inference`` cast, instead
+    of being cast again on every use."""
+    saved = [(p, p.data) for p, _ in weights]
+    try:
+        for p, array in weights:
+            p.data = array
+        yield
+    finally:
+        for p, data in saved:
+            p.data = data
+
+
 @dataclass
 class ModelRuntime:
     """Mutable per-stream state: vertex tables + neighbor FIFO.
 
     Forking a runtime (``snapshot``/``restore``) lets evaluation continue
     from the training boundary without corrupting the training state.
+    ``edge_feat`` is the graph's edge-feature table at the state's dtype
+    (the graph's own array at float64, one cast copy at float32), the rows
+    the attention gathers.
     """
 
     state: VertexState
     sampler: FIFONeighborSampler
+    edge_feat: np.ndarray
 
     def snapshot(self) -> dict:
         return {"state": self.state.snapshot(),
@@ -187,17 +231,36 @@ class TGNN(Module):
         self.out_transform = Linear(cfg.embed_dim + cfg.memory_dim,
                                     cfg.embed_dim, rng=rng)
         self._premul_cache: dict | None = None
+        # (tables or None, [(parameter, array)]) at DEPLOY_DTYPE once
+        # prepared.
+        self._deployed: tuple[dict | None, list] | None = None
 
     # ------------------------------------------------------------------ #
     # runtime management                                                  #
     # ------------------------------------------------------------------ #
-    def new_runtime(self, graph: TemporalGraph) -> ModelRuntime:
-        """Fresh zeroed vertex state + FIFO neighbor table for ``graph``."""
+    @property
+    def prepared(self) -> bool:
+        """Whether the model is deployed: :meth:`prepare_inference` has run
+        and nothing has dropped its tables since."""
+        return self._deployed is not None
+
+    def new_runtime(self, graph: TemporalGraph, dtype=None) -> ModelRuntime:
+        """Fresh zeroed vertex state + FIFO neighbor table for ``graph``.
+
+        Memory, mailbox and the gathered edge features are ``dtype``:
+        by default :data:`DEPLOY_DTYPE` on a prepared model (the
+        deployment) and float64 otherwise.  Training and evaluation ask
+        for float64 explicitly, so a prepared model trains as any other.
+        """
+        if dtype is None:
+            dtype = DEPLOY_DTYPE if self.prepared else np.float64
         state = VertexState(graph.num_nodes, self.cfg.memory_dim,
-                            self.cfg.raw_message_dim)
+                            self.cfg.raw_message_dim, dtype=dtype)
         sampler = FIFONeighborSampler.create(graph.num_nodes,
                                              mr=self.cfg.num_neighbors)
-        return ModelRuntime(state=state, sampler=sampler)
+        return ModelRuntime(state=state, sampler=sampler,
+                            edge_feat=graph.edge_feat.astype(dtype,
+                                                             copy=False))
 
     def calibrate(self, graph: TemporalGraph) -> None:
         """Fit LUT bin edges (and warm-start entries) from stream Δt stats.
@@ -209,7 +272,7 @@ class TGNN(Module):
             deltas = encoder_input_deltas(graph)
             ref = CosineTimeEncoder(self.cfg.time_dim)
             self.time_encoder.calibrate(deltas, reference=ref)
-            self._premul_cache = None
+            self.drop_inference()
 
     # ------------------------------------------------------------------ #
     # Algorithm 1: memory stage, then GNN stage                           #
@@ -332,21 +395,22 @@ class TGNN(Module):
         deeper GNN overrides."""
         self_feat = self._features(nodes, rt, graph, memory)
         attn = self._attend(
-            self.attention, t, self_feat, g, graph,
+            self.attention, t, self_feat, g, rt.edge_feat,
             lambda nbrs: self._features(nbrs, rt, graph), premul)
         emb = self.out_transform(
             Tensor.concat([attn.hidden, self_feat], axis=-1)).relu()
         return BatchResult(nodes=nodes, embeddings=emb, attention=attn)
 
     def _attend(self, attn: Module, t: np.ndarray, self_feat: Tensor, g,
-                graph: TemporalGraph, nbr_repr,
+                edge_feat: np.ndarray, nbr_repr,
                 premul: dict | None = None) -> AttentionOutput:
         """One attention layer: the ``n`` queries at times ``t`` over their
-        gathered neighbors ``g``; ``nbr_repr(nbrs)`` maps an ``(n, p)``
-        block of neighbor ids to their ``(n, p, d)`` representations."""
+        gathered neighbors ``g``, whose edges' features are rows of
+        ``edge_feat``; ``nbr_repr(nbrs)`` maps an ``(n, p)`` block of
+        neighbor ids to their ``(n, p, d)`` representations."""
         dt = np.where(g.mask, np.maximum(t[:, None] - g.times, 0.0), 0.0)
         if isinstance(attn, VanillaTemporalAttention):
-            e_feat = np.where(g.mask[:, :, None], graph.edge_feat[g.eids], 0.0)
+            e_feat = np.where(g.mask[:, :, None], edge_feat[g.eids], 0.0)
             return attn(self_feat, nbr_repr(g.nbrs), e_feat,
                         self.time_encoder(dt),
                         self.time_encoder(np.zeros(len(t))), g.mask)
@@ -369,7 +433,7 @@ class TGNN(Module):
         # stage's peak temporary is one block, not three (at k = 10 the
         # allocator otherwise trims and re-faults ~12 MB per batch).
         nbr = attn.aggregate(alpha, nbr_repr(nbrs))
-        edge = attn.aggregate(alpha, Tensor(graph.edge_feat[eids]))
+        edge = attn.aggregate(alpha, Tensor(edge_feat[eids]))
         # After prepare_inference the time term needs no matmul: it is the
         # premultiplied LUT row, already in value space.
         time_feat = self.time_encoder(dt) if premul is None \
@@ -383,37 +447,61 @@ class TGNN(Module):
     # deployment: the same body under no_grad, clocked per stage          #
     # ------------------------------------------------------------------ #
     def prepare_inference(self) -> None:
-        """Pre-multiply the LUT table with the downstream weight slices.
+        """Deploy the model: pre-multiply the LUT table with the downstream
+        weight slices, and cast what ``infer_batch`` reads to float32.
 
         After this call, :meth:`infer_batch` replaces every time-feature
         matmul with a table lookup — the §III-C computation-order reversal —
         and multiplies by contiguous raw-feature weight slices packed here
-        once instead of sliced per batch.  Call again after any parameter
+        once instead of sliced per batch.  The float64 tables serve a
+        float64 runtime; their :data:`DEPLOY_DTYPE` copies, with copies of
+        every parameter the tables do not replace, serve the runtimes
+        :meth:`new_runtime` now builds.  Call again after any parameter
         change.  Nothing but ``infer_batch`` reads the tables.
         """
         self._premul_cache = None
-        if not isinstance(self.time_encoder, LUTTimeEncoder):
-            return
-        d_t = self.cfg.time_dim
-        cache = {"updt": self.time_encoder.premultiply(
-                     self.memory_updater.input_time_weight()),
-                 "updt_raw": self.memory_updater.input_raw_weight()}
-        if isinstance(self.attention, SimplifiedTemporalAttention):
-            w_v = self.attention.w_v.weight.data
-            cache["attn_v"] = self.time_encoder.premultiply(w_v[:, -d_t:])
-            cache["attn_raw"] = np.ascontiguousarray(w_v[:, :-d_t])
-        self._premul_cache = cache
+        replaced = []
+        if isinstance(self.time_encoder, LUTTimeEncoder):
+            d_t = self.cfg.time_dim
+            cache = {"updt": self.time_encoder.premultiply(
+                         self.memory_updater.input_time_weight()),
+                     "updt_raw": self.memory_updater.input_raw_weight()}
+            replaced.append(self.memory_updater.w_ih)
+            if isinstance(self.attention, SimplifiedTemporalAttention):
+                w_v = self.attention.w_v.weight.data
+                cache["attn_v"] = self.time_encoder.premultiply(w_v[:, -d_t:])
+                cache["attn_raw"] = np.ascontiguousarray(w_v[:, :-d_t])
+                replaced += [self.attention.w_v.weight,
+                             self.time_encoder.table]
+            self._premul_cache = cache
+        tables = None if self._premul_cache is None else \
+            {name: table.astype(DEPLOY_DTYPE)
+             for name, table in self._premul_cache.items()}
+        weights = [(p, p.data.astype(DEPLOY_DTYPE))
+                   for p in self.parameters()
+                   if not any(p is r for r in replaced)]
+        self._deployed = tables, weights
+
+    def drop_inference(self) -> None:
+        """Forget what :meth:`prepare_inference` built: new runtimes are
+        float64 again and ``infer_batch`` runs without tables."""
+        self._premul_cache = self._deployed = None
 
     def infer_batch(self, batch: EdgeBatch, rt: ModelRuntime,
                     graph: TemporalGraph,
                     timings: dict[str, float] | None = None) -> BatchResult:
         """Inference for one batch: :meth:`process_batch` under ``no_grad``
-        with the ``prepare_inference`` tables; optionally accumulates
-        per-stage wall-clock seconds into ``timings`` under the Table I
-        stage names (:data:`KERNEL_STAGES`)."""
-        premul = self._premul_cache
+        with the ``prepare_inference`` tables, at the precision of ``rt``
+        (a :data:`DEPLOY_DTYPE` runtime of a prepared model computes with
+        the float32 tables and weights); optionally accumulates per-stage
+        wall-clock seconds into ``timings`` under the Table I stage names
+        (:data:`KERNEL_STAGES`)."""
+        dtype = rt.state.memory.dtype
+        premul, weights = (self._premul_cache, ()) \
+            if self._deployed is None or dtype != DEPLOY_DTYPE \
+            else self._deployed
         tic = time.perf_counter
-        with no_grad():
+        with no_grad(dtype), _holding(weights):
             # memory: mailbox consumption + GRU (Table I "memory" part).
             t0 = tic()
             update = self.update_memory(batch, rt, premul)

@@ -91,16 +91,21 @@ class EngineReport:
 
 
 class SoftwareBackend:
-    """Measured single-thread ``infer_batch`` (the deployment entry point)."""
+    """Measured single-thread ``infer_batch`` (the deployment entry point).
+
+    It prepares the model, then builds its runtime, so the kernel it times
+    is the float32 deployment (``TGNN.prepare_inference``): float32 memory,
+    mailbox, edge features, tables and weights, the word ``hw/`` prices.
+    """
 
     name = "cpu-1t-measured"
 
     def __init__(self, model: TGNN, graph: TemporalGraph):
         self.model = model
         self.graph = graph
+        model.prepare_inference()
         self.rt: ModelRuntime = model.new_runtime(graph)
         self.timings: dict[str, float] = {}
-        model.prepare_inference()
 
     def compute(self, batch: EdgeBatch) -> tuple[float, dict[str, float]]:
         """Run the kernels on one batch: (wall seconds, stage split)."""

@@ -62,8 +62,8 @@ class DistillationTrainer(Trainer):
 
     # ------------------------------------------------------------------ #
     def _new_runtimes(self) -> tuple[ModelRuntime, ModelRuntime]:
-        return (self.teacher.new_runtime(self.graph),
-                self.model.new_runtime(self.graph))
+        return (self.teacher.new_runtime(self.graph, np.float64),
+                self.model.new_runtime(self.graph, np.float64))
 
     def _batch_loss(self, batch: EdgeBatch,
                     runtimes: tuple[ModelRuntime, ModelRuntime],

@@ -95,7 +95,7 @@ class Trainer:
         return F.bce_with_logits(*self._pair_logits(result))
 
     def _new_runtimes(self) -> ModelRuntime:
-        return self.model.new_runtime(self.graph)
+        return self.model.new_runtime(self.graph, np.float64)
 
     def _batch_loss(self, batch: EdgeBatch, runtimes: ModelRuntime,
                     neg: np.ndarray) -> tuple[Tensor, dict[str, float]]:
@@ -110,7 +110,12 @@ class Trainer:
 
         Each epoch starts from fresh state and draws uniform negative
         destinations over all vertices (the TGN protocol) from ``rng``.
+        A prepared model (what ``load_model`` returns) drops its
+        deployment tables while its parameters move and is prepared again
+        once training ends, so ``infer_batch`` never serves stale tables.
         """
+        prepared = self.model.prepared
+        self.model.drop_inference()
         for epoch in range(self.cfg.epochs):
             runtimes = self._new_runtimes()
             columns: dict[str, list[float]] = {k: [] for k in self.METRICS}
@@ -131,6 +136,8 @@ class Trainer:
             if log:  # pragma: no cover - console side effect
                 print(f"epoch {epoch}: " + "  ".join(
                     f"{k} {entry[k]:.4f}" for k in self.METRICS))
+        if prepared:
+            self.model.prepare_inference()
         return self.history
 
     # ------------------------------------------------------------------ #
@@ -145,7 +152,7 @@ class Trainer:
         deterministic regardless of how much training consumed ``rng``.
         """
         eval_rng = np.random.default_rng(seed)
-        runtime = self.model.new_runtime(self.graph)
+        runtime = self.model.new_runtime(self.graph, np.float64)
         labels_all: list[np.ndarray] = []
         scores_all: list[np.ndarray] = []
         with no_grad():

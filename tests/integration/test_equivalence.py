@@ -32,7 +32,8 @@ def test_training_and_deployment_paths_agree_over_stream(cfg):
         ref = [model.process_batch(b, rt_a, g).embeddings.data
                for b in iter_fixed_size(g, 64)]
     model.prepare_inference()
-    rt_b = model.new_runtime(g)
+    # The float64 deployment: the float32 one is held to its own bound.
+    rt_b = model.new_runtime(g, np.float64)
     got = [model.infer_batch(b, rt_b, g).embeddings.data
            for b in iter_fixed_size(g, 64)]
     for i, (a, b) in enumerate(zip(ref, got)):

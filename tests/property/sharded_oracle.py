@@ -188,7 +188,8 @@ class ShardedRuntime:
         self.cache = VersionedMemoryCache(self.router.placement,
                                           policy=policy)
         self.mailbox = OracleMailbox(self.router.num_shards)
-        self.runtimes = [model.new_runtime(graph)
+        # float64, as every process_batch caller's.
+        self.runtimes = [model.new_runtime(graph, np.float64)
                          for _ in range(self.router.num_shards)]
         # Failure-injection bookkeeping: the stream position already
         # replayed (the durable edge-log horizon ring rebuilds replay to)

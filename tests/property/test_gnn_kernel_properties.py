@@ -342,7 +342,8 @@ def assert_same_state(rt, rt_ref):
 
 def check_stream(cfg, sizes, prepared, seed):
     graph, model = build(cfg, sum(sizes), prepared, seed)
-    rt, rt_np, rt_pn = (model.new_runtime(graph) for _ in range(3))
+    rt, rt_np, rt_pn = (model.new_runtime(graph, np.float64)
+                        for _ in range(3))
     lo = 0
     for size in sizes:
         batch = graph.slice(lo, lo + size)
@@ -387,7 +388,7 @@ def test_rows_without_a_neighbor_get_zero_hidden(prepared, budget):
                       pruning_budget=budget)
     graph, model = build(cfg, 6, prepared, seed=11)
     assert np.abs(model.attention.w_v.bias.data).min() > 0
-    rt = model.new_runtime(graph)
+    rt = model.new_runtime(graph, np.float64)
     got = model.infer_batch(graph.slice(0, 6), rt, graph)
     assert not got.attention.mask.any()
     w_out = model.out_transform

@@ -46,7 +46,7 @@ class TestRNNUpdater:
             ref = [model.process_batch(b, rt_a, g).embeddings.data
                    for b in iter_fixed_size(g, 32)]
         model.prepare_inference()
-        rt_b = model.new_runtime(g)
+        rt_b = model.new_runtime(g, np.float64)
         got = [model.infer_batch(b, rt_b, g).embeddings.data
                for b in iter_fixed_size(g, 32)]
         for a, b in zip(ref, got):
@@ -101,9 +101,10 @@ class TestCheckpoint:
         want, got = model.state_dict(), loaded.state_dict()
         assert list(want) == list(got)
         assert all(want[k].tobytes() == got[k].tobytes() for k in want)
-        # Identical inference behaviour, including LUT calibration.
-        rt1, rt2 = model.new_runtime(g), loaded.new_runtime(g)
+        # Identical inference behaviour, including LUT calibration: both
+        # prepared, both on the float32 runtimes a prepared model builds.
         model.prepare_inference()
+        rt1, rt2 = model.new_runtime(g), loaded.new_runtime(g)
         for b in iter_fixed_size(g, 32):
             a = model.infer_batch(b, rt1, g).embeddings.data
             c = loaded.infer_batch(b, rt2, g).embeddings.data

@@ -52,6 +52,9 @@ class TestSoftwareBackend:
             for b in iter_fixed_size(g, 100, end=400):
                 model.process_batch(b, rt, g)
         be = SoftwareBackend(model, g)
+        # The float64 deployed body; the float32 one is held to its own
+        # bound in test_float32_deployment.
+        be.rt = model.new_runtime(g, np.float64)
         run_engine(be, g, batch_size=100, end=400)
         assert np.allclose(be.rt.state.memory, rt.state.memory, atol=1e-12)
         assert np.array_equal(be.rt.state.last_update, rt.state.last_update)

@@ -129,7 +129,7 @@ class TestInferenceEquivalence:
             ref = [model.process_batch(b, rt_a, g).embeddings.data
                    for b in iter_fixed_size(g, 32)]
         model.prepare_inference()
-        rt_b = model.new_runtime(g)
+        rt_b = model.new_runtime(g, np.float64)
         got = [model.infer_batch(b, rt_b, g).embeddings.data
                for b in iter_fixed_size(g, 32)]
         for a, b in zip(ref, got):
@@ -263,8 +263,8 @@ class TestOneModelBody:
                     if any(isinstance(n, ast.Attribute)
                            and n.attr == "_premul_cache"
                            for n in ast.walk(fn))}
-        # __init__ / calibrate / prepare_inference only assign it.
-        assert touching == {"TGNN.__init__", "TGNN.calibrate",
+        # __init__ / drop_inference / prepare_inference only assign it.
+        assert touching == {"TGNN.__init__", "TGNN.drop_inference",
                             "TGNN.prepare_inference", "TGNN.infer_batch"}
         infer = dict(functions(self.MODELS / "tgn.py"))["TGNN.infer_batch"]
         numpy_calls = [n.lineno for n in ast.walk(infer)
@@ -278,8 +278,8 @@ class TestOneModelBody:
         model.calibrate(g)
         batches = list(iter_fixed_size(g, 40))
 
-        def run(step):
-            rt = model.new_runtime(g)
+        def run(step, dtype=np.float64):
+            rt = model.new_runtime(g, dtype)
             return [step(b, rt).embeddings.data for b in batches]
 
         def sharded():
@@ -298,7 +298,10 @@ class TestOneModelBody:
 
         clean = run(graded), run(ungraded), sharded()
         model.prepare_inference()
-        for table in model._premul_cache.values():
+        # Both precisions: the float64 tables and every float32 copy.
+        tables, weights = model._deployed
+        for table in (*model._premul_cache.values(), *tables.values(),
+                      *(copy for _, copy in weights)):
             table.fill(np.nan)
         poisoned = run(graded), run(ungraded), sharded()
         for want, got in zip(clean[:2], poisoned[:2]):
@@ -308,13 +311,19 @@ class TestOneModelBody:
             assert want.keys() == got.keys()
             assert all(np.isfinite(got[s]).all()
                        and np.array_equal(want[s], got[s]) for s in want)
-        deployed = run(lambda b, rt: model.infer_batch(b, rt, g))
-        assert np.isnan(deployed[-1]).any()
+        for dtype in (np.float64, np.float32):
+            deployed = run(lambda b, rt: model.infer_batch(b, rt, g), dtype)
+            assert np.isnan(deployed[-1]).any()
+        # The float32 run handed every parameter its own data back.
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(clean[1], run(ungraded)))
 
     def test_a_loaded_model_still_trains_its_time_weights(self, tmp_path):
         """``load_model`` returns a prepared model; fine-tuning it goes
         through ``process_batch``, which the tables never reach, so the
-        updater's time-slice weights and the LUT entries move."""
+        updater's time-slice weights and the LUT entries move.  Training
+        drops the tables and prepares the model again at the end, so
+        ``infer_batch`` serves the trained weights, not stale tables."""
         from repro.models import load_model, save_model
         from repro.training import TrainConfig, Trainer
         g = tiny_stream()
@@ -331,3 +340,11 @@ class TestOneModelBody:
         assert not np.array_equal(
             before[0], loaded.memory_updater.gru.weight_ih.data[:, -d_t:])
         assert not np.array_equal(before[1], loaded.time_encoder.table.data)
+        rt, rt_ref = (loaded.new_runtime(g, np.float64) for _ in range(2))
+        for b in iter_fixed_size(g, 40):
+            got = loaded.infer_batch(b, rt, g).embeddings.data
+            with no_grad():
+                want = loaded.process_batch(b, rt_ref, g).embeddings.data
+            assert np.allclose(got, want, atol=1e-9)
+        rt = loaded.new_runtime(g)
+        assert rt.state.memory.dtype == rt.state.mailbox.dtype == np.float32
