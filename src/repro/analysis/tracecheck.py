@@ -6,7 +6,7 @@ test_failover.py) grew a family of ad-hoc invariant asserts over
 serviced exactly once, per-server busy intervals never overlap, the
 migration log replays to exactly-once ownership, and offered windows are
 conserved.  This module generalizes them into one reusable checker that
-replays a recorded trace and returns a findings report, so the same
+reads a recorded trace and returns a findings report, so the same
 invariants run inside the bench smoke, behind ``serve-sim
 --check-trace``, and against any future actor.
 
@@ -32,23 +32,32 @@ Checks (finding ``check`` values)
 ``conservation``          offered windows != served + dropped (report)
                           or != flushed (trace).
 
-The checker matches events by type *name*, not class identity, so it
-stays stdlib-only (importable without numpy) and works with any
-duck-typed trace a test fabricates.
+Every check is a predicate over the columns of an
+:class:`~repro.serving.events.EventTrace` — the global ``t`` and
+``kind`` of each event and one table per event kind — evaluated with
+array operations; only the findings are built one by one.  A test that
+fabricates a trace builds it with ``EventTrace.of(events)``.  An event
+at a non-finite instant is a ``causality`` finding (and a non-finite
+service end an ``exactly-once-service`` one); the other checks compare
+finite times exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
+
+import numpy as np
+
+from ..serving.events import (KINDS, EventTrace, FailureEvent, FlushEvent,
+                              MailEvent, MigrationEvent, RecoveryEvent,
+                              ScaleEvent, ServiceBeginEvent, ServiceEndEvent,
+                              SyncEvent)
 
 __all__ = ["TraceFinding", "TraceCheckReport", "check_causality",
            "check_service_exactly_once", "check_mail_at_flush",
            "check_ownership_chain", "check_fleet_size",
            "check_conservation", "check_run"]
-
-# Service spans may abut exactly; anything closer than this is overlap.
-_OVERLAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,125 +101,127 @@ class TraceCheckReport:
         return "\n".join(lines)
 
 
-def _kind(event: Any) -> str:
-    return type(event).__name__
+def _first(ids: np.ndarray, n: int) -> np.ndarray:
+    """Per id in ``[0, n)``, the index of its first occurrence in ``ids``
+    (-1 where it has none)."""
+    first = np.full(n, -1)
+    seen, at = np.unique(ids, return_index=True)
+    first[seen] = at
+    return first
 
 
 # --------------------------------------------------------------------------- #
-def check_causality(trace: Sequence[Any]) -> list[TraceFinding]:
+def check_causality(trace: EventTrace) -> list[TraceFinding]:
     """Recorded event times never move backwards.
 
     The scheduler raises on ``schedule(t < now)``; this is the trace-side
     mirror — it also catches an actor that *records* a back-dated event
-    directly (``sched.record`` bypasses the heap).
+    directly (``sched.record`` bypasses the heap).  Each event is held to
+    the watermark of the finite times before it; an event at a
+    non-finite time is a finding of its own and leaves the watermark
+    where it was.
     """
+    t, kind = trace.t, trace.kind
+    finite = np.isfinite(t)
+    mark = np.maximum.accumulate(np.where(finite, t, -np.inf))
+    before = np.append(-np.inf, mark[:-1])
+    bad = ~finite | (t < before)
+    # Who set each watermark: the last good event so far.
+    setter = np.maximum.accumulate(np.where(bad, -1, np.arange(len(t))))
     findings = []
-    prev = float("-inf")
-    prev_kind = "start-of-trace"
-    for event in trace:
-        t = float(event.t)
-        if t < prev:
-            findings.append(TraceFinding(
-                "causality", t,
-                f"{_kind(event)} recorded at t={t:.6g} after "
-                f"{prev_kind} already fired at t={prev:.6g} "
-                f"(scheduled into the past)"))
-        else:
-            prev, prev_kind = t, _kind(event)
+    for i in np.flatnonzero(bad).tolist():
+        name, ti = KINDS[kind[i]].__name__, float(t[i])
+        findings.append(TraceFinding("causality", ti, (
+            f"{name} recorded at non-finite t={ti}" if not finite[i] else
+            f"{name} recorded at t={ti:.6g} after "
+            f"{KINDS[kind[setter[i - 1]]].__name__} already fired at "
+            f"t={before[i]:.6g} (scheduled into the past)")))
     return findings
 
 
-def check_service_exactly_once(trace: Sequence[Any]) -> list[TraceFinding]:
+def check_service_exactly_once(trace: EventTrace) -> list[TraceFinding]:
     """Begin/end pairing and per-server busy-interval disjointness.
 
     Every ``(group, index)`` job begins exactly once and ends exactly
-    once, ends never precede their begin, and the service spans of one
-    ``(group, server)`` station never overlap — migrations and failovers
-    reroute *future* jobs; they may never duplicate or lose an admitted
-    one.
+    once, at a finite instant, ends never precede their begin, and the
+    service spans of one ``(group, server)`` station never overlap — by
+    any margin: a begin is ``max(free_t, arrival)`` taken on the
+    previous finish itself, so abutting spans are exact.  Migrations and
+    failovers reroute *future* jobs; they may never duplicate or lose an
+    admitted one.
     """
-    findings = []
-    begun: dict[tuple[int, int], Any] = {}
-    spans: dict[tuple[int, int], list[float]] = {}
-    ended: set[tuple[int, int]] = set()
-    for event in trace:
-        kind = _kind(event)
-        if kind == "ServiceBeginEvent":
-            key = (event.group, event.index)
-            if key in begun:
-                findings.append(TraceFinding(
-                    "exactly-once-service", float(event.t),
-                    f"job group={key[0]} index={key[1]} began twice "
-                    f"(first at t={float(begun[key].t):.6g})"))
-            else:
-                begun[key] = event
-                spans[key] = [float(event.t), float("nan")]
-        elif kind == "ServiceEndEvent":
-            key = (event.group, event.index)
-            if key in ended:
-                findings.append(TraceFinding(
-                    "exactly-once-service", float(event.t),
-                    f"job group={key[0]} index={key[1]} ended twice"))
-                continue
-            ended.add(key)
-            if key not in begun:
-                findings.append(TraceFinding(
-                    "exactly-once-service", float(event.t),
-                    f"job group={key[0]} index={key[1]} ended without "
-                    f"a ServiceBeginEvent"))
-            else:
-                spans[key][1] = float(event.t)
-                if spans[key][1] < spans[key][0]:
-                    findings.append(TraceFinding(
-                        "exactly-once-service", float(event.t),
-                        f"job group={key[0]} index={key[1]} ends at "
-                        f"t={spans[key][1]:.6g} before its begin at "
-                        f"t={spans[key][0]:.6g}"))
-    for key in sorted(begun):
-        if key not in ended:
-            findings.append(TraceFinding(
-                "exactly-once-service", float(begun[key].t),
-                f"job group={key[0]} index={key[1]} began but never "
-                f"ended (lost in service)"))
-    # Per-(group, server) stations: spans sorted by begin must be disjoint.
-    by_server: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for key, event in begun.items():        # insertion == trace order
-        b, e = spans[key]
-        if e == e:                          # paired (not NaN)
-            by_server.setdefault((event.group, event.server),
-                                 []).append((b, e))
-    for station in sorted(by_server):
-        intervals = sorted(by_server[station])
-        for (b0, e0), (b1, _) in zip(intervals, intervals[1:]):
-            if b1 < e0 - _OVERLAP_TOL:
-                findings.append(TraceFinding(
-                    "busy-overlap", b1,
-                    f"group={station[0]} server={station[1]} begins a "
-                    f"job at t={b1:.6g} while the previous one runs "
-                    f"until t={e0:.6g}"))
+    b, e = trace.columns(ServiceBeginEvent), trace.columns(ServiceEndEvent)
+    nb = len(b["pos"])
+    group = np.append(b["group"], e["group"])
+    index = np.append(b["index"], e["index"])
+    width = int(index.max(initial=0)) + 1
+    keys, ids = np.unique(group * width + index, return_inverse=True)
+    jobs = [f"job group={k // width} index={k % width}"
+            for k in keys.tolist()]
+    first_b = _first(ids[:nb], len(keys))
+    first_e = _first(ids[nb:], len(keys))
+    rows = []                       # (trace position, t, detail)
+    for i in np.flatnonzero(first_b[ids[:nb]] != np.arange(nb)).tolist():
+        rows.append((b["pos"][i], float(b["t"][i]), f"{jobs[ids[i]]} began "
+                     f"twice (first at t={b['t'][first_b[ids[i]]]:.6g})"))
+    ends = ids[nb:]
+    for i in np.flatnonzero(first_e[ends] != np.arange(len(ends))).tolist():
+        rows.append((e["pos"][i], float(e["t"][i]),
+                     f"{jobs[ends[i]]} ended twice"))
+    # Each job's first end, held to its first begin.
+    key = np.flatnonzero(first_e >= 0)
+    end, begin = first_e[key], first_b[key]
+    begun = begin >= 0
+    begun[begun] = b["pos"][begin[begun]] < e["pos"][end[begun]]
+    t_end, t_begin = e["t"][end], np.full(len(key), np.nan)
+    t_begin[begun] = b["t"][begin[begun]]
+    finite = np.isfinite(t_end)
+    for i in np.flatnonzero(~begun | ~finite | (t_end < t_begin)).tolist():
+        at = float(t_end[i])
+        rows.append((e["pos"][end[i]], at, f"{jobs[key[i]]} " + (
+            "ended without a ServiceBeginEvent" if not begun[i] else
+            f"ends at non-finite t={at}" if not finite[i] else
+            f"ends at t={at:.6g} before its begin at t={t_begin[i]:.6g}")))
+    findings = [TraceFinding("exactly-once-service", t, detail)
+                for _, t, detail in sorted(rows, key=lambda row: row[0])]
+    for k in np.flatnonzero((first_b >= 0) & (first_e < 0)).tolist():
+        findings.append(TraceFinding(
+            "exactly-once-service", float(b["t"][first_b[k]]),
+            f"{jobs[k]} began but never ended (lost in service)"))
+    # Per-(group, server) stations: spans sorted by begin are disjoint.
+    paired = begun & finite
+    g, srv = b["group"][begin[paired]], b["server"][begin[paired]]
+    order = np.lexsort((t_end[paired], t_begin[paired], srv, g))
+    g, srv = g[order], srv[order]
+    span_b, span_e = t_begin[paired][order], t_end[paired][order]
+    clash = (g[1:] == g[:-1]) & (srv[1:] == srv[:-1]) \
+        & (span_b[1:] < span_e[:-1])
+    for i in np.flatnonzero(clash).tolist():
+        findings.append(TraceFinding(
+            "busy-overlap", float(span_b[i + 1]),
+            f"group={g[i]} server={srv[i]} begins a job at "
+            f"t={span_b[i + 1]:.6g} while the previous one runs until "
+            f"t={span_e[i]:.6g}"))
     return findings
 
 
-def check_mail_at_flush(trace: Sequence[Any]) -> list[TraceFinding]:
+def check_mail_at_flush(trace: EventTrace) -> list[TraceFinding]:
     """Mail and sync rows are recorded at a job release instant.
 
     The router forks a job the moment the batcher releases it; mail and
     sync events time-stamped away from any flush mean traffic was
     recorded outside the release path (e.g. back-dated by a handler).
     """
-    flush_ts = {float(e.t) for e in trace if _kind(e) == "FlushEvent"}
-    findings = []
-    for event in trace:
-        if _kind(event) in ("MailEvent", "SyncEvent") \
-                and float(event.t) not in flush_ts:
-            findings.append(TraceFinding(
-                "mail-at-flush", float(event.t),
-                f"{_kind(event)} at t={float(event.t):.6g} matches no "
-                f"FlushEvent instant"))
-    return findings
+    t, kind = trace.t, trace.kind
+    off = np.isin(kind, [KINDS.index(MailEvent), KINDS.index(SyncEvent)]) \
+        & ~np.isin(t, trace.columns(FlushEvent)["t"])
+    return [TraceFinding("mail-at-flush", ti,
+                         f"{KINDS[k].__name__} at t={ti:.6g} matches no "
+                         f"FlushEvent instant")
+            for k, ti in zip(kind[off].tolist(), t[off].tolist())]
 
 
-def check_ownership_chain(trace: Sequence[Any],
+def check_ownership_chain(trace: EventTrace,
                           initial_assignment: Sequence[int],
                           final_assignment: Sequence[int] | None = None,
                           ) -> list[TraceFinding]:
@@ -225,51 +236,65 @@ def check_ownership_chain(trace: Sequence[Any],
     replay must land exactly on it (the live router agrees with its own
     log).
     """
+    m = trace.columns(MigrationEvent)
+    v, src, dst = m["vertex"], m["from_shard"], m["to_shard"]
+    owner = np.array(initial_assignment, dtype=np.int64)
+    # A vertex's moves, in order, hand it from one to the next; a
+    # self-migration moves nothing.
+    moves = np.flatnonzero(src != dst)
+    moves = moves[np.argsort(v[moves], kind="stable")]
+    again = np.flatnonzero(v[moves][1:] == v[moves][:-1])
+    found = owner[v]
+    found[moves[again + 1]] = dst[moves[again]]
+    last = np.ones(len(moves), dtype=bool)
+    last[again] = False
+    owner[v[moves[last]]] = dst[moves[last]]
+    # A dead failure marks its shard dead and any recovery clears it: a
+    # move sees the last mark on its target before it, the end of the
+    # trace the last mark on each shard.
+    fail, rec = trace.columns(FailureEvent), trace.columns(RecoveryEvent)
+    dead = fail["mode"] == "dead"
+    shard = np.append(fail["shard"][dead], rec["shard"])
+    pos = np.append(fail["pos"][dead], rec["pos"])
+    kills = pos[:dead.sum()]
+    prior = np.where((shard == dst[:, None]) & (pos < m["pos"][:, None]),
+                     pos, -1).max(axis=1, initial=-1)
+    latest = np.where(shard == shard[:, None], pos, -1).max(axis=1,
+                                                           initial=-1)
+    still_dead = shard[np.isin(pos, kills) & (pos == latest)]
+    onto_dead = np.isin(prior, kills)
     findings = []
-    owner = [int(s) for s in initial_assignment]
-    dead: set[int] = set()
-    for event in trace:
-        if _kind(event) == "FailureEvent" and event.mode == "dead":
-            dead.add(int(event.shard))
-        elif _kind(event) == "RecoveryEvent":
-            dead.discard(int(event.shard))
-        if _kind(event) != "MigrationEvent":
+    for i in np.flatnonzero((src == dst) | (found != src)
+                            | onto_dead).tolist():
+        t, why = float(m["t"][i]), m["reason"][i]
+        if src[i] == dst[i]:
+            findings.append(TraceFinding(
+                "ownership-chain", t, f"vertex {v[i]} migrated to its own "
+                f"shard {src[i]} ({why})"))
             continue
-        t = float(event.t)
-        v, src, dst = int(event.vertex), int(event.from_shard), \
-            int(event.to_shard)
-        if src == dst:
+        if found[i] != src[i]:
             findings.append(TraceFinding(
-                "ownership-chain", t,
-                f"vertex {v} migrated to its own shard {src} "
-                f"({event.reason})"))
-            continue
-        if owner[v] != src:
+                "ownership-chain", t, f"vertex {v[i]} migrated from shard "
+                f"{src[i]} but is owned by shard {found[i]} ({why}): "
+                f"double ownership"))
+        if onto_dead[i]:
             findings.append(TraceFinding(
-                "ownership-chain", t,
-                f"vertex {v} migrated from shard {src} but is owned by "
-                f"shard {owner[v]} ({event.reason}): double ownership"))
-        if dst in dead:
-            findings.append(TraceFinding(
-                "ownership-chain", t,
-                f"vertex {v} migrated onto shard {dst}, which is dead "
-                f"({event.reason})"))
-        owner[v] = dst
-    stranded = [v for v, s in enumerate(owner) if s in dead]
-    if stranded:
+                "ownership-chain", t, f"vertex {v[i]} migrated onto shard "
+                f"{dst[i]}, which is dead ({why})"))
+    stranded = np.flatnonzero(np.isin(owner, still_dead))
+    if len(stranded):
+        first = stranded[0]
         findings.append(TraceFinding(
             "ownership-chain", None,
             f"{len(stranded)} vertex(es) end the run owned by a shard "
-            f"that is still dead (first: vertex {stranded[0]} on shard "
-            f"{owner[stranded[0]]})"))
+            f"that is still dead (first: vertex {first} on shard "
+            f"{owner[first]})"))
     if final_assignment is not None:
-        wrong = [v for v, (a, b) in
-                 enumerate(zip(owner, final_assignment))
-                 if int(a) != int(b)]
-        if wrong:
-            head = ", ".join(
-                f"{v}: log={owner[v]} live={int(final_assignment[v])}"
-                for v in wrong[:5])
+        live = np.asarray(final_assignment)
+        wrong = np.flatnonzero(owner != live)
+        if len(wrong):
+            head = ", ".join(f"{w}: log={owner[w]} live={live[w]}"
+                             for w in wrong[:5])
             findings.append(TraceFinding(
                 "ownership-chain", None,
                 f"replayed migration log disagrees with the live "
@@ -278,7 +303,7 @@ def check_ownership_chain(trace: Sequence[Any],
     return findings
 
 
-def check_fleet_size(trace: Sequence[Any], initial_servers: int,
+def check_fleet_size(trace: EventTrace, initial_servers: int,
                      final_servers: int | None = None,
                      ) -> list[TraceFinding]:
     """Replay the scale log: the fleet changes one server at a time.
@@ -291,48 +316,45 @@ def check_fleet_size(trace: Sequence[Any], initial_servers: int,
     the replay must land exactly on it (the live controller agrees with
     its own log).
     """
+    s = trace.columns(ScaleEvent)
+    kind, before, after = s["kind"], s["servers_before"], s["servers_after"]
+    # The fleet each valid event finds: the one the last valid one left.
+    steps = np.flatnonzero(np.isin(kind, ["up", "down"]))
+    fleet = np.full(len(after), int(initial_servers))
+    fleet[steps[1:]] = after[steps[:-1]]
     findings = []
-    fleet = int(initial_servers)
-    for event in trace:
-        if _kind(event) != "ScaleEvent":
+    for i, k in enumerate(kind):
+        t, why = float(s["t"][i]), s["reason"][i]
+        if k not in ("up", "down"):
+            findings.append(TraceFinding(
+                "fleet-size", t, f"ScaleEvent kind {k!r} is neither 'up' "
+                f"nor 'down' ({why})"))
             continue
-        t = float(event.t)
-        before, after = int(event.servers_before), int(event.servers_after)
-        if event.kind not in ("up", "down"):
+        if after[i] != before[i] + (1 if k == "up" else -1):
             findings.append(TraceFinding(
-                "fleet-size", t,
-                f"ScaleEvent kind {event.kind!r} is neither 'up' nor "
-                f"'down' ({event.reason})"))
-            continue
-        step = 1 if event.kind == "up" else -1
-        if after != before + step:
+                "fleet-size", t, f"scale-{k} moves the fleet {before[i]} -> "
+                f"{after[i]}: capacity must change one server at a time "
+                f"({why})"))
+        if before[i] != fleet[i]:
             findings.append(TraceFinding(
-                "fleet-size", t,
-                f"scale-{event.kind} moves the fleet {before} -> {after}: "
-                f"capacity must change one server at a time "
-                f"({event.reason})"))
-        if before != fleet:
+                "fleet-size", t, f"scale-{k} expected a fleet of "
+                f"{before[i]} but the replayed log stands at {fleet[i]} "
+                f"({why}): stale decision applied"))
+        if after[i] <= 0:
             findings.append(TraceFinding(
-                "fleet-size", t,
-                f"scale-{event.kind} expected a fleet of {before} but the "
-                f"replayed log stands at {fleet} ({event.reason}): stale "
-                f"decision applied"))
-        if after <= 0:
-            findings.append(TraceFinding(
-                "fleet-size", t,
-                f"scale-{event.kind} shrinks the fleet to {after}: a run "
-                f"needs at least one server ({event.reason})"))
-        fleet = after
-    if final_servers is not None and fleet != int(final_servers):
+                "fleet-size", t, f"scale-{k} shrinks the fleet to "
+                f"{after[i]}: a run needs at least one server ({why})"))
+    final = after[steps[-1]] if len(steps) else int(initial_servers)
+    if final_servers is not None and final != int(final_servers):
         findings.append(TraceFinding(
             "fleet-size", None,
-            f"replayed scale log lands on a fleet of {fleet} but the "
+            f"replayed scale log lands on a fleet of {final} but the "
             f"live controller reports {int(final_servers)}"))
     return findings
 
 
 def check_conservation(num_arrivals: int, report: Any = None,
-                       trace: Sequence[Any] | None = None,
+                       trace: EventTrace | None = None,
                        ) -> list[TraceFinding]:
     """Every offered window is accounted for: served, dropped, or flushed.
 
@@ -350,10 +372,7 @@ def check_conservation(num_arrivals: int, report: Any = None,
                 f"{report.dropped_windows} dropped windows, but "
                 f"{num_arrivals} were offered"))
     if trace is not None:
-        flushed = 0
-        for event in trace:
-            if _kind(event) == "FlushEvent":
-                flushed += int(event.windows)
+        flushed = int(trace.columns(FlushEvent)["windows"].sum())
         if flushed != num_arrivals:
             findings.append(TraceFinding(
                 "conservation", None,

@@ -24,8 +24,9 @@ every cohort cut to one) — the equivalence is property-tested, the
 per-element delivery every run (the ratio is tracked across commits via
 the ``BENCH_events_per_sec`` perf-trajectory artifact).  Tracing
 (``trace=True``) observes that one loop and takes no path of its own:
-same cohorts, same counters, same report, plus the typed-event record;
-untraced runs skip trace-only dataclass construction entirely.
+same cohorts, same counters, same report, plus the typed-event record,
+an :class:`EventTrace` of columns that builds no event object until it
+is read as a sequence.
 Ingest is columnar from end to end: :func:`make_stream_arrivals` builds
 one :class:`ArrivalTrace` (arrival instants, streams and per-edge indices
 into the graph's own columns) with no Python step per arrival, the
@@ -33,7 +34,7 @@ scheduler's run *is* that trace, the batcher's pending buffer is a span
 of it, a released job's ``sources`` is a zero-copy slice of it, and the
 report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
-the trace (the :class:`ArrivalEvent` records of a traced run, tests).
+the trace (reading the arrival events of a traced run, tests).
 Routing is columnar per ownership epoch: under serial ingest the job
 boundaries follow from the trace alone (:meth:`DynamicBatcher.spans`),
 so the engine routes every job left in one :meth:`ShardRouter.plan` —
@@ -308,11 +309,12 @@ enforces them mechanically, before the golden diff can catch a break:
   sites carry ``# repro-lint: ok=<rule> (reason)``.  Omit-when-off
   needs no rule: a defaulted :class:`ServingReport` field is dropped
   from ``to_dict()`` while its gate holds its default, by declaration.
-* **tracecheck** (dynamic) — replays a ``trace=True`` run's typed-event
-  trace and flags causality violations, non-exactly-once service or
-  ownership, busy-interval overlap, off-flush mail and conservation
-  breaks.  ``serve-sim --check-trace`` (exit 3 on findings) and the
-  bench smoke's trace-invariants lane run it end-to-end.
+* **tracecheck** (dynamic) — evaluates array predicates over a
+  ``trace=True`` run's :class:`EventTrace` columns and flags causality
+  violations, non-exactly-once service or ownership, busy-interval
+  overlap, off-flush mail and conservation breaks.  ``serve-sim
+  --check-trace`` (exit 3 on findings) and the bench smoke's
+  trace-invariants lane run it end-to-end.
 
 Both halves block CI (the ``lint`` job runs ahead of tier-1, together
 with the ruff/mypy baseline in pyproject.toml).
@@ -325,7 +327,7 @@ from .control import ControlPlane, FailureInjector  # noqa: F401
 from .engine import (ServingEngine, ServingReport,  # noqa: F401
                      ShardStats, make_stream_arrivals)
 from .events import (INGEST_MODES, ArrivalEvent, BatcherActor,  # noqa: F401
-                     EventScheduler, FailureEvent, FailurePlan,
+                     EventScheduler, EventTrace, FailureEvent, FailurePlan,
                      FlushEvent, HeapEventScheduler, MailEvent,
                      MigrationEvent, RecoveryEvent, ScaleEvent,
                      ServerGroup, ServiceBeginEvent, ServiceEndEvent,
@@ -348,7 +350,8 @@ __all__ = [
     "ShardRouter", "ShardBatch", "CrossShardMailbox",
     "DynamicBatcher", "CoalescedJob", "StreamArrival", "ArrivalTrace",
     "SimulationResult",
-    "EventScheduler", "HeapEventScheduler", "ServerGroup", "BatcherActor",
+    "EventScheduler", "EventTrace", "HeapEventScheduler", "ServerGroup",
+    "BatcherActor",
     "INGEST_MODES",
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
     "MailEvent", "SyncEvent", "MigrationEvent", "ScaleEvent",

@@ -78,8 +78,8 @@ from ..graph.batching import time_window_spans
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
 from .control import ControlPlane, FailureInjector
-from .events import (INGEST_MODES, BatcherActor, EventScheduler, MailEvent,
-                     ServerGroup, SimulationResult, SyncEvent)
+from .events import (INGEST_MODES, BatcherActor, EventScheduler,
+                     ServerGroup, SimulationResult)
 from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
@@ -562,7 +562,7 @@ class ServingEngine:
         self.autoscaler = autoscaler
         self.failure_injector = None if failures is None \
             else FailureInjector(failures)
-        # Populated by each run: typed trace (or None), the scheduler
+        # Populated by each run: the EventTrace (or None), the scheduler
         # instance (counters), the control plane (None without a
         # controller), the event-loop wall-clock seconds, and the
         # offered-arrival count (the conservation check's denominator).
@@ -691,11 +691,13 @@ class ServingEngine:
         every arrival as a cohort of one, which is the lane the
         scheduler-equivalence tests and the serving bench compare with.
 
-        ``trace=True`` records the full typed-event trace (costs memory)
-        and exposes it as ``last_event_trace`` — the input of
-        :mod:`repro.analysis.tracecheck` and the invariant suites.  It
-        observes the run and takes no other path through it: the report
-        and the scheduler's counters are those of the untraced run.
+        ``trace=True`` records the run's typed events as one
+        :class:`~repro.serving.events.EventTrace` of columns (costs
+        memory) and exposes it as ``last_event_trace`` — the arrays
+        :mod:`repro.analysis.tracecheck` reads, and a sequence of the
+        typed events for the invariant suites.  It observes the run and
+        takes no other path through it: the report and the scheduler's
+        counters are those of the untraced run.
         """
         if ingest not in INGEST_MODES:
             raise ValueError(f"ingest must be one of {INGEST_MODES}")
@@ -817,28 +819,10 @@ class ServingEngine:
                     f"holds [{spans[j][0]}, {spans[j][1]})")
             return plan.next()
 
-        def record_traffic(t: float, run: int, shard: int) -> None:
-            """The run's :class:`MailEvent` rows, per source shard, and
-            :class:`SyncEvent` rows, per owner of its pulled and pushed
-            rows."""
-            m = plan.mail_bounds
-            if m[run] < m[run + 1]:
-                for f, n in enumerate(np.bincount(
-                        plan.mail_from[m[run]:m[run + 1]]).tolist()):
-                    if n:
-                        sched.record(MailEvent(t, f, shard, n))
-            for vs, b, kind in ((plan.pull, plan.pull_bounds, "pull"),
-                                (plan.push, plan.push_bounds, "push")):
-                if b[run] < b[run + 1]:
-                    for o, n in enumerate(np.bincount(router.assignment[
-                            vs[b[run]:b[run + 1]]]).tolist()):
-                        if n:
-                            sched.record(SyncEvent(t, o, shard, n, kind))
-
         def route(job: CoalescedJob) -> None:
             """The fork point: submit each of the job's sub-batches to its
-            station at the release instant, after recording the mail and
-            sync traffic it carries at that same instant."""
+            station at the release instant, after recording the run of
+            the plan that carries its mail and sync traffic."""
             t = job.t_release
             ji = len(job_windows)
             job_windows.append(len(job.sources))
@@ -862,7 +846,8 @@ class ServingEngine:
                 if plane is not None:
                     hops += plane.take_hops(shard)
                 if sched.trace is not None:
-                    record_traffic(t, run, shard)
+                    sched.trace.sub_job(t, plan, run, shard,
+                                        router.assignment)
                 offers[shard].append(base + run)
                 groups[shard].submit(t, (batch, hops))
 
@@ -884,8 +869,8 @@ class ServingEngine:
         finally:
             if pool is not None:
                 pool.shutdown()
-        # Exposed for the invariant tests: the full typed-event trace of
-        # the run (None unless trace=True — tracing costs memory).  The
+        # Exposed for the invariant tests: the run's EventTrace (None
+        # unless trace=True — tracing costs memory).  The
         # scheduler itself is exposed for its counters (events_processed,
         # cohort_calls), and the loop wall-clock isolates the event core
         # from setup and report assembly — the bench reads them.

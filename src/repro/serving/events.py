@@ -38,9 +38,13 @@ in — the :class:`~repro.serving.control.ControlPlane` among them — use
 
 There is one way into the loop.  Tracing (``trace=True``) is an observer
 of it, not a lane through it: the loop records the typed event of every
-heap entry it pops and a cohort handler records the typed events of the
-elements it consumes, so a traced run makes the cohort cuts, fires the
-events and writes the report of the untraced run.
+heap entry it pops and a cohort handler records the span of the elements
+it consumes, so a traced run makes the cohort cuts, fires the events and
+writes the report of the untraced run.  The record is one
+:class:`EventTrace` of columns, not a list of event objects: where the
+run already keeps a row — an arrival in the :class:`ArrivalTrace`, a
+begin in its station's commit log, a sub-job's traffic in its
+:class:`~repro.serving.router.RoutePlan` — the trace points at it.
 :class:`HeapEventScheduler` is the same loop with every cohort cut to
 one — its single override expands a run into one heap entry per element
 — which makes it the reference the cohort optimisation is held to: the
@@ -58,12 +62,18 @@ meet a pop (issued after the event already fired) cannot leak.
 
 Event types
 -----------
+Each is a kind of :class:`EventTrace` row, and what reading the trace
+materialises; the trace column it comes from is in brackets.
+
 :class:`ArrivalEvent`       a stream window reaches the ingest tier
+                            (a cohort's span of the :class:`ArrivalTrace`)
 :class:`FlushEvent`         the batcher releases its pending buffer
-:class:`ServiceBeginEvent`  a server starts a job (trace)
+:class:`ServiceBeginEvent`  a server starts a job (its station's commit row)
 :class:`ServiceEndEvent`    a server finishes a job (frees the server)
-:class:`MailEvent`          cross-shard edge mail, at delivery time (trace)
-:class:`SyncEvent`          memory rows pulled/pushed between shards (trace)
+:class:`MailEvent`          cross-shard edge mail, at delivery time (the
+                            sub-job's run of its route plan)
+:class:`SyncEvent`          memory rows pulled/pushed between shards (the
+                            same run, per owner of the rows)
 :class:`MigrationEvent`     a vertex changes owner mid-run (recorded when
                             the control plane applies the change)
 :class:`FailureEvent`       a shard degrades or dies mid-run (scheduled)
@@ -161,12 +171,12 @@ Actors
 A released job goes to the batcher's sink.  In the serving engine that is
 the fork point, ``route``: the router's plan hands the job out as
 ``(run, shard, batch)`` and already carries each run's mail and sync
-traffic in its columns, so ``route`` records that traffic as
-:class:`MailEvent` / :class:`SyncEvent` rows and submits the sub-batch to
-its group, all at the release instant.  The memsync cache
-(:class:`~repro.serving.memsync.VersionedMemoryCache`) advances as the
-plan hands jobs out, in flush order, which the scheduler guarantees is
-release order.
+traffic in its columns, so ``route`` records the run itself (the trace
+reads its :class:`MailEvent` / :class:`SyncEvent` rows off the plan) and
+submits the sub-batch to its group, all at the release instant.  The
+memsync cache (:class:`~repro.serving.memsync.VersionedMemoryCache`)
+advances as the plan hands jobs out, in flush order, which the scheduler
+guarantees is release order.
 """
 
 from __future__ import annotations
@@ -175,9 +185,11 @@ import heapq
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import Any, Callable, Sequence
+from operator import attrgetter
+from typing import Any, Callable
 
 import numpy as np
 
@@ -186,9 +198,9 @@ from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
 __all__ = [
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
     "MailEvent", "SyncEvent", "MigrationEvent", "FailureEvent",
-    "RecoveryEvent", "ScaleEvent", "FailurePlan", "EventScheduler",
-    "HeapEventScheduler", "SimulationResult", "ServerGroup",
-    "BatcherActor", "INGEST_MODES",
+    "RecoveryEvent", "ScaleEvent", "KINDS", "EventTrace", "FailurePlan",
+    "EventScheduler", "HeapEventScheduler", "SimulationResult",
+    "ServerGroup", "BatcherActor", "INGEST_MODES",
 ]
 
 INGEST_MODES = ("serial", "pipelined")
@@ -387,6 +399,231 @@ class FailurePlan:
 
 
 # --------------------------------------------------------------------------- #
+# The trace.  An event kind's code is its index here and its row is its
+# fields: ``t`` first, a string field as a code into one name table.
+KINDS: tuple[type, ...] = (
+    ArrivalEvent, FlushEvent, ServiceBeginEvent, ServiceEndEvent, MailEvent,
+    SyncEvent, MigrationEvent, FailureEvent, RecoveryEvent, ScaleEvent)
+_KIND = {cls: k for k, cls in enumerate(KINDS)}
+_FIELDS = tuple(tuple(f.name for f in fields(cls)) for cls in KINDS)
+_ROW = tuple(attrgetter(*names) for names in _FIELDS)
+_NAMED = ("cause", "kind", "mode", "reason")
+_REAL = ("t", "degradation")
+_WIDTH = max(map(len, _FIELDS))
+_A, _F, _B, _M, _S = (_KIND[c] for c in (ArrivalEvent, FlushEvent,
+                                         ServiceBeginEvent, MailEvent,
+                                         SyncEvent))
+# Records that point at a row the run keeps instead of copying it.
+_SPAN, _COMMIT, _SUBJOB = range(len(KINDS), len(KINDS) + 3)
+_WIDE = 1 << 32         # orders a sub-job's mail, then pulls, then pushes
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every element of the ranges ``[lo, hi)``, in order: the range it
+    belongs to and its index."""
+    n = hi - lo
+    which = np.repeat(np.arange(len(n)), n)
+    return which, np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+class EventTrace(Sequence):
+    """The typed-event record of one traced run, held as columns.
+
+    Recording appends one tuple per record and builds no event object.
+    Most records are an event's row; three point at rows the run already
+    keeps instead of copying them:
+
+    * a cohort of arrivals is ``(source, lo, hi)``, a span of the
+      :class:`ArrivalTrace` the batcher admits;
+    * a service begin is ``(station, row)``, the :class:`ServerGroup`'s
+      commit row ``(index, begin, finish, service, server)``;
+    * a sub-job is ``(t, plan, run, shard)``, run ``run`` of a
+      :class:`~repro.serving.router.RoutePlan`, whose :class:`MailEvent`
+      rows count its ``mail_from`` column per source shard and whose
+      :class:`SyncEvent` rows count its pulled and pushed rows per owner.
+      The owners are read once per plan: they cannot move while it hands
+      out jobs, because the engine re-plans whenever
+      ``router.generation`` does.
+
+    Reading builds the columns once (again after more records): every
+    event's ``t`` and ``kind`` (its index into :data:`KINDS`) in record
+    order, and per kind a :meth:`columns` table.
+    :mod:`repro.analysis.tracecheck` reads only these.  The trace is
+    still a ``Sequence`` of the typed events, as an :class:`ArrivalTrace`
+    is one of :class:`StreamArrival`: indexing or iterating materialises
+    them, field for field the objects a list of events held.  :meth:`of`
+    builds a trace of such events.
+    """
+
+    def __init__(self):
+        self._log: list[tuple] = []
+        self._plans: list[tuple] = []
+        self._plan = None
+        self._built: tuple = (-1,)
+
+    @classmethod
+    def of(cls, events) -> "EventTrace":
+        """A trace of ``events`` (typed event objects), in order."""
+        trace = cls()
+        for event in events:
+            trace.add(event)
+        return trace
+
+    def add(self, event) -> None:
+        """Record a typed event, one of :data:`KINDS`, as its row."""
+        k = _KIND[type(event)]
+        self._log.append((k, *_ROW[k](event)))
+
+    def flush(self, t: float, cause: str, windows: int) -> None:
+        """Record a :class:`FlushEvent` without building it."""
+        self._log.append((_F, t, cause, windows))
+
+    def arrivals(self, source: ArrivalTrace, lo: int, hi: int) -> None:
+        """Record the :class:`ArrivalEvent` of ``source[lo:hi]``."""
+        self._log.append((_SPAN, source, lo, hi))
+
+    def begin(self, station: "ServerGroup", row: int) -> None:
+        """Record the :class:`ServiceBeginEvent` of ``station``'s commit
+        row ``row``."""
+        self._log.append((_COMMIT, station, row))
+
+    def sub_job(self, t: float, plan, run: int, shard: int,
+                owner: np.ndarray) -> None:
+        """Record the mail and sync traffic of ``plan``'s run ``run``,
+        released to ``shard`` at ``t``; ``owner`` is the ownership table
+        the plan was routed under."""
+        if plan is not self._plan:
+            self._plan = plan
+            self._plans.append(((plan.mail_from, plan.mail_bounds),
+                                (owner[plan.pull], plan.pull_bounds),
+                                (owner[plan.push], plan.push_bounds)))
+        self._log.append((_SUBJOB, t, len(self._plans) - 1, run, shard))
+
+    # ------------------------------------------------------------------ #
+    @property
+    def t(self) -> np.ndarray:
+        return self._build()[1][:, 0]
+
+    @property
+    def kind(self) -> np.ndarray:
+        return self._build()[2]
+
+    def columns(self, cls: type) -> dict[str, np.ndarray]:
+        """The events of kind ``cls``, in record order: one column per
+        field (an arrival as its item) and ``pos``, each one's index in
+        the whole trace."""
+        _, rows, kind, names, _ = self._build()
+        k = _KIND[cls]
+        pos = np.flatnonzero(kind == k)
+        out = {name: rows[pos, j] if name in _REAL
+               else np.array(names, dtype=object)[rows[pos, j].astype(int)]
+               if name in _NAMED else rows[pos, j].astype(np.int64)
+               for j, name in enumerate(_FIELDS[k])}
+        out["pos"] = pos
+        return out
+
+    def __len__(self) -> int:
+        return len(self._build()[2])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EventTrace.of(list(self)[i])
+        _, rows, kind, _, _ = self._build()
+        return self._event(int(kind[i]), rows[i].tolist())
+
+    def __iter__(self):
+        _, rows, kind, _, _ = self._build()
+        return map(self._event, kind.tolist(), rows.tolist())
+
+    def _event(self, k: int, row: list):
+        _, _, _, names, sources = self._build()
+        values = [v if name in _REAL else names[int(v)] if name in _NAMED
+                  else int(v) for v, name in zip(row, _FIELDS[k])]
+        if k == _A:
+            values[1] = sources[int(row[2])][int(row[1])]
+        return KINDS[k](*values)
+
+    # ------------------------------------------------------------------ #
+    def _build(self) -> tuple:
+        """``(records, rows, kind, names, sources)`` of everything
+        recorded so far: per event a row of its fields, ``t`` first, a
+        string as its code in ``names``, an arrival as ``(item,
+        source)``."""
+        log = self._log
+        if self._built[0] == len(log):
+            return self._built
+        code = np.array([r[0] for r in log], dtype=np.int64)
+        names: dict[str, int] = {}
+        sources: list = []
+        blocks: list[tuple] = []    # (record, place in it, kind, columns)
+
+        def records(c: int) -> tuple[np.ndarray, list]:
+            at = np.flatnonzero(code == c)
+            return at, list(zip(*(log[i][1:] for i in at.tolist())))
+
+        for k, fields_k in enumerate(_FIELDS):
+            at, cols = records(k)
+            if len(at):
+                cols = [[names.setdefault(v, len(names)) for v in col]
+                        if name in _NAMED else col
+                        for name, col in zip(fields_k, cols)]
+                if k == _A:     # the payloads are a source of their own
+                    sources.append(cols[1])
+                    cols[1:] = [range(len(at)), len(sources) - 1]
+                blocks.append((at, 0, k, cols))
+        at, spans = records(_SPAN)
+        if len(at):
+            which, item = _ranges(*np.array(spans[1:]))
+            t = np.concatenate([s.t[a:b] for s, a, b in zip(*spans)])
+            blocks.append((at[which], item, _A,
+                           [t, item, which + len(sources)]))
+            sources += spans[0]
+        at, commits = records(_COMMIT)
+        if len(at):     # (index, begin, finish, service, server) rows
+            row = np.array([s._commits[r] for s, r in zip(*commits)])
+            blocks.append((at, 0, _B, [row[:, 1], [s.gid for s in commits[0]],
+                                       row[:, 4], row[:, 0]]))
+        at, subjobs = records(_SUBJOB)
+        if len(at):
+            t, plan, run, shard = map(np.array, subjobs)
+            used = np.zeros(len(self._plans), dtype=np.int64)
+            np.maximum.at(used, plan, run + 2)
+            sync = [names.setdefault(k, len(names)) for k in ("pull", "push")]
+            for c in range(3):      # mail, pulls, pushes
+                # Every plan's column, and its run bounds up to the last
+                # run handed out, laid end to end.
+                values, bounds = zip(*(p[c] for p in self._plans))
+                bounds = [np.asarray(b[:n], dtype=np.int64)
+                          for b, n in zip(bounds, used.tolist())]
+                first = np.cumsum([0] + [len(b) for b in bounds])[plan] + run
+                base = np.cumsum([0] + [len(v) for v in values])
+                bounds = np.concatenate(
+                    [b + o for b, o in zip(bounds, base.tolist())])
+                sub, item = _ranges(bounds[first], bounds[first + 1])
+                value = np.concatenate(values)[item]
+                # Per run, one row per distinct value, ascending.
+                key, n = np.unique(sub * _WIDE + value, return_counts=True)
+                sub, value = key // _WIDE, key % _WIDE
+                # A sync row ends with its kind: pull, or push.
+                blocks.append((at[sub], c * _WIDE + value, _S if c else _M,
+                               [t[sub], value, shard[sub], n,
+                                *sync[c - 1:c]]))
+        record, place, kind = (np.concatenate(
+            [np.broadcast_to(b[j], len(b[0])) for b in blocks] + [[]])
+            for j in range(3))
+        rows = np.zeros((len(record), _WIDTH))
+        end = 0
+        for at, _, _, cols in blocks:
+            for j, col in enumerate(cols):
+                rows[end:end + len(at), j] = col
+            end += len(at)
+        order = np.lexsort((place, record))
+        self._built = (len(log), rows[order], kind[order].astype(np.int8),
+                       list(names), sources)
+        return self._built
+
+
+# --------------------------------------------------------------------------- #
 class _EventRun:
     """Struct-of-array storage for one :meth:`EventScheduler.schedule_run`.
 
@@ -445,7 +682,7 @@ class EventScheduler:
         self.events_processed = 0
         self.cohort_calls = 0
         self.cohort_events = 0
-        self.trace: list | None = [] if trace else None
+        self.trace: EventTrace | None = EventTrace() if trace else None
 
     def schedule(self, t: float, priority: int, event,
                  handler: Callable) -> int:
@@ -481,8 +718,8 @@ class EventScheduler:
         bounds and must return the number of elements consumed, in
         ``[1, stop - start]``.  A run carries raw payloads, not typed
         events, so the loop records nothing for it: a handler that wants
-        its elements in ``trace`` calls :meth:`record` for the ones it
-        consumes.
+        its elements in ``trace`` records the span it consumes
+        (:meth:`EventTrace.arrivals`).
         """
         self._runs.append(self._new_run(ts, priority, payloads, handler))
 
@@ -503,9 +740,10 @@ class EventScheduler:
         self._dead.add(token)
 
     def record(self, event) -> None:
-        """Append a trace-only event (begin / flush / mail / sync)."""
+        """Record a typed event that no heap entry carries (an applied
+        migration) as one row of ``trace``; a no-op when not tracing."""
         if self.trace is not None:
-            self.trace.append(event)
+            self.trace.add(event)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -524,6 +762,7 @@ class EventScheduler:
         heap = self._heap
         dead = self._dead
         runs = self._runs
+        trace = self.trace
         while True:
             best: _EventRun | None = None
             best_key: tuple = ()
@@ -543,8 +782,8 @@ class EventScheduler:
                         f"now={self.now}")
                 self.now = t
                 self.events_processed += 1
-                if event is not None and self.trace is not None:
-                    self.trace.append(event)
+                if event is not None and trace is not None:
+                    trace.add(event)
                 handler(event)
                 continue
             if best is None:
@@ -809,7 +1048,7 @@ class ServerGroup:
     def _commit(self, i: int, srv: int, begin: float,
                 service: float) -> float:
         """Commit offer ``i``'s service interval and return its finish:
-        one commit row, the begin trace row and the end event.  The
+        one commit row, the begin trace record and the end event.  The
         single service-accounting path — subclasses that *measure*
         service times (``repro.serving.measured``) reuse it so traced
         runs stay invariant-checkable regardless of where the duration
@@ -826,17 +1065,19 @@ class ServerGroup:
         self._commits.append((i, begin, finish, service, srv))
         if self.on_serviced is not None:
             self.on_serviced(finish, finish - self._t_arrive[i])
-        if self._sched.trace is not None:
-            self._record_begin(begin, srv, i)
+        trace = self._sched.trace
+        if trace is not None:
+            self._record_begin(trace, begin, len(self._commits) - 1)
         self._sched.schedule(finish, _END,
                              ServiceEndEvent(finish, self.gid, srv, i),
                              self._end)
         return finish
 
-    def _record_begin(self, begin: float, srv: int, i: int) -> None:
+    def _record_begin(self, trace: EventTrace, begin: float,
+                      row: int) -> None:
         # Hook point: the measured subclass defers lane-delayed begins so
         # the trace stays causally ordered.
-        self._sched.record(ServiceBeginEvent(begin, self.gid, srv, i))
+        trace.begin(self, row)
 
     def _end(self, ev: ServiceEndEvent) -> None:
         t, server = self._sched.now, ev.server
@@ -1036,10 +1277,9 @@ class BatcherActor:
     def start(self, trace: ArrivalTrace) -> None:
         """Schedule the whole arrival trace onto the loop as one run.
 
-        No per-arrival object exists unless the scheduler is tracing, in
-        which case :meth:`_on_cohort` records a typed
-        :class:`ArrivalEvent` (carrying the materialised
-        :class:`StreamArrival`) for every element it consumes.
+        No per-arrival object exists, traced or not: a tracing
+        scheduler's :class:`EventTrace` records the span of the trace each
+        cohort consumes.
         """
         self._trace = trace
         self._sched.schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
@@ -1094,9 +1334,8 @@ class BatcherActor:
         react at the same instant (a passthrough deadline, a drain flush,
         a size trigger) is consumed alone through :meth:`_admit`, which is
         all a cohort of one (:class:`HeapEventScheduler`) ever does beyond
-        buffering one element.  A tracing scheduler gets the
-        :class:`ArrivalEvent` of every consumed element, ahead of whatever
-        their admission records.
+        buffering one element.  A tracing scheduler gets the span of the
+        consumed elements, ahead of whatever their admission records.
         """
         pending_empty = self._admitted == self._lo
         opens = pending_empty and math.isfinite(self.max_delay_s)
@@ -1128,8 +1367,7 @@ class BatcherActor:
                     self.max_edges + int(trace.cum[self._lo])) - 1
         consumed = max(limit - start, 1)
         if self._sched.trace is not None:
-            for a in trace.span(start, start + consumed):
-                self._sched.record(ArrivalEvent(a.t, a))
+            self._sched.trace.arrivals(trace, start, start + consumed)
         if limit <= start:
             self._admit(t)          # the head reacts: admit it alone
             return 1
@@ -1150,9 +1388,9 @@ class BatcherActor:
         if self._deadline_token is not None:
             self._sched.cancel(self._deadline_token)
             self._deadline_token = None
-        sources = self._trace.span(self._lo, self._admitted)
-        self._lo = self._admitted
+        lo, self._lo = self._lo, self._admitted
+        sources = self._trace.span(lo, self._admitted)
         if self._sched.trace is not None:
-            self._sched.record(FlushEvent(t, cause, len(sources)))
+            self._sched.trace.flush(t, cause, self._admitted - lo)
         self._sink(CoalescedJob(t_release=t, batch=sources.merged(),
                                 sources=sources))

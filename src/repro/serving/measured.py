@@ -47,7 +47,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
 from ..pipeline.engine import SoftwareBackend
-from .events import _END, EventScheduler, ServerGroup, ServiceBeginEvent
+from .events import _END, EventScheduler, EventTrace, ServerGroup
 from .registry import DEFAULT_REGISTRY
 
 __all__ = ["MeasuredBackend", "MeasuredServerGroup", "WorkerPool"]
@@ -69,11 +69,6 @@ def _worker_init(shard: int, backend: SoftwareBackend) -> int:
 
 def _worker_compute(shard: int, batch: Any) -> tuple[float, dict[str, float]]:
     return _WORKER_SHARDS[shard].compute(batch)
-
-
-def _noop(_event: Any) -> None:
-    """Handler for trace-only scheduled events (the scheduler records the
-    typed payload when it fires; nothing reacts to it)."""
 
 
 # --------------------------------------------------------------------------- #
@@ -252,13 +247,13 @@ class MeasuredServerGroup(ServerGroup):
                 self.stage_seconds[stage] = \
                     self.stage_seconds.get(stage, 0.0) + stages[stage]
 
-    def _record_begin(self, begin: float, srv: int, i: int) -> None:
-        ev = ServiceBeginEvent(begin, self.gid, srv, i)
+    def _record_begin(self, trace: EventTrace, begin: float,
+                      row: int) -> None:
         if begin > self._sched.now:
             # Lane contention pushed the start past the commit instant;
-            # recording now would break trace causality, so the begin row
-            # is scheduled to land at its own instant (the scheduler
-            # auto-records scheduled typed events when they fire).
-            self._sched.schedule(begin, _END, ev, _noop)
+            # recording now would break trace causality, so the begin is
+            # recorded by a heap entry that fires at its own instant.
+            self._sched.schedule(begin, _END, None,
+                                 lambda _e: trace.begin(self, row))
         else:
-            self._sched.record(ev)
+            trace.begin(self, row)

@@ -7,6 +7,8 @@ rules scope themselves by path; sources are synthetic snippets.
 """
 
 import os
+import subprocess
+import sys
 
 from repro.analysis import ALL_RULES, LintFinding, default_rules, lint_file
 from repro.analysis.cli import main as lint_main
@@ -247,6 +249,21 @@ class TestCli:
         rc = lint_main([os.path.join(REPO_ROOT, "src")], out=lines.append)
         assert rc == 0, "\n".join(lines)
         assert lines[-1].startswith("repro-lint: clean")
+
+    def test_lint_gate_runs_without_numpy(self):
+        """CI's lint job runs ``python -m repro.analysis src`` before it
+        installs anything: the linter, and what importing its package
+        pulls in, must not need numpy."""
+        code = ("import runpy, sys\n"
+                "sys.modules['numpy'] = None\n"
+                "sys.argv = ['repro-lint', 'src']\n"
+                "runpy.run_module('repro.analysis', run_name='__main__')\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        done = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "repro-lint: clean" in done.stdout
 
     def test_findings_exit_one(self, tmp_path):
         bad = tmp_path / "module.py"

@@ -34,7 +34,7 @@ from repro.models import ModelConfig, TGNN
 from repro.pipeline import LinearCostBackend
 from repro.serving import (HANDOFF_ROWS_PER_VERTEX, AutoScaler,
                            CapacityConfig, ControlPlane, EventScheduler,
-                           MigrationEvent,
+                           EventTrace, MigrationEvent,
                            OnlineRebalancer, ScaleEvent, ServerGroup,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
                            ShardRouter, padded_hash_placement)
@@ -268,8 +268,8 @@ class TestPoolScaling:
         assert report.findings == []
         # Fleet conservation from the raw trace, independently of
         # check_run's wiring.
-        scale_events = [e for e in engine.last_event_trace
-                        if isinstance(e, ScaleEvent)]
+        scale_events = EventTrace.of(e for e in engine.last_event_trace
+                                     if isinstance(e, ScaleEvent))
         assert len(scale_events) == 3
         assert check_fleet_size(scale_events, 1, 4) == []
 
@@ -506,30 +506,35 @@ def scale_ev(t, kind, before, after, reason="slo-breach"):
 
 class TestCheckFleetSize:
     def test_clean_chain(self):
-        trace = [scale_ev(1.0, "up", 1, 2), scale_ev(2.0, "up", 2, 3),
-                 scale_ev(3.0, "down", 3, 2)]
+        trace = EventTrace.of([
+            scale_ev(1.0, "up", 1, 2), scale_ev(2.0, "up", 2, 3),
+            scale_ev(3.0, "down", 3, 2)])
         assert check_fleet_size(trace, 1, 2) == []
 
     def test_bogus_kind(self):
-        findings = check_fleet_size([scale_ev(1.0, "sideways", 1, 2)], 1)
+        findings = check_fleet_size(EventTrace.of([
+            scale_ev(1.0, "sideways", 1, 2)]), 1)
         assert len(findings) == 1 and "sideways" in findings[0].detail
 
     def test_step_must_be_one(self):
-        findings = check_fleet_size([scale_ev(1.0, "up", 1, 3)], 1)
+        findings = check_fleet_size(EventTrace.of([
+            scale_ev(1.0, "up", 1, 3)]), 1)
         assert any("1 -> 3" in f.detail for f in findings)
 
     def test_stale_decision_detected(self):
-        trace = [scale_ev(1.0, "up", 1, 2), scale_ev(2.0, "up", 1, 2)]
+        trace = EventTrace.of([
+            scale_ev(1.0, "up", 1, 2), scale_ev(2.0, "up", 1, 2)])
         findings = check_fleet_size(trace, 1)
         assert any("stale" in f.detail for f in findings)
 
     def test_fleet_never_empties(self):
-        findings = check_fleet_size([scale_ev(1.0, "down", 1, 0)], 1)
+        findings = check_fleet_size(EventTrace.of([
+            scale_ev(1.0, "down", 1, 0)]), 1)
         assert findings
 
     def test_final_fleet_mismatch(self):
-        findings = check_fleet_size([scale_ev(1.0, "up", 1, 2)], 1,
-                                    final_servers=3)
+        findings = check_fleet_size(EventTrace.of([
+            scale_ev(1.0, "up", 1, 2)]), 1, final_servers=3)
         assert any("live controller" in f.detail for f in findings)
 
 

@@ -852,6 +852,38 @@ class TestOnePlanPerOwnershipEpoch:
         assert len(priced) == 1400
         assert engine.last_scheduler.events_processed == 2952
 
+    def test_fleet_priced_push_traces_columns(self, monkeypatch):
+        """A traced run records columns, not objects: until the trace is
+        read, and through ``check_run``, it builds no arrival, flush,
+        begin, mail or sync event and no :class:`StreamArrival` (a
+        :class:`ServiceEndEvent` is a heap payload either way).  Read,
+        the trace holds the events an object trace held."""
+        from collections import Counter
+
+        from repro.analysis.tracecheck import check_run
+        from repro.serving import (ArrivalEvent, FlushEvent, MailEvent,
+                                   ServiceBeginEvent, StreamArrival,
+                                   SyncEvent)
+        built = []
+        for cls in (ArrivalEvent, StreamArrival, FlushEvent,
+                    ServiceBeginEvent, MailEvent, SyncEvent):
+            def counted_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        report, engine, router = self.run(
+            100, 2.0, DynamicBatcher(max_edges=200, max_delay_s=5e-3),
+            trace=True)
+        # No controller runs, so the ownership table never moved.
+        check = check_run(engine=engine, report=report,
+                          initial_assignment=router.assignment.copy())
+        assert built == []
+        assert check.ok and check.events == 6225
+        assert Counter(type(e).__name__ for e in engine.last_event_trace) \
+            == {"ArrivalEvent": 776, "FlushEvent": 776,
+                "ServiceBeginEvent": 1400, "ServiceEndEvent": 1400,
+                "MailEvent": 608, "SyncEvent": 1265}
+
     def test_online_rebalancing_routes_one_plan_per_epoch(self):
         from repro.serving import OnlineRebalancer
         rebalancer = OnlineRebalancer(window_s=900.0 / 2000.0,

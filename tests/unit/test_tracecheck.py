@@ -2,8 +2,9 @@
 
 Two halves:
 
-* **known-bad traces** — hand-built traces that violate exactly one
-  invariant each must be flagged with the right finding type;
+* **known-bad traces** — hand-built traces (``EventTrace.of``) that
+  violate exactly one invariant each must be flagged with the right
+  finding type;
 * **clean-run property** — real engine runs from the PR 4-7 suites
   (plain sharded, pipelined ingest, online rebalancing under drift,
   failure injection, heap-vs-vectorized lanes) must yield zero findings.
@@ -21,10 +22,11 @@ from repro.analysis.tracecheck import (TraceCheckReport, TraceFinding,
                                        check_service_exactly_once)
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.pipeline import LinearCostBackend
-from repro.serving import (DynamicBatcher, FailureEvent, FailurePlan,
-                           FlushEvent, HeapEventScheduler, MailEvent,
-                           MigrationEvent, OnlineRebalancer, RecoveryEvent,
-                           ServiceBeginEvent, ServiceEndEvent, ServingEngine)
+from repro.serving import (DynamicBatcher, EventTrace, FailureEvent,
+                           FailurePlan, FlushEvent, HeapEventScheduler,
+                           MailEvent, MigrationEvent, OnlineRebalancer,
+                           RecoveryEvent, ServiceBeginEvent, ServiceEndEvent,
+                           ServingEngine)
 from tests.property.lane_agreement import check_lane_agreement
 
 
@@ -35,118 +37,166 @@ def checks_of(findings):
 # --------------------------------------------------------------------------- #
 class TestKnownBadTraces:
     def test_past_scheduling_flags_causality(self):
-        trace = [FlushEvent(1.0, "size", 1),
-                 FlushEvent(0.5, "timeout", 1),      # recorded into the past
-                 FlushEvent(2.0, "size", 1)]
+        trace = EventTrace.of([
+            FlushEvent(1.0, "size", 1),
+            FlushEvent(0.5, "timeout", 1),      # recorded into the past
+            FlushEvent(2.0, "size", 1)])
         fs = check_causality(trace)
         assert checks_of(fs) == ["causality"]
         assert fs[0].t == 0.5
         assert "into the past" in fs[0].detail
 
+    def test_a_nan_time_is_flagged_and_keeps_the_watermark(self):
+        """A NaN is reported, and the watermark stays at the last finite
+        time, so the back-dated event after it is reported too."""
+        trace = EventTrace.of([
+            FlushEvent(1.0, "size", 1),
+            FlushEvent(float("nan"), "size", 1),
+            FlushEvent(0.5, "size", 1)])
+        fs = check_causality(trace)
+        assert checks_of(fs) == ["causality"] * 2
+        assert "non-finite" in fs[0].detail
+        assert fs[1].t == 0.5 and "into the past" in fs[1].detail
+        assert "FlushEvent already fired at t=1" in fs[1].detail
+
     def test_monotone_trace_is_clean(self):
-        trace = [FlushEvent(0.0, "size", 1), FlushEvent(0.0, "size", 1),
-                 FlushEvent(1.0, "timeout", 1)]
+        trace = EventTrace.of([
+            FlushEvent(0.0, "size", 1), FlushEvent(0.0, "size", 1),
+            FlushEvent(1.0, "timeout", 1)])
         assert check_causality(trace) == []
 
     def test_duplicate_begin_flags_exactly_once(self):
-        trace = [ServiceBeginEvent(0.0, 0, 0, 7),
-                 ServiceBeginEvent(0.1, 0, 1, 7),    # same (group, index)
-                 ServiceEndEvent(0.2, 0, 0, 7)]
+        trace = EventTrace.of([
+            ServiceBeginEvent(0.0, 0, 0, 7),
+            ServiceBeginEvent(0.1, 0, 1, 7),    # same (group, index)
+            ServiceEndEvent(0.2, 0, 0, 7)])
         fs = check_service_exactly_once(trace)
         assert "exactly-once-service" in checks_of(fs)
         assert any("began twice" in f.detail for f in fs)
 
     def test_lost_job_flags_exactly_once(self):
-        trace = [ServiceBeginEvent(0.0, 0, 0, 7)]    # never ends
+        trace = EventTrace.of([
+            ServiceBeginEvent(0.0, 0, 0, 7)])    # never ends
         fs = check_service_exactly_once(trace)
         assert checks_of(fs) == ["exactly-once-service"]
         assert "never ended" in fs[0].detail
 
     def test_end_without_begin_flags_exactly_once(self):
-        fs = check_service_exactly_once([ServiceEndEvent(0.2, 0, 0, 7)])
+        fs = check_service_exactly_once(EventTrace.of([
+            ServiceEndEvent(0.2, 0, 0, 7)]))
         assert checks_of(fs) == ["exactly-once-service"]
         assert "without" in fs[0].detail
 
     def test_overlapping_service_flags_busy_overlap(self):
-        trace = [ServiceBeginEvent(0.0, 0, 0, 1),
-                 ServiceBeginEvent(0.5, 0, 0, 2),    # same server, mid-span
-                 ServiceEndEvent(1.0, 0, 0, 1),
-                 ServiceEndEvent(1.5, 0, 0, 2)]
+        trace = EventTrace.of([
+            ServiceBeginEvent(0.0, 0, 0, 1),
+            ServiceBeginEvent(0.5, 0, 0, 2),    # same server, mid-span
+            ServiceEndEvent(1.0, 0, 0, 1),
+            ServiceEndEvent(1.5, 0, 0, 2)])
         fs = check_service_exactly_once(trace)
         assert checks_of(fs) == ["busy-overlap"]
         assert fs[0].t == 0.5
 
     def test_abutting_spans_are_clean(self):
-        trace = [ServiceBeginEvent(0.0, 0, 0, 1),
-                 ServiceEndEvent(1.0, 0, 0, 1),
-                 ServiceBeginEvent(1.0, 0, 0, 2),    # back-to-back is fine
-                 ServiceEndEvent(2.0, 0, 0, 2)]
+        trace = EventTrace.of([
+            ServiceBeginEvent(0.0, 0, 0, 1),
+            ServiceEndEvent(1.0, 0, 0, 1),
+            ServiceBeginEvent(1.0, 0, 0, 2),    # back-to-back is fine
+            ServiceEndEvent(2.0, 0, 0, 2)])
         assert check_service_exactly_once(trace) == []
 
+    def test_a_nan_end_flags_exactly_once(self):
+        trace = EventTrace.of([ServiceBeginEvent(0.0, 0, 0, 1),
+                               ServiceEndEvent(float("nan"), 0, 0, 1)])
+        fs = check_service_exactly_once(trace)
+        assert checks_of(fs) == ["exactly-once-service"]
+        assert "non-finite" in fs[0].detail
+
+    def test_a_sub_picosecond_overlap_is_flagged(self):
+        """Spans compare exactly: no absolute tolerance hides an overlap
+        however small (a time-scaled run has no natural second)."""
+        trace = EventTrace.of([
+            ServiceBeginEvent(0.0, 0, 0, 1),
+            ServiceBeginEvent(1.0 - 1e-13, 0, 0, 2),
+            ServiceEndEvent(1.0, 0, 0, 1),
+            ServiceEndEvent(2.0, 0, 0, 2)])
+        fs = check_service_exactly_once(trace)
+        assert checks_of(fs) == ["busy-overlap"]
+        assert fs[0].t == 1.0 - 1e-13
+
     def test_overlap_on_distinct_servers_is_clean(self):
-        trace = [ServiceBeginEvent(0.0, 0, 0, 1),
-                 ServiceBeginEvent(0.5, 0, 1, 2),    # different server
-                 ServiceEndEvent(1.0, 0, 0, 1),
-                 ServiceEndEvent(1.5, 0, 1, 2)]
+        trace = EventTrace.of([
+            ServiceBeginEvent(0.0, 0, 0, 1),
+            ServiceBeginEvent(0.5, 0, 1, 2),    # different server
+            ServiceEndEvent(1.0, 0, 0, 1),
+            ServiceEndEvent(1.5, 0, 1, 2)])
         assert check_service_exactly_once(trace) == []
 
     def test_mail_away_from_flush_is_flagged(self):
-        trace = [FlushEvent(1.0, "size", 1),
-                 MailEvent(1.0, 0, 1, 5),            # at the flush: fine
-                 MailEvent(2.5, 0, 1, 5)]            # away from any flush
+        trace = EventTrace.of([
+            FlushEvent(1.0, "size", 1),
+            MailEvent(1.0, 0, 1, 5),            # at the flush: fine
+            MailEvent(2.5, 0, 1, 5)])            # away from any flush
         fs = check_mail_at_flush(trace)
         assert checks_of(fs) == ["mail-at-flush"]
         assert fs[0].t == 2.5
 
     def test_self_migration_is_flagged(self):
-        trace = [MigrationEvent(1.0, 3, 2, 2, 4, "hot")]
+        trace = EventTrace.of([
+            MigrationEvent(1.0, 3, 2, 2, 4, "hot")])
         fs = check_ownership_chain(trace, [0, 0, 0, 2])
         assert checks_of(fs) == ["ownership-chain"]
         assert "own shard" in fs[0].detail
 
     def test_wrong_owner_is_double_ownership(self):
-        trace = [MigrationEvent(1.0, 3, 1, 0, 4, "hot")]   # owner is 2
+        trace = EventTrace.of([
+            MigrationEvent(1.0, 3, 1, 0, 4, "hot")])   # owner is 2
         fs = check_ownership_chain(trace, [0, 0, 0, 2])
         assert checks_of(fs) == ["ownership-chain"]
         assert "double ownership" in fs[0].detail
 
     def test_final_assignment_mismatch_is_flagged(self):
-        trace = [MigrationEvent(1.0, 0, 0, 1, 4, "hot")]
+        trace = EventTrace.of([
+            MigrationEvent(1.0, 0, 0, 1, 4, "hot")])
         fs = check_ownership_chain(trace, [0, 0], final_assignment=[0, 0])
         assert checks_of(fs) == ["ownership-chain"]
         assert "disagrees" in fs[0].detail
 
     def test_valid_chain_is_clean(self):
-        trace = [MigrationEvent(1.0, 0, 0, 1, 4, "hot"),
-                 MigrationEvent(2.0, 0, 1, 2, 4, "hot")]   # chained handoff
+        trace = EventTrace.of([
+            MigrationEvent(1.0, 0, 0, 1, 4, "hot"),
+            MigrationEvent(2.0, 0, 1, 2, 4, "hot")])   # chained handoff
         assert check_ownership_chain(trace, [0, 9],
                                      final_assignment=[2, 9]) == []
 
     def test_move_onto_a_dead_shard_is_flagged(self):
         """The parent's overlapping-failover bug, in miniature: shard 1's
         rebuild round-robins vertex 1 onto shard 0, which died first."""
-        trace = [FailureEvent(1.0, 0, "dead", 4.0),
-                 MigrationEvent(1.0, 0, 0, 2, 2, "rebuild"),
-                 FailureEvent(2.0, 1, "dead", 4.0),
-                 MigrationEvent(2.0, 1, 1, 0, 2, "rebuild")]
+        trace = EventTrace.of([
+            FailureEvent(1.0, 0, "dead", 4.0),
+            MigrationEvent(1.0, 0, 0, 2, 2, "rebuild"),
+            FailureEvent(2.0, 1, "dead", 4.0),
+            MigrationEvent(2.0, 1, 1, 0, 2, "rebuild")])
         fs = check_ownership_chain(trace, [0, 1, 2])
         assert checks_of(fs) == ["ownership-chain"] * 2
         assert fs[0].t == 2.0 and "which is dead" in fs[0].detail
         assert "still dead" in fs[1].detail and "vertex 1" in fs[1].detail
 
     def test_unevacuated_dead_shard_is_flagged(self):
-        trace = [FailureEvent(1.0, 1, "dead", 4.0),
-                 MigrationEvent(1.0, 1, 1, 0, 2, "rebuild")]   # not vertex 2
+        trace = EventTrace.of([
+            FailureEvent(1.0, 1, "dead", 4.0),
+            MigrationEvent(1.0, 1, 1, 0, 2, "rebuild")])   # not vertex 2
         fs = check_ownership_chain(trace, [0, 1, 1])
         assert checks_of(fs) == ["ownership-chain"]
         assert "1 vertex(es) end the run" in fs[0].detail
 
     def test_failover_onto_live_shards_and_fail_back_is_clean(self):
-        trace = [FailureEvent(1.0, 1, "dead", 4.0),
-                 FailureEvent(1.5, 2, "slow", 4.0),     # slow: still a home
-                 MigrationEvent(1.0, 1, 1, 2, 2, "rebuild"),
-                 RecoveryEvent(3.0, 1, "dead"),
-                 MigrationEvent(3.0, 1, 2, 1, 2, "fail-back")]
+        trace = EventTrace.of([
+            FailureEvent(1.0, 1, "dead", 4.0),
+            FailureEvent(1.5, 2, "slow", 4.0),     # slow: still a home
+            MigrationEvent(1.0, 1, 1, 2, 2, "rebuild"),
+            RecoveryEvent(3.0, 1, "dead"),
+            MigrationEvent(3.0, 1, 2, 1, 2, "fail-back")])
         assert check_ownership_chain(trace, [0, 1, 2],
                                      final_assignment=[0, 1, 2]) == []
 
@@ -161,7 +211,8 @@ class TestKnownBadTraces:
         assert check_conservation(4, report=report) == []
 
     def test_flush_sum_breaks_trace_conservation(self):
-        trace = [FlushEvent(1.0, "size", 2), FlushEvent(2.0, "timeout", 1)]
+        trace = EventTrace.of([
+            FlushEvent(1.0, "size", 2), FlushEvent(2.0, "timeout", 1)])
         fs = check_conservation(4, trace=trace)
         assert checks_of(fs) == ["conservation"]
         assert "flushed 3" in fs[0].detail
