@@ -34,15 +34,13 @@ class Adam:
     """Adam (Kingma & Ba) with bias correction; the paper's training setup."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
         self._t = 0
@@ -60,8 +58,6 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m = self._m.get(id(p))
             if m is None:
                 m = np.zeros_like(p.data)

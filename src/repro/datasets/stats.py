@@ -41,14 +41,13 @@ def encoder_input_deltas(graph: TemporalGraph) -> np.ndarray:
     return deltas
 
 
-def delta_t_histogram(deltas: np.ndarray, n_bins: int = 50,
-                      unit: float = 86_400.0
+def delta_t_histogram(deltas: np.ndarray, n_bins: int = 50
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width histogram of Δt in ``unit`` (days by default): Fig. 1.
+    """Equal-width histogram of Δt in days: Fig. 1.
 
-    Returns ``(bin_edges, counts)`` with edges in the chosen unit.
+    Returns ``(bin_edges, counts)`` with edges in days.
     """
-    days = np.asarray(deltas, dtype=np.float64) / unit
+    days = np.asarray(deltas, dtype=np.float64) / 86_400.0
     counts, edges = np.histogram(days, bins=n_bins,
                                  range=(0.0, max(days.max(), 1e-9)))
     return edges, counts

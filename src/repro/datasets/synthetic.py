@@ -212,11 +212,11 @@ def mooc_like(num_edges: int = 6000, seed: int = 4,
 
 def drifting_hot_set_graph(num_edges: int, shards: int,
                            num_nodes: int = 256, phases: int = 4,
-                           hot_frac: float = 0.85, hot_size: int = 12,
-                           seed: int = 11) -> TemporalGraph:
+                           hot_size: int = 12, seed: int = 11
+                           ) -> TemporalGraph:
     """A hot set that *rotates between shards* mid-stream.
 
-    Each phase (raw span 1e4 s) concentrates ``hot_frac`` of its edges on
+    Each phase (raw span 1e4 s) concentrates 85 % of its edges on
     ``hot_size`` vertices that all hash to one shard (the serving layer's
     static multiplicative-hash partition), and the hot shard advances
     every phase — the adversarial case for any static partition: under
@@ -245,7 +245,7 @@ def drifting_hot_set_graph(num_edges: int, shards: int,
         hi = (p + 1) * per_phase if p < phases - 1 else num_edges
         n = hi - lo
         hs = hot_sets[p % shards]
-        hot = rng.random(n) < hot_frac
+        hot = rng.random(n) < 0.85
         src[lo:hi] = np.where(hot, hs[rng.integers(0, hot_size, n)],
                               rng.integers(0, num_nodes, n))
         dst[lo:hi] = np.where(hot, hs[rng.integers(0, hot_size, n)],

@@ -4,6 +4,11 @@ The paper replaces TGN's software temporal sampler — which scans a vertex's
 full interaction history — with an on-chip FIFO that simply keeps the ``mr``
 most recent neighbors per vertex.  This module is that structure: a rolling
 ring buffer per vertex, with fully vectorised batch insertion and gathering.
+It *is* the model's sampler: ``ModelRuntime.neighbors`` holds one table
+with ``mr = num_neighbors`` and reads it at ``k = mr``.  For ``k <= mr`` the
+FIFO returns exactly what the full-history sampler would (its oracle in
+``tests/unit/test_sampler.py``); ``gather`` refuses ``k > mr``, rows the
+FIFO never kept.
 
 Contract: a vertex's entries must arrive in non-decreasing time —
 chronological inside one ``insert_edges`` call and across calls.  Nothing
@@ -179,7 +184,3 @@ class NeighborTable(VertexRows):
         if vertices is None:
             return self._count.copy()
         return self._count[np.asarray(vertices, dtype=np.int64)]
-
-    def memory_words(self) -> int:
-        """Storage footprint in table words (for the resource model)."""
-        return self.num_nodes * self.mr * 3  # nbr id, edge id, timestamp

@@ -113,11 +113,6 @@ class VertexState(VertexRows):
         self.mailbox[v[last]] = messages[last]
         self.mail_time[v[last]] = np.asarray(t, dtype=np.float64)[last]
 
-    # ------------------------------------------------------------------ #
-    def memory_words(self) -> int:
-        """External-memory footprint in words (for the resource model)."""
-        return self.num_nodes * (self.memory_dim + self.raw_message_dim + 2)
-
 
 def last_occurrence(v: np.ndarray) -> np.ndarray:
     """Boolean mask selecting the last occurrence of each value in ``v``."""

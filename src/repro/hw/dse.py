@@ -80,18 +80,15 @@ def explore(model_cfg: ModelConfig, platform: FPGAPlatform,
     return points
 
 
-def pareto_frontier(points: list[DesignPoint],
-                    resource: str = "dsp") -> list[DesignPoint]:
-    """Non-dominated set: no cheaper design has throughput >= this one's.
+def pareto_frontier(points: list[DesignPoint]) -> list[DesignPoint]:
+    """Non-dominated set: no design with fewer DSPs has throughput >= this
+    one's.
 
-    Sorted by ascending resource usage; throughput strictly increases along
-    the returned list.
+    Sorted by ascending DSP usage; throughput strictly increases along the
+    returned list.
     """
-    def cost(p: DesignPoint) -> int:
-        return getattr(p.resources, resource)
-
     frontier: list[DesignPoint] = []
-    for p in sorted(points, key=lambda p: (cost(p), -p.throughput_eps)):
+    for p in sorted(points, key=lambda p: (p.dsp, -p.throughput_eps)):
         if not frontier or p.throughput_eps > frontier[-1].throughput_eps:
             frontier.append(p)
     return frontier

@@ -3,6 +3,8 @@
 The MUU implements UPDT as four pipelined gates — Update, Reset, Memory,
 Merging — connected by on-chip FIFOs.  Each of the three matrix gates owns an
 ``Sg x Sg`` multiply-accumulate array; the merging gate is element-wise.
+The model has one updater, the GRU of :mod:`repro.models.memory_updater`,
+so every memory update keeps all three gate arrays busy.
 
 Timing only (cycles per pipeline stage for a given node count); functional
 results come from the shared model kernels.
@@ -46,15 +48,6 @@ class MemoryUpdateUnit:
             gate_in = msg * m
         gate = _ceil(n_nodes * (gate_in + m * m), hw.sg2)
         merge = _ceil(n_nodes * 4 * m, hw.sg)  # element-wise lanes
-        if cfg.memory_updater == "rnn":
-            # Single-gate updater: reset/memory gate arrays sit idle.
-            return {
-                "muu_time_enc": te,
-                "muu_update_gate": gate,
-                "muu_reset_gate": 0,
-                "muu_memory_gate": 0,
-                "muu_merge_gate": merge,
-            }
         return {
             "muu_time_enc": te,
             "muu_update_gate": gate,

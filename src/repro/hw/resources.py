@@ -66,13 +66,12 @@ class ResourceEstimate:
                 "uram": self.uram / p.total_urams if p.total_urams else 0.0}
 
 
-def estimate_resources(model_cfg: ModelConfig, hw: HardwareConfig,
-                       vertex_cache_rows: int | None = None
-                       ) -> ResourceEstimate:
+def estimate_resources(model_cfg: ModelConfig,
+                       hw: HardwareConfig) -> ResourceEstimate:
     """Estimate the accelerator's resource footprint.
 
-    ``vertex_cache_rows`` sizes the on-chip hot-vertex cache; by default it
-    consumes ~70 % of the platform's URAM budget (zero on URAM-less parts).
+    The on-chip hot-vertex cache takes ~70 % of the platform's URAM budget
+    (zero rows on URAM-less parts).
     """
     m, tau, e = model_cfg.memory_dim, model_cfg.time_dim, model_cfg.embed_dim
     ef = model_cfg.edge_dim
@@ -113,10 +112,9 @@ def estimate_resources(model_cfg: ModelConfig, hw: HardwareConfig,
     # (the published ZCU104 point uses 0 URAM).
     rich = platform.dies > 1 and platform.total_urams >= 300
     if rich:
-        if vertex_cache_rows is None:
-            budget = (int(CACHE_BRAM_FRAC * platform.total_brams) * BRAM_BYTES
-                      + int(CACHE_URAM_FRAC * platform.total_urams) * URAM_BYTES)
-            vertex_cache_rows = budget // ((m + msg) * zd)
+        budget = (int(CACHE_BRAM_FRAC * platform.total_brams) * BRAM_BYTES
+                  + int(CACHE_URAM_FRAC * platform.total_urams) * URAM_BYTES)
+        vertex_cache_rows = budget // ((m + msg) * zd)
         cache_bytes = vertex_cache_rows * (m + msg) * zd
         uram_budget = int(CACHE_URAM_FRAC * platform.total_urams) * URAM_BYTES
         in_uram = min(cache_bytes, uram_budget)

@@ -50,9 +50,7 @@ def pipeline_overlap(report: RunReport) -> float:
     return busy / span if span > 0 else 0.0
 
 
-def render_gantt(report: RunReport, width: int = 100,
-                 stages: tuple[str, ...] | None = None,
-                 max_time_s: float | None = None) -> str:
+def render_gantt(report: RunReport, width: int = 100) -> str:
     """ASCII Gantt: one row per stage; digits mark the processing batch.
 
     Each column is ``span / width`` seconds; a cell shows the (mod-10)
@@ -64,18 +62,16 @@ def render_gantt(report: RunReport, width: int = 100,
         raise ValueError("run_stream was not called with trace=True")
     t0 = min(e.start_s for e in report.events)
     t1 = max(e.end_s for e in report.events)
-    if max_time_s is not None:
-        t1 = min(t1, t0 + max_time_s)
     span = max(t1 - t0, 1e-12)
-    stages = stages if stages is not None else tuple(
-        s for s in ALL_STAGES if any(e.stage == s for e in report.events))
+    stages = tuple(s for s in ALL_STAGES
+                   if any(e.stage == s for e in report.events))
     name_w = max(len(s) for s in stages)
     grid = {s: ["."] * width for s in stages}
     for e in sorted(report.events, key=lambda e: e.start_s):
         if e.stage not in grid or e.start_s >= t1:
             continue
         lo = int((e.start_s - t0) / span * width)
-        hi = max(lo + 1, int((min(e.end_s, t1) - t0) / span * width))
+        hi = max(lo + 1, int((e.end_s - t0) / span * width))
         mark = str(e.batch_index % 10)
         for c in range(max(lo, 0), min(hi, width)):
             if grid[e.stage][c] == ".":

@@ -6,7 +6,7 @@ from .attention import (DT_SCALE, AttentionOutput,  # noqa: F401
 from .config import NP_BUDGETS, ModelConfig, variant_ladder  # noqa: F401
 from .checkpoint import load_model, save_model  # noqa: F401
 from .link_predictor import LinkPredictor  # noqa: F401
-from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater  # noqa: F401
+from .memory_updater import GRUMemoryUpdater  # noqa: F401
 from .pruning import top_k_mask  # noqa: F401
 from .tgn import (KERNEL_STAGES, TGNN, BatchResult,  # noqa: F401
                   ModelRuntime)
@@ -18,7 +18,7 @@ __all__ = [
     "CosineTimeEncoder", "LUTTimeEncoder",
     "VanillaTemporalAttention", "SimplifiedTemporalAttention",
     "AttentionOutput", "DT_SCALE",
-    "GRUMemoryUpdater", "RNNMemoryUpdater",
+    "GRUMemoryUpdater",
     "top_k_mask",
     "LinkPredictor", "APAN", "APANRuntime",
     "save_model", "load_model",

@@ -39,7 +39,6 @@ class ModelConfig:
     lut_time_encoder: bool = False       # LUT (§III-C)
     lut_bins: int = 128
     pruning_budget: int | None = None    # NP: neighbors kept after pruning
-    memory_updater: str = "gru"          # UPDT variant: "gru" (paper) | "rnn"
     # --- bookkeeping ------------------------------------------------------ #
     name: str = "baseline"
 
@@ -56,8 +55,6 @@ class ModelConfig:
                 raise ValueError(f"{field} must be positive")
         if self.edge_dim < 0 or self.node_dim < 0:
             raise ValueError("feature dims must be non-negative")
-        if self.memory_updater not in ("gru", "rnn"):
-            raise ValueError("memory_updater must be 'gru' or 'rnn'")
 
     # ------------------------------------------------------------------ #
     @property

@@ -68,14 +68,14 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..autograd.module import Linear, Module
-from ..graph.sampler import FIFONeighborSampler
+from ..graph.neighbor_table import NeighborTable
 from ..graph.state import VertexState, last_occurrence
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from ..autograd import functional as F
 from .attention import (DT_SCALE, AttentionOutput, SimplifiedTemporalAttention,
                         VanillaTemporalAttention)
 from .config import ModelConfig
-from .memory_updater import GRUMemoryUpdater, RNNMemoryUpdater
+from .memory_updater import GRUMemoryUpdater
 from .message import raw_messages
 from .pruning import prune
 from .time_encoding import CosineTimeEncoder, LUTTimeEncoder
@@ -132,6 +132,10 @@ def _holding(weights):
 class ModelRuntime:
     """Mutable per-stream state: vertex tables + neighbor FIFO.
 
+    ``neighbors`` is the temporal sampler itself: the paper replaces TGN's
+    sampler with an on-chip FIFO (§III), and the runtime holds that FIFO,
+    a :class:`~repro.graph.neighbor_table.NeighborTable` of ``mr =
+    num_neighbors`` slots per vertex, read by address with no search.
     Forking a runtime (``snapshot``/``restore``) lets evaluation continue
     from the training boundary without corrupting the training state.
     ``edge_feat`` is the graph's edge-feature table at the state's dtype
@@ -140,20 +144,20 @@ class ModelRuntime:
     """
 
     state: VertexState
-    sampler: FIFONeighborSampler
+    neighbors: NeighborTable
     edge_feat: np.ndarray
 
     def snapshot(self) -> dict:
         return {"state": self.state.snapshot(),
-                "nbr": self.sampler.table.snapshot()}
+                "nbr": self.neighbors.snapshot()}
 
     def restore(self, snap: dict) -> None:
         self.state.restore(snap["state"])
-        self.sampler.table.restore(snap["nbr"])
+        self.neighbors.restore(snap["nbr"])
 
     def reset(self) -> None:
         self.state.reset()
-        self.sampler.table.reset()
+        self.neighbors.reset()
 
 
 @dataclass
@@ -216,12 +220,8 @@ class TGNN(Module):
             self.time_encoder = LUTTimeEncoder(cfg.time_dim, cfg.lut_bins, rng=rng)
         else:
             self.time_encoder = CosineTimeEncoder(cfg.time_dim, rng=rng)
-        if cfg.memory_updater == "rnn":
-            self.memory_updater = RNNMemoryUpdater(cfg, self.time_encoder,
-                                                   rng=rng)
-        else:
-            self.memory_updater = GRUMemoryUpdater(cfg, self.time_encoder,
-                                                   rng=rng)
+        self.memory_updater = GRUMemoryUpdater(cfg, self.time_encoder,
+                                               rng=rng)
         if cfg.simplified_attention:
             self.attention: Module = SimplifiedTemporalAttention(cfg, rng=rng)
         else:
@@ -247,18 +247,19 @@ class TGNN(Module):
     def new_runtime(self, graph: TemporalGraph, dtype=None) -> ModelRuntime:
         """Fresh zeroed vertex state + FIFO neighbor table for ``graph``.
 
-        Memory, mailbox and the gathered edge features are ``dtype``:
-        by default :data:`DEPLOY_DTYPE` on a prepared model (the
-        deployment) and float64 otherwise.  Training and evaluation ask
-        for float64 explicitly, so a prepared model trains as any other.
+        The FIFO holds ``mr = num_neighbors`` entries per vertex, exactly
+        what the attention reads.  Memory, mailbox and the gathered edge
+        features are ``dtype``: by default :data:`DEPLOY_DTYPE` on a
+        prepared model (the deployment) and float64 otherwise.  Training
+        and evaluation ask for float64 explicitly, so a prepared model
+        trains as any other.
         """
         if dtype is None:
             dtype = DEPLOY_DTYPE if self.prepared else np.float64
         state = VertexState(graph.num_nodes, self.cfg.memory_dim,
                             self.cfg.raw_message_dim, dtype=dtype)
-        sampler = FIFONeighborSampler.create(graph.num_nodes,
-                                             mr=self.cfg.num_neighbors)
-        return ModelRuntime(state=state, sampler=sampler,
+        neighbors = NeighborTable(graph.num_nodes, self.cfg.num_neighbors)
+        return ModelRuntime(state=state, neighbors=neighbors,
                             edge_feat=graph.edge_feat.astype(dtype,
                                                              copy=False))
 
@@ -347,33 +348,27 @@ class TGNN(Module):
 
     def embed(self, batch: EdgeBatch, rt: ModelRuntime,
               graph: TemporalGraph, update: MemoryUpdate,
-              neg_dst: np.ndarray | None = None,
-              gathered=None) -> BatchResult:
+              neg_dst: np.ndarray | None = None) -> BatchResult:
         """Stage 2 of :meth:`process_batch`: attention over temporal
-        neighbors (pre-insertion table) + neighbor-table append.
+        neighbors (the FIFO read before this batch's edges go in) +
+        neighbor-table append.
 
-        ``gathered`` optionally supplies the precomputed
-        ``rt.sampler.gather(query_nodes, cfg.num_neighbors)`` result so a
-        caller that already sampled the neighbors (the memsync replay's
-        inter-stage sync needs the read-set first) does not pay the gather
-        twice; it must cover exactly the batch's endpoint queries, so it
-        cannot be combined with ``neg_dst``.
+        The read is ``rt.neighbors.gather`` of every query vertex at ``k =
+        num_neighbors``; the table changes only at the append, so a caller
+        that read the same rows between the stages (the memsync replay
+        needs the read set first) gets the same rows here.
         """
         nodes, t = update.nodes, update.t_nodes
         memory = update.updated[update.inverse]
         if neg_dst is not None and len(neg_dst) > 0:
-            if gathered is not None:
-                raise ValueError("gathered covers only the endpoint "
-                                 "queries; it cannot be used with neg_dst")
             neg = np.asarray(neg_dst, dtype=np.int64)
             nodes = np.concatenate([nodes, neg])
             t = np.concatenate([t, np.resize(batch.t, len(neg))])
             memory = Tensor.concat([memory, Tensor(rt.state.memory[neg])],
                                    axis=0)
-        g = gathered if gathered is not None \
-            else rt.sampler.gather(nodes, self.cfg.num_neighbors)
+        g = rt.neighbors.gather(nodes, self.cfg.num_neighbors)
         result = self._gnn_stage(nodes, t, memory, g, rt, graph)
-        rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
+        rt.neighbors.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
         result.num_edges = len(batch)
         return result
 
@@ -466,7 +461,7 @@ class TGNN(Module):
             cache = {"updt": self.time_encoder.premultiply(
                          self.memory_updater.input_time_weight()),
                      "updt_raw": self.memory_updater.input_raw_weight()}
-            replaced.append(self.memory_updater.w_ih)
+            replaced.append(self.memory_updater.gru.weight_ih)
             if isinstance(self.attention, SimplifiedTemporalAttention):
                 w_v = self.attention.w_v.weight.data
                 cache["attn_v"] = self.time_encoder.premultiply(w_v[:, -d_t:])
@@ -507,7 +502,7 @@ class TGNN(Module):
             update = self.update_memory(batch, rt, premul)
             t1 = tic()
             # sample: neighbor-table fetch (Table I "sample" part).
-            g = rt.sampler.gather(update.nodes, self.cfg.num_neighbors)
+            g = rt.neighbors.gather(update.nodes, self.cfg.num_neighbors)
             t2 = tic()
             # gnn: attention + transform (Table I "GNN" part).
             result = self._gnn_stage(update.nodes, update.t_nodes,
@@ -516,7 +511,7 @@ class TGNN(Module):
             t3 = tic()
             # update: neighbor-table append (memory/mail writes were
             # committed inside the memory stage, as in Algorithm 1).
-            rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
+            rt.neighbors.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
             t4 = tic()
         if timings is not None:
             for stage, seconds in zip(KERNEL_STAGES,

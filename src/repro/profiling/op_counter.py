@@ -108,17 +108,16 @@ def count_ops(cfg: ModelConfig,
     mems: dict[str, float] = {p: 0.0 for p in PARTS}
 
     # ---- memory part: UPDT (+ time encoder) ----------------------------- #
-    rnn = cfg.memory_updater == "rnn"
     if convention is Convention.PAPER:
-        gru = msg * m + (4 * m if rnn else 12 * m)
+        gru = msg * m + 12 * m
         if lut:
             gru -= tau * m + tau          # pre-multiplied + no cos products
     else:
-        gates = 1 if rnn else 3
-        # input + hidden gate products, merging/elementwise, cos evaluation.
-        gru = gates * (msg * m + m * m) + 4 * m + (0 if lut else tau)
+        # Three gates' input + hidden products, merging/elementwise, cos
+        # evaluation.
+        gru = 3 * (msg * m + m * m) + 4 * m + (0 if lut else tau)
         if lut:
-            gru -= gates * tau * m        # time slice of the input gates
+            gru -= 3 * tau * m            # time slice of the input gates
     macs["memory"] = float(gru)
 
     # ---- gnn part: temporal attention aggregator ------------------------ #

@@ -68,7 +68,7 @@ materialises; the trace column it comes from is in brackets.
 :class:`ArrivalEvent`       a stream window reaches the ingest tier
                             (a cohort's span of the :class:`ArrivalTrace`)
 :class:`FlushEvent`         the batcher releases its pending buffer
-:class:`ServiceBeginEvent`  a server starts a job (its station's commit row)
+:class:`ServiceBeginEvent`  a server starts a job
 :class:`ServiceEndEvent`    a server finishes a job (frees the server)
 :class:`MailEvent`          cross-shard edge mail, at delivery time (the
                             sub-job's run of its route plan)
@@ -410,11 +410,9 @@ _ROW = tuple(attrgetter(*names) for names in _FIELDS)
 _NAMED = ("cause", "kind", "mode", "reason")
 _REAL = ("t", "degradation")
 _WIDTH = max(map(len, _FIELDS))
-_A, _F, _B, _M, _S = (_KIND[c] for c in (ArrivalEvent, FlushEvent,
-                                         ServiceBeginEvent, MailEvent,
-                                         SyncEvent))
+_A, _M, _S = (_KIND[c] for c in (ArrivalEvent, MailEvent, SyncEvent))
 # Records that point at a row the run keeps instead of copying it.
-_SPAN, _COMMIT, _SUBJOB = range(len(KINDS), len(KINDS) + 3)
+_SPAN, _SUBJOB = range(len(KINDS), len(KINDS) + 2)
 _WIDE = 1 << 32         # orders a sub-job's mail, then pulls, then pushes
 
 
@@ -430,13 +428,12 @@ class EventTrace(Sequence):
     """The typed-event record of one traced run, held as columns.
 
     Recording appends one tuple per record and builds no event object.
-    Most records are an event's row; three point at rows the run already
-    keeps instead of copying them:
+    Most records are an event's row (:meth:`add`, or :meth:`row` from
+    its fields); two point at rows the run already keeps instead of
+    copying them:
 
     * a cohort of arrivals is ``(source, lo, hi)``, a span of the
       :class:`ArrivalTrace` the batcher admits;
-    * a service begin is ``(station, row)``, the :class:`ServerGroup`'s
-      commit row ``(index, begin, finish, service, server)``;
     * a sub-job is ``(t, plan, run, shard)``, run ``run`` of a
       :class:`~repro.serving.router.RoutePlan`, whose :class:`MailEvent`
       rows count its ``mail_from`` column per source shard and whose
@@ -474,18 +471,14 @@ class EventTrace(Sequence):
         k = _KIND[type(event)]
         self._log.append((k, *_ROW[k](event)))
 
-    def flush(self, t: float, cause: str, windows: int) -> None:
-        """Record a :class:`FlushEvent` without building it."""
-        self._log.append((_F, t, cause, windows))
+    def row(self, cls: type, *values) -> None:
+        """Record an event of kind ``cls`` from its field ``values``,
+        without building it."""
+        self._log.append((_KIND[cls], *values))
 
     def arrivals(self, source: ArrivalTrace, lo: int, hi: int) -> None:
         """Record the :class:`ArrivalEvent` of ``source[lo:hi]``."""
         self._log.append((_SPAN, source, lo, hi))
-
-    def begin(self, station: "ServerGroup", row: int) -> None:
-        """Record the :class:`ServiceBeginEvent` of ``station``'s commit
-        row ``row``."""
-        self._log.append((_COMMIT, station, row))
 
     def sub_job(self, t: float, plan, run: int, shard: int,
                 owner: np.ndarray) -> None:
@@ -578,11 +571,6 @@ class EventTrace(Sequence):
             blocks.append((at[which], item, _A,
                            [t, item, which + len(sources)]))
             sources += spans[0]
-        at, commits = records(_COMMIT)
-        if len(at):     # (index, begin, finish, service, server) rows
-            row = np.array([s._commits[r] for s, r in zip(*commits)])
-            blocks.append((at, 0, _B, [row[:, 1], [s.gid for s in commits[0]],
-                                       row[:, 4], row[:, 0]]))
         at, subjobs = records(_SUBJOB)
         if len(at):
             t, plan, run, shard = map(np.array, subjobs)
@@ -1048,7 +1036,7 @@ class ServerGroup:
     def _commit(self, i: int, srv: int, begin: float,
                 service: float) -> float:
         """Commit offer ``i``'s service interval and return its finish:
-        one commit row, the begin trace record and the end event.  The
+        one commit row, the begin trace row and the end event.  The
         single service-accounting path — subclasses that *measure*
         service times (``repro.serving.measured``) reuse it so traced
         runs stay invariant-checkable regardless of where the duration
@@ -1067,17 +1055,16 @@ class ServerGroup:
             self.on_serviced(finish, finish - self._t_arrive[i])
         trace = self._sched.trace
         if trace is not None:
-            self._record_begin(trace, begin, len(self._commits) - 1)
+            self._record_begin(trace, (begin, self.gid, srv, i))
         self._sched.schedule(finish, _END,
                              ServiceEndEvent(finish, self.gid, srv, i),
                              self._end)
         return finish
 
-    def _record_begin(self, trace: EventTrace, begin: float,
-                      row: int) -> None:
+    def _record_begin(self, trace: EventTrace, row: tuple) -> None:
         # Hook point: the measured subclass defers lane-delayed begins so
         # the trace stays causally ordered.
-        trace.begin(self, row)
+        trace.row(ServiceBeginEvent, *row)
 
     def _end(self, ev: ServiceEndEvent) -> None:
         t, server = self._sched.now, ev.server
@@ -1391,6 +1378,6 @@ class BatcherActor:
         lo, self._lo = self._lo, self._admitted
         sources = self._trace.span(lo, self._admitted)
         if self._sched.trace is not None:
-            self._sched.trace.flush(t, cause, self._admitted - lo)
+            self._sched.trace.row(FlushEvent, t, cause, self._admitted - lo)
         self._sink(CoalescedJob(t_release=t, batch=sources.merged(),
                                 sources=sources))

@@ -47,7 +47,8 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
 from ..pipeline.engine import SoftwareBackend
-from .events import _END, EventScheduler, EventTrace, ServerGroup
+from .events import (_END, EventScheduler, EventTrace, ServerGroup,
+                     ServiceBeginEvent)
 from .registry import DEFAULT_REGISTRY
 
 __all__ = ["MeasuredBackend", "MeasuredServerGroup", "WorkerPool"]
@@ -247,13 +248,12 @@ class MeasuredServerGroup(ServerGroup):
                 self.stage_seconds[stage] = \
                     self.stage_seconds.get(stage, 0.0) + stages[stage]
 
-    def _record_begin(self, trace: EventTrace, begin: float,
-                      row: int) -> None:
-        if begin > self._sched.now:
+    def _record_begin(self, trace: EventTrace, row: tuple) -> None:
+        if row[0] > self._sched.now:
             # Lane contention pushed the start past the commit instant;
             # recording now would break trace causality, so the begin is
             # recorded by a heap entry that fires at its own instant.
-            self._sched.schedule(begin, _END, None,
-                                 lambda _e: trace.begin(self, row))
+            self._sched.schedule(row[0], _END, None,
+                                 lambda _e: trace.row(ServiceBeginEvent, *row))
         else:
-            trace.begin(self, row)
+            trace.row(ServiceBeginEvent, *row)

@@ -41,7 +41,7 @@ def test_training_and_deployment_paths_agree_over_stream(cfg):
     # Terminal state must agree too (memory, mailbox, neighbor table).
     assert np.allclose(rt_a.state.memory, rt_b.state.memory, atol=1e-9)
     assert np.allclose(rt_a.state.mailbox, rt_b.state.mailbox, atol=1e-9)
-    assert np.array_equal(rt_a.sampler.table._nbrs, rt_b.sampler.table._nbrs)
+    assert np.array_equal(rt_a.neighbors._nbrs, rt_b.neighbors._nbrs)
 
 
 def test_batch_size_does_not_change_per_batch_results_much():

@@ -256,11 +256,11 @@ class ShardedRuntime:
         if not len(v):
             return 0
         dst_state = self.runtimes[to_shard].state
-        dst_table = self.runtimes[to_shard].sampler.table
+        dst_table = self.runtimes[to_shard].neighbors
         for owner in np.unique(owners):
             rows = v[owners == owner]
             dst_state.copy_rows(self.runtimes[owner].state, rows)
-            dst_table.copy_rows(self.runtimes[owner].sampler.table, rows)
+            dst_table.copy_rows(self.runtimes[owner].neighbors, rows)
             self.mailbox.record_sync(
                 np.repeat(owner, len(rows) * HANDOFF_ROWS_PER_VERTEX),
                 to_shard)
@@ -299,7 +299,7 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
         owners = self.router.assignment[vertices]
         for owner in np.unique(owners):
             rows = vertices[owners == owner]
-            table = self.runtimes[owner].sampler.table
+            table = self.runtimes[owner].neighbors
             table.reset(rows)
             sel = np.isin(vs, rows)
             if sel.any():
@@ -393,20 +393,17 @@ insert_edges` groups per vertex, keeps the newest ``mr``, and advances
             self._transfer(sb.sync_push, sb.shard)
         # Neighbor sync (phase 4): the attention gathers the pre-insertion
         # FIFO neighbors and reads their *memory* rows, which other shards
-        # may have rewritten this very batch.  The gather is reused by the
-        # embedding stage (the table only changes at insert time, inside
-        # ``embed``).
+        # may have rewritten this very batch.  ``embed`` gathers the same
+        # rows again: the table only changes at its insert.
         k = self.model.cfg.num_neighbors
-        gathers = {}
         for sb in subs:
-            g = self.runtimes[sb.shard].sampler.gather(sb.batch.nodes, k)
-            gathers[sb.shard] = g
+            g = self.runtimes[sb.shard].neighbors.gather(sb.batch.nodes, k)
             out = note_reads(self.cache, sb.shard, g.nbrs[g.mask])
             self._count(*out)
             self._transfer(out.pulled, sb.shard)
         return {sb.shard: self.model.embed(
             sb.batch, self.runtimes[sb.shard], self.graph,
-            updates[sb.shard], gathered=gathers[sb.shard]) for sb in subs}
+            updates[sb.shard]) for sb in subs}
 
     def held_vertices(self, shard: int) -> np.ndarray:
         """Vertex ids shard ``shard`` holds (owned or replicated)."""

@@ -8,9 +8,10 @@ the Δt logits, gathers of the selected neighbors only, the alpha-weighted
 here, and only here, as oracles; neither reads anything of the model but its
 parameter arrays, the LUT bin edges and the ``prepare_inference`` tables:
 
-* the pure-numpy deployment body (``_update_memory_np`` with both updaters'
-  ``forward_numpy`` / ``forward_numpy_premul``, ``_gnn_numpy`` with both
-  attentions' numpy forms), verbatim but for ``self`` becoming ``model``:
+* the pure-numpy deployment body (``_update_memory_np`` with the GRU
+  updater's ``forward_numpy`` / ``forward_numpy_premul``, ``_gnn_numpy``
+  with both attentions' numpy forms), verbatim but for ``self`` becoming
+  ``model`` and the RNN updater's branches dropped with it:
   vertex state and the neighbor table byte-identical after every batch,
   simplified-attention logits and both masks array-equal, embeddings to
   1e-12;
@@ -19,7 +20,7 @@ parameter arrays, the LUT bin edges and the ``prepare_inference`` tables:
   the gathers and a second for the reported mask: embeddings to 1e-12.
 
 Random dims, ``k``, pruning budgets, both attentions, both time encoders,
-both updaters, prepared or not, with and without node features, over streams
+prepared or not, with and without node features, over streams
 whose first batch has no neighbor anywhere and whose later rows hold 0..k of
 them, batch sizes 0 / 1 / many.
 """
@@ -88,20 +89,14 @@ def _gates(gru, gi, memory):
 
 def updater_forward_numpy(upd, raw_messages, memory, time_features):
     m = np.concatenate([raw_messages, time_features], axis=1)
-    if hasattr(upd, "gru"):
-        gi = m @ upd.gru.weight_ih.data.T + upd.gru.bias_ih.data
-        return _gates(upd.gru, gi, memory)
-    return np.tanh(m @ upd.w_ih.data.T + memory @ upd.w_hh.data.T
-                   + upd.bias.data)
+    gi = m @ upd.gru.weight_ih.data.T + upd.gru.bias_ih.data
+    return _gates(upd.gru, gi, memory)
 
 
 def updater_forward_numpy_premul(upd, raw_messages, bins, premul_table, w_raw,
                                  memory):
-    if hasattr(upd, "gru"):
-        gi = raw_messages @ w_raw.T + premul_table[bins] + upd.gru.bias_ih.data
-        return _gates(upd.gru, gi, memory)
-    return np.tanh(raw_messages @ w_raw.T + premul_table[bins]
-                   + memory @ upd.w_hh.data.T + upd.bias.data)
+    gi = raw_messages @ w_raw.T + premul_table[bins] + upd.gru.bias_ih.data
+    return _gates(upd.gru, gi, memory)
 
 
 def read_rows(state, vertices):
@@ -290,9 +285,9 @@ def per_neighbor_gnn(model, nodes, t_nodes, g, updated, inverse, rt, graph):
 def oracle_infer_batch(model, batch, rt, graph, gnn):
     """Algorithm 1 over the numpy memory stage and the GNN stage ``gnn``."""
     nodes, t_nodes, inverse, updated = update_memory_np(model, batch, rt)
-    g = rt.sampler.gather(nodes, model.cfg.num_neighbors)
+    g = rt.neighbors.gather(nodes, model.cfg.num_neighbors)
     out = gnn(model, nodes, t_nodes, g, updated, inverse, rt, graph)
-    rt.sampler.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
+    rt.neighbors.insert_edges(batch.src, batch.dst, batch.eid, batch.t)
     return out + (g.mask,)
 
 
@@ -306,7 +301,7 @@ def scenarios(draw):
         embed_dim=draw(st.integers(1, 9)), edge_dim=draw(st.integers(1, 6)),
         node_dim=draw(st.sampled_from([0, 3])), num_neighbors=k,
         simplified_attention=simplified, lut_time_encoder=draw(st.booleans()),
-        lut_bins=8, memory_updater=draw(st.sampled_from(["gru", "rnn"])),
+        lut_bins=8,
         pruning_budget=draw(st.none() | st.integers(1, k))
         if simplified else None)
     sizes = draw(st.lists(st.sampled_from([0, 1, 2, 5, 9]), min_size=1,

@@ -71,10 +71,9 @@ class TestQueueingProperties:
 SMALL = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                     num_neighbors=4, simplified_attention=True,
                     lut_time_encoder=True, lut_bins=8, pruning_budget=2)
-# No LUT, no pruning, unequal widths, single-gate updater.
+# No LUT, no pruning, unequal widths.
 PLAIN = ModelConfig(memory_dim=12, time_dim=5, embed_dim=10, edge_dim=172,
-                    num_neighbors=6, simplified_attention=True,
-                    memory_updater="rnn")
+                    num_neighbors=6, simplified_attention=True)
 
 
 @functools.lru_cache(maxsize=None)

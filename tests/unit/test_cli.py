@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from repro.cli import build_parser, main
+from tests.unit.test_extensions import BAD_KINDS, write_bad_checkpoint
 
 
 def run(argv):
@@ -90,13 +91,23 @@ class TestTrainEvalInfer:
         # A checkpoint that is not there (a FileNotFoundError).
         ["eval", "--edges", "300", "--model", "{tmp}/missing.npz"],
         ["infer", "--edges", "300", "--model", "{tmp}/missing.npz"],
+        # Checkpoints that are there but make no model (four of them were
+        # a KeyError, TypeError or IndexError traceback).
+        *(["eval", "--edges", "300", "--model", f"{{tmp}}/bad-{kind}.npz"]
+          for kind in BAD_KINDS),
         ["dse", "--batch-size", "0"],
         ["trace", "--batches", "0"],
     ], ids=" ".join)
     def test_bad_input_is_a_clean_error(self, argv, tmp_path):
         """Every command, not only ``serve-sim``, turns the library's
         ``ValueError`` / ``OSError`` into exit 2 and one ``error:`` line."""
-        code, text = run([a.format(tmp=tmp_path) for a in argv])
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        for a in argv:
+            name = os.path.basename(a)
+            if name.startswith("bad-"):
+                write_bad_checkpoint(tmp_path / name,
+                                     name[len("bad-"):-len(".npz")])
+        code, text = run(argv)
         assert code == 2
         assert [ln.startswith("error: ") for ln in text.splitlines()] \
             == [True]

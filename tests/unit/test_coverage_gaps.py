@@ -1,7 +1,7 @@
 """Targeted tests for code paths added during the extension phase.
 
-* premultiplied-LUT updater kernels equal their dense counterparts exactly
-  (the §III-C identity, per updater variant);
+* the premultiplied-LUT updater kernel equals its dense counterpart exactly
+  (the §III-C identity);
 * attention modules receive correct gradients end-to-end (finite-difference
   checked at module level);
 * trace collection composes with time-window batching;
@@ -10,7 +10,6 @@
 """
 
 import numpy as np
-import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.autograd.functional import masked_softmax
@@ -18,7 +17,7 @@ from repro.datasets import wikipedia_like
 from repro.graph import iter_time_windows
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
 from repro.models import ModelConfig, TGNN
-from repro.models.memory_updater import (GRUMemoryUpdater, RNNMemoryUpdater)
+from repro.models.memory_updater import GRUMemoryUpdater
 from repro.models.time_encoding import LUTTimeEncoder
 from repro.perf import PerformanceModel
 from tests.property.gradcheck import check_gradients
@@ -28,13 +27,12 @@ SMALL = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=12,
 
 
 class TestPremultipliedUpdaters:
-    @pytest.mark.parametrize("updater_cls", [GRUMemoryUpdater,
-                                             RNNMemoryUpdater])
-    def test_premul_equals_dense(self, updater_cls):
+    def test_premul_equals_dense(self):
         rng = np.random.default_rng(0)
         enc = LUTTimeEncoder(SMALL.time_dim, n_bins=8, rng=rng)
         enc.calibrate(rng.pareto(1.3, 2000) * 1e4)
-        upd = updater_cls(SMALL.with_(lut_time_encoder=True), enc, rng=rng)
+        upd = GRUMemoryUpdater(SMALL.with_(lut_time_encoder=True), enc,
+                               rng=rng)
         raw = rng.normal(size=(7, SMALL.raw_message_dim))
         dt = rng.uniform(0, 1e5, 7)
         mem = rng.normal(size=(7, SMALL.memory_dim))
@@ -48,10 +46,7 @@ class TestPremultipliedUpdaters:
     def test_input_time_weight_shapes(self):
         enc = LUTTimeEncoder(SMALL.time_dim, n_bins=8)
         gru = GRUMemoryUpdater(SMALL, enc)
-        rnn = RNNMemoryUpdater(SMALL, enc)
         assert gru.input_time_weight().shape == (3 * SMALL.memory_dim,
-                                                 SMALL.time_dim)
-        assert rnn.input_time_weight().shape == (SMALL.memory_dim,
                                                  SMALL.time_dim)
 
 

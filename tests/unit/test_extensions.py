@@ -1,8 +1,10 @@
-"""Unit tests for the extension modules: RNN updater, checkpoint I/O,
-design-space exploration, multi-die shard placement, warm-start,
+"""Unit tests for the extension modules: checkpoint I/O and its format
+versions, design-space exploration, multi-die shard placement, warm-start,
 reporting."""
 
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +14,8 @@ from repro.datasets import wikipedia_like
 from repro.graph import iter_fixed_size
 from repro.hw import (SweepSpec, U200, ZCU104, explore, pareto_frontier,
                       plan_shard_dies)
-from repro.models import (ModelConfig, RNNMemoryUpdater, TGNN, load_model,
-                          save_model)
-from repro.profiling import Convention, count_ops
+from repro.models import ModelConfig, TGNN, load_model, save_model
+from repro.models.checkpoint import FORMAT
 from repro.reporting import render_table, save_result, section
 from repro.training import warm_start_student
 
@@ -26,58 +27,53 @@ def stream():
     return wikipedia_like(num_edges=200, num_users=40, num_items=10)
 
 
-class TestRNNUpdater:
-    def test_config_selects_updater(self):
-        model = TGNN(SMALL.with_(memory_updater="rnn"),
-                     rng=np.random.default_rng(0))
-        assert isinstance(model.memory_updater, RNNMemoryUpdater)
-        with pytest.raises(ValueError):
-            ModelConfig(memory_updater="lstm")
+def rewrite_checkpoint(path, edit) -> None:
+    """Rewrite the checkpoint at ``path`` in place: ``edit(entries, cfg)``
+    changes its ``.npz`` entries and its decoded ``meta/config``."""
+    with np.load(path) as data:
+        entries = dict(data)
+    cfg = json.loads(bytes(entries["meta/config"]).decode())
+    edit(entries, cfg)
+    if "meta/config" in entries:
+        entries["meta/config"] = np.frombuffer(json.dumps(cfg).encode(),
+                                               dtype=np.uint8)
+    np.savez(path, **entries)
 
-    def test_rnn_paths_agree(self):
-        cfg = SMALL.with_(memory_updater="rnn", simplified_attention=True,
-                          lut_time_encoder=True, lut_bins=8,
-                          pruning_budget=2)
-        g = stream()
-        model = TGNN(cfg, rng=np.random.default_rng(0))
-        model.calibrate(g)
-        rt_a = model.new_runtime(g)
-        with no_grad():
-            ref = [model.process_batch(b, rt_a, g).embeddings.data
-                   for b in iter_fixed_size(g, 32)]
-        model.prepare_inference()
-        rt_b = model.new_runtime(g, np.float64)
-        got = [model.infer_batch(b, rt_b, g).embeddings.data
-               for b in iter_fixed_size(g, 32)]
-        for a, b in zip(ref, got):
-            assert np.allclose(a, b, atol=1e-9)
 
-    def test_rnn_cheaper_than_gru(self):
-        gru = count_ops(ModelConfig())
-        rnn = count_ops(ModelConfig(memory_updater="rnn"))
-        assert rnn.gru_macs < gru.gru_macs
-        full_gru = count_ops(ModelConfig(), Convention.FULL)
-        full_rnn = count_ops(ModelConfig(memory_updater="rnn"),
-                             Convention.FULL)
-        assert full_rnn.gru_macs < full_gru.gru_macs / 2
+def as_v1(updater):
+    """An edit that makes a file version 1: no ``meta/format``, and a
+    config that names its ``memory_updater``."""
+    def edit(entries, cfg):
+        del entries["meta/format"]
+        cfg["memory_updater"] = updater
+    return edit
 
-    def test_rnn_output_bounded(self):
-        model = TGNN(SMALL.with_(memory_updater="rnn"),
-                     rng=np.random.default_rng(0))
-        out = model.memory_updater(
-            np.ones((3, SMALL.raw_message_dim)), np.zeros(3),
-            np.zeros((3, SMALL.memory_dim))).data
-        assert np.all(np.abs(out) <= 1.0)  # tanh range
 
-    def test_rnn_trains(self):
-        g = stream()
-        model = TGNN(SMALL.with_(memory_updater="rnn"),
-                     rng=np.random.default_rng(0))
-        rt = model.new_runtime(g)
-        model.process_batch(g.slice(0, 40), rt, g)
-        res = model.process_batch(g.slice(40, 80), rt, g)
-        (res.embeddings ** 2).sum().backward()
-        assert model.memory_updater.w_ih.grad is not None
+# The checkpoints load_model refuses, as edits of a good one.
+BAD_CHECKPOINTS = {
+    "v1-rnn": as_v1("rnn"),
+    "no-config": lambda entries, cfg: entries.pop("meta/config"),
+    "unknown-key": lambda entries, cfg: cfg.update(colour="red"),
+    "bad-value": lambda entries, cfg: cfg.update(num_neighbors=0),
+    "param-mismatch": lambda entries, cfg: entries.update(
+        {"param/extra.weight": np.zeros(3)}),
+    "format-3": lambda entries, cfg: entries.update(
+        {"meta/format": np.array(FORMAT + 1)}),
+}
+
+
+BAD_KINDS = (*BAD_CHECKPOINTS, "one-array")
+
+
+def write_bad_checkpoint(path, kind: str) -> None:
+    """Write a file of one of the ``BAD_KINDS`` to ``path``: one ``.npy``
+    array, or a good checkpoint edited by ``BAD_CHECKPOINTS[kind]``."""
+    if kind == "one-array":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        return
+    save_model(TGNN(SMALL, rng=np.random.default_rng(0)), str(path))
+    rewrite_checkpoint(path, BAD_CHECKPOINTS[kind])
 
 
 class TestCheckpoint:
@@ -95,6 +91,7 @@ class TestCheckpoint:
         save_model(model, path)
         with np.load(path) as data:
             has_lut = any(k.startswith("meta/lut") for k in data.files)
+            assert int(data["meta/format"]) == FORMAT == 2
         assert has_lut == cfg.lut_time_encoder
         loaded = load_model(path)
         assert loaded.cfg == cfg
@@ -109,6 +106,54 @@ class TestCheckpoint:
             a = model.infer_batch(b, rt1, g).embeddings.data
             c = loaded.infer_batch(b, rt2, g).embeddings.data
             assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("cfg", [
+        SMALL.with_(simplified_attention=True, lut_time_encoder=True,
+                    lut_bins=8, pruning_budget=2),
+        SMALL], ids=["codesigned", "cosine"])
+    def test_v1_gru_file_loads_bit_identically(self, tmp_path, cfg):
+        """A version-1 file (no ``meta/format``, ``"memory_updater":
+        "gru"`` in its config) migrates in one step to the model a v2 file
+        of the same parameters loads as."""
+        g = stream()
+        model = TGNN(cfg, rng=np.random.default_rng(0))
+        model.calibrate(g)
+        v2, v1 = str(tmp_path / "v2.npz"), str(tmp_path / "v1.npz")
+        save_model(model, v2)
+        save_model(model, v1)
+        rewrite_checkpoint(v1, as_v1("gru"))
+        with np.load(v1) as data:
+            assert "meta/format" not in data.files
+            assert b'"memory_updater": "gru"' in bytes(data["meta/config"])
+        new, old = load_model(v2), load_model(v1)
+        assert old.cfg == new.cfg == cfg
+        want, got = new.state_dict(), old.state_dict()
+        assert list(want) == list(got)
+        assert all(np.array_equal(want[k], got[k]) for k in want)
+        rt_new, rt_old = new.new_runtime(g), old.new_runtime(g)
+        for b in iter_fixed_size(g, 32):
+            a = new.infer_batch(b, rt_new, g).embeddings.data
+            c = old.infer_batch(b, rt_old, g).embeddings.data
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    def test_a_file_that_makes_no_model_is_one_value_error(self, tmp_path,
+                                                           kind):
+        """A v1 ``rnn`` file, one without a config, an unknown config key,
+        a config value ``ModelConfig`` rejects, parameters that do not fit,
+        a newer format and a lone array each raise one ``ValueError`` that
+        names the file (the CLI prints it as its ``error:`` line)."""
+        path = tmp_path / f"{kind}.npz"
+        write_bad_checkpoint(path, kind)
+        with pytest.raises(ValueError, match="^" + re.escape(str(path))):
+            load_model(str(path))
+
+    def test_the_updater_option_is_gone(self):
+        """The GRU is the one updater: ``ModelConfig`` has no
+        ``memory_updater`` field, so only a v1 file can name one."""
+        assert "memory_updater" not in ModelConfig.__dataclass_fields__
+        with pytest.raises(TypeError):
+            ModelConfig(memory_updater="gru")
 
 
 class TestDSE:

@@ -63,7 +63,7 @@ class TestRuntime:
             == rt.edge_feat.dtype == np.float32
         # Timestamps stay float64: Δt and its LUT bin are taken from them.
         assert rt.state.mail_time.dtype == rt.state.last_update.dtype \
-            == rt.sampler.table._times.dtype == np.float64
+            == rt.neighbors._times.dtype == np.float64
         assert rt.edge_feat.tobytes() \
             == g.edge_feat.astype(np.float32).tobytes()
         rt64 = model.new_runtime(g, np.float64)
@@ -147,8 +147,7 @@ class TestErrorBound:
             assert a.dtype == np.float32 and c.dtype == np.float64
             worst = max(worst, float(np.abs(a - c).max()))
         assert worst <= BOUND.get(cfg.name, LUT_BOUND)
-        assert np.array_equal(rt32.sampler.table._nbrs,
-                              rt64.sampler.table._nbrs)
+        assert np.array_equal(rt32.neighbors._nbrs, rt64.neighbors._nbrs)
 
 
 def pair_scores(trainer, start, end, dtype, seed=12345):

@@ -143,10 +143,6 @@ class TestBatchInsertion:
         assert all(np.array_equal(x, y) for x, y in
                    zip(b.snapshot().values(), fresh.values()))
 
-    def test_memory_words(self):
-        t = NeighborTable(10, mr=5)
-        assert t.memory_words() == 10 * 5 * 3
-
     def test_invalid_mr(self):
         with pytest.raises(ValueError):
             NeighborTable(5, mr=0)

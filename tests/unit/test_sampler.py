@@ -1,12 +1,13 @@
-"""Unit tests for temporal neighbor samplers, including FIFO equivalence.
+"""Unit tests for temporal neighbor sampling, including FIFO equivalence.
 
 :class:`FullHistorySampler` is TGN's software sampler, kept here as the
-oracle the FIFO sampler must match whenever ``k <= mr``.
+oracle the FIFO — the :class:`~repro.graph.NeighborTable` a runtime reads
+directly — must match whenever ``k <= mr``.
 """
 
 import numpy as np
 
-from repro.graph import FIFONeighborSampler
+from repro.graph import NeighborTable
 from repro.graph.neighbor_table import GatheredNeighbors
 
 
@@ -102,7 +103,7 @@ class TestFIFOEquivalence:
     def test_fifo_matches_full_history_when_k_le_mr(self):
         """The §III hardware-sampler substitution: identical results."""
         full = FullHistorySampler(5)
-        fifo = FIFONeighborSampler.create(5, mr=4)
+        fifo = NeighborTable(5, mr=4)
         feed(full, EDGES)
         feed(fifo, EDGES)
         for k in (1, 2, 4):
@@ -113,41 +114,7 @@ class TestFIFOEquivalence:
                 assert np.array_equal(gf.nbrs[gf.mask], gh.nbrs[gh.mask]), (v, k)
                 assert np.array_equal(gf.times[gf.mask], gh.times[gh.mask]), (v, k)
 
-    def test_fifo_pads_to_k_beyond_mr(self):
-        """Regression: ``gather(k > mr)`` used to return ``(B, mr)`` arrays,
-        breaking shape interchangeability with FullHistorySampler."""
-        fifo = FIFONeighborSampler.create(5, mr=2)
-        feed(fifo, EDGES)
-        g = fifo.gather(np.array([0, 4]), k=10)
-        assert g.k == 10
-        assert g.nbrs.shape == g.eids.shape == g.times.shape \
-            == g.mask.shape == (2, 10)
-        # Vertex 0 holds its mr=2 most recent; the pad is masked out.
-        assert g.mask[0].tolist() == [True] * 2 + [False] * 8
-        assert np.all(np.isneginf(g.times[0, 2:]))
-        # Isolated vertex: fully masked row.
-        assert not g.mask[1].any()
-
-    def test_fifo_matches_full_history_when_k_gt_mr(self):
-        """With histories no deeper than ``mr``, the two samplers must stay
-        drop-in interchangeable even when ``k > mr`` (padded identically)."""
-        full = FullHistorySampler(5)
-        fifo = FIFONeighborSampler.create(5, mr=4)   # max degree in EDGES is 4
-        feed(full, EDGES)
-        feed(fifo, EDGES)
-        for k in (5, 8):
-            for v in range(5):
-                gf = full.gather(np.array([v]), k=k)
-                gh = fifo.gather(np.array([v]), k=k)
-                assert gf.nbrs.shape == gh.nbrs.shape == (1, k), (v, k)
-                assert np.array_equal(gf.mask, gh.mask), (v, k)
-                assert np.array_equal(gf.nbrs[gf.mask],
-                                      gh.nbrs[gh.mask]), (v, k)
-                assert np.array_equal(gf.times, gh.times), (v, k)
-                assert np.array_equal(gf.eids[gf.mask],
-                                      gh.eids[gh.mask]), (v, k)
-
     def test_fifo_degree_capped(self):
-        fifo = FIFONeighborSampler.create(5, mr=2)
+        fifo = NeighborTable(5, mr=2)
         feed(fifo, EDGES)
         assert fifo.degree(np.array([0]))[0] == 2

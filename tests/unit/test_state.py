@@ -65,10 +65,6 @@ class TestVertexState:
         assert src.memory[1].tolist() == [0.0, 0.0]
         assert src.last_update.tolist() == [1.0, 0.0, 0.0]
 
-    def test_memory_words(self):
-        s = VertexState(10, 4, 6)
-        assert s.memory_words() == 10 * (4 + 6 + 2)
-
 
 class TestLastOccurrence:
     def test_unique_all_last(self):

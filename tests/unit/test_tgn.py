@@ -162,7 +162,7 @@ class TestRuntime:
         with no_grad():
             model.process_batch(g.slice(0, 40), rt2, g)
         assert np.allclose(rt.state.memory, rt2.state.memory)
-        assert np.array_equal(rt.sampler.table._times, rt2.sampler.table._times)
+        assert np.array_equal(rt.neighbors._times, rt2.neighbors._times)
 
     def test_reset(self):
         g = tiny_stream()
@@ -172,7 +172,7 @@ class TestRuntime:
             model.process_batch(g.slice(0, 40), rt, g)
         rt.reset()
         assert np.allclose(rt.state.memory, 0.0)
-        assert not rt.sampler.table.gather(np.array([0])).mask.any()
+        assert not rt.neighbors.gather(np.array([0])).mask.any()
 
     def test_calibrate_noop_for_cosine(self):
         g = tiny_stream()
