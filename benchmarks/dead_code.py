@@ -8,7 +8,10 @@ re-export is not a use.  Dunder methods are the language's to call and
 are never listed.  Tests do not count either, so a body only tests call
 shows up here.  The rule goes by name alone: a method shares its use
 with every other method of that name, and a name reached only through
-a string (``getattr``) is listed.  The one exception is a definition
+a string (``getattr``) is listed.  So a body only tests call hides
+behind any other definition of its name that code does use: a
+``degree`` method that only tests call is not listed while some other
+class's ``degree`` property has a reader.  The one exception is a definition
 decorated with a ``.register(...)`` call: a registry reaches it by its
 key, so it is never listed.  Stdlib only; report only (exit 0).
 

@@ -251,7 +251,7 @@ class SchedulerPurityRule(Rule):
 
     Outside ``serving/events.py`` (the scheduler's own module), code
     holding a scheduler reference may call ``schedule`` / ``schedule_run``
-    / ``cancel`` / ``record`` / ``run`` and read public state, but may
+    / ``record`` / ``run`` and read public state, but may
     not reach into private internals (``_heap``, ``_runs``, ``_seq``...)
     or assign any scheduler attribute (``sched.now = ...``) — that is how
     an actor silently forks the ``(t, priority, seq)`` total order the
@@ -288,12 +288,12 @@ class SchedulerPurityRule(Rule):
                 yield (node,
                        f"assigning scheduler attribute .{node.attr}: "
                        f"actors may only mutate scheduler state through "
-                       f"schedule/schedule_run/cancel/record")
+                       f"schedule/schedule_run/record")
             elif node.attr.startswith("_"):
                 yield (node,
                        f"private scheduler internal .{node.attr} accessed "
                        f"outside events.py; use the public API "
-                       f"(schedule/schedule_run/cancel/record/run)")
+                       f"(schedule/schedule_run/record/run)")
 
 
 # --------------------------------------------------------------------------- #

@@ -178,9 +178,3 @@ class NeighborTable(VertexRows):
         addr = slots + (vertices * self.mr)[:, None]
         return GatheredNeighbors(self._nbrs.take(addr), self._eids.take(addr),
                                  self._times.take(addr), cols < take[:, None])
-
-    def degree(self, vertices: np.ndarray | None = None) -> np.ndarray:
-        """Number of valid stored neighbors per vertex (<= mr)."""
-        if vertices is None:
-            return self._count.copy()
-        return self._count[np.asarray(vertices, dtype=np.int64)]

@@ -106,13 +106,6 @@ class TemporalGraph:
     def node_dim(self) -> int:
         return self.node_feat.shape[1]
 
-    @property
-    def duration(self) -> float:
-        """Time span of the stream in its native units."""
-        if self.num_edges == 0:
-            return 0.0
-        return float(self.t[-1] - self.t[0])
-
     def __len__(self) -> int:
         return self.num_edges
 

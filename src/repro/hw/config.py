@@ -62,11 +62,6 @@ class HardwareConfig:
         """MACs per cycle in the FTM array."""
         return self.s_ftm[0] * self.s_ftm[1]
 
-    @property
-    def edges_per_cu(self) -> int:
-        """Edges of one processing batch handled by each CU."""
-        return self.nb // self.n_cu
-
     def ddr(self, refresh: bool = False) -> DDRModel:
         """DDR model for this platform (refresh on = simulator fidelity)."""
         return DDRModel(peak_bw_gbs=self.platform.ddr_bw_gbs,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from ..models.config import ModelConfig
 from .config import HardwareConfig
+from .eu import _ceil
 
 __all__ = ["MemoryUpdateUnit", "MUU_STAGES"]
 
@@ -55,7 +56,3 @@ class MemoryUpdateUnit:
             "muu_memory_gate": gate,
             "muu_merge_gate": merge,
         }
-
-
-def _ceil(a: int, b: int) -> int:
-    return -(-int(a) // int(b))

@@ -252,8 +252,15 @@ class TGNN(Module):
         features are ``dtype``: by default :data:`DEPLOY_DTYPE` on a
         prepared model (the deployment) and float64 otherwise.  Training
         and evaluation ask for float64 explicitly, so a prepared model
-        trains as any other.
+        trains as any other.  A graph whose edge or node feature width
+        is not the model's raises ``ValueError``.
         """
+        widths = (self.cfg.edge_dim, self.cfg.node_dim)
+        if widths != (graph.edge_dim, graph.node_dim):
+            raise ValueError(
+                f"the model takes edge_dim={widths[0]}, node_dim="
+                f"{widths[1]} but the graph has edge_dim={graph.edge_dim}, "
+                f"node_dim={graph.node_dim}")
         if dtype is None:
             dtype = DEPLOY_DTYPE if self.prepared else np.float64
         state = VertexState(graph.num_nodes, self.cfg.memory_dim,

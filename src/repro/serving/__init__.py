@@ -220,8 +220,8 @@ reads a clock (the ``wall-clock-in-events`` lint rule) — and the report
 gains a ``measured`` block (pooled and per-shard mean/cv², modeled-vs-measured
 means, kernel stage split; omitted on modeled runs, so the goldens
 stand).  Runs are deterministic in *structure* but not timing values;
-:meth:`ServingReport.to_structure_json` is the byte-comparable
-projection, and the measured service-time samples feed the tier-2
+the report with every float nulled is the byte-comparable
+projection (the measured tests compare it), and the measured service-time samples feed the tier-2
 Kingman/Allen–Cunneen G/G/c checks with measured cv².  ``serve-sim
 --backend measured --workers N`` drives it.
 
@@ -305,7 +305,7 @@ enforces them mechanically, before the golden diff can catch a break:
   only over integer summands on report paths; float reductions use
   ``math.fsum`` or a documented stable order), and
   ``scheduler-purity`` (actors touch the scheduler only via
-  ``schedule``/``schedule_run``/``cancel``/``record``).  Intentional
+  ``schedule``/``schedule_run``/``record``).  Intentional
   sites carry ``# repro-lint: ok=<rule> (reason)``.  Omit-when-off
   needs no rule: a defaulted :class:`ServingReport` field is dropped
   from ``to_dict()`` while its gate holds its default, by declaration.

@@ -220,24 +220,27 @@ class ArrivalTrace(Sequence):
 
 @dataclass(frozen=True)
 class CoalescedJob:
-    """A flushed batch: merged edges plus its constituent arrivals.
+    """A flushed job: its release instant and its arrivals.
 
     ``sources`` is the job's arrivals in admission order, a zero-copy
-    :class:`ArrivalTrace` slice.
+    :class:`ArrivalTrace` slice.  Its merged edges are gathered the first
+    time ``batch`` is read: a serial routed run takes a job's rows from
+    its route plan and never reads it.
     """
 
     t_release: float
-    batch: EdgeBatch
     sources: ArrivalTrace
 
     @property
-    def n_edges(self) -> int:
-        return len(self.batch)
+    def batch(self) -> EdgeBatch:
+        memo = self.__dict__
+        if "_batch" not in memo:
+            memo["_batch"] = self.sources.merged()
+        return memo["_batch"]
 
     @property
-    def batching_delay_s(self) -> float:
-        """How long the oldest constituent waited for the flush."""
-        return self.t_release - self.sources[0].t
+    def n_edges(self) -> int:
+        return self.sources.num_edges
 
 
 class DynamicBatcher:
@@ -323,6 +326,5 @@ class DynamicBatcher:
         if self.max_edges is not None:
             full = trace.cum[hi] - trace.cum[lo] >= self.max_edges
             release = np.where(full, last, release)
-        return [CoalescedJob(t_release=r, batch=part.merged(), sources=part)
-                for r, part in zip(release.tolist(),
-                                   map(trace.span, lo.tolist(), hi.tolist()))]
+        return list(map(CoalescedJob, release.tolist(),
+                        map(trace.span, lo.tolist(), hi.tolist())))

@@ -92,24 +92,6 @@ __all__ = ["ShardStats", "ServingReport", "ServingEngine",
 TOPOLOGIES = ("sharded", "pool", "hybrid")
 
 
-def _null_floats(obj):
-    """Recursively replace floats with ``None`` (bools/ints untouched).
-
-    The projection behind :meth:`ServingReport.to_structure_json`: it
-    keeps every count, name, and flag while erasing the values that a
-    measured run cannot reproduce bit-for-bit.
-    """
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return None
-    if isinstance(obj, dict):
-        return {key: _null_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_null_floats(value) for value in obj]
-    return obj
-
-
 @dataclass(frozen=True)
 class ShardStats:
     """Per-shard queueing and traffic statistics.
@@ -290,18 +272,6 @@ class ServingReport:
         golden-determinism contract)."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2,
                           allow_nan=False)
-
-    def to_structure_json(self) -> str:
-        """Canonical JSON with every float nulled out.
-
-        Measured-backend runs are deterministic in *structure* (which
-        windows were served, how work was split, every counter) but not
-        in timing values — those are real wall-clock measurements.  This
-        projection is the byte-comparable form: two runs of the same
-        workload agree on it exactly, whatever the host was doing.
-        """
-        return json.dumps(_null_floats(self.to_dict()), sort_keys=True,
-                          indent=2, allow_nan=False)
 
 
 def make_stream_arrivals(graph: TemporalGraph, window_s: float,
@@ -579,17 +549,17 @@ class ServingEngine:
         return {"pool": 1, "hybrid": shards + 1}.get(topology, shards)
 
     @classmethod
-    def from_registry(cls, backend: str | Sequence[str], model,
+    def from_registry(cls, backend: str, model,
                       graph: TemporalGraph, num_shards: int | None = None,
                       registry: BackendRegistry = DEFAULT_REGISTRY,
                       backend_kwargs: dict | None = None,
                       hot_top_k: int = 16,
                       **engine_kwargs) -> "ServingEngine":
-        """Build an engine with backends constructed by name.
+        """Build an engine whose every station runs the backend that
+        ``registry`` builds under the name ``backend``, once per station.
 
-        ``backend`` is one name, built once per station, or an explicit
-        per-station list (heterogeneous shards are legal: e.g. hot shards
-        on ``u200``, cold shards on ``cpu-32t``).  ``num_shards`` counts
+        (A fleet of differing backends is built with the constructor,
+        which takes any list of backend objects.)  ``num_shards`` counts
         what the topology name counts: the ``sharded`` stations; the
         ``pool``'s replicas (one station, ``pool_servers`` defaulting to
         it); the ``hybrid``'s dedicated hot shards, beside which one more
@@ -603,21 +573,16 @@ class ServingEngine:
         topology = engine_kwargs.get("topology", "sharded")
         shards = num_shards or 1
         stations = cls.station_count(topology, shards)
-        names = [backend] * stations if isinstance(backend, str) \
-            else list(backend)
-        if num_shards is not None and len(names) != stations:
-            raise ValueError(f"backend list must name each of the "
-                             f"{stations} station(s)")
         if topology != "sharded":
             engine_kwargs.setdefault("pool_servers", shards)
         if topology == "hybrid" \
                 and not engine_kwargs.keys() & {"placement", "router"}:
             engine_kwargs["placement"] = HotColdHybrid(
                 hot_top_k=hot_top_k).place(VertexHeat.from_graph(graph),
-                                           len(names))
-        backends = [registry.create(name, model, graph,
+                                           stations)
+        backends = [registry.create(backend, model, graph,
                                     **(backend_kwargs or {}))
-                    for name in names]
+                    for _ in range(stations)]
         return cls(backends, graph.num_nodes, **engine_kwargs)
 
     # ------------------------------------------------------------------ #
@@ -835,8 +800,8 @@ class ServingEngine:
             if router.num_shards == 1:
                 # One shard owns every vertex: the job batch is the one
                 # sub-batch, all local, and nothing is mail or stale.
-                solo.append(len(job.batch))
-                if len(job.batch):
+                solo.append(job.n_edges)
+                if job.n_edges:
                     offers[0].append(ji)
                     hops = 0 if plane is None else plane.take_hops(0)
                     groups[0].submit(t, (job.batch, hops))
@@ -901,7 +866,7 @@ class ServingEngine:
         ``None`` on modeled runs (the key is then omitted from the
         report, keeping pre-measured goldens byte-identical).  Values are
         wall-clock statistics and therefore *not* run-reproducible; the
-        block's structure is (see :meth:`ServingReport.to_structure_json`).
+        block's structure is.
         """
         if not self._measured:
             return None

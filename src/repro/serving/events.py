@@ -41,9 +41,9 @@ of it, not a lane through it: the loop records the typed event of every
 heap entry it pops and a cohort handler records the span of the elements
 it consumes, so a traced run makes the cohort cuts, fires the events and
 writes the report of the untraced run.  The record is one
-:class:`EventTrace` of columns, not a list of event objects: where the
-run already keeps a row — an arrival in the :class:`ArrivalTrace`, a
-begin in its station's commit log, a sub-job's traffic in its
+:class:`EventTrace`, not a list of event objects: an event is a tuple of
+its fields as recorded, and where the run already keeps the row — an
+arrival in the :class:`ArrivalTrace`, a sub-job's traffic in its
 :class:`~repro.serving.router.RoutePlan` — the trace points at it.
 :class:`HeapEventScheduler` is the same loop with every cohort cut to
 one — its single override expands a run into one heap entry per element
@@ -53,12 +53,12 @@ traces between the two, and the serving bench uses it as the "before"
 lane.  (The verbatim historical queue loop lives on, independently, as
 the reference oracle in ``tests/unit/test_events.py``.)
 
-Cancellation follows the same split: heap tokens are cancellable (the
-pop discards them), run tokens are **not** — a run is one consumption
-pointer over a contiguous block, so :meth:`EventScheduler.cancel` raises
-on a run token rather than silently letting the event fire.  The
-dead-set is cleared when the loop drains, so cancellations that never
-meet a pop (issued after the event already fired) cannot leak.
+Nothing is ever cancelled.  An event that may have gone stale by the
+time it fires vets itself instead, as an ownership plan does (below): a
+batcher deadline is bound to the start of the buffer it guards, and once
+that buffer has flushed by size or drain the deadline does nothing.  So
+the loop needs no liveness check per pop, and a run stays one
+consumption pointer over a contiguous block.
 
 Event types
 -----------
@@ -188,6 +188,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -400,7 +401,7 @@ class FailurePlan:
 
 # --------------------------------------------------------------------------- #
 # The trace.  An event kind's code is its index here and its row is its
-# fields: ``t`` first, a string field as a code into one name table.
+# fields as recorded, ``t`` first.
 KINDS: tuple[type, ...] = (
     ArrivalEvent, FlushEvent, ServiceBeginEvent, ServiceEndEvent, MailEvent,
     SyncEvent, MigrationEvent, FailureEvent, RecoveryEvent, ScaleEvent)
@@ -408,8 +409,6 @@ _KIND = {cls: k for k, cls in enumerate(KINDS)}
 _FIELDS = tuple(tuple(f.name for f in fields(cls)) for cls in KINDS)
 _ROW = tuple(attrgetter(*names) for names in _FIELDS)
 _NAMED = ("cause", "kind", "mode", "reason")
-_REAL = ("t", "degradation")
-_WIDTH = max(map(len, _FIELDS))
 _A, _M, _S = (_KIND[c] for c in (ArrivalEvent, MailEvent, SyncEvent))
 # Records that point at a row the run keeps instead of copying it.
 _SPAN, _SUBJOB = range(len(KINDS), len(KINDS) + 2)
@@ -427,10 +426,10 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class EventTrace(Sequence):
     """The typed-event record of one traced run, held as columns.
 
-    Recording appends one tuple per record and builds no event object.
-    Most records are an event's row (:meth:`add`, or :meth:`row` from
-    its fields); two point at rows the run already keeps instead of
-    copying them:
+    Recording appends a code and one tuple of fields per record and
+    builds no event object.  Most records are an event's row
+    (:meth:`add`, or :meth:`row` from its fields); two point at rows the
+    run already keeps instead of copying them:
 
     * a cohort of arrivals is ``(source, lo, hi)``, a span of the
       :class:`ArrivalTrace` the batcher admits;
@@ -442,43 +441,42 @@ class EventTrace(Sequence):
       out jobs, because the engine re-plans whenever
       ``router.generation`` does.
 
-    Reading builds the columns once (again after more records): every
-    event's ``t`` and ``kind`` (its index into :data:`KINDS`) in record
-    order, and per kind a :meth:`columns` table.
+    Reading puts the records in event order once (again after more
+    records): every event's ``t`` and ``kind`` (its index into
+    :data:`KINDS`) as arrays, beside one tuple of its fields as recorded
+    (an arrival as ``(t, item, source)``, its item's index in its
+    source), and per kind a :meth:`columns` table of those tuples.
     :mod:`repro.analysis.tracecheck` reads only these.  The trace is
     still a ``Sequence`` of the typed events, as an :class:`ArrivalTrace`
     is one of :class:`StreamArrival`: indexing or iterating materialises
-    them, field for field the objects a list of events held.  :meth:`of`
-    builds a trace of such events.
+    them.
     """
 
     def __init__(self):
-        self._log: list[tuple] = []
+        self._code: list[int] = []      # a kind's index, _SPAN or _SUBJOB
+        self._fields: list[tuple] = []
         self._plans: list[tuple] = []
         self._plan = None
         self._built: tuple = (-1,)
 
-    @classmethod
-    def of(cls, events) -> "EventTrace":
-        """A trace of ``events`` (typed event objects), in order."""
-        trace = cls()
-        for event in events:
-            trace.add(event)
-        return trace
-
     def add(self, event) -> None:
         """Record a typed event, one of :data:`KINDS`, as its row."""
         k = _KIND[type(event)]
-        self._log.append((k, *_ROW[k](event)))
+        self._code.append(k)
+        # An arrival is the one item of a source of its own.
+        self._fields.append((event.t, 0, (event.arrival,)) if k == _A
+                            else _ROW[k](event))
 
     def row(self, cls: type, *values) -> None:
         """Record an event of kind ``cls`` from its field ``values``,
         without building it."""
-        self._log.append((_KIND[cls], *values))
+        self._code.append(_KIND[cls])
+        self._fields.append(values)
 
     def arrivals(self, source: ArrivalTrace, lo: int, hi: int) -> None:
         """Record the :class:`ArrivalEvent` of ``source[lo:hi]``."""
-        self._log.append((_SPAN, source, lo, hi))
+        self._code.append(_SPAN)
+        self._fields.append((source, lo, hi))
 
     def sub_job(self, t: float, plan, run: int, shard: int,
                 owner: np.ndarray) -> None:
@@ -490,12 +488,13 @@ class EventTrace(Sequence):
             self._plans.append(((plan.mail_from, plan.mail_bounds),
                                 (owner[plan.pull], plan.pull_bounds),
                                 (owner[plan.push], plan.push_bounds)))
-        self._log.append((_SUBJOB, t, len(self._plans) - 1, run, shard))
+        self._code.append(_SUBJOB)
+        self._fields.append((t, len(self._plans) - 1, run, shard))
 
     # ------------------------------------------------------------------ #
     @property
     def t(self) -> np.ndarray:
-        return self._build()[1][:, 0]
+        return self._build()[1]
 
     @property
     def kind(self) -> np.ndarray:
@@ -504,82 +503,69 @@ class EventTrace(Sequence):
     def columns(self, cls: type) -> dict[str, np.ndarray]:
         """The events of kind ``cls``, in record order: one column per
         field (an arrival as its item) and ``pos``, each one's index in
-        the whole trace."""
-        _, rows, kind, names, _ = self._build()
+        the whole trace.  A string column holds objects, ``t`` and
+        ``degradation`` floats and every other column int64."""
+        _, t, kind, rows = self._build()
         k = _KIND[cls]
         pos = np.flatnonzero(kind == k)
-        out = {name: rows[pos, j] if name in _REAL
-               else np.array(names, dtype=object)[rows[pos, j].astype(int)]
-               if name in _NAMED else rows[pos, j].astype(np.int64)
-               for j, name in enumerate(_FIELDS[k])}
-        out["pos"] = pos
-        return out
+        names = _FIELDS[k][1:]      # after ``t``
+        cols = list(zip(*rows[pos]))[1:] or [()] * len(names)
+        return {"t": t[pos], **{
+            name: np.array(col, dtype=object if name in _NAMED
+                           else np.float64 if name == "degradation"
+                           else np.int64)
+            for name, col in zip(names, cols)}, "pos": pos}
 
     def __len__(self) -> int:
         return len(self._build()[2])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return EventTrace.of(list(self)[i])
-        _, rows, kind, _, _ = self._build()
-        return self._event(int(kind[i]), rows[i].tolist())
+    def __getitem__(self, i: int):
+        _, _, kind, rows = self._build()
+        return self._event(int(kind[i]), rows[i])
 
     def __iter__(self):
-        _, rows, kind, _, _ = self._build()
-        return map(self._event, kind.tolist(), rows.tolist())
+        _, _, kind, rows = self._build()
+        return map(self._event, kind.tolist(), rows)
 
-    def _event(self, k: int, row: list):
-        _, _, _, names, sources = self._build()
-        values = [v if name in _REAL else names[int(v)] if name in _NAMED
-                  else int(v) for v, name in zip(row, _FIELDS[k])]
+    @staticmethod
+    def _event(k: int, row: tuple):
         if k == _A:
-            values[1] = sources[int(row[2])][int(row[1])]
-        return KINDS[k](*values)
+            t, item, source = row
+            return ArrivalEvent(t, source[item])
+        return KINDS[k](*row)
 
     # ------------------------------------------------------------------ #
     def _build(self) -> tuple:
-        """``(records, rows, kind, names, sources)`` of everything
-        recorded so far: per event a row of its fields, ``t`` first, a
-        string as its code in ``names``, an arrival as ``(item,
-        source)``."""
-        log = self._log
-        if self._built[0] == len(log):
+        """``(records, t, kind, rows)`` of everything recorded so far, in
+        event order; ``rows`` is an object array of each event's fields
+        as recorded, ``t`` first."""
+        if self._built[0] == len(self._code):
             return self._built
-        code = np.array([r[0] for r in log], dtype=np.int64)
-        names: dict[str, int] = {}
-        sources: list = []
-        blocks: list[tuple] = []    # (record, place in it, kind, columns)
+        code, fields = np.array(self._code, dtype=np.int64), self._fields
 
-        def records(c: int) -> tuple[np.ndarray, list]:
-            at = np.flatnonzero(code == c)
-            return at, list(zip(*(log[i][1:] for i in at.tolist())))
+        def records(at: np.ndarray) -> list:
+            return [fields[i] for i in at.tolist()]
 
-        for k, fields_k in enumerate(_FIELDS):
-            at, cols = records(k)
-            if len(at):
-                cols = [[names.setdefault(v, len(names)) for v in col]
-                        if name in _NAMED else col
-                        for name, col in zip(fields_k, cols)]
-                if k == _A:     # the payloads are a source of their own
-                    sources.append(cols[1])
-                    cols[1:] = [range(len(at)), len(sources) - 1]
-                blocks.append((at, 0, k, cols))
-        at, spans = records(_SPAN)
+        # (record, place in it, kind, t, rows) per block of events.
+        at = np.flatnonzero(code < _SPAN)
+        rows = records(at)
+        blocks = [(at, 0, code[at], [r[0] for r in rows], rows)]
+        at = np.flatnonzero(code == _SPAN)
         if len(at):
-            which, item = _ranges(*np.array(spans[1:]))
-            t = np.concatenate([s.t[a:b] for s, a, b in zip(*spans)])
-            blocks.append((at[which], item, _A,
-                           [t, item, which + len(sources)]))
-            sources += spans[0]
-        at, subjobs = records(_SUBJOB)
+            source, lo, hi = zip(*records(at))
+            which, item = _ranges(np.array(lo), np.array(hi))
+            t = np.concatenate([s.t[a:b] for s, a, b in zip(source, lo, hi)])
+            source = [source[w] for w in which.tolist()]
+            blocks.append((at[which], item, _A, t,
+                           list(zip(t.tolist(), item.tolist(), source))))
+        at = np.flatnonzero(code == _SUBJOB)
         if len(at):
-            t, plan, run, shard = map(np.array, subjobs)
+            t, plan, run, shard = map(np.array, zip(*records(at)))
             used = np.zeros(len(self._plans), dtype=np.int64)
             np.maximum.at(used, plan, run + 2)
-            sync = [names.setdefault(k, len(names)) for k in ("pull", "push")]
-            for c in range(3):      # mail, pulls, pushes
-                # Every plan's column, and its run bounds up to the last
-                # run handed out, laid end to end.
+            for c, tail in enumerate(((), ("pull",), ("push",))):
+                # Every plan's column (mail, pulls, pushes), and its run
+                # bounds up to the last run handed out, laid end to end.
                 values, bounds = zip(*(p[c] for p in self._plans))
                 bounds = [np.asarray(b[:n], dtype=np.int64)
                           for b, n in zip(bounds, used.tolist())]
@@ -594,20 +580,18 @@ class EventTrace(Sequence):
                 sub, value = key // _WIDE, key % _WIDE
                 # A sync row ends with its kind: pull, or push.
                 blocks.append((at[sub], c * _WIDE + value, _S if c else _M,
-                               [t[sub], value, shard[sub], n,
-                                *sync[c - 1:c]]))
-        record, place, kind = (np.concatenate(
-            [np.broadcast_to(b[j], len(b[0])) for b in blocks] + [[]])
-            for j in range(3))
-        rows = np.zeros((len(record), _WIDTH))
-        end = 0
-        for at, _, _, cols in blocks:
-            for j, col in enumerate(cols):
-                rows[end:end + len(at), j] = col
-            end += len(at)
+                               t[sub], list(zip(
+                                   t[sub].tolist(), value.tolist(),
+                                   shard[sub].tolist(), n.tolist(),
+                                   *map(repeat, tail)))))
+        record, place, kind, t = (np.concatenate(
+            [np.broadcast_to(b[j], len(b[0])) for b in blocks])
+            for j in range(4))
         order = np.lexsort((place, record))
-        self._built = (len(log), rows[order], kind[order].astype(np.int8),
-                       list(names), sources)
+        rows = np.fromiter(chain.from_iterable(b[4] for b in blocks),
+                           dtype=object, count=len(order))
+        self._built = (len(code), t[order].astype(np.float64),
+                       kind[order].astype(np.int8), rows[order])
         return self._built
 
 
@@ -665,7 +649,6 @@ class EventScheduler:
         self._heap: list = []
         self._runs: list[_EventRun] = []
         self._seq = 0
-        self._dead: set[int] = set()
         self.now = -math.inf
         self.events_processed = 0
         self.cohort_calls = 0
@@ -673,15 +656,13 @@ class EventScheduler:
         self.trace: EventTrace | None = EventTrace() if trace else None
 
     def schedule(self, t: float, priority: int, event,
-                 handler: Callable) -> int:
-        """Queue ``handler(event)`` at ``(t, priority)``; returns a token."""
+                 handler: Callable) -> None:
+        """Queue ``handler(event)`` at ``(t, priority)``."""
         if not t >= self.now:       # also true of NaN, which no heap orders
             raise RuntimeError(
                 f"cannot schedule an event at t={t} before now={self.now}")
-        token = self._seq
+        heapq.heappush(self._heap, (t, priority, self._seq, event, handler))
         self._seq += 1
-        heapq.heappush(self._heap, (t, priority, token, event, handler))
-        return token
 
     def _new_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
                  handler: Callable) -> _EventRun:
@@ -711,22 +692,6 @@ class EventScheduler:
         """
         self._runs.append(self._new_run(ts, priority, payloads, handler))
 
-    def cancel(self, token: int) -> None:
-        """Mark a heap-scheduled event dead; it is skipped when popped.
-
-        Run-scheduled tokens cannot be cancelled: a run is a single
-        consumption pointer over a contiguous block, so honoring a
-        cancellation would put a per-element liveness check on the hot
-        path.  Cancelling one raises instead of silently firing the event
-        anyway (the bug this guard replaces).
-        """
-        for r in self._runs:
-            if r.base <= token < r.base + r.n:
-                raise ValueError(
-                    f"token {token} belongs to a run scheduled via "
-                    "schedule_run; run events cannot be cancelled")
-        self._dead.add(token)
-
     def record(self, event) -> None:
         """Record a typed event that no heap entry carries (an applied
         migration) as one row of ``trace``; a no-op when not tracing."""
@@ -748,7 +713,6 @@ class EventScheduler:
 
     def run(self) -> None:
         heap = self._heap
-        dead = self._dead
         runs = self._runs
         trace = self.trace
         while True:
@@ -760,10 +724,7 @@ class EventScheduler:
                     if best is None or key < best_key:
                         best, best_key = r, key
             if heap and (best is None or heap[0][:3] < best_key):
-                t, _prio, token, event, handler = heapq.heappop(heap)
-                if token in dead:
-                    dead.discard(token)
-                    continue
+                t, _prio, _seq, event, handler = heapq.heappop(heap)
                 if t < self.now:
                     raise RuntimeError(
                         f"event fired out of timestamp order: t={t} < "
@@ -775,12 +736,7 @@ class EventScheduler:
                 handler(event)
                 continue
             if best is None:
-                # Drained (the heap is empty too, or we would not be
-                # here).  Clear cancellations that never met a pop —
-                # tokens cancelled after their event fired — so they do
-                # not leak forever.
-                dead.clear()
-                return
+                return      # drained: the heap is empty too
             pos = best.pos
             t0 = float(best.ts[pos])
             if t0 < self.now:
@@ -940,8 +896,7 @@ class ServerGroup:
     """
 
     def __init__(self, gid: int, num_servers: int, service_fn: Callable,
-                 sched: EventScheduler, queue_capacity: int | None = None,
-                 on_hungry: Callable[[float], None] | None = None):
+                 sched: EventScheduler, queue_capacity: int | None = None):
         # Counts, not quantities: 2.5 servers or a NaN capacity would be
         # silently rounded or compare as unbounded.
         if not (isinstance(num_servers, numbers.Integral)
@@ -971,7 +926,8 @@ class ServerGroup:
         self._busy = 0.0
         self._max_depth = 0
         self._dispatch_pending = False
-        self.on_hungry = on_hungry
+        # Set by pipelined ingest: the batcher's drain trigger.
+        self.on_hungry: Callable[[float], None] | None = None
         # Failure-injection state (see FailureEvent): a slow failure sets
         # the service-time multiplier, a dead failure clears ``accepting``.
         self.service_factor = 1.0
@@ -1258,7 +1214,6 @@ class BatcherActor:
         self._trace: ArrivalTrace | None = None     # set by start()
         self._lo = 0            # first pending arrival
         self._admitted = 0      # one past the last pending arrival
-        self._deadline_token: int | None = None
 
     # ------------------------------------------------------------------ #
     def start(self, trace: ArrivalTrace) -> None:
@@ -1308,8 +1263,7 @@ class BatcherActor:
             self._flush(t, "eos")
             return
         if first and math.isfinite(self.max_delay_s):
-            self._deadline_token = self._sched.schedule(
-                t + self.max_delay_s, _FLUSH, None, self._on_deadline)
+            self._schedule_deadline(t + self.max_delay_s)
 
     def _on_cohort(self, t: float, trace: ArrivalTrace,
                    start: int, stop: int) -> int:
@@ -1362,22 +1316,23 @@ class BatcherActor:
         if limit == len(trace) and not math.isfinite(self.max_delay_s):
             self._flush(float(trace.t[limit - 1]), "eos")
         elif opens:
-            self._deadline_token = self._sched.schedule(
-                deadline, _FLUSH, None, self._on_deadline)
+            self._schedule_deadline(deadline)
         return consumed
 
-    def _on_deadline(self, _event) -> None:
-        self._deadline_token = None
-        if self._admitted > self._lo:
+    def _schedule_deadline(self, t: float) -> None:
+        """Schedule the deadline of the buffer opened at ``_lo``."""
+        self._sched.schedule(t, _FLUSH, None,
+                             partial(self._on_deadline, self._lo))
+
+    def _on_deadline(self, lo: int, _event) -> None:
+        # Every flush moves ``_lo`` past the buffer it drains, so a
+        # deadline whose buffer already left by size or drain is stale
+        # and does nothing, as the control plane drops a stale plan.
+        if lo == self._lo:
             self._flush(self._sched.now, "deadline")
 
     def _flush(self, t: float, cause: str) -> None:
-        if self._deadline_token is not None:
-            self._sched.cancel(self._deadline_token)
-            self._deadline_token = None
         lo, self._lo = self._lo, self._admitted
-        sources = self._trace.span(lo, self._admitted)
         if self._sched.trace is not None:
             self._sched.trace.row(FlushEvent, t, cause, self._admitted - lo)
-        self._sink(CoalescedJob(t_release=t, batch=sources.merged(),
-                                sources=sources))
+        self._sink(CoalescedJob(t, self._trace.span(lo, self._admitted)))

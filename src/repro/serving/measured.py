@@ -194,14 +194,13 @@ class MeasuredServerGroup(ServerGroup):
     def __init__(self, gid: int, num_servers: int, backend: MeasuredBackend,
                  pool: WorkerPool, sched: EventScheduler,
                  queue_capacity: int | None = None,
-                 on_hungry: Callable[[float], None] | None = None,
                  extra_service: Callable[[Any], float] | None = None):
         def _never_priced(_payload: Any) -> float:
             raise RuntimeError(
                 "MeasuredServerGroup does not draw modeled service times")
 
         super().__init__(gid, num_servers, _never_priced, sched,
-                         queue_capacity=queue_capacity, on_hungry=on_hungry)
+                         queue_capacity=queue_capacity)
         self.backend = backend
         self.pool = pool
         self._extra = extra_service if extra_service is not None \

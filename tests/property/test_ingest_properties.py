@@ -21,6 +21,7 @@ deadline-grid traces.
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -30,10 +31,9 @@ from hypothesis import strategies as st
 import repro.serving.batcher as batcher_module
 from repro.graph import TemporalGraph, time_window_spans
 from repro.pipeline import LinearCostBackend
-from repro.serving import (ArrivalTrace, BatcherActor, CoalescedJob,
-                           DynamicBatcher, EventScheduler,
-                           HeapEventScheduler, ServingEngine, StreamArrival,
-                           make_stream_arrivals)
+from repro.serving import (ArrivalTrace, BatcherActor, DynamicBatcher,
+                           EventScheduler, HeapEventScheduler, ServingEngine,
+                           StreamArrival, make_stream_arrivals)
 from tests.property.arrival_oracle import from_arrivals, merge_batches
 from tests.property.lane_agreement import check_lane_agreement
 
@@ -83,18 +83,21 @@ def oracle_arrivals(graph, window_s, num_streams=1, start=0, end=None,
     return arrivals
 
 
+# A job the admission loop released: its merged batch is built at release.
+LoopJob = namedtuple("LoopJob", "t_release batch sources")
+
+
 def oracle_coalesce(batcher, arrivals):
     """``DynamicBatcher.coalesce`` as an admission loop, verbatim but for
-    taking the batcher as an argument."""
-    jobs: list[CoalescedJob] = []
+    taking the batcher as an argument and recording a :data:`LoopJob`."""
+    jobs: list[LoopJob] = []
     pending: list[StreamArrival] = []
     pending_edges = 0
 
     def flush(t_release: float) -> None:
         nonlocal pending_edges
         merged = merge_batches([a.batch for a in pending])
-        jobs.append(CoalescedJob(t_release=t_release, batch=merged,
-                                 sources=tuple(pending)))
+        jobs.append(LoopJob(t_release, merged, tuple(pending)))
         pending.clear()
         pending_edges = 0
 

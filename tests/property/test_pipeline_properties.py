@@ -366,7 +366,7 @@ def oracle_run_stream(cfg, hw, batches, trace):
 def oracle_perf_model(cfg, hw):
     """``(beta, t_comp_max, t_ls, t_fill)`` from the pre-table expressions."""
     ddr = hw.ddr(refresh=False)
-    cycles = oracle_cycles(cfg, hw, 2 * hw.edges_per_cu)
+    cycles = oracle_cycles(cfg, hw, 2 * (hw.nb // hw.n_cu))
     nb = hw.nb
     n_nodes = 2 * nb
     k, keff = cfg.num_neighbors, cfg.effective_neighbors

@@ -21,11 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import tracecheck
-from repro.serving import (ArrivalEvent, EventTrace, FailureEvent,
-                           FlushEvent, MailEvent, MigrationEvent,
-                           RecoveryEvent, ScaleEvent, ServiceBeginEvent,
-                           ServiceEndEvent, SyncEvent)
+from repro.serving import (ArrivalEvent, FailureEvent, FlushEvent,
+                           MailEvent, MigrationEvent, RecoveryEvent,
+                           ScaleEvent, ServiceBeginEvent, ServiceEndEvent,
+                           SyncEvent)
 from tests.property import tracecheck_oracle as oracle
+from tests.property.tracecheck_oracle import trace_of
 from tests.property.test_control_properties import run, scenario
 
 VERTICES, SHARDS = 6, 4
@@ -76,8 +77,8 @@ assignments = st.lists(shard, min_size=VERTICES, max_size=VERTICES)
 def check_agreement(events, initial, final=None, servers=(1, None),
                     offered=0, report=None, trace=None, module=tracecheck):
     """Every check of ``module`` on ``trace`` (default: the events'
-    ``EventTrace.of``) returns the oracle's findings on ``events``."""
-    trace = EventTrace.of(events) if trace is None else trace
+    ``trace_of``) returns the oracle's findings on ``events``."""
+    trace = trace_of(events) if trace is None else trace
     pairs = [
         (oracle.check_causality(events), module.check_causality(trace)),
         (oracle.check_service_exactly_once(events),
@@ -149,6 +150,6 @@ class TestColumnsEqualTheObjectWalk:
         mutant.TraceFinding = tracecheck.TraceFinding   # comparable rows
         check_agreement(ABUTTING, [0] * VERTICES)
         assert [f.check for f in mutant.check_service_exactly_once(
-            EventTrace.of(ABUTTING))] == ["busy-overlap"]
+            trace_of(ABUTTING))] == ["busy-overlap"]
         with pytest.raises(AssertionError):
             check_agreement(ABUTTING, [0] * VERTICES, module=mutant)

@@ -14,6 +14,16 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.analysis.tracecheck import TraceFinding
+from repro.serving import EventTrace
+
+
+def trace_of(events) -> EventTrace:
+    """A trace of ``events`` (typed event objects), in order: how the
+    tests hand-build one."""
+    trace = EventTrace()
+    for event in events:
+        trace.add(event)
+    return trace
 
 
 def _kind(event: Any) -> str:

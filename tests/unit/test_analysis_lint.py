@@ -191,7 +191,6 @@ class TestSchedulerPurity:
     def test_public_api_silent(self):
         src = ("def f(sched, t, prio, ev, cb):\n"
                "    sched.schedule(t, prio, ev, cb)\n"
-               "    sched.cancel(ev)\n"
                "    sched.record(ev)\n"
                "    return sched.now\n")
         assert findings_for(SchedulerPurityRule, self.PATH, src) == []

@@ -34,11 +34,11 @@ from repro.models import ModelConfig, TGNN
 from repro.pipeline import LinearCostBackend
 from repro.serving import (HANDOFF_ROWS_PER_VERTEX, AutoScaler,
                            CapacityConfig, ControlPlane, EventScheduler,
-                           EventTrace, MigrationEvent,
-                           OnlineRebalancer, ScaleEvent, ServerGroup,
-                           ServiceBeginEvent, ServiceEndEvent, ServingEngine,
-                           ShardRouter, padded_hash_placement)
+                           MigrationEvent, OnlineRebalancer, ScaleEvent,
+                           ServerGroup, ServiceBeginEvent, ServiceEndEvent,
+                           ServingEngine, ShardRouter, padded_hash_placement)
 from tests.property.sharded_oracle import ShardedRuntime
+from tests.property.tracecheck_oracle import trace_of
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -268,8 +268,8 @@ class TestPoolScaling:
         assert report.findings == []
         # Fleet conservation from the raw trace, independently of
         # check_run's wiring.
-        scale_events = EventTrace.of(e for e in engine.last_event_trace
-                                     if isinstance(e, ScaleEvent))
+        scale_events = trace_of(e for e in engine.last_event_trace
+                                if isinstance(e, ScaleEvent))
         assert len(scale_events) == 3
         assert check_fleet_size(scale_events, 1, 4) == []
 
@@ -506,34 +506,34 @@ def scale_ev(t, kind, before, after, reason="slo-breach"):
 
 class TestCheckFleetSize:
     def test_clean_chain(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             scale_ev(1.0, "up", 1, 2), scale_ev(2.0, "up", 2, 3),
             scale_ev(3.0, "down", 3, 2)])
         assert check_fleet_size(trace, 1, 2) == []
 
     def test_bogus_kind(self):
-        findings = check_fleet_size(EventTrace.of([
+        findings = check_fleet_size(trace_of([
             scale_ev(1.0, "sideways", 1, 2)]), 1)
         assert len(findings) == 1 and "sideways" in findings[0].detail
 
     def test_step_must_be_one(self):
-        findings = check_fleet_size(EventTrace.of([
+        findings = check_fleet_size(trace_of([
             scale_ev(1.0, "up", 1, 3)]), 1)
         assert any("1 -> 3" in f.detail for f in findings)
 
     def test_stale_decision_detected(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             scale_ev(1.0, "up", 1, 2), scale_ev(2.0, "up", 1, 2)])
         findings = check_fleet_size(trace, 1)
         assert any("stale" in f.detail for f in findings)
 
     def test_fleet_never_empties(self):
-        findings = check_fleet_size(EventTrace.of([
+        findings = check_fleet_size(trace_of([
             scale_ev(1.0, "down", 1, 0)]), 1)
         assert findings
 
     def test_final_fleet_mismatch(self):
-        findings = check_fleet_size(EventTrace.of([
+        findings = check_fleet_size(trace_of([
             scale_ev(1.0, "up", 1, 2)]), 1, final_servers=3)
         assert any("live controller" in f.detail for f in findings)
 

@@ -7,10 +7,13 @@ import numbers
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from tests.unit.test_extensions import BAD_KINDS, write_bad_checkpoint
+from repro.models import TGNN, save_model
+from tests.unit.test_extensions import (BAD_KINDS, SMALL,
+                                        write_bad_checkpoint)
 
 
 def run(argv):
@@ -95,23 +98,37 @@ class TestTrainEvalInfer:
         # a KeyError, TypeError or IndexError traceback).
         *(["eval", "--edges", "300", "--model", f"{{tmp}}/bad-{kind}.npz"]
           for kind in BAD_KINDS),
+        # A good checkpoint for 172-wide edge features and no node
+        # features, run on gdelt's graph (no edge features, 200-wide node
+        # features): a shape mismatch inside the memory stage.
+        ["eval", "--edges", "300", "--dataset", "gdelt",
+         "--model", "{tmp}/small.npz"],
+        ["infer", "--edges", "300", "--dataset", "gdelt",
+         "--model", "{tmp}/small.npz"],
         ["dse", "--batch-size", "0"],
         ["trace", "--batches", "0"],
     ], ids=" ".join)
     def test_bad_input_is_a_clean_error(self, argv, tmp_path):
         """Every command, not only ``serve-sim``, turns the library's
-        ``ValueError`` / ``OSError`` into exit 2 and one ``error:`` line."""
+        ``ValueError`` / ``OSError`` into exit 2 and one ``error:`` line;
+        a model that does not fit the graph's features says so."""
         argv = [a.format(tmp=tmp_path) for a in argv]
         for a in argv:
             name = os.path.basename(a)
             if name.startswith("bad-"):
                 write_bad_checkpoint(tmp_path / name,
                                      name[len("bad-"):-len(".npz")])
+            elif name == "small.npz":
+                save_model(TGNN(SMALL, rng=np.random.default_rng(0)), a)
         code, text = run(argv)
         assert code == 2
         assert [ln.startswith("error: ") for ln in text.splitlines()] \
             == [True]
         assert not (tmp_path / "m.npz").exists()
+        if (tmp_path / "small.npz").exists():
+            assert text == ("error: the model takes edge_dim=172, "
+                            "node_dim=0 but the graph has edge_dim=0, "
+                            "node_dim=200")
 
 
 class TestServeSim:

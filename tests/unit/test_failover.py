@@ -1,12 +1,7 @@
 """Failure injection and exact replica failover (ISSUE 7).
 
-Five contracts pin the subsystem:
+Four contracts pin the subsystem:
 
-* **Scheduler cancellation** — :meth:`EventScheduler.cancel` raises on a
-  run-scheduled token instead of silently firing the event anyway (the
-  bug this PR fixes), both schedulers drop dead entries when they drain,
-  and cancellation parity against :class:`HeapEventScheduler` is
-  property-tested over randomized programs.
 * **Fail-stop semantics** — a dead :class:`ServerGroup` drops queued and
   newly offered jobs *with accounting* (served + dropped == offered), a
   slow one multiplies its service times; conservation holds through the
@@ -39,9 +34,8 @@ from repro.pipeline import LinearCostBackend
 from repro.analysis.tracecheck import check_run
 from repro.serving import (HANDOFF_ROWS_PER_VERTEX, EventScheduler,
                            FailureEvent, FailureInjector, FailurePlan,
-                           FlushEvent, HeapEventScheduler,
-                           MigrationEvent, OnlineRebalancer, Placement,
-                           ServerGroup, ServiceBeginEvent, ServiceEndEvent,
+                           FlushEvent, MigrationEvent, OnlineRebalancer,
+                           Placement, ServerGroup, ServiceBeginEvent, ServiceEndEvent,
                            ServingEngine, ShardRouter, VersionedMemoryCache,
                            hash_assignment, make_stream_arrivals)
 from repro.serving.memsync import fail_over, hand_off
@@ -122,109 +116,6 @@ class TestFailurePlanValidation:
         FailureInjector([FailurePlan(1.0, shard=1, recover_at=2.0),
                          FailurePlan(3.0, shard=1),
                          FailurePlan(1.5, shard=0)])
-
-
-# --------------------------------------------------------------------------- #
-class TestSchedulerCancel:
-    """Satellite: run-token cancel raises; dead sets drain; heap parity."""
-
-    def test_run_token_cancel_raises(self):
-        sched = EventScheduler()
-        fired = []
-        sched.schedule(0.0, 0, "point", fired.append)     # token 0
-        ts = np.array([1.0, 2.0, 3.0])
-
-        def cohort(t0, payloads, start, stop):
-            fired.extend(payloads[start:stop])
-            return stop - start
-
-        sched.schedule_run(ts, 0, ["a", "b", "c"], cohort)  # tokens 1..3
-        for token in (1, 2, 3):
-            with pytest.raises(ValueError, match="run"):
-                sched.cancel(token)
-        # The refusal is a no-op: nothing was marked dead, all fire.
-        sched.cancel(0)
-        sched.run()
-        assert fired == ["a", "b", "c"]
-
-    @pytest.mark.parametrize("cls", [HeapEventScheduler, EventScheduler])
-    def test_dead_set_drains(self, cls):
-        sched = cls()
-        tokens = []
-
-        def on_fire(_ev):
-            # Cancelling an already-fired token never meets the pop-time
-            # discard; the drain sweep must still clear it.
-            sched.cancel(tokens[0])
-
-        tokens.append(sched.schedule(1.0, 0, None, on_fire))
-        sched.run()
-        assert sched._dead == set()
-
-    def _program(self, rng):
-        """Points and runs with integer-grid ties (see test_events)."""
-        ops, tag = [], 0
-        for _ in range(int(rng.integers(3, 9))):
-            base = float(rng.integers(0, 6))
-            prio = int(rng.integers(0, 3))
-            if rng.random() < 0.5:
-                ops.append(("point", base, prio, tag))
-                tag += 1
-            else:
-                n = int(rng.integers(1, 10))
-                ts = base + np.cumsum(
-                    rng.integers(0, 2, size=n).astype(np.float64))
-                ops.append(("run", ts, prio, list(range(tag, tag + n))))
-                tag += n
-        return ops
-
-    def _drive(self, sched, ops, cancels, vectorized):
-        fired = []
-
-        def on_point(ev):
-            fired.append(ev)
-
-        def on_cohort(t0, payloads, start, stop):
-            fired.extend(payloads[start:stop])
-            return stop - start
-
-        # Identical schedule-call order makes the token streams line up:
-        # schedule_run consumes one seq per element, exactly like the heap
-        # lane's element-by-element expansion.
-        point_tokens = {}
-        for op in ops:
-            if op[0] == "point":
-                _, t, prio, tag = op
-                point_tokens[tag] = sched.schedule(t, prio, (t, prio, tag),
-                                                   on_point)
-            elif vectorized:
-                _, ts, prio, tags = op
-                payloads = [(float(t), prio, g) for t, g in zip(ts, tags)]
-                sched.schedule_run(ts, prio, payloads, on_cohort)
-            else:
-                _, ts, prio, tags = op
-                for t, g in zip(ts, tags):
-                    sched.schedule(float(t), prio, (float(t), prio, g),
-                                   on_point)
-        for tag in cancels:
-            sched.cancel(point_tokens[tag])
-        sched.run()
-        return fired
-
-    def test_cancel_parity_with_heap_oracle(self):
-        for trial in range(40):
-            rng = np.random.default_rng(9300 + trial)
-            ops = self._program(rng)
-            point_tags = [op[3] for op in ops if op[0] == "point"]
-            cancels = [g for g in point_tags if rng.random() < 0.5]
-            heap = HeapEventScheduler()
-            vec = EventScheduler()
-            heap_fired = self._drive(heap, ops, cancels, vectorized=False)
-            vec_fired = self._drive(vec, ops, cancels, vectorized=True)
-            assert vec_fired == heap_fired
-            assert not any(ev[2] in cancels for ev in vec_fired)
-            assert vec.events_processed == heap.events_processed
-            assert heap._dead == set() and vec._dead == set()
 
 
 # --------------------------------------------------------------------------- #

@@ -63,7 +63,6 @@ class TestHardwareConfig:
     def test_derived_quantities(self):
         assert U200_DESIGN.sg2 == 64
         assert U200_DESIGN.sftm2 == 64
-        assert U200_DESIGN.edges_per_cu == 16
         assert U200_DESIGN.clock_s == pytest.approx(4e-9)
 
     def test_platform_budgets(self):

@@ -3,8 +3,7 @@
 Structure vs values: a measured run's *structure* (which jobs land on
 which shards, queue depths, drop/served accounting, event order) is
 deterministic, while the service-time *values* are wall-clock.  The
-tests therefore compare ``ServingReport.to_structure_json()``
-projections across worker counts and assert invariants — never exact
+tests therefore compare :func:`structure_json` projections across worker counts and assert invariants — never exact
 timing values — on the ``measured`` block.
 
 ``REPRO_WORKERS`` selects the worker-lane count for the engine- and
@@ -29,6 +28,38 @@ from repro.serving import (DEFAULT_REGISTRY, EventScheduler,
                            WorkerPool)
 
 WORKERS = int(os.environ.get("REPRO_WORKERS", "0"))
+
+
+def _null_floats(obj):
+    """Recursively replace floats with ``None`` (bools/ints untouched).
+
+    The projection behind :func:`structure_json`: it keeps every count,
+    name, and flag while erasing the values that a measured run cannot
+    reproduce bit-for-bit.
+    """
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return None
+    if isinstance(obj, dict):
+        return {key: _null_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_floats(value) for value in obj]
+    return obj
+
+
+def structure_json(report) -> str:
+    """A :class:`ServingReport` as canonical JSON with every float nulled
+    out.
+
+    Measured-backend runs are deterministic in *structure* (which
+    windows were served, how work was split, every counter) but not in
+    timing values — those are real wall-clock measurements.  This
+    projection is the byte-comparable form: two runs of the same
+    workload agree on it exactly, whatever the host was doing.
+    """
+    return json.dumps(_null_floats(report.to_dict()), sort_keys=True,
+                      indent=2, allow_nan=False)
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -198,7 +229,7 @@ class TestMeasuredEngine:
         structures, blocks = [], []
         for workers in (0, 1, 4):
             report = light_run(measured_engine(model, g, workers=workers), g)
-            s = json.loads(report.to_structure_json())
+            s = json.loads(structure_json(report))
             blocks.append(s.pop("measured"))
             structures.append(s)
         assert structures[0] == structures[1] == structures[2]

@@ -373,9 +373,6 @@ class TestPoolTopology:
         with pytest.raises(ValueError):
             ServingEngine([PerEdgeBackend()], g.num_nodes,
                           topology="pool", pool_servers=0)
-        with pytest.raises(ValueError):
-            ServingEngine.from_registry(["cpu-32t", "gpu"], None, g,
-                                        num_shards=2, topology="pool")
         with pytest.raises(ValueError):    # replicas are not a shard fleet
             ServingEngine([PerEdgeBackend(), PerEdgeBackend()], g.num_nodes,
                           topology="pool")

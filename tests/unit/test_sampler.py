@@ -117,4 +117,4 @@ class TestFIFOEquivalence:
     def test_fifo_degree_capped(self):
         fifo = NeighborTable(5, mr=2)
         feed(fifo, EDGES)
-        assert fifo.degree(np.array([0]))[0] == 2
+        assert fifo.snapshot()["count"][0] == 2

@@ -20,6 +20,7 @@ from repro.serving import (DEFAULT_REGISTRY, ArrivalTrace, BackendRegistry,
 from repro.serving.engine import TOPOLOGIES
 from tests.property.arrival_oracle import from_arrivals, merge_batches
 from tests.property.queue_oracle import replay, simulate_queue
+from tests.unit.test_measured import structure_json
 
 CFG = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
                   num_neighbors=4, simplified_attention=True,
@@ -150,7 +151,7 @@ class TestDynamicBatcher:
         for job, a in zip(jobs, arrivals):
             assert job.t_release == a.t
             assert job.n_edges == len(a.batch)
-            assert job.batching_delay_s == 0.0
+            assert job.t_release == job.sources.t[0]
 
     def test_size_only_batching_coalesces(self):
         """Regression: ``DynamicBatcher(max_edges=N)`` used to inherit a
@@ -355,14 +356,15 @@ class TestBatcherInvariants:
         """The oldest buffered arrival never waits past the deadline."""
         jobs = DynamicBatcher(**cfg).coalesce(self._arrivals())
         for j in jobs:
-            assert j.batching_delay_s <= cfg["max_delay_s"] + 1e-9
+            assert j.t_release - j.sources.t[0] \
+                <= cfg["max_delay_s"] + 1e-9
             # And each constituent waited at most as long as the oldest.
             for a in j.sources:
                 assert j.t_release - a.t <= cfg["max_delay_s"] + 1e-9
 
     def test_passthrough_has_zero_delay(self):
         jobs = DynamicBatcher().coalesce(self._arrivals())
-        assert all(j.batching_delay_s == 0.0 for j in jobs)
+        assert all(j.t_release == j.sources.t[0] for j in jobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -558,11 +560,13 @@ class TestServingEngine:
                 s.p99_response_s == pytest.approx(s.p95_response_s, rel=1e-6)
             assert s.dropped_jobs == 0
 
-    def test_from_registry_heterogeneous_shards(self):
+    def test_heterogeneous_shards(self):
+        """The constructor takes any list of backends; ``from_registry``
+        builds one name per station."""
         g, model = setup()
-        engine = ServingEngine.from_registry(
-            ["cpu-32t", "gpu"], model, g,
-            backend_kwargs={"functional": False})
+        engine = ServingEngine(
+            [DEFAULT_REGISTRY.create(name, model, g, functional=False)
+             for name in ("cpu-32t", "gpu")], g.num_nodes)
         rep = engine.run(g, window_s=3600.0, speedup=2.0)
         names = [s.backend for s in rep.shard_stats]
         assert len(names) == 2 and names[0] != names[1]
@@ -572,18 +576,13 @@ class TestServingEngine:
     def test_station_count_sizes_the_registry_fleet(self, topology,
                                                     stations):
         """One rule counts stations: ``from_registry`` builds exactly
-        ``station_count`` of them and rejects a backend list of any
-        other length."""
+        ``station_count`` of them."""
         g, model = setup()
         assert ServingEngine.station_count(topology, 3) == stations
         kwargs = dict(num_shards=3, topology=topology,
                       backend_kwargs={"functional": False})
         engine = ServingEngine.from_registry("cpu-32t", model, g, **kwargs)
         assert engine.num_shards == stations
-        for wrong in (stations - 1, stations + 1):
-            with pytest.raises(ValueError, match="each of the"):
-                ServingEngine.from_registry(["cpu-32t"] * wrong, model, g,
-                                            **kwargs)
 
     def test_deadline_batching_reduces_jobs(self):
         g, model = setup()
@@ -852,6 +851,22 @@ class TestOnePlanPerOwnershipEpoch:
         assert len(priced) == 1400
         assert engine.last_scheduler.events_processed == 2952
 
+    def test_fleet_priced_push_gathers_no_job_batch(self, monkeypatch):
+        """A serial routed run without controllers takes each job's rows
+        from its route plan, so no released job gathers its merged
+        batch."""
+        merged = []
+        honest = ArrivalTrace.merged
+
+        def counted(self):
+            merged.append(len(self))
+            return honest(self)
+
+        monkeypatch.setattr(ArrivalTrace, "merged", counted)
+        report, _, _ = self.run(
+            100, 2.0, DynamicBatcher(max_edges=200, max_delay_s=5e-3))
+        assert report.windows == 776 and merged == []
+
     def test_fleet_priced_push_traces_columns(self, monkeypatch):
         """A traced run records columns, not objects: until the trace is
         read, and through ``check_run``, it builds no arrival, flush,
@@ -949,7 +964,7 @@ class TestArrivalTieBreak:
         def reject(constant):
             raise AssertionError(f"{constant} in the report")
 
-        for text in (report.to_json(), report.to_structure_json()):
+        for text in (report.to_json(), structure_json(report)):
             shard, = json.loads(text, parse_constant=reject)["shard_stats"]
             assert shard["offered_load"] is None
             assert shard["stable"] is False

@@ -22,7 +22,7 @@ class TestConstruction:
         assert g.num_nodes == 11
         assert g.edge_dim == 2
         assert g.node_dim == 0
-        assert g.duration == 90.0
+        assert g.t[-1] - g.t[0] == 90.0
 
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(ValueError, match="non-decreasing"):

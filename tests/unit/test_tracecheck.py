@@ -2,7 +2,7 @@
 
 Two halves:
 
-* **known-bad traces** — hand-built traces (``EventTrace.of``) that
+* **known-bad traces** — hand-built traces (``trace_of``) that
   violate exactly one invariant each must be flagged with the right
   finding type;
 * **clean-run property** — real engine runs from the PR 4-7 suites
@@ -22,12 +22,12 @@ from repro.analysis.tracecheck import (TraceCheckReport, TraceFinding,
                                        check_service_exactly_once)
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.pipeline import LinearCostBackend
-from repro.serving import (DynamicBatcher, EventTrace, FailureEvent,
-                           FailurePlan, FlushEvent, HeapEventScheduler,
-                           MailEvent, MigrationEvent, OnlineRebalancer,
-                           RecoveryEvent, ServiceBeginEvent, ServiceEndEvent,
-                           ServingEngine)
+from repro.serving import (DynamicBatcher, FailureEvent, FailurePlan,
+                           FlushEvent, HeapEventScheduler, MailEvent,
+                           MigrationEvent, OnlineRebalancer, RecoveryEvent,
+                           ServiceBeginEvent, ServiceEndEvent, ServingEngine)
 from tests.property.lane_agreement import check_lane_agreement
+from tests.property.tracecheck_oracle import trace_of
 
 
 def checks_of(findings):
@@ -37,7 +37,7 @@ def checks_of(findings):
 # --------------------------------------------------------------------------- #
 class TestKnownBadTraces:
     def test_past_scheduling_flags_causality(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             FlushEvent(1.0, "size", 1),
             FlushEvent(0.5, "timeout", 1),      # recorded into the past
             FlushEvent(2.0, "size", 1)])
@@ -49,7 +49,7 @@ class TestKnownBadTraces:
     def test_a_nan_time_is_flagged_and_keeps_the_watermark(self):
         """A NaN is reported, and the watermark stays at the last finite
         time, so the back-dated event after it is reported too."""
-        trace = EventTrace.of([
+        trace = trace_of([
             FlushEvent(1.0, "size", 1),
             FlushEvent(float("nan"), "size", 1),
             FlushEvent(0.5, "size", 1)])
@@ -60,13 +60,13 @@ class TestKnownBadTraces:
         assert "FlushEvent already fired at t=1" in fs[1].detail
 
     def test_monotone_trace_is_clean(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             FlushEvent(0.0, "size", 1), FlushEvent(0.0, "size", 1),
             FlushEvent(1.0, "timeout", 1)])
         assert check_causality(trace) == []
 
     def test_duplicate_begin_flags_exactly_once(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             ServiceBeginEvent(0.0, 0, 0, 7),
             ServiceBeginEvent(0.1, 0, 1, 7),    # same (group, index)
             ServiceEndEvent(0.2, 0, 0, 7)])
@@ -75,20 +75,20 @@ class TestKnownBadTraces:
         assert any("began twice" in f.detail for f in fs)
 
     def test_lost_job_flags_exactly_once(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             ServiceBeginEvent(0.0, 0, 0, 7)])    # never ends
         fs = check_service_exactly_once(trace)
         assert checks_of(fs) == ["exactly-once-service"]
         assert "never ended" in fs[0].detail
 
     def test_end_without_begin_flags_exactly_once(self):
-        fs = check_service_exactly_once(EventTrace.of([
+        fs = check_service_exactly_once(trace_of([
             ServiceEndEvent(0.2, 0, 0, 7)]))
         assert checks_of(fs) == ["exactly-once-service"]
         assert "without" in fs[0].detail
 
     def test_overlapping_service_flags_busy_overlap(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             ServiceBeginEvent(0.0, 0, 0, 1),
             ServiceBeginEvent(0.5, 0, 0, 2),    # same server, mid-span
             ServiceEndEvent(1.0, 0, 0, 1),
@@ -98,7 +98,7 @@ class TestKnownBadTraces:
         assert fs[0].t == 0.5
 
     def test_abutting_spans_are_clean(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             ServiceBeginEvent(0.0, 0, 0, 1),
             ServiceEndEvent(1.0, 0, 0, 1),
             ServiceBeginEvent(1.0, 0, 0, 2),    # back-to-back is fine
@@ -106,8 +106,8 @@ class TestKnownBadTraces:
         assert check_service_exactly_once(trace) == []
 
     def test_a_nan_end_flags_exactly_once(self):
-        trace = EventTrace.of([ServiceBeginEvent(0.0, 0, 0, 1),
-                               ServiceEndEvent(float("nan"), 0, 0, 1)])
+        trace = trace_of([ServiceBeginEvent(0.0, 0, 0, 1),
+                          ServiceEndEvent(float("nan"), 0, 0, 1)])
         fs = check_service_exactly_once(trace)
         assert checks_of(fs) == ["exactly-once-service"]
         assert "non-finite" in fs[0].detail
@@ -115,7 +115,7 @@ class TestKnownBadTraces:
     def test_a_sub_picosecond_overlap_is_flagged(self):
         """Spans compare exactly: no absolute tolerance hides an overlap
         however small (a time-scaled run has no natural second)."""
-        trace = EventTrace.of([
+        trace = trace_of([
             ServiceBeginEvent(0.0, 0, 0, 1),
             ServiceBeginEvent(1.0 - 1e-13, 0, 0, 2),
             ServiceEndEvent(1.0, 0, 0, 1),
@@ -125,7 +125,7 @@ class TestKnownBadTraces:
         assert fs[0].t == 1.0 - 1e-13
 
     def test_overlap_on_distinct_servers_is_clean(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             ServiceBeginEvent(0.0, 0, 0, 1),
             ServiceBeginEvent(0.5, 0, 1, 2),    # different server
             ServiceEndEvent(1.0, 0, 0, 1),
@@ -133,7 +133,7 @@ class TestKnownBadTraces:
         assert check_service_exactly_once(trace) == []
 
     def test_mail_away_from_flush_is_flagged(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             FlushEvent(1.0, "size", 1),
             MailEvent(1.0, 0, 1, 5),            # at the flush: fine
             MailEvent(2.5, 0, 1, 5)])            # away from any flush
@@ -142,28 +142,28 @@ class TestKnownBadTraces:
         assert fs[0].t == 2.5
 
     def test_self_migration_is_flagged(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             MigrationEvent(1.0, 3, 2, 2, 4, "hot")])
         fs = check_ownership_chain(trace, [0, 0, 0, 2])
         assert checks_of(fs) == ["ownership-chain"]
         assert "own shard" in fs[0].detail
 
     def test_wrong_owner_is_double_ownership(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             MigrationEvent(1.0, 3, 1, 0, 4, "hot")])   # owner is 2
         fs = check_ownership_chain(trace, [0, 0, 0, 2])
         assert checks_of(fs) == ["ownership-chain"]
         assert "double ownership" in fs[0].detail
 
     def test_final_assignment_mismatch_is_flagged(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             MigrationEvent(1.0, 0, 0, 1, 4, "hot")])
         fs = check_ownership_chain(trace, [0, 0], final_assignment=[0, 0])
         assert checks_of(fs) == ["ownership-chain"]
         assert "disagrees" in fs[0].detail
 
     def test_valid_chain_is_clean(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             MigrationEvent(1.0, 0, 0, 1, 4, "hot"),
             MigrationEvent(2.0, 0, 1, 2, 4, "hot")])   # chained handoff
         assert check_ownership_chain(trace, [0, 9],
@@ -172,7 +172,7 @@ class TestKnownBadTraces:
     def test_move_onto_a_dead_shard_is_flagged(self):
         """The parent's overlapping-failover bug, in miniature: shard 1's
         rebuild round-robins vertex 1 onto shard 0, which died first."""
-        trace = EventTrace.of([
+        trace = trace_of([
             FailureEvent(1.0, 0, "dead", 4.0),
             MigrationEvent(1.0, 0, 0, 2, 2, "rebuild"),
             FailureEvent(2.0, 1, "dead", 4.0),
@@ -183,7 +183,7 @@ class TestKnownBadTraces:
         assert "still dead" in fs[1].detail and "vertex 1" in fs[1].detail
 
     def test_unevacuated_dead_shard_is_flagged(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             FailureEvent(1.0, 1, "dead", 4.0),
             MigrationEvent(1.0, 1, 1, 0, 2, "rebuild")])   # not vertex 2
         fs = check_ownership_chain(trace, [0, 1, 1])
@@ -191,7 +191,7 @@ class TestKnownBadTraces:
         assert "1 vertex(es) end the run" in fs[0].detail
 
     def test_failover_onto_live_shards_and_fail_back_is_clean(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             FailureEvent(1.0, 1, "dead", 4.0),
             FailureEvent(1.5, 2, "slow", 4.0),     # slow: still a home
             MigrationEvent(1.0, 1, 1, 2, 2, "rebuild"),
@@ -211,7 +211,7 @@ class TestKnownBadTraces:
         assert check_conservation(4, report=report) == []
 
     def test_flush_sum_breaks_trace_conservation(self):
-        trace = EventTrace.of([
+        trace = trace_of([
             FlushEvent(1.0, "size", 2), FlushEvent(2.0, "timeout", 1)])
         fs = check_conservation(4, trace=trace)
         assert checks_of(fs) == ["conservation"]
@@ -256,6 +256,30 @@ class TestReportObject:
     def test_check_run_requires_trace(self):
         with pytest.raises(ValueError, match="trace=True"):
             check_run(fresh_engine(wiki_graph()))
+
+
+class TestTraceColumns:
+    """A column has its field's dtype whatever the trace holds: strings
+    are objects, ``t`` and ``degradation`` floats, the rest int64."""
+
+    def test_an_empty_kind_has_typed_columns(self):
+        cols = trace_of([FlushEvent(1.0, "size", 1)]).columns(MigrationEvent)
+        assert {name: col.dtype for name, col in cols.items()} == {
+            "t": np.float64, "vertex": np.int64, "from_shard": np.int64,
+            "to_shard": np.int64, "rows": np.int64, "reason": object,
+            "pos": np.int64}
+        assert all(len(col) == 0 for col in cols.values())
+
+    def test_degradation_stays_a_float(self):
+        trace = trace_of([FlushEvent(1.0, "size", 1),
+                          FailureEvent(2.0, 1, "slow", 2.5),
+                          FailureEvent(3.0, 0, "slow", 1e308)])
+        cols = trace.columns(FailureEvent)
+        assert cols["degradation"].dtype == np.float64
+        assert cols["degradation"].tolist() == [2.5, 1e308]
+        assert cols["shard"].dtype == np.int64
+        assert cols["mode"].tolist() == ["slow", "slow"]
+        assert cols["pos"].tolist() == [1, 2]
 
 
 # --------------------------------------------------------------------------- #
