@@ -14,7 +14,7 @@ import pytest
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
 from repro.models import ModelConfig
 from repro.perf import GPU
-from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
+from repro.pipeline import (FIFTEEN_MINUTES, LinearCostBackend,
                             SimulatedFPGABackend, realtime_replay, summarize)
 from repro.profiling import count_ops
 from repro.reporting import render_table, save_result
@@ -27,12 +27,13 @@ def test_fig5_realtime_windows(benchmark, capsys, datasets, dataset):
     model = np_model(graph, 2)        # NP(S), the paper's real-time pick
     start = int(graph.num_edges * 0.85)
 
+    counts = count_ops(ModelConfig(edge_dim=graph.edge_dim,
+                                   node_dim=graph.node_dim))
     backends = {
         "u200": SimulatedFPGABackend(FPGAAccelerator(model, U200_DESIGN),
                                      graph),
-        "gpu": ModeledGPPBackend(
-            GPU, count_ops(ModelConfig(edge_dim=graph.edge_dim,
-                                       node_dim=graph.node_dim))),
+        "gpu": LinearCostBackend(GPU.marginal_edge_s(counts),
+                                 GPU.batch_overhead_s, name=GPU.name),
     }
     if dataset == "wikipedia":      # ZCU104 runs Wikipedia only (paper)
         backends["zcu104"] = SimulatedFPGABackend(

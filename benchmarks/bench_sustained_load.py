@@ -15,7 +15,7 @@ the U200 sustains orders of magnitude more compression.
 from repro.hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
 from repro.models import ModelConfig
 from repro.perf import CPU_32T, GPU
-from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
+from repro.pipeline import (FIFTEEN_MINUTES, LinearCostBackend,
                             SimulatedFPGABackend)
 from repro.profiling import count_ops
 from repro.reporting import render_table, save_result
@@ -35,14 +35,18 @@ def test_sustained_load(benchmark, capsys, wiki, wiki_np_models):
     start = int(wiki.num_edges * 0.5)
     counts_base = count_ops(ModelConfig())
 
+    def priced(cost):
+        return LinearCostBackend(cost.marginal_edge_s(counts_base),
+                                 cost.batch_overhead_s, name=cost.name)
+
     def backends():
         return {
             "u200": SimulatedFPGABackend(
                 FPGAAccelerator(model, U200_DESIGN), wiki),
             "zcu104": SimulatedFPGABackend(
                 FPGAAccelerator(model, ZCU104_DESIGN), wiki),
-            "gpu": ModeledGPPBackend(GPU, counts_base),
-            "cpu": ModeledGPPBackend(CPU_32T, counts_base),
+            "gpu": priced(GPU),
+            "cpu": priced(CPU_32T),
         }
 
     rows = []

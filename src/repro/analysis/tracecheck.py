@@ -85,12 +85,6 @@ class TraceCheckReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.check] = out.get(f.check, 0) + 1
-        return out
-
     def render(self) -> str:
         if self.ok:
             return (f"trace check: clean ({self.events} events, "

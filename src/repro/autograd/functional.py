@@ -3,8 +3,9 @@
 All functions accept and return :class:`~repro.autograd.tensor.Tensor` and
 are composed from the primitive ops in ``tensor.py``, so their gradients are
 automatically correct wherever the primitives are.  Numerically sensitive
-reductions (softmax, log-sum-exp, BCE) are written in the max-shifted stable
-form.
+reductions (the masked softmax, log-sum-exp, BCE) are written in the
+max-shifted stable form.  Only what the models and their training call is
+here: a softmax over every slot is :func:`masked_softmax` with a full mask.
 """
 
 from __future__ import annotations
@@ -14,27 +15,10 @@ import numpy as np
 from .tensor import Tensor, as_tensor
 
 __all__ = [
-    "softmax",
-    "log_softmax",
     "masked_softmax",
     "bce_with_logits",
     "soft_cross_entropy",
 ]
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable ``log(softmax(x))``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -81,36 +65,31 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def soft_cross_entropy(student_logits: Tensor, teacher_logits: np.ndarray,
-                       temperature: float = 1.0,
-                       mask: np.ndarray | None = None) -> Tensor:
+                       mask: np.ndarray, temperature: float = 1.0) -> Tensor:
     """Distillation loss of Eq. (17): soft CE between attention logits.
 
     ``- sum_v softmax(teacher/T) . log_softmax(student/T)`` averaged over
-    rows.  The teacher side is a constant (no gradient flows into it), which
-    matches the knowledge-distillation setup in the paper.  ``mask`` limits
-    the distribution to valid neighbor slots.
+    the rows with a valid slot, both distributions limited to the valid
+    neighbor slots ``mask`` marks.  The teacher side is a constant (no
+    gradient flows into it), which matches the knowledge-distillation
+    setup in the paper.
     """
+    mask = np.asarray(mask, dtype=bool)
     teacher = np.asarray(teacher_logits, dtype=np.float64) / temperature
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        teacher = np.where(mask, teacher, -1e30)
+    teacher = np.where(mask, teacher, -1e30)
     t_shift = teacher - teacher.max(axis=-1, keepdims=True)
     t_prob = np.exp(t_shift)
-    if mask is not None:
-        t_prob *= mask
+    t_prob *= mask
     denom = t_prob.sum(axis=-1, keepdims=True)
     t_prob = t_prob / np.where(denom == 0.0, 1.0, denom)
 
     scaled = student_logits * (1.0 / temperature)
-    if mask is not None:
-        log_p = _masked_log_softmax(scaled, mask)
-        per_row = -(Tensor(t_prob) * log_p).sum(axis=-1)
-        valid_rows = mask.any(axis=-1)
-        if not valid_rows.any():
-            return per_row.sum() * 0.0
-        return per_row[np.nonzero(valid_rows)[0]].mean()
-    log_p = log_softmax(scaled, axis=-1)
-    return -(Tensor(t_prob) * log_p).sum(axis=-1).mean()
+    log_p = _masked_log_softmax(scaled, mask)
+    per_row = -(Tensor(t_prob) * log_p).sum(axis=-1)
+    valid_rows = mask.any(axis=-1)
+    if not valid_rows.any():
+        return per_row.sum() * 0.0
+    return per_row[np.nonzero(valid_rows)[0]].mean()
 
 
 def _masked_log_softmax(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "uniform", "normal", "default_rng"]
+__all__ = ["glorot_uniform", "normal", "default_rng"]
 
 
 def default_rng(rng: np.random.Generator | None) -> np.random.Generator:
@@ -25,12 +25,6 @@ def glorot_uniform(fan_out: int, fan_in: int,
     rng = default_rng(rng)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-
-def uniform(shape: tuple[int, ...], low: float = -0.1, high: float = 0.1,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    rng = default_rng(rng)
-    return rng.uniform(low, high, size=shape)
 
 
 def normal(shape: tuple[int, ...], std: float = 0.02,

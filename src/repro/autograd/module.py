@@ -57,10 +57,6 @@ class Module:
         for mod_name, m in self._modules.items():
             yield from m.named_parameters(prefix=f"{prefix}{mod_name}.")
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     # -- checkpointing ---------------------------------------------------- #
     def state_dict(self) -> dict[str, np.ndarray]:
         """Return a flat name -> array copy of all parameters."""

@@ -9,8 +9,9 @@ an equivalent, dependency-free engine.  Design goals, in order:
    property-based tests).
 2. **Vectorised hot paths** — all forward/backward math is expressed as whole
    array NumPy operations; no Python loops over elements.
-3. **Small surface** — only the ops the TGNN models need are implemented, so
-   every op can be carefully tested.
+3. **Small surface** — only the ops the models and their training run are
+   implemented, so every op can be carefully tested; none is kept for
+   tests alone (a square is ``t * t``; a size is read off ``.data``).
 
 The public entry point is :class:`Tensor`.  A global no-grad mode
 (:func:`no_grad`) lets inference reuse the exact training code path with no
@@ -116,19 +117,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def T(self) -> "Tensor":
         return self.transpose()
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -257,19 +247,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), "div", backward)
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("Tensor.__pow__ supports scalar exponents only")
-        out_data = self.data ** exponent
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), "pow", backward)
-
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data @ other.data
@@ -345,9 +322,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), "relu", backward)
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def cos(self) -> "Tensor":
         out_data = np.cos(self.data)
 
@@ -377,19 +351,6 @@ class Tensor:
             axes = (axis,) if np.isscalar(axis) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Max along ``axis``; ties split gradient evenly (sub-gradient)."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g: np.ndarray) -> None:
-            expanded = out_data if keepdims else np.expand_dims(out_data, axis)
-            mask = (self.data == expanded).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            g_full = g if keepdims else np.expand_dims(g, axis)
-            self._accumulate(mask * g_full)
-
-        return Tensor._make(out_data, (self,), "max", backward)
 
     # ------------------------------------------------------------------ #
     # shape manipulation                                                  #
@@ -440,17 +401,6 @@ class Tensor:
                 t._accumulate(g[tuple(idx)])
 
         return Tensor._make(out_data, tuple(tensors), "concat", backward)
-
-    @staticmethod
-    def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [as_tensor(t) for t in tensors]
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(g: np.ndarray) -> None:
-            for i, t in enumerate(tensors):
-                t._accumulate(np.take(g, i, axis=axis))
-
-        return Tensor._make(out_data, tuple(tensors), "stack", backward)
 
     @staticmethod
     def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":

@@ -91,13 +91,6 @@ class GatheredNeighbors:
         self.times = times
         self.mask = mask
 
-    @property
-    def k(self) -> int:
-        return self.nbrs.shape[1]
-
-    def __len__(self) -> int:
-        return self.nbrs.shape[0]
-
 
 class NeighborTable(VertexRows):
     """Per-vertex ring buffer of the ``mr`` most recent interactions."""

@@ -87,9 +87,6 @@ class VertexState(VertexRows):
         self.last_update = np.zeros(num_nodes, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
-    def has_mail(self, vertices: np.ndarray) -> np.ndarray:
-        return self.mail_time[np.asarray(vertices, dtype=np.int64)] > -np.inf
-
     def write_memory(self, vertices: np.ndarray, values: np.ndarray,
                      t: np.ndarray) -> None:
         """Commit updated memory rows and their update timestamps.

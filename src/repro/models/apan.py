@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..autograd.module import GRUCell, Linear, Module
 from ..graph.neighbor_table import ring_append
 from ..graph.state import last_occurrence
@@ -51,20 +51,6 @@ class APANRuntime:
                    mailbox=np.zeros((num_nodes, mailbox_size, mail_dim)),
                    mail_time=np.full((num_nodes, mailbox_size), -np.inf),
                    head=np.zeros(num_nodes, dtype=np.int64))
-
-    def snapshot(self) -> dict:
-        return {k: getattr(self, k).copy()
-                for k in ("state", "mailbox", "mail_time", "head")}
-
-    def restore(self, snap: dict) -> None:
-        for k, v in snap.items():
-            getattr(self, k)[...] = v
-
-    def reset(self) -> None:
-        self.state.fill(0.0)
-        self.mailbox.fill(0.0)
-        self.mail_time.fill(-np.inf)
-        self.head.fill(0)
 
 
 class APAN(Module):
@@ -155,12 +141,6 @@ class APAN(Module):
         """
         return self._query(np.asarray(nodes, dtype=np.int64),
                            np.asarray(t, dtype=np.float64), rt, graph)[0]
-
-    def infer_batch(self, batch: EdgeBatch, rt: APANRuntime,
-                    graph: TemporalGraph) -> np.ndarray:
-        """Deployment path: :meth:`process_batch` under ``no_grad``."""
-        with no_grad():
-            return self.process_batch(batch, rt, graph).data
 
 
 def _write_last_wins(target: np.ndarray, indices: np.ndarray,

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 from ..profiling.op_counter import OpCounts
 
-__all__ = ["GPPCostModel", "CPU_1T", "CPU_32T", "GPU"]
+__all__ = ["GPPCostModel", "CPU_32T", "GPU"]
 
 
 @dataclass(frozen=True)
 class GPPCostModel:
-    """Latency/throughput model of a general-purpose platform."""
+    """Batch-latency model of a general-purpose platform (its sustained
+    throughput at batch ``n`` is ``n / latency_s(counts, n)``)."""
 
     name: str
     batch_overhead_s: float      # fixed per-batch framework cost
@@ -54,12 +55,6 @@ class GPPCostModel:
         if light_runtime:
             overhead *= self.overhead_scale_no_sample
         return overhead + batch_edges * self.marginal_edge_s(counts)
-
-    def throughput_eps(self, counts: OpCounts, batch_edges: int,
-                       light_runtime: bool = False) -> float:
-        """Sustained edges/second when streaming batches of this size."""
-        return batch_edges / self.latency_s(counts, batch_edges,
-                                            light_runtime=light_runtime)
 
     def part_times_s(self, counts: OpCounts, fixed_part_s: dict[str, float]
                      ) -> dict[str, float]:
@@ -104,13 +99,9 @@ _BASE_WORDS = 5.7e3
 # Anchors from Fig. 5 / Fig. 7 (Wikipedia, baseline TGN):
 #   CPU (32 threads): ~64 ms at batch 200, plateau ~6.5 kE/s.
 #   GPU (Titan Xp):   ~8 ms at batch 200, plateau ~60 kE/s.
-#   CPU (1 thread):   Table II measured 0.85 kE/s, overhead ~5 ms.
 CPU_32T = _calibrated("cpu-32t", latency_at_200_s=64e-3, plateau_keps=6.5,
                       compute_fraction=0.6, macs_per_emb=_BASE_MACS,
                       words_per_emb=_BASE_WORDS)
 GPU = _calibrated("gpu", latency_at_200_s=8e-3, plateau_keps=60.0,
                   compute_fraction=0.7, macs_per_emb=_BASE_MACS,
                   words_per_emb=_BASE_WORDS)
-CPU_1T = _calibrated("cpu-1t", latency_at_200_s=240e-3, plateau_keps=0.85,
-                     compute_fraction=0.8, macs_per_emb=_BASE_MACS,
-                     words_per_emb=_BASE_WORDS)

@@ -8,8 +8,9 @@ Every replay entry point here — and the serving layer in
 ``process_batch(batch: EdgeBatch) -> float``
     Process one chronological edge batch and return its *service time in
     seconds*: measured wall-clock for :class:`SoftwareBackend`, simulated
-    for :class:`SimulatedFPGABackend`, modeled for
-    :class:`ModeledGPPBackend`.  Calls arrive in stream order, and
+    for :class:`SimulatedFPGABackend`, a linear price for
+    :class:`LinearCostBackend` (the calibrated CPU-32T / GPU cost models
+    are two of its instances).  Calls arrive in stream order, and
     implementations may advance functional vertex state as a side effect —
     callers must therefore never reuse one backend instance across
     independent replays (or shards) unless they intend shared state.
@@ -19,9 +20,11 @@ Every replay entry point here — and the serving layer in
     ===================================================  ================
     executes the kernels, advances a ``ModelRuntime``    ``software``,
                                                          ``measured``
-    prices from batch shape: no kernel, no vertex state  ``u200``/``zcu104``,
-                                                         ``cpu-32t``/``gpu``,
-                                                         ``linear-cost``
+    prices from batch shape: no kernel, no vertex state  ``u200``/``zcu104``
+                                                         (simulated FPGA);
+                                                         ``cpu-32t``/``gpu``
+                                                         and ``linear-cost``
+                                                         (one linear price)
     ===================================================  ================
 
     Nothing in :mod:`repro.serving` reads a backend's vertex state (the
@@ -64,13 +67,12 @@ constructible by name (per serving shard, from the CLI), add a factory to
 """
 
 from .engine import (EngineReport, LinearCostBackend,  # noqa: F401
-                     ModeledGPPBackend, SimulatedFPGABackend,
-                     SoftwareBackend, run_engine)
+                     SimulatedFPGABackend, SoftwareBackend, run_engine)
 from .realtime import (FIFTEEN_MINUTES, WindowPoint,  # noqa: F401
                        realtime_replay, summarize)
 
 __all__ = [
     "EngineReport", "SoftwareBackend", "SimulatedFPGABackend",
-    "ModeledGPPBackend", "LinearCostBackend", "run_engine",
+    "LinearCostBackend", "run_engine",
     "realtime_replay", "WindowPoint", "FIFTEEN_MINUTES", "summarize",
 ]

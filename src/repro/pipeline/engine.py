@@ -17,11 +17,11 @@ latency depends on the batch's shape alone:
 
 * :class:`SimulatedFPGABackend` — wraps :class:`FPGAAccelerator`; each batch
   arrives at an idle accelerator (the real-time deployment assumption);
-* :class:`ModeledGPPBackend` — prices batches with a calibrated
-  :class:`~repro.perf.gpp.GPPCostModel` (the CPU-32T / GPU substitution);
-* :class:`LinearCostBackend` — an exact ``overhead + N * per_edge`` price,
-  for tests and benchmarks that isolate queueing/placement effects from
-  cost-model shape.
+* :class:`LinearCostBackend` — an exact ``overhead + N * per_edge`` price:
+  with a calibrated :class:`~repro.perf.gpp.GPPCostModel`'s two terms it
+  is the CPU-32T / GPU substitution (the registry's ``cpu-32t``/``gpu``),
+  and with hand-set ones it isolates queueing/placement effects from
+  cost-model shape in tests and benchmarks.
 
 For embeddings or warm vertex state beside a priced latency, keep your own
 ``model.new_runtime(graph)`` (as ``examples/fraud_detection.py`` does).
@@ -39,34 +39,37 @@ from ..graph.batching import iter_fixed_size
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
 from ..hw.accelerator import FPGAAccelerator
 from ..models.tgn import TGNN, ModelRuntime
-from ..perf.gpp import GPPCostModel
-from ..profiling.op_counter import OpCounts
 
 __all__ = ["EngineReport", "SoftwareBackend", "SimulatedFPGABackend",
-           "ModeledGPPBackend", "LinearCostBackend", "run_engine"]
+           "LinearCostBackend", "run_engine"]
 
 
 class LinearCostBackend:
-    """Deterministic fixed-overhead + linear per-edge timing backend.
+    """An exact ``overhead_s + len(batch) * per_edge_s`` price.
 
-    No functional state and no model: ``process_batch`` costs exactly
-    ``overhead_s + len(batch) * per_edge_s``.  The placement/pool tests and
-    benchmarks use it to compare queue topologies on known service times —
-    overhead-dominated vs marginal-cost-dominated regimes — without
-    cost-model noise.
+    No functional state and no model.  The registry's ``cpu-32t`` and
+    ``gpu`` backends are this price with the two terms of a calibrated
+    :class:`~repro.perf.gpp.GPPCostModel` taken once (its batch overhead,
+    and the per-edge marginal of the model's op counts), so each price is
+    :meth:`GPPCostModel.latency_s`'s float expression, bit for bit.  The
+    placement/pool tests and benchmarks build one directly to compare
+    queue topologies on known service times without cost-model noise.
     """
 
-    name = "linear-cost"
-
-    def __init__(self, per_edge_s: float = 1e-3, overhead_s: float = 0.0):
+    def __init__(self, per_edge_s: float = 1e-3, overhead_s: float = 0.0,
+                 name: str = "linear-cost"):
         if not (0 <= per_edge_s < math.inf and 0 <= overhead_s < math.inf):
             raise ValueError("per_edge_s and overhead_s must be finite "
                              "and >= 0")
         self.per_edge_s = float(per_edge_s)
         self.overhead_s = float(overhead_s)
+        self.name = name
 
     def process_batch(self, batch: EdgeBatch) -> float:
-        return self.overhead_s + len(batch) * self.per_edge_s
+        n = len(batch)
+        if n <= 0:
+            raise ValueError("a priced batch needs at least one edge")
+        return self.overhead_s + n * self.per_edge_s
 
 
 @dataclass
@@ -137,27 +140,6 @@ class SimulatedFPGABackend:
 
     def process_batch(self, batch: EdgeBatch) -> float:
         return self.acc.batch_latency(batch)
-
-
-class ModeledGPPBackend:
-    """Cost-model backend (CPU-32T / GPU substitution).
-
-    ``process_batch`` is :meth:`GPPCostModel.latency_s` with its two
-    terms taken once: the op counts never change, so the per-edge
-    marginal is summed at construction, and the price is the same float
-    expression, bit for bit.
-    """
-
-    def __init__(self, cost_model: GPPCostModel, counts: OpCounts):
-        self.name = cost_model.name
-        self._overhead_s = cost_model.batch_overhead_s
-        self._per_edge_s = cost_model.marginal_edge_s(counts)
-
-    def process_batch(self, batch: EdgeBatch) -> float:
-        n = len(batch)
-        if n <= 0:
-            raise ValueError("batch_edges must be positive")
-        return self._overhead_s + n * self._per_edge_s
 
 
 def run_engine(backend, graph: TemporalGraph, batch_size: int,

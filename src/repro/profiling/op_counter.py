@@ -77,10 +77,6 @@ class OpCounts:
         """Table II #(GNN) column."""
         return self.macs["gnn"]
 
-    def scaled(self, factor: float) -> "OpCounts":
-        return OpCounts(macs={k: v * factor for k, v in self.macs.items()},
-                        mems={k: v * factor for k, v in self.mems.items()})
-
 
 def count_ops(cfg: ModelConfig,
               convention: Convention = Convention.PAPER) -> OpCounts:

@@ -452,8 +452,8 @@ class ServingEngine:
             raise ValueError(
                 "measured and modeled backends cannot mix in one "
                 "fleet: the worker pool owns every shard's runtime")
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
+        if not (isinstance(workers, numbers.Integral) and workers >= 0):
+            raise ValueError("workers must be a non-negative integer")
         if workers and not self._measured:
             raise ValueError(
                 "workers only applies to measured backends; modeled "
@@ -568,8 +568,9 @@ class ServingEngine:
         (:class:`~repro.serving.placement.HotColdHybrid`) and
         ``pool_servers`` (default ``num_shards``) replicas serve the rest.
         """
-        if num_shards is not None and num_shards <= 0:
-            raise ValueError("num_shards must be positive")
+        if num_shards is not None and not (
+                isinstance(num_shards, numbers.Integral) and num_shards > 0):
+            raise ValueError("num_shards must be a positive integer")
         topology = engine_kwargs.get("topology", "sharded")
         shards = num_shards or 1
         stations = cls.station_count(topology, shards)

@@ -458,6 +458,7 @@ class EventTrace(Sequence):
         self._plans: list[tuple] = []
         self._plan = None
         self._built: tuple = (-1,)
+        self._tables: dict[int, dict] = {}  # columns() per kind, as built
 
     def add(self, event) -> None:
         """Record a typed event, one of :data:`KINDS`, as its row."""
@@ -504,17 +505,22 @@ class EventTrace(Sequence):
         """The events of kind ``cls``, in record order: one column per
         field (an arrival as its item) and ``pos``, each one's index in
         the whole trace.  A string column holds objects, ``t`` and
-        ``degradation`` floats and every other column int64."""
+        ``degradation`` floats and every other column int64.  Each kind
+        is converted once: until the next record, every call returns the
+        same table (read it, do not write it)."""
         _, t, kind, rows = self._build()
         k = _KIND[cls]
+        if k in self._tables:
+            return self._tables[k]
         pos = np.flatnonzero(kind == k)
         names = _FIELDS[k][1:]      # after ``t``
         cols = list(zip(*rows[pos]))[1:] or [()] * len(names)
-        return {"t": t[pos], **{
+        self._tables[k] = table = {"t": t[pos], **{
             name: np.array(col, dtype=object if name in _NAMED
                            else np.float64 if name == "degradation"
                            else np.int64)
             for name, col in zip(names, cols)}, "pos": pos}
+        return table
 
     def __len__(self) -> int:
         return len(self._build()[2])
@@ -592,6 +598,7 @@ class EventTrace(Sequence):
                            dtype=object, count=len(order))
         self._built = (len(code), t[order].astype(np.float64),
                        kind[order].astype(np.int8), rows[order])
+        self._tables = {}
         return self._built
 
 
@@ -830,11 +837,6 @@ class SimulationResult:
     @property
     def dropped(self) -> int:
         return len(self.server) - self.jobs
-
-    @property
-    def stable(self) -> bool:
-        """A sustainable deployment keeps offered load below 1."""
-        return self.offered_load < 1.0
 
     # ------------------------------------------------------------------ #
     def waits(self) -> np.ndarray:

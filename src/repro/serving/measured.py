@@ -43,6 +43,7 @@ use — and the ``wall-clock-in-events`` lint rule keeps it that way.
 from __future__ import annotations
 
 import heapq
+import numbers
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
@@ -123,8 +124,8 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int):
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
+        if not (isinstance(workers, numbers.Integral) and workers >= 0):
+            raise ValueError("workers must be a non-negative integer")
         self.workers = int(workers)
         self._lanes: list[ProcessPoolExecutor] = []
         self._horizon: dict[int, float] = {}

@@ -17,8 +17,11 @@ Built-in names
 ``u200`` / ``zcu104``   simulated FPGA accelerator on that platform
                         (prices the Fig. 4 schedule from batch shape,
                         runs no kernel, keeps no state)
-``cpu-32t`` / ``gpu``   calibrated GPP cost models (price from the
-                        batch's edge count, run no kernel, keep no state)
+``cpu-32t`` / ``gpu``   calibrated GPP cost models: a
+                        ``LinearCostBackend`` with the model's batch
+                        overhead and per-edge marginal (prices from the
+                        batch's edge count, runs no kernel, keeps no
+                        state)
 ``measured``            ``software`` served on measured time: a
                         ``SoftwareBackend`` subclass whose ``compute``
                         seconds are the service times, run by the
@@ -53,9 +56,6 @@ class BackendRegistry:
     def available(self) -> list[str]:
         return sorted(self._factories)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
     def create(self, name: str, model, graph, **kwargs):
         """Construct a fresh backend instance by name."""
         if name not in self._factories:
@@ -85,10 +85,12 @@ def _fpga_factory(design_name: str):
 def _gpp_factory(model_name: str):
     def factory(model, graph, **_):
         from ..perf import CPU_32T, GPU
-        from ..pipeline.engine import ModeledGPPBackend
+        from ..pipeline.engine import LinearCostBackend
         from ..profiling import count_ops
         cost = {"cpu-32t": CPU_32T, "gpu": GPU}[model_name]
-        return ModeledGPPBackend(cost, count_ops(model.cfg))
+        return LinearCostBackend(
+            per_edge_s=cost.marginal_edge_s(count_ops(model.cfg)),
+            overhead_s=cost.batch_overhead_s, name=cost.name)
     return factory
 
 

@@ -73,8 +73,8 @@ class TestCrossPlatformOrdering:
         rep = FPGAAccelerator(np_model, U200_DESIGN).run_stream(
             wiki, 2000, end=2000)
         counts_base = count_ops(ModelConfig())
-        thpt_gpu = GPU.throughput_eps(counts_base, 2000)
-        thpt_cpu = CPU_32T.throughput_eps(counts_base, 2000)
+        thpt_gpu = 2000 / GPU.latency_s(counts_base, 2000)
+        thpt_cpu = 2000 / CPU_32T.latency_s(counts_base, 2000)
         assert rep.throughput_eps > thpt_gpu > thpt_cpu
 
     def test_np_s_latency_under_10ms_on_u200(self, wiki):

@@ -12,6 +12,11 @@ import numpy as np
 
 from repro.autograd import Tensor
 
+
+def sum_sq(t: Tensor) -> Tensor:
+    """``sum(t ** 2)`` from the ops the models use: ``(t * t).sum()``."""
+    return (t * t).sum()
+
 def numerical_grad(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
                    index: int, eps: float = 1e-6) -> np.ndarray:
     """Central finite-difference gradient of scalar ``fn`` w.r.t. input ``index``."""
@@ -40,7 +45,7 @@ def check_gradients(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     for p in inputs:
         p.zero_grad()
     out = fn(*inputs)
-    if out.size != 1:
+    if out.data.size != 1:
         raise ValueError("check_gradients requires a scalar-valued function")
     out.backward()
     for idx, p in enumerate(inputs):

@@ -20,7 +20,7 @@ from repro.models import ModelConfig, TGNN
 from repro.models.memory_updater import GRUMemoryUpdater
 from repro.models.time_encoding import LUTTimeEncoder
 from repro.perf import PerformanceModel
-from tests.property.gradcheck import check_gradients
+from tests.property.gradcheck import check_gradients, sum_sq
 
 SMALL = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=12,
                     num_neighbors=4)
@@ -66,7 +66,7 @@ class TestAttentionGradients:
 
         def loss(wq, wk, wv):
             out = attn(q, nbr, ef, te, tz, mask)
-            return (out.hidden ** 2).sum()
+            return sum_sq(out.hidden)
 
         check_gradients(loss, [attn.w_q.weight, attn.w_k.weight,
                                attn.w_v.weight], atol=1e-4, rtol=1e-3)
@@ -87,7 +87,7 @@ class TestAttentionGradients:
             alpha = masked_softmax(attn.logits_from_dt(dt), mask)
             hidden = attn.transform(alpha, *(attn.aggregate(alpha, x)
                                              for x in (nbr, ef, te)))
-            return (hidden ** 2).sum()
+            return sum_sq(hidden)
 
         check_gradients(loss, [attn.attn_bias, attn.w_t.weight,
                                attn.w_v.weight], atol=1e-4, rtol=1e-3)

@@ -16,7 +16,7 @@ from repro.hw import (SweepSpec, U200, ZCU104, explore, pareto_frontier,
                       plan_shard_dies)
 from repro.models import ModelConfig, TGNN, load_model, save_model
 from repro.models.checkpoint import FORMAT
-from repro.reporting import render_table, save_result, section
+from repro.reporting import render_table, save_json, save_result, section
 from repro.training import warm_start_student
 
 SMALL = ModelConfig(memory_dim=8, time_dim=6, embed_dim=8, edge_dim=172,
@@ -246,7 +246,7 @@ class TestAPANEmbedNodes:
         rt = apan.new_runtime(g)
         with no_grad():
             apan.process_batch(g.slice(0, 50), rt, g)
-        snap = rt.snapshot()
+        snap = {key: value.copy() for key, value in vars(rt).items()}
         with no_grad():
             emb = apan.embed_nodes(np.array([0, 1, 2]),
                                    np.array([1e4, 1e4, 1e4]), rt, g)
@@ -271,6 +271,18 @@ class TestReporting:
         assert os.path.exists(path)
         with open(path) as fh:
             assert fh.read().strip() == "hello"
+
+    def test_save_json_is_canonical(self, tmp_path):
+        """Sorted keys, two-space indent, one trailing newline: the same
+        object always writes the same bytes."""
+        path = save_json("unit_test", {"b": [1, 2.5], "a": None},
+                         results_dir=str(tmp_path))
+        assert path == str(tmp_path / "unit_test.json")
+        with open(path) as fh:
+            text = fh.read()
+        assert text == ('{\n  "a": null,\n  "b": [\n    1,\n    2.5\n'
+                        '  ]\n}\n')
+        assert json.loads(text) == {"a": None, "b": [1, 2.5]}
 
     def test_section(self):
         s = section("Title")

@@ -7,39 +7,33 @@ from repro.autograd import functional as F
 from tests.property.gradcheck import check_gradients
 
 
+def softmax(x: Tensor) -> Tensor:
+    """A softmax over every slot: the masked softmax with a full mask."""
+    return F.masked_softmax(x, np.ones(x.shape, dtype=bool))
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-        s = F.softmax(x, axis=-1).data
+        s = softmax(x).data
         assert np.allclose(s.sum(axis=-1), 1.0)
 
     def test_shift_invariance(self):
         x = np.random.default_rng(1).normal(size=(3, 4))
-        a = F.softmax(Tensor(x)).data
-        b = F.softmax(Tensor(x + 100.0)).data
+        a = softmax(Tensor(x)).data
+        b = softmax(Tensor(x + 100.0)).data
         assert np.allclose(a, b)
 
     def test_extreme_values_stable(self):
         x = Tensor(np.array([[1e30, 0.0, -1e30]]))
-        s = F.softmax(x).data
+        s = softmax(x).data
         assert np.all(np.isfinite(s))
         assert np.allclose(s, [[1.0, 0.0, 0.0]])
-
-    def test_log_softmax_consistency(self):
-        x = Tensor(np.random.default_rng(2).normal(size=(3, 6)))
-        assert np.allclose(F.log_softmax(x).data,
-                           np.log(F.softmax(x).data), atol=1e-12)
 
     def test_softmax_gradient(self):
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)),
                    requires_grad=True)
-        check_gradients(lambda t: (F.softmax(t) ** 2).sum(), [x])
-
-    def test_log_softmax_gradient(self):
-        x = Tensor(np.random.default_rng(4).normal(size=(3, 5)),
-                   requires_grad=True)
-        w = np.random.default_rng(5).normal(size=(3, 5))
-        check_gradients(lambda t: (F.log_softmax(t) * Tensor(w)).sum(), [x])
+        check_gradients(lambda t: (lambda s: s * s)(softmax(t)).sum(), [x])
 
 
 class TestMaskedSoftmax:
@@ -60,9 +54,11 @@ class TestMaskedSoftmax:
     def test_gradient_flows_only_through_valid(self):
         mask = np.array([[True, True, False]])
         x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
-        (F.masked_softmax(x, mask) ** 2).sum().backward()
+        s = F.masked_softmax(x, mask)
+        (s * s).sum().backward()
         assert x.grad[0, 2] == 0.0
-        check_gradients(lambda t: (F.masked_softmax(t, mask) ** 2).sum(), [x])
+        check_gradients(
+            lambda t: (lambda s: s * s)(F.masked_softmax(t, mask)).sum(), [x])
 
 
 class TestLosses:
@@ -97,15 +93,39 @@ class TestLosses:
 
     def test_soft_ce_minimized_when_matching(self):
         teacher = np.array([[2.0, 0.0, -1.0]])
-        same = F.soft_cross_entropy(Tensor(teacher), teacher).item()
-        worse = F.soft_cross_entropy(Tensor(-teacher), teacher).item()
+        full = np.ones(teacher.shape, dtype=bool)
+        same = F.soft_cross_entropy(Tensor(teacher), teacher, full).item()
+        worse = F.soft_cross_entropy(Tensor(-teacher), teacher, full).item()
         assert same < worse
+
+    def test_soft_ce_matches_reference(self):
+        """Eq. (17) at T = 2 over the valid slots: the mean, over rows with
+        one, of ``-sum softmax(teacher/T) * log softmax(student/T)``."""
+        rng = np.random.default_rng(6)
+        teacher, student = rng.normal(size=(2, 4, 5))
+        mask = rng.random((4, 5)) < 0.7
+        mask[2] = False
+        got = F.soft_cross_entropy(Tensor(student), teacher, mask,
+                                   temperature=2.0).item()
+
+        def log_softmax(x):
+            x = np.where(mask, x / 2.0, -1e30)
+            x = x - x.max(axis=1, keepdims=True)
+            return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+
+        rows = mask.any(axis=1)
+        p_t = np.exp(log_softmax(teacher))[rows]
+        want = -(p_t * log_softmax(student)[rows]).sum(axis=1).mean()
+        assert abs(got - want) < 1e-12
 
     def test_soft_ce_temperature_softens(self):
         teacher = np.array([[5.0, 0.0, 0.0]])
         student = Tensor(np.array([[0.0, 5.0, 0.0]]))
-        hot = F.soft_cross_entropy(student, teacher, temperature=10.0).item()
-        cold = F.soft_cross_entropy(student, teacher, temperature=0.5).item()
+        full = np.ones(teacher.shape, dtype=bool)
+        hot = F.soft_cross_entropy(student, teacher, full,
+                                   temperature=10.0).item()
+        cold = F.soft_cross_entropy(student, teacher, full,
+                                    temperature=0.5).item()
         assert hot < cold  # high T -> softer targets -> smaller penalty
 
     def test_soft_ce_masked_rows(self):
@@ -123,5 +143,7 @@ class TestLosses:
         teacher = np.random.default_rng(2).normal(size=(3, 4))
         x = Tensor(np.random.default_rng(3).normal(size=(3, 4)),
                    requires_grad=True)
+        full = np.ones(teacher.shape, dtype=bool)
         check_gradients(
-            lambda t: F.soft_cross_entropy(t, teacher, temperature=2.0), [x])
+            lambda t: F.soft_cross_entropy(t, teacher, full, temperature=2.0),
+            [x])

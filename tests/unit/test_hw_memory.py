@@ -71,6 +71,13 @@ class TestHardwareConfig:
         assert U200.fits(100, 100, 100, 100)
         assert not ZCU104.fits(10**9, 0, 0, 0)
 
+    @pytest.mark.parametrize("board", [U200, ZCU104], ids=lambda b: b.name)
+    def test_board_totals_are_the_die_budget_times_the_dies(self, board):
+        per_die = (board.luts_per_die, board.dsps_per_die,
+                   board.brams_per_die, board.urams_per_die)
+        assert (board.total_luts, board.total_dsps, board.total_brams,
+                board.total_urams) == tuple(board.dies * n for n in per_die)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HardwareConfig(platform=ZCU104, n_cu=0)

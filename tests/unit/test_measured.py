@@ -125,8 +125,9 @@ class TestWorkerPoolLanes:
         assert pool.begin(0, 0.0) == 1.0
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(-1)
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                WorkerPool(bad)
 
 
 # --------------------------------------------------------------------------- #
@@ -250,6 +251,12 @@ class TestMeasuredEngine:
         with pytest.raises(ValueError, match="workers"):
             ServingEngine.from_registry("cpu-32t", model, g, num_shards=2,
                                         workers=2)
+
+    def test_fractional_workers_rejected(self, setup):
+        """A worker count is a count: 1.5 used to run one lane."""
+        g, model = setup
+        with pytest.raises(ValueError, match="non-negative integer"):
+            measured_engine(model, g, workers=1.5)
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,7 @@ class TestBasics:
         t = NeighborTable(5, mr=3)
         g = t.gather(np.array([0, 1]))
         assert not g.mask.any()
-        assert g.k == 3
+        assert g.nbrs.shape == g.mask.shape == (2, 3)
 
     def test_single_edge_both_directions(self):
         t = NeighborTable(5, mr=3)

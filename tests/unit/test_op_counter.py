@@ -112,11 +112,6 @@ class TestStructure:
         c = count_ops(WIKI)
         assert c.macs["sample"] == 0.0 and c.macs["update"] == 0.0
 
-    def test_scaled(self):
-        c = count_ops(WIKI)
-        d = c.scaled(2.0)
-        assert d.total_macs == pytest.approx(2 * c.total_macs)
-
     def test_table1_breakdown_rows(self):
         rows = table1_breakdown(WIKI)
         parts = [r["part"] for r in rows]

@@ -9,7 +9,8 @@ from repro.autograd.optim import Adam, clip_grad_norm
 
 
 def quadratic_loss(p: Parameter) -> Tensor:
-    return ((p - 3.0) ** 2).sum()
+    d = p - 3.0
+    return (d * d).sum()
 
 
 class TestAdam:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.hw import U200_DESIGN, ZCU104_DESIGN
 from repro.models import ModelConfig
-from repro.perf import CPU_1T, CPU_32T, GPU, PerformanceModel
+from repro.perf import CPU_32T, GPU, PerformanceModel, ValidationPoint
 from repro.profiling import count_ops, count_ops_apan
 
 SIMPLE = ModelConfig(simplified_attention=True, lut_time_encoder=True,
@@ -84,6 +84,16 @@ class TestPerformanceModel:
             pm.predict(0)
 
 
+class TestValidationPoint:
+    def test_errors_are_relative_to_the_measurement(self):
+        p = ValidationPoint(batch_size=100, predicted_latency_s=1.5,
+                            actual_latency_s=2.0,
+                            predicted_throughput_eps=120.0,
+                            actual_throughput_eps=100.0)
+        assert p.latency_error == pytest.approx(0.25)
+        assert p.throughput_error == pytest.approx(0.2)
+
+
 class TestGPPModels:
     def test_calibration_anchor_latencies(self):
         counts = count_ops(ModelConfig())
@@ -91,10 +101,10 @@ class TestGPPModels:
         assert GPU.latency_s(counts, 200) == pytest.approx(8e-3, rel=0.01)
 
     def test_plateau_throughput(self):
-        counts = count_ops(ModelConfig())
-        assert CPU_32T.throughput_eps(counts, 100_000) \
+        counts, n = count_ops(ModelConfig()), 100_000
+        assert n / CPU_32T.latency_s(counts, n) \
             == pytest.approx(6.5e3, rel=0.05)
-        assert GPU.throughput_eps(counts, 100_000) \
+        assert n / GPU.latency_s(counts, n) \
             == pytest.approx(60e3, rel=0.05)
 
     def test_gpu_faster_than_cpu_everywhere(self):
@@ -107,7 +117,7 @@ class TestGPPModels:
         light = count_ops(ModelConfig(simplified_attention=True,
                                       lut_time_encoder=True,
                                       pruning_budget=2))
-        assert CPU_1T.marginal_edge_s(light) < CPU_1T.marginal_edge_s(base)
+        assert CPU_32T.marginal_edge_s(light) < CPU_32T.marginal_edge_s(base)
 
     def test_apan_light_runtime_lower_latency(self):
         tgn = count_ops(ModelConfig())
@@ -118,8 +128,8 @@ class TestGPPModels:
 
     def test_part_times(self):
         counts = count_ops(ModelConfig())
-        parts = CPU_1T.part_times_s(counts, {"sample": 9e-9, "update": 23e-9})
-        assert parts["gnn"] > parts["memory"]   # compute dominates 1T
+        parts = CPU_32T.part_times_s(counts, {"sample": 9e-9, "update": 23e-9})
+        assert parts["gnn"] > parts["memory"]   # the GNN's MACs dominate
         assert parts["sample"] >= 9e-9
 
     def test_invalid_batch(self):

@@ -1,5 +1,7 @@
 """Unit tests for streaming engines and the real-time window replay."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.graph import iter_fixed_size
 from repro.hw import FPGAAccelerator, ZCU104_DESIGN
 from repro.models import KERNEL_STAGES, ModelConfig, TGNN
 from repro.perf import CPU_32T, GPU, validate_performance_model
-from repro.pipeline import (FIFTEEN_MINUTES, ModeledGPPBackend,
+from repro.pipeline import (FIFTEEN_MINUTES, LinearCostBackend,
                             SimulatedFPGABackend, SoftwareBackend,
                             realtime_replay, run_engine, summarize)
 from repro.profiling import count_ops
@@ -41,7 +43,7 @@ class TestSoftwareBackend:
         g, model = setup()
         be = SoftwareBackend(model, g)
         run_engine(be, g, batch_size=100, end=200)
-        assert be.rt.state.has_mail(g.slice(0, 200).nodes).all()
+        assert (be.rt.state.mail_time[g.slice(0, 200).nodes] > -np.inf).all()
 
     def test_backend_state_matches_the_training_path(self):
         """The served kernel (``prepare_inference`` + ``infer_batch``)
@@ -79,9 +81,9 @@ class TestSoftwareBackend:
 
 class TestModeledBackend:
     def test_latency_constant_per_batch_size(self):
-        g, _ = setup()
+        g, model = setup()
         counts = count_ops(CFG)
-        be = ModeledGPPBackend(CPU_32T, counts)
+        be = DEFAULT_REGISTRY.create("cpu-32t", model, g)
         l1 = be.process_batch(g.slice(0, 100))
         l2 = be.process_batch(g.slice(100, 200))
         assert l1 == l2
@@ -94,11 +96,14 @@ class TestModeledBackend:
                     lut_time_encoder=True, pruning_budget=4, name="NP(4)")],
         ids=lambda c: c.name)
     def test_cached_marginal_prices_bit_for_bit(self, cost, cfg):
-        """The backend sums its per-edge marginal once; every price is
-        still ``latency_s``'s, bit for bit, and an empty batch raises."""
+        """The registry's backend is a linear price whose per-edge
+        marginal is summed once; every price is still ``latency_s``'s,
+        bit for bit, and an empty batch raises."""
         g = wikipedia_like(num_edges=512, num_users=70, num_items=18)
         counts = count_ops(cfg)
-        be = ModeledGPPBackend(cost, counts)
+        # The factory reads the model's config only.
+        be = DEFAULT_REGISTRY.create(cost.name, SimpleNamespace(cfg=cfg), g)
+        assert isinstance(be, LinearCostBackend) and be.name == cost.name
         for n in range(1, 513):
             assert be.process_batch(g.slice(0, n)).hex() \
                 == cost.latency_s(counts, n).hex(), n

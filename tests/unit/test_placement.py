@@ -11,7 +11,7 @@ from repro.serving import (LoadAwareRebalance, Placement, PlacementPolicy,
                            ReplicatedReadMostly, ServingEngine, ShardRouter,
                            StaticHashPlacement, VersionedMemoryCache,
                            VertexHeat, hash_assignment, make_policy)
-from repro.serving.placement import MAX_MIGRATIONS
+from repro.serving.placement import MAX_MIGRATIONS, shard_pair_counts
 
 
 def PerEdgeBackend(per_edge_s=5e-3, overhead_s=0.0):
@@ -119,6 +119,15 @@ class TestPlacementContainer:
                 router.split(batch, mailbox)
             assert np.array_equal(placement.mail_matrix(g.src, g.dst),
                                   mailbox.counts)
+
+    def test_shard_pair_counts_tallies_each_pair(self):
+        frm, to = np.array([0, 2, 0, 1, 0]), np.array([1, 2, 1, 0, 2])
+        want = np.zeros((3, 3), dtype=np.int64)
+        np.add.at(want, (frm, to), 1)
+        got = shard_pair_counts(frm, to, 3)
+        assert got.shape == (3, 3) and np.array_equal(got, want)
+        assert np.array_equal(shard_pair_counts(frm[:0], to[:0], 2),
+                              np.zeros((2, 2)))
 
 
 # --------------------------------------------------------------------------- #

@@ -35,7 +35,7 @@ class TestCosineEncoder:
     def test_gradients_to_omega_phase(self):
         enc = CosineTimeEncoder(4)
         out = enc(np.array([1.0, 2.0]))
-        (out ** 2).sum().backward()
+        (out * out).sum().backward()
         assert enc.omega.grad is not None
         assert enc.phase.grad is not None
 

@@ -22,8 +22,9 @@ from repro.analysis.tracecheck import (TraceCheckReport, TraceFinding,
                                        check_service_exactly_once)
 from repro.datasets import drifting_hot_set_graph, wikipedia_like
 from repro.pipeline import LinearCostBackend
-from repro.serving import (DynamicBatcher, FailureEvent, FailurePlan,
-                           FlushEvent, HeapEventScheduler, MailEvent,
+from repro.serving import (DynamicBatcher, EventTrace, FailureEvent,
+                           FailurePlan, FlushEvent, HeapEventScheduler,
+                           MailEvent,
                            MigrationEvent, OnlineRebalancer, RecoveryEvent,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine)
 from tests.property.lane_agreement import check_lane_agreement
@@ -251,7 +252,6 @@ class TestReportObject:
         assert "[causality] @ t=1 boom" in text
         assert "1 finding(s) over 5 events" in text
         assert not rep.ok
-        assert rep.counts() == {"causality": 1}
 
     def test_check_run_requires_trace(self):
         with pytest.raises(ValueError, match="trace=True"):
@@ -280,6 +280,34 @@ class TestTraceColumns:
         assert cols["shard"].dtype == np.int64
         assert cols["mode"].tolist() == ["slow", "slow"]
         assert cols["pos"].tolist() == [1, 2]
+
+    def test_check_run_converts_each_kind_once(self, monkeypatch):
+        """``check_run`` asks for the flush columns twice (mail-at-flush
+        and conservation) and gets one table back: every kind it reads
+        is converted once."""
+        tables = []
+        honest = EventTrace.columns
+
+        def spy(trace, cls):
+            tables.append((cls, honest(trace, cls)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(EventTrace, "columns", spy)
+        g = wiki_graph()
+        result = run_checked(fresh_engine(g), g, window_s=3600.0,
+                             num_streams=2, speedup=100.0)
+        assert result.ok, result.render()
+        kinds = [cls for cls, _ in tables]
+        assert kinds.count(FlushEvent) == 2
+        assert len({id(table) for _, table in tables}) == len(set(kinds))
+
+    def test_a_record_drops_the_converted_tables(self):
+        trace = trace_of([FlushEvent(1.0, "size", 1)])
+        first = trace.columns(FlushEvent)
+        assert trace.columns(FlushEvent) is first
+        trace.add(FlushEvent(2.0, "deadline", 3))
+        assert trace.columns(FlushEvent)["windows"].tolist() == [1, 3]
+        assert first["windows"].tolist() == [1]
 
 
 # --------------------------------------------------------------------------- #
