@@ -12,9 +12,9 @@ four end-to-end metrics of ``BENCHMARK.json`` with the rep count they were
 read over (the child keeps every rep's record, so ``peak_rss_mb`` grows
 with ``reps``: compare it only between rows of similar counts), and —
 from the traced set — the exact counters of ``COUNTERS`` (scheduler
-events, ``split`` calls, ``process_batch`` calls, ``run_stream`` calls)
-and, for ``kernel_b200``,
-``models.infer_calls`` with the ``KERNEL_STAGES`` shares of its host
+events, ``split`` calls, ``process_batch`` calls, ``run_stream`` calls,
+migrations and checked trace events, so a row shows that a run did the
+same control work) and, for ``kernel_b200``, ``models.infer_calls`` with the ``KERNEL_STAGES`` shares of its host
 seconds beside the paper's Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
 ``run.py`` worked them out, beside the ``src/repro`` code-line total
 and the sha ``run.py`` stamped (the checkout's HEAD: for a change
@@ -41,7 +41,8 @@ from pins import results_dir  # noqa: E402
 
 COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events",
             "router.split_calls", "pipeline.process_batch_calls",
-            "hw.run_stream_calls")
+            "hw.run_stream_calls", "rebalance.migrations",
+            "tracecheck.events")
 KERNEL = "kernel_b200"      # the one workload whose wall is the kernels'
 
 

@@ -65,26 +65,26 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def soft_cross_entropy(student_logits: Tensor, teacher_logits: np.ndarray,
-                       mask: np.ndarray, temperature: float = 1.0) -> Tensor:
-    """Distillation loss of Eq. (17): soft CE between attention logits.
+                       mask: np.ndarray) -> Tensor:
+    """Distillation loss of Eq. (17) at temperature 1: soft CE between
+    attention logits.
 
-    ``- sum_v softmax(teacher/T) . log_softmax(student/T)`` averaged over
+    ``- sum_v softmax(teacher) . log_softmax(student)`` averaged over
     the rows with a valid slot, both distributions limited to the valid
     neighbor slots ``mask`` marks.  The teacher side is a constant (no
     gradient flows into it), which matches the knowledge-distillation
     setup in the paper.
     """
     mask = np.asarray(mask, dtype=bool)
-    teacher = np.asarray(teacher_logits, dtype=np.float64) / temperature
-    teacher = np.where(mask, teacher, -1e30)
+    teacher = np.where(mask, np.asarray(teacher_logits, dtype=np.float64),
+                       -1e30)
     t_shift = teacher - teacher.max(axis=-1, keepdims=True)
     t_prob = np.exp(t_shift)
     t_prob *= mask
     denom = t_prob.sum(axis=-1, keepdims=True)
     t_prob = t_prob / np.where(denom == 0.0, 1.0, denom)
 
-    scaled = student_logits * (1.0 / temperature)
-    log_p = _masked_log_softmax(scaled, mask)
+    log_p = _masked_log_softmax(student_logits, mask)
     per_row = -(Tensor(t_prob) * log_p).sum(axis=-1)
     valid_rows = mask.any(axis=-1)
     if not valid_rows.any():

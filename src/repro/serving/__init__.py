@@ -36,13 +36,15 @@ report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
 the trace (reading the arrival events of a traced run, tests).
 Routing is columnar per ownership epoch: under serial ingest the job
-boundaries follow from the trace alone (:meth:`DynamicBatcher.spans`),
-so the engine routes every job left in one :meth:`ShardRouter.plan` —
-one incidence, one ``(job, shard)`` sort, one closed-form memsync pass
-(:meth:`VersionedMemoryCache.steps`) — hands the jobs out one at a time
-and routes again only after an ownership move bumps
-:attr:`ShardRouter.generation`; under pipelined ingest each released
-job is a one-job plan, which is what :meth:`ShardRouter.split` is.
+boundaries follow from the trace alone (:meth:`DynamicBatcher.spans`,
+once per run), so the engine routes many jobs in one
+:meth:`ShardRouter.plan` — one incidence, one ``(job, shard)`` sort, one
+closed-form memsync pass (:meth:`VersionedMemoryCache.steps`) — and
+hands them out one at a time: every job of the run when no controller
+can move ownership, else doubling chunks of them, re-planned after an
+ownership move bumps :attr:`ShardRouter.generation`; under pipelined
+ingest each released job is a one-job plan, which is what
+:meth:`ShardRouter.split` is.
 Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
 from its shape; they do not execute its kernels.
 

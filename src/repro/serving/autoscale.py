@@ -223,9 +223,9 @@ class AutoScaler:
         """
         self._pending.append((float(t_finish), float(response_s)))
 
-    def observe(self, t: float, batch=None) -> None:
-        """One released job (already sampled by the plane): evaluate the
-        band at window close."""
+    def observe(self, t: float, sources=None) -> None:
+        """One released job (already sampled by the plane; its arrivals
+        ``sources`` are unread): evaluate the band at window close."""
         if self._window.closes(t):
             self._evaluate(t)
             self._window.roll(t)

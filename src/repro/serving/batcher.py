@@ -24,7 +24,7 @@ serving engine runs the same policy online as a
 scheduler — under serial ingest the actor's releases match
 :meth:`~DynamicBatcher.spans` exactly (property-tested in ``test_events``
 through :meth:`~DynamicBatcher.coalesce`), which is what lets the engine
-route every job of an ownership epoch before it is released; under
+route a run's jobs before they are released; under
 pipelined ingest the actor adds the double-buffered fleet-drain trigger
 that an offline pass cannot express (it depends on in-flight compute).
 """
@@ -160,7 +160,8 @@ class ArrivalTrace(Sequence):
     def num_edges(self) -> int:
         return int(self.cum[-1] - self.cum[0])
 
-    def _rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
+        """Every arrival's edge rows into ``edges``, in arrival order."""
         return self.eidx[self.cum[0]:self.cum[-1]]
 
     def merged(self) -> EdgeBatch:
@@ -172,7 +173,7 @@ class ArrivalTrace(Sequence):
         """
         if len(self) == 1:
             return self.batch(0)
-        rows = self._rows()
+        rows = self.rows()
         return self._take(
             rows[np.argsort(self.edges.t[rows], kind="stable")])
 
@@ -206,8 +207,8 @@ class ArrivalTrace(Sequence):
         return (np.array_equal(self.t, other.t)
                 and np.array_equal(self.stream, other.stream)
                 and np.array_equal(np.diff(self.cum), np.diff(other.cum))
-                and np.array_equal(self.edges.eid[self._rows()],
-                                   other.edges.eid[other._rows()]))
+                and np.array_equal(self.edges.eid[self.rows()],
+                                   other.edges.eid[other.rows()]))
 
     __hash__ = None
 
@@ -277,10 +278,10 @@ class DynamicBatcher:
         self.max_edges = max_edges
         self.max_delay_s = float(max_delay_s)
 
-    def spans(self, trace: ArrivalTrace,
-              start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def spans(self, trace: ArrivalTrace) -> tuple[np.ndarray, np.ndarray]:
         """Arrival spans ``[lo[j], hi[j])`` of the jobs serial ingest
-        releases from arrival ``start`` on, the buffer empty there.
+        releases.  The buffer is empty at each ``lo[j]``, so the spans
+        from there on are the jobs a trace starting at ``lo[j]`` releases.
 
         Between two arrivals the only event that can fire is the pending
         buffer's deadline, so a job opened by arrival ``lo`` ends before
@@ -296,7 +297,7 @@ class DynamicBatcher:
         t, cum, n = t.tolist(), trace.cum.tolist(), len(t)
         cap, delay = self.max_edges, self.max_delay_s
         lo, hi = [], []
-        i = start
+        i = 0
         while i < n:
             end = bisect_left(t, t[i] + delay, i + 1)
             if cap is not None:

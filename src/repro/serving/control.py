@@ -13,9 +13,10 @@ stage stalls as things one runtime absorbs concurrently):
 
 sampler
     :meth:`ControlPlane.observe` accumulates per-vertex heat once per
-    released job, cumulatively; each policy reads it through its own
-    :class:`Window` (heat and per-group busy time since the window
-    opened), so two window lengths share one accumulation.
+    released job, cumulatively, from the endpoint ids of its arrivals;
+    each policy reads it through its own :class:`Window` (heat and
+    per-group busy time since the window opened), so two window lengths
+    share one accumulation.
 eligibility
     :meth:`ControlPlane.eligible` is the one answer to "which shard may
     receive ownership": its group is accepting (not dead) and it lies
@@ -132,11 +133,19 @@ class ControlPlane:
     def busy(self) -> np.ndarray:
         return np.array([g.busy_s for g in self.groups])
 
-    def observe(self, t: float, batch) -> None:
-        """Sample one released job, then let the policies react."""
-        np.add.at(self.heat, batch.nodes, 1)
+    def observe(self, t: float, sources) -> None:
+        """Sample one released job, then let the policies react.
+
+        ``sources`` is the job's arrivals (an
+        :class:`~repro.serving.batcher.ArrivalTrace` slice): heat needs
+        only their endpoint ids, read off the edge columns without
+        gathering the job's merged batch.
+        """
+        rows, edges = sources.rows(), sources.edges
+        np.add.at(self.heat, np.concatenate((edges.src[rows],
+                                             edges.dst[rows])), 1)
         for policy in self._observers:
-            policy.observe(t, batch)
+            policy.observe(t, sources)
 
     def eligible(self) -> np.ndarray:
         """Boolean mask of the shards that may receive ownership now."""

@@ -91,6 +91,12 @@ __all__ = ["ShardStats", "ServingReport", "ServingEngine",
 
 TOPOLOGIES = ("sharded", "pool", "hybrid")
 
+# Jobs the first route plan of an ownership epoch covers when a controller
+# can move ownership; each later plan of the same epoch covers twice the
+# last.  Any ownership move spends the plan, so a run plans at most twice
+# the jobs it routes plus this many per epoch.
+FIRST_PLAN_JOBS = 32
+
 
 @dataclass(frozen=True)
 class ShardStats:
@@ -744,18 +750,23 @@ class ServingEngine:
         # The routing plan of the current ownership epoch, with the
         # arrival spans of its jobs, the die hops of its runs and the
         # table row of its first run.  Under serial ingest the batcher's
-        # releases are known in advance, so a plan covers every job left;
-        # pipelined releases depend on the fleet, so a plan covers the
+        # releases are known in advance: the run's job spans are computed
+        # once, and a plan covers the next ``chunk`` of them.  Without a
+        # controller ownership never moves, so that is every job left;
+        # with one, any move spends the plan, so an epoch's first plan
+        # covers FIRST_PLAN_JOBS and each later one twice the last.
+        # Pipelined releases depend on the fleet, so a plan covers the
         # released job alone.
         router = self.router
-        plan = spans = die_hops = None
+        plan = spans = die_hops = run_spans = None
+        chunk = 0               # jobs the next plan of this epoch covers
         base = 0                # table rows before this plan's
         released = 0            # arrivals released so far
 
         def next_runs(job: CoalescedJob) -> list[tuple[int, int, EdgeBatch]]:
             """The job's runs off the current plan, re-planning first
             when it is spent or the ownership table moved."""
-            nonlocal plan, spans, die_hops, base, released
+            nonlocal plan, spans, die_hops, run_spans, chunk, base, released
             lo = released
             hi = released = lo + len(job.sources)
             if plan is None or plan.position == plan.num_jobs \
@@ -767,7 +778,18 @@ class ServingEngine:
                         tables[-1] = tables[-1][:used].copy()
                     base += used
                 if ingest == "serial":
-                    starts, ends = self.batcher.spans(arrivals, lo)
+                    if run_spans is None:
+                        run_spans = self.batcher.spans(arrivals)
+                    starts, ends = run_spans
+                    first = int(np.searchsorted(starts, lo))
+                    if plane is None:
+                        chunk = len(starts)
+                    elif plan is None or plan.generation != router.generation:
+                        chunk = FIRST_PLAN_JOBS
+                    else:
+                        chunk *= 2
+                    stop = min(first + chunk, len(starts))
+                    starts, ends = starts[first:stop], ends[first:stop]
                     rows, job_edges = arrivals.job_rows(starts, ends)
                     plan = router.plan(arrivals.edges, job_edges, rows,
                                        cache=cache)
@@ -797,7 +819,7 @@ class ServingEngine:
                 # job's submissions land: in-flight work drains under the
                 # old ownership and fleet, the next release routes under
                 # the new.
-                plane.observe(t, job.batch)
+                plane.observe(t, job.sources)
             if router.num_shards == 1:
                 # One shard owns every vertex: the job batch is the one
                 # sub-batch, all local, and nothing is mail or stale.

@@ -154,9 +154,9 @@ class OnlineRebalancer:
         return len({ev.vertex for ev in self.migration_log})
 
     # ------------------------------------------------------------------ #
-    def observe(self, t: float, batch) -> None:
-        """One released job (already sampled by the plane): evaluate at
-        window close."""
+    def observe(self, t: float, sources) -> None:
+        """One released job (already sampled by the plane; its arrivals
+        ``sources`` are unread): evaluate at window close."""
         if self._window.closes(t):
             evaluate = self._evaluate_overload \
                 if self._plane.pool_shard is None else self._evaluate_drift

@@ -29,7 +29,10 @@ So :meth:`ShardRouter.plan` routes every job it is given in one pass — a
 generation moves, the caller drops the plan and routes what is left
 again.  Under serial ingest the job boundaries are known in advance
 (:meth:`~repro.serving.batcher.DynamicBatcher.spans`), so the serving
-engine routes one plan per epoch — one per run when nothing migrates.
+engine routes one plan per run when no controller can move ownership,
+and otherwise plans of doubling size within an epoch, so that the jobs
+a move throws away never outnumber those handed out by more than the
+epoch's first plan.
 
 Inside a plan, ``member[:, src] | member[:, dst]`` is the whole ``(shard,
 edge)`` incidence of every job; one stable sort by ``(job, shard)`` lays

@@ -78,7 +78,7 @@ class DistillationTrainer(Trainer):
         # Attention alignment (Eq. 17, T = 1), masked to valid neighbors.
         att_s, logits_t = res_s.attention, res_t.attention.logits.data
         kd_loss = F.soft_cross_entropy(att_s.logits, logits_t,
-                                       temperature=1.0, mask=att_s.mask)
+                                       mask=att_s.mask)
         return link_loss + kd_loss * self.cfg.kd_weight, {
             "link_loss": link_loss.item(), "kd_loss": kd_loss.item(),
             "top1_agreement": attention_agreement(

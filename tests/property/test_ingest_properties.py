@@ -338,21 +338,33 @@ def arrival_lists(draw):
 DELAYS = [None, 0.0, 0.5, 1.0, 2.5, math.inf]
 
 
-def check_spans(arrivals, cfg, start):
-    """``spans`` from ``start`` and ``coalesce`` over the arrivals from
-    there equal the admission loop over the same arrivals."""
+def loop_bounds(batcher, arrivals, start):
+    """Arrival bounds of the jobs the admission loop releases over
+    ``arrivals[start:]``, and those jobs."""
+    jobs = oracle_coalesce(batcher, arrivals[start:])
+    return start + np.cumsum([0] + [len(j.sources) for j in jobs]), jobs
+
+
+def check_spans(arrivals, cfg, j):
+    """``spans`` and ``coalesce`` equal the admission loop over the
+    arrivals, and from the released boundary ``lo[j]`` (taken modulo the
+    jobs, the end of the trace included) the suffix of the spans is the
+    loop run from there: what lets a re-plan slice the run's spans."""
     batcher = DynamicBatcher(**cfg)
-    want = oracle_coalesce(batcher, arrivals[start:])
-    bounds = start + np.cumsum([0] + [len(j.sources) for j in want])
-    lo, hi = batcher.spans(from_arrivals(arrivals), start)
+    bounds, want = loop_bounds(batcher, arrivals, 0)
+    lo, hi = batcher.spans(from_arrivals(arrivals))
     assert lo.tolist() == bounds[:-1].tolist()
     assert hi.tolist() == bounds[1:].tolist()
-    got = batcher.coalesce(from_arrivals(arrivals[start:]))
+    got = batcher.coalesce(from_arrivals(arrivals))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.t_release == w.t_release       # bit-exact
         assert g.sources == from_arrivals(w.sources)
         assert_batches_identical(g.batch, w.batch)
+    j %= len(lo) + 1
+    tail, _ = loop_bounds(batcher, arrivals, int(bounds[j]))
+    assert lo[j:].tolist() == tail[:-1].tolist()
+    assert hi[j:].tolist() == tail[1:].tolist()
 
 
 class TestSpansMatchTheAdmissionLoop:
@@ -361,9 +373,9 @@ class TestSpansMatchTheAdmissionLoop:
            st.sampled_from(DELAYS), st.data())
     def test_spans_and_coalesce_equal_the_loop(self, arrivals, max_edges,
                                                max_delay_s, data):
-        start = data.draw(st.integers(0, len(arrivals)))
+        j = data.draw(st.integers(0, len(arrivals)))
         check_spans(arrivals, dict(max_edges=max_edges,
-                                   max_delay_s=max_delay_s), start)
+                                   max_delay_s=max_delay_s), j)
 
     def test_a_deadline_bisect_right_fails(self, monkeypatch):
         """Mutation check: an arrival exactly at ``t + max_delay_s`` waits

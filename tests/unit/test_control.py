@@ -11,18 +11,21 @@ import numpy as np
 import pytest
 
 from repro.graph.temporal_graph import EdgeBatch
-from repro.serving import (AutoScaler, CapacityConfig, ControlPlane,
-                           EventScheduler, FailureInjector, FailurePlan,
-                           MigrationEvent, OnlineRebalancer, ServerGroup,
-                           ShardRouter, padded_hash_placement)
+from repro.serving import (ArrivalTrace, AutoScaler, CapacityConfig,
+                           ControlPlane, EventScheduler, FailureInjector,
+                           FailurePlan, MigrationEvent, OnlineRebalancer,
+                           ServerGroup, ShardRouter, padded_hash_placement)
 from repro.serving.control import Window
 
 
-def batch(src, dst):
+def job(src, dst):
+    """A released job of one arrival with edges ``src -> dst``."""
     n = len(src)
-    return EdgeBatch(src=np.asarray(src), dst=np.asarray(dst),
-                     t=np.zeros(n), eid=np.arange(n),
-                     edge_feat=np.zeros((n, 0)))
+    edges = EdgeBatch(src=np.asarray(src), dst=np.asarray(dst),
+                      t=np.zeros(n), eid=np.arange(n),
+                      edge_feat=np.zeros((n, 0)))
+    return ArrivalTrace(edges, np.zeros(1), np.zeros(1, dtype=np.int64),
+                        np.array([0, n]), np.array([0]))
 
 
 def fleet(num_shards=3, num_nodes=12, trace=True, **policies):
@@ -38,13 +41,13 @@ class TestWindow:
     def test_two_window_lengths_share_one_accumulation(self):
         _, _, _, plane = fleet()
         short, long_ = Window(plane, 1.0), Window(plane, 10.0)
-        plane.observe(0.0, batch([0, 1], [2, 2]))
+        plane.observe(0.0, job([0, 1], [2, 2]))
         assert not short.closes(0.0) and not long_.closes(0.0)
-        plane.observe(1.0, batch([2], [3]))
+        plane.observe(1.0, job([2], [3]))
         assert short.closes(1.0) and not long_.closes(1.0)
         assert short.heat[[0, 1, 2, 3]].tolist() == [1, 1, 3, 1]
         short.roll(1.0)
-        plane.observe(1.5, batch([3], [0]))
+        plane.observe(1.5, job([3], [0]))
         # The short window restarted; the long one kept counting.
         assert short.heat[[0, 2, 3]].tolist() == [1, 0, 1]
         assert long_.heat[[0, 2, 3]].tolist() == [2, 3, 2]

@@ -99,17 +99,16 @@ class TestLosses:
         assert same < worse
 
     def test_soft_ce_matches_reference(self):
-        """Eq. (17) at T = 2 over the valid slots: the mean, over rows with
-        one, of ``-sum softmax(teacher/T) * log softmax(student/T)``."""
+        """Eq. (17) at T = 1 over the valid slots: the mean, over rows with
+        one, of ``-sum softmax(teacher) * log softmax(student)``."""
         rng = np.random.default_rng(6)
         teacher, student = rng.normal(size=(2, 4, 5))
         mask = rng.random((4, 5)) < 0.7
         mask[2] = False
-        got = F.soft_cross_entropy(Tensor(student), teacher, mask,
-                                   temperature=2.0).item()
+        got = F.soft_cross_entropy(Tensor(student), teacher, mask).item()
 
         def log_softmax(x):
-            x = np.where(mask, x / 2.0, -1e30)
+            x = np.where(mask, x, -1e30)
             x = x - x.max(axis=1, keepdims=True)
             return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
 
@@ -117,16 +116,6 @@ class TestLosses:
         p_t = np.exp(log_softmax(teacher))[rows]
         want = -(p_t * log_softmax(student)[rows]).sum(axis=1).mean()
         assert abs(got - want) < 1e-12
-
-    def test_soft_ce_temperature_softens(self):
-        teacher = np.array([[5.0, 0.0, 0.0]])
-        student = Tensor(np.array([[0.0, 5.0, 0.0]]))
-        full = np.ones(teacher.shape, dtype=bool)
-        hot = F.soft_cross_entropy(student, teacher, full,
-                                   temperature=10.0).item()
-        cold = F.soft_cross_entropy(student, teacher, full,
-                                    temperature=0.5).item()
-        assert hot < cold  # high T -> softer targets -> smaller penalty
 
     def test_soft_ce_masked_rows(self):
         teacher = np.array([[1.0, 2.0, 9.9], [0.0, 0.0, 0.0]])
@@ -145,5 +134,5 @@ class TestLosses:
                    requires_grad=True)
         full = np.ones(teacher.shape, dtype=bool)
         check_gradients(
-            lambda t: F.soft_cross_entropy(t, teacher, full, temperature=2.0),
+            lambda t: F.soft_cross_entropy(t, teacher, full),
             [x])

@@ -16,7 +16,7 @@ from repro.profiling import count_ops
 from repro.serving import (DEFAULT_REGISTRY, ArrivalTrace, BackendRegistry,
                            CoalescedJob, CrossShardMailbox, DynamicBatcher,
                            ServingEngine, ShardRouter, StreamArrival,
-                           make_stream_arrivals)
+                           make_stream_arrivals, padded_hash_placement)
 from repro.serving.engine import TOPOLOGIES
 from tests.property.arrival_oracle import from_arrivals, merge_batches
 from tests.property.queue_oracle import replay, simulate_queue
@@ -773,15 +773,22 @@ class TestPartialWindowAccounting:
 
 # --------------------------------------------------------------------------- #
 class CountingRouter(ShardRouter):
-    """Counts the routing passes the engine asks for."""
+    """Counts the routing passes the engine asks for, and keeps each
+    plan to count the jobs it covered and handed out."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.plans = self.splits = 0
+        self.splits = 0
+        self.routed: list = []
+
+    @property
+    def plans(self) -> int:
+        return len(self.routed)
 
     def plan(self, *args, **kwargs):
-        self.plans += 1
-        return super().plan(*args, **kwargs)
+        plan = super().plan(*args, **kwargs)
+        self.routed.append(plan)
+        return plan
 
     def split(self, *args, **kwargs):
         self.splits += 1
@@ -789,13 +796,16 @@ class CountingRouter(ShardRouter):
 
 
 class TestOnePlanPerOwnershipEpoch:
-    """Counted, not timed: a serial run routes one plan per ownership
-    epoch and never splits job by job.  The fleets are the ``serve-sim``
-    flags of the ``benchmarks/e2e`` priced workloads (cpu-32t, 4 hash
-    shards, 8 streams, push memsync)."""
+    """Counted, not timed: a serial run never splits job by job.  Without
+    a controller it routes one plan for the whole run; with one, an
+    ownership epoch's plans cover doubling chunks of jobs, so the jobs
+    planned stay within twice the jobs routed plus the first chunk per
+    epoch.  The fleets are the ``serve-sim`` flags of the
+    ``benchmarks/e2e`` priced workloads (cpu-32t, 4 hash shards, 8
+    streams, push memsync)."""
 
     def run(self, num_edges, speedup, batcher=None, rebalancer=None,
-            **run_kwargs):
+            autoscaler=None, failures=None, **run_kwargs):
         from repro import datasets
         from repro.serving import VertexHeat, make_policy
         graph = datasets.load("wikipedia", num_edges=num_edges, seed=0)
@@ -805,11 +815,15 @@ class TestOnePlanPerOwnershipEpoch:
                                  simplified_attention=True,
                                  lut_time_encoder=True, pruning_budget=4),
                      rng=np.random.default_rng(0))
-        router = CountingRouter.from_placement(make_policy("hash").place(
-            VertexHeat.from_graph(graph), 4))
+        # The autoscaler grows a fleet of two into four slots.
+        placement = padded_hash_placement(graph.num_nodes, 2, 4) \
+            if autoscaler is not None \
+            else make_policy("hash").place(VertexHeat.from_graph(graph), 4)
+        router = CountingRouter.from_placement(placement)
         engine = ServingEngine.from_registry(
             "cpu-32t", model, graph, num_shards=4, router=router,
-            memsync="push", batcher=batcher, rebalancer=rebalancer)
+            memsync="push", batcher=batcher, rebalancer=rebalancer,
+            autoscaler=autoscaler, failures=failures)
         report = engine.run(graph, window_s=900.0, speedup=speedup,
                             num_streams=8, **run_kwargs)
         return report, engine, router
@@ -909,13 +923,84 @@ class TestOnePlanPerOwnershipEpoch:
                 "ServiceBeginEvent": 1400, "ServiceEndEvent": 1400,
                 "MailEvent": 608, "SyncEvent": 1265}
 
-    def test_online_rebalancing_routes_one_plan_per_epoch(self):
+    def test_online_rebalancing_plans_what_it_routes(self):
+        """Each migration spends the plan, so a plan covering every job
+        left would be thrown away 17 times (5150 jobs planned for 632
+        routed); doubling chunks keep the jobs planned within twice
+        those routed plus the first chunk per ownership epoch."""
         from repro.serving import OnlineRebalancer
+        from repro.serving.engine import FIRST_PLAN_JOBS
         rebalancer = OnlineRebalancer(window_s=900.0 / 2000.0,
                                       util_threshold=0.05)
-        _, _, router = self.run(80, 2000.0, rebalancer=rebalancer)
+        report, _, router = self.run(80, 2000.0, rebalancer=rebalancer)
+        planned = sum(plan.num_jobs for plan in router.routed)
+        routed = sum(plan.position for plan in router.routed)
         assert rebalancer.migrations > 0 and router.splits == 0
-        assert 1 < router.plans <= 1 + rebalancer.migrations
+        assert routed == report.windows == 632
+        assert planned <= 2 * routed \
+            + FIRST_PLAN_JOBS * (1 + rebalancer.migrations)
+
+    def test_online_rebalancing_gathers_no_job_batch(self, monkeypatch):
+        """The control plane samples a released job's endpoint ids off
+        its arrival rows: no job gathers its merged batch."""
+        from repro.serving import OnlineRebalancer
+        merged = []
+        honest = ArrivalTrace.merged
+
+        def counted(self):
+            merged.append(len(self))
+            return honest(self)
+
+        monkeypatch.setattr(ArrivalTrace, "merged", counted)
+        rebalancer = OnlineRebalancer(window_s=900.0 / 2000.0,
+                                      util_threshold=0.05)
+        report, _, _ = self.run(80, 2000.0, rebalancer=rebalancer)
+        assert rebalancer.migrations > 0
+        assert report.windows == 632 and merged == []
+
+    @pytest.mark.parametrize("controller", ["rebalance", "autoscale",
+                                            "failover"])
+    def test_plan_chunks_do_not_change_the_run(self, controller,
+                                               monkeypatch):
+        """Oracle for the chunking: a first chunk of one job, and one
+        covering every job left (a plan per epoch), write the default's
+        report and traced event order byte for byte."""
+        import sys
+
+        import repro.serving.engine as engine_module
+        from repro.serving import (AutoScaler, CapacityConfig, FailurePlan,
+                                   OnlineRebalancer)
+
+        def controllers():
+            if controller == "rebalance":
+                return dict(rebalancer=OnlineRebalancer(
+                    window_s=900.0 / 2000.0, util_threshold=0.05))
+            if controller == "autoscale":
+                return dict(autoscaler=AutoScaler(
+                    CapacityConfig(micro_batch=1, replicas=2,
+                                   max_replicas=4),
+                    slo_p95_s=1e-3, scale_window_s=60.0))
+            return dict(failures=FailurePlan(fail_at=400.0, shard=1,
+                                             recover_at=800.0))
+
+        def outputs():
+            report, engine, router = self.run(80, 2000.0, trace=True,
+                                              **controllers())
+            return (report.to_json(),
+                    [repr(e) for e in engine.last_event_trace],
+                    router.generation, router.plans)
+
+        want = outputs()
+        assert want[2] > 0                  # ownership moved
+        plans = {}
+        for first in (1, sys.maxsize):
+            monkeypatch.setattr(engine_module, "FIRST_PLAN_JOBS", first)
+            report, events, generation, plans[first] = outputs()
+            assert report == want[0]
+            assert events == want[1]
+            assert generation == want[2]
+        # The three sizes really planned differently.
+        assert plans[1] > want[3] > plans[sys.maxsize]
 
     def test_pipelined_ingest_routes_one_plan_per_job(self):
         from repro.serving import FlushEvent
