@@ -736,8 +736,14 @@ def test_event_core_speedup(capsys, smoke, monkeypatch):
     (core over core 14-24x here; the tree before ISSUE 17 reads ~10x).
     The measurement is a same-run *ratio*, so it is machine-independent;
     the absolute events/sec land in ``results/BENCH_events_per_sec.json``
-    for the CI perf-trajectory check.
+    for the CI perf-trajectory check.  The engine serves a serial run
+    with no controller as one pass, without arrival events, so both lanes
+    are pinned to the event loop through ``engine.serves_in_one_pass``:
+    what is compared is heap against cohort delivery of the arrivals.
     """
+    import repro.serving.engine as engine_module
+    monkeypatch.setattr(engine_module, "serves_in_one_pass",
+                        lambda *_: False)
     n_edges, reps = (3000, 3) if smoke else (12000, 5)
     n_windows = n_edges // 2          # ~2 edges per stream window
     graph, window_s = dense_window_graph(n_edges, seed=11)
@@ -938,7 +944,7 @@ def test_ingest_scaling(capsys, smoke):
         arrivals = make_stream_arrivals(graph, window_s, num_streams=streams,
                                         speedup=50.0)
         BatcherActor(DynamicBatcher(max_delay_s=2.0), EventScheduler(),
-                     lambda job: None).start(arrivals)
+                     lambda *_: None).start(arrivals)
         return (time.perf_counter() - t0) * 1e3, len(arrivals)
 
     lanes = (2, 16)

@@ -12,10 +12,12 @@ four end-to-end metrics of ``BENCHMARK.json`` with the rep count they were
 read over (the child keeps every rep's record, so ``peak_rss_mb`` grows
 with ``reps``: compare it only between rows of similar counts), and —
 from the traced set — the exact counters of ``COUNTERS`` (scheduler
-events, ``split`` calls, ``process_batch`` calls, ``run_stream`` calls,
-migrations and checked trace events, so a row shows that a run did the
-same control work) and, for ``kernel_b200``, ``models.infer_calls`` with the ``KERNEL_STAGES`` shares of its host
-seconds beside the paper's Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
+events, ``split`` calls, ``process_batch`` calls and the simulated
+seconds they priced, ``run_stream`` calls, migrations and checked trace
+events, so a row shows that a run did the same control work and priced
+the same simulated time) and, for ``kernel_b200``, ``models.infer_calls``
+with the ``KERNEL_STAGES`` shares of its host seconds beside the paper's
+Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
 ``run.py`` worked them out, beside the ``src/repro`` code-line total
 and the sha ``run.py`` stamped (the checkout's HEAD: for a change
 measured before it is committed that is its parent, and ``--label`` says
@@ -41,8 +43,8 @@ from pins import results_dir  # noqa: E402
 
 COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events",
             "router.split_calls", "pipeline.process_batch_calls",
-            "hw.run_stream_calls", "rebalance.migrations",
-            "tracecheck.events")
+            "pipeline.sim_service_s", "hw.run_stream_calls",
+            "rebalance.migrations", "tracecheck.events")
 KERNEL = "kernel_b200"      # the one workload whose wall is the kernels'
 
 

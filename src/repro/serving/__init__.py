@@ -26,12 +26,17 @@ the ``BENCH_events_per_sec`` perf-trajectory artifact).  Tracing
 (``trace=True``) observes that one loop and takes no path of its own:
 same cohorts, same counters, same report, plus the typed-event record,
 an :class:`EventTrace` of columns that builds no event object until it
-is read as a sequence.
+is read as a sequence.  A run that nothing reacts in (serial ingest, no
+controller, modeled stations) is served as **one pass**: its releases
+(:meth:`DynamicBatcher.releases`) are the loop's only events, one
+cohort, and each station commits a job when it admits it
+(:meth:`ServerGroup.admit`); the per-event loop is its oracle, report
+bytes and traced events alike, for positive service times.
 Ingest is columnar from end to end: :func:`make_stream_arrivals` builds
 one :class:`ArrivalTrace` (arrival instants, streams and per-edge indices
 into the graph's own columns) with no Python step per arrival, the
 scheduler's run *is* that trace, the batcher's pending buffer is a span
-of it, a released job's ``sources`` is a zero-copy slice of it, and the
+of it, a released job is a span of it, and the
 report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
 the trace (reading the arrival events of a traced run, tests).

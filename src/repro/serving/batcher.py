@@ -13,18 +13,20 @@ against the single-server replay.
 
 Arrivals travel as one :class:`ArrivalTrace` — struct-of-arrays columns
 over the graph's own edge arrays — from
-:func:`~repro.serving.engine.make_stream_arrivals` to the flushed
-:class:`CoalescedJob`; a :class:`StreamArrival` is what indexing or
-iterating the trace hands out.
+:func:`~repro.serving.engine.make_stream_arrivals` to a released job, a
+span of it; a :class:`StreamArrival` is what indexing or iterating the
+trace hands out.
 
 :class:`DynamicBatcher` is the *policy* (trigger configuration) plus the
-offline reference implementation, :meth:`DynamicBatcher.spans`.  The
-serving engine runs the same policy online as a
-:class:`~repro.serving.events.BatcherActor` on the discrete-event
-scheduler — under serial ingest the actor's releases match
+offline reference implementation, :meth:`DynamicBatcher.spans`, and the
+one rule for when and why each of those jobs is released,
+:meth:`DynamicBatcher.releases`.  The serving engine runs the same policy
+online as a :class:`~repro.serving.events.BatcherActor` on the
+discrete-event scheduler — under serial ingest the actor's releases match
 :meth:`~DynamicBatcher.spans` exactly (property-tested in ``test_events``
 through :meth:`~DynamicBatcher.coalesce`), which is what lets the engine
-route a run's jobs before they are released; under
+route a run's jobs before they are released and serve a run that nothing
+reacts in as one pass over :meth:`~DynamicBatcher.releases`; under
 pipelined ingest the actor adds the double-buffered fleet-drain trigger
 that an offline pass cannot express (it depends on in-flight compute).
 """
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +62,8 @@ class ArrivalTrace(Sequence):
     """A whole arrival process as struct-of-arrays columns.
 
     The one representation arrivals have between
-    :func:`~repro.serving.engine.make_stream_arrivals` and a flushed
-    :class:`CoalescedJob`: nothing on the bulk path holds a Python object
+    :func:`~repro.serving.engine.make_stream_arrivals` and a released job,
+    which is a span of it: nothing on the bulk path holds a Python object
     per arrival.  It is still a ``Sequence[StreamArrival]`` — indexing or
     iterating materialises items (as views, nothing is copied) for whoever
     wants them one at a time: the traced per-event path, tests.
@@ -221,12 +223,13 @@ class ArrivalTrace(Sequence):
 
 @dataclass(frozen=True)
 class CoalescedJob:
-    """A flushed job: its release instant and its arrivals.
+    """A job :meth:`DynamicBatcher.coalesce` releases: its release instant
+    and its arrivals.
 
     ``sources`` is the job's arrivals in admission order, a zero-copy
-    :class:`ArrivalTrace` slice.  Its merged edges are gathered the first
-    time ``batch`` is read: a serial routed run takes a job's rows from
-    its route plan and never reads it.
+    :class:`ArrivalTrace` slice; ``batch`` gathers their merged edges
+    when read.  (The engine's batcher hands its sink the span bounds
+    instead, and a routed run takes a job's rows from its route plan.)
     """
 
     t_release: float
@@ -234,14 +237,25 @@ class CoalescedJob:
 
     @property
     def batch(self) -> EdgeBatch:
-        memo = self.__dict__
-        if "_batch" not in memo:
-            memo["_batch"] = self.sources.merged()
-        return memo["_batch"]
+        return self.sources.merged()
 
     @property
     def n_edges(self) -> int:
         return self.sources.num_edges
+
+
+class Releases(NamedTuple):
+    """The jobs serial ingest releases, as columns: job ``j`` is arrivals
+    ``[lo[j], hi[j])``, flushed at ``t[j]`` for ``cause[j]``
+    (``"deadline"``, ``"size"`` or ``"eos"``) once ``seen[j]`` arrivals
+    have reached the batcher (``hi[j] + 1`` when arrival ``hi[j]``
+    overflowed the buffer, else ``hi[j]``)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    t: np.ndarray
+    cause: np.ndarray
+    seen: np.ndarray
 
 
 class DynamicBatcher:
@@ -284,48 +298,65 @@ class DynamicBatcher:
         from there on are the jobs a trace starting at ``lo[j]`` releases.
 
         Between two arrivals the only event that can fire is the pending
-        buffer's deadline, so a job opened by arrival ``lo`` ends before
-        the first later arrival at or past ``t[lo] + max_delay_s`` (the
+        buffer's deadline, so a job opened by arrival ``i`` ends before
+        the first later arrival at or past ``t[i] + max_delay_s`` (the
         deadline flush precedes it), before the arrival that would push
         the buffer past ``max_edges``, or after the one that reaches it —
-        an oversized arrival alone is a job of its own.  One bisect of
-        the instants and one of the edge offsets per job.
+        an oversized arrival alone is a job of its own.  That end is
+        searched for every arrival at once, in the instants and in the
+        edge offsets, and the jobs are the chain of ends from arrival 0.
         """
         t = trace.t
-        if np.any(t[1:] < t[:-1]):
+        if not np.all(t[1:] >= t[:-1]):         # NaN is not sorted either
             raise ValueError("arrivals must be sorted by time")
-        t, cum, n = t.tolist(), trace.cum.tolist(), len(t)
-        cap, delay = self.max_edges, self.max_delay_s
-        lo, hi = [], []
-        i = 0
+        n = len(t)
+        after = np.arange(1, n + 1)
+        end = np.maximum(np.searchsorted(t, t + self.max_delay_s), after)
+        if self.max_edges is not None:
+            cum = trace.cum
+            full = cum[:-1] + self.max_edges
+            k = np.maximum(np.searchsorted(cum, full), after)
+            reached = (k <= n) & (cum[np.minimum(k, n)] == full)
+            end = np.minimum(end, np.where(reached, k,
+                                           np.maximum(k - 1, after)))
+        lo, i, end_of = [], 0, end.item
         while i < n:
-            end = bisect_left(t, t[i] + delay, i + 1)
-            if cap is not None:
-                full = cum[i] + cap
-                k = bisect_left(cum, full, i + 1)
-                end = min(end, k if k <= n and cum[k] == full
-                          else max(k - 1, i + 1))
             lo.append(i)
-            hi.append(end)
-            i = end
-        return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+            i = end_of(i)
+        starts = np.array(lo, dtype=np.int64)
+        return starts, end[starts]
 
-    def coalesce(self, trace: ArrivalTrace) -> list[CoalescedJob]:
-        """Fold a time-sorted trace into released jobs: :meth:`spans`,
-        each released at its trigger's instant."""
+    def releases(self, trace: ArrivalTrace) -> Releases:
+        """Every job serial ingest releases from a time-sorted trace:
+        its :meth:`spans`, the instant and cause of its trigger, and how
+        many arrivals the event loop has recorded when it fires."""
         lo, hi = self.spans(trace)
         t = trace.t
         last = t[hi - 1]
         deadline = t[lo] + self.max_delay_s
         after = t[np.minimum(hi, len(t) - 1)]
         # A deadline flush precedes the arrival that finds it due, else
-        # that arrival overflowed the buffer; the stream's end flushes at
-        # the deadline, or at the last arrival when there is none.
-        release = np.where(hi < len(t),
-                           np.where(after >= deadline, deadline, after),
-                           np.where(np.isfinite(deadline), deadline, last))
+        # that arrival overflowed the buffer (and is recorded before the
+        # flush it triggers); the stream's end flushes at the deadline,
+        # or at the last arrival when there is none.
+        due = after >= deadline
+        bounded = np.isfinite(deadline)
+        release = np.where(hi < len(t), np.where(due, deadline, after),
+                           np.where(bounded, deadline, last))
+        cause = np.where(hi < len(t), np.where(due, "deadline", "size"),
+                         np.where(bounded, "deadline", "eos"))
+        overflow = (hi < len(t)) & ~due
         if self.max_edges is not None:
+            # The arrival that fills the buffer flushes it.
             full = trace.cum[hi] - trace.cum[lo] >= self.max_edges
             release = np.where(full, last, release)
+            cause = np.where(full, "size", cause)
+            overflow &= ~full
+        return Releases(lo, hi, release, cause, hi + overflow)
+
+    def coalesce(self, trace: ArrivalTrace) -> list[CoalescedJob]:
+        """Fold a time-sorted trace into released jobs: :meth:`releases`
+        as :class:`CoalescedJob` objects."""
+        lo, hi, release, _, _ = self.releases(trace)
         return list(map(CoalescedJob, release.tolist(),
                         map(trace.span, lo.tolist(), hi.tolist())))

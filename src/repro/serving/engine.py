@@ -70,15 +70,16 @@ import math
 import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..graph.batching import time_window_spans
 from ..graph.temporal_graph import EdgeBatch, TemporalGraph
-from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
+from .batcher import ArrivalTrace, DynamicBatcher
 from .control import ControlPlane, FailureInjector
-from .events import (INGEST_MODES, BatcherActor, EventScheduler,
+from .events import (INGEST_MODES, BatcherActor, EventScheduler, LoopOrder,
                      ServerGroup, SimulationResult)
 from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
@@ -96,6 +97,21 @@ TOPOLOGIES = ("sharded", "pool", "hybrid")
 # last.  Any ownership move spends the plan, so a run plans at most twice
 # the jobs it routes plus this many per epoch.
 FIRST_PLAN_JOBS = 32
+
+
+def serves_in_one_pass(ingest: str, plane: ControlPlane | None,
+                       measured: bool) -> bool:
+    """Whether a run is served as one pass: serial ingest, no control
+    plane and modeled (not ``measured``) stations.  Then nothing reacts
+    to a service end, every release is known before the loop starts, and
+    each station fixes a job's outcome when it admits it
+    (:meth:`ServerGroup.admit`); every other run takes the event loop,
+    which is the pass's oracle.  The two agree bit for bit when every
+    service takes a positive time.  A zero-second job frees its server
+    at once in the pass but only at its end event on the loop, so a job
+    admitted at the same instant can find that server busy there (see
+    ``test_events.py::TestAdmissionClosedForm``)."""
+    return ingest == "serial" and plane is None and not measured
 
 
 @dataclass(frozen=True)
@@ -660,8 +676,12 @@ class ServingEngine:
 
         ``scheduler_cls`` is the event loop to build (default
         :class:`EventScheduler`); :class:`HeapEventScheduler` delivers
-        every arrival as a cohort of one, which is the lane the
-        scheduler-equivalence tests and the serving bench compare with.
+        every arrival (in a one-pass run, every release) as a cohort of
+        one, which is the lane the scheduler-equivalence tests and the
+        serving bench compare with.  A serial run with no controller and
+        modeled stations is served as one pass (:func:`serves_in_one_pass`):
+        the loop delivers only its releases, and each station commits a
+        job when it admits it.
 
         ``trace=True`` records the run's typed events as one
         :class:`~repro.serving.events.EventTrace` of columns (costs
@@ -747,11 +767,28 @@ class ServingEngine:
                 pool_shard=self._drift_shard)
         self.last_control = plane
 
+        # A run that nothing reacts in is served as one pass: the
+        # batcher's releases are one run on the loop, and each station
+        # commits a job when it admits it, so no arrival, deadline,
+        # service end or dispatch is an event.  A traced pass records
+        # those events' rows in the loop's order (LoopOrder).
+        one_pass = serves_in_one_pass(ingest, plane, self._measured)
+        order = LoopOrder(sched.trace, arrivals, len(groups)) \
+            if one_pass and sched.trace is not None else None
+        enter: list[Callable[[float, tuple], object]]
+        if not one_pass:
+            enter = [g.submit for g in groups]
+        elif order is None:
+            enter = [g.admit for g in groups]
+        else:
+            enter = [partial(order.admit, g) for g in groups]
+
         # The routing plan of the current ownership epoch, with the
         # arrival spans of its jobs, the die hops of its runs and the
         # table row of its first run.  Under serial ingest the batcher's
         # releases are known in advance: the run's job spans are computed
-        # once, and a plan covers the next ``chunk`` of them.  Without a
+        # once (by the pass, when there is one), and a plan covers the
+        # next ``chunk`` of them.  Without a
         # controller ownership never moves, so that is every job left;
         # with one, any move spends the plan, so an epoch's first plan
         # covers FIRST_PLAN_JOBS and each later one twice the last.
@@ -761,14 +798,12 @@ class ServingEngine:
         plan = spans = die_hops = run_spans = None
         chunk = 0               # jobs the next plan of this epoch covers
         base = 0                # table rows before this plan's
-        released = 0            # arrivals released so far
 
-        def next_runs(job: CoalescedJob) -> list[tuple[int, int, EdgeBatch]]:
-            """The job's runs off the current plan, re-planning first
-            when it is spent or the ownership table moved."""
-            nonlocal plan, spans, die_hops, run_spans, chunk, base, released
-            lo = released
-            hi = released = lo + len(job.sources)
+        def next_runs(lo: int, hi: int) -> list[tuple[int, int, EdgeBatch]]:
+            """The runs of the job of arrivals ``[lo, hi)`` off the
+            current plan, re-planning first when it is spent or the
+            ownership table moved."""
+            nonlocal plan, spans, die_hops, run_spans, chunk, base
             if plan is None or plan.position == plan.num_jobs \
                     or plan.generation != router.generation:
                 if plan is not None:
@@ -795,8 +830,8 @@ class ServingEngine:
                                        cache=cache)
                     spans = list(zip(starts.tolist(), ends.tolist()))
                 else:
-                    plan = router.plan(job.batch, [0, len(job.batch)],
-                                       cache=cache)
+                    batch = arrivals.span(lo, hi).merged()
+                    plan = router.plan(batch, [0, len(batch)], cache=cache)
                     spans = [(lo, hi)]
                 table, die_hops = self._traffic(plan)
                 tables.append(table)
@@ -807,29 +842,30 @@ class ServingEngine:
                     f"holds [{spans[j][0]}, {spans[j][1]})")
             return plan.next()
 
-        def route(job: CoalescedJob) -> None:
-            """The fork point: submit each of the job's sub-batches to its
-            station at the release instant, after recording the run of
-            the plan that carries its mail and sync traffic."""
-            t = job.t_release
+        def route(t: float, lo: int, hi: int) -> None:
+            """The fork point: submit each sub-batch of the job of
+            arrivals ``[lo, hi)`` to its station at the release instant
+            ``t``, after recording the run of the plan that carries its
+            mail and sync traffic."""
             ji = len(job_windows)
-            job_windows.append(len(job.sources))
+            job_windows.append(hi - lo)
             if plane is not None:
                 # Plans and ScaleEvents decided here fire *after* this
                 # job's submissions land: in-flight work drains under the
                 # old ownership and fleet, the next release routes under
                 # the new.
-                plane.observe(t, job.sources)
+                plane.observe(t, arrivals.span(lo, hi))
             if router.num_shards == 1:
                 # One shard owns every vertex: the job batch is the one
                 # sub-batch, all local, and nothing is mail or stale.
-                solo.append(job.n_edges)
-                if job.n_edges:
+                n_edges = int(arrivals.cum[hi] - arrivals.cum[lo])
+                solo.append(n_edges)
+                if n_edges:
                     offers[0].append(ji)
                     hops = 0 if plane is None else plane.take_hops(0)
-                    groups[0].submit(t, (job.batch, hops))
+                    enter[0](t, (arrivals.span(lo, hi).merged(), hops))
                 return
-            for run, shard, batch in next_runs(job):
+            for run, shard, batch in next_runs(lo, hi):
                 hops = die_hops[run]
                 if plane is not None:
                     hops += plane.take_hops(shard)
@@ -837,14 +873,18 @@ class ServingEngine:
                     sched.trace.sub_job(t, plan, run, shard,
                                         router.assignment)
                 offers[shard].append(base + run)
-                groups[shard].submit(t, (batch, hops))
+                enter[shard](t, (batch, hops))
 
         batcher = BatcherActor(self.batcher, sched, route,
                                fleet=groups if ingest == "pipelined" else ())
         if ingest == "pipelined":
             for g in groups:
                 g.on_hungry = batcher.on_hungry
-        batcher.start(arrivals)
+        if one_pass:
+            rel = batcher.start_releases(arrivals, order)
+            run_spans = rel.lo, rel.hi
+        else:
+            batcher.start(arrivals)
         try:
             if pool is not None:
                 # Worker lanes live exactly as long as the loop: state is

@@ -36,11 +36,27 @@ delivers it alone with exact heap semantics.  Actors that have not opted
 in — the :class:`~repro.serving.control.ControlPlane` among them — use
 :meth:`EventScheduler.schedule` and keep per-event dispatch unchanged.
 
+A run in which nothing reacts — serial ingest, no control plane, modeled
+stations — needs no event but its releases.  Every release is known up
+front (:meth:`~repro.serving.batcher.DynamicBatcher.releases`) and a
+FIFO station with nothing wired to its service ends fixes a job's
+outcome when it admits it (:meth:`ServerGroup.admit`), so the engine
+serves such a run as **one pass**: its releases are one run on the
+loop, which :class:`EventScheduler` delivers as one cohort, and no
+arrival, deadline, service end or dispatch is an event.  Every other
+run takes the per-event path, and that path is the pass's oracle: the
+engine tests require the same report bytes and the same traced events.
+They agree when every service takes a positive time; a zero-second job
+frees its server at once in the pass but only at its end event on the
+loop (see :func:`~repro.serving.engine.serves_in_one_pass`).
+
 There is one way into the loop.  Tracing (``trace=True``) is an observer
 of it, not a lane through it: the loop records the typed event of every
 heap entry it pops and a cohort handler records the span of the elements
 it consumes, so a traced run makes the cohort cuts, fires the events and
-writes the report of the untraced run.  The record is one
+writes the report of the untraced run.  A traced pass records, before
+each release, the rows of the events the loop would have fired first
+(:class:`LoopOrder`), keyed as the loop keys them.  The record is one
 :class:`EventTrace`, not a list of event objects: an event is a tuple of
 its fields as recorded, and where the run already keeps the row — an
 arrival in the :class:`ArrivalTrace`, a sub-job's traffic in its
@@ -158,22 +174,29 @@ Actors
     (same formulas, same tie-breaking, same ``service_fn`` call order) —
     property-tested in ``tests/unit/test_events.py``, where one group fed
     hand-built arrivals (``tests/property/queue_oracle.py``) is held to a
-    verbatim copy of that loop.
+    verbatim copy of that loop.  A job enters by :meth:`~ServerGroup.submit`
+    on the loop (begin at dispatch, an end event per job) or by
+    :meth:`~ServerGroup.admit` in a one-pass run (the same commit, fixed
+    at admission in that loop's closed form, and no event).
 :class:`BatcherActor`
     :class:`~repro.serving.batcher.DynamicBatcher` run *online*: the same
-    size/deadline triggers, plus — under ``ingest="pipelined"`` — a
-    double-buffered drain trigger: while the fleet serves window *n* the
-    buffer accumulates window *n+1* for free, and the moment the fleet
-    goes hungry (an idle server with nothing queued) the buffer flushes
-    immediately.  Batching delay is paid only when it can hide behind
-    in-flight compute; on an idle fleet it is skipped entirely.
+    size/deadline triggers (in a one-pass run, its releases computed up
+    front and scheduled as one run), plus — under
+    ``ingest="pipelined"`` — a double-buffered drain trigger: while the
+    fleet serves window *n* the buffer accumulates window *n+1* for
+    free, and the moment the fleet goes hungry (an idle server with
+    nothing queued) the buffer flushes immediately.  Batching delay is
+    paid only when it can hide behind in-flight compute; on an idle fleet
+    it is skipped entirely.
 
-A released job goes to the batcher's sink.  In the serving engine that is
-the fork point, ``route``: the router's plan hands the job out as
-``(run, shard, batch)`` and already carries each run's mail and sync
-traffic in its columns, so ``route`` records the run itself (the trace
-reads its :class:`MailEvent` / :class:`SyncEvent` rows off the plan) and
-submits the sub-batch to its group, all at the release instant.  The
+A released job goes to the batcher's sink as ``(t, lo, hi)``: its release
+instant and its span ``[lo, hi)`` of the :class:`ArrivalTrace`.  In the
+serving engine the sink is the fork point, ``route``: the router's plan
+hands the job out as ``(run, shard, batch)`` and already carries each
+run's mail and sync traffic in its columns, so ``route`` records the run
+itself (the trace reads its :class:`MailEvent` / :class:`SyncEvent` rows
+off the plan) and submits the sub-batch to its group, all at the release
+instant.  The
 memsync cache (:class:`~repro.serving.memsync.VersionedMemoryCache`)
 advances as the plan hands jobs out, in flush order, which the scheduler
 guarantees is release order.
@@ -194,7 +217,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .batcher import ArrivalTrace, CoalescedJob, DynamicBatcher
+from .batcher import ArrivalTrace, DynamicBatcher, Releases
 
 __all__ = [
     "ArrivalEvent", "FlushEvent", "ServiceBeginEvent", "ServiceEndEvent",
@@ -895,6 +918,14 @@ class ServerGroup:
     with the earliest ``(freed_at, server_id)``.  Same-time service ends
     all land *before* the dispatch that assigns the freed servers, so the
     winner is chosen over the full set, not by end-event order.
+
+    A job enters one of two ways.  :meth:`submit` is the event loop's:
+    the job begins now or at a dispatch, and its end is an event that
+    frees the server — what the reactions (``on_hungry``,
+    ``on_serviced``, failures, scaling) hang on.  :meth:`admit` is the
+    one-pass run's, where none is wired: it commits the same row at
+    admission, from the historical loop's closed form, and schedules
+    nothing.  A station takes its jobs one way for a whole run.
     """
 
     def __init__(self, gid: int, num_servers: int, service_fn: Callable,
@@ -914,9 +945,13 @@ class ServerGroup:
         self._sched = sched
         self._capacity = queue_capacity
         # Idle servers as (freed_at, server_id); servers are born free at
-        # t=0 like the historical loop's ``free`` heap.
+        # t=0 like the historical loop's ``free`` heap.  Under ``admit``
+        # every server stays in it, keyed by the instant its last
+        # committed job ends, and the commits from ``_ahead`` on are the
+        # ones that begin after the last admission (begins never fall).
         self._idle: list[tuple[float, int]] = [(0.0, s)
                                                for s in range(num_servers)]
+        self._ahead = 0
         # The station's record, as columns: per offer its arrival instant
         # and an explicit drop mark, per commit one ``(index, begin,
         # finish, service, server)`` row.  A payload is held only while
@@ -986,20 +1021,61 @@ class ServerGroup:
         self._max_depth = max(self._max_depth, len(self._waiting))
 
     # ------------------------------------------------------------------ #
+    def admit(self, t: float, payload) -> None:
+        """Admit (or drop) a job arriving at ``t`` and fix its outcome now:
+        its commit row, or its drop mark.
+
+        The one-pass path: with nothing wired to react to a service end,
+        FIFO makes a job's outcome a function of the jobs admitted before
+        it, so no end or dispatch event is needed.  The job takes the
+        server with the least ``(freed_at, server_id)`` and begins at
+        ``max(freed_at, t)``; it waits exactly when that is later than
+        ``t``, behind the jobs whose begins are later than ``t``, and a
+        job that would wait finds the buffer full at ``queue_capacity``
+        of them.  For positive service times that is the loop's outcome
+        bit for bit (held to the historical queue loop in
+        ``tests/unit/test_events.py``); a zero-second job is free at once
+        here, but busy on the loop until its end event fires.
+        ``service_fn`` is called here, in admission order, which is the
+        loop's begin order.
+        """
+        if self.on_hungry is not None or self.on_serviced is not None:
+            raise RuntimeError(
+                f"station {self.gid} has a reaction to service ends wired, "
+                f"so it cannot commit a job at admission")
+        i = len(self._t_arrive)
+        self._t_arrive.append(t)
+        self._drop_mark.append(False)
+        commits = self._commits
+        while self._ahead < len(commits) and commits[self._ahead][1] <= t:
+            self._ahead += 1
+        free_t, srv = self._idle[0]
+        begin = max(free_t, t)
+        if begin > t:
+            waiting = len(commits) - self._ahead
+            if self._capacity is not None and waiting >= self._capacity:
+                self._drop_mark[i] = True
+                return
+            self._max_depth = max(self._max_depth, waiting + 1)
+        finish = self._commit(i, srv, begin,
+                              float(self._service_fn(payload)), live=False)
+        heapq.heapreplace(self._idle, (finish, srv))
+
     def _begin(self, t: float, i: int, payload: Any) -> None:
         service = float(self._service_fn(payload))
         free_t, srv = heapq.heappop(self._idle)
         self._commit(i, srv, max(free_t, self._t_arrive[i]), service)
 
-    def _commit(self, i: int, srv: int, begin: float,
-                service: float) -> float:
+    def _commit(self, i: int, srv: int, begin: float, service: float,
+                live: bool = True) -> float:
         """Commit offer ``i``'s service interval and return its finish:
-        one commit row, the begin trace row and the end event.  The
-        single service-accounting path — subclasses that *measure*
-        service times (``repro.serving.measured``) reuse it so traced
-        runs stay invariant-checkable regardless of where the duration
-        came from — and so the one place a slow shard's
-        ``service_factor`` applies and a service time is checked."""
+        one commit row and, on the loop (``live``), the begin trace row
+        and the end event.  The single service-accounting path —
+        :meth:`admit` reuses it, and so do subclasses that *measure*
+        service times (``repro.serving.measured``), so traced runs stay
+        invariant-checkable regardless of where the duration came from —
+        and so the one place a slow shard's ``service_factor`` applies
+        and a service time is checked."""
         if self.service_factor != 1.0:
             service *= self.service_factor
         finish = begin + service
@@ -1011,6 +1087,8 @@ class ServerGroup:
         self._commits.append((i, begin, finish, service, srv))
         if self.on_serviced is not None:
             self.on_serviced(finish, finish - self._t_arrive[i])
+        if not live:
+            return finish
         trace = self._sched.trace
         if trace is not None:
             self._record_begin(trace, (begin, self.gid, srv, i))
@@ -1172,6 +1250,89 @@ class ServerGroup:
 
 
 # --------------------------------------------------------------------------- #
+class LoopOrder:
+    """A one-pass run's trace, recorded in the order the event loop fires.
+
+    The pass puts no arrival, deadline, service end or dispatch on the
+    loop, so the records those events carry are replayed here from the
+    stations' commit rows, keyed as the loop keys them: an arrival
+    ``(t, _ARRIVAL, index)``, a service end ``(finish, _END, seq)`` and
+    a dispatch ``(freed_at, _DISPATCH, seq)``, where ``seq`` counts what
+    the loop schedules in the order it schedules it — an end at its
+    job's begin, and a station's dispatch at the first end that frees one
+    of its servers while jobs wait (:meth:`ServerGroup._end`).  A
+    station's jobs begin in commit order, so its waiting jobs are its
+    commits from ``_begun[gid]`` on.  The pass calls :meth:`release` for
+    each release, which records everything that precedes it and then the
+    flush, :meth:`admit` for each job a station admits, and :meth:`until`
+    with no bound after the last release.
+    """
+
+    def __init__(self, trace: EventTrace, arrivals: ArrivalTrace,
+                 stations: int):
+        self._trace = trace
+        self._arrivals = arrivals
+        self._seen = 0                  # arrivals recorded so far
+        self._heap: list[tuple] = []    # (t, priority, seq, group, row)
+        self._seq = 0
+        self._begun = [0] * stations    # per station, commits begun
+        self._pending: set[int] = set()     # stations with a dispatch due
+
+    def admit(self, group: ServerGroup, t: float, payload) -> None:
+        """:meth:`ServerGroup.admit` on ``group``, and the begin of the
+        job it commits, unless that job waits for a dispatch."""
+        group.admit(t, payload)
+        self._begin(group, t)
+
+    def _begin(self, group: ServerGroup, t: float) -> None:
+        """Record the begins of ``group``'s committed jobs not begun yet
+        that start by ``t``, and schedule their ends."""
+        commits, gid = group._commits, group.gid
+        k = self._begun[gid]
+        while k < len(commits) and commits[k][1] <= t:
+            i, begin, finish, _, srv = row = commits[k]
+            self._trace.row(ServiceBeginEvent, begin, gid, srv, i)
+            heapq.heappush(self._heap, (finish, _END, self._seq, group, row))
+            self._seq += 1
+            k += 1
+        self._begun[gid] = k
+
+    def release(self, t: float, seen: int, cause: str, windows: int) -> None:
+        """Record a flush at ``t``, made once ``seen`` arrivals are
+        recorded, and what the loop fires before it."""
+        self.until(t, seen)
+        self._trace.row(FlushEvent, t, cause, windows)
+
+    def until(self, t: float = math.inf, seen: int | None = None) -> None:
+        """Record what the loop fires before a release at ``t``, made
+        once ``seen`` arrivals are recorded (all of them by default)."""
+        arrivals, heap = self._arrivals, self._heap
+        seen = len(arrivals) if seen is None else seen
+        while heap and heap[0][0] <= t:
+            f, priority, _, group, row = heapq.heappop(heap)
+            if self._seen < seen and arrivals.t[self._seen] < f:
+                self._record_arrivals(min(seen, int(np.searchsorted(
+                    arrivals.t, f, side="left"))))
+            gid = group.gid
+            if priority == _DISPATCH:
+                self._pending.discard(gid)
+                self._begin(group, f)
+                continue
+            self._trace.row(ServiceEndEvent, f, gid, row[4], row[0])
+            if self._begun[gid] < len(group._commits) \
+                    and gid not in self._pending:
+                self._pending.add(gid)
+                heapq.heappush(heap, (f, _DISPATCH, self._seq, group, None))
+                self._seq += 1
+        self._record_arrivals(seen)
+
+    def _record_arrivals(self, stop: int) -> None:
+        if stop > self._seen:
+            self._trace.arrivals(self._arrivals, self._seen, stop)
+            self._seen = stop
+
+
+# --------------------------------------------------------------------------- #
 def _first_reaching(a: np.ndarray, lo: int, hi: int, x: float) -> int:
     """The first ``i`` in ``[lo, hi)`` with ``a[i] >= x``, else ``hi``.
 
@@ -1201,13 +1362,14 @@ class BatcherActor:
 
     Arrivals are admitted in trace order and a flush always drains the
     whole buffer, so on every scheduler the pending buffer is a span
-    ``[lo, admitted)`` of the one :class:`ArrivalTrace` and a released
-    job's ``sources`` is that slice of it.
+    ``[lo, admitted)`` of the one :class:`ArrivalTrace`, and a flush hands
+    the sink ``(t, lo, admitted)``: the job's release instant and span.
     """
 
     def __init__(self, batcher: DynamicBatcher, sched: EventScheduler,
-                 sink: Callable[[CoalescedJob], None],
+                 sink: Callable[[float, int, int], None],
                  fleet: Sequence[ServerGroup] = ()):
+        self._batcher = batcher
         self.max_edges = batcher.max_edges
         self.max_delay_s = batcher.max_delay_s
         self._sched = sched
@@ -1227,6 +1389,34 @@ class BatcherActor:
         """
         self._trace = trace
         self._sched.schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
+
+    def start_releases(self, trace: ArrivalTrace,
+                       order: LoopOrder | None) -> Releases:
+        """Schedule the releases of serial ingest, known up front
+        (:meth:`DynamicBatcher.releases`), onto the loop as one run, and
+        return them.
+
+        The one-pass path: no arrival and no deadline reaches the loop.
+        ``order`` records a traced run's events in the loop's order.
+        """
+        rel = self._batcher.releases(trace)
+        columns = (rel.lo.tolist(), rel.hi.tolist(), rel.t.tolist(),
+                   rel.cause.tolist(), rel.seen.tolist())
+        self._sched.schedule_run(rel.t, _FLUSH, columns[2], partial(
+            self._on_releases, columns, order))
+        return rel
+
+    def _on_releases(self, columns: tuple, order: LoopOrder | None,
+                     _t: float, _payloads, start: int, stop: int) -> int:
+        lo, hi, release, cause, seen = columns
+        for j in range(start, stop):
+            t = release[j]
+            if order is not None:
+                order.release(t, seen[j], cause[j], hi[j] - lo[j])
+            self._sink(t, lo[j], hi[j])
+        if order is not None and stop == len(release):
+            order.until()
+        return stop - start
 
     def _fleet_hungry(self) -> bool:
         """The drain trigger: every group of a non-empty fleet is hungry."""
@@ -1337,4 +1527,4 @@ class BatcherActor:
         lo, self._lo = self._lo, self._admitted
         if self._sched.trace is not None:
             self._sched.trace.row(FlushEvent, t, cause, self._admitted - lo)
-        self._sink(CoalescedJob(t, self._trace.span(lo, self._admitted)))
+        self._sink(t, lo, self._admitted)

@@ -10,6 +10,8 @@ it to closed-form M/M/1 and M/M/c results.  :func:`replay` is the same
 one server reached the way a command reaches it, through a one-shard
 :class:`~repro.serving.ServingEngine`.  Not collected; import them as
 ``from tests.property.queue_oracle import replay, simulate_queue``.
+:func:`admit_queue` feeds the same pairs to the station's closed-form
+admission, the one-pass path, which the suite holds to both.
 
 Accounting contracts of the group it runs:
 
@@ -54,6 +56,20 @@ def simulate_queue(arrivals: Sequence[tuple[float, Any]],
         sched.schedule(t, _ARRIVAL, None, lambda _e, _t=t, _p=payload:
                        group.submit(_t, _p))
     sched.run()
+    return group.finalize()
+
+
+def admit_queue(arrivals: Sequence[tuple[float, Any]],
+                service_fn: Callable[[Any], float],
+                num_servers: int = 1,
+                queue_capacity: int | None = None) -> SimulationResult:
+    """:func:`simulate_queue` with every job committed at admission
+    (:meth:`ServerGroup.admit`, the one-pass path): no event is
+    scheduled, so the scheduler only hosts the station."""
+    group = ServerGroup(0, num_servers, service_fn, EventScheduler(),
+                        queue_capacity=queue_capacity)
+    for t, payload in arrivals:
+        group.admit(t, payload)
     return group.finalize()
 
 

@@ -13,14 +13,14 @@ the online batcher releases from the trace must equal the offline
 ``coalesce`` of the oracle's list merged by ``merge_batches``, and the
 two schedulers must write the same report bytes.
 
-``DynamicBatcher.spans`` finds each job with one bisect of the instants
-and one of the edge offsets; the admission loop ``coalesce`` ran before
-is the third oracle here, held to it on tied, bursty, uniform and
-deadline-grid traces.
+``DynamicBatcher.spans`` finds each arrival's job end with one
+``searchsorted`` of the instants and one of the edge offsets, then
+chains the ends; the admission loop ``coalesce`` ran before is the third
+oracle here, held to it on tied, bursty, uniform and deadline-grid
+traces.
 """
 
 import math
-from bisect import bisect_right
 from collections import namedtuple
 
 import numpy as np
@@ -29,11 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serving.batcher as batcher_module
+import repro.serving.engine as engine_module
+from repro.analysis.tracecheck import check_run
 from repro.graph import TemporalGraph, time_window_spans
 from repro.pipeline import LinearCostBackend
-from repro.serving import (ArrivalTrace, BatcherActor, DynamicBatcher,
-                           EventScheduler, HeapEventScheduler, ServingEngine,
-                           StreamArrival, make_stream_arrivals)
+from repro.serving import (ArrivalTrace, BatcherActor, CoalescedJob,
+                           DynamicBatcher, EventScheduler, FlushEvent,
+                           HeapEventScheduler, ServingEngine, StreamArrival,
+                           make_stream_arrivals)
 from tests.property.arrival_oracle import from_arrivals, merge_batches
 from tests.property.lane_agreement import check_lane_agreement
 
@@ -222,9 +225,11 @@ class TestColumnarIngestMatchesTheLoops:
         want = DynamicBatcher(**cfg).coalesce(from_arrivals(
             oracle_arrivals(graph, window, num_streams, start, end, speedup)))
         sched, jobs = sched_cls(), []
-        BatcherActor(DynamicBatcher(**cfg), sched, jobs.append).start(
-            make_stream_arrivals(graph, window, num_streams=num_streams,
-                                 start=start, end=end, speedup=speedup))
+        trace = make_stream_arrivals(graph, window, num_streams=num_streams,
+                                     start=start, end=end, speedup=speedup)
+        BatcherActor(DynamicBatcher(**cfg), sched,
+                     lambda t, lo, hi: jobs.append(
+                         CoalescedJob(t, trace.span(lo, hi)))).start(trace)
         sched.run()
         assert len(jobs) == len(want)
         for got, ref in zip(jobs, want):
@@ -250,14 +255,19 @@ class TestColumnarIngestMatchesTheLoops:
            st.sampled_from([None, 0, 2]))
     def test_schedulers_write_the_same_report(self, replay, topology, cfg,
                                               ingest, queue_capacity):
-        """Cohort delivery == per-element delivery, and tracing either
-        changes nothing but the record: same report bytes, same scheduler
-        counters, one typed-event sequence.  The cohort-of-one draws
-        take the shortcuts that skip the cut searches (the loop's
-        ``_run_cut``, the batcher's size and deadline cuts)."""
+        """Cohort delivery == per-element delivery, the one pass == the
+        event loop, and tracing either changes nothing but the record:
+        same report bytes, same scheduler counters, one typed-event
+        sequence.  The cohort-of-one draws take the shortcuts that skip
+        the cut searches (the loop's ``_run_cut``, the batcher's size and
+        deadline cuts).  A serial run is served as one pass, whose
+        releases are the loop's only events: one cohort of them, or one
+        heap entry each; the event loop it replaces (the predicate
+        patched) must write its report bytes and its trace, event for
+        event."""
         (graph, window, start, end), num_streams, speedup = replay
 
-        def lane(scheduler_cls, trace):
+        def lane(scheduler_cls, trace, one_pass=True):
             if topology == "pool":
                 engine = ServingEngine([LinearCostBackend(per_edge_s=0.05)],
                                        NUM_NODES, topology="pool",
@@ -268,23 +278,46 @@ class TestColumnarIngestMatchesTheLoops:
                     [LinearCostBackend(per_edge_s=0.05) for _ in range(3)],
                     NUM_NODES, memsync="push",
                     batcher=DynamicBatcher(**cfg))
-            report = engine.run(
-                graph, window, start=start, end=end, speedup=speedup,
-                num_streams=num_streams, ingest=ingest,
-                queue_capacity=queue_capacity,
-                scheduler_cls=scheduler_cls, trace=trace).to_json()
+            with pytest.MonkeyPatch.context() as patch:
+                if not one_pass:
+                    patch.setattr(engine_module, "serves_in_one_pass",
+                                  lambda *_: False)
+                report = engine.run(
+                    graph, window, start=start, end=end, speedup=speedup,
+                    num_streams=num_streams, ingest=ingest,
+                    queue_capacity=queue_capacity,
+                    scheduler_cls=scheduler_cls, trace=trace)
             sched = engine.last_scheduler
-            return (report, sched.events_processed, sched.cohort_calls,
-                    sched.cohort_events), engine.last_event_trace
+            return (report.to_json(), sched.events_processed,
+                    sched.cohort_calls, sched.cohort_events), engine, report
 
-        cohort, cohort_trace = lane(None, True)
-        report, events, cohort_calls, _ = cohort
-        heap, heap_trace = lane(HeapEventScheduler, True)
-        assert cohort_calls > 0 and heap == (report, events, 0, 0)
-        assert lane(None, False) == (cohort, None)
-        assert lane(HeapEventScheduler, False) == (heap, None)
-        assert len(heap_trace) == len(cohort_trace)
-        assert check_lane_agreement(heap_trace, cohort_trace) == []
+        cohort, engine, report = lane(None, True)
+        report_json, events, cohort_calls, cohort_events = cohort
+        heap, heap_engine, _ = lane(HeapEventScheduler, True)
+        trace = engine.last_event_trace
+        if ingest == "serial":
+            jobs = len(trace.columns(FlushEvent)["t"])
+            assert (events, cohort_calls, cohort_events) == (jobs, 1, jobs)
+        else:
+            assert cohort_calls > 0
+        assert heap == (report_json, events, 0, 0)
+        for scheduler_cls, traced in ((None, cohort),
+                                      (HeapEventScheduler, heap)):
+            untraced, untraced_engine, _ = lane(scheduler_cls, False)
+            assert untraced == traced
+            assert untraced_engine.last_event_trace is None
+        assert len(heap_engine.last_event_trace) == len(trace)
+        assert check_lane_agreement(heap_engine.last_event_trace,
+                                    trace) == []
+        loop, loop_engine, _ = lane(None, True, one_pass=False)
+        assert loop[0] == report_json
+        assert check_lane_agreement(loop_engine.last_event_trace,
+                                    trace) == []
+        assert [repr(e) for e in loop_engine.last_event_trace] \
+            == [repr(e) for e in trace]
+        check = check_run(engine=engine, report=report,
+                          initial_assignment=engine.router.assignment)
+        assert check.ok, check.findings
 
     @settings(deadline=None, max_examples=50)
     @given(streams(), st.sampled_from([1e-8, 1e-10, 1e-15]))
@@ -379,10 +412,12 @@ class TestSpansMatchTheAdmissionLoop:
 
     def test_a_deadline_bisect_right_fails(self, monkeypatch):
         """Mutation check: an arrival exactly at ``t + max_delay_s`` waits
-        behind the deadline flush; bisecting right would admit it."""
+        behind the deadline flush; searching right would admit it."""
         arrivals = hand_built(np.array([0.0, 1.0, 2.0]), [1, 1, 1])
         check_spans(arrivals, dict(max_delay_s=1.0), 0)
-        monkeypatch.setattr(batcher_module, "bisect_left", bisect_right)
+        search = np.searchsorted
+        monkeypatch.setattr(batcher_module.np, "searchsorted",
+                            lambda a, v, side="left": search(a, v, "right"))
         with pytest.raises(AssertionError):
             check_spans(arrivals, dict(max_delay_s=1.0), 0)
 

@@ -32,14 +32,15 @@ from repro.datasets import wikipedia_like
 from repro.graph import TemporalGraph
 from repro.graph.temporal_graph import EdgeBatch
 from repro.pipeline import LinearCostBackend
-from repro.serving import (ArrivalEvent, BatcherActor, DynamicBatcher,
-                           EventScheduler, FlushEvent, HeapEventScheduler,
-                           HotColdHybrid, MailEvent, ServiceBeginEvent,
-                           ServiceEndEvent, ServingEngine, StreamArrival,
-                           SyncEvent, VertexHeat, make_stream_arrivals)
+from repro.serving import (ArrivalEvent, BatcherActor, CoalescedJob,
+                           DynamicBatcher, EventScheduler, FlushEvent,
+                           HeapEventScheduler, HotColdHybrid, MailEvent,
+                           ServiceBeginEvent, ServiceEndEvent, ServingEngine,
+                           StreamArrival, SyncEvent, VertexHeat,
+                           make_stream_arrivals)
 from repro.serving.events import ServerGroup, SimulationResult
 from tests.property.arrival_oracle import from_arrivals
-from tests.property.queue_oracle import simulate_queue
+from tests.property.queue_oracle import admit_queue, simulate_queue
 
 
 # --------------------------------------------------------------------------- #
@@ -212,6 +213,90 @@ class TestFacadeEquivalence:
         assert (res.jobs, res.dropped) == (2, 1)
 
 
+class TestAdmissionClosedForm:
+    """``ServerGroup.admit`` (the one-pass station) == the historical loop
+    and the event-core station, field for field, on hand-built arrivals
+    with equal instants: integer-grid arrival times and integer service
+    times make equal finishes, and ties with arrivals, common."""
+
+    @staticmethod
+    def grid_trace(rng, n):
+        t = np.sort(rng.integers(0, max(n // 3, 1), size=n)).astype(float)
+        return [(float(ti), i) for i, ti in enumerate(t)]
+
+    @pytest.mark.parametrize("servers", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [None, 0, 2])
+    def test_matches_the_loop_on_ties(self, servers, capacity):
+        rng = np.random.default_rng(servers * 10 + (capacity or 5))
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            arr = self.grid_trace(rng, n)
+            service = rng.integers(1, 4, size=n).astype(float)
+            calls = {}
+
+            def lane(run):
+                seen = calls.setdefault(run, [])
+
+                def service_fn(i):
+                    seen.append(i)
+                    return float(service[i])
+                return run(arr, service_fn, num_servers=servers,
+                           queue_capacity=capacity)
+
+            got = lane(admit_queue)
+            want = lane(reference_simulate_queue)
+            TestFacadeEquivalence().assert_identical(got, want)
+            TestFacadeEquivalence().assert_identical(
+                got, lane(simulate_queue))
+            # Priced once per admitted job, in admission order.
+            assert calls[admit_queue] == calls[simulate_queue] \
+                == calls[reference_simulate_queue]
+
+    def test_equal_instant_burst(self):
+        """Five jobs at t=0 on two servers of service 2: a burst that
+        fills the buffer, and the finishes it ties."""
+        arr = [(0.0, i) for i in range(5)] + [(2.0, 5), (4.0, 6)]
+        want = {None: ([0, 1, 0, 1, 0, 1, 0], 3),
+                0: ([0, 1, -1, -1, -1, 0, 1], 0),
+                2: ([0, 1, 0, 1, -1, 0, 1], 2)}
+        for capacity, (servers, depth) in want.items():
+            got = admit_queue(arr, lambda _: 2.0, num_servers=2,
+                              queue_capacity=capacity)
+            TestFacadeEquivalence().assert_identical(
+                got, simulate_queue(arr, lambda _: 2.0, num_servers=2,
+                                    queue_capacity=capacity))
+            assert got.server.tolist() == servers
+            assert got.max_queue_depth == depth
+
+    @pytest.mark.parametrize("service, served",
+                             [(1.0, [0, -1]), (0.0, [0, 0])])
+    def test_a_zero_second_job_is_free_at_once_in_the_pass(self, service,
+                                                          served):
+        """Where the pass and the loop part: two jobs submitted at one
+        instant by one handler on a bufferless single server.  On the
+        loop the first job's server is busy until its end event fires,
+        after the handler, so the second is dropped even when the first
+        takes 0 s; the pass frees a zero-second job's server at once and
+        serves the second.  Any positive service drops it on both."""
+        arr = [(0.0, "a"), (0.0, "b")]
+        sched = EventScheduler()
+        group = ServerGroup(0, 1, lambda _p: service, sched,
+                            queue_capacity=0)
+        sched.schedule(0.0, 0, None, lambda _e: [group.submit(t, p)
+                                                 for t, p in arr])
+        sched.run()
+        assert group.finalize().server.tolist() == [0, -1]
+        assert admit_queue(arr, lambda _p: service,
+                           queue_capacity=0).server.tolist() == served
+
+    @pytest.mark.parametrize("hook", ["on_hungry", "on_serviced"])
+    def test_a_wired_reaction_refuses_admission(self, hook):
+        group = ServerGroup(0, 1, lambda _p: 1.0, EventScheduler())
+        setattr(group, hook, lambda *_: None)
+        with pytest.raises(RuntimeError, match="reaction"):
+            group.admit(0.0, "job")
+
+
 # --------------------------------------------------------------------------- #
 def tiny_batch(t, n_edges=1, num_nodes=8, seed=0):
     rng = np.random.default_rng(seed)
@@ -254,7 +339,8 @@ class TestBatcherActorEquivalence:
     def run_actor(self, batcher, arrivals, cls=EventScheduler):
         sched = cls()
         jobs = []
-        actor = BatcherActor(batcher, sched, jobs.append)
+        actor = BatcherActor(batcher, sched, lambda t, lo, hi: jobs.append(
+            CoalescedJob(t, arrivals.span(lo, hi))))
         actor.start(arrivals)
         sched.run()
         return jobs
@@ -272,6 +358,27 @@ class TestBatcherActorEquivalence:
                 assert a.t_release == b.t_release      # bit-exact
                 assert a.sources == b.sources
                 assert np.array_equal(a.batch.t, b.batch.t)
+
+    @pytest.mark.parametrize("cfg_index", range(len(CONFIGS)))
+    def test_releases_name_the_loop_flush(self, cfg_index):
+        """``DynamicBatcher.releases`` gives each flush the cause the
+        online actor records and the number of arrivals the loop has
+        recorded when it fires (what a one-pass trace is ordered by)."""
+        cfg = self.CONFIGS[cfg_index]
+        rng = np.random.default_rng(1100 + cfg_index)
+        for trial in range(8):
+            arrivals = random_arrivals(rng, int(rng.integers(1, 60)))
+            rel = DynamicBatcher(**cfg).releases(arrivals)
+            sched = EventScheduler(trace=True)
+            BatcherActor(DynamicBatcher(**cfg), sched,
+                         lambda *_: None).start(arrivals)
+            sched.run()
+            flushes = sched.trace.columns(FlushEvent)
+            seen = np.searchsorted(sched.trace.columns(ArrivalEvent)["pos"],
+                                   flushes["pos"])
+            assert flushes["cause"].tolist() == rel.cause.tolist()
+            assert flushes["t"].tolist() == rel.t.tolist()
+            assert seen.tolist() == rel.seen.tolist()
 
     def test_real_window_arrivals_match(self):
         g = wikipedia_like(num_edges=600, num_users=80, num_items=20)
@@ -445,16 +552,17 @@ class TestConservationAcrossTopologies:
         if engine.topology == "pool":
             # The pool group takes the same payload as a shard: the whole
             # job, with no die hops.
-            def sink(job):
-                groups[0].submit(job.t_release, (job.batch, 0))
+            def sink(t, lo, hi):
+                groups[0].submit(t, (arrivals.span(lo, hi).merged(), 0))
         else:
             from repro.serving.memsync import VersionedMemoryCache
             cache = VersionedMemoryCache(engine.router.placement,
                                          policy=engine.memsync)
 
-            def sink(job):
-                for sb in engine.router.split(job.batch, cache=cache):
-                    groups[sb.shard].submit(job.t_release, (sb.batch, 0))
+            def sink(t, lo, hi):
+                for sb in engine.router.split(arrivals.span(lo, hi).merged(),
+                                              cache=cache):
+                    groups[sb.shard].submit(t, (sb.batch, 0))
         actor = BA(engine.batcher, sched, sink,
                    fleet=groups if ingest == "pipelined" else ())
         if ingest == "pipelined":
@@ -773,8 +881,10 @@ class TestHeapVsVectorizedEquivalence:
             for cls in (HeapEventScheduler, EventScheduler):
                 sched = cls()
                 jobs = []
-                actor = BatcherActor(DynamicBatcher(**cfg), sched,
-                                     jobs.append)
+                actor = BatcherActor(
+                    DynamicBatcher(**cfg), sched,
+                    lambda t, lo, hi, jobs=jobs: jobs.append(
+                        CoalescedJob(t, arrivals.span(lo, hi))))
                 actor.start(arrivals)
                 sched.run()
                 lanes.append(jobs)
@@ -848,15 +958,28 @@ class TestColumnarIngest:
         monkeypatch.setattr(StreamArrival, "__init__", counting_init)
         return built
 
-    def test_bulk_path_builds_no_item_per_arrival(self, constructed):
+    @pytest.mark.parametrize("one_pass", [True, False])
+    def test_bulk_path_builds_no_item_per_arrival(self, constructed,
+                                                  one_pass, monkeypatch):
+        """Served as one pass, the run's 98 releases are one cohort and
+        no arrival is an event; on the event loop (the predicate
+        patched) its 6904 arrivals come in 98 cohorts, beside 98
+        deadlines and 98 service ends."""
+        import repro.serving.engine as engine_module
+        if not one_pass:
+            monkeypatch.setattr(engine_module, "serves_in_one_pass",
+                                lambda *_: False)
         engine, report = self.ingest_run()
         sched = engine.last_scheduler
-        # What the per-arrival implementation this replaced produced.
         assert engine.last_num_arrivals == report.windows == 6904
-        assert (sched.cohort_calls, sched.cohort_events) == (98, 6904)
-        assert sched.events_processed == 7100
         jobs = report.shard_stats[0].jobs
         assert jobs == 98
+        if one_pass:
+            assert (sched.cohort_calls, sched.cohort_events) == (1, 98)
+            assert sched.events_processed == 98
+        else:
+            assert (sched.cohort_calls, sched.cohort_events) == (98, 6904)
+            assert sched.events_processed == 7100
         # Items may be materialised per flush or per cohort, never per
         # arrival.
         assert len(constructed) <= jobs + sched.cohort_calls

@@ -873,7 +873,12 @@ class TestOnePlanPerOwnershipEpoch:
         # is a job of its own.
         assert len(gathers) == report.windows == 776
         assert len(priced) == 1400
-        assert engine.last_scheduler.events_processed == 2952
+        # Served as one pass: the 776 releases are the loop's only
+        # events, delivered as one cohort (the event loop read 2952
+        # events in 776 cohorts: arrivals, deadlines and service ends).
+        sched = engine.last_scheduler
+        assert (sched.events_processed, sched.cohort_calls,
+                sched.cohort_events) == (776, 1, 776)
 
     def test_fleet_priced_push_gathers_no_job_batch(self, monkeypatch):
         """A serial routed run without controllers takes each job's rows
