@@ -26,10 +26,11 @@ the ``BENCH_events_per_sec`` perf-trajectory artifact).  Tracing
 (``trace=True``) observes that one loop and takes no path of its own:
 same cohorts, same counters, same report, plus the typed-event record,
 an :class:`EventTrace` of columns that builds no event object until it
-is read as a sequence.  A run that nothing reacts in (serial ingest, no
-controller, modeled stations) is served as **one pass**: its releases
-(:meth:`DynamicBatcher.releases`) are the loop's only events, one
-cohort, and each station commits a job when it admits it
+is read as a sequence.  A run where nothing reacts to a service end
+(serial ingest, modeled stations, no controller but an online
+rebalancer) is served as **one pass**: its releases
+(:meth:`DynamicBatcher.releases`) and the rebalancer's plans are the
+loop's only events, and each station commits a job when it admits it
 (:meth:`ServerGroup.admit`); the per-event loop is its oracle, report
 bytes and traced events alike, for positive service times.
 Ingest is columnar from end to end: :func:`make_stream_arrivals` builds

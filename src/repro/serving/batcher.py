@@ -25,8 +25,9 @@ online as a :class:`~repro.serving.events.BatcherActor` on the
 discrete-event scheduler — under serial ingest the actor's releases match
 :meth:`~DynamicBatcher.spans` exactly (property-tested in ``test_events``
 through :meth:`~DynamicBatcher.coalesce`), which is what lets the engine
-route a run's jobs before they are released and serve a run that nothing
-reacts in as one pass over :meth:`~DynamicBatcher.releases`; under
+route a run's jobs before they are released and serve a run in which
+nothing reacts to a service end as one pass over
+:meth:`~DynamicBatcher.releases`; under
 pipelined ingest the actor adds the double-buffered fleet-drain trigger
 that an offline pass cannot express (it depends on in-flight compute).
 """

@@ -12,11 +12,18 @@ three compose (DGNN-Booster and FlowGNN likewise treat load shift and
 stage stalls as things one runtime absorbs concurrently):
 
 sampler
-    :meth:`ControlPlane.observe` accumulates per-vertex heat once per
-    released job, cumulatively, from the endpoint ids of its arrivals;
-    each policy reads it through its own :class:`Window` (heat and
-    per-group busy time since the window opened), so two window lengths
-    share one accumulation.
+    :meth:`ControlPlane.observe` takes each released job's arrivals, and
+    :attr:`ControlPlane.heat` counts per-vertex heat over them,
+    cumulatively, from the endpoint ids of those arrivals — when it is
+    read, with one ``bincount`` over the jobs released since the last
+    read (the counts are integers, so the order they are folded in never
+    shows).  Each policy reads it through its own :class:`Window` (heat
+    and per-group busy time since the window opened), so two window
+    lengths share one accumulation.  Busy time and queue depth are read
+    as of the last release: :meth:`ControlPlane.busy` and
+    :meth:`ControlPlane.depth` first move every station to that instant
+    (:meth:`~repro.serving.events.ServerGroup.advance`), which matters
+    only in a one-pass run, whose stations commit jobs ahead of time.
 eligibility
     :meth:`ControlPlane.eligible` is the one answer to "which shard may
     receive ownership": its group is accepting (not dead) and it lies
@@ -43,6 +50,8 @@ sync traffic inflates the service time of the job carrying it.
 
 from __future__ import annotations
 
+import math
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -117,33 +126,65 @@ class ControlPlane:
         self.cache = cache
         self.die_of = die_of
         self.pool_shard = pool_shard
-        self.heat = np.zeros(router.num_nodes, dtype=np.int64)
+        self._heat = np.zeros(router.num_nodes, dtype=np.int64)
+        self._unread: list = []         # arrivals not yet in ``_heat``
+        self._now = -math.inf           # the last release observed
         self.pending_hops = [0] * len(self.groups)
         self.proposed = self.stale = 0
         self._scaler = autoscaler
-        policies = [p for p in (autoscaler, rebalancer, injector)
-                    if p is not None]
+        self.policies = tuple(p for p in (autoscaler, rebalancer, injector)
+                              if p is not None)
         # Scale decisions propose first: a same-instant rebalancer plan
         # they overtake is vetted against the resized fleet.  The
         # injector acts on its own schedule, not on released jobs.
-        self._observers = [p for p in policies if p is not injector]
-        for policy in policies:
+        self._observers = [p for p in self.policies if p is not injector]
+        for policy in self.policies:
             policy.start(self)
 
+    def _stations(self) -> list[ServerGroup]:
+        """Every group, moved to the last observed release."""
+        for g in self.groups:
+            g.advance(self._now)
+        return self.groups
+
     def busy(self) -> np.ndarray:
-        return np.array([g.busy_s for g in self.groups])
+        """Per-group busy seconds as of the last observed release."""
+        return np.array([g.busy_s for g in self._stations()])
+
+    def depth(self) -> np.ndarray:
+        """Per-group waiting jobs as of the last observed release."""
+        return np.array([g.queue_depth for g in self._stations()])
+
+    @property
+    def heat(self) -> np.ndarray:
+        """Incident edges per vertex over every job observed so far.
+
+        The jobs observed since the last read are counted here, with one
+        ``bincount`` per run of jobs that share edge columns (every job
+        of an engine run does).  Read it, do not write it.
+        """
+        if self._unread:
+            ids = []
+            for _, run in groupby(self._unread, key=lambda s: id(s.edges)):
+                jobs = list(run)
+                rows = np.concatenate([s.rows() for s in jobs])
+                ids += (jobs[0].edges.src[rows], jobs[0].edges.dst[rows])
+            self._unread.clear()
+            self._heat += np.bincount(np.concatenate(ids),
+                                      minlength=len(self._heat))
+        return self._heat
 
     def observe(self, t: float, sources) -> None:
         """Sample one released job, then let the policies react.
 
         ``sources`` is the job's arrivals (an
-        :class:`~repro.serving.batcher.ArrivalTrace` slice): heat needs
-        only their endpoint ids, read off the edge columns without
-        gathering the job's merged batch.
+        :class:`~repro.serving.batcher.ArrivalTrace` slice).  It is kept
+        until :attr:`heat` is read, which needs only their endpoint ids,
+        read off the edge columns without gathering the job's merged
+        batch.
         """
-        rows, edges = sources.rows(), sources.edges
-        np.add.at(self.heat, np.concatenate((edges.src[rows],
-                                             edges.dst[rows])), 1)
+        self._now = t
+        self._unread.append(sources)
         for policy in self._observers:
             policy.observe(t, sources)
 

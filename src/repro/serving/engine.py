@@ -84,6 +84,7 @@ from .events import (INGEST_MODES, BatcherActor, EventScheduler, LoopOrder,
 from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
+from .rebalance import OnlineRebalancer
 from .registry import DEFAULT_REGISTRY, BackendRegistry
 from .router import RoutePlan, ShardRouter
 
@@ -101,17 +102,25 @@ FIRST_PLAN_JOBS = 32
 
 def serves_in_one_pass(ingest: str, plane: ControlPlane | None,
                        measured: bool) -> bool:
-    """Whether a run is served as one pass: serial ingest, no control
-    plane and modeled (not ``measured``) stations.  Then nothing reacts
-    to a service end, every release is known before the loop starts, and
-    each station fixes a job's outcome when it admits it
-    (:meth:`ServerGroup.admit`); every other run takes the event loop,
-    which is the pass's oracle.  The two agree bit for bit when every
-    service takes a positive time.  A zero-second job frees its server
-    at once in the pass but only at its end event on the loop, so a job
-    admitted at the same instant can find that server busy there (see
-    ``test_events.py::TestAdmissionClosedForm``)."""
-    return ingest == "serial" and plane is None and not measured
+    """Whether a run is served as one pass: serial ingest, modeled (not
+    ``measured``) stations, and no control plane or one whose only
+    policy is an :class:`~repro.serving.rebalance.OnlineRebalancer`.
+    Then nothing reacts to a service end, every release is known before
+    the loop starts, and each station fixes a job's outcome when it
+    admits it (:meth:`ServerGroup.admit`).  The rebalancer reacts at
+    releases only, and reads each station as of the release
+    (:meth:`ServerGroup.advance`); the plans it proposes are the loop's
+    only other events.  An autoscaler keeps the event loop (it hangs on
+    ``on_serviced``), and so does a failure injector (a dead station
+    drops its waiting jobs, a slow one rescales service).  Every other
+    run takes the event loop, which is the pass's oracle; the two agree
+    bit for bit when every service takes a positive time.  A zero-second
+    job frees its server at once in the pass but only at its end event
+    on the loop, so a job admitted at the same instant can find that
+    server busy there (see ``test_events.py::TestAdmissionClosedForm``)."""
+    return ingest == "serial" and not measured and (
+        plane is None or all(isinstance(p, OnlineRebalancer)
+                             for p in plane.policies))
 
 
 @dataclass(frozen=True)
@@ -678,10 +687,11 @@ class ServingEngine:
         :class:`EventScheduler`); :class:`HeapEventScheduler` delivers
         every arrival (in a one-pass run, every release) as a cohort of
         one, which is the lane the scheduler-equivalence tests and the
-        serving bench compare with.  A serial run with no controller and
-        modeled stations is served as one pass (:func:`serves_in_one_pass`):
-        the loop delivers only its releases, and each station commits a
-        job when it admits it.
+        serving bench compare with.  A serial run with modeled stations
+        and no controller but the rebalancer is served as one pass
+        (:func:`serves_in_one_pass`): the loop delivers only its releases
+        and the rebalancer's plans, and each station commits a job when
+        it admits it.
 
         ``trace=True`` records the run's typed events as one
         :class:`~repro.serving.events.EventTrace` of columns (costs
@@ -767,11 +777,12 @@ class ServingEngine:
                 pool_shard=self._drift_shard)
         self.last_control = plane
 
-        # A run that nothing reacts in is served as one pass: the
-        # batcher's releases are one run on the loop, and each station
-        # commits a job when it admits it, so no arrival, deadline,
-        # service end or dispatch is an event.  A traced pass records
-        # those events' rows in the loop's order (LoopOrder).
+        # A run where nothing reacts to a service end is served as one
+        # pass: the batcher's releases are one run on the loop, and each
+        # station commits a job when it admits it, so no arrival,
+        # deadline, service end or dispatch is an event (a rebalancer's
+        # plans still are).  A traced pass records those events' rows in
+        # the loop's order (LoopOrder).
         one_pass = serves_in_one_pass(ingest, plane, self._measured)
         order = LoopOrder(sched.trace, arrivals, len(groups)) \
             if one_pass and sched.trace is not None else None
@@ -897,6 +908,8 @@ class ServingEngine:
         finally:
             if pool is not None:
                 pool.shutdown()
+        if order is not None:
+            order.until()       # after the plans of the last release
         # Exposed for the invariant tests: the run's EventTrace (None
         # unless trace=True — tracing costs memory).  The
         # scheduler itself is exposed for its counters (events_processed,

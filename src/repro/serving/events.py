@@ -36,16 +36,20 @@ delivers it alone with exact heap semantics.  Actors that have not opted
 in — the :class:`~repro.serving.control.ControlPlane` among them — use
 :meth:`EventScheduler.schedule` and keep per-event dispatch unchanged.
 
-A run in which nothing reacts — serial ingest, no control plane, modeled
-stations — needs no event but its releases.  Every release is known up
+A run in which nothing reacts to a service end — serial ingest, modeled
+stations, no controller but an online rebalancer — needs no event but
+its releases and the rebalancer's plans.  Every release is known up
 front (:meth:`~repro.serving.batcher.DynamicBatcher.releases`) and a
 FIFO station with nothing wired to its service ends fixes a job's
 outcome when it admits it (:meth:`ServerGroup.admit`), so the engine
 serves such a run as **one pass**: its releases are one run on the
-loop, which :class:`EventScheduler` delivers as one cohort, and no
-arrival, deadline, service end or dispatch is an event.  Every other
-run takes the per-event path, and that path is the pass's oracle: the
-engine tests require the same report bytes and the same traced events.
+loop, which :class:`EventScheduler` delivers as one cohort (cut after
+each release that proposed a plan, which fires before the next), and no
+arrival, deadline, service end or dispatch is an event.  A rebalancer
+reads each station's load as of the release (:meth:`ServerGroup.advance`).
+Every other run takes the per-event path, and that path is the pass's
+oracle: the engine tests require the same report bytes and the same
+traced events.
 They agree when every service takes a positive time; a zero-second job
 frees its server at once in the pass but only at its end event on the
 loop (see :func:`~repro.serving.engine.serves_in_one_pass`).
@@ -710,7 +714,7 @@ class EventScheduler:
         return _EventRun(ts, int(priority), base, payloads, handler)
 
     def schedule_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
-                     handler: Callable) -> None:
+                     handler: Callable) -> int:
         """Queue a pre-sorted bulk of events as one struct-of-array run.
 
         ``handler(t0, payloads, start, stop)`` is called with the cohort
@@ -718,9 +722,19 @@ class EventScheduler:
         ``[1, stop - start]``.  A run carries raw payloads, not typed
         events, so the loop records nothing for it: a handler that wants
         its elements in ``trace`` records the span it consumes
-        (:meth:`EventTrace.arrivals`).
+        (:meth:`EventTrace.arrivals`).  Returns the token of the run's
+        first element: element ``i`` is keyed ``(ts[i], priority, first
+        + i)``.
         """
-        self._runs.append(self._new_run(ts, priority, payloads, handler))
+        run = self._new_run(ts, priority, payloads, handler)
+        self._runs.append(run)
+        return run.base
+
+    def before(self, key: tuple) -> bool:
+        """Whether the heap's head fires before the event keyed ``key``,
+        a ``(t, priority, token)``: a cohort handler whose element
+        scheduled an event asks it before going on to the next one."""
+        return bool(self._heap) and self._heap[0][:3] < key
 
     def record(self, event) -> None:
         """Record a typed event that no heap entry carries (an applied
@@ -818,7 +832,7 @@ class HeapEventScheduler(EventScheduler):
     """
 
     def schedule_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
-                     handler: Callable) -> None:
+                     handler: Callable) -> int:
         run = self._new_run(ts, priority, payloads, handler)
 
         def deliver(i: int, _event) -> None:
@@ -828,6 +842,7 @@ class HeapEventScheduler(EventScheduler):
         for i, t in enumerate(run.ts.tolist()):
             heapq.heappush(self._heap, (t, run.priority, run.base + i, None,
                                         partial(deliver, i)))
+        return run.base
 
 
 # --------------------------------------------------------------------------- #
@@ -925,7 +940,11 @@ class ServerGroup:
     ``on_serviced``, failures, scaling) hang on.  :meth:`admit` is the
     one-pass run's, where none is wired: it commits the same row at
     admission, from the historical loop's closed form, and schedules
-    nothing.  A station takes its jobs one way for a whole run.
+    nothing.  A station takes its jobs one way for a whole run.  Its
+    load, :attr:`busy_s` and :attr:`queue_depth`, is live on the loop;
+    under :meth:`admit` it is read as of the instant :meth:`advance`
+    last moved the station to, which is what the loop holds live when a
+    release at that instant fires.
     """
 
     def __init__(self, gid: int, num_servers: int, service_fn: Callable,
@@ -947,8 +966,10 @@ class ServerGroup:
         # Idle servers as (freed_at, server_id); servers are born free at
         # t=0 like the historical loop's ``free`` heap.  Under ``admit``
         # every server stays in it, keyed by the instant its last
-        # committed job ends, and the commits from ``_ahead`` on are the
-        # ones that begin after the last admission (begins never fall).
+        # committed job ends.  The commits before ``_ahead`` have begun
+        # and their services are summed in ``_busy``; on the loop that is
+        # every commit, under ``admit`` the ones begun by the instant the
+        # station was last moved to (:meth:`advance`; begins never fall).
         self._idle: list[tuple[float, int]] = [(0.0, s)
                                                for s in range(num_servers)]
         self._ahead = 0
@@ -989,13 +1010,30 @@ class ServerGroup:
 
     @property
     def busy_s(self) -> float:
-        """Cumulative service seconds committed so far (live, mid-run)."""
+        """Service seconds of the jobs begun so far: on the loop, live
+        mid-run; under :meth:`admit`, of the commits begun by the instant
+        of the last :meth:`advance` (``begin <= t``: on the loop the ends
+        and dispatches at ``t`` fire before a release at ``t``).  Summed
+        in commit order either way, so the two read the same float."""
         return self._busy
 
     @property
     def queue_depth(self) -> int:
-        """Jobs currently waiting (in-service excluded), live, mid-run."""
-        return len(self._waiting)
+        """Jobs waiting (in-service excluded): on the loop, live mid-run;
+        under :meth:`admit`, the commits that begin after the instant of
+        the last :meth:`advance`."""
+        return len(self._waiting) + len(self._commits) - self._ahead
+
+    def advance(self, t: float) -> None:
+        """Move the station to instant ``t``: count the commits begun by
+        ``t`` in :attr:`busy_s` and take them out of :attr:`queue_depth`.
+        Only :meth:`admit` commits ahead of time, so on the loop every
+        commit has begun and this does nothing."""
+        commits, k, busy = self._commits, self._ahead, self._busy
+        while k < len(commits) and commits[k][1] <= t:
+            busy += commits[k][3]
+            k += 1
+        self._ahead, self._busy = k, busy
 
     def submit(self, t: float, payload) -> None:
         """Admit (or drop) a job arriving at the current event time."""
@@ -1046,13 +1084,11 @@ class ServerGroup:
         i = len(self._t_arrive)
         self._t_arrive.append(t)
         self._drop_mark.append(False)
-        commits = self._commits
-        while self._ahead < len(commits) and commits[self._ahead][1] <= t:
-            self._ahead += 1
         free_t, srv = self._idle[0]
         begin = max(free_t, t)
         if begin > t:
-            waiting = len(commits) - self._ahead
+            self.advance(t)
+            waiting = len(self._commits) - self._ahead
             if self._capacity is not None and waiting >= self._capacity:
                 self._drop_mark[i] = True
                 return
@@ -1083,12 +1119,13 @@ class ServerGroup:
             raise ValueError(f"a service time must be finite and "
                              f"non-negative and end at a finite instant, "
                              f"got {service} from t={begin}")
-        self._busy += service
         self._commits.append((i, begin, finish, service, srv))
         if self.on_serviced is not None:
             self.on_serviced(finish, finish - self._t_arrive[i])
         if not live:
-            return finish
+            return finish       # begun, and counted, by ``advance``
+        self._busy += service
+        self._ahead += 1
         trace = self._sched.trace
         if trace is not None:
             self._record_begin(trace, (begin, self.gid, srv, i))
@@ -1214,6 +1251,7 @@ class ServerGroup:
         the station lost, dropped after serving or committed twice raises
         here instead of skewing the counts.
         """
+        self.advance(math.inf)      # every commit counts in busy_s
         t_arrive = np.array(self._t_arrive, dtype=np.float64)
         n = len(t_arrive)
         rows = np.array(self._commits, dtype=np.float64).reshape(-1, 5)
@@ -1265,7 +1303,11 @@ class LoopOrder:
     commits from ``_begun[gid]`` on.  The pass calls :meth:`release` for
     each release, which records everything that precedes it and then the
     flush, :meth:`admit` for each job a station admits, and :meth:`until`
-    with no bound after the last release.
+    with no bound once the loop has run, since an ownership plan proposed
+    at the last release fires after it.  The :class:`MigrationEvent` row
+    the control plane records when a plan fires is already in the loop's
+    order: everything at or before its instant preceded the flush that
+    proposed it, and the arrivals at that instant follow ``_MIGRATE``.
     """
 
     def __init__(self, trace: EventTrace, arrivals: ArrivalTrace,
@@ -1376,6 +1418,7 @@ class BatcherActor:
         self._sink = sink
         self._fleet = tuple(fleet)
         self._trace: ArrivalTrace | None = None     # set by start()
+        self._first = 0         # token of the first release, one pass
         self._lo = 0            # first pending arrival
         self._admitted = 0      # one past the last pending arrival
 
@@ -1397,25 +1440,35 @@ class BatcherActor:
         return them.
 
         The one-pass path: no arrival and no deadline reaches the loop.
-        ``order`` records a traced run's events in the loop's order.
+        ``order`` records a traced run's events in the loop's order; what
+        the loop fires after the last release is the caller's to record
+        (``order.until()``) once the loop has run.
         """
         rel = self._batcher.releases(trace)
         columns = (rel.lo.tolist(), rel.hi.tolist(), rel.t.tolist(),
                    rel.cause.tolist(), rel.seen.tolist())
-        self._sched.schedule_run(rel.t, _FLUSH, columns[2], partial(
-            self._on_releases, columns, order))
+        self._first = self._sched.schedule_run(
+            rel.t, _FLUSH, columns[2],
+            partial(self._on_releases, columns, order))
         return rel
 
     def _on_releases(self, columns: tuple, order: LoopOrder | None,
                      _t: float, _payloads, start: int, stop: int) -> int:
+        """Release jobs ``[start, stop)``.  A release may make the sink
+        schedule an event (a control plane's ownership plan, at ``(t,
+        _MIGRATE)``) that the cut could not see and that must fire before
+        the next release, so the cohort ends at the first release after
+        which the scheduler's heap head comes first."""
         lo, hi, release, cause, seen = columns
+        pending = self._sched._heap     # where a scheduled event lands
         for j in range(start, stop):
             t = release[j]
             if order is not None:
                 order.release(t, seen[j], cause[j], hi[j] - lo[j])
             self._sink(t, lo[j], hi[j])
-        if order is not None and stop == len(release):
-            order.until()
+            if pending and j + 1 < stop and self._sched.before(
+                    (release[j + 1], _FLUSH, self._first + j + 1)):
+                return j + 1 - start
         return stop - start
 
     def _fleet_hungry(self) -> bool:

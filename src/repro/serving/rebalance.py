@@ -188,7 +188,7 @@ class OnlineRebalancer:
         live = plane.eligible()
         if live.sum() < 2:
             return 0        # a lone shard has nowhere to donate: no-op
-        depth = np.array([g.queue_depth for g in plane.groups])
+        depth = plane.depth()
         hot = (util > self.util_threshold) & live
         if not hot.any():
             return 0

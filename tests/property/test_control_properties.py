@@ -15,6 +15,12 @@ server-count vector ``[1] * (n - 1) + [k]``, and the ``topology`` names
 are spellings of it, so two spellings of one vector — under any memsync
 policy, ingest mode and controller subset — report the same run.
 
+A rebalancer-only serial run is served as one pass (its releases and
+the rebalancer's plans are the loop's only events); a third property
+holds that pass to the event loop it replaces and to the per-element
+scheduler, over the drifting workload and a copy of it on an integer
+grid, where services end exactly on release instants.
+
 ``REPRO_CHAOS_SEED`` (CI runs a small matrix) varies the workload, so the
 same strategies meet more than one failover geometry.
 """
@@ -23,11 +29,14 @@ import functools
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serving.engine as engine_module
 from repro.analysis.tracecheck import check_run
 from repro.datasets import drifting_hot_set_graph
+from repro.graph import TemporalGraph
 from repro.pipeline import LinearCostBackend
 from repro.serving import (MEMSYNC_POLICIES, AutoScaler, CapacityConfig,
                            DynamicBatcher, FailureEvent, FailurePlan,
@@ -36,6 +45,8 @@ from repro.serving import (MEMSYNC_POLICIES, AutoScaler, CapacityConfig,
                            RecoveryEvent, ReplicatedReadMostly, ScaleEvent,
                            ServingEngine, VertexHeat, make_stream_arrivals,
                            padded_hash_placement)
+from repro.serving.events import ServerGroup
+from tests.property.lane_agreement import check_lane_agreement
 
 settings.register_profile("repro", deadline=None, max_examples=30)
 settings.load_profile("repro")
@@ -246,3 +257,122 @@ class TestTopologyNamesSpellOneVector:
         assert first == second
         _, ts = workload()
         assert first["windows"] + first["dropped_windows"] == len(ts)
+
+
+# --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def grid_workload():
+    """The drifting workload with every instant on an integer grid: at a
+    window of 1 s, speedup 1 and 1 s per edge every release and every
+    service end is a multiple of half a second (two streams), so jobs
+    begin exactly on release instants."""
+    g, _ = workload()
+    return TemporalGraph(src=g.src, dst=g.dst, t=np.floor(g.t / 200.0),
+                         num_nodes=g.num_nodes)
+
+
+@st.composite
+def rebalancing(draw):
+    """A rebalancer-only serial run: overload mode on a sharded fleet or
+    drift mode on a hybrid one, a station capacity, passthrough or
+    batching ingest, a threshold, on either workload."""
+    return {"grid": draw(st.booleans()),
+            "hybrid": draw(st.booleans()),
+            "capacity": draw(st.sampled_from([None, 0, 2])),
+            "batched": draw(st.booleans()),
+            "threshold": draw(st.sampled_from([0.05, 0.3, 0.75]))}
+
+
+def rebalance_lane(rb, lane):
+    """One traced run of ``rb`` on ``lane``: ``"pass"`` (the default
+    scheduler, which serves it as one pass), ``"loop"`` (the event loop,
+    the predicate patched) or ``"heap"`` (the pass, every release its
+    own heap entry).  Returns the engine and its report, checked."""
+    if rb["grid"]:
+        g, run_kw = grid_workload(), dict(window_s=1.0, speedup=1.0)
+        per_edge_s, window_s = 1.0, 10.0
+    else:
+        g, run_kw = workload()[0], dict(window_s=WINDOW_S, speedup=SPEEDUP)
+        per_edge_s, window_s = 6e-3, 0.05
+    if rb["hybrid"]:
+        heat = VertexHeat.from_graph(g)
+        kwargs = dict(topology="hybrid", pool_servers=2,
+                      placement=HotColdHybrid(hot_top_k=8).place(heat, SLOTS))
+    else:
+        kwargs = dict(placement=padded_hash_placement(g.num_nodes, SLOTS,
+                                                      SLOTS))
+    engine = ServingEngine(
+        [LinearCostBackend(per_edge_s=per_edge_s) for _ in range(SLOTS)],
+        g.num_nodes, memsync="push",
+        batcher=DynamicBatcher(max_edges=24, max_delay_s=MAX_DELAY_S)
+        if rb["batched"] else None,
+        rebalancer=OnlineRebalancer(window_s=window_s,
+                                    util_threshold=rb["threshold"]),
+        **kwargs)
+    initial = engine.router.assignment.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        if lane == "loop":
+            patch.setattr(engine_module, "serves_in_one_pass",
+                          lambda *_: False)
+        report = engine.run(
+            g, num_streams=STREAMS, queue_capacity=rb["capacity"],
+            scheduler_cls=HeapEventScheduler if lane == "heap" else None,
+            trace=True, **run_kw)
+    assert check_run(engine=engine, report=report,
+                     initial_assignment=initial).ok
+    return engine, report
+
+
+def lane_mismatches(rb, lanes=None) -> list:
+    """Where the loop and the heap lane part from the pass (``lanes``:
+    the three runs of ``rb``, by lane, when already made)."""
+    lanes = lanes or {lane: rebalance_lane(rb, lane)
+                      for lane in ("pass", "loop", "heap")}
+    engine, report = lanes["pass"]
+    trace = engine.last_event_trace
+    events = [repr(e) for e in trace]
+    out = []
+    for lane in ("loop", "heap"):
+        other, other_report = lanes[lane]
+        if other_report.to_json() != report.to_json():
+            out.append(f"{lane}: report bytes")
+        if [repr(e) for e in other.last_event_trace] != events:
+            out.append(f"{lane}: traced events")
+        out += [f"{lane}: {f.check}"
+                for f in check_lane_agreement(other.last_event_trace, trace)]
+    return out
+
+
+class TestRebalancerOnlyPass:
+    @settings(max_examples=20)
+    @given(rebalancing())
+    def test_the_pass_is_the_event_loop(self, rb):
+        """Same report bytes, same traced events, clean replays and lane
+        agreement on the pass, the event loop and the per-element lane;
+        and the pass fires only the releases and the proposed plans."""
+        lanes = {lane: rebalance_lane(rb, lane)
+                 for lane in ("pass", "loop", "heap")}
+        assert lane_mismatches(rb, lanes) == []
+        engine = lanes["pass"][0]
+        sched, jobs = engine.last_scheduler, \
+            len(engine.last_event_trace.columns(FlushEvent)["t"])
+        assert sched.cohort_events == jobs
+        assert sched.events_processed == jobs + engine.last_control.proposed
+
+    def test_reading_load_before_the_release_breaks_it(self, monkeypatch):
+        """Mutation check: a station that counts only the commits begun
+        before a release (``begin < t``) misses the jobs the loop
+        dispatched at that instant, before the flush."""
+        rb = {"grid": True, "hybrid": False, "capacity": None,
+              "batched": False, "threshold": 0.3}
+        assert lane_mismatches(rb) == []
+
+        def advance(group, t):
+            commits, k = group._commits, group._ahead
+            while k < len(commits) and commits[k][1] < t:
+                group._busy += commits[k][3]
+                k += 1
+            group._ahead = k
+
+        monkeypatch.setattr(ServerGroup, "advance", advance)
+        assert lane_mismatches(rb) != []

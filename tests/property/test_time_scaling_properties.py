@@ -1,16 +1,18 @@
 """Metamorphic relation R1: the simulator does not know what a second is.
 
 Double every service time (a backend that returns twice
-``process_batch``), ``mail_hop_s`` and ``max_delay_s``, and halve
-``speedup``: every instant of the run doubles.  Scaling by two commutes
-with IEEE rounding, so the relation is exact, not approximate: every
-report field in seconds doubles bit for bit, rates halve, counts and
-ratios stay equal, and the traced events come in the same order with
-every ``t`` doubled.  No second implementation is needed; an
+``process_batch``), ``mail_hop_s``, ``max_delay_s`` and the rebalancer's
+``window_s``, and halve ``speedup``: every instant of the run doubles.
+Scaling by two commutes with IEEE rounding, so the relation is exact,
+not approximate: every report field in seconds doubles bit for bit,
+rates halve, counts and ratios stay equal, and the traced events come in
+the same order with every ``t`` doubled.  No second implementation is needed; an
 absolute-seconds constant hidden anywhere in a comparison breaks it.
 Held here on the serial configurations the engine serves as one pass,
 on the event loop that pass replaces (the predicate patched) and on
-pipelined ingest.
+pipelined ingest, and with an online rebalancer, on the pass and on the
+loop: in overload mode on the sharded fleet, in drift mode on a hybrid
+one.
 """
 
 import numpy as np
@@ -21,11 +23,13 @@ from hypothesis import strategies as st
 import repro.serving.engine as engine_module
 from repro.graph import TemporalGraph
 from repro.pipeline import LinearCostBackend
-from repro.serving import DynamicBatcher, ServingEngine
+from repro.serving import (DynamicBatcher, HotColdHybrid, OnlineRebalancer,
+                           ServingEngine, VertexHeat)
 from repro.serving.events import KINDS, ServerGroup
 from tests.property.test_ingest_properties import NUM_NODES, replays
 
-LANES = ("one pass", "event loop", "pipelined")
+LANES = ("one pass", "event loop", "pipelined", "rebalancer, one pass",
+         "rebalancer, event loop")
 HALVED = ("speedup", "throughput_eps")
 
 
@@ -44,17 +48,29 @@ def serve(replay, topology, cfg, capacity, lane, scale):
     """One traced run; ``scale`` 2 doubles the seconds it is given."""
     (graph, window, start, end), num_streams, speedup = replay
     cfg = {k: v * scale if k == "max_delay_s" else v for k, v in cfg.items()}
-    n = 1 if topology == "pool" else 3
+    rebalancing = lane.startswith("rebalancer")
+    if topology == "pool" and not rebalancing:
+        n, kwargs = 1, dict(topology="pool", pool_servers=2)
+    else:
+        n, kwargs = 3, dict(memsync="push", die_of=[0, 1, 1],
+                            mail_hop_s=1e-3 * scale)
+    if rebalancing:
+        kwargs["rebalancer"] = OnlineRebalancer(window_s=0.5 * scale,
+                                                util_threshold=0.05)
+        if topology == "pool":
+            # Drift mode: two dedicated shards beside a 2-server pool.
+            heat = VertexHeat.from_graph(graph, start=start, end=end)
+            kwargs.update(topology="hybrid", pool_servers=2,
+                          placement=HotColdHybrid(hot_top_k=2).place(heat,
+                                                                     n))
     backends = [LinearCostBackend(per_edge_s=0.05, overhead_s=0.01)
                 for _ in range(n)]
     if scale == 2:
         backends = [Doubled(b) for b in backends]
-    kwargs = dict(topology="pool", pool_servers=2) if topology == "pool" \
-        else dict(memsync="push", die_of=[0, 1, 1], mail_hop_s=1e-3 * scale)
     engine = ServingEngine(backends, NUM_NODES,
                            batcher=DynamicBatcher(**cfg), **kwargs)
     with pytest.MonkeyPatch.context() as patch:
-        if lane == "event loop":
+        if lane.endswith("event loop"):
             patch.setattr(engine_module, "serves_in_one_pass",
                           lambda *_: False)
         report = engine.run(graph, window, start=start, end=end,

@@ -9,6 +9,8 @@ policy's own suite and in ``tests/property/test_control_properties.py``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.temporal_graph import EdgeBatch
 from repro.serving import (ArrivalTrace, AutoScaler, CapacityConfig,
@@ -61,6 +63,51 @@ class TestWindow:
         assert not w.closes(0.0)
         groups[1].submit(0.0, "inside")
         assert w.util(2.0).tolist() == [0.0, 0.5, 0.0]
+
+
+class TestHeatOnRead:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_heat_read_equals_per_job_counting(self, data):
+        """The plane counts heat only when it is read; the counts equal
+        one ``np.add.at`` per observed job, whatever the jobs are: spans
+        of one trace in any order, repeated, overlapping or apart, empty
+        ones, jobs over edge columns of their own, and reads between
+        any two of them."""
+        num_nodes, m = 12, 30
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        edges = EdgeBatch(src=rng.integers(0, num_nodes, m),
+                          dst=rng.integers(0, num_nodes, m),
+                          t=np.zeros(m), eid=np.arange(m),
+                          edge_feat=np.zeros((m, 0)))
+        sizes = data.draw(st.lists(st.integers(0, 4), min_size=1,
+                                   max_size=8))
+        cum = np.concatenate(([0], np.cumsum(sizes)))
+        first = np.array([rng.integers(0, m - n + 1) for n in sizes])
+        trace = ArrivalTrace(edges, np.zeros(len(sizes)),
+                             np.zeros(len(sizes), dtype=np.int64), cum,
+                             first)
+        _, _, _, plane = fleet(num_nodes=num_nodes)
+        want = np.zeros(num_nodes, dtype=np.int64)
+        span = st.tuples(st.integers(0, len(sizes)),
+                         st.integers(0, len(sizes))).map(sorted)
+        own = st.lists(st.tuples(st.integers(0, num_nodes - 1),
+                                 st.integers(0, num_nodes - 1)),
+                       min_size=1, max_size=3)
+        steps = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("span"), span),
+            st.tuples(st.just("own"), own),
+            st.tuples(st.just("read"), st.none())), max_size=12))
+        for kind, arg in steps + [("read", None)]:
+            if kind == "read":
+                assert np.array_equal(plane.heat, want)
+                continue
+            sources = trace.span(*arg) if kind == "span" \
+                else job(*zip(*arg))
+            rows = sources.rows()
+            np.add.at(want, np.concatenate((sources.edges.src[rows],
+                                            sources.edges.dst[rows])), 1)
+            plane.observe(0.0, sources)
 
 
 class TestEligibility:

@@ -24,6 +24,7 @@ Three contracts pin the refactor:
 
 import heapq
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from repro.serving import (ArrivalEvent, BatcherActor, CoalescedJob,
                            ServiceBeginEvent, ServiceEndEvent, ServingEngine,
                            StreamArrival, SyncEvent, VertexHeat,
                            make_stream_arrivals)
-from repro.serving.events import ServerGroup, SimulationResult
+from repro.serving.events import _FLUSH, ServerGroup, SimulationResult
 from tests.property.arrival_oracle import from_arrivals
 from tests.property.queue_oracle import admit_queue, simulate_queue
 
@@ -288,6 +289,53 @@ class TestAdmissionClosedForm:
         assert group.finalize().server.tolist() == [0, -1]
         assert admit_queue(arr, lambda _p: service,
                            queue_capacity=0).server.tolist() == served
+
+    @pytest.mark.parametrize("servers", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [None, 0, 2])
+    def test_load_as_of_a_release_is_the_loops(self, servers, capacity):
+        """A pass station moved to each release instant
+        (``ServerGroup.advance``) reads the ``busy_s`` and
+        ``queue_depth`` the loop's station holds live when a release at
+        that instant fires: after the service ends and dispatches at it,
+        before the job it releases.  Grid instants make waiting jobs
+        begin exactly on release instants, which the bound ``begin <=
+        t`` counts as begun."""
+        rng = np.random.default_rng(servers * 10 + (capacity or 5) + 1)
+        on_a_release = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            arr = self.grid_trace(rng, n)
+            service = rng.integers(1, 4, size=n).astype(float)
+
+            def price(i):
+                return float(service[i])
+
+            sched = EventScheduler()
+            live = ServerGroup(0, servers, price, sched,
+                               queue_capacity=capacity)
+            want = []
+
+            def release(t, i, _event):
+                want.append((live.busy_s, live.queue_depth))
+                live.submit(t, i)
+
+            for t, i in arr:
+                sched.schedule(t, _FLUSH, None, partial(release, t, i))
+            sched.run()
+            station = ServerGroup(0, servers, price, EventScheduler(),
+                                  queue_capacity=capacity)
+            got = []
+            for t, i in arr:
+                station.advance(t)
+                got.append((station.busy_s, station.queue_depth))
+                station.admit(t, i)
+            assert got == want
+            # Jobs that began on the instant of a later release: one
+            # released just before it, or one that waited until then.
+            times = [t for t, _ in arr]
+            on_a_release += sum(begin in times[i + 1:]
+                                for i, begin, *_ in station._commits)
+        assert on_a_release > 0
 
     @pytest.mark.parametrize("hook", ["on_hungry", "on_serviced"])
     def test_a_wired_reaction_refuses_admission(self, hook):
