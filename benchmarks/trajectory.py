@@ -15,7 +15,9 @@ from the traced set — the exact counters of ``COUNTERS`` (scheduler
 events, ``split`` calls, ``process_batch`` calls and the simulated
 seconds they priced, ``run_stream`` calls, migrations and checked trace
 events, so a row shows that a run did the same control work and priced
-the same simulated time) and, for ``kernel_b200``, ``models.infer_calls``
+the same simulated time; ``kernel_b200``'s software backend measures its
+``process_batch`` seconds on the host, so its row leaves them out) and,
+for ``kernel_b200``, ``models.infer_calls``
 with the ``KERNEL_STAGES`` shares of its host seconds beside the paper's
 Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
 ``run.py`` worked them out, beside the ``src/repro`` code-line total
@@ -68,6 +70,9 @@ def measured_record(label: str | None) -> dict:
         # about this run.
         if (traced["git_sha"], traced["smoke"]) \
                 == (run["git_sha"], run["smoke"]):
+            # Host-measured compute, not simulated seconds: it moves run
+            # to run.
+            counters.get(KERNEL, {}).pop("pipeline.sim_service_s", None)
             for name, values in counters.items():
                 workloads.setdefault(name, {}).update(values)
             kernel = traced["workloads"].get(KERNEL, {})

@@ -11,10 +11,11 @@ attention on the FPGA.
 
 Performance
 -----------
-The event core is vectorized: :class:`EventScheduler` holds the bulk
-arrival trace as struct-of-array *runs* (contiguous numpy timestamp
-arrays + one consumption pointer) and delivers maximal safe prefixes as
-**cohorts** to opted-in actors, while dynamically created events (service
+The event core is vectorized: :class:`EventScheduler` holds the loop's
+bulk — the arrival trace, or a one-pass run's releases — as its one
+*run* (a contiguous numpy timestamp array + one consumption pointer)
+and delivers maximal safe prefixes of it as **cohorts** to the actor
+that scheduled it, while dynamically created events (service
 ends, dispatches, deadline flushes, migrations) ride a conventional
 ``(t, priority, seq)`` heap overlay.  Ordering is bit-identical to
 per-element delivery, :class:`HeapEventScheduler` (the same loop with
@@ -42,15 +43,15 @@ report subtracts its ``t`` column from the job finish times.  A
 :class:`StreamArrival` exists only where somebody indexes or iterates
 the trace (reading the arrival events of a traced run, tests).
 Routing is columnar per ownership epoch: under serial ingest the job
-boundaries follow from the trace alone (:meth:`DynamicBatcher.spans`,
+boundaries follow from the trace alone (:meth:`DynamicBatcher.releases`,
 once per run), so the engine routes many jobs in one
 :meth:`ShardRouter.plan` — one incidence, one ``(job, shard)`` sort, one
 closed-form memsync pass (:meth:`VersionedMemoryCache.steps`) — and
 hands them out one at a time: every job of the run when no controller
 can move ownership, else doubling chunks of them, re-planned after an
 ownership move bumps :attr:`ShardRouter.generation`; under pipelined
-ingest each released job is a one-job plan, which is what
-:meth:`ShardRouter.split` is.
+ingest each released job is a one-job plan of the same trace rows,
+which is what :meth:`ShardRouter.split` is.
 Modeled backends (``u200``/``zcu104``, ``cpu-32t``/``gpu``) price a batch
 from its shape; they do not execute its kernels.
 

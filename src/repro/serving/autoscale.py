@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlPlane, Window
+from .control import ControlPlane, Window, check_cooldown
 from .events import _MIGRATE, MigrationEvent, ScaleEvent
 from .memsync import HANDOFF_ROWS_PER_VERTEX
 
@@ -131,9 +131,9 @@ class AutoScaler:
         below ``low_band_frac * slo_p95_s`` scales down.  The gap
         between the edges is the hysteresis dead band.
     cooldown_windows:
-        After any scale decision, this many windows must close before
-        the next decision — capacity changes need a window of settled
-        measurements before they can be judged.
+        After any scale decision, this many windows (a non-negative
+        integer) must close before the next decision — capacity changes
+        need a window of settled measurements before they can be judged.
     """
 
     def __init__(self, capacity: CapacityConfig, slo_p95_s: float,
@@ -150,13 +150,11 @@ class AutoScaler:
             raise ValueError("scale_window_s must be positive and finite")
         if not 0.0 <= low_band_frac < 1.0:
             raise ValueError("low_band_frac must be in [0, 1)")
-        if cooldown_windows < 0:
-            raise ValueError("cooldown_windows must be non-negative")
         self.capacity = capacity
         self.slo_p95_s = float(slo_p95_s)
         self.scale_window_s = float(scale_window_s)
         self.low_band_frac = float(low_band_frac)
-        self.cooldown_windows = int(cooldown_windows)
+        self.cooldown_windows = check_cooldown(cooldown_windows)
 
     # ------------------------------------------------------------------ #
     def start(self, plane: ControlPlane) -> None:

@@ -51,6 +51,7 @@ sync traffic inflates the service time of the job carrying it.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import groupby
 from typing import Sequence
 
@@ -61,6 +62,15 @@ from .events import (_MIGRATE, FailureEvent, FailurePlan, MigrationEvent,
 from .memsync import HANDOFF_ROWS_PER_VERTEX, fail_over, hand_off
 
 __all__ = ["ControlPlane", "Window", "FailureInjector"]
+
+
+def check_cooldown(cooldown_windows) -> int:
+    """A policy's cooldown as the count of whole windows it is: 1.5
+    would be silently cut to 1, and NaN or inf counts nothing."""
+    if not (isinstance(cooldown_windows, numbers.Integral)
+            and cooldown_windows >= 0):
+        raise ValueError("cooldown_windows must be a non-negative integer")
+    return int(cooldown_windows)
 
 
 class Window:

@@ -661,56 +661,6 @@ class ServingEngine:
         table[:, 5] = plan.lag
         return table, (mail_hops + sync_hops).tolist()
 
-    def run(self, graph: TemporalGraph, window_s: float, start: int = 0,
-            end: int | None = None, speedup: float = 1.0,
-            num_streams: int = 1,
-            queue_capacity: int | None = None,
-            ingest: str = "serial",
-            scheduler_cls: type | None = None,
-            trace: bool = False) -> ServingReport:
-        """Replay the multi-stream arrival process through the topology.
-
-        ``ingest="serial"`` serializes batching in front of service (the
-        byte-stable historical behavior); ``"pipelined"`` double-buffers
-        the ingest tier so the batching delay overlaps in-flight compute.
-
-        Backends are stateful (engine protocol: functional vertex state may
-        advance per batch), so a second ``run`` on the same engine continues
-        from the first run's warm state — deliberate for warm-deployment
-        studies, but for independent, comparable replays build a fresh
-        engine (``from_registry`` constructs fresh backends each call).
-        The same applies to online rebalancing: migrations mutate the live
-        placement, so a second run starts from the drifted partition (the
-        rebalancer's own counters do reset per run).
-
-        ``scheduler_cls`` is the event loop to build (default
-        :class:`EventScheduler`); :class:`HeapEventScheduler` delivers
-        every arrival (in a one-pass run, every release) as a cohort of
-        one, which is the lane the scheduler-equivalence tests and the
-        serving bench compare with.  A serial run with modeled stations
-        and no controller but the rebalancer is served as one pass
-        (:func:`serves_in_one_pass`): the loop delivers only its releases
-        and the rebalancer's plans, and each station commits a job when
-        it admits it.
-
-        ``trace=True`` records the run's typed events as one
-        :class:`~repro.serving.events.EventTrace` of columns (costs
-        memory) and exposes it as ``last_event_trace`` — the arrays
-        :mod:`repro.analysis.tracecheck` reads, and a sequence of the
-        typed events for the invariant suites.  It observes the run and
-        takes no other path through it: the report and the scheduler's
-        counters are those of the untraced run.
-        """
-        if ingest not in INGEST_MODES:
-            raise ValueError(f"ingest must be one of {INGEST_MODES}")
-        arrivals = make_stream_arrivals(graph, window_s,
-                                        num_streams=num_streams, start=start,
-                                        end=end, speedup=speedup)
-        return self._run_loop(arrivals, window_s, speedup, num_streams,
-                              queue_capacity, ingest, trace=trace,
-                              scheduler_cls=scheduler_cls)
-
-    # ------------------------------------------------------------------ #
     def _make_groups(self, sched: EventScheduler,
                      queue_capacity: int | None,
                      pool: WorkerPool | None = None) -> list[ServerGroup]:
@@ -739,12 +689,63 @@ class ServingEngine:
                                       queue_capacity=queue_capacity))
         return groups
 
-    def _run_loop(self, arrivals: ArrivalTrace, window_s: float,
-                  speedup: float, num_streams: int,
-                  queue_capacity: int | None, ingest: str,
-                  trace: bool = False,
-                  scheduler_cls: type | None = None) -> ServingReport:
+    def run(self, graph: TemporalGraph, window_s: float, start: int = 0,
+            end: int | None = None, speedup: float = 1.0,
+            num_streams: int = 1,
+            queue_capacity: int | None = None,
+            ingest: str = "serial",
+            scheduler_cls: type | None = None,
+            trace: bool = False) -> ServingReport:
+        """Replay the multi-stream arrival process through the topology.
+
+        ``ingest="serial"`` serializes batching in front of service (the
+        byte-stable historical behavior); ``"pipelined"`` double-buffers
+        the ingest tier so the batching delay overlaps in-flight compute.
+
+        Backends are stateful (engine protocol: functional vertex state may
+        advance per batch), so a second ``run`` on the same engine continues
+        from the first run's warm state — deliberate for warm-deployment
+        studies, but for independent, comparable replays build a fresh
+        engine (``from_registry`` constructs fresh backends each call).
+        The same applies to online rebalancing: migrations mutate the live
+        placement, so a second run starts from the drifted partition (the
+        rebalancer's own counters do reset per run).
+
+        The arrival process (:func:`make_stream_arrivals`) is the
+        loop's input.  Under serial ingest its releases follow from it
+        alone, so they are computed once, up front
+        (:meth:`~repro.serving.batcher.DynamicBatcher.releases`), and the
+        router plans their jobs before they are released: every job at
+        once without a controller, else doubling chunks per ownership
+        epoch; under pipelined ingest each released job is a one-job
+        plan.  A serial run with modeled stations and no controller but
+        the rebalancer is served as one pass (:func:`serves_in_one_pass`):
+        the releases are the loop's run, the loop delivers only them and
+        the rebalancer's plans, and each station commits a job when it
+        admits it.  Every other run puts the arrival trace on the loop as
+        its run, and the online batcher releases the same jobs.
+
+        ``scheduler_cls`` is the event loop to build (default
+        :class:`EventScheduler`); :class:`HeapEventScheduler` delivers
+        every element of the run (each arrival, or in a one-pass run each
+        release) as a cohort of one, which is the lane the
+        scheduler-equivalence tests and the serving bench compare with.
+
+        ``trace=True`` records the run's typed events as one
+        :class:`~repro.serving.events.EventTrace` of columns (costs
+        memory) and exposes it as ``last_event_trace`` — the arrays
+        :mod:`repro.analysis.tracecheck` reads, and a sequence of the
+        typed events for the invariant suites.  It observes the run and
+        takes no other path through it: the report and the scheduler's
+        counters are those of the untraced run.
+        """
+        if ingest not in INGEST_MODES:
+            raise ValueError(f"ingest must be one of {INGEST_MODES}")
+        arrivals = make_stream_arrivals(graph, window_s,
+                                        num_streams=num_streams, start=start,
+                                        end=end, speedup=speedup)
         sched = (scheduler_cls or EventScheduler)(trace=trace)
+        rel = self.batcher.releases(arrivals) if ingest == "serial" else None
         pool = WorkerPool(self.workers) if self._measured else None
         groups = self._make_groups(sched, queue_capacity, pool)
         cache = VersionedMemoryCache(self.router.placement,
@@ -778,7 +779,7 @@ class ServingEngine:
         self.last_control = plane
 
         # A run where nothing reacts to a service end is served as one
-        # pass: the batcher's releases are one run on the loop, and each
+        # pass: the batcher's releases are the loop's run, and each
         # station commits a job when it admits it, so no arrival,
         # deadline, service end or dispatch is an event (a rebalancer's
         # plans still are).  A traced pass records those events' rows in
@@ -797,8 +798,7 @@ class ServingEngine:
         # The routing plan of the current ownership epoch, with the
         # arrival spans of its jobs, the die hops of its runs and the
         # table row of its first run.  Under serial ingest the batcher's
-        # releases are known in advance: the run's job spans are computed
-        # once (by the pass, when there is one), and a plan covers the
+        # releases are known in advance (``rel``), and a plan covers the
         # next ``chunk`` of them.  Without a
         # controller ownership never moves, so that is every job left;
         # with one, any move spends the plan, so an epoch's first plan
@@ -806,7 +806,7 @@ class ServingEngine:
         # Pipelined releases depend on the fleet, so a plan covers the
         # released job alone.
         router = self.router
-        plan = spans = die_hops = run_spans = None
+        plan = spans = die_hops = None
         chunk = 0               # jobs the next plan of this epoch covers
         base = 0                # table rows before this plan's
 
@@ -814,7 +814,7 @@ class ServingEngine:
             """The runs of the job of arrivals ``[lo, hi)`` off the
             current plan, re-planning first when it is spent or the
             ownership table moved."""
-            nonlocal plan, spans, die_hops, run_spans, chunk, base
+            nonlocal plan, spans, die_hops, chunk, base
             if plan is None or plan.position == plan.num_jobs \
                     or plan.generation != router.generation:
                 if plan is not None:
@@ -823,27 +823,22 @@ class ServingEngine:
                     if used < len(tables[-1]):
                         tables[-1] = tables[-1][:used].copy()
                     base += used
-                if ingest == "serial":
-                    if run_spans is None:
-                        run_spans = self.batcher.spans(arrivals)
-                    starts, ends = run_spans
-                    first = int(np.searchsorted(starts, lo))
+                if rel is None:
+                    starts, ends = np.array([lo]), np.array([hi])
+                else:
+                    first = int(np.searchsorted(rel.lo, lo))
                     if plane is None:
-                        chunk = len(starts)
+                        chunk = len(rel.lo)
                     elif plan is None or plan.generation != router.generation:
                         chunk = FIRST_PLAN_JOBS
                     else:
                         chunk *= 2
-                    stop = min(first + chunk, len(starts))
-                    starts, ends = starts[first:stop], ends[first:stop]
-                    rows, job_edges = arrivals.job_rows(starts, ends)
-                    plan = router.plan(arrivals.edges, job_edges, rows,
-                                       cache=cache)
-                    spans = list(zip(starts.tolist(), ends.tolist()))
-                else:
-                    batch = arrivals.span(lo, hi).merged()
-                    plan = router.plan(batch, [0, len(batch)], cache=cache)
-                    spans = [(lo, hi)]
+                    starts = rel.lo[first:first + chunk]
+                    ends = rel.hi[first:first + chunk]
+                rows, job_edges = arrivals.job_rows(starts, ends)
+                plan = router.plan(arrivals.edges, job_edges, rows,
+                                   cache=cache)
+                spans = list(zip(starts.tolist(), ends.tolist()))
                 table, die_hops = self._traffic(plan)
                 tables.append(table)
             j = plan.position
@@ -892,8 +887,7 @@ class ServingEngine:
             for g in groups:
                 g.on_hungry = batcher.on_hungry
         if one_pass:
-            rel = batcher.start_releases(arrivals, order)
-            run_spans = rel.lo, rel.hi
+            batcher.start_releases(rel, order)
         else:
             batcher.start(arrivals)
         try:
@@ -993,7 +987,7 @@ class ServingEngine:
 
         ``offers[s]`` is station ``s``'s traffic row per offer, in the
         offer order ``shard_results[s]``'s columns follow, into the
-        stacked ``tables`` (laid out in :meth:`_run_loop`), so the fold
+        stacked ``tables`` (laid out in :meth:`run`), so the fold
         is array operations per station, none per sub-job.
         """
         rebal, chaos, auto = \

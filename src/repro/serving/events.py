@@ -9,31 +9,31 @@ mailbox, and memory-sync traffic all advance on **one clock**, so stages
 can overlap instead of being modeled as independent batch simulations
 that cannot interact mid-run.
 
-Scheduler design (struct-of-array runs + cohort dispatch)
----------------------------------------------------------
-The loop spends most of its time delivering *arrivals* — a replay with S
-streams and W windows schedules ``S x W`` of them up front — so
-:class:`EventScheduler` stores that bulk as **struct-of-array event
-runs**: one contiguous, pre-sorted numpy timestamp array per
-:meth:`EventScheduler.schedule_run` call, with the priority, the token
-range, and the payload index held as parallel (mostly implicit) columns
-and a single consumption pointer instead of one heap entry per event.
-Dynamically created events (service ends, dispatches, deadline flushes,
-migrations) still live on a conventional ``(t, priority, seq)`` heap; the
-loop always fires whichever source holds the globally smallest key, so
-the documented equal-timestamp priority order and schedule-order
-tie-breaking are preserved exactly.
+Scheduler design (one run + cohort dispatch)
+--------------------------------------------
+The loop spends most of its time delivering its bulk — the arrivals of
+a replay with S streams and W windows, ``S x W`` of them known up front,
+or in a one-pass run its releases — so :class:`EventScheduler` holds
+that bulk as **one run**: a contiguous, pre-sorted numpy timestamp
+array from the loop's one :meth:`EventScheduler.schedule_run` call,
+with one priority, a token range and a single consumption pointer
+instead of one heap entry per event.  Dynamically created events
+(service ends, dispatches, deadline flushes, migrations) live on a
+conventional ``(t, priority, seq)`` heap; the loop always fires
+whichever of the two holds the smaller key, so the documented
+equal-timestamp priority order and schedule-order tie-breaking are
+preserved exactly.
 
-When a run holds the smallest key, the scheduler delivers a **cohort**:
+When the run holds the smaller key, the scheduler delivers a **cohort**:
 the maximal prefix of the run whose every ``(t, priority, seq)`` key
-precedes the dynamic heap head (and every other run head).  The cohort
-handler — an actor that opted in, like :class:`BatcherActor` — consumes
-as many of those events as it can prove need no interleaving (pure
-buffering), and *returns the consumed count*: any event whose admission
-could trigger a same-instant reaction (a passthrough deadline, a size
-flush, a drain flush) is left unconsumed, and the next loop iteration
-delivers it alone with exact heap semantics.  Actors that have not opted
-in — the :class:`~repro.serving.control.ControlPlane` among them — use
+precedes the dynamic heap head.  The cohort handler — an actor that
+opted in, like :class:`BatcherActor` — consumes as many of those events
+as it can prove need no interleaving (pure buffering), and *returns the
+consumed count*: any event whose admission could trigger a same-instant
+reaction (a passthrough deadline, a size flush, a drain flush) is left
+unconsumed, and the next loop iteration delivers it alone with exact
+heap semantics.  Actors that have not opted in — the
+:class:`~repro.serving.control.ControlPlane` among them — use
 :meth:`EventScheduler.schedule` and keep per-event dispatch unchanged.
 
 A run in which nothing reacts to a service end — serial ingest, modeled
@@ -42,8 +42,8 @@ its releases and the rebalancer's plans.  Every release is known up
 front (:meth:`~repro.serving.batcher.DynamicBatcher.releases`) and a
 FIFO station with nothing wired to its service ends fixes a job's
 outcome when it admits it (:meth:`ServerGroup.admit`), so the engine
-serves such a run as **one pass**: its releases are one run on the
-loop, which :class:`EventScheduler` delivers as one cohort (cut after
+serves such a run as **one pass**: its releases are the loop's run,
+which :class:`EventScheduler` delivers as one cohort (cut after
 each release that proposed a plan, which fires before the next), and no
 arrival, deadline, service end or dispatch is an event.  A rebalancer
 reads each station's load as of the release (:meth:`ServerGroup.advance`).
@@ -66,18 +66,18 @@ its fields as recorded, and where the run already keeps the row — an
 arrival in the :class:`ArrivalTrace`, a sub-job's traffic in its
 :class:`~repro.serving.router.RoutePlan` — the trace points at it.
 :class:`HeapEventScheduler` is the same loop with every cohort cut to
-one — its single override expands a run into one heap entry per element
-— which makes it the reference the cohort optimisation is held to: the
-scheduler-equivalence property tests require bit-identical outcomes and
-traces between the two, and the serving bench uses it as the "before"
-lane.  (The verbatim historical queue loop lives on, independently, as
+one — its single override expands the run into one heap entry per
+element — which makes it the reference the cohort optimisation is held
+to: the scheduler-equivalence property tests require bit-identical
+outcomes and traces between the two, and the serving bench uses it as
+the "before" lane.  (The verbatim historical queue loop lives on, independently, as
 the reference oracle in ``tests/unit/test_events.py``.)
 
 Nothing is ever cancelled.  An event that may have gone stale by the
 time it fires vets itself instead, as an ownership plan does (below): a
 batcher deadline is bound to the start of the buffer it guards, and once
 that buffer has flushed by size or drain the deadline does nothing.  So
-the loop needs no liveness check per pop, and a run stays one
+the loop needs no liveness check per pop, and the run stays one
 consumption pointer over a contiguous block.
 
 Event types
@@ -185,7 +185,7 @@ Actors
 :class:`BatcherActor`
     :class:`~repro.serving.batcher.DynamicBatcher` run *online*: the same
     size/deadline triggers (in a one-pass run, its releases computed up
-    front and scheduled as one run), plus — under
+    front and scheduled as the loop's run), plus — under
     ``ingest="pipelined"`` — a double-buffered drain trigger: while the
     fleet serves window *n* the buffer accumulates window *n+1* for
     free, and the moment the fleet goes hungry (an idle server with
@@ -631,49 +631,48 @@ class EventTrace(Sequence):
 
 # --------------------------------------------------------------------------- #
 class _EventRun:
-    """Struct-of-array storage for one :meth:`EventScheduler.schedule_run`.
+    """The loop's run, from :meth:`EventScheduler.schedule_run`.
 
-    Parallel columns of the run's events: ``ts`` holds the sorted
-    timestamps; the priority is constant across the run; the token of
-    element ``i`` is ``base + i`` (drawn from the scheduler's global seq
-    counter, so heap keys and run keys interleave deterministically); the
-    payload index equals the element position.  ``pos`` is the consumption
-    pointer — everything before it has fired.
+    ``ts`` holds the sorted timestamps; the priority is constant across
+    the run; the token of element ``i`` is ``base + i`` (drawn from the
+    scheduler's global seq counter, so heap keys and run keys interleave
+    deterministically).  ``pos`` is the consumption pointer — everything
+    before it has fired.
     """
 
-    __slots__ = ("ts", "priority", "base", "payloads", "handler", "pos", "n")
+    __slots__ = ("ts", "priority", "base", "handler", "pos", "n")
 
     def __init__(self, ts: np.ndarray, priority: int, base: int,
-                 payloads: Sequence, handler: Callable):
+                 handler: Callable):
         self.ts = ts
         self.priority = priority
         self.base = base
-        self.payloads = payloads
         self.handler = handler
         self.pos = 0
         self.n = len(ts)
 
 
 class EventScheduler:
-    """Vectorized event loop: struct-of-array runs + a dynamic heap overlay.
+    """Vectorized event loop: one run + a dynamic heap overlay.
 
-    Bulk, pre-sorted event sequences (the arrival trace) are stored as
-    :class:`_EventRun` blocks via :meth:`schedule_run`; dynamically created
-    events use :meth:`schedule` and live on a ``(t, priority, seq)`` heap.
-    Both sources draw tokens from one global ``seq`` counter — seq is the
-    schedule order, so equal ``(t, priority)`` events fire in the order
-    they were scheduled — and every key is unique, so the loop can always
-    decide which source fires next by comparing ``(t, priority, seq)``.
-    It asserts global timestamp monotonicity: an event firing before
-    ``now`` is a scheduler bug, not a recoverable condition.
+    The loop's pre-sorted bulk (the arrival trace, or a one-pass run's
+    releases) is its one :class:`_EventRun`, from :meth:`schedule_run`;
+    dynamically created events use :meth:`schedule` and live on a ``(t,
+    priority, seq)`` heap.  Both draw tokens from one global ``seq``
+    counter — seq is the schedule order, so equal ``(t, priority)``
+    events fire in the order they were scheduled — and every key is
+    unique, so the loop can always decide which fires next by comparing
+    ``(t, priority, seq)``.  It asserts global timestamp monotonicity:
+    an event firing before ``now`` is a scheduler bug, not a recoverable
+    condition.
 
-    When a run holds the globally smallest key, its handler is offered the
+    When the run holds the smaller key, its handler is offered the
     maximal *cohort*: the prefix of unconsumed elements whose every key
-    precedes the heap head and every other run head.  The handler returns
-    how many it consumed (at least the head element, which is trivially
-    heap-equivalent); elements whose admission could schedule an event
-    that lands inside the offered prefix must be left unconsumed.  Firing
-    order is therefore bit-identical to per-element delivery
+    precedes the heap head.  The handler returns how many it consumed
+    (at least the head element, which is trivially heap-equivalent);
+    elements whose admission could schedule an event that lands inside
+    the offered prefix must be left unconsumed.  Firing order is
+    therefore bit-identical to per-element delivery
     (:class:`HeapEventScheduler`) — the cohort is an optimization of
     *delivery*, not of ordering — which the equivalence property tests
     assert directly.
@@ -681,7 +680,7 @@ class EventScheduler:
 
     def __init__(self, trace: bool = False):
         self._heap: list = []
-        self._runs: list[_EventRun] = []
+        self._run: _EventRun | None = None
         self._seq = 0
         self.now = -math.inf
         self.events_processed = 0
@@ -698,12 +697,10 @@ class EventScheduler:
         heapq.heappush(self._heap, (t, priority, self._seq, event, handler))
         self._seq += 1
 
-    def _new_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
+    def _new_run(self, ts: np.ndarray, priority: int,
                  handler: Callable) -> _EventRun:
         """Validate a run and allot its tokens."""
         ts = np.ascontiguousarray(ts, dtype=np.float64)
-        if len(ts) != len(payloads):
-            raise ValueError("schedule_run needs one payload per timestamp")
         if not np.all(ts[1:] >= ts[:-1]):       # NaN-proof, as in schedule
             raise ValueError("run timestamps must be sorted")
         if len(ts) and not ts[0] >= self.now:
@@ -711,24 +708,26 @@ class EventScheduler:
                 f"cannot schedule an event at t={ts[0]} before now={self.now}")
         base = self._seq
         self._seq += len(ts)
-        return _EventRun(ts, int(priority), base, payloads, handler)
+        return _EventRun(ts, int(priority), base, handler)
 
-    def schedule_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
+    def schedule_run(self, ts: np.ndarray, priority: int,
                      handler: Callable) -> int:
-        """Queue a pre-sorted bulk of events as one struct-of-array run.
+        """Queue the loop's pre-sorted bulk of events as its one run.
 
-        ``handler(t0, payloads, start, stop)`` is called with the cohort
-        bounds and must return the number of elements consumed, in
-        ``[1, stop - start]``.  A run carries raw payloads, not typed
-        events, so the loop records nothing for it: a handler that wants
-        its elements in ``trace`` records the span it consumes
-        (:meth:`EventTrace.arrivals`).  Returns the token of the run's
-        first element: element ``i`` is keyed ``(ts[i], priority, first
-        + i)``.
+        ``handler(t0, start, stop)`` is called with the cohort bounds
+        (elements ``[start, stop)``, the first at ``t0``) and must return
+        the number of elements consumed, in ``[1, stop - start]``.  The
+        run holds no typed events, so the loop records nothing for it: a
+        handler that wants its elements in ``trace`` records the span it
+        consumes (:meth:`EventTrace.arrivals`).  Returns the token of the
+        run's first element: element ``i`` is keyed ``(ts[i], priority,
+        first + i)``.  A loop holds one run; a second raises
+        ``RuntimeError``.
         """
-        run = self._new_run(ts, priority, payloads, handler)
-        self._runs.append(run)
-        return run.base
+        if self._run is not None:
+            raise RuntimeError("the event loop already holds a run")
+        self._run = self._new_run(ts, priority, handler)
+        return self._run.base
 
     def before(self, key: tuple) -> bool:
         """Whether the heap's head fires before the event keyed ``key``,
@@ -757,17 +756,15 @@ class EventScheduler:
 
     def run(self) -> None:
         heap = self._heap
-        runs = self._runs
         trace = self.trace
         while True:
-            best: _EventRun | None = None
-            best_key: tuple = ()
-            for r in runs:
-                if r.pos < r.n:
-                    key = (r.ts[r.pos], r.priority, r.base + r.pos)
-                    if best is None or key < best_key:
-                        best, best_key = r, key
-            if heap and (best is None or heap[0][:3] < best_key):
+            run = self._run
+            if run is not None and run.pos < run.n:
+                pos = run.pos
+                key = (run.ts[pos], run.priority, run.base + pos)
+            else:
+                run = None
+            if heap and (run is None or heap[0][:3] < key):
                 t, _prio, _seq, event, handler = heapq.heappop(heap)
                 if t < self.now:
                     raise RuntimeError(
@@ -779,40 +776,33 @@ class EventScheduler:
                     trace.add(event)
                 handler(event)
                 continue
-            if best is None:
+            if run is None:
                 return      # drained: the heap is empty too
-            pos = best.pos
-            t0 = float(best.ts[pos])
+            t0 = float(run.ts[pos])
             if t0 < self.now:
                 raise RuntimeError(
                     f"event fired out of timestamp order: t={t0} < "
                     f"now={self.now}")
-            # The head element was chosen as the global minimum, so
-            # delivering it alone is always valid even when the cut lands
-            # at or before ``pos`` (equal-key ties are impossible: seq
-            # values are globally unique).  When the run's next element
-            # already trails the heap head the cut is exactly that one
-            # element, and no search is needed.
+            # The head element precedes the heap head, so delivering it
+            # alone is always valid even when the cut lands at or before
+            # ``pos`` (equal-key ties are impossible: seq values are
+            # globally unique).  When the run's next element already
+            # trails the heap head the cut is exactly that one element,
+            # and no search is needed.
             stop = pos + 1
-            if stop < best.n and not (heap and (
-                    best.ts[stop], best.priority, best.base + stop)
+            if stop < run.n and not (heap and (
+                    run.ts[stop], run.priority, run.base + stop)
                     > heap[0][:3]):
-                stop = best.n
+                stop = run.n
                 if heap:
-                    stop = min(stop, self._run_cut(best, heap[0][:3]))
-                for other in runs:
-                    if other is not best and other.pos < other.n:
-                        stop = min(stop, self._run_cut(
-                            best, (other.ts[other.pos], other.priority,
-                                   other.base + other.pos)))
-                stop = max(stop, pos + 1)
-            consumed = int(best.handler(t0, best.payloads, pos, stop))
+                    stop = max(self._run_cut(run, heap[0][:3]), pos + 1)
+            consumed = int(run.handler(t0, pos, stop))
             if not 1 <= consumed <= stop - pos:
                 raise RuntimeError(
                     f"cohort handler consumed {consumed} of "
                     f"[1, {stop - pos}] offered events")
-            best.pos = pos + consumed
-            self.now = float(best.ts[best.pos - 1])
+            run.pos = pos + consumed
+            self.now = float(run.ts[run.pos - 1])
             self.events_processed += consumed
             self.cohort_calls += 1
             self.cohort_events += consumed
@@ -821,22 +811,22 @@ class EventScheduler:
 class HeapEventScheduler(EventScheduler):
     """:class:`EventScheduler` with every cohort cut to one.
 
-    A run is expanded into one heap entry per element, under the tokens
-    the run would have held, and each is offered to the run's handler as
-    a cohort of one.  This is the reference the cohort optimisation is
-    held to: the merge of runs against the heap, :meth:`_run_cut` and a
-    handler's bulk admission all lie on the other side of the comparison,
-    so the equivalence property tests replay one workload through both
-    and require bit-identical outcomes, and the serving bench uses this
-    class as its "before" lane.
+    The run is expanded into one heap entry per element, under the tokens
+    it would have held, and each is offered to the run's handler as a
+    cohort of one.  This is the reference the cohort optimisation is
+    held to: the merge of the run against the heap, :meth:`_run_cut` and
+    a handler's bulk admission all lie on the other side of the
+    comparison, so the equivalence property tests replay one workload
+    through both and require bit-identical outcomes, and the serving
+    bench uses this class as its "before" lane.
     """
 
-    def schedule_run(self, ts: np.ndarray, priority: int, payloads: Sequence,
+    def schedule_run(self, ts: np.ndarray, priority: int,
                      handler: Callable) -> int:
-        run = self._new_run(ts, priority, payloads, handler)
+        run = self._new_run(ts, priority, handler)
 
         def deliver(i: int, _event) -> None:
-            if handler(self.now, payloads, i, i + 1) != 1:
+            if handler(self.now, i, i + 1) != 1:
                 raise RuntimeError("a cohort of one was not consumed")
 
         for i, t in enumerate(run.ts.tolist()):
@@ -928,11 +918,16 @@ class ServerGroup:
     stateful backends see the stream exactly as the historical offline
     queue loop presented it (the byte-identity contract).
 
-    Tie-breaking matches the historical loop bit-for-bit: when several
-    servers are idle (or free at the same instant) the job goes to the one
-    with the earliest ``(freed_at, server_id)``.  Same-time service ends
-    all land *before* the dispatch that assigns the freed servers, so the
-    winner is chosen over the full set, not by end-event order.
+    Tie-breaking matches the historical loop bit-for-bit for positive
+    service times: when several servers are idle (or free at the same
+    instant) the job goes to the one with the earliest ``(freed_at,
+    server_id)``.  Same-time service ends all land *before* the dispatch
+    that assigns the freed servers, so the winner is chosen over the full
+    set, not by end-event order.  A zero-second job begun in a dispatch
+    frees its server only after that dispatch, so on a station of two or
+    more servers the next waiting job can take another idle server where
+    the historical loop (and :meth:`admit`) reuses the freed one: the
+    server ids differ, the begins, finishes and depths do not.
 
     A job enters one of two ways.  :meth:`submit` is the event loop's:
     the job begins now or at a dispatch, and its end is an event that
@@ -1411,7 +1406,6 @@ class BatcherActor:
     def __init__(self, batcher: DynamicBatcher, sched: EventScheduler,
                  sink: Callable[[float, int, int], None],
                  fleet: Sequence[ServerGroup] = ()):
-        self._batcher = batcher
         self.max_edges = batcher.max_edges
         self.max_delay_s = batcher.max_delay_s
         self._sched = sched
@@ -1431,29 +1425,24 @@ class BatcherActor:
         cohort consumes.
         """
         self._trace = trace
-        self._sched.schedule_run(trace.t, _ARRIVAL, trace, self._on_cohort)
+        self._sched.schedule_run(trace.t, _ARRIVAL, self._on_cohort)
 
-    def start_releases(self, trace: ArrivalTrace,
-                       order: LoopOrder | None) -> Releases:
+    def start_releases(self, rel: Releases, order: LoopOrder | None) -> None:
         """Schedule the releases of serial ingest, known up front
-        (:meth:`DynamicBatcher.releases`), onto the loop as one run, and
-        return them.
+        (:meth:`DynamicBatcher.releases`), as the loop's run.
 
         The one-pass path: no arrival and no deadline reaches the loop.
         ``order`` records a traced run's events in the loop's order; what
         the loop fires after the last release is the caller's to record
         (``order.until()``) once the loop has run.
         """
-        rel = self._batcher.releases(trace)
         columns = (rel.lo.tolist(), rel.hi.tolist(), rel.t.tolist(),
                    rel.cause.tolist(), rel.seen.tolist())
         self._first = self._sched.schedule_run(
-            rel.t, _FLUSH, columns[2],
-            partial(self._on_releases, columns, order))
-        return rel
+            rel.t, _FLUSH, partial(self._on_releases, columns, order))
 
     def _on_releases(self, columns: tuple, order: LoopOrder | None,
-                     _t: float, _payloads, start: int, stop: int) -> int:
+                     _t: float, start: int, stop: int) -> int:
         """Release jobs ``[start, stop)``.  A release may make the sink
         schedule an event (a control plane's ownership plan, at ``(t,
         _MIGRATE)``) that the cut could not see and that must fire before
@@ -1510,8 +1499,7 @@ class BatcherActor:
         if first and math.isfinite(self.max_delay_s):
             self._schedule_deadline(t + self.max_delay_s)
 
-    def _on_cohort(self, t: float, trace: ArrivalTrace,
-                   start: int, stop: int) -> int:
+    def _on_cohort(self, t: float, start: int, stop: int) -> int:
         """Arrival admission; returns how many elements it consumed.
 
         Consuming more than the head element is valid only while admission
@@ -1523,6 +1511,7 @@ class BatcherActor:
         buffering one element.  A tracing scheduler gets the span of the
         consumed elements, ahead of whatever their admission records.
         """
+        trace = self._trace
         pending_empty = self._admitted == self._lo
         opens = pending_empty and math.isfinite(self.max_delay_s)
         limit = stop

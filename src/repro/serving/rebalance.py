@@ -72,9 +72,11 @@ engine's (asserted in ``test_rebalance`` and, at tier-2 scale, in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .control import ControlPlane, Window
+from .control import ControlPlane, Window, check_cooldown
 from .events import MigrationEvent
 
 __all__ = ["OnlineRebalancer"]
@@ -105,14 +107,15 @@ class OnlineRebalancer:
     Parameters
     ----------
     window_s:
-        Rolling measurement window, in event-loop seconds.  Heat and busy
-        counters reset every window; decisions happen at window close.
+        Rolling measurement window, in event-loop seconds (positive and
+        finite).  Heat and busy counters reset every window; decisions
+        happen at window close.
     util_threshold:
         Sharded mode: donate off shards whose window utilization exceeds
         this.
     cooldown_windows:
-        A migrated vertex may not migrate again for this many windows —
-        the anti-ping-pong guard.
+        A migrated vertex may not migrate again for this many windows (a
+        non-negative integer) — the anti-ping-pong guard.
 
     Every migration prices
     :data:`~repro.serving.memsync.HANDOFF_ROWS_PER_VERTEX` rows — the
@@ -123,15 +126,14 @@ class OnlineRebalancer:
 
     def __init__(self, window_s: float, util_threshold: float = 0.75,
                  cooldown_windows: int = 2):
-        if not window_s > 0:        # NaN too
-            raise ValueError("window_s must be positive")
+        # A window that never closes would never let the policy act.
+        if not 0 < window_s < math.inf:     # NaN too
+            raise ValueError("window_s must be positive and finite")
         if not util_threshold > 0:
             raise ValueError("util_threshold must be positive")
-        if cooldown_windows < 0:
-            raise ValueError("cooldown_windows must be non-negative")
         self.window_s = float(window_s)
         self.util_threshold = float(util_threshold)
-        self.cooldown_windows = int(cooldown_windows)
+        self.cooldown_windows = check_cooldown(cooldown_windows)
 
     # ------------------------------------------------------------------ #
     def start(self, plane: ControlPlane) -> None:

@@ -135,6 +135,15 @@ class TestAutoScalerValidation:
             AutoScaler(cap, slo_p95_s=1.0, scale_window_s=1.0,
                        cooldown_windows=-1)
 
+    @pytest.mark.parametrize("cooldown", [1.5, float("nan"), float("inf")])
+    def test_cooldown_is_a_count_of_windows(self, cooldown):
+        """1.5 was cut to 1, NaN and inf died in ``int()`` with a message
+        that did not name the argument."""
+        cap = CapacityConfig(micro_batch=1, replicas=1, max_replicas=2)
+        with pytest.raises(ValueError, match="cooldown_windows"):
+            AutoScaler(cap, slo_p95_s=1.0, scale_window_s=1.0,
+                       cooldown_windows=cooldown)
+
     def test_pool_start_checks_group_size(self):
         auto = overload_autoscaler()          # capacity.replicas == 1
         sched = EventScheduler()

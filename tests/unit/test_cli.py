@@ -379,6 +379,8 @@ class TestServeSim:
         ["--fail-at", "0", "--recover-at", "inf", "--check-trace"],
         ["--deadline-ms", "nan"],
         ["--rebalance-online", "--rebalance-window", "nan"],
+        # A window that never closes exited 0 with no migration.
+        ["--rebalance-online", "--rebalance-window", "inf"],
         ["--rebalance-online", "--rebalance-threshold", "nan"],
         # A checkpoint that is not there was a FileNotFoundError traceback.
         ["--model", "no-such-checkpoint.npz"],

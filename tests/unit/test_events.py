@@ -476,10 +476,8 @@ class TestSchedulerInvariants:
             [LinearCostBackend(per_edge_s=5e-3) for _ in range(3)],
             g.num_nodes, batcher=DynamicBatcher(max_delay_s=500.0),
             memsync="push")
-        arrivals = make_stream_arrivals(g, 3600.0, num_streams=2,
-                                        speedup=50.0)
-        rep = engine._run_loop(arrivals, 3600.0, 50.0, 2, None, ingest,
-                                 trace=True)
+        rep = engine.run(g, window_s=3600.0, num_streams=2, speedup=50.0,
+                         ingest=ingest, trace=True)
         assert rep.windows > 0
         trace = engine.last_event_trace
         times = [e.t for e in trace]
@@ -509,6 +507,21 @@ class TestSchedulerInvariants:
         with pytest.raises(RuntimeError, match="before now"):
             sched.run()
 
+    def test_a_loop_holds_one_run(self):
+        """A second run is refused, and the first still fires in full."""
+        sched, fired = EventScheduler(), []
+
+        def on_cohort(t0, start, stop):
+            fired.extend(range(start, stop))
+            return stop - start
+
+        assert sched.schedule_run([0.0, 1.0, 2.0], 0, on_cohort) == 0
+        with pytest.raises(RuntimeError, match="already holds a run"):
+            sched.schedule_run([3.0], 0, on_cohort)
+        sched.run()
+        assert fired == [0, 1, 2]
+        assert sched.events_processed == 3 and sched.now == 2.0
+
     @pytest.mark.parametrize("cls", [EventScheduler, HeapEventScheduler])
     def test_nan_never_enters_the_loop(self, cls):
         """``nan < now`` is False, and a NaN key corrupts heap order."""
@@ -516,10 +529,10 @@ class TestSchedulerInvariants:
         with pytest.raises(RuntimeError, match="before now"):
             sched.schedule(nan, 0, None, print)
         with pytest.raises(RuntimeError, match="before now"):
-            sched.schedule_run([nan], 0, [None], print)
+            sched.schedule_run([nan], 0, print)
         for ts in ([0.0, nan, 1.0], [0.0, 1.0, nan], [1.0, 0.0, 2.0]):
             with pytest.raises(ValueError, match="sorted"):
-                sched.schedule_run(ts, 0, [None] * 3, print)
+                sched.schedule_run(ts, 0, print)
             with pytest.raises(ValueError, match="sorted"):
                 simulate_queue([(t, None) for t in ts], lambda _: 1.0)
         sched.run()
@@ -588,7 +601,8 @@ class TestConservationAcrossTopologies:
                                         speedup=100.0)
         # Bounded queues so drops are in play, driven at the raw-group
         # level for per-server busy intervals and exactly-once admission.
-        rep = engine._run_loop(arrivals, 3600.0, 100.0, 2, 2, ingest)
+        rep = engine.run(g, window_s=3600.0, num_streams=2, speedup=100.0,
+                         queue_capacity=2, ingest=ingest)
         assert rep.windows + rep.dropped_windows == len(arrivals)
         check_conservation(rep, self._raw_results(engine, arrivals, ingest))
 
@@ -809,26 +823,29 @@ class TestHeapVsVectorizedEquivalence:
     SPAWN_BASE = 1_000_000   # tags >= this are dynamically spawned events
 
     def _random_program(self, rng):
-        """A mix of point events and sorted runs with deliberate ties.
+        """Point events and one run, with deliberate ties.
 
-        Integer-grid times force exact collisions across ops; each element
-        gets a unique tag so the fired sequences compare element-for-
-        element.
+        Integer-grid times force exact collisions between the run and
+        the points; the run (up to 30 elements) spans most of the points'
+        range, so the heap head cuts inside it, and it is scheduled at a
+        random position among the points, so its tokens fall between
+        theirs.  Each element gets a unique tag so the fired sequences
+        compare element-for-element.
         """
         ops, tag = [], 0
-        for _ in range(int(rng.integers(3, 9))):
-            base = float(rng.integers(0, 6))
+        points = int(rng.integers(2, 12))
+        at = int(rng.integers(0, points + 1))
+        for k in range(points + 1):
             prio = int(rng.integers(0, 3))
-            if rng.random() < 0.45:
-                ops.append(("point", base, prio, tag))
+            if k != at:
+                ops.append(("point", float(rng.integers(0, 16)), prio, tag))
                 tag += 1
-            else:
-                n = int(rng.integers(1, 12))
-                ts = base + np.cumsum(
-                    rng.integers(0, 2, size=n).astype(np.float64))
-                tags = list(range(tag, tag + n))
-                tag += n
-                ops.append(("run", ts, prio, tags))
+                continue
+            n = int(rng.integers(1, 31))
+            ts = float(rng.integers(0, 4)) + np.cumsum(
+                rng.integers(0, 2, size=n).astype(np.float64))
+            ops.append(("run", ts, prio, list(range(tag, tag + n))))
+            tag += n
         return ops
 
     def _drive(self, sched, ops, vectorized):
@@ -839,17 +856,17 @@ class TestHeapVsVectorizedEquivalence:
         further elements once one spawns (the new event may land inside
         the remainder of the offered span).
         """
-        fired = []
+        fired, items = [], []
 
         def on_point(ev):
             t, prio, tag = ev
             fired.append((t, prio, tag))
             self._maybe_spawn(sched, t, tag, on_point)
 
-        def on_cohort(t0, payloads, start, stop):
+        def on_cohort(t0, start, stop):
             consumed = 0
             for i in range(start, stop):
-                t, prio, tag = payloads[i]
+                t, prio, tag = items[i]
                 fired.append((t, prio, tag))
                 consumed += 1
                 if self._spawns(tag):
@@ -859,15 +876,15 @@ class TestHeapVsVectorizedEquivalence:
 
         # Identical schedule-call order in both lanes: the sequence
         # numbers that break exact (t, priority) ties line up only if the
-        # heap lane expands each run element-by-element in place.
+        # heap lane expands the run element-by-element in place.
         for op in ops:
             if op[0] == "point":
                 _, t, prio, tag = op
                 sched.schedule(t, prio, (t, prio, tag), on_point)
             elif vectorized:
                 _, ts, prio, tags = op
-                payloads = [(float(t), prio, g) for t, g in zip(ts, tags)]
-                sched.schedule_run(ts, prio, payloads, on_cohort)
+                items = [(float(t), prio, g) for t, g in zip(ts, tags)]
+                sched.schedule_run(ts, prio, on_cohort)
             else:
                 _, ts, prio, tags = op
                 for t, g in zip(ts, tags):

@@ -424,8 +424,9 @@ def run_chaos(g, plans, shards=4, window_s=250.0, speedup=2400.0,
     initial = engine.router.assignment.copy()
     arrivals = make_stream_arrivals(g, window_s, num_streams=streams,
                                     speedup=speedup)
-    rep = engine._run_loop(arrivals, window_s, speedup, streams,
-                             queue_capacity, "serial", trace=True)
+    rep = engine.run(g, window_s=window_s, speedup=speedup,
+                     num_streams=streams, queue_capacity=queue_capacity,
+                     trace=True)
     return engine, initial, arrivals, rep
 
 

@@ -73,6 +73,21 @@ class TestOnlineRebalancerValidation:
         with pytest.raises(ValueError):
             OnlineRebalancer(window_s=1.0, cooldown_windows=-1)
 
+    def test_an_endless_window_is_refused(self):
+        """A window of inf seconds never closes, so the rebalancer would
+        never act; ``AutoScaler`` refuses its ``scale_window_s`` alike."""
+        with pytest.raises(ValueError, match="window_s"):
+            OnlineRebalancer(window_s=float("inf"))
+
+    @pytest.mark.parametrize("cooldown", [1.5, float("nan"), float("inf")])
+    def test_cooldown_is_a_count_of_windows(self, cooldown):
+        """1.5 was cut to 1, NaN and inf died in ``int()`` with a message
+        that did not name the argument."""
+        with pytest.raises(ValueError, match="cooldown_windows"):
+            OnlineRebalancer(window_s=1.0, cooldown_windows=cooldown)
+        assert OnlineRebalancer(
+            window_s=1.0, cooldown_windows=np.int64(3)).cooldown_windows == 3
+
     def test_pool_topology_rejects_rebalancer(self):
         """Handled, not rejected: a pool is one station that owns every
         vertex, so an (overloaded) rebalancer has nowhere to donate —
@@ -360,8 +375,9 @@ class TestEngineMigrationInvariants:
         initial = engine.router.assignment.copy()
         arrivals = make_stream_arrivals(g, window_s, num_streams=streams,
                                         speedup=speedup)
-        rep = engine._run_loop(arrivals, window_s, speedup, streams,
-                                 queue_capacity, "serial", trace=True)
+        rep = engine.run(g, window_s=window_s, speedup=speedup,
+                         num_streams=streams, queue_capacity=queue_capacity,
+                         trace=True)
         return engine, initial, arrivals, rep
 
     def test_exactly_once_ownership_chain(self):
@@ -513,8 +529,8 @@ class TestChaosDrift:
         engine = engine_with_rebalancer(g, reb=reb)
         arrivals = make_stream_arrivals(g, 250.0, num_streams=2,
                                         speedup=2e4)
-        rep = engine._run_loop(arrivals, 250.0, 2e4, 2, None, "serial",
-                                 trace=True)
+        rep = engine.run(g, window_s=250.0, speedup=2e4, num_streams=2,
+                         trace=True)
         assert rep.migrations > 0
         trace = engine.last_event_trace
         times = [e.t for e in trace]
