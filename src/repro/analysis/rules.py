@@ -252,7 +252,7 @@ class SchedulerPurityRule(Rule):
     Outside ``serving/events.py`` (the scheduler's own module), code
     holding a scheduler reference may call ``schedule`` / ``schedule_run``
     / ``record`` / ``run`` and read public state, but may
-    not reach into private internals (``_heap``, ``_runs``, ``_seq``...)
+    not reach into private internals (``_heap``, ``_run``, ``_seq``...)
     or assign any scheduler attribute (``sched.now = ...``) — that is how
     an actor silently forks the ``(t, priority, seq)`` total order the
     whole exactness story depends on.

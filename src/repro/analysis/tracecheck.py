@@ -36,10 +36,11 @@ Every check is a predicate over the columns of an
 :class:`~repro.serving.events.EventTrace` — the global ``t`` and
 ``kind`` of each event and one table per event kind — evaluated with
 array operations; only the findings are built one by one.  A test that
-fabricates a trace builds it with ``EventTrace.of(events)``.  An event
-at a non-finite instant is a ``causality`` finding (and a non-finite
-service end an ``exactly-once-service`` one); the other checks compare
-finite times exactly.
+fabricates a trace adds its events to an empty one
+(:meth:`~repro.serving.events.EventTrace.add`).  An event at a
+non-finite instant is a ``causality`` finding (and a non-finite service
+end an ``exactly-once-service`` one); the other checks compare finite
+times exactly.
 """
 
 from __future__ import annotations

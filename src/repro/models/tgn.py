@@ -393,57 +393,50 @@ class TGNN(Module):
                    g, rt: ModelRuntime, graph: TemporalGraph,
                    premul: dict | None = None) -> BatchResult:
         """Embeddings of the ``(nodes, t)`` queries whose own memory rows are
-        ``memory``, over their gathered neighbors ``g``.  The one method a
-        deeper GNN overrides."""
+        ``memory``: one attention layer over their gathered neighbors
+        ``g``, then the output transform."""
         self_feat = self._features(nodes, rt, graph, memory)
-        attn = self._attend(
-            self.attention, t, self_feat, g, rt.edge_feat,
-            lambda nbrs: self._features(nbrs, rt, graph), premul)
-        emb = self.out_transform(
-            Tensor.concat([attn.hidden, self_feat], axis=-1)).relu()
-        return BatchResult(nodes=nodes, embeddings=emb, attention=attn)
-
-    def _attend(self, attn: Module, t: np.ndarray, self_feat: Tensor, g,
-                edge_feat: np.ndarray, nbr_repr,
-                premul: dict | None = None) -> AttentionOutput:
-        """One attention layer: the ``n`` queries at times ``t`` over their
-        gathered neighbors ``g``, whose edges' features are rows of
-        ``edge_feat``; ``nbr_repr(nbrs)`` maps an ``(n, p)`` block of
-        neighbor ids to their ``(n, p, d)`` representations."""
+        attn, edge_feat = self.attention, rt.edge_feat
         dt = np.where(g.mask, np.maximum(t[:, None] - g.times, 0.0), 0.0)
         if isinstance(attn, VanillaTemporalAttention):
             e_feat = np.where(g.mask[:, :, None], edge_feat[g.eids], 0.0)
-            return attn(self_feat, nbr_repr(g.nbrs), e_feat,
-                        self.time_encoder(dt),
-                        self.time_encoder(np.zeros(len(t))), g.mask)
-        # Eq. (16): which neighbors matter is known from Δt alone, before
-        # any of their state is fetched (§III-B pruning, §IV-C prefetch).
-        logits = attn.logits_from_dt(dt * DT_SCALE)
-        nbrs, eids, sel_logits = g.nbrs, g.eids, logits
-        selected = sel_mask = g.mask
-        budget = self.cfg.pruning_budget
-        if budget is not None:
-            # One top-k pass: `selected` is reported full-width, its compact
-            # form drives the gathers.
-            selected, idx, sel_mask = prune(logits.data, g.mask, budget)
-            rows = np.arange(len(t))[:, None]
-            nbrs, eids, dt = nbrs[rows, idx], eids[rows, idx], dt[rows, idx]
-            sel_logits = logits[rows, idx]
-        alpha = F.masked_softmax(sel_logits, sel_mask)
-        # One gathered (n, p, .) block alive at a time: under `no_grad` each
-        # is summed to (n, .) and freed before the next is fetched, so the
-        # stage's peak temporary is one block, not three (at k = 10 the
-        # allocator otherwise trims and re-faults ~12 MB per batch).
-        nbr = attn.aggregate(alpha, nbr_repr(nbrs))
-        edge = attn.aggregate(alpha, Tensor(edge_feat[eids]))
-        # After prepare_inference the time term needs no matmul: it is the
-        # premultiplied LUT row, already in value space.
-        time_feat = self.time_encoder(dt) if premul is None \
-            else Tensor(premul["attn_v"][self.time_encoder.bin_index(dt)])
-        hidden = attn.transform(alpha, nbr, edge,
-                                attn.aggregate(alpha, time_feat), premul)
-        return AttentionOutput(hidden=hidden, logits=logits, mask=g.mask,
-                               selected=selected)
+            out = attn(self_feat, self._features(g.nbrs, rt, graph), e_feat,
+                       self.time_encoder(dt),
+                       self.time_encoder(np.zeros(len(t))), g.mask)
+        else:
+            # Eq. (16): which neighbors matter is known from Δt alone,
+            # before any of their state is fetched (§III-B pruning, §IV-C
+            # prefetch).
+            logits = attn.logits_from_dt(dt * DT_SCALE)
+            nbrs, eids, sel_logits = g.nbrs, g.eids, logits
+            selected = sel_mask = g.mask
+            budget = self.cfg.pruning_budget
+            if budget is not None:
+                # One top-k pass: `selected` is reported full-width, its
+                # compact form drives the gathers.
+                selected, idx, sel_mask = prune(logits.data, g.mask, budget)
+                rows = np.arange(len(t))[:, None]
+                nbrs, eids = nbrs[rows, idx], eids[rows, idx]
+                dt, sel_logits = dt[rows, idx], logits[rows, idx]
+            alpha = F.masked_softmax(sel_logits, sel_mask)
+            # One gathered (n, p, .) block alive at a time: under `no_grad`
+            # each is summed to (n, .) and freed before the next is
+            # fetched, so the stage's peak temporary is one block, not
+            # three (at k = 10 the allocator otherwise trims and re-faults
+            # ~12 MB per batch).
+            nbr = attn.aggregate(alpha, self._features(nbrs, rt, graph))
+            edge = attn.aggregate(alpha, Tensor(edge_feat[eids]))
+            # After prepare_inference the time term needs no matmul: it is
+            # the premultiplied LUT row, already in value space.
+            time_feat = self.time_encoder(dt) if premul is None \
+                else Tensor(premul["attn_v"][self.time_encoder.bin_index(dt)])
+            hidden = attn.transform(alpha, nbr, edge,
+                                    attn.aggregate(alpha, time_feat), premul)
+            out = AttentionOutput(hidden=hidden, logits=logits, mask=g.mask,
+                                  selected=selected)
+        emb = self.out_transform(
+            Tensor.concat([out.hidden, self_feat], axis=-1)).relu()
+        return BatchResult(nodes=nodes, embeddings=emb, attention=out)
 
     # ------------------------------------------------------------------ #
     # deployment: the same body under no_grad, clocked per stage          #

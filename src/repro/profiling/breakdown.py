@@ -9,16 +9,14 @@ from __future__ import annotations
 import math
 
 from ..models.config import ModelConfig, variant_ladder
-from .op_counter import PARTS, Convention, OpCounts, count_ops
+from .op_counter import PARTS, OpCounts, count_ops
 
 __all__ = ["table1_breakdown", "table2_ladder", "modeled_vs_measured"]
 
 
-def table1_breakdown(cfg: ModelConfig,
-                     convention: Convention = Convention.PAPER
-                     ) -> list[dict]:
+def table1_breakdown(cfg: ModelConfig) -> list[dict]:
     """Per-part kMEM/kMAC rows (Table I structure) for one model config."""
-    counts = count_ops(cfg, convention)
+    counts = count_ops(cfg)
     total_mac = counts.total_macs
     total_mem = counts.total_mems
     rows = []
@@ -35,8 +33,7 @@ def table1_breakdown(cfg: ModelConfig,
     return rows
 
 
-def table2_ladder(base: ModelConfig,
-                  convention: Convention = Convention.PAPER) -> list[dict]:
+def table2_ladder(base: ModelConfig) -> list[dict]:
     """Accumulated-optimization complexity rows (Table II structure).
 
     AP and measured throughput are filled in by the benches (they require
@@ -44,11 +41,10 @@ def table2_ladder(base: ModelConfig,
     """
     baseline = count_ops(base.with_(simplified_attention=False,
                                     lut_time_encoder=False,
-                                    pruning_budget=None),
-                         convention)
+                                    pruning_budget=None))
     rows = []
     for cfg in variant_ladder(base):
-        c = count_ops(cfg, convention)
+        c = count_ops(cfg)
         rows.append({
             "model": cfg.name,
             "neighbors": cfg.effective_neighbors,

@@ -4,29 +4,22 @@ Reproduces the complexity columns of Tables I and II.  Counts are **per
 dynamic node embedding** (one endpoint of one new edge) and are split into
 the paper's four parts: ``sample``, ``memory``, ``gnn``, ``update``.
 
-Two conventions are provided because the paper's bookkeeping is coarser than
-a physical count:
+The counts follow the paper's bookkeeping, which is coarser than a
+physical count; it is reverse-engineered from the table deltas so the
+ladder reproduces the published numbers almost exactly:
 
-* ``Convention.PAPER`` — reverse-engineered from the table deltas so the
-  ladder reproduces the published numbers almost exactly:
-
-  - the GRU is counted as **one** pass over the stacked input weights
-    (``msg_dim * mem_dim``) plus ``12 * mem_dim`` element-wise work.  This is
-    confirmed by Wikipedia vs. GDELT: ``(472 vs 500) x 100 + 1.2k`` gives
-    exactly the published 48.4 / 51.2 kMAC;
-  - the LUT saving is ``time_dim * mem_dim + time_dim`` in the GRU (10.1 kMAC
-    for both datasets — matches) and ``time_dim * embed_dim`` per neighbor in
-    the GNN;
-  - K and V are counted separately per neighbor, queries once per embedding.
-
-* ``Convention.FULL`` — physically exact: all three GRU gates, input and
-  hidden products, projections, dot products, weighted sums.  For the
-  simplified attention it counts what runs: the published count applies
-  ``W_v`` to every neighbor, while the Embedding Unit (:mod:`repro.hw.eu`)
-  and the model body (``SimplifiedTemporalAttention.aggregate`` /
-  ``.transform``, training and deployment alike) aggregate the alpha-weighted raw vectors first and apply ``W_v`` once per
-  node, so FULL counts aggregate-first MACs.  ``PAPER`` keeps the
-  per-neighbor count of Tables I / II.
+- the GRU is counted as **one** pass over the stacked input weights
+  (``msg_dim * mem_dim``) plus ``12 * mem_dim`` element-wise work.  This is
+  confirmed by Wikipedia vs. GDELT: ``(472 vs 500) x 100 + 1.2k`` gives
+  exactly the published 48.4 / 51.2 kMAC;
+- the LUT saving is ``time_dim * mem_dim + time_dim`` in the GRU (10.1 kMAC
+  for both datasets — matches) and ``time_dim * embed_dim`` per neighbor in
+  the GNN;
+- K and V are counted separately per neighbor, queries once per embedding;
+  the simplified attention applies ``W_v`` to every neighbor, as Tables I /
+  II do, although the Embedding Unit (:mod:`repro.hw.eu`) and the model
+  body aggregate the alpha-weighted raw vectors first and apply ``W_v``
+  once per node.
 
 MEM counts external-memory words touched per embedding (on-chip parameters
 are free, per the paper's stated assumption).
@@ -34,22 +27,13 @@ are free, per the paper's stated assumption).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from ..models.config import ModelConfig
 
-__all__ = ["Convention", "OpCounts", "count_ops", "count_ops_apan",
-           "PARTS"]
+__all__ = ["OpCounts", "count_ops", "count_ops_apan", "PARTS"]
 
 PARTS = ("sample", "memory", "gnn", "update")
-
-
-class Convention(enum.Enum):
-    """MAC-accounting convention (see module docstring)."""
-
-    PAPER = "paper"
-    FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -78,8 +62,7 @@ class OpCounts:
         return self.macs["gnn"]
 
 
-def count_ops(cfg: ModelConfig,
-              convention: Convention = Convention.PAPER) -> OpCounts:
+def count_ops(cfg: ModelConfig) -> OpCounts:
     """Operation counts per dynamic node embedding for ``cfg``.
 
     The co-design flags drive the reductions:
@@ -104,16 +87,9 @@ def count_ops(cfg: ModelConfig,
     mems: dict[str, float] = {p: 0.0 for p in PARTS}
 
     # ---- memory part: UPDT (+ time encoder) ----------------------------- #
-    if convention is Convention.PAPER:
-        gru = msg * m + 12 * m
-        if lut:
-            gru -= tau * m + tau          # pre-multiplied + no cos products
-    else:
-        # Three gates' input + hidden products, merging/elementwise, cos
-        # evaluation.
-        gru = 3 * (msg * m + m * m) + 4 * m + (0 if lut else tau)
-        if lut:
-            gru -= 3 * tau * m            # time slice of the input gates
+    gru = msg * m + 12 * m
+    if lut:
+        gru -= tau * m + tau              # pre-multiplied + no cos products
     macs["memory"] = float(gru)
 
     # ---- gnn part: temporal attention aggregator ------------------------ #
@@ -125,14 +101,8 @@ def count_ops(cfg: ModelConfig,
         node_fusion = (1 + keff) * nf * m
     if cfg.simplified_attention:
         feat = kv_in - (tau if lut else 0)
-        if convention is Convention.PAPER:
-            values = keff * feat * e + keff * e          # values + weighted sum
-        else:
-            # FAM then FTM: aggregate raw vectors (and the premultiplied LUT
-            # rows, already e wide), then W_v once per node.
-            values = keff * feat + feat * e + (keff * e if lut else 0)
         gnn = (
-            values
+            keff * feat * e + keff * e                   # values + weighted sum
             + k * k                                      # W_t logit map
             + keff * enc_cost                            # Phi per used nbr
             + out_transform + node_fusion
@@ -165,8 +135,7 @@ def count_ops(cfg: ModelConfig,
     return OpCounts(macs=macs, mems=mems)
 
 
-def count_ops_apan(cfg: ModelConfig, mailbox_size: int = 10,
-                   convention: Convention = Convention.PAPER) -> OpCounts:
+def count_ops_apan(cfg: ModelConfig, mailbox_size: int = 10) -> OpCounts:
     """Operation counts for the APAN baseline's *latency-critical* path.
 
     Only the query path counts toward latency (mailbox attention + output

@@ -17,19 +17,21 @@ over the graph's own edge arrays — from
 span of it; a :class:`StreamArrival` is what indexing or iterating the
 trace hands out.
 
-:class:`DynamicBatcher` is the *policy* (trigger configuration) plus the
-offline reference implementation, :meth:`DynamicBatcher.spans`, and the
-one rule for when and why each of those jobs is released,
-:meth:`DynamicBatcher.releases`.  The serving engine runs the same policy
-online as a :class:`~repro.serving.events.BatcherActor` on the
-discrete-event scheduler — under serial ingest the actor's releases match
-:meth:`~DynamicBatcher.spans` exactly (property-tested in ``test_events``
-through :meth:`~DynamicBatcher.coalesce`), which is what lets the engine
-route a run's jobs before they are released and serve a run in which
-nothing reacts to a service end as one pass over
-:meth:`~DynamicBatcher.releases`; under
-pipelined ingest the actor adds the double-buffered fleet-drain trigger
-that an offline pass cannot express (it depends on in-flight compute).
+:class:`DynamicBatcher` is the *policy* (trigger configuration) and the
+one batching rule: :meth:`DynamicBatcher.ends` finds, for every arrival
+at once, where the job it opens ends by size or deadline, and
+:meth:`DynamicBatcher.releases` chains those ends into the jobs serial
+ingest releases, with when and why each is released.  The serving
+engine runs the policy online as a
+:class:`~repro.serving.events.BatcherActor` on the discrete-event
+scheduler, which reads the same table — so under serial ingest the
+actor's releases are :meth:`~DynamicBatcher.releases` exactly
+(property-tested in ``test_events`` through
+:meth:`~DynamicBatcher.coalesce`), which is what lets the engine route a
+run's jobs before they are released and serve a run in which nothing
+reacts to a service end as one pass over them; under pipelined ingest
+the actor adds the double-buffered fleet-drain trigger that an offline
+pass cannot express (it depends on in-flight compute).
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ class ArrivalTrace(Sequence):
         """Edge rows of consecutive jobs, from one gather.
 
         Job ``j`` is arrivals ``[lo[j], hi[j])`` and ``hi[j] == lo[j +
-        1]``, as :meth:`DynamicBatcher.spans` returns them.  Returns the
+        1]``, as :meth:`DynamicBatcher.releases` returns them.  Returns the
         jobs' rows into ``edges``, each job's in :meth:`merged` order,
         job after job, and the ``(jobs + 1,)`` offsets of each job's rows
         among them.
@@ -293,10 +295,11 @@ class DynamicBatcher:
         self.max_edges = max_edges
         self.max_delay_s = float(max_delay_s)
 
-    def spans(self, trace: ArrivalTrace) -> tuple[np.ndarray, np.ndarray]:
-        """Arrival spans ``[lo[j], hi[j])`` of the jobs serial ingest
-        releases.  The buffer is empty at each ``lo[j]``, so the spans
-        from there on are the jobs a trace starting at ``lo[j]`` releases.
+    def ends(self, trace: ArrivalTrace) -> tuple[np.ndarray, np.ndarray]:
+        """Where the job each arrival opens ends, for every arrival at once:
+        that job is arrivals ``[i, end[i])``, and ``full[i]`` says whether
+        its last arrival fills the buffer to ``max_edges`` (and flushes
+        it) rather than handing over to the next job.
 
         Between two arrivals the only event that can fire is the pending
         buffer's deadline, so a job opened by arrival ``i`` ends before
@@ -304,8 +307,7 @@ class DynamicBatcher:
         deadline flush precedes it), before the arrival that would push
         the buffer past ``max_edges``, or after the one that reaches it —
         an oversized arrival alone is a job of its own.  That end is
-        searched for every arrival at once, in the instants and in the
-        edge offsets, and the jobs are the chain of ends from arrival 0.
+        searched for in the instants and in the edge offsets.
         """
         t = trace.t
         if not np.all(t[1:] >= t[:-1]):         # NaN is not sorted either
@@ -313,47 +315,48 @@ class DynamicBatcher:
         n = len(t)
         after = np.arange(1, n + 1)
         end = np.maximum(np.searchsorted(t, t + self.max_delay_s), after)
-        if self.max_edges is not None:
-            cum = trace.cum
-            full = cum[:-1] + self.max_edges
-            k = np.maximum(np.searchsorted(cum, full), after)
-            reached = (k <= n) & (cum[np.minimum(k, n)] == full)
-            end = np.minimum(end, np.where(reached, k,
-                                           np.maximum(k - 1, after)))
-        lo, i, end_of = [], 0, end.item
-        while i < n:
-            lo.append(i)
-            i = end_of(i)
-        starts = np.array(lo, dtype=np.int64)
-        return starts, end[starts]
+        if self.max_edges is None:
+            return end, np.zeros(n, dtype=bool)
+        cum = trace.cum
+        cap = cum[:-1] + self.max_edges
+        k = np.maximum(np.searchsorted(cum, cap), after)
+        reached = (k <= n) & (cum[np.minimum(k, n)] == cap)
+        end = np.minimum(end, np.where(reached, k, np.maximum(k - 1, after)))
+        return end, cum[end] - cum[:-1] >= self.max_edges
 
     def releases(self, trace: ArrivalTrace) -> Releases:
-        """Every job serial ingest releases from a time-sorted trace:
-        its :meth:`spans`, the instant and cause of its trigger, and how
-        many arrivals the event loop has recorded when it fires."""
-        lo, hi = self.spans(trace)
+        """Every job serial ingest releases from a time-sorted trace: the
+        chain of :meth:`ends` from arrival 0, the instant and cause of
+        each job's trigger, and how many arrivals the event loop has
+        recorded when it fires.  The buffer is empty where each job
+        starts, so the jobs from there on are the ones a trace starting
+        there releases."""
+        end, full = self.ends(trace)
         t = trace.t
+        n = len(t)
+        starts, i, end_of = [], 0, end.item
+        while i < n:
+            starts.append(i)
+            i = end_of(i)
+        lo = np.array(starts, dtype=np.int64)
+        hi, full = end[lo], full[lo]
         last = t[hi - 1]
         deadline = t[lo] + self.max_delay_s
-        after = t[np.minimum(hi, len(t) - 1)]
-        # A deadline flush precedes the arrival that finds it due, else
-        # that arrival overflowed the buffer (and is recorded before the
-        # flush it triggers); the stream's end flushes at the deadline,
-        # or at the last arrival when there is none.
+        after = t[np.minimum(hi, n - 1)]
+        # The arrival that fills the buffer flushes it.  Otherwise a
+        # deadline flush precedes the arrival that finds it due, else that
+        # arrival overflowed the buffer (and is recorded before the flush
+        # it triggers); the stream's end flushes at the deadline, or at
+        # the last arrival when there is none.
         due = after >= deadline
         bounded = np.isfinite(deadline)
-        release = np.where(hi < len(t), np.where(due, deadline, after),
-                           np.where(bounded, deadline, last))
-        cause = np.where(hi < len(t), np.where(due, "deadline", "size"),
-                         np.where(bounded, "deadline", "eos"))
-        overflow = (hi < len(t)) & ~due
-        if self.max_edges is not None:
-            # The arrival that fills the buffer flushes it.
-            full = trace.cum[hi] - trace.cum[lo] >= self.max_edges
-            release = np.where(full, last, release)
-            cause = np.where(full, "size", cause)
-            overflow &= ~full
-        return Releases(lo, hi, release, cause, hi + overflow)
+        release = np.where(full, last, np.where(
+            hi < n, np.where(due, deadline, after),
+            np.where(bounded, deadline, last)))
+        cause = np.where(full, "size", np.where(
+            hi < n, np.where(due, "deadline", "size"),
+            np.where(bounded, "deadline", "eos")))
+        return Releases(lo, hi, release, cause, hi + ((hi < n) & ~due & ~full))
 
     def coalesce(self, trace: ArrivalTrace) -> list[CoalescedJob]:
         """Fold a time-sorted trace into released jobs: :meth:`releases`

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -170,25 +169,23 @@ class ControlPlane:
         """Incident edges per vertex over every job observed so far.
 
         The jobs observed since the last read are counted here, with one
-        ``bincount`` per run of jobs that share edge columns (every job
-        of an engine run does).  Read it, do not write it.
+        ``bincount``: every job of a run is a span of its one arrival
+        trace, so they share its edge columns.  Read it, do not write it.
         """
         if self._unread:
-            ids = []
-            for _, run in groupby(self._unread, key=lambda s: id(s.edges)):
-                jobs = list(run)
-                rows = np.concatenate([s.rows() for s in jobs])
-                ids += (jobs[0].edges.src[rows], jobs[0].edges.dst[rows])
+            edges = self._unread[0].edges
+            rows = np.concatenate([s.rows() for s in self._unread])
             self._unread.clear()
-            self._heat += np.bincount(np.concatenate(ids),
-                                      minlength=len(self._heat))
+            self._heat += np.bincount(
+                np.concatenate((edges.src[rows], edges.dst[rows])),
+                minlength=len(self._heat))
         return self._heat
 
     def observe(self, t: float, sources) -> None:
         """Sample one released job, then let the policies react.
 
-        ``sources`` is the job's arrivals (an
-        :class:`~repro.serving.batcher.ArrivalTrace` slice).  It is kept
+        ``sources`` is the job's arrivals, a span of the run's one
+        :class:`~repro.serving.batcher.ArrivalTrace`.  It is kept
         until :attr:`heat` is read, which needs only their endpoint ids,
         read off the edge columns without gathering the job's merged
         batch.

@@ -723,7 +723,9 @@ class ServingEngine:
         the releases are the loop's run, the loop delivers only them and
         the rebalancer's plans, and each station commits a job when it
         admits it.  Every other run puts the arrival trace on the loop as
-        its run, and the online batcher releases the same jobs.
+        its run, and the online batcher, which reads the same job ends
+        (:meth:`~repro.serving.batcher.DynamicBatcher.ends`), releases the
+        same jobs.
 
         ``scheduler_cls`` is the event loop to build (default
         :class:`EventScheduler`); :class:`HeapEventScheduler` delivers

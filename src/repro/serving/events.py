@@ -15,24 +15,25 @@ The loop spends most of its time delivering its bulk — the arrivals of
 a replay with S streams and W windows, ``S x W`` of them known up front,
 or in a one-pass run its releases — so :class:`EventScheduler` holds
 that bulk as **one run**: a contiguous, pre-sorted numpy timestamp
-array from the loop's one :meth:`EventScheduler.schedule_run` call,
-with one priority, a token range and a single consumption pointer
-instead of one heap entry per event.  Dynamically created events
-(service ends, dispatches, deadline flushes, migrations) live on a
-conventional ``(t, priority, seq)`` heap; the loop always fires
-whichever of the two holds the smaller key, so the documented
-equal-timestamp priority order and schedule-order tie-breaking are
-preserved exactly.
+array from the loop's one :meth:`EventScheduler.schedule_run` call and
+a single consumption pointer, instead of one heap entry per event.
+Dynamically created events (service ends, dispatches, deadline flushes,
+migrations) live on a conventional ``(t, priority, seq)`` heap, so the
+documented equal-timestamp priority order and schedule-order
+tie-breaking hold among them.  A run element fires after every heap
+event at its instant — arrivals come last in that order, and a one-pass
+run's releases share the heap only with ownership plans, which precede
+them — so the loop fires the run's head exactly when it is earlier than
+the heap's.
 
-When the run holds the smaller key, the scheduler delivers a **cohort**:
-the maximal prefix of the run whose every ``(t, priority, seq)`` key
-precedes the dynamic heap head.  The cohort handler — an actor that
-opted in, like :class:`BatcherActor` — consumes as many of those events
-as it can prove need no interleaving (pure buffering), and *returns the
-consumed count*: any event whose admission could trigger a same-instant
-reaction (a passthrough deadline, a size flush, a drain flush) is left
-unconsumed, and the next loop iteration delivers it alone with exact
-heap semantics.  Actors that have not opted in — the
+When it is, the scheduler delivers a **cohort**: the maximal prefix of
+the run before the heap head's instant.  The cohort handler — an actor
+that opted in, like :class:`BatcherActor` — consumes as many of those
+events as it can prove need no interleaving (pure buffering), and
+*returns the consumed count*: any event whose admission could trigger a
+same-instant reaction (a size flush, a drain flush, a deadline at the
+same instant) is left unconsumed, and the next loop iteration delivers
+it alone with exact heap semantics.  Actors that have not opted in — the
 :class:`~repro.serving.control.ControlPlane` among them — use
 :meth:`EventScheduler.schedule` and keep per-event dispatch unchanged.
 
@@ -104,8 +105,8 @@ materialises; the trace column it comes from is in brackets.
 At equal timestamps events fire in a fixed priority order (service ends,
 then dispatches, then migrations, then flushes, then arrivals) so that
 e.g. a deadline flush scheduled at ``t`` releases *before* an arrival at
-``t`` is admitted — exactly the tie-breaking the offline
-:meth:`DynamicBatcher.spans` reference implements, which is what makes
+``t`` is admitted — exactly the tie-breaking the batching rule,
+:meth:`DynamicBatcher.ends`, assumes, which is what makes
 ``ingest="serial"`` replays byte-identical to the pre-event-core engine.
 
 Ownership plan lifecycle (propose → vet → apply / drop)
@@ -183,9 +184,10 @@ Actors
     :meth:`~ServerGroup.admit` in a one-pass run (the same commit, fixed
     at admission in that loop's closed form, and no event).
 :class:`BatcherActor`
-    :class:`~repro.serving.batcher.DynamicBatcher` run *online*: the same
-    size/deadline triggers (in a one-pass run, its releases computed up
-    front and scheduled as the loop's run), plus — under
+    :class:`~repro.serving.batcher.DynamicBatcher` run *online*: each
+    pending job ends where the batcher's table of job ends says (in a
+    one-pass run, its releases computed up front and scheduled as the
+    loop's run), plus — under
     ``ingest="pipelined"`` — a double-buffered drain trigger: while the
     fleet serves window *n* the buffer accumulates window *n+1* for
     free, and the moment the fleet goes hungry (an idle server with
@@ -236,8 +238,11 @@ INGEST_MODES = ("serial", "pipelined")
 # Priority of event kinds at equal timestamps (lower fires first).
 # Migrations land between dispatches and flushes: a placement change
 # decided at ``t`` applies before the next job released at ``t`` is
-# routed, but never retracts a submission already made.
-_END, _DISPATCH, _MIGRATE, _FLUSH, _ARRIVAL = range(5)
+# routed, but never retracts a submission already made.  Arrivals come
+# last, and the loop's run (arrivals, or a one-pass run's releases, which
+# share the heap only with ``_MIGRATE`` plans) fires after every heap
+# event at its instant: ``_RUN`` is how the heap reference keys it.
+_END, _DISPATCH, _MIGRATE, _FLUSH, _ARRIVAL, _RUN = range(6)
 
 
 # --------------------------------------------------------------------------- #
@@ -633,20 +638,16 @@ class EventTrace(Sequence):
 class _EventRun:
     """The loop's run, from :meth:`EventScheduler.schedule_run`.
 
-    ``ts`` holds the sorted timestamps; the priority is constant across
-    the run; the token of element ``i`` is ``base + i`` (drawn from the
-    scheduler's global seq counter, so heap keys and run keys interleave
-    deterministically).  ``pos`` is the consumption pointer — everything
-    before it has fired.
+    ``ts`` holds the sorted timestamps and ``pos`` is the consumption
+    pointer — everything before it has fired.  An element fires after
+    every heap event at its instant and before any later one, and the
+    elements fire in order.
     """
 
-    __slots__ = ("ts", "priority", "base", "handler", "pos", "n")
+    __slots__ = ("ts", "handler", "pos", "n")
 
-    def __init__(self, ts: np.ndarray, priority: int, base: int,
-                 handler: Callable):
+    def __init__(self, ts: np.ndarray, handler: Callable):
         self.ts = ts
-        self.priority = priority
-        self.base = base
         self.handler = handler
         self.pos = 0
         self.n = len(ts)
@@ -658,24 +659,22 @@ class EventScheduler:
     The loop's pre-sorted bulk (the arrival trace, or a one-pass run's
     releases) is its one :class:`_EventRun`, from :meth:`schedule_run`;
     dynamically created events use :meth:`schedule` and live on a ``(t,
-    priority, seq)`` heap.  Both draw tokens from one global ``seq``
-    counter — seq is the schedule order, so equal ``(t, priority)``
-    events fire in the order they were scheduled — and every key is
-    unique, so the loop can always decide which fires next by comparing
-    ``(t, priority, seq)``.  It asserts global timestamp monotonicity:
-    an event firing before ``now`` is a scheduler bug, not a recoverable
-    condition.
+    priority, seq)`` heap, where seq is the schedule order, so equal
+    ``(t, priority)`` events fire in the order they were scheduled.  A
+    run element fires after every heap event at its instant, so the loop
+    decides which fires next by comparing two instants.  It asserts
+    global timestamp monotonicity: an event firing before ``now`` is a
+    scheduler bug, not a recoverable condition.
 
-    When the run holds the smaller key, its handler is offered the
-    maximal *cohort*: the prefix of unconsumed elements whose every key
-    precedes the heap head.  The handler returns how many it consumed
-    (at least the head element, which is trivially heap-equivalent);
-    elements whose admission could schedule an event that lands inside
-    the offered prefix must be left unconsumed.  Firing order is
-    therefore bit-identical to per-element delivery
-    (:class:`HeapEventScheduler`) — the cohort is an optimization of
-    *delivery*, not of ordering — which the equivalence property tests
-    assert directly.
+    When the run's head comes first, its handler is offered the maximal
+    *cohort*: the prefix of unconsumed elements before the heap head's
+    instant.  The handler returns how many it consumed (at least the
+    head element, which is trivially heap-equivalent); elements whose
+    admission could schedule an event that lands inside the offered
+    prefix must be left unconsumed.  Firing order is therefore
+    bit-identical to per-element delivery (:class:`HeapEventScheduler`)
+    — the cohort is an optimization of *delivery*, not of ordering —
+    which the equivalence property tests assert directly.
     """
 
     def __init__(self, trace: bool = False):
@@ -697,43 +696,38 @@ class EventScheduler:
         heapq.heappush(self._heap, (t, priority, self._seq, event, handler))
         self._seq += 1
 
-    def _new_run(self, ts: np.ndarray, priority: int,
-                 handler: Callable) -> _EventRun:
-        """Validate a run and allot its tokens."""
+    def _new_run(self, ts: np.ndarray, handler: Callable) -> _EventRun:
+        """Validate the loop's one run and hold it."""
+        if self._run is not None:
+            raise RuntimeError("the event loop already holds a run")
         ts = np.ascontiguousarray(ts, dtype=np.float64)
         if not np.all(ts[1:] >= ts[:-1]):       # NaN-proof, as in schedule
             raise ValueError("run timestamps must be sorted")
         if len(ts) and not ts[0] >= self.now:
             raise RuntimeError(
                 f"cannot schedule an event at t={ts[0]} before now={self.now}")
-        base = self._seq
-        self._seq += len(ts)
-        return _EventRun(ts, int(priority), base, handler)
+        self._run = _EventRun(ts, handler)
+        return self._run
 
-    def schedule_run(self, ts: np.ndarray, priority: int,
-                     handler: Callable) -> int:
+    def schedule_run(self, ts: np.ndarray, handler: Callable) -> None:
         """Queue the loop's pre-sorted bulk of events as its one run.
 
         ``handler(t0, start, stop)`` is called with the cohort bounds
         (elements ``[start, stop)``, the first at ``t0``) and must return
-        the number of elements consumed, in ``[1, stop - start]``.  The
-        run holds no typed events, so the loop records nothing for it: a
+        the number of elements consumed, in ``[1, stop - start]``.  Each
+        element fires after every heap event at its instant.  The run
+        holds no typed events, so the loop records nothing for it: a
         handler that wants its elements in ``trace`` records the span it
-        consumes (:meth:`EventTrace.arrivals`).  Returns the token of the
-        run's first element: element ``i`` is keyed ``(ts[i], priority,
-        first + i)``.  A loop holds one run; a second raises
-        ``RuntimeError``.
+        consumes (:meth:`EventTrace.arrivals`).  A loop holds one run; a
+        second raises ``RuntimeError``.
         """
-        if self._run is not None:
-            raise RuntimeError("the event loop already holds a run")
-        self._run = self._new_run(ts, priority, handler)
-        return self._run.base
+        self._new_run(ts, handler)
 
-    def before(self, key: tuple) -> bool:
-        """Whether the heap's head fires before the event keyed ``key``,
-        a ``(t, priority, token)``: a cohort handler whose element
-        scheduled an event asks it before going on to the next one."""
-        return bool(self._heap) and self._heap[0][:3] < key
+    def before(self, t: float) -> bool:
+        """Whether the heap's head fires before a run element at ``t``: a
+        cohort handler whose element scheduled an event asks it before
+        going on to the next one."""
+        return bool(self._heap) and self._heap[0][0] <= t
 
     def record(self, event) -> None:
         """Record a typed event that no heap entry carries (an applied
@@ -743,16 +737,10 @@ class EventScheduler:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _run_cut(run: _EventRun, key: tuple) -> int:
-        """Index of the first run element whose key does not precede ``key``."""
-        t, prio, seq = key
-        lo = int(np.searchsorted(run.ts, t, side="left"))
-        if prio < run.priority:
-            return lo
-        hi = int(np.searchsorted(run.ts, t, side="right"))
-        if prio > run.priority:
-            return hi
-        return min(hi, max(lo, seq - run.base))
+    def _run_cut(run: _EventRun, t: float) -> int:
+        """Index of the first run element that fires after a heap event at
+        ``t``: the first at or after ``t``."""
+        return int(np.searchsorted(run.ts, t, side="left"))
 
     def run(self) -> None:
         heap = self._heap
@@ -761,10 +749,10 @@ class EventScheduler:
             run = self._run
             if run is not None and run.pos < run.n:
                 pos = run.pos
-                key = (run.ts[pos], run.priority, run.base + pos)
+                t0 = float(run.ts[pos])
             else:
                 run = None
-            if heap and (run is None or heap[0][:3] < key):
+            if heap and (run is None or heap[0][0] <= t0):
                 t, _prio, _seq, event, handler = heapq.heappop(heap)
                 if t < self.now:
                     raise RuntimeError(
@@ -778,24 +766,17 @@ class EventScheduler:
                 continue
             if run is None:
                 return      # drained: the heap is empty too
-            t0 = float(run.ts[pos])
             if t0 < self.now:
                 raise RuntimeError(
                     f"event fired out of timestamp order: t={t0} < "
                     f"now={self.now}")
-            # The head element precedes the heap head, so delivering it
-            # alone is always valid even when the cut lands at or before
-            # ``pos`` (equal-key ties are impossible: seq values are
-            # globally unique).  When the run's next element already
-            # trails the heap head the cut is exactly that one element,
-            # and no search is needed.
+            # The head element precedes the heap head, so the cut lies
+            # past it.  When the run's next element already trails the
+            # heap head the cut is exactly that one element, and no
+            # search is needed.
             stop = pos + 1
-            if stop < run.n and not (heap and (
-                    run.ts[stop], run.priority, run.base + stop)
-                    > heap[0][:3]):
-                stop = run.n
-                if heap:
-                    stop = max(self._run_cut(run, heap[0][:3]), pos + 1)
+            if stop < run.n and not (heap and run.ts[stop] >= heap[0][0]):
+                stop = self._run_cut(run, heap[0][0]) if heap else run.n
             consumed = int(run.handler(t0, pos, stop))
             if not 1 <= consumed <= stop - pos:
                 raise RuntimeError(
@@ -811,28 +792,28 @@ class EventScheduler:
 class HeapEventScheduler(EventScheduler):
     """:class:`EventScheduler` with every cohort cut to one.
 
-    The run is expanded into one heap entry per element, under the tokens
-    it would have held, and each is offered to the run's handler as a
-    cohort of one.  This is the reference the cohort optimisation is
-    held to: the merge of the run against the heap, :meth:`_run_cut` and
-    a handler's bulk admission all lie on the other side of the
-    comparison, so the equivalence property tests replay one workload
-    through both and require bit-identical outcomes, and the serving
-    bench uses this class as its "before" lane.
+    The run is expanded into one heap entry per element, keyed after
+    every heap priority at its instant and in run order, and each is
+    offered to the run's handler as a cohort of one.  This is the
+    reference the cohort optimisation is held to: the merge of the run
+    against the heap, :meth:`_run_cut` and a handler's bulk admission all
+    lie on the other side of the comparison, so the equivalence property
+    tests replay one workload through both and require bit-identical
+    outcomes, and the serving bench uses this class as its "before"
+    lane.
     """
 
-    def schedule_run(self, ts: np.ndarray, priority: int,
-                     handler: Callable) -> int:
-        run = self._new_run(ts, priority, handler)
+    def schedule_run(self, ts: np.ndarray, handler: Callable) -> None:
+        run = self._new_run(ts, handler)
+        run.n = 0       # the heap delivers it, element by element
 
         def deliver(i: int, _event) -> None:
             if handler(self.now, i, i + 1) != 1:
                 raise RuntimeError("a cohort of one was not consumed")
 
         for i, t in enumerate(run.ts.tolist()):
-            heapq.heappush(self._heap, (t, run.priority, run.base + i, None,
+            heapq.heappush(self._heap, (t, _RUN, i, None,
                                         partial(deliver, i)))
-        return run.base
 
 
 # --------------------------------------------------------------------------- #
@@ -1370,49 +1351,39 @@ class LoopOrder:
 
 
 # --------------------------------------------------------------------------- #
-def _first_reaching(a: np.ndarray, lo: int, hi: int, x: float) -> int:
-    """The first ``i`` in ``[lo, hi)`` with ``a[i] >= x``, else ``hi``.
-
-    ``a`` is sorted and ``lo < hi``.  Most cohorts are cut at their head
-    or just after it, so those two elements are compared before anything
-    is searched.
-    """
-    if a[lo] >= x:
-        return lo
-    if hi - lo == 1 or a[lo + 1] >= x:
-        return lo + 1
-    return lo + int(np.searchsorted(a[lo:hi], x, side="left"))
-
-
 class BatcherActor:
     """:class:`DynamicBatcher` run online on the event loop.
 
-    With no ``fleet`` (serial ingest) it releases exactly the spans of the
-    offline reference, :meth:`DynamicBatcher.spans`, at the instants
-    :meth:`DynamicBatcher.coalesce` gives them (same triggers —
-    property-tested), so replays that predate the event core are
+    The batching rule is the batcher's: :meth:`DynamicBatcher.ends` gives,
+    per arrival, where the job it opens ends by size or deadline, and the
+    actor reads that table.  With no ``fleet`` (serial ingest) it
+    therefore releases exactly :meth:`DynamicBatcher.releases`
+    (property-tested), so replays that predate the event core are
     byte-identical and the engine can route a serial run's jobs before
-    they are released.  A ``fleet`` (pipelined ingest) adds
-    the double-buffered drain trigger: the buffer flushes the moment every
-    fleet group is hungry (idle server, empty queue), so batching delay is
-    only ever paid while it hides behind in-flight compute.
+    they are released.  A ``fleet`` (pipelined ingest) adds the
+    double-buffered drain trigger: the buffer flushes the moment every
+    fleet group is hungry (idle server, empty queue), so batching delay
+    is only ever paid while it hides behind in-flight compute.
 
     Arrivals are admitted in trace order and a flush always drains the
     whole buffer, so on every scheduler the pending buffer is a span
     ``[lo, admitted)`` of the one :class:`ArrivalTrace`, and a flush hands
     the sink ``(t, lo, admitted)``: the job's release instant and span.
+    Its deadline fires before any arrival at or past it, so while the
+    buffer is pending the next arrival lies before ``end[lo]`` or ends
+    the job by size.
     """
 
     def __init__(self, batcher: DynamicBatcher, sched: EventScheduler,
                  sink: Callable[[float, int, int], None],
                  fleet: Sequence[ServerGroup] = ()):
-        self.max_edges = batcher.max_edges
+        self._batcher = batcher
         self.max_delay_s = batcher.max_delay_s
         self._sched = sched
         self._sink = sink
         self._fleet = tuple(fleet)
         self._trace: ArrivalTrace | None = None     # set by start()
-        self._first = 0         # token of the first release, one pass
+        self._end = self._full = None   # DynamicBatcher.ends, by start()
         self._lo = 0            # first pending arrival
         self._admitted = 0      # one past the last pending arrival
 
@@ -1425,7 +1396,8 @@ class BatcherActor:
         cohort consumes.
         """
         self._trace = trace
-        self._sched.schedule_run(trace.t, _ARRIVAL, self._on_cohort)
+        self._end, self._full = self._batcher.ends(trace)
+        self._sched.schedule_run(trace.t, self._on_cohort)
 
     def start_releases(self, rel: Releases, order: LoopOrder | None) -> None:
         """Schedule the releases of serial ingest, known up front
@@ -1438,8 +1410,8 @@ class BatcherActor:
         """
         columns = (rel.lo.tolist(), rel.hi.tolist(), rel.t.tolist(),
                    rel.cause.tolist(), rel.seen.tolist())
-        self._first = self._sched.schedule_run(
-            rel.t, _FLUSH, partial(self._on_releases, columns, order))
+        self._sched.schedule_run(
+            rel.t, partial(self._on_releases, columns, order))
 
     def _on_releases(self, columns: tuple, order: LoopOrder | None,
                      _t: float, start: int, stop: int) -> int:
@@ -1455,8 +1427,8 @@ class BatcherActor:
             if order is not None:
                 order.release(t, seen[j], cause[j], hi[j] - lo[j])
             self._sink(t, lo[j], hi[j])
-            if pending and j + 1 < stop and self._sched.before(
-                    (release[j + 1], _FLUSH, self._first + j + 1)):
+            if pending and j + 1 < stop \
+                    and self._sched.before(release[j + 1]):
                 return j + 1 - start
         return stop - start
 
@@ -1472,18 +1444,15 @@ class BatcherActor:
     # ------------------------------------------------------------------ #
     def _admit(self, t: float) -> None:
         """Admit the next arrival of the trace, which fires at ``t``."""
-        cum = self._trace.cum
         i = self._admitted
-        # Overflow guard: admitting this arrival would push the buffer past
-        # the size cap, so release the buffered job first (only a single
-        # oversized arrival can ever produce an oversized job).
-        if self.max_edges is not None and i > self._lo \
-                and cum[i + 1] - cum[self._lo] > self.max_edges:
+        if i > self._lo and i == self._end.item(self._lo):
+            # Admitting this arrival would push the buffer past the size
+            # cap, so release the buffered job first (only a single
+            # oversized arrival can ever produce an oversized job).
             self._flush(t, "size")
-        first = i == self._lo
+        lo = self._lo
         self._admitted = i + 1
-        if self.max_edges is not None \
-                and cum[i + 1] - cum[self._lo] >= self.max_edges:
+        if self._full.item(lo) and i + 1 == self._end.item(lo):
             self._flush(t, "size")
             return
         if self._fleet_hungry():
@@ -1496,7 +1465,7 @@ class BatcherActor:
             # reference releases the tail at the last arrival instant.
             self._flush(t, "eos")
             return
-        if first and math.isfinite(self.max_delay_s):
+        if i == lo and math.isfinite(self.max_delay_s):
             self._schedule_deadline(t + self.max_delay_s)
 
     def _on_cohort(self, t: float, start: int, stop: int) -> int:
@@ -1504,53 +1473,37 @@ class BatcherActor:
 
         Consuming more than the head element is valid only while admission
         is *pure buffering* — no flush fires and no event the batcher
-        schedules lands inside the consumed span.  An arrival that could
-        react at the same instant (a passthrough deadline, a drain flush,
-        a size trigger) is consumed alone through :meth:`_admit`, which is
-        all a cohort of one (:class:`HeapEventScheduler`) ever does beyond
-        buffering one element.  A tracing scheduler gets the span of the
-        consumed elements, ahead of whatever their admission records.
+        schedules lands inside the consumed span.  The pending job ends at
+        ``end[lo]``, before the arrival its deadline precedes or that
+        overflows it, or just after the arrival that fills it, so the
+        cohort is cut before that arrival: ``end[lo] - full[lo]``.  An
+        arrival that reacts at the same instant (a size flush, or any
+        arrival into a hungry fleet, which drains) is consumed alone
+        through :meth:`_admit`, which is all a cohort of one
+        (:class:`HeapEventScheduler`) ever does beyond buffering one
+        element.  (Fleet hungriness is frozen during pure buffering —
+        nothing fires between cohort elements — so checking it once at
+        the cohort head is exact.)  A tracing scheduler gets the span of
+        the consumed elements, ahead of whatever their admission records.
         """
-        trace = self._trace
-        pending_empty = self._admitted == self._lo
-        opens = pending_empty and math.isfinite(self.max_delay_s)
-        limit = stop
-        if (pending_empty and self.max_delay_s == 0.0) \
-                or self._fleet_hungry():
-            # Passthrough deadline or hungry-fleet drain: the head flushes
-            # the moment it is admitted.  (Fleet hungriness is frozen
-            # during pure buffering — nothing fires between cohort
-            # elements — so checking it once at the cohort head is exact.)
-            limit = start
-        else:
-            if opens:
-                # Admitting the head opens the buffer and schedules a
-                # deadline flush at t + max_delay_s — an event the
-                # scheduler could not see when it cut the cohort.
-                # Arrivals at or past the deadline instant (the head too,
-                # when the deadline cannot move the clock) wait behind the
-                # _FLUSH-priority release.
-                deadline = t + self.max_delay_s
-                limit = _first_reaching(trace.t, start, stop, deadline)
-            if self.max_edges is not None and limit > start:
-                # Pure buffering holds the buffer strictly below the size
-                # cap; the element whose admission reaches (or overflows)
-                # it triggers a flush, so the cut stops just before it.
-                # Element k triggers iff cum[k + 1] - cum[lo] >= max_edges.
-                limit = _first_reaching(
-                    trace.cum, start + 1, limit + 1,
-                    self.max_edges + int(trace.cum[self._lo])) - 1
+        trace, lo = self._trace, self._lo
+        limit = start if self._fleet_hungry() \
+            else min(stop, self._end.item(lo) - self._full.item(lo))
         consumed = max(limit - start, 1)
         if self._sched.trace is not None:
             self._sched.trace.arrivals(trace, start, start + consumed)
         if limit <= start:
             self._admit(t)          # the head reacts: admit it alone
             return 1
+        opens = self._admitted == lo
         self._admitted = limit
         if limit == len(trace) and not math.isfinite(self.max_delay_s):
             self._flush(float(trace.t[limit - 1]), "eos")
-        elif opens:
-            self._schedule_deadline(deadline)
+        elif opens and math.isfinite(self.max_delay_s):
+            # The buffer opened at the head schedules its deadline, an
+            # event the scheduler could not see when it cut the cohort;
+            # the arrivals at or past it lie at or after ``end[lo]``.
+            self._schedule_deadline(t + self.max_delay_s)
         return consumed
 
     def _schedule_deadline(self, t: float) -> None:

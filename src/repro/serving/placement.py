@@ -53,6 +53,7 @@ Policies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -338,8 +339,9 @@ class LoadAwareRebalance:
     name = "rebalance"
 
     def __init__(self, util_threshold: float = 0.75):
-        if not 0.0 < util_threshold:
-            raise ValueError("util_threshold must be positive")
+        # A threshold of inf is never exceeded: nothing would ever move.
+        if not 0.0 < util_threshold < math.inf:     # NaN too
+            raise ValueError("util_threshold must be positive and finite")
         self.util_threshold = float(util_threshold)
 
     def place(self, heat: VertexHeat, num_shards: int,

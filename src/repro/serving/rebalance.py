@@ -112,7 +112,7 @@ class OnlineRebalancer:
         happen at window close.
     util_threshold:
         Sharded mode: donate off shards whose window utilization exceeds
-        this.
+        this (positive and finite).
     cooldown_windows:
         A migrated vertex may not migrate again for this many windows (a
         non-negative integer) — the anti-ping-pong guard.
@@ -129,8 +129,9 @@ class OnlineRebalancer:
         # A window that never closes would never let the policy act.
         if not 0 < window_s < math.inf:     # NaN too
             raise ValueError("window_s must be positive and finite")
-        if not util_threshold > 0:
-            raise ValueError("util_threshold must be positive")
+        # A threshold of inf is never exceeded: the policy would never act.
+        if not 0 < util_threshold < math.inf:   # NaN too
+            raise ValueError("util_threshold must be positive and finite")
         self.window_s = float(window_s)
         self.util_threshold = float(util_threshold)
         self.cooldown_windows = check_cooldown(cooldown_windows)

@@ -28,7 +28,7 @@ So :meth:`ShardRouter.plan` routes every job it is given in one pass — a
 :class:`RoutePlan` — and hands them out one at a time; when the
 generation moves, the caller drops the plan and routes what is left
 again.  Under serial ingest the job boundaries are known in advance
-(:meth:`~repro.serving.batcher.DynamicBatcher.spans`), so the serving
+(:meth:`~repro.serving.batcher.DynamicBatcher.releases`), so the serving
 engine routes one plan per run when no controller can move ownership,
 and otherwise plans of doubling size within an epoch, so that the jobs
 a move throws away never outnumber those handed out by more than the

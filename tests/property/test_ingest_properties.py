@@ -13,11 +13,11 @@ the online batcher releases from the trace must equal the offline
 ``coalesce`` of the oracle's list merged by ``merge_batches``, and the
 two schedulers must write the same report bytes.
 
-``DynamicBatcher.spans`` finds each arrival's job end with one
-``searchsorted`` of the instants and one of the edge offsets, then
-chains the ends; the admission loop ``coalesce`` ran before is the third
-oracle here, held to it on tied, bursty, uniform and deadline-grid
-traces.
+``DynamicBatcher.ends`` finds each arrival's job end with one
+``searchsorted`` of the instants and one of the edge offsets, and
+``releases`` chains the ends; the admission loop ``coalesce`` ran before
+is the third oracle here, held to it on tied, bursty, uniform and
+deadline-grid traces.
 """
 
 import math
@@ -25,7 +25,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serving.batcher as batcher_module
@@ -38,6 +38,7 @@ from repro.serving import (ArrivalTrace, BatcherActor, CoalescedJob,
                            HeapEventScheduler, ServingEngine, StreamArrival,
                            make_stream_arrivals)
 from tests.property.arrival_oracle import from_arrivals, merge_batches
+from tests.property.batcher_oracle import OracleBatcherActor
 from tests.property.lane_agreement import check_lane_agreement
 
 NUM_NODES = 12
@@ -259,8 +260,7 @@ class TestColumnarIngestMatchesTheLoops:
         event loop, and tracing either changes nothing but the record:
         same report bytes, same scheduler counters, one typed-event
         sequence.  The cohort-of-one draws take the shortcuts that skip
-        the cut searches (the loop's ``_run_cut``, the batcher's size and
-        deadline cuts).  A serial run is served as one pass, whose
+        the loop's cut search, ``_run_cut``.  A serial run is served as one pass, whose
         releases are the loop's only events: one cohort of them, or one
         heap entry each; the event loop it replaces (the predicate
         patched) must write its report bytes and its trace, event for
@@ -379,13 +379,14 @@ def loop_bounds(batcher, arrivals, start):
 
 
 def check_spans(arrivals, cfg, j):
-    """``spans`` and ``coalesce`` equal the admission loop over the
-    arrivals, and from the released boundary ``lo[j]`` (taken modulo the
-    jobs, the end of the trace included) the suffix of the spans is the
-    loop run from there: what lets a re-plan slice the run's spans."""
+    """The spans of ``releases`` and ``coalesce`` equal the admission
+    loop over the arrivals, and from the released boundary ``lo[j]``
+    (taken modulo the jobs, the end of the trace included) the suffix of
+    the spans is the loop run from there: what lets a re-plan slice the
+    run's spans."""
     batcher = DynamicBatcher(**cfg)
     bounds, want = loop_bounds(batcher, arrivals, 0)
-    lo, hi = batcher.spans(from_arrivals(arrivals))
+    lo, hi = batcher.releases(from_arrivals(arrivals))[:2]
     assert lo.tolist() == bounds[:-1].tolist()
     assert hi.tolist() == bounds[1:].tolist()
     got = batcher.coalesce(from_arrivals(arrivals))
@@ -429,7 +430,7 @@ class TestSpansMatchTheAdmissionLoop:
         (graph, window, start, end), num_streams, speedup = replay
         trace = make_stream_arrivals(graph, window, num_streams=num_streams,
                                      start=start, end=end, speedup=speedup)
-        lo, hi = DynamicBatcher(**cfg).spans(trace)
+        lo, hi = DynamicBatcher(**cfg).releases(trace)[:2]
         rows, offsets = trace.job_rows(lo, hi)
         for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
             assert_batches_identical(
@@ -439,4 +440,90 @@ class TestSpansMatchTheAdmissionLoop:
     def test_unsorted_arrivals_rejected(self):
         arrivals = hand_built(np.array([0.0, 1.0]), [1, 1])[::-1]
         with pytest.raises(ValueError, match="sorted"):
-            DynamicBatcher().spans(from_arrivals(arrivals))
+            DynamicBatcher().ends(from_arrivals(arrivals))
+
+
+# --------------------------------------------------------------------------- #
+def actor_lanes(replay, topology, cfg, ingest, queue_capacity, per_edge_s):
+    """Serve ``replay`` on the event loop with the actor that reads
+    :meth:`DynamicBatcher.ends` and with :class:`OracleBatcherActor`, on
+    both schedulers, traced; require the same report bytes, the same
+    typed events and the same scheduler counters.  Serial ingest is held
+    on the loop (the one-pass predicate patched).  Returns the causes of
+    the run's flushes."""
+    (graph, window, start, end), num_streams, speedup = replay
+
+    def lane(actor_cls, scheduler_cls):
+        backends = [LinearCostBackend(per_edge_s=per_edge_s)
+                    for _ in range(1 if topology == "pool" else 3)]
+        engine = ServingEngine(backends, NUM_NODES, topology=topology,
+                               pool_servers=2 if topology == "pool" else None,
+                               memsync="push",
+                               batcher=DynamicBatcher(**cfg))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "serves_in_one_pass",
+                          lambda *_: False)
+            patch.setattr(engine_module, "BatcherActor", actor_cls)
+            report = engine.run(
+                graph, window, start=start, end=end, speedup=speedup,
+                num_streams=num_streams, ingest=ingest,
+                queue_capacity=queue_capacity,
+                scheduler_cls=scheduler_cls, trace=True)
+        sched, trace = engine.last_scheduler, engine.last_event_trace
+        return (report.to_json(), [repr(e) for e in trace],
+                sched.events_processed, sched.cohort_calls,
+                sched.cohort_events), trace
+
+    for scheduler_cls in (EventScheduler, HeapEventScheduler):
+        got, trace = lane(BatcherActor, scheduler_cls)
+        want, _ = lane(OracleBatcherActor, scheduler_cls)
+        assert got == want
+    return set(trace.columns(FlushEvent)["cause"].tolist())
+
+
+def grid_replay():
+    """Three streams of 40 one-second windows, one edge each."""
+    rng = np.random.default_rng(45)
+    graph = TemporalGraph(src=rng.integers(0, NUM_NODES, 40),
+                          dst=rng.integers(0, NUM_NODES, 40),
+                          t=np.arange(40.0),
+                          edge_feat=rng.normal(size=(40, EDGE_DIM)),
+                          num_nodes=NUM_NODES)
+    return (graph, 1.0, 0, None), 3, 1.0
+
+
+class TestTheActorReadsTheEndsTable:
+    def test_it_releases_what_the_trigger_searches_released(self):
+        """The actor that cuts its cohorts at ``end[lo] - full[lo]`` and
+        flushes on ``end`` / ``full`` writes the report, the trace and the
+        counters of the one that searched the size and deadline triggers
+        per arrival, on both schedulers, serial and pipelined, over caps
+        below and above the arrival size, passthrough, finite and
+        unbounded deadlines, and every queue capacity.  Over the draws,
+        pipelined runs flush for every cause; the examples on a fleet far
+        slower than the arrivals make sure of it: size at a cap of one
+        edge, deadline while the fleet is busy, drain at the first
+        arrival, and the end of the stream under an unbounded deadline."""
+        causes = set()
+        slow = (grid_replay(), "pool", "pipelined", None, 5.0)
+
+        @settings(deadline=None, max_examples=40)
+        @given(replays, st.sampled_from(["pool", "sharded"]),
+               st.sampled_from(["serial", "pipelined"]),
+               st.sampled_from([None, 0, 2]), st.sampled_from([0.05, 5.0]),
+               st.sampled_from([None, 1, 3, 12]),
+               st.sampled_from([None, 0.0, 0.5, 2.0]))
+        @example(*slow, 1, None)
+        @example(*slow, None, 0.5)
+        @example(*slow, 12, None)
+        def check(replay, topology, ingest, queue_capacity, per_edge_s,
+                  max_edges, max_delay_s):
+            found = actor_lanes(replay, topology,
+                                dict(max_edges=max_edges,
+                                     max_delay_s=max_delay_s),
+                                ingest, queue_capacity, per_edge_s)
+            if ingest == "pipelined":
+                causes.update(found)
+
+        check()
+        assert causes == {"size", "deadline", "drain", "eos"}

@@ -11,7 +11,7 @@ from repro.hw import ZCU104_DESIGN
 from repro.models import ModelConfig, top_k_mask
 from repro.models.time_encoding import LUTTimeEncoder
 from repro.perf import PerformanceModel
-from repro.profiling import Convention, count_ops
+from repro.profiling import count_ops
 from repro.training import average_precision, roc_auc
 
 settings.register_profile("repro", deadline=None, max_examples=40)
@@ -74,12 +74,11 @@ class TestPruningProperties:
 
 
 class TestOpCounterProperties:
-    @given(st.integers(1, 10), st.booleans(), st.booleans())
-    def test_pruning_monotone(self, budget, lut, full_conv):
-        conv = Convention.FULL if full_conv else Convention.PAPER
+    @given(st.integers(1, 10), st.booleans())
+    def test_pruning_monotone(self, budget, lut):
         cfg = ModelConfig(simplified_attention=True, lut_time_encoder=lut)
-        base = count_ops(cfg, conv)
-        pruned = count_ops(cfg.with_(pruning_budget=budget), conv)
+        base = count_ops(cfg)
+        pruned = count_ops(cfg.with_(pruning_budget=budget))
         assert pruned.total_macs <= base.total_macs + 1e-9
         assert pruned.total_mems <= base.total_mems + 1e-9
 
@@ -89,16 +88,14 @@ class TestOpCounterProperties:
         bigger = count_ops(ModelConfig(memory_dim=mem + 8, embed_dim=emb + 8))
         assert bigger.total_macs > small.total_macs
 
-    @given(st.booleans())
-    def test_every_optimization_strictly_helps(self, full_conv):
-        conv = Convention.FULL if full_conv else Convention.PAPER
-        base = count_ops(ModelConfig(), conv).total_macs
-        sat = count_ops(ModelConfig(simplified_attention=True), conv).total_macs
+    def test_every_optimization_strictly_helps(self):
+        base = count_ops(ModelConfig()).total_macs
+        sat = count_ops(ModelConfig(simplified_attention=True)).total_macs
         lut = count_ops(ModelConfig(simplified_attention=True,
-                                    lut_time_encoder=True), conv).total_macs
+                                    lut_time_encoder=True)).total_macs
         np2 = count_ops(ModelConfig(simplified_attention=True,
-                                    lut_time_encoder=True, pruning_budget=2),
-                        conv).total_macs
+                                    lut_time_encoder=True,
+                                    pruning_budget=2)).total_macs
         assert base > sat > lut > np2
 
 

@@ -124,7 +124,7 @@ def test_perf_guard_reads_every_present_row_of_its_table(tmp_path):
         (tmp_path / name).write_text(json.dumps(payload))
 
     write("BENCH_failover.json", rows=[])           # no row: never opened
-    write("BENCH_events_per_sec.json", speedup_ratio=5.7)   # floor 5.6
+    write("BENCH_events_per_sec.json", speedup_ratio=16.1)  # floor 16
     write("BENCH_router_split.json", scaling_ratio=1.3,     # ceiling 1.3
           plan_over_split=0.5)                              # ceiling 0.5
     ok = guard()
@@ -132,7 +132,7 @@ def test_perf_guard_reads_every_present_row_of_its_table(tmp_path):
     assert ok.stdout.count("OK: ") == 3 and "failover" not in ok.stdout
     assert "skip: BENCH_ingest.json" in ok.stdout
 
-    write("BENCH_events_per_sec.json", speedup_ratio=5.5)
+    write("BENCH_events_per_sec.json", speedup_ratio=15.9)
     write("BENCH_ingest.json", scaling_ratio=3.1)
     bad = guard()
     assert bad.returncode == 1

@@ -382,6 +382,9 @@ class TestServeSim:
         # A window that never closes exited 0 with no migration.
         ["--rebalance-online", "--rebalance-window", "inf"],
         ["--rebalance-online", "--rebalance-threshold", "nan"],
+        # A threshold no utilization exceeds made no migration, exit 0.
+        ["--rebalance-online", "--rebalance-threshold", "inf"],
+        ["--placement", "rebalance", "--util-threshold", "inf"],
         # A checkpoint that is not there was a FileNotFoundError traceback.
         ["--model", "no-such-checkpoint.npz"],
     ], ids=" ".join)

@@ -20,14 +20,16 @@ from repro.serving import (ArrivalTrace, AutoScaler, CapacityConfig,
 from repro.serving.control import Window
 
 
-def job(src, dst):
-    """A released job of one arrival with edges ``src -> dst``."""
-    n = len(src)
-    edges = EdgeBatch(src=np.asarray(src), dst=np.asarray(dst),
-                      t=np.zeros(n), eid=np.arange(n),
-                      edge_feat=np.zeros((n, 0)))
-    return ArrivalTrace(edges, np.zeros(1), np.zeros(1, dtype=np.int64),
-                        np.array([0, n]), np.array([0]))
+def jobs(*edges):
+    """Released jobs of one arrival trace, an arrival each: job ``j`` has
+    the edges ``src -> dst`` of ``edges[j] = (src, dst)``."""
+    src, dst = (np.concatenate(col) for col in zip(*edges))
+    n, cum = len(src), np.cumsum([0] + [len(e[0]) for e in edges])
+    columns = EdgeBatch(src=src, dst=dst, t=np.zeros(n), eid=np.arange(n),
+                        edge_feat=np.zeros((n, 0)))
+    trace = ArrivalTrace(columns, np.zeros(len(edges)),
+                         np.zeros(len(edges), dtype=np.int64), cum, cum[:-1])
+    return [trace.span(j, j + 1) for j in range(len(edges))]
 
 
 def fleet(num_shards=3, num_nodes=12, trace=True, **policies):
@@ -43,13 +45,14 @@ class TestWindow:
     def test_two_window_lengths_share_one_accumulation(self):
         _, _, _, plane = fleet()
         short, long_ = Window(plane, 1.0), Window(plane, 10.0)
-        plane.observe(0.0, job([0, 1], [2, 2]))
+        first, second, third = jobs(([0, 1], [2, 2]), ([2], [3]), ([3], [0]))
+        plane.observe(0.0, first)
         assert not short.closes(0.0) and not long_.closes(0.0)
-        plane.observe(1.0, job([2], [3]))
+        plane.observe(1.0, second)
         assert short.closes(1.0) and not long_.closes(1.0)
         assert short.heat[[0, 1, 2, 3]].tolist() == [1, 1, 3, 1]
         short.roll(1.0)
-        plane.observe(1.5, job([3], [0]))
+        plane.observe(1.5, third)
         # The short window restarted; the long one kept counting.
         assert short.heat[[0, 2, 3]].tolist() == [1, 0, 1]
         assert long_.heat[[0, 2, 3]].tolist() == [2, 3, 2]
@@ -70,10 +73,9 @@ class TestHeatOnRead:
     @given(st.data())
     def test_heat_read_equals_per_job_counting(self, data):
         """The plane counts heat only when it is read; the counts equal
-        one ``np.add.at`` per observed job, whatever the jobs are: spans
-        of one trace in any order, repeated, overlapping or apart, empty
-        ones, jobs over edge columns of their own, and reads between
-        any two of them."""
+        one ``np.add.at`` per observed job, whatever the spans of the one
+        trace are: in any order, repeated, overlapping or apart, empty
+        ones, and reads between any two of them."""
         num_nodes, m = 12, 30
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         edges = EdgeBatch(src=rng.integers(0, num_nodes, m),
@@ -91,19 +93,14 @@ class TestHeatOnRead:
         want = np.zeros(num_nodes, dtype=np.int64)
         span = st.tuples(st.integers(0, len(sizes)),
                          st.integers(0, len(sizes))).map(sorted)
-        own = st.lists(st.tuples(st.integers(0, num_nodes - 1),
-                                 st.integers(0, num_nodes - 1)),
-                       min_size=1, max_size=3)
         steps = data.draw(st.lists(st.one_of(
             st.tuples(st.just("span"), span),
-            st.tuples(st.just("own"), own),
             st.tuples(st.just("read"), st.none())), max_size=12))
         for kind, arg in steps + [("read", None)]:
             if kind == "read":
                 assert np.array_equal(plane.heat, want)
                 continue
-            sources = trace.span(*arg) if kind == "span" \
-                else job(*zip(*arg))
+            sources = trace.span(*arg)
             rows = sources.rows()
             np.add.at(want, np.concatenate((sources.edges.src[rows],
                                             sources.edges.dst[rows])), 1)

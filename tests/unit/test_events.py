@@ -457,7 +457,7 @@ class TestBatcherActorEquivalence:
             for i, (t, n) in enumerate(sizes.items())])
         batcher = DynamicBatcher(max_edges=4, max_delay_s=2.0)
         jobs = self.run_actor(batcher, arrivals, cls)
-        lo, hi = batcher.spans(arrivals)
+        lo, hi = batcher.releases(arrivals)[:2]
         assert (lo.tolist(), hi.tolist()) == ([0, 2, 4], [2, 4, 5])
         bounds = np.cumsum([0] + [len(j.sources) for j in jobs])
         assert bounds[:-1].tolist() == lo.tolist()
@@ -507,17 +507,18 @@ class TestSchedulerInvariants:
         with pytest.raises(RuntimeError, match="before now"):
             sched.run()
 
-    def test_a_loop_holds_one_run(self):
+    @pytest.mark.parametrize("cls", [EventScheduler, HeapEventScheduler])
+    def test_a_loop_holds_one_run(self, cls):
         """A second run is refused, and the first still fires in full."""
-        sched, fired = EventScheduler(), []
+        sched, fired = cls(), []
 
         def on_cohort(t0, start, stop):
             fired.extend(range(start, stop))
             return stop - start
 
-        assert sched.schedule_run([0.0, 1.0, 2.0], 0, on_cohort) == 0
+        sched.schedule_run([0.0, 1.0, 2.0], on_cohort)
         with pytest.raises(RuntimeError, match="already holds a run"):
-            sched.schedule_run([3.0], 0, on_cohort)
+            sched.schedule_run([3.0], on_cohort)
         sched.run()
         assert fired == [0, 1, 2]
         assert sched.events_processed == 3 and sched.now == 2.0
@@ -529,10 +530,10 @@ class TestSchedulerInvariants:
         with pytest.raises(RuntimeError, match="before now"):
             sched.schedule(nan, 0, None, print)
         with pytest.raises(RuntimeError, match="before now"):
-            sched.schedule_run([nan], 0, print)
+            sched.schedule_run([nan], print)
         for ts in ([0.0, nan, 1.0], [0.0, 1.0, nan], [1.0, 0.0, 2.0]):
             with pytest.raises(ValueError, match="sorted"):
-                sched.schedule_run(ts, 0, print)
+                sched.schedule_run(ts, print)
             with pytest.raises(ValueError, match="sorted"):
                 simulate_queue([(t, None) for t in ts], lambda _: 1.0)
         sched.run()
@@ -821,30 +822,31 @@ class TestHeapVsVectorizedEquivalence:
     """
 
     SPAWN_BASE = 1_000_000   # tags >= this are dynamically spawned events
+    RUN = 3                  # after every point's priority (0-2)
 
     def _random_program(self, rng):
         """Point events and one run, with deliberate ties.
 
         Integer-grid times force exact collisions between the run and
-        the points; the run (up to 30 elements) spans most of the points'
+        the points, and a run element fires after every point at its
+        instant; the run (up to 30 elements) spans most of the points'
         range, so the heap head cuts inside it, and it is scheduled at a
-        random position among the points, so its tokens fall between
-        theirs.  Each element gets a unique tag so the fired sequences
-        compare element-for-element.
+        random position among the points.  Each element gets a unique tag
+        so the fired sequences compare element-for-element.
         """
         ops, tag = [], 0
         points = int(rng.integers(2, 12))
         at = int(rng.integers(0, points + 1))
         for k in range(points + 1):
-            prio = int(rng.integers(0, 3))
             if k != at:
-                ops.append(("point", float(rng.integers(0, 16)), prio, tag))
+                ops.append(("point", float(rng.integers(0, 16)),
+                            int(rng.integers(0, 3)), tag))
                 tag += 1
                 continue
             n = int(rng.integers(1, 31))
             ts = float(rng.integers(0, 4)) + np.cumsum(
                 rng.integers(0, 2, size=n).astype(np.float64))
-            ops.append(("run", ts, prio, list(range(tag, tag + n))))
+            ops.append(("run", ts, self.RUN, list(range(tag, tag + n))))
             tag += n
         return ops
 
@@ -874,9 +876,8 @@ class TestHeapVsVectorizedEquivalence:
                     break
             return consumed
 
-        # Identical schedule-call order in both lanes: the sequence
-        # numbers that break exact (t, priority) ties line up only if the
-        # heap lane expands the run element-by-element in place.
+        # Identical schedule-call order in both lanes: the heap lane
+        # schedules the run element by element, after every point.
         for op in ops:
             if op[0] == "point":
                 _, t, prio, tag = op
@@ -884,7 +885,7 @@ class TestHeapVsVectorizedEquivalence:
             elif vectorized:
                 _, ts, prio, tags = op
                 items = [(float(t), prio, g) for t, g in zip(ts, tags)]
-                sched.schedule_run(ts, prio, on_cohort)
+                sched.schedule_run(ts, on_cohort)
             else:
                 _, ts, prio, tags = op
                 for t, g in zip(ts, tags):
@@ -916,15 +917,8 @@ class TestHeapVsVectorizedEquivalence:
     def test_swapped_run_cut_is_caught(self, monkeypatch):
         """Mutation check: the heap lane shares the loop but never cuts a
         cohort, so it still says no to a scheduler that cuts wrongly."""
-        def swapped(run, key):
-            t, prio, seq = key
-            lo = int(np.searchsorted(run.ts, t, side="right"))
-            if prio < run.priority:
-                return lo
-            hi = int(np.searchsorted(run.ts, t, side="left"))
-            if prio > run.priority:
-                return hi
-            return min(hi, max(lo, seq - run.base))
+        def swapped(run, t):
+            return int(np.searchsorted(run.ts, t, side="right"))
 
         monkeypatch.setattr(EventScheduler, "_run_cut", staticmethod(swapped))
         with pytest.raises(AssertionError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import ModelConfig, variant_ladder
-from repro.profiling import (Convention, count_ops, count_ops_apan,
+from repro.profiling import (count_ops, count_ops_apan,
                              table1_breakdown, table2_ladder)
 from repro.profiling.paper_reference import TABLE2
 from repro.reporting import render_table
@@ -68,35 +68,13 @@ class TestPaperConvention:
         assert 1 - nps.total_macs / base.total_macs > 0.80
         assert 1 - nps.total_mems / base.total_mems > 0.60
 
-
-class TestFullConvention:
-    def test_full_counts_higher_than_paper_convention(self):
-        p = count_ops(WIKI, Convention.PAPER)
-        f = count_ops(WIKI, Convention.FULL)
-        assert f.gru_macs > p.gru_macs       # 3 gates + hidden products
-        assert f.total_macs > p.total_macs
-
-    def test_reductions_hold_in_both_conventions(self):
-        for conv in Convention:
-            base = count_ops(WIKI, conv)
-            nps = count_ops(WIKI.with_(simplified_attention=True,
-                                       lut_time_encoder=True,
-                                       pruning_budget=2), conv)
-            assert nps.total_macs < 0.35 * base.total_macs, conv
-
-    def test_full_counts_the_simplified_gnn_aggregate_first(self):
-        """FULL says what runs: ``W_v`` once per node, not per neighbor.
-        PAPER keeps the published per-neighbor count."""
-        m, ef, tau, e, k = 100, 172, 100, 100, 10
-        tail = k * k + (e + m) * e            # logit map + output transform
-        sat = WIKI.with_(simplified_attention=True)
-        assert count_ops(sat, Convention.FULL).gnn_macs == (
-            k * (m + ef + tau) + (m + ef + tau) * e + k * tau + tail)
-        np2 = sat.with_(lut_time_encoder=True, pruning_budget=2)
-        assert count_ops(np2, Convention.FULL).gnn_macs == (
-            2 * (m + ef) + (m + ef) * e + 2 * e + tail)
-        assert count_ops(np2, Convention.PAPER).gnn_macs == (
-            2 * (m + ef) * e + 2 * e + tail)
+    def test_simplified_gnn_applies_w_v_per_neighbor(self):
+        """The published count applies ``W_v`` to every kept neighbor."""
+        m, ef, e, k = 100, 172, 100, 10
+        np2 = WIKI.with_(simplified_attention=True, lut_time_encoder=True,
+                         pruning_budget=2)
+        assert count_ops(np2).gnn_macs == (
+            2 * (m + ef) * e + 2 * e + k * k + (e + m) * e)
 
 
 class TestStructure:

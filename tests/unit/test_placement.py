@@ -1,5 +1,7 @@
 """Unit tests for placement policies, replication routing, and pool mode."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,11 @@ class TestLoadAwareRebalance:
     def run_profile(self, g, placement, num_shards=4):
         engine = sharded_engine(g, num_shards, placement=placement)
         return engine.run(g, window_s=86400.0, speedup=5e4, num_streams=4)
+
+    def test_an_infinite_threshold_is_refused(self):
+        """No shard's utilization exceeds inf, so nothing would move."""
+        with pytest.raises(ValueError, match="util_threshold"):
+            LoadAwareRebalance(util_threshold=math.inf)
 
     def test_no_profile_degrades_to_hash(self):
         g = skewed_graph()

@@ -22,6 +22,8 @@ and queueing statistics identical to the plain engine (the tier-2 variant
 in ``test_queueing_theory`` re-checks this at statistical scale).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ class TestOnlineRebalancerValidation:
             OnlineRebalancer(window_s=1.0, util_threshold=0.0)
         with pytest.raises(ValueError):
             OnlineRebalancer(window_s=1.0, cooldown_windows=-1)
+
+    def test_an_infinite_threshold_is_refused(self):
+        """No window's utilization exceeds inf, so the rebalancer would
+        never act."""
+        with pytest.raises(ValueError, match="util_threshold"):
+            OnlineRebalancer(window_s=1.0, util_threshold=math.inf)
 
     def test_an_endless_window_is_refused(self):
         """A window of inf seconds never closes, so the rebalancer would
