@@ -14,7 +14,6 @@ it as a blocking step before tier-1 (see .github/workflows/ci.yml).
 from __future__ import annotations
 
 import argparse
-import sys
 
 from .linting import lint_paths
 from .rules import ALL_RULES, default_rules
@@ -62,7 +61,3 @@ def main(argv: list[str] | None = None, out=print) -> int:
         return 1
     out(f"repro-lint: clean ({n_files} files, {len(rules)} rules)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

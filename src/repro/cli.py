@@ -38,7 +38,6 @@ without subprocesses.
 from __future__ import annotations
 
 import argparse
-import sys
 
 import numpy as np
 
@@ -47,7 +46,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     from .datasets import DATASETS
-    datasets = sorted(DATASETS)
+    from .hw import BOARDS
+    datasets, boards = sorted(DATASETS), list(BOARDS)
     p = argparse.ArgumentParser(
         prog="repro",
         description="Temporal GNN model-architecture co-design (IPDPS'22 "
@@ -84,17 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--dataset", default="wikipedia", choices=datasets)
     i.add_argument("--edges", type=int, default=3000)
     i.add_argument("--batch-size", type=int, default=200)
-    i.add_argument("--backend", choices=["software", "u200", "zcu104"],
+    i.add_argument("--backend", choices=["software", *boards],
                    default="software")
 
     d = sub.add_parser("dse", help="design-space exploration")
-    d.add_argument("--platform", choices=["u200", "zcu104"], default="u200")
+    d.add_argument("--platform", choices=boards, default="u200")
     d.add_argument("--prune", type=int, default=4)
     d.add_argument("--batch-size", type=int, default=1000)
 
     g = sub.add_parser("trace", help="pipeline Gantt chart")
-    g.add_argument("--platform", choices=["u200", "zcu104"],
-                   default="zcu104")
+    g.add_argument("--platform", choices=boards, default="zcu104")
     g.add_argument("--batches", type=int, default=3)
     g.add_argument("--width", type=int, default=100)
     g.add_argument("--seed", type=int, default=0)
@@ -260,10 +259,10 @@ def _model_cfg(args, graph):
 def cmd_info(args, out=print) -> int:
     from . import __version__
     from .datasets import DATASETS
-    from .hw import U200_DESIGN, ZCU104_DESIGN
+    from .hw import BOARDS
     out(f"repro {__version__} — IPDPS'22 TGNN co-design reproduction")
     out(f"datasets: {', '.join(sorted(DATASETS))}")
-    for name, hw in (("u200", U200_DESIGN), ("zcu104", ZCU104_DESIGN)):
+    for name, hw in BOARDS.items():
         out(f"{name}: Ncu={hw.n_cu} Sg={hw.sg} SFAM={hw.s_fam} "
             f"SFTM={hw.s_ftm} Nb={hw.nb} @ {hw.freq_mhz:.0f} MHz, "
             f"{hw.platform.ddr_bw_gbs:.1f} GB/s DDR")
@@ -318,7 +317,7 @@ def cmd_eval(args, out=print) -> int:
 
 
 def cmd_infer(args, out=print) -> int:
-    from .hw import FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN
+    from .hw import BOARDS, FPGAAccelerator
     from .models import load_model
     from .pipeline import (SimulatedFPGABackend, SoftwareBackend,
                            run_engine)
@@ -328,8 +327,8 @@ def cmd_infer(args, out=print) -> int:
         backend = SoftwareBackend(model, graph)
         label = "measured (1 thread)"
     else:
-        design = U200_DESIGN if args.backend == "u200" else ZCU104_DESIGN
-        backend = SimulatedFPGABackend(FPGAAccelerator(model, design), graph)
+        backend = SimulatedFPGABackend(
+            FPGAAccelerator(model, BOARDS[args.backend]), graph)
         label = f"simulated ({args.backend})"
     report = run_engine(backend, graph, batch_size=args.batch_size)
     out(f"{label}: {report.throughput_eps / 1e3:.2f} kE/s, "
@@ -339,9 +338,9 @@ def cmd_infer(args, out=print) -> int:
 
 
 def cmd_dse(args, out=print) -> int:
-    from .hw import U200, ZCU104, explore, pareto_frontier
+    from .hw import BOARDS, explore, pareto_frontier
     from .models import ModelConfig
-    platform = U200 if args.platform == "u200" else ZCU104
+    platform = BOARDS[args.platform].platform
     cfg = ModelConfig(simplified_attention=True, lut_time_encoder=True,
                       pruning_budget=args.prune)
     points = explore(cfg, platform, batch_size=args.batch_size)
@@ -358,10 +357,10 @@ def cmd_dse(args, out=print) -> int:
 
 def cmd_trace(args, out=print) -> int:
     from .datasets import wikipedia_like
-    from .hw import (FPGAAccelerator, U200_DESIGN, ZCU104_DESIGN,
-                     pipeline_overlap, render_gantt, stage_utilization)
+    from .hw import (BOARDS, FPGAAccelerator, pipeline_overlap, render_gantt,
+                     stage_utilization)
     from .models import ModelConfig, TGNN
-    design = U200_DESIGN if args.platform == "u200" else ZCU104_DESIGN
+    design = BOARDS[args.platform]
     graph = wikipedia_like(num_edges=1000, num_users=120, num_items=25)
     cfg = ModelConfig(simplified_attention=True, lut_time_encoder=True,
                       pruning_budget=4)
@@ -411,11 +410,8 @@ def _simulate_fleet(args, graph, model, out):
         max_edges=args.batch_edges,
         max_delay_s=None if args.deadline_ms is None
         else args.deadline_ms / 1e3)
-    fpga_design = None
-    if args.backend in ("u200", "zcu104"):
-        from .hw import U200_DESIGN, ZCU104_DESIGN
-        fpga_design = U200_DESIGN if args.backend == "u200" \
-            else ZCU104_DESIGN
+    from .hw import BOARDS
+    fpga_design = BOARDS.get(args.backend)
 
     def build_engine(placement=None, die_of=None, rebalancer=None,
                      failures=None, autoscaler=None, num_shards=None):
@@ -695,7 +691,3 @@ def main(argv: list[str] | None = None, out=print) -> int:
     except (ValueError, OSError) as e:
         out(f"error: {e}")
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

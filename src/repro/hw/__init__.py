@@ -1,7 +1,7 @@
 """FPGA accelerator simulator: modules, timing, resources (§IV / Table IV)."""
 
 from .accelerator import COMPUTE_STAGES, FPGAAccelerator, RunReport  # noqa: F401
-from .config import U200_DESIGN, ZCU104_DESIGN, HardwareConfig  # noqa: F401
+from .config import BOARDS, U200_DESIGN, ZCU104_DESIGN, HardwareConfig  # noqa: F401
 from .dse import (DesignPoint, SweepSpec, explore,  # noqa: F401
                   pareto_frontier)
 from .eu import EU_STAGES, EmbeddingUnit  # noqa: F401
@@ -17,7 +17,7 @@ from .updater import UpdaterCache, UpdaterReport  # noqa: F401
 
 __all__ = [
     "FPGAAccelerator", "RunReport", "COMPUTE_STAGES", "PIPELINE", "transfers",
-    "HardwareConfig", "U200_DESIGN", "ZCU104_DESIGN",
+    "HardwareConfig", "U200_DESIGN", "ZCU104_DESIGN", "BOARDS",
     "FPGAPlatform", "U200", "ZCU104",
     "DDRModel",
     "MemoryUpdateUnit", "MUU_STAGES",

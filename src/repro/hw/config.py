@@ -2,7 +2,8 @@
 
 A :class:`HardwareConfig` fixes the parallelism of every compute module, the
 processing-batch size, the clock, and simulator fidelity options.  The two
-published design points are :data:`U200_DESIGN` and :data:`ZCU104_DESIGN`.
+published design points are :data:`U200_DESIGN` and :data:`ZCU104_DESIGN`;
+:data:`BOARDS` is the one table that maps a board name to its design.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 from .memory_model import DDRModel
 from .platforms import U200, ZCU104, FPGAPlatform
 
-__all__ = ["HardwareConfig", "U200_DESIGN", "ZCU104_DESIGN"]
+__all__ = ["HardwareConfig", "U200_DESIGN", "ZCU104_DESIGN", "BOARDS"]
 
 
 @dataclass(frozen=True)
@@ -78,3 +79,6 @@ U200_DESIGN = HardwareConfig(platform=U200, n_cu=2, sg=8, s_fam=16,
 ZCU104_DESIGN = HardwareConfig(platform=ZCU104, n_cu=1, sg=4, s_fam=8,
                                s_ftm=(4, 4), nb=16, freq_mhz=125.0,
                                updater_lines=64)
+
+# Board name -> Table IV design; every name-keyed choice reads this table.
+BOARDS = {"u200": U200_DESIGN, "zcu104": ZCU104_DESIGN}

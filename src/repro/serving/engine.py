@@ -954,8 +954,7 @@ class ServingEngine:
         all_modeled: list[np.ndarray] = []
         stage_seconds: dict[str, float] = {}
         for group, res in zip(groups, shard_results):
-            if not isinstance(group, MeasuredServerGroup):
-                continue
+            assert isinstance(group, MeasuredServerGroup)   # all, or none
             m = res.service_s[res.server >= 0]
             mod = np.asarray(group.samples, dtype=np.float64)
             all_measured.append(m)

@@ -235,6 +235,13 @@ __all__ = [
 
 INGEST_MODES = ("serial", "pipelined")
 
+# How far a committed service may drift from ``finish - begin``, relative
+# to the service.  Event time is absolute (stream seconds over speedup),
+# so a slow replay puts the instants where one float64 step is a sizeable
+# part of a short service; past this bound a station refuses the run
+# (``ServerGroup.finalize``) instead of reporting rounded latencies.
+SERVICE_REL_TOL = 1e-3
+
 # Priority of event kinds at equal timestamps (lower fires first).
 # Migrations land between dispatches and flushes: a placement change
 # decided at ``t`` applies before the next job released at ``t`` is
@@ -1225,7 +1232,9 @@ class ServerGroup:
 
         Every offer must be committed or drop-marked exactly once: a job
         the station lost, dropped after serving or committed twice raises
-        here instead of skewing the counts.
+        here instead of skewing the counts.  Every commit's ``finish -
+        begin`` must equal its service to :data:`SERVICE_REL_TOL` of it,
+        or a ``ValueError`` says that event time lost the precision.
         """
         self.advance(math.inf)      # every commit counts in busy_s
         t_arrive = np.array(self._t_arrive, dtype=np.float64)
@@ -1238,8 +1247,18 @@ class ServerGroup:
             raise RuntimeError(
                 f"station {self.gid}: offer(s) {bad[:5].tolist()} must be "
                 f"served or dropped exactly once")
+        begin, finish, served = rows[:, 1:4].T
+        off = np.flatnonzero(np.abs(finish - begin - served)
+                             > SERVICE_REL_TOL * served)
+        if len(off):
+            j = off[0]
+            raise ValueError(
+                f"event time lost precision: a {served[j]:.4g} s service "
+                f"at t = {begin[j]:.4g} s spans {finish[j] - begin[j]:.4g} s "
+                f"(instants are stream time and window_s over speedup; "
+                f"raise speedup)")
         t_begin, t_finish, service = np.full((3, n), np.nan)
-        t_begin[index], t_finish[index], service[index] = rows[:, 1:4].T
+        t_begin[index], t_finish[index], service[index] = begin, finish, served
         server = np.full(n, -1, dtype=np.int64)
         server[index] = rows[:, 4]
         makespan = utilization = offered = 0.0

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..hw.config import BOARDS
+
 __all__ = ["BackendRegistry", "DEFAULT_REGISTRY"]
 
 
@@ -73,11 +75,10 @@ def _software(model, graph, **_):
     return SoftwareBackend(model, graph)
 
 
-def _fpga_factory(design_name: str):
+def _fpga_factory(design):
     def factory(model, graph, **_):
-        from ..hw import U200_DESIGN, ZCU104_DESIGN, FPGAAccelerator
+        from ..hw import FPGAAccelerator
         from ..pipeline.engine import SimulatedFPGABackend
-        design = {"u200": U200_DESIGN, "zcu104": ZCU104_DESIGN}[design_name]
         return SimulatedFPGABackend(FPGAAccelerator(model, design), graph)
     return factory
 
@@ -94,8 +95,8 @@ def _gpp_factory(model_name: str):
     return factory
 
 
-for _name in ("u200", "zcu104"):
-    DEFAULT_REGISTRY.register(_name, _fpga_factory(_name))
+for _name, _design in BOARDS.items():
+    DEFAULT_REGISTRY.register(_name, _fpga_factory(_design))
 for _name in ("cpu-32t", "gpu"):
     DEFAULT_REGISTRY.register(_name, _gpp_factory(_name))
 

@@ -1,8 +1,10 @@
 """Metamorphic relation R1: the simulator does not know what a second is.
 
 Double every service time (a backend that returns twice
-``process_batch``), ``mail_hop_s``, ``max_delay_s`` and the rebalancer's
-``window_s``, and halve ``speedup``: every instant of the run doubles.
+``process_batch``), ``mail_hop_s``, ``max_delay_s``, the rebalancer's
+``window_s``, the autoscaler's window and SLO and the failure injector's
+``fail_at`` / ``recover_at``, and halve ``speedup``: every instant of the
+run doubles.
 Scaling by two commutes with IEEE rounding, so the relation is exact,
 not approximate: every report field in seconds doubles bit for bit,
 rates halve, counts and ratios stay equal, and the traced events come in
@@ -12,7 +14,10 @@ Held here on the serial configurations the engine serves as one pass,
 on the event loop that pass replaces (the predicate patched) and on
 pipelined ingest, and with an online rebalancer, on the pass and on the
 loop: in overload mode on the sharded fleet, in drift mode on a hybrid
-one.
+one.  The autoscaler and the failure injector keep the event loop: the
+autoscaler resizes a pool or a padded sharded fleet, the injector fails
+and recovers one shard of three (slow on the draws that name a pool,
+dead otherwise).
 """
 
 import numpy as np
@@ -23,13 +28,14 @@ from hypothesis import strategies as st
 import repro.serving.engine as engine_module
 from repro.graph import TemporalGraph
 from repro.pipeline import LinearCostBackend
-from repro.serving import (DynamicBatcher, HotColdHybrid, OnlineRebalancer,
-                           ServingEngine, VertexHeat)
+from repro.serving import (AutoScaler, CapacityConfig, DynamicBatcher,
+                           FailurePlan, HotColdHybrid, OnlineRebalancer,
+                           ServingEngine, VertexHeat, padded_hash_placement)
 from repro.serving.events import KINDS, ServerGroup
 from tests.property.test_ingest_properties import NUM_NODES, replays
 
 LANES = ("one pass", "event loop", "pipelined", "rebalancer, one pass",
-         "rebalancer, event loop")
+         "rebalancer, event loop", "autoscaler", "failure injector")
 HALVED = ("speedup", "throughput_eps")
 
 
@@ -49,11 +55,26 @@ def serve(replay, topology, cfg, capacity, lane, scale):
     (graph, window, start, end), num_streams, speedup = replay
     cfg = {k: v * scale if k == "max_delay_s" else v for k, v in cfg.items()}
     rebalancing = lane.startswith("rebalancer")
-    if topology == "pool" and not rebalancing:
+    if topology == "pool" and lane != "failure injector" and not rebalancing:
         n, kwargs = 1, dict(topology="pool", pool_servers=2)
     else:
         n, kwargs = 3, dict(memsync="push", die_of=[0, 1, 1],
                             mail_hop_s=1e-3 * scale)
+    if lane == "autoscaler":
+        kwargs["autoscaler"] = AutoScaler(
+            CapacityConfig(micro_batch=cfg.get("max_edges", 1), replicas=2,
+                           max_replicas=4),
+            slo_p95_s=0.05 * scale, scale_window_s=0.5 * scale)
+        if n == 3:      # two active shards of four slots
+            n = 4
+            kwargs.update(die_of=[0, 1, 1, 0],
+                          placement=padded_hash_placement(NUM_NODES, 2, 4))
+    if lane == "failure injector":
+        t = graph.t[start:end]
+        third = float(t[-1] - t[0]) / speedup / 3
+        kwargs["failures"] = FailurePlan(
+            fail_at=third * scale, shard=1, recover_at=(2 * third + 1) * scale,
+            mode="slow" if topology == "pool" else "dead")
     if rebalancing:
         kwargs["rebalancer"] = OnlineRebalancer(window_s=0.5 * scale,
                                                 util_threshold=0.05)
@@ -90,7 +111,10 @@ def report_mismatches(base: dict, scaled: dict, where: str = "") -> list:
             for s, (x, y) in enumerate(zip(a, b)):
                 out += report_mismatches(x, y, f"shard {s} ")
             continue
-        if key.endswith("_s") and key != "window_s":
+        if isinstance(a, dict):         # the autoscaler's scaling block
+            out += report_mismatches(a, b, f"{key} ")
+            continue
+        if key.endswith(("_s", "_seconds")) and key != "window_s":
             want = 2.0 * a
         elif key in HALVED:
             want = a / 2.0

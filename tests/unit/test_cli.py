@@ -358,6 +358,8 @@ class TestServeSim:
         ["--speedup", "0", "--rebalance-online"],
         ["--speedup", "0", "--autoscale", "--slo-p95", "0.01"],
         ["--window-s", "nan"],
+        # Instants near 2.6e12 s rounded every service to 0: p95 0, exit 0.
+        ["--speedup", "1e-6"],
         ["--window-s", "inf"],
         ["--window-s", "1e-12"],
         ["--speedup", "nan"],

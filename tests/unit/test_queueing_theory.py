@@ -296,11 +296,13 @@ def test_measured_service_times_match_kingman_gg1():
     model.prepare_inference()
     batches = list(iter_fixed_size(g, 20))
 
-    # Calibration pass (also warms caches): place the target rho ~ 0.6.
-    warm = MeasuredBackend(model, g)
-    est = float(np.mean([warm.process_batch(b) for b in batches]))
-
     def attempt(seed):
+        # Calibration pass (also warms caches): place the target rho ~ 0.6
+        # at the speed the host runs the kernel now, not at the start of
+        # the test, so a host that slowed down since cannot push the
+        # realized load to 1.
+        warm = MeasuredBackend(model, g)
+        est = float(np.mean([warm.process_batch(b) for b in batches]))
         n = 6000
         lam = 0.6 / est
         rng = np.random.default_rng(seed)
