@@ -10,6 +10,8 @@ The paper (§II-A) defines both deployment modes we support:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Iterator
 
 import numpy as np
@@ -71,57 +73,40 @@ def time_window_spans(graph: TemporalGraph, window: float,
     """``(window_start, lo, hi)`` columns of every non-empty window.
 
     Window ``k`` covers edges ``[lo[k], hi[k])`` and starts at
-    ``window_start[k]``.  The starts follow the scalar recurrence
-    ``window_start += window`` bit for bit: inside a run of consecutive
-    non-empty windows they are one sequential ``cumsum``, cut into edge
-    spans by one ``searchsorted``; only a gap (empty windows to skip)
-    costs a Python step, which re-anchors the start exactly as a
-    one-window-at-a-time loop would.
+    ``window_start[k]``.  One scalar step per non-empty window: a gap of
+    empty windows is skipped in one jump that re-anchors the start, the
+    window's end edge is one ``bisect_left`` on the timestamps as a list,
+    and the next start is ``window_start + window``.  A stream with gaps
+    (every serving workload) costs a few Python operations per window.
     """
-    if window <= 0:
+    # ``not window > 0`` also rejects NaN, which would never advance.
+    if not window > 0:
         raise ValueError("window must be positive")
     end = graph.num_edges if end is None else min(end, graph.num_edges)
     if start >= end:
         no_edges = np.empty(0, dtype=np.int64)
         return np.empty(0), no_edges, no_edges
-    t = graph.t
+    t = graph.t[:end].tolist()
     # Where timestamps are largest a float step is coarsest: a window
     # that cannot move the clock there would yield empty windows forever.
-    coarsest = max(abs(float(t[start])), abs(float(t[end - 1])))
+    coarsest = max(abs(t[start]), abs(t[end - 1]))
     if coarsest + window == coarsest:
         raise ValueError("window_s is below the timestamp resolution of "
                          "the stream")
-    starts: list[np.ndarray] = []
-    his: list[np.ndarray] = []
-    stream = t[start:end]
+    starts, his = [], []
     lo = start
-    window_start = float(t[start])
-    max_chunk = 1024
-    steps = np.full(max_chunk + 1, window, dtype=np.float64)
-    chunk = 32
+    window_start = t[start]
     while lo < end:
         # Skip over empty windows so the next edge lands inside the window.
         if t[lo] >= window_start + window:
-            n_skip = np.floor((t[lo] - window_start) / window)
-            window_start += float(n_skip) * window
+            window_start += float(math.floor((t[lo] - window_start)
+                                             / window)) * window
             if t[lo] >= window_start + window:  # float round-off guard
-                window_start = float(t[lo])
-        # The next ``chunk`` window boundaries, accumulated one addition
-        # at a time, and the edge each one cuts the stream at.
-        steps[0] = window_start
-        bounds = steps[:chunk + 1].cumsum()
-        cuts = stream.searchsorted(bounds[1:], side="left")
-        # The run ends at the first window that holds no edge (the head
-        # window always holds ``t[lo]``).
-        is_empty = cuts[1:] == cuts[:-1]
-        n = int(is_empty.argmax())
-        n = n + 1 if is_empty[n] else chunk
-        starts.append(bounds[:n])
-        his.append(cuts[:n])
-        lo = start + int(cuts[n - 1])
-        window_start = float(bounds[n])
-        # Size the next look-ahead by the run just seen.
-        chunk = min(2 * chunk, max_chunk) if n == chunk else max(2 * n, 16)
-    hi = np.concatenate(his) + start
-    return (np.concatenate(starts),
+                window_start = t[lo]
+        lo = bisect_left(t, window_start + window, lo, end)
+        starts.append(window_start)
+        his.append(lo)
+        window_start += window
+    hi = np.array(his, dtype=np.int64)
+    return (np.array(starts, dtype=np.float64),
             np.concatenate((np.array([start], dtype=np.int64), hi[:-1])), hi)

@@ -34,6 +34,12 @@ Every replay entry point here — and the serving layer in
     keeps its own ``model.new_runtime(graph)``, as
     ``examples/fraud_detection.py`` does.
 
+    A pricing backend reads ``len(batch)`` (the simulated FPGA also its
+    endpoint ids ``src``/``dst``).  The serving engine's sub-batches are
+    row views of its route plan
+    (:class:`~repro.serving.router.PlanRows`) that gather a column only
+    when it is read, so only an executing backend moves edge data.
+
 ``name: str`` (optional)
     Label used in reports; falls back to the class name.
 

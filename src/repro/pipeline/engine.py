@@ -129,8 +129,9 @@ class SimulatedFPGABackend:
 
     The price is :meth:`FPGAAccelerator.batch_latency`: a batch of at most
     ``hw.nb`` edges (every sub-job a sharded fleet routes is one) is
-    simulated once per distinct ``(edges, committed, cycles)`` and
-    replayed from the accelerator's table after that.
+    simulated once per distinct ``(edges, distinct endpoints)`` and
+    replayed from the accelerator's table after that; it reads the
+    batch's length and endpoint ids only.
     """
 
     def __init__(self, accelerator: FPGAAccelerator, graph: TemporalGraph):

@@ -65,6 +65,7 @@ equivalence tests).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
@@ -76,7 +77,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..graph.batching import time_window_spans
-from ..graph.temporal_graph import EdgeBatch, TemporalGraph
+from ..graph.temporal_graph import TemporalGraph
 from .batcher import ArrivalTrace, DynamicBatcher
 from .control import ControlPlane, FailureInjector
 from .events import (INGEST_MODES, BatcherActor, EventScheduler, LoopOrder,
@@ -86,7 +87,7 @@ from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
 from .rebalance import OnlineRebalancer
 from .registry import DEFAULT_REGISTRY, BackendRegistry
-from .router import RoutePlan, ShardRouter
+from .router import PlanRows, RoutePlan, ShardRouter
 
 __all__ = ["ShardStats", "ServingReport", "ServingEngine",
            "make_stream_arrivals"]
@@ -278,12 +279,15 @@ class ServingReport:
         declarations), which keeps feature-off reports byte-identical to
         the goldens that predate the feature.
         """
-        d = asdict(self)
-        d["shard_stats"] = [
-            dict(asdict(s), stable=bool(s.stable),
-                 offered_load=s.offered_load
-                 if math.isfinite(s.offered_load) else None)
-            for s in self.shard_stats]
+        # Each ShardStats is converted once, here; ``asdict(self)`` would
+        # convert them all first.  Every other field is copied as
+        # ``asdict`` copies it.
+        shards = [dict(asdict(s), stable=bool(s.stable),
+                       offered_load=s.offered_load
+                       if math.isfinite(s.offered_load) else None)
+                  for s in self.shard_stats]
+        d = {f.name: shards if f.name == "shard_stats"
+             else copy.deepcopy(getattr(self, f.name)) for f in fields(self)}
         d.update(stable=bool(self.stable),
                  served_edges=int(self.served_edges),
                  throughput_eps=float(self.throughput_eps),
@@ -812,7 +816,7 @@ class ServingEngine:
         chunk = 0               # jobs the next plan of this epoch covers
         base = 0                # table rows before this plan's
 
-        def next_runs(lo: int, hi: int) -> list[tuple[int, int, EdgeBatch]]:
+        def next_runs(lo: int, hi: int) -> list[tuple[int, int, PlanRows]]:
             """The runs of the job of arrivals ``[lo, hi)`` off the
             current plan, re-planning first when it is spent or the
             ownership table moved."""

@@ -75,14 +75,17 @@ row traffic.
 What a plan hands out
 ---------------------
 A plan's per-run columns are the record of every sub-job's traffic, and
-:meth:`RoutePlan.next` hands a job out as ``(run, shard, batch)``: the
-run index into those columns and the sub-batch itself, nothing more.
-The serving engine reads the traffic of a whole plan as one table and
-builds no per-sub-job object.  :class:`ShardBatch` — a sub-batch with
-its traffic fields, named as above — is built from a plan's columns in
-one place, :meth:`RoutePlan.shard_batch`, which serves
-:meth:`ShardRouter.split`; a one-shard ``split`` wraps the batch whole
-and routes no plan.
+:meth:`RoutePlan.next` hands a job out as ``(run, shard, rows)``: the
+run index into those columns and a :class:`PlanRows` view of the
+sub-batch's rows, nothing more.  A view gathers a column only when it is
+read, so a backend that prices from the batch's shape moves no edge
+data, as the accelerator decides from metadata before it fetches.  The
+serving engine reads the traffic of a whole plan as one table and builds
+no per-sub-job record.  :class:`ShardBatch` — a sub-batch as an
+:class:`EdgeBatch` with its traffic fields, named as above — is built
+from a plan's columns in one place, :meth:`RoutePlan.shard_batch`,
+which serves :meth:`ShardRouter.split`; a one-shard ``split`` wraps the
+batch whole and routes no plan.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ import numpy as np
 from ..graph.temporal_graph import EdgeBatch
 from .placement import Placement, hash_assignment, shard_pair_counts
 
-__all__ = ["ShardBatch", "CrossShardMailbox", "ShardRouter", "RoutePlan"]
+__all__ = ["ShardBatch", "CrossShardMailbox", "ShardRouter", "RoutePlan",
+           "PlanRows"]
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
@@ -332,13 +336,14 @@ class RoutePlan:
     ``push_bounds`` into ``pull`` / ``push``) and of its stale reads
     (``stale_bounds``), and its worst version lag (``lag``).  These
     columns are the record: :meth:`next` hands the jobs out in order as
-    ``(run, shard, batch)`` and, in the same call, credits the job's
+    ``(run, shard, rows)`` and, in the same call, credits the job's
     mail to ``mailbox`` and commits its step to the cache, so neither is
     ever ahead of the jobs handed out; :meth:`shard_batch` packs one run
     into a :class:`ShardBatch` for callers that want the record whole.
-    The four scalar edge columns are gathered once per plan and a job's
-    feature rows when it is handed out, so a plan dropped mid-way pins no
-    feature copy of the jobs it never handed out.
+    The four scalar edge columns are gathered once per plan and never
+    written after; ``rows`` is a :class:`PlanRows` view of them, and a
+    sub-batch's feature rows are taken only when a reader asks for them,
+    so neither a priced sub-job nor a plan dropped mid-way copies any.
     """
 
     def __init__(self, router: ShardRouter, edges: EdgeBatch,
@@ -392,13 +397,13 @@ class RoutePlan:
         self.push, self.push_bounds = steps.push, steps.push_bounds
         self.stale_bounds, self.lag = steps.stale_bounds, steps.lag
 
-    def next(self) -> list[tuple[int, int, EdgeBatch]]:
-        """The next job's sub-batches, as ``(run, shard, batch)``.
+    def next(self) -> list[tuple[int, int, PlanRows]]:
+        """The next job's sub-batches, as ``(run, shard, rows)``.
 
-        Runs come in ascending shard order, each batch in stream order;
-        ``run`` indexes the plan's per-run columns.  A job's pairs are
-        contiguous, so its feature rows are taken once and every
-        sub-batch gets a view of that block.
+        Runs come in ascending shard order, each sub-batch in stream
+        order; ``run`` indexes the plan's per-run columns and ``rows`` is
+        the run's pairs as a :class:`PlanRows` view, which gathers no
+        column until it is read.
         """
         job = self.position
         self.position = job + 1
@@ -410,29 +415,73 @@ class RoutePlan:
             self._mailbox.record(self.mail_from[lo:hi], self._mail_to[lo:hi])
         if self._cache is not None:
             self._cache.commit(self._steps, job)
-        first = bounds[0]
-        feat = self._feat.take(self._row[first:bounds[-1]], axis=0)
-        out = []
-        for shard in range(n):
-            lo, hi = bounds[shard], bounds[shard + 1]
-            if lo == hi:
-                continue
-            # Positional: EdgeBatch field order.
-            out.append((at + shard, shard, EdgeBatch(
-                self._src[lo:hi], self._dst[lo:hi], self._t[lo:hi],
-                self._eid[lo:hi], feat[lo - first:hi - first])))
-        return out
+        return [(at + shard, shard, PlanRows(self, lo, hi))
+                for shard, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                if lo != hi]
 
     def shard_batch(self, run: int, shard: int,
-                    batch: EdgeBatch) -> ShardBatch:
+                    rows: PlanRows) -> ShardBatch:
         """Run ``run`` of :meth:`next` as one :class:`ShardBatch` record,
-        read off the plan's columns."""
+        read off the plan's columns, its batch an :class:`EdgeBatch`."""
         mail_lo, mail_hi = self.mail_bounds[run], self.mail_bounds[run + 1]
         pull, push = self.pull_bounds, self.push_bounds
+        edge_batch, columns = rows.__reduce__()
         return ShardBatch(
-            shard, batch, len(batch) - (mail_hi - mail_lo),
+            shard, edge_batch(*columns), len(rows) - (mail_hi - mail_lo),
             mail_hi - mail_lo, self.mail_from[mail_lo:mail_hi],
             self.pull[pull[run]:pull[run + 1]],
             self.push[push[run]:push[run + 1]],
             self.stale_bounds[run + 1] - self.stale_bounds[run],
             self.lag[run])
+
+
+class PlanRows:
+    """Pairs ``[lo, hi)`` of a :class:`RoutePlan`: one sub-batch, read on
+    demand.
+
+    It answers what an :class:`EdgeBatch` answers, but a column is sliced
+    off the plan's gathered columns only when it is read, and the feature
+    rows are taken from the stream's features only then.  A pricing
+    backend reads ``len`` (and the FPGA simulator the endpoints), so a
+    priced sub-job gathers nothing; an executing one reads each column
+    it uses.  The plan's columns are never written after it is built, so
+    what a view reads does not change while its job waits, across a
+    re-plan too.  Pickled (a measured worker lane), a view is the
+    :class:`EdgeBatch` it names, never the plan.
+    """
+
+    __slots__ = ("_plan", "_lo", "_hi")
+
+    def __init__(self, plan: RoutePlan, lo: int, hi: int):
+        self._plan, self._lo, self._hi = plan, lo, hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    @property
+    def src(self) -> np.ndarray:
+        return self._plan._src[self._lo:self._hi]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self._plan._dst[self._lo:self._hi]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._plan._t[self._lo:self._hi]
+
+    @property
+    def eid(self) -> np.ndarray:
+        return self._plan._eid[self._lo:self._hi]
+
+    @property
+    def edge_feat(self) -> np.ndarray:
+        plan = self._plan
+        return plan._feat.take(plan._row[self._lo:self._hi], axis=0)
+
+    # The interleaved (src, dst) endpoint ids: EdgeBatch's own property.
+    nodes = EdgeBatch.nodes
+
+    def __reduce__(self):
+        return EdgeBatch, (self.src, self.dst, self.t, self.eid,
+                           self.edge_feat)

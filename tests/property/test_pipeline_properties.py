@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import wikipedia_like
@@ -128,9 +128,10 @@ class TestPricedOnlyTiming:
             assert getattr(warm, name) == getattr(cold, name), name
 
 
-# The shipped designs keep ``cycles == 2n + 1`` (their caches never fill at
-# ``nb`` edges); a two-line cache stalls, so only it moves ``cycles`` at a
-# fixed ``(n, committed)`` and tests that the key carries it.
+# The shipped designs keep ``2 nb <= updater_lines``, so every batch of at
+# most ``nb`` edges is keyed by ``(n, distinct endpoints)``; a two-line cache
+# stalls above one edge, so only it sends such batches down the uncached
+# path and tests that the key's guard holds.
 SHALLOW = U200_DESIGN.with_(updater_lines=2)
 
 
@@ -170,6 +171,8 @@ def recurrence_latency(acc, batch):
 
 @settings(max_examples=100, derandomize=True)
 @given(design_and_edge_batches())
+# One edge, one and two distinct endpoints: the same ``n``, two keys.
+@example((U200_DESIGN, [edge_batch([0, 0]), edge_batch([0, 1])]))
 def test_batch_latency_table_equals_the_recurrence(case):
     """``batch_latency`` is ``run_stream``'s one-batch latency bit for bit,
     on a fresh accelerator and on one whose table other batches (and the
@@ -193,21 +196,22 @@ class TestBatchLatencyTable:
         a.batch_latency(g.slice(0, 2))
         assert len(a._latencies) == 1 and b._latencies == {}
 
-    def test_a_key_without_cycles_is_caught(self, monkeypatch):
-        """Mutation check: key the table by ``(n, committed)`` alone and
-        the property finds a batch priced with another batch's stalls."""
-        class DropCycles(dict):
+    def test_a_key_of_edges_alone_is_caught(self, monkeypatch):
+        """Mutation check: key the table by the edge count ``n`` alone and
+        the property finds a batch priced with another batch's committed
+        lines."""
+        class DropEndpoints(dict):
             def get(self, key, default=None):
-                return super().get(key[:2], default)
+                return super().get(key[:1], default)
 
             def __setitem__(self, key, value):
-                super().__setitem__(key[:2], value)
+                super().__setitem__(key[:1], value)
 
         honest = FPGAAccelerator.__init__
 
         def init(acc, model, hw):
             honest(acc, model, hw)
-            acc._latencies = DropCycles()
+            acc._latencies = DropEndpoints()
 
         monkeypatch.setattr(FPGAAccelerator, "__init__", init)
         with pytest.raises(AssertionError):

@@ -835,9 +835,9 @@ class TestOnePlanPerOwnershipEpoch:
         assert (router.plans, router.splits) == (1, 0)
 
     def test_fleet_priced_push_hands_out_columns(self, monkeypatch):
-        """A serial routed run builds no :class:`ShardBatch`, takes the
-        feature rows once per released job, and still prices every
-        sub-job through one ``process_batch`` call."""
+        """A serial routed run builds no :class:`ShardBatch`, takes no
+        feature rows (a priced sub-job reads only its length), and still
+        prices every sub-job through one ``process_batch`` call."""
         from repro.serving.router import ShardBatch
         built, priced, gathers = [], [], []
         init, price = ShardBatch.__init__, LinearCostBackend.process_batch
@@ -871,7 +871,8 @@ class TestOnePlanPerOwnershipEpoch:
         assert built == []
         # Arrivals sit ~56 s apart and the deadline is 5 ms: every window
         # is a job of its own.
-        assert len(gathers) == report.windows == 776
+        assert report.windows == 776
+        assert gathers == []
         assert len(priced) == 1400
         # Served as one pass: the 776 releases are the loop's only
         # events, delivered as one cohort (the event loop read 2952
