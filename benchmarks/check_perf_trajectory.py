@@ -16,6 +16,12 @@ whose artifact is absent is a named skip, and an artifact no row names
 (``BENCH_failover.json``, say) is never opened, so ``results/`` can grow
 freely.
 
+Beside the table it reports, and never guards, the committed end-to-end
+trajectory (``BENCH_e2e.json``): for each row that carries a host probe
+(``trajectory.py``), every workload's ``run_wall_s`` over the probe that
+bounds it — the float32 matmul for ``kernel_b200``, the pure-Python loop
+for the fleets — so rows taken on different hosts read side by side.
+
 Usage::
 
     python benchmarks/check_perf_trajectory.py results/
@@ -29,8 +35,9 @@ import json
 import os
 import sys
 
-TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "baselines.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+TABLE = os.path.join(HERE, "baselines.json")
+TRAJECTORY = os.path.join(os.path.dirname(HERE), "BENCH_e2e.json")
 
 
 def check(row: dict, current: float) -> tuple[bool, str]:
@@ -49,6 +56,22 @@ def check(row: dict, current: float) -> tuple[bool, str]:
     return current >= floor, verdict
 
 
+def host_normalised(rows: list[dict]) -> list[str]:
+    """One line per probed trajectory row: ``run_wall_s / probe``."""
+    lines = []
+    for row in rows:
+        probe = row.get("host_probe")
+        if probe is None:
+            continue
+        ratios = []
+        for name, metrics in row["workloads"].items():
+            key = "matmul_f32_s" if name == "kernel_b200" else "python_loop_s"
+            ratios.append(f"{name} {metrics['run_wall_s'] / probe[key]:.3g}")
+        lines.append(f"{row['label'] or row['git_sha'][:10]}: "
+                     + ", ".join(ratios))
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not os.path.isdir(argv[1]):
         print(__doc__)
@@ -65,6 +88,13 @@ def main(argv: list[str]) -> int:
             holds, verdict = check(row, float(json.load(fh)[row["key"]]))
         print(("OK: " if holds else "FAIL: ") + verdict)
         failed += not holds
+    if os.path.exists(TRAJECTORY):
+        with open(TRAJECTORY) as fh:
+            lines = host_normalised(json.load(fh))
+        if lines:
+            print("report only, run_wall_s over its host probe "
+                  "(kernel_b200: matmul, fleets: Python loop):")
+            print("\n".join("  " + line for line in lines))
     if failed:
         print(f"{failed} row(s) regressed. If intentional, update "
               f"benchmarks/baselines.json in the same change.")

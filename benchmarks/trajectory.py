@@ -23,16 +23,24 @@ Table I 1-CPU shares (45 / 1.5 / 49 / 4), as
 ``run.py`` worked them out, beside the ``src/repro`` code-line total
 and the sha ``run.py`` stamped (the checkout's HEAD: for a change
 measured before it is committed that is its parent, and ``--label`` says
-which row it is).  Report-only: seconds are host time on whatever
-machine ran them, so nothing here is a guard; the counters repeat exactly
-and are what to compare across rows.  Rows with ``source: "changelog"``
-were back-filled by hand from the change-side medians in CHANGES.md.
+which row it is).  Each row also carries a host reference,
+``host_probe``: the min-of-``PROBE_REPS`` wall seconds of a fixed
+pure-Python loop and of a float32 ``(400, 272) @ (272, 100)`` matmul
+(``kernel_b200``'s shapes), timed in a child under ``pins.PINS``, so
+``check_perf_trajectory.py`` can print each row's ``run_wall_s`` over
+the probe and two hosts' rows read side by side.  Report-only: seconds
+are host time on whatever machine ran them, so nothing here is a guard;
+the counters repeat exactly and are what to compare across rows.  Rows
+with ``source: "changelog"`` were back-filled by hand from the
+change-side medians in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,13 +49,40 @@ ROOT = HERE.parent
 sys.path[:0] = [str(HERE), str(HERE / "e2e")]
 
 from code_lines import code_lines  # noqa: E402
-from pins import results_dir  # noqa: E402
+from pins import PINS, results_dir  # noqa: E402
 
 COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events",
             "router.split_calls", "pipeline.process_batch_calls",
             "pipeline.sim_service_s", "hw.run_stream_calls",
             "rebalance.migrations", "tracecheck.events")
 KERNEL = "kernel_b200"      # the one workload whose wall is the kernels'
+PROBE_REPS = 30
+# Two fixed host probes, min of PROBE_REPS wall seconds each, printed as
+# one JSON line: interpreter speed and one-thread float32 BLAS speed.
+PROBE = f"""
+import json, time
+import numpy as np
+
+def best(fn):
+    times = []
+    for _ in range({PROBE_REPS}):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+def python_loop():
+    total = 0
+    for i in range(100_000):
+        total += i & 7
+
+rng = np.random.default_rng(0)
+a = rng.standard_normal((400, 272), dtype=np.float32)
+b = rng.standard_normal((272, 100), dtype=np.float32)
+print(json.dumps({{"python_loop_s": best(python_loop),
+                  "matmul_f32_s": best(lambda: a @ b),
+                  "reps": {PROBE_REPS}}}))
+"""
 
 
 def read(path: Path, names) -> tuple[dict, dict[str, dict]]:
@@ -55,6 +90,14 @@ def read(path: Path, names) -> tuple[dict, dict[str, dict]]:
     result = json.loads(path.read_text())
     return result, {w: {m: record["metrics"][m]["value"] for m in names}
                     for w, record in result["workloads"].items()}
+
+
+def host_probe() -> dict:
+    """The two probes' min wall seconds, timed in a pinned child."""
+    child = subprocess.run([sys.executable, "-c", PROBE],
+                           env={**os.environ, **PINS}, check=True,
+                           capture_output=True, text=True, timeout=300)
+    return json.loads(child.stdout)
 
 
 def measured_record(label: str | None) -> dict:
@@ -87,7 +130,7 @@ def measured_record(label: str | None) -> dict:
             "smoke": run["smoke"], "seed": run["seed"],
             "code_lines": sum(code_lines(f) for f in
                               sorted((ROOT / "src" / "repro").rglob("*.py"))),
-            "workloads": workloads}
+            "host_probe": host_probe(), "workloads": workloads}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -198,21 +198,22 @@ class FPGAAccelerator:
         for batch in batches:
             arrival = clock_now
             batch_done = arrival
-            # Split the user batch into processing batches of Nb edges.
+            # Split the user batch into processing batches of Nb edges;
+            # the schedule reads their endpoints only.
+            nodes = batch.nodes
             for lo in range(0, len(batch), hw.nb):
                 hi = min(lo + hw.nb, len(batch))
-                sub = _slice_batch(batch, lo, hi)
-                n_edges = len(sub)
+                n_edges = hi - lo
                 n_total += n_edges
 
-                report = self.updater.process(sub.nodes)
+                report = self.updater.process(nodes[2 * lo:2 * hi])
                 invalidated += report.invalidated
                 committed += report.committed
                 dur = list(self._stage_costs(n_edges))
                 # The one computed duration: only committed lines are
                 # written back, after the Updater's commit scan.
                 dur[store] = dur[store] \
-                    * (report.committed / max(1, len(sub.nodes))) \
+                    * (report.committed / max(1, 2 * n_edges)) \
                     + report.cycles * hw.clock_s
 
                 for row, (stage, clock, waits) in enumerate(plan):
@@ -285,12 +286,4 @@ class FPGAAccelerator:
                              f"{graph.num_edges}), got {warmup_edges}")
         return self.batch_latency(graph.slice(
             warmup_edges, min(warmup_edges + batch_size, graph.num_edges)))
-
-
-def _slice_batch(batch, lo: int, hi: int):
-    """Sub-slice of an EdgeBatch (views)."""
-    from ..graph.temporal_graph import EdgeBatch
-    return EdgeBatch(src=batch.src[lo:hi], dst=batch.dst[lo:hi],
-                     t=batch.t[lo:hi], eid=batch.eid[lo:hi],
-                     edge_feat=batch.edge_feat[lo:hi])
 

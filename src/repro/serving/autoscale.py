@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlPlane, Window, check_cooldown
-from .events import _MIGRATE, MigrationEvent, ScaleEvent
+from .events import _MIGRATE, MigrationEvent, ScaleEvent, sorted_percentile
 from .memsync import HANDOFF_ROWS_PER_VERTEX
 
 __all__ = ["AutoScaler", "CapacityConfig"]
@@ -236,7 +236,7 @@ class AutoScaler:
             return          # nothing completed: no evidence either way
         if self._window.index < self._cooldown_until:
             return          # inside the post-decision cooldown
-        p95 = float(np.percentile(np.sort(np.asarray(done)), 95))
+        p95 = sorted_percentile(np.sort(np.asarray(done)), 95)
         if p95 > self.slo_p95_s \
                 and self.fleet_size < self.capacity.max_replicas:
             self._scale(t, "up", "slo-breach")

@@ -70,7 +70,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Callable, Sequence
 
@@ -81,7 +81,7 @@ from ..graph.temporal_graph import TemporalGraph
 from .batcher import ArrivalTrace, DynamicBatcher
 from .control import ControlPlane, FailureInjector
 from .events import (INGEST_MODES, BatcherActor, EventScheduler, LoopOrder,
-                     ServerGroup, SimulationResult)
+                     ServerGroup, SimulationResult, sorted_percentile)
 from .measured import MeasuredServerGroup, WorkerPool
 from .memsync import MEMSYNC_POLICIES, VersionedMemoryCache
 from .placement import HotColdHybrid, Placement, VertexHeat
@@ -232,11 +232,11 @@ class ServingReport:
         # ones can still overflow, and such a run has no report to give.
         # An offered load without a finite rate is written as null.
         for obj in (self, *self.shard_stats):
-            for f in fields(obj):
-                value = getattr(obj, f.name)
+            for name in _NAMES[type(obj)]:
+                value = getattr(obj, name)
                 if isinstance(value, float) and not math.isfinite(value) \
-                        and f.name != "offered_load":
-                    raise ValueError(f"the report's {f.name} is {value}: "
+                        and name != "offered_load":
+                    raise ValueError(f"the report's {name} is {value}: "
                                      f"service times too large to sum")
 
     @property
@@ -279,26 +279,23 @@ class ServingReport:
         declarations), which keeps feature-off reports byte-identical to
         the goldens that predate the feature.
         """
-        # Each ShardStats is converted once, here; ``asdict(self)`` would
-        # convert them all first.  Every other field is copied as
-        # ``asdict`` copies it.
-        shards = [dict(asdict(s), stable=bool(s.stable),
-                       offered_load=s.offered_load
-                       if math.isfinite(s.offered_load) else None)
+        # Scalars are copied as they are; only the two blocks hold
+        # mutable values.
+        shards = [{name: getattr(s, name) for name in _NAMES[ShardStats]}
+                  | {"stable": bool(s.stable),
+                     "offered_load": s.offered_load
+                     if math.isfinite(s.offered_load) else None}
                   for s in self.shard_stats]
-        d = {f.name: shards if f.name == "shard_stats"
-             else copy.deepcopy(getattr(self, f.name)) for f in fields(self)}
-        d.update(stable=bool(self.stable),
+        d = {name: getattr(self, name) for name in _NAMES[ServingReport]}
+        d.update(shard_stats=shards, measured=copy.deepcopy(self.measured),
+                 scaling=copy.deepcopy(self.scaling),
+                 stable=bool(self.stable),
                  served_edges=int(self.served_edges),
                  throughput_eps=float(self.throughput_eps),
                  replication_factor=float(self.replication_factor))
-        declared = {f.name: f for f in fields(self)}
-        for f in declared.values():
-            if f.default is MISSING:
-                continue
-            gate = declared[f.metadata.get("gate", f.name)]
-            if getattr(self, gate.name) == gate.default:
-                del d[f.name]
+        for name, gate in _OPTIONAL:
+            if getattr(self, gate) == _DEFAULTS[gate]:
+                del d[name]
         return d
 
     def to_json(self) -> str:
@@ -307,6 +304,15 @@ class ServingReport:
         golden-determinism contract)."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2,
                           allow_nan=False)
+
+
+# Field names and defaults, read once per class rather than per report.
+_NAMES = {cls: tuple(f.name for f in fields(cls))
+          for cls in (ShardStats, ServingReport)}
+_DEFAULTS = {f.name: f.default for f in fields(ServingReport)}
+# (field, its gate) per defaulted report field.
+_OPTIONAL = tuple((f.name, f.metadata.get("gate", f.name))
+                  for f in fields(ServingReport) if f.default is not MISSING)
 
 
 def make_stream_arrivals(graph: TemporalGraph, window_s: float,
@@ -1072,10 +1078,10 @@ class ServingEngine:
                        servers=self.server_counts[s])
             for s, r in enumerate(shard_results))
 
-        # One sort feeds every percentile (order statistics are
-        # permutation-invariant, bit-for-bit); the mean stays on the
-        # unsorted array, in job-then-source order — summation order
-        # changes its last bits.
+        # One sort feeds both percentiles, read off it in closed form
+        # (``sorted_percentile``, numpy's ``linear`` bit for bit); the
+        # mean stays on the unsorted array, in job-then-source order —
+        # summation order changes its last bits.
         resp_sorted = np.sort(resp)
         # First *stream* arrival (not first job release) to last service
         # completion.
@@ -1086,9 +1092,9 @@ class ServingEngine:
             speedup=speedup, window_s=window_s,
             windows=len(resp), dropped_windows=dropped_windows,
             mean_response_s=float(resp.mean()) if len(resp) else 0.0,
-            p95_response_s=float(np.percentile(resp_sorted, 95))
+            p95_response_s=sorted_percentile(resp_sorted, 95)
             if len(resp) else 0.0,
-            p99_response_s=float(np.percentile(resp_sorted, 99))
+            p99_response_s=sorted_percentile(resp_sorted, 99)
             if len(resp) else 0.0,
             makespan_s=makespan,
             ingested_edges=arrivals.num_edges,
@@ -1116,8 +1122,7 @@ class ServingEngine:
             rebuilt_vertices=0 if chaos is None else chaos.rebuilt_vertices,
             recovery_rows=0 if chaos is None else chaos.recovery_rows,
             outage_windows=len(outage_resp),
-            outage_p99_response_s=float(
-                np.percentile(np.sort(outage_resp), 99))
+            outage_p99_response_s=sorted_percentile(np.sort(outage_resp), 99)
             if len(outage_resp) else 0.0,
             stale_plans=0 if self.last_control is None
             else self.last_control.stale,

@@ -216,7 +216,7 @@ import numbers
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable
@@ -230,7 +230,7 @@ __all__ = [
     "MailEvent", "SyncEvent", "MigrationEvent", "FailureEvent",
     "RecoveryEvent", "ScaleEvent", "KINDS", "EventTrace", "FailurePlan",
     "EventScheduler", "HeapEventScheduler", "SimulationResult",
-    "ServerGroup", "BatcherActor", "INGEST_MODES",
+    "sorted_percentile", "ServerGroup", "BatcherActor", "INGEST_MODES",
 ]
 
 INGEST_MODES = ("serial", "pipelined")
@@ -824,6 +824,27 @@ class HeapEventScheduler(EventScheduler):
 
 
 # --------------------------------------------------------------------------- #
+def sorted_percentile(s: np.ndarray, q: float) -> float:
+    """``np.percentile(s, q)`` (method ``linear``) of an ascending array.
+
+    The closed form of numpy's interpolation, with its IEEE operations in
+    its order (``_lerp``: ``b - d * (1 - g)`` from ``g >= 0.5``, else
+    ``a + d * g``), so the result is bit for bit numpy's, without its
+    partition of an array that is already sorted.  Defined for a
+    non-empty, finite ``s`` only: at ``v >= n - 1`` over ``[.., inf]``
+    numpy returns ``nan`` and this ``inf``.
+    """
+    n = len(s)
+    v = (n - 1) * (q / 100)
+    if v >= n - 1:
+        return float(s[n - 1])
+    lo = math.floor(v)
+    g = v - lo
+    a, b = float(s[lo]), float(s[lo + 1])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Outcome of a queue simulation: per-offer columns and aggregates.
@@ -846,9 +867,27 @@ class SimulationResult:
     offered_load: float     # arrival rate * mean service / num_servers
     max_queue_depth: int    # waiting jobs only (in-service excluded)
 
+    @cached_property
+    def _served(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Waits, responses and the responses sorted ascending, over the
+        served offers, folded once for every statistic below.
+
+        Percentiles are order statistics, so both read the one sort
+        through :func:`sorted_percentile`.  Means stay on the *unsorted*
+        arrays: summation order changes the last bits.  Every caller
+        shares them, so they are read-only.
+        """
+        served = self.server >= 0
+        arrive = self.t_arrive[served]
+        responses = self.t_finish[served] - arrive
+        folded = self.t_begin[served] - arrive, responses, np.sort(responses)
+        for column in folded:
+            column.flags.writeable = False
+        return folded
+
     @property
     def jobs(self) -> int:
-        return int(np.count_nonzero(self.server >= 0))
+        return len(self._served[1])
 
     @property
     def dropped(self) -> int:
@@ -856,26 +895,10 @@ class SimulationResult:
 
     # ------------------------------------------------------------------ #
     def waits(self) -> np.ndarray:
-        served = self.server >= 0
-        return self.t_begin[served] - self.t_arrive[served]
+        return self._served[0]
 
     def responses(self) -> np.ndarray:
-        served = self.server >= 0
-        return self.t_finish[served] - self.t_arrive[served]
-
-    def _sorted_responses(self) -> np.ndarray:
-        """Response latencies sorted ascending, computed once and cached.
-
-        Percentiles are order statistics, so every quantile shares this
-        one sort (``np.percentile`` on the sorted array selects the same
-        interpolated values bit-for-bit as on the raw array).  Means stay
-        on the *unsorted* array: summation order changes the last bits.
-        """
-        cached = self.__dict__.get("_responses_sorted")
-        if cached is None:
-            cached = np.sort(self.responses())
-            object.__setattr__(self, "_responses_sorted", cached)
-        return cached
+        return self._served[1]
 
     @property
     def mean_wait_s(self) -> float:
@@ -887,13 +910,11 @@ class SimulationResult:
 
     @property
     def p95_response_s(self) -> float:
-        return float(np.percentile(self._sorted_responses(), 95)) \
-            if self.jobs else 0.0
+        return sorted_percentile(self._served[2], 95) if self.jobs else 0.0
 
     @property
     def p99_response_s(self) -> float:
-        return float(np.percentile(self._sorted_responses(), 99)) \
-            if self.jobs else 0.0
+        return sorted_percentile(self._served[2], 99) if self.jobs else 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -1239,7 +1260,8 @@ class ServerGroup:
         self.advance(math.inf)      # every commit counts in busy_s
         t_arrive = np.array(self._t_arrive, dtype=np.float64)
         n = len(t_arrive)
-        rows = np.array(self._commits, dtype=np.float64).reshape(-1, 5)
+        rows = np.fromiter(chain.from_iterable(self._commits), np.float64,
+                           5 * len(self._commits)).reshape(-1, 5)
         index = rows[:, 0].astype(np.int64)
         bad = np.flatnonzero(np.bincount(index, minlength=n)
                              + np.array(self._drop_mark, dtype=np.int64) != 1)

@@ -16,7 +16,7 @@ from repro.graph import (EdgeBatch, TemporalGraph, iter_fixed_size,
 from repro.hw import (COMPUTE_STAGES, EmbeddingUnit, FPGAAccelerator,
                       MemoryUpdateUnit, U200_DESIGN, UpdaterCache,
                       ZCU104_DESIGN, schedule)
-from repro.hw.accelerator import RunReport, TraceEvent, _slice_batch
+from repro.hw.accelerator import RunReport, TraceEvent
 from repro.hw.trace import ALL_STAGES
 from repro.models import ModelConfig, TGNN
 from repro.perf import PerformanceModel
@@ -34,6 +34,13 @@ def stream(draw):
     src = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     dst = draw(st.lists(st.integers(6, 9), min_size=n, max_size=n))
     return TemporalGraph(src, dst, t)
+
+
+def _slice_batch(batch, lo: int, hi: int) -> EdgeBatch:
+    """Sub-slice of an EdgeBatch (views): the oracle's processing batch."""
+    return EdgeBatch(src=batch.src[lo:hi], dst=batch.dst[lo:hi],
+                     t=batch.t[lo:hi], eid=batch.eid[lo:hi],
+                     edge_feat=batch.edge_feat[lo:hi])
 
 
 class ConstBackend:

@@ -141,17 +141,30 @@ class CountingAccelerator(FPGAAccelerator):
 
 
 class TestPricingTable:
-    def test_canonical_u200_fleet_simulates_each_key_once_per_shard(self):
+    def test_canonical_u200_fleet_simulates_each_key_once_per_shard(
+            self, monkeypatch):
         """The ``serve-sim --backend u200 --shards 4 --streams 4 --memsync
         push --edges 32 --batch-edges 200 --deadline-ms 5`` fleet, with the
         accelerator swapped for a counting one through the registry: the
         schedule runs once per distinct ``(edges, committed, cycles)`` per
-        shard, not once per sub-job."""
+        shard, not once per sub-job, and reads the sub-jobs' endpoints
+        only, so no feature row is taken off a plan."""
         from repro import datasets
         from repro.hw import plan_shard_dies
         from repro.pipeline import SimulatedFPGABackend
         from repro.serving import (BackendRegistry, DynamicBatcher,
                                    ServingEngine, VertexHeat, make_policy)
+        from repro.serving.router import PlanRows
+
+        feature_reads = []
+        honest = PlanRows.edge_feat
+
+        @property
+        def counted(rows):
+            feature_reads.append(len(rows))
+            return honest.fget(rows)
+
+        monkeypatch.setattr(PlanRows, "edge_feat", counted)
 
         graph = datasets.load("wikipedia", num_edges=32, seed=0)
         model = TGNN(ModelConfig(memory_dim=32, time_dim=32, embed_dim=32,
@@ -188,6 +201,7 @@ class TestPricingTable:
             assert acc.simulated == len(keys)
         assert sum(len(acc.priced) for acc in accelerators) == 208
         assert sum(acc.simulated for acc in accelerators) == 4
+        assert feature_reads == []
 
 
 class TestResources:

@@ -881,6 +881,25 @@ class TestOnePlanPerOwnershipEpoch:
         assert (sched.events_processed, sched.cohort_calls,
                 sched.cohort_events) == (776, 1, 776)
 
+    def test_fleet_priced_push_report_calls_no_np_percentile(
+            self, monkeypatch):
+        """Every p95/p99 of the report, fleet and per station, is read off
+        its one sorted array in closed form (``sorted_percentile``), so
+        the run and its ``to_json`` leave numpy's quantile machinery
+        alone."""
+        calls = []
+        honest = np.percentile
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(np, "percentile", counted)
+        report, _, _ = self.run(
+            100, 2.0, DynamicBatcher(max_edges=200, max_delay_s=5e-3))
+        assert report.windows == 776 and report.to_json()
+        assert calls == []
+
     def test_fleet_priced_push_gathers_no_job_batch(self, monkeypatch):
         """A serial routed run without controllers takes each job's rows
         from its route plan, so no released job gathers its merged
