@@ -20,7 +20,10 @@ Beside the table it reports, and never guards, the committed end-to-end
 trajectory (``BENCH_e2e.json``): for each row that carries a host probe
 (``trajectory.py``), every workload's ``run_wall_s`` over the probe that
 bounds it — the float32 matmul for ``kernel_b200``, the pure-Python loop
-for the fleets — so rows taken on different hosts read side by side.
+for the fleets — so rows taken on different hosts read side by side, and,
+for a row whose probe was taken in several children, how far the slowest
+child read above the fastest: a ratio moves by that much on the probe
+alone.
 
 Usage::
 
@@ -57,7 +60,8 @@ def check(row: dict, current: float) -> tuple[bool, str]:
 
 
 def host_normalised(rows: list[dict]) -> list[str]:
-    """One line per probed trajectory row: ``run_wall_s / probe``."""
+    """One line per probed trajectory row: ``run_wall_s / probe``, and
+    the probes' spread over their children where the row records it."""
     lines = []
     for row in rows:
         probe = row.get("host_probe")
@@ -67,8 +71,14 @@ def host_normalised(rows: list[dict]) -> list[str]:
         for name, metrics in row["workloads"].items():
             key = "matmul_f32_s" if name == "kernel_b200" else "python_loop_s"
             ratios.append(f"{name} {metrics['run_wall_s'] / probe[key]:.3g}")
-        lines.append(f"{row['label'] or row['git_sha'][:10]}: "
-                     + ", ".join(ratios))
+        spread = ", ".join(
+            f"{kind} +{probe[key + '_max_s'] / probe[key + '_s'] - 1:.0%}"
+            for kind, key in (("loop", "python_loop"),
+                              ("matmul", "matmul_f32"))
+            if key + "_max_s" in probe)
+        name = row.get("label") or (row.get("git_sha") or "unlabelled")[:10]
+        lines.append(f"{name}: " + ", ".join(ratios)
+                     + (f" (probe spread {spread})" if spread else ""))
     return lines
 
 

@@ -70,7 +70,8 @@ FEATURES = """\
 --edges 600 --shards 1 --speedup 20000 --autoscale --slo-p95 1e-6 --max-servers 4 --rebalance-online --rebalance-threshold 0.05
 --backend software --speedup 1e-6
 --backend measured --model {s}
---backend measured --workers 2 --check-trace"""
+--backend measured --workers 2 --check-trace
+--topology pool --pool-servers 1 --backend measured --workers 2 --speedup 2000 --deadline-ms 1000"""
 LINT = ["src", "--list-rules", "--select nope",
         "--select unseeded-rng examples/quickstart.py"]
 

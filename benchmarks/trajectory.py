@@ -26,9 +26,11 @@ measured before it is committed that is its parent, and ``--label`` says
 which row it is).  Each row also carries a host reference,
 ``host_probe``: the min-of-``PROBE_REPS`` wall seconds of a fixed
 pure-Python loop and of a float32 ``(400, 272) @ (272, 100)`` matmul
-(``kernel_b200``'s shapes), timed in a child under ``pins.PINS``, so
-``check_perf_trajectory.py`` can print each row's ``run_wall_s`` over
-the probe and two hosts' rows read side by side.  Report-only: seconds
+(``kernel_b200``'s shapes), timed in each of ``PROBE_CHILDREN`` children
+under ``pins.PINS``, with the least and the greatest child reading kept,
+so ``check_perf_trajectory.py`` can print each row's ``run_wall_s`` over
+the probe, with the probe's own spread beside it, and two hosts' rows
+read side by side.  Report-only: seconds
 are host time on whatever machine ran them, so nothing here is a guard;
 the counters repeat exactly and are what to compare across rows.  Rows
 with ``source: "changelog"`` were back-filled by hand from the
@@ -57,6 +59,9 @@ COUNTERS = ("events.processed", "events.cohort_calls", "events.cohort_events",
             "rebalance.migrations", "tracecheck.events")
 KERNEL = "kernel_b200"      # the one workload whose wall is the kernels'
 PROBE_REPS = 30
+# One child's probe swung 23 % between two calls on one host: take it in
+# several children and keep the spread.
+PROBE_CHILDREN = 3
 # Two fixed host probes, min of PROBE_REPS wall seconds each, printed as
 # one JSON line: interpreter speed and one-thread float32 BLAS speed.
 PROBE = f"""
@@ -93,11 +98,19 @@ def read(path: Path, names) -> tuple[dict, dict[str, dict]]:
 
 
 def host_probe() -> dict:
-    """The two probes' min wall seconds, timed in a pinned child."""
-    child = subprocess.run([sys.executable, "-c", PROBE],
-                           env={**os.environ, **PINS}, check=True,
-                           capture_output=True, text=True, timeout=300)
-    return json.loads(child.stdout)
+    """The two probes, each timed in ``PROBE_CHILDREN`` separate pinned
+    children: the least of the children's min wall seconds, and beside it
+    (``_max_s``) the greatest, so a row shows how far the probe itself
+    moved on its host."""
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", PROBE], env={**os.environ, **PINS},
+        check=True, capture_output=True, text=True, timeout=300).stdout)
+        for _ in range(PROBE_CHILDREN)]
+    probe = {"reps": PROBE_REPS, "children": PROBE_CHILDREN}
+    for key in ("python_loop_s", "matmul_f32_s"):
+        seconds = [run[key] for run in runs]
+        probe[key], probe[key[:-2] + "_max_s"] = min(seconds), max(seconds)
+    return probe
 
 
 def measured_record(label: str | None) -> dict:

@@ -35,10 +35,13 @@ Every replay entry point here — and the serving layer in
     ``examples/fraud_detection.py`` does.
 
     A pricing backend reads ``len(batch)`` (the simulated FPGA also its
-    endpoint ids ``src``/``dst``).  The serving engine's sub-batches are
-    row views of its route plan
-    (:class:`~repro.serving.router.PlanRows`) that gather a column only
-    when it is read, so only an executing backend moves edge data.
+    endpoint ids ``src``/``dst``).  Every batch the serving engine hands
+    a backend is a row view that gathers a column only when it is read:
+    a routed sub-batch is a view of its route plan
+    (:class:`~repro.serving.router.PlanRows`), and a one-station job
+    (a pool, or one shard) a view of its arrivals
+    (:class:`~repro.serving.batcher.JobRows`).  So only an executing
+    backend moves edge data.
 
 ``name: str`` (optional)
     Label used in reports; falls back to the class name.

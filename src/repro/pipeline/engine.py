@@ -99,6 +99,14 @@ class SoftwareBackend:
     It prepares the model, then builds its runtime, so the kernel it times
     is the float32 deployment (``TGNN.prepare_inference``): float32 memory,
     mailbox, edge features, tables and weights, the word ``hw/`` prices.
+
+    A serving engine hands it row views, not gathered batches, so the
+    first column read falls inside :meth:`compute`'s timed region: for a
+    one-station job (:class:`~repro.serving.batcher.JobRows`) the job's
+    one stable sort by time and its column gathers, for a routed sub-job
+    (:class:`~repro.serving.router.PlanRows`) its feature rows' ``take``.
+    (A measured worker lane receives a view pickled as the gathered
+    :class:`EdgeBatch`, so there the gather happens before it.)
     """
 
     name = "cpu-1t-measured"

@@ -63,11 +63,12 @@ Actors on the scheduler
 * the engine's ``route`` — the fork point, the batcher's sink: a released
   job is split across the stations that hold its vertices
   (:class:`ShardRouter` + :class:`Placement`; a one-station fleet gets
-  the job whole), and each sub-batch — a
+  the job whole, as a :class:`~repro.serving.batcher.JobRows` view of
+  its arrivals), and each sub-batch — a
   :class:`~repro.serving.router.PlanRows` view the router's plan hands
-  out beside its run index, which gathers a column only when a backend
-  reads it — is submitted to its station with its mail and sync
-  traffic recorded at the release instant;
+  out beside its run index — is submitted to its station with its mail
+  and sync traffic recorded at the release instant.  Either view
+  gathers a column only when a backend reads it;
 * :class:`ServerGroup` — a FIFO station of N identical servers: a
   dedicated shard is a 1-server group, a replica pool a K-server group;
   its statistics reproduce the historical standalone queue loop exactly;

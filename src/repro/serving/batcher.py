@@ -46,7 +46,8 @@ import numpy as np
 
 from ..graph.temporal_graph import EdgeBatch
 
-__all__ = ["StreamArrival", "ArrivalTrace", "CoalescedJob", "DynamicBatcher"]
+__all__ = ["StreamArrival", "ArrivalTrace", "JobRows", "CoalescedJob",
+           "DynamicBatcher"]
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,62 @@ class ArrivalTrace(Sequence):
                 f"edges={self.num_edges}{span})")
 
 
+class JobRows:
+    """Arrivals ``[lo, hi)`` of an :class:`ArrivalTrace` as one job batch,
+    read on demand.
+
+    It answers what :meth:`ArrivalTrace.merged` returns for that span,
+    but ``len`` is the edge count its maker already holds, and the
+    columns come from one :meth:`~ArrivalTrace.merged` gather, taken the
+    first time any column is read and kept.  A pricing backend reads
+    ``len`` only, so a priced job gathers nothing.  Pickled (a measured
+    worker lane), a view is that :class:`EdgeBatch`, never the trace.
+    """
+
+    __slots__ = ("_trace", "_lo", "_hi", "_n", "_batch")
+
+    def __init__(self, trace: ArrivalTrace, lo: int, hi: int, n_edges: int):
+        self._trace, self._lo, self._hi, self._n = trace, lo, hi, n_edges
+        self._batch = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def merged(self) -> EdgeBatch:
+        """The job's :meth:`ArrivalTrace.merged` batch: gathered on the
+        first call, then kept."""
+        if self._batch is None:
+            self._batch = self._trace.span(self._lo, self._hi).merged()
+        return self._batch
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.merged().src
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.merged().dst
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.merged().t
+
+    @property
+    def eid(self) -> np.ndarray:
+        return self.merged().eid
+
+    @property
+    def edge_feat(self) -> np.ndarray:
+        return self.merged().edge_feat
+
+    # The interleaved (src, dst) endpoint ids: EdgeBatch's own property.
+    nodes = EdgeBatch.nodes
+
+    def __reduce__(self):
+        return EdgeBatch, (self.src, self.dst, self.t, self.eid,
+                           self.edge_feat)
+
+
 @dataclass(frozen=True)
 class CoalescedJob:
     """A job :meth:`DynamicBatcher.coalesce` releases: its release instant
@@ -232,7 +289,9 @@ class CoalescedJob:
     ``sources`` is the job's arrivals in admission order, a zero-copy
     :class:`ArrivalTrace` slice; ``batch`` gathers their merged edges
     when read.  (The engine's batcher hands its sink the span bounds
-    instead, and a routed run takes a job's rows from its route plan.)
+    instead: a one-shard run hands its station the job as a
+    :class:`JobRows` view, and a routed run takes a job's rows from its
+    route plan.)
     """
 
     t_release: float

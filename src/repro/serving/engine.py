@@ -78,7 +78,7 @@ import numpy as np
 
 from ..graph.batching import time_window_spans
 from ..graph.temporal_graph import TemporalGraph
-from .batcher import ArrivalTrace, DynamicBatcher
+from .batcher import ArrivalTrace, DynamicBatcher, JobRows
 from .control import ControlPlane, FailureInjector
 from .events import (INGEST_MODES, BatcherActor, EventScheduler, LoopOrder,
                      ServerGroup, SimulationResult, sorted_percentile)
@@ -874,14 +874,16 @@ class ServingEngine:
                 # the new.
                 plane.observe(t, arrivals.span(lo, hi))
             if router.num_shards == 1:
-                # One shard owns every vertex: the job batch is the one
-                # sub-batch, all local, and nothing is mail or stale.
+                # One shard owns every vertex: the job is the one
+                # sub-batch, all local, and nothing is mail or stale.  It
+                # goes to its station as a JobRows view, which gathers
+                # the merged batch only when a column is read.
                 n_edges = int(arrivals.cum[hi] - arrivals.cum[lo])
                 solo.append(n_edges)
                 if n_edges:
                     offers[0].append(ji)
                     hops = 0 if plane is None else plane.take_hops(0)
-                    enter[0](t, (arrivals.span(lo, hi).merged(), hops))
+                    enter[0](t, (JobRows(arrivals, lo, hi, n_edges), hops))
                 return
             for run, shard, batch in next_runs(lo, hi):
                 hops = die_hops[run]

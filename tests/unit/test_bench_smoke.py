@@ -143,3 +143,35 @@ def test_perf_guard_reads_every_present_row_of_its_table(tmp_path):
          os.path.join(REPO_ROOT, "benchmarks", "check_perf_trajectory.py")],
         capture_output=True, text=True, timeout=60)
     assert usage.returncode == 2
+
+
+def test_trajectory_report_reads_unlabelled_rows_and_probe_spread():
+    """``check_perf_trajectory.host_normalised`` names a row by its label,
+    else its sha, else ``unlabelled`` (``run.py`` writes ``git_sha: null``
+    outside a git checkout and ``trajectory.py``'s label defaults to
+    None), and prints a probe's spread over its children beside the
+    ratios when the row records one."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "check_perf_trajectory",
+        os.path.join(REPO_ROOT, "benchmarks", "check_perf_trajectory.py"))
+    guard = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(guard)
+    workloads = {"kernel_b200": {"run_wall_s": 0.06},
+                 "fleet_pool_ingest": {"run_wall_s": 0.004}}
+    one_child = {"python_loop_s": 0.005, "matmul_f32_s": 2e-4, "reps": 30}
+    three = {**one_child, "python_loop_max_s": 0.006,
+             "matmul_f32_max_s": 2.1e-4, "children": 3}
+    rows = [{"label": None, "git_sha": None, "host_probe": one_child,
+             "workloads": workloads},
+            {"label": None, "git_sha": "0123456789abcdef",
+             "host_probe": three, "workloads": workloads},
+            {"label": "PR 49", "host_probe": three, "workloads": workloads},
+            {"label": "PR 1", "workloads": workloads}]
+    assert guard.host_normalised(rows) == [
+        "unlabelled: kernel_b200 300, fleet_pool_ingest 0.8",
+        "0123456789: kernel_b200 300, fleet_pool_ingest 0.8 "
+        "(probe spread loop +20%, matmul +5%)",
+        "PR 49: kernel_b200 300, fleet_pool_ingest 0.8 "
+        "(probe spread loop +20%, matmul +5%)"]

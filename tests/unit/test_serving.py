@@ -1037,6 +1037,52 @@ class TestOnePlanPerOwnershipEpoch:
         assert flushes > 1 and (router.plans, router.splits) == (flushes, 0)
 
 
+class TestPricedPoolJobsGatherNothing:
+    def test_fleet_pool_ingest_gathers_no_job_batch(self, monkeypatch):
+        """Counted, not timed: a priced pool run shaped like the
+        ``benchmarks/e2e`` ``fleet_pool_ingest`` workload (a 1 µs/edge
+        linear price, two replicas, a 2 s deadline, eight streams) hands
+        each job to its station as a view, so no released job gathers its
+        merged batch, and the backend still prices each job once, at its
+        merged batch's length."""
+        from repro.graph import TemporalGraph
+        n = 600
+        rng = np.random.default_rng(0)
+        graph = TemporalGraph(src=rng.integers(0, 200, n),
+                              dst=rng.integers(0, 200, n),
+                              t=np.sort(rng.uniform(0, 1e4, n)),
+                              edge_feat=np.zeros((n, 0)), num_nodes=200)
+        run = dict(window_s=1e4 / (n // 2), speedup=50.0, num_streams=8)
+        batcher = DynamicBatcher(max_delay_s=2.0)
+        trace = make_stream_arrivals(graph, run["window_s"],
+                                     num_streams=8, speedup=50.0)
+        lo, hi = batcher.releases(trace)[:2]
+        want = [len(trace.span(a, b).merged())
+                for a, b in zip(lo.tolist(), hi.tolist())]
+        want = [size for size in want if size]
+
+        priced, merged = [], []
+        honest = ArrivalTrace.merged
+
+        def counted(self):
+            merged.append(len(self))
+            return honest(self)
+
+        class Counting(LinearCostBackend):
+            def process_batch(self, batch):
+                priced.append(len(batch))
+                return super().process_batch(batch)
+
+        monkeypatch.setattr(ArrivalTrace, "merged", counted)
+        engine = ServingEngine([Counting(1e-6)], graph.num_nodes,
+                               topology="pool", pool_servers=2,
+                               batcher=batcher)
+        report = engine.run(graph, **run)
+        assert report.windows == len(trace) and len(want) > 1
+        assert merged == []
+        assert priced == want
+
+
 class TestArrivalTieBreak:
     """Regression: same-instant arrivals from different streams relied on
     sort stability; the key is now explicitly ``(t, stream)``."""
