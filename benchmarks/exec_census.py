@@ -5,9 +5,14 @@ Each program runs in a subprocess under a ``sys.settrace`` tracer from a
 are traced too.  Exit codes go to stderr and stop nothing (a timing
 assertion that fails under the tracer keeps its coverage); files go to a
 temporary directory.  A statement is a simple statement or a compound
-one's header that owns bytecode, and it ran when any of its lines fired.
-Validation is a ``raise`` and all of a block that ends in one.  Stdlib
-only; report only: ``python benchmarks/exec_census.py``.
+one's header that owns bytecode, and it ran when any of its lines fired
+in the module, class or function it belongs to.  A lambda, comprehension
+or generator expression is a code object of its own, and a row of its
+own (at its first line) when its statement ran and no line fired inside
+it: ``x = property(lambda self: ...)`` runs its line when the class body
+does, and the lambda only when ``x`` is read.  Validation is a ``raise``
+and all of a block that ends in one.  Stdlib only; report
+only: ``python benchmarks/exec_census.py``.
 """
 
 from __future__ import annotations
@@ -18,20 +23,36 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+# A line that fired: ``(its code's first line, its code's name, line)``.
+Hit = tuple[int, str, int]
+
+
+class Row(NamedTuple):
+    """A statement (``inline`` None) or an inline code object
+    (``(first line, name)``) inside the statement ``span``: the lines
+    that statement owns, and whether it is validation."""
+
+    line: int
+    span: range
+    validation: bool
+    inline: tuple[int, str] | None
 
 TRACER = '''\
 import atexit, os, sys, threading
 src, hits = os.environ["CENSUS_SRC"], set()
 def line(frame, event, arg):
     if event == "line":
-        hits.add((frame.f_code.co_filename, frame.f_lineno))
+        code = frame.f_code
+        hits.add((code.co_filename, code.co_firstlineno, code.co_name,
+                  frame.f_lineno))
     return line
 def dump(*code, _exit=os._exit):
     with open(f"{os.environ['CENSUS_OUT']}/{os.getpid()}.hits", "a") as f:
-        f.writelines(f"{p}\\t{n}\\n" for p, n in hits)
+        f.writelines("\\t".join(map(str, hit)) + "\\n" for hit in hits)
     code and _exit(*code)
 atexit.register(dump)
 os._exit = dump
@@ -98,9 +119,10 @@ def programs(tmp: str) -> list[list[str]]:
     return runs + [[e2e, "--smoke"], [e2e, "--smoke", "--trace", "1"]]
 
 
-def trace_programs() -> dict[str, set[int]]:
-    """Run every program under the tracer; the lines each file ran."""
-    hits: dict[str, set[int]] = {}
+def trace_programs() -> dict[str, set[Hit]]:
+    """Run every program under the tracer; the lines each file ran, as
+    ``(code's first line, code's name, line)``."""
+    hits: dict[str, set[Hit]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "sitecustomize.py").write_text(TRACER)
         env = {**os.environ, "CENSUS_SRC": f"{SRC}{os.sep}", "CENSUS_OUT": tmp,
@@ -114,19 +136,27 @@ def trace_programs() -> dict[str, set[int]]:
                 print(f"exit {code}: {' '.join(argv)}", file=sys.stderr)
         for path in Path(tmp).glob("*.hits"):
             for row in path.read_text().splitlines():
-                name, line = row.split("\t")
-                hits.setdefault(name, set()).add(int(line))
+                name, first, code, line = row.split("\t")
+                hits.setdefault(name, set()).add((int(first), code, int(line)))
     return hits
 
 
-def _owned(code) -> set[int]:
-    """The lines that carry bytecode in ``code`` and the code it nests."""
-    return {line for *_, line in code.co_lines() if line}.union(
-        *(_owned(c) for c in code.co_consts if hasattr(c, "co_lines")))
+def _codes(code):
+    """``code`` and every code object it nests."""
+    yield code
+    for c in code.co_consts:
+        if hasattr(c, "co_lines"):
+            yield from _codes(c)
 
 
-def statements(source: str, path: str) -> list[tuple[range, bool]]:
-    """``(own lines, is validation)`` of every statement, in order."""
+def _inline(name: str) -> bool:
+    """A lambda's, comprehension's or generator expression's code: part
+    of a statement, not a module, class or function body."""
+    return name.startswith("<") and name != "<module>"
+
+
+def statements(source: str, path: str) -> list[Row]:
+    """A row per statement, in order, then per inline code object."""
     def visit(body, validation):
         validation = validation or isinstance(body[-1], ast.Raise)
         for node in body:
@@ -140,21 +170,39 @@ def statements(source: str, path: str) -> list[tuple[range, bool]]:
             for block in blocks:
                 yield from visit(block, validation)
 
-    owned = _owned(compile(source, path, "exec"))
-    return [(span, v) for span, v in visit(ast.parse(source).body, False)
-            if owned.intersection(span)]
+    codes = list(_codes(compile(source, path, "exec")))
+    owned = {line for code in codes for *_, line in code.co_lines() if line}
+    found = [Row(span[0], span, v, None)
+             for span, v in visit(ast.parse(source).body, False)
+             if owned.intersection(span)]
+    for code in codes:
+        if _inline(code.co_name):
+            first = code.co_firstlineno
+            # The innermost statement it sits in comes last.
+            outer = next((row for row in reversed(found)
+                          if row.inline is None and first in row.span),
+                         Row(first, range(first, first + 1), False, None))
+            found.append(outer._replace(line=first,
+                                        inline=(first, code.co_name)))
+    return found
 
 
-def census(root: Path, hits: dict[str, set[int]]):
+def census(root: Path, hits: dict[str, set[Hit]]):
     """A ``(path, line, is validation)`` row per statement under ``root``
-    that no line of ``hits`` ran, and the number of statements."""
+    that no hit ran and per inline code object that did not run although
+    its statement did, and the number of both."""
     rows, total = [], 0
     for path in sorted(root.rglob("*.py")):
         found = statements(path.read_text(), str(path))
         ran = hits.get(str(path), set())
+        lines = {line for _, code, line in ran if not _inline(code)}
+        inline = {(first, code) for first, code, _ in ran}
         total += len(found)
-        rows += [(path, span[0], v) for span, v in found
-                 if not ran.intersection(span)]
+        for row in found:
+            stated = lines.intersection(row.span)
+            if not stated if row.inline is None \
+                    else stated and row.inline not in inline:
+                rows.append((path, row.line, row.validation))
     return rows, total
 
 

@@ -177,8 +177,9 @@ def check_service_exactly_once(trace: EventTrace) -> list[TraceFinding]:
             "ended without a ServiceBeginEvent" if not begun[i] else
             f"ends at non-finite t={at}" if not finite[i] else
             f"ends at t={at:.6g} before its begin at t={t_begin[i]:.6g}")))
+    # In trace order: no two rows share a position.
     findings = [TraceFinding("exactly-once-service", t, detail)
-                for _, t, detail in sorted(rows, key=lambda row: row[0])]
+                for _, t, detail in sorted(rows)]
     for k in np.flatnonzero((first_b >= 0) & (first_e < 0)).tolist():
         findings.append(TraceFinding(
             "exactly-once-service", float(b["t"][first_b[k]]),

@@ -35,8 +35,9 @@ loop's only events, and each station commits a job when it admits it
 (:meth:`ServerGroup.admit`); the per-event loop is its oracle, report
 bytes and traced events alike, for positive service times.
 Ingest is columnar from end to end: :func:`make_stream_arrivals` builds
-one :class:`ArrivalTrace` (arrival instants, streams and per-edge indices
-into the graph's own columns) with no Python step per arrival, the
+one :class:`ArrivalTrace` (arrival instants, streams and each arrival's
+first row into the graph's own columns; the per-edge index is built
+only when read) with no Python step per arrival, the
 scheduler's run *is* that trace, the batcher's pending buffer is a span
 of it, a released job is a span of it, and the
 report subtracts its ``t`` column from the job finish times.  A

@@ -80,13 +80,20 @@ class ArrivalTrace(Sequence):
     ``cum``
         ``(n + 1,)`` edge offsets from 0: arrival ``i`` owns
         ``eidx[cum[i]:cum[i + 1]]``.  Slicing the trace slices ``cum``
-        without rebasing it, so a slice shares ``eidx`` with its parent.
+        and ``first`` without rebasing them.
+    ``first``
+        ``(n,)`` each arrival's first row into ``edges``: an arrival's
+        rows are one ascending contiguous run (a time window of the
+        graph) by construction, which is what lets :meth:`batch` return
+        views of the same rows :meth:`merged` gathers.
     ``eidx``
-        Per-edge row index into ``edges``, derived here from ``first``
-        (each arrival's first row): an arrival's rows are one ascending
-        contiguous run (a time window of the graph) by construction,
-        which is what lets :meth:`batch` return views of the same rows
-        :meth:`merged` gathers.
+        The per-edge row index into ``edges`` that ``first`` and ``cum``
+        spell, built the first time it is read (:meth:`rows`,
+        :meth:`job_rows`, :meth:`merged` of more than one arrival), once
+        per trace and shared with its slices, so a span's rows are a
+        view: a run that hands out only spans and edge counts, as a
+        priced pool does, never builds it, and one that reads every
+        job's rows (a control plane's heat) builds it once.
     ``edges``
         The edge columns the indices point into — for a replayed graph the
         graph's own ``src/dst/t/edge_feat`` arrays.  Holding indices
@@ -99,7 +106,8 @@ class ArrivalTrace(Sequence):
     memo per trace, shared with its slices).
     """
 
-    __slots__ = ("edges", "t", "stream", "cum", "eidx", "_batches")
+    __slots__ = ("edges", "t", "stream", "cum", "first", "_root", "_eidx",
+                 "_batches")
 
     def __init__(self, edges: EdgeBatch, t: np.ndarray, stream: np.ndarray,
                  cum: np.ndarray, first: np.ndarray):
@@ -110,9 +118,23 @@ class ArrivalTrace(Sequence):
         self.t = t
         self.stream = stream
         self.cum = cum
-        self.eidx = np.repeat(first - cum[:-1], np.diff(cum)) \
-            + np.arange(cum[-1])
+        self.first = first
+        # A slice keeps the trace it was cut from as ``_root``, and reads
+        # (and builds) that trace's index.
+        self._root = self._eidx = None
         self._batches: dict[tuple[int, int], EdgeBatch] = {}
+
+    @property
+    def eidx(self) -> np.ndarray:
+        root = self if self._root is None else self._root
+        if root._eidx is None:
+            root._eidx = root._index()
+        return root._eidx
+
+    def _index(self) -> np.ndarray:
+        cum = self.cum
+        return np.repeat(self.first - cum[:-1], np.diff(cum)) \
+            + np.arange(cum[-1])
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -133,10 +155,11 @@ class ArrivalTrace(Sequence):
         normalised."""
         # Views of columns that are already consistent: no re-derivation.
         part = object.__new__(ArrivalTrace)
-        part.edges, part.eidx = self.edges, self.eidx
+        part.edges = self.edges
+        part._root = self if self._root is None else self._root
         part._batches = self._batches
         part.t, part.stream = self.t[lo:hi], self.stream[lo:hi]
-        part.cum = self.cum[lo:hi + 1]
+        part.cum, part.first = self.cum[lo:hi + 1], self.first[lo:hi]
         return part
 
     def __iter__(self):
@@ -148,13 +171,11 @@ class ArrivalTrace(Sequence):
         """Arrival ``i``'s edges, as views of the edge columns."""
         if i < 0:
             i += len(self)
-        lo, hi = self.cum.item(i), self.cum.item(i + 1)
-        first = self.eidx.item(lo) if hi > lo else 0
-        key = (first, hi - lo)
+        first, n = self.first.item(i), self.cum.item(i + 1) - self.cum.item(i)
+        key = (first, n)
         batch = self._batches.get(key)
         if batch is None:
-            batch = self._batches[key] = self._take(
-                slice(first, first + hi - lo))
+            batch = self._batches[key] = self._take(slice(first, first + n))
         return batch
 
     def _take(self, rows) -> EdgeBatch:
@@ -373,7 +394,13 @@ class DynamicBatcher:
             raise ValueError("arrivals must be sorted by time")
         n = len(t)
         after = np.arange(1, n + 1)
-        end = np.maximum(np.searchsorted(t, t + self.max_delay_s), after)
+        # ``searchsorted(t, t + max_delay_s)`` as one merge of two sorted
+        # columns: a stable sort puts each deadline before the instants
+        # equal to it, so its rank less its own index counts the instants
+        # before it.
+        rank = np.argsort(np.concatenate((t + self.max_delay_s, t)),
+                          kind="stable")
+        end = np.maximum(np.flatnonzero(rank < n) - np.arange(n), after)
         if self.max_edges is None:
             return end, np.zeros(n, dtype=bool)
         cum = trace.cum

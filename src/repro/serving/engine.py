@@ -342,16 +342,18 @@ def make_stream_arrivals(graph: TemporalGraph, window_s: float,
     rel = (t_close - t_close[0]) / speedup
     phase = np.arange(num_streams) / num_streams * window_s / speedup
     t = (rel[None, :] + phase[:, None]).ravel()
-    stream = np.repeat(np.arange(num_streams), len(lo))
     # Same-instant arrivals from different streams must order
     # deterministically: by stream, then (stable) by window.
-    order = np.lexsort((stream, t))
-    window = order % len(lo)
+    order = np.lexsort((np.repeat(np.arange(num_streams), len(lo)), t))
+    # ``t`` is stream-major: entry ``order[i]`` is stream
+    # ``order[i] // len(lo)``'s window ``order[i] % len(lo)``.
+    stream = order // len(lo)
+    window = order - stream * len(lo)
     n_edges = (hi - lo)[window]
     cum = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(n_edges, out=cum[1:])
-    return ArrivalTrace(graph.slice(0, graph.num_edges), t[order],
-                        stream[order], cum, lo[window])
+    return ArrivalTrace(graph.slice(0, graph.num_edges), t[order], stream,
+                        cum, lo[window])
 
 
 class ServingEngine:

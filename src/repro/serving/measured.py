@@ -194,8 +194,8 @@ class MeasuredServerGroup(ServerGroup):
 
     def __init__(self, gid: int, num_servers: int, backend: MeasuredBackend,
                  pool: WorkerPool, sched: EventScheduler,
-                 queue_capacity: int | None = None,
-                 extra_service: Callable[[Any], float] | None = None):
+                 queue_capacity: int | None = None, *,
+                 extra_service: Callable[[Any], float]):
         def _never_priced(_payload: Any) -> float:
             raise RuntimeError(
                 "MeasuredServerGroup does not draw modeled service times")
@@ -204,8 +204,7 @@ class MeasuredServerGroup(ServerGroup):
                          queue_capacity=queue_capacity)
         self.backend = backend
         self.pool = pool
-        self._extra = extra_service if extra_service is not None \
-            else (lambda _payload: 0.0)
+        self._extra = extra_service
         self._pending: list[tuple] = []
         self._reconcile_scheduled = False
         self.samples: list[float] = []

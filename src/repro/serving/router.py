@@ -90,7 +90,7 @@ batch whole and routes no plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +108,6 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 class ShardBatch:
     """The slice of one job a single shard must process.
 
-    The mail and sync fields default to "none": a one-shard router hands
-    the whole job to its one shard.
     The ``sync_*`` fields are populated when the router is given a memsync
     cache: ``sync_pull`` are the vertex rows this shard must fetch from
     their owners before processing (priced as mailbox round-trips),
@@ -121,11 +119,10 @@ class ShardBatch:
     shard: int
     batch: EdgeBatch            # local + forwarded edges, chronological
     local_edges: int
-    mail_edges: int = 0         # edges forwarded in from other shards
-    # (mail_edges,) source shard per forwarded edge
-    mail_from: np.ndarray = field(default_factory=lambda: _NO_ROWS)
-    sync_pull: np.ndarray = field(default_factory=lambda: _NO_ROWS)
-    sync_push: np.ndarray = field(default_factory=lambda: _NO_ROWS)
+    mail_edges: int             # edges forwarded in from other shards
+    mail_from: np.ndarray       # (mail_edges,) source shard per forwarded edge
+    sync_pull: np.ndarray
+    sync_push: np.ndarray
     stale_reads: int = 0
     version_lag: int = 0
 
@@ -295,7 +292,8 @@ class ShardRouter:
         the pass is skipped.
         """
         if self.num_shards == 1:
-            return [ShardBatch(0, batch, len(batch))] if len(batch) else []
+            return [ShardBatch(0, batch, len(batch), 0, _NO_ROWS, _NO_ROWS,
+                               _NO_ROWS)] if len(batch) else []
         plan = self.plan(batch, [0, len(batch)], mailbox=mailbox,
                          cache=cache)
         return [plan.shard_batch(*run) for run in plan.next()]

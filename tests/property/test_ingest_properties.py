@@ -1,26 +1,33 @@
 """Property-based equivalence of the columnar ingest tier.
 
-``time_window_spans`` cuts a stream into windows with one ``cumsum`` +
-``searchsorted`` per dense run, and ``make_stream_arrivals`` builds the
-whole multi-tenant arrival process as the columns of one
-:class:`ArrivalTrace`.  The code they replaced — a scalar
-``window_start += window`` loop and a list of per-arrival
-``StreamArrival`` objects sorted with a Python key — is kept here, and
-only here, as the oracle.  Uniform, bursty-with-gaps, integer-tied and
-on-boundary timestamps; sub-ranges; 1–9 streams with same-instant
-cross-stream ties: spans and arrivals must match bit for bit, the jobs
-the online batcher releases from the trace must equal the offline
-``coalesce`` of the oracle's list merged by ``merge_batches``, and the
-two schedulers must write the same report bytes.
+``time_window_spans`` cuts a stream into windows with one scalar step
+per non-empty window (a jump over each gap of empty windows and one
+``bisect_left`` for the window's end), and ``make_stream_arrivals``
+builds the whole multi-tenant arrival process as the columns of one
+:class:`ArrivalTrace`.  The code they replaced — a
+``window_start += window`` loop that steps through every empty window
+and a list of per-arrival ``StreamArrival`` objects sorted with a Python
+key — is kept here, and only here, as the oracle.  Uniform,
+bursty-with-gaps, integer-tied, on-boundary and tenth-of-a-second
+timestamps, at origins up to 1e9 and up to 2000 edges (long runs, where
+the sums drift); sub-ranges; 1–9 streams with same-instant cross-stream
+ties: spans must match bit for bit (starts by ``float.hex``), and
+arrivals too, the jobs the online batcher releases from the trace must
+equal the offline ``coalesce`` of the oracle's list merged by
+``merge_batches``, and the two schedulers must write the same report
+bytes.
 
-``DynamicBatcher.ends`` finds each arrival's job end with one
-``searchsorted`` of the instants and one of the edge offsets, and
+``DynamicBatcher.ends`` finds each arrival's job end with one merge of
+the instants with their deadlines and one ``searchsorted`` of the edge
+offsets, and
 ``releases`` chains the ends; the admission loop ``coalesce`` ran before
 is the third oracle here, held to it on tied, bursty, uniform and
 deadline-grid traces.
 """
 
+import inspect
 import math
+import textwrap
 from collections import namedtuple
 
 import numpy as np
@@ -132,16 +139,23 @@ def oracle_coalesce(batcher, arrivals):
 
 # --------------------------------------------------------------------------- #
 @st.composite
-def streams(draw):
-    """``(graph, window, start, end)``: a sorted edge stream of one of four
-    timestamp shapes, a window it can resolve, and a sub-range of it."""
+def streams(draw, longest=120):
+    """``(graph, window, start, end)``: a sorted edge stream of one of five
+    timestamp shapes, a window it can resolve, and a sub-range of it.
+    Up to ``longest`` edges in some draws, else up to 120."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(1, 120))
-    window = draw(st.sampled_from([0.1, 0.25, 1.0, 3.0, 7.5, 10.0 / 3.0]))
-    origin = draw(st.sampled_from([0.0, 1.0, 1e6, -50.0]))
-    kind = draw(st.sampled_from(["uniform", "bursty", "integer", "boundary"]))
-    if kind == "uniform":
+    n = draw(st.integers(1, 120) | st.integers(1, longest))
+    window = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0, 3.0, 7.5,
+                                   10.0 / 3.0]))
+    origin = draw(st.sampled_from([0.0, 1.0, 1e6, -50.0, 1e9]))
+    kind = draw(st.sampled_from(["uniform", "bursty", "integer", "boundary",
+                                 "decimal"]))
+    if kind in ("uniform", "decimal"):
         t = rng.uniform(0, n * window * draw(st.sampled_from([0.3, 1, 4])), n)
+        if kind == "decimal":
+            # A tenth-of-a-second clock: many instants sit within
+            # round-off of a window boundary the window starts drift past.
+            t = np.round(t, 1)
     elif kind == "bursty":
         # Dense bursts separated by gaps of many empty windows.
         centers = np.cumsum(rng.exponential(40 * window, size=4))
@@ -181,16 +195,28 @@ def assert_batches_identical(got, want):
 
 
 # --------------------------------------------------------------------------- #
+def check_cut(graph, window, start=0, end=None):
+    """The cut equals the loop: starts by ``float.hex``, dtypes too."""
+    starts, lo, hi = time_window_spans(graph, window, start, end)
+    assert list(zip(map(float.hex, starts.tolist()), lo.tolist(),
+                    hi.tolist())) == [
+        (float(s).hex(), a, b)
+        for s, a, b in oracle_spans(graph, window, start, end)]
+    assert starts.dtype == np.float64
+    assert lo.dtype == hi.dtype == np.int64
+
+
 class TestColumnarIngestMatchesTheLoops:
-    @settings(deadline=None, max_examples=200)
-    @given(streams())
+    @settings(deadline=None, max_examples=300)
+    @given(streams(longest=2000))
+    @example((TemporalGraph(np.zeros(4, int), np.ones(4, int),
+                            np.array([0.0, 0.1, 0.7, 0.7])), 0.1, 0, None))
+    # An edge within round-off of a window boundary, one window on.
+    @example((TemporalGraph(np.zeros(2, int), np.ones(2, int),
+                            np.array([-14.0, 0.9999999999999999])),
+              7.5, 0, None))
     def test_spans_bit_identical(self, stream):
-        graph, window, start, end = stream
-        want = list(oracle_spans(graph, window, start, end))
-        starts, lo, hi = time_window_spans(graph, window, start, end)
-        assert list(zip(starts.tolist(), lo.tolist(), hi.tolist())) == want
-        assert starts.dtype == np.float64
-        assert lo.dtype == hi.dtype == np.int64
+        check_cut(*stream)
 
     @settings(deadline=None, max_examples=150)
     @given(replays)
@@ -413,12 +439,18 @@ class TestSpansMatchTheAdmissionLoop:
 
     def test_a_deadline_bisect_right_fails(self, monkeypatch):
         """Mutation check: an arrival exactly at ``t + max_delay_s`` waits
-        behind the deadline flush; searching right would admit it."""
+        behind the deadline flush; searching right would admit it.  The
+        mutant merges the instants ahead of the deadlines they equal."""
         arrivals = hand_built(np.array([0.0, 1.0, 2.0]), [1, 1, 1])
         check_spans(arrivals, dict(max_delay_s=1.0), 0)
-        search = np.searchsorted
-        monkeypatch.setattr(batcher_module.np, "searchsorted",
-                            lambda a, v, side="left": search(a, v, "right"))
+        source = textwrap.dedent(inspect.getsource(DynamicBatcher.ends))
+        mutant = source.replace("(t + self.max_delay_s, t)",
+                                "(t, t + self.max_delay_s)") \
+            .replace("rank < n", "rank >= n")
+        assert mutant.count("rank >= n") == 1 and "(t, t +" in mutant
+        namespace = dict(vars(batcher_module))
+        exec(mutant, namespace)
+        monkeypatch.setattr(DynamicBatcher, "ends", namespace["ends"])
         with pytest.raises(AssertionError):
             check_spans(arrivals, dict(max_delay_s=1.0), 0)
 

@@ -95,7 +95,8 @@ def oracle_split(router, batch, mailbox=None, cache=None):
         out.append(ShardBatch(shard=shard, batch=sub,
                               local_edges=int(local.sum()),
                               mail_edges=int(mail.sum()),
-                              mail_from=mail_from))
+                              mail_from=mail_from, sync_pull=_NO_ROWS,
+                              sync_push=_NO_ROWS))
     if cache is None:
         return out
     reads = {sb.shard: oracle_note_reads(cache, sb.shard, sb.batch.nodes)
@@ -114,7 +115,8 @@ def oracle_split(router, batch, mailbox=None, cache=None):
 # ``step``.
 def oracle_one_pass_split(router, batch, mailbox=None, cache=None):
     if router.num_shards == 1:
-        return [ShardBatch(0, batch, len(batch))] if len(batch) else []
+        return [ShardBatch(0, batch, len(batch), 0, _NO_ROWS, _NO_ROWS,
+                           _NO_ROWS)] if len(batch) else []
     to_shard, edge, from_shard = router.placement.incidence(batch.src,
                                                             batch.dst)
     src, dst = batch.src[edge], batch.dst[edge]

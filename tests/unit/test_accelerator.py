@@ -148,12 +148,14 @@ class TestPricingTable:
         accelerator swapped for a counting one through the registry: the
         schedule runs once per distinct ``(edges, committed, cycles)`` per
         shard, not once per sub-job, and reads the sub-jobs' endpoints
-        only, so no feature row is taken off a plan."""
+        only, so no feature row is taken off a plan; the run's one route
+        plan builds the arrival trace's per-edge index, once."""
         from repro import datasets
         from repro.hw import plan_shard_dies
         from repro.pipeline import SimulatedFPGABackend
-        from repro.serving import (BackendRegistry, DynamicBatcher,
-                                   ServingEngine, VertexHeat, make_policy)
+        from repro.serving import (ArrivalTrace, BackendRegistry,
+                                   DynamicBatcher, ServingEngine, VertexHeat,
+                                   make_policy)
         from repro.serving.router import PlanRows
 
         feature_reads = []
@@ -165,6 +167,11 @@ class TestPricingTable:
             return honest.fget(rows)
 
         monkeypatch.setattr(PlanRows, "edge_feat", counted)
+        indexed = []
+        index = ArrivalTrace._index
+        monkeypatch.setattr(ArrivalTrace, "_index",
+                            lambda trace: indexed.append(len(trace))
+                            or index(trace))
 
         graph = datasets.load("wikipedia", num_edges=32, seed=0)
         model = TGNN(ModelConfig(memory_dim=32, time_dim=32, embed_dim=32,
@@ -202,6 +209,7 @@ class TestPricingTable:
         assert sum(len(acc.priced) for acc in accelerators) == 208
         assert sum(acc.simulated for acc in accelerators) == 4
         assert feature_reads == []
+        assert len(indexed) == 1
 
 
 class TestResources:

@@ -15,7 +15,7 @@ def check(x):
         msg = "negative"
         raise ValueError(msg)
     if x == 0:
-        x = 1
+        x = max(1 for _ in "a")
     return max(x,
                0)
 
@@ -24,18 +24,28 @@ class Box:
     def size(self):
         """Never entered."""
         return 1
+
+    area = property(lambda self: 2)
+    volume = property(lambda self: 3)
 '''
 
 
 def test_the_classifier_splits_validation_from_the_rest(tmp_path):
     """A ``raise`` branch is validation, a skipped statement and a method
-    never entered are not; a statement ran when its second line fired."""
+    never entered are not; a statement ran when its second line fired; a
+    lambda whose statement ran is a row of its own until its body fires,
+    and a generator expression in a statement that did not run adds no
+    row to the statement's."""
     (tmp_path / "mod.py").write_text(PLANTED)
-    ran = {str(tmp_path / "mod.py"): {1, 2, 5, 8, 11, 12}}
+    ran = {str(tmp_path / "mod.py"): {
+        (1, "<module>", 1), (1, "<module>", 11),
+        (1, "check", 2), (1, "check", 5), (1, "check", 8),
+        (11, "Box", 12), (11, "Box", 16), (11, "Box", 17),
+        (17, "<lambda>", 17)}}
     rows, total = census(tmp_path, ran)
     assert [(line, v) for _, line, v in rows] == [
-        (3, True), (4, True), (6, False), (14, False)]
-    assert total == 10
+        (3, True), (4, True), (6, False), (14, False), (16, False)]
+    assert total == 15
 
 
 @pytest.mark.tier2

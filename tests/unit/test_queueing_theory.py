@@ -310,7 +310,8 @@ def test_measured_service_times_match_kingman_gg1():
 
         sched = EventScheduler()
         group = MeasuredServerGroup(0, 1, MeasuredBackend(model, g),
-                                    WorkerPool(0), sched)
+                                    WorkerPool(0), sched,
+                                    extra_service=lambda _payload: 0.0)
 
         def on_arrival(ev):
             group.submit(ev[0], (ev[1],))

@@ -1043,8 +1043,9 @@ class TestPricedPoolJobsGatherNothing:
         ``benchmarks/e2e`` ``fleet_pool_ingest`` workload (a 1 µs/edge
         linear price, two replicas, a 2 s deadline, eight streams) hands
         each job to its station as a view, so no released job gathers its
-        merged batch, and the backend still prices each job once, at its
-        merged batch's length."""
+        merged batch, the arrival trace never builds its per-edge index,
+        and the backend still prices each job once, at its merged batch's
+        length."""
         from repro.graph import TemporalGraph
         n = 600
         rng = np.random.default_rng(0)
@@ -1073,13 +1074,18 @@ class TestPricedPoolJobsGatherNothing:
                 priced.append(len(batch))
                 return super().process_batch(batch)
 
+        indexed = []
+        index = ArrivalTrace._index
         monkeypatch.setattr(ArrivalTrace, "merged", counted)
+        monkeypatch.setattr(ArrivalTrace, "_index",
+                            lambda self: indexed.append(len(self))
+                            or index(self))
         engine = ServingEngine([Counting(1e-6)], graph.num_nodes,
                                topology="pool", pool_servers=2,
                                batcher=batcher)
         report = engine.run(graph, **run)
         assert report.windows == len(trace) and len(want) > 1
-        assert merged == []
+        assert merged == [] and indexed == []
         assert priced == want
 
 
